@@ -238,6 +238,19 @@ impl<K: PartialOrd + Copy, V: Copy> RuntimeDaryHeap<K, V> {
         out
     }
 
+    /// Replaces the contents with `entries` and heapifies bottom-up in
+    /// `O(n)` — cheaper than `n` pushes when the heap is only needed once
+    /// the entries are already known.
+    pub fn rebuild(&mut self, entries: impl IntoIterator<Item = (K, V)>) {
+        self.data.clear();
+        self.data.extend(entries);
+        if self.data.len() > 1 {
+            for idx in (0..=(self.data.len() - 2) / self.d).rev() {
+                self.sift_down(idx);
+            }
+        }
+    }
+
     /// Replaces the root, returning the old root. Panics if empty.
     pub fn replace_root(&mut self, key: K, value: V) -> (K, V) {
         debug_assert!(key.partial_cmp(&key).is_some(), "heap keys must not be NaN");
@@ -410,6 +423,21 @@ mod tests {
         assert!(h.is_empty());
         h.clear();
         assert_eq!(h.peek(), None);
+    }
+
+    #[test]
+    fn runtime_heap_rebuild_heapifies() {
+        for d in [2usize, 3, 8] {
+            let mut h = RuntimeDaryHeap::<u64, u32>::with_arity_and_capacity(d, 4);
+            h.push(99, 0);
+            h.rebuild((0..40u64).map(|k| ((k * 37) % 41, k as u32)));
+            let got: Vec<u64> = std::iter::from_fn(|| h.pop().map(|(k, _)| k)).collect();
+            let mut want: Vec<u64> = (0..40u64).map(|k| (k * 37) % 41).collect();
+            want.sort_unstable();
+            assert_eq!(got, want, "arity {d}");
+            h.rebuild(std::iter::empty());
+            assert!(h.is_empty());
+        }
     }
 
     #[test]

@@ -346,7 +346,7 @@ impl SessionIndex {
     /// CSR range of a session's items inside the flat item storage:
     /// `session_items(s)` equals `items_flat[session_span(s)]`. Exposed so
     /// consumers can maintain side-arrays parallel to the flat storage (the
-    /// per-occurrence idf weights in `VmisKnn` index with this range).
+    /// scoring stream of `VmisKnn` indexes with this range).
     #[inline]
     pub fn session_span(&self, session: SessionId) -> std::ops::Range<usize> {
         let s = self.items_offsets[session as usize] as usize;
@@ -354,11 +354,11 @@ impl SessionIndex {
         s..e
     }
 
-    /// Total number of `(session, item)` entries in the flat CSR storage —
-    /// the exclusive upper bound of every [`SessionIndex::session_span`].
+    /// The flat CSR item storage every [`SessionIndex::session_span`]
+    /// indexes into: all sessions' items, in session order.
     #[inline]
-    pub fn total_item_entries(&self) -> usize {
-        self.items_flat.len()
+    pub fn session_items_flat(&self) -> &[ItemId] {
+        &self.items_flat
     }
 
     /// Borrowed view of one historical session.

@@ -40,6 +40,8 @@
 //!
 //! * [`types`] — item/session/timestamp identifiers and the [`Click`] record.
 //! * [`hash`] — an FxHash-style fast hasher used for all hot-path hash maps.
+//! * [`candidates`] — the bounded open-addressing candidate table of the
+//!   online computation.
 //! * [`heap`] — d-ary min-heaps (the paper's "octonary heap" micro-optimisation).
 //! * [`weights`] — the decay function π, the match weight λ and idf weighting.
 //! * [`index`] — the `(M, t)` session-similarity index.
@@ -48,6 +50,7 @@
 
 #![warn(missing_docs)]
 
+pub mod candidates;
 pub mod error;
 pub mod hash;
 pub mod heap;
@@ -62,5 +65,5 @@ pub use recommender::Recommender;
 pub use hash::{FxHashMap, FxHashSet};
 pub use index::{IndexStats, PostingEntry, SessionIndex};
 pub use types::{Click, ItemId, ItemScore, SessionId, SessionRef, Timestamp};
-pub use vmis::{BatchScratch, HeapArity, Scratch, VmisConfig, VmisKnn};
+pub use vmis::{BatchScratch, HeapArity, KernelWork, Scratch, VmisConfig, VmisKnn};
 pub use weights::{DecayFunction, IdfWeighting, MatchWeight};

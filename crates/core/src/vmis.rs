@@ -3,9 +3,10 @@
 //! Given an evolving session and the prebuilt [`SessionIndex`], VMIS-kNN
 //! computes the `k` most similar historical sessions out of the `m` most
 //! recent sessions sharing at least one item, then scores all items occurring
-//! in those neighbours. Intermediate state is bounded: a similarity hash map
-//! `r` of at most `m` entries, a recency min-heap `b_t` of capacity `m`
-//! driving eviction of the oldest candidate, and a top-k min-heap `N_s`.
+//! in those neighbours. Intermediate state is bounded: a candidate table `r`
+//! of at most `m` sessions ([`crate::candidates`]), a recency min-heap `b_t`
+//! of capacity `m` driving eviction of the oldest candidate, and a top-k
+//! min-heap `N_s`. DESIGN.md §4.8 describes the memory layout.
 //!
 //! Because each posting list is sorted by descending recency, the session
 //! loop can **early-stop** as soon as the current historical session is no
@@ -22,10 +23,12 @@
 //! VS-kNN baseline, all return identical neighbour sets — a property the test
 //! suite verifies.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+use crate::candidates::{Candidate, CandidateTable};
 use crate::error::CoreError;
 use crate::hash::{fx_map_with_capacity, FxHashMap, FxHasher};
 use crate::heap::RuntimeDaryHeap;
@@ -155,9 +158,6 @@ impl VmisConfig {
     }
 }
 
-/// Composite recency key: strictly totally ordered even under timestamp ties.
-type RecencyKey = (Timestamp, SessionId);
-
 /// Fx hash of a capped window, used as the batch dedupe fast path.
 #[inline]
 fn window_hash(window: &[ItemId]) -> u64 {
@@ -169,38 +169,77 @@ fn window_hash(window: &[ItemId]) -> u64 {
     h.finish()
 }
 
+/// One entry of the scoring stream, parallel to the index's flat CSR item
+/// storage: everything the scoring loop needs to know about the item at
+/// that position, in 8 bytes.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+struct ScoreCell {
+    /// Accumulator slot of the item (its rank among all item ids).
+    slot: u32,
+    /// Idf weight of the item.
+    idf: f32,
+}
+
+/// One accumulator cell: `val` is the item's score `d_i` only while `epoch`
+/// equals the scratch's current epoch; stale cells cost nothing to clear.
+#[derive(Debug, Clone, Copy, Default)]
+struct AccCell {
+    epoch: u32,
+    val: f32,
+}
+
+/// What one request made the kernel do, counted in plain (non-atomic)
+/// words of its [`Scratch`] — the answer to "why was this request slow".
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelWork {
+    /// Posting entries read by the item-intersection loop.
+    pub postings_walked: u32,
+    /// Sessions admitted to the candidate table (evicted ones included).
+    pub candidates: u32,
+    /// Candidates evicted again because the table was full at `m`.
+    pub evicted: u32,
+    /// Posting walks cut short by early stopping.
+    pub early_stops: u32,
+    /// Neighbour sessions whose items were scored.
+    pub neighbors_scored: u32,
+    /// Distinct items that received a score.
+    pub slots_touched: u32,
+}
+
 /// Reusable per-thread buffers for the online computation.
 ///
 /// A production recommendation server keeps one `Scratch` per worker thread
-/// so that steady-state requests perform no heap allocation (Rust Performance
-/// Book: reuse workhorse collections).
+/// so that a steady-state request allocates nothing but the list it returns
+/// (Rust Performance Book: reuse workhorse collections).
 #[derive(Debug)]
 pub struct Scratch {
-    /// Temporary similarity scores `r`.
-    r: FxHashMap<SessionId, f32>,
-    /// Min-heap `b_t` over recency keys of the sessions in `r`.
-    bt: RuntimeDaryHeap<RecencyKey, ()>,
-    /// Min-heap `N_s` over (similarity, recency) for the top-k neighbours.
-    topk: RuntimeDaryHeap<(f32, Timestamp, SessionId), ()>,
-    /// Latest 1-based position of each item in the capped evolving session.
-    pos: FxHashMap<ItemId, usize>,
-    /// Candidate item scores `d`, as a dense epoch-stamped accumulator
-    /// indexed by the recommender's per-item slot (first appearance order in
-    /// the flat CSR storage). `acc[s]` is only meaningful when
-    /// `acc_epoch[s] == epoch`; stale slots cost nothing to "clear".
-    acc: Vec<f32>,
-    /// Epoch stamp per accumulator slot.
-    acc_epoch: Vec<u32>,
-    /// Current request epoch. Starts at 1 and is bumped by `clear()`; 0 is
-    /// reserved for "never touched" so freshly grown slots are always stale.
+    /// The candidate sessions `r` with their similarities, recency keys and
+    /// match positions.
+    table: CandidateTable,
+    /// Min-heap `b_t` over the recency keys of the candidates; built only
+    /// once the table is full and an eviction has to be decided.
+    bt: RuntimeDaryHeap<(Timestamp, SessionId), ()>,
+    /// Min-heap `N_s` over (similarity, recency) → dense candidate index,
+    /// used only when there are more than `k` candidates.
+    topk: RuntimeDaryHeap<(f32, Timestamp, SessionId), u32>,
+    /// The neighbours as `session << 32 | dense candidate index`, sorted —
+    /// the canonical (ascending session id) scoring order.
+    order: Vec<u64>,
+    /// Per scored neighbour: its run of the scoring stream and its weight
+    /// `λ · r_n · norm`.
+    runs: Vec<(Range<usize>, f32)>,
+    /// Accumulator slots of the window's items (`exclude_session_items`).
+    excluded: Vec<u32>,
+    /// Candidate item scores `d`, indexed by accumulator slot.
+    acc: Vec<AccCell>,
+    /// Current accumulator epoch; never 0, so fresh cells are always stale.
     epoch: u32,
-    /// Slots touched this epoch, in first-touch order — the worklist
-    /// `take_top` extracts from.
+    /// Slots touched this epoch, in first-touch order.
     touched: Vec<u32>,
-    /// Neighbours in canonical (ascending session id) order for scoring.
-    neighbors: Vec<(SessionId, f32)>,
-    /// Scored output buffer.
-    out: Vec<ItemScore>,
+    /// Ranking keys of the positively scored slots (see `take_top`).
+    rank: Vec<u64>,
+    work: KernelWork,
 }
 
 impl Scratch {
@@ -212,49 +251,59 @@ impl Scratch {
         Self::for_config(&VmisConfig::default())
     }
 
-    /// Creates scratch buffers sized for `config`.
+    /// Creates scratch buffers sized for `config`. The accumulator is sized
+    /// by the *index* (one cell per distinct item), which a config cannot
+    /// know — it grows to the recommender's slot count on first use.
     pub fn for_config(config: &VmisConfig) -> Self {
         let d = config.heap_arity.d();
         Self {
-            r: fx_map_with_capacity(config.m * 2),
+            table: CandidateTable::with_capacity(config.m),
             bt: RuntimeDaryHeap::with_arity_and_capacity(d, config.m),
             topk: RuntimeDaryHeap::with_arity_and_capacity(d, config.k),
-            pos: fx_map_with_capacity(config.max_session_len * 2),
-            // The accumulator is sized by the *index* (one slot per distinct
-            // item), which a config-only constructor cannot know — it grows
-            // to the recommender's slot count on first use and stays there.
+            order: Vec::with_capacity(config.k),
+            runs: Vec::with_capacity(config.k),
+            excluded: Vec::new(),
             acc: Vec::new(),
-            acc_epoch: Vec::new(),
             epoch: 1,
             touched: Vec::new(),
-            neighbors: Vec::with_capacity(config.k),
-            out: Vec::with_capacity(config.how_many),
+            rank: Vec::new(),
+            work: KernelWork::default(),
         }
     }
 
-    fn clear(&mut self) {
-        self.r.clear();
+    /// Work counters of the most recent request run on this scratch.
+    pub fn work(&self) -> KernelWork {
+        self.work
+    }
+
+    /// Test hook: restarts both epoch counters (candidate table and
+    /// accumulator) at `epoch`, so a test can cross the wrap-around.
+    #[doc(hidden)]
+    pub fn set_epoch(&mut self, epoch: u32) {
+        self.table.set_epoch(epoch);
+        self.acc.fill(AccCell::default());
+        self.epoch = epoch;
+    }
+
+    /// Readies the buffers for a request with sample size `m` over `slots`
+    /// distinct items.
+    fn clear(&mut self, m: usize, slots: usize) {
+        self.table.reset(m);
         self.bt.clear();
         self.topk.clear();
-        self.pos.clear();
+        self.order.clear();
+        self.excluded.clear();
         self.touched.clear();
-        // Advancing the epoch invalidates every accumulator slot in O(1).
+        self.rank.clear();
+        self.work = KernelWork::default();
+        if self.acc.len() < slots {
+            self.acc.resize(slots, AccCell::default());
+        }
+        // Advancing the epoch invalidates every accumulator cell in O(1).
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.acc_epoch.fill(0);
+            self.acc.fill(AccCell::default());
             self.epoch = 1;
-        }
-        self.neighbors.clear();
-        self.out.clear();
-    }
-
-    /// Grows the accumulator to cover `slots` distinct items. New slots carry
-    /// epoch 0, which never matches a live epoch.
-    #[inline]
-    fn ensure_slots(&mut self, slots: usize) {
-        if self.acc.len() < slots {
-            self.acc.resize(slots, 0.0);
-            self.acc_epoch.resize(slots, 0);
         }
     }
 }
@@ -264,6 +313,9 @@ impl Default for Scratch {
         Self::new()
     }
 }
+
+/// One step of a window's traversal plan: `(item, π, 1-based position)`.
+type Step = (ItemId, f32, u32);
 
 /// Reusable buffers for [`VmisKnn::recommend_batch`]: one [`Scratch`] per
 /// *unique* capped window in the batch plus the dedupe and scheduling state
@@ -284,13 +336,21 @@ pub struct BatchScratch {
     /// Last request index using each unique slot; that requester takes the
     /// result by move instead of cloning.
     last_use: Vec<usize>,
-    /// Traversal plan per unique window: `(item, π)` steps in the exact
-    /// order the sequential kernel would process them.
-    plans: Vec<Vec<(ItemId, f32)>>,
+    /// Traversal plan per unique window, in the exact order the sequential
+    /// kernel would take the steps.
+    plans: Vec<Vec<Step>>,
     /// Request index → unique-window index.
     assign: Vec<usize>,
     /// Per-unique-window scored output of the current batch.
     results: Vec<Vec<ItemScore>>,
+}
+
+impl BatchScratch {
+    /// Work counters of request `request` of the most recent batch (shared
+    /// by all requests whose windows were deduplicated into one run).
+    pub fn work(&self, request: usize) -> KernelWork {
+        self.assign.get(request).map(|&u| self.slots[u].work()).unwrap_or_default()
+    }
 }
 
 /// A neighbour session together with its similarity score.
@@ -300,6 +360,9 @@ pub struct Neighbor {
     pub session: SessionId,
     /// Decayed dot-product similarity `r_n`.
     pub similarity: f32,
+    /// 1-based window position of the most recent item shared with the
+    /// evolving session (the argument of the match weight λ).
+    pub match_pos: usize,
 }
 
 /// The VMIS-kNN recommender: a session index plus hyperparameters.
@@ -307,20 +370,15 @@ pub struct Neighbor {
 pub struct VmisKnn {
     index: Arc<SessionIndex>,
     config: VmisConfig,
-    /// Idf weight of every entry of the index's flat CSR item storage:
-    /// `idf_flat[i]` weighs the item at flat position `i`, so the scoring
-    /// loop walks it in lockstep with `session_items` instead of hashing
-    /// each (neighbour, item) pair. Values are identical to the former
-    /// per-item map (same `config.idf.weight`, same 1.0 fallback for items
-    /// without a posting), keeping the output bit-identical.
-    idf_flat: Box<[f32]>,
-    /// Dense accumulator slot of every entry of the flat CSR item storage:
-    /// `slot_flat[i]` is the per-item slot of the item at flat position `i`
-    /// (slots assigned in first-appearance order). Walked in lockstep with
-    /// `idf_flat`, it turns the scoring loop's per-item hash probe into an
-    /// array index into [`Scratch::acc`].
-    slot_flat: Box<[u32]>,
-    /// Item id of each accumulator slot (the inverse of `slot_flat`).
+    /// The scoring stream: `cells[i]` describes the item at position `i` of
+    /// the index's flat CSR item storage, so scoring a neighbour reads one
+    /// contiguous run of `cells[session_span(n)]` and never the item ids.
+    /// Idf values are `config.idf.weight(h_i, |H|)`, or 1.0 for an item
+    /// without a posting.
+    cells: Box<[ScoreCell]>,
+    /// Item id of each accumulator slot, ascending: slot order *is* item-id
+    /// order, which `take_top` uses to break score ties without resolving
+    /// ids and `exclude_session_items` uses to find a window item's slot.
     slot_items: Box<[ItemId]>,
 }
 
@@ -335,30 +393,40 @@ impl VmisKnn {
         let index = index.into();
         config.validate(&index)?;
         let num_sessions = index.num_sessions();
-        let mut idf_by_item: FxHashMap<ItemId, f32> = fx_map_with_capacity(index.num_items());
-        for (item, posting) in index.postings_iter() {
-            idf_by_item.insert(item, config.idf.weight(posting.support as usize, num_sessions));
-        }
-        let mut idf_flat = Vec::with_capacity(index.total_item_entries());
-        let mut slot_flat = Vec::with_capacity(index.total_item_entries());
-        let mut slot_of: FxHashMap<ItemId, u32> = fx_map_with_capacity(index.num_items());
-        let mut slot_items: Vec<ItemId> = Vec::with_capacity(index.num_items());
-        for sid in 0..num_sessions as SessionId {
-            for item in index.session_items(sid) {
-                idf_flat.push(idf_by_item.get(item).copied().unwrap_or(1.0));
-                let slot = *slot_of.entry(*item).or_insert_with(|| {
-                    slot_items.push(*item);
-                    (slot_items.len() - 1) as u32
-                });
-                slot_flat.push(slot);
+        let mut items: Vec<(ItemId, f32)> = index
+            .postings_iter()
+            .map(|(item, p)| (item, config.idf.weight(p.support as usize, num_sessions)))
+            .collect();
+        let flat = index.session_items_flat();
+        let mut cells = Vec::with_capacity(flat.len());
+        loop {
+            items.sort_unstable_by_key(|&(item, _)| item);
+            let mut cell_of: FxHashMap<ItemId, ScoreCell> = fx_map_with_capacity(items.len());
+            for (slot, &(item, idf)) in items.iter().enumerate() {
+                cell_of.insert(item, ScoreCell { slot: slot as u32, idf });
             }
+            let known = items.len();
+            for item in flat {
+                match cell_of.get(item) {
+                    Some(&cell) => cells.push(cell),
+                    None => items.push((*item, 1.0)),
+                }
+            }
+            if items.len() == known {
+                break;
+            }
+            // Only a hand-assembled index lists a session item that has no
+            // posting. Such items need slots too (they weigh 1.0), and slot
+            // order must stay item-id order: add them and lay out again.
+            items[known..].sort_unstable_by_key(|&(item, _)| item);
+            items.dedup_by_key(|&mut (item, _)| item);
+            cells.clear();
         }
         Ok(Self {
             index,
             config,
-            idf_flat: idf_flat.into_boxed_slice(),
-            slot_flat: slot_flat.into_boxed_slice(),
-            slot_items: slot_items.into_boxed_slice(),
+            cells: cells.into_boxed_slice(),
+            slot_items: items.into_iter().map(|(item, _)| item).collect(),
         })
     }
 
@@ -402,184 +470,172 @@ impl VmisKnn {
         session: &[ItemId],
         scratch: &mut Scratch,
     ) -> Vec<ItemScore> {
-        self.fill_neighbors(session, scratch);
-        self.score_items(scratch);
+        let window = self.fill_neighbors(session, scratch);
+        self.score_items(window, scratch);
         self.take_top(scratch)
     }
 
     /// Non-personalised variant (Section 4.2 "Depersonalisation"): only the
-    /// currently displayed item is used for the prediction.
-    ///
-    /// This is the cache-miss path behind the serving layer's prediction
-    /// cache and the router's failover path, so it is specialised end to
-    /// end: one posting walk, no position map, no decay loop — a one-item
-    /// window pins `ω = {item ↦ 1}`, `|s| = 1` and thus `norm = 1`, so
-    /// every per-position lookup of the generic kernel becomes a constant.
-    /// Output is bit-identical to `recommend(&[current_item])`; the
-    /// differential suite checks this on random logs and configs.
+    /// currently displayed item is used for the prediction. It *is*
+    /// `recommend_with_scratch(&[current_item], ..)` — the serving engine
+    /// calls that directly with its one-item view for `consent = false`
+    /// requests and prediction-cache misses; this name is kept for callers
+    /// that hold an item rather than a session.
     pub fn recommend_depersonalised(
         &self,
         current_item: ItemId,
         scratch: &mut Scratch,
     ) -> Vec<ItemScore> {
-        let cfg = &self.config;
-        scratch.clear();
-        // Generic kernel on a one-item window: π(1, 1) is the only decay
-        // weight and the position map would hold exactly {current_item ↦ 1}.
-        self.intersect_item(current_item, cfg.decay.weight(1, 1), scratch);
-        self.select_topk(scratch);
-
-        // Scoring with wlen = 1: max_pos is 1 for every true neighbour, so
-        // λ(1, 1) hoists out of the loop, and norm = 1 whether or not
-        // session-length normalisation is on.
-        let lambda = cfg.match_weight.weight(1, 1);
-        if lambda > 0.0 {
-            self.ensure_scratch_slots(scratch);
-            let Scratch { topk, acc, acc_epoch, epoch, touched, neighbors, .. } = scratch;
-            let e = *epoch;
-            neighbors.extend(topk.iter().map(|&((sim, _, sid), ())| (sid, sim)));
-            neighbors.sort_unstable_by_key(|&(sid, _)| sid);
-            for &(sid, similarity) in neighbors.iter() {
-                let span = self.index.session_span(sid);
-                let items = self.index.session_items(sid);
-                if !items.contains(&current_item) {
-                    continue; // cannot happen for true neighbours; defensive
-                }
-                let session_weight = lambda * similarity;
-                for ((&item, &idf), &slot) in
-                    items.iter().zip(&self.idf_flat[span.clone()]).zip(&self.slot_flat[span])
-                {
-                    if cfg.exclude_session_items && item == current_item {
-                        continue;
-                    }
-                    let s = slot as usize;
-                    if acc_epoch[s] == e {
-                        acc[s] += session_weight * idf;
-                    } else {
-                        acc_epoch[s] = e;
-                        acc[s] = session_weight * idf;
-                        touched.push(slot);
-                    }
-                }
-            }
-        }
-        self.take_top(scratch)
+        self.recommend_with_scratch(&[current_item], scratch)
     }
 
     /// Computes only the `k` nearest neighbour sessions (the
-    /// `neighbor_sessions_from_index` function of Algorithm 2). Exposed for
-    /// the index-design microbenchmark (Figure 3a, bottom).
+    /// `neighbor_sessions_from_index` function of Algorithm 2), in
+    /// ascending session-id order. Exposed for the index-design
+    /// microbenchmark (Figure 3a, bottom).
     pub fn neighbors_with_scratch(
         &self,
         session: &[ItemId],
         scratch: &mut Scratch,
     ) -> Vec<Neighbor> {
         self.fill_neighbors(session, scratch);
+        let cands = scratch.table.as_slice();
         scratch
-            .topk
+            .order
             .iter()
-            .map(|&((sim, _, sid), ())| Neighbor { session: sid, similarity: sim })
+            .map(|&packed| {
+                let c = cands[packed as u32 as usize];
+                Neighbor {
+                    session: c.session,
+                    similarity: c.similarity,
+                    match_pos: c.match_pos as usize,
+                }
+            })
             .collect()
     }
 
     /// Caps an evolving session to its most recent `max_session_len` items.
     #[inline]
     fn cap_window<'a>(&self, session: &'a [ItemId]) -> &'a [ItemId] {
-        let cap = self.config.max_session_len;
-        if session.len() > cap {
-            &session[session.len() - cap..]
-        } else {
-            session
-        }
+        &session[session.len().saturating_sub(self.config.max_session_len)..]
     }
 
-    /// Grows `scratch`'s dense accumulator to this recommender's slot count.
-    #[inline]
-    fn ensure_scratch_slots(&self, scratch: &mut Scratch) {
-        scratch.ensure_slots(self.slot_items.len());
+    /// The traversal plan of a capped window: its distinct items from the
+    /// most recent position backwards (an item counts at its *latest*
+    /// occurrence), each with its decay weight π and 1-based position.
+    fn steps<'a>(&'a self, window: &'a [ItemId]) -> impl Iterator<Item = Step> + 'a {
+        let wlen = window.len();
+        (0..wlen).rev().filter(move |&i| !window[i + 1..].contains(&window[i])).map(move |i| {
+            (window[i], self.config.decay.weight(i + 1, wlen), (i + 1) as u32)
+        })
     }
 
     /// One step of the item-intersection loop: merges `item`'s posting list
-    /// into the candidate set `r`/`b_t` with decay weight `pi`. State
-    /// transitions depend only on `scratch`'s own prior contents, so steps
-    /// for *different* scratches can be interleaved freely (the batch path
+    /// into the candidate table with decay weight `pi`. State transitions
+    /// depend only on `scratch`'s own prior contents, so steps for
+    /// *different* scratches can be interleaved freely (the batch path
     /// relies on this).
     ///
-    /// The posting stores the composite recency key inline
-    /// ([`crate::index::PostingEntry`]), so the walk is a straight-line scan
-    /// of one contiguous array — no per-entry timestamp lookup.
+    /// **Match position.** A candidate records `pos`, the position of the
+    /// item that admitted it, and scoring takes that as the position of the
+    /// most recent item it shares with the window. Steps run from the most
+    /// recent position backwards, so this holds if no earlier step's item
+    /// `B` is also in the session `j` without having admitted it. Suppose
+    /// one were. If `j` is in `B`'s posting list, the walk either rejected
+    /// it or stopped early before it: the table was full and `b_t`'s root
+    /// at least as recent as `j`. If `j` was truncated out of the list, the
+    /// list holds `m_max ≥ m` sessions more recent than `j`; while the root
+    /// is older than `j` none of them is rejected or evicted, so by the end
+    /// of the walk either the table holds exactly those `m` sessions or the
+    /// root has passed `j`. In every case the table is full with a root more
+    /// recent than `j`, the root only ever gets more recent, and `j` is
+    /// never admitted afterwards — a contradiction. (An evicted session is
+    /// older than every later root for the same reason, so it never
+    /// returns either.) `kernel_differential_props` checks the recorded
+    /// position against a recomputation.
     #[inline]
-    fn intersect_item(&self, item: ItemId, pi: f32, scratch: &mut Scratch) {
+    fn intersect_item(&self, (item, pi, pos): Step, scratch: &mut Scratch) {
         let cfg = &self.config;
         let Some(posting) = self.index.postings(item) else {
             return; // item unseen in the historical data
         };
+        let Scratch { table, bt, work, .. } = scratch;
+        let mut walked = 0u32;
         for &entry in posting {
-            let j = entry.session;
-            if let Some(rj) = scratch.r.get_mut(&j) {
-                *rj += pi;
+            walked += 1;
+            let vacant = match table.find(entry.session) {
+                Ok(idx) => {
+                    table.get_mut(idx).similarity += pi;
+                    continue;
+                }
+                Err(vacant) => vacant,
+            };
+            let cand = Candidate {
+                timestamp: entry.timestamp,
+                session: entry.session,
+                similarity: pi,
+                match_pos: pos,
+            };
+            if table.len() < cfg.m {
+                table.insert_at(vacant, cand);
                 continue;
             }
-            let key: RecencyKey = (entry.timestamp, j);
-            if scratch.r.len() < cfg.m {
-                scratch.r.insert(j, pi);
-                scratch.bt.push(key, ());
-            } else {
-                let &(root, ()) = scratch.bt.peek().expect("bt non-empty when r full");
-                if key > root {
-                    let ((_, evicted), ()) = scratch.bt.replace_root(key, ());
-                    scratch.r.remove(&evicted);
-                    scratch.r.insert(j, pi);
-                } else if cfg.early_stopping {
-                    // Posting lists are strictly descending in the
-                    // composite recency key: nothing further can enter.
-                    break;
-                }
+            if bt.is_empty() {
+                // First decision at a full table: only now is `b_t` needed.
+                bt.rebuild(table.as_slice().iter().map(|c| ((c.timestamp, c.session), ())));
+            }
+            let key = (entry.timestamp, entry.session);
+            let &(root, ()) = bt.peek().expect("bt non-empty when the table is full");
+            if key > root {
+                bt.replace_root(key, ());
+                table.replace(root.1, cand);
+                work.evicted += 1;
+            } else if cfg.early_stopping {
+                // Posting lists are strictly descending in the composite
+                // recency key: nothing further can enter.
+                work.early_stops += 1;
+                break;
             }
         }
+        work.postings_walked += walked;
     }
 
-    /// Top-k similarity loop over the temporary similarity scores `r`.
-    fn select_topk(&self, scratch: &mut Scratch) {
-        let cfg = &self.config;
-        for (&j, &rj) in &scratch.r {
-            let key = (rj, self.index.session_timestamp(j), j);
-            if scratch.topk.len() < cfg.k {
-                scratch.topk.push(key, ());
-            } else {
-                let &(root, ()) = scratch.topk.peek().expect("topk non-empty when full");
-                if key > root {
-                    scratch.topk.replace_root(key, ());
+    /// Top-k similarity step: leaves the `k` most similar candidates (ties
+    /// to the more recent) in `scratch.order`, in ascending session-id
+    /// order — the canonical order that keeps the f32 summation of the
+    /// scoring step identical across all implementation variants.
+    fn select_neighbors(&self, scratch: &mut Scratch) {
+        let Scratch { table, topk, order, work, .. } = scratch;
+        let cands = table.as_slice();
+        work.candidates = cands.len() as u32 + work.evicted;
+        let pack = |idx: u32| u64::from(cands[idx as usize].session) << 32 | u64::from(idx);
+        if cands.len() <= self.config.k {
+            order.extend((0..cands.len() as u32).map(pack));
+        } else {
+            for (idx, c) in cands.iter().enumerate() {
+                let key = (c.similarity, c.timestamp, c.session);
+                if topk.len() < self.config.k {
+                    topk.push(key, idx as u32);
+                } else if key > topk.peek().expect("topk non-empty when full").0 {
+                    topk.replace_root(key, idx as u32);
                 }
             }
+            order.extend(topk.iter().map(|&(_, idx)| pack(idx)));
         }
+        order.sort_unstable();
     }
 
-    /// Runs the item-intersection and top-k similarity loops, leaving the
-    /// neighbour heap `N_s` and the position map populated in `scratch`.
-    fn fill_neighbors(&self, session: &[ItemId], scratch: &mut Scratch) {
-        scratch.clear();
+    /// Runs the item-intersection and top-k similarity steps for `session`,
+    /// leaving the candidates and the neighbour order in `scratch`. Returns
+    /// the capped window.
+    fn fill_neighbors<'a>(&self, session: &'a [ItemId], scratch: &mut Scratch) -> &'a [ItemId] {
         let window = self.cap_window(session);
-        if window.is_empty() {
-            return;
+        scratch.clear(self.config.m, self.slot_items.len());
+        for step in self.steps(window) {
+            self.intersect_item(step, scratch);
         }
-        let wlen = window.len();
-
-        // ω: latest 1-based position per item (later occurrences overwrite).
-        for (i, &item) in window.iter().enumerate() {
-            scratch.pos.insert(item, i + 1);
-        }
-
-        // Item intersection loop: reverse insertion order, duplicates skipped
-        // by only processing an item at its latest occurrence.
-        for (i, &item) in window.iter().enumerate().rev() {
-            if scratch.pos[&item] != i + 1 {
-                continue; // duplicate; already processed at a later position
-            }
-            self.intersect_item(item, self.config.decay.weight(i + 1, wlen), scratch);
-        }
-
-        self.select_topk(scratch);
+        self.select_neighbors(scratch);
+        window
     }
 
     /// Creates batch scratch buffers for [`recommend_batch`].
@@ -652,33 +708,21 @@ impl VmisKnn {
         plans.resize_with(n_unique.max(plans.len()), Vec::new);
         results.resize_with(n_unique.max(results.len()), Vec::new);
 
-        // Per-window positions and traversal plans: the `(item, π)` steps in
-        // exactly the order the sequential kernel would take them.
+        // Per-window traversal plans: the steps in exactly the order the
+        // sequential kernel would take them.
         let mut rounds = 0usize;
         for u in 0..n_unique {
-            let slot = &mut slots[u];
-            slot.clear();
-            let window = &windows[u];
-            let wlen = window.len();
-            for (i, &item) in window.iter().enumerate() {
-                slot.pos.insert(item, i + 1);
-            }
-            let plan = &mut plans[u];
-            plan.clear();
-            for (i, &item) in window.iter().enumerate().rev() {
-                if slot.pos[&item] != i + 1 {
-                    continue; // duplicate; already processed at a later position
-                }
-                plan.push((item, cfg.decay.weight(i + 1, wlen)));
-            }
-            rounds = rounds.max(plan.len());
+            slots[u].clear(cfg.m, self.slot_items.len());
+            plans[u].clear();
+            plans[u].extend(self.steps(&windows[u]));
+            rounds = rounds.max(plans[u].len());
         }
 
         // Shared traversal: round t advances every window's t-th step.
         for t in 0..rounds {
             for u in 0..n_unique {
-                if let Some(&(item, pi)) = plans[u].get(t) {
-                    self.intersect_item(item, pi, &mut slots[u]);
+                if let Some(&step) = plans[u].get(t) {
+                    self.intersect_item(step, &mut slots[u]);
                 }
             }
         }
@@ -686,8 +730,8 @@ impl VmisKnn {
         // Per-window top-k, scoring and extraction.
         for (u, result) in results.iter_mut().enumerate().take(n_unique) {
             let slot = &mut slots[u];
-            self.select_topk(slot);
-            self.score_items(slot);
+            self.select_neighbors(slot);
+            self.score_items(&windows[u], slot);
             *result = self.take_top(slot);
         }
 
@@ -713,85 +757,86 @@ impl VmisKnn {
     }
 
     /// Scores all items occurring in the neighbour sessions (Algorithm 2,
-    /// lines 6–7): `d_i = Σ_n 1_n(i) · λ(max(ω(s)⊙n)) · r_n · idf_i`.
+    /// lines 6–7): `d_i = Σ_n 1_n(i) · λ(max(ω(s)⊙n)) · r_n · idf_i`, where
+    /// `max(ω(s)⊙n)` is the neighbour's recorded match position.
     ///
-    /// Accumulation goes into the dense epoch-stamped array: the `slot_flat`
-    /// side-array resolves every CSR entry to its item's accumulator slot in
-    /// lockstep with the `idf_flat` walk, replacing the former per-item
-    /// `scores.entry()` hash probe. First touch of a slot *assigns* (as
-    /// `or_insert(0.0)` followed by `+=` did), so the f32 operations — and
-    /// hence the output bits — are unchanged.
-    fn score_items(&self, scratch: &mut Scratch) {
+    /// One neighbour costs one contiguous read of the scoring stream and
+    /// one accumulator cell per item. First touch of a cell *assigns*, as a
+    /// map's `or_insert(0.0)` followed by `+=` would, so the f32 operations
+    /// — and hence the output bits — are those of the plain formulation.
+    fn score_items(&self, window: &[ItemId], scratch: &mut Scratch) {
         let cfg = &self.config;
-        let wlen = scratch.pos.values().copied().max().unwrap_or(0);
-        if wlen == 0 {
-            return;
+        let Scratch { table, order, runs, excluded, acc, epoch, touched, work, .. } = scratch;
+        let wlen = window.len();
+        let norm = if cfg.normalize_by_session_length { 1.0 / wlen as f32 } else { 1.0 };
+        if cfg.exclude_session_items {
+            // Slot order is item-id order, so a window item's slot is its
+            // rank in `slot_items`; unknown items have none to exclude.
+            excluded.extend(
+                window.iter().filter_map(|it| self.slot_items.binary_search(it).ok()).map(|s| s as u32),
+            );
         }
-        let norm =
-            if cfg.normalize_by_session_length { 1.0 / wlen as f32 } else { 1.0 };
-
-        self.ensure_scratch_slots(scratch);
-        // Canonical (ascending session id) iteration order: keeps the f32
-        // summation order identical across all implementation variants, so
-        // their outputs can be compared bit-for-bit.
-        let Scratch { topk, pos, acc, acc_epoch, epoch, touched, neighbors, .. } = scratch;
-        let e = *epoch;
-        neighbors.extend(topk.iter().map(|&((sim, _, sid), ())| (sid, sim)));
-        neighbors.sort_unstable_by_key(|&(sid, _)| sid);
-        for &(sid, similarity) in neighbors.iter() {
-            let span = self.index.session_span(sid);
-            let items = self.index.session_items(sid);
-            // Position of the most recent shared item between s and n.
-            let max_pos = items.iter().filter_map(|it| pos.get(it)).copied().max();
-            let Some(max_pos) = max_pos else {
-                continue; // cannot happen for true neighbours; defensive
-            };
-            let lambda = cfg.match_weight.weight(max_pos, wlen);
-            if lambda <= 0.0 {
-                continue;
+        // Resolve every neighbour's run of the scoring stream first: the
+        // session-offset lookups are independent cache misses that overlap
+        // here, instead of each one stalling the accumulation behind it.
+        let cands = table.as_slice();
+        for &packed in order.iter() {
+            let c = cands[packed as u32 as usize];
+            let lambda = cfg.match_weight.weight(c.match_pos as usize, wlen);
+            if lambda > 0.0 {
+                runs.push((self.index.session_span(c.session), lambda * c.similarity * norm));
             }
-            let session_weight = lambda * similarity * norm;
-            for ((&item, &idf), &slot) in
-                items.iter().zip(&self.idf_flat[span.clone()]).zip(&self.slot_flat[span])
-            {
-                if cfg.exclude_session_items && pos.contains_key(&item) {
+        }
+        work.neighbors_scored = runs.len() as u32;
+        let e = *epoch;
+        for (span, session_weight) in runs.drain(..) {
+            for cell in &self.cells[span] {
+                if excluded.contains(&cell.slot) {
                     continue;
                 }
-                let s = slot as usize;
-                if acc_epoch[s] == e {
-                    acc[s] += session_weight * idf;
+                let a = &mut acc[cell.slot as usize];
+                if a.epoch == e {
+                    a.val += session_weight * cell.idf;
                 } else {
-                    acc_epoch[s] = e;
-                    acc[s] = session_weight * idf;
-                    touched.push(slot);
+                    *a = AccCell { epoch: e, val: session_weight * cell.idf };
+                    touched.push(cell.slot);
                 }
             }
         }
+        work.slots_touched = touched.len() as u32;
     }
 
-    /// Extracts the `how_many` highest-scored items, descending.
+    /// Extracts the `how_many` highest-scored items, descending, as an
+    /// exactly-sized list — the request's only allocation.
+    ///
+    /// Touched slots are ranked as `score bits << 32 | !slot`. Only positive
+    /// scores are kept, and for positive floats the integer order of the
+    /// bits is `total_cmp`'s order; on equal scores the larger `!slot` is
+    /// the smaller slot, i.e. the smaller item id. So descending integer
+    /// order is "descending score, ascending item id" without touching an
+    /// item id until the survivors are known.
     fn take_top(&self, scratch: &mut Scratch) -> Vec<ItemScore> {
-        let Scratch { acc, touched, out, .. } = scratch;
-        out.extend(touched.iter().filter_map(|&slot| {
-            let score = acc[slot as usize];
-            (score > 0.0).then(|| ItemScore { item: self.slot_items[slot as usize], score })
+        let Scratch { acc, touched, rank, .. } = scratch;
+        rank.extend(touched.iter().filter_map(|&slot| {
+            let score = acc[slot as usize].val;
+            (score > 0.0).then(|| u64::from(score.to_bits()) << 32 | u64::from(!slot))
         }));
-        let n = self.config.how_many.min(out.len());
+        let n = self.config.how_many.min(rank.len());
         if n == 0 {
             return Vec::new();
         }
-        // Partial selection then sort of only the head: descending score,
-        // ascending item id on ties for deterministic output. `total_cmp`
-        // is a total order, so the ranking cannot panic on any f32.
-        let cmp = |a: &ItemScore, b: &ItemScore| {
-            b.score.total_cmp(&a.score).then(a.item.cmp(&b.item))
-        };
-        if n < out.len() {
-            out.select_nth_unstable_by(n - 1, cmp);
-            out.truncate(n);
+        let descending = |a: &u64, b: &u64| b.cmp(a);
+        if n < rank.len() {
+            rank.select_nth_unstable_by(n - 1, descending);
+            rank.truncate(n);
         }
-        out.sort_unstable_by(cmp);
-        std::mem::take(out)
+        rank.sort_unstable_by(descending);
+        rank.iter()
+            .map(|&key| ItemScore {
+                item: self.slot_items[!(key as u32) as usize],
+                score: f32::from_bits((key >> 32) as u32),
+            })
+            .collect()
     }
 }
 
@@ -969,6 +1014,19 @@ mod tests {
         let items =
             |r: &[ItemScore]| { let mut v: Vec<_> = r.iter().map(|x| x.item).collect(); v.sort_unstable(); v };
         assert_eq!(items(&a), items(&b));
+    }
+
+    #[test]
+    fn session_item_without_posting_weighs_one() {
+        // Item 5 occurs only in session D = {2, 4, 5}; drop its posting the
+        // way only a hand-assembled index can.
+        let (mut postings, t, f, o, m) = SessionIndex::build(&history(), 500).unwrap().into_parts();
+        postings.remove(&5);
+        let index = SessionIndex::from_parts(postings, t, f, o, m).unwrap();
+        let recs = VmisKnn::new(index, VmisConfig::default()).unwrap().recommend(&[2]);
+        // λ(1, 1) · r_D · idf = 0.9 · 1 · 1.
+        let five = recs.iter().find(|r| r.item == 5).expect("item 5 is scored");
+        assert_eq!(five.score, MatchWeight::PaperLinear.weight(1, 1));
     }
 
     #[test]

@@ -1,18 +1,24 @@
 //! Randomized differential testing of the scoring-kernel hot path.
 //!
 //! The cache-conscious kernel layout — recency keys inlined into posting
-//! storage, the dense epoch-stamped score accumulator, and the specialised
-//! depersonalised single-item path — is an *internal* rearrangement: its
+//! storage, the bounded candidate table that records each candidate's match
+//! position at admission, the fused scoring stream and the dense
+//! epoch-stamped score accumulator — is an *internal* rearrangement: its
 //! correctness contract is bit-identical output to the straightforward
 //! formulation. This suite samples that contract over random click logs and
 //! configs, leaning on the shapes that stress the layout specifically:
 //! timestamp ties (the composite-key tie-break order), `m` at or near the
-//! posting length (the early-stop boundary), and single-item windows (the
-//! specialised path).
+//! posting length (the early-stop and eviction boundary), truncated
+//! postings (`m_max` below an item's support), windows with repeated items,
+//! and scratch buffers reused across recommenders and across an epoch
+//! wrap-around.
 
+use std::collections::HashMap;
+
+use serenade_core::candidates::{Candidate, CandidateTable};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use serenade_core::{Click, SessionIndex, VmisConfig, VmisKnn};
+use serenade_core::{Click, Scratch, SessionIndex, VmisConfig, VmisKnn};
 
 /// Random click logs over a small id space; the timestamp range is a
 /// parameter so callers can force heavy ties.
@@ -67,9 +73,9 @@ proptest! {
         }
     }
 
-    // The specialised depersonalised path is bit-identical to the generic
-    // kernel fed a one-item window — for known and unknown items, across
-    // scratch reuse.
+    // The depersonalised entry point is bit-identical to the session path
+    // fed a one-item window — for known and unknown items, across scratch
+    // reuse.
     #[test]
     fn depersonalised_path_matches_generic_single_item_window(
         clicks in clicks_strategy(300),
@@ -110,7 +116,7 @@ proptest! {
     }
 
     // Early stopping is a pure optimisation at every `m`-vs-posting-length
-    // boundary, on both the generic and the specialised path.
+    // boundary, through both entry points.
     #[test]
     fn early_stop_boundary_is_output_invariant(
         clicks in clicks_strategy(50),
@@ -133,5 +139,136 @@ proptest! {
             vmis_on.recommend_depersonalised(session[0], &mut s_on),
             vmis_off.recommend_depersonalised(session[0], &mut s_off)
         );
+    }
+    // (a) The match position a candidate records when it is admitted is the
+    // position of the most recent item it shares with the window — also
+    // when `m` is far below `m_max`, postings are truncated below an item's
+    // support, the window repeats items and timestamps tie four ways.
+    #[test]
+    fn admission_position_is_the_most_recent_shared_item(
+        clicks in clicks_strategy(300),
+        ties in any::<bool>(),
+        m in 1usize..8,
+        m_max_extra in 1usize..4,
+        early_stopping in any::<bool>(),
+        session in vec(1u64..=14, 1..10),
+    ) {
+        let clicks: Vec<Click> = clicks
+            .into_iter()
+            .map(|c| Click::new(c.session_id, c.item_id, if ties { c.timestamp % 4 } else { c.timestamp }))
+            .collect();
+        let index = SessionIndex::build(&clicks, m + m_max_extra).expect("non-empty log");
+        // k ≥ m: every surviving candidate is reported as a neighbour.
+        let config = VmisConfig { m, k: 8, early_stopping, ..VmisConfig::default() };
+        let vmis = VmisKnn::new(index, config).expect("valid config");
+        let window = &session[session.len().saturating_sub(vmis.config().max_session_len)..];
+        let mut scratch = vmis.scratch();
+        for n in vmis.neighbors_with_scratch(&session, &mut scratch) {
+            let items = vmis.index().session_items(n.session);
+            let recomputed = window.iter().rposition(|it| items.contains(it)).map(|i| i + 1);
+            prop_assert_eq!(Some(n.match_pos), recomputed, "session {}", n.session);
+        }
+    }
+
+    // (b) One scratch serving two recommenders in turn — different index
+    // sizes, the second with a larger `m` — answers like a fresh scratch.
+    // This is what a worker's context sees across `swap_index` and
+    // mini-publishes.
+    #[test]
+    fn scratch_reused_across_recommenders_matches_fresh(
+        small in clicks_strategy(300),
+        large in clicks_strategy(300),
+        config in config_strategy(),
+        m_extra in 1usize..20,
+        sessions in vec(vec(1u64..=14, 0..6), 1..8),
+    ) {
+        let bigger = VmisConfig { m: config.m + m_extra, ..config.clone() };
+        let small_len = small.len() / 3 + 1;
+        let a = VmisKnn::new(
+            SessionIndex::build(&small[..small_len], config.m.max(4)).expect("non-empty log"),
+            config,
+        ).expect("valid config");
+        let b = VmisKnn::new(
+            SessionIndex::build(&large, bigger.m).expect("non-empty log"),
+            bigger,
+        ).expect("valid config");
+        let mut shared = a.scratch();
+        for session in &sessions {
+            for vmis in [&a, &b] {
+                prop_assert_eq!(
+                    vmis.recommend_with_scratch(session, &mut shared),
+                    vmis.recommend(session)
+                );
+            }
+        }
+    }
+
+    // (c) The epoch counters of the candidate table and of the accumulator
+    // wrap around without a stale cell ever being read as live.
+    #[test]
+    fn epoch_wrap_around_matches_fresh(
+        clicks in clicks_strategy(300),
+        config in config_strategy(),
+        sessions in vec(vec(1u64..=14, 1..6), 4..8),
+    ) {
+        let index = SessionIndex::build(&clicks, config.m.max(4)).expect("non-empty log");
+        let vmis = VmisKnn::new(index, config).expect("valid config");
+        let mut scratch: Scratch = vmis.scratch();
+        // Fill cells under an ordinary epoch first, then jump to the brink.
+        vmis.recommend_with_scratch(&sessions[0], &mut scratch);
+        scratch.set_epoch(u32::MAX - 1);
+        for session in &sessions {
+            prop_assert_eq!(
+                vmis.recommend_with_scratch(session, &mut scratch),
+                vmis.recommend(session)
+            );
+        }
+    }
+
+    // (d) The candidate table against a `HashMap` model: lookups, additions
+    // to an existing candidate, admissions up to `m` of its `2·m` slots,
+    // evictions at `m` (backward-shift deletion under wrap-around probe
+    // runs) and resets, with every key re-probed after every step.
+    #[test]
+    fn candidate_table_matches_hashmap_model(
+        m in 1usize..12,
+        ops in vec((0u32..40, any::<bool>()), 1..200),
+    ) {
+        let mut table = CandidateTable::with_capacity(m);
+        let mut model: HashMap<u32, Candidate> = HashMap::new();
+        for (step, &(session, reset)) in ops.iter().enumerate() {
+            if reset && step % 16 == 15 {
+                table.reset(m);
+                model.clear();
+            }
+            let fresh = Candidate {
+                timestamp: step as u64,
+                session,
+                similarity: 1.0,
+                match_pos: step as u32,
+            };
+            match table.find(session) {
+                Ok(idx) => {
+                    table.get_mut(idx).similarity += 0.5;
+                    model.get_mut(&session).expect("model has it too").similarity += 0.5;
+                }
+                Err(vacant) if model.len() < m => {
+                    table.insert_at(vacant, fresh);
+                    model.insert(session, fresh);
+                }
+                Err(_) => {
+                    // Evict the oldest admission, as the kernel's `b_t` would.
+                    let evict = *model.iter().min_by_key(|(_, c)| c.timestamp).expect("full").0;
+                    table.replace(evict, fresh);
+                    model.remove(&evict);
+                    model.insert(session, fresh);
+                }
+            }
+            prop_assert_eq!(table.len(), model.len());
+            for probe in 0..40 {
+                let found = table.find(probe).ok().map(|idx| table.as_slice()[idx]);
+                prop_assert_eq!(found, model.get(&probe).copied(), "session {}", probe);
+            }
+        }
     }
 }

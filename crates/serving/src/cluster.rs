@@ -281,27 +281,40 @@ impl ServingCluster {
         ctx: &mut RequestContext,
     ) -> Result<Vec<ItemScore>, ServingError> {
         let result = self.transport_for(req.session_id).handle_with(req, ctx);
-        let request_id = ctx.take_request_id();
-        if result.is_ok() {
-            self.feed_ingest(&req);
-            let timings = ctx.last_timings();
-            self.telemetry.traces().record(&TraceSample {
-                request_id: if request_id == 0 {
-                    self.telemetry.next_request_id()
-                } else {
-                    request_id
-                },
-                total_us: timings.total().as_micros() as u64,
-                session_us: timings.session.as_micros() as u64,
-                predict_us: timings.predict.as_micros() as u64,
-                policy_us: timings.policy.as_micros() as u64,
-                session_len: ctx.session_len() as u64,
-                // Degraded requests served the depersonalised fallback view,
-                // so the trace marks them the same way.
-                depersonalised: !req.consent || ctx.degraded(),
-            });
-        }
+        self.record_trace(&req, ctx, result.is_ok());
         result
+    }
+
+    /// Finishes a request's bookkeeping: feeds a successful one back into
+    /// live ingest and offers its trace to the slow-request ring. The id and
+    /// kernel counters are consumed either way, so nothing stale leaks into
+    /// the next request handled on this context.
+    fn record_trace(&self, req: &RecommendRequest, ctx: &mut RequestContext, ok: bool) {
+        let request_id = ctx.take_request_id();
+        let work = ctx.take_kernel_work();
+        if !ok {
+            return;
+        }
+        self.feed_ingest(req);
+        let timings = ctx.last_timings();
+        self.telemetry.traces().record(&TraceSample {
+            request_id: if request_id == 0 {
+                self.telemetry.next_request_id()
+            } else {
+                request_id
+            },
+            total_us: timings.total().as_micros() as u64,
+            session_us: timings.session.as_micros() as u64,
+            predict_us: timings.predict.as_micros() as u64,
+            policy_us: timings.policy.as_micros() as u64,
+            session_len: ctx.session_len() as u64,
+            // Degraded requests served the depersonalised fallback view,
+            // so the trace marks them the same way.
+            depersonalised: !req.consent || ctx.degraded(),
+            postings_walked: work.postings_walked,
+            candidates: work.candidates,
+            evicted: work.evicted,
+        });
     }
 
     /// Handles a coalesced batch of requests that all route to pod
@@ -328,28 +341,7 @@ impl ServingCluster {
         let results =
             self.transports[pod_index % self.transports.len()].handle_batch(reqs, bctx);
         for (i, (req, result)) in reqs.iter().zip(&results).enumerate() {
-            let ctx = bctx.member_mut(i);
-            // Always consumed, so a stale id never leaks into the next
-            // batch member handled on this worker.
-            let request_id = ctx.take_request_id();
-            if result.is_err() {
-                continue;
-            }
-            self.feed_ingest(req);
-            let timings = ctx.last_timings();
-            self.telemetry.traces().record(&TraceSample {
-                request_id: if request_id == 0 {
-                    self.telemetry.next_request_id()
-                } else {
-                    request_id
-                },
-                total_us: timings.total().as_micros() as u64,
-                session_us: timings.session.as_micros() as u64,
-                predict_us: timings.predict.as_micros() as u64,
-                policy_us: timings.policy.as_micros() as u64,
-                session_len: ctx.session_len() as u64,
-                depersonalised: !req.consent || ctx.degraded(),
-            });
+            self.record_trace(req, bctx.member_mut(i), result.is_ok());
         }
         results
     }

@@ -9,7 +9,7 @@
 
 use std::time::{Duration, Instant};
 
-use serenade_core::{BatchScratch, ItemId, Scratch};
+use serenade_core::{BatchScratch, ItemId, KernelWork, Scratch};
 
 /// Wall-clock time spent in each stage of the serving pipeline for one
 /// request (see `crate::engine::Engine::handle_with` for the stages).
@@ -54,6 +54,9 @@ pub struct RequestContext {
     /// Whether the in-flight request was answered in degraded
     /// (depersonalised-fallback) mode because its deadline expired.
     degraded: bool,
+    /// What the kernel did for the in-flight request; all zero when none
+    /// ran here (a cache hit, a remote pod). Consumed by the trace recorder.
+    kernel_work: KernelWork,
 }
 
 impl RequestContext {
@@ -81,6 +84,17 @@ impl RequestContext {
     /// stale id never leaks into the next request on this worker.
     pub fn take_request_id(&mut self) -> u64 {
         std::mem::take(&mut self.request_id)
+    }
+
+    /// Notes the kernel work counters of the in-flight request.
+    pub(crate) fn record_kernel_work(&mut self, work: KernelWork) {
+        self.kernel_work = work;
+    }
+
+    /// Takes the in-flight request's kernel work counters, resetting them to
+    /// zero so they never describe a later request that ran no kernel.
+    pub(crate) fn take_kernel_work(&mut self) -> KernelWork {
+        std::mem::take(&mut self.kernel_work)
     }
 
     /// Stored session length after the most recent request's session stage.

@@ -232,6 +232,7 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
         }
         let (mut recs, cache_hit) = self.prediction_stage(&req, ctx);
         let predict_done = Instant::now();
+        ctx.record_kernel_work(if cache_hit { Default::default() } else { ctx.scratch.work() });
         if cache_hit {
             if let Some(cache) = &self.cache {
                 cache.record_hit_duration(predict_done - session_done);
@@ -340,12 +341,13 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
                 pending.iter().map(|&i| members[i].view.as_slice()).collect();
             let scored = vmis.recommend_batch(&views, batch_scratch);
             let kernel_dur = kernel_started.elapsed();
-            for (&i, recs) in pending.iter().zip(scored) {
+            for (j, (&i, recs)) in pending.iter().zip(scored).enumerate() {
                 if let (Some(cache), Some(key)) = (&self.cache, miss_keys[i]) {
                     cache.store_list(key, generation, recs.clone());
                 }
                 results[i] = Ok(recs);
                 predict_dur[i] = kernel_dur;
+                members[i].record_kernel_work(batch_scratch.work(j));
             }
         }
 

@@ -124,6 +124,9 @@ pub(super) fn respond(
                         ("policy_us", JsonValue::Number(t.policy_us as f64)),
                         ("session_len", JsonValue::Number(t.session_len as f64)),
                         ("depersonalised", JsonValue::Bool(t.depersonalised)),
+                        ("postings_walked", JsonValue::Number(f64::from(t.postings_walked))),
+                        ("candidates", JsonValue::Number(f64::from(t.candidates))),
+                        ("evicted", JsonValue::Number(f64::from(t.evicted))),
                     ])
                 })
                 .collect();

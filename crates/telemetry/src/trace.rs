@@ -2,7 +2,7 @@
 //!
 //! Every request that clears the sampling and slow-threshold knobs deposits
 //! a [`TraceSample`] — request id, per-stage timings, session length,
-//! depersonalised flag — into a fixed ring of [`TraceRing`] slots. The
+//! depersonalised flag, kernel work counters — into a fixed ring of [`TraceRing`] slots. The
 //! `GET /debug/slow` endpoint snapshots the ring and returns the samples
 //! sorted slowest-first, answering the question the aggregate histograms
 //! cannot: *which* requests were slow, and in which stage.
@@ -57,6 +57,13 @@ pub struct TraceSample {
     pub session_len: u64,
     /// Whether the depersonalised fallback produced the response.
     pub depersonalised: bool,
+    /// Posting entries the kernel walked (0 when no kernel ran: a cache
+    /// hit, or a request proxied to a remote pod).
+    pub postings_walked: u32,
+    /// Candidate sessions the kernel admitted.
+    pub candidates: u32,
+    /// Candidates evicted again because the sample was full at `m`.
+    pub evicted: u32,
 }
 
 const FLAG_DEPERSONALISED: u64 = 1;
@@ -73,6 +80,9 @@ struct Slot {
     policy_us: AtomicU64,
     session_len: AtomicU64,
     flags: AtomicU64,
+    postings_walked: AtomicU64,
+    candidates: AtomicU64,
+    evicted: AtomicU64,
 }
 
 impl Slot {
@@ -87,6 +97,9 @@ impl Slot {
             policy_us: AtomicU64::new(0),
             session_len: AtomicU64::new(0),
             flags: AtomicU64::new(0),
+            postings_walked: AtomicU64::new(0),
+            candidates: AtomicU64::new(0),
+            evicted: AtomicU64::new(0),
         }
     }
 }
@@ -179,6 +192,9 @@ impl TraceRing {
         slot.session_len.store(sample.session_len, Ordering::Release); // ORDERING: pairs with snapshot's Acquire load
         let flags = if sample.depersonalised { FLAG_DEPERSONALISED } else { 0 };
         slot.flags.store(flags, Ordering::Release); // ORDERING: pairs with snapshot's Acquire load
+        slot.postings_walked.store(u64::from(sample.postings_walked), Ordering::Release); // ORDERING: pairs with snapshot's Acquire load
+        slot.candidates.store(u64::from(sample.candidates), Ordering::Release); // ORDERING: pairs with snapshot's Acquire load
+        slot.evicted.store(u64::from(sample.evicted), Ordering::Release); // ORDERING: pairs with snapshot's Acquire load
         slot.version.fetch_add(1, Ordering::SeqCst); // even again: published
         // ORDERING: pairs with the next writer's `busy.swap(1, Acquire)`
         // above, handing the slot over with all our stores visible.
@@ -206,6 +222,9 @@ impl TraceRing {
                 policy_us: slot.policy_us.load(Ordering::Acquire), // ORDERING: see request_id above
                 session_len: slot.session_len.load(Ordering::Acquire), // ORDERING: see request_id above
                 depersonalised: slot.flags.load(Ordering::Acquire) & FLAG_DEPERSONALISED != 0, // ORDERING: see request_id above
+                postings_walked: slot.postings_walked.load(Ordering::Acquire) as u32, // ORDERING: see request_id above
+                candidates: slot.candidates.load(Ordering::Acquire) as u32, // ORDERING: see request_id above
+                evicted: slot.evicted.load(Ordering::Acquire) as u32, // ORDERING: see request_id above
             };
             if slot.version.load(Ordering::SeqCst) == v1 {
                 out.push(sample);
@@ -239,6 +258,9 @@ mod tests {
             policy_us: total / 8,
             session_len: 3,
             depersonalised: id % 2 == 0,
+            postings_walked: total as u32,
+            candidates: 7,
+            evicted: 1,
         }
     }
 
@@ -323,6 +345,9 @@ mod tests {
                         policy_us: id,
                         session_len: id,
                         depersonalised: false,
+                        postings_walked: id as u32,
+                        candidates: id as u32,
+                        evicted: id as u32,
                     });
                 }
             }));
@@ -334,6 +359,8 @@ mod tests {
                     for s in ring.snapshot() {
                         assert_eq!(s.request_id, s.total_us, "torn sample: {s:?}");
                         assert_eq!(s.request_id, s.session_len);
+                        assert_eq!(s.request_id as u32, s.postings_walked);
+                        assert_eq!(s.postings_walked, s.evicted);
                     }
                 }
             }));

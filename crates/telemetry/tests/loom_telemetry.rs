@@ -83,6 +83,9 @@ fn trace_ring_writers_never_mix_fields() {
             policy_us: id,
             session_len: id,
             depersonalised: false,
+            postings_walked: id as u32,
+            candidates: id as u32,
+            evicted: id as u32,
         }
     }
 

@@ -102,6 +102,8 @@ const REQUEST_PATH_MODULES: &[&str] = &[
 /// same files is exempt — the rule keys on the `record` name prefix.
 const RECORD_PATH_MODULES: &[&str] = &[
     "crates/serving/src/cache.rs",
+    "crates/serving/src/cluster.rs",
+    "crates/serving/src/context.rs",
     "crates/telemetry/src/histogram.rs",
     "crates/telemetry/src/registry.rs",
     "crates/telemetry/src/trace.rs",

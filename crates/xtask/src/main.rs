@@ -40,7 +40,6 @@ fn main() -> ExitCode {
 /// gate holds)`. Each runs in `--check` mode, measuring fresh and failing
 /// on regression against the artefact committed at the workspace root.
 const BENCH_GATES: &[(&str, &str, &str)] = &[
-    ("kernel_hot_path", "BENCH_kernel.json", "depersonalised kernel p50 (>10% fails)"),
     ("heap_arity", "BENCH_heap.json", "octonary replace-root p50 (>10% fails)"),
     ("server_batch", "BENCH_server.json", "coalesced-batch speedup + p99 (>10% fails)"),
     ("ingest_publish", "BENCH_ingest.json", "publish-to-visible p99 under churn (>10% fails)"),

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# One-command verification: tier-1 build+tests, the workspace lint pass, the
-# loom model checks, and the seeded-mutation kill tests (where the checker
-# must FAIL the mutated protocol — their test files assert exactly that).
+# One-command verification: tier-1 build+tests, then only what tier-1 does
+# not cover — the workspace lint pass and analyzer from the CLI, the legacy
+# bench gates, the benchmark's smoke run and self-tests, the loom model
+# checks, and the seeded-mutation kill tests (where the checker must FAIL
+# the mutated protocol — their test files assert exactly that).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,41 +19,14 @@ cargo run -q -p xtask -- lint
 echo "==> concurrency analyzer: lock order, atomic orderings, reactor blocking (vs committed baseline)"
 cargo run -q -p xtask -- analyze --baseline crates/xtask/analyze_baseline.json
 
-echo "==> analyzer self-tests: fixture corpus + live-workspace pins + stale-allowlist detection"
-cargo test -q -p xtask
-
-echo "==> telemetry: histogram property tests + exposition conformance"
-cargo test -q -p serenade-telemetry
-
-echo "==> serving conformance: overload shedding + graceful drain"
-cargo test -q -p serenade-serving --test overload_drain
-
-echo "==> serving conformance: HTTP parser properties"
-cargo test -q -p serenade-serving --test http_parser_props
-
-echo "==> serving conformance: prediction cache across an index rollover (socket level)"
-cargo test -q -p serenade-serving --test cache_rollover
-
-echo "==> index conformance: randomized differential properties (core vs compressed vs incremental)"
-cargo test -q -p serenade-index --test differential_props
-
-echo "==> index conformance: session unlearning differential properties (deleted == never ingested)"
-cargo test -q -p serenade-index --test deletion_props
-
-echo "==> serving conformance: live ingest over sockets (publish visibility, unlearning, shedding)"
-cargo test -q -p serenade-serving --test ingest_live
-
-echo "==> core conformance: batch scoring bit-identical to sequential (randomized differential)"
-cargo test -q -p serenade-core --test batch_differential_props
-
-echo "==> cluster conformance: router + child-process nodes (artifact fan-out, kill mid-load, handoff, rejoin)"
-cargo test -q -p serenade-serving --test cluster_failover
-
-echo "==> core conformance: kernel-layout randomized differential properties (inlined postings, depersonalised path)"
-cargo test -q -p serenade-core --test kernel_differential_props
-
 echo "==> SLA gates: every committed BENCH_*.json artefact vs a fresh --check measurement"
 cargo run -q -p xtask -- bench-check
+
+echo "==> benchmark (BENCHMARK.json): every workload on the tiny dataset, answers checked"
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
+
+echo "==> benchmark: the generator's self-tests"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> loom models: serving (IndexHandle publication, drain handshake, stats stripes)"
 cargo test -q -p serenade-serving --features loom
