@@ -23,7 +23,7 @@ use serenade_bench::{fmt_us, prepare, print_table, BenchArgs};
 use serenade_core::SessionIndex;
 use serenade_dataset::SyntheticConfig;
 use serenade_serving::engine::EngineConfig;
-use serenade_serving::http::{HttpClient, HttpServer, HttpServerConfig};
+use serenade_serving::{HttpClient, HttpServer, HttpServerConfig};
 use serenade_serving::loadgen::{
     requests_from_sessions, run_connection_ramp, run_load_test_scraped, run_mixed_load_test,
     run_overload_test, ConnectionRampConfig, LoadGenConfig, MixedLoadConfig, OverloadConfig,

@@ -12,7 +12,7 @@
 //! If the build or validation fails, nothing is published and every pod
 //! keeps serving the old index.
 
-use std::net::SocketAddr;
+use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -29,15 +29,14 @@ use crate::ingest::{IngestConfig, IngestPipeline};
 use crate::router::StickyRouter;
 use crate::rules::BusinessRules;
 use crate::telemetry::ClusterTelemetry;
-use crate::transport::{InProcessPod, PodTransport, RemotePod};
 
-/// The in-process half of a cluster: the engines themselves plus everything
-/// that only exists when the pods live in this process (the shared index
-/// publication, the prediction cache, the ingest pipeline). A cluster built
-/// over remote transports has none of this — those concerns live on the
-/// node processes.
-struct LocalState {
+/// A set of serving pods — engines in this process — plus the sticky router
+/// in front of them and what the pods share: the index publication, the
+/// prediction cache, the ingest pipeline and the telemetry hub.
+pub struct ServingCluster {
     pods: Vec<Arc<Engine>>,
+    router: StickyRouter,
+    telemetry: Arc<ClusterTelemetry>,
     index: Arc<IndexHandle<VmisKnn>>,
     config: EngineConfig,
     /// One prediction cache shared by every pod: the index (and therefore
@@ -47,18 +46,6 @@ struct LocalState {
     /// The streaming write path, set once by
     /// [`ServingCluster::enable_ingest`]; `None` for read-only clusters.
     ingest: OnceLock<Arc<IngestPipeline>>,
-}
-
-/// A set of serving pods plus the sticky router in front of them. The pods
-/// are reached through [`PodTransport`]s, so the same façade serves both
-/// the in-process deployment ([`ServingCluster::new`]) and a set of node
-/// processes on sockets ([`ServingCluster::remote`]) with identical request
-/// semantics.
-pub struct ServingCluster {
-    transports: Vec<Arc<dyn PodTransport>>,
-    router: StickyRouter,
-    telemetry: Arc<ClusterTelemetry>,
-    local: Option<LocalState>,
 }
 
 impl ServingCluster {
@@ -126,48 +113,20 @@ impl ServingCluster {
                 move || evictions.session_expiry_counts().1,
             );
         }
-        let transports = engines
-            .iter()
-            .map(|e| Arc::new(InProcessPod::new(Arc::clone(e))) as Arc<dyn PodTransport>)
-            .collect();
         Ok(Self {
-            transports,
+            pods: engines,
             router: StickyRouter::new(pods),
             telemetry,
-            local: Some(LocalState {
-                pods: engines,
-                index: handle,
-                config,
-                cache,
-                ingest: OnceLock::new(),
-            }),
+            index: handle,
+            config,
+            cache,
+            ingest: OnceLock::new(),
         })
     }
 
-    /// Builds a cluster whose pods are node processes reached over sockets:
-    /// one [`RemotePod`] per address, with member ids `0..addrs.len()` so a
-    /// session routes to the same ordinal here as it would in an in-process
-    /// cluster of the same size. Index publication, caching and ingest live
-    /// on the nodes; the corresponding local-only methods report that
-    /// ([`ServingCluster::reload_index`] and friends return errors, and
-    /// [`ServingCluster::pods`] is empty).
-    pub fn remote(addrs: &[SocketAddr], trace: TraceConfig) -> Self {
-        let transports = addrs
-            .iter()
-            .map(|a| Arc::new(RemotePod::new(*a)) as Arc<dyn PodTransport>)
-            .collect();
-        Self {
-            transports,
-            router: StickyRouter::new(addrs.len()),
-            telemetry: Arc::new(ClusterTelemetry::new(trace)),
-            local: None,
-        }
-    }
-
-    /// The cluster-wide prediction cache, if enabled (in-process clusters
-    /// only).
+    /// The cluster-wide prediction cache, if enabled.
     pub fn prediction_cache(&self) -> Option<&Arc<PredictionCache>> {
-        self.local.as_ref().and_then(|l| l.cache.as_ref())
+        self.cache.as_ref()
     }
 
     /// Enables the streaming write path: seeds an incremental indexer with
@@ -181,23 +140,15 @@ impl ServingCluster {
         config: IngestConfig,
         seed: &[Click],
     ) -> Result<Arc<IngestPipeline>, CoreError> {
-        let Some(local) = self.local.as_ref() else {
-            return Err(CoreError::InvalidConfig {
-                parameter: "ingest",
-                reason: String::from(
-                    "remote clusters ingest on their nodes, not through the façade",
-                ),
-            });
-        };
         let pipeline = IngestPipeline::start(
             config,
             seed,
-            Arc::clone(&local.index),
-            local.config.clone(),
-            local.cache.clone(),
+            Arc::clone(&self.index),
+            self.config.clone(),
+            self.cache.clone(),
             Arc::clone(&self.telemetry),
         )?;
-        if local.ingest.set(Arc::clone(&pipeline)).is_err() {
+        if self.ingest.set(Arc::clone(&pipeline)).is_err() {
             return Err(CoreError::InvalidConfig {
                 parameter: "ingest",
                 reason: String::from("ingest is already enabled on this cluster"),
@@ -218,7 +169,7 @@ impl ServingCluster {
 
     /// The streaming ingest pipeline, if enabled.
     pub fn ingest(&self) -> Option<&Arc<IngestPipeline>> {
-        self.local.as_ref().and_then(|l| l.ingest.get())
+        self.ingest.get()
     }
 
     /// Unlearns a session cluster-wide: removes it from the retained click
@@ -236,7 +187,7 @@ impl ServingCluster {
         // compliance action: sweep every pod in case the pod count changed
         // since the session was live.
         let mut in_store = false;
-        for pod in &self.transports {
+        for pod in &self.pods {
             in_store |= pod.forget_session(session_id);
         }
         Ok(in_log || in_store)
@@ -260,15 +211,13 @@ impl ServingCluster {
         }
     }
 
-    /// Handles a request on the responsible pod with a per-thread context.
-    /// Prefer [`ServingCluster::handle_with`] on worker threads.
+    /// Handles a request on the responsible pod with a per-thread context:
+    /// [`ServingCluster::handle_with`] for callers without worker state.
     pub fn handle(&self, req: RecommendRequest) -> Result<Vec<ItemScore>, ServingError> {
-        let mut ctx = RequestContext::new();
-        let result = self.transport_for(req.session_id).handle_with(req, &mut ctx);
-        if result.is_ok() {
-            self.feed_ingest(&req);
+        thread_local! {
+            static CTX: RefCell<RequestContext> = RefCell::new(RequestContext::new());
         }
-        result
+        CTX.with(|ctx| self.handle_with(req, &mut ctx.borrow_mut()))
     }
 
     /// Handles a request on the responsible pod, reusing the caller's
@@ -280,7 +229,7 @@ impl ServingCluster {
         req: RecommendRequest,
         ctx: &mut RequestContext,
     ) -> Result<Vec<ItemScore>, ServingError> {
-        let result = self.transport_for(req.session_id).handle_with(req, ctx);
+        let result = self.pod_for(req.session_id).handle_with(req, ctx);
         self.record_trace(&req, ctx, result.is_ok());
         result
     }
@@ -338,29 +287,16 @@ impl ServingCluster {
             reqs.iter().all(|r| self.router.route(r.session_id) == pod_index),
             "batched requests must all route to pod {pod_index}"
         );
-        let results =
-            self.transports[pod_index % self.transports.len()].handle_batch(reqs, bctx);
+        let results = self.pods[pod_index % self.pods.len()].handle_batch(reqs, bctx);
         for (i, (req, result)) in reqs.iter().zip(&results).enumerate() {
             self.record_trace(req, bctx.member_mut(i), result.is_ok());
         }
         results
     }
 
-    /// The transport of the pod a session is routed to.
-    fn transport_for(&self, session_id: u64) -> &dyn PodTransport {
-        self.transports[self.router.route(session_id)].as_ref()
-    }
-
-    /// The engine a session is routed to. In-process clusters only — a
-    /// remote pod has no engine in this process.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`ServingCluster::remote`] cluster.
+    /// The engine a session is routed to.
     pub fn pod_for(&self, session_id: u64) -> &Arc<Engine> {
-        self.transport_for(session_id)
-            .engine()
-            .expect("pod_for requires an in-process cluster")
+        &self.pods[self.router.route(session_id)]
     }
 
     /// The index of the pod a session is routed to — the dispatch queue's
@@ -370,26 +306,19 @@ impl ServingCluster {
         self.router.route(session_id)
     }
 
-    /// All in-process pods (for maintenance sweeps and statistics). Empty
-    /// on a [`ServingCluster::remote`] cluster — per-node statistics live
-    /// on the nodes there.
+    /// All pods (for maintenance sweeps and statistics).
     pub fn pods(&self) -> &[Arc<Engine>] {
-        self.local.as_ref().map(|l| l.pods.as_slice()).unwrap_or(&[])
-    }
-
-    /// The pod transports, in member-id order.
-    pub fn transports(&self) -> &[Arc<dyn PodTransport>] {
-        &self.transports
+        &self.pods
     }
 
     /// Total live sessions across pods.
     pub fn live_sessions(&self) -> usize {
-        self.transports.iter().map(|p| p.live_sessions()).sum()
+        self.pods.iter().map(|p| p.live_sessions()).sum()
     }
 
     /// Runs the TTL sweep on every pod; returns total evictions.
     pub fn evict_expired_sessions(&self) -> usize {
-        self.transports.iter().map(|p| p.evict_expired_sessions()).sum()
+        self.pods.iter().map(|p| p.evict_expired_sessions()).sum()
     }
 
     /// The daily rollover (Figure 1's "index replication" arrow): builds
@@ -398,23 +327,15 @@ impl ServingCluster {
     /// the version they loaded, and session state survives. On error, no
     /// pod is moved off the old index.
     pub fn reload_index(&self, index: Arc<SessionIndex>) -> Result<(), CoreError> {
-        let Some(local) = self.local.as_ref() else {
-            return Err(CoreError::InvalidConfig {
-                parameter: "reload_index",
-                reason: String::from(
-                    "remote clusters publish artifacts through the router tier",
-                ),
-            });
-        };
         let started = Instant::now();
-        let fresh = crate::sync::Arc::new(build_recommender(index, &local.config)?);
+        let fresh = crate::sync::Arc::new(build_recommender(index, &self.config)?);
         // A rollover replaces the whole neighbourhood structure: record an
         // all-items epoch (before the store — see the epoch-log contract)
         // so no cached entry survives via epoch revalidation.
-        if let Some(cache) = &local.cache {
-            cache.epoch_log().record(local.index.generation() + 1, EpochChange::All);
+        if let Some(cache) = &self.cache {
+            cache.epoch_log().record(self.index.generation() + 1, EpochChange::All);
         }
-        local.index.store(fresh);
+        self.index.store(fresh);
         self.telemetry.record_rollover(started.elapsed());
         Ok(())
     }

@@ -23,7 +23,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use serenade_core::{CoreError, ItemId, ItemScore, SessionIndex, VmisConfig, VmisKnn};
+use serenade_core::{
+    CoreError, ItemId, ItemScore, KernelWork, SessionIndex, VmisConfig, VmisKnn,
+};
 use serenade_kvstore::{SessionStore, StoreConfig, TtlStore};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -100,6 +102,25 @@ pub(crate) fn build_recommender(
     let mut vmis_cfg = config.vmis.clone();
     vmis_cfg.how_many = config.how_many * 2;
     VmisKnn::new(index, vmis_cfg)
+}
+
+/// One request between [`Engine::begin`] and [`Engine::finish`].
+struct Begun {
+    started: Instant,
+    session_done: Instant,
+    /// Where the scored list is stored back: set on a cacheable miss.
+    store_key: Option<CacheKey>,
+}
+
+/// A pre-policy recommendation list and what producing it cost.
+struct Scored {
+    recs: Vec<ItemScore>,
+    /// The index generation the kernel scored against and the work it did;
+    /// `None` when the list came from the cache.
+    kernel: Option<(u64, KernelWork)>,
+    /// The request's predict-stage time: its probe, its own kernel run, or
+    /// the batch kernel run it shared.
+    predict: Duration,
 }
 
 /// A stateful recommendation engine — one per serving pod.
@@ -200,6 +221,11 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
     /// reusing the caller's per-worker [`RequestContext`]. Per-stage
     /// timings are recorded into the pod's stats and left on the context.
     ///
+    /// The pipeline is written once, as [`Engine::begin`] → score →
+    /// [`Engine::finish`]; this is it with [`VmisKnn::recommend_with_scratch`]
+    /// as the score step, and [`Engine::handle_batch`] is the same two
+    /// halves around one batched kernel call.
+    ///
     /// If the context carries a deadline budget (set at HTTP ingress) that
     /// has already expired when the session stage completes, the pipeline
     /// degrades instead of blowing the SLA: the prediction runs over the
@@ -215,38 +241,19 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
         req: RecommendRequest,
         ctx: &mut RequestContext,
     ) -> Result<Vec<ItemScore>, ServingError> {
-        let started = Instant::now();
-        ctx.set_degraded(false);
-        if let Err(e) = self.session_stage(&req, ctx) {
-            self.stats.record_error();
-            return Err(e);
-        }
-        let session_done = Instant::now();
-        if ctx.deadline_expired_at(session_done) && ctx.view.len() > 1 {
-            // Budget already spent: fall back to the cheapest valid view —
-            // the displayed item alone, exactly the depersonalised shape.
-            let last = ctx.view.len() - 1;
-            ctx.view.drain(..last);
-            ctx.set_degraded(true);
-            self.stats.record_degraded();
-        }
-        let (mut recs, cache_hit) = self.prediction_stage(&req, ctx);
-        let predict_done = Instant::now();
-        ctx.record_kernel_work(if cache_hit { Default::default() } else { ctx.scratch.work() });
-        if cache_hit {
-            if let Some(cache) = &self.cache {
-                cache.record_hit_duration(predict_done - session_done);
+        let (begun, hit) = self.begin(&req, ctx)?;
+        let scored = hit.unwrap_or_else(|| {
+            let (vmis, generation) = self.index.load_with_generation();
+            let recs = vmis.recommend_with_scratch(&ctx.view, &mut ctx.scratch);
+            Scored {
+                recs,
+                kernel: Some((generation, ctx.scratch.work())),
+                predict: begun.session_done.elapsed(),
             }
-        }
-        self.policy_stage(&mut recs, req.filter_adult);
-        let timings = StageTimings {
-            session: session_done - started,
-            predict: predict_done - session_done,
-            policy: predict_done.elapsed(),
-        };
-        ctx.set_timings(timings);
-        self.stats.record(timings, !req.consent, recs.len());
-        Ok(recs)
+        });
+        // Handled alone, a request goes straight from predict to policy.
+        let policy_started = begun.session_done + scored.predict;
+        Ok(self.finish(&req, ctx, &begun, scored, policy_started))
     }
 
     /// Handles one request with a per-thread context. Convenience wrapper
@@ -262,18 +269,20 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
     /// member exactly the response [`Engine::handle_with`] would have
     /// produced had the members been handled sequentially in slice order.
     ///
-    /// 1. **Session stages** run sequentially in arrival order, so two
-    ///    coalesced requests from the same session observe each other's
-    ///    updates the way back-to-back sequential requests would. The
-    ///    deadline-degrade rule applies per member, unchanged.
-    /// 2. **Cache probes** resolve per member; the remaining misses are
-    ///    scored by *one* [`VmisKnn::recommend_batch`] call against *one*
-    ///    index load — the interleaved kernel is proven bit-identical to
-    ///    per-view [`VmisKnn::recommend_with_scratch`] by the differential
-    ///    property suite, so a response can never depend on whether its
-    ///    request was batched. Cacheable misses are stored back under the
-    ///    generation that scored them.
-    /// 3. **Policy stages** run per member (business rules are per-user).
+    /// A batch of one *is* [`Engine::handle_with`] on the member's own
+    /// context — there is nothing to share, so the sequential kernel runs.
+    /// For more members:
+    ///
+    /// 1. [`Engine::begin`] runs per member, strictly in arrival order, so
+    ///    two coalesced requests from the same session observe each other's
+    ///    updates the way back-to-back sequential requests would; the
+    ///    deadline-degrade rule and the cache probe apply per member.
+    /// 2. The misses are scored by *one* [`VmisKnn::recommend_batch`] call
+    ///    against *one* index load — the interleaved kernel is proven
+    ///    bit-identical to per-view [`VmisKnn::recommend_with_scratch`] by
+    ///    the differential property suite, so a response can never depend on
+    ///    whether its request was batched.
+    /// 3. [`Engine::finish`] runs per member (business rules are per-user).
     ///
     /// Every member keeps its own timings, degraded flag and stats row in
     /// its [`RequestContext`] inside `bctx`; misses account the shared
@@ -283,89 +292,125 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
         reqs: &[RecommendRequest],
         bctx: &mut BatchContext,
     ) -> Vec<Result<Vec<ItemScore>, ServingError>> {
-        let n = reqs.len();
-        let (members, batch_scratch) = bctx.split(n);
-
-        // Stage 1: session updates, strictly in arrival order.
-        let mut results: Vec<Result<Vec<ItemScore>, ServingError>> = Vec::with_capacity(n);
-        let mut started_at = Vec::with_capacity(n);
-        let mut session_done_at = Vec::with_capacity(n);
-        for (i, req) in reqs.iter().enumerate() {
-            let ctx = &mut members[i];
-            let started = Instant::now();
-            ctx.set_degraded(false);
-            let outcome = self.session_stage(req, ctx);
-            let session_done = Instant::now();
-            if outcome.is_err() {
-                self.stats.record_error();
-            } else if ctx.deadline_expired_at(session_done) && ctx.view.len() > 1 {
-                let last = ctx.view.len() - 1;
-                ctx.view.drain(..last);
-                ctx.set_degraded(true);
-                self.stats.record_degraded();
-            }
-            started_at.push(started);
-            session_done_at.push(session_done);
-            results.push(outcome.map(|()| Vec::new()));
+        if let [req] = reqs {
+            return vec![self.handle_with(*req, bctx.member_mut(0))];
         }
+        let (members, batch_scratch) = bctx.split(reqs.len());
+        let begun: Vec<_> =
+            reqs.iter().zip(members.iter_mut()).map(|(req, ctx)| self.begin(req, ctx)).collect();
 
-        // Stage 2: cache probes first, then one batched kernel call over
-        // whatever is left. A hit is identical to the sequential path (one
-        // shard-mutex probe, no index load); misses share one generation
-        // observation and one interleaved posting-list walk.
-        let mut predict_dur = vec![Duration::ZERO; n];
-        let mut miss_keys: Vec<Option<CacheKey>> = vec![None; n];
-        let mut pending: Vec<usize> = Vec::with_capacity(n);
-        for (i, req) in reqs.iter().enumerate() {
-            if results[i].is_err() {
-                continue;
-            }
-            if let Some(cache) = &self.cache {
-                if let Some(key) = self.cache_key(req, &members[i]) {
-                    let probe_started = Instant::now();
-                    if let Some(list) = cache.lookup(key, self.index.generation()) {
-                        results[i] = Ok(list.as_ref().clone());
-                        predict_dur[i] = probe_started.elapsed();
-                        cache.record_hit_duration(predict_dur[i]);
-                        continue;
+        let views: Vec<&[ItemId]> = begun
+            .iter()
+            .zip(members.iter())
+            .filter(|(begun, _)| matches!(begun, Ok((_, None))))
+            .map(|(_, ctx)| ctx.view.as_slice())
+            .collect();
+        // One generation observation and one interleaved posting-list walk
+        // for every miss; the lists come back in `views` (= member) order.
+        let kernel_started = Instant::now();
+        let (vmis, generation) = self.index.load_with_generation();
+        let mut lists = vmis.recommend_batch(&views, batch_scratch).into_iter().enumerate();
+        let predict = kernel_started.elapsed();
+
+        reqs.iter()
+            .zip(members.iter_mut())
+            .zip(begun)
+            .map(|((req, ctx), begun)| {
+                let (begun, hit) = begun?;
+                let scored = match hit {
+                    Some(hit) => hit,
+                    None => {
+                        let (j, recs) = lists.next().ok_or_else(|| {
+                            self.failed(ServingError::Internal(
+                                "batch kernel returned fewer lists than views",
+                            ))
+                        })?;
+                        Scored { recs, kernel: Some((generation, batch_scratch.work(j))), predict }
                     }
-                    miss_keys[i] = Some(key);
-                }
-            }
-            pending.push(i);
-        }
-        if !pending.is_empty() {
-            let kernel_started = Instant::now();
-            let (vmis, generation) = self.index.load_with_generation();
-            let views: Vec<&[ItemId]> =
-                pending.iter().map(|&i| members[i].view.as_slice()).collect();
-            let scored = vmis.recommend_batch(&views, batch_scratch);
-            let kernel_dur = kernel_started.elapsed();
-            for (j, (&i, recs)) in pending.iter().zip(scored).enumerate() {
-                if let (Some(cache), Some(key)) = (&self.cache, miss_keys[i]) {
-                    cache.store_list(key, generation, recs.clone());
-                }
-                results[i] = Ok(recs);
-                predict_dur[i] = kernel_dur;
-                members[i].record_kernel_work(batch_scratch.work(j));
-            }
-        }
-
-        // Stage 3: per-member policy, timings and stats, arrival order.
-        for (i, req) in reqs.iter().enumerate() {
-            let policy_started = Instant::now();
-            if let Ok(recs) = &mut results[i] {
-                self.policy_stage(recs, req.filter_adult);
-                let timings = StageTimings {
-                    session: session_done_at[i] - started_at[i],
-                    predict: predict_dur[i],
-                    policy: policy_started.elapsed(),
                 };
-                members[i].set_timings(timings);
-                self.stats.record(timings, !req.consent, recs.len());
+                Ok(self.finish(req, ctx, &begun, scored, Instant::now()))
+            })
+            .collect()
+    }
+
+    /// First half of the pipeline, up to the point where a kernel is
+    /// needed: the session stage, the deadline degrade, and the cache
+    /// probe. A hit comes back already [`Scored`] — no kernel runs for the
+    /// request; a cacheable miss carries the key its scored list is stored
+    /// back under.
+    fn begin(
+        &self,
+        req: &RecommendRequest,
+        ctx: &mut RequestContext,
+    ) -> Result<(Begun, Option<Scored>), ServingError> {
+        let started = Instant::now();
+        ctx.set_degraded(false);
+        self.session_stage(req, ctx).map_err(|e| self.failed(e))?;
+        let session_done = Instant::now();
+        if ctx.deadline_expired_at(session_done) && ctx.view.len() > 1 {
+            // Budget already spent: fall back to the cheapest valid view —
+            // the displayed item alone, exactly the depersonalised shape.
+            let last = ctx.view.len() - 1;
+            ctx.view.drain(..last);
+            ctx.set_degraded(true);
+            self.stats.record_degraded();
+        }
+        let mut begun = Begun { started, session_done, store_key: None };
+        if let (Some(cache), Some(key)) = (&self.cache, self.cache_key(req, ctx)) {
+            // A hit performs no kernel work at all — one shard-mutex probe,
+            // no index load: the generation comparison alone proves the
+            // entry was computed on an index at least as new as the
+            // generation this request observes (see the invariant on
+            // [`IndexHandle::load_with_generation`]).
+            match cache.lookup(key, self.index.generation()) {
+                Some(list) => {
+                    // Policy mutates the response per request, so the
+                    // shared list is cloned out.
+                    let recs = list.as_ref().clone();
+                    let predict = session_done.elapsed();
+                    cache.record_hit_duration(predict);
+                    return Ok((begun, Some(Scored { recs, kernel: None, predict })));
+                }
+                None => begun.store_key = Some(key),
             }
         }
-        results
+        Ok((begun, None))
+    }
+
+    /// Second half of the pipeline, from a pre-policy list to the response:
+    /// cache store-back under the generation that scored it, the policy
+    /// stage, and the request's bookkeeping — kernel work and per-stage
+    /// timings on the context, one row in the pod's stats.
+    fn finish(
+        &self,
+        req: &RecommendRequest,
+        ctx: &mut RequestContext,
+        begun: &Begun,
+        scored: Scored,
+        policy_started: Instant,
+    ) -> Vec<ItemScore> {
+        let Scored { mut recs, kernel, predict } = scored;
+        let (generation, work) = kernel.unwrap_or_default();
+        if let (Some(cache), Some(key)) = (&self.cache, begun.store_key) {
+            cache.store_list(key, generation, recs.clone());
+        }
+        ctx.record_kernel_work(work);
+        self.rules.apply(&mut recs, req.filter_adult);
+        recs.truncate(self.config.how_many);
+        let timings = StageTimings {
+            session: begun.session_done - begun.started,
+            predict,
+            policy: policy_started.elapsed(),
+        };
+        ctx.set_timings(timings);
+        self.stats.record(timings, !req.consent, recs.len());
+        recs
+    }
+
+    /// Counts a pipeline error on the pod and hands it back.
+    fn failed(&self, e: ServingError) -> ServingError {
+        self.stats.record_error();
+        e
     }
 
     /// Session stage: update the evolving session (or drop it, for
@@ -438,45 +483,6 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
             return None;
         };
         Some(CacheKey { item: req.item, view })
-    }
-
-    /// Prediction stage: VMIS-kNN over the session view, against the index
-    /// version published at this instant; single-item views are served from
-    /// the generation-aware cache when possible. Returns the *pre-policy*
-    /// list (business rules are per-user and run after the cache) and
-    /// whether it was a cache hit.
-    ///
-    /// A hit performs no kernel work at all — one shard-mutex probe, no
-    /// index load: the generation comparison alone proves the entry was
-    /// computed on an index at least as new as the generation this request
-    /// observes (see the invariant on
-    /// [`IndexHandle::load_with_generation`]).
-    fn prediction_stage(
-        &self,
-        req: &RecommendRequest,
-        ctx: &mut RequestContext,
-    ) -> (Vec<ItemScore>, bool) {
-        if let Some(cache) = &self.cache {
-            if let Some(key) = self.cache_key(req, ctx) {
-                if let Some(list) = cache.lookup(key, self.index.generation()) {
-                    // Policy mutates the response per request, so the shared
-                    // list is cloned out; the kernel stays untouched.
-                    return (list.as_ref().clone(), true);
-                }
-                let (vmis, generation) = self.index.load_with_generation();
-                let recs = vmis.recommend_with_scratch(&ctx.view, &mut ctx.scratch);
-                cache.store_list(key, generation, recs.clone());
-                return (recs, false);
-            }
-        }
-        let vmis = self.index.load();
-        (vmis.recommend_with_scratch(&ctx.view, &mut ctx.scratch), false)
-    }
-
-    /// Policy stage: business rules, then truncation to the response size.
-    fn policy_stage(&self, recs: &mut Vec<ItemScore>, filter_adult: bool) {
-        self.rules.apply(recs, filter_adult);
-        recs.truncate(self.config.how_many);
     }
 
     /// Request/latency statistics of this pod.
@@ -773,6 +779,63 @@ mod tests {
                 );
             }
             assert_eq!(batch_engine.stats().requests, seq_engine.stats().requests);
+
+            // A batch of one is `handle_with` on the member's own context:
+            // everything either call leaves behind must agree, over consent
+            // on/off, cacheable and uncacheable views, and a spent deadline.
+            // (Cache counters compare as deltas: in the mixed batch above
+            // every probe ran before the kernel, so two members sharing an
+            // item both missed where sequential handling hits the second.)
+            let counters = |e: &Engine| {
+                let cache = e.prediction_cache().unwrap();
+                [cache.hit_count(), cache.miss_count(), cache.len() as u64]
+            };
+            let before = [counters(&batch_engine), counters(&seq_engine)];
+            let past = Instant::now() - Duration::from_millis(1);
+            let singles = [
+                (req(7, 4), None),          // consented, grown session
+                (req(7, 4), Some(past)),    // … over budget: degrades where the view allows
+                (req(11, 2), None),         // consented single-item view
+                (dep(11, 2, false), None),  // no consent: cacheable, hits what Recent stored
+                (dep(12, 3, true), Some(past)),
+                (dep(13, 3, false), None),  // cache hit on the member before
+            ];
+            for (i, (r, deadline)) in singles.into_iter().enumerate() {
+                bctx.member_mut(0).set_deadline(deadline);
+                ctx.set_deadline(deadline);
+                let batched = batch_engine.handle_batch(&[r], &mut bctx).remove(0);
+                let sequential = seq_engine.handle_with(r, &mut ctx);
+                assert_eq!(batched, sequential, "single {i} response ({variant:?})");
+                let member = bctx.member_mut(0);
+                assert_eq!(member.session_len(), ctx.session_len(), "single {i} ({variant:?})");
+                assert_eq!(member.degraded(), ctx.degraded(), "single {i} ({variant:?})");
+                assert_eq!(member.view, ctx.view, "single {i} ({variant:?})");
+                let timings = member.last_timings();
+                assert!(
+                    [timings.session, timings.predict, timings.policy]
+                        .iter()
+                        .all(|stage| *stage > Duration::ZERO),
+                    "single {i}: every stage is timed ({variant:?}): {timings:?}"
+                );
+                assert_eq!(
+                    member.take_kernel_work(),
+                    ctx.take_kernel_work(),
+                    "single {i} kernel work ({variant:?})"
+                );
+            }
+            let (b, s) = (batch_engine.stats(), seq_engine.stats());
+            assert_eq!(
+                (b.requests, b.depersonalised, b.degraded, b.empty_responses, b.errors),
+                (s.requests, s.depersonalised, s.degraded, s.empty_responses, s.errors),
+                "stats rows ({variant:?})"
+            );
+            assert_eq!(b.policy_latency.map(|l| l.count), s.policy_latency.map(|l| l.count));
+            let delta = |now: [u64; 3], before: [u64; 3]| [0, 1, 2].map(|i| now[i] - before[i]);
+            assert_eq!(
+                delta(counters(&batch_engine), before[0]),
+                delta(counters(&seq_engine), before[1]),
+                "cache hits, misses and store-backs ({variant:?})"
+            );
         }
     }
 

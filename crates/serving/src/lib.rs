@@ -26,22 +26,20 @@
 //!   per-stage timings) threaded through `http → cluster → engine`;
 //! * [`router`] — sticky-session partitioning across pods (rendezvous
 //!   hashing, so membership changes remap a minimal session fraction);
-//! * [`transport`] — the pod-transport abstraction: in-process engines and
-//!   remote node processes behind one trait, so the cluster façade works
-//!   identically over threads and sockets;
-//! * [`cluster`] — a multi-pod cluster façade used by the benchmarks;
+//! * [`transport`] — the router tier's upstream side: a pooled keep-alive
+//!   HTTP client per node process;
+//! * [`cluster`] — the multi-pod in-process cluster every server fronts;
 //! * [`node`] — the single-pod serving node role for multi-process
 //!   deployments: a data-plane HTTP server plus a framed control socket for
 //!   artifact distribution and session handoff;
 //! * [`routerd`] — the router tier: routes by rendezvous hashing over live
 //!   nodes, probes health, fails over to depersonalised serving, and
 //!   republishes index artifacts to every node;
-//! * [`server`] — the request-lifecycle HTTP server: an incremental bounded
-//!   parser, a per-connection state machine, admission control with
-//!   `503 + Retry-After` shedding, deadline budgets and a graceful drain
-//!   protocol (model-checked with loom);
-//! * [`http`] — the REST façade over [`server`] (the paper uses Actix; the
-//!   protocol surface is the same) plus a keep-alive test client;
+//! * [`server`] — the request-lifecycle HTTP server and its REST surface
+//!   (the paper uses Actix; the protocol surface is the same): an
+//!   incremental bounded parser, a per-connection state machine, admission
+//!   control with `503 + Retry-After` shedding, deadline budgets and a
+//!   graceful drain protocol (model-checked with loom);
 //! * [`loadgen`] — an open-loop load generator replaying session traffic at
 //!   a target request rate with a seedable, reproducible schedule, recording
 //!   latency percentiles and worker busy-time and optionally scraping
@@ -62,7 +60,6 @@ pub mod context;
 pub mod engine;
 pub mod error;
 pub mod handle;
-pub mod http;
 pub mod ingest;
 pub mod json;
 pub mod loadgen;
@@ -86,6 +83,7 @@ pub use ingest::{IngestConfig, IngestPipeline};
 pub use json::JsonValue;
 pub use router::StickyRouter;
 pub use rules::BusinessRules;
-pub use transport::{InProcessPod, PodTransport, RemotePod};
+pub use server::{HttpServer, HttpServerConfig};
 pub use stats::{ServingStats, StatsSnapshot};
 pub use telemetry::ClusterTelemetry;
+pub use transport::{HttpClient, RemotePod};

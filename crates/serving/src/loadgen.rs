@@ -15,7 +15,7 @@
 //! timing, so two runs with the same [`LoadGenConfig::seed`] issue the
 //! identical request schedule regardless of thread interleaving.
 //!
-//! When the cluster is also fronted by an [`crate::http::HttpServer`], the
+//! When the cluster is also fronted by an [`crate::server::HttpServer`], the
 //! generator can scrape `GET /metrics` before and after a run
 //! ([`run_load_test_scraped`]) and report the *server-side* latency
 //! distribution of exactly the run's window alongside the client-side one.
@@ -49,7 +49,7 @@ use serenade_telemetry::ScrapedHistogram;
 use crate::cluster::ServingCluster;
 use crate::context::RequestContext;
 use crate::engine::RecommendRequest;
-use crate::http::HttpClient;
+use crate::transport::HttpClient;
 
 /// Load-test parameters.
 #[derive(Debug, Clone, Copy)]
@@ -1353,7 +1353,7 @@ mod tests {
 
     #[test]
     fn overload_run_sheds_with_503_and_keeps_serving() {
-        use crate::http::{HttpServer, HttpServerConfig};
+        use crate::server::{HttpServer, HttpServerConfig};
         let cluster = cluster();
         // One worker, a one-slot queue and a keep-alive cap: eight
         // closed-loop clients are far past saturation, so the accept gate
@@ -1393,7 +1393,7 @@ mod tests {
 
     #[test]
     fn connection_ramp_grows_a_keepalive_fleet_and_reports_per_step() {
-        use crate::http::{HttpServer, HttpServerConfig};
+        use crate::server::{HttpServer, HttpServerConfig};
         let cluster = cluster();
         let server = HttpServer::serve(
             Arc::clone(&cluster),
@@ -1432,7 +1432,7 @@ mod tests {
 
     #[test]
     fn scraped_run_reports_server_side_latency() {
-        use crate::http::{HttpServer, HttpServerConfig};
+        use crate::server::{HttpServer, HttpServerConfig};
         let cluster = cluster();
         let server =
             HttpServer::serve(Arc::clone(&cluster), HttpServerConfig::default()).unwrap();

@@ -36,7 +36,7 @@ use serenade_telemetry::TraceConfig;
 
 use crate::cluster::ServingCluster;
 use crate::engine::{Engine, EngineConfig};
-use crate::http::{HttpServer, HttpServerConfig};
+use crate::server::{HttpServer, HttpServerConfig};
 use crate::rules::BusinessRules;
 
 /// Request frame magic.
@@ -633,7 +633,7 @@ mod tests {
         let a = start_node();
         let b = start_node();
         // Give node A some session state through its data plane.
-        let mut http = crate::http::HttpClient::connect(a.data_addr()).unwrap();
+        let mut http = crate::transport::HttpClient::connect(a.data_addr()).unwrap();
         for item in [0u64, 1, 2] {
             let body =
                 format!("{{\"session_id\": 77, \"item_id\": {item}, \"consent\": true}}");

@@ -2,7 +2,7 @@
 //!
 //! In the paper's deployment the session-affine routing in front of the
 //! serving machines is Kubernetes ingress; here it is a first-class role.
-//! A [`RouterDaemon`] is the same event-loop [`HttpServer`](crate::http::HttpServer)
+//! A [`RouterDaemon`] is the same event-loop [`HttpServer`]
 //! as the serving tier, executing against a [`RouterCore`] backend instead
 //! of a [`ServingCluster`](crate::ServingCluster):
 //!
@@ -43,19 +43,18 @@ use serenade_index::binfmt;
 use serenade_telemetry::registry::Counter;
 use serenade_telemetry::TraceConfig;
 
-use crate::context::{BatchContext, RequestContext};
+use crate::context::BatchContext;
 use crate::engine::RecommendRequest;
 use crate::error::ServingError;
 use crate::handle::IndexHandle;
-use crate::http::{HttpServer, HttpServerConfig};
 use crate::json::{self, JsonValue};
 use crate::node::ControlClient;
 use crate::router::StickyRouter;
 use crate::server::conn;
 use crate::server::parser::ParsedRequest;
-use crate::server::RequestBackend;
+use crate::server::{HttpServer, HttpServerConfig, RequestBackend};
 use crate::telemetry::ClusterTelemetry;
-use crate::transport::{PodTransport, RemotePod};
+use crate::transport::RemotePod;
 
 /// Router-tier configuration.
 #[derive(Debug, Clone)]
@@ -368,7 +367,7 @@ impl RouterCore {
     /// alive, otherwise depersonalised on the best surviving node, never an
     /// error. An empty list is the final fallback when no node is
     /// reachable.
-    fn recommend(&self, req: RecommendRequest, ctx: &mut RequestContext) -> Vec<ItemScore> {
+    fn recommend(&self, req: RecommendRequest) -> Vec<ItemScore> {
         let membership = self.membership.load();
         let Some(owner) = membership.route(req.session_id) else {
             self.failover_total.inc();
@@ -376,7 +375,7 @@ impl RouterCore {
         };
         let entry = &membership.nodes[owner];
         if entry.is_alive() {
-            match entry.transport.handle_with(req, ctx) {
+            match entry.transport.recommend(req) {
                 Ok(recs) => return recs,
                 Err(_) => entry.alive.store(false, Ordering::SeqCst),
             }
@@ -392,7 +391,7 @@ impl RouterCore {
                 break;
             };
             let fallback = &membership.nodes[slot];
-            match fallback.transport.handle_with(degraded, ctx) {
+            match fallback.transport.recommend(degraded) {
                 Ok(recs) => return recs,
                 Err(_) => fallback.alive.store(false, Ordering::SeqCst),
             }
@@ -506,11 +505,7 @@ impl RequestBackend for RouterCore {
         self.membership.load().route(session_id).unwrap_or(0)
     }
 
-    fn respond(
-        &self,
-        request: &ParsedRequest,
-        ctx: &mut RequestContext,
-    ) -> (u16, String, &'static str) {
+    fn respond(&self, request: &ParsedRequest) -> (u16, String, &'static str) {
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/health") => {
                 let membership = self.membership.load();
@@ -620,13 +615,7 @@ impl RequestBackend for RouterCore {
                     Err(e) => bad_request(&e),
                 }
             }
-            ("POST", "/recommend") => match conn::parse_recommend_request(&request.body) {
-                Ok(req) => {
-                    let recs = self.recommend(req, ctx);
-                    (200, conn::render_recommendations(&recs), conn::CONTENT_TYPE_JSON)
-                }
-                Err(e) => bad_request(&e),
-            },
+            ("POST", "/recommend") => conn::reject_predict(&request.body),
             ("POST", "/ingest") => match conn::parse_ingest_batch(&request.body) {
                 Ok(clicks) => {
                     let (accepted, failed) = self.proxy_ingest(&clicks);
@@ -671,70 +660,13 @@ impl RequestBackend for RouterCore {
         &self,
         _shard: usize,
         reqs: &[RecommendRequest],
-        bctx: &mut BatchContext,
+        _bctx: &mut BatchContext,
     ) -> Vec<Result<Vec<ItemScore>, ServingError>> {
-        // The shard key groups likely-same-owner requests, so the common
-        // case is one maximal run forwarded as a single upstream batch (one
-        // pool checkout on the remote transport, not two mutex ops per
-        // member). Members whose owner is dead — or whose forwarded run
-        // member errors — fall back to the individual failover policy in
-        // `recommend`, all sharing one scratch context. Never an Err: the
-        // failover policy absorbs node loss.
-        bctx.ensure(reqs.len());
-        let membership = self.membership.load();
-        let mut results: Vec<Result<Vec<ItemScore>, ServingError>> =
-            Vec::with_capacity(reqs.len());
-        let mut scratch = RequestContext::new();
-        let mut sub_bctx = BatchContext::new();
-        let failover = |req: RecommendRequest,
-                            scratch: &mut RequestContext,
-                            bctx: &mut BatchContext,
-                            i: usize| {
-            let recs = self.recommend(req, scratch);
-            let member = bctx.member_mut(i);
-            member.set_timings(scratch.last_timings());
-            member.set_session_len(scratch.session_len());
-            Ok(recs)
-        };
-        let mut i = 0;
-        while i < reqs.len() {
-            let owner = membership
-                .route(reqs[i].session_id)
-                .filter(|&slot| membership.nodes[slot].is_alive());
-            let Some(slot) = owner else {
-                results.push(failover(reqs[i], &mut scratch, bctx, i));
-                i += 1;
-                continue;
-            };
-            let mut j = i + 1;
-            while j < reqs.len()
-                && membership.route(reqs[j].session_id) == Some(slot)
-            {
-                j += 1;
-            }
-            let entry = &membership.nodes[slot];
-            let run = &reqs[i..j];
-            for (off, res) in
-                entry.transport.handle_batch(run, &mut sub_bctx).into_iter().enumerate()
-            {
-                match res {
-                    Ok(recs) => {
-                        let sub = sub_bctx.member_mut(off);
-                        let (timings, len) = (sub.last_timings(), sub.session_len());
-                        let member = bctx.member_mut(i + off);
-                        member.set_timings(timings);
-                        member.set_session_len(len);
-                        results.push(Ok(recs));
-                    }
-                    Err(_) => {
-                        entry.alive.store(false, Ordering::SeqCst);
-                        results.push(failover(run[off], &mut scratch, bctx, i + off));
-                    }
-                }
-            }
-            i = j;
-        }
-        results
+        // One failover policy, applied per member: the upstream pool
+        // hands back the connection the previous member just returned, so a
+        // run of same-owner members shares a socket without a second code
+        // path. Never an Err — the policy absorbs node loss.
+        reqs.iter().map(|&req| Ok(self.recommend(req))).collect()
     }
 }
 
@@ -835,9 +767,8 @@ mod tests {
             Duration::from_millis(50),
             1_000,
         );
-        let mut ctx = RequestContext::new();
         let req = RecommendRequest { session_id: 9, item: 1, consent: true, filter_adult: false };
-        assert!(core.recommend(req, &mut ctx).is_empty());
+        assert!(core.recommend(req).is_empty());
         assert_eq!(core.failover_total(), 1, "the miss is counted");
     }
 
@@ -855,12 +786,70 @@ mod tests {
             Duration::from_millis(50),
             1_000,
         );
-        let mut ctx = RequestContext::new();
         let req = RecommendRequest { session_id: 9, item: 1, consent: true, filter_adult: false };
-        assert!(core.recommend(req, &mut ctx).is_empty(), "no 5xx, an empty 200");
+        assert!(core.recommend(req).is_empty(), "no 5xx, an empty 200");
         assert_eq!(core.failover_total(), 1);
         let membership = core.membership();
         assert!(membership.nodes().iter().all(|n| !n.is_alive()), "failures mark nodes dead");
+    }
+
+    /// An owner that serves exactly one request with an empty list, then
+    /// closes its connection and its listener: a node dying mid-batch.
+    fn owner_that_dies_after_one_request() -> (SocketAddr, JoinHandle<()>) {
+        use std::io::{Read, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let thread = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut seen = Vec::new();
+            let mut buf = [0u8; 1024];
+            // The request is complete once its JSON body has closed.
+            while !seen.ends_with(b"}") {
+                let n = stream.read(&mut buf).unwrap();
+                seen.extend_from_slice(&buf[..n]);
+            }
+            let body = r#"{"recommendations":[]}"#;
+            write!(stream, "HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n{body}", body.len())
+                .unwrap();
+        });
+        (addr, thread)
+    }
+
+    #[test]
+    fn owner_dying_mid_batch_fails_the_rest_over_without_an_error() {
+        use crate::node::{NodeConfig, ServingNode};
+        let clicks: Vec<Click> =
+            (0..40u64).flat_map(|s| [Click::new(s, s % 6, s * 10), Click::new(s, (s + 1) % 6, s * 10 + 1)]).collect();
+        let index = Arc::new(serenade_core::SessionIndex::build(&clicks, 500).unwrap());
+        let survivor = ServingNode::start(index, NodeConfig::default()).unwrap();
+        let (dying, owner_thread) = owner_that_dies_after_one_request();
+        let core = RouterCore::new(
+            &[(0, dying, dying), (1, survivor.data_addr(), survivor.ctrl_addr())],
+            TraceConfig::default(),
+            Duration::from_millis(200),
+            1_000,
+        );
+        // Three members of one coalesced batch, all owned by the dying node.
+        let reqs: Vec<RecommendRequest> = (0..u64::MAX)
+            .filter(|&sid| core.shard_for(sid) == 0)
+            .take(3)
+            .map(|session_id| RecommendRequest { session_id, item: 2, consent: true, filter_adult: false })
+            .collect();
+        let results = core.handle_recommend_batch(0, &reqs, &mut BatchContext::new());
+        owner_thread.join().unwrap();
+
+        let lists: Vec<_> = results.into_iter().map(|r| r.expect("never an error")).collect();
+        assert!(lists[0].is_empty(), "member 1 was answered by its owner");
+        let depersonalised = RemotePod::new(survivor.data_addr())
+            .recommend(RecommendRequest { consent: false, ..reqs[1] })
+            .unwrap();
+        assert!(!depersonalised.is_empty());
+        assert_eq!(lists[1], depersonalised, "member 2 failed over mid-exchange");
+        assert_eq!(lists[2], depersonalised, "member 3 found its owner already dead");
+        assert_eq!(core.failover_total(), 2, "one per member that failed over");
+        let membership = core.membership();
+        assert!(!membership.nodes()[0].is_alive() && membership.nodes()[1].is_alive());
+        survivor.shutdown();
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use serenade_core::ItemScore;
 
 use crate::cluster::ServingCluster;
-use crate::context::{BatchContext, RequestContext};
+use crate::context::BatchContext;
 use crate::engine::RecommendRequest;
 use crate::error::ServingError;
 use crate::telemetry::ClusterTelemetry;
@@ -31,18 +31,16 @@ pub trait RequestBackend: Send + Sync + 'static {
     /// against exactly one shard's session state.
     fn shard_for(&self, session_id: u64) -> usize;
 
-    /// Routes one parsed request to its endpoint and renders
-    /// `(status, body, content type)`. Must not panic; the worker wraps
-    /// predict handling in an unwind barrier but trusts endpoint routing.
-    fn respond(
-        &self,
-        request: &ParsedRequest,
-        ctx: &mut RequestContext,
-    ) -> (u16, String, &'static str);
+    /// Routes one parsed request that is not a well-formed predict to its
+    /// endpoint and renders `(status, body, content type)`. Must not
+    /// panic; the worker trusts endpoint routing.
+    fn respond(&self, request: &ParsedRequest) -> (u16, String, &'static str);
 
     /// Executes one coalesced predict batch whose members all share
     /// `shard` (per [`RequestBackend::shard_for`]); one result per request
-    /// in request order. Request ids and deadlines arrive tagged on the
+    /// in request order. This is the tier's only way to run a predict:
+    /// every well-formed `POST /recommend` arrives here, alone or with
+    /// batch-mates. Request ids and deadlines arrive tagged on the
     /// per-member contexts.
     fn handle_recommend_batch(
         &self,
@@ -61,12 +59,8 @@ impl RequestBackend for ServingCluster {
         self.pod_index_for(session_id)
     }
 
-    fn respond(
-        &self,
-        request: &ParsedRequest,
-        ctx: &mut RequestContext,
-    ) -> (u16, String, &'static str) {
-        conn::respond(request, self, ctx)
+    fn respond(&self, request: &ParsedRequest) -> (u16, String, &'static str) {
+        conn::respond(request, self)
     }
 
     fn handle_recommend_batch(

@@ -7,18 +7,18 @@
 //! responses) share:
 //!
 //! * [`respond`] — routes one parsed request to its endpoint and renders
-//!   the body (health, metrics, stats, traces, single predicts);
+//!   the body (health, metrics, stats, traces, ingest; predicts run through
+//!   the worker's batch path, never here);
 //! * [`render_response`] — frames one HTTP/1.1 response into bytes, the
 //!   single place the wire format lives;
 //! * [`unwind_barrier`] — converts engine panics into typed `500`s so one
 //!   poisoned request cannot take down a worker;
-//! * [`parse_recommend_request`] — the predict body schema, shared with the
-//!   reactor's batch classifier.
+//! * [`parse_recommend_request`] — the predict body schema the reactor's
+//!   batch classifier reads.
 
 use serenade_core::{Click, ItemScore};
 
 use crate::cluster::ServingCluster;
-use crate::context::RequestContext;
 use crate::engine::RecommendRequest;
 use crate::error::ServingError;
 use crate::json::{self, JsonValue};
@@ -89,7 +89,6 @@ pub(crate) fn render_error(e: &ServingError) -> (u16, String) {
 pub(super) fn respond(
     request: &ParsedRequest,
     cluster: &ServingCluster,
-    ctx: &mut RequestContext,
 ) -> (u16, String, &'static str) {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/health") => (
@@ -258,25 +257,7 @@ pub(super) fn respond(
                 }
             }
         }
-        ("POST", "/recommend") => match parse_recommend_request(&request.body) {
-            Ok(req) => {
-                // Ingress id assignment: the trace recorded at the cluster
-                // layer carries this id back out via `GET /debug/slow`.
-                ctx.set_request_id(cluster.telemetry().next_request_id());
-                match recommend_guarded(cluster, req, ctx) {
-                    Ok(recs) => (200, render_recommendations(&recs), CONTENT_TYPE_JSON),
-                    Err(e) => {
-                        let (status, body) = render_error(&e);
-                        (status, body, CONTENT_TYPE_JSON)
-                    }
-                }
-            }
-            Err(message) => (
-                400,
-                JsonValue::object([("error", JsonValue::String(message))]).to_json(),
-                CONTENT_TYPE_JSON,
-            ),
-        },
+        ("POST", "/recommend") => reject_predict(&request.body),
         _ => (
             404,
             JsonValue::object([("error", JsonValue::String("not found".into()))]).to_json(),
@@ -301,13 +282,18 @@ pub(crate) fn unwind_barrier<R>(
     })
 }
 
-/// Engine dispatch for `POST /recommend`, panic-proofed by [`unwind_barrier`].
-fn recommend_guarded(
-    cluster: &ServingCluster,
-    req: RecommendRequest,
-    ctx: &mut RequestContext,
-) -> Result<Vec<ItemScore>, ServingError> {
-    unwind_barrier(|| cluster.handle_with(req, ctx))
+/// The response to a `POST /recommend` that reached an endpoint responder.
+/// The reactor classifies every well-formed predict into the worker's batch
+/// path — a tier's one way to run a predict — so what arrives here is a body
+/// the classifier could not parse, and the answer is its `400`.
+pub(crate) fn reject_predict(body: &str) -> (u16, String, &'static str) {
+    let (status, body) = match parse_recommend_request(body) {
+        Err(message) => {
+            (400, JsonValue::object([("error", JsonValue::String(message))]).to_json())
+        }
+        Ok(_) => render_error(&ServingError::Internal("predict dispatched outside a batch")),
+    };
+    (status, body, CONTENT_TYPE_JSON)
 }
 
 /// Path prefix of the unlearning endpoint: `DELETE /ingest/session/{id}`.
@@ -346,8 +332,8 @@ pub(crate) fn parse_ingest_batch(body: &str) -> Result<Vec<Click>, String> {
         .map_err(String::from)
 }
 
-/// Parses the `POST /recommend` body. Shared by the worker's responder and
-/// the reactor's batch classifier, so both agree on the schema.
+/// Parses the `POST /recommend` body (the reactor's batch classifier and
+/// the `400` for bodies it rejects agree on the schema through this).
 pub(crate) fn parse_recommend_request(body: &str) -> Result<RecommendRequest, String> {
     let v = json::parse(body).map_err(|e| format!("invalid json: {e}"))?;
     let session_id =

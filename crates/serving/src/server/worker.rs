@@ -1,10 +1,11 @@
 //! Worker threads: execute dispatched requests and coalesced predict
 //! batches, pushing rendered responses back to the reactor.
 //!
-//! Each worker owns one [`RequestContext`] (for single requests) and one
-//! [`BatchContext`] (for coalesced batches) for its lifetime — scratch
-//! buffers, session views and per-member state are reused across every unit
-//! of work, so the steady-state request path allocates only its response.
+//! Each worker owns one [`BatchContext`] for its lifetime — scratch
+//! buffers, session views and per-member state are reused across every
+//! predict, so the steady-state request path allocates only its response.
+//! Every well-formed predict is a batch here, most often of one; the
+//! endpoint responder serves everything else and needs no context.
 //!
 //! Shutdown needs no flag check here: the reactor closes the
 //! [`DispatchQueue`] once the gate reaches STOPPED, `next_work` drains the
@@ -13,7 +14,8 @@
 
 use std::sync::Arc;
 
-use crate::context::{BatchContext, RequestContext};
+use crate::context::BatchContext;
+use crate::error::ServingError;
 use crate::engine::RecommendRequest;
 
 use super::backend::RequestBackend;
@@ -29,16 +31,15 @@ pub(super) fn run<B: RequestBackend>(
     shared: Arc<Shared>,
     waker: Waker,
 ) {
-    let mut ctx = RequestContext::new();
     let mut bctx = BatchContext::new();
     let mut reqs: Vec<RecommendRequest> = Vec::new();
     while let Some(work) = queue.next_work() {
         match work {
             Work::Single(dispatch) => {
-                run_single(dispatch, &completions, cluster.as_ref(), &shared, &mut ctx);
+                run_single(dispatch, &completions, cluster.as_ref(), &shared);
             }
             Work::Batch(batch) => {
-                run_batch(batch, &completions, cluster.as_ref(), &shared, &mut ctx, &mut bctx, &mut reqs);
+                run_batch(batch, &completions, cluster.as_ref(), &shared, &mut bctx, &mut reqs);
             }
         }
         // One readiness kick flushes every completion this unit produced.
@@ -56,10 +57,8 @@ fn run_single<B: RequestBackend>(
     completions: &CompletionQueue,
     cluster: &B,
     shared: &Shared,
-    ctx: &mut RequestContext,
 ) {
-    ctx.set_deadline(dispatch.deadline);
-    let (status, body, content_type) = cluster.respond(&dispatch.request, ctx);
+    let (status, body, content_type) = cluster.respond(&dispatch.request);
     shared.gate.finish_request();
     let close = dispatch.close_hint || !shared.gate.is_running();
     completions.push(Completion {
@@ -69,16 +68,15 @@ fn run_single<B: RequestBackend>(
     });
 }
 
-/// Executes one coalesced same-pod predict batch through the batch engine
-/// path, then completes every member individually. A panic anywhere in the
-/// batch maps to a `500` for every member (the unwind barrier the single
-/// path has, batch-wide).
+/// Executes one coalesced same-pod predict batch through the backend's
+/// batch entry, then completes every member individually. A panic anywhere
+/// in the batch maps to a `500` for every member (the unwind barrier is
+/// batch-wide).
 fn run_batch<B: RequestBackend>(
     batch: Vec<Dispatch>,
     completions: &CompletionQueue,
     cluster: &B,
     shared: &Shared,
-    ctx: &mut RequestContext,
     bctx: &mut BatchContext,
     reqs: &mut Vec<RecommendRequest>,
 ) {
@@ -90,21 +88,17 @@ fn run_batch<B: RequestBackend>(
             reqs.push(*req);
         }
     }
-    // The queue only coalesces predicts, so a mixed batch is an invariant
-    // violation — recover by executing each member singly rather than
-    // guessing at request/result alignment.
-    let Some(pod) = pod else {
-        for dispatch in batch {
-            run_single(dispatch, completions, cluster, shared, ctx);
+    // The queue only coalesces predicts, so a batch holding anything else
+    // is an invariant violation: answer every member with a typed `500`
+    // rather than guess at request/result alignment.
+    let Some(pod) = pod.filter(|_| reqs.len() == batch.len()) else {
+        let (status, body) =
+            conn::render_error(&ServingError::Internal("non-predict dispatch in a predict batch"));
+        for dispatch in &batch {
+            complete(dispatch, status, body.clone(), completions, shared);
         }
         return;
     };
-    if reqs.len() != batch.len() {
-        for dispatch in batch {
-            run_single(dispatch, completions, cluster, shared, ctx);
-        }
-        return;
-    }
     shared.metrics.record_batch_size(batch.len());
     for (i, dispatch) in batch.iter().enumerate() {
         let member = bctx.member_mut(i);

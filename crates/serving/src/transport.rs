@@ -1,19 +1,17 @@
-//! Pod transports: how the cluster reaches a serving pod.
+//! The router's upstream side: a pooled keep-alive HTTP client per node.
 //!
-//! [`ServingCluster`](crate::ServingCluster) used to be a loop over
-//! `Arc<Engine>` — pods were always threads in the same process. The paper's
-//! deployment (§4) is N serving *machines* behind a sticky router, so the
-//! cluster is now written against [`PodTransport`]:
+//! A serving node is reached over its data socket by a [`RemotePod`], which
+//! speaks the serving HTTP protocol through a bounded pool of
+//! [`HttpClient`] connections. A proxied `POST /recommend` runs the same
+//! pipeline on the node that an in-process call runs on an
+//! [`Engine`](crate::Engine), and the socket conformance suite checks the
+//! responses are byte-identical (`tests/cluster_failover.rs`).
 //!
-//! * [`InProcessPod`] wraps an [`Engine`] directly — today's behaviour,
-//!   zero added cost on the request path;
-//! * [`RemotePod`] speaks the serving HTTP protocol to a node process over
-//!   a bounded pool of keep-alive connections.
-//!
-//! The two are semantically interchangeable: a remote `POST /recommend`
-//! runs the same three-stage pipeline on the node that an in-process call
-//! runs here, and the socket conformance suite checks the responses are
-//! byte-identical (`tests/cluster_failover.rs`).
+//! [`RemotePod`] is a concrete type, not an implementation of a transport
+//! trait: [`ServingCluster`](crate::ServingCluster) calls its engines
+//! directly and the router tier ([`crate::routerd`]) is the only caller
+//! here. A seam goes in when there is a second implementation to put
+//! behind it (ROADMAP item 4's fault-injecting fake).
 //!
 //! # Pool discipline
 //!
@@ -25,101 +23,116 @@
 //! an upstream write would serialise every proxied request behind one
 //! socket's flow control.
 
-use std::net::SocketAddr;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 
 use parking_lot::Mutex;
 
 use serenade_core::ItemScore;
 
-use crate::context::{BatchContext, RequestContext, StageTimings};
-use crate::engine::{Engine, RecommendRequest};
+use crate::engine::RecommendRequest;
 use crate::error::ServingError;
-use crate::http::HttpClient;
 use crate::json::{self, JsonValue};
 
-/// How a cluster reaches one serving pod. Implementations must be
-/// semantically interchangeable: the response to a request sequence may
-/// not depend on the transport carrying it.
-pub trait PodTransport: Send + Sync {
-    /// Handles one request on the pod, pipeline semantics per
-    /// [`Engine::handle_with`].
-    fn handle_with(
-        &self,
-        req: RecommendRequest,
-        ctx: &mut RequestContext,
-    ) -> Result<Vec<ItemScore>, ServingError>;
-
-    /// Handles a coalesced same-pod batch, semantics per
-    /// [`Engine::handle_batch`]: member-for-member identical to sequential
-    /// handling in slice order.
-    fn handle_batch(
-        &self,
-        reqs: &[RecommendRequest],
-        bctx: &mut BatchContext,
-    ) -> Vec<Result<Vec<ItemScore>, ServingError>>;
-
-    /// Erases a session's evolving state on the pod (unlearning hook).
-    fn forget_session(&self, session_id: u64) -> bool;
-
-    /// Live sessions stored on the pod.
-    fn live_sessions(&self) -> usize;
-
-    /// Runs the TTL sweep on the pod; returns evictions.
-    fn evict_expired_sessions(&self) -> usize;
-
-    /// The in-process engine behind this transport, if there is one.
-    /// `None` for remote pods — callers needing engine internals (stats
-    /// endpoints, telemetry gauges) must degrade gracefully.
-    fn engine(&self) -> Option<&Arc<Engine>> {
-        None
-    }
+/// A minimal keep-alive HTTP client: what [`RemotePod`] pools, and what the
+/// load generator and the socket tests drive servers with.
+///
+/// One socket, one fd: requests are written straight through the read
+/// buffer's inner stream (`get_mut`), which is sound because a response is
+/// always fully consumed before the next request is written. The connection
+/// ramp opens thousands of these, so the old `try_clone` (a second fd per
+/// connection) would halve the fleet the fd limit allows.
+pub struct HttpClient {
+    reader: BufReader<TcpStream>,
+    addr: SocketAddr,
 }
 
-/// The in-process transport: a pod that is an [`Engine`] in this process.
-pub struct InProcessPod {
-    engine: Arc<Engine>,
-}
-
-impl InProcessPod {
-    /// Wraps an engine.
-    pub fn new(engine: Arc<Engine>) -> Self {
-        Self { engine }
-    }
-}
-
-impl PodTransport for InProcessPod {
-    fn handle_with(
-        &self,
-        req: RecommendRequest,
-        ctx: &mut RequestContext,
-    ) -> Result<Vec<ItemScore>, ServingError> {
-        self.engine.handle_with(req, ctx)
+impl HttpClient {
+    /// Connects to a server.
+    pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Self { reader: BufReader::new(stream), addr })
     }
 
-    fn handle_batch(
-        &self,
-        reqs: &[RecommendRequest],
-        bctx: &mut BatchContext,
-    ) -> Vec<Result<Vec<ItemScore>, ServingError>> {
-        self.engine.handle_batch(reqs, bctx)
+    /// Issues a POST and returns `(status, body)`.
+    pub fn post(&mut self, path: &str, body: &str) -> std::io::Result<(u16, String)> {
+        let writer = self.reader.get_mut();
+        write!(
+            writer,
+            "POST {path} HTTP/1.1\r\nhost: {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n{body}",
+            self.addr,
+            body.len()
+        )?;
+        writer.flush()?;
+        self.read_response()
     }
 
-    fn forget_session(&self, session_id: u64) -> bool {
-        self.engine.forget_session(session_id)
+    /// Issues a DELETE and returns `(status, body)` (the session-unlearning
+    /// endpoint `DELETE /ingest/session/{id}` is the only consumer).
+    pub fn delete(&mut self, path: &str) -> std::io::Result<(u16, String)> {
+        let writer = self.reader.get_mut();
+        write!(writer, "DELETE {path} HTTP/1.1\r\nhost: {}\r\n\r\n", self.addr)?;
+        writer.flush()?;
+        self.read_response()
     }
 
-    fn live_sessions(&self) -> usize {
-        self.engine.live_sessions()
+    /// Issues a GET and returns `(status, body)`.
+    pub fn get(&mut self, path: &str) -> std::io::Result<(u16, String)> {
+        let writer = self.reader.get_mut();
+        write!(writer, "GET {path} HTTP/1.1\r\nhost: {}\r\n\r\n", self.addr)?;
+        writer.flush()?;
+        self.read_response()
     }
 
-    fn evict_expired_sessions(&self) -> usize {
-        self.engine.evict_expired_sessions()
-    }
-
-    fn engine(&self) -> Option<&Arc<Engine>> {
-        Some(&self.engine)
+    fn read_response(&mut self) -> std::io::Result<(u16, String)> {
+        let mut line = String::new();
+        loop {
+            line.clear();
+            match self.reader.read_line(&mut line) {
+                Ok(0) => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        "connection closed",
+                    ))
+                }
+                Ok(_) => break,
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    continue
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        let status: u16 = line
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status"))?;
+        let mut content_length = 0usize;
+        loop {
+            let mut header = String::new();
+            self.reader.read_line(&mut header)?;
+            let header = header.trim_end();
+            if header.is_empty() {
+                break;
+            }
+            if let Some((name, value)) = header.split_once(':') {
+                if name.trim().eq_ignore_ascii_case("content-length") {
+                    content_length = value.trim().parse().unwrap_or(0);
+                }
+            }
+        }
+        let mut body = vec![0u8; content_length];
+        self.reader.read_exact(&mut body)?;
+        Ok((
+            status,
+            String::from_utf8(body).map_err(|_| {
+                std::io::Error::new(std::io::ErrorKind::InvalidData, "non-utf8 body")
+            })?,
+        ))
     }
 }
 
@@ -129,7 +142,7 @@ impl PodTransport for InProcessPod {
 /// concurrently (each request that finds the pool empty dials its own).
 const MAX_IDLE_CONNECTIONS: usize = 8;
 
-/// The socket transport: a pod that is a node process reached over HTTP.
+/// A serving node reached over HTTP on its data socket.
 pub struct RemotePod {
     addr: SocketAddr,
     /// Idle keep-alive connections. LIFO so the hottest (most recently
@@ -139,8 +152,8 @@ pub struct RemotePod {
 }
 
 impl RemotePod {
-    /// Creates a transport for the node at `addr`. No connection is opened
-    /// until the first request — a cluster may be constructed before its
+    /// Creates a client for the node at `addr`. No connection is opened
+    /// until the first request — a router may be constructed before its
     /// nodes finish binding.
     pub fn new(addr: SocketAddr) -> Self {
         Self { addr, idle: Mutex::new(Vec::new()) }
@@ -213,7 +226,9 @@ impl RemotePod {
         }
     }
 
-    fn recommend(&self, req: RecommendRequest) -> Result<Vec<ItemScore>, ServingError> {
+    /// One proxied `POST /recommend`. Anything but a parsable `200` is an
+    /// [`ServingError::Upstream`] — the router's liveness signal.
+    pub fn recommend(&self, req: RecommendRequest) -> Result<Vec<ItemScore>, ServingError> {
         let body = render_recommend_request(&req);
         let (status, response) = self
             .post("/recommend", &body)
@@ -226,110 +241,6 @@ impl RemotePod {
         }
         parse_recommendations(&response)
             .map_err(|e| ServingError::Upstream(format!("{}: {e}", self.addr)))
-    }
-
-    /// One `/recommend` exchange on a connection *held by the caller* in
-    /// `conn`, checking out only when the slot is empty. A healthy exchange
-    /// puts the connection back into the slot (not the pool), so a batch
-    /// pays one pool checkout/checkin total instead of two lock operations
-    /// per member. An I/O error drops the connection — its stream state is
-    /// unknowable — and leaves the slot empty for the next member to re-dial;
-    /// a non-200 or unparsable response keeps the (healthy) connection held.
-    fn recommend_on(
-        &self,
-        conn: &mut Option<HttpClient>,
-        req: RecommendRequest,
-    ) -> Result<Vec<ItemScore>, ServingError> {
-        let body = render_recommend_request(&req);
-        let mut client = match conn.take() {
-            Some(client) => client,
-            None => self
-                .checkout()
-                .map_err(|e| ServingError::Upstream(format!("{}: {e}", self.addr)))?,
-        };
-        match client.post("/recommend", &body) {
-            Ok((status, response)) => {
-                *conn = Some(client);
-                if status != 200 {
-                    return Err(ServingError::Upstream(format!(
-                        "{}: status {status}: {response}",
-                        self.addr
-                    )));
-                }
-                parse_recommendations(&response)
-                    .map_err(|e| ServingError::Upstream(format!("{}: {e}", self.addr)))
-            }
-            Err(e) => Err(ServingError::Upstream(format!("{}: {e}", self.addr))),
-        }
-    }
-}
-
-impl PodTransport for RemotePod {
-    fn handle_with(
-        &self,
-        req: RecommendRequest,
-        ctx: &mut RequestContext,
-    ) -> Result<Vec<ItemScore>, ServingError> {
-        let started = Instant::now();
-        let result = self.recommend(req);
-        // The node kept the per-stage breakdown; over the wire only the
-        // round-trip total is observable, accounted as predict time.
-        ctx.set_timings(StageTimings {
-            session: Duration::ZERO,
-            predict: started.elapsed(),
-            policy: Duration::ZERO,
-        });
-        ctx.set_session_len(1);
-        result
-    }
-
-    fn handle_batch(
-        &self,
-        reqs: &[RecommendRequest],
-        bctx: &mut BatchContext,
-    ) -> Vec<Result<Vec<ItemScore>, ServingError>> {
-        // Sequential proxying over one connection held across the whole
-        // batch preserves the batch contract exactly — the node sees the
-        // members back to back in slice order on one keep-alive stream —
-        // and touches the pool mutex once per batch, not per member.
-        bctx.ensure(reqs.len());
-        let mut conn: Option<HttpClient> = None;
-        let results = reqs
-            .iter()
-            .enumerate()
-            .map(|(i, &req)| {
-                let started = Instant::now();
-                let result = self.recommend_on(&mut conn, req);
-                let member = bctx.member_mut(i);
-                member.set_timings(StageTimings {
-                    session: Duration::ZERO,
-                    predict: started.elapsed(),
-                    policy: Duration::ZERO,
-                });
-                member.set_session_len(1);
-                result
-            })
-            .collect();
-        if let Some(client) = conn {
-            self.checkin(client);
-        }
-        results
-    }
-
-    fn forget_session(&self, session_id: u64) -> bool {
-        // Forgetting on a remote pod goes through the node's control plane
-        // (see `crate::node`), which owns erase semantics; the data-plane
-        // transport reports "nothing dropped" rather than guessing.
-        let _ = session_id;
-        false
-    }
-
-    fn live_sessions(&self) -> usize {
-        0
-    }
-
-    fn evict_expired_sessions(&self) -> usize {
-        0
     }
 }
 

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use serenade_core::{Click, SessionIndex};
 use serenade_serving::engine::EngineConfig;
-use serenade_serving::http::{HttpClient, HttpServer, HttpServerConfig};
+use serenade_serving::{HttpClient, HttpServer, HttpServerConfig};
 use serenade_serving::{BusinessRules, ServingCluster};
 
 /// Sessions walk the item ring with the given stride, so the stride decides

@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use serenade_core::{Click, SessionIndex};
 use serenade_index::binfmt;
-use serenade_serving::http::HttpClient;
+use serenade_serving::HttpClient;
 use serenade_serving::json::{self, JsonValue};
 use serenade_serving::node::ControlClient;
 use serenade_serving::routerd::{RouterConfig, RouterDaemon};

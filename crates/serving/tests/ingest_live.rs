@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use serenade_core::{Click, SessionIndex};
 use serenade_serving::engine::EngineConfig;
-use serenade_serving::http::{HttpClient, HttpServer, HttpServerConfig};
+use serenade_serving::{HttpClient, HttpServer, HttpServerConfig};
 use serenade_serving::{BusinessRules, IngestConfig, ServingCluster};
 
 /// Base click log: 40 two-click sessions walking a 6-item ring, plus one

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use serenade_core::{Click, SessionIndex};
 use serenade_serving::engine::EngineConfig;
-use serenade_serving::http::{HttpClient, HttpServer, HttpServerConfig};
+use serenade_serving::{HttpClient, HttpServer, HttpServerConfig};
 use serenade_serving::json::{self, JsonValue};
 use serenade_serving::{BusinessRules, ServingCluster};
 

@@ -63,7 +63,6 @@ impl fmt::Display for Violation {
 /// it, so failures must surface as typed errors instead (R2).
 const REQUEST_PATH_MODULES: &[&str] = &[
     "crates/serving/src/engine.rs",
-    "crates/serving/src/http.rs",
     "crates/serving/src/server/mod.rs",
     "crates/serving/src/server/parser.rs",
     "crates/serving/src/server/conn.rs",

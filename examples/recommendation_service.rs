@@ -9,7 +9,7 @@ use std::sync::Arc;
 use serenade_core::SessionIndex;
 use serenade_dataset::{generate, SyntheticConfig};
 use serenade_serving::engine::EngineConfig;
-use serenade_serving::http::{HttpClient, HttpServer, HttpServerConfig};
+use serenade_serving::{HttpClient, HttpServer, HttpServerConfig};
 use serenade_serving::{BusinessRules, ServingCluster};
 
 fn main() {

@@ -55,4 +55,7 @@ cargo test -q -p serenade-serving --features "loom mutation-skip-parked-reap" --
 echo "==> mutation kill: epoch-log touched-items check dropped"
 cargo test -q -p serenade-serving --features "loom mutation-skip-epoch-check" --test loom_models
 
+echo "==> non-test line counts (the LOC delta CHANGES.md reports)"
+scripts/loc.sh
+
 echo "All checks passed."

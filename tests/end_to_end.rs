@@ -9,7 +9,7 @@ use serenade_dataset::{generate, split_last_days, SyntheticConfig};
 use serenade_index::{build_parallel, read_index, write_index, BuilderConfig};
 use serenade_metrics::{evaluate, EvalConfig};
 use serenade_serving::engine::{EngineConfig, RecommendRequest, ServingVariant};
-use serenade_serving::http::{HttpClient, HttpServer, HttpServerConfig};
+use serenade_serving::{HttpClient, HttpServer, HttpServerConfig};
 use serenade_serving::{json, BusinessRules, ServingCluster};
 
 fn assert_same_index(a: &SessionIndex, b: &SessionIndex) {
