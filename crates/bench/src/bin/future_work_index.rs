@@ -117,19 +117,17 @@ fn main() {
     let rebuild_time = t0.elapsed();
 
     print_table(
-        &["strategy", "batches", "total time", "rebuild fallbacks"],
+        &["strategy", "batches", "total time"],
         &[
             vec![
                 "incremental fold".into(),
                 batches.len().to_string(),
                 format!("{:.2}s", inc_time.as_secs_f64()),
-                incremental.rebuild_count().to_string(),
             ],
             vec![
                 "full rebuild per batch".into(),
                 batches.len().to_string(),
                 format!("{:.2}s", rebuild_time.as_secs_f64()),
-                "-".into(),
             ],
         ],
     );

@@ -16,6 +16,13 @@
 //! Sessions receive dense ids in ascending timestamp order, so a larger
 //! [`SessionId`] always denotes a more recent session; ties on identical
 //! timestamps are broken by external session id for determinism.
+//!
+//! Every array sits behind an [`Arc`]: a [`SessionIndex`] is a handle that
+//! clones in constant time, and consecutive generations of a live index
+//! (`serenade_index::IncrementalIndexer`) share every posting array a
+//! publish did not change.
+
+use std::sync::Arc;
 
 use crate::error::CoreError;
 use crate::hash::{fx_map_with_capacity, FxHashMap};
@@ -60,8 +67,9 @@ pub struct PostingEntry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredPosting {
     /// `(timestamp, session)` entries in strictly descending key order,
-    /// truncated to the index's `m_max`.
-    pub entries: Box<[PostingEntry]>,
+    /// truncated to the index's `m_max`. Shared, not copied, between index
+    /// generations that agree on it.
+    pub entries: Arc<[PostingEntry]>,
     /// `h_i`: number of historical sessions containing the item (before
     /// truncation to `m_max`).
     pub support: u32,
@@ -107,19 +115,22 @@ pub struct IndexStats {
 }
 
 /// Raw parts of a [`SessionIndex`]: postings, timestamps, CSR item storage
-/// (flat array + offsets) and the posting capacity `m_max`.
+/// (flat array + offsets) and the posting capacity `m_max`. The flat arrays
+/// are the index's own, so a decoder that collects straight into them loads
+/// an artefact without a second copy.
 pub type IndexParts =
-    (FxHashMap<ItemId, Posting>, Box<[Timestamp]>, Box<[ItemId]>, Box<[u32]>, usize);
+    (FxHashMap<ItemId, Posting>, Arc<[Timestamp]>, Arc<[ItemId]>, Arc<[u32]>, usize);
 
-/// The prebuilt `(M, t)` index over historical sessions.
+/// The prebuilt `(M, t)` index over historical sessions. Cloning is a
+/// handle copy: the clone shares every array with the original.
 #[derive(Debug, Clone)]
 pub struct SessionIndex {
-    postings: FxHashMap<ItemId, StoredPosting>,
+    postings: Arc<FxHashMap<ItemId, StoredPosting>>,
     /// `t`: timestamp per session, indexed by dense `SessionId`.
-    timestamps: Box<[Timestamp]>,
+    timestamps: Arc<[Timestamp]>,
     /// CSR storage of deduplicated per-session items (first-occurrence order).
-    items_flat: Box<[ItemId]>,
-    items_offsets: Box<[u32]>,
+    items_flat: Arc<[ItemId]>,
+    items_offsets: Arc<[u32]>,
     m_max: usize,
 }
 
@@ -220,13 +231,13 @@ impl SessionIndex {
             postings.insert(item, StoredPosting { entries, support });
         }
 
-        Ok(Self {
+        Ok(Self::from_generation(
             postings,
-            timestamps: timestamps.into_boxed_slice(),
-            items_flat: items_flat.into_boxed_slice(),
-            items_offsets: items_offsets.into_boxed_slice(),
+            timestamps.into(),
+            items_flat.into(),
+            items_offsets.into(),
             m_max,
-        })
+        ))
     }
 
     /// Assembles an index from pre-built parts (parallel builder,
@@ -242,9 +253,9 @@ impl SessionIndex {
     /// [`CoreError::CorruptIndex`] describing the first violated invariant.
     pub fn from_parts(
         postings: FxHashMap<ItemId, Posting>,
-        timestamps: Box<[Timestamp]>,
-        items_flat: Box<[ItemId]>,
-        items_offsets: Box<[u32]>,
+        timestamps: Arc<[Timestamp]>,
+        items_flat: Arc<[ItemId]>,
+        items_offsets: Arc<[u32]>,
         m_max: usize,
     ) -> Result<Self, CoreError> {
         let n = timestamps.len();
@@ -304,7 +315,27 @@ impl SessionIndex {
             .into_iter()
             .map(|(item, posting)| (item, StoredPosting::inline(posting, &timestamps)))
             .collect();
-        Ok(Self { postings, timestamps, items_flat, items_offsets, m_max })
+        Ok(Self::from_generation(postings, timestamps, items_flat, items_offsets, m_max))
+    }
+
+    /// Assembles an index from arrays already in storage form, **without**
+    /// validating them: the caller vouches for every invariant
+    /// [`SessionIndex::from_parts`] checks, plus `timestamps` ascending and
+    /// each entry's inlined timestamp equal to its session's. This is how
+    /// the incremental indexer emits the next generation of a live index —
+    /// the arrays it passes are mostly the previous generation's own
+    /// `Arc`s. With no sessions (`items_offsets == [0]`) the result is the
+    /// empty index only this constructor can make.
+    pub fn from_generation(
+        postings: FxHashMap<ItemId, StoredPosting>,
+        timestamps: Arc<[Timestamp]>,
+        items_flat: Arc<[ItemId]>,
+        items_offsets: Arc<[u32]>,
+        m_max: usize,
+    ) -> Self {
+        debug_assert_eq!(items_offsets.len(), timestamps.len() + 1);
+        debug_assert_eq!(items_offsets.last().copied(), Some(items_flat.len() as u32));
+        Self { postings: Arc::new(postings), timestamps, items_flat, items_offsets, m_max }
     }
 
     /// Posting list `m_i` of `item`: the most recent sessions containing it,
@@ -327,6 +358,24 @@ impl SessionIndex {
     #[inline]
     pub fn item_support(&self, item: ItemId) -> Option<u32> {
         self.postings.get(&item).map(|p| p.support)
+    }
+
+    /// The whole posting table, as the next generation starts from it.
+    pub fn posting_table(&self) -> &FxHashMap<ItemId, StoredPosting> {
+        &self.postings
+    }
+
+    /// The timestamp array `t`, ascending with the dense session id.
+    #[inline]
+    pub fn session_timestamps(&self) -> &[Timestamp] {
+        &self.timestamps
+    }
+
+    /// CSR offsets into [`SessionIndex::session_items_flat`], one more than
+    /// there are sessions.
+    #[inline]
+    pub fn session_offsets(&self) -> &[u32] {
+        &self.items_offsets
     }
 
     /// Timestamp `t_h` of a historical session (constant-time array access).
@@ -422,8 +471,7 @@ impl SessionIndex {
     /// are projected back to their transport form — the inlined timestamps
     /// are derived data and are re-inlined by [`SessionIndex::from_parts`].
     pub fn into_parts(self) -> IndexParts {
-        let postings =
-            self.postings.into_iter().map(|(item, p)| (item, p.to_transport())).collect();
+        let postings = self.postings.iter().map(|(&item, p)| (item, p.to_transport())).collect();
         (postings, self.timestamps, self.items_flat, self.items_offsets, self.m_max)
     }
 }
@@ -549,9 +597,10 @@ mod tests {
     #[test]
     fn from_parts_rejects_bad_offsets() {
         let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
-        let (p, t, f, mut o, m) = idx.into_parts();
+        let (p, t, f, o, m) = idx.into_parts();
+        let mut o = o.to_vec();
         o[1] = 100; // out of range / non-monotone
-        let err = SessionIndex::from_parts(p, t, f, o, m).unwrap_err();
+        let err = SessionIndex::from_parts(p, t, f, o.into(), m).unwrap_err();
         assert!(matches!(err, CoreError::CorruptIndex(_)));
     }
 

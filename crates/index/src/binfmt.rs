@@ -29,6 +29,7 @@
 
 use std::fmt;
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serenade_core::index::Posting;
@@ -212,13 +213,14 @@ pub fn read_index(mut reader: impl Read) -> Result<SessionIndex, BinError> {
         return Err(BinError::Corrupt("session count exceeds u32 space".into()));
     }
     need(&buf, counted(num_sessions, 8)?)?;
-    let timestamps: Vec<u64> = (0..num_sessions).map(|_| buf.get_u64_le()).collect();
+    // Exact-size iterators collect straight into the index's own arrays.
+    let timestamps: Arc<[u64]> = (0..num_sessions).map(|_| buf.get_u64_le()).collect();
     need(&buf, counted(num_sessions + 1, 4)?)?;
-    let offsets: Vec<u32> = (0..=num_sessions).map(|_| buf.get_u32_le()).collect();
+    let offsets: Arc<[u32]> = (0..=num_sessions).map(|_| buf.get_u32_le()).collect();
     need(&buf, 8)?;
     let flat_len = buf.get_u64_le() as usize;
     need(&buf, counted(flat_len, 8)?)?;
-    let items_flat: Vec<ItemId> = (0..flat_len).map(|_| buf.get_u64_le()).collect();
+    let items_flat: Arc<[ItemId]> = (0..flat_len).map(|_| buf.get_u64_le()).collect();
     need(&buf, 8)?;
     let num_postings = buf.get_u64_le() as usize;
     // Each posting occupies ≥ 16 bytes, so a count the remaining payload
@@ -239,13 +241,7 @@ pub fn read_index(mut reader: impl Read) -> Result<SessionIndex, BinError> {
         return Err(BinError::Corrupt("trailing bytes after payload".into()));
     }
 
-    Ok(SessionIndex::from_parts(
-        postings,
-        timestamps.into_boxed_slice(),
-        items_flat.into_boxed_slice(),
-        offsets.into_boxed_slice(),
-        m_max,
-    )?)
+    Ok(SessionIndex::from_parts(postings, timestamps, items_flat, offsets, m_max)?)
 }
 
 #[cfg(test)]

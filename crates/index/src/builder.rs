@@ -204,9 +204,9 @@ pub fn build_parallel(clicks: &[Click], config: BuilderConfig) -> Result<Session
 
     SessionIndex::from_parts(
         postings,
-        timestamps.into_boxed_slice(),
-        items_flat.into_boxed_slice(),
-        items_offsets.into_boxed_slice(),
+        timestamps.into(),
+        items_flat.into(),
+        items_offsets.into(),
         config.m_max,
     )
 }

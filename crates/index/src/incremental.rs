@@ -1,73 +1,77 @@
 //! Incremental index maintenance (future work, Section 7).
 //!
 //! The production pipeline rebuilds the full index once per day, so new
-//! items only become recommendable with a one-day delay. An incremental
-//! indexer closes that gap: click batches are folded into the index as they
-//! arrive. Because dense session ids are assigned in ascending timestamp
-//! order, an **append-only** batch (all sessions newer than everything seen
-//! so far, no updates to existing sessions) extends every structure at the
-//! edges: new timestamps append, new item lists append, and each touched
-//! posting list gains entries at the *back* — postings are kept in ascending
-//! session order internally (a strictly increasing append is O(1), where the
-//! former most-recent-first layout paid an O(m) memmove per click) and are
-//! reversed into the index's descending-recency order at [`snapshot`] time.
-//! Posting lists are bounded by amortised compaction: once a list reaches
-//! `2 * m_max` entries the oldest half is dropped in one O(m) drain, so the
-//! per-click cost stays amortised O(1) and memory stays within `2 * m_max`
-//! entries per item.
+//! items only become recommendable with a one-day delay. The incremental
+//! indexer closes that gap: it **holds** the current [`SessionIndex`] and
+//! folds click batches, deletions and retention drops into it through one
+//! path, `merge`, which emits the next generation instead of rebuilding:
 //!
-//! Batches that violate the append-only precondition (re-appearing session
-//! ids, out-of-order timestamps) fall back to a full rebuild — correctness
-//! first. The test suite verifies that any sequence of batches produces an
-//! index identical to a from-scratch build over the concatenated log.
+//! 1. group only the batch; a session that is already indexed is re-ranked
+//!    with its retained clicks, i.e. removed at its old rank and inserted at
+//!    its new one;
+//! 2. locate the old ranks by `(timestamp, external id)` — the order dense
+//!    ids are assigned in — and take the first rank that changes, `cut`;
+//! 3. in one linear pass write the timestamp, item-CSR, external-id and
+//!    click-log columns of the new rank order, with the monotone old → new
+//!    rank map of everything at or above `cut`;
+//! 4. start from the previous posting table and rewrite only the postings
+//!    of items that occur in a session at or above `cut` (their entries
+//!    hold renumbered ranks) or in a removed or inserted session (support
+//!    ±1, entries dropped and merged in). A truncated posting that loses an
+//!    entry refills by scanning older sessions for the item.
+//!
+//! Every other posting array is the previous generation's, shared through
+//! its `Arc`: live traffic lands at the recent end of the rank order, so
+//! `cut` is near the top and almost nothing is rewritten. The flat columns
+//! are written anew each time, which makes a merge O(sessions + clicks)
+//! in `memcpy`, and a batch of *old* timestamps (a backfill at rank 0, or
+//! the retention window dropping its oldest session) renumbers every
+//! posting: the path degrades to the cost of a build, never to a wrong
+//! index. [`Sharing`] counts both cases. The result is always identical to
+//! [`SessionIndex::build`] over [`retained_log`], which the differential
+//! suites hold it to bit for bit.
 //!
 //! ## Click-log retention
 //!
-//! The rebuild fallback needs the click log, but retaining it forever grows
-//! memory without bound. [`IncrementalIndexer::with_retained_clicks_cap`]
+//! Re-ranking a session needs its earlier clicks, but retaining them forever
+//! grows memory without bound. [`IncrementalIndexer::with_retained_clicks_cap`]
 //! bounds the log: whenever it exceeds the cap, the oldest whole sessions
-//! are dropped (never splitting a session, always keeping at least the
-//! newest one) and the index is rebuilt over the retained suffix — i.e. the
-//! indexer degrades to a **sliding window** over the most recent traffic,
-//! which is exactly the regime session-based recommenders operate in. A
-//! dropped session's external id is forgotten with it, so if that id
-//! reappears later it is treated as a new session. [`retained_clicks`]
-//! exposes the current log size for monitoring.
+//! are dropped (never splitting a session, always keeping the newest one)
+//! — the indexer degrades to a **sliding window** over the most recent
+//! traffic, which is exactly the regime session-based recommenders operate
+//! in. A dropped session's external id is forgotten with it, so if that id
+//! reappears later it is treated as a new session.
 //!
 //! ## Deletion (unlearning)
 //!
-//! [`IncrementalIndexer::delete_session`] removes one session from the click
-//! log and rebuilds, so the next [`snapshot`] is indistinguishable from a
-//! from-scratch build over a log that never contained the session — the
-//! GDPR-style unlearning contract, verified by the differential property
-//! suite. Deletion and retention eviction share one removal path
-//! ([`remove_sessions`]), so the sliding window and explicit deletes cannot
-//! double-remove a session or disagree about the log. Unlike an evicted
-//! session, a *deleted* session id is **tombstoned**: clicks for it arriving
-//! in later batches are silently discarded instead of resurrecting the
-//! session as new traffic.
+//! [`IncrementalIndexer::delete_session`] removes one session, so the next
+//! [`snapshot`] is indistinguishable from a from-scratch build over a log
+//! that never contained it — the GDPR-style unlearning contract. Unlike an
+//! evicted session, a *deleted* session id is **tombstoned**: clicks for it
+//! arriving in later batches are silently discarded instead of resurrecting
+//! the session as new traffic.
 //!
 //! ## Touched-item tracking
 //!
-//! The indexer accumulates the set of items whose posting lists may have
-//! changed since the last [`drain_touched`] call — appends record the batch
-//! items, removals record the removed sessions' items, and slow-path
-//! rebuilds record every item of the sessions the batch modified. Publishers
+//! The indexer accumulates the items of every removed and inserted session
+//! since the last [`drain_touched`] call — exactly the items whose posting
+//! *content* may have changed (renumbering alone does not count). Publishers
 //! drain this set per publish to drive *epoch-bucketed* cache invalidation:
 //! a cached prediction for an untouched item survives the publish. The set
 //! is a sound over-approximation of the semantic posting diff (see
 //! [`crate::diff::changed_items`]), which the property suite verifies.
 //!
 //! [`snapshot`]: IncrementalIndexer::snapshot
-//! [`retained_clicks`]: IncrementalIndexer::retained_clicks
-//! [`remove_sessions`]: IncrementalIndexer::remove_sessions
+//! [`retained_log`]: IncrementalIndexer::retained_log
 //! [`drain_touched`]: IncrementalIndexer::drain_touched
 
-use serenade_core::index::Posting;
+use std::sync::Arc;
+
+use serenade_core::index::{PostingEntry, StoredPosting};
 use serenade_core::{Click, CoreError, FxHashMap, FxHashSet, ItemId, SessionId, SessionIndex, Timestamp};
 
-/// A batch session pending insertion: `(session ts, external id, clicks)`.
-type PendingSession = (Timestamp, u64, Vec<(Timestamp, ItemId)>);
+/// What sessions are ranked by: `(session timestamp, external id)`.
+type Key = (Timestamp, u64);
 
 /// Items whose posting lists may have changed since the last drain — the
 /// unit of epoch-bucketed cache invalidation (see the module docs).
@@ -102,42 +106,66 @@ impl TouchedItems {
     }
 }
 
+/// How much of the previous generations the merges since the last
+/// [`IncrementalIndexer::take_sharing`] carried over untouched.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Sharing {
+    /// Posting arrays handed on by pointer.
+    pub postings_shared: u64,
+    /// Posting arrays written anew: touched, or holding a renumbered rank.
+    pub postings_copied: u64,
+    /// Sessions below the first changed rank, summed over the merges...
+    pub ranks_unchanged: u64,
+    /// ...out of this many sessions. The ratio is 1 for traffic at the
+    /// recent end and falls to 0 when a merge renumbers the whole index.
+    pub ranks_total: u64,
+}
+
+/// A session the next generation gains: a new one, or an indexed one with
+/// more clicks (whose old rank the same merge removes).
+struct Pending {
+    key: Key,
+    /// Every retained click of the session, in `(timestamp, item)` order.
+    clicks: Vec<Click>,
+    /// `clicks` deduplicated to first occurrences: the indexed item list.
+    items: Vec<ItemId>,
+}
+
+/// Where a session of the next generation comes from: the rank it had, or
+/// its place among the [`Pending`] ones.
+#[derive(Clone, Copy)]
+enum Source {
+    Old(usize),
+    New(usize),
+}
+
 /// Stateful incremental index maintainer.
 #[derive(Debug, Clone)]
 pub struct IncrementalIndexer {
-    m_max: usize,
-    /// Click log retained for rebuild fallbacks, bounded by
-    /// `max_retained_clicks` (see the module docs on retention).
-    clicks: Vec<Click>,
-    /// Upper bound on `clicks.len()`; `usize::MAX` means unbounded.
+    /// The current generation; without sessions until the first batch.
+    index: SessionIndex,
+    /// External id of each indexed session, by rank (its dense id).
+    ext_ids: Vec<u64>,
+    /// Timestamp of each indexed session by external id; with `ext_ids` it
+    /// locates a session's rank by binary search on its [`Key`].
+    session_ts: FxHashMap<u64, Timestamp>,
+    /// The retained clicks as a CSR parallel to the index: session by
+    /// session in rank order, `(timestamp, item)` order within a session.
+    log: Vec<Click>,
+    log_offsets: Vec<u32>,
+    /// Upper bound on `log.len()`; `usize::MAX` means unbounded.
     max_retained_clicks: usize,
-    /// External ids of sessions already indexed.
-    known_sessions: FxHashSet<u64>,
-    /// Largest session timestamp indexed so far.
-    max_session_ts: Timestamp,
-    timestamps: Vec<Timestamp>,
-    items_flat: Vec<ItemId>,
-    items_offsets: Vec<u32>,
-    /// Posting lists in **ascending** session order (append-only fast path
-    /// pushes at the back in O(1)); compacted to the newest `m_max` entries
-    /// whenever they reach `2 * m_max`, reversed + truncated at `snapshot`.
-    postings: FxHashMap<ItemId, Vec<SessionId>>,
-    supports: FxHashMap<ItemId, u32>,
-    /// Reusable per-session dedup set for the append fast path (replaces an
-    /// O(L²) scan over the session's flat-item suffix).
-    seen_in_session: FxHashSet<ItemId>,
-    /// Number of batches that took the slow (rebuild) path — observability.
-    rebuilds: usize,
-    /// Number of retention compactions (oldest-session drops) — observability.
-    compactions: usize,
     /// External ids of explicitly deleted sessions; their clicks are
     /// discarded from all future batches (no resurrection).
     tombstones: FxHashSet<u64>,
-    /// Number of sessions removed by [`IncrementalIndexer::delete_session`].
-    deletions: usize,
     /// Items whose postings may have changed since the last
     /// [`IncrementalIndexer::drain_touched`].
     touched: FxHashSet<ItemId>,
+    sharing: Sharing,
+    /// Number of retention compactions (oldest-session drops) — observability.
+    compactions: usize,
+    /// Number of sessions removed by [`IncrementalIndexer::delete_session`].
+    deletions: usize,
 }
 
 impl IncrementalIndexer {
@@ -171,33 +199,82 @@ impl IncrementalIndexer {
             });
         }
         Ok(Self {
-            m_max,
-            clicks: Vec::new(),
+            index: SessionIndex::from_generation(
+                FxHashMap::default(),
+                Arc::from([]),
+                Arc::from([]),
+                Arc::from([0]),
+                m_max,
+            ),
+            ext_ids: Vec::new(),
+            session_ts: FxHashMap::default(),
+            log: Vec::new(),
+            log_offsets: vec![0],
             max_retained_clicks,
-            known_sessions: FxHashSet::default(),
-            max_session_ts: 0,
-            timestamps: Vec::new(),
-            items_flat: Vec::new(),
-            items_offsets: vec![0],
-            postings: FxHashMap::default(),
-            supports: FxHashMap::default(),
-            seen_in_session: FxHashSet::default(),
-            rebuilds: 0,
-            compactions: 0,
             tombstones: FxHashSet::default(),
-            deletions: 0,
             touched: FxHashSet::default(),
+            sharing: Sharing::default(),
+            compactions: 0,
+            deletions: 0,
         })
+    }
+
+    /// Makes `index` the current generation of a fresh indexer, provided it
+    /// is exactly the index of `seed` at this posting capacity and `seed`
+    /// fits the retention cap: the click log and the rank → external-id
+    /// column are derived from `seed`, nothing is indexed a second time.
+    /// Returns `false`, leaving the indexer empty, when `index` is anything
+    /// else; [`IncrementalIndexer::apply_batch`] then indexes `seed`.
+    pub fn adopt(&mut self, index: &SessionIndex, seed: &[Click]) -> bool {
+        if self.num_sessions() != 0
+            || index.m_max() != self.index.m_max()
+            || seed.len() > self.max_retained_clicks.min(u32::MAX as usize)
+        {
+            return false;
+        }
+        // Per session: its timestamp and click count, the count then
+        // replaced by the cursor its clicks are scattered through.
+        let mut sessions: FxHashMap<u64, (Timestamp, u32)> = FxHashMap::default();
+        for c in seed {
+            let session = sessions.entry(c.session_id).or_default();
+            *session = (session.0.max(c.timestamp), session.1 + 1);
+        }
+        let mut order: Vec<Key> = sessions.iter().map(|(&ext, &(ts, _))| (ts, ext)).collect();
+        order.sort_unstable();
+        if order.len() != index.num_sessions() {
+            return false;
+        }
+        let mut log_offsets = vec![0u32];
+        for (_, ext) in &order {
+            let start = log_offsets[log_offsets.len() - 1];
+            let session = sessions.get_mut(ext).expect("ordered from this map");
+            log_offsets.push(start + std::mem::replace(&mut session.1, start));
+        }
+        let mut log = vec![Click::new(0, 0, 0); seed.len()];
+        for c in seed {
+            let cursor = &mut sessions.get_mut(&c.session_id).expect("counted above").1;
+            log[*cursor as usize] = *c;
+            *cursor += 1;
+        }
+        for (rank, span) in log_offsets.windows(2).enumerate() {
+            let clicks = &mut log[span[0] as usize..span[1] as usize];
+            clicks.sort_unstable_by_key(|c| (c.timestamp, c.item_id));
+            if order[rank].0 != index.session_timestamp(rank as SessionId)
+                || first_occurrences(clicks) != index.session_items(rank as SessionId)
+            {
+                return false;
+            }
+        }
+        self.index = index.clone();
+        self.ext_ids = order.iter().map(|&(_, ext)| ext).collect();
+        self.session_ts = sessions.into_iter().map(|(ext, (ts, _))| (ext, ts)).collect();
+        (self.log, self.log_offsets) = (log, log_offsets);
+        true
     }
 
     /// Number of sessions currently indexed.
     pub fn num_sessions(&self) -> usize {
-        self.timestamps.len()
-    }
-
-    /// How many batches required a full rebuild.
-    pub fn rebuild_count(&self) -> usize {
-        self.rebuilds
+        self.ext_ids.len()
     }
 
     /// How many retention compactions dropped old sessions from the log.
@@ -215,83 +292,15 @@ impl IncrementalIndexer {
         self.tombstones.len()
     }
 
-    /// Number of clicks currently retained for rebuild fallbacks.
+    /// Number of clicks currently retained.
     pub fn retained_clicks(&self) -> usize {
-        self.clicks.len()
+        self.log.len()
     }
 
-    /// The retained click log (oldest first within the retained window).
-    /// After a retention compaction this is the suffix of the traffic the
-    /// index is equivalent to a from-scratch build over.
+    /// The retained click log, oldest session first: the traffic the index
+    /// is equivalent to a from-scratch build over.
     pub fn retained_log(&self) -> &[Click] {
-        &self.clicks
-    }
-
-    /// Folds a batch of clicks into the index. Clicks for tombstoned
-    /// (explicitly deleted) sessions are discarded — a delete is permanent,
-    /// late-arriving clicks must not resurrect the session.
-    pub fn apply_batch(&mut self, batch: &[Click]) -> Result<(), CoreError> {
-        let filtered: Vec<Click>;
-        let batch = if self.tombstones.is_empty()
-            || batch.iter().all(|c| !self.tombstones.contains(&c.session_id))
-        {
-            batch
-        } else {
-            filtered = batch
-                .iter()
-                .filter(|c| !self.tombstones.contains(&c.session_id))
-                .copied()
-                .collect();
-            &filtered
-        };
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.clicks.extend_from_slice(batch);
-
-        // Group the batch into sessions.
-        let mut by_session: FxHashMap<u64, Vec<(Timestamp, ItemId)>> = FxHashMap::default();
-        for c in batch {
-            by_session.entry(c.session_id).or_default().push((c.timestamp, c.item_id));
-        }
-        let mut sessions: Vec<PendingSession> = by_session
-            .into_iter()
-            .map(|(ext, mut sc)| {
-                sc.sort_unstable();
-                let ts = sc.last().expect("non-empty").0;
-                (ts, ext, sc)
-            })
-            .collect();
-        sessions.sort_unstable_by_key(|s| (s.0, s.1));
-
-        // Append-only precondition: no session id reappears, and every new
-        // session is strictly newer than everything indexed (a timestamp tie
-        // with the previous batch could order dense ids differently from a
-        // from-scratch build; within a batch ties are handled by sorting).
-        let fast = sessions.iter().all(|(ts, ext, _)| {
-            !self.known_sessions.contains(ext)
-                && (self.timestamps.is_empty() || *ts > self.max_session_ts)
-        });
-
-        if fast {
-            for (_, _, clicks) in &sessions {
-                self.touched.extend(clicks.iter().map(|&(_, item)| item));
-            }
-            self.append_sessions(sessions)?;
-        } else {
-            // A modified session's timestamp moves, shifting the recency of
-            // *every* item it contains — touch the sessions' full item sets
-            // from the log, not just the items in this batch.
-            let modified: FxHashSet<u64> = sessions.iter().map(|&(_, ext, _)| ext).collect();
-            for c in &self.clicks {
-                if modified.contains(&c.session_id) {
-                    self.touched.insert(c.item_id);
-                }
-            }
-            self.rebuilds += 1;
-            self.rebuild()?;
-        }
-        self.enforce_retention()
+        &self.log
     }
 
     /// Drains the accumulated touched-item set: the items whose postings may
@@ -301,178 +310,285 @@ impl IncrementalIndexer {
         TouchedItems::Items(std::mem::take(&mut self.touched))
     }
 
+    /// Takes the sharing counts accumulated since the previous call.
+    pub fn take_sharing(&mut self) -> Sharing {
+        std::mem::take(&mut self.sharing)
+    }
+
+    /// The current generation: a handle on the index this indexer holds,
+    /// not a copy of it.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::EmptyDataset`] while no session is indexed.
+    pub fn snapshot(&self) -> Result<SessionIndex, CoreError> {
+        if self.num_sessions() == 0 {
+            return Err(CoreError::EmptyDataset);
+        }
+        Ok(self.index.clone())
+    }
+
+    /// Folds a batch of clicks into the index. Clicks for tombstoned
+    /// (explicitly deleted) sessions are discarded — a delete is permanent,
+    /// late-arriving clicks must not resurrect the session. On an error
+    /// nothing has changed.
+    pub fn apply_batch(&mut self, batch: &[Click]) -> Result<(), CoreError> {
+        let mut by_session: FxHashMap<u64, Vec<Click>> = FxHashMap::default();
+        for c in batch.iter().filter(|c| !self.tombstones.contains(&c.session_id)) {
+            by_session.entry(c.session_id).or_default().push(*c);
+        }
+        let mut removed = Vec::new();
+        let pending: Vec<Pending> = by_session
+            .into_iter()
+            .map(|(ext, mut clicks)| {
+                if let Some(rank) = self.rank_of(ext) {
+                    clicks.extend_from_slice(self.session_log(rank));
+                    removed.push(rank as SessionId);
+                }
+                clicks.sort_unstable_by_key(|c| (c.timestamp, c.item_id));
+                let newest = clicks.last().expect("grouped from at least one click");
+                Pending { key: (newest.timestamp, ext), items: first_occurrences(&clicks), clicks }
+            })
+            .collect();
+        removed.sort_unstable();
+        self.merge(&removed, pending)?;
+        self.enforce_retention()
+    }
+
     /// Removes one session from the click log and the index, tombstoning its
     /// external id so later clicks cannot resurrect it. Returns `true` if
-    /// the session was present (its clicks were removed and the index
-    /// rebuilt), `false` if it was unknown (the tombstone is still laid).
+    /// the session was present, `false` if it was unknown (the tombstone is
+    /// still laid).
     ///
     /// After this call [`IncrementalIndexer::snapshot`] is indistinguishable
     /// from a from-scratch build over a log that never contained the
     /// session — the unlearning contract of the differential suite.
     pub fn delete_session(&mut self, ext_id: u64) -> Result<bool, CoreError> {
         self.tombstones.insert(ext_id);
-        if !self.known_sessions.contains(&ext_id) {
+        let Some(rank) = self.rank_of(ext_id) else {
             return Ok(false);
-        }
-        let mut drop = FxHashSet::default();
-        drop.insert(ext_id);
-        self.remove_sessions(&drop)?;
+        };
+        self.merge(&[rank as SessionId], Vec::new())?;
         self.deletions += 1;
         Ok(true)
     }
 
-    /// The single removal path shared by retention eviction and explicit
-    /// deletion: records the removed sessions' items as touched, drops their
-    /// clicks from the log and rebuilds over the retained suffix. Removing a
-    /// session that is already gone is a no-op (no double-remove).
-    fn remove_sessions(&mut self, drop: &FxHashSet<u64>) -> Result<(), CoreError> {
-        let before = self.clicks.len();
-        for c in &self.clicks {
-            if drop.contains(&c.session_id) {
-                self.touched.insert(c.item_id);
-            }
-        }
-        self.clicks.retain(|c| !drop.contains(&c.session_id));
-        if self.clicks.len() == before {
-            return Ok(());
-        }
-        self.rebuild()
-    }
-
-    fn append_sessions(&mut self, sessions: Vec<PendingSession>) -> Result<(), CoreError> {
-        if self.timestamps.len() + sessions.len() > u32::MAX as usize {
-            return Err(CoreError::TooManySessions(self.timestamps.len() + sessions.len()));
-        }
-        for (ts, ext, clicks) in sessions {
-            let sid = self.timestamps.len() as SessionId;
-            self.timestamps.push(ts);
-            self.known_sessions.insert(ext);
-            self.max_session_ts = ts;
-            self.seen_in_session.clear();
-            for (_, item) in clicks {
-                if !self.seen_in_session.insert(item) {
-                    continue; // duplicate within this session
-                }
-                self.items_flat.push(item);
-                *self.supports.entry(item).or_insert(0) += 1;
-                let posting = self.postings.entry(item).or_default();
-                posting.push(sid); // ascending: strictly newer than the rest
-                if posting.len() >= self.m_max.saturating_mul(2) {
-                    // Amortised O(1) bound: drop everything but the newest
-                    // m_max entries in one drain instead of a memmove per
-                    // click as the old insert(0)+truncate layout did.
-                    let cut = posting.len() - self.m_max;
-                    posting.drain(..cut);
-                }
-            }
-            self.items_offsets.push(self.items_flat.len() as u32);
-        }
-        Ok(())
-    }
-
-    fn rebuild(&mut self) -> Result<(), CoreError> {
-        if self.clicks.is_empty() {
-            // Everything was removed (e.g. the only session was deleted):
-            // reset to the empty state instead of building an empty index.
-            self.timestamps.clear();
-            self.items_flat.clear();
-            self.items_offsets = vec![0];
-            self.postings.clear();
-            self.supports.clear();
-            self.known_sessions.clear();
-            self.max_session_ts = 0;
-            return Ok(());
-        }
-        let index = SessionIndex::build(&self.clicks, self.m_max)?;
-        self.timestamps.clear();
-        self.items_flat.clear();
-        self.items_offsets = vec![0];
-        self.postings.clear();
-        self.supports.clear();
-        self.known_sessions.clear();
-        for sid in 0..index.num_sessions() as SessionId {
-            self.timestamps.push(index.session_timestamp(sid));
-            self.items_flat.extend_from_slice(index.session_items(sid));
-            self.items_offsets.push(self.items_flat.len() as u32);
-        }
-        self.max_session_ts = self.timestamps.last().copied().unwrap_or(0);
-        for (item, posting) in index.postings_iter() {
-            // The built index stores postings most recent first; internal
-            // state keeps them ascending so the fast path can append.
-            let mut ascending: Vec<SessionId> = posting.sessions().collect();
-            ascending.reverse();
-            self.postings.insert(item, ascending);
-            self.supports.insert(item, posting.support);
-        }
-        // External ids must be re-derived from the click log.
-        for c in &self.clicks {
-            self.known_sessions.insert(c.session_id);
-        }
-        Ok(())
-    }
-
     /// Enforces the click-log retention cap by dropping the oldest whole
-    /// sessions (never the newest) and rebuilding over the retained suffix.
+    /// sessions (never the newest).
     fn enforce_retention(&mut self) -> Result<(), CoreError> {
-        if self.clicks.len() <= self.max_retained_clicks {
-            return Ok(());
-        }
-        // Per-session click counts and timestamps, ordered the same way
-        // dense ids are assigned: ascending (session ts, external id).
-        let mut counts: FxHashMap<u64, (Timestamp, usize)> = FxHashMap::default();
-        for c in &self.clicks {
-            let e = counts.entry(c.session_id).or_insert((0, 0));
-            e.0 = e.0.max(c.timestamp);
-            e.1 += 1;
-        }
-        let mut order: Vec<(Timestamp, u64, usize)> =
-            counts.into_iter().map(|(ext, (ts, n))| (ts, ext, n)).collect();
-        order.sort_unstable();
-
-        let mut remaining = self.clicks.len();
-        let mut dropped: FxHashSet<u64> = FxHashSet::default();
-        for &(_, ext, n) in &order[..order.len().saturating_sub(1)] {
-            if remaining <= self.max_retained_clicks {
-                break;
-            }
-            dropped.insert(ext);
-            remaining -= n;
-        }
-        if dropped.is_empty() {
-            return Ok(()); // a single oversized session: keep it whole
+        let over = self.log.len().saturating_sub(self.max_retained_clicks);
+        let older = &self.log_offsets[..self.num_sessions().saturating_sub(1)];
+        let dropped = older.partition_point(|&start| (start as usize) < over);
+        if dropped == 0 {
+            return Ok(()); // within the cap, or a single oversized session
         }
         self.compactions += 1;
-        self.remove_sessions(&dropped)
+        let removed: Vec<SessionId> = (0..dropped as SessionId).collect();
+        self.merge(&removed, Vec::new())
     }
 
-    /// Materialises the current state as a validated [`SessionIndex`].
-    pub fn snapshot(&self) -> Result<SessionIndex, CoreError> {
-        if self.timestamps.is_empty() {
-            return Err(CoreError::EmptyDataset);
-        }
-        let mut postings = FxHashMap::default();
-        for (&item, sids) in &self.postings {
-            // Internal order is ascending session id; the index wants the
-            // `m_max` most recent, most recent first.
-            let keep = sids.len().min(self.m_max);
-            let mut sessions: Vec<SessionId> = sids[sids.len() - keep..].to_vec();
-            sessions.reverse();
-            postings.insert(
-                item,
-                Posting {
-                    sessions: sessions.into_boxed_slice(),
-                    support: self.supports[&item],
-                },
-            );
-        }
-        SessionIndex::from_parts(
-            postings,
-            self.timestamps.clone().into_boxed_slice(),
-            self.items_flat.clone().into_boxed_slice(),
-            self.items_offsets.clone().into_boxed_slice(),
-            self.m_max,
-        )
+    /// Rank (dense id) of the indexed session with this external id.
+    fn rank_of(&self, ext_id: u64) -> Option<usize> {
+        let timestamps = self.index.session_timestamps();
+        let key = (*self.session_ts.get(&ext_id)?, ext_id);
+        Some(lower_bound(timestamps.len(), |rank| (timestamps[rank], self.ext_ids[rank]), key))
     }
+
+    /// The retained clicks of the session at `rank`.
+    fn session_log(&self, rank: usize) -> &[Click] {
+        &self.log[self.log_offsets[rank] as usize..self.log_offsets[rank + 1] as usize]
+    }
+
+    /// The one path every mutation takes (see the module docs): emits the
+    /// generation without the sessions at the ascending ranks `removed` and
+    /// with the `pending` ones. Nothing of `self` is written before the last
+    /// step, so an error leaves log and index as they were.
+    fn merge(&mut self, removed: &[SessionId], pending: Vec<Pending>) -> Result<(), CoreError> {
+        if removed.is_empty() && pending.is_empty() {
+            return Ok(());
+        }
+        let old = self.index.clone();
+        let (old_ts, old_off) = (old.session_timestamps(), old.session_offsets());
+        let n_old = old_ts.len();
+        let old_key = |rank: usize| (old_ts[rank], self.ext_ids[rank]);
+        let first_gained = pending.iter().map(|p| p.key).min();
+        let cut = first_gained
+            .map_or(n_old, |key| lower_bound(n_old, old_key, key))
+            .min(removed.first().map_or(n_old, |&r| r as usize));
+
+        // The rank order from `cut` up. The survivors are one ascending run,
+        // which the stable sort detects and merges the few others into.
+        let mut order: Vec<(Key, Source)> = (cut..n_old)
+            .filter(|&rank| removed.binary_search(&(rank as SessionId)).is_err())
+            .map(|rank| (old_key(rank), Source::Old(rank)))
+            .collect();
+        order.extend(pending.iter().enumerate().map(|(k, p)| (p.key, Source::New(k))));
+        order.sort_by_key(|&(key, _)| key);
+
+        // The columns from `cut` up, session by session, with the new rank of
+        // each old one (`MAX` for a removed one) and, per touched item, the
+        // sessions it lost and the entries it gained (ascending).
+        let (mut ts, mut ext_ids) = (Vec::new(), Vec::new());
+        let (mut off, mut flat) = (Vec::new(), Vec::new());
+        let (mut log_off, mut log) = (Vec::new(), Vec::new());
+        let (flat_base, log_base) = (old_off[cut] as usize, self.log_offsets[cut] as usize);
+        let mut remap = vec![SessionId::MAX; n_old - cut];
+        let mut delta: FxHashMap<ItemId, (u32, Vec<PostingEntry>)> = FxHashMap::default();
+        for &rank in removed {
+            for &item in old.session_items(rank) {
+                delta.entry(item).or_default().0 += 1;
+            }
+        }
+        for (session, &((timestamp, ext_id), source)) in (cut as SessionId..).zip(&order) {
+            let (items, clicks) = match source {
+                Source::Old(rank) => {
+                    remap[rank - cut] = session;
+                    (old.session_items(rank as SessionId), self.session_log(rank))
+                }
+                Source::New(k) => {
+                    for &item in &pending[k].items {
+                        let entry = PostingEntry { timestamp, session };
+                        delta.entry(item).or_default().1.push(entry);
+                    }
+                    (&pending[k].items[..], &pending[k].clicks[..])
+                }
+            };
+            ts.push(timestamp);
+            ext_ids.push(ext_id);
+            flat.extend_from_slice(items);
+            off.push((flat_base + flat.len()) as u32);
+            log.extend_from_slice(clicks);
+            log_off.push((log_base + log.len()) as u32);
+        }
+        let n_new = cut + order.len();
+        if n_new.max(flat_base + flat.len()).max(log_base + log.len()) > u32::MAX as usize {
+            return Err(CoreError::TooManySessions(n_new));
+        }
+        // One allocation and one pass per shared column: a chain of exact-size
+        // iterators collects straight into the `Arc`.
+        let new_ts: Arc<[Timestamp]> = old_ts[..cut].iter().copied().chain(ts).collect();
+        let new_off: Arc<[u32]> = old_off[..=cut].iter().copied().chain(off).collect();
+        let new_flat: Arc<[ItemId]> =
+            old.session_items_flat()[..flat_base].iter().copied().chain(flat).collect();
+        let new_key =
+            |rank: usize| if rank < cut { old_key(rank) } else { order[rank - cut].0 };
+        let new_items = |rank: usize| &new_flat[new_off[rank] as usize..new_off[rank + 1] as usize];
+        let new_rank =
+            |old: SessionId| if (old as usize) < cut { old } else { remap[old as usize - cut] };
+
+        // The postings: all shared, but for the items of a renumbered session
+        // (every old session from `cut` up) and the touched ones.
+        let touched: Vec<ItemId> = delta.keys().copied().collect();
+        let mut rewrite: FxHashSet<ItemId> = touched.iter().copied().collect();
+        rewrite.extend(&old.session_items_flat()[flat_base..]);
+        let m_max = old.m_max();
+        let mut table = old.posting_table().clone();
+        let mut copied = 0;
+        for &item in &rewrite {
+            let (lost, gained) = delta.remove(&item).unwrap_or_default();
+            let (was, was_support) = match old.posting_table().get(&item) {
+                Some(posting) => (&posting.entries[..], posting.support),
+                None => (&[][..], 0),
+            };
+            let support = was_support - lost + gained.len() as u32;
+            if support == 0 {
+                table.remove(&item);
+                continue;
+            }
+            // A truncated posting left out only sessions older than its last
+            // entry. A session gained down there competes with those, so it
+            // is dropped here and found again by the refill scan below.
+            let floor = match was.last() {
+                Some(last) if was_support as usize > was.len() => {
+                    let key = (last.timestamp, self.ext_ids[last.session as usize]);
+                    lower_bound(n_new, new_key, key)
+                }
+                _ => 0,
+            };
+            let kept = was
+                .iter()
+                .map(|e| PostingEntry { session: new_rank(e.session), ..*e })
+                .filter(|e| e.session != SessionId::MAX);
+            let gained = gained.into_iter().rev().filter(|e| e.session as usize >= floor);
+            let want = m_max.min(support as usize);
+            let mut entries = merge_descending(kept, gained, want);
+            let mut rank = floor;
+            while entries.len() < want && rank > 0 {
+                rank -= 1;
+                if new_items(rank).contains(&item) {
+                    let session = rank as SessionId;
+                    entries.push(PostingEntry { timestamp: new_ts[rank], session });
+                }
+            }
+            table.insert(item, StoredPosting { entries: entries.into(), support });
+            copied += 1;
+        }
+
+        for &rank in removed {
+            self.session_ts.remove(&self.ext_ids[rank as usize]);
+        }
+        self.session_ts.extend(pending.iter().map(|p| (p.key.1, p.key.0)));
+        self.ext_ids.truncate(cut);
+        self.ext_ids.append(&mut ext_ids);
+        self.log_offsets.truncate(cut + 1);
+        self.log_offsets.append(&mut log_off);
+        self.log.truncate(log_base);
+        self.log.append(&mut log);
+        self.touched.extend(touched);
+        self.sharing.postings_copied += copied;
+        self.sharing.postings_shared += table.len() as u64 - copied;
+        self.sharing.ranks_unchanged += cut as u64;
+        self.sharing.ranks_total += n_old as u64;
+        self.index = SessionIndex::from_generation(table, new_ts, new_flat, new_off, m_max);
+        Ok(())
+    }
+}
+
+/// First of `len` ranks whose key is not below `key`.
+fn lower_bound(len: usize, key_at: impl Fn(usize) -> Key, key: Key) -> usize {
+    let (mut lo, mut hi) = (0, len);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if key_at(mid) < key {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The items of time-ordered `clicks`, each at its first occurrence. A linear
+/// scan per item, as in [`SessionIndex::build`]: the median session is short.
+fn first_occurrences(clicks: &[Click]) -> Vec<ItemId> {
+    let mut items = Vec::new();
+    for c in clicks {
+        if !items.contains(&c.item_id) {
+            items.push(c.item_id);
+        }
+    }
+    items
+}
+
+/// The first `want` entries of two descending entry streams, merged.
+fn merge_descending(
+    a: impl Iterator<Item = PostingEntry>,
+    b: impl Iterator<Item = PostingEntry>,
+    want: usize,
+) -> Vec<PostingEntry> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    let mut out = Vec::with_capacity(want);
+    while out.len() < want {
+        let from_a = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) => x > y,
+            (x, _) => x.is_some(),
+        };
+        match if from_a { a.next() } else { b.next() } {
+            Some(entry) => out.push(entry),
+            None => break,
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -510,7 +626,6 @@ mod tests {
         inc.apply_batch(&b1).unwrap();
         inc.apply_batch(&b2).unwrap();
         inc.apply_batch(&b3).unwrap();
-        assert_eq!(inc.rebuild_count(), 0, "all batches should take the fast path");
 
         let mut all = b1;
         all.extend(b2);
@@ -520,14 +635,13 @@ mod tests {
     }
 
     #[test]
-    fn reappearing_session_triggers_rebuild_and_stays_correct() {
+    fn reappearing_session_is_reranked_and_stays_correct() {
         let b1 = batch(1..10, 1_000);
         // Session 5 reappears with later clicks.
         let b2 = vec![Click::new(5, 3, 9_000), Click::new(5, 4, 9_001)];
         let mut inc = IncrementalIndexer::new(7).unwrap();
         inc.apply_batch(&b1).unwrap();
         inc.apply_batch(&b2).unwrap();
-        assert_eq!(inc.rebuild_count(), 1);
 
         let mut all = b1;
         all.extend(b2);
@@ -536,13 +650,12 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_batch_triggers_rebuild_and_stays_correct() {
+    fn out_of_order_batch_is_merged_below_the_newest_and_stays_correct() {
         let b1 = batch(1..10, 10_000);
         let b2 = batch(10..15, 1_000); // older than everything in b1
         let mut inc = IncrementalIndexer::new(7).unwrap();
         inc.apply_batch(&b1).unwrap();
         inc.apply_batch(&b2).unwrap();
-        assert!(inc.rebuild_count() >= 1);
 
         let mut all = b1;
         all.extend(b2);
@@ -582,28 +695,75 @@ mod tests {
             inc.apply_batch(&b).unwrap();
             all.extend(b);
         }
-        assert_eq!(inc.rebuild_count(), 0);
         let reference = SessionIndex::build(&all, m_max).unwrap();
         assert_same(&inc.snapshot().unwrap(), &reference);
     }
 
     #[test]
-    fn internal_posting_lists_stay_bounded() {
-        // The amortised compaction must keep every internal posting list
-        // within 2 * m_max entries no matter how many sessions touch it.
-        let m_max = 4;
-        let mut inc = IncrementalIndexer::new(m_max).unwrap();
-        for s in 1..=200u64 {
-            inc.apply_batch(&[Click::new(s, 0, s * 10), Click::new(s, 1, s * 10 + 1)])
-                .unwrap();
+    fn truncated_posting_refills_from_older_sessions() {
+        // Item 0 is in all six sessions but its posting holds only two.
+        let mut inc = IncrementalIndexer::new(2).unwrap();
+        let mut log: Vec<Click> = (1..=6u64).map(|s| Click::new(s, 0, s * 100)).collect();
+        inc.apply_batch(&log).unwrap();
+        // Losing the newest entry pulls in the next older session...
+        assert!(inc.delete_session(6).unwrap());
+        log.retain(|c| c.session_id != 6);
+        assert_same(&inc.snapshot().unwrap(), &SessionIndex::build(&log, 2).unwrap());
+        assert_eq!(inc.snapshot().unwrap().posting_sessions(0).unwrap(), &[4, 3]);
+        // ...and a session gained below the posting's oldest entry competes
+        // with the sessions the posting left out, not with its entries.
+        let backfill = [Click::new(7, 0, 150), Click::new(5, 9, 50)];
+        inc.apply_batch(&backfill).unwrap();
+        log.extend_from_slice(&backfill);
+        assert_same(&inc.snapshot().unwrap(), &SessionIndex::build(&log, 2).unwrap());
+        assert!(inc.delete_session(5).unwrap() && inc.delete_session(4).unwrap());
+        log.retain(|c| c.session_id != 5 && c.session_id != 4);
+        assert_same(&inc.snapshot().unwrap(), &SessionIndex::build(&log, 2).unwrap());
+    }
+
+    #[test]
+    fn adopt_takes_over_the_index_of_the_seed_without_copying_it() {
+        let seed = batch(1..40, 1_000);
+        let served = SessionIndex::build(&seed, 7).unwrap();
+        let mut inc = IncrementalIndexer::new(7).unwrap();
+        assert!(inc.adopt(&served, &seed));
+        assert_eq!((inc.num_sessions(), inc.retained_clicks()), (39, seed.len()));
+        let held = inc.snapshot().unwrap();
+        for (item, posting) in served.postings_iter() {
+            assert!(Arc::ptr_eq(&posting.entries, &held.posting_table()[&item].entries));
         }
-        for (item, posting) in &inc.postings {
-            assert!(
-                posting.len() < 2 * m_max,
-                "posting for item {item} grew to {} entries",
-                posting.len()
-            );
+        // The adopted state merges like one this indexer built itself.
+        let more = vec![Click::new(5, 3, 9_000), Click::new(90, 4, 9_001), Click::new(91, 2, 5)];
+        inc.apply_batch(&more).unwrap();
+        assert!(inc.delete_session(17).unwrap());
+        let log: Vec<Click> =
+            seed.iter().chain(&more).filter(|c| c.session_id != 17).copied().collect();
+        assert_same(&inc.snapshot().unwrap(), &SessionIndex::build(&log, 7).unwrap());
+        assert_same(&inc.snapshot().unwrap(), &SessionIndex::build(inc.retained_log(), 7).unwrap());
+    }
+
+    #[test]
+    fn adopt_refuses_anything_but_the_index_of_the_seed() {
+        let seed = batch(1..40, 1_000);
+        let served = SessionIndex::build(&seed, 7).unwrap();
+        let mut other_items = seed.clone();
+        other_items[3].item_id += 1;
+        let refused = [
+            (IncrementalIndexer::new(8).unwrap(), &seed[..]), // another m_max
+            (IncrementalIndexer::new(7).unwrap(), &seed[2..]), // another session set
+            (IncrementalIndexer::new(7).unwrap(), &other_items[..]), // another item list
+            (IncrementalIndexer::with_retained_clicks_cap(7, 10).unwrap(), &seed[..]), // too long
+        ];
+        for (mut inc, log) in refused {
+            assert!(!inc.adopt(&served, log));
+            assert_eq!((inc.num_sessions(), inc.retained_clicks()), (0, 0));
+            // The refusal leaves a working empty indexer behind.
+            inc.apply_batch(&seed[..4]).unwrap();
+            assert_eq!(inc.num_sessions(), 2);
         }
+        let mut used = IncrementalIndexer::new(7).unwrap();
+        used.apply_batch(&seed[..2]).unwrap();
+        assert!(!used.adopt(&served, &seed), "only a fresh indexer adopts");
     }
 
     #[test]
@@ -624,13 +784,12 @@ mod tests {
     }
 
     #[test]
-    fn timestamp_tie_with_previous_batch_forces_rebuild() {
+    fn timestamp_tie_with_previous_batch_is_ranked_by_external_id() {
         let mut inc = IncrementalIndexer::new(5).unwrap();
-        inc.apply_batch(&[Click::new(1, 0, 100)]).unwrap();
-        // Same session timestamp as the previous max: would break the
-        // tie-break invariant, so the slow path must run.
         inc.apply_batch(&[Click::new(2, 1, 100)]).unwrap();
-        assert_eq!(inc.rebuild_count(), 1);
+        // Same session timestamp as the indexed session and a smaller
+        // external id: the new session ranks below it.
+        inc.apply_batch(&[Click::new(1, 0, 100)]).unwrap();
         let all = vec![Click::new(1, 0, 100), Click::new(2, 1, 100)];
         let reference = SessionIndex::build(&all, 5).unwrap();
         assert_same(&inc.snapshot().unwrap(), &reference);
@@ -718,7 +877,7 @@ mod tests {
     }
 
     #[test]
-    fn eviction_and_deletion_share_one_removal_path() {
+    fn eviction_and_deletion_compose() {
         // Delete a session that retention would also drop: neither path may
         // double-remove or resurrect it, and the sliding-window contract
         // must keep holding afterwards.
@@ -754,7 +913,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_touches_exactly_the_batch_items() {
+    fn new_session_touches_exactly_its_items() {
         let mut inc = IncrementalIndexer::new(7).unwrap();
         inc.apply_batch(&[Click::new(1, 3, 100), Click::new(1, 5, 101)]).unwrap();
         match inc.drain_touched() {
@@ -763,7 +922,7 @@ mod tests {
                 items.sort_unstable();
                 assert_eq!(items, vec![3, 5]);
             }
-            TouchedItems::All => panic!("fast path must report a precise set"),
+            TouchedItems::All => panic!("a merge reports a precise set"),
         }
         // Draining resets the accumulator.
         assert!(inc.drain_touched().is_empty());

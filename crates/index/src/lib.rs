@@ -18,10 +18,10 @@
 //!   format;
 //! * [`compressed`] — a delta+varint compressed index representation with
 //!   on-the-fly decoding queries (future work, Section 7);
-//! * [`incremental`] — an incremental indexer that folds new click batches
-//!   into the index without a full rebuild, supports GDPR-style session
-//!   deletion, and tracks touched items per publish (future work,
-//!   Section 7);
+//! * [`incremental`] — an incremental indexer that holds the live index and
+//!   merges click batches, GDPR-style session deletions and retention drops
+//!   into it, sharing unchanged postings between generations, and tracks
+//!   touched items per publish (future work, Section 7);
 //! * [`diff`] — semantic (dense-id-independent) snapshot diffing used to
 //!   verify the touched-item tracking that drives epoch-bucketed cache
 //!   invalidation.
@@ -39,4 +39,4 @@ pub use binfmt::{read_index, write_index, BinError};
 pub use builder::{build_parallel, BuilderConfig};
 pub use compressed::CompressedIndex;
 pub use diff::changed_items;
-pub use incremental::{IncrementalIndexer, TouchedItems};
+pub use incremental::{IncrementalIndexer, Sharing, TouchedItems};

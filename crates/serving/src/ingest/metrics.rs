@@ -3,7 +3,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use serenade_telemetry::{Counter, Histogram, HistogramConfig, Registry};
+use serenade_index::Sharing;
+use serenade_telemetry::{Counter, Gauge, Histogram, HistogramConfig, Registry};
+
+/// The stages of one mini-publish, in order: folding the drained work into
+/// the held index, building the kernel over the result, and the epoch
+/// record plus handle swap.
+const PUBLISH_STAGES: [&str; 3] = ["apply", "kernel_build", "swap"];
 
 /// Counters and histograms the ingest pipeline reports through `/metrics`.
 #[derive(Debug)]
@@ -13,7 +19,10 @@ pub struct IngestMetrics {
     deletions: Arc<Counter>,
     publishes: Arc<Counter>,
     publish_failures: Arc<Counter>,
-    publish_duration: Arc<Histogram>,
+    publish_duration: [Arc<Histogram>; 3],
+    postings_shared: Arc<Counter>,
+    postings_copied: Arc<Counter>,
+    unchanged_ranks_permille: Arc<Gauge>,
 }
 
 impl Default for IngestMetrics {
@@ -31,7 +40,11 @@ impl IngestMetrics {
             deletions: Arc::new(Counter::new()),
             publishes: Arc::new(Counter::new()),
             publish_failures: Arc::new(Counter::new()),
-            publish_duration: Arc::new(Histogram::new(HistogramConfig::default())),
+            publish_duration: PUBLISH_STAGES
+                .map(|_| Arc::new(Histogram::new(HistogramConfig::default()))),
+            postings_shared: Arc::new(Counter::new()),
+            postings_copied: Arc::new(Counter::new()),
+            unchanged_ranks_permille: Arc::new(Gauge::new()),
         }
     }
 
@@ -47,9 +60,17 @@ impl IngestMetrics {
         self.deletions.inc();
     }
 
-    pub(crate) fn record_publish(&self, took: Duration) {
+    /// One successful publish: its time per stage (in [`PUBLISH_STAGES`]
+    /// order) and what its merges shared with the previous generation.
+    pub(crate) fn record_publish(&self, stages: [Duration; 3], sharing: Sharing) {
         self.publishes.inc();
-        self.publish_duration.record(took);
+        for (histogram, took) in self.publish_duration.iter().zip(stages) {
+            histogram.record(took);
+        }
+        self.postings_shared.add(sharing.postings_shared);
+        self.postings_copied.add(sharing.postings_copied);
+        self.unchanged_ranks_permille
+            .set(sharing.ranks_unchanged * 1000 / sharing.ranks_total.max(1));
     }
 
     pub(crate) fn record_publish_failure(&self) {
@@ -114,11 +135,32 @@ impl IngestMetrics {
             &[],
             Arc::clone(&self.publish_failures),
         );
-        registry.histogram_shared(
-            "serenade_ingest_publish_duration_seconds",
-            "Apply-batch to index-visible latency of one mini-publish.",
+        for (stage, histogram) in PUBLISH_STAGES.iter().zip(&self.publish_duration) {
+            registry.histogram_shared(
+                "serenade_ingest_publish_duration_seconds",
+                "Time of one mini-publish by stage; the stages sum to apply-batch to visible.",
+                &[("stage", stage)],
+                Arc::clone(histogram),
+            );
+        }
+        registry.counter_shared(
+            "serenade_ingest_postings_shared_total",
+            "Posting lists a publish handed on from the previous index generation by pointer.",
             &[],
-            Arc::clone(&self.publish_duration),
+            Arc::clone(&self.postings_shared),
+        );
+        registry.counter_shared(
+            "serenade_ingest_postings_copied_total",
+            "Posting lists a publish wrote anew: touched, or above the first changed session rank.",
+            &[],
+            Arc::clone(&self.postings_copied),
+        );
+        registry.gauge_shared(
+            "serenade_ingest_unchanged_ranks_permille",
+            "Share of session ranks below the first one the last publish changed: 1000 for \
+             traffic at the recent end, 0 when old timestamps renumbered the whole index.",
+            &[],
+            Arc::clone(&self.unchanged_ranks_permille),
         );
     }
 }

@@ -10,11 +10,13 @@
 //! ## Publish protocol (the order is load-bearing)
 //!
 //! 1. drain the pending queue (appends, deletions);
-//! 2. fold into the indexer (appends take the amortised fast path;
-//!    deletions tombstone and rebuild);
-//! 3. build the fresh `VmisKnn`; on any error stop here — the old snapshot
-//!    keeps serving and nothing below happens;
-//! 4. record the drained touched-item set into the cache's
+//! 2. fold into the indexer: appends and deletions alike merge into the
+//!    index it holds and leave the next generation, which shares with the
+//!    served one every posting the batch did not reach;
+//! 3. build the fresh `VmisKnn` over that same index (a handle, not a
+//!    copy); on any error stop here — the old snapshot keeps serving and
+//!    nothing below happens;
+//! 4. drain the touched-item set and, with a cache, record it into the
 //!    [`EpochLog`](crate::ingest::epoch::EpochLog) under the *next*
 //!    generation;
 //! 5. [`IndexHandle::store`] — the swap that makes the publish visible.
@@ -91,8 +93,11 @@ impl Default for IngestConfig {
 }
 
 /// How long a synchronous caller (deletion, flush) waits for the publisher
-/// before reporting failure. Generous: a publish is index-build bounded,
-/// i.e. milliseconds at the scales this process serves.
+/// before reporting failure. Generous: a publish is one merge into the held
+/// index plus one kernel build — tens of milliseconds on a million-click
+/// index, and no worse than an index build when a batch of old timestamps
+/// renumbers every posting (`serenade_ingest_publish_duration_seconds` has
+/// the split by stage).
 const SYNC_WAIT: Duration = Duration::from_secs(30);
 
 /// A one-shot completion slot the publisher fills and a caller awaits.
@@ -173,7 +178,8 @@ pub struct IngestPipeline {
 impl IngestPipeline {
     /// Seeds the indexer with the cluster's click log and starts the
     /// publisher thread. No publish happens until live work arrives — the
-    /// cluster already serves an index built from the same seed.
+    /// cluster already serves an index built from the same seed, and the
+    /// indexer adopts that very index instead of building its own.
     pub(crate) fn start(
         config: IngestConfig,
         seed: &[Click],
@@ -192,10 +198,12 @@ impl IngestPipeline {
             Some(cap) => IncrementalIndexer::with_retained_clicks_cap(config.m_max, cap)?,
             None => IncrementalIndexer::new(config.m_max)?,
         };
-        if !seed.is_empty() {
+        if !indexer.adopt(handle.load().index(), seed) {
+            // The served index is not the seed's (another `m_max`, another
+            // log, a retention cap that bites): index the seed here, and let
+            // the first publish bring the readers over.
             indexer.apply_batch(seed)?;
-            // The served index already covers the seed; nothing changed.
-            let _ = indexer.drain_touched();
+            let _ = (indexer.drain_touched(), indexer.take_sharing());
         }
         let shared = Arc::new(SharedState {
             pending: Mutex::new(Pending::default()),
@@ -429,24 +437,26 @@ fn publish_cycle(
         }
         delete_outcomes.push((outcome, ticket));
     }
+    let applied_at = Instant::now();
 
     let published = applied.and_then(|()| {
-        let snapshot = indexer.snapshot()?;
-        let fresh = build_recommender(Arc::new(snapshot), engine_config)?;
+        let fresh = build_recommender(Arc::new(indexer.snapshot()?), engine_config)?;
+        let built_at = Instant::now();
         // Record-then-store: a reader observing the new generation either
         // finds this epoch or errs on the stale side (see module docs).
+        // Drained with or without a cache, or the set grows without bound.
+        let touched = indexer.drain_touched();
         if let Some(cache) = cache {
-            cache
-                .epoch_log()
-                .record(shared.handle.generation() + 1, indexer.drain_touched().into());
+            cache.epoch_log().record(shared.handle.generation() + 1, touched.into());
         }
         shared.handle.store(crate::sync::Arc::new(fresh));
-        Ok(())
+        Ok(built_at)
     });
 
     match &published {
-        Ok(()) => {
-            shared.metrics.record_publish(started.elapsed());
+        Ok(built_at) => {
+            let stages = [applied_at - started, *built_at - applied_at, built_at.elapsed()];
+            shared.metrics.record_publish(stages, indexer.take_sharing());
             telemetry.record_rollover(started.elapsed());
         }
         Err(_) => shared.metrics.record_publish_failure(),
@@ -454,7 +464,7 @@ fn publish_cycle(
 
     for (outcome, ticket) in delete_outcomes {
         ticket.complete(match (outcome, &published) {
-            (Ok(existed), Ok(())) => Ok(existed),
+            (Ok(existed), Ok(_)) => Ok(existed),
             (Ok(_), Err(_)) => Err(ServingError::Internal(
                 "session removed from the log but republish failed; previous index still serving",
             )),
@@ -463,8 +473,58 @@ fn publish_cycle(
     }
     for flush in flushes {
         flush.complete(match &published {
-            Ok(()) => Ok(shared.handle.generation()),
+            Ok(_) => Ok(shared.handle.generation()),
             Err(_) => Err(ServingError::Internal("ingest publish failed")),
         });
+    }
+}
+
+#[cfg(all(test, not(feature = "loom")))]
+mod tests {
+    use super::*;
+    use serenade_core::SessionIndex;
+    use serenade_index::TouchedItems;
+    use serenade_telemetry::TraceConfig;
+
+    /// One publish cycle of ten fresh clicks against a small served index,
+    /// with or without a prediction cache; returns what the indexer still
+    /// holds as touched afterwards and the generation reached.
+    fn touched_after_a_publish(cache: Option<&PredictionCache>) -> (TouchedItems, u64) {
+        let seed: Vec<Click> = (0..40u64).map(|s| Click::new(s, s % 6, 100 + s)).collect();
+        let engine_config = EngineConfig::default();
+        let index = Arc::new(SessionIndex::build(&seed, 500).unwrap());
+        let served = build_recommender(Arc::clone(&index), &engine_config).unwrap();
+        let shared = SharedState {
+            pending: Mutex::new(Pending::default()),
+            cond: Condvar::new(),
+            metrics: IngestMetrics::new(),
+            handle: Arc::new(IndexHandle::new(crate::sync::Arc::new(served))),
+        };
+        let mut indexer = IncrementalIndexer::new(500).unwrap();
+        assert!(indexer.adopt(&index, &seed));
+        let batch: Vec<Click> = (0..10u64).map(|i| Click::new(900 + i, i % 6, 1_000 + i)).collect();
+        let telemetry = ClusterTelemetry::new(TraceConfig::default());
+        publish_cycle(
+            &shared,
+            &mut indexer,
+            batch,
+            Vec::new(),
+            Vec::new(),
+            &engine_config,
+            cache,
+            &telemetry,
+        );
+        assert_eq!(shared.metrics.publishes(), 1);
+        (indexer.drain_touched(), shared.handle.generation())
+    }
+
+    #[test]
+    fn a_publish_drains_the_touched_set_with_or_without_a_cache() {
+        let cache = PredictionCache::new(crate::cache::CacheConfig::default());
+        for cache in [Some(&cache), None] {
+            let (left_over, generation) = touched_after_a_publish(cache);
+            assert_eq!(generation, 2);
+            assert!(left_over.is_empty(), "touched items outlived their publish: {left_over:?}");
+        }
     }
 }

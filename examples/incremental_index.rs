@@ -19,11 +19,13 @@ fn main() {
     let mut indexer = IncrementalIndexer::new(500).expect("positive capacity");
     for (i, batch) in batches.iter().enumerate() {
         indexer.apply_batch(batch).expect("consistent batch");
+        let sharing = indexer.take_sharing();
         println!(
-            "after batch {}: {} sessions indexed ({} rebuild fallbacks)",
+            "after batch {}: {} sessions indexed ({} postings shared with the previous generation, {} written)",
             i + 1,
             indexer.num_sessions(),
-            indexer.rebuild_count()
+            sharing.postings_shared,
+            sharing.postings_copied
         );
     }
     let index = indexer.snapshot().expect("non-empty");
