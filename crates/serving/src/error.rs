@@ -19,20 +19,12 @@ pub enum ServingError {
     /// A panic crossed the worker's unwind barrier while handling the
     /// request; the payload is the panic message when extractable.
     Panicked(String),
-    /// A remote pod could not serve the request (connection refused, reset
-    /// mid-response, or a malformed upstream reply). The router tier treats
-    /// this as a node-liveness signal and fails over instead of surfacing
-    /// it to the client.
-    Upstream(String),
 }
 
 impl ServingError {
     /// HTTP status code this error maps to.
     pub fn status(&self) -> u16 {
-        match self {
-            ServingError::Upstream(_) => 502,
-            _ => 500,
-        }
+        500
     }
 }
 
@@ -41,7 +33,6 @@ impl fmt::Display for ServingError {
         match self {
             ServingError::Internal(what) => write!(f, "internal serving error: {what}"),
             ServingError::Panicked(msg) => write!(f, "request handler panicked: {msg}"),
-            ServingError::Upstream(msg) => write!(f, "upstream pod failed: {msg}"),
         }
     }
 }
@@ -56,7 +47,6 @@ mod tests {
     fn all_variants_are_server_errors() {
         assert_eq!(ServingError::Internal("x").status(), 500);
         assert_eq!(ServingError::Panicked(String::from("boom")).status(), 500);
-        assert_eq!(ServingError::Upstream(String::from("refused")).status(), 502);
     }
 
     #[test]

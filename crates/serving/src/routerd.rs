@@ -9,9 +9,15 @@
 //! * **routing** — sessions map to nodes by rendezvous hashing over the
 //!   full membership (see [`crate::router`]), so joins and leaves remap
 //!   only the minimal session fraction;
-//! * **failover** — a node that fails a health probe or errors mid-request
-//!   is marked dead; its in-flight and subsequent requests are served
-//!   *depersonalised* on a surviving node (HTTP 200, counted in
+//! * **forwarding** — the router runs no predict. Its reactor writes each
+//!   `POST /recommend` to the owning node on a non-blocking upstream
+//!   connection and relays the node's answer undecoded (see
+//!   [`crate::server`]); [`RouterCore`] only says where a request goes
+//!   ([`RequestBackend::route_predict`]) and where it goes next when that
+//!   failed ([`RequestBackend::forward_failed`]);
+//! * **failover** — a node that fails a health probe, errors or stalls
+//!   mid-request is marked dead; its in-flight and subsequent requests are
+//!   served *depersonalised* on a surviving node (HTTP 200, counted in
 //!   `serenade_router_failover_total`) — the client never sees a 5xx for a
 //!   node loss, mirroring the engine's own deadline-degrade contract;
 //! * **artifact distribution** — `POST /cluster/publish` validates a
@@ -24,8 +30,8 @@
 //!
 //! # Membership snapshots
 //!
-//! The reactor thread classifies every request by owner, so membership
-//! reads must never block. Membership lives in an
+//! The reactor thread routes every predict (and every failover) itself, so
+//! membership reads must never block. Membership lives in an
 //! [`IndexHandle<Membership>`]: admin operations build a new snapshot and
 //! publish it atomically; request paths [`IndexHandle::load`] it lock-free.
 //! Per-node liveness is an `AtomicBool` inside the (shared) node entry, so
@@ -38,21 +44,19 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use serenade_core::{Click, ItemScore};
+use serenade_core::Click;
 use serenade_index::binfmt;
-use serenade_telemetry::registry::Counter;
-use serenade_telemetry::TraceConfig;
+use serenade_telemetry::registry::{Counter, Gauge};
+use serenade_telemetry::{Histogram, HistogramConfig, TraceConfig};
 
-use crate::context::BatchContext;
 use crate::engine::RecommendRequest;
-use crate::error::ServingError;
 use crate::handle::IndexHandle;
 use crate::json::{self, JsonValue};
 use crate::node::ControlClient;
 use crate::router::StickyRouter;
 use crate::server::conn;
 use crate::server::parser::ParsedRequest;
-use crate::server::{HttpServer, HttpServerConfig, RequestBackend};
+use crate::server::{ForwardTarget, HttpServer, HttpServerConfig, PredictRoute, RequestBackend};
 use crate::telemetry::ClusterTelemetry;
 use crate::transport::RemotePod;
 
@@ -63,8 +67,9 @@ pub struct RouterConfig {
     pub server: HttpServerConfig,
     /// Interval between health probes of each member.
     pub probe_interval: Duration,
-    /// Dial + I/O timeout for one control-plane call; a probe exceeding it
-    /// marks the node dead.
+    /// Dial + I/O timeout for one control-plane call (a probe exceeding it
+    /// marks the node dead) and for the workers' blocking data-plane calls
+    /// (`/ingest` proxy, unlearning broadcast).
     pub probe_timeout: Duration,
     /// Most sessions exported from any one node during a handoff sweep.
     /// Bounds the membership-change stall; sessions beyond the cap restart
@@ -91,20 +96,15 @@ pub struct NodeEntry {
     pub data_addr: SocketAddr,
     /// Control-plane address.
     pub ctrl_addr: SocketAddr,
+    /// The workers' blocking client for the fan-out endpoints; predicts
+    /// never use it.
     transport: RemotePod,
     alive: AtomicBool,
+    /// Upstream connections the reactor holds to this node.
+    upstream_connections: Arc<Gauge>,
 }
 
 impl NodeEntry {
-    fn new(id: u64, data_addr: SocketAddr, ctrl_addr: SocketAddr) -> Self {
-        Self {
-            id,
-            data_addr,
-            ctrl_addr,
-            transport: RemotePod::new(data_addr),
-            alive: AtomicBool::new(true),
-        }
-    }
 
     /// Whether the last contact with the node succeeded.
     pub fn is_alive(&self) -> bool {
@@ -158,6 +158,11 @@ pub struct RouterCore {
     /// that join after the publish.
     last_artifact: Mutex<Option<Arc<Vec<u8>>>>,
     failover_total: Arc<Counter>,
+    /// Request written → response complete, per forward that answered `200`.
+    upstream_seconds: Arc<Histogram>,
+    /// Every per-node connection gauge ever registered, by data address, so
+    /// a member that leaves and rejoins reuses its series.
+    upstream_gauges: Mutex<Vec<(SocketAddr, Arc<Gauge>)>>,
     probe_timeout: Duration,
     handoff_cap: u32,
 }
@@ -177,19 +182,26 @@ impl RouterCore {
              their owner was unreachable.",
             &[],
         );
-        let nodes = members
-            .iter()
-            .map(|&(id, data, ctrl)| Arc::new(NodeEntry::new(id, data, ctrl)))
-            .collect();
+        let upstream_seconds = telemetry.registry().histogram(
+            "serenade_router_upstream_seconds",
+            "Time from a forwarded request being written to its node's \
+             complete 200 response.",
+            &[],
+            HistogramConfig::default(),
+        );
         let core = Arc::new(Self {
-            membership: IndexHandle::new(crate::sync::Arc::new(Membership::new(nodes))),
+            membership: IndexHandle::new(crate::sync::Arc::new(Membership::new(Vec::new()))),
             telemetry,
             admin: Mutex::new(()),
             last_artifact: Mutex::new(None),
             failover_total,
+            upstream_seconds,
+            upstream_gauges: Mutex::new(Vec::new()),
             probe_timeout,
             handoff_cap,
         });
+        let nodes = members.iter().map(|&(id, data, ctrl)| core.node_entry(id, data, ctrl)).collect();
+        core.membership.store(crate::sync::Arc::new(Membership::new(nodes)));
         let gauge = Arc::clone(&core);
         core.telemetry.registry().polled_gauge(
             "serenade_router_live_nodes",
@@ -205,6 +217,32 @@ impl RouterCore {
             move || gauge.membership.load().nodes.len() as u64,
         );
         core
+    }
+
+    /// A routing-table entry for a member (admin plane: registers the
+    /// node's connection gauge the first time its address is seen).
+    fn node_entry(&self, id: u64, data_addr: SocketAddr, ctrl_addr: SocketAddr) -> Arc<NodeEntry> {
+        let mut gauges = self.upstream_gauges.lock();
+        let upstream_connections = match gauges.iter().find(|(addr, _)| *addr == data_addr) {
+            Some((_, gauge)) => Arc::clone(gauge),
+            None => {
+                let gauge = self.telemetry.registry().gauge(
+                    "serenade_router_upstream_connections",
+                    "Upstream connections the reactor holds open to a node, idle or in flight.",
+                    &[("node", &data_addr.to_string())],
+                );
+                gauges.push((data_addr, Arc::clone(&gauge)));
+                gauge
+            }
+        };
+        Arc::new(NodeEntry {
+            id,
+            data_addr,
+            ctrl_addr,
+            transport: RemotePod::new(data_addr, self.probe_timeout),
+            alive: AtomicBool::new(true),
+            upstream_connections,
+        })
     }
 
     /// The current membership snapshot.
@@ -257,7 +295,7 @@ impl RouterCore {
                 .map_err(|reason| format!("joiner rejected the artifact: {reason}"))?;
         }
         let mut nodes = old.nodes.clone();
-        nodes.push(Arc::new(NodeEntry::new(id, data_addr, ctrl_addr)));
+        nodes.push(self.node_entry(id, data_addr, ctrl_addr));
         let new = Membership::new(nodes);
         self.remap_sessions(&old, &new);
         self.membership.store(crate::sync::Arc::new(new));
@@ -363,40 +401,29 @@ impl RouterCore {
         }
     }
 
-    /// Serves one recommend request with the failover policy: the owner if
-    /// alive, otherwise depersonalised on the best surviving node, never an
-    /// error. An empty list is the final fallback when no node is
-    /// reachable.
-    fn recommend(&self, req: RecommendRequest) -> Vec<ItemScore> {
-        let membership = self.membership.load();
-        let Some(owner) = membership.route(req.session_id) else {
-            self.failover_total.inc();
-            return Vec::new();
-        };
-        let entry = &membership.nodes[owner];
-        if entry.is_alive() {
-            match entry.transport.recommend(req) {
-                Ok(recs) => return recs,
-                Err(_) => entry.alive.store(false, Ordering::SeqCst),
-            }
+    /// The failover policy's one decision: after `attempt` targets failed
+    /// (or the owner was already dead), the request goes depersonalised —
+    /// the owner and the session state it held are gone, exactly like the
+    /// engine's own deadline degrade — to the best live rendezvous
+    /// candidate, or nowhere. The bound on attempts holds even if the
+    /// prober revives nodes as fast as requests mark them dead.
+    fn next_candidate(
+        &self,
+        membership: &Membership,
+        req: &RecommendRequest,
+        attempt: usize,
+    ) -> PredictRoute {
+        if attempt > membership.nodes.len() {
+            return PredictRoute::Unroutable;
         }
-        // The owner (and the session state it held) is gone: depersonalise,
-        // exactly like the engine's own deadline degrade, and count it.
-        self.failover_total.inc();
-        let degraded = RecommendRequest { consent: false, ..req };
-        for _ in 0..membership.nodes.len() {
-            let Some(slot) = membership
-                .route_filtered(req.session_id, |s| membership.nodes[s].is_alive())
-            else {
-                break;
-            };
-            let fallback = &membership.nodes[slot];
-            match fallback.transport.recommend(degraded) {
-                Ok(recs) => return recs,
-                Err(_) => fallback.alive.store(false, Ordering::SeqCst),
-            }
+        match membership.route_filtered(req.session_id, |s| membership.nodes[s].is_alive()) {
+            Some(slot) => PredictRoute::Forward(ForwardTarget {
+                addr: membership.nodes[slot].data_addr,
+                depersonalised: true,
+                attempt,
+            }),
+            None => PredictRoute::Unroutable,
         }
-        Vec::new()
     }
 
     /// Proxies an ingest batch: clicks are grouped by owning node and
@@ -503,6 +530,48 @@ impl RequestBackend for RouterCore {
 
     fn shard_for(&self, session_id: u64) -> usize {
         self.membership.load().route(session_id).unwrap_or(0)
+    }
+
+    /// The owner if alive, otherwise the failover policy — never an error.
+    fn route_predict(&self, req: &RecommendRequest) -> PredictRoute {
+        let membership = self.membership.load();
+        let owner = membership.route(req.session_id).map(|slot| &membership.nodes[slot]);
+        match owner {
+            Some(owner) if owner.is_alive() => PredictRoute::Forward(ForwardTarget {
+                addr: owner.data_addr,
+                depersonalised: false,
+                attempt: 0,
+            }),
+            _ => {
+                self.failover_total.inc();
+                self.next_candidate(&membership, req, 1)
+            }
+        }
+    }
+
+    /// A forward produced no `200`: the node is marked dead (the prober
+    /// revives it), the request is counted once as failed over — when it
+    /// leaves its owner — and goes to the next candidate.
+    fn forward_failed(&self, req: &RecommendRequest, failed: ForwardTarget) -> PredictRoute {
+        let membership = self.membership.load();
+        if let Some(node) = membership.nodes.iter().find(|n| n.data_addr == failed.addr) {
+            node.alive.store(false, Ordering::SeqCst);
+        }
+        if !failed.depersonalised {
+            self.failover_total.inc();
+        }
+        self.next_candidate(&membership, req, failed.attempt + 1)
+    }
+
+    fn record_forward(&self, elapsed: Duration) {
+        self.upstream_seconds.record(elapsed);
+    }
+
+    fn record_upstream_connections(&self, addr: SocketAddr, open: usize) {
+        let membership = self.membership.load();
+        if let Some(node) = membership.nodes.iter().find(|n| n.data_addr == addr) {
+            node.upstream_connections.set(open as u64);
+        }
     }
 
     fn respond(&self, request: &ParsedRequest) -> (u16, String, &'static str) {
@@ -655,19 +724,6 @@ impl RequestBackend for RouterCore {
             ),
         }
     }
-
-    fn handle_recommend_batch(
-        &self,
-        _shard: usize,
-        reqs: &[RecommendRequest],
-        _bctx: &mut BatchContext,
-    ) -> Vec<Result<Vec<ItemScore>, ServingError>> {
-        // One failover policy, applied per member: the upstream pool
-        // hands back the connection the previous member just returned, so a
-        // run of same-owner members shares a socket without a second code
-        // path. Never an Err — the policy absorbs node loss.
-        reqs.iter().map(|&req| Ok(self.recommend(req))).collect()
-    }
 }
 
 /// A running router daemon: the event-loop server plus the health prober.
@@ -701,7 +757,9 @@ impl RouterDaemon {
             std::thread::spawn(move || {
                 while !stop.load(Ordering::SeqCst) {
                     core.probe_members();
-                    std::thread::sleep(interval);
+                    // Parked, not asleep: `stop` unparks, so shutdown does
+                    // not wait out the interval.
+                    std::thread::park_timeout(interval);
                 }
             })
         };
@@ -735,6 +793,7 @@ impl RouterDaemon {
         }
         self.probe_stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.probe_thread.take() {
+            t.thread().unpark();
             let _ = t.join();
         }
     }
@@ -759,97 +818,183 @@ mod tests {
         assert_eq!(parsed, clicks);
     }
 
+    use crate::node::{NodeConfig, ServingNode};
+    use crate::transport::HttpClient;
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::time::Instant;
+
+    const EMPTY_LIST: &str = r#"{"recommendations":[]}"#;
+
+    /// A router whose prober runs once at start and then stays out of the
+    /// test's way (shutdown unparks it).
+    fn router(members: &[(u64, SocketAddr, SocketAddr)], server: HttpServerConfig) -> RouterDaemon {
+        let config = RouterConfig {
+            server,
+            probe_interval: Duration::from_secs(3600),
+            probe_timeout: Duration::from_millis(200),
+            ..RouterConfig::default()
+        };
+        RouterDaemon::start(members, config).unwrap()
+    }
+
+    fn predict(client: &mut HttpClient, session_id: u64, consent: bool) -> (u16, String) {
+        client
+            .post(
+                "/recommend",
+                &format!(r#"{{"session_id": {session_id}, "item_id": 2, "consent": {consent}}}"#),
+            )
+            .unwrap()
+    }
+
+    fn survivor() -> ServingNode {
+        let clicks: Vec<Click> = (0..40u64)
+            .flat_map(|s| [Click::new(s, s % 6, s * 10), Click::new(s, (s + 1) % 6, s * 10 + 1)])
+            .collect();
+        let index = Arc::new(serenade_core::SessionIndex::build(&clicks, 500).unwrap());
+        ServingNode::start(index, NodeConfig::default()).unwrap()
+    }
+
+    /// Reads one request off a fake node's connection (complete once its
+    /// JSON body has closed).
+    fn read_request(stream: &mut TcpStream) {
+        let mut seen = Vec::new();
+        let mut buf = [0u8; 1024];
+        while !seen.ends_with(b"}") {
+            let n = stream.read(&mut buf).unwrap();
+            assert!(n > 0, "the router hung up mid-request");
+            seen.extend_from_slice(&buf[..n]);
+        }
+    }
+
     #[test]
     fn empty_membership_serves_empty_lists_not_errors() {
-        let core = RouterCore::new(
-            &[],
-            TraceConfig::default(),
-            Duration::from_millis(50),
-            1_000,
-        );
-        let req = RecommendRequest { session_id: 9, item: 1, consent: true, filter_adult: false };
-        assert!(core.recommend(req).is_empty());
-        assert_eq!(core.failover_total(), 1, "the miss is counted");
+        let router = router(&[], HttpServerConfig::default());
+        let mut client = HttpClient::connect(router.addr()).unwrap();
+        assert_eq!(predict(&mut client, 9, true), (200, EMPTY_LIST.to_string()));
+        assert_eq!(router.core().failover_total(), 1, "the miss is counted");
+        router.shutdown();
     }
 
     #[test]
     fn dead_member_requests_degrade_and_are_counted() {
         // Two members on ports nothing listens on: every request fails
-        // over, exhausts the candidates and lands on the empty fallback.
+        // over, exhausts the candidates and lands on the empty fallback —
+        // whether the prober or the request finds them dead first.
         let dead = |p: u16| {
             let a: SocketAddr = format!("127.0.0.1:{p}").parse().unwrap();
             a
         };
-        let core = RouterCore::new(
-            &[(0, dead(1), dead(1)), (1, dead(2), dead(2))],
-            TraceConfig::default(),
-            Duration::from_millis(50),
-            1_000,
-        );
-        let req = RecommendRequest { session_id: 9, item: 1, consent: true, filter_adult: false };
-        assert!(core.recommend(req).is_empty(), "no 5xx, an empty 200");
-        assert_eq!(core.failover_total(), 1);
-        let membership = core.membership();
+        let router = router(&[(0, dead(1), dead(1)), (1, dead(2), dead(2))], HttpServerConfig::default());
+        let mut client = HttpClient::connect(router.addr()).unwrap();
+        assert_eq!(predict(&mut client, 9, true), (200, EMPTY_LIST.to_string()), "no 5xx");
+        assert_eq!(router.core().failover_total(), 1);
+        let membership = router.core().membership();
         assert!(membership.nodes().iter().all(|n| !n.is_alive()), "failures mark nodes dead");
+        router.shutdown();
     }
 
-    /// An owner that serves exactly one request with an empty list, then
-    /// closes its connection and its listener: a node dying mid-batch.
-    fn owner_that_dies_after_one_request() -> (SocketAddr, JoinHandle<()>) {
-        use std::io::{Read, Write};
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    /// An owner that answers its first request with an empty list, reads a
+    /// second one on the same connection and dies on it — connection and
+    /// listener both: a node lost mid-exchange.
+    fn owner_that_dies_on_its_second_request() -> (SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let thread = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let mut seen = Vec::new();
-            let mut buf = [0u8; 1024];
-            // The request is complete once its JSON body has closed.
-            while !seen.ends_with(b"}") {
-                let n = stream.read(&mut buf).unwrap();
-                seen.extend_from_slice(&buf[..n]);
-            }
-            let body = r#"{"recommendations":[]}"#;
-            write!(stream, "HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n{body}", body.len())
+            read_request(&mut stream);
+            write!(stream, "HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n{EMPTY_LIST}", EMPTY_LIST.len())
                 .unwrap();
+            read_request(&mut stream);
         });
         (addr, thread)
     }
 
     #[test]
-    fn owner_dying_mid_batch_fails_the_rest_over_without_an_error() {
-        use crate::node::{NodeConfig, ServingNode};
-        let clicks: Vec<Click> =
-            (0..40u64).flat_map(|s| [Click::new(s, s % 6, s * 10), Click::new(s, (s + 1) % 6, s * 10 + 1)]).collect();
-        let index = Arc::new(serenade_core::SessionIndex::build(&clicks, 500).unwrap());
-        let survivor = ServingNode::start(index, NodeConfig::default()).unwrap();
-        let (dying, owner_thread) = owner_that_dies_after_one_request();
-        let core = RouterCore::new(
-            &[(0, dying, dying), (1, survivor.data_addr(), survivor.ctrl_addr())],
-            TraceConfig::default(),
-            Duration::from_millis(200),
-            1_000,
+    fn owner_dying_mid_exchange_fails_over_without_an_error() {
+        let survivor = survivor();
+        let (dying, owner_thread) = owner_that_dies_on_its_second_request();
+        // The dying owner borrows the survivor's control socket, so the
+        // prober's one ping finds both members alive.
+        let router = router(
+            &[(0, dying, survivor.ctrl_addr()), (1, survivor.data_addr(), survivor.ctrl_addr())],
+            HttpServerConfig::default(),
         );
-        // Three members of one coalesced batch, all owned by the dying node.
-        let reqs: Vec<RecommendRequest> = (0..u64::MAX)
-            .filter(|&sid| core.shard_for(sid) == 0)
-            .take(3)
-            .map(|session_id| RecommendRequest { session_id, item: 2, consent: true, filter_adult: false })
-            .collect();
-        let results = core.handle_recommend_batch(0, &reqs, &mut BatchContext::new());
+        let core = Arc::clone(router.core());
+        let owned: Vec<u64> = (0..u64::MAX).filter(|&sid| core.shard_for(sid) == 0).take(3).collect();
+        let mut client = HttpClient::connect(router.addr()).unwrap();
+        let answers: Vec<(u16, String)> =
+            owned.iter().map(|&sid| predict(&mut client, sid, true)).collect();
         owner_thread.join().unwrap();
 
-        let lists: Vec<_> = results.into_iter().map(|r| r.expect("never an error")).collect();
-        assert!(lists[0].is_empty(), "member 1 was answered by its owner");
-        let depersonalised = RemotePod::new(survivor.data_addr())
-            .recommend(RecommendRequest { consent: false, ..reqs[1] })
-            .unwrap();
-        assert!(!depersonalised.is_empty());
-        assert_eq!(lists[1], depersonalised, "member 2 failed over mid-exchange");
-        assert_eq!(lists[2], depersonalised, "member 3 found its owner already dead");
-        assert_eq!(core.failover_total(), 2, "one per member that failed over");
+        let depersonalised = predict(&mut HttpClient::connect(survivor.data_addr()).unwrap(), owned[1], false);
+        assert!(depersonalised.1.len() > EMPTY_LIST.len(), "{depersonalised:?}");
+        assert_eq!(answers[0], (200, EMPTY_LIST.to_string()), "request 1 was answered by its owner");
+        assert_eq!(answers[1], depersonalised, "request 2 failed over mid-exchange");
+        assert_eq!(answers[2], depersonalised, "request 3 found its owner already dead");
+        assert_eq!(core.failover_total(), 2, "one per request that failed over");
         let membership = core.membership();
         assert!(!membership.nodes()[0].is_alive() && membership.nodes()[1].is_alive());
+        router.shutdown();
         survivor.shutdown();
+    }
+
+    #[test]
+    fn a_node_that_accepts_and_never_answers_costs_one_deadline_and_no_error() {
+        let survivor = survivor();
+        // Connections complete in the backlog; nothing is ever read.
+        let stalled = TcpListener::bind("127.0.0.1:0").unwrap();
+        let deadline = Duration::from_millis(300);
+        let router = router(
+            &[
+                (0, stalled.local_addr().unwrap(), survivor.ctrl_addr()),
+                (1, survivor.data_addr(), survivor.ctrl_addr()),
+            ],
+            HttpServerConfig { request_deadline: deadline, ..HttpServerConfig::default() },
+        );
+        let core = Arc::clone(router.core());
+        let sid = (0..u64::MAX).find(|&sid| core.shard_for(sid) == 0).unwrap();
+        let depersonalised = predict(&mut HttpClient::connect(survivor.data_addr()).unwrap(), sid, false);
+
+        let upstream_timeouts = || {
+            let text = core.telemetry().registry().render();
+            let metrics = serenade_telemetry::parse(&text).unwrap();
+            metrics.value("serenade_http_timeouts_total", &[("kind", "upstream")])
+        };
+
+        let started = Instant::now();
+        let answer = predict(&mut HttpClient::connect(router.addr()).unwrap(), sid, true);
+        let waited = started.elapsed();
+        assert_eq!(answer, depersonalised, "a depersonalised 200 from the survivor, no 5xx");
+        assert!(waited >= deadline, "answered before the deadline could have passed: {waited:?}");
+        assert!(waited < deadline * 4, "the stall outlived its deadline: {waited:?}");
+        assert_eq!(core.failover_total(), 1);
+        assert_eq!(upstream_timeouts(), Some(1.0));
+        let membership = core.membership();
+        assert!(!membership.nodes()[0].is_alive(), "the stalled node is marked dead");
+        assert!(membership.nodes()[1].is_alive());
+
+        // The prober finds it "alive" again, and more clients arrive than
+        // the router has workers: a stalled node parks connections, not
+        // threads, so all of them are answered one deadline later.
+        membership.nodes()[0].alive.store(true, Ordering::SeqCst);
+        let started = Instant::now();
+        let clients: Vec<_> = (0..6)
+            .map(|_| {
+                let addr = router.addr();
+                std::thread::spawn(move || predict(&mut HttpClient::connect(addr).unwrap(), sid, true))
+            })
+            .collect();
+        let answers: Vec<(u16, String)> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+        assert!(answers.iter().all(|a| *a == depersonalised), "{answers:?}");
+        assert!(started.elapsed() < deadline * 4, "{:?}", started.elapsed());
+        assert!(!membership.nodes()[0].is_alive());
+        let stalled_again = upstream_timeouts().unwrap() - 1.0;
+        assert!(stalled_again >= 1.0, "at least the first of the six waited out the stall");
+        assert_eq!(core.failover_total(), 7, "one per request, however it learnt the owner was gone");
+        router.shutdown();
+        survivor.shutdown();
+        drop(stalled);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! The request backend the event-loop server executes against.
 //!
 //! The reactor/worker machinery (socket readiness, admission, batching,
-//! drain) is independent of *what* answers the requests. [`RequestBackend`]
-//! is that seam: [`ServingCluster`] implements it for the serving tier
-//! (endpoint table in [`conn`](super::conn)), and the router tier
-//! ([`crate::routerd`]) implements it to proxy over remote nodes — one
-//! server implementation, two roles.
+//! forwarding, drain) is independent of *what* answers the requests.
+//! [`RequestBackend`] is that seam: [`ServingCluster`] implements it for the
+//! serving tier (endpoint table in [`conn`](super::conn), predicts run here),
+//! and the router tier ([`crate::routerd`]) implements it to send predicts to
+//! remote nodes — one server implementation, two roles.
 
+use std::net::SocketAddr;
 use std::sync::Arc;
+use std::time::Duration;
 
 use serenade_core::ItemScore;
 
@@ -20,34 +22,84 @@ use crate::telemetry::ClusterTelemetry;
 use super::conn;
 use super::parser::ParsedRequest;
 
+/// Where a tier runs one well-formed predict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PredictRoute {
+    /// In this process, against `shard`'s session state. `shard` is also the
+    /// dispatch queue's coalescing key: only equal shards share a batch.
+    Local {
+        /// The shard (pod) owning the session.
+        shard: usize,
+    },
+    /// In another process: the reactor forwards the request there and
+    /// relays the answer.
+    Forward(ForwardTarget),
+    /// Nowhere — no candidate is left. The answer is an empty `200`.
+    Unroutable,
+}
+
+/// One forwarding attempt, as the tier's routing policy chose it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ForwardTarget {
+    /// Data-plane address of the node to send to.
+    pub addr: SocketAddr,
+    /// The session's owner (and its state) is gone: send `consent=false`
+    /// instead of the client's body.
+    pub depersonalised: bool,
+    /// How many targets this request failed on before this one.
+    pub attempt: usize,
+}
+
 /// What the event-loop server needs from the tier it fronts.
 pub trait RequestBackend: Send + Sync + 'static {
     /// The observability hub the server registers its lifecycle metrics
-    /// into (also the request-id source for batch members).
+    /// into (also the request-id source for predicts).
     fn telemetry(&self) -> &Arc<ClusterTelemetry>;
-
-    /// The dispatch queue's batch-coalescing key: only requests with equal
-    /// keys may share a coalesced predict batch, because a batch executes
-    /// against exactly one shard's session state.
-    fn shard_for(&self, session_id: u64) -> usize;
 
     /// Routes one parsed request that is not a well-formed predict to its
     /// endpoint and renders `(status, body, content type)`. Must not
     /// panic; the worker trusts endpoint routing.
     fn respond(&self, request: &ParsedRequest) -> (u16, String, &'static str);
 
-    /// Executes one coalesced predict batch whose members all share
-    /// `shard` (per [`RequestBackend::shard_for`]); one result per request
-    /// in request order. This is the tier's only way to run a predict:
-    /// every well-formed `POST /recommend` arrives here, alone or with
-    /// batch-mates. Request ids and deadlines arrive tagged on the
-    /// per-member contexts.
+    /// The shard owning a session: a local tier's batch-coalescing key (a
+    /// batch executes against exactly one shard's session state), a
+    /// forwarding tier's slot of the owning node.
+    fn shard_for(&self, session_id: u64) -> usize;
+
+    /// Says where this tier runs `req` — locally on the owning shard unless
+    /// the tier says otherwise. Called on the reactor thread for every
+    /// well-formed `POST /recommend`: it must not block.
+    fn route_predict(&self, req: &RecommendRequest) -> PredictRoute {
+        PredictRoute::Local { shard: self.shard_for(req.session_id) }
+    }
+
+    /// Executes same-shard predicts (per [`PredictRoute::Local`]); one
+    /// result per request in request order. This is a tier's only way to
+    /// run a predict locally: on the reactor thread as a batch of one when
+    /// nobody is there to coalesce with, else on a worker. Request ids and
+    /// deadlines arrive tagged on the per-member contexts. A tier that only
+    /// forwards never gets here.
     fn handle_recommend_batch(
         &self,
-        shard: usize,
+        _shard: usize,
         reqs: &[RecommendRequest],
-        bctx: &mut BatchContext,
-    ) -> Vec<Result<Vec<ItemScore>, ServingError>>;
+        _bctx: &mut BatchContext,
+    ) -> Vec<Result<Vec<ItemScore>, ServingError>> {
+        reqs.iter().map(|_| Err(ServingError::Internal("this tier runs no predict locally"))).collect()
+    }
+
+    /// The tier's failover policy: the forward to `failed` produced no
+    /// `200` (I/O error, EOF, another status, missed deadline). Says where
+    /// `req` goes next. Called on the reactor thread: it must not block.
+    fn forward_failed(&self, _req: &RecommendRequest, _failed: ForwardTarget) -> PredictRoute {
+        PredictRoute::Unroutable
+    }
+
+    /// One forward answered `200`, `elapsed` after its request was written.
+    fn record_forward(&self, _elapsed: Duration) {}
+
+    /// The reactor now holds `open` upstream connections to `addr`.
+    fn record_upstream_connections(&self, _addr: SocketAddr, _open: usize) {}
 }
 
 impl RequestBackend for ServingCluster {
@@ -55,12 +107,12 @@ impl RequestBackend for ServingCluster {
         ServingCluster::telemetry(self)
     }
 
-    fn shard_for(&self, session_id: u64) -> usize {
-        self.pod_index_for(session_id)
-    }
-
     fn respond(&self, request: &ParsedRequest) -> (u16, String, &'static str) {
         conn::respond(request, self)
+    }
+
+    fn shard_for(&self, session_id: u64) -> usize {
+        self.pod_index_for(session_id)
     }
 
     fn handle_recommend_batch(

@@ -11,7 +11,10 @@
 //!   — the histogram twin of the connection state machine, answering "where
 //!   do connections spend their lives" (mostly `idle` on healthy keep-alive
 //!   traffic, `handling` under load, `reading_head` under slowloris);
-//! * accepted-connection and handled-request totals.
+//! * accepted-connection and handled-request totals, and where each
+//!   admitted predict ran (`serenade_http_predicts_total{path=…}`: `inline`
+//!   on the reactor thread, `queued` to the worker pool, `forwarded` to a
+//!   node) — the execution model is only legible if every path is counted.
 //!
 //! Inflight/queue-depth/active-connection *gauges* are registered by
 //! [`super::HttpServer::serve`] as polled gauges over the live lifecycle
@@ -33,7 +36,8 @@ pub enum ConnState {
     ReadingHead,
     /// Head parsed; reading the declared body.
     ReadingBody,
-    /// Dispatching the request through `cluster → engine`.
+    /// Between admission and the response: executing on the reactor
+    /// thread, waiting for a worker, or waiting for an upstream node.
     Handling,
     /// Writing the response.
     Writing,
@@ -102,11 +106,21 @@ pub struct ServerMetrics {
     pub timeouts_write: Arc<Counter>,
     /// Idle keep-alive connections reaped by the idle timeout.
     pub timeouts_idle: Arc<Counter>,
+    /// Forwards that had no whole response from the node by their deadline.
+    pub timeouts_upstream: Arc<Counter>,
+    /// Predicts run to completion on the reactor thread.
+    pub predicts_inline: Arc<Counter>,
+    /// Predicts handed to the worker pool through the dispatch queue.
+    pub predicts_queued: Arc<Counter>,
+    /// Predicts sent to a node over an upstream connection (counted once
+    /// per request, however many targets it took).
+    pub predicts_forwarded: Arc<Counter>,
     /// Framing violations rejected by the parser (4xx + close).
     pub rejects: Arc<Counter>,
     /// Per-state connection durations, indexed by [`ConnState::index`].
     states: [Arc<Histogram>; 6],
-    /// Sizes of coalesced predict batches executed by the worker pool.
+    /// Sizes of executed predict batches: coalesced ones from the worker
+    /// pool, and the reactor's inline predicts as batches of one.
     /// Recorded through [`ServerMetrics::record_batch_size`], which scales
     /// a size `n` so the rendered seconds-denominated buckets read as raw
     /// request counts.
@@ -126,6 +140,10 @@ impl ServerMetrics {
             timeouts_read: Arc::new(Counter::new()),
             timeouts_write: Arc::new(Counter::new()),
             timeouts_idle: Arc::new(Counter::new()),
+            timeouts_upstream: Arc::new(Counter::new()),
+            predicts_inline: Arc::new(Counter::new()),
+            predicts_queued: Arc::new(Counter::new()),
+            predicts_forwarded: Arc::new(Counter::new()),
             rejects: Arc::new(Counter::new()),
             states: std::array::from_fn(|_| {
                 Arc::new(Histogram::new(HistogramConfig::default()))
@@ -188,11 +206,25 @@ impl ServerMetrics {
             ("read", &self.timeouts_read),
             ("write", &self.timeouts_write),
             ("idle", &self.timeouts_idle),
+            ("upstream", &self.timeouts_upstream),
         ] {
             registry.counter_shared(
                 "serenade_http_timeouts_total",
-                "Connections that hit a read/write/idle timeout.",
+                "Connections that hit a read/write/idle/upstream timeout.",
                 &[("kind", kind)],
+                Arc::clone(counter),
+            );
+        }
+        for (path, counter) in [
+            ("inline", &self.predicts_inline),
+            ("queued", &self.predicts_queued),
+            ("forwarded", &self.predicts_forwarded),
+        ] {
+            registry.counter_shared(
+                "serenade_http_predicts_total",
+                "Admitted predicts by where they ran: on the reactor thread, \
+                 on a worker, or on a node the reactor forwarded them to.",
+                &[("path", path)],
                 Arc::clone(counter),
             );
         }
@@ -212,7 +244,7 @@ impl ServerMetrics {
         }
         registry.histogram_shared(
             "serenade_batch_size",
-            "Coalesced predict batch sizes (in requests) executed by the worker pool.",
+            "Executed predict batch sizes (in requests): worker batches, and inline predicts as 1.",
             &[],
             Arc::clone(&self.batch_size),
         );

@@ -15,12 +15,18 @@
 //!   (`Idle → ReadingHead → ReadingBody → Handling → Writing`, with
 //!   `Draining`/close terminal), state-split timeouts, admission control
 //!   and the connection cap — concurrency is bounded by file descriptors,
-//!   not threads;
+//!   not threads. It also *finishes* the requests that have nobody to wait
+//!   for: a predict that arrives alone runs inline on this thread, and a
+//!   tier that sends predicts elsewhere (the router) has them forwarded
+//!   over upstream connections the reactor owns;
 //! * [`dispatch`] — the bounded reactor→worker queue with same-pod predict
 //!   coalescing (and the fairness guard that never holds a request past its
 //!   deadline budget), plus the worker→reactor completion queue;
-//! * [`worker`] — the fixed worker pool executing single requests and
+//! * [`worker`] — the fixed worker pool executing what the reactor did not:
+//!   non-predict requests, and predicts from turns that had company, as
 //!   coalesced batches through the batch VMIS-kNN path;
+//! * [`backend`] — what a tier tells the server: where a predict runs, how
+//!   to run a local one, where a failed forward goes next;
 //! * [`lifecycle`] — the admission/drain gate and the parked-connection
 //!   set shared by reactor, workers and the shutdown controller
 //!   (model-checked in `tests/loom_models.rs`);
@@ -94,7 +100,7 @@ use crate::sync::atomic::{AtomicUsize, Ordering};
 use dispatch::{CompletionQueue, DispatchQueue};
 use reactor::{Reactor, Waker};
 
-pub use backend::RequestBackend;
+pub use backend::{ForwardTarget, PredictRoute, RequestBackend};
 pub use lifecycle::{Admission, LifecycleGate, ParkDecision, ParkedSet};
 pub use metrics::{ConnState, ServerMetrics};
 

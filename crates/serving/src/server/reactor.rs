@@ -3,44 +3,74 @@
 //! One reactor thread multiplexes every connection over a [`Poller`] — an
 //! epoll instance on Linux/x86-64 (driven by raw syscalls, the tree vendors
 //! no libc) or a portable condvar-paced fallback elsewhere — so concurrency
-//! is bounded by file descriptors, not threads. The per-connection state
-//! machine, bounded incremental parser, state-split timeouts, admission
-//! control and graceful drain from the thread-per-connection design all port
-//! onto it unchanged in *semantics*; only the execution model differs:
+//! is bounded by file descriptors, not threads. It owns every socket and
+//! never blocks on one: reads, writes, accepts and dials run to `WouldBlock`
+//! and then wait for readiness.
 //!
-//! * the reactor owns every socket and never blocks on one — reads, writes
-//!   and accepts run to `WouldBlock` and then wait for readiness;
-//! * parsed requests are admitted through the [`LifecycleGate`] on the
-//!   reactor thread, then handed to the worker pool as [`Dispatch`] units
-//!   via the coalescing [`DispatchQueue`]; responses come back through the
-//!   [`CompletionQueue`] and a [`Waker`] readiness kick;
-//! * a connection waiting for engine output has its poller interest cleared,
-//!   so a pipelining flood backs up into the kernel socket buffer instead of
-//!   the parser's heap;
-//! * idle keep-alive connections are parked in the [`ParkedSet`]; the drain
-//!   controller's wake reaps every parked connection *immediately* instead
-//!   of waiting out the next readiness event (the Dekker handshake between
-//!   `park` and drain is model-checked in `tests/loom_models.rs`).
+//! # Which turn runs where
+//!
+//! Parsed requests are admitted through the [`LifecycleGate`] on this
+//! thread. Where an admitted request *runs* is decided from what the poll
+//! turn observed, never from a setting:
+//!
+//! * **inline** — a predict the tier runs locally
+//!   ([`PredictRoute::Local`]), admitted in a turn that delivered no other
+//!   readiness event, with nothing else in flight, an empty dispatch queue
+//!   and no gather window configured, has nobody to coalesce with. The
+//!   reactor runs it to completion itself, as the batch of one a worker
+//!   would have run, and writes the answer: no queue push, no condvar, no
+//!   wake-up, no `epoll_ctl` (the thread that read the request answers it,
+//!   as the paper's Actix workers do);
+//! * **queued** — every other local predict (several ready connections, a
+//!   backlog, a gather window) goes to the worker pool as a [`Dispatch`]
+//!   through the coalescing [`DispatchQueue`], so flash crowds still batch
+//!   across the workers and queue-capacity shedding stays exact; so does
+//!   every non-predict request. Responses come back through the
+//!   [`CompletionQueue`] and a [`Waker`] kick;
+//! * **forwarded** — a predict the tier sends elsewhere
+//!   ([`PredictRoute::Forward`], the router) is written — the client's body
+//!   verbatim — on a non-blocking keep-alive [`Upstream`] connection this
+//!   thread owns and polls beside the client sockets. The client connection
+//!   parks holding its gate slot; the node's complete `200` is relayed
+//!   byte-for-byte, and anything else (I/O error, EOF, another status, a
+//!   deadline missed at the timer sweep) goes back to the tier's one
+//!   failover policy ([`RequestBackend::forward_failed`]), which names the
+//!   next target or none (an empty `200`).
+//!
+//! A connection waiting for a worker or a node reads nothing more: its
+//! poller interest is cleared the first time it speaks out of turn, so a
+//! pipelining flood backs up into the kernel socket buffer instead of the
+//! parser's heap. Idle keep-alive connections are parked in the
+//! [`ParkedSet`]; the drain controller's wake reaps every parked connection
+//! *immediately* instead of waiting out the next readiness event (the
+//! Dekker handshake between `park` and drain is model-checked in
+//! `tests/loom_models.rs`).
 //!
 //! [`LifecycleGate`]: super::lifecycle::LifecycleGate
 //! [`ParkedSet`]: super::lifecycle::ParkedSet
 
+use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use super::backend::RequestBackend;
+use crate::context::BatchContext;
+use crate::engine::RecommendRequest;
+use crate::error::ServingError;
 use crate::json::JsonValue;
+use crate::transport::{render_recommend_request, render_request, Progress, ResponseBuf};
 
+use super::backend::{ForwardTarget, PredictRoute, RequestBackend};
 use super::conn::{self, CONTENT_TYPE_JSON};
 use super::dispatch::{CompletionQueue, Dispatch, DispatchKind, DispatchQueue};
 use super::lifecycle::{Admission, ParkDecision};
 use super::metrics::ConnState;
 use super::parser::{ParsedRequest, Parser, ParserLimits, Poll};
+use super::worker::run_predicts;
 use super::Shared;
 
-pub(crate) use sys::{raise_nofile_limit, Poller, Waker};
+pub(crate) use sys::{dial, raise_nofile_limit, Poller, Waker};
 
 /// Poller token reserved for the listening socket.
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
@@ -61,14 +91,15 @@ pub(crate) struct Event {
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sys {
     //! Raw-syscall epoll backend. The container bakes in the Rust toolchain
-    //! but no libc crate, so the three epoll calls (plus `close` and
-    //! `prlimit64`) are issued directly through the x86-64 syscall ABI. The
-    //! wake channel is a loopback TCP pair rather than an eventfd: it needs
-    //! no extra syscall surface and the poller drains it internally.
+    //! but no libc crate, so the three epoll calls (plus `close`,
+    //! `prlimit64`, `eventfd2` and the `socket`/`connect` pair behind
+    //! [`dial`]) are issued directly through the x86-64 syscall ABI. The
+    //! wake channel is an eventfd the poller drains internally.
 
+    use std::fs::File;
     use std::io::{self, Read, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
+    use std::net::{SocketAddr, TcpListener, TcpStream};
+    use std::os::fd::{AsRawFd, FromRawFd};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -78,6 +109,9 @@ mod sys {
     const SYS_EPOLL_CTL: i64 = 233;
     const SYS_EPOLL_CREATE1: i64 = 291;
     const SYS_CLOSE: i64 = 3;
+    const SYS_SOCKET: i64 = 41;
+    const SYS_CONNECT: i64 = 42;
+    const SYS_EVENTFD2: i64 = 290;
     const SYS_PRLIMIT64: i64 = 302;
 
     const EPOLL_CLOEXEC: i64 = 0x80000;
@@ -91,7 +125,17 @@ mod sys {
     const EPOLLHUP: u32 = 0x10;
     const EPOLLRDHUP: u32 = 0x2000;
 
+    const EFD_CLOEXEC: i64 = 0x80000;
+    const EFD_NONBLOCK: i64 = 0x800;
+
+    const AF_INET: u16 = 2;
+    const AF_INET6: u16 = 10;
+    const SOCK_STREAM: i64 = 1;
+    const SOCK_NONBLOCK: i64 = 0x800;
+    const SOCK_CLOEXEC: i64 = 0x80000;
+
     const EINTR: i64 = 4;
+    const EINPROGRESS: i64 = 115;
 
     /// Poller token reserved for the internal wake channel; never surfaced.
     const WAKE_TOKEN: u64 = u64::MAX;
@@ -141,10 +185,13 @@ mod sys {
         }
     }
 
+    /// An empty interest asks for nothing, peer half-close included: a
+    /// connection owed a response must not spin the loop on a level-
+    /// triggered `EPOLLRDHUP` it will not act on until the response is out.
     fn interest_bits(interest: u8) -> u32 {
-        let mut bits = EPOLLRDHUP;
+        let mut bits = 0;
         if interest & READ != 0 {
-            bits |= EPOLLIN;
+            bits |= EPOLLIN | EPOLLRDHUP;
         }
         if interest & WRITE != 0 {
             bits |= EPOLLOUT;
@@ -152,25 +199,24 @@ mod sys {
         bits
     }
 
-    /// Cross-thread readiness kick: one nonblocking byte down the loopback
-    /// wake pair. Safe to call from any thread, any number of times; a full
-    /// pipe means a wake is already pending, so `WouldBlock` is a success.
+    /// Cross-thread readiness kick: one 8-byte add to the poller's eventfd.
+    /// Safe to call from any thread, any number of times; a saturated
+    /// counter means a wake is already pending, so `WouldBlock` is a success.
     #[derive(Clone)]
     pub(crate) struct Waker {
-        tx: Arc<TcpStream>,
+        eventfd: Arc<File>,
     }
 
     impl Waker {
         pub(crate) fn wake(&self) {
-            let _ = (&*self.tx).write(&[1u8]);
+            let _ = (&*self.eventfd).write(&1u64.to_ne_bytes());
         }
     }
 
-    /// An epoll instance plus the wake channel and the kernel event buffer.
+    /// An epoll instance plus the wake eventfd and the kernel event buffer.
     pub(crate) struct Poller {
         epfd: i64,
-        wake_rx: TcpStream,
-        wake_tx: Arc<TcpStream>,
+        wake: Arc<File>,
         buf: Vec<EpollEvent>,
     }
 
@@ -178,19 +224,31 @@ mod sys {
         pub(crate) fn new() -> io::Result<Self> {
             // SAFETY: epoll_create1 takes no pointers.
             let epfd = check(unsafe { syscall4(SYS_EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0) })?;
-            let (wake_tx, wake_rx) = wake_pair()?;
+            // SAFETY: eventfd2 takes no pointers.
+            let wake = check(unsafe {
+                syscall4(SYS_EVENTFD2, 0, EFD_CLOEXEC | EFD_NONBLOCK, 0, 0)
+            });
+            let wake = match wake {
+                // SAFETY: the kernel just returned this descriptor to us and
+                // nothing else owns it; the `File` closes it on drop.
+                Ok(fd) => unsafe { File::from_raw_fd(fd as i32) },
+                Err(e) => {
+                    // SAFETY: closing the epoll fd we own; no pointers.
+                    let _ = unsafe { syscall4(SYS_CLOSE, epfd, 0, 0, 0) };
+                    return Err(e);
+                }
+            };
             let poller = Self {
                 epfd,
-                wake_rx,
-                wake_tx: Arc::new(wake_tx),
+                wake: Arc::new(wake),
                 buf: vec![EpollEvent { events: 0, data: 0 }; 256],
             };
-            poller.ctl(EPOLL_CTL_ADD, poller.wake_rx.as_raw_fd() as i64, READ, WAKE_TOKEN)?;
+            poller.ctl(EPOLL_CTL_ADD, poller.wake.as_raw_fd() as i64, READ, WAKE_TOKEN)?;
             Ok(poller)
         }
 
         pub(crate) fn waker(&self) -> Waker {
-            Waker { tx: Arc::clone(&self.wake_tx) }
+            Waker { eventfd: Arc::clone(&self.wake) }
         }
 
         fn ctl(&self, op: i64, fd: i64, interest: u8, token: u64) -> io::Result<()> {
@@ -262,13 +320,10 @@ mod sys {
             Ok(())
         }
 
+        /// One read returns the whole counter and resets it.
         fn drain_wake(&mut self) {
-            let mut sink = [0u8; 64];
-            while let Ok(n) = self.wake_rx.read(&mut sink) {
-                if n < sink.len() {
-                    break;
-                }
-            }
+            let mut count = [0u8; 8];
+            let _ = (&*self.wake).read(&mut count);
         }
     }
 
@@ -279,16 +334,88 @@ mod sys {
         }
     }
 
-    /// A connected nonblocking loopback pair `(tx, rx)` for cross-thread
-    /// wakes — the no-libc substitute for an eventfd.
-    fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let tx = TcpStream::connect(listener.local_addr()?)?;
-        let (rx, _) = listener.accept()?;
-        tx.set_nonblocking(true)?;
-        rx.set_nonblocking(true)?;
-        let _ = tx.set_nodelay(true);
-        Ok((tx, rx))
+    /// `struct sockaddr_in` / `struct sockaddr_in6`, as `connect` reads them.
+    #[repr(C)]
+    struct SockAddrIn {
+        family: u16,
+        port_be: u16,
+        addr: [u8; 4],
+        zero: [u8; 8],
+    }
+
+    #[repr(C)]
+    struct SockAddrIn6 {
+        family: u16,
+        port_be: u16,
+        flowinfo: u32,
+        addr: [u8; 16],
+        scope_id: u32,
+    }
+
+    /// Starts a TCP connection without waiting for it: the returned stream
+    /// is nonblocking and usually still connecting. Register it for `WRITE`;
+    /// when that fires, `take_error()` says whether the dial succeeded.
+    pub(crate) fn dial(addr: SocketAddr) -> io::Result<TcpStream> {
+        let family = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
+        // SAFETY: socket takes no pointers.
+        let fd = check(unsafe {
+            syscall4(
+                SYS_SOCKET,
+                i64::from(family),
+                SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                0,
+                0,
+            )
+        })?;
+        // SAFETY: the kernel just returned this descriptor to us and nothing
+        // else owns it; the `TcpStream` closes it on drop, error paths
+        // below included.
+        let stream = unsafe { TcpStream::from_raw_fd(fd as i32) };
+        let ret = match addr {
+            SocketAddr::V4(v4) => {
+                let sa = SockAddrIn {
+                    family: AF_INET,
+                    port_be: v4.port().to_be(),
+                    addr: v4.ip().octets(),
+                    zero: [0; 8],
+                };
+                // SAFETY: `sa` is a valid `sockaddr_in` that outlives the
+                // call; the kernel reads exactly the length passed.
+                unsafe {
+                    syscall4(
+                        SYS_CONNECT,
+                        fd,
+                        &sa as *const SockAddrIn as i64,
+                        std::mem::size_of::<SockAddrIn>() as i64,
+                        0,
+                    )
+                }
+            }
+            SocketAddr::V6(v6) => {
+                let sa = SockAddrIn6 {
+                    family: AF_INET6,
+                    port_be: v6.port().to_be(),
+                    flowinfo: v6.flowinfo().to_be(),
+                    addr: v6.ip().octets(),
+                    scope_id: v6.scope_id(),
+                };
+                // SAFETY: `sa` is a valid `sockaddr_in6` that outlives the
+                // call; the kernel reads exactly the length passed.
+                unsafe {
+                    syscall4(
+                        SYS_CONNECT,
+                        fd,
+                        &sa as *const SockAddrIn6 as i64,
+                        std::mem::size_of::<SockAddrIn6>() as i64,
+                        0,
+                    )
+                }
+            }
+        };
+        if ret < 0 && ret != -EINPROGRESS && ret != -EINTR {
+            return Err(io::Error::from_raw_os_error(-ret as i32));
+        }
+        Ok(stream)
     }
 
     const RLIMIT_NOFILE: i64 = 7;
@@ -468,11 +595,19 @@ mod sys {
     pub(crate) fn raise_nofile_limit(_target: u64) -> u64 {
         1024
     }
+
+    /// Fallback dial: std has no non-blocking connect, so this one waits —
+    /// briefly, and only once per upstream connection — for the handshake.
+    /// The returned stream is nonblocking and already connected.
+    pub(crate) fn dial(addr: std::net::SocketAddr) -> io::Result<TcpStream> {
+        let stream = TcpStream::connect_timeout(&addr, Duration::from_millis(250))?;
+        stream.set_nonblocking(true)?;
+        Ok(stream)
+    }
 }
 
-/// One multiplexed connection: socket, parser, lifecycle state and the
-/// pending output buffer. `gen` guards against completions addressed to a
-/// token whose slot has been recycled.
+/// One multiplexed client connection: socket, parser, lifecycle state and
+/// the pending output buffer.
 struct Connection {
     stream: TcpStream,
     parser: Parser,
@@ -483,16 +618,19 @@ struct Connection {
     out_pos: usize,
     write_since: Option<Instant>,
     close_after_write: bool,
+    /// A response is owed by a worker or an upstream node; nothing more is
+    /// read or parsed until it is out.
     busy: bool,
     eof: bool,
     served: usize,
     idle_since: Instant,
     frame_started: Option<Instant>,
-    generation: u32,
+    /// The forward this connection is parked on (router tier).
+    forward: Option<Forward>,
 }
 
 impl Connection {
-    fn new(stream: TcpStream, limits: ParserLimits, generation: u32, now: Instant) -> Self {
+    fn new(stream: TcpStream, limits: ParserLimits, now: Instant) -> Self {
         Self {
             stream,
             parser: Parser::new(limits),
@@ -508,69 +646,113 @@ impl Connection {
             served: 0,
             idle_since: now,
             frame_started: None,
-            generation,
+            forward: None,
         }
     }
 }
+
+/// One predict in flight to a node, held by the client connection that is
+/// parked on it (and that keeps its [`LifecycleGate`] slot meanwhile).
+///
+/// [`LifecycleGate`]: super::lifecycle::LifecycleGate
+struct Forward {
+    req: RecommendRequest,
+    target: ForwardTarget,
+    /// Token of the upstream connection carrying the exchange.
+    upstream: u64,
+    /// When this attempt counts as failed (swept like every other timeout).
+    deadline: Option<Instant>,
+    close_hint: bool,
+}
+
+/// One keep-alive connection to a node, owned by the reactor thread and
+/// registered in its poller: either carrying one exchange for `client`, or
+/// idle in its node's [`NodePool`]. Both buffers are reused across exchanges.
+struct Upstream {
+    stream: TcpStream,
+    addr: SocketAddr,
+    /// The dial has completed (see [`dial`]).
+    connected: bool,
+    interest: u8,
+    /// The request frame being written.
+    out: Vec<u8>,
+    out_pos: usize,
+    response: ResponseBuf,
+    /// The client connection waiting on this exchange; `None` when idle.
+    client: Option<u64>,
+    /// When the request was fully written.
+    sent_at: Instant,
+}
+
+/// The reactor's connections to one node.
+#[derive(Default)]
+struct NodePool {
+    /// Idle connections, LIFO: the most recently used one is the least
+    /// likely to have been idle-reaped by the node.
+    idle: Vec<u64>,
+    /// Open connections, idle or not (the per-node gauge).
+    open: usize,
+}
+
+/// Idle upstream connections kept per node; a finished exchange beyond it
+/// closes its connection instead. Any number may be in flight.
+const MAX_IDLE_UPSTREAMS: usize = 64;
+
+/// Set in the slot-index half of every upstream token, so one `u64` token
+/// space serves both slabs.
+const UPSTREAM_TAG: u64 = 1 << 31;
 
 /// Connection slab: slot reuse with a per-slot generation counter, so a
-/// token (`generation << 32 | index`) from a closed connection can never
-/// address its successor.
-struct Slab {
-    entries: Vec<Option<Connection>>,
+/// token (`generation << 32 | tag | index`) from a closed connection can
+/// never address its successor.
+struct Slab<T> {
+    entries: Vec<Option<T>>,
     generations: Vec<u32>,
     free: Vec<u32>,
+    tag: u64,
 }
 
-impl Slab {
-    fn new() -> Self {
-        Self { entries: Vec::new(), generations: Vec::new(), free: Vec::new() }
+impl<T> Slab<T> {
+    fn new(tag: u64) -> Self {
+        Self { entries: Vec::new(), generations: Vec::new(), free: Vec::new(), tag }
     }
 
-    fn token_for(index: u32, generation: u32) -> u64 {
-        (u64::from(generation) << 32) | u64::from(index)
+    fn token_for(&self, index: usize) -> u64 {
+        (u64::from(self.generations[index]) << 32) | self.tag | index as u64
     }
 
-    fn insert(&mut self, make: impl FnOnce(u32) -> Connection) -> u64 {
-        match self.free.pop() {
-            Some(index) => {
-                let generation = self.generations[index as usize];
-                self.entries[index as usize] = Some(make(generation));
-                Self::token_for(index, generation)
-            }
+    /// The slot `token` addresses, if its generation is still current.
+    fn slot(&self, token: u64) -> Option<usize> {
+        let index = (token & u64::from(u32::MAX) & !UPSTREAM_TAG) as usize;
+        let current = token & UPSTREAM_TAG == self.tag
+            && self.generations.get(index).copied() == Some((token >> 32) as u32);
+        current.then_some(index)
+    }
+
+    fn insert(&mut self, value: T) -> u64 {
+        let index = match self.free.pop() {
+            Some(index) => index as usize,
             None => {
-                let index = self.entries.len() as u32;
                 self.generations.push(0);
-                self.entries.push(Some(make(0)));
-                Self::token_for(index, 0)
+                self.entries.push(None);
+                self.entries.len() - 1
             }
-        }
+        };
+        self.entries[index] = Some(value);
+        self.token_for(index)
     }
 
-    fn get_mut(&mut self, token: u64) -> Option<&mut Connection> {
-        let index = (token & u32::MAX as u64) as usize;
-        let generation = (token >> 32) as u32;
-        match self.entries.get_mut(index) {
-            Some(Some(conn)) if conn.generation == generation => Some(conn),
-            _ => None,
-        }
+    fn get_mut(&mut self, token: u64) -> Option<&mut T> {
+        let index = self.slot(token)?;
+        self.entries[index].as_mut()
     }
 
-    fn remove(&mut self, token: u64) -> Option<Connection> {
-        let index = (token & u32::MAX as u64) as usize;
-        let generation = (token >> 32) as u32;
-        match self.entries.get_mut(index) {
-            Some(slot @ Some(_)) => {
-                if slot.as_ref().map(|c| c.generation) != Some(generation) {
-                    return None;
-                }
-                let conn = slot.take();
-                self.generations[index] = self.generations[index].wrapping_add(1);
-                self.free.push(index as u32);
-                conn
-            }
-            _ => None,
-        }
+    fn remove(&mut self, token: u64) -> Option<T> {
+        let index = self.slot(token)?;
+        let value = self.entries[index].take()?;
+        self.generations[index] = self.generations[index].wrapping_add(1);
+        self.free.push(index as u32);
+        Some(value)
     }
 
     fn len(&self) -> usize {
@@ -580,8 +762,8 @@ impl Slab {
     fn tokens_into(&self, out: &mut Vec<u64>) {
         out.clear();
         for (index, slot) in self.entries.iter().enumerate() {
-            if let Some(conn) = slot {
-                out.push(Self::token_for(index as u32, conn.generation));
+            if slot.is_some() {
+                out.push(self.token_for(index));
             }
         }
     }
@@ -591,7 +773,7 @@ impl Slab {
 /// so under event pressure it must not run per wakeup.
 const SWEEP_INTERVAL: Duration = Duration::from_millis(25);
 
-/// The reactor: poller, listener, connection slab and the dispatch plumbing.
+/// The reactor: poller, listener, connection slabs and the dispatch plumbing.
 pub(super) struct Reactor<B: RequestBackend> {
     poller: Poller,
     listener: TcpListener,
@@ -599,7 +781,14 @@ pub(super) struct Reactor<B: RequestBackend> {
     cluster: Arc<B>,
     queue: Arc<DispatchQueue>,
     completions: Arc<CompletionQueue>,
-    slab: Slab,
+    slab: Slab<Connection>,
+    upstreams: Slab<Upstream>,
+    pools: HashMap<SocketAddr, NodePool>,
+    /// The context inline predicts run in, reused like a worker's.
+    bctx: BatchContext,
+    /// The current poll turn delivered at most one readiness event: whoever
+    /// sent it has nobody to coalesce with.
+    solo_turn: bool,
     events: Vec<Event>,
     sweep_tokens: Vec<u64>,
     completion_scratch: Vec<super::dispatch::Completion>,
@@ -624,7 +813,11 @@ impl<B: RequestBackend> Reactor<B> {
             cluster,
             queue,
             completions,
-            slab: Slab::new(),
+            slab: Slab::new(0),
+            upstreams: Slab::new(UPSTREAM_TAG),
+            pools: HashMap::new(),
+            bctx: BatchContext::new(),
+            solo_turn: false,
             events: Vec::with_capacity(256),
             sweep_tokens: Vec::new(),
             completion_scratch: Vec::new(),
@@ -648,11 +841,14 @@ impl<B: RequestBackend> Reactor<B> {
                 // Transient poller failure: treat as an empty tick; the
                 // timer sweep and gate checks below still run.
             }
+            self.solo_turn = self.events.len() <= 1;
             self.apply_completions();
             let events = std::mem::take(&mut self.events);
             for ev in &events {
                 if ev.token == LISTENER_TOKEN {
                     self.accept_ready();
+                } else if ev.token & UPSTREAM_TAG != 0 {
+                    self.upstream_ready(*ev);
                 } else {
                     self.connection_ready(*ev);
                 }
@@ -680,19 +876,7 @@ impl<B: RequestBackend> Reactor<B> {
         let mut batch = std::mem::take(&mut self.completion_scratch);
         self.completions.drain_into(&mut batch);
         for completion in batch.drain(..) {
-            let token = completion.token;
-            let Some(conn) = self.slab.get_mut(token) else {
-                // The connection died while its request was in flight; the
-                // response has nowhere to go.
-                continue;
-            };
-            conn.busy = false;
-            conn.close_after_write = completion.close;
-            conn.out = completion.bytes;
-            conn.out_pos = 0;
-            conn.write_since = Some(Instant::now());
-            self.set_state(token, ConnState::Writing);
-            self.flush(token);
+            self.answer(completion.token, completion.bytes, completion.close);
         }
         self.completion_scratch = batch;
     }
@@ -734,8 +918,7 @@ impl<B: RequestBackend> Reactor<B> {
             max_headers: config.max_headers,
             max_body_bytes: config.max_body_bytes,
         };
-        let now = Instant::now();
-        let token = self.slab.insert(|generation| Connection::new(stream, limits, generation, now));
+        let token = self.slab.insert(Connection::new(stream, limits, Instant::now()));
         let registered = match self.slab.get_mut(token) {
             Some(conn) => self.poller.register_stream(&conn.stream, token, READ).is_ok(),
             None => false,
@@ -791,7 +974,21 @@ impl<B: RequestBackend> Reactor<B> {
     }
 
     fn connection_ready(&mut self, ev: Event) {
-        if self.slab.get_mut(ev.token).is_none() {
+        let Some(conn) = self.slab.get_mut(ev.token) else { return };
+        if conn.busy {
+            // A response is owed and nothing is read until it is out, so the
+            // connection goes quiet in the poller the first time it speaks
+            // out of turn (a pipelined frame stays in the kernel buffer; a
+            // request that is answered before the client's next byte never
+            // costs an `epoll_ctl`). Readiness with no interest armed is
+            // the socket failing: stop listening to it, close after the
+            // write.
+            if conn.interest != 0 {
+                self.set_interest(ev.token, 0);
+            } else {
+                conn.eof = true;
+                let _ = self.poller.deregister_stream(&conn.stream);
+            }
             return;
         }
         self.shared.parked.unpark(ev.token);
@@ -814,8 +1011,8 @@ impl<B: RequestBackend> Reactor<B> {
         loop {
             let Some(conn) = self.slab.get_mut(token) else { return };
             if conn.busy || !conn.out.is_empty() {
-                // Interest should already exclude reads here; leave the
-                // bytes in the kernel buffer until the response is out.
+                // Leave the bytes in the kernel buffer until the response
+                // is out.
                 return;
             }
             match conn.stream.read(&mut self.read_buf[..]) {
@@ -851,8 +1048,9 @@ impl<B: RequestBackend> Reactor<B> {
         }
     }
 
-    /// Walks buffered frames: parse → admission → dispatch/shed, stopping
-    /// when the connection goes busy, starts writing, or runs out of bytes.
+    /// Walks buffered frames: parse → admission → execute/dispatch/shed,
+    /// stopping when the connection goes busy, starts writing, or runs out
+    /// of bytes.
     fn advance(&mut self, token: u64) {
         loop {
             let now = Instant::now();
@@ -900,68 +1098,400 @@ impl<B: RequestBackend> Reactor<B> {
         }
     }
 
-    /// Admission + dispatch for one parsed request, on the reactor thread.
+    /// Admission for one parsed request, then its execution path — all on
+    /// the reactor thread. A well-formed predict goes where the tier says
+    /// ([`RequestBackend::route_predict`]): a local one runs right here when
+    /// this turn shows nobody to coalesce with, else on a worker; a remote
+    /// one is forwarded. Everything else is a worker's.
     fn handle_request(&mut self, token: u64, request: ParsedRequest, started: Instant) {
         let max_inflight = self.shared.config.max_inflight_requests;
         let retry = Some(self.shared.config.retry_after_seconds);
-        let request_deadline = self.shared.config.request_deadline;
         let keepalive_cap = self.shared.config.keepalive_max_requests;
-        let shed_body =
-            JsonValue::object([("error", JsonValue::String("server overloaded".into()))]).to_json();
         match self.shared.gate.try_begin_request(max_inflight) {
             Admission::Draining => {
                 self.shared.metrics.shed_draining.inc();
                 self.set_state(token, ConnState::Draining);
-                self.respond_now(token, 503, &shed_body, true, retry);
+                self.respond_now(token, 503, &shed_body(), true, retry);
+                return;
             }
             Admission::Overloaded => {
                 self.shared.metrics.shed_inflight.inc();
                 // Framing is intact: shed the request, keep the connection
                 // unless the client asked to close.
-                self.respond_now(token, 503, &shed_body, request.close, retry);
+                self.respond_now(token, 503, &shed_body(), request.close, retry);
+                return;
             }
-            Admission::Admitted => {
-                let deadline = if request_deadline == Duration::ZERO {
-                    None
-                } else {
-                    Some(started + request_deadline)
-                };
-                let served = match self.slab.get_mut(token) {
-                    Some(conn) => conn.served,
-                    None => {
-                        self.shared.gate.finish_request();
-                        return;
-                    }
-                };
-                let client_close = request.close;
-                let close_hint = client_close || (keepalive_cap != 0 && served >= keepalive_cap);
-                let kind = classify(&request, self.cluster.as_ref());
-                let dispatch = Dispatch { token, request, kind, deadline, close_hint };
-                // Count the admission BEFORE handing the dispatch to the
-                // worker pool: a worker can pop it and render `/metrics`
-                // before the reactor resumes, and the exposition must
-                // already include the request being served. (Queue-full
-                // pushes stay counted too — they did pass the gate.)
-                self.shared.metrics.requests.inc();
-                match self.queue.push(dispatch) {
-                    Ok(()) => {
-                        self.set_state(token, ConnState::Handling);
-                        if let Some(conn) = self.slab.get_mut(token) {
-                            conn.busy = true;
-                        }
-                        self.set_interest(token, 0);
-                    }
-                    Err(_rejected) => {
-                        self.shared.gate.finish_request();
-                        self.shared.metrics.shed_queue_full.inc();
-                        self.respond_now(token, 503, &shed_body, client_close, retry);
-                    }
+            Admission::Admitted => {}
+        }
+        let Some(conn) = self.slab.get_mut(token) else {
+            self.shared.gate.finish_request();
+            return;
+        };
+        let close_hint = request.close || (keepalive_cap != 0 && conn.served >= keepalive_cap);
+        let deadline = self.deadline_from(started);
+        // Count the admission BEFORE the request can reach a worker: one
+        // can pop it and render `/metrics` before the reactor resumes, and
+        // the exposition must already include the request being served.
+        // (Queue-full pushes stay counted too — they did pass the gate.)
+        self.shared.metrics.requests.inc();
+        let predict = (request.method == "POST" && request.path == "/recommend")
+            .then(|| conn::parse_recommend_request(&request.body).ok())
+            .flatten();
+        let kind = match predict {
+            // A malformed predict body re-parses to its `400` on a worker.
+            None => DispatchKind::Other,
+            Some(req) => match self.cluster.route_predict(&req) {
+                PredictRoute::Local { shard } if self.nobody_to_coalesce_with() => {
+                    self.run_inline(token, req, shard, deadline, close_hint);
+                    return;
                 }
+                PredictRoute::Local { shard } => DispatchKind::Predict { req, pod: shard },
+                route => {
+                    self.shared.metrics.predicts_forwarded.inc();
+                    self.set_state(token, ConnState::Handling);
+                    self.forward(token, req, route, Some(&request.body), deadline, close_hint);
+                    return;
+                }
+            },
+        };
+        let is_predict = matches!(kind, DispatchKind::Predict { .. });
+        let client_close = request.close;
+        match self.queue.push(Dispatch { token, request, kind, deadline, close_hint }) {
+            Ok(()) => {
+                if is_predict {
+                    self.shared.metrics.predicts_queued.inc();
+                }
+                self.set_state(token, ConnState::Handling);
+                if let Some(conn) = self.slab.get_mut(token) {
+                    conn.busy = true;
+                }
+            }
+            Err(_rejected) => {
+                self.shared.gate.finish_request();
+                self.shared.metrics.shed_queue_full.inc();
+                self.respond_now(token, 503, &shed_body(), client_close, retry);
             }
         }
     }
 
-    /// Renders and queues a reactor-side response (sheds, rejects, 408s).
+    /// The deadline of work that starts counting at `from`.
+    fn deadline_from(&self, from: Instant) -> Option<Instant> {
+        let budget = self.shared.config.request_deadline;
+        (budget != Duration::ZERO).then(|| from + budget)
+    }
+
+    /// Whether the predict just admitted is alone, by what this turn
+    /// observed: it is the only ready connection, the only request in
+    /// flight, no backlog waits for a worker, and no gather window is
+    /// configured to wait for company. Then the queue, the worker wake-up
+    /// and the completion kick would buy nothing, and the predict runs on
+    /// this thread. Anything else — a flash crowd, a busy pool — keeps the
+    /// coalescing dispatch queue and its exact capacity shedding.
+    fn nobody_to_coalesce_with(&self) -> bool {
+        self.solo_turn
+            && self.shared.config.max_batch_delay == Duration::ZERO
+            && self.queue.depth() == 0
+            && self.shared.gate.inflight() == 1
+    }
+
+    /// Runs one admitted local predict to completion on this thread, as the
+    /// batch of one a worker would have run, and answers it.
+    fn run_inline(
+        &mut self,
+        token: u64,
+        req: RecommendRequest,
+        shard: usize,
+        deadline: Option<Instant>,
+        close_hint: bool,
+    ) {
+        self.set_state(token, ConnState::Handling);
+        self.shared.metrics.predicts_inline.inc();
+        self.shared.metrics.record_batch_size(1);
+        let mut answer = None;
+        run_predicts(
+            self.cluster.as_ref(),
+            shard,
+            &[req],
+            std::iter::once(deadline),
+            &mut self.bctx,
+            |_, status, body| answer = Some((status, body)),
+        );
+        let (status, body) = answer.unwrap_or_else(|| {
+            conn::render_error(&ServingError::Internal("predict produced no result"))
+        });
+        let close = self.release_slot(close_hint);
+        self.respond_now(token, status, &body, close, None);
+    }
+
+    /// Sends an admitted predict where `route` says and parks the client on
+    /// the exchange; an empty `200` when there is nowhere to send it. `body`
+    /// is the client's own request body, forwarded verbatim unless the
+    /// target is to be asked without consent.
+    fn forward(
+        &mut self,
+        token: u64,
+        req: RecommendRequest,
+        route: PredictRoute,
+        body: Option<&str>,
+        deadline: Option<Instant>,
+        close_hint: bool,
+    ) {
+        let mut route = route;
+        loop {
+            let target = match route {
+                PredictRoute::Forward(target) => target,
+                PredictRoute::Unroutable | PredictRoute::Local { .. } => {
+                    let close = self.release_slot(close_hint);
+                    self.respond_now(token, 200, &conn::render_recommendations(&[]), close, None);
+                    return;
+                }
+            };
+            let Some(up_token) = self.checkout_upstream(target.addr) else {
+                route = self.cluster.forward_failed(&req, target);
+                continue;
+            };
+            if let Some(up) = self.upstreams.get_mut(up_token) {
+                let without_consent;
+                let body = match body.filter(|_| !target.depersonalised) {
+                    Some(body) => body,
+                    None => {
+                        without_consent =
+                            render_recommend_request(&RecommendRequest { consent: false, ..req });
+                        &without_consent
+                    }
+                };
+                render_request(&mut up.out, "POST", "/recommend", up.addr, Some(body));
+                up.out_pos = 0;
+                up.client = Some(token);
+            }
+            if let Some(conn) = self.slab.get_mut(token) {
+                conn.busy = true;
+                conn.forward = Some(Forward { req, target, upstream: up_token, deadline, close_hint });
+            }
+            // A connection still dialling writes when its `WRITE` fires.
+            self.flush_upstream(up_token);
+            return;
+        }
+    }
+
+    /// An idle connection to `addr`, or a freshly dialled one (registered
+    /// for `WRITE`, which fires when the dial completes). `None` when the
+    /// dial fails on the spot.
+    fn checkout_upstream(&mut self, addr: SocketAddr) -> Option<u64> {
+        let pool = self.pools.entry(addr).or_default();
+        if let Some(token) = pool.idle.pop() {
+            return Some(token);
+        }
+        let stream = dial(addr).ok()?;
+        let _ = stream.set_nodelay(true);
+        // The fallback dial returns connected; the epoll one reports through
+        // `WRITE` readiness either way.
+        let token = self.upstreams.insert(Upstream {
+            stream,
+            addr,
+            connected: false,
+            interest: WRITE,
+            out: Vec::new(),
+            out_pos: 0,
+            response: ResponseBuf::default(),
+            client: None,
+            sent_at: Instant::now(),
+        });
+        let registered = match self.upstreams.get_mut(token) {
+            Some(up) => self.poller.register_stream(&up.stream, token, WRITE).is_ok(),
+            None => false,
+        };
+        if !registered {
+            self.upstreams.remove(token);
+            return None;
+        }
+        let pool = self.pools.entry(addr).or_default();
+        pool.open += 1;
+        self.cluster.record_upstream_connections(addr, pool.open);
+        Some(token)
+    }
+
+    fn upstream_ready(&mut self, ev: Event) {
+        let Some(up) = self.upstreams.get_mut(ev.token) else { return };
+        if up.client.is_none() {
+            // Idle: anything but "nothing to read" means the node closed the
+            // connection or spoke out of turn — not reusable either way.
+            let still_idle = matches!(
+                up.stream.read(&mut self.read_buf[..]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock
+            );
+            if !still_idle {
+                self.close_upstream(ev.token);
+            }
+            return;
+        }
+        if !up.connected {
+            if !ev.writable {
+                return;
+            }
+            if !matches!(up.stream.take_error(), Ok(None)) {
+                self.fail_upstream(ev.token);
+                return;
+            }
+            up.connected = true;
+        }
+        if ev.writable {
+            self.flush_upstream(ev.token);
+        }
+        if ev.readable {
+            self.read_upstream(ev.token);
+        }
+    }
+
+    /// Writes the pending request frame until done or `WouldBlock`; once it
+    /// is out, the connection waits for the response under `READ`.
+    fn flush_upstream(&mut self, token: u64) {
+        loop {
+            let Some(up) = self.upstreams.get_mut(token) else { return };
+            if !up.connected || up.out_pos >= up.out.len() {
+                return;
+            }
+            match up.stream.write(&up.out[up.out_pos..]) {
+                Ok(0) => break,
+                Ok(n) => {
+                    up.out_pos += n;
+                    if up.out_pos >= up.out.len() {
+                        up.sent_at = Instant::now();
+                        self.set_upstream_interest(token, READ);
+                        return;
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    self.set_upstream_interest(token, READ | WRITE);
+                    return;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+        self.fail_upstream(token);
+    }
+
+    /// Reads the node's response until `WouldBlock`; a whole `200` is
+    /// relayed to the parked client, anything else is a failed attempt.
+    fn read_upstream(&mut self, token: u64) {
+        loop {
+            let Some(up) = self.upstreams.get_mut(token) else { return };
+            match up.stream.read(&mut self.read_buf[..]) {
+                Ok(0) => break,
+                Ok(n) => {
+                    up.response.feed(&self.read_buf[..n]);
+                    match up.response.poll() {
+                        Progress::Complete => {
+                            self.complete_forward(token);
+                            return;
+                        }
+                        Progress::Incomplete => {}
+                        Progress::Malformed => break,
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+        self.fail_upstream(token);
+    }
+
+    /// The upstream's response is whole: relay a `200`'s body bytes to the
+    /// parked client as they are, and return the connection to its pool.
+    fn complete_forward(&mut self, up_token: u64) {
+        let Some(up) = self.upstreams.get_mut(up_token) else { return };
+        let Some(client) = up.client else { return };
+        let body = match std::str::from_utf8(up.response.body()) {
+            Ok(body) if up.response.status() == 200 => body,
+            _ => {
+                self.fail_upstream(up_token);
+                return;
+            }
+        };
+        let Some(fwd) = self.slab.get_mut(client).and_then(|conn| conn.forward.take()) else {
+            self.close_upstream(up_token);
+            return;
+        };
+        self.shared.gate.finish_request();
+        let close = fwd.close_hint || !self.shared.gate.is_running();
+        let bytes = conn::render_response(200, body, CONTENT_TYPE_JSON, close, None);
+        self.cluster.record_forward(up.sent_at.elapsed());
+        let reusable = up.response.reusable();
+        up.response.consume();
+        up.client = None;
+        let idle = &mut self.pools.entry(up.addr).or_default().idle;
+        if reusable && idle.len() < MAX_IDLE_UPSTREAMS {
+            idle.push(up_token);
+        } else {
+            self.close_upstream(up_token);
+        }
+        self.answer(client, bytes, close);
+    }
+
+    /// The exchange on `up_token` failed (dial, I/O, EOF, a non-`200`, a
+    /// malformed response): the connection is gone and its client's predict
+    /// goes back to the tier's failover policy.
+    fn fail_upstream(&mut self, up_token: u64) {
+        match self.upstreams.get_mut(up_token).and_then(|up| up.client) {
+            Some(client) => self.fail_forward(client),
+            None => self.close_upstream(up_token),
+        }
+    }
+
+    /// The forward `token` is parked on produced no `200`: drop its upstream
+    /// connection (its stream state is unknowable) and ask the tier's one
+    /// failover policy where the predict goes next.
+    fn fail_forward(&mut self, token: u64) {
+        let Some(fwd) = self.slab.get_mut(token).and_then(|conn| conn.forward.take()) else {
+            return;
+        };
+        self.close_upstream(fwd.upstream);
+        let route = self.cluster.forward_failed(&fwd.req, fwd.target);
+        let deadline = self.deadline_from(Instant::now());
+        self.forward(token, fwd.req, route, None, deadline, fwd.close_hint);
+    }
+
+    fn close_upstream(&mut self, token: u64) {
+        let Some(up) = self.upstreams.remove(token) else { return };
+        let _ = self.poller.deregister_stream(&up.stream);
+        #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+        self.poller.forget(token);
+        let pool = self.pools.entry(up.addr).or_default();
+        pool.idle.retain(|idle| *idle != token);
+        pool.open = pool.open.saturating_sub(1);
+        self.cluster.record_upstream_connections(up.addr, pool.open);
+    }
+
+    fn set_upstream_interest(&mut self, token: u64, interest: u8) {
+        let Some(up) = self.upstreams.get_mut(token) else { return };
+        if up.interest != interest {
+            up.interest = interest;
+            let _ = self.poller.rearm_stream(&up.stream, token, interest);
+        }
+    }
+
+    /// Queues a finished response frame on its connection and flushes.
+    fn answer(&mut self, token: u64, bytes: Vec<u8>, close: bool) {
+        let Some(conn) = self.slab.get_mut(token) else {
+            // The connection died while its request was in flight; the
+            // response has nowhere to go.
+            return;
+        };
+        conn.busy = false;
+        conn.close_after_write = close;
+        conn.out = bytes;
+        conn.out_pos = 0;
+        conn.write_since = Some(Instant::now());
+        if conn.state != ConnState::Draining {
+            self.set_state(token, ConnState::Writing);
+        }
+        self.flush(token);
+    }
+
+    /// Renders and answers a reactor-side response (inline predicts, sheds,
+    /// rejects, 408s).
     fn respond_now(
         &mut self,
         token: u64,
@@ -971,15 +1501,14 @@ impl<B: RequestBackend> Reactor<B> {
         retry_after: Option<u32>,
     ) {
         let bytes = conn::render_response(status, body, CONTENT_TYPE_JSON, close, retry_after);
-        let Some(conn) = self.slab.get_mut(token) else { return };
-        conn.out = bytes;
-        conn.out_pos = 0;
-        conn.close_after_write = close;
-        conn.write_since = Some(Instant::now());
-        if conn.state != ConnState::Draining {
-            self.set_state(token, ConnState::Writing);
-        }
-        self.flush(token);
+        self.answer(token, bytes, close);
+    }
+
+    /// Releases the admission slot of a request that is about to be
+    /// answered; returns whether its connection closes after the answer.
+    fn release_slot(&self, close_hint: bool) -> bool {
+        self.shared.gate.finish_request();
+        close_hint || !self.shared.gate.is_running()
     }
 
     /// Writes pending output until done or `WouldBlock`; arms WRITE
@@ -1086,19 +1615,30 @@ impl<B: RequestBackend> Reactor<B> {
         }
     }
 
-    /// The timer sweep: slow frames (`408`), stuck writes, idle reaping.
+    /// The timer sweep: slow frames (`408`), stuck writes, idle reaping,
+    /// and forwards whose node has not answered by their deadline.
     fn sweep_timeouts(&mut self, now: Instant) {
-        let config = self.shared.config.clone();
+        let config = &self.shared.config;
+        let (write_timeout, request_read_timeout, idle_timeout) =
+            (config.write_timeout, config.request_read_timeout, config.idle_timeout);
         let mut tokens = std::mem::take(&mut self.sweep_tokens);
         self.slab.tokens_into(&mut tokens);
         for &token in &tokens {
             let Some(conn) = self.slab.get_mut(token) else { continue };
             if conn.busy {
+                let overdue = conn
+                    .forward
+                    .as_ref()
+                    .is_some_and(|fwd| fwd.deadline.is_some_and(|deadline| now >= deadline));
+                if overdue {
+                    self.shared.metrics.timeouts_upstream.inc();
+                    self.fail_forward(token);
+                }
                 continue;
             }
             if !conn.out.is_empty() {
                 if let Some(since) = conn.write_since {
-                    if now.duration_since(since) > config.write_timeout {
+                    if now.duration_since(since) > write_timeout {
                         self.shared.metrics.timeouts_write.inc();
                         self.close(token);
                     }
@@ -1106,7 +1646,7 @@ impl<B: RequestBackend> Reactor<B> {
                 continue;
             }
             if let Some(started) = conn.frame_started {
-                if now.duration_since(started) > config.request_read_timeout {
+                if now.duration_since(started) > request_read_timeout {
                     self.shared.metrics.timeouts_read.inc();
                     let body = JsonValue::object([(
                         "error",
@@ -1119,8 +1659,8 @@ impl<B: RequestBackend> Reactor<B> {
                 }
                 continue;
             }
-            if config.idle_timeout != Duration::ZERO
-                && now.duration_since(conn.idle_since) > config.idle_timeout
+            if idle_timeout != Duration::ZERO
+                && now.duration_since(conn.idle_since) > idle_timeout
             {
                 self.shared.metrics.timeouts_idle.inc();
                 self.close(token);
@@ -1131,6 +1671,12 @@ impl<B: RequestBackend> Reactor<B> {
 
     fn close(&mut self, token: u64) {
         let Some(conn) = self.slab.remove(token) else { return };
+        if let Some(fwd) = conn.forward {
+            // Closed under a forward (only the loop's exit does that): give
+            // back the admission slot the exchange was holding.
+            self.shared.gate.finish_request();
+            self.close_upstream(fwd.upstream);
+        }
         self.shared.parked.unpark(token);
         self.shared.metrics.record_state(conn.state, conn.state_since.elapsed());
         let _ = self.poller.deregister_stream(&conn.stream);
@@ -1148,22 +1694,17 @@ impl<B: RequestBackend> Reactor<B> {
         for &token in &tokens {
             self.close(token);
         }
+        self.upstreams.tokens_into(&mut tokens);
+        for &token in &tokens {
+            self.close_upstream(token);
+        }
         self.sweep_tokens = tokens;
     }
 }
 
-/// Classifies a parsed request for dispatch: `POST /recommend` bodies are
-/// parsed on the reactor so same-pod predicts can coalesce; anything else
-/// (including malformed predict bodies, which re-parse to a `400` on the
-/// worker) dispatches as-is.
-fn classify<B: RequestBackend>(request: &ParsedRequest, backend: &B) -> DispatchKind {
-    if request.method == "POST" && request.path == "/recommend" {
-        if let Ok(req) = conn::parse_recommend_request(&request.body) {
-            let pod = backend.shard_for(req.session_id);
-            return DispatchKind::Predict { req, pod };
-        }
-    }
-    DispatchKind::Other
+/// Body of every `503` shed.
+fn shed_body() -> String {
+    JsonValue::object([("error", JsonValue::String("server overloaded".into()))]).to_json()
 }
 
 #[cfg(all(test, not(feature = "loom")))]
@@ -1172,21 +1713,21 @@ mod tests {
 
     #[test]
     fn slab_tokens_are_generation_guarded() {
-        let mut slab = Slab::new();
+        let mut slab = Slab::new(0);
         let limits = ParserLimits { max_head_bytes: 1024, max_headers: 16, max_body_bytes: 1024 };
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let c1 = TcpStream::connect(addr).expect("connect");
         let c2 = TcpStream::connect(addr).expect("connect");
         let now = Instant::now();
-        let t1 = slab.insert(|generation| Connection::new(c1, limits, generation, now));
+        let t1 = slab.insert(Connection::new(c1, limits, now));
         assert!(slab.get_mut(t1).is_some());
         assert_eq!(slab.len(), 1);
         assert!(slab.remove(t1).is_some());
         assert_eq!(slab.len(), 0);
         // The recycled slot gets a bumped generation: the stale token must
         // not resolve to the new occupant.
-        let t2 = slab.insert(|generation| Connection::new(c2, limits, generation, now));
+        let t2 = slab.insert(Connection::new(c2, limits, now));
         assert_eq!(t2 & u64::from(u32::MAX), t1 & u64::from(u32::MAX), "slot reused");
         assert_ne!(t2, t1, "generation bumped");
         assert!(slab.get_mut(t1).is_none(), "stale token is dead");
@@ -1206,6 +1747,31 @@ mod tests {
         assert!(started.elapsed() < Duration::from_secs(5));
         assert!(events.is_empty(), "wake token leaked: {events:?}");
         handle.join().expect("join");
+    }
+
+    #[test]
+    fn dial_does_not_wait_and_reports_through_write_readiness() {
+        let mut poller = Poller::new().expect("poller");
+        let mut outcome = |addr: SocketAddr| {
+            let stream = match dial(addr) {
+                Ok(stream) => stream,
+                Err(e) => return Some(e),
+            };
+            poller.register_stream(&stream, 7, WRITE).expect("register");
+            let mut events = Vec::new();
+            for _ in 0..250 {
+                poller.wait(&mut events, Duration::from_millis(20)).expect("wait");
+                if events.iter().any(|e| e.token == 7 && e.writable) {
+                    return stream.take_error().expect("take_error");
+                }
+            }
+            panic!("the dial to {addr} never resolved");
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        assert!(outcome(addr).is_none(), "a listening port accepts the dial");
+        drop(listener);
+        assert!(outcome(addr).is_some(), "a closed port refuses it");
     }
 
     #[test]

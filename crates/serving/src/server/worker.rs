@@ -4,8 +4,11 @@
 //! Each worker owns one [`BatchContext`] for its lifetime — scratch
 //! buffers, session views and per-member state are reused across every
 //! predict, so the steady-state request path allocates only its response.
-//! Every well-formed predict is a batch here, most often of one; the
-//! endpoint responder serves everything else and needs no context.
+//! What reaches a worker is what the reactor did not finish itself: predicts
+//! from a turn that had company (several ready connections, a backlog, a
+//! gather window — see [`reactor`](super::reactor)), coalesced by shard, and
+//! every non-predict request, which the endpoint responder serves without a
+//! context. [`run_predicts`] is the one predict execution both threads use.
 //!
 //! Shutdown needs no flag check here: the reactor closes the
 //! [`DispatchQueue`] once the gate reaches STOPPED, `next_work` drains the
@@ -13,6 +16,7 @@
 //! `None`, and the worker exits.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::context::BatchContext;
 use crate::error::ServingError;
@@ -68,10 +72,8 @@ fn run_single<B: RequestBackend>(
     });
 }
 
-/// Executes one coalesced same-pod predict batch through the backend's
-/// batch entry, then completes every member individually. A panic anywhere
-/// in the batch maps to a `500` for every member (the unwind barrier is
-/// batch-wide).
+/// Executes one coalesced same-pod predict batch, completing every member
+/// individually.
 fn run_batch<B: RequestBackend>(
     batch: Vec<Dispatch>,
     completions: &CompletionQueue,
@@ -100,26 +102,45 @@ fn run_batch<B: RequestBackend>(
         return;
     };
     shared.metrics.record_batch_size(batch.len());
-    for (i, dispatch) in batch.iter().enumerate() {
+    let deadlines = batch.iter().map(|dispatch| dispatch.deadline);
+    run_predicts(cluster, pod, reqs, deadlines, bctx, |i, status, body| {
+        if let Some(dispatch) = batch.get(i) {
+            complete(dispatch, status, body, completions, shared);
+        }
+    });
+}
+
+/// Runs same-shard predicts through the backend's batch entry and hands
+/// `answer` one `(index, status, body)` per request. Members get a request
+/// id and their deadline first; a panic anywhere in the call maps to a
+/// typed `500` for every member (the unwind barrier is batch-wide).
+pub(super) fn run_predicts<B: RequestBackend>(
+    cluster: &B,
+    shard: usize,
+    reqs: &[RecommendRequest],
+    deadlines: impl Iterator<Item = Option<Instant>>,
+    bctx: &mut BatchContext,
+    mut answer: impl FnMut(usize, u16, String),
+) {
+    for (i, deadline) in deadlines.enumerate() {
         let member = bctx.member_mut(i);
         member.set_request_id(cluster.telemetry().next_request_id());
-        member.set_deadline(dispatch.deadline);
+        member.set_deadline(deadline);
     }
-    let outcome = conn::unwind_barrier(|| Ok(cluster.handle_recommend_batch(pod, reqs, bctx)));
-    match outcome {
+    match conn::unwind_barrier(|| Ok(cluster.handle_recommend_batch(shard, reqs, bctx))) {
         Ok(results) => {
-            for (dispatch, result) in batch.iter().zip(results) {
+            for (i, result) in results.into_iter().enumerate() {
                 let (status, body) = match result {
                     Ok(recs) => (200, conn::render_recommendations(&recs)),
                     Err(e) => conn::render_error(&e),
                 };
-                complete(dispatch, status, body, completions, shared);
+                answer(i, status, body);
             }
         }
         Err(e) => {
             let (status, body) = conn::render_error(&e);
-            for dispatch in &batch {
-                complete(dispatch, status, body.clone(), completions, shared);
+            for i in 0..reqs.len() {
+                answer(i, status, body.clone());
             }
         }
     }

@@ -1,17 +1,19 @@
-//! The router's upstream side: a pooled keep-alive HTTP client per node.
+//! The wire between router and node: request framing, an incremental
+//! response reader, and the blocking keep-alive client built on both.
 //!
-//! A serving node is reached over its data socket by a [`RemotePod`], which
-//! speaks the serving HTTP protocol through a bounded pool of
-//! [`HttpClient`] connections. A proxied `POST /recommend` runs the same
-//! pipeline on the node that an in-process call runs on an
-//! [`Engine`](crate::Engine), and the socket conformance suite checks the
-//! responses are byte-identical (`tests/cluster_failover.rs`).
+//! A forwarded `POST /recommend` never comes through a client object: the
+//! router's reactor owns non-blocking upstream connections itself (see
+//! [`crate::server`]) and uses only [`render_request`] and [`ResponseBuf`]
+//! from here, relaying the node's body bytes undecoded. The node runs the
+//! same pipeline an in-process call runs on an [`Engine`](crate::Engine), and
+//! the socket conformance suite checks the responses are byte-identical
+//! (`tests/cluster_failover.rs`, `tests/execution_paths.rs`).
 //!
-//! [`RemotePod`] is a concrete type, not an implementation of a transport
-//! trait: [`ServingCluster`](crate::ServingCluster) calls its engines
-//! directly and the router tier ([`crate::routerd`]) is the only caller
-//! here. A seam goes in when there is a second implementation to put
-//! behind it (ROADMAP item 4's fault-injecting fake).
+//! What stays blocking is the rare fan-out traffic — the `/ingest` proxy and
+//! the unlearning broadcast — which router *workers* send through a
+//! [`RemotePod`]: a bounded pool of [`HttpClient`]s whose dial and I/O are
+//! bounded by the router's `probe_timeout`, so a node that accepts and never
+//! answers costs a worker that long and no longer.
 //!
 //! # Pool discipline
 //!
@@ -19,120 +21,240 @@
 //! the mutex guards only the idle-connection vector — a connection is
 //! *popped* under the guard, the guard is dropped, and all socket I/O
 //! happens on the checked-out connection outside any lock. The concurrency
-//! analyzer's reactor-blocking rule depends on this: a guard held across
-//! an upstream write would serialise every proxied request behind one
-//! socket's flow control.
+//! analyzer's lock-held-across-blocking rule depends on this: a guard held
+//! across an upstream write would serialise every proxied request behind
+//! one socket's flow control.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use serenade_core::ItemScore;
-
 use crate::engine::RecommendRequest;
-use crate::error::ServingError;
-use crate::json::{self, JsonValue};
+use crate::json::JsonValue;
 
-/// A minimal keep-alive HTTP client: what [`RemotePod`] pools, and what the
-/// load generator and the socket tests drive servers with.
+/// Frames one HTTP/1.1 request into `out` (cleared first). A body is sent
+/// as `application/json`.
+pub(crate) fn render_request(
+    out: &mut Vec<u8>,
+    method: &str,
+    path: &str,
+    host: SocketAddr,
+    body: Option<&str>,
+) {
+    out.clear();
+    let _ = write!(out, "{method} {path} HTTP/1.1\r\nhost: {host}\r\n");
+    if let Some(body) = body {
+        let _ = write!(
+            out,
+            "content-type: application/json\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        );
+    } else {
+        out.extend_from_slice(b"\r\n");
+    }
+}
+
+/// Largest response body a [`ResponseBuf`] accepts (a `/metrics` page is
+/// the biggest thing a node sends); a longer `content-length` is
+/// [`Progress::Malformed`], as is a head that has not ended within
+/// [`MAX_RESPONSE_HEAD_BYTES`].
+const MAX_RESPONSE_BYTES: usize = 64 << 20;
+const MAX_RESPONSE_HEAD_BYTES: usize = 64 << 10;
+
+/// How far a [`ResponseBuf`] has got.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Progress {
+    /// More bytes are needed.
+    Incomplete,
+    /// One whole response is buffered.
+    Complete,
+    /// The bytes are not an HTTP/1.1 response with a `content-length`.
+    Malformed,
+}
+
+/// The parsed head of a buffered response.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    status: u16,
+    /// Offset of the first body byte in the buffer.
+    body_start: usize,
+    content_length: usize,
+    /// The sender asked to close after this response.
+    close: bool,
+}
+
+/// Incremental reader of `content-length`-framed HTTP/1.1 responses: bytes
+/// go in through [`feed`](Self::feed) as a socket yields them, and
+/// [`poll`](Self::poll) says when one response is whole. The buffer is
+/// reused across responses, so a keep-alive connection reads without
+/// allocating once it has seen its largest response.
+#[derive(Debug, Default)]
+pub(crate) struct ResponseBuf {
+    buf: Vec<u8>,
+    head: Option<Head>,
+}
+
+impl ResponseBuf {
+    /// Appends bytes read from the connection.
+    pub(crate) fn feed(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Parses what is buffered so far.
+    pub(crate) fn poll(&mut self) -> Progress {
+        if self.head.is_none() {
+            let Some(head_end) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") else {
+                return if self.buf.len() > MAX_RESPONSE_HEAD_BYTES {
+                    Progress::Malformed
+                } else {
+                    Progress::Incomplete
+                };
+            };
+            match parse_head(&self.buf[..head_end], head_end + 4) {
+                Some(head) => self.head = Some(head),
+                None => return Progress::Malformed,
+            }
+        }
+        match self.head {
+            Some(head) if self.buf.len() - head.body_start >= head.content_length => {
+                Progress::Complete
+            }
+            _ => Progress::Incomplete,
+        }
+    }
+
+    /// Status code of the [`Progress::Complete`] response (`0` before).
+    pub(crate) fn status(&self) -> u16 {
+        self.head.map_or(0, |h| h.status)
+    }
+
+    /// Body bytes of the [`Progress::Complete`] response.
+    pub(crate) fn body(&self) -> &[u8] {
+        match self.head {
+            Some(h) => self.buf.get(h.body_start..h.body_start + h.content_length).unwrap_or(&[]),
+            None => &[],
+        }
+    }
+
+    /// Whether the connection can carry another exchange after this
+    /// response: the sender did not ask to close and sent nothing beyond it.
+    pub(crate) fn reusable(&self) -> bool {
+        self.head.is_some_and(|h| !h.close && self.buf.len() == h.body_start + h.content_length)
+    }
+
+    /// Drops the [`Progress::Complete`] response, keeping whatever followed
+    /// it (and the allocation) for the next one.
+    pub(crate) fn consume(&mut self) {
+        if let Some(h) = self.head.take() {
+            let end = (h.body_start + h.content_length).min(self.buf.len());
+            self.buf.drain(..end);
+        }
+    }
+}
+
+/// Parses the status line and headers in `head` (without the blank line);
+/// `body_start` is where the body begins in the enclosing buffer.
+fn parse_head(head: &[u8], body_start: usize) -> Option<Head> {
+    let head = std::str::from_utf8(head).ok()?;
+    let mut lines = head.split("\r\n");
+    let status = lines.next()?.split_whitespace().nth(1)?.parse().ok()?;
+    let mut content_length = 0usize;
+    let mut close = false;
+    for line in lines {
+        let Some((name, value)) = line.split_once(':') else { continue };
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = value.parse().ok().filter(|n| *n <= MAX_RESPONSE_BYTES)?;
+        } else if name.eq_ignore_ascii_case("connection") {
+            close = value.eq_ignore_ascii_case("close");
+        }
+    }
+    Some(Head { status, body_start, content_length, close })
+}
+
+/// A minimal blocking keep-alive HTTP client: what [`RemotePod`] pools, and
+/// what the load generator and the socket tests drive servers with.
 ///
-/// One socket, one fd: requests are written straight through the read
-/// buffer's inner stream (`get_mut`), which is sound because a response is
-/// always fully consumed before the next request is written. The connection
-/// ramp opens thousands of these, so the old `try_clone` (a second fd per
-/// connection) would halve the fleet the fd limit allows.
+/// One socket, one fd (the connection ramp opens thousands of these), one
+/// `write` per request: the frame is rendered into a reused buffer first.
 pub struct HttpClient {
-    reader: BufReader<TcpStream>,
+    stream: TcpStream,
     addr: SocketAddr,
+    out: Vec<u8>,
+    response: ResponseBuf,
 }
 
 impl HttpClient {
-    /// Connects to a server.
+    /// Connects to a server. No timeout applies: a caller that must not
+    /// wait forever uses [`HttpClient::connect_timeout`].
     pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
+        Self::over(TcpStream::connect(addr)?, addr)
+    }
+
+    /// Connects with `timeout` bounding the dial and every later read and
+    /// write; an exchange that exceeds it fails with the timeout error.
+    pub fn connect_timeout(addr: SocketAddr, timeout: Duration) -> std::io::Result<Self> {
+        let timeout = timeout.max(Duration::from_millis(1));
+        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        Self::over(stream, addr)
+    }
+
+    fn over(stream: TcpStream, addr: SocketAddr) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
-        Ok(Self { reader: BufReader::new(stream), addr })
+        Ok(Self { stream, addr, out: Vec::new(), response: ResponseBuf::default() })
     }
 
     /// Issues a POST and returns `(status, body)`.
     pub fn post(&mut self, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-        let writer = self.reader.get_mut();
-        write!(
-            writer,
-            "POST {path} HTTP/1.1\r\nhost: {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n{body}",
-            self.addr,
-            body.len()
-        )?;
-        writer.flush()?;
-        self.read_response()
+        self.exchange("POST", path, Some(body))
     }
 
     /// Issues a DELETE and returns `(status, body)` (the session-unlearning
     /// endpoint `DELETE /ingest/session/{id}` is the only consumer).
     pub fn delete(&mut self, path: &str) -> std::io::Result<(u16, String)> {
-        let writer = self.reader.get_mut();
-        write!(writer, "DELETE {path} HTTP/1.1\r\nhost: {}\r\n\r\n", self.addr)?;
-        writer.flush()?;
-        self.read_response()
+        self.exchange("DELETE", path, None)
     }
 
     /// Issues a GET and returns `(status, body)`.
     pub fn get(&mut self, path: &str) -> std::io::Result<(u16, String)> {
-        let writer = self.reader.get_mut();
-        write!(writer, "GET {path} HTTP/1.1\r\nhost: {}\r\n\r\n", self.addr)?;
-        writer.flush()?;
-        self.read_response()
+        self.exchange("GET", path, None)
     }
 
-    fn read_response(&mut self) -> std::io::Result<(u16, String)> {
-        let mut line = String::new();
+    fn exchange(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+    ) -> std::io::Result<(u16, String)> {
+        use std::io::{Error, ErrorKind};
+        render_request(&mut self.out, method, path, self.addr, body);
+        self.stream.write_all(&self.out)?;
+        let mut chunk = [0u8; 4096];
         loop {
-            line.clear();
-            match self.reader.read_line(&mut line) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "connection closed",
-                    ))
+            match self.response.poll() {
+                Progress::Complete => break,
+                Progress::Malformed => {
+                    return Err(Error::new(ErrorKind::InvalidData, "malformed response"))
                 }
-                Ok(_) => break,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue
-                }
+                Progress::Incomplete => {}
+            }
+            match self.stream.read(&mut chunk) {
+                Ok(0) => return Err(Error::new(ErrorKind::UnexpectedEof, "connection closed")),
+                Ok(n) => self.response.feed(&chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                // A read timeout (`WouldBlock`/`TimedOut`) is the error it is.
                 Err(e) => return Err(e),
             }
         }
-        let status: u16 = line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status"))?;
-        let mut content_length = 0usize;
-        loop {
-            let mut header = String::new();
-            self.reader.read_line(&mut header)?;
-            let header = header.trim_end();
-            if header.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = header.split_once(':') {
-                if name.trim().eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().unwrap_or(0);
-                }
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
-        Ok((
-            status,
-            String::from_utf8(body).map_err(|_| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "non-utf8 body")
-            })?,
-        ))
+        let status = self.response.status();
+        let body = String::from_utf8(self.response.body().to_vec())
+            .map_err(|_| Error::new(ErrorKind::InvalidData, "non-utf8 body"));
+        self.response.consume();
+        Ok((status, body?))
     }
 }
 
@@ -142,9 +264,12 @@ impl HttpClient {
 /// concurrently (each request that finds the pool empty dials its own).
 const MAX_IDLE_CONNECTIONS: usize = 8;
 
-/// A serving node reached over HTTP on its data socket.
+/// A serving node reached over HTTP on its data socket, by blocking calls
+/// from router workers.
 pub struct RemotePod {
     addr: SocketAddr,
+    /// Bound on the dial and on each read and write of every call.
+    timeout: Duration,
     /// Idle keep-alive connections. LIFO so the hottest (most recently
     /// used, least likely to have been idle-reaped by the node) connection
     /// is reused first.
@@ -155,8 +280,8 @@ impl RemotePod {
     /// Creates a client for the node at `addr`. No connection is opened
     /// until the first request — a router may be constructed before its
     /// nodes finish binding.
-    pub fn new(addr: SocketAddr) -> Self {
-        Self { addr, idle: Mutex::new(Vec::new()) }
+    pub fn new(addr: SocketAddr, timeout: Duration) -> Self {
+        Self { addr, timeout, idle: Mutex::new(Vec::new()) }
     }
 
     /// The node's data-plane address.
@@ -170,7 +295,7 @@ impl RemotePod {
         let pooled = self.idle.lock().pop();
         match pooled {
             Some(client) => Ok(client),
-            None => HttpClient::connect(self.addr),
+            None => HttpClient::connect_timeout(self.addr, self.timeout),
         }
     }
 
@@ -188,59 +313,32 @@ impl RemotePod {
         self.idle.lock().len()
     }
 
-    /// One proxied POST over a pooled connection. A connection that errors
+    /// One exchange over a pooled connection. A connection that errors
     /// mid-exchange is dropped, never pooled again — its stream state is
     /// unknowable.
-    pub fn post(&self, path: &str, body: &str) -> std::io::Result<(u16, String)> {
+    fn call(
+        &self,
+        exchange: impl FnOnce(&mut HttpClient) -> std::io::Result<(u16, String)>,
+    ) -> std::io::Result<(u16, String)> {
         let mut client = self.checkout()?;
-        match client.post(path, body) {
-            Ok(response) => {
-                self.checkin(client);
-                Ok(response)
-            }
-            Err(e) => Err(e),
-        }
+        let response = exchange(&mut client)?;
+        self.checkin(client);
+        Ok(response)
+    }
+
+    /// One proxied POST over a pooled connection.
+    pub fn post(&self, path: &str, body: &str) -> std::io::Result<(u16, String)> {
+        self.call(|client| client.post(path, body))
     }
 
     /// One proxied GET over a pooled connection.
     pub fn get(&self, path: &str) -> std::io::Result<(u16, String)> {
-        let mut client = self.checkout()?;
-        match client.get(path) {
-            Ok(response) => {
-                self.checkin(client);
-                Ok(response)
-            }
-            Err(e) => Err(e),
-        }
+        self.call(|client| client.get(path))
     }
 
     /// One proxied DELETE over a pooled connection.
     pub fn delete(&self, path: &str) -> std::io::Result<(u16, String)> {
-        let mut client = self.checkout()?;
-        match client.delete(path) {
-            Ok(response) => {
-                self.checkin(client);
-                Ok(response)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// One proxied `POST /recommend`. Anything but a parsable `200` is an
-    /// [`ServingError::Upstream`] — the router's liveness signal.
-    pub fn recommend(&self, req: RecommendRequest) -> Result<Vec<ItemScore>, ServingError> {
-        let body = render_recommend_request(&req);
-        let (status, response) = self
-            .post("/recommend", &body)
-            .map_err(|e| ServingError::Upstream(format!("{}: {e}", self.addr)))?;
-        if status != 200 {
-            return Err(ServingError::Upstream(format!(
-                "{}: status {status}: {response}",
-                self.addr
-            )));
-        }
-        parse_recommendations(&response)
-            .map_err(|e| ServingError::Upstream(format!("{}: {e}", self.addr)))
+        self.call(|client| client.delete(path))
     }
 }
 
@@ -253,30 +351,6 @@ pub(crate) fn render_recommend_request(req: &RecommendRequest) -> String {
         ("filter_adult", JsonValue::Bool(req.filter_adult)),
     ])
     .to_json()
-}
-
-/// Parses a `POST /recommend` success body back into scores — the inverse
-/// of the server's response rendering. `f32 → f64 → json → f64 → f32` is
-/// lossless, so proxied scores compare equal to locally computed ones.
-pub(crate) fn parse_recommendations(body: &str) -> Result<Vec<ItemScore>, String> {
-    let v = json::parse(body).map_err(|e| format!("invalid json: {e}"))?;
-    let recs = v
-        .get("recommendations")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing recommendations array")?;
-    recs.iter()
-        .map(|r| {
-            let item = r
-                .get("item_id")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| String::from("missing item_id"))?;
-            let score = r
-                .get("score")
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| String::from("missing score"))?;
-            Ok(ItemScore { item, score: score as f32 })
-        })
-        .collect()
 }
 
 #[cfg(all(test, not(feature = "loom")))]
@@ -296,23 +370,80 @@ mod tests {
         assert_eq!(parsed, req);
     }
 
+    fn fed(chunks: &[&[u8]]) -> (ResponseBuf, Vec<Progress>) {
+        let mut buf = ResponseBuf::default();
+        let progress = chunks
+            .iter()
+            .map(|chunk| {
+                buf.feed(chunk);
+                buf.poll()
+            })
+            .collect();
+        (buf, progress)
+    }
+
     #[test]
-    fn recommendations_roundtrip_through_the_wire_format() {
-        let recs = vec![
-            ItemScore { item: 5, score: 0.125 },
-            ItemScore { item: 9, score: 1.0 / 3.0 },
-        ];
-        let body = crate::server::conn::render_recommendations(&recs);
-        assert_eq!(parse_recommendations(&body).unwrap(), recs);
-        assert!(parse_recommendations("not json").is_err());
-        assert!(parse_recommendations("{}").is_err());
+    fn response_buf_reads_a_response_fed_in_pieces() {
+        let (buf, progress) = fed(&[
+            b"HTTP/1.1 200 OK\r\ncontent-le",
+            b"ngth: 5\r\nconnection: keep-alive\r\n\r\nhe",
+            b"llo",
+        ]);
+        assert_eq!(progress, [Progress::Incomplete, Progress::Incomplete, Progress::Complete]);
+        assert_eq!((buf.status(), buf.body()), (200, &b"hello"[..]));
+        assert!(buf.reusable());
+    }
+
+    #[test]
+    fn response_buf_keeps_what_follows_a_response_and_flags_the_connection() {
+        let (mut buf, progress) =
+            fed(&[b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 2\r\n\r\nnoHTTP/1.1 200 OK\r\n"]);
+        assert_eq!(progress, [Progress::Complete]);
+        assert_eq!((buf.status(), buf.body()), (503, &b"no"[..]));
+        assert!(!buf.reusable(), "bytes beyond the response: the exchange is out of step");
+        buf.consume();
+        assert_eq!(buf.poll(), Progress::Incomplete);
+        buf.feed(b"connection: close\r\n\r\n");
+        assert_eq!(buf.poll(), Progress::Complete);
+        assert_eq!((buf.status(), buf.body()), (200, &b""[..]));
+        assert!(!buf.reusable(), "the sender asked to close");
+    }
+
+    #[test]
+    fn response_buf_rejects_what_is_not_a_bounded_response() {
+        assert_eq!(fed(&[b"garbage\r\n\r\n"]).1, [Progress::Malformed]);
+        assert_eq!(fed(&[b"HTTP/1.1 abc OK\r\n\r\n"]).1, [Progress::Malformed]);
+        assert_eq!(
+            fed(&[b"HTTP/1.1 200 OK\r\ncontent-length: 99999999999\r\n\r\n"]).1,
+            [Progress::Malformed],
+            "a declared length beyond the cap is refused before anything is buffered for it"
+        );
+        let endless = vec![b'x'; MAX_RESPONSE_HEAD_BYTES + 1];
+        assert_eq!(fed(&[&endless]).1, [Progress::Malformed]);
+    }
+
+    #[test]
+    fn a_bounded_client_reports_a_silent_server_as_a_timeout() {
+        // Accepts, reads nothing, answers nothing.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let pod = RemotePod::new(addr, Duration::from_millis(100));
+        let started = std::time::Instant::now();
+        let err = pod.post("/ingest", "{}").unwrap_err();
+        assert!(
+            matches!(err.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
+            "{err:?}"
+        );
+        assert!(started.elapsed() < Duration::from_secs(2), "{:?}", started.elapsed());
+        assert_eq!(pod.idle_connections(), 0, "a timed-out connection is never pooled");
+        drop(listener);
     }
 
     #[test]
     fn pool_checkin_is_bounded() {
         // No live server needed: the pool logic is independent of whether
         // connections work. Dial nothing, exercise the bound directly.
-        let pod = RemotePod::new("127.0.0.1:1".parse().unwrap());
+        let pod = RemotePod::new("127.0.0.1:1".parse().unwrap(), Duration::from_millis(100));
         assert_eq!(pod.idle_connections(), 0);
         assert!(pod.post("/recommend", "{}").is_err(), "nothing listens on port 1");
         assert_eq!(pod.idle_connections(), 0, "failed connections are never pooled");

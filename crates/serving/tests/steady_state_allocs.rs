@@ -2,24 +2,29 @@
 //!
 //! A request context is a full kernel `Scratch` (a candidate table and two
 //! heaps, tens of kilobytes), so it belongs to a worker or a thread, never
-//! to a request. This suite holds the entry points that have no worker to
-//! borrow one from to that: `ServingCluster::handle` allocates only its
-//! response, and a routed batch allocates nothing scratch-sized at all.
+//! to a request. This suite holds the request paths to that:
+//! `ServingCluster::handle`, which has no worker to borrow a context from,
+//! allocates only its response; a predict the reactor runs inline allocates
+//! what a parse and a response take and nothing scratch-sized; and a
+//! forwarded predict reuses its upstream connection's buffers on the router.
 
 #![cfg(not(feature = "loom"))]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use serenade_core::{Click, SessionIndex};
-use serenade_serving::context::BatchContext;
 use serenade_serving::engine::RecommendRequest;
 use serenade_serving::node::{NodeConfig, ServingNode};
-use serenade_serving::routerd::RouterCore;
-use serenade_serving::server::RequestBackend;
-use serenade_serving::{BusinessRules, EngineConfig, ServingCluster, ServingVariant};
+use serenade_serving::routerd::{RouterConfig, RouterDaemon};
+use serenade_serving::{
+    BusinessRules, EngineConfig, HttpClient, HttpServer, HttpServerConfig, ServingCluster,
+    ServingVariant,
+};
 use serenade_telemetry::TraceConfig;
 
 /// Smallest allocation counted as "scratch-sized": a default `Scratch` is
@@ -33,9 +38,16 @@ thread_local! {
     static ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
+/// The same two counts over every thread of the process: what the server
+/// threads of a socket test allocated is this minus the test thread's own.
+static EVERYWHERE: AtomicU64 = AtomicU64::new(0);
+static EVERYWHERE_LARGE: AtomicU64 = AtomicU64::new(0);
+
 struct Counting;
 
 fn count(size: usize) {
+    EVERYWHERE.fetch_add(1, Ordering::SeqCst);
+    EVERYWHERE_LARGE.fetch_add(u64::from(size >= LARGE), Ordering::SeqCst);
     // `try_with`: a thread that is shutting down may still allocate.
     let _ = ALLOCS.try_with(|c| {
         let (all, large) = c.get();
@@ -79,6 +91,25 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
     (out, (after.0 - before.0, after.1 - before.1))
 }
 
+/// Runs `f` on this thread; returns its value and the `(all, large)`
+/// allocations every *other* thread made meanwhile. Meaningful only under
+/// [`alone`], and once `f`'s effects on those threads have settled (a
+/// response read is one).
+fn allocations_elsewhere_during<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    let everywhere = || (EVERYWHERE.load(Ordering::SeqCst), EVERYWHERE_LARGE.load(Ordering::SeqCst));
+    let before = everywhere();
+    let (out, mine) = allocations_of(f);
+    let after = everywhere();
+    (out, (after.0 - before.0 - mine.0, after.1 - before.1 - mine.1))
+}
+
+/// Tests run on parallel threads; the ones that count other threads'
+/// allocations take turns.
+fn alone() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn index() -> Arc<SessionIndex> {
     let mut clicks = Vec::new();
     for s in 0..40u64 {
@@ -94,6 +125,7 @@ fn req(session_id: u64, item: u64) -> RecommendRequest {
 
 #[test]
 fn cluster_handle_is_traced_and_allocates_only_its_response() {
+    let _turn = alone();
     let config = EngineConfig { variant: ServingVariant::Hist(2), ..EngineConfig::default() };
     let always_sample = TraceConfig { slots: 8, sample_every: 1, slow_threshold_us: 0 };
     let cluster =
@@ -117,24 +149,66 @@ fn cluster_handle_is_traced_and_allocates_only_its_response() {
     }
 }
 
+/// One session's predict over `client`, which the server answers `200`.
+fn predict(client: &mut HttpClient, item: u64) {
+    let body = format!(r#"{{"session_id":7,"item_id":{item},"consent":true}}"#);
+    let (status, answer) = client.post("/recommend", &body).unwrap();
+    assert_eq!(status, 200, "{answer}");
+}
+
+/// Warms `addr` with one session up to its stored cap, then returns what
+/// the server's threads allocate for one more predict: `(all, large)`, the
+/// steady figure of six (the test harness's own threads report results
+/// while a test holds its turn, so a stray extra allocation is noise; a
+/// missing one is not possible).
+fn server_side_allocations(addr: SocketAddr) -> (u64, u64) {
+    let mut client = HttpClient::connect(addr).unwrap();
+    for i in 0..80 {
+        predict(&mut client, i % 6);
+    }
+    let mut counts: Vec<(u64, u64)> =
+        (0..6).map(|i| allocations_elsewhere_during(|| predict(&mut client, i)).1).collect();
+    counts.sort_unstable();
+    assert_eq!(counts[0].0, counts[3].0, "no steady state: {counts:?}");
+    counts[0]
+}
+
 #[test]
-fn a_routed_batch_allocates_nothing_scratch_sized() {
-    let node = ServingNode::start(index(), NodeConfig::default()).unwrap();
-    let core = RouterCore::new(
-        &[(0, node.data_addr(), node.ctrl_addr())],
-        TraceConfig::default(),
-        Duration::from_millis(500),
-        1_000,
+fn an_inline_predict_allocates_nothing_scratch_sized() {
+    let _turn = alone();
+    let cluster = Arc::new(
+        ServingCluster::new(index(), 1, EngineConfig::default(), BusinessRules::none()).unwrap(),
     );
-    let reqs = [req(1, 0), req(2, 1), req(3, 2), req(4, 3)];
-    // The worker's long-lived batch context, and one batch to warm the
-    // upstream connection pool.
-    let mut bctx = BatchContext::new();
-    assert!(core.handle_recommend_batch(0, &reqs, &mut bctx).iter().all(Result::is_ok));
-    let (results, (_, large)) =
-        allocations_of(|| core.handle_recommend_batch(0, &reqs, &mut bctx));
-    assert!(results.iter().all(|r| r.as_ref().is_ok_and(|recs| !recs.is_empty())));
-    assert_eq!(core.failover_total(), 0);
-    assert_eq!(large, 0, "no request context is built per routed batch");
+    let server = HttpServer::serve(Arc::clone(&cluster), HttpServerConfig::default()).unwrap();
+    let (all, large) = server_side_allocations(server.addr());
+    assert_eq!(server.metrics().predicts_inline.get(), 86, "every one ran on the reactor thread");
+    assert_eq!(large, 0, "the reactor's context is reused, not rebuilt");
+    assert!(all <= 48, "{all} allocations: more than parsing a request and framing a response take");
+    server.shutdown();
+}
+
+#[test]
+fn a_forwarded_predict_reuses_its_upstream_connections_buffers() {
+    let _turn = alone();
+    let node = ServingNode::start(index(), NodeConfig::default()).unwrap();
+    let config = RouterConfig {
+        // One probe at start, then none while allocations are counted.
+        probe_interval: Duration::from_secs(3600),
+        ..RouterConfig::default()
+    };
+    let router =
+        RouterDaemon::start(&[(0, node.data_addr(), node.ctrl_addr())], config).unwrap();
+    let (node_alone, _) = server_side_allocations(node.data_addr());
+    // Router reactor + node reactor together.
+    let (through_router, large) = server_side_allocations(router.addr());
+    assert_eq!(router.core().failover_total(), 0);
+    assert_eq!(large, 0, "no buffer is built per forwarded predict");
+    let router_share = through_router - node_alone;
+    assert!(
+        router_share <= 16,
+        "{router_share} allocations per forward on the router: more than parsing the client's \
+         request and framing its response take — the upstream's frame and response buffers are reused"
+    );
+    router.shutdown();
     node.shutdown();
 }

@@ -12,7 +12,13 @@
 //! 3. **Unique-name fallback**: an untypeable receiver links only when
 //!    exactly one workspace method has that name *and* the name is not a
 //!    common std-container/std-sync method (the denylist below) — multiple
-//!    candidates or a denylisted name mean no edge.
+//!    candidates or a denylisted name mean no edge, with one exception:
+//! 4. **Trait fan-out**: when every workspace method of that name is a
+//!    method of one and the same trait (its impls, its default body, and
+//!    same-named inherent methods of its implementors), the receiver is a
+//!    generic or `dyn` of that trait and the call links to all of them —
+//!    `self.cluster.handle_recommend_batch(..)` on a
+//!    `Reactor<B: RequestBackend>` reaches every backend's implementation.
 //!
 //! Missed edges weaken reachability (documented limitation); they never
 //! create false positives in the blocking/lock rules.
@@ -40,6 +46,13 @@ const FALLBACK_DENYLIST: &[&str] = &[
     "cmp", "hash", "drop", "write_all", "read_exact", "read_to_end", "sleep", "spawn",
     "with", "finish", "field", "count", "sum", "elapsed", "abs", "floor", "ceil", "shutdown",
 ];
+
+/// A field typed by a generic parameter (`cluster: Arc<B>`) is a receiver
+/// we cannot type, not a foreign type: by this workspace's convention a
+/// single capital letter.
+fn is_type_parameter(ty: &str) -> bool {
+    ty.len() == 1 && ty.as_bytes()[0].is_ascii_uppercase()
+}
 
 pub struct CallGraph<'a> {
     pub files: &'a [FileFacts],
@@ -136,8 +149,16 @@ impl<'a> CallGraph<'a> {
     fn walk_chain(&self, impl_ty: &str, chain: &[String]) -> Option<String> {
         let mut ty = impl_ty.to_string();
         for seg in chain {
-            if seg == "()" || seg == "[]" {
+            if seg == "()" {
                 return None;
+            }
+            if seg == "[]" {
+                // `[Engine]` (a `Vec` field) indexes to `Engine`; an array
+                // field is recorded as its element type already.
+                if let Some(elem) = ty.strip_prefix('[').and_then(|t| t.strip_suffix(']')) {
+                    ty = elem.to_string();
+                }
+                continue;
             }
             ty = self.fields.get(&ty)?.get(seg)?.clone();
         }
@@ -202,7 +223,9 @@ impl<'a> CallGraph<'a> {
                             }
                             // `self.f()` with no such method (trait default,
                             // deref) — fall through to the name fallback.
-                        } else if let Some(final_ty) = self.walk_chain(ty, &chain[1..]) {
+                        } else if let Some(final_ty) =
+                            self.walk_chain(ty, &chain[1..]).filter(|t| !is_type_parameter(t))
+                        {
                             if self.fields.contains_key(&final_ty)
                                 || self.impl_types.contains(&final_ty)
                             {
@@ -228,10 +251,29 @@ impl<'a> CallGraph<'a> {
                 }
                 match self.methods_by_name.get(name) {
                     Some(v) if v.len() == 1 => v.clone(),
+                    Some(v) if self.one_trait(v) => v.clone(),
                     _ => Vec::new(),
                 }
             }
         }
+    }
+
+    /// Whether the (non-test) functions in `ids` are the methods of one
+    /// trait: its impls and default body, plus any same-named inherent
+    /// method of a type that implements it (the usual backing of the impl).
+    fn one_trait(&self, ids: &[FnId]) -> bool {
+        let live = || ids.iter().map(|id| self.fn_facts(*id)).filter(|f| !f.is_test);
+        let mut the_trait = None;
+        let mut implementors = HashSet::new();
+        for f in live() {
+            let Some(t) = f.trait_name.as_deref() else { continue };
+            if *the_trait.get_or_insert(t) != t {
+                return false;
+            }
+            implementors.insert(f.impl_type.as_deref());
+        }
+        the_trait.is_some()
+            && live().all(|f| f.trait_name.is_some() || implementors.contains(&f.impl_type.as_deref()))
     }
 
     /// BFS from `roots`; returns every reachable function with its

@@ -24,7 +24,8 @@ use crate::lexer::{find_token, is_ident, Lexer};
 /// The base type has `Arc`/`Box`/`Rc`/`Option` wrappers, references,
 /// slices, and generic arguments stripped (`Arc<DispatchQueue>` →
 /// `DispatchQueue`), so the call graph can walk `self.field.method()`
-/// chains through it.
+/// chains through it; a `Vec`/`VecDeque` keeps its element's base type in
+/// brackets (`Vec<Arc<Engine>>` → `[Engine]`) for `self.field[i].method()`.
 #[derive(Debug, Clone)]
 pub struct StructFacts {
     pub name: String,
@@ -154,6 +155,9 @@ pub struct FnFacts {
     pub qual: String,
     pub name: String,
     pub impl_type: Option<String>,
+    /// The trait this method belongs to: the `Trait` of an enclosing
+    /// `impl Trait for Type`, or of the `trait Trait` holding a default body.
+    pub trait_name: Option<String>,
     pub line: usize,
     pub end_line: usize,
     pub is_test: bool,
@@ -197,6 +201,8 @@ const BLOCKING_NEEDLES: &[(&str, BlockKind)] = &[
     (".read_to_end(", BlockKind::BlockingIo),
     (".read_to_string(", BlockKind::BlockingIo),
     (".read_until(", BlockKind::BlockingIo),
+    ("TcpStream::connect(", BlockKind::BlockingIo),
+    ("TcpStream::connect_timeout(", BlockKind::BlockingIo),
 ];
 
 const ATOMIC_OPS: &[(&str, AtomicOp)] = &[
@@ -224,8 +230,9 @@ const CALLISH_KEYWORDS: &[&str] =
 enum Ctx {
     /// Plain `{}` (mod bodies, control flow, struct literals, …).
     Block,
-    /// `impl Type`/`trait Type` body; `ty` qualifies contained fns.
-    Impl { ty: String },
+    /// `impl Type`/`trait Type` body; `ty` qualifies contained fns, and
+    /// `of_trait` names the trait for `impl Trait for Type`/`trait Trait`.
+    Impl { ty: String, of_trait: Option<String> },
     /// `struct Type { … }` body; fields append to `structs[idx]`.
     Struct { idx: usize },
     /// Function body; facts accumulate in the scratch `FnScratch`.
@@ -236,7 +243,7 @@ enum Ctx {
 /// text that precedes it.
 #[derive(Debug)]
 enum Pending {
-    Impl { ty: String },
+    Impl { ty: String, of_trait: Option<String> },
     Struct { name: String },
     Fn { name: String },
 }
@@ -376,10 +383,16 @@ pub fn parse_file(relpath: &str, content: &str) -> FileFacts {
                     let p = pending.take().or_else(|| classify_stmt(&stmt));
                     match p {
                         Some(Pending::Fn { name }) => {
-                            let impl_type = ctx.iter().rev().find_map(|(c, _)| match c {
-                                Ctx::Impl { ty } => Some(ty.clone()),
-                                _ => None,
-                            });
+                            let (impl_type, trait_name) = ctx
+                                .iter()
+                                .rev()
+                                .find_map(|(c, _)| match c {
+                                    Ctx::Impl { ty, of_trait } => {
+                                        Some((Some(ty.clone()), of_trait.clone()))
+                                    }
+                                    _ => None,
+                                })
+                                .unwrap_or((None, None));
                             let qual = match &impl_type {
                                 Some(t) => format!("{t}::{name}"),
                                 None => name.clone(),
@@ -389,6 +402,7 @@ pub fn parse_file(relpath: &str, content: &str) -> FileFacts {
                                     qual,
                                     name,
                                     impl_type,
+                                    trait_name,
                                     line: lineno,
                                     is_test: in_test,
                                     ..FnFacts::default()
@@ -397,7 +411,9 @@ pub fn parse_file(relpath: &str, content: &str) -> FileFacts {
                             });
                             ctx.push((Ctx::Fn, depth));
                         }
-                        Some(Pending::Impl { ty }) => ctx.push((Ctx::Impl { ty }, depth)),
+                        Some(Pending::Impl { ty, of_trait }) => {
+                            ctx.push((Ctx::Impl { ty, of_trait }, depth))
+                        }
                         Some(Pending::Struct { name }) => {
                             out.structs.push(StructFacts { name, fields: Vec::new() });
                             let idx = out.structs.len() - 1;
@@ -448,7 +464,9 @@ pub fn parse_file(relpath: &str, content: &str) -> FileFacts {
             i += 1;
         }
         // End of line: inside a struct body, a trailing `,` ends a field.
-        if stmt.trim_end().ends_with(',') {
+        // Anywhere else it is a parameter or argument list running on — a
+        // `fn` signature spread over lines must reach its `{` whole.
+        if matches!(ctx.last(), Some((Ctx::Struct { .. }, _))) && stmt.trim_end().ends_with(',') {
             flush_struct_field(&stmt, &ctx, &mut out);
             stmt.clear();
             stmt_has_ordering = false;
@@ -493,16 +511,22 @@ fn classify_stmt(stmt: &str) -> Option<Pending> {
     match kw {
         "fn" => ident_after(rest).map(|name| Pending::Fn { name }),
         "struct" => ident_after(rest).map(|name| Pending::Struct { name }),
-        "trait" => ident_after(rest).map(|ty| Pending::Impl { ty }),
+        "trait" => {
+            ident_after(rest).map(|ty| Pending::Impl { of_trait: Some(ty.clone()), ty })
+        }
         "impl" => {
             // `impl<T> Type`, `impl Trait for Type` — the implemented type
             // is after `for` when present.
             let rest = skip_generics(rest);
-            let ty_src = match find_token(rest, "for") {
-                Some(p) => &rest[p + 3..],
-                None => rest,
+            let (ty_src, of_trait) = match find_token(rest, "for") {
+                // `path::Trait<Args>` → `Trait`.
+                Some(p) => {
+                    let path = rest[..p].split('<').next().unwrap_or("").trim();
+                    (&rest[p + 3..], path.rsplit("::").next().and_then(ident_after))
+                }
+                None => (rest, None),
             };
-            ident_after(ty_src).map(|ty| Pending::Impl { ty })
+            ident_after(ty_src).map(|ty| Pending::Impl { ty, of_trait })
         }
         _ => None,
     }
@@ -604,7 +628,8 @@ fn flush_struct_field(stmt: &str, ctx: &[(Ctx, i32)], out: &mut FileFacts) {
 
 /// Reduces a field's type expression to the base type the call graph can
 /// walk through: strips references, `Arc`/`Box`/`Rc`/`Option` wrappers,
-/// slices/arrays, path prefixes, and generic arguments.
+/// slices/arrays, path prefixes, and generic arguments; brackets a
+/// `Vec`/`VecDeque`'s element type.
 pub fn base_type(ty: &str) -> String {
     let mut t = ty.trim();
     loop {
@@ -629,6 +654,14 @@ pub fn base_type(ty: &str) -> String {
             if let Some(close) = t.rfind('>') {
                 t = t[head_end + 1..close].trim();
                 continue;
+            }
+        }
+        // A growable sequence keeps its element type in brackets
+        // (`Vec<Arc<Engine>>` is `[Engine]`): a foreign type to a method
+        // call on the field itself, typeable again once indexed.
+        if ["Vec", "VecDeque"].contains(&seg) && head_end < t.len() {
+            if let Some(close) = t.rfind('>') {
+                return format!("[{}]", base_type(&t[head_end + 1..close]));
             }
         }
         return seg.to_string();
@@ -695,7 +728,10 @@ fn scan_fragment(
                 line: lineno,
             });
         }
-        let binding = let_binding(stmt);
+        // `let n = m.lock().len();` binds the method's result, not the
+        // guard: that one is a temporary like any other.
+        let binding =
+            let_binding(stmt).filter(|_| guard_outlives_call(&stmt[at + ".lock(".len()..]));
         scratch.guards.push(Guard {
             class: class.clone(),
             line: lineno,
@@ -735,6 +771,45 @@ fn scan_fragment(
                 call: scratch.facts.calls.len() - 1,
             });
         }
+    }
+}
+
+/// Whether a `let`-bound `.lock(` yields the guard itself: true when
+/// nothing follows the call (`after` starts inside its parentheses) but
+/// the suffixes that hand the guard through — `.unwrap()`, `.expect(..)`,
+/// `.unwrap_or_else(..)`, `?`. Any other method call consumes the guard
+/// as a temporary. A chain continued on a later line is not visible yet
+/// and counts as bound (the conservative reading).
+fn guard_outlives_call(after: &str) -> bool {
+    /// Skips one balanced `(...)` group whose `(` is already consumed.
+    fn skip_group(s: &str) -> &str {
+        let mut level = 1;
+        for (i, c) in s.char_indices() {
+            match c {
+                '(' => level += 1,
+                ')' => level -= 1,
+                _ => {}
+            }
+            if level == 0 {
+                return &s[i + 1..];
+            }
+        }
+        ""
+    }
+    let mut rest = skip_group(after).trim_start();
+    loop {
+        rest = if let Some(r) = rest.strip_prefix('?') {
+            r
+        } else if let Some(r) = rest.strip_prefix(".unwrap()") {
+            r
+        } else if let Some(r) =
+            rest.strip_prefix(".expect(").or_else(|| rest.strip_prefix(".unwrap_or_else("))
+        {
+            skip_group(r)
+        } else {
+            return rest.is_empty();
+        }
+        .trim_start();
     }
 }
 
@@ -913,9 +988,8 @@ fn scan_calls(stmt: &str, region_start: usize) -> Vec<Callee> {
                     break;
                 }
                 if b[j - 1] == b')' || b[j - 1] == b']' {
-                    // A call or index in the chain: untypeable segment.
-                    let (close, open_c) =
-                        if b[j - 1] == b')' { (b')', b'(') } else { (b']', b'[') };
+                    let index = b[j - 1] == b']';
+                    let (close, open_c) = if index { (b']', b'[') } else { (b')', b'(') };
                     let mut level = 0;
                     while j > 0 {
                         j -= 1;
@@ -928,7 +1002,14 @@ fn scan_calls(stmt: &str, region_start: usize) -> Vec<Callee> {
                             }
                         }
                     }
-                    // Swallow the callee/base identifier too.
+                    if index {
+                        // An index types as an element of what it indexes:
+                        // the base is the next, ordinary, segment.
+                        chain.push(String::from("[]"));
+                        continue;
+                    }
+                    // A call in the chain: untypeable segment. Swallow the
+                    // callee identifier too.
                     while j > 0 && b[j - 1].is_ascii_whitespace() {
                         j -= 1;
                     }
@@ -977,6 +1058,15 @@ mod tests {
         facts.fns.iter().find(|f| f.qual == qual).unwrap_or_else(|| {
             panic!("no fn {qual}; have {:?}", facts.fns.iter().map(|f| &f.qual).collect::<Vec<_>>())
         })
+    }
+
+    #[test]
+    fn a_let_bound_method_result_does_not_bind_the_guard() {
+        let src = "impl P {\n    fn f(&self) {\n        let conn = self.pool.lock().pop();\n        std::thread::sleep(D);\n        let g = self.pool.lock().unwrap_or_else(PoisonError::into_inner);\n        std::thread::sleep(D);\n    }\n}\n";
+        let facts = parse_file("crates/app/src/p.rs", src);
+        let f = &facts.fns[0];
+        assert_eq!(f.held_blocking.len(), 1, "{:?}", f.held_blocking);
+        assert_eq!(f.held_blocking[0].held.1, 5, "only the guard bound on line 5 is held");
     }
 
     #[test]

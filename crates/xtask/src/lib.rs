@@ -109,6 +109,7 @@ const RECORD_PATH_MODULES: &[&str] = &[
     "crates/serving/src/stats.rs",
     "crates/serving/src/telemetry.rs",
     "crates/serving/src/server/metrics.rs",
+    "crates/serving/src/routerd.rs",
     "crates/serving/src/ingest/metrics.rs",
     "crates/serving/src/ingest/epoch.rs",
 ];
@@ -916,6 +917,15 @@ mod tests {
     fn cache_record_path_must_not_allocate() {
         let src = "impl C {\n    pub fn record_hit_duration(&self) { self.tags.push(1); }\n}\n";
         let v = lint("crates/serving/src/cache.rs", src);
+        assert!(v.iter().any(|x| x.rule == "record-no-alloc"), "{v:?}");
+    }
+
+    /// The router's `record_forward`/`record_upstream_connections` run on
+    /// the reactor thread, once per forwarded predict.
+    #[test]
+    fn router_record_path_must_not_allocate() {
+        let src = "impl R {\n    fn record_forward(&self) { self.log.lock().push(1); }\n}\n";
+        let v = lint("crates/serving/src/routerd.rs", src);
         assert!(v.iter().any(|x| x.rule == "record-no-alloc"), "{v:?}");
     }
 

@@ -63,6 +63,10 @@ impl Default for AnalyzeConfig {
     fn default() -> Self {
         Self {
             reactor_roots: vec![
+                // Everything the event loop calls, the tier behind its
+                // `RequestBackend` parameter included (trait fan-out): the
+                // engine under an inline predict, the router's routing and
+                // failover policy under a forward.
                 (
                     String::from("crates/serving/src/server/reactor.rs"),
                     String::from("Reactor::run"),
@@ -72,14 +76,6 @@ impl Default for AnalyzeConfig {
                 (
                     String::from("crates/serving/src/ingest/pipeline.rs"),
                     String::from("IngestPipeline::submit"),
-                ),
-                // The router's shard classifier runs inside the reactor's
-                // dispatch loop for every proxied request: it must stay a
-                // lock-free snapshot read (membership load + rendezvous
-                // hash), never touching the admin mutex or upstream pools.
-                (
-                    String::from("crates/serving/src/routerd.rs"),
-                    String::from("RouterCore::shard_for"),
                 ),
             ],
             require_roots: true,
