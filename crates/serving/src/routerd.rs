@@ -46,7 +46,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use serenade_core::Click;
 use serenade_index::binfmt;
-use serenade_telemetry::registry::{Counter, Gauge};
+use serenade_telemetry::registry::Counter;
 use serenade_telemetry::{Histogram, HistogramConfig, TraceConfig};
 
 use crate::engine::RecommendRequest;
@@ -100,12 +100,9 @@ pub struct NodeEntry {
     /// never use it.
     transport: RemotePod,
     alive: AtomicBool,
-    /// Upstream connections the reactor holds to this node.
-    upstream_connections: Arc<Gauge>,
 }
 
 impl NodeEntry {
-
     /// Whether the last contact with the node succeeded.
     pub fn is_alive(&self) -> bool {
         self.alive.load(Ordering::SeqCst)
@@ -160,9 +157,6 @@ pub struct RouterCore {
     failover_total: Arc<Counter>,
     /// Request written → response complete, per forward that answered `200`.
     upstream_seconds: Arc<Histogram>,
-    /// Every per-node connection gauge ever registered, by data address, so
-    /// a member that leaves and rejoins reuses its series.
-    upstream_gauges: Mutex<Vec<(SocketAddr, Arc<Gauge>)>>,
     probe_timeout: Duration,
     handoff_cap: u32,
 }
@@ -196,7 +190,6 @@ impl RouterCore {
             last_artifact: Mutex::new(None),
             failover_total,
             upstream_seconds,
-            upstream_gauges: Mutex::new(Vec::new()),
             probe_timeout,
             handoff_cap,
         });
@@ -219,35 +212,26 @@ impl RouterCore {
         core
     }
 
-    /// A routing-table entry for a member (admin plane: registers the
-    /// node's connection gauge the first time its address is seen).
     fn node_entry(&self, id: u64, data_addr: SocketAddr, ctrl_addr: SocketAddr) -> Arc<NodeEntry> {
-        let mut gauges = self.upstream_gauges.lock();
-        let upstream_connections = match gauges.iter().find(|(addr, _)| *addr == data_addr) {
-            Some((_, gauge)) => Arc::clone(gauge),
-            None => {
-                let gauge = self.telemetry.registry().gauge(
-                    "serenade_router_upstream_connections",
-                    "Upstream connections the reactor holds open to a node, idle or in flight.",
-                    &[("node", &data_addr.to_string())],
-                );
-                gauges.push((data_addr, Arc::clone(&gauge)));
-                gauge
-            }
-        };
         Arc::new(NodeEntry {
             id,
             data_addr,
             ctrl_addr,
             transport: RemotePod::new(data_addr, self.probe_timeout),
             alive: AtomicBool::new(true),
-            upstream_connections,
         })
     }
 
     /// The current membership snapshot.
     pub fn membership(&self) -> crate::sync::Arc<Membership> {
         self.membership.load()
+    }
+
+    /// The membership slot owning a session (`0` while the table is empty):
+    /// the rendezvous assignment the conformance suites hold to the
+    /// in-process router's.
+    pub fn shard_for(&self, session_id: u64) -> usize {
+        self.membership.load().route(session_id).unwrap_or(0)
     }
 
     /// Requests failed over to a surviving node so far.
@@ -412,18 +396,12 @@ impl RouterCore {
         membership: &Membership,
         req: &RecommendRequest,
         attempt: usize,
-    ) -> PredictRoute {
+    ) -> Option<ForwardTarget> {
         if attempt > membership.nodes.len() {
-            return PredictRoute::Unroutable;
+            return None;
         }
-        match membership.route_filtered(req.session_id, |s| membership.nodes[s].is_alive()) {
-            Some(slot) => PredictRoute::Forward(ForwardTarget {
-                addr: membership.nodes[slot].data_addr,
-                depersonalised: true,
-                attempt,
-            }),
-            None => PredictRoute::Unroutable,
-        }
+        let slot = membership.route_filtered(req.session_id, |s| membership.nodes[s].is_alive())?;
+        Some(ForwardTarget { addr: membership.nodes[slot].data_addr, depersonalised: true, attempt })
     }
 
     /// Proxies an ingest batch: clicks are grouped by owning node and
@@ -528,10 +506,6 @@ impl RequestBackend for RouterCore {
         &self.telemetry
     }
 
-    fn shard_for(&self, session_id: u64) -> usize {
-        self.membership.load().route(session_id).unwrap_or(0)
-    }
-
     /// The owner if alive, otherwise the failover policy — never an error.
     fn route_predict(&self, req: &RecommendRequest) -> PredictRoute {
         let membership = self.membership.load();
@@ -545,6 +519,7 @@ impl RequestBackend for RouterCore {
             _ => {
                 self.failover_total.inc();
                 self.next_candidate(&membership, req, 1)
+                    .map_or(PredictRoute::Unroutable, PredictRoute::Forward)
             }
         }
     }
@@ -552,7 +527,7 @@ impl RequestBackend for RouterCore {
     /// A forward produced no `200`: the node is marked dead (the prober
     /// revives it), the request is counted once as failed over — when it
     /// leaves its owner — and goes to the next candidate.
-    fn forward_failed(&self, req: &RecommendRequest, failed: ForwardTarget) -> PredictRoute {
+    fn forward_failed(&self, req: &RecommendRequest, failed: ForwardTarget) -> Option<ForwardTarget> {
         let membership = self.membership.load();
         if let Some(node) = membership.nodes.iter().find(|n| n.data_addr == failed.addr) {
             node.alive.store(false, Ordering::SeqCst);
@@ -565,13 +540,6 @@ impl RequestBackend for RouterCore {
 
     fn record_forward(&self, elapsed: Duration) {
         self.upstream_seconds.record(elapsed);
-    }
-
-    fn record_upstream_connections(&self, addr: SocketAddr, open: usize) {
-        let membership = self.membership.load();
-        if let Some(node) = membership.nodes.iter().find(|n| n.data_addr == addr) {
-            node.upstream_connections.set(open as u64);
-        }
     }
 
     fn respond(&self, request: &ParsedRequest) -> (u16, String, &'static str) {
@@ -995,6 +963,36 @@ mod tests {
         router.shutdown();
         survivor.shutdown();
         drop(stalled);
+    }
+
+    #[test]
+    fn every_member_stalling_costs_less_than_two_deadlines() {
+        // A failover inherits its request's deadline; a missed one buys the
+        // next attempt half as much again. Three members that accept and
+        // never answer therefore cost 1 + 1/2 + 1/4 deadlines, not three.
+        let pinged = survivor();
+        let stalled: Vec<TcpListener> =
+            (0..3).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
+        let members: Vec<_> = stalled
+            .iter()
+            .zip(0u64..)
+            .map(|(listener, id)| (id, listener.local_addr().unwrap(), pinged.ctrl_addr()))
+            .collect();
+        let deadline = Duration::from_millis(400);
+        let router = router(
+            &members,
+            HttpServerConfig { request_deadline: deadline, ..HttpServerConfig::default() },
+        );
+        let started = Instant::now();
+        let answer = predict(&mut HttpClient::connect(router.addr()).unwrap(), 9, true);
+        let waited = started.elapsed();
+        assert_eq!(answer, (200, EMPTY_LIST.to_string()), "nobody answered: the empty list, no 5xx");
+        assert!(waited >= deadline * 7 / 4, "an attempt was cut short: {waited:?}");
+        assert!(waited < deadline * 3, "every attempt got a whole deadline: {waited:?}");
+        assert_eq!(router.core().failover_total(), 1);
+        assert!(router.core().membership().nodes().iter().all(|n| !n.is_alive()));
+        router.shutdown();
+        pinged.shutdown();
     }
 
     #[test]

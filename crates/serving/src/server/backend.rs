@@ -61,17 +61,10 @@ pub trait RequestBackend: Send + Sync + 'static {
     /// panic; the worker trusts endpoint routing.
     fn respond(&self, request: &ParsedRequest) -> (u16, String, &'static str);
 
-    /// The shard owning a session: a local tier's batch-coalescing key (a
-    /// batch executes against exactly one shard's session state), a
-    /// forwarding tier's slot of the owning node.
-    fn shard_for(&self, session_id: u64) -> usize;
-
-    /// Says where this tier runs `req` — locally on the owning shard unless
-    /// the tier says otherwise. Called on the reactor thread for every
-    /// well-formed `POST /recommend`: it must not block.
-    fn route_predict(&self, req: &RecommendRequest) -> PredictRoute {
-        PredictRoute::Local { shard: self.shard_for(req.session_id) }
-    }
+    /// Says where this tier runs `req`: in this process on the shard owning
+    /// the session, on another node, or nowhere. Called on the reactor
+    /// thread for every well-formed `POST /recommend`: it must not block.
+    fn route_predict(&self, req: &RecommendRequest) -> PredictRoute;
 
     /// Executes same-shard predicts (per [`PredictRoute::Local`]); one
     /// result per request in request order. This is a tier's only way to
@@ -90,16 +83,15 @@ pub trait RequestBackend: Send + Sync + 'static {
 
     /// The tier's failover policy: the forward to `failed` produced no
     /// `200` (I/O error, EOF, another status, missed deadline). Says where
-    /// `req` goes next. Called on the reactor thread: it must not block.
-    fn forward_failed(&self, _req: &RecommendRequest, _failed: ForwardTarget) -> PredictRoute {
-        PredictRoute::Unroutable
+    /// `req` goes next — `None` when no candidate is left, which the client
+    /// sees as an empty `200`. Called on the reactor thread: it must not
+    /// block.
+    fn forward_failed(&self, _req: &RecommendRequest, _failed: ForwardTarget) -> Option<ForwardTarget> {
+        None
     }
 
     /// One forward answered `200`, `elapsed` after its request was written.
     fn record_forward(&self, _elapsed: Duration) {}
-
-    /// The reactor now holds `open` upstream connections to `addr`.
-    fn record_upstream_connections(&self, _addr: SocketAddr, _open: usize) {}
 }
 
 impl RequestBackend for ServingCluster {
@@ -111,8 +103,8 @@ impl RequestBackend for ServingCluster {
         conn::respond(request, self)
     }
 
-    fn shard_for(&self, session_id: u64) -> usize {
-        self.pod_index_for(session_id)
+    fn route_predict(&self, req: &RecommendRequest) -> PredictRoute {
+        PredictRoute::Local { shard: self.pod_index_for(req.session_id) }
     }
 
     fn handle_recommend_batch(

@@ -14,16 +14,19 @@
 //! * accepted-connection and handled-request totals, and where each
 //!   admitted predict ran (`serenade_http_predicts_total{path=…}`: `inline`
 //!   on the reactor thread, `queued` to the worker pool, `forwarded` to a
-//!   node) — the execution model is only legible if every path is counted.
+//!   node) — the execution model is only legible if every path is counted;
+//! * on a forwarding tier, the upstream connections the reactor holds open
+//!   per node (`serenade_http_upstream_connections{node=…}`).
 //!
 //! Inflight/queue-depth/active-connection *gauges* are registered by
 //! [`super::HttpServer::serve`] as polled gauges over the live lifecycle
 //! state — they are views, not separate bookkeeping.
 
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use serenade_telemetry::{Counter, Histogram, HistogramConfig, Registry};
+use serenade_telemetry::{Counter, Gauge, Histogram, HistogramConfig, Registry};
 
 /// The connection state machine's states, as carried by the per-state
 /// duration histograms. `Closed` is terminal and zero-length, so it has no
@@ -249,6 +252,17 @@ impl ServerMetrics {
             Arc::clone(&self.batch_size),
         );
     }
+}
+
+/// Registers and returns the series of `node` in the per-node gauge of
+/// upstream connections a forwarding reactor holds open. The reactor calls
+/// this the first time it dials a node, and never again for that address.
+pub(super) fn upstream_connections_gauge(registry: &Registry, node: SocketAddr) -> Arc<Gauge> {
+    registry.gauge(
+        "serenade_http_upstream_connections",
+        "Upstream connections the reactor holds open to a node, idle or in flight.",
+        &[("node", &node.to_string())],
+    )
 }
 
 impl Default for ServerMetrics {

@@ -15,8 +15,9 @@
 //!
 //! * **inline** — a predict the tier runs locally
 //!   ([`PredictRoute::Local`]), admitted in a turn that delivered no other
-//!   readiness event, with nothing else in flight, an empty dispatch queue
-//!   and no gather window configured, has nobody to coalesce with. The
+//!   readiness event and has run no inline predict yet, with nothing else
+//!   in flight, an empty dispatch queue and no gather window configured,
+//!   has nobody to coalesce with. The
 //!   reactor runs it to completion itself, as the batch of one a worker
 //!   would have run, and writes the answer: no queue push, no condvar, no
 //!   wake-up, no `epoll_ctl` (the thread that read the request answers it,
@@ -35,7 +36,14 @@
 //!   byte-for-byte, and anything else (I/O error, EOF, another status, a
 //!   deadline missed at the timer sweep) goes back to the tier's one
 //!   failover policy ([`RequestBackend::forward_failed`]), which names the
-//!   next target or none (an empty `200`).
+//!   next target or none (an empty `200`). Attempts share the request's
+//!   deadline; a missed one extends it by half as much each time, so the
+//!   client waits less than two deadlines however many nodes stall.
+//!
+//! Answering never nests: a frame answered on the spot (inline predict,
+//! shed, unroutable forward) returns to the loop that walks the
+//! connection's buffered frames, so a client's pipeline depth is not the
+//! reactor's stack depth.
 //!
 //! A connection waiting for a worker or a node reads nothing more: its
 //! poller interest is cleared the first time it speaks out of turn, so a
@@ -55,6 +63,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use serenade_telemetry::Gauge;
+
 use crate::context::BatchContext;
 use crate::engine::RecommendRequest;
 use crate::error::ServingError;
@@ -65,7 +75,7 @@ use super::backend::{ForwardTarget, PredictRoute, RequestBackend};
 use super::conn::{self, CONTENT_TYPE_JSON};
 use super::dispatch::{CompletionQueue, Dispatch, DispatchKind, DispatchQueue};
 use super::lifecycle::{Admission, ParkDecision};
-use super::metrics::ConnState;
+use super::metrics::{upstream_connections_gauge, ConnState};
 use super::parser::{ParsedRequest, Parser, ParserLimits, Poll};
 use super::worker::run_predicts;
 use super::Shared;
@@ -660,7 +670,9 @@ struct Forward {
     target: ForwardTarget,
     /// Token of the upstream connection carrying the exchange.
     upstream: u64,
-    /// When this attempt counts as failed (swept like every other timeout).
+    /// When this attempt counts as failed (swept like every other timeout):
+    /// the request's own deadline, unless a missed one granted an extension
+    /// (see [`Reactor::fail_forward`]).
     deadline: Option<Instant>,
     close_hint: bool,
 }
@@ -685,13 +697,13 @@ struct Upstream {
 }
 
 /// The reactor's connections to one node.
-#[derive(Default)]
 struct NodePool {
     /// Idle connections, LIFO: the most recently used one is the least
     /// likely to have been idle-reaped by the node.
     idle: Vec<u64>,
-    /// Open connections, idle or not (the per-node gauge).
-    open: usize,
+    /// Open connections, idle or in flight: the node's series of
+    /// `serenade_http_upstream_connections`.
+    open: Arc<Gauge>,
 }
 
 /// Idle upstream connections kept per node; a finished exchange beyond it
@@ -786,9 +798,11 @@ pub(super) struct Reactor<B: RequestBackend> {
     pools: HashMap<SocketAddr, NodePool>,
     /// The context inline predicts run in, reused like a worker's.
     bctx: BatchContext,
-    /// The current poll turn delivered at most one readiness event: whoever
-    /// sent it has nobody to coalesce with.
+    /// The current poll turn delivered at most one readiness event and has
+    /// run no predict inline yet: whoever sent it has nobody to coalesce with.
     solo_turn: bool,
+    /// The connection whose buffered frames [`Reactor::advance`] is walking.
+    advancing: Option<u64>,
     events: Vec<Event>,
     sweep_tokens: Vec<u64>,
     completion_scratch: Vec<super::dispatch::Completion>,
@@ -818,6 +832,7 @@ impl<B: RequestBackend> Reactor<B> {
             pools: HashMap::new(),
             bctx: BatchContext::new(),
             solo_turn: false,
+            advancing: None,
             events: Vec::with_capacity(256),
             sweep_tokens: Vec::new(),
             completion_scratch: Vec::new(),
@@ -1052,6 +1067,21 @@ impl<B: RequestBackend> Reactor<B> {
     /// stopping when the connection goes busy, starts writing, or runs out
     /// of bytes.
     fn advance(&mut self, token: u64) {
+        // Answering a frame ends in `flush`, which comes back here for the
+        // next pipelined one. When the frame was this walk's own (answered
+        // on the spot: an inline predict, a shed, an unroutable forward),
+        // the walk below takes the next one itself — a client's pipeline
+        // depth must never become the reactor's stack depth.
+        if self.advancing == Some(token) {
+            return;
+        }
+        let outer = self.advancing.replace(token);
+        self.walk_frames(token);
+        self.advancing = outer;
+    }
+
+    /// The walk of [`Reactor::advance`], one frame per iteration.
+    fn walk_frames(&mut self, token: u64) {
         loop {
             let now = Instant::now();
             let Some(conn) = self.slab.get_mut(token) else { return };
@@ -1147,9 +1177,13 @@ impl<B: RequestBackend> Reactor<B> {
                 }
                 PredictRoute::Local { shard } => DispatchKind::Predict { req, pod: shard },
                 route => {
+                    let target = match route {
+                        PredictRoute::Forward(target) => Some(target),
+                        _ => None,
+                    };
                     self.shared.metrics.predicts_forwarded.inc();
                     self.set_state(token, ConnState::Handling);
-                    self.forward(token, req, route, Some(&request.body), deadline, close_hint);
+                    self.forward(token, req, target, Some(&request.body), deadline, close_hint);
                     return;
                 }
             },
@@ -1181,7 +1215,9 @@ impl<B: RequestBackend> Reactor<B> {
     }
 
     /// Whether the predict just admitted is alone, by what this turn
-    /// observed: it is the only ready connection, the only request in
+    /// observed: it is the only ready connection and the turn's first
+    /// inline predict (frames pipelined behind one take the queue, so one
+    /// connection's backlog cannot hold the loop), the only request in
     /// flight, no backlog waits for a worker, and no gather window is
     /// configured to wait for company. Then the queue, the worker wake-up
     /// and the completion kick would buy nothing, and the predict runs on
@@ -1205,6 +1241,8 @@ impl<B: RequestBackend> Reactor<B> {
         close_hint: bool,
     ) {
         self.set_state(token, ConnState::Handling);
+        // One inline predict per turn.
+        self.solo_turn = false;
         self.shared.metrics.predicts_inline.inc();
         self.shared.metrics.record_batch_size(1);
         let mut answer = None;
@@ -1223,31 +1261,28 @@ impl<B: RequestBackend> Reactor<B> {
         self.respond_now(token, status, &body, close, None);
     }
 
-    /// Sends an admitted predict where `route` says and parks the client on
-    /// the exchange; an empty `200` when there is nowhere to send it. `body`
-    /// is the client's own request body, forwarded verbatim unless the
-    /// target is to be asked without consent.
+    /// Sends an admitted predict to `target` and parks the client on the
+    /// exchange; an empty `200` when there is nowhere (left) to send it.
+    /// `body` is the client's own request body, forwarded verbatim unless
+    /// the target is to be asked without consent.
     fn forward(
         &mut self,
         token: u64,
         req: RecommendRequest,
-        route: PredictRoute,
+        target: Option<ForwardTarget>,
         body: Option<&str>,
         deadline: Option<Instant>,
         close_hint: bool,
     ) {
-        let mut route = route;
+        let mut next = target;
         loop {
-            let target = match route {
-                PredictRoute::Forward(target) => target,
-                PredictRoute::Unroutable | PredictRoute::Local { .. } => {
-                    let close = self.release_slot(close_hint);
-                    self.respond_now(token, 200, &conn::render_recommendations(&[]), close, None);
-                    return;
-                }
+            let Some(target) = next else {
+                let close = self.release_slot(close_hint);
+                self.respond_now(token, 200, &conn::render_recommendations(&[]), close, None);
+                return;
             };
             let Some(up_token) = self.checkout_upstream(target.addr) else {
-                route = self.cluster.forward_failed(&req, target);
+                next = self.cluster.forward_failed(&req, target);
                 continue;
             };
             if let Some(up) = self.upstreams.get_mut(up_token) {
@@ -1278,8 +1313,7 @@ impl<B: RequestBackend> Reactor<B> {
     /// for `WRITE`, which fires when the dial completes). `None` when the
     /// dial fails on the spot.
     fn checkout_upstream(&mut self, addr: SocketAddr) -> Option<u64> {
-        let pool = self.pools.entry(addr).or_default();
-        if let Some(token) = pool.idle.pop() {
+        if let Some(token) = self.pools.get_mut(&addr).and_then(|pool| pool.idle.pop()) {
             return Some(token);
         }
         let stream = dial(addr).ok()?;
@@ -1305,9 +1339,15 @@ impl<B: RequestBackend> Reactor<B> {
             self.upstreams.remove(token);
             return None;
         }
-        let pool = self.pools.entry(addr).or_default();
-        pool.open += 1;
-        self.cluster.record_upstream_connections(addr, pool.open);
+        // A node's pool, and with it the node's gauge series, is made on the
+        // first dial and kept for good: a member that leaves and rejoins
+        // finds both again. This thread is the gauge's only writer.
+        let registry = self.cluster.telemetry().registry();
+        let pool = self.pools.entry(addr).or_insert_with(|| NodePool {
+            idle: Vec::new(),
+            open: upstream_connections_gauge(registry, addr),
+        });
+        pool.open.set(pool.open.get() + 1);
         Some(token)
     }
 
@@ -1421,11 +1461,9 @@ impl<B: RequestBackend> Reactor<B> {
         let reusable = up.response.reusable();
         up.response.consume();
         up.client = None;
-        let idle = &mut self.pools.entry(up.addr).or_default().idle;
-        if reusable && idle.len() < MAX_IDLE_UPSTREAMS {
-            idle.push(up_token);
-        } else {
-            self.close_upstream(up_token);
+        match self.pools.get_mut(&up.addr) {
+            Some(pool) if reusable && pool.idle.len() < MAX_IDLE_UPSTREAMS => pool.idle.push(up_token),
+            _ => self.close_upstream(up_token),
         }
         self.answer(client, bytes, close);
     }
@@ -1435,7 +1473,7 @@ impl<B: RequestBackend> Reactor<B> {
     /// goes back to the tier's failover policy.
     fn fail_upstream(&mut self, up_token: u64) {
         match self.upstreams.get_mut(up_token).and_then(|up| up.client) {
-            Some(client) => self.fail_forward(client),
+            Some(client) => self.fail_forward(client, false),
             None => self.close_upstream(up_token),
         }
     }
@@ -1443,14 +1481,26 @@ impl<B: RequestBackend> Reactor<B> {
     /// The forward `token` is parked on produced no `200`: drop its upstream
     /// connection (its stream state is unknowable) and ask the tier's one
     /// failover policy where the predict goes next.
-    fn fail_forward(&mut self, token: u64) {
+    ///
+    /// The next attempt inherits the request's deadline. Only an attempt
+    /// that used the deadline up (`timed_out`) buys its successor time, and
+    /// half as much each time: the survivor behind one stalled owner still
+    /// gets to answer, and however many members accept and stall, the
+    /// client waits less than twice `request_deadline`.
+    fn fail_forward(&mut self, token: u64, timed_out: bool) {
         let Some(fwd) = self.slab.get_mut(token).and_then(|conn| conn.forward.take()) else {
             return;
         };
         self.close_upstream(fwd.upstream);
-        let route = self.cluster.forward_failed(&fwd.req, fwd.target);
-        let deadline = self.deadline_from(Instant::now());
-        self.forward(token, fwd.req, route, None, deadline, fwd.close_hint);
+        let next = self.cluster.forward_failed(&fwd.req, fwd.target);
+        let deadline = match next {
+            Some(target) if timed_out => {
+                let extension = self.shared.config.request_deadline / (1 << target.attempt.min(31));
+                fwd.deadline.map(|_| Instant::now() + extension)
+            }
+            _ => fwd.deadline,
+        };
+        self.forward(token, fwd.req, next, None, deadline, fwd.close_hint);
     }
 
     fn close_upstream(&mut self, token: u64) {
@@ -1458,10 +1508,10 @@ impl<B: RequestBackend> Reactor<B> {
         let _ = self.poller.deregister_stream(&up.stream);
         #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
         self.poller.forget(token);
-        let pool = self.pools.entry(up.addr).or_default();
-        pool.idle.retain(|idle| *idle != token);
-        pool.open = pool.open.saturating_sub(1);
-        self.cluster.record_upstream_connections(up.addr, pool.open);
+        if let Some(pool) = self.pools.get_mut(&up.addr) {
+            pool.idle.retain(|idle| *idle != token);
+            pool.open.set(pool.open.get().saturating_sub(1));
+        }
     }
 
     fn set_upstream_interest(&mut self, token: u64, interest: u8) {
@@ -1632,7 +1682,7 @@ impl<B: RequestBackend> Reactor<B> {
                     .is_some_and(|fwd| fwd.deadline.is_some_and(|deadline| now >= deadline));
                 if overdue {
                     self.shared.metrics.timeouts_upstream.inc();
-                    self.fail_forward(token);
+                    self.fail_forward(token, true);
                 }
                 continue;
             }

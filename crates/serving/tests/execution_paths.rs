@@ -20,7 +20,7 @@ use serenade_serving::engine::RecommendRequest;
 use serenade_serving::node::{NodeConfig, ServingNode};
 use serenade_serving::routerd::{RouterConfig, RouterDaemon};
 use serenade_serving::server::parser::ParsedRequest;
-use serenade_serving::server::RequestBackend;
+use serenade_serving::server::{PredictRoute, RequestBackend};
 use serenade_serving::{
     BusinessRules, ClusterTelemetry, EngineConfig, HttpClient, HttpServer, HttpServerConfig,
     JsonValue, RequestContext, ServingCluster, ServingError,
@@ -221,7 +221,7 @@ fn a_router_forwards_every_predict_and_relays_the_same_bytes() {
     assert_eq!(metric(routed, "serenade_router_upstream_seconds_count", &[]), n);
     for node in &nodes {
         let node_label = node.data_addr().to_string();
-        let open = metric(routed, "serenade_router_upstream_connections", &[("node", &node_label)]);
+        let open = metric(routed, "serenade_http_upstream_connections", &[("node", &node_label)]);
         assert_eq!(open, 1.0, "one client at a time needs one connection per node");
     }
     // Each node saw a lone connection: the forwarded predicts ran inline.
@@ -247,8 +247,8 @@ impl RequestBackend for Panicky {
         (404, String::from("{}"), "application/json")
     }
 
-    fn shard_for(&self, _session_id: u64) -> usize {
-        0
+    fn route_predict(&self, _req: &RecommendRequest) -> PredictRoute {
+        PredictRoute::Local { shard: 0 }
     }
 
     fn handle_recommend_batch(
@@ -283,4 +283,81 @@ fn a_panicking_engine_call_on_the_inline_path_is_a_500_and_the_reactor_keeps_ser
     assert_eq!(predicts(&backend.0, "inline"), 3.0, "all three ran on the reactor thread");
     assert_eq!(server.inflight_requests(), 0, "the panic released its admission slot");
     server.shutdown();
+}
+
+/// Writes `frames` pipelined copies of one predict on a single connection
+/// (from a second thread, so neither side's socket buffer wedges the other)
+/// and returns how many responses came back, each asserted to be `expect`.
+fn flood(addr: SocketAddr, frames: usize, expect: &str) -> usize {
+    use std::io::{BufRead, Read, Write};
+    let body = body_of(&RecommendRequest { session_id: 1, item: 3, consent: false, filter_adult: false });
+    let frame = format!(
+        "POST /recommend HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let writing = std::thread::spawn(move || {
+        // A thousand frames per write: the server's read loop finds its
+        // buffer full pass after pass and slurps tens of thousands of frames
+        // before it parses the first.
+        let chunk = frame.repeat(1_000);
+        for _ in 0..frames / 1_000 {
+            if writer.write_all(chunk.as_bytes()).is_err() {
+                return;
+            }
+        }
+    });
+    let mut reader = std::io::BufReader::new(stream);
+    let mut answers = 0;
+    let mut line = String::new();
+    let mut body = Vec::new();
+    while answers < frames {
+        line.clear();
+        if reader.read_line(&mut line).unwrap_or(0) == 0 {
+            break;
+        }
+        assert_eq!(line.trim_end(), expect, "answer {answers}");
+        let mut length = 0;
+        loop {
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            if let Some(value) = line.strip_prefix("content-length:") {
+                length = value.trim().parse().unwrap();
+            }
+            if line == "\r\n" {
+                break;
+            }
+        }
+        body.resize(length, 0);
+        reader.read_exact(&mut body).unwrap();
+        answers += 1;
+    }
+    writing.join().unwrap();
+    answers
+}
+
+#[test]
+fn a_pipelined_flood_on_one_connection_is_answered_frame_by_frame() {
+    // Answering a frame must not nest inside answering the one before it:
+    // the reactor's stack would then be as deep as one client's pipeline.
+    const FRAMES: usize = 50_000;
+    let served = cluster();
+    let server = HttpServer::serve(Arc::clone(&served), HttpServerConfig::default()).unwrap();
+    assert_eq!(flood(server.addr(), FRAMES, "HTTP/1.1 200 OK"), FRAMES);
+    let telemetry = served.telemetry();
+    let (inline, queued) = (predicts(telemetry, "inline"), predicts(telemetry, "queued"));
+    assert_eq!(inline + queued, FRAMES as f64);
+    // One turn runs at most one predict inline; the frames buffered behind
+    // it wait their turn in the dispatch queue like anybody else's.
+    assert!(queued > FRAMES as f64 / 4.0, "inline {inline}, queued {queued}");
+    server.shutdown();
+
+    // Same shape on a router with nowhere to forward: every frame is
+    // answered on the spot with the empty list.
+    let router = RouterDaemon::start(&[], RouterConfig::default()).unwrap();
+    assert_eq!(flood(router.addr(), FRAMES, "HTTP/1.1 200 OK"), FRAMES);
+    assert_eq!(predicts(router.core().telemetry(), "forwarded"), FRAMES as f64);
+    router.shutdown();
 }

@@ -920,8 +920,8 @@ mod tests {
         assert!(v.iter().any(|x| x.rule == "record-no-alloc"), "{v:?}");
     }
 
-    /// The router's `record_forward`/`record_upstream_connections` run on
-    /// the reactor thread, once per forwarded predict.
+    /// The router's `record_forward` runs on the reactor thread, once per
+    /// forwarded predict.
     #[test]
     fn router_record_path_must_not_allocate() {
         let src = "impl R {\n    fn record_forward(&self) { self.log.lock().push(1); }\n}\n";
