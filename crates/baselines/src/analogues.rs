@@ -86,13 +86,12 @@ impl Recommender for PandasStyleVsKnn {
             }
             if let Some(posting) = self.index.postings(item) {
                 let decay = self.config.decay.weight(i + 1, wlen);
-                for &e in posting {
-                    let sid = e.session;
+                for &sid in posting {
                     rows.push(MatchRow {
                         session: sid,
                         // Deliberate `t` lookup per row: this analogue models
                         // the dataframe join against a separate timestamp
-                        // column, not the kernel's inlined layout.
+                        // column, which the kernel never reads.
                         timestamp: self.index.session_timestamp(sid),
                         decay,
                     });
@@ -196,14 +195,13 @@ impl Recommender for AllocHeavyVmis {
                 continue;
             };
             let pi = self.config.decay.weight(i + 1, wlen);
-            for &e in posting {
-                let j = e.session;
+            for &j in posting {
                 if let Some(cell) = r.get_mut(&j) {
                     **cell += pi;
                     continue;
                 }
                 // Deliberate `t` chase per entry: this analogue models the
-                // pointer-heavy layout, not the kernel's inlined keys.
+                // pointer-heavy layout, not the kernel's id-only keys.
                 let key = (self.index.session_timestamp(j), j);
                 if r.len() < self.config.m {
                     r.insert(j, Box::new(pi));
@@ -317,8 +315,7 @@ impl Recommender for SqlStyleVmis {
             }
             if let Some(posting) = self.index.postings(item) {
                 let decay = self.config.decay.weight(i + 1, wlen);
-                for &e in posting {
-                    let sid = e.session;
+                for &sid in posting {
                     // Deliberate `t` lookup per row (SQL join with the
                     // timestamp table), as in the dataframe analogue.
                     join.push((sid, self.index.session_timestamp(sid), decay, wlen - i));
@@ -452,8 +449,8 @@ impl IncrementalVmis {
             let p = state.items.len();
             state.contributed.insert(item, p);
             if let Some(posting) = self.index.postings(item) {
-                for &e in posting {
-                    *state.arrangement.entry(e.session).or_insert(0.0) += p as f64;
+                for &sid in posting {
+                    *state.arrangement.entry(sid).or_insert(0.0) += p as f64;
                 }
             }
         }
@@ -474,8 +471,8 @@ impl IncrementalVmis {
                 continue;
             }
             if let Some(posting) = self.index.postings(it) {
-                for &e in posting {
-                    *state.arrangement.entry(e.session).or_insert(0.0) += p as f64;
+                for &sid in posting {
+                    *state.arrangement.entry(sid).or_insert(0.0) += p as f64;
                 }
             }
         }

@@ -8,8 +8,9 @@
 //! and sort that VMIS-kNN's joint join-and-aggregate execution avoids.
 //!
 //! The baseline is built over the same [`SessionIndex`] data as VMIS-kNN and
-//! produces **identical** neighbourhoods and scores (the tie-breaking is the
-//! same composite `(timestamp, session id)` order); the integration tests
+//! produces **identical** neighbourhoods and scores (it sorts by the
+//! composite `(timestamp, session id)` key, which orders sessions exactly
+//! as the id alone — VMIS-kNN's key — does); the integration tests
 //! verify this equivalence, which the paper requires of all implementation
 //! variants (Section 5.2.1).
 
@@ -66,7 +67,7 @@ impl VsKnnBaseline {
             // already deduplicated.
             let _ = p;
             if let Some(list) = self.index.postings(item) {
-                candidates.extend(list.iter().map(|e| e.session));
+                candidates.extend(list);
             }
         }
 

@@ -44,7 +44,7 @@ fn main() {
         "Figure 3(b) load test: index over {} sessions / {} items (~{} MB)\n",
         stats.num_sessions,
         stats.num_items,
-        stats.approx_bytes / (1 << 20)
+        index.bytes().total() / (1 << 20)
     );
 
     let pods = 2;

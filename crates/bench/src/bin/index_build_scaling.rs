@@ -71,7 +71,7 @@ fn main() {
     print_table(
         &["structure", "bytes"],
         &[
-            vec!["in-memory index (approx)".into(), stats.approx_bytes.to_string()],
+            vec!["in-memory index".into(), index.bytes().total().to_string()],
             vec!["serialised artefact".into(), artefact.len().to_string()],
             vec!["posting lists raw".into(), raw_posting_bytes.to_string()],
             vec!["posting lists varint".into(), compressed.posting_bytes().to_string()],

@@ -1,8 +1,8 @@
 //! The bounded candidate table of the VMIS-kNN session path.
 //!
 //! The item-intersection loop keeps at most `m` candidate sessions, each
-//! with its recency key, its running similarity and the window position of
-//! the item that admitted it. Candidates live densely in one flat `Vec`
+//! with its id (which is its recency key), its running similarity and the
+//! window position of the item that admitted it. Candidates live densely in one flat `Vec`
 //! (what the top-k and scoring steps iterate) and are found by session id
 //! through a small open-addressing directory of at least `2·m` slots:
 //! Fibonacci hashing of the dense session id, linear probing, and an epoch
@@ -11,14 +11,13 @@
 //! in the directory by backward-shift deletion — no tombstones, so probe
 //! sequences never grow with the number of evictions.
 
-use crate::types::{SessionId, Timestamp};
+use crate::types::SessionId;
 
-/// One candidate session of the current request.
+/// One candidate session of the current request, 12 bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Candidate {
-    /// Timestamp of the session (major part of its recency key).
-    pub timestamp: Timestamp,
-    /// Dense session id (minor part of the recency key; the lookup key).
+    /// Dense session id: the lookup key and, ids ascending with recency,
+    /// the recency key.
     pub session: SessionId,
     /// Decayed similarity `r_j` accumulated so far.
     pub similarity: f32,
@@ -187,7 +186,12 @@ mod tests {
     use super::*;
 
     fn cand(session: SessionId) -> Candidate {
-        Candidate { timestamp: u64::from(session) * 10, session, similarity: 1.0, match_pos: 1 }
+        Candidate { session, similarity: 1.0, match_pos: 1 }
+    }
+
+    #[test]
+    fn a_candidate_is_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<Candidate>(), 12);
     }
 
     #[test]

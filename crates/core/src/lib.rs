@@ -63,7 +63,7 @@ pub mod weights;
 pub use error::CoreError;
 pub use recommender::Recommender;
 pub use hash::{FxHashMap, FxHashSet};
-pub use index::{IndexStats, PostingEntry, SessionIndex};
+pub use index::{IndexBytes, IndexStats, Posting, SessionIndex};
 pub use types::{Click, ItemId, ItemScore, SessionId, SessionRef, Timestamp};
 pub use vmis::{BatchScratch, HeapArity, KernelWork, Scratch, VmisConfig, VmisKnn};
 pub use weights::{DecayFunction, IdfWeighting, MatchWeight};

@@ -15,13 +15,17 @@
 //!
 //! ## Tie-breaking refinement
 //!
-//! The paper compares raw timestamps (`t_j > t_l`). We order candidates by
-//! the composite key `(timestamp, session id)`, which is a *strict* total
-//! order (dense ids are assigned in ascending timestamp order). This makes
-//! eviction deterministic under timestamp ties and makes early stopping
-//! **exact**: VMIS-kNN with and without early stopping, and the scan-based
-//! VS-kNN baseline, all return identical neighbour sets — a property the test
-//! suite verifies.
+//! The paper compares raw timestamps (`t_j > t_l`), which leaves eviction
+//! undecided between sessions of equal timestamp. We order candidates by
+//! the composite key `(timestamp, session id)`, a *strict* total order —
+//! and since dense ids are assigned in ascending `(timestamp, external id)`
+//! order, that key orders sessions exactly as the id alone does (proof in
+//! [`crate::index`]'s module docs). So the kernel never reads a timestamp:
+//! `b_t` is a heap of ids, the top-k key is `(similarity, id)`, and early
+//! stopping compares ids. Eviction is deterministic under timestamp ties
+//! and early stopping is **exact**: VMIS-kNN with and without early
+//! stopping, and the scan-based VS-kNN baseline, all return identical
+//! neighbour sets — a property the test suite verifies.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -33,7 +37,7 @@ use crate::error::CoreError;
 use crate::hash::{fx_map_with_capacity, FxHashMap, FxHasher};
 use crate::heap::RuntimeDaryHeap;
 use crate::index::SessionIndex;
-use crate::types::{ItemId, ItemScore, SessionId, Timestamp};
+use crate::types::{ItemId, ItemScore, SessionId};
 use crate::weights::{DecayFunction, IdfWeighting, MatchWeight};
 
 /// Arity of the heaps used by the online computation.
@@ -214,15 +218,15 @@ pub struct KernelWork {
 /// (Rust Performance Book: reuse workhorse collections).
 #[derive(Debug)]
 pub struct Scratch {
-    /// The candidate sessions `r` with their similarities, recency keys and
-    /// match positions.
+    /// The candidate sessions `r` with their similarities and match
+    /// positions.
     table: CandidateTable,
-    /// Min-heap `b_t` over the recency keys of the candidates; built only
-    /// once the table is full and an eviction has to be decided.
-    bt: RuntimeDaryHeap<(Timestamp, SessionId), ()>,
-    /// Min-heap `N_s` over (similarity, recency) → dense candidate index,
-    /// used only when there are more than `k` candidates.
-    topk: RuntimeDaryHeap<(f32, Timestamp, SessionId), u32>,
+    /// Min-heap `b_t` over the ids (the recency keys) of the candidates;
+    /// built only once the table is full and an eviction has to be decided.
+    bt: RuntimeDaryHeap<SessionId, ()>,
+    /// Min-heap `N_s` over (similarity, id) → dense candidate index, used
+    /// only when there are more than `k` candidates.
+    topk: RuntimeDaryHeap<(f32, SessionId), u32>,
     /// The neighbours as `session << 32 | dense candidate index`, sorted —
     /// the canonical (ascending session id) scoring order.
     order: Vec<u64>,
@@ -445,6 +449,12 @@ impl VmisKnn {
         &self.config
     }
 
+    /// Heap bytes of what this recommender keeps beside the index: the
+    /// scoring stream and the slot → item table.
+    pub fn scoring_stream_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.cells) + std::mem::size_of_val(&*self.slot_items)
+    }
+
     /// Creates scratch buffers sized for this recommender.
     pub fn scratch(&self) -> Scratch {
         Scratch::for_config(&self.config)
@@ -561,37 +571,31 @@ impl VmisKnn {
         };
         let Scratch { table, bt, work, .. } = scratch;
         let mut walked = 0u32;
-        for &entry in posting {
+        for &session in posting {
             walked += 1;
-            let vacant = match table.find(entry.session) {
+            let vacant = match table.find(session) {
                 Ok(idx) => {
                     table.get_mut(idx).similarity += pi;
                     continue;
                 }
                 Err(vacant) => vacant,
             };
-            let cand = Candidate {
-                timestamp: entry.timestamp,
-                session: entry.session,
-                similarity: pi,
-                match_pos: pos,
-            };
+            let cand = Candidate { session, similarity: pi, match_pos: pos };
             if table.len() < cfg.m {
                 table.insert_at(vacant, cand);
                 continue;
             }
             if bt.is_empty() {
                 // First decision at a full table: only now is `b_t` needed.
-                bt.rebuild(table.as_slice().iter().map(|c| ((c.timestamp, c.session), ())));
+                bt.rebuild(table.as_slice().iter().map(|c| (c.session, ())));
             }
-            let key = (entry.timestamp, entry.session);
-            let &(root, ()) = bt.peek().expect("bt non-empty when the table is full");
-            if key > root {
-                bt.replace_root(key, ());
-                table.replace(root.1, cand);
+            let &(oldest, ()) = bt.peek().expect("bt non-empty when the table is full");
+            if session > oldest {
+                bt.replace_root(session, ());
+                table.replace(oldest, cand);
                 work.evicted += 1;
             } else if cfg.early_stopping {
-                // Posting lists are strictly descending in the composite
+                // Posting lists are strictly descending in the id, the
                 // recency key: nothing further can enter.
                 work.early_stops += 1;
                 break;
@@ -613,7 +617,7 @@ impl VmisKnn {
             order.extend((0..cands.len() as u32).map(pack));
         } else {
             for (idx, c) in cands.iter().enumerate() {
-                let key = (c.similarity, c.timestamp, c.session);
+                let key = (c.similarity, c.session);
                 if topk.len() < self.config.k {
                     topk.push(key, idx as u32);
                 } else if key > topk.peek().expect("topk non-empty when full").0 {

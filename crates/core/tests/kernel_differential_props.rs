@@ -1,17 +1,18 @@
 //! Randomized differential testing of the scoring-kernel hot path.
 //!
-//! The cache-conscious kernel layout — recency keys inlined into posting
-//! storage, the bounded candidate table that records each candidate's match
-//! position at admission, the fused scoring stream and the dense
-//! epoch-stamped score accumulator — is an *internal* rearrangement: its
-//! correctness contract is bit-identical output to the straightforward
-//! formulation. This suite samples that contract over random click logs and
-//! configs, leaning on the shapes that stress the layout specifically:
-//! timestamp ties (the composite-key tie-break order), `m` at or near the
-//! posting length (the early-stop and eviction boundary), truncated
-//! postings (`m_max` below an item's support), windows with repeated items,
-//! and scratch buffers reused across recommenders and across an epoch
-//! wrap-around.
+//! The cache-conscious kernel layout — id-only postings whose id is the
+//! recency key (`serenade-index`'s `id_is_recency_key` suite holds every
+//! index producer to that), the bounded candidate table that records each
+//! candidate's match position at admission, the fused scoring stream and
+//! the dense epoch-stamped score accumulator — is an *internal*
+//! rearrangement: its correctness contract is bit-identical output to the
+//! straightforward formulation. This suite samples that contract over
+//! random click logs and configs, leaning on the shapes that stress the
+//! layout specifically: timestamp ties (where only the id tells two
+//! sessions apart), `m` at or near the posting length (the early-stop and
+//! eviction boundary), truncated postings (`m_max` below an item's
+//! support), windows with repeated items, and scratch buffers reused across
+//! recommenders and across an epoch wrap-around.
 
 use std::collections::HashMap;
 
@@ -51,28 +52,6 @@ fn config_strategy() -> impl Strategy<Value = VmisConfig> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    // The inlined posting layout is an exact rewrite of the old
-    // sid-only layout: reconstructing each recency key the old way — a
-    // `session_timestamp` lookup per stored sid — yields the same key
-    // sequence the entries now carry inline, in the same order.
-    #[test]
-    fn inlined_postings_match_timestamp_chased_reconstruction(
-        clicks in clicks_strategy(300),
-        m_max in 1usize..8,
-    ) {
-        let index = SessionIndex::build(&clicks, m_max).expect("non-empty log");
-        for item in index.items() {
-            let entries = index.postings(item).expect("listed item has a posting");
-            let sids = index.posting_sessions(item).expect("transport projection");
-            prop_assert_eq!(entries.len(), sids.len());
-            let inline: Vec<(u64, u32)> =
-                entries.iter().map(|e| (e.timestamp, e.session)).collect();
-            let chased: Vec<(u64, u32)> =
-                sids.iter().map(|&j| (index.session_timestamp(j), j)).collect();
-            prop_assert_eq!(inline, chased, "item {} layout diverged", item);
-        }
-    }
-
     // The depersonalised entry point is bit-identical to the session path
     // fed a one-item window — for known and unknown items, across scratch
     // reuse.
@@ -97,8 +76,8 @@ proptest! {
 
     // Heavy timestamp ties: with only four distinct timestamps the
     // composite `(timestamp, session)` order is decided almost entirely by
-    // the session-id tie-break, so any layout bug in the inlined key
-    // ordering shows up here first.
+    // the session-id tie-break, so a kernel that ordered by anything but
+    // the id shows up here first.
     #[test]
     fn timestamp_ties_keep_all_paths_identical(
         clicks in clicks_strategy(3),
@@ -241,12 +220,8 @@ proptest! {
                 table.reset(m);
                 model.clear();
             }
-            let fresh = Candidate {
-                timestamp: step as u64,
-                session,
-                similarity: 1.0,
-                match_pos: step as u32,
-            };
+            // `match_pos` doubles as the admission step the model evicts by.
+            let fresh = Candidate { session, similarity: 1.0, match_pos: step as u32 };
             match table.find(session) {
                 Ok(idx) => {
                     table.get_mut(idx).similarity += 0.5;
@@ -258,7 +233,7 @@ proptest! {
                 }
                 Err(_) => {
                     // Evict the oldest admission, as the kernel's `b_t` would.
-                    let evict = *model.iter().min_by_key(|(_, c)| c.timestamp).expect("full").0;
+                    let evict = *model.iter().min_by_key(|(_, c)| c.match_pos).expect("full").0;
                     table.replace(evict, fresh);
                     model.remove(&evict);
                     model.insert(session, fresh);

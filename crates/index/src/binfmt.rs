@@ -5,7 +5,8 @@
 //! little-endian format with a magic header, a version byte, an FNV-1a
 //! checksum over the payload, and a length/checksum **trailer** repeated at
 //! the end of the stream, so a corrupted or truncated artefact is rejected
-//! before it can serve garbage. Structural invariants are re-validated on
+//! before it can serve garbage. A posting is stored as it is held in memory
+//! — its dense session ids — and structural invariants are re-validated on
 //! load via [`SessionIndex::from_parts`].
 //!
 //! # Hostile-input posture
@@ -15,9 +16,9 @@
 //! input as attacker-controlled (the fuzz-style suite in
 //! `tests/binfmt_hostile.rs` drives this):
 //!
-//! * the declared payload length is capped ([`MAX_PAYLOAD_BYTES`]) and the
-//!   payload is read incrementally, so a hostile length cannot force a
-//!   huge up-front allocation;
+//! * the artefact is parsed where it lies, in the caller's buffer, so a
+//!   hostile length allocates nothing, and the declared payload length is
+//!   capped ([`MAX_PAYLOAD_BYTES`]);
 //! * every count-derived size is computed with checked arithmetic and
 //!   validated against the bytes actually present *before* any allocation
 //!   sized from it;
@@ -26,30 +27,38 @@
 //!   boundary as well as header/trailer mismatches;
 //! * every failure is a clean [`BinError`] — never a panic or abort — and
 //!   a node that rejects an artefact keeps serving its old generation.
+//!
+//! # Load peak
+//!
+//! Each column and each posting is collected from the caller's bytes
+//! straight into the index's own `Arc`, once: while it loads, an index costs
+//! the artefact the caller holds plus the index being built, with neither a
+//! payload-sized copy nor a second posting table in between
+//! (`tests/load_allocs.rs` holds it to that).
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use serenade_core::index::Posting;
-use serenade_core::{CoreError, FxHashMap, ItemId, SessionIndex};
+use serenade_core::{CoreError, FxHashMap, ItemId, SessionId, SessionIndex, Timestamp};
 
 const MAGIC: &[u8; 8] = b"SRNIDX\x02\x00";
 
 /// End-of-stream trailer magic (version-locked to [`MAGIC`]).
 const TRAILER_MAGIC: &[u8; 8] = b"SRNEND\x02\x00";
 
-/// Upper bound on a declared payload. A hostile header cannot make the
-/// reader allocate more than this; real artefacts (even the 180M-click
+/// Header and trailer alike: magic, payload length, payload checksum.
+const FRAME_BYTES: usize = 8 + 8 + 8;
+
+/// Upper bound on a declared payload; real artefacts (even the 180M-click
 /// synthetic e-commerce profile) stay far below it.
 pub const MAX_PAYLOAD_BYTES: u64 = 1 << 30;
 
-/// Errors raised when reading or writing an index artefact.
+/// Errors raised when reading an index artefact.
 #[derive(Debug)]
 pub enum BinError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
     /// Structurally invalid artefact (bad magic, truncation, checksum).
     Corrupt(String),
     /// The decoded parts violated an index invariant.
@@ -59,7 +68,6 @@ pub enum BinError {
 impl fmt::Display for BinError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BinError::Io(e) => write!(f, "i/o error: {e}"),
             BinError::Corrupt(m) => write!(f, "corrupt index artefact: {m}"),
             BinError::Core(e) => write!(f, "invalid index contents: {e}"),
         }
@@ -67,12 +75,6 @@ impl fmt::Display for BinError {
 }
 
 impl std::error::Error for BinError {}
-
-impl From<std::io::Error> for BinError {
-    fn from(e: std::io::Error) -> Self {
-        BinError::Io(e)
-    }
-}
 
 impl From<CoreError> for BinError {
     fn from(e: CoreError) -> Self {
@@ -124,10 +126,8 @@ pub fn write_index(index: &SessionIndex, mut writer: impl Write) -> std::io::Res
         payload.put_u64_le(item);
         payload.put_u32_le(support);
         payload.put_u32_le(entries.len() as u32);
-        // Wire format stores session ids only; the inlined timestamps are
-        // derived data and are re-inlined by `SessionIndex::from_parts`.
-        for e in entries {
-            payload.put_u32_le(e.session);
+        for &session in entries {
+            payload.put_u32_le(session);
         }
     }
 
@@ -155,87 +155,85 @@ fn counted(count: usize, size: usize) -> Result<usize, BinError> {
         .ok_or_else(|| BinError::Corrupt("declared count overflows the address space".into()))
 }
 
-/// Deserialises an index from a reader, verifying magic, checksum, the
-/// length/checksum trailer and all structural invariants. Safe on hostile
-/// bytes: allocation is bounded by the bytes actually present (capped at
-/// [`MAX_PAYLOAD_BYTES`]) and every malformation is a clean [`BinError`].
-pub fn read_index(mut reader: impl Read) -> Result<SessionIndex, BinError> {
-    let mut header = [0u8; 8 + 8 + 8];
-    reader.read_exact(&mut header).map_err(|_| BinError::Corrupt("short header".into()))?;
-    if &header[..8] != MAGIC {
-        return Err(BinError::Corrupt("bad magic / unsupported version".into()));
+/// Splits the header or trailer frame `what` off the front of `bytes`:
+/// `(payload length, checksum, rest)`.
+fn frame<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 8],
+    what: &str,
+) -> Result<(u64, u64, &'a [u8]), BinError> {
+    let (mut frame, rest) = bytes
+        .split_at_checked(FRAME_BYTES)
+        .ok_or_else(|| BinError::Corrupt(format!("short {what}")))?;
+    if !frame.starts_with(magic) {
+        return Err(BinError::Corrupt(format!("bad {what} magic / unsupported version")));
     }
-    let declared_len = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    let checksum = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
+    frame.advance(magic.len());
+    Ok((frame.get_u64_le(), frame.get_u64_le(), rest))
+}
+
+/// Deserialises an index from the bytes of an artefact, verifying magic,
+/// checksum, the length/checksum trailer and all structural invariants.
+/// Safe on hostile bytes: the payload is checksummed and parsed in place,
+/// allocation is bounded by the bytes actually present, and every
+/// malformation is a clean [`BinError`]. Bytes after the trailer are not
+/// looked at.
+pub fn read_index(bytes: &[u8]) -> Result<SessionIndex, BinError> {
+    let (declared_len, checksum, rest) = frame(bytes, MAGIC, "header")?;
     if declared_len > MAX_PAYLOAD_BYTES {
         return Err(BinError::Corrupt(format!(
             "declared payload of {declared_len} bytes exceeds the {MAX_PAYLOAD_BYTES}-byte cap"
         )));
     }
-    let len = declared_len as usize;
-    // Incremental read (not `vec![0; len]` + read_exact): a hostile length
-    // only costs as much memory as bytes actually arrive.
-    let mut payload = Vec::new();
-    (&mut reader)
-        .take(declared_len)
-        .read_to_end(&mut payload)
-        .map_err(|_| BinError::Corrupt("truncated payload".into()))?;
-    if payload.len() != len {
-        return Err(BinError::Corrupt("truncated payload".into()));
-    }
-    if fnv1a(&payload) != checksum {
+    let (mut buf, rest) = rest
+        .split_at_checked(declared_len as usize)
+        .ok_or_else(|| BinError::Corrupt("truncated payload".into()))?;
+    if fnv1a(buf) != checksum {
         return Err(BinError::Corrupt("checksum mismatch".into()));
     }
-    let mut trailer = [0u8; 8 + 8 + 8];
-    reader.read_exact(&mut trailer).map_err(|_| BinError::Corrupt("missing trailer".into()))?;
-    if &trailer[..8] != TRAILER_MAGIC {
-        return Err(BinError::Corrupt("bad trailer magic".into()));
-    }
-    if u64::from_le_bytes(trailer[8..16].try_into().expect("8 bytes")) != declared_len
-        || u64::from_le_bytes(trailer[16..24].try_into().expect("8 bytes")) != checksum
-    {
+    let (trailer_len, trailer_checksum, _) = frame(rest, TRAILER_MAGIC, "trailer")?;
+    if (trailer_len, trailer_checksum) != (declared_len, checksum) {
         return Err(BinError::Corrupt("trailer disagrees with header".into()));
     }
 
-    let mut buf = Bytes::from(payload);
-    let need = |buf: &Bytes, n: usize| -> Result<(), BinError> {
-        if buf.remaining() < n {
+    let need = |buf: &[u8], n: usize| -> Result<(), BinError> {
+        if buf.len() < n {
             Err(BinError::Corrupt("payload shorter than declared structure".into()))
         } else {
             Ok(())
         }
     };
 
-    need(&buf, 16)?;
+    need(buf, 16)?;
     let m_max = buf.get_u64_le() as usize;
     let num_sessions = buf.get_u64_le() as usize;
     if num_sessions > u32::MAX as usize {
         return Err(BinError::Corrupt("session count exceeds u32 space".into()));
     }
-    need(&buf, counted(num_sessions, 8)?)?;
+    need(buf, counted(num_sessions, 8)?)?;
     // Exact-size iterators collect straight into the index's own arrays.
-    let timestamps: Arc<[u64]> = (0..num_sessions).map(|_| buf.get_u64_le()).collect();
-    need(&buf, counted(num_sessions + 1, 4)?)?;
+    let timestamps: Arc<[Timestamp]> = (0..num_sessions).map(|_| buf.get_u64_le()).collect();
+    need(buf, counted(num_sessions + 1, 4)?)?;
     let offsets: Arc<[u32]> = (0..=num_sessions).map(|_| buf.get_u32_le()).collect();
-    need(&buf, 8)?;
+    need(buf, 8)?;
     let flat_len = buf.get_u64_le() as usize;
-    need(&buf, counted(flat_len, 8)?)?;
+    need(buf, counted(flat_len, 8)?)?;
     let items_flat: Arc<[ItemId]> = (0..flat_len).map(|_| buf.get_u64_le()).collect();
-    need(&buf, 8)?;
+    need(buf, 8)?;
     let num_postings = buf.get_u64_le() as usize;
     // Each posting occupies ≥ 16 bytes, so a count the remaining payload
     // cannot hold is rejected *before* the map reserve sized from it.
-    need(&buf, counted(num_postings, 16)?)?;
+    need(buf, counted(num_postings, 16)?)?;
     let mut postings: FxHashMap<ItemId, Posting> = FxHashMap::default();
     postings.reserve(num_postings);
     for _ in 0..num_postings {
-        need(&buf, 16)?;
+        need(buf, 16)?;
         let item = buf.get_u64_le();
         let support = buf.get_u32_le();
         let plen = buf.get_u32_le() as usize;
-        need(&buf, counted(plen, 4)?)?;
-        let sessions: Vec<u32> = (0..plen).map(|_| buf.get_u32_le()).collect();
-        postings.insert(item, Posting { sessions: sessions.into_boxed_slice(), support });
+        need(buf, counted(plen, 4)?)?;
+        let entries: Arc<[SessionId]> = (0..plen).map(|_| buf.get_u32_le()).collect();
+        postings.insert(item, Posting { entries, support });
     }
     if buf.has_remaining() {
         return Err(BinError::Corrupt("trailing bytes after payload".into()));
@@ -344,8 +342,8 @@ mod tests {
 
     #[test]
     fn error_display_variants() {
-        let io = BinError::from(std::io::Error::other("boom"));
-        assert!(io.to_string().contains("boom"));
         assert!(BinError::Corrupt("x".into()).to_string().contains('x'));
+        let core = BinError::from(CoreError::CorruptIndex("y".into()));
+        assert!(core.to_string().contains('y'));
     }
 }

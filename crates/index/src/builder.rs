@@ -179,16 +179,10 @@ pub fn build_parallel(clicks: &[Click], config: BuilderConfig) -> Result<Session
                         }
                     }
                     let mut out: FxHashMap<ItemId, Posting> = FxHashMap::default();
-                    for (item, mut sids) in ascending {
+                    for (item, sids) in ascending {
                         let support = sids.len() as u32;
-                        if sids.len() > config.m_max {
-                            sids.drain(..sids.len() - config.m_max);
-                        }
-                        sids.reverse();
-                        out.insert(
-                            item,
-                            Posting { sessions: sids.into_boxed_slice(), support },
-                        );
+                        let entries = sids.iter().rev().take(config.m_max).copied().collect();
+                        out.insert(item, Posting { entries, support });
                     }
                     out
                 })
@@ -282,6 +276,6 @@ mod tests {
         let clicks = vec![Click::new(1, 5, 1), Click::new(1, 6, 2)];
         let idx = build_parallel(&clicks, BuilderConfig { threads: 16, m_max: 10 }).unwrap();
         assert_eq!(idx.num_sessions(), 1);
-        assert_eq!(idx.posting_sessions(5).unwrap(), &[0]);
+        assert_eq!(idx.postings(5).unwrap(), &[0]);
     }
 }

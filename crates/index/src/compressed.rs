@@ -9,13 +9,13 @@
 //! Queries decode lazily: the item-intersection loop of VMIS-kNN walks a
 //! decoding iterator instead of a slice, so **early stopping also skips
 //! decompression work** — the deeper the cut-off, the more bytes are never
-//! touched. The timestamp array and the per-session item lists stay
-//! uncompressed: they are random-access structures on the hot path.
+//! touched. The per-session item lists stay uncompressed: they are a
+//! random-access structure on the hot path. There is no timestamp column:
+//! the dense id is the recency key (`serenade_core::index`), which is also
+//! what makes the gaps small.
 
 use bytes::BytesMut;
-use serenade_core::{
-    CoreError, FxHashMap, ItemId, ItemScore, SessionId, SessionIndex, Timestamp, VmisConfig,
-};
+use serenade_core::{CoreError, FxHashMap, ItemId, ItemScore, SessionId, SessionIndex, VmisConfig};
 use serenade_core::heap::RuntimeDaryHeap;
 
 use crate::varint::{read_varint, write_varint};
@@ -32,7 +32,6 @@ struct CompressedPosting {
 #[derive(Debug, Clone)]
 pub struct CompressedIndex {
     postings: FxHashMap<ItemId, CompressedPosting>,
-    timestamps: Box<[Timestamp]>,
     items_flat: Box<[ItemId]>,
     items_offsets: Box<[u32]>,
     m_max: usize,
@@ -80,7 +79,7 @@ impl CompressedIndex {
         for (item, posting) in index.postings_iter() {
             buf.clear();
             let mut prev: u64 = 0;
-            for (i, sid) in posting.sessions().enumerate() {
+            for (i, &sid) in posting.entries.iter().enumerate() {
                 if i == 0 {
                     write_varint(&mut buf, u64::from(sid));
                 } else {
@@ -97,20 +96,10 @@ impl CompressedIndex {
                 },
             );
         }
-        let mut timestamps = Vec::with_capacity(index.num_sessions());
-        let mut items_flat = Vec::new();
-        let mut items_offsets = Vec::with_capacity(index.num_sessions() + 1);
-        items_offsets.push(0u32);
-        for sid in 0..index.num_sessions() as u32 {
-            timestamps.push(index.session_timestamp(sid));
-            items_flat.extend_from_slice(index.session_items(sid));
-            items_offsets.push(items_flat.len() as u32);
-        }
         Self {
             postings,
-            timestamps: timestamps.into_boxed_slice(),
-            items_flat: items_flat.into_boxed_slice(),
-            items_offsets: items_offsets.into_boxed_slice(),
+            items_flat: index.session_items_flat().into(),
+            items_offsets: index.session_offsets().into(),
             m_max: index.m_max(),
         }
     }
@@ -137,14 +126,9 @@ impl CompressedIndex {
         &self.items_flat[s..e]
     }
 
-    /// Timestamp of a historical session.
-    pub fn session_timestamp(&self, session: SessionId) -> Timestamp {
-        self.timestamps[session as usize]
-    }
-
     /// Number of historical sessions.
     pub fn num_sessions(&self) -> usize {
-        self.timestamps.len()
+        self.items_offsets.len() - 1
     }
 
     /// Approximate bytes used by the posting lists only (the compressed part).
@@ -178,7 +162,8 @@ impl CompressedIndex {
 
         let d = config.heap_arity.d();
         let mut r: FxHashMap<SessionId, f32> = FxHashMap::default();
-        let mut bt: RuntimeDaryHeap<(Timestamp, SessionId), ()> =
+        // Keyed by id, the recency key: as in the core kernel.
+        let mut bt: RuntimeDaryHeap<SessionId, ()> =
             RuntimeDaryHeap::with_arity_and_capacity(d, config.m);
         for (i, &item) in window.iter().enumerate().rev() {
             if pos[&item] != i + 1 {
@@ -193,15 +178,14 @@ impl CompressedIndex {
                     *rj += pi;
                     continue;
                 }
-                let key = (self.session_timestamp(j), j);
                 if r.len() < config.m {
                     r.insert(j, pi);
-                    bt.push(key, ());
+                    bt.push(j, ());
                 } else {
-                    let &(root, ()) = bt.peek().expect("bt non-empty");
-                    if key > root {
-                        let ((_, evicted), ()) = bt.replace_root(key, ());
-                        r.remove(&evicted);
+                    let &(oldest, ()) = bt.peek().expect("bt non-empty");
+                    if j > oldest {
+                        bt.replace_root(j, ());
+                        r.remove(&oldest);
                         r.insert(j, pi);
                     } else if config.early_stopping {
                         break;
@@ -210,10 +194,10 @@ impl CompressedIndex {
             }
         }
 
-        let mut topk: RuntimeDaryHeap<(f32, Timestamp, SessionId), ()> =
+        let mut topk: RuntimeDaryHeap<(f32, SessionId), ()> =
             RuntimeDaryHeap::with_arity_and_capacity(d, config.k);
         for (&j, &rj) in &r {
-            let key = (rj, self.session_timestamp(j), j);
+            let key = (rj, j);
             if topk.len() < config.k {
                 topk.push(key, ());
             } else {
@@ -227,7 +211,7 @@ impl CompressedIndex {
         // Scoring — canonical ascending-session-id order (see core).
         let num_sessions = self.num_sessions();
         let mut neighbors: Vec<(SessionId, f32)> =
-            topk.iter().map(|&((sim, _, sid), ())| (sid, sim)).collect();
+            topk.iter().map(|&((sim, sid), ())| (sid, sim)).collect();
         neighbors.sort_unstable_by_key(|&(sid, _)| sid);
         let norm = if config.normalize_by_session_length { 1.0 / wlen as f32 } else { 1.0 };
         let mut scores: FxHashMap<ItemId, f32> = FxHashMap::default();
@@ -290,9 +274,8 @@ mod tests {
         let index = SessionIndex::build(&clicks(), 500).unwrap();
         let compressed = CompressedIndex::from_index(&index);
         for item in index.items() {
-            let raw: Vec<SessionId> = index.posting_sessions(item).unwrap();
             let decoded: Vec<SessionId> = compressed.postings(item).unwrap().collect();
-            assert_eq!(raw, decoded, "item {item}");
+            assert_eq!(index.postings(item).unwrap(), decoded, "item {item}");
             assert_eq!(index.item_support(item), compressed.item_support(item));
         }
     }
@@ -301,12 +284,8 @@ mod tests {
     fn compression_actually_saves_space() {
         let index = SessionIndex::build(&clicks(), 500).unwrap();
         let compressed = CompressedIndex::from_index(&index);
-        // Compare against the transport form (4 bytes per session id), not
-        // the kernel's 16-byte inlined entries, so the bar stays honest.
-        let raw_bytes: usize = index
-            .items()
-            .map(|i| index.postings(i).unwrap().len() * std::mem::size_of::<SessionId>())
-            .sum();
+        let raw_bytes: usize =
+            index.items().map(|i| std::mem::size_of_val(index.postings(i).unwrap())).sum();
         assert!(
             compressed.posting_bytes() < raw_bytes,
             "compressed {} >= raw {raw_bytes}",

@@ -26,7 +26,7 @@ fn item_signature(index: &SessionIndex, item: ItemId) -> Option<(u32, Vec<Sessio
     let support = index.item_support(item)?;
     let sessions = posting
         .iter()
-        .map(|e| (e.timestamp, index.session_items(e.session)))
+        .map(|&s| (index.session_timestamp(s), index.session_items(s)))
         .collect();
     Some((support, sessions))
 }

@@ -16,7 +16,7 @@
 //!    rank map of everything at or above `cut`;
 //! 4. start from the previous posting table and rewrite only the postings
 //!    of items that occur in a session at or above `cut` (their entries
-//!    hold renumbered ranks) or in a removed or inserted session (support
+//!    are renumbered ranks) or in a removed or inserted session (support
 //!    ±1, entries dropped and merged in). A truncated posting that loses an
 //!    entry refills by scanning older sessions for the item.
 //!
@@ -67,7 +67,7 @@
 
 use std::sync::Arc;
 
-use serenade_core::index::{PostingEntry, StoredPosting};
+use serenade_core::index::Posting;
 use serenade_core::{Click, CoreError, FxHashMap, FxHashSet, ItemId, SessionId, SessionIndex, Timestamp};
 
 /// What sessions are ranked by: `(session timestamp, external id)`.
@@ -426,14 +426,14 @@ impl IncrementalIndexer {
         order.sort_by_key(|&(key, _)| key);
 
         // The columns from `cut` up, session by session, with the new rank of
-        // each old one (`MAX` for a removed one) and, per touched item, the
-        // sessions it lost and the entries it gained (ascending).
+        // each old one (`MAX` for a removed one) and, per touched item, how
+        // many sessions it lost and the ids it gained (ascending).
         let (mut ts, mut ext_ids) = (Vec::new(), Vec::new());
         let (mut off, mut flat) = (Vec::new(), Vec::new());
         let (mut log_off, mut log) = (Vec::new(), Vec::new());
         let (flat_base, log_base) = (old_off[cut] as usize, self.log_offsets[cut] as usize);
         let mut remap = vec![SessionId::MAX; n_old - cut];
-        let mut delta: FxHashMap<ItemId, (u32, Vec<PostingEntry>)> = FxHashMap::default();
+        let mut delta: FxHashMap<ItemId, (u32, Vec<SessionId>)> = FxHashMap::default();
         for &rank in removed {
             for &item in old.session_items(rank) {
                 delta.entry(item).or_default().0 += 1;
@@ -447,8 +447,7 @@ impl IncrementalIndexer {
                 }
                 Source::New(k) => {
                     for &item in &pending[k].items {
-                        let entry = PostingEntry { timestamp, session };
-                        delta.entry(item).or_default().1.push(entry);
+                        delta.entry(item).or_default().1.push(session);
                     }
                     (&pending[k].items[..], &pending[k].clicks[..])
                 }
@@ -499,28 +498,23 @@ impl IncrementalIndexer {
             // entry. A session gained down there competes with those, so it
             // is dropped here and found again by the refill scan below.
             let floor = match was.last() {
-                Some(last) if was_support as usize > was.len() => {
-                    let key = (last.timestamp, self.ext_ids[last.session as usize]);
-                    lower_bound(n_new, new_key, key)
+                Some(&last) if was_support as usize > was.len() => {
+                    lower_bound(n_new, new_key, old_key(last as usize))
                 }
                 _ => 0,
             };
-            let kept = was
-                .iter()
-                .map(|e| PostingEntry { session: new_rank(e.session), ..*e })
-                .filter(|e| e.session != SessionId::MAX);
-            let gained = gained.into_iter().rev().filter(|e| e.session as usize >= floor);
+            let kept = was.iter().map(|&s| new_rank(s)).filter(|&s| s != SessionId::MAX);
+            let gained = gained.into_iter().rev().filter(|&s| s as usize >= floor);
             let want = m_max.min(support as usize);
             let mut entries = merge_descending(kept, gained, want);
             let mut rank = floor;
             while entries.len() < want && rank > 0 {
                 rank -= 1;
                 if new_items(rank).contains(&item) {
-                    let session = rank as SessionId;
-                    entries.push(PostingEntry { timestamp: new_ts[rank], session });
+                    entries.push(rank as SessionId);
                 }
             }
-            table.insert(item, StoredPosting { entries: entries.into(), support });
+            table.insert(item, Posting { entries: entries.into(), support });
             copied += 1;
         }
 
@@ -570,12 +564,12 @@ fn first_occurrences(clicks: &[Click]) -> Vec<ItemId> {
     items
 }
 
-/// The first `want` entries of two descending entry streams, merged.
+/// The first `want` ids of two descending id streams, merged.
 fn merge_descending(
-    a: impl Iterator<Item = PostingEntry>,
-    b: impl Iterator<Item = PostingEntry>,
+    a: impl Iterator<Item = SessionId>,
+    b: impl Iterator<Item = SessionId>,
     want: usize,
-) -> Vec<PostingEntry> {
+) -> Vec<SessionId> {
     let (mut a, mut b) = (a.peekable(), b.peekable());
     let mut out = Vec::with_capacity(want);
     while out.len() < want {
@@ -675,7 +669,7 @@ mod tests {
             .unwrap();
         }
         let idx = inc.snapshot().unwrap();
-        assert_eq!(idx.posting_sessions(0).unwrap(), &[4, 3]); // sids of sessions 5, 4
+        assert_eq!(idx.postings(0).unwrap(), &[4, 3]); // sids of sessions 5, 4
         assert_eq!(idx.item_support(0), Some(5));
     }
 
@@ -709,7 +703,7 @@ mod tests {
         assert!(inc.delete_session(6).unwrap());
         log.retain(|c| c.session_id != 6);
         assert_same(&inc.snapshot().unwrap(), &SessionIndex::build(&log, 2).unwrap());
-        assert_eq!(inc.snapshot().unwrap().posting_sessions(0).unwrap(), &[4, 3]);
+        assert_eq!(inc.snapshot().unwrap().postings(0).unwrap(), &[4, 3]);
         // ...and a session gained below the posting's oldest entry competes
         // with the sessions the posting left out, not with its entries.
         let backfill = [Click::new(7, 0, 150), Click::new(5, 9, 50)];

@@ -14,11 +14,14 @@
 //!   any allocation sized from them — a 16-byte hostile frame must not be
 //!   able to request gigabytes;
 //! * a declared payload length beyond `MAX_PAYLOAD_BYTES` is rejected
-//!   before any payload read.
+//!   before any payload read;
+//! * a checksummed artefact whose *contents* break the order the kernel
+//!   relies on — timestamps that decrease with the dense id, a posting with
+//!   an ascending pair — is rejected by name, not served.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use serenade_core::{Click, SessionIndex};
+use serenade_core::{Click, CoreError, SessionIndex};
 use serenade_index::binfmt::{read_index, write_index, BinError, MAX_PAYLOAD_BYTES};
 
 fn sample_artefact() -> Vec<u8> {
@@ -61,7 +64,7 @@ fn frame(payload: &[u8]) -> Vec<u8> {
 
 fn assert_clean_corrupt(bytes: &[u8], what: &str) {
     match read_index(bytes) {
-        Err(BinError::Corrupt(_)) | Err(BinError::Core(_)) | Err(BinError::Io(_)) => {}
+        Err(BinError::Corrupt(_)) | Err(BinError::Core(_)) => {}
         Ok(_) => panic!("{what}: hostile input was accepted"),
     }
 }
@@ -88,8 +91,8 @@ fn every_truncation_is_rejected_without_panic() {
 #[test]
 fn oversized_declared_payload_is_rejected_before_allocation() {
     // A 24-byte frame claiming a multi-exabyte payload: the reader must
-    // reject it from the header alone (the `take`-bounded incremental read
-    // means even a cap-sized claim cannot out-allocate the bytes present).
+    // reject it from the header alone (it parses in place, so even a
+    // cap-sized claim allocates nothing).
     for claim in [MAX_PAYLOAD_BYTES + 1, u64::MAX, u64::MAX / 2] {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(b"SRNIDX\x02\x00");
@@ -144,6 +147,47 @@ fn declared_counts_cannot_out_allocate_the_payload() {
         payload.extend_from_slice(&(n.min(u32::MAX as u64) as u32).to_le_bytes()); // plen
         assert_clean_corrupt(&frame(&payload), "hostile posting length");
     }
+}
+
+/// The sample artefact's payload and the offset of its first posting's
+/// entries (item 0: eight descending session ids).
+fn sample_payload() -> (Vec<u8>, usize) {
+    let artefact = sample_artefact();
+    let payload = artefact[24..artefact.len() - 24].to_vec();
+    let u64_at = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
+    let sessions = u64_at(8);
+    let flat_len_at = 16 + 8 * sessions + 4 * (sessions + 1);
+    let first_posting = flat_len_at + 8 + 8 * u64_at(flat_len_at) + 8;
+    (payload, first_posting + 8 + 4 + 4)
+}
+
+fn core_rejection(payload: &[u8]) -> String {
+    match read_index(&frame(payload)) {
+        Err(BinError::Core(CoreError::CorruptIndex(reason))) => reason,
+        other => panic!("expected an index-invariant rejection, got {other:?}"),
+    }
+}
+
+#[test]
+fn timestamps_that_decrease_with_the_id_are_rejected_by_name() {
+    // The id is the kernel's recency key only while `t` ascends with it.
+    // Swapping two sessions' timestamps leaves every other invariant
+    // intact — and used to load.
+    let (mut payload, _) = sample_payload();
+    let (t3, t4) = (16 + 8 * 3, 16 + 8 * 4);
+    let (older, newer) = payload[t3..t4 + 8].split_at_mut(8);
+    older.swap_with_slice(newer);
+    let reason = core_rejection(&payload);
+    assert!(reason.contains("session 4 is older than session 3"), "{reason}");
+}
+
+#[test]
+fn a_posting_with_an_ascending_pair_is_rejected() {
+    let (mut payload, entries) = sample_payload();
+    let (newest, next) = payload[entries..entries + 8].split_at_mut(4);
+    newest.swap_with_slice(next);
+    let reason = core_rejection(&payload);
+    assert!(reason.contains("item 0 not in descending recency order"), "{reason}");
 }
 
 proptest! {

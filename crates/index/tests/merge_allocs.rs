@@ -108,8 +108,8 @@ fn a_recent_end_merge_allocates_one_generation_of_flat_columns() {
     let columns =
         8 * stats.num_sessions + 4 * (stats.num_sessions + 1) + 8 * stats.session_item_entries;
     let table = 33 * stats.num_items * 16 / 7 + 64;
-    // Ten touched postings of at most 500 16-byte entries, and change.
-    let touched = 10 * 500 * 16 * 2 + 16 * 1024;
+    // Ten touched postings of at most 500 4-byte entries, and change.
+    let touched = 10 * 500 * 4 * 2 + 16 * 1024;
     assert!(
         bytes as usize <= columns + table + touched,
         "{bytes} bytes allocated; budget {columns} (columns) + {table} (table) + {touched} (touched)"

@@ -70,6 +70,8 @@ impl ServingCluster {
         trace: TraceConfig,
     ) -> Result<Self, CoreError> {
         let vmis = crate::sync::Arc::new(build_recommender(index, &config)?);
+        let telemetry = Arc::new(ClusterTelemetry::new(trace));
+        telemetry.record_index_bytes(&vmis);
         let handle = Arc::new(IndexHandle::new(vmis));
         let cache =
             config.cache.enabled.then(|| Arc::new(PredictionCache::new(config.cache)));
@@ -84,7 +86,6 @@ impl ServingCluster {
                 .with_prediction_cache(cache.clone()),
             ));
         }
-        let telemetry = Arc::new(ClusterTelemetry::new(trace));
         if let Some(cache) = &cache {
             cache.register_into(telemetry.registry());
         }
@@ -335,8 +336,8 @@ impl ServingCluster {
         if let Some(cache) = &self.cache {
             cache.epoch_log().record(self.index.generation() + 1, EpochChange::All);
         }
-        self.index.store(fresh);
-        self.telemetry.record_rollover(started.elapsed());
+        self.index.store(crate::sync::Arc::clone(&fresh));
+        self.telemetry.record_rollover(started.elapsed(), &fresh);
         Ok(())
     }
 }

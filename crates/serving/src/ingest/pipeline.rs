@@ -457,7 +457,7 @@ fn publish_cycle(
         Ok(built_at) => {
             let stages = [applied_at - started, *built_at - applied_at, built_at.elapsed()];
             shared.metrics.record_publish(stages, indexer.take_sharing());
-            telemetry.record_rollover(started.elapsed());
+            telemetry.record_rollover(started.elapsed(), &shared.handle.load());
         }
         Err(_) => shared.metrics.record_publish_failure(),
     }

@@ -227,13 +227,6 @@ impl RouterCore {
         self.membership.load()
     }
 
-    /// The membership slot owning a session (`0` while the table is empty):
-    /// the rendezvous assignment the conformance suites hold to the
-    /// in-process router's.
-    pub fn shard_for(&self, session_id: u64) -> usize {
-        self.membership.load().route(session_id).unwrap_or(0)
-    }
-
     /// Requests failed over to a surviving node so far.
     pub fn failover_total(&self) -> u64 {
         self.failover_total.get()
@@ -889,7 +882,7 @@ mod tests {
             HttpServerConfig::default(),
         );
         let core = Arc::clone(router.core());
-        let owned: Vec<u64> = (0..u64::MAX).filter(|&sid| core.shard_for(sid) == 0).take(3).collect();
+        let owned: Vec<u64> = (0..u64::MAX).filter(|&sid| core.membership().route(sid) == Some(0)).take(3).collect();
         let mut client = HttpClient::connect(router.addr()).unwrap();
         let answers: Vec<(u16, String)> =
             owned.iter().map(|&sid| predict(&mut client, sid, true)).collect();
@@ -921,7 +914,7 @@ mod tests {
             HttpServerConfig { request_deadline: deadline, ..HttpServerConfig::default() },
         );
         let core = Arc::clone(router.core());
-        let sid = (0..u64::MAX).find(|&sid| core.shard_for(sid) == 0).unwrap();
+        let sid = (0..u64::MAX).find(|&sid| core.membership().route(sid) == Some(0)).unwrap();
         let depersonalised = predict(&mut HttpClient::connect(survivor.data_addr()).unwrap(), sid, false);
 
         let upstream_timeouts = || {

@@ -5,7 +5,8 @@
 //! It owns the `serenade-telemetry` [`Registry`] every pod's counters and
 //! stage histograms are registered into (see
 //! [`crate::stats::ServingStats::register_into`]), the cluster-level
-//! metrics (index generation, uptime, rollover duration), and the
+//! metrics (index generation, bytes per index structure, uptime, rollover
+//! duration), and the
 //! [`TraceRing`] that keeps the N slowest recent requests with their
 //! per-stage breakdown.
 //!
@@ -17,6 +18,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use serenade_core::VmisKnn;
 use serenade_telemetry::{Gauge, Histogram, HistogramConfig, Registry, TraceConfig, TraceRing};
 
 /// Atomic request-id source. Plain `std` atomics: the id source is not part
@@ -32,12 +34,20 @@ pub struct ClusterTelemetry {
     next_request_id: AtomicU64,
     started: Instant,
     generation: Arc<Gauge>,
+    /// `serenade_index_bytes`, one gauge per [`INDEX_STRUCTURES`] entry.
+    index_bytes: [Arc<Gauge>; 5],
     rollover_seconds: Arc<Histogram>,
 }
 
+/// The `structure` labels of `serenade_index_bytes`, in the order
+/// [`ClusterTelemetry::record_index_bytes`] fills them.
+const INDEX_STRUCTURES: [&str; 5] =
+    ["postings", "posting_table", "session_items", "timestamps", "scoring_stream"];
+
 impl ClusterTelemetry {
     /// Creates the telemetry hub and registers the cluster-level metrics:
-    /// `serenade_index_generation`, `serenade_uptime_seconds` and
+    /// `serenade_index_generation`, `serenade_index_bytes`,
+    /// `serenade_uptime_seconds` and
     /// `serenade_index_rollover_duration_seconds`.
     pub fn new(trace: TraceConfig) -> Self {
         let registry = Registry::new();
@@ -48,6 +58,14 @@ impl ClusterTelemetry {
             &[],
         );
         generation.set(1);
+        let index_bytes = INDEX_STRUCTURES.map(|structure| {
+            registry.gauge(
+                "serenade_index_bytes",
+                "Heap bytes of the published index, by structure (layout sizes, Arc headers \
+                 and hash buckets included).",
+                &[("structure", structure)],
+            )
+        });
         registry.polled_gauge(
             "serenade_uptime_seconds",
             "Seconds since the cluster was constructed.",
@@ -66,6 +84,7 @@ impl ClusterTelemetry {
             next_request_id: AtomicU64::new(0),
             started,
             generation,
+            index_bytes,
             rollover_seconds,
         }
     }
@@ -98,12 +117,28 @@ impl ClusterTelemetry {
         self.generation.get()
     }
 
-    /// Records one successful rollover: bumps the generation gauge and
-    /// feeds the rollover-duration histogram. Rollovers are externally
-    /// serialised (one publisher), so read-modify-write on the gauge is
-    /// race-free by contract.
-    pub fn record_rollover(&self, took: Duration) {
+    /// Publishes what `published` holds in memory as `serenade_index_bytes`.
+    pub fn record_index_bytes(&self, published: &VmisKnn) {
+        let index = published.index().bytes();
+        let bytes = [
+            index.postings,
+            index.posting_table,
+            index.session_items,
+            index.timestamps,
+            published.scoring_stream_bytes(),
+        ];
+        for (gauge, bytes) in self.index_bytes.iter().zip(bytes) {
+            gauge.set(bytes as u64);
+        }
+    }
+
+    /// Records one successful rollover to `published`: bumps the generation
+    /// gauge, republishes the byte gauges and feeds the rollover-duration
+    /// histogram. Rollovers are externally serialised (one publisher), so
+    /// read-modify-write on the gauge is race-free by contract.
+    pub fn record_rollover(&self, took: Duration, published: &VmisKnn) {
         self.generation.set(self.generation.get() + 1);
+        self.record_index_bytes(published);
         self.rollover_seconds.record(took);
     }
 }
@@ -128,14 +163,23 @@ mod tests {
     }
 
     #[test]
-    fn rollovers_bump_generation_and_histogram() {
+    fn rollovers_bump_generation_bytes_and_histogram() {
+        use serenade_core::{Click, SessionIndex, VmisConfig};
+        let clicks = [Click::new(1, 7, 10), Click::new(1, 8, 11), Click::new(2, 7, 20)];
+        let index = SessionIndex::build(&clicks, 10).unwrap();
+        let vmis = VmisKnn::new(index, VmisConfig { m: 10, ..VmisConfig::default() }).unwrap();
         let t = ClusterTelemetry::default();
         assert_eq!(t.index_generation(), 1);
-        t.record_rollover(Duration::from_millis(120));
-        t.record_rollover(Duration::from_millis(80));
+        t.record_rollover(Duration::from_millis(120), &vmis);
+        t.record_rollover(Duration::from_millis(80), &vmis);
         assert_eq!(t.index_generation(), 3);
         let text = t.registry().render();
         assert!(text.contains("serenade_index_generation 3"), "{text}");
+        // Item 7: two 4-byte entries behind a 16-byte Arc header; item 8: one,
+        // padded to the header's alignment. Two sessions of 8-byte timestamps.
+        assert!(text.contains("serenade_index_bytes{structure=\"postings\"} 48"), "{text}");
+        assert!(text.contains("serenade_index_bytes{structure=\"timestamps\"} 32"), "{text}");
+        assert!(text.contains("serenade_index_bytes{structure=\"scoring_stream\"} 40"), "{text}");
         assert!(
             text.contains("serenade_index_rollover_duration_seconds_count 2"),
             "{text}"

@@ -322,13 +322,14 @@ fn membership_change_hands_session_state_to_the_new_owner() {
 #[test]
 fn router_sharding_matches_the_in_process_rendezvous_router() {
     // The socket tier must not change *where* sessions live, only how the
-    // owner is reached: the router's shard assignment over members with
-    // ids 0..n is byte-identical to the in-process router used by
-    // `ServingCluster`. Dead addresses are fine — routing is pure.
-    use serenade_serving::server::RequestBackend;
-    let dead: SocketAddr = "127.0.0.1:1".parse().unwrap();
+    // owner is reached: over members with ids 0..n the router forwards a
+    // session to the member the in-process router used by `ServingCluster`
+    // assigns it to. Dead addresses are fine — routing is pure.
+    use serenade_serving::engine::RecommendRequest;
+    use serenade_serving::server::{ForwardTarget, PredictRoute, RequestBackend};
+    let addr = |id: usize| SocketAddr::from(([127, 0, 0, 1], 1 + id as u16));
     for n in [1usize, 2, 3, 5, 8] {
-        let members: Vec<_> = (0..n as u64).map(|id| (id, dead, dead)).collect();
+        let members: Vec<_> = (0..n).map(|id| (id as u64, addr(id), addr(id))).collect();
         let core = serenade_serving::routerd::RouterCore::new(
             &members,
             serenade_telemetry::TraceConfig::default(),
@@ -337,9 +338,12 @@ fn router_sharding_matches_the_in_process_rendezvous_router() {
         );
         let in_process = StickyRouter::new(n);
         for sid in (0..50_000u64).step_by(97) {
+            let req =
+                RecommendRequest { session_id: sid, item: 1, consent: true, filter_adult: false };
+            let owner = addr(in_process.route(sid));
             assert_eq!(
-                core.shard_for(sid),
-                in_process.route(sid),
+                core.route_predict(&req),
+                PredictRoute::Forward(ForwardTarget { addr: owner, depersonalised: false, attempt: 0 }),
                 "divergence at n={n} sid={sid}"
             );
         }
