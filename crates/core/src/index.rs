@@ -27,16 +27,40 @@
 //! from outside; `t` survives as a column for the consumers that need a
 //! time (incremental merges, snapshot diffing), not for ordering.
 //!
-//! Every array sits behind an [`Arc`]: a [`SessionIndex`] is a handle that
-//! clones in constant time, and consecutive generations of a live index
-//! (`serenade_index::IncrementalIndexer`) share every posting array a
-//! publish did not change.
+//! ## Segments and slots
+//!
+//! The per-session columns — `t`, the CSR offsets and items — are kept in
+//! [`Segment`]s of [`SEGMENT_SESSIONS`] sessions, each behind an [`Arc`]:
+//! session `s` is row `s % SEGMENT_SESSIONS` of segment
+//! `s / SEGMENT_SESSIONS`, every segment but the last is full. Consecutive
+//! generations of a live index (`serenade_index::IncrementalIndexer`) share
+//! every segment below the first rank a publish changed, as they share every
+//! posting array it did not change, so a [`SessionIndex`] is a handle that
+//! clones in constant time and a publish writes O(delta), not O(index).
+//!
+//! Each item has an **accumulator slot**: a small integer the scoring kernel
+//! indexes its per-item tables by. The slot is a property of the index,
+//! stored in the item's [`Posting`] and — as a `u32` stream parallel to the
+//! item ids — in every segment, so scoring a session reads 4 bytes an item
+//! and never a hash table. A slot is assigned when the item first appears
+//! and is not renumbered while the item lives; [`SessionIndex::slot_item`]
+//! maps it back. Built and loaded indexes number items in ascending id
+//! order; a live index appends, and numbers afresh only when it rewrites
+//! every segment anyway. Slot numbering is not part of what an index *is*:
+//! two indexes of the same log answer identically under any numbering.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::error::CoreError;
 use crate::hash::{fx_map_with_capacity, FxHashMap};
 use crate::types::{Click, ExternalSessionId, ItemId, SessionId, SessionRef, Timestamp};
+
+const SEGMENT_SHIFT: u32 = 12;
+
+/// Sessions per [`Segment`]. A constant: it is the unit a publish at the
+/// recent end rewrites, and every reader divides by it.
+pub const SEGMENT_SESSIONS: usize = 1 << SEGMENT_SHIFT;
 
 /// Posting list of an item: the `m` most recent sessions containing it, plus
 /// the total support count `h_i` over *all* historical sessions.
@@ -44,7 +68,7 @@ use crate::types::{Click, ExternalSessionId, ItemId, SessionId, SessionRef, Time
 /// This is the one form a posting has — in the builders, in the binary
 /// artefact and in memory: dense session ids, 4 bytes an entry. The id *is*
 /// the recency key (see the module docs), so nothing else is stored with it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Posting {
     /// Session ids in strictly descending order — most recent first —
     /// truncated to the index's `m_max`. Shared, not copied, between index
@@ -53,6 +77,10 @@ pub struct Posting {
     /// `h_i`: number of historical sessions containing the item (before
     /// truncation to `m_max`).
     pub support: u32,
+    /// The item's accumulator slot (see the module docs). Producers that
+    /// hand a posting table to [`SessionIndex::from_parts`] leave it 0: the
+    /// index assigns it.
+    pub slot: u32,
 }
 
 /// Aggregate statistics of a built index.
@@ -80,16 +108,19 @@ pub struct IndexBytes {
     pub postings: usize,
     /// The item → posting hash table: buckets, occupied or not.
     pub posting_table: usize,
-    /// The CSR item storage: flat item array and offsets.
+    /// The CSR item storage: item ids and offsets of every segment, the
+    /// segment headers and the table of segment pointers.
     pub session_items: usize,
     /// The timestamp column `t`.
     pub timestamps: usize,
+    /// The slot streams of every segment and the slot → item table.
+    pub slots: usize,
 }
 
 impl IndexBytes {
     /// All structures together.
     pub fn total(&self) -> usize {
-        self.postings + self.posting_table + self.session_items + self.timestamps
+        self.postings + self.posting_table + self.session_items + self.timestamps + self.slots
     }
 }
 
@@ -100,23 +131,132 @@ fn arc_slice_bytes<T>(len: usize) -> usize {
     (2 * std::mem::size_of::<usize>() + len * std::mem::size_of::<T>()).next_multiple_of(align)
 }
 
-/// Raw parts of a [`SessionIndex`]: postings, timestamps, CSR item storage
-/// (flat array + offsets) and the posting capacity `m_max` — the index's own
-/// arrays, so a decoder that collects straight into them loads an artefact
-/// without a second copy.
-pub type IndexParts =
-    (FxHashMap<ItemId, Posting>, Arc<[Timestamp]>, Arc<[ItemId]>, Arc<[u32]>, usize);
+/// [`SEGMENT_SESSIONS`] consecutive sessions (fewer in an index's last
+/// segment): their timestamps and, in CSR layout, their items with each
+/// item's accumulator slot beside it. Immutable once made; generations share
+/// it by pointer.
+#[derive(Debug)]
+pub struct Segment {
+    timestamps: Box<[Timestamp]>,
+    /// Row `r` owns `items[offsets[r]..offsets[r + 1]]`, and `slots` alike.
+    offsets: Box<[u32]>,
+    items: Box<[ItemId]>,
+    slots: Box<[u32]>,
+}
+
+impl Segment {
+    /// A segment of `timestamps.len()` sessions. The caller vouches that
+    /// `offsets` starts at 0, does not decrease and ends at `items.len()`.
+    ///
+    /// # Panics
+    ///
+    /// If the four columns do not describe the same sessions and items.
+    pub fn new(
+        timestamps: Box<[Timestamp]>,
+        offsets: Box<[u32]>,
+        items: Box<[ItemId]>,
+        slots: Box<[u32]>,
+    ) -> Self {
+        assert!((1..=SEGMENT_SESSIONS).contains(&timestamps.len()), "segment size");
+        assert_eq!(offsets.len(), timestamps.len() + 1, "one offset a session, and one");
+        assert_eq!(offsets.last().copied(), Some(items.len() as u32), "offsets end at the items");
+        assert_eq!(slots.len(), items.len(), "one slot an item");
+        debug_assert!(offsets[0] == 0 && offsets.windows(2).all(|w| w[0] <= w[1]));
+        Self { timestamps, offsets, items, slots }
+    }
+
+    /// Number of sessions.
+    #[allow(clippy::len_without_is_empty)] // never empty, by construction
+    pub fn len(&self) -> usize {
+        self.timestamps.len()
+    }
+
+    #[inline]
+    fn span(&self, row: usize) -> Range<usize> {
+        self.offsets[row] as usize..self.offsets[row + 1] as usize
+    }
+
+    /// Timestamp of the session in `row`.
+    #[inline]
+    pub fn timestamp(&self, row: usize) -> Timestamp {
+        self.timestamps[row]
+    }
+
+    /// Items of the session in `row`, first-occurrence order.
+    #[inline]
+    pub fn items(&self, row: usize) -> &[ItemId] {
+        &self.items[self.span(row)]
+    }
+
+    /// Accumulator slots of the session in `row`, parallel to its items.
+    #[inline]
+    pub fn slots(&self, row: usize) -> &[u32] {
+        &self.slots[self.span(row)]
+    }
+}
+
+/// Flat per-session columns as a producer holds them before they become an
+/// index — vectors in a builder, the bytes of an artefact in a decoder —
+/// read by position, so [`SessionIndex::from_parts`] lays them out in
+/// segments without a copy in between.
+pub trait SessionColumns {
+    /// Number of sessions.
+    fn num_sessions(&self) -> usize;
+    /// Number of `(session, item)` entries, all sessions together.
+    fn num_entries(&self) -> usize;
+    /// Timestamp of `session < num_sessions()`.
+    fn timestamp(&self, session: usize) -> Timestamp;
+    /// CSR offset of `session <= num_sessions()`: its items are the entries
+    /// `offset(session)..offset(session + 1)`.
+    fn offset(&self, session: usize) -> u32;
+    /// Item of `entry < num_entries()`.
+    fn item(&self, entry: usize) -> ItemId;
+}
+
+/// [`SessionColumns`] over slices.
+#[derive(Debug, Clone, Copy)]
+pub struct FlatColumns<'a> {
+    /// Timestamp per session.
+    pub timestamps: &'a [Timestamp],
+    /// CSR offsets into `items`, one more than there are sessions.
+    pub offsets: &'a [u32],
+    /// All sessions' items, in session order.
+    pub items: &'a [ItemId],
+}
+
+impl SessionColumns for FlatColumns<'_> {
+    fn num_sessions(&self) -> usize {
+        self.timestamps.len()
+    }
+
+    fn num_entries(&self) -> usize {
+        self.items.len()
+    }
+
+    fn timestamp(&self, session: usize) -> Timestamp {
+        self.timestamps[session]
+    }
+
+    fn offset(&self, session: usize) -> u32 {
+        self.offsets[session]
+    }
+
+    fn item(&self, entry: usize) -> ItemId {
+        self.items[entry]
+    }
+}
 
 /// The prebuilt `(M, t)` index over historical sessions. Cloning is a
 /// handle copy: the clone shares every array with the original.
 #[derive(Debug, Clone)]
 pub struct SessionIndex {
     postings: Arc<FxHashMap<ItemId, Posting>>,
-    /// `t`: timestamp per session, indexed by dense `SessionId`.
-    timestamps: Arc<[Timestamp]>,
-    /// CSR storage of deduplicated per-session items (first-occurrence order).
-    items_flat: Arc<[ItemId]>,
-    items_offsets: Arc<[u32]>,
+    /// The per-session columns; all segments but the last are full.
+    segments: Arc<[Arc<Segment>]>,
+    num_sessions: usize,
+    /// Item of each accumulator slot. A slot whose item has left the index
+    /// keeps its entry until slots are numbered afresh.
+    slot_items: Arc<[ItemId]>,
     m_max: usize,
 }
 
@@ -206,62 +346,52 @@ impl SessionIndex {
         for (item, sessions) in ascending {
             let support = sessions.len() as u32;
             let entries = sessions.iter().rev().take(m_max).copied().collect();
-            postings.insert(item, Posting { entries, support });
+            postings.insert(item, Posting { entries, support, slot: 0 });
         }
 
-        Ok(Self::from_generation(
-            postings,
-            timestamps.into(),
-            items_flat.into(),
-            items_offsets.into(),
-            m_max,
-        ))
+        let columns =
+            FlatColumns { timestamps: &timestamps, offsets: &items_offsets, items: &items_flat };
+        Self::from_parts(postings, &columns, m_max)
     }
 
     /// Assembles an index from pre-built parts (parallel builder,
-    /// deserialisation), validating all structural invariants.
+    /// deserialisation), validating all structural invariants, numbering
+    /// the items' accumulator slots in ascending id order and laying the
+    /// columns out in segments.
     ///
-    /// `items_offsets` must have length `timestamps.len() + 1`, start at 0,
-    /// be monotone and end at `items_flat.len()`. `timestamps` must be
-    /// non-decreasing in the dense id — the invariant that makes the id the
-    /// recency key, and with it the whole kernel order. Posting lists must
-    /// be strictly descending valid session ids, no longer than `m_max` and
-    /// no longer than their support.
+    /// The offsets of `columns` must start at 0, be monotone and end at its
+    /// number of entries. Its timestamps must be non-decreasing in the dense
+    /// id — the invariant that makes the id the recency key, and with it the
+    /// whole kernel order. Posting lists must be strictly descending valid
+    /// session ids, no longer than `m_max` and no longer than their support;
+    /// their `slot` is overwritten.
     ///
     /// # Errors
     ///
     /// [`CoreError::CorruptIndex`] describing the first violated invariant.
     pub fn from_parts(
-        postings: FxHashMap<ItemId, Posting>,
-        timestamps: Arc<[Timestamp]>,
-        items_flat: Arc<[ItemId]>,
-        items_offsets: Arc<[u32]>,
+        mut postings: FxHashMap<ItemId, Posting>,
+        columns: &impl SessionColumns,
         m_max: usize,
     ) -> Result<Self, CoreError> {
-        let n = timestamps.len();
+        let n = columns.num_sessions();
         if m_max == 0 {
             return Err(CoreError::CorruptIndex("m_max must be positive".into()));
         }
-        if items_offsets.len() != n + 1 {
-            return Err(CoreError::CorruptIndex(format!(
-                "items_offsets has length {} but expected {}",
-                items_offsets.len(),
-                n + 1
-            )));
+        if n > u32::MAX as usize {
+            return Err(CoreError::CorruptIndex(format!("{n} sessions exceed the u32 id space")));
         }
-        if items_offsets.first() != Some(&0)
-            || items_offsets.last().copied() != Some(items_flat.len() as u32)
-        {
+        if columns.offset(0) != 0 || columns.offset(n) as usize != columns.num_entries() {
             return Err(CoreError::CorruptIndex("items_offsets endpoints invalid".into()));
         }
-        if items_offsets.windows(2).any(|w| w[0] > w[1]) {
+        if (0..n).any(|s| columns.offset(s) > columns.offset(s + 1)) {
             return Err(CoreError::CorruptIndex("items_offsets not monotone".into()));
         }
-        if let Some(older) = timestamps.windows(2).position(|w| w[0] > w[1]) {
+        if let Some(older) = (1..n).find(|&s| columns.timestamp(s - 1) > columns.timestamp(s)) {
             return Err(CoreError::CorruptIndex(format!(
-                "session {} is older than session {older}: timestamps must not decrease with \
+                "session {older} is older than session {}: timestamps must not decrease with \
                  the dense id",
-                older + 1
+                older - 1
             )));
         }
         for (item, posting) in &postings {
@@ -288,25 +418,70 @@ impl SessionIndex {
                 )));
             }
         }
-        Ok(Self::from_generation(postings, timestamps, items_flat, items_offsets, m_max))
+
+        let mut by_id: Vec<ItemId> = postings.keys().copied().collect();
+        by_id.sort_unstable();
+        for (slot, item) in by_id.iter().enumerate() {
+            postings.get_mut(item).expect("listed from the table").slot = slot as u32;
+        }
+        // Into its `Arc` now: the copy this makes is gone again before the
+        // columns, the bulk of the index, are laid out.
+        let mut slot_items: Arc<[ItemId]> = by_id.into();
+
+        // Only a hand-assembled index lists a session item that has no
+        // posting. Such items need slots too; they follow the others.
+        let mut orphans: Vec<ItemId> = Vec::new();
+        let mut orphan_slots: FxHashMap<ItemId, u32> = FxHashMap::default();
+        let mut segments = Vec::with_capacity(n.div_ceil(SEGMENT_SESSIONS));
+        for lo in (0..n).step_by(SEGMENT_SESSIONS) {
+            let hi = n.min(lo + SEGMENT_SESSIONS);
+            let base = columns.offset(lo);
+            // Exact-size iterators collect straight into the segment's arrays.
+            let items: Box<[ItemId]> =
+                (base as usize..columns.offset(hi) as usize).map(|e| columns.item(e)).collect();
+            let slots = items
+                .iter()
+                .map(|&item| match postings.get(&item) {
+                    Some(posting) => posting.slot,
+                    None => *orphan_slots.entry(item).or_insert_with(|| {
+                        orphans.push(item);
+                        (slot_items.len() + orphans.len() - 1) as u32
+                    }),
+                })
+                .collect();
+            segments.push(Arc::new(Segment::new(
+                (lo..hi).map(|s| columns.timestamp(s)).collect(),
+                (lo..=hi).map(|s| columns.offset(s) - base).collect(),
+                items,
+                slots,
+            )));
+        }
+        if !orphans.is_empty() {
+            slot_items = slot_items.iter().copied().chain(orphans).collect();
+        }
+        Ok(Self::from_generation(postings, segments.into(), slot_items, m_max))
     }
 
     /// Assembles an index **without** validating it: the caller vouches for
-    /// every invariant [`SessionIndex::from_parts`] checks. This is how the
+    /// every invariant [`SessionIndex::from_parts`] checks, that all
+    /// `segments` but the last hold [`SEGMENT_SESSIONS`] sessions, and that
+    /// slots agree — `slot_items[posting.slot]` is the posting's item, and
+    /// every slot in a segment names the item beside it. This is how the
     /// incremental indexer emits the next generation of a live index — the
     /// arrays it passes are mostly the previous generation's own `Arc`s.
-    /// With no sessions (`items_offsets == [0]`) the result is the empty
-    /// index only this constructor can make.
+    /// With no segments the result is the empty index only this constructor
+    /// can make.
     pub fn from_generation(
         postings: FxHashMap<ItemId, Posting>,
-        timestamps: Arc<[Timestamp]>,
-        items_flat: Arc<[ItemId]>,
-        items_offsets: Arc<[u32]>,
+        segments: Arc<[Arc<Segment>]>,
+        slot_items: Arc<[ItemId]>,
         m_max: usize,
     ) -> Self {
-        debug_assert_eq!(items_offsets.len(), timestamps.len() + 1);
-        debug_assert_eq!(items_offsets.last().copied(), Some(items_flat.len() as u32));
-        Self { postings: Arc::new(postings), timestamps, items_flat, items_offsets, m_max }
+        let full = segments.len().saturating_sub(1);
+        debug_assert!(segments[..full].iter().all(|s| s.len() == SEGMENT_SESSIONS));
+        debug_assert!(postings.iter().all(|(i, p)| slot_items.get(p.slot as usize) == Some(i)));
+        let num_sessions = full * SEGMENT_SESSIONS + segments.last().map_or(0, |s| s.len());
+        Self { postings: Arc::new(postings), segments, num_sessions, slot_items, m_max }
     }
 
     /// Posting list `m_i` of `item`: the ids of the most recent sessions
@@ -323,54 +498,61 @@ impl SessionIndex {
         self.postings.get(&item).map(|p| p.support)
     }
 
+    /// Accumulator slot of `item`, if it has a posting.
+    #[inline]
+    pub fn item_slot(&self, item: ItemId) -> Option<u32> {
+        self.postings.get(&item).map(|p| p.slot)
+    }
+
     /// The whole posting table, as the next generation starts from it.
     pub fn posting_table(&self) -> &FxHashMap<ItemId, Posting> {
         &self.postings
     }
 
-    /// The timestamp array `t`, ascending with the dense session id.
-    #[inline]
-    pub fn session_timestamps(&self) -> &[Timestamp] {
-        &self.timestamps
+    /// The segments, in session order.
+    pub fn segments(&self) -> &[Arc<Segment>] {
+        &self.segments
     }
 
-    /// CSR offsets into [`SessionIndex::session_items_flat`], one more than
-    /// there are sessions.
+    /// The slot → item table, as the next generation starts from it. It is
+    /// as long as the kernel's per-slot tables have to be.
+    pub fn slot_items(&self) -> &Arc<[ItemId]> {
+        &self.slot_items
+    }
+
+    /// Slots no item holds any more: their items have left the index since
+    /// slots were last numbered. (A hand-assembled index's posting-less
+    /// session items hold slots without counting as items; there this
+    /// over-reports.)
+    pub fn dead_slots(&self) -> usize {
+        self.slot_items.len() - self.postings.len()
+    }
+
     #[inline]
-    pub fn session_offsets(&self) -> &[u32] {
-        &self.items_offsets
+    fn locate(&self, session: SessionId) -> (&Segment, usize) {
+        let session = session as usize;
+        (&self.segments[session >> SEGMENT_SHIFT], session & (SEGMENT_SESSIONS - 1))
     }
 
     /// Timestamp `t_h` of a historical session (constant-time array access).
     #[inline]
     pub fn session_timestamp(&self, session: SessionId) -> Timestamp {
-        self.timestamps[session as usize]
+        let (segment, row) = self.locate(session);
+        segment.timestamp(row)
     }
 
     /// Deduplicated items of a historical session, first-occurrence order.
     #[inline]
     pub fn session_items(&self, session: SessionId) -> &[ItemId] {
-        let s = self.items_offsets[session as usize] as usize;
-        let e = self.items_offsets[session as usize + 1] as usize;
-        &self.items_flat[s..e]
+        let (segment, row) = self.locate(session);
+        segment.items(row)
     }
 
-    /// CSR range of a session's items inside the flat item storage:
-    /// `session_items(s)` equals `items_flat[session_span(s)]`. Exposed so
-    /// consumers can maintain side-arrays parallel to the flat storage (the
-    /// scoring stream of `VmisKnn` indexes with this range).
+    /// Accumulator slots of a historical session's items, in item order.
     #[inline]
-    pub fn session_span(&self, session: SessionId) -> std::ops::Range<usize> {
-        let s = self.items_offsets[session as usize] as usize;
-        let e = self.items_offsets[session as usize + 1] as usize;
-        s..e
-    }
-
-    /// The flat CSR item storage every [`SessionIndex::session_span`]
-    /// indexes into: all sessions' items, in session order.
-    #[inline]
-    pub fn session_items_flat(&self) -> &[ItemId] {
-        &self.items_flat
+    pub fn session_slots(&self, session: SessionId) -> &[u32] {
+        let (segment, row) = self.locate(session);
+        segment.slots(row)
     }
 
     /// Borrowed view of one historical session.
@@ -385,7 +567,7 @@ impl SessionIndex {
     /// Number of historical sessions `|H|`.
     #[inline]
     pub fn num_sessions(&self) -> usize {
-        self.timestamps.len()
+        self.num_sessions
     }
 
     /// Number of distinct items `|I|`.
@@ -417,11 +599,12 @@ impl SessionIndex {
             num_items: self.num_items(),
             posting_entries: self.postings.values().map(|p| p.entries.len()).sum(),
             max_posting_len: self.postings.values().map(|p| p.entries.len()).max().unwrap_or(0),
-            session_item_entries: self.items_flat.len(),
+            session_item_entries: self.segments.iter().map(|s| s.items.len()).sum(),
         }
     }
 
-    /// Heap bytes by structure (see [`IndexBytes`]).
+    /// Heap bytes by structure (see [`IndexBytes`]). Walks the posting
+    /// table: for a scrape, not for a request or a publish.
     pub fn bytes(&self) -> IndexBytes {
         // hashbrown's layout, recovered from the capacity it reports: a
         // power-of-two number of buckets of which 7/8 may fill (all but one
@@ -433,6 +616,10 @@ impl SessionIndex {
             cap => cap / 7 * 8,
         };
         let slot = std::mem::size_of::<(ItemId, Posting)>() + 1;
+        let entries: usize = self.segments.iter().map(|s| s.items.len()).sum();
+        let sessions = self.num_sessions;
+        let headers = self.segments.len() * (16 + std::mem::size_of::<Segment>())
+            + arc_slice_bytes::<Arc<Segment>>(self.segments.len());
         IndexBytes {
             postings: self
                 .postings
@@ -440,23 +627,15 @@ impl SessionIndex {
                 .map(|p| arc_slice_bytes::<SessionId>(p.entries.len()))
                 .sum(),
             posting_table: if buckets == 0 { 0 } else { buckets * slot + 16 },
-            session_items: arc_slice_bytes::<ItemId>(self.items_flat.len())
-                + arc_slice_bytes::<u32>(self.items_offsets.len()),
-            timestamps: arc_slice_bytes::<Timestamp>(self.timestamps.len()),
+            session_items: 8 * entries + 4 * (sessions + self.segments.len()) + headers,
+            timestamps: 8 * sessions,
+            slots: 4 * entries + arc_slice_bytes::<ItemId>(self.slot_items.len()),
         }
-    }
-
-    /// Decomposes the index into its raw parts, the arguments of
-    /// [`SessionIndex::from_parts`]. The posting table is copied only if
-    /// another handle still shares it.
-    pub fn into_parts(self) -> IndexParts {
-        let postings = Arc::unwrap_or_clone(self.postings);
-        (postings, self.timestamps, self.items_flat, self.items_offsets, self.m_max)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Small deterministic click log: three sessions with increasing
@@ -471,6 +650,43 @@ mod tests {
             Click::new(300, 1, 30),
             Click::new(300, 3, 31),
         ]
+    }
+
+    /// An index taken apart into the flat parts a producer would hold.
+    pub(crate) struct Parts {
+        pub(crate) postings: FxHashMap<ItemId, Posting>,
+        timestamps: Vec<Timestamp>,
+        offsets: Vec<u32>,
+        items: Vec<ItemId>,
+        m_max: usize,
+    }
+
+    impl Parts {
+        pub(crate) fn of(index: &SessionIndex) -> Self {
+            let sessions = 0..index.num_sessions() as SessionId;
+            let mut offsets = vec![0];
+            let mut items = Vec::new();
+            for s in sessions.clone() {
+                items.extend_from_slice(index.session_items(s));
+                offsets.push(items.len() as u32);
+            }
+            Self {
+                postings: index.posting_table().clone(),
+                timestamps: sessions.map(|s| index.session_timestamp(s)).collect(),
+                offsets,
+                items,
+                m_max: index.m_max(),
+            }
+        }
+
+        pub(crate) fn assemble(self) -> Result<SessionIndex, CoreError> {
+            let columns = FlatColumns {
+                timestamps: &self.timestamps,
+                offsets: &self.offsets,
+                items: &self.items,
+            };
+            SessionIndex::from_parts(self.postings, &columns, self.m_max)
+        }
     }
 
     #[test]
@@ -564,40 +780,32 @@ mod tests {
     #[test]
     fn roundtrip_through_parts_preserves_index() {
         let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
-        let stats_before = idx.stats();
-        let (p, t, f, o, m) = idx.into_parts();
-        let idx2 = SessionIndex::from_parts(p, t, f, o, m).unwrap();
-        assert_eq!(idx2.stats(), stats_before);
+        let idx2 = Parts::of(&idx).assemble().unwrap();
+        assert_eq!(idx2.stats(), idx.stats());
         assert_eq!(idx2.postings(1).unwrap(), &[2, 0]);
+        assert_eq!(idx2.session_items(2), &[1, 3]);
     }
 
     #[test]
     fn from_parts_rejects_bad_offsets() {
-        let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
-        let (p, t, f, o, m) = idx.into_parts();
-        let mut o = o.to_vec();
-        o[1] = 100; // out of range / non-monotone
-        let err = SessionIndex::from_parts(p, t, f, o.into(), m).unwrap_err();
-        assert!(matches!(err, CoreError::CorruptIndex(_)));
+        let mut parts = Parts::of(&SessionIndex::build(&sample_clicks(), 10).unwrap());
+        parts.offsets[1] = 100; // out of range / non-monotone
+        assert!(matches!(parts.assemble(), Err(CoreError::CorruptIndex(_))));
     }
 
     #[test]
     fn from_parts_rejects_unsorted_postings() {
-        let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
-        let (mut p, t, f, o, m) = idx.into_parts();
-        p.get_mut(&1).unwrap().entries = [0, 2].into(); // ascending: wrong
-        let err = SessionIndex::from_parts(p, t, f, o, m).unwrap_err();
-        assert!(matches!(err, CoreError::CorruptIndex(_)));
+        let mut parts = Parts::of(&SessionIndex::build(&sample_clicks(), 10).unwrap());
+        parts.postings.get_mut(&1).unwrap().entries = [0, 2].into(); // ascending: wrong
+        assert!(matches!(parts.assemble(), Err(CoreError::CorruptIndex(_))));
     }
 
     #[test]
     fn from_parts_rejects_unknown_and_repeated_sessions() {
         for bad in [[3, 0], [2, 2]] {
-            let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
-            let (mut p, t, f, o, m) = idx.into_parts();
-            p.get_mut(&1).unwrap().entries = bad.into();
-            let err = SessionIndex::from_parts(p, t, f, o, m).unwrap_err();
-            assert!(matches!(err, CoreError::CorruptIndex(_)), "{bad:?}");
+            let mut parts = Parts::of(&SessionIndex::build(&sample_clicks(), 10).unwrap());
+            parts.postings.get_mut(&1).unwrap().entries = bad.into();
+            assert!(matches!(parts.assemble(), Err(CoreError::CorruptIndex(_))), "{bad:?}");
         }
     }
 
@@ -606,22 +814,51 @@ mod tests {
         // Unchecked, this would silently reverse the kernel's recency order:
         // ids are all it compares.
         let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
-        let (p, t, f, o, m) = idx.into_parts();
-        let mut t = t.to_vec();
-        t.swap(1, 2);
-        let err = SessionIndex::from_parts(p.clone(), t.into(), f.clone(), o.clone(), m);
-        assert!(matches!(err, Err(CoreError::CorruptIndex(m)) if m.contains("session 2")));
+        let mut parts = Parts::of(&idx);
+        parts.timestamps.swap(1, 2);
+        assert!(matches!(parts.assemble(), Err(CoreError::CorruptIndex(m)) if m.contains("session 2")));
         // Ties are fine: equal timestamps are ordered by external id.
-        SessionIndex::from_parts(p, [12, 21, 21].into(), f, o, m).unwrap();
+        let mut parts = Parts::of(&idx);
+        parts.timestamps = vec![12, 21, 21];
+        parts.assemble().unwrap();
     }
 
     #[test]
     fn from_parts_rejects_posting_longer_than_support() {
+        let mut parts = Parts::of(&SessionIndex::build(&sample_clicks(), 10).unwrap());
+        parts.postings.get_mut(&1).unwrap().support = 1; // posting has 2 entries
+        assert!(matches!(parts.assemble(), Err(CoreError::CorruptIndex(_))));
+    }
+
+    #[test]
+    fn slots_are_numbered_by_item_id_and_posting_less_items_follow() {
         let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
-        let (mut p, t, f, o, m) = idx.into_parts();
-        p.get_mut(&1).unwrap().support = 1; // posting has 2 entries
-        let err = SessionIndex::from_parts(p, t, f, o, m).unwrap_err();
-        assert!(matches!(err, CoreError::CorruptIndex(_)));
+        assert_eq!(&idx.slot_items()[..], &[1, 2, 3]);
+        assert_eq!((idx.item_slot(3), idx.session_slots(1)), (Some(2), &[1, 2][..]));
+        assert_eq!(idx.dead_slots(), 0);
+        // Hand-assembled: item 1 is listed by two sessions but has no posting.
+        let mut parts = Parts::of(&idx);
+        parts.postings.remove(&1);
+        let idx = parts.assemble().unwrap();
+        assert_eq!(&idx.slot_items()[..], &[2, 3, 1]);
+        assert_eq!((idx.session_slots(0), idx.session_slots(2)), (&[2, 0][..], &[2, 1][..]));
+    }
+
+    #[test]
+    fn sessions_beyond_one_segment_are_found_in_theirs() {
+        let n = SEGMENT_SESSIONS as u64 * 2 + 5;
+        let clicks: Vec<Click> =
+            (0..n).flat_map(|s| [Click::new(s, s % 7, s), Click::new(s, 7 + s % 3, s)]).collect();
+        let idx = SessionIndex::build(&clicks, 10).unwrap();
+        let sizes: Vec<usize> = idx.segments().iter().map(|s| s.len()).collect();
+        assert_eq!(sizes, [SEGMENT_SESSIONS, SEGMENT_SESSIONS, 5]);
+        for s in [0, SEGMENT_SESSIONS as u64 - 1, SEGMENT_SESSIONS as u64, n - 1] {
+            assert_eq!(idx.session_timestamp(s as SessionId), s);
+            assert_eq!(idx.session_items(s as SessionId), &[s % 7, 7 + s % 3]);
+            let slots = idx.session_slots(s as SessionId);
+            assert_eq!([idx.slot_items()[slots[0] as usize], idx.slot_items()[slots[1] as usize]], [s % 7, 7 + s % 3]);
+        }
+        assert_eq!(idx.stats().session_item_entries, 2 * n as usize);
     }
 
     #[test]

@@ -27,14 +27,13 @@
 //! stopping, and the scan-based VS-kNN baseline, all return identical
 //! neighbour sets — a property the test suite verifies.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::candidates::{Candidate, CandidateTable};
 use crate::error::CoreError;
-use crate::hash::{fx_map_with_capacity, FxHashMap, FxHasher};
+use crate::hash::FxHasher;
 use crate::heap::RuntimeDaryHeap;
 use crate::index::SessionIndex;
 use crate::types::{ItemId, ItemScore, SessionId};
@@ -173,18 +172,6 @@ fn window_hash(window: &[ItemId]) -> u64 {
     h.finish()
 }
 
-/// One entry of the scoring stream, parallel to the index's flat CSR item
-/// storage: everything the scoring loop needs to know about the item at
-/// that position, in 8 bytes.
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-struct ScoreCell {
-    /// Accumulator slot of the item (its rank among all item ids).
-    slot: u32,
-    /// Idf weight of the item.
-    idf: f32,
-}
-
 /// One accumulator cell: `val` is the item's score `d_i` only while `epoch`
 /// equals the scratch's current epoch; stale cells cost nothing to clear.
 #[derive(Debug, Clone, Copy, Default)]
@@ -230,9 +217,6 @@ pub struct Scratch {
     /// The neighbours as `session << 32 | dense candidate index`, sorted —
     /// the canonical (ascending session id) scoring order.
     order: Vec<u64>,
-    /// Per scored neighbour: its run of the scoring stream and its weight
-    /// `λ · r_n · norm`.
-    runs: Vec<(Range<usize>, f32)>,
     /// Accumulator slots of the window's items (`exclude_session_items`).
     excluded: Vec<u32>,
     /// Candidate item scores `d`, indexed by accumulator slot.
@@ -265,7 +249,6 @@ impl Scratch {
             bt: RuntimeDaryHeap::with_arity_and_capacity(d, config.m),
             topk: RuntimeDaryHeap::with_arity_and_capacity(d, config.k),
             order: Vec::with_capacity(config.k),
-            runs: Vec::with_capacity(config.k),
             excluded: Vec::new(),
             acc: Vec::new(),
             epoch: 1,
@@ -374,16 +357,12 @@ pub struct Neighbor {
 pub struct VmisKnn {
     index: Arc<SessionIndex>,
     config: VmisConfig,
-    /// The scoring stream: `cells[i]` describes the item at position `i` of
-    /// the index's flat CSR item storage, so scoring a neighbour reads one
-    /// contiguous run of `cells[session_span(n)]` and never the item ids.
-    /// Idf values are `config.idf.weight(h_i, |H|)`, or 1.0 for an item
-    /// without a posting.
-    cells: Box<[ScoreCell]>,
-    /// Item id of each accumulator slot, ascending: slot order *is* item-id
-    /// order, which `take_top` uses to break score ties without resolving
-    /// ids and `exclude_session_items` uses to find a window item's slot.
-    slot_items: Box<[ItemId]>,
+    /// Idf weight by accumulator slot: `config.idf.weight(h_i, |H|)` for the
+    /// slot of an item with a posting, 1.0 for any other. It is all the
+    /// kernel keeps beside the index — `|H|` moves with every publish, so
+    /// this table is what a publish rebuilds; the slots themselves, in the
+    /// postings and beside every session's items, are the index's.
+    idf: Box<[f32]>,
 }
 
 impl VmisKnn {
@@ -397,41 +376,11 @@ impl VmisKnn {
         let index = index.into();
         config.validate(&index)?;
         let num_sessions = index.num_sessions();
-        let mut items: Vec<(ItemId, f32)> = index
-            .postings_iter()
-            .map(|(item, p)| (item, config.idf.weight(p.support as usize, num_sessions)))
-            .collect();
-        let flat = index.session_items_flat();
-        let mut cells = Vec::with_capacity(flat.len());
-        loop {
-            items.sort_unstable_by_key(|&(item, _)| item);
-            let mut cell_of: FxHashMap<ItemId, ScoreCell> = fx_map_with_capacity(items.len());
-            for (slot, &(item, idf)) in items.iter().enumerate() {
-                cell_of.insert(item, ScoreCell { slot: slot as u32, idf });
-            }
-            let known = items.len();
-            for item in flat {
-                match cell_of.get(item) {
-                    Some(&cell) => cells.push(cell),
-                    None => items.push((*item, 1.0)),
-                }
-            }
-            if items.len() == known {
-                break;
-            }
-            // Only a hand-assembled index lists a session item that has no
-            // posting. Such items need slots too (they weigh 1.0), and slot
-            // order must stay item-id order: add them and lay out again.
-            items[known..].sort_unstable_by_key(|&(item, _)| item);
-            items.dedup_by_key(|&mut (item, _)| item);
-            cells.clear();
+        let mut idf: Box<[f32]> = vec![1.0; index.slot_items().len()].into();
+        for (_, posting) in index.postings_iter() {
+            idf[posting.slot as usize] = config.idf.weight(posting.support as usize, num_sessions);
         }
-        Ok(Self {
-            index,
-            config,
-            cells: cells.into_boxed_slice(),
-            slot_items: items.into_iter().map(|(item, _)| item).collect(),
-        })
+        Ok(Self { index, config, idf })
     }
 
     /// The underlying index.
@@ -450,9 +399,9 @@ impl VmisKnn {
     }
 
     /// Heap bytes of what this recommender keeps beside the index: the
-    /// scoring stream and the slot → item table.
-    pub fn scoring_stream_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.cells) + std::mem::size_of_val(&*self.slot_items)
+    /// per-slot idf table.
+    pub fn idf_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.idf)
     }
 
     /// Creates scratch buffers sized for this recommender.
@@ -634,7 +583,7 @@ impl VmisKnn {
     /// the capped window.
     fn fill_neighbors<'a>(&self, session: &'a [ItemId], scratch: &mut Scratch) -> &'a [ItemId] {
         let window = self.cap_window(session);
-        scratch.clear(self.config.m, self.slot_items.len());
+        scratch.clear(self.config.m, self.idf.len());
         for step in self.steps(window) {
             self.intersect_item(step, scratch);
         }
@@ -716,7 +665,7 @@ impl VmisKnn {
         // sequential kernel would take them.
         let mut rounds = 0usize;
         for u in 0..n_unique {
-            slots[u].clear(cfg.m, self.slot_items.len());
+            slots[u].clear(cfg.m, self.idf.len());
             plans[u].clear();
             plans[u].extend(self.steps(&windows[u]));
             rounds = rounds.max(plans[u].len());
@@ -764,46 +713,56 @@ impl VmisKnn {
     /// lines 6–7): `d_i = Σ_n 1_n(i) · λ(max(ω(s)⊙n)) · r_n · idf_i`, where
     /// `max(ω(s)⊙n)` is the neighbour's recorded match position.
     ///
-    /// One neighbour costs one contiguous read of the scoring stream and
-    /// one accumulator cell per item. First touch of a cell *assigns*, as a
-    /// map's `or_insert(0.0)` followed by `+=` would, so the f32 operations
-    /// — and hence the output bits — are those of the plain formulation.
+    /// One neighbour costs one contiguous read of its 4-byte slots, and per
+    /// item one idf and one accumulator cell. First touch of a cell
+    /// *assigns*, as a map's `or_insert(0.0)` followed by `+=` would, so the
+    /// f32 operations — and hence the output bits — are those of the plain
+    /// formulation.
     fn score_items(&self, window: &[ItemId], scratch: &mut Scratch) {
         let cfg = &self.config;
-        let Scratch { table, order, runs, excluded, acc, epoch, touched, work, .. } = scratch;
+        let Scratch { table, order, excluded, acc, epoch, touched, work, .. } = scratch;
         let wlen = window.len();
         let norm = if cfg.normalize_by_session_length { 1.0 / wlen as f32 } else { 1.0 };
         if cfg.exclude_session_items {
-            // Slot order is item-id order, so a window item's slot is its
-            // rank in `slot_items`; unknown items have none to exclude.
-            excluded.extend(
-                window.iter().filter_map(|it| self.slot_items.binary_search(it).ok()).map(|s| s as u32),
-            );
+            // A window item's slot comes with its posting; an item without
+            // one found no neighbour and has nothing to exclude.
+            excluded.extend(window.iter().filter_map(|&item| self.index.item_slot(item)));
         }
-        // Resolve every neighbour's run of the scoring stream first: the
+        // One bounds check covers both per-slot tables: `clear` made `acc`
+        // at least as long as `idf`.
+        let idf = &self.idf[..];
+        let acc = &mut acc[..idf.len()];
+        let cands = table.as_slice();
+        let e = *epoch;
+        // Locate a batch of neighbours' slots before reading any: the
         // session-offset lookups are independent cache misses that overlap
         // here, instead of each one stalling the accumulation behind it.
-        let cands = table.as_slice();
-        for &packed in order.iter() {
-            let c = cands[packed as u32 as usize];
-            let lambda = cfg.match_weight.weight(c.match_pos as usize, wlen);
-            if lambda > 0.0 {
-                runs.push((self.index.session_span(c.session), lambda * c.similarity * norm));
-            }
-        }
-        work.neighbors_scored = runs.len() as u32;
-        let e = *epoch;
-        for (span, session_weight) in runs.drain(..) {
-            for cell in &self.cells[span] {
-                if excluded.contains(&cell.slot) {
-                    continue;
+        let mut runs: [(&[u32], f32); 32] = [(&[], 0.0); 32];
+        for neighbors in order.chunks(runs.len()) {
+            let mut located = 0;
+            for &packed in neighbors {
+                let c = cands[packed as u32 as usize];
+                let lambda = cfg.match_weight.weight(c.match_pos as usize, wlen);
+                if lambda > 0.0 {
+                    let weight = lambda * c.similarity * norm;
+                    runs[located] = (self.index.session_slots(c.session), weight);
+                    located += 1;
                 }
-                let a = &mut acc[cell.slot as usize];
-                if a.epoch == e {
-                    a.val += session_weight * cell.idf;
-                } else {
-                    *a = AccCell { epoch: e, val: session_weight * cell.idf };
-                    touched.push(cell.slot);
+            }
+            work.neighbors_scored += located as u32;
+            for &(slots, session_weight) in &runs[..located] {
+                for &slot in slots {
+                    if excluded.contains(&slot) {
+                        continue;
+                    }
+                    let idf = idf[slot as usize];
+                    let a = &mut acc[slot as usize];
+                    if a.epoch == e {
+                        a.val += session_weight * idf;
+                    } else {
+                        *a = AccCell { epoch: e, val: session_weight * idf };
+                        touched.push(slot);
+                    }
                 }
             }
         }
@@ -813,33 +772,62 @@ impl VmisKnn {
     /// Extracts the `how_many` highest-scored items, descending, as an
     /// exactly-sized list — the request's only allocation.
     ///
-    /// Touched slots are ranked as `score bits << 32 | !slot`. Only positive
+    /// Touched slots are ranked as `score bits << 32 | slot`. Only positive
     /// scores are kept, and for positive floats the integer order of the
-    /// bits is `total_cmp`'s order; on equal scores the larger `!slot` is
-    /// the smaller slot, i.e. the smaller item id. So descending integer
-    /// order is "descending score, ascending item id" without touching an
-    /// item id until the survivors are known.
+    /// bits is `total_cmp`'s order, so selecting and sorting the keys as
+    /// plain integers gives "descending score" — and, among equal scores, an
+    /// order by slot that means nothing: slots are numbered as items enter
+    /// the index. Equal scores are frequent (a one-item window weighs all
+    /// its neighbours alike) and must come out in ascending item id, so the
+    /// ties are put right afterwards, through the slot → item table: the
+    /// group that straddles the cut is selected by id, and each group left
+    /// in the list is sorted by id. Only tied items have their ids read
+    /// before the survivors are known.
     fn take_top(&self, scratch: &mut Scratch) -> Vec<ItemScore> {
         let Scratch { acc, touched, rank, .. } = scratch;
         rank.extend(touched.iter().filter_map(|&slot| {
             let score = acc[slot as usize].val;
-            (score > 0.0).then(|| u64::from(score.to_bits()) << 32 | u64::from(!slot))
+            (score > 0.0).then(|| u64::from(score.to_bits()) << 32 | u64::from(slot))
         }));
         let n = self.config.how_many.min(rank.len());
         if n == 0 {
             return Vec::new();
         }
+        let slot_items = self.index.slot_items();
+        let item = |key: &u64| slot_items[*key as u32 as usize];
         let descending = |a: &u64, b: &u64| b.cmp(a);
         if n < rank.len() {
             rank.select_nth_unstable_by(n - 1, descending);
+            // Items that tie with the last one in compete for its place and
+            // the ones beside it by id: gather them around position n.
+            let last = rank[n - 1] >> 32;
+            let mut hi = n;
+            for j in n..rank.len() {
+                if rank[j] >> 32 == last {
+                    rank.swap(j, hi);
+                    hi += 1;
+                }
+            }
+            if hi > n {
+                let mut lo = n;
+                for i in (0..n).rev() {
+                    if rank[i] >> 32 == last {
+                        lo -= 1;
+                        rank.swap(i, lo);
+                    }
+                }
+                rank[lo..hi].select_nth_unstable_by_key(n - lo - 1, item);
+            }
             rank.truncate(n);
         }
         rank.sort_unstable_by(descending);
+        for tied in rank.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
+            if tied.len() > 1 {
+                tied.sort_unstable_by_key(item);
+            }
+        }
         rank.iter()
-            .map(|&key| ItemScore {
-                item: self.slot_items[!(key as u32) as usize],
-                score: f32::from_bits((key >> 32) as u32),
-            })
+            .map(|key| ItemScore { item: item(key), score: f32::from_bits((key >> 32) as u32) })
             .collect()
     }
 }
@@ -1024,9 +1012,9 @@ mod tests {
     fn session_item_without_posting_weighs_one() {
         // Item 5 occurs only in session D = {2, 4, 5}; drop its posting the
         // way only a hand-assembled index can.
-        let (mut postings, t, f, o, m) = SessionIndex::build(&history(), 500).unwrap().into_parts();
-        postings.remove(&5);
-        let index = SessionIndex::from_parts(postings, t, f, o, m).unwrap();
+        let mut parts = crate::index::tests::Parts::of(&SessionIndex::build(&history(), 500).unwrap());
+        parts.postings.remove(&5);
+        let index = parts.assemble().unwrap();
         let recs = VmisKnn::new(index, VmisConfig::default()).unwrap().recommend(&[2]);
         // λ(1, 1) · r_D · idf = 0.9 · 1 · 1.
         let five = recs.iter().find(|r| r.item == 5).expect("item 5 is scored");

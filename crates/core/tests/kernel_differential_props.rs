@@ -3,7 +3,7 @@
 //! The cache-conscious kernel layout — id-only postings whose id is the
 //! recency key (`serenade-index`'s `id_is_recency_key` suite holds every
 //! index producer to that), the bounded candidate table that records each
-//! candidate's match position at admission, the fused scoring stream and
+//! candidate's match position at admission, the 4-byte slot stream and
 //! the dense epoch-stamped score accumulator — is an *internal*
 //! rearrangement: its correctness contract is bit-identical output to the
 //! straightforward formulation. This suite samples that contract over
@@ -15,11 +15,13 @@
 //! recommenders and across an epoch wrap-around.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use serenade_core::candidates::{Candidate, CandidateTable};
+use serenade_core::index::{Posting, Segment};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use serenade_core::{Click, Scratch, SessionIndex, VmisConfig, VmisKnn};
+use serenade_core::{Click, ItemId, Scratch, SessionIndex, VmisConfig, VmisKnn};
 
 /// Random click logs over a small id space; the timestamp range is a
 /// parameter so callers can force heavy ties.
@@ -49,8 +51,122 @@ fn config_strategy() -> impl Strategy<Value = VmisConfig> {
     )
 }
 
+/// `index` with every accumulator slot renumbered: reversed, so that slot
+/// order is the opposite of item order, then rotated by `shift`.
+fn with_slots_renumbered(index: &SessionIndex, shift: usize) -> SessionIndex {
+    let n = index.slot_items().len();
+    let renumbered = |slot: u32| ((n - 1 - slot as usize + shift) % n) as u32;
+    let mut slot_items: Vec<ItemId> = vec![0; n];
+    for (slot, &item) in index.slot_items().iter().enumerate() {
+        slot_items[renumbered(slot as u32) as usize] = item;
+    }
+    let postings = index
+        .postings_iter()
+        .map(|(item, p)| (item, Posting { slot: renumbered(p.slot), ..p.clone() }))
+        .collect();
+    let segments: Vec<Arc<Segment>> = index
+        .segments()
+        .iter()
+        .map(|segment| {
+            let rows = 0..segment.len();
+            let offsets = std::iter::once(0).chain(rows.clone().scan(0, |end, row| {
+                *end += segment.items(row).len() as u32;
+                Some(*end)
+            }));
+            Arc::new(Segment::new(
+                rows.clone().map(|row| segment.timestamp(row)).collect(),
+                offsets.collect(),
+                rows.clone().flat_map(|row| segment.items(row)).copied().collect(),
+                rows.flat_map(|row| segment.slots(row)).map(|&slot| renumbered(slot)).collect(),
+            ))
+        })
+        .collect();
+    SessionIndex::from_generation(postings, segments.into(), slot_items.into(), index.m_max())
+}
+
+fn bits(recs: Vec<serenade_core::ItemScore>) -> Vec<(ItemId, u32)> {
+    recs.into_iter().map(|r| (r.item, r.score.to_bits())).collect()
+}
+
+#[test]
+fn a_smaller_item_id_in_a_larger_slot_still_leads_a_score_tie() {
+    // Sessions {1, 9} and {1, 5}: asked about item 1, items 9 and 5 score
+    // the same bits. Built, item 5 has the smaller slot; renumbered, the
+    // larger — as in a live index that met item 9 first.
+    let clicks = [Click::new(1, 1, 10), Click::new(1, 9, 11), Click::new(2, 1, 20), Click::new(2, 5, 21)];
+    let built = SessionIndex::build(&clicks, 10).expect("non-empty log");
+    let renumbered = with_slots_renumbered(&built, 0);
+    assert!(built.item_slot(5) < built.item_slot(9));
+    assert!(renumbered.item_slot(5) > renumbered.item_slot(9));
+    // `how_many` 1 decides the tie while selecting, 21 while sorting.
+    for how_many in [1, 21] {
+        let config = VmisConfig { m: 10, how_many, ..VmisConfig::default() };
+        let expected = bits(VmisKnn::new(built.clone(), config.clone()).expect("valid").recommend(&[1]));
+        let answer = bits(VmisKnn::new(renumbered.clone(), config).expect("valid").recommend(&[1]));
+        assert_eq!(answer, expected, "how_many {how_many}");
+        assert_eq!(expected[0].0, 5);
+        if let [five, nine] = expected[..] {
+            assert_eq!((nine.0, nine.1), (9, five.1), "a tie on the score bits");
+        }
+    }
+}
+
+#[test]
+fn a_tie_that_straddles_the_cut_is_cut_by_item_id() {
+    // One session lists item 1 and six others: asked about item 1, the six
+    // tie, and a list of `how_many` of them is the `how_many` smallest ids
+    // in order — whichever slots they hold. Items 1 and 40 are in a second
+    // session too: twice the weight at well under half the idf, so they
+    // come last, tied with each other.
+    let mut clicks: Vec<Click> =
+        [1, 35, 31, 36, 32, 34, 33, 40].iter().map(|&item| Click::new(1, item, 10 + item)).collect();
+    clicks.extend([Click::new(2, 1, 100), Click::new(2, 40, 101), Click::new(3, 50, 200)]);
+    let built = SessionIndex::build(&clicks, 10).expect("non-empty log");
+    for shift in 0..4 {
+        let renumbered = with_slots_renumbered(&built, shift);
+        for how_many in 1..=8 {
+            let config = VmisConfig { m: 10, how_many, ..VmisConfig::default() };
+            let answer = bits(VmisKnn::new(renumbered.clone(), config.clone()).expect("valid").recommend(&[1]));
+            let expected = bits(VmisKnn::new(built.clone(), config).expect("valid").recommend(&[1]));
+            assert_eq!(answer, expected, "how_many {how_many}, shift {shift}");
+            let items: Vec<ItemId> = expected.iter().map(|r| r.0).collect();
+            assert_eq!(items, [31, 32, 33, 34, 35, 36, 1, 40][..how_many]);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    // Slot numbering is not part of what an index is: the kernel over an
+    // index whose slots run against item order answers byte for byte as the
+    // kernel over the built one — ties on the score bits (frequent over
+    // twelve items) included, with and without the window's own items.
+    #[test]
+    fn any_slot_numbering_answers_identically(
+        clicks in clicks_strategy(30),
+        config in config_strategy(),
+        shift in 0usize..12,
+        sessions in vec(vec(1u64..=14, 0..6), 1..8),
+    ) {
+        let built = SessionIndex::build(&clicks, config.m.max(4)).expect("non-empty log");
+        let renumbered = with_slots_renumbered(&built, shift);
+        let expected = VmisKnn::new(built, config.clone()).expect("valid config");
+        let vmis = VmisKnn::new(renumbered, config).expect("valid config");
+        let mut scratch = vmis.scratch();
+        for session in &sessions {
+            prop_assert_eq!(
+                bits(vmis.recommend_with_scratch(session, &mut scratch)),
+                bits(expected.recommend(session)),
+                "session {:?}", session
+            );
+        }
+        let refs: Vec<&[ItemId]> = sessions.iter().map(Vec::as_slice).collect();
+        let batch = vmis.recommend_batch(&refs, &mut vmis.batch_scratch());
+        for (session, answer) in sessions.iter().zip(batch) {
+            prop_assert_eq!(bits(answer), bits(expected.recommend(session)));
+        }
+    }
 
     // The depersonalised entry point is bit-identical to the session path
     // fed a one-item window — for known and unknown items, across scratch

@@ -30,10 +30,12 @@
 //!
 //! # Load peak
 //!
-//! Each column and each posting is collected from the caller's bytes
-//! straight into the index's own `Arc`, once: while it loads, an index costs
-//! the artefact the caller holds plus the index being built, with neither a
-//! payload-sized copy nor a second posting table in between
+//! Each posting is collected from the caller's bytes straight into the
+//! index's own `Arc`, once, and the session columns are read where they lie
+//! ([`SessionColumns`] over the payload) while the index lays them out in
+//! its segments: while it loads, an index costs the artefact the caller
+//! holds plus the index being built, with neither a payload-sized copy, nor
+//! flat columns, nor a second posting table in between
 //! (`tests/load_allocs.rs` holds it to that).
 
 use std::fmt;
@@ -41,7 +43,7 @@ use std::io::Write;
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, BytesMut};
-use serenade_core::index::Posting;
+use serenade_core::index::{Posting, SessionColumns};
 use serenade_core::{CoreError, FxHashMap, ItemId, SessionId, SessionIndex, Timestamp};
 
 const MAGIC: &[u8; 8] = b"SRNIDX\x02\x00";
@@ -172,6 +174,38 @@ fn frame<'a>(
     Ok((frame.get_u64_le(), frame.get_u64_le(), rest))
 }
 
+/// The session columns of a payload, read in place.
+struct PayloadColumns<'a> {
+    /// 8 little-endian bytes a session.
+    timestamps: &'a [u8],
+    /// 4 little-endian bytes a session, and 4 more.
+    offsets: &'a [u8],
+    /// 8 little-endian bytes an entry.
+    items: &'a [u8],
+}
+
+impl SessionColumns for PayloadColumns<'_> {
+    fn num_sessions(&self) -> usize {
+        self.timestamps.len() / 8
+    }
+
+    fn num_entries(&self) -> usize {
+        self.items.len() / 8
+    }
+
+    fn timestamp(&self, session: usize) -> Timestamp {
+        (&self.timestamps[session * 8..]).get_u64_le()
+    }
+
+    fn offset(&self, session: usize) -> u32 {
+        (&self.offsets[session * 4..]).get_u32_le()
+    }
+
+    fn item(&self, entry: usize) -> ItemId {
+        (&self.items[entry * 8..]).get_u64_le()
+    }
+}
+
 /// Deserialises an index from the bytes of an artefact, verifying magic,
 /// checksum, the length/checksum trailer and all structural invariants.
 /// Safe on hostile bytes: the payload is checksummed and parsed in place,
@@ -210,15 +244,18 @@ pub fn read_index(bytes: &[u8]) -> Result<SessionIndex, BinError> {
     if num_sessions > u32::MAX as usize {
         return Err(BinError::Corrupt("session count exceeds u32 space".into()));
     }
-    need(buf, counted(num_sessions, 8)?)?;
-    // Exact-size iterators collect straight into the index's own arrays.
-    let timestamps: Arc<[Timestamp]> = (0..num_sessions).map(|_| buf.get_u64_le()).collect();
-    need(buf, counted(num_sessions + 1, 4)?)?;
-    let offsets: Arc<[u32]> = (0..=num_sessions).map(|_| buf.get_u32_le()).collect();
-    need(buf, 8)?;
-    let flat_len = buf.get_u64_le() as usize;
-    need(buf, counted(flat_len, 8)?)?;
-    let items_flat: Arc<[ItemId]> = (0..flat_len).map(|_| buf.get_u64_le()).collect();
+    // The session columns stay where they are; `need` bounds every split.
+    let mut column = |count: usize, size: usize| -> Result<&[u8], BinError> {
+        let bytes = counted(count, size)?;
+        need(buf, bytes)?;
+        let (column, rest) = buf.split_at(bytes);
+        buf = rest;
+        Ok(column)
+    };
+    let timestamps = column(num_sessions, 8)?;
+    let offsets = column(num_sessions + 1, 4)?;
+    let flat_len = column(1, 8)?.get_u64_le() as usize;
+    let items = column(flat_len, 8)?;
     need(buf, 8)?;
     let num_postings = buf.get_u64_le() as usize;
     // Each posting occupies ≥ 16 bytes, so a count the remaining payload
@@ -232,14 +269,16 @@ pub fn read_index(bytes: &[u8]) -> Result<SessionIndex, BinError> {
         let support = buf.get_u32_le();
         let plen = buf.get_u32_le() as usize;
         need(buf, counted(plen, 4)?)?;
+        // An exact-size iterator collects straight into the posting's array.
         let entries: Arc<[SessionId]> = (0..plen).map(|_| buf.get_u32_le()).collect();
-        postings.insert(item, Posting { entries, support });
+        postings.insert(item, Posting { entries, support, slot: 0 });
     }
     if buf.has_remaining() {
         return Err(BinError::Corrupt("trailing bytes after payload".into()));
     }
 
-    Ok(SessionIndex::from_parts(postings, timestamps, items_flat, offsets, m_max)?)
+    let columns = PayloadColumns { timestamps, offsets, items };
+    Ok(SessionIndex::from_parts(postings, &columns, m_max)?)
 }
 
 #[cfg(test)]

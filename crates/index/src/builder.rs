@@ -16,7 +16,7 @@
 //! this one for bulk rebuilds.
 
 use crossbeam::thread;
-use serenade_core::index::Posting;
+use serenade_core::index::{FlatColumns, Posting};
 use serenade_core::{Click, CoreError, FxHashMap, ItemId, SessionId, SessionIndex, Timestamp};
 
 /// Parallel builder configuration.
@@ -182,7 +182,7 @@ pub fn build_parallel(clicks: &[Click], config: BuilderConfig) -> Result<Session
                     for (item, sids) in ascending {
                         let support = sids.len() as u32;
                         let entries = sids.iter().rev().take(config.m_max).copied().collect();
-                        out.insert(item, Posting { entries, support });
+                        out.insert(item, Posting { entries, support, slot: 0 });
                     }
                     out
                 })
@@ -196,13 +196,9 @@ pub fn build_parallel(clicks: &[Click], config: BuilderConfig) -> Result<Session
     })
     .expect("stage-3 scope");
 
-    SessionIndex::from_parts(
-        postings,
-        timestamps.into(),
-        items_flat.into(),
-        items_offsets.into(),
-        config.m_max,
-    )
+    let columns =
+        FlatColumns { timestamps: &timestamps, offsets: &items_offsets, items: &items_flat };
+    SessionIndex::from_parts(postings, &columns, config.m_max)
 }
 
 #[cfg(test)]

@@ -96,10 +96,17 @@ impl CompressedIndex {
                 },
             );
         }
+        let sessions = 0..index.num_sessions() as SessionId;
+        let mut items_offsets = Vec::with_capacity(index.num_sessions() + 1);
+        items_offsets.push(0);
+        items_offsets.extend(sessions.clone().scan(0, |end, s| {
+            *end += index.session_items(s).len() as u32;
+            Some(*end)
+        }));
         Self {
             postings,
-            items_flat: index.session_items_flat().into(),
-            items_offsets: index.session_offsets().into(),
+            items_flat: sessions.flat_map(|s| index.session_items(s)).copied().collect(),
+            items_offsets: items_offsets.into(),
             m_max: index.m_max(),
         }
     }

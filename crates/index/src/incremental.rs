@@ -11,25 +11,41 @@
 //!    its new one;
 //! 2. locate the old ranks by `(timestamp, external id)` — the order dense
 //!    ids are assigned in — and take the first rank that changes, `cut`;
-//! 3. in one linear pass write the timestamp, item-CSR, external-id and
-//!    click-log columns of the new rank order, with the monotone old → new
-//!    rank map of everything at or above `cut`;
+//! 3. in one linear pass write the sessions of the new rank order from the
+//!    segment holding `cut` up — timestamps, items and the items' slots into
+//!    new [`Segment`]s, external ids and clicks into the indexer's own
+//!    columns — with the monotone old → new rank map of everything at or
+//!    above `cut`; every segment wholly below `cut` is handed on by pointer;
 //! 4. start from the previous posting table and rewrite only the postings
 //!    of items that occur in a session at or above `cut` (their entries
 //!    are renumbered ranks) or in a removed or inserted session (support
 //!    ±1, entries dropped and merged in). A truncated posting that loses an
 //!    entry refills by scanning older sessions for the item.
 //!
-//! Every other posting array is the previous generation's, shared through
-//! its `Arc`: live traffic lands at the recent end of the rank order, so
-//! `cut` is near the top and almost nothing is rewritten. The flat columns
-//! are written anew each time, which makes a merge O(sessions + clicks)
-//! in `memcpy`, and a batch of *old* timestamps (a backfill at rank 0, or
-//! the retention window dropping its oldest session) renumbers every
-//! posting: the path degrades to the cost of a build, never to a wrong
-//! index. [`Sharing`] counts both cases. The result is always identical to
+//! Every other posting array and every other segment is the previous
+//! generation's, shared through its `Arc`: live traffic lands at the recent
+//! end of the rank order, so `cut` is near the top and a merge allocates
+//! O(delta) — at most the last segment or two and the touched postings —
+//! plus what stays O(items): the posting table's handles are cloned, and a
+//! merge that meets an item for the first time copies the slot → item
+//! table to append to it. A batch of *old* timestamps (a backfill at rank
+//! 0, or the retention window dropping its oldest session) renumbers every
+//! rank, so every segment and every posting is written anew: the path
+//! degrades to the cost of a build, never to a wrong index. [`Sharing`]
+//! counts both cases. The result is always identical to
 //! [`SessionIndex::build`] over [`retained_log`], which the differential
 //! suites hold it to bit for bit.
+//!
+//! ## Slots
+//!
+//! An item keeps the accumulator slot it has (`serenade_core::index`): a
+//! session copied into a new segment brings its slots along, and only an
+//! item the index has not seen is given one, the next. An item whose last
+//! session leaves strands its slot. Stranded slots cost a few bytes each in
+//! the kernel's per-slot tables; a merge that writes every segment anyway
+//! (`cut` = 0) numbers the live items afresh, and a merge that finds more
+//! than one stranded slot per [`DEAD_SLOT_SHARE`] live ones is made such a
+//! merge, so they stay bounded under any turnover of the catalogue.
 //!
 //! ## Click-log retention
 //!
@@ -67,11 +83,19 @@
 
 use std::sync::Arc;
 
-use serenade_core::index::Posting;
+use serenade_core::index::{Posting, Segment, SEGMENT_SESSIONS};
 use serenade_core::{Click, CoreError, FxHashMap, FxHashSet, ItemId, SessionId, SessionIndex, Timestamp};
 
 /// What sessions are ranked by: `(session timestamp, external id)`.
 type Key = (Timestamp, u64);
+
+/// A retained click, in the log of its session: the session's external id
+/// is the log's key, not a column of it.
+type LogEntry = (Timestamp, ItemId);
+
+/// Live slots per stranded one a merge tolerates before it numbers slots
+/// afresh (see the module docs).
+const DEAD_SLOT_SHARE: usize = 4;
 
 /// Items whose posting lists may have changed since the last drain — the
 /// unit of epoch-bucketed cache invalidation (see the module docs).
@@ -119,6 +143,11 @@ pub struct Sharing {
     /// ...out of this many sessions. The ratio is 1 for traffic at the
     /// recent end and falls to 0 when a merge renumbers the whole index.
     pub ranks_total: u64,
+    /// Segments handed on by pointer: those wholly below the first changed
+    /// rank.
+    pub segments_shared: u64,
+    /// Segments written anew: from the one holding the first changed rank.
+    pub segments_copied: u64,
 }
 
 /// A session the next generation gains: a new one, or an indexed one with
@@ -126,7 +155,7 @@ pub struct Sharing {
 struct Pending {
     key: Key,
     /// Every retained click of the session, in `(timestamp, item)` order.
-    clicks: Vec<Click>,
+    clicks: Vec<LogEntry>,
     /// `clicks` deduplicated to first occurrences: the indexed item list.
     items: Vec<ItemId>,
 }
@@ -151,7 +180,7 @@ pub struct IncrementalIndexer {
     session_ts: FxHashMap<u64, Timestamp>,
     /// The retained clicks as a CSR parallel to the index: session by
     /// session in rank order, `(timestamp, item)` order within a session.
-    log: Vec<Click>,
+    log: Vec<LogEntry>,
     log_offsets: Vec<u32>,
     /// Upper bound on `log.len()`; `usize::MAX` means unbounded.
     max_retained_clicks: usize,
@@ -203,7 +232,6 @@ impl IncrementalIndexer {
                 FxHashMap::default(),
                 Arc::from([]),
                 Arc::from([]),
-                Arc::from([0]),
                 m_max,
             ),
             ext_ids: Vec::new(),
@@ -250,15 +278,20 @@ impl IncrementalIndexer {
             let session = sessions.get_mut(ext).expect("ordered from this map");
             log_offsets.push(start + std::mem::replace(&mut session.1, start));
         }
-        let mut log = vec![Click::new(0, 0, 0); seed.len()];
+        // Room for live traffic on top of the seed, or the first merge would
+        // double the log — copy it whole — to append a few clicks.
+        let mut log: Vec<LogEntry> = Vec::with_capacity(seed.len() + seed.len() / 8);
+        log.resize(seed.len(), (0, 0));
         for c in seed {
             let cursor = &mut sessions.get_mut(&c.session_id).expect("counted above").1;
-            log[*cursor as usize] = *c;
+            log[*cursor as usize] = (c.timestamp, c.item_id);
             *cursor += 1;
         }
+        // The log is laid out; `order` says everything else the map did.
+        drop(sessions);
         for (rank, span) in log_offsets.windows(2).enumerate() {
             let clicks = &mut log[span[0] as usize..span[1] as usize];
-            clicks.sort_unstable_by_key(|c| (c.timestamp, c.item_id));
+            clicks.sort_unstable();
             if order[rank].0 != index.session_timestamp(rank as SessionId)
                 || first_occurrences(clicks) != index.session_items(rank as SessionId)
             {
@@ -267,7 +300,7 @@ impl IncrementalIndexer {
         }
         self.index = index.clone();
         self.ext_ids = order.iter().map(|&(_, ext)| ext).collect();
-        self.session_ts = sessions.into_iter().map(|(ext, (ts, _))| (ext, ts)).collect();
+        self.session_ts = order.into_iter().map(|(ts, ext)| (ext, ts)).collect();
         (self.log, self.log_offsets) = (log, log_offsets);
         true
     }
@@ -298,9 +331,13 @@ impl IncrementalIndexer {
     }
 
     /// The retained click log, oldest session first: the traffic the index
-    /// is equivalent to a from-scratch build over.
-    pub fn retained_log(&self) -> &[Click] {
-        &self.log
+    /// is equivalent to a from-scratch build over. Assembled on demand (the
+    /// differential suites ask): the log itself stores no session ids.
+    pub fn retained_log(&self) -> Vec<Click> {
+        let clicks_of = |(rank, &ext): (usize, &u64)| {
+            self.session_log(rank).iter().map(move |&(ts, item)| Click::new(ext, item, ts))
+        };
+        self.ext_ids.iter().enumerate().flat_map(clicks_of).collect()
     }
 
     /// Drains the accumulated touched-item set: the items whose postings may
@@ -333,9 +370,9 @@ impl IncrementalIndexer {
     /// late-arriving clicks must not resurrect the session. On an error
     /// nothing has changed.
     pub fn apply_batch(&mut self, batch: &[Click]) -> Result<(), CoreError> {
-        let mut by_session: FxHashMap<u64, Vec<Click>> = FxHashMap::default();
+        let mut by_session: FxHashMap<u64, Vec<LogEntry>> = FxHashMap::default();
         for c in batch.iter().filter(|c| !self.tombstones.contains(&c.session_id)) {
-            by_session.entry(c.session_id).or_default().push(*c);
+            by_session.entry(c.session_id).or_default().push((c.timestamp, c.item_id));
         }
         let mut removed = Vec::new();
         let pending: Vec<Pending> = by_session
@@ -345,9 +382,9 @@ impl IncrementalIndexer {
                     clicks.extend_from_slice(self.session_log(rank));
                     removed.push(rank as SessionId);
                 }
-                clicks.sort_unstable_by_key(|c| (c.timestamp, c.item_id));
-                let newest = clicks.last().expect("grouped from at least one click");
-                Pending { key: (newest.timestamp, ext), items: first_occurrences(&clicks), clicks }
+                clicks.sort_unstable();
+                let newest = clicks.last().expect("grouped from at least one click").0;
+                Pending { key: (newest, ext), items: first_occurrences(&clicks), clicks }
             })
             .collect();
         removed.sort_unstable();
@@ -389,13 +426,13 @@ impl IncrementalIndexer {
 
     /// Rank (dense id) of the indexed session with this external id.
     fn rank_of(&self, ext_id: u64) -> Option<usize> {
-        let timestamps = self.index.session_timestamps();
         let key = (*self.session_ts.get(&ext_id)?, ext_id);
-        Some(lower_bound(timestamps.len(), |rank| (timestamps[rank], self.ext_ids[rank]), key))
+        let key_at = |rank| (self.index.session_timestamp(rank as SessionId), self.ext_ids[rank]);
+        Some(lower_bound(self.num_sessions(), key_at, key))
     }
 
     /// The retained clicks of the session at `rank`.
-    fn session_log(&self, rank: usize) -> &[Click] {
+    fn session_log(&self, rank: usize) -> &[LogEntry] {
         &self.log[self.log_offsets[rank] as usize..self.log_offsets[rank + 1] as usize]
     }
 
@@ -408,86 +445,134 @@ impl IncrementalIndexer {
             return Ok(());
         }
         let old = self.index.clone();
-        let (old_ts, old_off) = (old.session_timestamps(), old.session_offsets());
-        let n_old = old_ts.len();
-        let old_key = |rank: usize| (old_ts[rank], self.ext_ids[rank]);
+        let old_table = old.posting_table();
+        let n_old = old.num_sessions();
+        let old_key = |rank: usize| (old.session_timestamp(rank as SessionId), self.ext_ids[rank]);
         let first_gained = pending.iter().map(|p| p.key).min();
-        let cut = first_gained
+        let mut cut = first_gained
             .map_or(n_old, |key| lower_bound(n_old, old_key, key))
             .min(removed.first().map_or(n_old, |&r| r as usize));
+        // Slots are numbered afresh by a merge that writes every segment
+        // anyway; too many stranded ones make this merge one.
+        if old.dead_slots() > old.num_items() / DEAD_SLOT_SHARE {
+            cut = 0;
+        }
+        let renumber = cut == 0;
+        // Segments wholly below `cut` are handed on; `base` is the first
+        // rank written.
+        let first_segment = cut / SEGMENT_SESSIONS;
+        let base = first_segment * SEGMENT_SESSIONS;
 
-        // The rank order from `cut` up. The survivors are one ascending run,
+        // The rank order from `base` up. The survivors are one ascending run,
         // which the stable sort detects and merges the few others into.
-        let mut order: Vec<(Key, Source)> = (cut..n_old)
+        let mut order: Vec<(Key, Source)> = (base..n_old)
             .filter(|&rank| removed.binary_search(&(rank as SessionId)).is_err())
             .map(|rank| (old_key(rank), Source::Old(rank)))
             .collect();
         order.extend(pending.iter().enumerate().map(|(k, p)| (p.key, Source::New(k))));
         order.sort_by_key(|&(key, _)| key);
 
-        // The columns from `cut` up, session by session, with the new rank of
-        // each old one (`MAX` for a removed one) and, per touched item, how
-        // many sessions it lost and the ids it gained (ascending).
-        let (mut ts, mut ext_ids) = (Vec::new(), Vec::new());
-        let (mut off, mut flat) = (Vec::new(), Vec::new());
-        let (mut log_off, mut log) = (Vec::new(), Vec::new());
-        let (flat_base, log_base) = (old_off[cut] as usize, self.log_offsets[cut] as usize);
-        let mut remap = vec![SessionId::MAX; n_old - cut];
+        // An item keeps its slot; one without takes the next. When slots are
+        // numbered afresh no item has one, and they go in order of appearance.
+        let kept_slots = if renumber { 0 } else { old.slot_items().len() };
+        let mut new_slot_items: Vec<ItemId> = Vec::new();
+        let mut new_slots: FxHashMap<ItemId, u32> = FxHashMap::default();
+        let mut slot_of = |item: ItemId| match old_table.get(&item) {
+            Some(posting) if !renumber => posting.slot,
+            _ => *new_slots.entry(item).or_insert_with(|| {
+                new_slot_items.push(item);
+                (kept_slots + new_slot_items.len() - 1) as u32
+            }),
+        };
+
+        // The sessions from `base` up, segment by segment, with the new rank
+        // of each old one (`MAX` for a removed one) and, per touched item,
+        // how many sessions it lost and the ids it gained (ascending).
+        let log_base = self.log_offsets[base] as usize;
+        let gained_clicks: usize = pending.iter().map(|p| p.clicks.len()).sum();
+        let mut log: Vec<LogEntry> =
+            Vec::with_capacity(self.log.len() - log_base + gained_clicks);
+        let mut log_off = Vec::with_capacity(order.len());
+        let mut ext_ids = Vec::with_capacity(order.len());
+        let mut segments: Vec<Arc<Segment>> = old.segments()[..first_segment].to_vec();
+        let mut remap = vec![SessionId::MAX; n_old - base];
         let mut delta: FxHashMap<ItemId, (u32, Vec<SessionId>)> = FxHashMap::default();
         for &rank in removed {
             for &item in old.session_items(rank) {
                 delta.entry(item).or_default().0 += 1;
             }
         }
-        for (session, &((timestamp, ext_id), source)) in (cut as SessionId..).zip(&order) {
-            let (items, clicks) = match source {
-                Source::Old(rank) => {
-                    remap[rank - cut] = session;
-                    (old.session_items(rank as SessionId), self.session_log(rank))
-                }
-                Source::New(k) => {
-                    for &item in &pending[k].items {
-                        delta.entry(item).or_default().1.push(session);
+        let items_of = |source: Source| match source {
+            Source::Old(rank) => old.session_items(rank as SessionId),
+            Source::New(k) => &pending[k].items[..],
+        };
+        let mut session = base as SessionId;
+        for chunk in order.chunks(SEGMENT_SESSIONS) {
+            // Sized exactly: a segment is allocated once and never shrunk.
+            let entries = chunk.iter().map(|&(_, source)| items_of(source).len()).sum();
+            let mut timestamps = Vec::with_capacity(chunk.len());
+            let mut offsets = Vec::with_capacity(chunk.len() + 1);
+            let (mut items, mut slots) = (Vec::with_capacity(entries), Vec::with_capacity(entries));
+            offsets.push(0);
+            for &((timestamp, ext_id), source) in chunk {
+                items.extend_from_slice(items_of(source));
+                match source {
+                    Source::Old(rank) => {
+                        if renumber {
+                            slots.extend(items_of(source).iter().map(|&item| slot_of(item)));
+                        } else {
+                            slots.extend_from_slice(old.session_slots(rank as SessionId));
+                        }
+                        remap[rank - base] = session;
+                        log.extend_from_slice(self.session_log(rank));
                     }
-                    (&pending[k].items[..], &pending[k].clicks[..])
+                    Source::New(k) => {
+                        for &item in &pending[k].items {
+                            delta.entry(item).or_default().1.push(session);
+                            slots.push(slot_of(item));
+                        }
+                        log.extend_from_slice(&pending[k].clicks);
+                    }
                 }
-            };
-            ts.push(timestamp);
-            ext_ids.push(ext_id);
-            flat.extend_from_slice(items);
-            off.push((flat_base + flat.len()) as u32);
-            log.extend_from_slice(clicks);
-            log_off.push((log_base + log.len()) as u32);
+                timestamps.push(timestamp);
+                offsets.push(items.len() as u32);
+                ext_ids.push(ext_id);
+                log_off.push((log_base + log.len()) as u32);
+                session += 1;
+            }
+            segments.push(Arc::new(Segment::new(
+                timestamps.into(),
+                offsets.into(),
+                items.into(),
+                slots.into(),
+            )));
         }
-        let n_new = cut + order.len();
-        if n_new.max(flat_base + flat.len()).max(log_base + log.len()) > u32::MAX as usize {
+        let n_new = base + order.len();
+        if n_new.max(log_base + log.len()) > u32::MAX as usize {
             return Err(CoreError::TooManySessions(n_new));
         }
-        // One allocation and one pass per shared column: a chain of exact-size
-        // iterators collects straight into the `Arc`.
-        let new_ts: Arc<[Timestamp]> = old_ts[..cut].iter().copied().chain(ts).collect();
-        let new_off: Arc<[u32]> = old_off[..=cut].iter().copied().chain(off).collect();
-        let new_flat: Arc<[ItemId]> =
-            old.session_items_flat()[..flat_base].iter().copied().chain(flat).collect();
         let new_key =
-            |rank: usize| if rank < cut { old_key(rank) } else { order[rank - cut].0 };
-        let new_items = |rank: usize| &new_flat[new_off[rank] as usize..new_off[rank + 1] as usize];
+            |rank: usize| if rank < base { old_key(rank) } else { order[rank - base].0 };
+        let new_items =
+            |rank: usize| segments[rank / SEGMENT_SESSIONS].items(rank % SEGMENT_SESSIONS);
         let new_rank =
-            |old: SessionId| if (old as usize) < cut { old } else { remap[old as usize - cut] };
+            |old: SessionId| if (old as usize) < base { old } else { remap[old as usize - base] };
 
         // The postings: all shared, but for the items of a renumbered session
         // (every old session from `cut` up) and the touched ones.
         let touched: Vec<ItemId> = delta.keys().copied().collect();
         let mut rewrite: FxHashSet<ItemId> = touched.iter().copied().collect();
-        rewrite.extend(&old.session_items_flat()[flat_base..]);
+        for rank in cut..n_old {
+            rewrite.extend(old.session_items(rank as SessionId));
+        }
         let m_max = old.m_max();
-        let mut table = old.posting_table().clone();
+        let mut table = old_table.clone();
         let mut copied = 0;
         for &item in &rewrite {
             let (lost, gained) = delta.remove(&item).unwrap_or_default();
-            let (was, was_support) = match old.posting_table().get(&item) {
-                Some(posting) => (&posting.entries[..], posting.support),
-                None => (&[][..], 0),
+            let (was, was_support, was_slot) = match old_table.get(&item) {
+                Some(posting) => (&posting.entries[..], posting.support, Some(posting.slot)),
+                None => (&[][..], 0, None),
             };
             let support = was_support - lost + gained.len() as u32;
             if support == 0 {
@@ -514,17 +599,28 @@ impl IncrementalIndexer {
                     entries.push(rank as SessionId);
                 }
             }
-            table.insert(item, Posting { entries: entries.into(), support });
+            let slot = new_slots
+                .get(&item)
+                .copied()
+                .or(was_slot)
+                .expect("an item is given its slot with the first session that lists it");
+            table.insert(item, Posting { entries: entries.into(), support, slot });
             copied += 1;
         }
+        // The slot → item table is the old one unless this merge gave a slot.
+        let slot_items = if new_slot_items.is_empty() && !renumber {
+            Arc::clone(old.slot_items())
+        } else {
+            old.slot_items()[..kept_slots].iter().copied().chain(new_slot_items).collect()
+        };
 
         for &rank in removed {
             self.session_ts.remove(&self.ext_ids[rank as usize]);
         }
         self.session_ts.extend(pending.iter().map(|p| (p.key.1, p.key.0)));
-        self.ext_ids.truncate(cut);
+        self.ext_ids.truncate(base);
         self.ext_ids.append(&mut ext_ids);
-        self.log_offsets.truncate(cut + 1);
+        self.log_offsets.truncate(base + 1);
         self.log_offsets.append(&mut log_off);
         self.log.truncate(log_base);
         self.log.append(&mut log);
@@ -533,7 +629,9 @@ impl IncrementalIndexer {
         self.sharing.postings_shared += table.len() as u64 - copied;
         self.sharing.ranks_unchanged += cut as u64;
         self.sharing.ranks_total += n_old as u64;
-        self.index = SessionIndex::from_generation(table, new_ts, new_flat, new_off, m_max);
+        self.sharing.segments_shared += first_segment as u64;
+        self.sharing.segments_copied += (segments.len() - first_segment) as u64;
+        self.index = SessionIndex::from_generation(table, segments.into(), slot_items, m_max);
         Ok(())
     }
 }
@@ -554,11 +652,11 @@ fn lower_bound(len: usize, key_at: impl Fn(usize) -> Key, key: Key) -> usize {
 
 /// The items of time-ordered `clicks`, each at its first occurrence. A linear
 /// scan per item, as in [`SessionIndex::build`]: the median session is short.
-fn first_occurrences(clicks: &[Click]) -> Vec<ItemId> {
+fn first_occurrences(clicks: &[LogEntry]) -> Vec<ItemId> {
     let mut items = Vec::new();
-    for c in clicks {
-        if !items.contains(&c.item_id) {
-            items.push(c.item_id);
+    for &(_, item) in clicks {
+        if !items.contains(&item) {
+            items.push(item);
         }
     }
     items
@@ -733,7 +831,7 @@ mod tests {
         let log: Vec<Click> =
             seed.iter().chain(&more).filter(|c| c.session_id != 17).copied().collect();
         assert_same(&inc.snapshot().unwrap(), &SessionIndex::build(&log, 7).unwrap());
-        assert_same(&inc.snapshot().unwrap(), &SessionIndex::build(inc.retained_log(), 7).unwrap());
+        assert_same(&inc.snapshot().unwrap(), &SessionIndex::build(&inc.retained_log(), 7).unwrap());
     }
 
     #[test]
@@ -819,8 +917,60 @@ mod tests {
         assert!(inc.compaction_count() > 0);
         // The documented sliding-window contract: the snapshot equals a
         // from-scratch build over exactly the retained suffix of the log.
-        let reference = SessionIndex::build(inc.retained_log(), 4).unwrap();
+        let reference = SessionIndex::build(&inc.retained_log(), 4).unwrap();
         assert_same(&inc.snapshot().unwrap(), &reference);
+    }
+
+    #[test]
+    fn stranded_slots_stay_bounded_under_catalogue_turnover() {
+        use serenade_core::{VmisConfig, VmisKnn};
+        let agrees_with_a_build = |inc: &IncrementalIndexer, m_max: usize| {
+            let live = inc.snapshot().unwrap();
+            let built = SessionIndex::build(&inc.retained_log(), m_max).unwrap();
+            assert_same(&live, &built);
+            let config = VmisConfig { m: m_max, ..VmisConfig::default() };
+            let newest = *live.session_items(live.num_sessions() as SessionId - 1).last().unwrap();
+            assert_eq!(
+                VmisKnn::new(live, config.clone()).unwrap().recommend(&[newest]),
+                VmisKnn::new(built, config).unwrap().recommend(&[newest])
+            );
+        };
+        // A window of 30 sessions sliding over ever-new items, twenty
+        // catalogues' worth: every batch ends in a retention merge from rank
+        // 0, which numbers the slots afresh.
+        let mut inc = IncrementalIndexer::with_retained_clicks_cap(5, 60).unwrap();
+        for s in 0..600u64 {
+            inc.apply_batch(&[Click::new(s, s, s * 10), Click::new(s, s + 1, s * 10 + 1)]).unwrap();
+            assert_eq!(inc.snapshot().unwrap().dead_slots(), 0, "after session {s}");
+            agrees_with_a_build(&inc, 5);
+        }
+        assert!(inc.compaction_count() > 500);
+        // No cap, and the turnover at the recent end, where no merge starts
+        // at rank 0 of its own accord: 40 lasting sessions, then a session
+        // of two new items that leaves again, 400 times over. Stranded slots
+        // force a renumbering before they pass their share of the live ones.
+        let mut inc = IncrementalIndexer::new(5).unwrap();
+        let lasting: Vec<Click> =
+            (0..40u64).flat_map(|s| [Click::new(s, s, 1_000 + s), Click::new(s, s + 1, 1_000 + s)]).collect();
+        inc.apply_batch(&lasting).unwrap();
+        inc.take_sharing();
+        for s in 100..500u64 {
+            inc.apply_batch(&[Click::new(s, 2 * s, s * 10_000), Click::new(s, 2 * s + 1, s * 10_000)])
+                .unwrap();
+            assert!(inc.delete_session(s).unwrap());
+            let live = inc.snapshot().unwrap();
+            assert!(
+                live.dead_slots() <= live.num_items() / DEAD_SLOT_SHARE + 2,
+                "{} slots stranded beside {} items after session {s}",
+                live.dead_slots(),
+                live.num_items()
+            );
+            agrees_with_a_build(&inc, 5);
+        }
+        // The renumbering merges are the only ones that started at rank 0.
+        let sharing = inc.take_sharing();
+        assert!(sharing.ranks_unchanged * 10 > sharing.ranks_total * 8, "{sharing:?}");
+        assert!(sharing.ranks_unchanged < sharing.ranks_total);
     }
 
     #[test]
@@ -889,7 +1039,7 @@ mod tests {
         }
         assert!(inc.compaction_count() > 0);
         assert!(inc.retained_log().iter().all(|c| c.session_id != 9));
-        let reference = SessionIndex::build(inc.retained_log(), 5).unwrap();
+        let reference = SessionIndex::build(&inc.retained_log(), 5).unwrap();
         assert_same(&inc.snapshot().unwrap(), &reference);
     }
 

@@ -216,7 +216,7 @@ proptest! {
             return Ok(());
         }
         let reference =
-            SessionIndex::build(inc.retained_log(), m_max).expect("non-empty log");
+            SessionIndex::build(&inc.retained_log(), m_max).expect("non-empty log");
         assert_same(&inc.snapshot().expect("non-empty"), &reference)?;
     }
 }

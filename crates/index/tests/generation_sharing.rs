@@ -7,12 +7,14 @@
 //! drops — while generation N+k is the index of the current retained log.
 //!
 //! **Sharing:** a batch at the recent end of the rank order leaves every
-//! posting it did not touch or renumber pointer-equal to the previous
-//! generation's, and a batch at rank 0, which can share nothing, still
-//! produces the right index.
+//! posting it did not touch or renumber, and every segment of sessions
+//! wholly below the first rank it changed, pointer-equal to the previous
+//! generation's — wherever that rank falls in its segment — and a batch at
+//! rank 0, which can share nothing, still produces the right index.
 
 use std::sync::Arc;
 
+use serenade_core::index::SEGMENT_SESSIONS;
 use serenade_core::{Click, FxHashSet, ItemId, SessionId, SessionIndex};
 use serenade_index::{IncrementalIndexer, TouchedItems};
 
@@ -68,6 +70,16 @@ fn shared_postings(prev: &SessionIndex, next: &SessionIndex) -> usize {
         .count()
 }
 
+/// How many segments `next` took over from `prev` by pointer. They are the
+/// first ones: once a rank has changed, every later segment is written anew.
+fn shared_segments(prev: &SessionIndex, next: &SessionIndex) -> usize {
+    let same = |(p, n): &(&Arc<_>, &Arc<_>)| Arc::ptr_eq(p, n);
+    let pairs = || prev.segments().iter().zip(next.segments());
+    let shared = pairs().take_while(same).count();
+    assert_eq!(pairs().filter(same).count(), shared, "a shared segment above a written one");
+    shared
+}
+
 #[test]
 fn a_held_generation_never_changes_under_later_merges() {
     const M_MAX: usize = 4; // small: hot postings truncate, deletes refill them
@@ -118,14 +130,14 @@ fn a_held_generation_never_changes_under_later_merges() {
             }
         }
         if let Ok(generation) = inc.snapshot() {
-            let reference = SessionIndex::build(inc.retained_log(), M_MAX).unwrap();
+            let reference = SessionIndex::build(&inc.retained_log(), M_MAX).unwrap();
             assert_same(
                 &generation,
                 &reference,
                 &format!("step {step}, current generation"),
             );
             if step % 6 == 0 {
-                held.push((generation, inc.retained_log().to_vec()));
+                held.push((generation, inc.retained_log()));
             }
         }
     }
@@ -197,6 +209,13 @@ fn recent_end_batches_share_and_a_rank_zero_batch_still_indexes_right() {
         (sharing.ranks_unchanged, sharing.ranks_total),
         (60_000, 60_000)
     );
+    // Every segment but the one the new sessions land in is handed on.
+    let full = 60_000 / SEGMENT_SESSIONS;
+    assert_eq!(shared_segments(&g0, &g1), full);
+    assert_eq!(
+        (sharing.segments_shared, sharing.segments_copied),
+        (full as u64, 1)
+    );
     assert_same(
         &g1,
         &SessionIndex::build(&log, M_MAX).unwrap(),
@@ -228,6 +247,7 @@ fn recent_end_batches_share_and_a_rank_zero_batch_still_indexes_right() {
     assert!(
         sharing.ranks_unchanged >= cut as u64 - 5 && sharing.ranks_unchanged < sharing.ranks_total
     );
+    assert_eq!(shared_segments(&g1, &g2), cut / SEGMENT_SESSIONS);
     assert_same(
         &g2,
         &SessionIndex::build(&log, M_MAX).unwrap(),
@@ -241,7 +261,9 @@ fn recent_end_batches_share_and_a_rank_zero_batch_still_indexes_right() {
     inc.apply_batch(&backfill).unwrap();
     let g3 = inc.snapshot().unwrap();
     assert_eq!(shared_postings(&g2, &g3), 0);
-    assert_eq!(inc.take_sharing().ranks_unchanged, 0);
+    assert_eq!(shared_segments(&g2, &g3), 0);
+    let sharing = inc.take_sharing();
+    assert_eq!((sharing.ranks_unchanged, sharing.segments_shared), (0, 0));
     log.extend_from_slice(&backfill);
     assert_same(
         &g3,
@@ -254,4 +276,98 @@ fn recent_end_batches_share_and_a_rank_zero_batch_still_indexes_right() {
         &SessionIndex::build(&log, M_MAX).unwrap(),
         "g2 after the backfill",
     );
+}
+
+/// `sessions` sessions of two clicks over 500 items, one a time unit;
+/// session `s` is rank `s`.
+fn two_click_log(sessions: u64) -> Vec<Click> {
+    (0..sessions)
+        .flat_map(|s| {
+            [
+                Click::new(s, s % 500, 1_000 + s),
+                Click::new(s, (s * 7 + 3) % 500, 1_000 + s),
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn segments_below_the_first_changed_rank_are_shared_wherever_it_falls() {
+    const M_MAX: usize = 20;
+    const SEG: u64 = SEGMENT_SESSIONS as u64;
+    let check = |inc: &IncrementalIndexer, what: &str| {
+        let generation = inc.snapshot().unwrap();
+        let reference = SessionIndex::build(&inc.retained_log(), M_MAX).unwrap();
+        assert_same(&generation, &reference, what);
+        generation
+    };
+    // Three segments, all full: the first changed rank of an append is 3·SEG,
+    // exactly a segment edge, so nothing is written over again.
+    let mut inc = IncrementalIndexer::new(M_MAX).unwrap();
+    inc.apply_batch(&two_click_log(3 * SEG)).unwrap();
+    let g0 = check(&inc, "seed");
+    assert_eq!(g0.segments().len(), 3);
+    inc.take_sharing();
+    inc.apply_batch(&[Click::new(3 * SEG, 7, 1_000 + 3 * SEG)])
+        .unwrap();
+    let g1 = check(&inc, "append on a segment edge");
+    assert_eq!((shared_segments(&g0, &g1), g1.segments().len()), (3, 4));
+    let sharing = inc.take_sharing();
+    assert_eq!((sharing.segments_shared, sharing.segments_copied), (3, 1));
+
+    // A delete in the middle: rank SEG + 10 goes, every later session moves
+    // down one rank, the first segment is untouched.
+    assert!(inc.delete_session(SEG + 10).unwrap());
+    let g2 = check(&inc, "delete in the second segment");
+    assert_eq!((shared_segments(&g1, &g2), g2.segments().len()), (1, 3));
+    assert_eq!(g2.session_items((2 * SEG) as SessionId), g1.session_items((2 * SEG + 1) as SessionId));
+    let sharing = inc.take_sharing();
+    assert_eq!(sharing.ranks_unchanged, SEG + 10);
+    assert_eq!((sharing.segments_shared, sharing.segments_copied), (1, 2));
+
+    // A delete of the first session of a segment: that segment is the first
+    // one written.
+    assert!(inc.delete_session(2 * SEG + 1).unwrap()); // rank 2·SEG since the delete above
+    let g3 = check(&inc, "delete on a segment edge");
+    assert_eq!(shared_segments(&g2, &g3), 2);
+    assert_eq!(inc.take_sharing().ranks_unchanged, 2 * SEG);
+
+    // The first changed rank is 0: nothing is shared.
+    inc.apply_batch(&[Click::new(9 * SEG, 7, 1)]).unwrap();
+    let g4 = check(&inc, "backfill below everything");
+    assert_eq!(shared_segments(&g3, &g4), 0);
+    let sharing = inc.take_sharing();
+    assert_eq!((sharing.ranks_unchanged, sharing.segments_shared, sharing.segments_copied), (0, 0, 3));
+    // The generations held along the way are what they were.
+    assert_eq!(g1.num_sessions() as u64, 3 * SEG + 1);
+    assert_eq!(g1.session_timestamp((SEG + 10) as SessionId), 1_000 + SEG + 10);
+    assert_eq!(g2.session_timestamp((SEG + 10) as SessionId), 1_000 + SEG + 11);
+}
+
+#[test]
+fn retention_eating_into_the_oldest_segment_rewrites_every_segment() {
+    const M_MAX: usize = 20;
+    const SEG: u64 = SEGMENT_SESSIONS as u64;
+    // Room for two and a half segments of two-click sessions.
+    let mut inc = IncrementalIndexer::with_retained_clicks_cap(M_MAX, 5 * SEGMENT_SESSIONS).unwrap();
+    inc.apply_batch(&two_click_log(2 * SEG + SEG / 2)).unwrap();
+    let g0 = inc.snapshot().unwrap();
+    assert_eq!((inc.compaction_count(), g0.segments().len()), (0, 3));
+    inc.take_sharing();
+    // Ten more sessions push the ten oldest out: the first merge appends and
+    // shares two segments, the retention merge starts at rank 0 and shares
+    // none — the oldest segment loses a part, every session a rank.
+    let more: Vec<Click> = two_click_log(2 * SEG + SEG / 2 + 10).split_off(g0.stats().session_item_entries);
+    inc.apply_batch(&more).unwrap();
+    let g1 = inc.snapshot().unwrap();
+    assert_eq!(inc.compaction_count(), 1);
+    assert_eq!(g1.num_sessions(), g0.num_sessions());
+    assert_eq!(shared_segments(&g0, &g1), 0);
+    assert_eq!(g1.session_items(0), g0.session_items(10));
+    let sharing = inc.take_sharing();
+    assert_eq!((sharing.segments_shared, sharing.segments_copied), (2, 1 + 3));
+    assert_eq!(sharing.ranks_unchanged, g0.num_sessions() as u64);
+    let reference = SessionIndex::build(&inc.retained_log(), M_MAX).unwrap();
+    assert_same(&g1, &reference, "after retention");
+    assert_same(&g0, &SessionIndex::build(&two_click_log(2 * SEG + SEG / 2), M_MAX).unwrap(), "held");
 }

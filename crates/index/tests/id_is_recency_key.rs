@@ -9,10 +9,14 @@
 //! and every generation an `IncrementalIndexer` emits under appends,
 //! reappearing sessions, out-of-order batches, deletes and retention drops —
 //! with timestamps that tie four ways as often as not.
+//!
+//! The accumulator slot, by contrast, is *not* a key of anything: a live
+//! index numbers items in the order they arrive, a built one by id, and the
+//! kernel answers byte for byte the same over both — score ties included.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use serenade_core::{Click, ItemId, SessionId, SessionIndex};
+use serenade_core::{Click, ItemId, SessionId, SessionIndex, VmisConfig, VmisKnn};
 use serenade_index::{build_parallel, read_index, write_index, BuilderConfig, IncrementalIndexer};
 
 /// Random click logs over a small id space. Every session also clicks a
@@ -92,6 +96,34 @@ fn assert_id_is_recency_key(
     Ok(())
 }
 
+#[test]
+fn an_item_that_arrives_later_under_a_smaller_id_still_leads_a_score_tie() {
+    // Sessions {1, 9} and, a publish later, {1, 5}: asked about item 1, items
+    // 9 and 5 score the same bits (one session each, same similarity, same
+    // support), and item 5 — the larger slot in the live index — must lead.
+    let mut inc = IncrementalIndexer::new(10).expect("valid capacity");
+    inc.apply_batch(&[Click::new(1, 1, 10), Click::new(1, 9, 11)]).expect("batch applies");
+    inc.apply_batch(&[Click::new(2, 1, 20), Click::new(2, 5, 21)]).expect("batch applies");
+    let live = inc.snapshot().expect("two sessions");
+    let built = SessionIndex::build(&inc.retained_log(), 10).expect("two sessions");
+    assert!(live.item_slot(5) > live.item_slot(9), "a live index numbers by arrival");
+    assert!(built.item_slot(5) < built.item_slot(9), "a built index numbers by id");
+    // `how_many` 1 decides the tie while selecting, 21 while sorting.
+    for how_many in [1, 21] {
+        let config = VmisConfig { m: 10, how_many, ..VmisConfig::default() };
+        let answer = |index: &SessionIndex| -> Vec<(ItemId, u32)> {
+            let kernel = VmisKnn::new(index.clone(), config.clone()).expect("valid config");
+            kernel.recommend(&[1]).iter().map(|r| (r.item, r.score.to_bits())).collect()
+        };
+        let (live, built) = (answer(&live), answer(&built));
+        assert_eq!(live, built, "how_many {how_many}");
+        assert_eq!(live[0].0, 5, "how_many {how_many}");
+        if let [five, nine] = live[..] {
+            assert_eq!((nine.0, nine.1), (9, five.1), "a tie on the score bits");
+        }
+    }
+}
+
 /// One mutation of a live index.
 #[derive(Debug, Clone)]
 enum Op {
@@ -152,12 +184,21 @@ proptest! {
             }
             newest = inc.retained_log().iter().map(|c| c.timestamp).max().unwrap_or(newest);
             let Ok(generation) = inc.snapshot() else { continue };
-            assert_id_is_recency_key(&generation, inc.retained_log(), m_max)?;
+            assert_id_is_recency_key(&generation, &inc.retained_log(), m_max)?;
+            // However the generation came to number its slots, the kernel
+            // over it answers as the kernel over a build of the same log.
+            let built = SessionIndex::build(&inc.retained_log(), m_max).expect("non-empty log");
+            let config = VmisConfig { m: m_max, k: 3, how_many: 4, ..VmisConfig::default() };
+            let live = VmisKnn::new(generation, config.clone()).expect("valid config");
+            let built = VmisKnn::new(built, config).expect("valid config");
+            for item in 1..=12 {
+                prop_assert_eq!(live.recommend(&[item, 1]), built.recommend(&[item, 1]));
+            }
             // The retained log is kept in rank order, which names the
             // external id behind each dense id outright.
             let mut by_rank: Vec<u64> = inc.retained_log().iter().map(|c| c.session_id).collect();
             by_rank.dedup();
-            let expected: Vec<u64> = ranked(inc.retained_log()).iter().map(|s| s.1).collect();
+            let expected: Vec<u64> = ranked(&inc.retained_log()).iter().map(|s| s.1).collect();
             prop_assert_eq!(by_rank, expected);
         }
     }

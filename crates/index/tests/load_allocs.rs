@@ -4,11 +4,12 @@
 //! A node's peak RSS is reached while it loads: the artefact it read, plus
 //! whatever `read_index` holds on the way to the finished index. The
 //! contract: that is the index itself and nothing else — no payload-sized
-//! copy of the artefact, no second posting table in a transport form — and
-//! `VmisKnn::new` frees its item → cell map before it returns. The same
-//! run checks `SessionIndex::bytes` (what `/metrics` publishes as
-//! `serenade_index_bytes`) against the bytes the allocator actually handed
-//! out.
+//! copy of the artefact, no flat columns on the way to the segments, no
+//! second posting table in a transport form — and `VmisKnn::new` allocates
+//! its per-slot idf table and nothing else, not even in passing. The same
+//! run checks `SessionIndex::bytes` and `VmisKnn::idf_bytes` (what
+//! `/metrics` publishes as `serenade_index_bytes`) against the bytes the
+//! allocator actually handed out.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -112,10 +113,11 @@ fn loading_holds_the_finished_index_and_nothing_else() {
 
     let (vmis, kernel_bytes, kernel_peak) =
         live_and_peak(|| VmisKnn::new(index, VmisConfig::default()).expect("valid config"));
+    assert_eq!(vmis.idf_bytes(), 4 * vmis.index().slot_items().len());
     assert!(
-        kernel_bytes.abs_diff(vmis.scoring_stream_bytes()) <= SLACK,
-        "VmisKnn::new left {kernel_bytes} bytes behind for a scoring stream of {}",
-        vmis.scoring_stream_bytes()
+        kernel_bytes.abs_diff(vmis.idf_bytes()) <= SLACK && kernel_peak == kernel_bytes,
+        "VmisKnn::new peaked at {kernel_peak} and left {kernel_bytes} bytes behind for an idf \
+         table of {}",
+        vmis.idf_bytes()
     );
-    assert!(kernel_peak > kernel_bytes, "the item → cell map is a transient");
 }

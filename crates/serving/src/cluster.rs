@@ -71,8 +71,8 @@ impl ServingCluster {
     ) -> Result<Self, CoreError> {
         let vmis = crate::sync::Arc::new(build_recommender(index, &config)?);
         let telemetry = Arc::new(ClusterTelemetry::new(trace));
-        telemetry.record_index_bytes(&vmis);
         let handle = Arc::new(IndexHandle::new(vmis));
+        telemetry.watch_index(&handle);
         let cache =
             config.cache.enabled.then(|| Arc::new(PredictionCache::new(config.cache)));
         let mut engines = Vec::with_capacity(pods);
@@ -336,8 +336,8 @@ impl ServingCluster {
         if let Some(cache) = &self.cache {
             cache.epoch_log().record(self.index.generation() + 1, EpochChange::All);
         }
-        self.index.store(crate::sync::Arc::clone(&fresh));
-        self.telemetry.record_rollover(started.elapsed(), &fresh);
+        self.index.store(fresh);
+        self.telemetry.record_rollover(started.elapsed());
         Ok(())
     }
 }

@@ -22,6 +22,8 @@ pub struct IngestMetrics {
     publish_duration: [Arc<Histogram>; 3],
     postings_shared: Arc<Counter>,
     postings_copied: Arc<Counter>,
+    segments_shared: Arc<Counter>,
+    segments_copied: Arc<Counter>,
     unchanged_ranks_permille: Arc<Gauge>,
 }
 
@@ -44,6 +46,8 @@ impl IngestMetrics {
                 .map(|_| Arc::new(Histogram::new(HistogramConfig::default()))),
             postings_shared: Arc::new(Counter::new()),
             postings_copied: Arc::new(Counter::new()),
+            segments_shared: Arc::new(Counter::new()),
+            segments_copied: Arc::new(Counter::new()),
             unchanged_ranks_permille: Arc::new(Gauge::new()),
         }
     }
@@ -69,6 +73,8 @@ impl IngestMetrics {
         }
         self.postings_shared.add(sharing.postings_shared);
         self.postings_copied.add(sharing.postings_copied);
+        self.segments_shared.add(sharing.segments_shared);
+        self.segments_copied.add(sharing.segments_copied);
         self.unchanged_ranks_permille
             .set(sharing.ranks_unchanged * 1000 / sharing.ranks_total.max(1));
     }
@@ -154,6 +160,20 @@ impl IngestMetrics {
             "Posting lists a publish wrote anew: touched, or above the first changed session rank.",
             &[],
             Arc::clone(&self.postings_copied),
+        );
+        registry.counter_shared(
+            "serenade_ingest_segments_shared_total",
+            "Segments of sessions a publish handed on from the previous index generation by \
+             pointer: those wholly below the first changed session rank.",
+            &[],
+            Arc::clone(&self.segments_shared),
+        );
+        registry.counter_shared(
+            "serenade_ingest_segments_copied_total",
+            "Segments of sessions a publish wrote anew: from the one holding the first \
+             changed session rank up.",
+            &[],
+            Arc::clone(&self.segments_copied),
         );
         registry.gauge_shared(
             "serenade_ingest_unchanged_ranks_permille",

@@ -12,10 +12,11 @@
 //! 1. drain the pending queue (appends, deletions);
 //! 2. fold into the indexer: appends and deletions alike merge into the
 //!    index it holds and leave the next generation, which shares with the
-//!    served one every posting the batch did not reach;
+//!    served one every posting and every segment of sessions the batch did
+//!    not reach;
 //! 3. build the fresh `VmisKnn` over that same index (a handle, not a
-//!    copy); on any error stop here — the old snapshot keeps serving and
-//!    nothing below happens;
+//!    copy, and one idf per item beside it); on any error stop here — the
+//!    old snapshot keeps serving and nothing below happens;
 //! 4. drain the touched-item set and, with a cache, record it into the
 //!    [`EpochLog`](crate::ingest::epoch::EpochLog) under the *next*
 //!    generation;
@@ -94,10 +95,10 @@ impl Default for IngestConfig {
 
 /// How long a synchronous caller (deletion, flush) waits for the publisher
 /// before reporting failure. Generous: a publish is one merge into the held
-/// index plus one kernel build — tens of milliseconds on a million-click
-/// index, and no worse than an index build when a batch of old timestamps
-/// renumbers every posting (`serenade_ingest_publish_duration_seconds` has
-/// the split by stage).
+/// index plus one idf table — milliseconds on a million-click index, and no
+/// worse than an index build when a batch of old timestamps renumbers every
+/// posting (`serenade_ingest_publish_duration_seconds` has the split by
+/// stage).
 const SYNC_WAIT: Duration = Duration::from_secs(30);
 
 /// A one-shot completion slot the publisher fills and a caller awaits.
@@ -457,7 +458,7 @@ fn publish_cycle(
         Ok(built_at) => {
             let stages = [applied_at - started, *built_at - applied_at, built_at.elapsed()];
             shared.metrics.record_publish(stages, indexer.take_sharing());
-            telemetry.record_rollover(started.elapsed(), &shared.handle.load());
+            telemetry.record_rollover(started.elapsed());
         }
         Err(_) => shared.metrics.record_publish_failure(),
     }
@@ -515,6 +516,11 @@ mod tests {
             &telemetry,
         );
         assert_eq!(shared.metrics.publishes(), 1);
+        // Forty sessions are one segment: the publish wrote it over again.
+        shared.metrics.register_into(telemetry.registry());
+        let text = telemetry.registry().render();
+        assert!(text.contains("serenade_ingest_segments_copied_total 1"), "{text}");
+        assert!(text.contains("serenade_ingest_segments_shared_total 0"), "{text}");
         (indexer.drain_touched(), shared.handle.generation())
     }
 

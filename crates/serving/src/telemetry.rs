@@ -5,8 +5,9 @@
 //! It owns the `serenade-telemetry` [`Registry`] every pod's counters and
 //! stage histograms are registered into (see
 //! [`crate::stats::ServingStats::register_into`]), the cluster-level
-//! metrics (index generation, bytes per index structure, uptime, rollover
-//! duration), and the
+//! metrics (index generation, bytes per index structure and stranded slots —
+//! both read off the published index when `/metrics` is scraped, not when it
+//! is published — uptime, rollover duration), and the
 //! [`TraceRing`] that keeps the N slowest recent requests with their
 //! per-stage breakdown.
 //!
@@ -15,11 +16,13 @@
 //! increasing source here; in-process callers that skip HTTP get an id
 //! assigned at trace-record time instead.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use serenade_core::VmisKnn;
 use serenade_telemetry::{Gauge, Histogram, HistogramConfig, Registry, TraceConfig, TraceRing};
+
+use crate::handle::IndexHandle;
 
 /// Atomic request-id source. Plain `std` atomics: the id source is not part
 /// of any loom model (the telemetry crate's own primitives are the
@@ -34,19 +37,33 @@ pub struct ClusterTelemetry {
     next_request_id: AtomicU64,
     started: Instant,
     generation: Arc<Gauge>,
-    /// `serenade_index_bytes`, one gauge per [`INDEX_STRUCTURES`] entry.
-    index_bytes: [Arc<Gauge>; 5],
     rollover_seconds: Arc<Histogram>,
 }
 
 /// The `structure` labels of `serenade_index_bytes`, in the order
-/// [`ClusterTelemetry::record_index_bytes`] fills them.
-const INDEX_STRUCTURES: [&str; 5] =
-    ["postings", "posting_table", "session_items", "timestamps", "scoring_stream"];
+/// [`index_bytes`] fills them.
+const INDEX_STRUCTURES: [&str; 6] =
+    ["postings", "posting_table", "session_items", "timestamps", "slots", "idf"];
+
+/// What `published` holds in memory, by [`INDEX_STRUCTURES`] entry. Walks
+/// the posting table: O(items), which is why a scrape pays it and a publish
+/// does not.
+fn index_bytes(published: &VmisKnn) -> [u64; 6] {
+    let index = published.index().bytes();
+    [
+        index.postings,
+        index.posting_table,
+        index.session_items,
+        index.timestamps,
+        index.slots,
+        published.idf_bytes(),
+    ]
+    .map(|bytes| bytes as u64)
+}
 
 impl ClusterTelemetry {
-    /// Creates the telemetry hub and registers the cluster-level metrics:
-    /// `serenade_index_generation`, `serenade_index_bytes`,
+    /// Creates the telemetry hub and registers the cluster-level metrics
+    /// that need no index: `serenade_index_generation`,
     /// `serenade_uptime_seconds` and
     /// `serenade_index_rollover_duration_seconds`.
     pub fn new(trace: TraceConfig) -> Self {
@@ -58,14 +75,6 @@ impl ClusterTelemetry {
             &[],
         );
         generation.set(1);
-        let index_bytes = INDEX_STRUCTURES.map(|structure| {
-            registry.gauge(
-                "serenade_index_bytes",
-                "Heap bytes of the published index, by structure (layout sizes, Arc headers \
-                 and hash buckets included).",
-                &[("structure", structure)],
-            )
-        });
         registry.polled_gauge(
             "serenade_uptime_seconds",
             "Seconds since the cluster was constructed.",
@@ -84,7 +93,6 @@ impl ClusterTelemetry {
             next_request_id: AtomicU64::new(0),
             started,
             generation,
-            index_bytes,
             rollover_seconds,
         }
     }
@@ -117,28 +125,47 @@ impl ClusterTelemetry {
         self.generation.get()
     }
 
-    /// Publishes what `published` holds in memory as `serenade_index_bytes`.
-    pub fn record_index_bytes(&self, published: &VmisKnn) {
-        let index = published.index().bytes();
-        let bytes = [
-            index.postings,
-            index.posting_table,
-            index.session_items,
-            index.timestamps,
-            published.scoring_stream_bytes(),
-        ];
-        for (gauge, bytes) in self.index_bytes.iter().zip(bytes) {
-            gauge.set(bytes as u64);
+    /// Registers `serenade_index_bytes{structure}` and
+    /// `serenade_index_dead_slots`, read off whatever `handle` publishes at
+    /// the time of a scrape. The byte walk runs once per generation scraped,
+    /// however many series a scrape renders.
+    pub fn watch_index(&self, handle: &Arc<IndexHandle<VmisKnn>>) {
+        // (generation the bytes were taken at, the bytes); no index is
+        // generation 0.
+        let memo = Arc::new(Mutex::new((0u64, [0u64; 6])));
+        for (i, structure) in INDEX_STRUCTURES.into_iter().enumerate() {
+            let (handle, memo) = (Arc::clone(handle), Arc::clone(&memo));
+            self.registry.polled_gauge(
+                "serenade_index_bytes",
+                "Heap bytes of the published index, by structure (layout sizes, Arc headers \
+                 and hash buckets included).",
+                &[("structure", structure)],
+                move || {
+                    let (published, generation) = handle.load_with_generation();
+                    let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
+                    if memo.0 != generation {
+                        *memo = (generation, index_bytes(&published));
+                    }
+                    memo.1[i]
+                },
+            );
         }
+        let handle = Arc::clone(handle);
+        self.registry.polled_gauge(
+            "serenade_index_dead_slots",
+            "Accumulator slots of the published index whose item has left it; live ingest \
+             numbers slots afresh before they outgrow a fixed share of the live ones.",
+            &[],
+            move || handle.load().index().dead_slots() as u64,
+        );
     }
 
-    /// Records one successful rollover to `published`: bumps the generation
-    /// gauge, republishes the byte gauges and feeds the rollover-duration
-    /// histogram. Rollovers are externally serialised (one publisher), so
-    /// read-modify-write on the gauge is race-free by contract.
-    pub fn record_rollover(&self, took: Duration, published: &VmisKnn) {
+    /// Records one successful rollover: bumps the generation gauge and feeds
+    /// the rollover-duration histogram. Rollovers are externally serialised
+    /// (one publisher), so read-modify-write on the gauge is race-free by
+    /// contract.
+    pub fn record_rollover(&self, took: Duration) {
         self.generation.set(self.generation.get() + 1);
-        self.record_index_bytes(published);
         self.rollover_seconds.record(took);
     }
 }
@@ -163,27 +190,47 @@ mod tests {
     }
 
     #[test]
-    fn rollovers_bump_generation_bytes_and_histogram() {
-        use serenade_core::{Click, SessionIndex, VmisConfig};
-        let clicks = [Click::new(1, 7, 10), Click::new(1, 8, 11), Click::new(2, 7, 20)];
-        let index = SessionIndex::build(&clicks, 10).unwrap();
-        let vmis = VmisKnn::new(index, VmisConfig { m: 10, ..VmisConfig::default() }).unwrap();
+    fn rollovers_bump_generation_and_histogram() {
         let t = ClusterTelemetry::default();
         assert_eq!(t.index_generation(), 1);
-        t.record_rollover(Duration::from_millis(120), &vmis);
-        t.record_rollover(Duration::from_millis(80), &vmis);
+        t.record_rollover(Duration::from_millis(120));
+        t.record_rollover(Duration::from_millis(80));
         assert_eq!(t.index_generation(), 3);
         let text = t.registry().render();
         assert!(text.contains("serenade_index_generation 3"), "{text}");
-        // Item 7: two 4-byte entries behind a 16-byte Arc header; item 8: one,
-        // padded to the header's alignment. Two sessions of 8-byte timestamps.
-        assert!(text.contains("serenade_index_bytes{structure=\"postings\"} 48"), "{text}");
-        assert!(text.contains("serenade_index_bytes{structure=\"timestamps\"} 32"), "{text}");
-        assert!(text.contains("serenade_index_bytes{structure=\"scoring_stream\"} 40"), "{text}");
         assert!(
             text.contains("serenade_index_rollover_duration_seconds_count 2"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn index_bytes_are_read_off_the_published_index_at_scrape_time() {
+        use serenade_core::{Click, SessionIndex, VmisConfig};
+        let kernel = |clicks: &[Click]| {
+            let index = SessionIndex::build(clicks, 10).unwrap();
+            let config = VmisConfig { m: 10, ..VmisConfig::default() };
+            crate::sync::Arc::new(VmisKnn::new(index, config).unwrap())
+        };
+        let clicks = [Click::new(1, 7, 10), Click::new(1, 8, 11), Click::new(2, 7, 20)];
+        let handle = Arc::new(IndexHandle::new(kernel(&clicks)));
+        let t = ClusterTelemetry::default();
+        t.watch_index(&handle);
+        let text = t.registry().render();
+        // Item 7: two 4-byte entries behind a 16-byte Arc header; item 8: one,
+        // padded to the header's alignment. Two sessions of 8-byte
+        // timestamps. Three 4-byte slots in the one segment and a two-item
+        // slot table behind its Arc header; one 4-byte idf a slot.
+        assert!(text.contains("serenade_index_bytes{structure=\"postings\"} 48"), "{text}");
+        assert!(text.contains("serenade_index_bytes{structure=\"timestamps\"} 16"), "{text}");
+        assert!(text.contains("serenade_index_bytes{structure=\"slots\"} 44"), "{text}");
+        assert!(text.contains("serenade_index_bytes{structure=\"idf\"} 8"), "{text}");
+        assert!(text.contains("serenade_index_dead_slots 0"), "{text}");
+        // A publish records nothing; the next scrape sees the new index.
+        handle.store(kernel(&clicks[..2]));
+        let text = t.registry().render();
+        assert!(text.contains("serenade_index_bytes{structure=\"timestamps\"} 8"), "{text}");
+        assert!(text.contains("serenade_index_bytes{structure=\"idf\"} 8"), "{text}");
     }
 
     #[test]
