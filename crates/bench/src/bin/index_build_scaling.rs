@@ -3,9 +3,10 @@
 //!
 //! The paper builds its index with a daily Spark job (40 minutes on 75
 //! n1-highmem-8 machines over 2.3B interactions) and ships ~13 GB of index
-//! to each pod. The in-process analogue is the partition/shuffle/merge
-//! builder of `serenade-index`; this binary measures its scaling across
-//! worker threads and the serialised/compressed artefact sizes.
+//! to each pod. The in-process analogue is the counting build behind
+//! `serenade_index::build_parallel` (workers take ranges of sessions, then
+//! ranges of items); this binary measures its scaling across worker
+//! threads and the serialised/compressed artefact sizes.
 //!
 //! Run: `cargo run -p serenade-bench --release --bin index_build_scaling [--quick]`
 

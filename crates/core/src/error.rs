@@ -18,8 +18,8 @@ pub enum CoreError {
     /// The number of historical sessions exceeded the dense-id space
     /// (`u32::MAX` sessions).
     TooManySessions(usize),
-    /// An index assembled from pre-built parts (deserialisation, parallel
-    /// build) violated a structural invariant.
+    /// An index assembled from pre-built parts (deserialisation, the build)
+    /// violated a structural invariant.
     CorruptIndex(String),
 }
 

@@ -53,8 +53,10 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::error::CoreError;
-use crate::hash::{fx_map_with_capacity, FxHashMap};
-use crate::types::{Click, ExternalSessionId, ItemId, SessionId, SessionRef, Timestamp};
+use crate::hash::FxHashMap;
+use crate::types::{Click, ItemId, SessionId, SessionRef, Timestamp};
+
+mod build;
 
 const SEGMENT_SHIFT: u32 = 12;
 
@@ -122,6 +124,54 @@ impl IndexBytes {
     pub fn total(&self) -> usize {
         self.postings + self.posting_table + self.session_items + self.timestamps + self.slots
     }
+}
+
+/// Checks that the timestamps of the `n` sessions do not decrease with the
+/// dense id — the invariant that makes the id the recency key, and with it
+/// the whole kernel order.
+fn check_recency(n: usize, timestamp: impl Fn(usize) -> Timestamp) -> Result<(), CoreError> {
+    match (1..n).find(|&s| timestamp(s - 1) > timestamp(s)) {
+        Some(older) => Err(CoreError::CorruptIndex(format!(
+            "session {older} is older than session {}: timestamps must not decrease with the \
+             dense id",
+            older - 1
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Checks that every posting list holds strictly descending ids of the `n`
+/// sessions, no more of them than `m_max` and than its support.
+fn check_postings(
+    postings: &FxHashMap<ItemId, Posting>,
+    n: usize,
+    m_max: usize,
+) -> Result<(), CoreError> {
+    for (item, posting) in postings {
+        let entries = &posting.entries;
+        if entries.len() > m_max {
+            return Err(CoreError::CorruptIndex(format!(
+                "posting list of item {item} longer than m_max"
+            )));
+        }
+        if (posting.support as usize) < entries.len() {
+            return Err(CoreError::CorruptIndex(format!(
+                "posting list of item {item} longer than its support"
+            )));
+        }
+        // Strictly descending, so the first entry bounds all of them.
+        if entries.first().is_some_and(|&newest| newest as usize >= n) {
+            return Err(CoreError::CorruptIndex(format!(
+                "posting list of item {item} references unknown session"
+            )));
+        }
+        if entries.windows(2).any(|w| w[0] <= w[1]) {
+            return Err(CoreError::CorruptIndex(format!(
+                "posting list of item {item} not in descending recency order"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Heap bytes of an `Arc<[T]>` of `len` elements: the two counts, then the
@@ -196,9 +246,9 @@ impl Segment {
 }
 
 /// Flat per-session columns as a producer holds them before they become an
-/// index — vectors in a builder, the bytes of an artefact in a decoder —
-/// read by position, so [`SessionIndex::from_parts`] lays them out in
-/// segments without a copy in between.
+/// index — the bytes of an artefact in a decoder — read by position, so
+/// [`SessionIndex::from_parts`] lays them out in segments without a copy in
+/// between.
 pub trait SessionColumns {
     /// Number of sessions.
     fn num_sessions(&self) -> usize;
@@ -211,39 +261,6 @@ pub trait SessionColumns {
     fn offset(&self, session: usize) -> u32;
     /// Item of `entry < num_entries()`.
     fn item(&self, entry: usize) -> ItemId;
-}
-
-/// [`SessionColumns`] over slices.
-#[derive(Debug, Clone, Copy)]
-pub struct FlatColumns<'a> {
-    /// Timestamp per session.
-    pub timestamps: &'a [Timestamp],
-    /// CSR offsets into `items`, one more than there are sessions.
-    pub offsets: &'a [u32],
-    /// All sessions' items, in session order.
-    pub items: &'a [ItemId],
-}
-
-impl SessionColumns for FlatColumns<'_> {
-    fn num_sessions(&self) -> usize {
-        self.timestamps.len()
-    }
-
-    fn num_entries(&self) -> usize {
-        self.items.len()
-    }
-
-    fn timestamp(&self, session: usize) -> Timestamp {
-        self.timestamps[session]
-    }
-
-    fn offset(&self, session: usize) -> u32 {
-        self.offsets[session]
-    }
-
-    fn item(&self, entry: usize) -> ItemId {
-        self.items[entry]
-    }
 }
 
 /// The prebuilt `(M, t)` index over historical sessions. Cloning is a
@@ -261,101 +278,18 @@ pub struct SessionIndex {
 }
 
 impl SessionIndex {
-    /// Builds the index from a click log.
-    ///
-    /// `m_max` is the maximum posting-list length — the recency-sample upper
-    /// bound `m` that the online algorithm may request. Sessions are formed
-    /// by grouping clicks on their external session id; a session's timestamp
-    /// is the maximum click timestamp it contains; within a session items are
-    /// ordered chronologically and deduplicated to their first occurrence.
+    /// Builds the index from a click log: [`SessionIndex::build_with_threads`]
+    /// on the caller's thread alone.
     ///
     /// # Errors
     ///
-    /// * [`CoreError::InvalidConfig`] if `m_max == 0`.
-    /// * [`CoreError::EmptyDataset`] if `clicks` yields no sessions.
-    /// * [`CoreError::TooManySessions`] if there are more than `u32::MAX`
-    ///   distinct sessions.
+    /// As [`SessionIndex::build_with_threads`].
     pub fn build(clicks: &[Click], m_max: usize) -> Result<Self, CoreError> {
-        if m_max == 0 {
-            return Err(CoreError::InvalidConfig {
-                parameter: "m_max",
-                reason: "posting-list capacity must be positive".into(),
-            });
-        }
-        if clicks.is_empty() {
-            return Err(CoreError::EmptyDataset);
-        }
-
-        // Group clicks per external session.
-        let mut by_session: FxHashMap<ExternalSessionId, Vec<(Timestamp, ItemId)>> =
-            fx_map_with_capacity(clicks.len() / 4);
-        for c in clicks {
-            by_session.entry(c.session_id).or_default().push((c.timestamp, c.item_id));
-        }
-        let num_sessions = by_session.len();
-        if num_sessions > u32::MAX as usize {
-            return Err(CoreError::TooManySessions(num_sessions));
-        }
-
-        // Order sessions by (timestamp, external id) ascending and assign ids.
-        let mut order: Vec<(Timestamp, ExternalSessionId)> = by_session
-            .iter()
-            .map(|(&ext, clicks)| {
-                let ts = clicks.iter().map(|&(t, _)| t).max().expect("non-empty session");
-                (ts, ext)
-            })
-            .collect();
-        order.sort_unstable();
-
-        let mut timestamps = Vec::with_capacity(num_sessions);
-        let mut items_flat: Vec<ItemId> = Vec::with_capacity(clicks.len());
-        let mut items_offsets: Vec<u32> = Vec::with_capacity(num_sessions + 1);
-        items_offsets.push(0);
-
-        // Support counts and ascending-recency posting accumulation.
-        let mut supports: FxHashMap<ItemId, u32> = fx_map_with_capacity(1024);
-
-        for &(ts, ext) in &order {
-            let mut session_clicks = by_session.remove(&ext).expect("session present");
-            session_clicks.sort_unstable();
-            timestamps.push(ts);
-            let start = items_flat.len();
-            for (_, item) in session_clicks {
-                // Deduplicate to first occurrence: linear scan over the (short)
-                // current session — the median e-commerce session has < 5 items.
-                if !items_flat[start..].contains(&item) {
-                    items_flat.push(item);
-                    *supports.entry(item).or_insert(0) += 1;
-                }
-            }
-            items_offsets.push(items_flat.len() as u32);
-        }
-
-        // Build posting lists: iterate sessions ascending (oldest→newest) and
-        // push; keep only the last `m_max` entries, reversed to descending.
-        let mut ascending: FxHashMap<ItemId, Vec<SessionId>> =
-            fx_map_with_capacity(supports.len());
-        for sid in 0..num_sessions {
-            let s = items_offsets[sid] as usize;
-            let e = items_offsets[sid + 1] as usize;
-            for &item in &items_flat[s..e] {
-                ascending.entry(item).or_default().push(sid as SessionId);
-            }
-        }
-        let mut postings: FxHashMap<ItemId, Posting> = fx_map_with_capacity(ascending.len());
-        for (item, sessions) in ascending {
-            let support = sessions.len() as u32;
-            let entries = sessions.iter().rev().take(m_max).copied().collect();
-            postings.insert(item, Posting { entries, support, slot: 0 });
-        }
-
-        let columns =
-            FlatColumns { timestamps: &timestamps, offsets: &items_offsets, items: &items_flat };
-        Self::from_parts(postings, &columns, m_max)
+        Self::build_with_threads(clicks, m_max, 1)
     }
 
-    /// Assembles an index from pre-built parts (parallel builder,
-    /// deserialisation), validating all structural invariants, numbering
+    /// Assembles an index from pre-built parts (an artefact being loaded),
+    /// validating all structural invariants, numbering
     /// the items' accumulator slots in ascending id order and laying the
     /// columns out in segments.
     ///
@@ -387,37 +321,8 @@ impl SessionIndex {
         if (0..n).any(|s| columns.offset(s) > columns.offset(s + 1)) {
             return Err(CoreError::CorruptIndex("items_offsets not monotone".into()));
         }
-        if let Some(older) = (1..n).find(|&s| columns.timestamp(s - 1) > columns.timestamp(s)) {
-            return Err(CoreError::CorruptIndex(format!(
-                "session {older} is older than session {}: timestamps must not decrease with \
-                 the dense id",
-                older - 1
-            )));
-        }
-        for (item, posting) in &postings {
-            let entries = &posting.entries;
-            if entries.len() > m_max {
-                return Err(CoreError::CorruptIndex(format!(
-                    "posting list of item {item} longer than m_max"
-                )));
-            }
-            if (posting.support as usize) < entries.len() {
-                return Err(CoreError::CorruptIndex(format!(
-                    "posting list of item {item} longer than its support"
-                )));
-            }
-            // Strictly descending, so the first entry bounds all of them.
-            if entries.first().is_some_and(|&newest| newest as usize >= n) {
-                return Err(CoreError::CorruptIndex(format!(
-                    "posting list of item {item} references unknown session"
-                )));
-            }
-            if entries.windows(2).any(|w| w[0] <= w[1]) {
-                return Err(CoreError::CorruptIndex(format!(
-                    "posting list of item {item} not in descending recency order"
-                )));
-            }
-        }
+        check_recency(n, |s| columns.timestamp(s))?;
+        check_postings(&postings, n, m_max)?;
 
         let mut by_id: Vec<ItemId> = postings.keys().copied().collect();
         by_id.sort_unstable();
@@ -679,13 +584,31 @@ pub(crate) mod tests {
             }
         }
 
-        pub(crate) fn assemble(self) -> Result<SessionIndex, CoreError> {
-            let columns = FlatColumns {
-                timestamps: &self.timestamps,
-                offsets: &self.offsets,
-                items: &self.items,
-            };
-            SessionIndex::from_parts(self.postings, &columns, self.m_max)
+        pub(crate) fn assemble(mut self) -> Result<SessionIndex, CoreError> {
+            let postings = std::mem::take(&mut self.postings);
+            SessionIndex::from_parts(postings, &self, self.m_max)
+        }
+    }
+
+    impl SessionColumns for Parts {
+        fn num_sessions(&self) -> usize {
+            self.timestamps.len()
+        }
+
+        fn num_entries(&self) -> usize {
+            self.items.len()
+        }
+
+        fn timestamp(&self, session: usize) -> Timestamp {
+            self.timestamps[session]
+        }
+
+        fn offset(&self, session: usize) -> u32 {
+            self.offsets[session]
+        }
+
+        fn item(&self, entry: usize) -> ItemId {
+            self.items[entry]
         }
     }
 

@@ -44,7 +44,10 @@
 //!   online computation.
 //! * [`heap`] — d-ary min-heaps (the paper's "octonary heap" micro-optimisation).
 //! * [`weights`] — the decay function π, the match weight λ and idf weighting.
-//! * [`index`] — the `(M, t)` session-similarity index.
+//! * [`sessions`] — grouping a click log into ranked, time-ordered sessions
+//!   by counting: the first step of the index build and of every other
+//!   consumer of a raw log.
+//! * [`index`] — the `(M, t)` session-similarity index and its build.
 //! * [`vmis`] — the VMIS-kNN online computation (Algorithm 2 of the paper).
 //! * [`error`] — crate error types.
 
@@ -56,12 +59,14 @@ pub mod hash;
 pub mod heap;
 pub mod index;
 pub mod recommender;
+pub mod sessions;
 pub mod types;
 pub mod vmis;
 pub mod weights;
 
 pub use error::CoreError;
 pub use recommender::Recommender;
+pub use sessions::SessionRuns;
 pub use hash::{FxHashMap, FxHashSet};
 pub use index::{IndexBytes, IndexStats, Posting, SessionIndex};
 pub use types::{Click, ItemId, ItemScore, SessionId, SessionRef, Timestamp};

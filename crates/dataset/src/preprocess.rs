@@ -14,32 +14,24 @@
 //! minimum), so [`preprocess`] iterates them to a fixed point, like the
 //! reference pipeline.
 
-use serenade_core::{Click, FxHashMap, ItemId, Timestamp};
+use serenade_core::{Click, FxHashMap, ItemId, SessionRuns, Timestamp};
 
 /// Splits visitor click streams into sessions on inactivity gaps.
 ///
 /// Clicks sharing a `session_id` (here: visitor id) are ordered by time; a
 /// new session starts whenever the gap to the previous click exceeds
 /// `max_gap_secs`. Returned clicks carry fresh, densely numbered session ids
-/// (starting at 1) and are globally ordered by timestamp.
+/// (starting at 1, visitor by visitor in the order their streams end) and
+/// are globally ordered by timestamp.
 pub fn split_on_inactivity(clicks: &[Click], max_gap_secs: u64) -> Vec<Click> {
-    let mut by_visitor: FxHashMap<u64, Vec<(Timestamp, ItemId)>> = FxHashMap::default();
-    for c in clicks {
-        by_visitor.entry(c.session_id).or_default().push((c.timestamp, c.item_id));
-    }
-    let mut visitors: Vec<(u64, Vec<(Timestamp, ItemId)>)> = by_visitor.into_iter().collect();
-    visitors.sort_unstable_by_key(|(v, _)| *v); // deterministic numbering
-
+    let visitors = SessionRuns::group(clicks, 1);
     let mut out = Vec::with_capacity(clicks.len());
     let mut next_session: u64 = 1;
-    for (_, mut stream) in visitors {
-        stream.sort_unstable();
+    for visitor in 0..visitors.len() {
         let mut prev_ts: Option<Timestamp> = None;
-        for (ts, item) in stream {
-            match prev_ts {
-                Some(p) if ts.saturating_sub(p) <= max_gap_secs => {}
-                Some(_) => next_session += 1,
-                None => {}
+        for &(ts, item) in visitors.run(visitor) {
+            if prev_ts.is_some_and(|p| ts.saturating_sub(p) > max_gap_secs) {
+                next_session += 1;
             }
             out.push(Click::new(next_session, item, ts));
             prev_ts = Some(ts);
@@ -61,11 +53,9 @@ pub fn filter_min_item_support(clicks: &[Click], min_support: usize) -> Vec<Clic
 
 /// Drops sessions with fewer than `min_len` clicks.
 pub fn filter_min_session_length(clicks: &[Click], min_len: usize) -> Vec<Click> {
-    let mut counts: FxHashMap<u64, usize> = FxHashMap::default();
-    for c in clicks {
-        *counts.entry(c.session_id).or_insert(0) += 1;
-    }
-    clicks.iter().filter(|c| counts[&c.session_id] >= min_len).copied().collect()
+    let sessions = SessionRuns::group(clicks, 1);
+    let long = |&(_, &rank): &(&Click, &u32)| sessions.run(rank as usize).len() >= min_len;
+    clicks.iter().zip(sessions.click_ranks()).filter(long).map(|(c, _)| *c).collect()
 }
 
 /// The full session-rec preprocessing: inactivity splitting, then iterated

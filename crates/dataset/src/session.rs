@@ -1,6 +1,6 @@
 //! Sessionization: grouping a click log into chronologically ordered sessions.
 
-use serenade_core::{Click, FxHashMap, ItemId, Timestamp};
+use serenade_core::{Click, ItemId, SessionRuns, Timestamp};
 
 /// A user session: the chronological item sequence of one session id.
 ///
@@ -29,27 +29,26 @@ impl Session {
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
+
+    /// The session at `rank` of a grouped log.
+    pub(crate) fn of(runs: &SessionRuns, rank: usize) -> Self {
+        let run = runs.run(rank);
+        Session {
+            id: runs.ext_id(rank),
+            items: run.iter().map(|&(_, item)| item).collect(),
+            start: run[0].0,
+            end: runs.timestamp(rank),
+        }
+    }
 }
 
 /// Groups clicks into sessions ordered by ascending end timestamp
-/// (ties broken by session id). Clicks within a session are ordered by
-/// timestamp (ties by item id, for determinism).
+/// (ties broken by session id) — the order the index numbers them in.
+/// Clicks within a session are ordered by timestamp (ties by item id, for
+/// determinism).
 pub fn sessionize(clicks: &[Click]) -> Vec<Session> {
-    let mut by_session: FxHashMap<u64, Vec<(Timestamp, ItemId)>> = FxHashMap::default();
-    for c in clicks {
-        by_session.entry(c.session_id).or_default().push((c.timestamp, c.item_id));
-    }
-    let mut sessions: Vec<Session> = by_session
-        .into_iter()
-        .map(|(id, mut clicks)| {
-            clicks.sort_unstable();
-            let start = clicks.first().map(|&(t, _)| t).unwrap_or(0);
-            let end = clicks.last().map(|&(t, _)| t).unwrap_or(0);
-            Session { id, items: clicks.into_iter().map(|(_, i)| i).collect(), start, end }
-        })
-        .collect();
-    sessions.sort_unstable_by_key(|s| (s.end, s.id));
-    sessions
+    let runs = SessionRuns::group(clicks, 1);
+    (0..runs.len()).map(|rank| Session::of(&runs, rank)).collect()
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@
 //! new items with a separate system, see Section 4.1), and must still
 //! contain at least two clicks so there is something to predict.
 
-use crate::session::{sessionize, Session};
-use serenade_core::{Click, FxHashSet, ItemId};
+use crate::session::Session;
+use serenade_core::{Click, FxHashMap, ItemId, SessionRuns};
 
 /// A train/test split of a click log.
 #[derive(Debug, Clone)]
@@ -31,24 +31,38 @@ impl EvaluationSplit {
 /// Splits on a timestamp: sessions *ending* strictly before `cutoff` train,
 /// sessions ending at/after it test.
 pub fn split_at(clicks: &[Click], cutoff: u64) -> EvaluationSplit {
-    let sessions = sessionize(clicks);
-    let mut test_ids: FxHashSet<u64> = FxHashSet::default();
-    let mut test_sessions: Vec<Session> = Vec::new();
-    for s in sessions {
-        if s.end >= cutoff {
-            test_ids.insert(s.id);
-            test_sessions.push(s);
+    split_runs(clicks, &SessionRuns::group(clicks, 1), cutoff)
+}
+
+/// [`split_at`] over the grouping of `clicks`. Sessions are ranked by their
+/// end, so the test sessions are the ranks from the first that ends at or
+/// after `cutoff`.
+fn split_runs(clicks: &[Click], runs: &SessionRuns, cutoff: u64) -> EvaluationSplit {
+    let mut first_test = runs.len();
+    while first_test > 0 && runs.timestamp(first_test - 1) >= cutoff {
+        first_test -= 1;
+    }
+    // Training clicks keep their original tuples and order.
+    let mut train = Vec::with_capacity(runs.offsets()[first_test] as usize);
+    for (c, &rank) in clicks.iter().zip(runs.click_ranks()) {
+        if (rank as usize) < first_test {
+            train.push(*c);
         }
     }
-    // Training clicks keep their original tuples (timestamps included).
-    let train: Vec<Click> =
-        clicks.iter().filter(|c| !test_ids.contains(&c.session_id)).copied().collect();
     // Keep only test items known at training time, then re-check length.
-    let known: FxHashSet<ItemId> = train.iter().map(|c| c.item_id).collect();
-    let test = test_sessions
-        .into_iter()
-        .filter_map(|mut s| {
-            s.items.retain(|i| known.contains(i));
+    // The test items are the few: every training click looks its item up
+    // among them.
+    let test_clicks = (first_test..runs.len()).flat_map(|rank| runs.run(rank));
+    let mut known: FxHashMap<ItemId, bool> = test_clicks.map(|&(_, i)| (i, false)).collect();
+    for c in &train {
+        if let Some(known) = known.get_mut(&c.item_id) {
+            *known = true;
+        }
+    }
+    let test = (first_test..runs.len())
+        .filter_map(|rank| {
+            let mut s = Session::of(runs, rank);
+            s.items.retain(|i| known[i]);
             (s.items.len() >= 2).then_some(s)
         })
         .collect();
@@ -68,20 +82,20 @@ pub fn split_last_days(clicks: &[Click], days: u64) -> EvaluationSplit {
 /// `fraction` must be in `(0, 1)`.
 pub fn temporal_split(clicks: &[Click], fraction: f64) -> EvaluationSplit {
     assert!(fraction > 0.0 && fraction < 1.0, "fraction must be in (0, 1)");
-    let sessions = sessionize(clicks);
-    if sessions.is_empty() {
+    let runs = SessionRuns::group(clicks, 1);
+    if runs.is_empty() {
         return EvaluationSplit { train: Vec::new(), test: Vec::new() };
     }
-    let test_count = ((sessions.len() as f64 * fraction).round() as usize)
-        .clamp(1, sessions.len().saturating_sub(1).max(1));
-    let cutoff_idx = sessions.len() - test_count;
-    let cutoff = sessions[cutoff_idx].end;
-    split_at(clicks, cutoff)
+    let test_count = ((runs.len() as f64 * fraction).round() as usize)
+        .clamp(1, runs.len().saturating_sub(1).max(1));
+    let cutoff = runs.timestamp(runs.len() - test_count);
+    split_runs(clicks, &runs, cutoff)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serenade_core::FxHashSet;
 
     fn clicks_over_days() -> Vec<Click> {
         // Day 0: sessions 1, 2; Day 1: session 3; Day 2: session 4.

@@ -93,57 +93,64 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Serialises an index to a writer.
+/// Serialises an index to a writer, in one `write_all` of the whole
+/// artefact.
 pub fn write_index(index: &SessionIndex, mut writer: impl Write) -> std::io::Result<()> {
-    let mut payload = BytesMut::with_capacity(1 << 16);
-    payload.put_u64_le(index.m_max() as u64);
-    payload.put_u64_le(index.num_sessions() as u64);
+    // Sized exactly, so the artefact is written once and never regrown:
+    // m_max, the session count, a timestamp a session, one offset a session
+    // and one more, the entry count, an item an entry, the posting count,
+    // and per posting its item, support, length and entries.
+    let stats = index.stats();
+    let payload_len = 8 + 8 + 8 * stats.num_sessions + 4 * (stats.num_sessions + 1)
+        + 8 + 8 * stats.session_item_entries
+        + 8 + 16 * stats.num_items + 4 * stats.posting_entries;
+    let mut artefact = BytesMut::with_capacity(FRAME_BYTES + payload_len + FRAME_BYTES);
+    // The header's length and checksum are filled in below.
+    artefact.put_slice(MAGIC);
+    artefact.put_slice(&[0; FRAME_BYTES - 8]);
+    artefact.put_u64_le(index.m_max() as u64);
+    artefact.put_u64_le(index.num_sessions() as u64);
     for sid in 0..index.num_sessions() as u32 {
-        payload.put_u64_le(index.session_timestamp(sid));
+        artefact.put_u64_le(index.session_timestamp(sid));
     }
     // CSR item lists.
     let mut offset = 0u32;
-    let mut offsets = Vec::with_capacity(index.num_sessions() + 1);
-    offsets.push(0u32);
+    artefact.put_u32_le(offset);
     for sid in 0..index.num_sessions() as u32 {
         offset += index.session_items(sid).len() as u32;
-        offsets.push(offset);
+        artefact.put_u32_le(offset);
     }
-    for &o in &offsets {
-        payload.put_u32_le(o);
-    }
-    payload.put_u64_le(u64::from(offset));
+    artefact.put_u64_le(u64::from(offset));
     for sid in 0..index.num_sessions() as u32 {
         for &item in index.session_items(sid) {
-            payload.put_u64_le(item);
+            artefact.put_u64_le(item);
         }
     }
     // Postings, in sorted item order for a deterministic artefact.
     let mut items: Vec<ItemId> = index.items().collect();
     items.sort_unstable();
-    payload.put_u64_le(items.len() as u64);
+    artefact.put_u64_le(items.len() as u64);
     for item in items {
         let entries = index.postings(item).expect("item is indexed");
         let support = index.item_support(item).expect("item is indexed");
-        payload.put_u64_le(item);
-        payload.put_u32_le(support);
-        payload.put_u32_le(entries.len() as u32);
+        artefact.put_u64_le(item);
+        artefact.put_u32_le(support);
+        artefact.put_u32_le(entries.len() as u32);
         for &session in entries {
-            payload.put_u32_le(session);
+            artefact.put_u32_le(session);
         }
     }
+    debug_assert_eq!(artefact.len(), FRAME_BYTES + payload_len, "the payload is sized exactly");
 
-    let checksum = fnv1a(&payload);
-    writer.write_all(MAGIC)?;
-    writer.write_all(&(payload.len() as u64).to_le_bytes())?;
-    writer.write_all(&checksum.to_le_bytes())?;
-    writer.write_all(&payload)?;
+    let checksum = fnv1a(&artefact[FRAME_BYTES..]);
+    let frame = [(payload_len as u64).to_le_bytes(), checksum.to_le_bytes()].concat();
+    artefact[8..FRAME_BYTES].copy_from_slice(&frame);
     // Length/checksum trailer: a reader that got this far knows the stream
     // was not cut at a frame boundary, and a header corrupted in transit
     // cannot agree with an honest trailer by accident.
-    writer.write_all(TRAILER_MAGIC)?;
-    writer.write_all(&(payload.len() as u64).to_le_bytes())?;
-    writer.write_all(&checksum.to_le_bytes())?;
+    artefact.put_slice(TRAILER_MAGIC);
+    artefact.put_slice(&frame);
+    writer.write_all(&artefact)?;
     writer.flush()
 }
 

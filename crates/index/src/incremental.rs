@@ -84,7 +84,9 @@
 use std::sync::Arc;
 
 use serenade_core::index::{Posting, Segment, SEGMENT_SESSIONS};
-use serenade_core::{Click, CoreError, FxHashMap, FxHashSet, ItemId, SessionId, SessionIndex, Timestamp};
+use serenade_core::{
+    Click, CoreError, FxHashMap, FxHashSet, ItemId, SessionId, SessionIndex, SessionRuns, Timestamp,
+};
 
 /// What sessions are ranked by: `(session timestamp, external id)`.
 type Key = (Timestamp, u64);
@@ -260,48 +262,26 @@ impl IncrementalIndexer {
         {
             return false;
         }
-        // Per session: its timestamp and click count, the count then
-        // replaced by the cursor its clicks are scattered through.
-        let mut sessions: FxHashMap<u64, (Timestamp, u32)> = FxHashMap::default();
-        for c in seed {
-            let session = sessions.entry(c.session_id).or_default();
-            *session = (session.0.max(c.timestamp), session.1 + 1);
-        }
-        let mut order: Vec<Key> = sessions.iter().map(|(&ext, &(ts, _))| (ts, ext)).collect();
-        order.sort_unstable();
-        if order.len() != index.num_sessions() {
+        // The grouping is the log: sessions by rank, each run in
+        // `(timestamp, item)` order.
+        let runs = SessionRuns::group(seed, 1);
+        let agrees = |rank: usize| {
+            let items = index.session_items(rank as SessionId).iter().copied();
+            runs.timestamp(rank) == index.session_timestamp(rank as SessionId)
+                && first_occurrences(runs.run(rank)).eq(items)
+        };
+        if runs.len() != index.num_sessions() || !(0..runs.len()).all(agrees) {
             return false;
         }
-        let mut log_offsets = vec![0u32];
-        for (_, ext) in &order {
-            let start = log_offsets[log_offsets.len() - 1];
-            let session = sessions.get_mut(ext).expect("ordered from this map");
-            log_offsets.push(start + std::mem::replace(&mut session.1, start));
-        }
+        let (ext_ids, log_offsets, mut log) = runs.into_log();
         // Room for live traffic on top of the seed, or the first merge would
         // double the log — copy it whole — to append a few clicks.
-        let mut log: Vec<LogEntry> = Vec::with_capacity(seed.len() + seed.len() / 8);
-        log.resize(seed.len(), (0, 0));
-        for c in seed {
-            let cursor = &mut sessions.get_mut(&c.session_id).expect("counted above").1;
-            log[*cursor as usize] = (c.timestamp, c.item_id);
-            *cursor += 1;
-        }
-        // The log is laid out; `order` says everything else the map did.
-        drop(sessions);
-        for (rank, span) in log_offsets.windows(2).enumerate() {
-            let clicks = &mut log[span[0] as usize..span[1] as usize];
-            clicks.sort_unstable();
-            if order[rank].0 != index.session_timestamp(rank as SessionId)
-                || first_occurrences(clicks) != index.session_items(rank as SessionId)
-            {
-                return false;
-            }
-        }
+        log.reserve_exact(seed.len() / 8);
+        let timestamp = |rank: usize| index.session_timestamp(rank as SessionId);
+        self.session_ts =
+            ext_ids.iter().enumerate().map(|(rank, &ext)| (ext, timestamp(rank))).collect();
         self.index = index.clone();
-        self.ext_ids = order.iter().map(|&(_, ext)| ext).collect();
-        self.session_ts = order.into_iter().map(|(ts, ext)| (ext, ts)).collect();
-        (self.log, self.log_offsets) = (log, log_offsets);
+        (self.ext_ids, self.log, self.log_offsets) = (ext_ids, log, log_offsets);
         true
     }
 
@@ -370,23 +350,24 @@ impl IncrementalIndexer {
     /// late-arriving clicks must not resurrect the session. On an error
     /// nothing has changed.
     pub fn apply_batch(&mut self, batch: &[Click]) -> Result<(), CoreError> {
-        let mut by_session: FxHashMap<u64, Vec<LogEntry>> = FxHashMap::default();
-        for c in batch.iter().filter(|c| !self.tombstones.contains(&c.session_id)) {
-            by_session.entry(c.session_id).or_default().push((c.timestamp, c.item_id));
-        }
+        let runs = SessionRuns::group(batch, 1);
         let mut removed = Vec::new();
-        let pending: Vec<Pending> = by_session
-            .into_iter()
-            .map(|(ext, mut clicks)| {
-                if let Some(rank) = self.rank_of(ext) {
-                    clicks.extend_from_slice(self.session_log(rank));
-                    removed.push(rank as SessionId);
-                }
+        let mut pending = Vec::with_capacity(runs.len());
+        for fresh in 0..runs.len() {
+            let ext = runs.ext_id(fresh);
+            if self.tombstones.contains(&ext) {
+                continue;
+            }
+            let mut clicks = runs.run(fresh).to_vec();
+            if let Some(rank) = self.rank_of(ext) {
+                clicks.extend_from_slice(self.session_log(rank));
                 clicks.sort_unstable();
-                let newest = clicks.last().expect("grouped from at least one click").0;
-                Pending { key: (newest, ext), items: first_occurrences(&clicks), clicks }
-            })
-            .collect();
+                removed.push(rank as SessionId);
+            }
+            let newest = clicks.last().expect("a run holds at least one click").0;
+            let items = first_occurrences(&clicks).collect();
+            pending.push(Pending { key: (newest, ext), items, clicks });
+        }
         removed.sort_unstable();
         self.merge(&removed, pending)?;
         self.enforce_retention()
@@ -651,15 +632,10 @@ fn lower_bound(len: usize, key_at: impl Fn(usize) -> Key, key: Key) -> usize {
 }
 
 /// The items of time-ordered `clicks`, each at its first occurrence. A linear
-/// scan per item, as in [`SessionIndex::build`]: the median session is short.
-fn first_occurrences(clicks: &[LogEntry]) -> Vec<ItemId> {
-    let mut items = Vec::new();
-    for &(_, item) in clicks {
-        if !items.contains(&item) {
-            items.push(item);
-        }
-    }
-    items
+/// scan per click, as in [`SessionIndex::build`]: the median session is short.
+fn first_occurrences(clicks: &[LogEntry]) -> impl Iterator<Item = ItemId> + '_ {
+    let first = |&(k, &(_, item)): &(usize, &LogEntry)| clicks[..k].iter().all(|c| c.1 != item);
+    clicks.iter().enumerate().filter(first).map(|(_, &(_, item))| item)
 }
 
 /// The first `want` ids of two descending id streams, merged.

@@ -8,10 +8,11 @@
 //!
 //! This crate implements all of that in-process:
 //!
-//! * [`builder`] — a multi-threaded partition/shuffle/merge pipeline (the
-//!   same relational plan as the Spark job: group-by session → group-by item
-//!   → sort by recency → truncate to `m`), verified to produce exactly the
-//!   same index as the sequential reference builder;
+//! * [`builder`] — the offline build on worker threads (the same plan as
+//!   the Spark job: group by session → number by recency → group by item →
+//!   truncate to `m`), carried out by counting: each worker takes a range of
+//!   sessions, with no shuffle; any thread count builds the index
+//!   [`serenade_core::SessionIndex::build`] builds;
 //! * [`binfmt`] — a compact little-endian binary serialisation of the index
 //!   (the paper uses Avro; the format here is purpose-built and versioned);
 //! * [`varint`] — LEB128 variable-length integers used by the compressed

@@ -8,15 +8,21 @@
 //! click log: `SessionIndex::build`, `build_parallel`, a `binfmt` round trip,
 //! and every generation an `IncrementalIndexer` emits under appends,
 //! reappearing sessions, out-of-order batches, deletes and retention drops —
-//! with timestamps that tie four ways as often as not.
+//! with timestamps that tie four ways as often as not. The build is also
+//! held to it at posting caps 1, 2 and 500 and at 1, 2, 3 and 8 threads,
+//! and its artefact to the bytes earlier versions wrote.
 //!
 //! The accumulator slot, by contrast, is *not* a key of anything: a live
 //! index numbers items in the order they arrive, a built one by id, and the
 //! kernel answers byte for byte the same over both — score ties included.
 
+use std::collections::BTreeMap;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
+use serenade_core::index::SEGMENT_SESSIONS;
 use serenade_core::{Click, ItemId, SessionId, SessionIndex, VmisConfig, VmisKnn};
+use serenade_dataset::{generate, split_last_days, SyntheticConfig};
 use serenade_index::{build_parallel, read_index, write_index, BuilderConfig, IncrementalIndexer};
 
 /// Random click logs over a small id space. Every session also clicks a
@@ -29,7 +35,7 @@ fn clicks_strategy() -> impl Strategy<Value = Vec<Click>> {
             .into_iter()
             .map(|(session, item, ts)| Click::new(session, item, if ties { ts % 4 } else { ts }))
             .collect();
-        let mut earliest = std::collections::BTreeMap::new();
+        let mut earliest = BTreeMap::new();
         for c in &clicks {
             let ts = earliest.entry(c.session_id).or_insert(c.timestamp);
             *ts = (*ts).min(c.timestamp);
@@ -42,7 +48,7 @@ fn clicks_strategy() -> impl Strategy<Value = Vec<Click>> {
 /// The sessions of `log` as `(timestamp, external id, items)` in the order
 /// dense ids must be assigned in.
 fn ranked(log: &[Click]) -> Vec<(u64, u64, Vec<ItemId>)> {
-    let mut by_session = std::collections::BTreeMap::<u64, Vec<(u64, ItemId)>>::new();
+    let mut by_session = BTreeMap::<u64, Vec<(u64, ItemId)>>::new();
     for c in log {
         by_session.entry(c.session_id).or_default().push((c.timestamp, c.item_id));
     }
@@ -64,8 +70,9 @@ fn ranked(log: &[Click]) -> Vec<(u64, u64, Vec<ItemId>)> {
 }
 
 /// `index` is the index of `log`: id order is `(timestamp, external id)`
-/// order, and every posting is the strictly descending ids of the `m_max`
-/// most recent sessions holding the item.
+/// order, every item's support counts the sessions holding it, every posting
+/// is the strictly descending ids of the `m_max` most recent of them, and
+/// every session item's slot names the item.
 fn assert_id_is_recency_key(
     index: &SessionIndex,
     log: &[Click],
@@ -73,27 +80,98 @@ fn assert_id_is_recency_key(
 ) -> Result<(), String> {
     let sessions = ranked(log);
     prop_assert_eq!(index.num_sessions(), sessions.len());
-    for (id, (timestamp, ext, items)) in sessions.iter().enumerate() {
+    let mut holders = BTreeMap::<ItemId, Vec<SessionId>>::new();
+    for (id, (timestamp, ext, items)) in sessions.iter().enumerate().rev() {
         let id = id as SessionId;
         prop_assert_eq!(index.session_timestamp(id), *timestamp, "t[{}], session {}", id, ext);
         prop_assert_eq!(index.session_items(id), &items[..], "items of {}, session {}", id, ext);
+        let named: Vec<ItemId> =
+            index.session_slots(id).iter().map(|&slot| index.slot_items()[slot as usize]).collect();
+        prop_assert_eq!(&named, items, "slots of {}, session {}", id, ext);
+        for &item in items {
+            holders.entry(item).or_default().push(id);
+        }
     }
-    let mut indexed = 0;
-    for item in index.items() {
-        let posting = index.postings(item).expect("listed item has a posting");
-        prop_assert!(posting.windows(2).all(|w| w[0] > w[1]), "posting of {} not descending", item);
-        let holders: Vec<SessionId> = (0..sessions.len())
-            .rev()
-            .filter(|&id| sessions[id].2.contains(&item))
-            .map(|id| id as SessionId)
-            .collect();
-        prop_assert_eq!(index.item_support(item), Some(holders.len() as u32));
+    prop_assert_eq!(index.num_items(), holders.len(), "an item went unindexed");
+    for (&item, holders) in &holders {
+        let posting = index.postings(item).expect("every session item has a posting");
+        let support = Some(holders.len() as u32);
+        prop_assert_eq!(index.item_support(item), support, "support of {}", item);
         prop_assert_eq!(posting, &holders[..m_max.min(holders.len())], "posting of {}", item);
-        indexed += holders.len();
     }
-    let listed: usize = sessions.iter().map(|s| s.2.len()).sum();
-    prop_assert_eq!(indexed, listed, "an item went unindexed");
     Ok(())
+}
+
+/// A log that stresses the build where the property logs above are too
+/// small to reach: sessions across two `SEGMENT_SESSIONS` boundaries, sparse
+/// external ids near `u64::MAX`, timestamps tied three ways, repeated items,
+/// verbatim duplicate clicks, and an item in more than 500 sessions — all
+/// in shuffled input order.
+fn boundary_log() -> Vec<Click> {
+    let sessions = 2 * SEGMENT_SESSIONS as u64 + 37;
+    let mut log = Vec::new();
+    for s in 0..sessions {
+        let ext = u64::MAX - s.wrapping_mul(0x9E37_79B9) % (1 << 40);
+        let ts = 1_000 + s / 3;
+        log.push(Click::new(ext, s % 97, ts));
+        log.push(Click::new(ext, 1_000 + s % 5, ts));
+        if s % 3 == 0 {
+            log.push(Click::new(ext, 7, ts)); // in every third session
+        }
+        if s % 4 == 0 {
+            log.push(Click::new(ext, s % 97, ts)); // a verbatim duplicate
+            log.push(Click::new(ext, s % 89, ts.saturating_sub(2)));
+        }
+    }
+    let mut state = 17u64;
+    for i in (1..log.len()).rev() {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        log.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    log
+}
+
+#[test]
+fn every_cap_and_thread_count_builds_the_index_of_the_reference() {
+    let log = boundary_log();
+    for m_max in [1, 2, 500] {
+        let reference = SessionIndex::build(&log, m_max).expect("non-empty log");
+        assert_id_is_recency_key(&reference, &log, m_max).unwrap();
+        for threads in [1, 2, 3, 8] {
+            let built = build_parallel(&log, BuilderConfig { threads, m_max }).expect("non-empty");
+            assert_id_is_recency_key(&built, &log, m_max)
+                .unwrap_or_else(|e| panic!("m_max {m_max}, threads {threads}: {e}"));
+            assert_eq!(artefact(&built), artefact(&reference), "m_max {m_max}, threads {threads}");
+        }
+    }
+}
+
+fn artefact(index: &SessionIndex) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_index(index, &mut bytes).expect("in-memory write");
+    bytes
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let step = |hash: u64, &byte: &u8| (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01B3);
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, step)
+}
+
+#[test]
+fn the_artefact_of_a_synthetic_day_is_pinned_at_every_thread_count() {
+    // FNV-1a of `write_index` over the training part of `tiny` at seeds 1–3,
+    // as the hash-grouping builders of earlier versions wrote them.
+    let pinned =
+        [(1, 0x9fad_2623_d1fe_dab7_u64), (2, 0xe176_7c1c_6d65_d89b), (3, 0x2047_3006_8bde_f06c)];
+    for (seed, expected) in pinned {
+        let clicks = generate(&SyntheticConfig::tiny().with_seed(seed)).clicks;
+        let train = split_last_days(&clicks, 1).train;
+        for threads in [1, 2, 3, 8] {
+            let config = BuilderConfig { threads, m_max: 500 };
+            let index = build_parallel(&train, config).expect("non-empty");
+            assert_eq!(fnv1a(&artefact(&index)), expected, "seed {seed}, threads {threads}");
+        }
+    }
 }
 
 #[test]
