@@ -5,7 +5,7 @@
 //! "equal predictive performance" the paper requires of all implementation
 //! variants (Section 5.2.1).
 
-use serenade_core::{FxHashMap, ItemId, ItemScore, SessionId, VmisConfig};
+use serenade_core::{FxHashMap, ItemId, ItemScore, SessionId, SessionItems, VmisConfig};
 
 /// Builds the ω position map of the capped evolving session: latest 1-based
 /// position per item. Returns the capped window and its position map.
@@ -33,7 +33,7 @@ pub fn session_window(
 pub fn score_and_rank<'a>(
     neighbors: &[(SessionId, f32)],
     pos: &FxHashMap<ItemId, usize>,
-    session_items: impl Fn(SessionId) -> &'a [ItemId],
+    session_items: impl Fn(SessionId) -> SessionItems<'a>,
     idf: &FxHashMap<ItemId, f32>,
     config: &VmisConfig,
 ) -> Vec<ItemScore> {
@@ -49,7 +49,7 @@ pub fn score_and_rank<'a>(
     neighbors.sort_unstable_by_key(|&(sid, _)| sid);
     for &(sid, similarity) in &neighbors {
         let items = session_items(sid);
-        let Some(max_pos) = items.iter().filter_map(|it| pos.get(it)).copied().max() else {
+        let Some(max_pos) = items.iter().filter_map(|it| pos.get(&it)).copied().max() else {
             continue;
         };
         let lambda = config.match_weight.weight(max_pos, wlen);
@@ -57,7 +57,7 @@ pub fn score_and_rank<'a>(
             continue;
         }
         let session_weight = lambda * similarity * norm;
-        for &item in items {
+        for item in items.iter() {
             if config.exclude_session_items && pos.contains_key(&item) {
                 continue;
             }

@@ -9,7 +9,7 @@
 //! * the timestamp array `t`: one integer timestamp per historical session,
 //!   indexed by dense [`SessionId`], giving constant-time random access;
 //! * per-session item lists (needed for the final item-scoring step) stored
-//!   in CSR layout to avoid per-session allocations;
+//!   as accumulator slots in CSR layout to avoid per-session allocations;
 //! * per-item support counts `h_i` (the number of historical sessions
 //!   containing the item) for the idf weighting.
 //!
@@ -29,8 +29,8 @@
 //!
 //! ## Segments and slots
 //!
-//! The per-session columns — `t`, the CSR offsets and items — are kept in
-//! [`Segment`]s of [`SEGMENT_SESSIONS`] sessions, each behind an [`Arc`]:
+//! The per-session columns — `t`, the CSR offsets and the items' slots — are
+//! kept in [`Segment`]s of [`SEGMENT_SESSIONS`] sessions, each behind an [`Arc`]:
 //! session `s` is row `s % SEGMENT_SESSIONS` of segment
 //! `s / SEGMENT_SESSIONS`, every segment but the last is full. Consecutive
 //! generations of a live index (`serenade_index::IncrementalIndexer`) share
@@ -40,21 +40,22 @@
 //!
 //! Each item has an **accumulator slot**: a small integer the scoring kernel
 //! indexes its per-item tables by. The slot is a property of the index,
-//! stored in the item's [`Posting`] and — as a `u32` stream parallel to the
-//! item ids — in every segment, so scoring a session reads 4 bytes an item
-//! and never a hash table. A slot is assigned when the item first appears
-//! and is not renumbered while the item lives; [`SessionIndex::slot_item`]
-//! maps it back. Built and loaded indexes number items in ascending id
-//! order; a live index appends, and numbers afresh only when it rewrites
+//! stored in the item's [`Posting`] and — as a `u32` stream — in every
+//! segment, so scoring a session reads 4 bytes an item and never a hash
+//! table. The slot stream is the only record of a session's items:
+//! [`SessionIndex::session_items`] reads them back through
+//! [`SessionIndex::slot_items`]. So a slot is assigned when the item first
+//! appears, and it is neither renumbered nor handed to another item while
+//! any segment holds it. Built and loaded indexes number items in ascending
+//! id order; a live index appends, and numbers afresh only when it rewrites
 //! every segment anyway. Slot numbering is not part of what an index *is*:
 //! two indexes of the same log answer identically under any numbering.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use crate::error::CoreError;
 use crate::hash::FxHashMap;
-use crate::types::{Click, ItemId, SessionId, SessionRef, Timestamp};
+use crate::types::{Click, ItemId, SessionId, Timestamp};
 
 mod build;
 
@@ -110,12 +111,13 @@ pub struct IndexBytes {
     pub postings: usize,
     /// The item → posting hash table: buckets, occupied or not.
     pub posting_table: usize,
-    /// The CSR item storage: item ids and offsets of every segment, the
+    /// The CSR layout of the sessions: the offsets of every segment, the
     /// segment headers and the table of segment pointers.
     pub session_items: usize,
     /// The timestamp column `t`.
     pub timestamps: usize,
-    /// The slot streams of every segment and the slot → item table.
+    /// The slot streams of every segment — a session item is its slot, 4
+    /// bytes — and the slot → item table.
     pub slots: usize,
 }
 
@@ -182,37 +184,29 @@ fn arc_slice_bytes<T>(len: usize) -> usize {
 }
 
 /// [`SEGMENT_SESSIONS`] consecutive sessions (fewer in an index's last
-/// segment): their timestamps and, in CSR layout, their items with each
-/// item's accumulator slot beside it. Immutable once made; generations share
-/// it by pointer.
+/// segment): their timestamps and, in CSR layout, their items' accumulator
+/// slots. Immutable once made; generations share it by pointer.
 #[derive(Debug)]
 pub struct Segment {
     timestamps: Box<[Timestamp]>,
-    /// Row `r` owns `items[offsets[r]..offsets[r + 1]]`, and `slots` alike.
+    /// Row `r` owns `slots[offsets[r]..offsets[r + 1]]`.
     offsets: Box<[u32]>,
-    items: Box<[ItemId]>,
     slots: Box<[u32]>,
 }
 
 impl Segment {
     /// A segment of `timestamps.len()` sessions. The caller vouches that
-    /// `offsets` starts at 0, does not decrease and ends at `items.len()`.
+    /// `offsets` starts at 0, does not decrease and ends at `slots.len()`.
     ///
     /// # Panics
     ///
-    /// If the four columns do not describe the same sessions and items.
-    pub fn new(
-        timestamps: Box<[Timestamp]>,
-        offsets: Box<[u32]>,
-        items: Box<[ItemId]>,
-        slots: Box<[u32]>,
-    ) -> Self {
+    /// If the three columns do not describe the same sessions.
+    pub fn new(timestamps: Box<[Timestamp]>, offsets: Box<[u32]>, slots: Box<[u32]>) -> Self {
         assert!((1..=SEGMENT_SESSIONS).contains(&timestamps.len()), "segment size");
         assert_eq!(offsets.len(), timestamps.len() + 1, "one offset a session, and one");
-        assert_eq!(offsets.last().copied(), Some(items.len() as u32), "offsets end at the items");
-        assert_eq!(slots.len(), items.len(), "one slot an item");
+        assert_eq!(offsets.last().copied(), Some(slots.len() as u32), "offsets end at the slots");
         debug_assert!(offsets[0] == 0 && offsets.windows(2).all(|w| w[0] <= w[1]));
-        Self { timestamps, offsets, items, slots }
+        Self { timestamps, offsets, slots }
     }
 
     /// Number of sessions.
@@ -221,27 +215,70 @@ impl Segment {
         self.timestamps.len()
     }
 
-    #[inline]
-    fn span(&self, row: usize) -> Range<usize> {
-        self.offsets[row] as usize..self.offsets[row + 1] as usize
-    }
-
     /// Timestamp of the session in `row`.
     #[inline]
     pub fn timestamp(&self, row: usize) -> Timestamp {
         self.timestamps[row]
     }
 
-    /// Items of the session in `row`, first-occurrence order.
-    #[inline]
-    pub fn items(&self, row: usize) -> &[ItemId] {
-        &self.items[self.span(row)]
-    }
-
-    /// Accumulator slots of the session in `row`, parallel to its items.
+    /// Accumulator slots of the session's items in `row`, first-occurrence
+    /// order.
     #[inline]
     pub fn slots(&self, row: usize) -> &[u32] {
-        &self.slots[self.span(row)]
+        &self.slots[self.offsets[row] as usize..self.offsets[row + 1] as usize]
+    }
+}
+
+/// The items of one historical session, read through its slots: a borrowed
+/// view that allocates nothing (see the module docs). It compares equal to
+/// another view, or to a slice, holding the same items in the same order.
+#[derive(Clone, Copy)]
+pub struct SessionItems<'a> {
+    slots: &'a [u32],
+    slot_items: &'a [ItemId],
+}
+
+impl<'a> SessionItems<'a> {
+    /// The items, first-occurrence order.
+    #[inline]
+    pub fn iter(self) -> impl ExactSizeIterator<Item = ItemId> + DoubleEndedIterator + 'a {
+        self.slots.iter().map(move |&slot| self.slot_items[slot as usize])
+    }
+
+    /// Number of items.
+    #[allow(clippy::len_without_is_empty)] // never empty: a session has a click
+    #[inline]
+    pub fn len(self) -> usize {
+        self.slots.len()
+    }
+
+    /// `true` if the session lists `item`.
+    #[inline]
+    pub fn contains(self, item: &ItemId) -> bool {
+        self.iter().any(|listed| listed == *item)
+    }
+
+    /// The items, copied out.
+    pub fn to_vec(self) -> Vec<ItemId> {
+        self.iter().collect()
+    }
+}
+
+impl PartialEq for SessionItems<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl<T: AsRef<[ItemId]> + ?Sized> PartialEq<T> for SessionItems<'_> {
+    fn eq(&self, other: &T) -> bool {
+        self.iter().eq(other.as_ref().iter().copied())
+    }
+}
+
+impl std::fmt::Debug for SessionItems<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -342,11 +379,9 @@ impl SessionIndex {
             let hi = n.min(lo + SEGMENT_SESSIONS);
             let base = columns.offset(lo);
             // Exact-size iterators collect straight into the segment's arrays.
-            let items: Box<[ItemId]> =
-                (base as usize..columns.offset(hi) as usize).map(|e| columns.item(e)).collect();
-            let slots = items
-                .iter()
-                .map(|&item| match postings.get(&item) {
+            let slots = (base as usize..columns.offset(hi) as usize)
+                .map(|entry| columns.item(entry))
+                .map(|item| match postings.get(&item) {
                     Some(posting) => posting.slot,
                     None => *orphan_slots.entry(item).or_insert_with(|| {
                         orphans.push(item);
@@ -357,7 +392,6 @@ impl SessionIndex {
             segments.push(Arc::new(Segment::new(
                 (lo..hi).map(|s| columns.timestamp(s)).collect(),
                 (lo..=hi).map(|s| columns.offset(s) - base).collect(),
-                items,
                 slots,
             )));
         }
@@ -371,8 +405,8 @@ impl SessionIndex {
     /// every invariant [`SessionIndex::from_parts`] checks, that all
     /// `segments` but the last hold [`SEGMENT_SESSIONS`] sessions, and that
     /// slots agree — `slot_items[posting.slot]` is the posting's item, and
-    /// every slot in a segment names the item beside it. This is how the
-    /// incremental indexer emits the next generation of a live index — the
+    /// every slot in a segment names an item its session holds. This is how
+    /// the incremental indexer emits the next generation of a live index — the
     /// arrays it passes are mostly the previous generation's own `Arc`s.
     /// With no segments the result is the empty index only this constructor
     /// can make.
@@ -385,6 +419,9 @@ impl SessionIndex {
         let full = segments.len().saturating_sub(1);
         debug_assert!(segments[..full].iter().all(|s| s.len() == SEGMENT_SESSIONS));
         debug_assert!(postings.iter().all(|(i, p)| slot_items.get(p.slot as usize) == Some(i)));
+        debug_assert!(segments
+            .iter()
+            .all(|s| s.slots.iter().all(|&slot| (slot as usize) < slot_items.len())));
         let num_sessions = full * SEGMENT_SESSIONS + segments.last().map_or(0, |s| s.len());
         Self { postings: Arc::new(postings), segments, num_sessions, slot_items, m_max }
     }
@@ -446,11 +483,11 @@ impl SessionIndex {
         segment.timestamp(row)
     }
 
-    /// Deduplicated items of a historical session, first-occurrence order.
+    /// Deduplicated items of a historical session, first-occurrence order,
+    /// read through their slots.
     #[inline]
-    pub fn session_items(&self, session: SessionId) -> &[ItemId] {
-        let (segment, row) = self.locate(session);
-        segment.items(row)
+    pub fn session_items(&self, session: SessionId) -> SessionItems<'_> {
+        SessionItems { slots: self.session_slots(session), slot_items: &self.slot_items }
     }
 
     /// Accumulator slots of a historical session's items, in item order.
@@ -458,15 +495,6 @@ impl SessionIndex {
     pub fn session_slots(&self, session: SessionId) -> &[u32] {
         let (segment, row) = self.locate(session);
         segment.slots(row)
-    }
-
-    /// Borrowed view of one historical session.
-    pub fn session(&self, session: SessionId) -> SessionRef<'_> {
-        SessionRef {
-            id: session,
-            items: self.session_items(session),
-            timestamp: self.session_timestamp(session),
-        }
     }
 
     /// Number of historical sessions `|H|`.
@@ -504,7 +532,7 @@ impl SessionIndex {
             num_items: self.num_items(),
             posting_entries: self.postings.values().map(|p| p.entries.len()).sum(),
             max_posting_len: self.postings.values().map(|p| p.entries.len()).max().unwrap_or(0),
-            session_item_entries: self.segments.iter().map(|s| s.items.len()).sum(),
+            session_item_entries: self.segments.iter().map(|s| s.slots.len()).sum(),
         }
     }
 
@@ -521,7 +549,7 @@ impl SessionIndex {
             cap => cap / 7 * 8,
         };
         let slot = std::mem::size_of::<(ItemId, Posting)>() + 1;
-        let entries: usize = self.segments.iter().map(|s| s.items.len()).sum();
+        let entries: usize = self.segments.iter().map(|s| s.slots.len()).sum();
         let sessions = self.num_sessions;
         let headers = self.segments.len() * (16 + std::mem::size_of::<Segment>())
             + arc_slice_bytes::<Arc<Segment>>(self.segments.len());
@@ -532,7 +560,7 @@ impl SessionIndex {
                 .map(|p| arc_slice_bytes::<SessionId>(p.entries.len()))
                 .sum(),
             posting_table: if buckets == 0 { 0 } else { buckets * slot + 16 },
-            session_items: 8 * entries + 4 * (sessions + self.segments.len()) + headers,
+            session_items: 4 * (sessions + self.segments.len()) + headers,
             timestamps: 8 * sessions,
             slots: 4 * entries + arc_slice_bytes::<ItemId>(self.slot_items.len()),
         }
@@ -572,7 +600,7 @@ pub(crate) mod tests {
             let mut offsets = vec![0];
             let mut items = Vec::new();
             for s in sessions.clone() {
-                items.extend_from_slice(index.session_items(s));
+                items.extend(index.session_items(s).iter());
                 offsets.push(items.len() as u32);
             }
             Self {
@@ -646,6 +674,22 @@ pub(crate) mod tests {
         let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
         assert_eq!(std::mem::size_of_val(&idx.postings(1).unwrap()[0]), 4);
         assert_eq!(idx.bytes().postings, 3 * (16 + 2 * 4));
+    }
+
+    #[test]
+    fn a_session_item_is_four_bytes() {
+        // A session item is its slot and nothing else; its id is read back
+        // through the slot → item table (DESIGN.md §4.8). Six entries of 4
+        // bytes, four 4-byte offsets for three sessions, the one segment —
+        // three boxed columns behind an `Arc` — and the one-pointer table of
+        // segments, and three 8-byte items in the slot table behind its `Arc`.
+        let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
+        let bytes = idx.bytes();
+        assert_eq!(std::mem::size_of::<Segment>(), 3 * 16);
+        assert_eq!(
+            bytes.session_items + bytes.slots,
+            6 * 4 + 4 * 4 + (16 + 3 * 16) + (16 + 8) + (16 + 3 * 8)
+        );
     }
 
     #[test]
@@ -790,6 +834,6 @@ pub(crate) mod tests {
         let idx = SessionIndex::build(&clicks, 500).unwrap();
         assert_eq!(idx.num_sessions(), 1);
         assert_eq!(idx.postings(5).unwrap(), &[0]);
-        assert_eq!(idx.session(0).items, &[5, 6]);
+        assert_eq!(idx.session_items(0), &[5, 6]);
     }
 }

@@ -6,9 +6,9 @@
 //!
 //! 1. [`SessionRuns::group`] puts each session's clicks in a sorted run and
 //!    the runs in dense-id order;
-//! 2. each run is deduplicated to its first occurrences straight into the
-//!    segment columns, and each session item is remapped once to a dense
-//!    item number — an item's slot is then the rank of its id;
+//! 2. each click's item is remapped to a dense item number, and each run is
+//!    deduplicated to the numbers' first occurrences straight into the
+//!    segment's slot column — an item's slot is then the rank of its id;
 //! 3. supports are counted by slot, which gives each posting an exact-size
 //!    range: `min(support, m_max)` entries;
 //! 4. the ranges are filled by walking the sessions newest-first and
@@ -121,31 +121,30 @@ fn deduplicate(runs: &SessionRuns) -> (Vec<Segment>, Vec<ItemId>) {
     let mut numbers: FxHashMap<ItemId, u32> = FxHashMap::default();
     let mut items_by_number: Vec<ItemId> = Vec::new();
     let mut segments = Vec::with_capacity(n.div_ceil(SEGMENT_SESSIONS));
+    // A segment's item numbers, copied out of here at their exact size.
+    let mut scratch: Vec<u32> = Vec::new();
     for lo in (0..n).step_by(SEGMENT_SESSIONS) {
         let hi = n.min(lo + SEGMENT_SESSIONS);
-        // Room for every click; a repeat leaves its place unused.
-        let clicks = (runs.offsets()[hi] - runs.offsets()[lo]) as usize;
-        let (mut items, mut item_numbers) =
-            (Vec::with_capacity(clicks), Vec::with_capacity(clicks));
+        scratch.clear();
         let mut offsets = Vec::with_capacity(hi - lo + 1);
         offsets.push(0u32);
         for rank in lo..hi {
-            let first = items.len();
+            let first = scratch.len();
             for &(_, item) in runs.run(rank) {
+                let number = *numbers.entry(item).or_insert_with(|| {
+                    items_by_number.push(item);
+                    (items_by_number.len() - 1) as u32
+                });
                 // A linear scan over the (short) session so far: the median
                 // e-commerce session has fewer than five items.
-                if !items[first..].contains(&item) {
-                    items.push(item);
-                    item_numbers.push(*numbers.entry(item).or_insert_with(|| {
-                        items_by_number.push(item);
-                        (items_by_number.len() - 1) as u32
-                    }));
+                if !scratch[first..].contains(&number) {
+                    scratch.push(number);
                 }
             }
-            offsets.push(items.len() as u32);
+            offsets.push(scratch.len() as u32);
         }
         let timestamps = (lo..hi).map(|rank| runs.timestamp(rank)).collect();
-        segments.push(Segment::new(timestamps, offsets.into(), items.into(), item_numbers.into()));
+        segments.push(Segment::new(timestamps, offsets.into(), scratch[..].into()));
     }
     (segments, items_by_number)
 }

@@ -68,7 +68,7 @@ pub use error::CoreError;
 pub use recommender::Recommender;
 pub use sessions::SessionRuns;
 pub use hash::{FxHashMap, FxHashSet};
-pub use index::{IndexBytes, IndexStats, Posting, SessionIndex};
-pub use types::{Click, ItemId, ItemScore, SessionId, SessionRef, Timestamp};
+pub use index::{IndexBytes, IndexStats, Posting, SessionIndex, SessionItems};
+pub use types::{Click, ItemId, ItemScore, SessionId, Timestamp};
 pub use vmis::{BatchScratch, HeapArity, KernelWork, Scratch, VmisConfig, VmisKnn};
 pub use weights::{DecayFunction, IdfWeighting, MatchWeight};

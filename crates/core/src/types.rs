@@ -60,18 +60,6 @@ impl ItemScore {
     }
 }
 
-/// Borrowed view of a historical session inside the index: its deduplicated
-/// items (in first-occurrence order) and its timestamp.
-#[derive(Debug, Clone, Copy)]
-pub struct SessionRef<'a> {
-    /// Dense internal identifier.
-    pub id: SessionId,
-    /// Items the session interacted with, first occurrence order.
-    pub items: &'a [ItemId],
-    /// Session timestamp (maximum click timestamp in the session).
-    pub timestamp: Timestamp,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -70,13 +70,12 @@ fn with_slots_renumbered(index: &SessionIndex, shift: usize) -> SessionIndex {
         .map(|segment| {
             let rows = 0..segment.len();
             let offsets = std::iter::once(0).chain(rows.clone().scan(0, |end, row| {
-                *end += segment.items(row).len() as u32;
+                *end += segment.slots(row).len() as u32;
                 Some(*end)
             }));
             Arc::new(Segment::new(
                 rows.clone().map(|row| segment.timestamp(row)).collect(),
                 offsets.collect(),
-                rows.clone().flat_map(|row| segment.items(row)).copied().collect(),
                 rows.flat_map(|row| segment.slots(row)).map(|&slot| renumbered(slot)).collect(),
             ))
         })

@@ -96,16 +96,14 @@ impl CompressedIndex {
                 },
             );
         }
-        let sessions = 0..index.num_sessions() as SessionId;
-        let mut items_offsets = Vec::with_capacity(index.num_sessions() + 1);
-        items_offsets.push(0);
-        items_offsets.extend(sessions.clone().scan(0, |end, s| {
-            *end += index.session_items(s).len() as u32;
-            Some(*end)
-        }));
+        let (mut items_flat, mut items_offsets) = (Vec::new(), vec![0]);
+        for s in 0..index.num_sessions() as SessionId {
+            items_flat.extend(index.session_items(s).iter());
+            items_offsets.push(items_flat.len() as u32);
+        }
         Self {
             postings,
-            items_flat: sessions.flat_map(|s| index.session_items(s)).copied().collect(),
+            items_flat: items_flat.into(),
             items_offsets: items_offsets.into(),
             m_max: index.m_max(),
         }

@@ -14,10 +14,10 @@
 //! touched, so an epoch-bucketed cache that only invalidates touched items
 //! never serves a prediction whose neighbourhood has moved under it.
 
-use serenade_core::{FxHashSet, ItemId, SessionIndex, Timestamp};
+use serenade_core::{FxHashSet, ItemId, SessionIndex, SessionItems, Timestamp};
 
 /// The content signature of one posting session: `(timestamp, items)`.
-type SessionSig<'a> = (Timestamp, &'a [ItemId]);
+type SessionSig<'a> = (Timestamp, SessionItems<'a>);
 
 /// The dense-id-independent signature of an item's neighbourhood in `index`:
 /// its support and the content of its posting sessions, in posting order.

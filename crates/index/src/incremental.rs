@@ -12,7 +12,7 @@
 //! 2. locate the old ranks by `(timestamp, external id)` — the order dense
 //!    ids are assigned in — and take the first rank that changes, `cut`;
 //! 3. in one linear pass write the sessions of the new rank order from the
-//!    segment holding `cut` up — timestamps, items and the items' slots into
+//!    segment holding `cut` up — timestamps and the items' slots into
 //!    new [`Segment`]s, external ids and clicks into the indexer's own
 //!    columns — with the monotone old → new rank map of everything at or
 //!    above `cut`; every segment wholly below `cut` is handed on by pointer;
@@ -20,7 +20,7 @@
 //!    of items that occur in a session at or above `cut` (their entries
 //!    are renumbered ranks) or in a removed or inserted session (support
 //!    ±1, entries dropped and merged in). A truncated posting that loses an
-//!    entry refills by scanning older sessions for the item.
+//!    entry refills by scanning older sessions for the item's slot.
 //!
 //! Every other posting array and every other segment is the previous
 //! generation's, shared through its `Arc`: live traffic lands at the recent
@@ -40,8 +40,10 @@
 //!
 //! An item keeps the accumulator slot it has (`serenade_core::index`): a
 //! session copied into a new segment brings its slots along, and only an
-//! item the index has not seen is given one, the next. An item whose last
-//! session leaves strands its slot. Stranded slots cost a few bytes each in
+//! item the index has not seen is given one, the next — never a slot the
+//! table already holds, since the slots are the only record of a session's
+//! items. An item whose last session leaves strands its slot, and if it
+//! returns it is given a fresh one. Stranded slots cost a few bytes each in
 //! the kernel's per-slot tables; a merge that writes every segment anyway
 //! (`cut` = 0) numbers the live items afresh, and a merge that finds more
 //! than one stranded slot per [`DEAD_SLOT_SHARE`] live ones is made such a
@@ -266,7 +268,7 @@ impl IncrementalIndexer {
         // `(timestamp, item)` order.
         let runs = SessionRuns::group(seed, 1);
         let agrees = |rank: usize| {
-            let items = index.session_items(rank as SessionId).iter().copied();
+            let items = index.session_items(rank as SessionId).iter();
             runs.timestamp(rank) == index.session_timestamp(rank as SessionId)
                 && first_occurrences(runs.run(rank)).eq(items)
         };
@@ -479,28 +481,28 @@ impl IncrementalIndexer {
         let mut remap = vec![SessionId::MAX; n_old - base];
         let mut delta: FxHashMap<ItemId, (u32, Vec<SessionId>)> = FxHashMap::default();
         for &rank in removed {
-            for &item in old.session_items(rank) {
+            for item in old.session_items(rank).iter() {
                 delta.entry(item).or_default().0 += 1;
             }
         }
-        let items_of = |source: Source| match source {
-            Source::Old(rank) => old.session_items(rank as SessionId),
-            Source::New(k) => &pending[k].items[..],
+        let len_of = |source: Source| match source {
+            Source::Old(rank) => old.session_slots(rank as SessionId).len(),
+            Source::New(k) => pending[k].items.len(),
         };
         let mut session = base as SessionId;
         for chunk in order.chunks(SEGMENT_SESSIONS) {
             // Sized exactly: a segment is allocated once and never shrunk.
-            let entries = chunk.iter().map(|&(_, source)| items_of(source).len()).sum();
+            let entries = chunk.iter().map(|&(_, source)| len_of(source)).sum();
             let mut timestamps = Vec::with_capacity(chunk.len());
             let mut offsets = Vec::with_capacity(chunk.len() + 1);
-            let (mut items, mut slots) = (Vec::with_capacity(entries), Vec::with_capacity(entries));
+            let mut slots = Vec::with_capacity(entries);
             offsets.push(0);
             for &((timestamp, ext_id), source) in chunk {
-                items.extend_from_slice(items_of(source));
                 match source {
                     Source::Old(rank) => {
                         if renumber {
-                            slots.extend(items_of(source).iter().map(|&item| slot_of(item)));
+                            let items = old.session_items(rank as SessionId);
+                            slots.extend(items.iter().map(&mut slot_of));
                         } else {
                             slots.extend_from_slice(old.session_slots(rank as SessionId));
                         }
@@ -516,17 +518,12 @@ impl IncrementalIndexer {
                     }
                 }
                 timestamps.push(timestamp);
-                offsets.push(items.len() as u32);
+                offsets.push(slots.len() as u32);
                 ext_ids.push(ext_id);
                 log_off.push((log_base + log.len()) as u32);
                 session += 1;
             }
-            segments.push(Arc::new(Segment::new(
-                timestamps.into(),
-                offsets.into(),
-                items.into(),
-                slots.into(),
-            )));
+            segments.push(Arc::new(Segment::new(timestamps.into(), offsets.into(), slots.into())));
         }
         let n_new = base + order.len();
         if n_new.max(log_base + log.len()) > u32::MAX as usize {
@@ -534,8 +531,8 @@ impl IncrementalIndexer {
         }
         let new_key =
             |rank: usize| if rank < base { old_key(rank) } else { order[rank - base].0 };
-        let new_items =
-            |rank: usize| segments[rank / SEGMENT_SESSIONS].items(rank % SEGMENT_SESSIONS);
+        let slots_at =
+            |rank: usize| segments[rank / SEGMENT_SESSIONS].slots(rank % SEGMENT_SESSIONS);
         let new_rank =
             |old: SessionId| if (old as usize) < base { old } else { remap[old as usize - base] };
 
@@ -544,7 +541,7 @@ impl IncrementalIndexer {
         let touched: Vec<ItemId> = delta.keys().copied().collect();
         let mut rewrite: FxHashSet<ItemId> = touched.iter().copied().collect();
         for rank in cut..n_old {
-            rewrite.extend(old.session_items(rank as SessionId));
+            rewrite.extend(old.session_items(rank as SessionId).iter());
         }
         let m_max = old.m_max();
         let mut table = old_table.clone();
@@ -573,18 +570,18 @@ impl IncrementalIndexer {
             let gained = gained.into_iter().rev().filter(|&s| s as usize >= floor);
             let want = m_max.min(support as usize);
             let mut entries = merge_descending(kept, gained, want);
-            let mut rank = floor;
-            while entries.len() < want && rank > 0 {
-                rank -= 1;
-                if new_items(rank).contains(&item) {
-                    entries.push(rank as SessionId);
-                }
-            }
             let slot = new_slots
                 .get(&item)
                 .copied()
                 .or(was_slot)
                 .expect("an item is given its slot with the first session that lists it");
+            let mut rank = floor;
+            while entries.len() < want && rank > 0 {
+                rank -= 1;
+                if slots_at(rank).contains(&slot) {
+                    entries.push(rank as SessionId);
+                }
+            }
             table.insert(item, Posting { entries: entries.into(), support, slot });
             copied += 1;
         }
@@ -905,7 +902,8 @@ mod tests {
             let built = SessionIndex::build(&inc.retained_log(), m_max).unwrap();
             assert_same(&live, &built);
             let config = VmisConfig { m: m_max, ..VmisConfig::default() };
-            let newest = *live.session_items(live.num_sessions() as SessionId - 1).last().unwrap();
+            let last = live.num_sessions() as SessionId - 1;
+            let newest = live.session_items(last).iter().last().unwrap();
             assert_eq!(
                 VmisKnn::new(live, config.clone()).unwrap().recommend(&[newest]),
                 VmisKnn::new(built, config).unwrap().recommend(&[newest])

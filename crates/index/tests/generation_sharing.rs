@@ -371,3 +371,63 @@ fn retention_eating_into_the_oldest_segment_rewrites_every_segment() {
     assert_same(&g1, &reference, "after retention");
     assert_same(&g0, &SessionIndex::build(&two_click_log(2 * SEG + SEG / 2), M_MAX).unwrap(), "held");
 }
+
+/// Every slot a segment of `next` shared with `prev` holds names the same
+/// item in both generations: the slots are the only record of a session's
+/// items, so a shared segment reads the same items through either table.
+fn assert_shared_slots_stable(prev: &SessionIndex, next: &SessionIndex) {
+    for segment in &next.segments()[..shared_segments(prev, next)] {
+        for slot in (0..segment.len()).flat_map(|row| segment.slots(row)) {
+            let slot = *slot as usize;
+            assert_eq!(prev.slot_items()[slot], next.slot_items()[slot], "slot {slot}");
+        }
+    }
+}
+
+#[test]
+fn an_item_that_leaves_and_returns_takes_a_fresh_slot() {
+    const M_MAX: usize = 20;
+    const SEG: u64 = SEGMENT_SESSIONS as u64;
+    const ITEM: ItemId = 9_999;
+    let check = |inc: &IncrementalIndexer, what: &str| {
+        let generation = inc.snapshot().unwrap();
+        let log = inc.retained_log();
+        assert_same(&generation, &SessionIndex::build(&log, M_MAX).unwrap(), what);
+        (generation, log)
+    };
+    // Two full segments of lasting sessions, then the item arrives at the
+    // recent end...
+    let mut inc = IncrementalIndexer::new(M_MAX).unwrap();
+    inc.apply_batch(&two_click_log(2 * SEG)).unwrap();
+    let arrival = [Click::new(5 * SEG, ITEM, 10_000 * SEG), Click::new(5 * SEG, 3, 10_000 * SEG)];
+    inc.apply_batch(&arrival).unwrap();
+    let (g0, log0) = check(&inc, "the item arrives");
+    let first = g0.item_slot(ITEM).unwrap();
+
+    // ...leaves with its only session, stranding its slot...
+    assert!(inc.delete_session(5 * SEG).unwrap());
+    let (g1, _) = check(&inc, "the item leaves");
+    assert_eq!((g1.item_slot(ITEM), g1.dead_slots()), (None, 1));
+    assert_eq!(g1.slot_items()[first as usize], ITEM, "a stranded slot keeps its entry");
+    assert_shared_slots_stable(&g0, &g1);
+
+    // ...and returns in a later batch, beside an item that is new too: both
+    // are given slots past every one the table held, none is handed on.
+    inc.apply_batch(&[
+        Click::new(6 * SEG, 7, 20_000 * SEG),
+        Click::new(6 * SEG, ITEM, 20_000 * SEG),
+        Click::new(6 * SEG, ITEM + 1, 20_000 * SEG),
+    ])
+    .unwrap();
+    let (g2, _) = check(&inc, "the item returns");
+    let (again, new) = (g2.item_slot(ITEM).unwrap(), g2.item_slot(ITEM + 1).unwrap());
+    let held = g1.slot_items().len() as u32;
+    assert!(again >= held && new >= held && again != new, "{first} → {again}, {new}");
+    assert_eq!(g2.slot_items()[first as usize], ITEM);
+    assert_eq!(shared_segments(&g1, &g2), 2);
+    assert_shared_slots_stable(&g1, &g2);
+
+    // The generation that held the item first still reads it.
+    assert_same(&g0, &SessionIndex::build(&log0, M_MAX).unwrap(), "g0 after the return");
+    assert_eq!(g0.session_items((2 * SEG) as SessionId), &[3, ITEM]);
+}

@@ -218,10 +218,14 @@ mod tests {
         t.watch_index(&handle);
         let text = t.registry().render();
         // Item 7: two 4-byte entries behind a 16-byte Arc header; item 8: one,
-        // padded to the header's alignment. Two sessions of 8-byte
-        // timestamps. Three 4-byte slots in the one segment and a two-item
-        // slot table behind its Arc header; one 4-byte idf a slot.
+        // padded to the header's alignment. Three 4-byte offsets of two
+        // sessions, the one segment's three boxed columns behind its Arc
+        // header and the one-pointer segment table behind its own; two
+        // sessions of 8-byte timestamps. Three 4-byte slots — the session
+        // items themselves — in the one segment and a two-item slot table
+        // behind its Arc header; one 4-byte idf a slot.
         assert!(text.contains("serenade_index_bytes{structure=\"postings\"} 48"), "{text}");
+        assert!(text.contains("serenade_index_bytes{structure=\"session_items\"} 100"), "{text}");
         assert!(text.contains("serenade_index_bytes{structure=\"timestamps\"} 16"), "{text}");
         assert!(text.contains("serenade_index_bytes{structure=\"slots\"} 44"), "{text}");
         assert!(text.contains("serenade_index_bytes{structure=\"idf\"} 8"), "{text}");

@@ -63,7 +63,7 @@ proptest! {
         // Session item lists are deduplicated.
         for sid in 0..n as u32 {
             let items = index.session_items(sid);
-            let set: FxHashSet<ItemId> = items.iter().copied().collect();
+            let set: FxHashSet<ItemId> = items.iter().collect();
             prop_assert_eq!(set.len(), items.len());
         }
     }
