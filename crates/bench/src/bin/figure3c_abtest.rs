@@ -17,10 +17,10 @@
 use std::sync::Arc;
 
 use serenade_baselines::itemknn::{ItemKnn, ItemKnnConfig};
+use serenade_bench::absim::{run_ab_test, AbConfig, AbVariant, SessionView};
 use serenade_bench::{fmt_us, prepare, print_table, BenchArgs};
 use serenade_core::{SessionIndex, VmisConfig, VmisKnn};
 use serenade_dataset::SyntheticConfig;
-use serenade_serving::absim::{run_ab_test, AbConfig, AbVariant, SessionView};
 
 fn main() {
     let args = BenchArgs::from_env();

@@ -4,9 +4,12 @@
 //! `src/bin/`; see DESIGN.md §4 for the experiment index and EXPERIMENTS.md
 //! for paper-vs-measured results. This library holds the pieces they share:
 //! dataset preparation, CLI-ish argument handling (`--scale`, `--events`)
-//! and fixed-width table printing.
+//! and fixed-width table printing, plus [`absim`], the A/B-test simulator
+//! behind Figure 3(c).
 
 #![warn(missing_docs)]
+
+pub mod absim;
 
 use serenade_core::{Click, SessionIndex};
 use serenade_dataset::{generate, split_last_days, Dataset, EvaluationSplit, SyntheticConfig};

@@ -3,57 +3,19 @@
 //! The paper reports per-request prediction latencies as medians and high
 //! percentiles (p75 / p90 / p99.5 in Figures 3a–3c). This module provides a
 //! simple exact recorder (sorts on summary) — sample counts in our
-//! experiments are small enough that a sketch is unnecessary.
-//!
-//! For long-running callers (soak tests, the A/B simulator at scale) the
-//! recorder also offers a **bounded reservoir mode**
-//! ([`LatencyRecorder::with_max_samples`]): memory is capped at the
-//! reservoir size while `count` / `mean` / `min` / `max` stay exact and
-//! percentiles become a uniform-sample estimate. Production serving uses
-//! the `serenade-telemetry` log-linear histogram instead, which bounds the
-//! *relative error* of quantiles; the reservoir here bounds memory for
-//! offline tooling without changing the recorder's API.
+//! experiments are small enough that a sketch is unnecessary. Production
+//! serving uses the `serenade-telemetry` log-linear histogram instead.
 
 use std::time::Duration;
 
-/// Collects individual latency observations in microseconds.
-///
-/// Two modes:
-///
-/// * **Exact** (default): every observation is retained; `summary()` sorts
-///   and reads percentiles directly.
-/// * **Bounded reservoir** ([`Self::with_max_samples`]): at most `max`
-///   observations are retained via Algorithm R (each of the `n` observations
-///   seen so far has probability `max/n` of being in the reservoir).
-///   `count`, `mean`, `min` and `max` are still exact — they are tracked as
-///   running aggregates — while the other percentiles are estimated from
-///   the reservoir. The sampling RNG is seeded deterministically, so runs
-///   are reproducible.
-#[derive(Debug, Clone)]
+pub use serenade_telemetry::LatencySummary;
+
+/// Collects individual latency observations in microseconds; every
+/// observation is retained and `summary()` sorts and reads percentiles
+/// directly.
+#[derive(Debug, Clone, Default)]
 pub struct LatencyRecorder {
     samples_us: Vec<u64>,
-    /// Reservoir capacity; 0 means unbounded (exact mode).
-    max_samples: usize,
-    /// Total observations recorded, including ones not retained.
-    seen: u64,
-    sum_us: u128,
-    min_us: u64,
-    max_us: u64,
-    rng: u64,
-}
-
-impl Default for LatencyRecorder {
-    fn default() -> Self {
-        Self {
-            samples_us: Vec::new(),
-            max_samples: 0,
-            seen: 0,
-            sum_us: 0,
-            min_us: u64::MAX,
-            max_us: 0,
-            rng: 0x5E5E_ADE0_1A7E_4C3D,
-        }
-    }
 }
 
 impl LatencyRecorder {
@@ -64,20 +26,7 @@ impl LatencyRecorder {
 
     /// Creates a recorder preallocated for `n` samples.
     pub fn with_capacity(n: usize) -> Self {
-        Self { samples_us: Vec::with_capacity(n), ..Self::default() }
-    }
-
-    /// Creates a recorder in bounded reservoir mode: at most `max` samples
-    /// are kept, so memory is O(`max`) no matter how long the run.
-    /// `count` / `mean` / `min` / `max` remain exact; the percentiles in
-    /// [`Self::summary`] become estimates from a uniform random sample of
-    /// all observations.
-    ///
-    /// # Panics
-    /// If `max` is zero.
-    pub fn with_max_samples(max: usize) -> Self {
-        assert!(max > 0, "reservoir capacity must be positive");
-        Self { samples_us: Vec::with_capacity(max), max_samples: max, ..Self::default() }
+        Self { samples_us: Vec::with_capacity(n) }
     }
 
     /// Records one observation.
@@ -87,82 +36,27 @@ impl LatencyRecorder {
 
     /// Records one observation given in microseconds.
     pub fn record_us(&mut self, micros: u64) {
-        self.seen += 1;
-        self.sum_us += micros as u128;
-        self.min_us = self.min_us.min(micros);
-        self.max_us = self.max_us.max(micros);
-        self.offer_to_reservoir(micros);
+        self.samples_us.push(micros);
     }
 
-    /// Algorithm R step: retains `micros` with probability
-    /// `max_samples / seen` (always, in exact mode).
-    fn offer_to_reservoir(&mut self, micros: u64) {
-        if self.max_samples == 0 || self.samples_us.len() < self.max_samples {
-            self.samples_us.push(micros);
-        } else {
-            let j = (self.next_rand() % self.seen) as usize;
-            if j < self.max_samples {
-                self.samples_us[j] = micros;
-            }
-        }
-    }
-
-    /// SplitMix64 — deterministic, so bounded runs are reproducible.
-    fn next_rand(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Total number of observations recorded — in bounded mode this counts
-    /// every observation, including ones the reservoir no longer retains
-    /// (see [`Self::retained`]).
+    /// Number of observations recorded.
     pub fn len(&self) -> usize {
-        self.seen as usize
-    }
-
-    /// Number of samples currently held in memory (`== len()` in exact
-    /// mode, at most the reservoir capacity in bounded mode).
-    pub fn retained(&self) -> usize {
         self.samples_us.len()
     }
 
     /// `true` if nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.seen == 0
+        self.samples_us.is_empty()
     }
 
     /// Merges another recorder's samples into this one.
-    ///
-    /// Exact aggregates (`count`, `sum`, `min`, `max`) merge exactly in all
-    /// modes. For the percentile samples: if both recorders are exact the
-    /// sample sets concatenate (lossless); if either side is bounded, the
-    /// other recorder's *retained* samples are offered through this
-    /// recorder's reservoir — an approximation that slightly over-weights
-    /// the other side's recent history, which is fine for the offline
-    /// reports this recorder serves.
     pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.sum_us += other.sum_us;
-        self.min_us = self.min_us.min(other.min_us);
-        self.max_us = self.max_us.max(other.max_us);
-        if self.max_samples == 0 && other.max_samples == 0 {
-            self.samples_us.extend_from_slice(&other.samples_us);
-            self.seen += other.seen;
-        } else {
-            for &us in &other.samples_us {
-                self.seen += 1;
-                self.offer_to_reservoir(us);
-            }
-            // Observations `other` saw but no longer retains still count.
-            self.seen += other.seen - other.samples_us.len() as u64;
-        }
+        self.samples_us.extend_from_slice(&other.samples_us);
     }
 
     /// Computes the summary; `None` if no samples were recorded.
     pub fn summary(&self) -> Option<LatencySummary> {
-        if self.seen == 0 {
+        if self.samples_us.is_empty() {
             return None;
         }
         let mut sorted = self.samples_us.clone();
@@ -171,57 +65,18 @@ impl LatencyRecorder {
             let rank = (q * (sorted.len() - 1) as f64).round() as usize;
             sorted[rank]
         };
+        let sum_us: u128 = sorted.iter().map(|&us| us as u128).sum();
         Some(LatencySummary {
-            count: self.seen as usize,
-            mean_us: (self.sum_us / self.seen as u128) as u64,
-            min_us: self.min_us,
+            count: sorted.len(),
+            mean_us: (sum_us / sorted.len() as u128) as u64,
+            min_us: sorted[0],
             p50_us: pct(0.50),
             p75_us: pct(0.75),
             p90_us: pct(0.90),
             p99_us: pct(0.99),
             p995_us: pct(0.995),
-            max_us: self.max_us,
+            max_us: sorted[sorted.len() - 1],
         })
-    }
-}
-
-/// Percentile summary of a latency distribution, in microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencySummary {
-    /// Number of observations.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean_us: u64,
-    /// Minimum.
-    pub min_us: u64,
-    /// Median.
-    pub p50_us: u64,
-    /// 75th percentile.
-    pub p75_us: u64,
-    /// 90th percentile (the paper's headline SLA percentile).
-    pub p90_us: u64,
-    /// 99th percentile.
-    pub p99_us: u64,
-    /// 99.5th percentile (reported in Figures 3b/3c).
-    pub p995_us: u64,
-    /// Maximum.
-    pub max_us: u64,
-}
-
-impl std::fmt::Display for LatencySummary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "n={} mean={}us p50={}us p75={}us p90={}us p99={}us p99.5={}us max={}us",
-            self.count,
-            self.mean_us,
-            self.p50_us,
-            self.p75_us,
-            self.p90_us,
-            self.p99_us,
-            self.p995_us,
-            self.max_us
-        )
     }
 }
 
@@ -282,59 +137,6 @@ mod tests {
         assert!(s.p90_us <= s.p99_us);
         assert!(s.p99_us <= s.p995_us);
         assert!(s.p995_us <= s.max_us);
-    }
-
-    #[test]
-    fn bounded_reservoir_caps_memory_but_keeps_exact_aggregates() {
-        let mut r = LatencyRecorder::with_max_samples(200);
-        for us in 1..=50_000u64 {
-            r.record_us(us);
-        }
-        assert_eq!(r.len(), 50_000);
-        assert_eq!(r.retained(), 200);
-        let s = r.summary().unwrap();
-        // count / mean / min / max are exact regardless of the reservoir.
-        assert_eq!(s.count, 50_000);
-        assert_eq!(s.min_us, 1);
-        assert_eq!(s.max_us, 50_000);
-        assert_eq!(s.mean_us, 25_000);
-        // Percentiles estimate from a 200-point uniform sample; generous
-        // bounds (the RNG is seeded, so this is deterministic).
-        assert!((15_000..=35_000).contains(&s.p50_us), "p50 = {}", s.p50_us);
-        assert!((40_000..=50_000).contains(&s.p90_us), "p90 = {}", s.p90_us);
-        assert!(s.p50_us <= s.p75_us && s.p75_us <= s.p90_us);
-    }
-
-    #[test]
-    fn bounded_merge_keeps_exact_aggregates() {
-        let mut a = LatencyRecorder::with_max_samples(64);
-        let mut b = LatencyRecorder::with_max_samples(64);
-        for us in 1..=1_000u64 {
-            a.record_us(us);
-        }
-        for us in 5_000..=6_000u64 {
-            b.record_us(us);
-        }
-        a.merge(&b);
-        assert_eq!(a.len(), 2_001);
-        assert!(a.retained() <= 64);
-        let s = a.summary().unwrap();
-        assert_eq!(s.count, 2_001);
-        assert_eq!(s.min_us, 1);
-        assert_eq!(s.max_us, 6_000);
-    }
-
-    #[test]
-    fn exact_into_bounded_merge_flows_through_the_reservoir() {
-        let mut bounded = LatencyRecorder::with_max_samples(32);
-        let mut exact = LatencyRecorder::new();
-        for us in 1..=500u64 {
-            exact.record_us(us);
-        }
-        bounded.merge(&exact);
-        assert_eq!(bounded.len(), 500);
-        assert_eq!(bounded.retained(), 32);
-        assert_eq!(bounded.summary().unwrap().max_us, 500);
     }
 
     #[test]

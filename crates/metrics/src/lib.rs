@@ -9,8 +9,8 @@
 //!
 //! * [`ranking`] — per-event metric computations.
 //! * [`harness`] — sequential and multi-threaded evaluation drivers.
-//! * [`latency`] — latency recording and percentile summaries (used by the
-//!   microbenchmarks and the serving load tests).
+//! * [`latency`] — exact latency recording for the microbenchmarks and the
+//!   A/B simulator, summarised in `serenade-telemetry`'s `LatencySummary`.
 
 #![warn(missing_docs)]
 

@@ -40,12 +40,6 @@
 //!   incremental bounded parser, a per-connection state machine, admission
 //!   control with `503 + Retry-After` shedding, deadline budgets and a
 //!   graceful drain protocol (model-checked with loom);
-//! * [`loadgen`] — an open-loop load generator replaying session traffic at
-//!   a target request rate with a seedable, reproducible schedule, recording
-//!   latency percentiles and worker busy-time and optionally scraping
-//!   server-side percentiles from `/metrics` (Figure 3b);
-//! * [`absim`] — a discrete-event A/B-test simulator with a diurnal traffic
-//!   curve and an engagement model (Figure 3c, Section 5.2.3);
 //! * [`stats`] — per-pod request/latency statistics, exposed at `GET /stats`;
 //! * [`telemetry`] — the cluster-wide observability hub: Prometheus metric
 //!   registry (`GET /metrics`), request-id source and slow-request trace
@@ -53,7 +47,6 @@
 
 #![warn(missing_docs)]
 
-pub mod absim;
 pub mod cache;
 pub mod cluster;
 pub mod context;
@@ -62,7 +55,6 @@ pub mod error;
 pub mod handle;
 pub mod ingest;
 pub mod json;
-pub mod loadgen;
 pub mod node;
 pub mod router;
 pub mod routerd;

@@ -169,14 +169,6 @@ impl ServerMetrics {
         self.batch_size.record_us((size as u64).saturating_mul(1_000_000));
     }
 
-    /// Total sheds across reasons (for tests and the overload report).
-    pub fn shed_total(&self) -> u64 {
-        self.shed_queue_full.get()
-            + self.shed_inflight.get()
-            + self.shed_draining.get()
-            + self.shed_connections.get()
-    }
-
     /// Registers every counter/histogram into `registry` under the
     /// `serenade_http_*` names. The registry shares the live handles.
     pub fn register_into(&self, registry: &Registry) {
@@ -289,7 +281,6 @@ mod tests {
         m.rejects.inc();
         m.record_state(ConnState::Handling, Duration::from_micros(250));
         m.record_batch_size(8);
-        assert_eq!(m.shed_total(), 5);
         let text = registry.render();
         assert!(text.contains("serenade_http_connections_total 1"), "{text}");
         assert!(text.contains("serenade_http_shed_total{reason=\"queue_full\"} 1"), "{text}");

@@ -80,7 +80,7 @@ use super::parser::{ParsedRequest, Parser, ParserLimits, Poll};
 use super::worker::run_predicts;
 use super::Shared;
 
-pub(crate) use sys::{dial, raise_nofile_limit, Poller, Waker};
+pub(crate) use sys::{dial, Poller, Waker};
 
 /// Poller token reserved for the listening socket.
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
@@ -122,7 +122,6 @@ mod sys {
     const SYS_SOCKET: i64 = 41;
     const SYS_CONNECT: i64 = 42;
     const SYS_EVENTFD2: i64 = 290;
-    const SYS_PRLIMIT64: i64 = 302;
 
     const EPOLL_CLOEXEC: i64 = 0x80000;
     const EPOLL_CTL_ADD: i64 = 1;
@@ -427,51 +426,6 @@ mod sys {
         }
         Ok(stream)
     }
-
-    const RLIMIT_NOFILE: i64 = 7;
-
-    #[repr(C)]
-    struct Rlimit64 {
-        cur: u64,
-        max: u64,
-    }
-
-    /// Best-effort raise of `RLIMIT_NOFILE` toward `target`; returns the
-    /// soft limit actually in effect afterwards. Raising the hard limit
-    /// needs `CAP_SYS_RESOURCE`, so an unprivileged process settles for its
-    /// existing hard cap. Used by the connection-ramp load generator to
-    /// budget client sockets.
-    pub(crate) fn raise_nofile_limit(target: u64) -> u64 {
-        let mut old = Rlimit64 { cur: 0, max: 0 };
-        // SAFETY: pid 0 = self; `old` is a valid writable rlimit64 and the
-        // new-limit pointer is null (get-only call).
-        let got = unsafe {
-            syscall4(SYS_PRLIMIT64, 0, RLIMIT_NOFILE, 0, &mut old as *mut Rlimit64 as i64)
-        };
-        if got < 0 {
-            return 1024;
-        }
-        if old.cur >= target {
-            return old.cur;
-        }
-        let want = Rlimit64 { cur: target.max(old.cur), max: old.max.max(target) };
-        // SAFETY: pid 0 = self; `want` is a valid rlimit64 the kernel only
-        // reads; the old-limit pointer is null.
-        let set = unsafe {
-            syscall4(SYS_PRLIMIT64, 0, RLIMIT_NOFILE, &want as *const Rlimit64 as i64, 0)
-        };
-        if set < 0 {
-            // Could not raise the hard cap: settle for soft = old hard.
-            let fallback = Rlimit64 { cur: old.max, max: old.max };
-            // SAFETY: as above — `fallback` is a valid rlimit64, read-only
-            // to the kernel, old-limit pointer null.
-            let _ = unsafe {
-                syscall4(SYS_PRLIMIT64, 0, RLIMIT_NOFILE, &fallback as *const Rlimit64 as i64, 0)
-            };
-            return old.max;
-        }
-        want.cur
-    }
 }
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
@@ -598,12 +552,6 @@ mod sys {
             }
             Ok(())
         }
-    }
-
-    /// Fallback: no rlimit syscalls without the Linux backend; report a
-    /// conservative POSIX default so callers budget pessimistically.
-    pub(crate) fn raise_nofile_limit(_target: u64) -> u64 {
-        1024
     }
 
     /// Fallback dial: std has no non-blocking connect, so this one waits —
@@ -1840,11 +1788,5 @@ mod tests {
             }
         }
         panic!("listener readiness never reported: {events:?}");
-    }
-
-    #[test]
-    fn raise_nofile_limit_reports_a_sane_value() {
-        let limit = raise_nofile_limit(1 << 14);
-        assert!(limit >= 256, "implausible fd limit {limit}");
     }
 }

@@ -24,8 +24,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use serenade_metrics::LatencySummary;
-use serenade_telemetry::{Counter, Histogram, HistogramConfig, HistogramSnapshot, Registry};
+use serenade_telemetry::{Counter, Histogram, HistogramConfig, LatencySummary, Registry};
 
 use crate::context::StageTimings;
 
@@ -101,25 +100,6 @@ pub struct StatsSnapshot {
     pub policy_latency: Option<LatencySummary>,
 }
 
-/// Converts a histogram snapshot into the `LatencySummary` shape the
-/// `/stats` JSON and the benchmark dashboards already consume.
-fn summary(snap: &HistogramSnapshot) -> Option<LatencySummary> {
-    if snap.is_empty() {
-        return None;
-    }
-    Some(LatencySummary {
-        count: snap.count as usize,
-        mean_us: snap.mean_us(),
-        min_us: snap.min_us,
-        p50_us: snap.quantile_us(0.50),
-        p75_us: snap.quantile_us(0.75),
-        p90_us: snap.quantile_us(0.90),
-        p99_us: snap.quantile_us(0.99),
-        p995_us: snap.quantile_us(0.995),
-        max_us: snap.max_us,
-    })
-}
-
 impl ServingStats {
     /// Creates zeroed statistics.
     pub fn new() -> Self {
@@ -164,10 +144,10 @@ impl ServingStats {
             empty_responses: self.empty_responses.get(),
             errors: self.errors.get(),
             busy: Duration::from_nanos(self.busy_ns.get()),
-            latency: summary(&self.total.snapshot()),
-            session_latency: summary(&self.session.snapshot()),
-            predict_latency: summary(&self.predict.snapshot()),
-            policy_latency: summary(&self.policy.snapshot()),
+            latency: self.total.snapshot().summary(),
+            session_latency: self.session.snapshot().summary(),
+            predict_latency: self.predict.snapshot().summary(),
+            policy_latency: self.policy.snapshot().summary(),
         }
     }
 

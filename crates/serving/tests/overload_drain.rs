@@ -333,6 +333,14 @@ fn drain_reaps_many_parked_idle_connections_immediately() {
         assert!(Instant::now() < deadline, "connections never all registered");
         std::thread::yield_now();
     }
+    // The parked fleet stays live: every served connection is woken and
+    // answered again, round after round, and none of them is closed.
+    for _ in 0..2 {
+        for c in &mut served {
+            assert_eq!(post_recommend(c).0, 200);
+        }
+    }
+    assert_eq!(server.open_connections(), 32, "the served fleet must not churn");
 
     let t0 = Instant::now();
     server.shutdown();

@@ -299,6 +299,65 @@ impl HistogramSnapshot {
         self.min_us = self.min_us.min(other.min_us);
         self.max_us = self.max_us.max(other.max_us);
     }
+
+    /// The percentile summary `GET /stats` reports; `None` when empty.
+    pub fn summary(&self) -> Option<LatencySummary> {
+        if self.is_empty() {
+            return None;
+        }
+        Some(LatencySummary {
+            count: self.count as usize,
+            mean_us: self.mean_us(),
+            min_us: self.min_us,
+            p50_us: self.quantile_us(0.50),
+            p75_us: self.quantile_us(0.75),
+            p90_us: self.quantile_us(0.90),
+            p99_us: self.quantile_us(0.99),
+            p995_us: self.quantile_us(0.995),
+            max_us: self.max_us,
+        })
+    }
+}
+
+/// Percentile summary of a latency distribution, in microseconds — the one
+/// shape both this histogram and `serenade-metrics`' exact recorder report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LatencySummary {
+    /// Number of observations.
+    pub count: usize,
+    /// Arithmetic mean.
+    pub mean_us: u64,
+    /// Minimum.
+    pub min_us: u64,
+    /// Median.
+    pub p50_us: u64,
+    /// 75th percentile.
+    pub p75_us: u64,
+    /// 90th percentile (the paper's headline SLA percentile).
+    pub p90_us: u64,
+    /// 99th percentile.
+    pub p99_us: u64,
+    /// 99.5th percentile (reported in Figures 3b/3c).
+    pub p995_us: u64,
+    /// Maximum.
+    pub max_us: u64,
+}
+
+impl std::fmt::Display for LatencySummary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "n={} mean={}us p50={}us p75={}us p90={}us p99={}us p99.5={}us max={}us",
+            self.count,
+            self.mean_us,
+            self.p50_us,
+            self.p75_us,
+            self.p90_us,
+            self.p99_us,
+            self.p995_us,
+            self.max_us
+        )
+    }
 }
 
 #[cfg(all(test, not(feature = "loom")))]

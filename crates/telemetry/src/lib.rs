@@ -12,9 +12,8 @@
 //! * [`trace`] — a lock-striped ring buffer of recent slow-request traces
 //!   (per-stage timings, session length, depersonalised flag) behind
 //!   sampling and threshold knobs, for `GET /debug/slow`.
-//! * [`promtext`] — an exposition parser so load generators can scrape
-//!   `/metrics` and report server-side percentiles next to client-side
-//!   ones, and so tests can verify conformance.
+//! * [`promtext`] — an exposition parser, so tests can verify conformance
+//!   and read server-side percentiles back from `/metrics`.
 //!
 //! The crate is dependency-free; `--features loom` swaps the atomics for
 //! the deterministic model-checker shims via the [`sync`] facade.
@@ -27,7 +26,9 @@ pub mod registry;
 pub mod sync;
 pub mod trace;
 
-pub use histogram::{Histogram, HistogramConfig, HistogramSnapshot, REL_ERROR_BOUND};
+pub use histogram::{
+    Histogram, HistogramConfig, HistogramSnapshot, LatencySummary, REL_ERROR_BOUND,
+};
 pub use promtext::{parse, Exposition, ParsedSample, ScrapedHistogram};
 pub use registry::{Counter, Gauge, Registry};
 pub use trace::{TraceConfig, TraceRing, TraceSample};

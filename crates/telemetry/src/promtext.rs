@@ -1,11 +1,11 @@
 //! Parser for the Prometheus text exposition format (version 0.0.4).
 //!
-//! Two consumers: the `/metrics` HTTP conformance test, which parses the
-//! server's output and [`Exposition::validate`]s it (typed families, unique
-//! series, monotone cumulative buckets, `+Inf` == `_count`); and
-//! `loadgen`/`bench`, which scrape `/metrics` before and after a run and
-//! reconstruct **server-side** latency percentiles from the cumulative
-//! bucket counts to print next to the client-observed ones.
+//! Its consumers are the `/metrics` conformance tests, which parse the
+//! server's output and [`Exposition::validate`] it (typed families, unique
+//! series, monotone cumulative buckets, `+Inf` == `_count`) and read
+//! **server-side** latency percentiles back from the cumulative bucket
+//! counts ([`ScrapedHistogram::delta`] isolates what happened between two
+//! scrapes).
 //!
 //! Reconstruction is exact at the histogram's native bucket granularity:
 //! the renderer emits both edges of every non-empty bucket, so a scraped

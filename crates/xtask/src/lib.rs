@@ -19,7 +19,7 @@
 //! * **R3 facade-only-sync** — modules ported to the `sync` facade must not
 //!   import `std::sync::atomic`, `std::thread`, or `parking_lot` directly
 //!   (normal builds re-export them; `--features loom` swaps in the shim).
-//! * **R4 no-sleep** — `thread::sleep` only in the load generator and tests.
+//! * **R4 no-sleep** — `thread::sleep` only in tests.
 //! * **R5 shim-wiring** — every directory in `shims/` must be wired into
 //!   the workspace by a `path` dependency, keyed by its package name, and
 //!   documented in `shims/README.md`.
@@ -141,11 +141,6 @@ const FACADE_MODULES: &[&str] = &[
     "crates/serving/src/ingest/epoch.rs",
 ];
 
-/// Files allowed to call `thread::sleep` (R4): open-loop load generation
-/// needs pacing by design. Everything else on a worker thread is latency
-/// poison and must use condition variables or channels.
-const SLEEP_ALLOWED: &[&str] = &["crates/serving/src/loadgen.rs"];
-
 const PANIC_NEEDLES: &[&str] =
     &[".unwrap()", ".expect(", "panic!(", "unreachable!(", "todo!(", "unimplemented!("];
 
@@ -197,7 +192,6 @@ pub fn scan_file(relpath: &str, content: &str) -> Vec<Violation> {
     let is_test_file = relpath.contains("/tests/") || relpath.starts_with("tests/");
     let request_path = REQUEST_PATH_MODULES.contains(&relpath);
     let facade = FACADE_MODULES.contains(&relpath);
-    let sleep_ok = SLEEP_ALLOWED.contains(&relpath) || is_test_file;
     let record_path = RECORD_PATH_MODULES.contains(&relpath);
 
     let mut lexer = Lexer::default();
@@ -376,15 +370,12 @@ pub fn scan_file(relpath: &str, content: &str) -> Vec<Violation> {
         }
 
         // R4: no sleeping on worker threads.
-        if !sleep_ok && !in_test && code.contains("::sleep(") {
+        if !is_test_file && !in_test && code.contains("::sleep(") {
             violations.push(Violation {
                 file: relpath.to_string(),
                 line: lineno,
                 rule: "no-sleep",
-                message: String::from(
-                    "`thread::sleep` outside the load generator and tests; use channels \
-                     or condvars",
-                ),
+                message: String::from("`thread::sleep` outside tests; use channels or condvars"),
             });
         }
 
@@ -708,7 +699,7 @@ mod tests {
     #[test]
     fn non_request_path_unwrap_is_fine() {
         let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        assert!(lint("crates/serving/src/absim.rs", src).is_empty());
+        assert!(lint("crates/bench/src/absim.rs", src).is_empty());
     }
 
     #[test]
@@ -746,12 +737,12 @@ mod tests {
     }
 
     #[test]
-    fn sleep_outside_loadgen_is_flagged() {
+    fn sleep_in_serving_is_flagged() {
         let src = "fn f() { std::thread::sleep(std::time::Duration::from_millis(1)); }\n";
         let v = lint("crates/serving/src/router.rs", src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "no-sleep");
-        assert!(lint("crates/serving/src/loadgen.rs", src).is_empty());
+        assert!(lint("crates/serving/tests/overload_drain.rs", src).is_empty());
     }
 
     #[test]

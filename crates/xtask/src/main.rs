@@ -42,7 +42,6 @@ fn main() -> ExitCode {
 const BENCH_GATES: &[(&str, &str, &str)] = &[
     ("heap_arity", "BENCH_heap.json", "octonary replace-root p50 (>10% fails)"),
     ("server_batch", "BENCH_server.json", "coalesced-batch speedup + p99 (>10% fails)"),
-    ("cluster_scale", "BENCH_cluster.json", "4-node rate floor + p99 (>2x fails)"),
 ];
 
 fn bench_check() -> ExitCode {

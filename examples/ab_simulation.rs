@@ -7,9 +7,9 @@
 use std::sync::Arc;
 
 use serenade_baselines::itemknn::{ItemKnn, ItemKnnConfig};
+use serenade_bench::absim::{run_ab_test, AbConfig, AbVariant, SessionView};
 use serenade_core::{SessionIndex, VmisConfig, VmisKnn};
 use serenade_dataset::{generate, split_last_days, SyntheticConfig};
-use serenade_serving::absim::{run_ab_test, AbConfig, AbVariant, SessionView};
 
 fn main() {
     let dataset = generate(&SyntheticConfig::ecom_1m().scaled(0.05));
