@@ -7,9 +7,10 @@
 //!   maps and first materialises the `m` most recent matching sessions
 //!   before computing similarities. Produces *identical* neighbourhoods to
 //!   VMIS-kNN (the test suite verifies this), just slower.
-//! * [`vmis_noopt`] — **VMIS-kNN-no-opt**: the index-based algorithm without
-//!   the micro-optimisations (binary instead of octonary heaps, no early
-//!   stopping).
+//! * [`vmis_noopt`] — **VMIS-kNN-no-opt**: the index-based algorithm with
+//!   early stopping off. The paper's no-opt variant also swaps octonary for
+//!   binary heaps; the kernel's heap has one fixed arity here (DESIGN.md
+//!   §3).
 //! * [`itemknn`] — item-to-item collaborative filtering, the **legacy**
 //!   production system of the A/B test (Section 5.2.3).
 //! * [`popularity`] — the popularity baseline.
@@ -38,15 +39,13 @@ pub use vsknn::VsKnnBaseline;
 use serenade_core::{CoreError, SessionIndex, VmisConfig, VmisKnn};
 use std::sync::Arc;
 
-/// Constructs **VMIS-kNN-no-opt**: the same index-based algorithm but with
-/// binary heaps and early stopping disabled (Section 5.1.3).
+/// Constructs **VMIS-kNN-no-opt**: the same index-based algorithm with
+/// early stopping disabled (Section 5.1.3, less its binary heaps).
 pub fn vmis_noopt(
     index: impl Into<Arc<SessionIndex>>,
-    mut config: VmisConfig,
+    config: VmisConfig,
 ) -> Result<VmisKnn, CoreError> {
-    config.early_stopping = false;
-    config.heap_arity = serenade_core::HeapArity::Binary;
-    VmisKnn::new(index, config)
+    VmisKnn::new(index, VmisConfig { early_stopping: false, ..config })
 }
 
 #[cfg(test)]
@@ -60,6 +59,5 @@ mod tests {
         let index = SessionIndex::build(&clicks, 500).unwrap();
         let v = vmis_noopt(index, VmisConfig::default()).unwrap();
         assert!(!v.config().early_stopping);
-        assert_eq!(v.config().heap_arity, serenade_core::HeapArity::Binary);
     }
 }

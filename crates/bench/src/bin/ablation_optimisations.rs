@@ -1,10 +1,9 @@
 //! **A1** — ablation of VMIS-kNN's design choices.
 //!
-//! DESIGN.md calls out four micro-design decisions of Section 3; this
-//! ablation isolates each on the ecom-1m analogue:
+//! This ablation isolates three micro-design decisions of Section 3 on the
+//! ecom-1m analogue:
 //!
 //! * early stopping on the recency-sorted posting lists,
-//! * heap arity (binary / quaternary / octonary / 16-ary),
 //! * the simplified idf weighting (`log` vs VS-kNN's `1+log` vs none),
 //! * the dropped `1/|s|` normalisation (ranking-neutral, so it must not
 //!   change quality, only cost a multiply).
@@ -18,7 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use serenade_bench::{prepare, print_table, BenchArgs};
-use serenade_core::{HeapArity, IdfWeighting, SessionIndex, VmisConfig, VmisKnn};
+use serenade_core::{IdfWeighting, SessionIndex, VmisConfig, VmisKnn};
 use serenade_dataset::{Session, SyntheticConfig};
 use serenade_metrics::{evaluate, EvalConfig};
 
@@ -63,11 +62,8 @@ fn main() {
         c
     };
     let variants: Vec<(&str, VmisConfig)> = vec![
-        ("baseline (octonary, early-stop, log idf)", base.clone()),
+        ("baseline (early-stop, log idf)", base.clone()),
         ("no early stopping", VmisConfig { early_stopping: false, ..base.clone() }),
-        ("binary heaps", VmisConfig { heap_arity: HeapArity::Binary, ..base.clone() }),
-        ("quaternary heaps", VmisConfig { heap_arity: HeapArity::Quaternary, ..base.clone() }),
-        ("16-ary heaps", VmisConfig { heap_arity: HeapArity::Sedenary, ..base.clone() }),
         ("idf: 1+log (VS-kNN)", VmisConfig { idf: IdfWeighting::OnePlusLog, ..base.clone() }),
         ("idf: none", VmisConfig { idf: IdfWeighting::None, ..base.clone() }),
         (
@@ -96,7 +92,7 @@ fn main() {
     }
     print_table(&["variant", "neighbour us/op", "MRR@20", "Prec@20"], &rows);
     println!(
-        "\nExpected: early stopping and wider heaps change latency, never quality\n\
+        "\nExpected: early stopping changes latency, never quality\n\
          (identical neighbourhoods — property-tested); idf variants trade quality;\n\
          1/|s| normalisation is ranking-neutral (identical MRR/Prec)."
     );

@@ -6,7 +6,9 @@
 //! `m ∈ {100, 250, 500, 1000}`, with six threads and ten repetitions, and
 //! reports mean runtimes. Expected shape: both VMIS variants beat the scan
 //! baseline 3–5×, and the micro-optimisations (early stopping + octonary
-//! heaps) win another 6–12%.
+//! heaps) win another 6–12%. Our no-opt variant differs from VMIS-kNN only
+//! in early stopping (the kernel's heap has one fixed arity, DESIGN.md §3),
+//! so "opt gain" here is early stopping's alone.
 //!
 //! Run: `cargo run -p serenade-bench --release --bin figure3a_micro [--quick]`
 
@@ -114,6 +116,7 @@ fn main() {
     );
     println!(
         "\nPaper (Fig. 3a bottom): VMIS variants beat VS-kNN 3-5x at every m;\n\
-         early stopping + octonary heaps add another 6-12% over no-opt."
+         early stopping + octonary heaps add another 6-12% over no-opt.\n\
+         Here no-opt only turns early stopping off: \"opt gain\" is early stopping's alone."
     );
 }

@@ -1,89 +1,30 @@
-//! **X1 (§7 future work)** — compressed-index queries and incremental
-//! maintenance.
+//! **X1 (§7 future work)** — incremental index maintenance.
 //!
 //! Section 7 proposes (i) running the similarity computation on a compressed
-//! index and (ii) maintaining the index incrementally. Both are implemented
-//! in `serenade-index`; this binary quantifies them:
-//!
-//! * query latency of the varint-compressed index vs the plain one (same
-//!   outputs, verified by the test suite);
-//! * incremental batch folding vs full rebuild per batch.
+//! index and (ii) maintaining the index incrementally. `serenade-index`
+//! implements the second (the first was measured and dropped, EXPERIMENTS.md
+//! X1); this binary times incremental batch folding against a full rebuild
+//! per batch.
 //!
 //! Run: `cargo run -p serenade-bench --release --bin future_work_index [--quick]`
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use serenade_bench::{fmt_us, prepare, print_table, BenchArgs};
-use serenade_core::{Click, SessionIndex, VmisConfig, VmisKnn};
+use serenade_bench::{prepare, print_table, BenchArgs};
+use serenade_core::{Click, SessionIndex};
 use serenade_dataset::SyntheticConfig;
-use serenade_index::{CompressedIndex, IncrementalIndexer};
-use serenade_metrics::LatencyRecorder;
+use serenade_index::IncrementalIndexer;
 
 fn main() {
     let args = BenchArgs::from_env();
     let config = SyntheticConfig::ecom_60m().scaled(0.5 * args.scale);
     let (_, split) = prepare(&config);
-    let index = Arc::new(SessionIndex::build(&split.train, 1_000).unwrap());
-    let mut cfg = VmisConfig::default();
-    cfg.m = 1_000;
-    cfg.k = 100;
     println!(
         "§7 future work on {} ({} train clicks)\n",
         config.name,
         split.train.len()
     );
 
-    // ---- Compressed-index queries. ---------------------------------------
-    let vmis = VmisKnn::new(Arc::clone(&index), cfg.clone()).unwrap();
-    let compressed = CompressedIndex::from_index(&index);
-    let mut plain = LatencyRecorder::new();
-    let mut comp = LatencyRecorder::new();
-    let mut scratch = vmis.scratch();
-    let cap = args.max_events;
-    let mut n = 0usize;
-    'outer: for s in &split.test {
-        for t in 1..=s.items.len() {
-            let prefix = &s.items[..t];
-            let t0 = Instant::now();
-            std::hint::black_box(vmis.recommend_with_scratch(prefix, &mut scratch));
-            plain.record(t0.elapsed());
-            let t0 = Instant::now();
-            std::hint::black_box(compressed.recommend(prefix, &cfg).unwrap());
-            comp.record(t0.elapsed());
-            n += 1;
-            if n >= cap {
-                break 'outer;
-            }
-        }
-    }
-    let p = plain.summary().unwrap();
-    let c = comp.summary().unwrap();
-    let raw_bytes = index.stats().posting_entries * std::mem::size_of::<u32>();
-    print_table(
-        &["index", "posting bytes", "query p50", "query p90"],
-        &[
-            vec![
-                "plain".into(),
-                raw_bytes.to_string(),
-                fmt_us(p.p50_us),
-                fmt_us(p.p90_us),
-            ],
-            vec![
-                "varint-compressed".into(),
-                compressed.posting_bytes().to_string(),
-                fmt_us(c.p50_us),
-                fmt_us(c.p90_us),
-            ],
-        ],
-    );
-    println!(
-        "compression {:.2}x, query slowdown p50 {:.2}x\n",
-        raw_bytes as f64 / compressed.posting_bytes() as f64,
-        c.p50_us as f64 / p.p50_us.max(1) as f64
-    );
-
-    // ---- Incremental maintenance. ----------------------------------------
     // Split the training log into daily batches by timestamp.
     let mut clicks = split.train.clone();
     clicks.sort_unstable_by_key(|c| c.timestamp);
@@ -135,8 +76,5 @@ fn main() {
         "incremental speedup over rebuild-per-batch: {:.1}x",
         rebuild_time.as_secs_f64() / inc_time.as_secs_f64().max(1e-9)
     );
-    println!(
-        "\nExpected: modest query overhead on the compressed index for a multiple of\n\
-         space saved; incremental folding beats daily full rebuilds by a growing factor."
-    );
+    println!("\nExpected: incremental folding beats daily full rebuilds by a growing factor.");
 }

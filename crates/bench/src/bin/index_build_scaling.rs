@@ -1,12 +1,12 @@
-//! **§4.2 / §7 (M2)** — offline index generation: thread scaling, artefact
-//! size, compression ratio.
+//! **§4.2 / §7 (M2)** — offline index generation: thread scaling and
+//! artefact size.
 //!
 //! The paper builds its index with a daily Spark job (40 minutes on 75
 //! n1-highmem-8 machines over 2.3B interactions) and ships ~13 GB of index
 //! to each pod. The in-process analogue is the counting build behind
 //! `serenade_index::build_parallel` (workers take ranges of sessions, then
 //! ranges of items); this binary measures its scaling across worker
-//! threads and the serialised/compressed artefact sizes.
+//! threads and the in-memory and serialised index sizes.
 //!
 //! Run: `cargo run -p serenade-bench --release --bin index_build_scaling [--quick]`
 
@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use serenade_bench::{prepare, print_table, BenchArgs};
 use serenade_dataset::SyntheticConfig;
-use serenade_index::{build_parallel, write_index, BuilderConfig, CompressedIndex};
+use serenade_index::{build_parallel, write_index, BuilderConfig};
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -65,8 +65,7 @@ fn main() {
     let stats = index.stats();
     let mut artefact = Vec::new();
     write_index(&index, &mut artefact).unwrap();
-    let compressed = CompressedIndex::from_index(&index);
-    let raw_posting_bytes = stats.posting_entries * std::mem::size_of::<u32>();
+    let posting_bytes = stats.posting_entries * std::mem::size_of::<u32>();
 
     println!("\nfootprint:");
     print_table(
@@ -74,16 +73,11 @@ fn main() {
         &[
             vec!["in-memory index".into(), index.bytes().total().to_string()],
             vec!["serialised artefact".into(), artefact.len().to_string()],
-            vec!["posting lists raw".into(), raw_posting_bytes.to_string()],
-            vec!["posting lists varint".into(), compressed.posting_bytes().to_string()],
-            vec![
-                "compression ratio".into(),
-                format!("{:.2}x", raw_posting_bytes as f64 / compressed.posting_bytes() as f64),
-            ],
+            vec!["posting lists".into(), posting_bytes.to_string()],
         ],
     );
     println!(
         "\nPaper (§4.2/§7): daily data-parallel build; near-linear scaling with workers is\n\
-         the property under reproduction, plus a worthwhile compression ratio for §7."
+         the property under reproduction."
     );
 }

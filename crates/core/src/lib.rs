@@ -42,7 +42,8 @@
 //! * [`hash`] — an FxHash-style fast hasher used for all hot-path hash maps.
 //! * [`candidates`] — the bounded open-addressing candidate table of the
 //!   online computation.
-//! * [`heap`] — d-ary min-heaps (the paper's "octonary heap" micro-optimisation).
+//! * [`heap`] — the kernel's octonary min-heap (the paper's §3
+//!   micro-optimisation, at a fixed arity).
 //! * [`weights`] — the decay function π, the match weight λ and idf weighting.
 //! * [`sessions`] — grouping a click log into ranked, time-ordered sessions
 //!   by counting: the first step of the index build and of every other
@@ -70,5 +71,5 @@ pub use sessions::SessionRuns;
 pub use hash::{FxHashMap, FxHashSet};
 pub use index::{IndexBytes, IndexStats, Posting, SessionIndex, SessionItems};
 pub use types::{Click, ItemId, ItemScore, SessionId, Timestamp};
-pub use vmis::{BatchScratch, HeapArity, KernelWork, Scratch, VmisConfig, VmisKnn};
+pub use vmis::{BatchScratch, KernelWork, Scratch, VmisConfig, VmisKnn};
 pub use weights::{DecayFunction, IdfWeighting, MatchWeight};

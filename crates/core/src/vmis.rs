@@ -34,40 +34,10 @@ use serde::{Deserialize, Serialize};
 use crate::candidates::{Candidate, CandidateTable};
 use crate::error::CoreError;
 use crate::hash::FxHasher;
-use crate::heap::RuntimeDaryHeap;
+use crate::heap::DaryHeap;
 use crate::index::SessionIndex;
 use crate::types::{ItemId, ItemScore, SessionId};
 use crate::weights::{DecayFunction, IdfWeighting, MatchWeight};
-
-/// Arity of the heaps used by the online computation.
-///
-/// The paper leverages octonary heaps (d = 8) instead of binary heaps as a
-/// micro-optimisation: flatter trees mean cheaper insertions, which dominate
-/// this workload. The `A1` ablation benchmark sweeps this knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HeapArity {
-    /// Classic binary heap (d = 2).
-    Binary,
-    /// Quaternary heap (d = 4).
-    Quaternary,
-    /// Octonary heap (d = 8) — the paper's default.
-    Octonary,
-    /// 16-ary heap.
-    Sedenary,
-}
-
-impl HeapArity {
-    /// Number of children per node.
-    #[inline]
-    pub fn d(self) -> usize {
-        match self {
-            HeapArity::Binary => 2,
-            HeapArity::Quaternary => 4,
-            HeapArity::Octonary => 8,
-            HeapArity::Sedenary => 16,
-        }
-    }
-}
 
 /// Hyperparameters and implementation knobs of VMIS-kNN.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,8 +64,6 @@ pub struct VmisConfig {
     pub normalize_by_session_length: bool,
     /// Early stopping on the recency-sorted posting lists (Section 3).
     pub early_stopping: bool,
-    /// Heap arity for `b_t` and `N_s`.
-    pub heap_arity: HeapArity,
     /// Remove items that already occur in the evolving session from the
     /// recommendation list (typically desired when serving product pages).
     pub exclude_session_items: bool,
@@ -105,7 +73,7 @@ impl Default for VmisConfig {
     /// Paper-flavoured defaults: `m = 500`, `k = 100`, 21 recommendations,
     /// session cap 9 (keeps the paper's λ non-zero across the window),
     /// linear decay, the paper's linear match weight, `log(|H|/h_i)` idf,
-    /// early stopping on, octonary heaps.
+    /// early stopping on.
     fn default() -> Self {
         Self {
             m: 500,
@@ -117,23 +85,17 @@ impl Default for VmisConfig {
             idf: IdfWeighting::Log,
             normalize_by_session_length: false,
             early_stopping: true,
-            heap_arity: HeapArity::Octonary,
             exclude_session_items: false,
         }
     }
 }
 
 impl VmisConfig {
-    /// Validates the configuration against an index.
+    /// Validates the configuration against an index: every count positive,
+    /// `m` within the index's posting capacity `m_max`. [`VmisKnn::new`] and
+    /// the baselines that share its config call this, so they accept and
+    /// reject exactly the same configs.
     pub fn validate(&self, index: &SessionIndex) -> Result<(), CoreError> {
-        self.validate_with_m_max(index.m_max())
-    }
-
-    /// Validates the configuration against a posting capacity `m_max` without
-    /// a materialised [`SessionIndex`]. Every query path — [`VmisKnn::new`],
-    /// the compressed index, the incremental snapshots — routes through this
-    /// helper so all of them accept and reject exactly the same configs.
-    pub fn validate_with_m_max(&self, m_max: usize) -> Result<(), CoreError> {
         fn positive(name: &'static str, v: usize) -> Result<(), CoreError> {
             if v == 0 {
                 Err(CoreError::InvalidConfig {
@@ -148,6 +110,7 @@ impl VmisConfig {
         positive("k", self.k)?;
         positive("how_many", self.how_many)?;
         positive("max_session_len", self.max_session_len)?;
+        let m_max = index.m_max();
         if self.m > m_max {
             return Err(CoreError::InvalidConfig {
                 parameter: "m",
@@ -210,10 +173,10 @@ pub struct Scratch {
     table: CandidateTable,
     /// Min-heap `b_t` over the ids (the recency keys) of the candidates;
     /// built only once the table is full and an eviction has to be decided.
-    bt: RuntimeDaryHeap<SessionId, ()>,
+    bt: DaryHeap<SessionId, ()>,
     /// Min-heap `N_s` over (similarity, id) → dense candidate index, used
     /// only when there are more than `k` candidates.
-    topk: RuntimeDaryHeap<(f32, SessionId), u32>,
+    topk: DaryHeap<(f32, SessionId), u32>,
     /// The neighbours as `session << 32 | dense candidate index`, sorted —
     /// the canonical (ascending session id) scoring order.
     order: Vec<u64>,
@@ -243,11 +206,10 @@ impl Scratch {
     /// by the *index* (one cell per distinct item), which a config cannot
     /// know — it grows to the recommender's slot count on first use.
     pub fn for_config(config: &VmisConfig) -> Self {
-        let d = config.heap_arity.d();
         Self {
             table: CandidateTable::with_capacity(config.m),
-            bt: RuntimeDaryHeap::with_arity_and_capacity(d, config.m),
-            topk: RuntimeDaryHeap::with_arity_and_capacity(d, config.k),
+            bt: DaryHeap::with_capacity(config.m),
+            topk: DaryHeap::with_capacity(config.k),
             order: Vec::with_capacity(config.k),
             excluded: Vec::new(),
             acc: Vec::new(),
@@ -939,29 +901,16 @@ mod tests {
 
     #[test]
     fn early_stopping_does_not_change_results() {
-        let mut with = VmisConfig::default();
-        with.m = 2;
-        with.early_stopping = true;
-        let mut without = with.clone();
-        without.early_stopping = false;
-
-        let v_with = knn(with);
-        let v_without = knn(without);
-        for session in [&[1u64, 2] as &[u64], &[2, 3], &[4], &[5, 1, 3]] {
-            let a = v_with.recommend(session);
-            let b = v_without.recommend(session);
-            assert_eq!(a, b, "session {session:?}");
-        }
-    }
-
-    #[test]
-    fn heap_arity_does_not_change_results() {
-        let base = VmisConfig::default();
-        let reference = knn(base.clone()).recommend(&[1, 2, 3]);
-        for arity in [HeapArity::Binary, HeapArity::Quaternary, HeapArity::Sedenary] {
-            let mut cfg = base.clone();
-            cfg.heap_arity = arity;
-            assert_eq!(knn(cfg).recommend(&[1, 2, 3]), reference, "{arity:?}");
+        for m in [2, 500] {
+            let with = VmisConfig { m, early_stopping: true, ..VmisConfig::default() };
+            let without = VmisConfig { early_stopping: false, ..with.clone() };
+            let v_with = knn(with);
+            let v_without = knn(without);
+            for session in [&[1u64, 2] as &[u64], &[2, 3], &[4], &[5, 1, 3], &[1, 2, 3]] {
+                let a = v_with.recommend(session);
+                let b = v_without.recommend(session);
+                assert_eq!(a, b, "m {m}, session {session:?}");
+            }
         }
     }
 
@@ -1200,12 +1149,12 @@ mod edge_tests {
     fn scratch_pool_sizes_follow_config() {
         let clicks = vec![Click::new(1, 1, 10), Click::new(1, 2, 11)];
         let index = SessionIndex::build(&clicks, 500).unwrap();
-        let mut cfg = VmisConfig::default();
-        cfg.heap_arity = HeapArity::Quaternary;
+        let cfg = VmisConfig { m: 1, k: 1, ..VmisConfig::default() };
         let v = VmisKnn::new(index, cfg).unwrap();
-        let scratch = v.scratch();
-        // Indirect check: the scratch works for this config.
-        let mut scratch = scratch;
-        let _ = v.recommend_with_scratch(&[1], &mut scratch);
+        // Indirect check: scratch sized for this config works for it, and
+        // default-sized scratch answers the same.
+        let mut scratch = v.scratch();
+        let sized = v.recommend_with_scratch(&[1], &mut scratch);
+        assert_eq!(sized, v.recommend_with_scratch(&[1], &mut Scratch::new()));
     }
 }

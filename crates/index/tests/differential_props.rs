@@ -1,9 +1,10 @@
-//! Randomized differential testing of the three VMIS-kNN execution paths.
+//! Randomized differential testing of three VMIS-kNN execution paths.
 //!
 //! The hand-built fixtures in the unit suites pin down specific behaviours;
-//! this suite closes the gap the satellite task calls out: over *random*
-//! click logs and configs, the core [`VmisKnn`] kernel, the bitpacked
-//! [`CompressedIndex::recommend`] path, and a recommender running on an
+//! this suite samples *random* click logs and configs: the core [`VmisKnn`]
+//! kernel, [`AllocHeavyVmis`] (an independently written kernel — `std`
+//! binary heaps and hash maps, no shared code with `core::candidates` or
+//! `core::heap`), and the core kernel over an
 //! [`IncrementalIndexer::snapshot`] must produce bit-identical output — the
 //! same guarantee DESIGN.md states for the fixture tests, now sampled from
 //! a much larger input space (shrinking gives a minimal counterexample on
@@ -11,8 +12,9 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use serenade_core::{Click, SessionIndex, VmisConfig, VmisKnn};
-use serenade_index::{CompressedIndex, IncrementalIndexer};
+use serenade_baselines::analogues::AllocHeavyVmis;
+use serenade_core::{Click, Recommender, SessionIndex, VmisConfig, VmisKnn};
+use serenade_index::IncrementalIndexer;
 
 /// Random click logs: small id spaces force collisions (shared items across
 /// sessions, duplicate items within a session, timestamp ties).
@@ -72,17 +74,17 @@ proptest! {
         let m_max = config.m.max(4);
         let index = SessionIndex::build(&clicks, m_max).expect("non-empty log");
         let core = VmisKnn::new(index.clone(), config.clone()).expect("valid config");
-        let compressed = CompressedIndex::from_index(&index);
+        let independent = AllocHeavyVmis::new(index.clone(), config.clone()).expect("valid config");
         let inc = incremental_over(&clicks, &splits, m_max);
         let inc_core = VmisKnn::new(inc.snapshot().expect("non-empty"), config.clone())
             .expect("valid config");
 
         for session in &sessions {
             let reference = core.recommend(session);
-            let via_compressed = compressed.recommend(session, &config).expect("valid config");
+            let via_independent = independent.recommend(session, config.how_many);
             prop_assert_eq!(
-                &reference, &via_compressed,
-                "compressed path diverged on session {:?}", session
+                &reference, &via_independent,
+                "independent kernel diverged on session {:?}", session
             );
             let via_incremental = inc_core.recommend(session);
             prop_assert_eq!(

@@ -4,8 +4,7 @@
 //! server's output and [`Exposition::validate`] it (typed families, unique
 //! series, monotone cumulative buckets, `+Inf` == `_count`) and read
 //! **server-side** latency percentiles back from the cumulative bucket
-//! counts ([`ScrapedHistogram::delta`] isolates what happened between two
-//! scrapes).
+//! counts.
 //!
 //! Reconstruction is exact at the histogram's native bucket granularity:
 //! the renderer emits both edges of every non-empty bucket, so a scraped
@@ -266,40 +265,6 @@ pub struct ScrapedHistogram {
 }
 
 impl ScrapedHistogram {
-    /// Counts and sums minus `before`'s — the distribution observed
-    /// *between* two scrapes. Bounds absent from one side contribute their
-    /// step-interpolated cumulative value, which is exact for sparse
-    /// renderings of the same underlying histogram.
-    pub fn delta(&self, before: &ScrapedHistogram) -> ScrapedHistogram {
-        let step = |bounds: &[(f64, f64)], b: f64| {
-            bounds
-                .iter()
-                .rev()
-                .find(|&&(le, _)| le <= b)
-                .map(|&(_, c)| c)
-                .unwrap_or(0.0)
-        };
-        let mut all: Vec<f64> = self
-            .bounds
-            .iter()
-            .chain(before.bounds.iter())
-            .map(|&(le, _)| le)
-            .collect();
-        all.sort_by(|a, b| a.total_cmp(b));
-        all.dedup();
-        let bounds = all
-            .into_iter()
-            .map(|b| {
-                (b, (step(&self.bounds, b) - step(&before.bounds, b)).max(0.0))
-            })
-            .collect();
-        ScrapedHistogram {
-            bounds,
-            count: (self.count - before.count).max(0.0),
-            sum_seconds: self.sum_seconds - before.sum_seconds,
-        }
-    }
-
     /// Quantile estimate in microseconds, using the same rank convention as
     /// the server (`round(q × (n − 1))`) and the midpoint of the bracketing
     /// rendered bounds — the native bucket midpoint for sparse renderings.
@@ -548,24 +513,23 @@ h_count 5
     }
 
     #[test]
-    fn merged_series_and_deltas_reconstruct_quantiles() {
+    fn merged_series_reconstruct_quantiles() {
         let registry = Registry::new();
         let a = registry.histogram("lat_seconds", "L.", &[("pod", "0")], HistogramConfig::default());
         let b = registry.histogram("lat_seconds", "L.", &[("pod", "1")], HistogramConfig::default());
         for v in 1..=1_000u64 {
             a.record_us(v);
         }
-        let before = parse(&registry.render()).unwrap().histogram("lat_seconds", &[]).unwrap();
         for v in 1_001..=2_000u64 {
             b.record_us(v);
         }
-        let after = parse(&registry.render()).unwrap().histogram("lat_seconds", &[]).unwrap();
-        assert_eq!(after.count, 2_000.0);
-        // The delta isolates the second batch, recorded on the other pod.
-        let delta = after.delta(&before);
-        assert_eq!(delta.count, 1_000.0);
-        let mid = delta.quantile_us(0.5) as f64;
-        assert!((mid - 1_500.0).abs() <= 1_500.0 * REL_ERROR_BOUND + 1.0, "{mid}");
+        // Both pods' series merge into one distribution.
+        let merged = parse(&registry.render()).unwrap().histogram("lat_seconds", &[]).unwrap();
+        assert_eq!(merged.count, 2_000.0);
+        let mid = merged.quantile_us(0.5) as f64;
+        assert!((mid - 1_000.0).abs() <= 1_000.0 * REL_ERROR_BOUND + 1.0, "{mid}");
+        let p90 = merged.quantile_us(0.9) as f64;
+        assert!((p90 - 1_800.0).abs() <= 1_800.0 * REL_ERROR_BOUND + 1.0, "{p90}");
     }
 
     #[test]

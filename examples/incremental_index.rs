@@ -1,12 +1,12 @@
 //! Index lifecycle beyond the daily batch job (Section 7 future work):
 //! incremental maintenance of the index as click batches arrive, plus the
-//! serialised artefact and the varint-compressed query path.
+//! serialised artefact.
 //!
 //! Run: `cargo run -p serenade-bench --release --example incremental_index`
 
-use serenade_core::{SessionIndex, VmisConfig};
+use serenade_core::SessionIndex;
 use serenade_dataset::{generate, SyntheticConfig};
-use serenade_index::{read_index, write_index, CompressedIndex, IncrementalIndexer};
+use serenade_index::{read_index, write_index, IncrementalIndexer};
 
 fn main() {
     let dataset = generate(&SyntheticConfig::tiny());
@@ -44,16 +44,4 @@ fn main() {
         artefact.len(),
         loaded.stats().posting_entries
     );
-
-    // Query the compressed representation directly.
-    let compressed = CompressedIndex::from_index(&loaded);
-    let raw_bytes = loaded.stats().posting_entries * std::mem::size_of::<u32>();
-    println!(
-        "compressed postings: {} bytes ({:.2}x smaller)",
-        compressed.posting_bytes(),
-        raw_bytes as f64 / compressed.posting_bytes() as f64
-    );
-    let some_item = loaded.items().next().expect("items exist");
-    let recs = compressed.recommend(&[some_item], &VmisConfig::default()).expect("valid");
-    println!("compressed-index recommendations for item {some_item}: {} items", recs.len());
 }

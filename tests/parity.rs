@@ -13,7 +13,6 @@ use serenade_baselines::analogues::{
 use serenade_baselines::{vmis_noopt, VsKnnBaseline};
 use serenade_core::{ItemId, Recommender, SessionIndex, VmisConfig, VmisKnn};
 use serenade_dataset::{generate, split_last_days, SyntheticConfig};
-use serenade_index::CompressedIndex;
 
 struct Fixture {
     index: Arc<SessionIndex>,
@@ -88,19 +87,6 @@ fn pandas_sql_and_alloc_analogues_are_bit_identical() {
 }
 
 #[test]
-fn compressed_index_is_bit_identical() {
-    let f = fixture();
-    let compressed = CompressedIndex::from_index(&f.index);
-    for s in &f.sessions {
-        assert_eq!(
-            compressed.recommend(s, &f.config).unwrap(),
-            Recommender::recommend(&f.vmis, s, 21),
-            "session {s:?}"
-        );
-    }
-}
-
-#[test]
 fn incremental_analogue_is_bit_identical() {
     let f = fixture();
     let incr = IncrementalVmis::new(Arc::clone(&f.index), f.config.clone()).unwrap();
@@ -110,26 +96,5 @@ fn incremental_analogue_is_bit_identical() {
             Recommender::recommend(&f.vmis, s, 21),
             "session {s:?}"
         );
-    }
-}
-
-#[test]
-fn heap_arity_and_early_stopping_never_change_results() {
-    let f = fixture();
-    use serenade_core::HeapArity;
-    for arity in [HeapArity::Binary, HeapArity::Quaternary, HeapArity::Sedenary] {
-        for early in [true, false] {
-            let mut cfg = f.config.clone();
-            cfg.heap_arity = arity;
-            cfg.early_stopping = early;
-            let variant = VmisKnn::new(Arc::clone(&f.index), cfg).unwrap();
-            for s in f.sessions.iter().step_by(5) {
-                assert_eq!(
-                    Recommender::recommend(&variant, s, 21),
-                    Recommender::recommend(&f.vmis, s, 21),
-                    "{arity:?}/early={early} on {s:?}"
-                );
-            }
-        }
     }
 }
