@@ -6,7 +6,8 @@
 //! to each pod. The in-process analogue is the counting build behind
 //! `serenade_index::build_parallel` (workers take ranges of sessions, then
 //! ranges of items); this binary measures its scaling across worker
-//! threads and the in-memory and serialised index sizes.
+//! threads, the in-memory and serialised index sizes, and the time to write
+//! the artefact and to load it back.
 //!
 //! Run: `cargo run -p serenade-bench --release --bin index_build_scaling [--quick]`
 
@@ -14,7 +15,7 @@ use std::time::Instant;
 
 use serenade_bench::{prepare, print_table, BenchArgs};
 use serenade_dataset::SyntheticConfig;
-use serenade_index::{build_parallel, write_index, BuilderConfig};
+use serenade_index::{build_parallel, read_index, write_index, BuilderConfig};
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -64,16 +65,24 @@ fn main() {
     .unwrap();
     let stats = index.stats();
     let mut artefact = Vec::new();
+    let t0 = Instant::now();
     write_index(&index, &mut artefact).unwrap();
+    let write_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let t0 = Instant::now();
+    let loaded = read_index(&artefact).unwrap();
+    let load_ms = t0.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(loaded.stats(), stats, "the artefact loads back");
     let posting_bytes = stats.posting_entries * std::mem::size_of::<u32>();
 
     println!("\nfootprint:");
     print_table(
-        &["structure", "bytes"],
+        &["structure", "bytes / ms"],
         &[
             vec!["in-memory index".into(), index.bytes().total().to_string()],
             vec!["serialised artefact".into(), artefact.len().to_string()],
             vec!["posting lists".into(), posting_bytes.to_string()],
+            vec!["write ms".into(), format!("{write_ms:.1}")],
+            vec!["load ms".into(), format!("{load_ms:.1}")],
         ],
     );
     println!(

@@ -80,9 +80,8 @@ pub struct Posting {
     /// `h_i`: number of historical sessions containing the item (before
     /// truncation to `m_max`).
     pub support: u32,
-    /// The item's accumulator slot (see the module docs). Producers that
-    /// hand a posting table to [`SessionIndex::from_parts`] leave it 0: the
-    /// index assigns it.
+    /// The item's accumulator slot (see the module docs).
+    /// [`SessionIndex::from_parts`] checks it against the slot table.
     pub slot: u32,
 }
 
@@ -227,6 +226,12 @@ impl Segment {
     pub fn slots(&self, row: usize) -> &[u32] {
         &self.slots[self.offsets[row] as usize..self.offsets[row + 1] as usize]
     }
+
+    /// The slot column: the slots of every row, row after row.
+    #[inline]
+    pub fn slot_column(&self) -> &[u32] {
+        &self.slots
+    }
 }
 
 /// The items of one historical session, read through its slots: a borrowed
@@ -296,8 +301,8 @@ pub trait SessionColumns {
     /// CSR offset of `session <= num_sessions()`: its items are the entries
     /// `offset(session)..offset(session + 1)`.
     fn offset(&self, session: usize) -> u32;
-    /// Item of `entry < num_entries()`.
-    fn item(&self, entry: usize) -> ItemId;
+    /// Accumulator slot of the item of `entry < num_entries()`.
+    fn slot(&self, entry: usize) -> u32;
 }
 
 /// The prebuilt `(M, t)` index over historical sessions. Cloning is a
@@ -326,23 +331,26 @@ impl SessionIndex {
     }
 
     /// Assembles an index from pre-built parts (an artefact being loaded),
-    /// validating all structural invariants, numbering
-    /// the items' accumulator slots in ascending id order and laying the
-    /// columns out in segments.
+    /// validating all structural invariants and laying the columns out in
+    /// segments.
     ///
     /// The offsets of `columns` must start at 0, be monotone and end at its
     /// number of entries. Its timestamps must be non-decreasing in the dense
     /// id — the invariant that makes the id the recency key, and with it the
     /// whole kernel order. Posting lists must be strictly descending valid
-    /// session ids, no longer than `m_max` and no longer than their support;
-    /// their `slot` is overwritten.
+    /// session ids, no longer than `m_max` and no longer than their support.
+    /// Slots are numbered as a built index numbers them: `slot_items` is
+    /// strictly ascending, every slot has the posting of its item and every
+    /// posting names its slot, and every slot in `columns` is below
+    /// `slot_items.len()`.
     ///
     /// # Errors
     ///
     /// [`CoreError::CorruptIndex`] describing the first violated invariant.
     pub fn from_parts(
-        mut postings: FxHashMap<ItemId, Posting>,
+        postings: FxHashMap<ItemId, Posting>,
         columns: &impl SessionColumns,
+        slot_items: Arc<[ItemId]>,
         m_max: usize,
     ) -> Result<Self, CoreError> {
         let n = columns.num_sessions();
@@ -360,43 +368,45 @@ impl SessionIndex {
         }
         check_recency(n, |s| columns.timestamp(s))?;
         check_postings(&postings, n, m_max)?;
-
-        let mut by_id: Vec<ItemId> = postings.keys().copied().collect();
-        by_id.sort_unstable();
-        for (slot, item) in by_id.iter().enumerate() {
-            postings.get_mut(item).expect("listed from the table").slot = slot as u32;
+        if let Some(slot) = (1..slot_items.len()).find(|&s| slot_items[s - 1] >= slot_items[s]) {
+            return Err(CoreError::CorruptIndex(format!(
+                "slot table not strictly ascending at slot {slot}"
+            )));
         }
-        // Into its `Arc` now: the copy this makes is gone again before the
-        // columns, the bulk of the index, are laid out.
-        let mut slot_items: Arc<[ItemId]> = by_id.into();
+        if postings.len() != slot_items.len() {
+            return Err(CoreError::CorruptIndex(format!(
+                "{} postings for {} slots",
+                postings.len(),
+                slot_items.len()
+            )));
+        }
+        if let Some((item, posting)) =
+            postings.iter().find(|(item, p)| slot_items.get(p.slot as usize) != Some(item))
+        {
+            return Err(CoreError::CorruptIndex(format!(
+                "posting of item {item} names slot {}, which is not its item's",
+                posting.slot
+            )));
+        }
 
-        // Only a hand-assembled index lists a session item that has no
-        // posting. Such items need slots too; they follow the others.
-        let mut orphans: Vec<ItemId> = Vec::new();
-        let mut orphan_slots: FxHashMap<ItemId, u32> = FxHashMap::default();
         let mut segments = Vec::with_capacity(n.div_ceil(SEGMENT_SESSIONS));
         for lo in (0..n).step_by(SEGMENT_SESSIONS) {
             let hi = n.min(lo + SEGMENT_SESSIONS);
             let base = columns.offset(lo);
             // Exact-size iterators collect straight into the segment's arrays.
-            let slots = (base as usize..columns.offset(hi) as usize)
-                .map(|entry| columns.item(entry))
-                .map(|item| match postings.get(&item) {
-                    Some(posting) => posting.slot,
-                    None => *orphan_slots.entry(item).or_insert_with(|| {
-                        orphans.push(item);
-                        (slot_items.len() + orphans.len() - 1) as u32
-                    }),
-                })
-                .collect();
+            let slots: Box<[u32]> =
+                (base as usize..columns.offset(hi) as usize).map(|e| columns.slot(e)).collect();
+            if let Some(slot) = slots.iter().find(|&&slot| slot as usize >= slot_items.len()) {
+                return Err(CoreError::CorruptIndex(format!(
+                    "session item slot {slot} is not below the slot count {}",
+                    slot_items.len()
+                )));
+            }
             segments.push(Arc::new(Segment::new(
                 (lo..hi).map(|s| columns.timestamp(s)).collect(),
                 (lo..=hi).map(|s| columns.offset(s) - base).collect(),
                 slots,
             )));
-        }
-        if !orphans.is_empty() {
-            slot_items = slot_items.iter().copied().chain(orphans).collect();
         }
         Ok(Self::from_generation(postings, segments.into(), slot_items, m_max))
     }
@@ -463,9 +473,7 @@ impl SessionIndex {
     }
 
     /// Slots no item holds any more: their items have left the index since
-    /// slots were last numbered. (A hand-assembled index's posting-less
-    /// session items hold slots without counting as items; there this
-    /// over-reports.)
+    /// slots were last numbered.
     pub fn dead_slots(&self) -> usize {
         self.slot_items.len() - self.postings.len()
     }
@@ -568,7 +576,7 @@ impl SessionIndex {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
 
     /// Small deterministic click log: three sessions with increasing
@@ -586,35 +594,38 @@ pub(crate) mod tests {
     }
 
     /// An index taken apart into the flat parts a producer would hold.
-    pub(crate) struct Parts {
-        pub(crate) postings: FxHashMap<ItemId, Posting>,
+    struct Parts {
+        postings: FxHashMap<ItemId, Posting>,
         timestamps: Vec<Timestamp>,
         offsets: Vec<u32>,
-        items: Vec<ItemId>,
+        slots: Vec<u32>,
+        slot_items: Vec<ItemId>,
         m_max: usize,
     }
 
     impl Parts {
-        pub(crate) fn of(index: &SessionIndex) -> Self {
+        fn of(index: &SessionIndex) -> Self {
             let sessions = 0..index.num_sessions() as SessionId;
             let mut offsets = vec![0];
-            let mut items = Vec::new();
+            let mut slots = Vec::new();
             for s in sessions.clone() {
-                items.extend(index.session_items(s).iter());
-                offsets.push(items.len() as u32);
+                slots.extend_from_slice(index.session_slots(s));
+                offsets.push(slots.len() as u32);
             }
             Self {
                 postings: index.posting_table().clone(),
                 timestamps: sessions.map(|s| index.session_timestamp(s)).collect(),
                 offsets,
-                items,
+                slots,
+                slot_items: index.slot_items().to_vec(),
                 m_max: index.m_max(),
             }
         }
 
-        pub(crate) fn assemble(mut self) -> Result<SessionIndex, CoreError> {
+        fn assemble(mut self) -> Result<SessionIndex, CoreError> {
             let postings = std::mem::take(&mut self.postings);
-            SessionIndex::from_parts(postings, &self, self.m_max)
+            let slot_items = self.slot_items[..].into();
+            SessionIndex::from_parts(postings, &self, slot_items, self.m_max)
         }
     }
 
@@ -624,7 +635,7 @@ pub(crate) mod tests {
         }
 
         fn num_entries(&self) -> usize {
-            self.items.len()
+            self.slots.len()
         }
 
         fn timestamp(&self, session: usize) -> Timestamp {
@@ -635,8 +646,8 @@ pub(crate) mod tests {
             self.offsets[session]
         }
 
-        fn item(&self, entry: usize) -> ItemId {
-            self.items[entry]
+        fn slot(&self, entry: usize) -> u32 {
+            self.slots[entry]
         }
     }
 
@@ -798,17 +809,28 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn slots_are_numbered_by_item_id_and_posting_less_items_follow() {
+    fn slots_are_numbered_by_item_id_and_from_parts_checks_every_slot() {
         let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
         assert_eq!(&idx.slot_items()[..], &[1, 2, 3]);
         assert_eq!((idx.item_slot(3), idx.session_slots(1)), (Some(2), &[1, 2][..]));
         assert_eq!(idx.dead_slots(), 0);
-        // Hand-assembled: item 1 is listed by two sessions but has no posting.
-        let mut parts = Parts::of(&idx);
-        parts.postings.remove(&1);
-        let idx = parts.assemble().unwrap();
-        assert_eq!(&idx.slot_items()[..], &[2, 3, 1]);
-        assert_eq!((idx.session_slots(0), idx.session_slots(2)), (&[2, 0][..], &[2, 1][..]));
+        let rejection = |edit: fn(&mut Parts)| {
+            let mut parts = Parts::of(&idx);
+            edit(&mut parts);
+            match parts.assemble() {
+                Err(CoreError::CorruptIndex(reason)) => reason,
+                other => panic!("expected a rejection, got {other:?}"),
+            }
+        };
+        let reason = rejection(|p| p.slot_items.swap(0, 1));
+        assert!(reason.contains("slot table not strictly ascending at slot 1"), "{reason}");
+        let reason = rejection(|p| p.slots[3] = 3);
+        assert!(reason.contains("slot 3 is not below the slot count 3"), "{reason}");
+        // Item 1 is listed by two sessions but has no posting.
+        let reason = rejection(|p| drop(p.postings.remove(&1)));
+        assert!(reason.contains("2 postings for 3 slots"), "{reason}");
+        let reason = rejection(|p| p.postings.get_mut(&3).unwrap().slot = 0);
+        assert!(reason.contains("item 3 names slot 0"), "{reason}");
     }
 
     #[test]

@@ -961,9 +961,11 @@ mod tests {
     fn session_item_without_posting_weighs_one() {
         // Item 5 occurs only in session D = {2, 4, 5}; drop its posting the
         // way only a hand-assembled index can.
-        let mut parts = crate::index::tests::Parts::of(&SessionIndex::build(&history(), 500).unwrap());
-        parts.postings.remove(&5);
-        let index = parts.assemble().unwrap();
+        let built = SessionIndex::build(&history(), 500).unwrap();
+        let mut postings = built.posting_table().clone();
+        postings.remove(&5);
+        let (segments, slot_items) = (built.segments().into(), built.slot_items().clone());
+        let index = SessionIndex::from_generation(postings, segments, slot_items, built.m_max());
         let recs = VmisKnn::new(index, VmisConfig::default()).unwrap().recommend(&[2]);
         // λ(1, 1) · r_D · idf = 0.9 · 1 · 1.
         let five = recs.iter().find(|r| r.item == 5).expect("item 5 is scored");

@@ -625,6 +625,16 @@ mod tests {
         let rejection = ctrl.load_index(&corrupt).unwrap().unwrap_err();
         assert!(rejection.contains("rejected"), "{rejection}");
         assert_eq!(ctrl.ping().unwrap(), 2, "old generation keeps serving");
+
+        // An artefact framed as format version 2 is refused by its version.
+        let mut v2 = artifact.clone();
+        let trailer = v2.len() - 24;
+        for magic in [0, trailer] {
+            v2[magic + 6] = 2;
+        }
+        let rejection = ctrl.load_index(&v2).unwrap().unwrap_err();
+        assert!(rejection.contains("version 2"), "{rejection}");
+        assert_eq!(ctrl.ping().unwrap(), 2, "old generation keeps serving");
         node.shutdown();
     }
 

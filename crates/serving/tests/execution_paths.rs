@@ -295,7 +295,7 @@ fn flood(addr: SocketAddr, frames: usize, expect: &str) -> usize {
         "POST /recommend HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n{body}",
         body.len()
     );
-    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    let stream = std::net::TcpStream::connect(addr).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let writing = std::thread::spawn(move || {
