@@ -23,8 +23,8 @@
 //! `scripts/check.sh` SLA gate. Timings use best-of-round minima and
 //! p99-over-rounds, which are stable under scheduler noise.
 //!
-//! Not a criterion bench: the in-tree criterion shim emits no JSON and this
-//! harness needs a machine-readable artefact plus hard assertions.
+//! A plain binary (`harness = false`): it needs a machine-readable artefact
+//! plus hard assertions.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -26,9 +26,9 @@ use serenade_dataset::{Session, SyntheticConfig};
 fn run_vmis(vmis: &VmisKnn, sessions: &[Session], threads: usize) -> f64 {
     let next = AtomicUsize::new(0);
     let t0 = Instant::now();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 let mut scratch = vmis.scratch();
                 loop {
                     // ORDERING: work-stealing ticket counter, partner: none.
@@ -38,25 +38,23 @@ fn run_vmis(vmis: &VmisKnn, sessions: &[Session], threads: usize) -> f64 {
                 }
             });
         }
-    })
-    .expect("scope");
+    });
     t0.elapsed().as_micros() as f64 / sessions.len() as f64
 }
 
 fn run_vsknn(vs: &VsKnnBaseline, sessions: &[Session], threads: usize) -> f64 {
     let next = AtomicUsize::new(0);
     let t0 = Instant::now();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 // ORDERING: work-stealing ticket counter, partner: none.
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(s) = sessions.get(i) else { break };
                 std::hint::black_box(vs.neighbors(&s.items));
             });
         }
-    })
-    .expect("scope");
+    });
     t0.elapsed().as_micros() as f64 / sessions.len() as f64
 }
 

@@ -72,15 +72,19 @@ fn main() {
     let loaded = read_index(&artefact).unwrap();
     let load_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert_eq!(loaded.stats(), stats, "the artefact loads back");
-    let posting_bytes = stats.posting_entries * std::mem::size_of::<u32>();
+    let bytes = index.bytes();
 
     println!("\nfootprint:");
     print_table(
         &["structure", "bytes / ms"],
         &[
-            vec!["in-memory index".into(), index.bytes().total().to_string()],
+            vec!["in-memory: postings (arenas)".into(), bytes.postings.to_string()],
+            vec!["in-memory: posting table".into(), bytes.posting_table.to_string()],
+            vec!["in-memory: session items".into(), bytes.session_items.to_string()],
+            vec!["in-memory: timestamps".into(), bytes.timestamps.to_string()],
+            vec!["in-memory: slots".into(), bytes.slots.to_string()],
+            vec!["in-memory index".into(), bytes.total().to_string()],
             vec!["serialised artefact".into(), artefact.len().to_string()],
-            vec!["posting lists".into(), posting_bytes.to_string()],
             vec!["write ms".into(), format!("{write_ms:.1}")],
             vec!["load ms".into(), format!("{load_ms:.1}")],
         ],

@@ -2,10 +2,12 @@
 //!
 //! The index (Section 3 of the paper) consists of:
 //!
-//! * the inverted index `M`: a hash map from an item `i` to the array `m_i`
-//!   of the (at most) `m` most recent historical sessions containing `i`,
-//!   stored in **descending recency order** so the most recent session is
-//!   the first entry — this enables early stopping;
+//! * the inverted index `M`: for an item `i`, the array `m_i` of the (at
+//!   most) `m` most recent historical sessions containing `i`, stored in
+//!   **descending recency order** so the most recent session is the first
+//!   entry — this enables early stopping. The arrays lie end to end in a few
+//!   large `u32` arenas; a hash table maps each item to a 16-byte [`Posting`]
+//!   record that says where its array lies (see *Postings and arenas*);
 //! * the timestamp array `t`: one integer timestamp per historical session,
 //!   indexed by dense [`SessionId`], giving constant-time random access;
 //! * per-session item lists (needed for the final item-scoring step) stored
@@ -35,8 +37,8 @@
 //! `s / SEGMENT_SESSIONS`, every segment but the last is full. Consecutive
 //! generations of a live index (`serenade_index::IncrementalIndexer`) share
 //! every segment below the first rank a publish changed, as they share every
-//! posting array it did not change, so a [`SessionIndex`] is a handle that
-//! clones in constant time and a publish writes O(delta), not O(index).
+//! posting it did not change, so a [`SessionIndex`] is a handle that clones
+//! in constant time and a publish writes O(delta), not O(index).
 //!
 //! Each item has an **accumulator slot**: a small integer the scoring kernel
 //! indexes its per-item tables by. The slot is a property of the index,
@@ -50,7 +52,26 @@
 //! id order; a live index appends, and numbers afresh only when it rewrites
 //! every segment anyway. Slot numbering is not part of what an index *is*:
 //! two indexes of the same log answer identically under any numbering.
+//!
+//! ## Postings and arenas
+//!
+//! A posting's entries are a range of one of the index's arenas
+//! (`Arc<[SessionId]>`), and its [`Posting`] record — `Copy`, 16 bytes —
+//! holds the arena, the range's start, the support and the slot. The range
+//! holds `min(h_i, m_max)` entries: every producer keeps the `m_max` most
+//! recent sessions of an item, or all of them, so the length follows from
+//! the support and is not stored. `postings(item)` is one table probe and
+//! one arena read.
+//!
+//! A build or a load writes one arena, postings by slot, with no allocation
+//! per posting. A live merge writes the postings it rewrites into one fresh
+//! arena and leaves the others where they are: untouched records, and the
+//! arenas they point into, are the previous generation's. The entries a
+//! rewritten posting leaves behind are dead — no record points at them —
+//! until a merge copies the live ones into one arena again
+//! ([`SessionIndex::compact_postings`]; the indexer decides when).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::error::CoreError;
@@ -65,24 +86,36 @@ const SEGMENT_SHIFT: u32 = 12;
 /// recent end rewrites, and every reader divides by it.
 pub const SEGMENT_SESSIONS: usize = 1 << SEGMENT_SHIFT;
 
-/// Posting list of an item: the `m` most recent sessions containing it, plus
-/// the total support count `h_i` over *all* historical sessions.
+/// An item's entry in `M`: where its posting list lies, and the support
+/// count `h_i` over *all* historical sessions. 16 bytes, `Copy`.
 ///
-/// This is the one form a posting has — in the builders, in the binary
-/// artefact and in memory: dense session ids, 4 bytes an entry. The id *is*
-/// the recency key (see the module docs), so nothing else is stored with it.
-#[derive(Debug, Clone)]
+/// The entries are dense session ids, 4 bytes each, strictly descending —
+/// most recent first — truncated to the index's `m_max`: the one form a
+/// posting has in the builders, in the binary artefact and in memory. The
+/// id *is* the recency key (see the module docs), so nothing else is stored
+/// with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Posting {
-    /// Session ids in strictly descending order — most recent first —
-    /// truncated to the index's `m_max`. Shared, not copied, between index
-    /// generations that agree on it.
-    pub entries: Arc<[SessionId]>,
     /// `h_i`: number of historical sessions containing the item (before
     /// truncation to `m_max`).
     pub support: u32,
     /// The item's accumulator slot (see the module docs).
-    /// [`SessionIndex::from_parts`] checks it against the slot table.
     pub slot: u32,
+    /// The arena holding the entries: an index into
+    /// [`SessionIndex::arenas`].
+    pub arena: u32,
+    /// Where in that arena the entries start.
+    pub start: u32,
+}
+
+impl Posting {
+    /// Where the entries lie in their arena, in an index of posting
+    /// capacity `m_max`: `min(h_i, m_max)` of them from `start`.
+    #[inline]
+    pub fn range(self, m_max: usize) -> Range<usize> {
+        let start = self.start as usize;
+        start..start + m_max.min(self.support as usize)
+    }
 }
 
 /// Aggregate statistics of a built index.
@@ -106,9 +139,10 @@ pub struct IndexStats {
 /// come on top; they are the allocator's, not the layout's.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexBytes {
-    /// The posting arrays: 4 bytes an entry plus one `Arc` header a posting.
+    /// The posting arenas: 4 bytes an entry, dead ones included, one `Arc`
+    /// header an arena, and the table of arenas.
     pub postings: usize,
-    /// The item → posting hash table: buckets, occupied or not.
+    /// The item → [`Posting`] hash table: buckets, occupied or not.
     pub posting_table: usize,
     /// The CSR layout of the sessions: the offsets of every segment, the
     /// segment headers and the table of segment pointers.
@@ -141,23 +175,50 @@ fn check_recency(n: usize, timestamp: impl Fn(usize) -> Timestamp) -> Result<(),
     }
 }
 
-/// Checks that every posting list holds strictly descending ids of the `n`
-/// sessions, no more of them than `m_max` and than its support.
+/// Checks postings laid out by slot — slot `s`'s posting is the `arena`
+/// entries `offset(s)..offset(s + 1)` and its item's support `support(s)` —
+/// as an index of `n` sessions needs them: the offsets tile the arena, and
+/// each posting holds `min(support, m_max)` strictly descending ids of the
+/// `n` sessions.
 fn check_postings(
-    postings: &FxHashMap<ItemId, Posting>,
+    slot_items: &[ItemId],
+    support: impl Fn(usize) -> u32,
+    offset: impl Fn(usize) -> u32,
+    arena: &[SessionId],
     n: usize,
     m_max: usize,
 ) -> Result<(), CoreError> {
-    for (item, posting) in postings {
-        let entries = &posting.entries;
+    let slots = slot_items.len();
+    if offset(0) != 0 {
+        return Err(CoreError::CorruptIndex("posting offsets do not start at 0".into()));
+    }
+    if let Some(slot) = (0..slots).find(|&s| offset(s) > offset(s + 1)) {
+        return Err(CoreError::CorruptIndex(format!("posting offsets decrease after slot {slot}")));
+    }
+    let end = offset(slots) as usize;
+    if end != arena.len() {
+        let how = if end > arena.len() { "overrun" } else { "fall short of" };
+        return Err(CoreError::CorruptIndex(format!(
+            "posting offsets {how} the {}-entry arena: they end at {end}",
+            arena.len()
+        )));
+    }
+    for (slot, item) in slot_items.iter().enumerate() {
+        let entries = &arena[offset(slot) as usize..offset(slot + 1) as usize];
+        let support = support(slot) as usize;
         if entries.len() > m_max {
             return Err(CoreError::CorruptIndex(format!(
                 "posting list of item {item} longer than m_max"
             )));
         }
-        if (posting.support as usize) < entries.len() {
+        if support < entries.len() {
             return Err(CoreError::CorruptIndex(format!(
                 "posting list of item {item} longer than its support"
+            )));
+        }
+        if entries.len() < support.min(m_max) {
+            return Err(CoreError::CorruptIndex(format!(
+                "posting list of item {item} shorter than min(support, m_max)"
             )));
         }
         // Strictly descending, so the first entry bounds all of them.
@@ -173,6 +234,28 @@ fn check_postings(
         }
     }
     Ok(())
+}
+
+/// The record of every slot's item for postings laid out by slot in arena
+/// 0, slot `s`'s from `start(s)`: one table, sized once.
+fn records(
+    slot_items: &[ItemId],
+    support: impl Fn(usize) -> u32,
+    start: impl Fn(usize) -> u32,
+) -> FxHashMap<ItemId, Posting> {
+    let record = |(slot, &item): (usize, &ItemId)| {
+        (item, Posting { support: support(slot), slot: slot as u32, arena: 0, start: start(slot) })
+    };
+    slot_items.iter().enumerate().map(record).collect()
+}
+
+/// A new arena of `len` entries, written in place by `fill`: one allocation
+/// and no copy.
+fn new_arena(len: usize, fill: impl FnOnce(&mut [SessionId])) -> Arc<[SessionId]> {
+    // An exact-size iterator collects straight into the `Arc`'s allocation.
+    let mut arena: Arc<[SessionId]> = (0..len).map(|_| 0).collect();
+    fill(Arc::get_mut(&mut arena).expect("a new arena has no other owner"));
+    arena
 }
 
 /// Heap bytes of an `Arc<[T]>` of `len` elements: the two counts, then the
@@ -287,11 +370,12 @@ impl std::fmt::Debug for SessionItems<'_> {
     }
 }
 
-/// Flat per-session columns as a producer holds them before they become an
-/// index — the bytes of an artefact in a decoder — read by position, so
-/// [`SessionIndex::from_parts`] lays them out in segments without a copy in
-/// between.
-pub trait SessionColumns {
+/// Flat columns as a producer holds them before they become an index — the
+/// bytes of an artefact in a decoder — read by position, so
+/// [`SessionIndex::from_parts`] lays them out without a copy in between:
+/// per session its timestamp and CSR offset, per session item its slot, and
+/// per slot its item's support and posting offset.
+pub trait IndexColumns {
     /// Number of sessions.
     fn num_sessions(&self) -> usize;
     /// Number of `(session, item)` entries, all sessions together.
@@ -303,6 +387,11 @@ pub trait SessionColumns {
     fn offset(&self, session: usize) -> u32;
     /// Accumulator slot of the item of `entry < num_entries()`.
     fn slot(&self, entry: usize) -> u32;
+    /// Support `h_i` of the item in `slot`, below the slot count.
+    fn support(&self, slot: usize) -> u32;
+    /// Posting offset of `slot`, up to the slot count: its item's posting is
+    /// the arena entries `posting_offset(slot)..posting_offset(slot + 1)`.
+    fn posting_offset(&self, slot: usize) -> u32;
 }
 
 /// The prebuilt `(M, t)` index over historical sessions. Cloning is a
@@ -310,6 +399,11 @@ pub trait SessionColumns {
 #[derive(Debug, Clone)]
 pub struct SessionIndex {
     postings: Arc<FxHashMap<ItemId, Posting>>,
+    /// The arenas the records point into (see the module docs).
+    arenas: Arc<[Arc<[SessionId]>]>,
+    /// Entries the records hold, all postings together; the rest of the
+    /// arenas is dead.
+    live_entries: usize,
     /// The per-session columns; all segments but the last are full.
     segments: Arc<[Arc<Segment>]>,
     num_sessions: usize,
@@ -332,25 +426,25 @@ impl SessionIndex {
 
     /// Assembles an index from pre-built parts (an artefact being loaded),
     /// validating all structural invariants and laying the columns out in
-    /// segments.
+    /// segments; `arena` becomes the index's one arena.
     ///
     /// The offsets of `columns` must start at 0, be monotone and end at its
     /// number of entries. Its timestamps must be non-decreasing in the dense
     /// id — the invariant that makes the id the recency key, and with it the
-    /// whole kernel order. Posting lists must be strictly descending valid
-    /// session ids, no longer than `m_max` and no longer than their support.
-    /// Slots are numbered as a built index numbers them: `slot_items` is
-    /// strictly ascending, every slot has the posting of its item and every
-    /// posting names its slot, and every slot in `columns` is below
-    /// `slot_items.len()`.
+    /// whole kernel order. Slots are numbered as a built index numbers them:
+    /// `slot_items` is strictly ascending and every slot in `columns` is
+    /// below `slot_items.len()`. The postings are laid out by slot: the
+    /// posting offsets start at 0, do not decrease and end at the arena's
+    /// length, and each posting holds `min(support, m_max)` strictly
+    /// descending valid session ids.
     ///
     /// # Errors
     ///
     /// [`CoreError::CorruptIndex`] describing the first violated invariant.
     pub fn from_parts(
-        postings: FxHashMap<ItemId, Posting>,
-        columns: &impl SessionColumns,
+        columns: &impl IndexColumns,
         slot_items: Arc<[ItemId]>,
+        arena: Arc<[SessionId]>,
         m_max: usize,
     ) -> Result<Self, CoreError> {
         let n = columns.num_sessions();
@@ -367,27 +461,13 @@ impl SessionIndex {
             return Err(CoreError::CorruptIndex("items_offsets not monotone".into()));
         }
         check_recency(n, |s| columns.timestamp(s))?;
-        check_postings(&postings, n, m_max)?;
         if let Some(slot) = (1..slot_items.len()).find(|&s| slot_items[s - 1] >= slot_items[s]) {
             return Err(CoreError::CorruptIndex(format!(
                 "slot table not strictly ascending at slot {slot}"
             )));
         }
-        if postings.len() != slot_items.len() {
-            return Err(CoreError::CorruptIndex(format!(
-                "{} postings for {} slots",
-                postings.len(),
-                slot_items.len()
-            )));
-        }
-        if let Some((item, posting)) =
-            postings.iter().find(|(item, p)| slot_items.get(p.slot as usize) != Some(item))
-        {
-            return Err(CoreError::CorruptIndex(format!(
-                "posting of item {item} names slot {}, which is not its item's",
-                posting.slot
-            )));
-        }
+        let (support, offset) = (|s| columns.support(s), |s| columns.posting_offset(s));
+        check_postings(&slot_items, support, offset, &arena, n, m_max)?;
 
         let mut segments = Vec::with_capacity(n.div_ceil(SEGMENT_SESSIONS));
         for lo in (0..n).step_by(SEGMENT_SESSIONS) {
@@ -408,20 +488,23 @@ impl SessionIndex {
                 slots,
             )));
         }
-        Ok(Self::from_generation(postings, segments.into(), slot_items, m_max))
+        let postings = records(&slot_items, support, offset);
+        Ok(Self::from_generation(postings, Arc::from([arena]), segments.into(), slot_items, m_max))
     }
 
     /// Assembles an index **without** validating it: the caller vouches for
     /// every invariant [`SessionIndex::from_parts`] checks, that all
-    /// `segments` but the last hold [`SEGMENT_SESSIONS`] sessions, and that
-    /// slots agree — `slot_items[posting.slot]` is the posting's item, and
-    /// every slot in a segment names an item its session holds. This is how
-    /// the incremental indexer emits the next generation of a live index — the
+    /// `segments` but the last hold [`SEGMENT_SESSIONS`] sessions, that every
+    /// record's range lies in its arena, no two overlapping, and that slots
+    /// agree — `slot_items[posting.slot]` is the posting's item, and every
+    /// slot in a segment names an item its session holds. This is how the
+    /// incremental indexer emits the next generation of a live index — the
     /// arrays it passes are mostly the previous generation's own `Arc`s.
     /// With no segments the result is the empty index only this constructor
     /// can make.
     pub fn from_generation(
         postings: FxHashMap<ItemId, Posting>,
+        arenas: Arc<[Arc<[SessionId]>]>,
         segments: Arc<[Arc<Segment>]>,
         slot_items: Arc<[ItemId]>,
         m_max: usize,
@@ -429,11 +512,16 @@ impl SessionIndex {
         let full = segments.len().saturating_sub(1);
         debug_assert!(segments[..full].iter().all(|s| s.len() == SEGMENT_SESSIONS));
         debug_assert!(postings.iter().all(|(i, p)| slot_items.get(p.slot as usize) == Some(i)));
+        debug_assert!(postings.values().all(|p| {
+            arenas.get(p.arena as usize).is_some_and(|arena| arena.get(p.range(m_max)).is_some())
+        }));
         debug_assert!(segments
             .iter()
             .all(|s| s.slots.iter().all(|&slot| (slot as usize) < slot_items.len())));
+        let live_entries = postings.values().map(|p| p.range(m_max).len()).sum();
         let num_sessions = full * SEGMENT_SESSIONS + segments.last().map_or(0, |s| s.len());
-        Self { postings: Arc::new(postings), segments, num_sessions, slot_items, m_max }
+        let postings = Arc::new(postings);
+        Self { postings, arenas, live_entries, segments, num_sessions, slot_items, m_max }
     }
 
     /// Posting list `m_i` of `item`: the ids of the most recent sessions
@@ -441,7 +529,13 @@ impl SessionIndex {
     /// item never occurred.
     #[inline]
     pub fn postings(&self, item: ItemId) -> Option<&[SessionId]> {
-        self.postings.get(&item).map(|p| &*p.entries)
+        self.postings.get(&item).map(|&posting| self.entries(posting))
+    }
+
+    /// The entries `posting`, a record of this index, points at.
+    #[inline]
+    pub fn entries(&self, posting: Posting) -> &[SessionId] {
+        &self.arenas[posting.arena as usize][posting.range(self.m_max)]
     }
 
     /// Support `h_i` of `item` (sessions containing it), if it occurred.
@@ -459,6 +553,42 @@ impl SessionIndex {
     /// The whole posting table, as the next generation starts from it.
     pub fn posting_table(&self) -> &FxHashMap<ItemId, Posting> {
         &self.postings
+    }
+
+    /// The arenas the records point into, as the next generation starts
+    /// from them.
+    pub fn arenas(&self) -> &[Arc<[SessionId]>] {
+        &self.arenas
+    }
+
+    /// Posting entries the records hold, all items together.
+    pub fn posting_entries(&self) -> usize {
+        self.live_entries
+    }
+
+    /// Arena entries no record points at: left behind by the postings live
+    /// merges rewrote since the arenas were last compacted.
+    pub fn dead_posting_entries(&self) -> usize {
+        self.arenas.iter().map(|arena| arena.len()).sum::<usize>() - self.live_entries
+    }
+
+    /// Copies every posting into one new arena, end to end, and points the
+    /// records at it, so no arena entry is dead. The posting table is
+    /// rewritten in place when this handle is its only owner, as it is
+    /// straight after [`SessionIndex::from_generation`].
+    pub fn compact_postings(&mut self) {
+        let Self { postings, arenas, live_entries, m_max, .. } = self;
+        let table = Arc::make_mut(postings);
+        let arena = new_arena(*live_entries, |to| {
+            let mut at = 0;
+            for posting in table.values_mut() {
+                let from = &arenas[posting.arena as usize][posting.range(*m_max)];
+                to[at..at + from.len()].copy_from_slice(from);
+                *posting = Posting { arena: 0, start: at as u32, ..*posting };
+                at += from.len();
+            }
+        });
+        *arenas = Arc::from([arena]);
     }
 
     /// The segments, in session order.
@@ -529,23 +659,24 @@ impl SessionIndex {
     }
 
     /// Iterates over `(item, posting)` pairs in unspecified order.
-    pub fn postings_iter(&self) -> impl Iterator<Item = (ItemId, &Posting)> {
-        self.postings.iter().map(|(&i, p)| (i, p))
+    pub fn postings_iter(&self) -> impl Iterator<Item = (ItemId, Posting)> + '_ {
+        self.postings.iter().map(|(&item, &posting)| (item, posting))
     }
 
     /// Computes aggregate statistics (sizes).
     pub fn stats(&self) -> IndexStats {
+        let len = |p: &Posting| p.range(self.m_max).len();
         IndexStats {
             num_sessions: self.num_sessions(),
             num_items: self.num_items(),
-            posting_entries: self.postings.values().map(|p| p.entries.len()).sum(),
-            max_posting_len: self.postings.values().map(|p| p.entries.len()).max().unwrap_or(0),
+            posting_entries: self.live_entries,
+            max_posting_len: self.postings.values().map(len).max().unwrap_or(0),
             session_item_entries: self.segments.iter().map(|s| s.slots.len()).sum(),
         }
     }
 
-    /// Heap bytes by structure (see [`IndexBytes`]). Walks the posting
-    /// table: for a scrape, not for a request or a publish.
+    /// Heap bytes by structure (see [`IndexBytes`]): a walk over the
+    /// segments and the arenas, not over the items.
     pub fn bytes(&self) -> IndexBytes {
         // hashbrown's layout, recovered from the capacity it reports: a
         // power-of-two number of buckets of which 7/8 may fill (all but one
@@ -561,12 +692,9 @@ impl SessionIndex {
         let sessions = self.num_sessions;
         let headers = self.segments.len() * (16 + std::mem::size_of::<Segment>())
             + arc_slice_bytes::<Arc<Segment>>(self.segments.len());
+        let arenas: usize = self.arenas.iter().map(|a| arc_slice_bytes::<SessionId>(a.len())).sum();
         IndexBytes {
-            postings: self
-                .postings
-                .values()
-                .map(|p| arc_slice_bytes::<SessionId>(p.entries.len()))
-                .sum(),
+            postings: arenas + arc_slice_bytes::<Arc<[SessionId]>>(self.arenas.len()),
             posting_table: if buckets == 0 { 0 } else { buckets * slot + 16 },
             session_items: 4 * (sessions + self.segments.len()) + headers,
             timestamps: 8 * sessions,
@@ -595,11 +723,13 @@ mod tests {
 
     /// An index taken apart into the flat parts a producer would hold.
     struct Parts {
-        postings: FxHashMap<ItemId, Posting>,
         timestamps: Vec<Timestamp>,
         offsets: Vec<u32>,
         slots: Vec<u32>,
         slot_items: Vec<ItemId>,
+        supports: Vec<u32>,
+        posting_offsets: Vec<u32>,
+        arena: Vec<SessionId>,
         m_max: usize,
     }
 
@@ -612,24 +742,31 @@ mod tests {
                 slots.extend_from_slice(index.session_slots(s));
                 offsets.push(slots.len() as u32);
             }
+            let support = |item| index.item_support(item).unwrap();
+            let (mut posting_offsets, mut arena) = (vec![0], Vec::new());
+            for &item in index.slot_items().iter() {
+                arena.extend_from_slice(index.postings(item).unwrap());
+                posting_offsets.push(arena.len() as u32);
+            }
             Self {
-                postings: index.posting_table().clone(),
                 timestamps: sessions.map(|s| index.session_timestamp(s)).collect(),
                 offsets,
                 slots,
                 slot_items: index.slot_items().to_vec(),
+                supports: index.slot_items().iter().map(|&i| support(i)).collect(),
+                posting_offsets,
+                arena,
                 m_max: index.m_max(),
             }
         }
 
-        fn assemble(mut self) -> Result<SessionIndex, CoreError> {
-            let postings = std::mem::take(&mut self.postings);
-            let slot_items = self.slot_items[..].into();
-            SessionIndex::from_parts(postings, &self, slot_items, self.m_max)
+        fn assemble(self) -> Result<SessionIndex, CoreError> {
+            let (slot_items, arena) = (self.slot_items[..].into(), self.arena[..].into());
+            SessionIndex::from_parts(&self, slot_items, arena, self.m_max)
         }
     }
 
-    impl SessionColumns for Parts {
+    impl IndexColumns for Parts {
         fn num_sessions(&self) -> usize {
             self.timestamps.len()
         }
@@ -648,6 +785,14 @@ mod tests {
 
         fn slot(&self, entry: usize) -> u32 {
             self.slots[entry]
+        }
+
+        fn support(&self, slot: usize) -> u32 {
+            self.supports[slot]
+        }
+
+        fn posting_offset(&self, slot: usize) -> u32 {
+            self.posting_offsets[slot]
         }
     }
 
@@ -682,9 +827,18 @@ mod tests {
     fn a_posting_entry_is_four_bytes() {
         // The layout the RSS claim rests on: an entry is the dense id and
         // nothing else (DESIGN.md §4.8).
+        // Six of them in the one arena behind its `Arc` header, and the
+        // one-arena table behind its own.
         let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
         assert_eq!(std::mem::size_of_val(&idx.postings(1).unwrap()[0]), 4);
-        assert_eq!(idx.bytes().postings, 3 * (16 + 2 * 4));
+        assert_eq!(idx.bytes().postings, (16 + 6 * 4) + (16 + 16));
+    }
+
+    #[test]
+    fn a_posting_record_is_sixteen_bytes() {
+        // A table bucket is the 8-byte item and its record (DESIGN.md §4.8).
+        assert_eq!(std::mem::size_of::<Posting>(), 16);
+        assert_eq!(std::mem::size_of::<(ItemId, Posting)>(), 24);
     }
 
     #[test]
@@ -774,7 +928,7 @@ mod tests {
     #[test]
     fn from_parts_rejects_unsorted_postings() {
         let mut parts = Parts::of(&SessionIndex::build(&sample_clicks(), 10).unwrap());
-        parts.postings.get_mut(&1).unwrap().entries = [0, 2].into(); // ascending: wrong
+        parts.arena[..2].copy_from_slice(&[0, 2]); // item 1's posting, ascending: wrong
         assert!(matches!(parts.assemble(), Err(CoreError::CorruptIndex(_))));
     }
 
@@ -782,7 +936,7 @@ mod tests {
     fn from_parts_rejects_unknown_and_repeated_sessions() {
         for bad in [[3, 0], [2, 2]] {
             let mut parts = Parts::of(&SessionIndex::build(&sample_clicks(), 10).unwrap());
-            parts.postings.get_mut(&1).unwrap().entries = bad.into();
+            parts.arena[..2].copy_from_slice(&bad); // item 1's posting
             assert!(matches!(parts.assemble(), Err(CoreError::CorruptIndex(_))), "{bad:?}");
         }
     }
@@ -804,7 +958,7 @@ mod tests {
     #[test]
     fn from_parts_rejects_posting_longer_than_support() {
         let mut parts = Parts::of(&SessionIndex::build(&sample_clicks(), 10).unwrap());
-        parts.postings.get_mut(&1).unwrap().support = 1; // posting has 2 entries
+        parts.supports[0] = 1; // item 1's posting has 2 entries
         assert!(matches!(parts.assemble(), Err(CoreError::CorruptIndex(_))));
     }
 
@@ -826,11 +980,12 @@ mod tests {
         assert!(reason.contains("slot table not strictly ascending at slot 1"), "{reason}");
         let reason = rejection(|p| p.slots[3] = 3);
         assert!(reason.contains("slot 3 is not below the slot count 3"), "{reason}");
-        // Item 1 is listed by two sessions but has no posting.
-        let reason = rejection(|p| drop(p.postings.remove(&1)));
-        assert!(reason.contains("2 postings for 3 slots"), "{reason}");
-        let reason = rejection(|p| p.postings.get_mut(&3).unwrap().slot = 0);
-        assert!(reason.contains("item 3 names slot 0"), "{reason}");
+        // A posting's length follows from its support, so one that holds
+        // fewer than it should is no posting of this index.
+        let reason = rejection(|p| p.supports[0] = 3);
+        assert!(reason.contains("item 1 shorter than min(support, m_max)"), "{reason}");
+        let reason = rejection(|p| p.posting_offsets[3] = 7);
+        assert!(reason.contains("posting offsets overrun the 6-entry arena"), "{reason}");
     }
 
     #[test]

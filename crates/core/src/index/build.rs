@@ -19,14 +19,17 @@
 //! the runs of a range of ranks, then number the slots of and fill the
 //! postings from a range of segments. A range's share of a posting is what
 //! the ranges of newer sessions leave of its `m_max`, so each thread writes
-//! only its own entries, and the posting is the shares, newest range first. The result
-//! is checked as [`SessionIndex::from_parts`] checks what it assembles.
+//! only its own entries. The postings are then copied into the index's one
+//! arena by slot, each its shares, newest range first, and the result is
+//! checked as [`SessionIndex::from_parts`] checks what it loads.
 
 use std::sync::Arc;
 
-use super::{check_postings, check_recency, Posting, Segment, SessionIndex, SEGMENT_SESSIONS};
+use super::{
+    check_postings, check_recency, new_arena, records, Segment, SessionIndex, SEGMENT_SESSIONS,
+};
 use crate::error::CoreError;
-use crate::hash::{fx_map_with_capacity, FxHashMap};
+use crate::hash::FxHashMap;
 use crate::sessions::{run_parallel, SessionRuns};
 use crate::types::{Click, ItemId, SessionId};
 
@@ -107,10 +110,13 @@ impl SessionIndex {
         let segments: Vec<Arc<Segment>> = segments.into_iter().map(Arc::new).collect();
         let jobs = segments.chunks(per_thread).zip(0..).zip(shares).collect();
         let filled = run_parallel(jobs, |((range, k), share)| fill(range, k * per_thread, &share));
-        let postings = assemble(&slot_items, &supports, &filled);
+        let (arena, offsets) = assemble(slot_items.len(), &filled);
+        drop(filled);
         check_recency(n, |s| segments[s / SEGMENT_SESSIONS].timestamp(s % SEGMENT_SESSIONS))?;
-        check_postings(&postings, n, m_max)?;
-        Ok(Self::from_generation(postings, segments.into(), slot_items, m_max))
+        let (support, offset) = (|s: usize| supports[s], |s: usize| offsets[s]);
+        check_postings(&slot_items, support, offset, &arena, n, m_max)?;
+        let postings = records(&slot_items, support, offset);
+        Ok(Self::from_generation(postings, Arc::from([arena]), segments.into(), slot_items, m_max))
     }
 }
 
@@ -175,22 +181,22 @@ fn fill(segments: &[Arc<Segment>], first: usize, share: &[u32]) -> (Vec<u32>, Ve
     (starts, ids)
 }
 
-/// The posting of every slot's item: its shares, newest range first.
-fn assemble(
-    slot_items: &[ItemId],
-    supports: &[u32],
-    filled: &[(Vec<u32>, Vec<SessionId>)],
-) -> FxHashMap<ItemId, Posting> {
-    let mut postings = fx_map_with_capacity(slot_items.len());
-    let mut entries = Vec::new();
-    for (slot, &item) in slot_items.iter().enumerate() {
-        entries.clear();
-        for (starts, ids) in filled.iter().rev() {
-            entries.extend_from_slice(&ids[starts[slot] as usize..starts[slot + 1] as usize]);
+/// The postings laid out by slot in one arena, each its shares, newest
+/// range first; and the posting offsets.
+fn assemble(slots: usize, filled: &[(Vec<u32>, Vec<SessionId>)]) -> (Arc<[SessionId]>, Vec<u32>) {
+    let total = filled.iter().map(|(_, ids)| ids.len()).sum();
+    let mut offsets = Vec::with_capacity(slots + 1);
+    let arena = new_arena(total, |arena| {
+        let mut at = 0;
+        for slot in 0..slots {
+            offsets.push(at as u32);
+            for (starts, ids) in filled.iter().rev() {
+                let share = &ids[starts[slot] as usize..starts[slot + 1] as usize];
+                arena[at..at + share.len()].copy_from_slice(share);
+                at += share.len();
+            }
         }
-        let posting =
-            Posting { entries: entries[..].into(), support: supports[slot], slot: slot as u32 };
-        postings.insert(item, posting);
-    }
-    postings
+        offsets.push(at as u32);
+    });
+    (arena, offsets)
 }

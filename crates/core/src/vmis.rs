@@ -964,8 +964,10 @@ mod tests {
         let built = SessionIndex::build(&history(), 500).unwrap();
         let mut postings = built.posting_table().clone();
         postings.remove(&5);
-        let (segments, slot_items) = (built.segments().into(), built.slot_items().clone());
-        let index = SessionIndex::from_generation(postings, segments, slot_items, built.m_max());
+        let (arenas, segments) = (built.arenas().into(), built.segments().into());
+        let slot_items = built.slot_items().clone();
+        let index =
+            SessionIndex::from_generation(postings, arenas, segments, slot_items, built.m_max());
         let recs = VmisKnn::new(index, VmisConfig::default()).unwrap().recommend(&[2]);
         // λ(1, 1) · r_D · idf = 0.9 · 1 · 1.
         let five = recs.iter().find(|r| r.item == 5).expect("item 5 is scored");

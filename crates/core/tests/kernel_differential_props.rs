@@ -62,7 +62,7 @@ fn with_slots_renumbered(index: &SessionIndex, shift: usize) -> SessionIndex {
     }
     let postings = index
         .postings_iter()
-        .map(|(item, p)| (item, Posting { slot: renumbered(p.slot), ..p.clone() }))
+        .map(|(item, p)| (item, Posting { slot: renumbered(p.slot), ..p }))
         .collect();
     let segments: Vec<Arc<Segment>> = index
         .segments()
@@ -80,7 +80,8 @@ fn with_slots_renumbered(index: &SessionIndex, shift: usize) -> SessionIndex {
             ))
         })
         .collect();
-    SessionIndex::from_generation(postings, segments.into(), slot_items.into(), index.m_max())
+    let (arenas, segments) = (index.arenas().into(), segments.into());
+    SessionIndex::from_generation(postings, arenas, segments, slot_items.into(), index.m_max())
 }
 
 fn bits(recs: Vec<serenade_core::ItemScore>) -> Vec<(ItemId, u32)> {

@@ -86,21 +86,21 @@
 //! # Load peak
 //!
 //! Each column is copied from the caller's bytes straight into the index's
-//! own arrays, once: the slot table into its `Arc`, each posting into its
-//! `Arc`, and the session columns into the segments while
-//! [`SessionIndex::from_parts`] lays them out ([`SessionColumns`] over the
-//! payload). While it loads, an index costs the artefact the caller holds
-//! plus the index being built — on the benchmark's `ecom-1m` index 12.3 MB
-//! plus 17.8 MB — with neither a payload-sized copy, nor flat columns, nor a
-//! hash lookup per session item in between (`tests/load_allocs.rs` holds it
-//! to that).
+//! own arrays, once: the slot table into its `Arc`, the arena column into
+//! the index's one arena, and the session columns into the segments while
+//! [`SessionIndex::from_parts`] lays them out and makes each item's record
+//! from its support and posting offset ([`IndexColumns`] over the payload).
+//! While it loads, an index costs the artefact the caller holds plus the
+//! index being built, with neither a payload-sized copy, nor flat columns,
+//! nor a hash lookup per session item in between, and a load allocates a
+//! constant plus a few arrays a segment, never one a posting
+//! (`tests/load_allocs.rs` holds it to that).
 
 use std::fmt;
 use std::io::Write;
 use std::sync::Arc;
 
-use serenade_core::hash::fx_map_with_capacity;
-use serenade_core::index::{Posting, SessionColumns};
+use serenade_core::index::{IndexColumns, Posting};
 use serenade_core::{CoreError, ItemId, SessionId, SessionIndex, Timestamp};
 
 /// The format version this module writes and the only one it reads: the
@@ -223,7 +223,7 @@ pub fn write_index(index: &SessionIndex, mut writer: impl Write) -> std::io::Res
     for (item, posting) in index.postings_iter() {
         by_slot[posting.slot as usize] = Some((item, posting));
     }
-    let mut items: Vec<(ItemId, &Posting)> = by_slot.into_iter().flatten().collect();
+    let mut items: Vec<(ItemId, Posting)> = by_slot.into_iter().flatten().collect();
     items.sort_unstable_by_key(|&(item, _)| item);
     let mut renumber = vec![u32::MAX; index.slot_items().len()];
     for (slot, (_, posting)) in items.iter().enumerate() {
@@ -251,10 +251,10 @@ pub fn write_index(index: &SessionIndex, mut writer: impl Write) -> std::io::Res
     put(&mut out, [(slots as u64).to_le_bytes()]);
     put(&mut out, items.iter().map(|(item, _)| item.to_le_bytes()));
     put(&mut out, items.iter().map(|(_, posting)| posting.support.to_le_bytes()));
-    put_offsets(&mut out, items.iter().map(|(_, posting)| posting.entries.len()));
+    put_offsets(&mut out, items.iter().map(|&(_, posting)| index.entries(posting).len()));
     put(&mut out, [(stats.posting_entries as u64).to_le_bytes()]);
-    for (_, posting) in &items {
-        put(&mut out, posting.entries.iter().map(|id| id.to_le_bytes()));
+    for &(_, posting) in &items {
+        put(&mut out, index.entries(posting).iter().map(|id| id.to_le_bytes()));
     }
     debug_assert_eq!(out.len(), FRAME_BYTES + payload_len, "the payload is sized exactly");
 
@@ -323,7 +323,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// The session columns of a payload, read in place.
+/// The session and slot columns of a payload, read in place.
 struct PayloadColumns<'a> {
     /// 8 little-endian bytes a session.
     timestamps: &'a [u8],
@@ -331,9 +331,13 @@ struct PayloadColumns<'a> {
     offsets: &'a [u8],
     /// 4 little-endian bytes an entry.
     slots: &'a [u8],
+    /// 4 little-endian bytes a slot.
+    supports: &'a [u8],
+    /// 4 little-endian bytes a slot, and 4 more.
+    posting_offsets: &'a [u8],
 }
 
-impl SessionColumns for PayloadColumns<'_> {
+impl IndexColumns for PayloadColumns<'_> {
     fn num_sessions(&self) -> usize {
         self.timestamps.len() / 8
     }
@@ -352,6 +356,14 @@ impl SessionColumns for PayloadColumns<'_> {
 
     fn slot(&self, entry: usize) -> u32 {
         u32_at(self.slots, entry)
+    }
+
+    fn support(&self, slot: usize) -> u32 {
+        u32_at(self.supports, slot)
+    }
+
+    fn posting_offset(&self, slot: usize) -> u32 {
+        u32_at(self.posting_offsets, slot)
     }
 }
 
@@ -398,33 +410,12 @@ pub fn read_index(bytes: &[u8]) -> Result<SessionIndex, BinError> {
         return Err(corrupt("trailing bytes after payload"));
     }
 
-    let posting_offset = |slot: usize| u32_at(posting_offsets, slot);
-    if posting_offset(0) != 0 {
-        return Err(corrupt("posting offsets do not start at 0"));
-    }
-    if let Some(slot) = (0..num_slots).find(|&i| posting_offset(i) > posting_offset(i + 1)) {
-        return Err(corrupt(format!("posting offsets decrease after slot {slot}")));
-    }
-    let end = posting_offset(num_slots) as usize;
-    if end != arena_len {
-        let how = if end > arena_len { "overrun" } else { "fall short of" };
-        return Err(corrupt(format!(
-            "posting offsets {how} the {arena_len}-entry arena: they end at {end}"
-        )));
-    }
-
     let slot_items: Arc<[ItemId]> = (0..num_slots).map(|slot| u64_at(slot_table, slot)).collect();
-    let mut postings = fx_map_with_capacity(num_slots);
-    for (slot, &item) in slot_items.iter().enumerate() {
-        // An exact-size iterator collects straight into the posting's array.
-        let entries: Arc<[SessionId]> = (posting_offset(slot)..posting_offset(slot + 1))
-            .map(|entry| u32_at(arena, entry as usize))
-            .collect();
-        let support = u32_at(supports, slot);
-        postings.insert(item, Posting { entries, support, slot: slot as u32 });
-    }
-    let columns = PayloadColumns { timestamps, offsets, slots };
-    Ok(SessionIndex::from_parts(postings, &columns, slot_items, m_max)?)
+    // Exact-size iterators collect straight into the `Arc`s' allocations.
+    let entry = |id: &[u8]| u32::from_le_bytes(id.try_into().expect("four bytes"));
+    let arena: Arc<[SessionId]> = arena.chunks_exact(4).map(entry).collect();
+    let columns = PayloadColumns { timestamps, offsets, slots, supports, posting_offsets };
+    Ok(SessionIndex::from_parts(&columns, slot_items, arena, m_max)?)
 }
 
 #[cfg(test)]

@@ -16,25 +16,27 @@
 //!    new [`Segment`]s, external ids and clicks into the indexer's own
 //!    columns — with the monotone old → new rank map of everything at or
 //!    above `cut`; every segment wholly below `cut` is handed on by pointer;
-//! 4. start from the previous posting table and rewrite only the postings
-//!    of items that occur in a session at or above `cut` (their entries
-//!    are renumbered ranks) or in a removed or inserted session (support
-//!    ±1, entries dropped and merged in). A truncated posting that loses an
-//!    entry refills by scanning older sessions for the item's slot.
+//! 4. start from a copy of the previous posting table and rewrite only the
+//!    postings of items that occur in a session at or above `cut` (their
+//!    entries are renumbered ranks) or in a removed or inserted session
+//!    (support ±1, entries dropped and merged in), all into one fresh
+//!    arena. A truncated posting that loses an entry refills by scanning
+//!    older sessions for the item's slot.
 //!
-//! Every other posting array and every other segment is the previous
-//! generation's, shared through its `Arc`: live traffic lands at the recent
-//! end of the rank order, so `cut` is near the top and a merge allocates
-//! O(delta) — at most the last segment or two and the touched postings —
-//! plus what stays O(items): the posting table's handles are cloned, and a
-//! merge that meets an item for the first time copies the slot → item
-//! table to append to it. A batch of *old* timestamps (a backfill at rank
-//! 0, or the retention window dropping its oldest session) renumbers every
-//! rank, so every segment and every posting is written anew: the path
-//! degrades to the cost of a build, never to a wrong index. [`Sharing`]
-//! counts both cases. The result is always identical to
-//! [`SessionIndex::build`] over [`retained_log`], which the differential
-//! suites hold it to bit for bit.
+//! Every other posting and every other segment is the previous
+//! generation's: the record is copied, the arena it points into and the
+//! segment are shared through their `Arc`s. Live traffic lands at the
+//! recent end of the rank order, so `cut` is near the top and a merge
+//! allocates O(delta) — at most the last segment or two and one arena of
+//! the touched postings — plus what stays O(items): the posting table's
+//! 16-byte records are copied, and a merge that meets an item for the first
+//! time copies the slot → item table to append to it. A batch of *old*
+//! timestamps (a backfill at rank 0, or the retention window dropping its
+//! oldest session) renumbers every rank, so every segment and every posting
+//! is written anew: the path degrades to the cost of a build, never to a
+//! wrong index. [`Sharing`] counts both cases. The result is always
+//! identical to [`SessionIndex::build`] over [`retained_log`], which the
+//! differential suites hold it to bit for bit.
 //!
 //! ## Slots
 //!
@@ -48,6 +50,18 @@
 //! (`cut` = 0) numbers the live items afresh, and a merge that finds more
 //! than one stranded slot per [`DEAD_SLOT_SHARE`] live ones is made such a
 //! merge, so they stay bounded under any turnover of the catalogue.
+//!
+//! ## Arenas
+//!
+//! A rewritten posting leaves its old entries dead in their arena
+//! (`serenade_core::index`), which the held generation still shares. What
+//! the merge observes decides when they go, never an option: a merge that
+//! numbers slots afresh rewrites every posting anyway and keeps only its
+//! fresh arena; a merge after which the dead entries outnumber the live
+//! ones ([`DEAD_ENTRY_SHARE`]), or the arenas number more than
+//! [`MAX_ARENAS`], copies the live postings into one arena. Either way the
+//! dead entries stay at most the live ones and the merge's copy of the
+//! arena table stays short, under any churn of hot items.
 //!
 //! ## Click-log retention
 //!
@@ -101,6 +115,14 @@ type LogEntry = (Timestamp, ItemId);
 /// afresh (see the module docs).
 const DEAD_SLOT_SHARE: usize = 4;
 
+/// Live posting entries per dead one a merge tolerates before it compacts
+/// the arenas (see the module docs).
+const DEAD_ENTRY_SHARE: usize = 1;
+
+/// Arenas a generation may point into before a merge compacts them: every
+/// merge copies the table of arenas and may add one.
+const MAX_ARENAS: usize = 64;
+
 /// Items whose posting lists may have changed since the last drain — the
 /// unit of epoch-bucketed cache invalidation (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,9 +160,10 @@ impl TouchedItems {
 /// [`IncrementalIndexer::take_sharing`] carried over untouched.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Sharing {
-    /// Posting arrays handed on by pointer.
+    /// Postings whose entries were handed on where they lie.
     pub postings_shared: u64,
-    /// Posting arrays written anew: touched, or holding a renumbered rank.
+    /// Postings written anew: touched, holding a renumbered rank, or moved
+    /// by a compaction of the arenas.
     pub postings_copied: u64,
     /// Sessions below the first changed rank, summed over the merges...
     pub ranks_unchanged: u64,
@@ -234,6 +257,7 @@ impl IncrementalIndexer {
         Ok(Self {
             index: SessionIndex::from_generation(
                 FxHashMap::default(),
+                Arc::from([]),
                 Arc::from([]),
                 Arc::from([]),
                 m_max,
@@ -537,7 +561,9 @@ impl IncrementalIndexer {
             |old: SessionId| if (old as usize) < base { old } else { remap[old as usize - base] };
 
         // The postings: all shared, but for the items of a renumbered session
-        // (every old session from `cut` up) and the touched ones.
+        // (every old session from `cut` up) and the touched ones, which this
+        // merge writes into one fresh arena. A merge that numbers slots
+        // afresh rewrites every posting, so the fresh arena is the only one.
         let touched: Vec<ItemId> = delta.keys().copied().collect();
         let mut rewrite: FxHashSet<ItemId> = touched.iter().copied().collect();
         for rank in cut..n_old {
@@ -545,11 +571,14 @@ impl IncrementalIndexer {
         }
         let m_max = old.m_max();
         let mut table = old_table.clone();
+        let mut arenas = if renumber { Vec::new() } else { old.arenas().to_vec() };
+        let fresh_arena = arenas.len() as u32;
+        let mut fresh: Vec<SessionId> = Vec::new();
         let mut copied = 0;
         for &item in &rewrite {
             let (lost, gained) = delta.remove(&item).unwrap_or_default();
             let (was, was_support, was_slot) = match old_table.get(&item) {
-                Some(posting) => (&posting.entries[..], posting.support, Some(posting.slot)),
+                Some(&posting) => (old.entries(posting), posting.support, Some(posting.slot)),
                 None => (&[][..], 0, None),
             };
             let support = was_support - lost + gained.len() as u32;
@@ -569,21 +598,26 @@ impl IncrementalIndexer {
             let kept = was.iter().map(|&s| new_rank(s)).filter(|&s| s != SessionId::MAX);
             let gained = gained.into_iter().rev().filter(|&s| s as usize >= floor);
             let want = m_max.min(support as usize);
-            let mut entries = merge_descending(kept, gained, want);
+            let start = fresh.len();
+            merge_descending(kept, gained, want, &mut fresh);
             let slot = new_slots
                 .get(&item)
                 .copied()
                 .or(was_slot)
                 .expect("an item is given its slot with the first session that lists it");
             let mut rank = floor;
-            while entries.len() < want && rank > 0 {
+            while fresh.len() - start < want && rank > 0 {
                 rank -= 1;
                 if slots_at(rank).contains(&slot) {
-                    entries.push(rank as SessionId);
+                    fresh.push(rank as SessionId);
                 }
             }
-            table.insert(item, Posting { entries: entries.into(), support, slot });
+            let start = start as u32;
+            table.insert(item, Posting { support, slot, arena: fresh_arena, start });
             copied += 1;
+        }
+        if !fresh.is_empty() {
+            arenas.push(fresh.into());
         }
         // The slot → item table is the old one unless this merge gave a slot.
         let slot_items = if new_slot_items.is_empty() && !renumber {
@@ -591,6 +625,19 @@ impl IncrementalIndexer {
         } else {
             old.slot_items()[..kept_slots].iter().copied().chain(new_slot_items).collect()
         };
+
+        let written = (segments.len() - first_segment) as u64;
+        let items = table.len() as u64;
+        let mut index =
+            SessionIndex::from_generation(table, arenas.into(), segments.into(), slot_items, m_max);
+        // Dead arena entries stay bounded by the live ones, and the table of
+        // arenas, which every merge copies, stays short.
+        if index.dead_posting_entries() > index.posting_entries() / DEAD_ENTRY_SHARE
+            || index.arenas().len() > MAX_ARENAS
+        {
+            index.compact_postings();
+            copied = items;
+        }
 
         for &rank in removed {
             self.session_ts.remove(&self.ext_ids[rank as usize]);
@@ -604,12 +651,12 @@ impl IncrementalIndexer {
         self.log.append(&mut log);
         self.touched.extend(touched);
         self.sharing.postings_copied += copied;
-        self.sharing.postings_shared += table.len() as u64 - copied;
+        self.sharing.postings_shared += items - copied;
         self.sharing.ranks_unchanged += cut as u64;
         self.sharing.ranks_total += n_old as u64;
         self.sharing.segments_shared += first_segment as u64;
-        self.sharing.segments_copied += (segments.len() - first_segment) as u64;
-        self.index = SessionIndex::from_generation(table, segments.into(), slot_items, m_max);
+        self.sharing.segments_copied += written;
+        self.index = index;
         Ok(())
     }
 }
@@ -635,15 +682,16 @@ fn first_occurrences(clicks: &[LogEntry]) -> impl Iterator<Item = ItemId> + '_ {
     clicks.iter().enumerate().filter(first).map(|(_, &(_, item))| item)
 }
 
-/// The first `want` ids of two descending id streams, merged.
+/// Appends to `out` the first `want` ids of two descending id streams,
+/// merged.
 fn merge_descending(
     a: impl Iterator<Item = SessionId>,
     b: impl Iterator<Item = SessionId>,
     want: usize,
-) -> Vec<SessionId> {
+    out: &mut Vec<SessionId>,
+) {
     let (mut a, mut b) = (a.peekable(), b.peekable());
-    let mut out = Vec::with_capacity(want);
-    while out.len() < want {
+    for _ in 0..want {
         let from_a = match (a.peek(), b.peek()) {
             (Some(x), Some(y)) => x > y,
             (x, _) => x.is_some(),
@@ -653,7 +701,6 @@ fn merge_descending(
             None => break,
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -794,8 +841,8 @@ mod tests {
         assert!(inc.adopt(&served, &seed));
         assert_eq!((inc.num_sessions(), inc.retained_clicks()), (39, seed.len()));
         let held = inc.snapshot().unwrap();
-        for (item, posting) in served.postings_iter() {
-            assert!(Arc::ptr_eq(&posting.entries, &held.posting_table()[&item].entries));
+        for item in served.items() {
+            assert!(std::ptr::eq(served.postings(item).unwrap(), held.postings(item).unwrap()));
         }
         // The adopted state merges like one this indexer built itself.
         let more = vec![Click::new(5, 3, 9_000), Click::new(90, 4, 9_001), Click::new(91, 2, 5)];
@@ -945,6 +992,50 @@ mod tests {
         let sharing = inc.take_sharing();
         assert!(sharing.ranks_unchanged * 10 > sharing.ranks_total * 8, "{sharing:?}");
         assert!(sharing.ranks_unchanged < sharing.ranks_total);
+    }
+
+    #[test]
+    fn dead_posting_entries_stay_bounded_under_hot_item_churn() {
+        // 40 lasting sessions, each with an item of its own and one of three
+        // hot items; then sessions of the three hot items alone at the
+        // recent end. Each rewrites the hot postings and leaves their old
+        // entries dead, until ten times the live entries have died.
+        let mut inc = IncrementalIndexer::new(5).unwrap();
+        let lasting: Vec<Click> = (0..40u64)
+            .flat_map(|s| [Click::new(s, s, 1_000 + s), Click::new(s, 100 + s % 3, 1_000 + s)])
+            .collect();
+        inc.apply_batch(&lasting).unwrap();
+        let live = inc.snapshot().unwrap().posting_entries();
+        let (mut died, mut compactions) = (0, 0);
+        for s in 100u64.. {
+            if died >= 10 * live {
+                break;
+            }
+            let before = inc.snapshot().unwrap();
+            let hot = [100, 101, 102];
+            inc.apply_batch(&hot.map(|item| Click::new(s, item, s * 10))).unwrap();
+            let after = inc.snapshot().unwrap();
+            died += hot.iter().map(|&item| before.postings(item).unwrap().len()).sum::<usize>();
+            let (dead, dead_before) = (after.dead_posting_entries(), before.dead_posting_entries());
+            compactions += usize::from(dead < dead_before);
+            assert!(
+                dead <= after.posting_entries(),
+                "{dead} dead entries beside {} live after session {s}",
+                after.posting_entries()
+            );
+            assert_same(&after, &SessionIndex::build(&inc.retained_log(), 5).unwrap());
+        }
+        assert!(compactions >= 5, "{compactions} compactions");
+        // Sessions of new items only: no entry dies, yet the arenas — one a
+        // merge — are compacted before they pass their cap.
+        for s in 1_000..1_000 + 2 * MAX_ARENAS as u64 {
+            inc.apply_batch(&[Click::new(s, 10_000 + s, s * 100)]).unwrap();
+            let live = inc.snapshot().unwrap();
+            assert!(live.arenas().len() <= MAX_ARENAS, "{} arenas", live.arenas().len());
+            assert_eq!(live.postings(10_000 + s).unwrap(), &[live.num_sessions() as SessionId - 1]);
+        }
+        let built = SessionIndex::build(&inc.retained_log(), 5).unwrap();
+        assert_same(&inc.snapshot().unwrap(), &built);
     }
 
     #[test]

@@ -59,13 +59,12 @@ fn assert_same(a: &SessionIndex, b: &SessionIndex, what: &str) {
     }
 }
 
-/// Postings of `next` that are the very same allocation as in `prev`.
+/// Postings of `next` that are the very same entries in memory as in `prev`.
 fn shared_postings(prev: &SessionIndex, next: &SessionIndex) -> usize {
-    let prev = prev.posting_table();
-    next.postings_iter()
-        .filter(|(item, p)| {
-            prev.get(item)
-                .is_some_and(|q| Arc::ptr_eq(&p.entries, &q.entries))
+    next.items()
+        .filter(|&item| {
+            prev.postings(item)
+                .is_some_and(|p| std::ptr::eq(p, next.postings(item).unwrap()))
         })
         .count()
 }

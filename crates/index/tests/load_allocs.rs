@@ -1,13 +1,15 @@
-//! Live-byte peak of loading an index, under a counting allocator (the
-//! pattern of `merge_allocs.rs`, tracking live bytes instead of requests).
+//! Live-byte peak and allocation count of loading an index, under a
+//! counting allocator (the pattern of `merge_allocs.rs`, tracking live bytes
+//! beside requests).
 //!
 //! A node's peak RSS is reached while it loads: the artefact it read, plus
 //! whatever `read_index` holds on the way to the finished index. The
 //! contract: that is the index itself and nothing else — no payload-sized
 //! copy of the artefact, no flat columns on the way to the segments, no
-//! second posting table in a transport form — and `VmisKnn::new` allocates
-//! its per-slot idf table and nothing else, not even in passing. The same
-//! run checks `SessionIndex::bytes` and `VmisKnn::idf_bytes` (what
+//! second posting table in a transport form — made with a constant number
+//! of allocations plus a few a segment, none a posting; and `VmisKnn::new`
+//! allocates its per-slot idf table and nothing else, not even in passing.
+//! The same run checks `SessionIndex::bytes` and `VmisKnn::idf_bytes` (what
 //! `/metrics` publishes as `serenade_index_bytes`) against the bytes the
 //! allocator actually handed out.
 
@@ -20,6 +22,8 @@ use serenade_index::{read_index, write_index};
 thread_local! {
     /// (live, peak) bytes of the current thread's allocations.
     static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
+    /// Allocations and reallocations the current thread requested.
+    static REQUESTS: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -32,6 +36,10 @@ fn grow(by: i64) {
     });
 }
 
+fn request() {
+    let _ = REQUESTS.try_with(|c| c.set(c.get() + 1));
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; counting touches only a `Cell` in a
 // const-initialised thread-local without a destructor, so it cannot
@@ -39,6 +47,7 @@ fn grow(by: i64) {
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: the caller's `layout` obligations are passed on as given.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        request();
         grow(layout.size() as i64);
         System.alloc(layout)
     }
@@ -52,6 +61,7 @@ unsafe impl GlobalAlloc for Counting {
     // SAFETY: `ptr` came from `System` through this allocator, with
     // `layout`; the caller guarantees `new_size` is valid for it.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        request();
         grow(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
@@ -61,15 +71,18 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Runs `f`; returns its result, the live bytes it left behind and the
-/// highest live bytes it reached, both relative to the start.
-fn live_and_peak<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+/// highest live bytes it reached, both relative to the start, and the
+/// allocations it requested.
+fn live_and_peak<T>(f: impl FnOnce() -> T) -> (T, usize, usize, u64) {
     let start = LIVE.with(|c| {
         c.set((c.get().0, c.get().0));
         c.get().0
     });
+    let requests = REQUESTS.with(Cell::get);
     let out = f();
     let (live, peak) = LIVE.with(Cell::get);
-    (out, (live - start) as usize, (peak - start) as usize)
+    let requested = REQUESTS.with(Cell::get) - requests;
+    (out, (live - start) as usize, (peak - start) as usize, requested)
 }
 
 /// 60k sessions of four clicks over 20k items, timestamps ascending.
@@ -91,9 +104,15 @@ fn artefact() -> Vec<u8> {
 #[test]
 fn loading_holds_the_finished_index_and_nothing_else() {
     const SLACK: usize = 4 * 1024;
+    // The slot table, the arena, the posting table, the table of arenas,
+    // the segment list and its shared copy, the index's own handle on its
+    // table: seven, and one spare.
+    const ALLOCATIONS: u64 = 8;
+    // A segment's timestamps, offsets and slots, and its `Arc`.
+    const PER_SEGMENT: u64 = 4;
     let artefact = artefact();
 
-    let (index, index_bytes, load_peak) =
+    let (index, index_bytes, load_peak, allocations) =
         live_and_peak(|| read_index(&artefact).expect("own artefact"));
     assert!(index.num_sessions() >= 60_000 && artefact.len() > 2_000_000);
     assert!(
@@ -101,6 +120,13 @@ fn loading_holds_the_finished_index_and_nothing_else() {
         "read_index peaked at {load_peak} live bytes for an index of {index_bytes} \
          (artefact: {} bytes)",
         artefact.len()
+    );
+    let segments = index.segments().len() as u64;
+    assert!(index.num_items() > 15_000 && segments < 20);
+    assert!(
+        allocations <= ALLOCATIONS + PER_SEGMENT * segments,
+        "read_index made {allocations} allocations for {segments} segments and {} postings",
+        index.num_items()
     );
 
     // The per-structure gauges add up to what the allocator handed out.
@@ -111,7 +137,7 @@ fn loading_holds_the_finished_index_and_nothing_else() {
         layout.total()
     );
 
-    let (vmis, kernel_bytes, kernel_peak) =
+    let (vmis, kernel_bytes, kernel_peak, _) =
         live_and_peak(|| VmisKnn::new(index, VmisConfig::default()).expect("valid config"));
     assert_eq!(vmis.idf_bytes(), 4 * vmis.index().slot_items().len());
     assert!(

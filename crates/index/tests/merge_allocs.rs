@@ -3,9 +3,9 @@
 //! `crates/core/tests/steady_state_allocs.rs`).
 //!
 //! A ten-click batch at the recent end of the rank order may allocate the
-//! last segment of sessions over again, O(touched) postings, and the two
-//! things that stay O(items): the posting table's handles and the kernel's
-//! idf table. Nothing may grow with the number of sessions or clicks
+//! last segment of sessions over again, one arena of O(touched) postings,
+//! and the two things that stay O(items): the posting table's records and
+//! the kernel's idf table. Nothing may grow with the number of sessions or clicks
 //! indexed: the same publish into an index four times the size allocates
 //! the same bytes. `snapshot()` allocates nothing.
 
@@ -117,7 +117,7 @@ fn recent_end_publish(sessions: u64) -> (u64, usize) {
         "a recent-end merge writes the last segment"
     );
     let table = kernel.index().bytes().posting_table;
-    assert!(bytes as usize > table, "the posting table's handles are cloned");
+    assert!(bytes as usize > table, "the posting table's records are copied");
     (allocations, bytes as usize - table)
 }
 

@@ -161,11 +161,11 @@ pub fn evaluate_parallel<R: Recommender>(
     }
     let chunk = test.len().div_ceil(threads);
     let mut total = Accumulator::default();
-    let partials = crossbeam::thread::scope(|scope| {
+    let partials = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for part in test.chunks(chunk) {
             let cfg = *config;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut budget = cfg
                     .max_events
                     .map(|m| m.div_ceil(threads))
@@ -174,8 +174,7 @@ pub fn evaluate_parallel<R: Recommender>(
             }));
         }
         handles.into_iter().map(|h| h.join().expect("worker panicked")).collect::<Vec<_>>()
-    })
-    .expect("evaluation scope");
+    });
     for p in partials {
         total.merge(p);
     }

@@ -151,13 +151,14 @@ impl IngestMetrics {
         }
         registry.counter_shared(
             "serenade_ingest_postings_shared_total",
-            "Posting lists a publish handed on from the previous index generation by pointer.",
+            "Posting lists a publish handed on where they lie in the previous generation's arenas.",
             &[],
             Arc::clone(&self.postings_shared),
         );
         registry.counter_shared(
             "serenade_ingest_postings_copied_total",
-            "Posting lists a publish wrote anew: touched, or above the first changed session rank.",
+            "Posting lists a publish wrote anew: touched, above the first changed session rank, \
+             or moved by a compaction of the arenas.",
             &[],
             Arc::clone(&self.postings_copied),
         );

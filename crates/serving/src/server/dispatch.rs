@@ -13,9 +13,9 @@
 //! depersonalised in the engine (counted by
 //! `serenade_deadline_degraded_total`) exactly as on the sequential path.
 //!
-//! Both queues are hand-rolled `std::sync` Mutex+Condvar structures: the
-//! vendored crossbeam shim has no timed receive, and the loom facade has no
-//! Condvar, so these live outside the model-checked surface (the lifecycle
+//! Both queues are hand-rolled `std::sync` Mutex+Condvar structures: they
+//! need a timed receive, and the loom facade has no Condvar, so these live
+//! outside the model-checked surface (the lifecycle
 //! gate and parked-set handshakes are what loom proves; the queues are
 //! plain bounded buffers). Lock poisoning is unwinding noise, not state
 //! corruption — a poisoned guard is recovered.

@@ -5,9 +5,9 @@
 //! It owns the `serenade-telemetry` [`Registry`] every pod's counters and
 //! stage histograms are registered into (see
 //! [`crate::stats::ServingStats::register_into`]), the cluster-level
-//! metrics (index generation, bytes per index structure and stranded slots —
-//! both read off the published index when `/metrics` is scraped, not when it
-//! is published — uptime, rollover duration), and the
+//! metrics (index generation; bytes per index structure, stranded slots and
+//! dead posting entries, read off the published index when `/metrics` is
+//! scraped, not when it is published; uptime, rollover duration), and the
 //! [`TraceRing`] that keeps the N slowest recent requests with their
 //! per-stage breakdown.
 //!
@@ -16,7 +16,7 @@
 //! increasing source here; in-process callers that skip HTTP get an id
 //! assigned at trace-record time instead.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serenade_core::VmisKnn;
@@ -45,9 +45,8 @@ pub struct ClusterTelemetry {
 const INDEX_STRUCTURES: [&str; 6] =
     ["postings", "posting_table", "session_items", "timestamps", "slots", "idf"];
 
-/// What `published` holds in memory, by [`INDEX_STRUCTURES`] entry. Walks
-/// the posting table: O(items), which is why a scrape pays it and a publish
-/// does not.
+/// What `published` holds in memory, by [`INDEX_STRUCTURES`] entry: a walk
+/// over its segments and arenas.
 fn index_bytes(published: &VmisKnn) -> [u64; 6] {
     let index = published.index().bytes();
     [
@@ -125,38 +124,35 @@ impl ClusterTelemetry {
         self.generation.get()
     }
 
-    /// Registers `serenade_index_bytes{structure}` and
-    /// `serenade_index_dead_slots`, read off whatever `handle` publishes at
-    /// the time of a scrape. The byte walk runs once per generation scraped,
-    /// however many series a scrape renders.
+    /// Registers `serenade_index_bytes{structure}`,
+    /// `serenade_index_dead_slots` and `serenade_index_dead_posting_entries`,
+    /// read off whatever `handle` publishes at the time of a scrape.
     pub fn watch_index(&self, handle: &Arc<IndexHandle<VmisKnn>>) {
-        // (generation the bytes were taken at, the bytes); no index is
-        // generation 0.
-        let memo = Arc::new(Mutex::new((0u64, [0u64; 6])));
         for (i, structure) in INDEX_STRUCTURES.into_iter().enumerate() {
-            let (handle, memo) = (Arc::clone(handle), Arc::clone(&memo));
+            let handle = Arc::clone(handle);
             self.registry.polled_gauge(
                 "serenade_index_bytes",
                 "Heap bytes of the published index, by structure (layout sizes, Arc headers \
                  and hash buckets included).",
                 &[("structure", structure)],
-                move || {
-                    let (published, generation) = handle.load_with_generation();
-                    let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
-                    if memo.0 != generation {
-                        *memo = (generation, index_bytes(&published));
-                    }
-                    memo.1[i]
-                },
+                move || index_bytes(&handle.load())[i],
             );
         }
-        let handle = Arc::clone(handle);
+        let watched = Arc::clone(handle);
         self.registry.polled_gauge(
             "serenade_index_dead_slots",
             "Accumulator slots of the published index whose item has left it; live ingest \
              numbers slots afresh before they outgrow a fixed share of the live ones.",
             &[],
-            move || handle.load().index().dead_slots() as u64,
+            move || watched.load().index().dead_slots() as u64,
+        );
+        let watched = Arc::clone(handle);
+        self.registry.polled_gauge(
+            "serenade_index_dead_posting_entries",
+            "Posting arena entries of the published index that no item's record points at; \
+             live ingest compacts the arenas before they outnumber the live entries.",
+            &[],
+            move || watched.load().index().dead_posting_entries() as u64,
         );
     }
 
@@ -217,19 +213,21 @@ mod tests {
         let t = ClusterTelemetry::default();
         t.watch_index(&handle);
         let text = t.registry().render();
-        // Item 7: two 4-byte entries behind a 16-byte Arc header; item 8: one,
-        // padded to the header's alignment. Three 4-byte offsets of two
+        // Items 7 and 8: three 4-byte entries in the one arena behind a
+        // 16-byte Arc header, padded to its alignment, and the one-arena table
+        // behind its own header. Three 4-byte offsets of two
         // sessions, the one segment's three boxed columns behind its Arc
         // header and the one-pointer segment table behind its own; two
         // sessions of 8-byte timestamps. Three 4-byte slots — the session
         // items themselves — in the one segment and a two-item slot table
         // behind its Arc header; one 4-byte idf a slot.
-        assert!(text.contains("serenade_index_bytes{structure=\"postings\"} 48"), "{text}");
+        assert!(text.contains("serenade_index_bytes{structure=\"postings\"} 64"), "{text}");
         assert!(text.contains("serenade_index_bytes{structure=\"session_items\"} 100"), "{text}");
         assert!(text.contains("serenade_index_bytes{structure=\"timestamps\"} 16"), "{text}");
         assert!(text.contains("serenade_index_bytes{structure=\"slots\"} 44"), "{text}");
         assert!(text.contains("serenade_index_bytes{structure=\"idf\"} 8"), "{text}");
         assert!(text.contains("serenade_index_dead_slots 0"), "{text}");
+        assert!(text.contains("serenade_index_dead_posting_entries 0"), "{text}");
         // A publish records nothing; the next scrape sees the new index.
         handle.store(kernel(&clicks[..2]));
         let text = t.registry().render();

@@ -34,3 +34,14 @@ while read -r file; do
     read -r lines code < <(count "$file")
     row "$file" "$lines" "$code"
 done < <(find crates/serving/src -name '*.rs' | sort)
+
+# The vendored dependencies (ROADMAP item 11 counts them beside the crates).
+echo
+for shim in shims/*/; do
+    mapfile -t files < <(find "$shim" -name '*.rs' | sort)
+    read -r lines code < <(count "${files[@]}")
+    row "${shim%/}" "$lines" "$code"
+done
+mapfile -t files < <(find shims -name '*.rs' | sort)
+read -r lines code < <(count "${files[@]}")
+row "shims/ total" "$lines" "$code"
