@@ -1,7 +1,7 @@
 //! Coalesced-batch vs sequential VMIS-kNN scoring — the dispatch queue's
 //! justification, measured.
 //!
-//! The event-loop server coalesces concurrent same-pod predicts into one
+//! The event-loop server coalesces concurrent predicts into one
 //! `recommend_batch` call. This harness measures what that buys on the
 //! traffic shape coalescing targets — a **flash crowd**: a burst of
 //! depersonalised predicts concentrated on a few hot items, so many batch

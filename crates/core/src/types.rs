@@ -5,8 +5,6 @@
 //! timestamp array `t` and the per-session item lists allow constant-time
 //! random access (Section 3 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// External item identifier as it appears in a click log.
 pub type ItemId = u64;
 
@@ -27,7 +25,7 @@ pub type ExternalSessionId = u64;
 ///
 /// Datasets in the paper (Table 1) consist of exactly these tuples:
 /// `(session_id, item_id, timestamp)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Click {
     /// External session identifier.
     pub session_id: ExternalSessionId,

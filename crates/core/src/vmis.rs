@@ -29,8 +29,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::candidates::{Candidate, CandidateTable};
 use crate::error::CoreError;
 use crate::hash::FxHasher;
@@ -40,7 +38,7 @@ use crate::types::{ItemId, ItemScore, SessionId};
 use crate::weights::{DecayFunction, IdfWeighting, MatchWeight};
 
 /// Hyperparameters and implementation knobs of VMIS-kNN.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmisConfig {
     /// Sample size `m`: how many of the most recent matching historical
     /// sessions to consider. Must not exceed the index's `m_max`.

@@ -14,14 +14,12 @@
 //!   `1 + log(|H|/h_i)`; VMIS-kNN simplifies this to `log(|H|/h_i)`, which
 //!   the authors found to perform better on held-out data.
 
-use serde::{Deserialize, Serialize};
-
 /// Decay function π applied to the insertion order of evolving-session items.
 ///
 /// Positions are 1-based insertion orders: in a session of length `n`, the
 /// oldest item has position 1 and the most recent position `n` (the toy
 /// example in Section 2: `ω(s) = [.. 1 2 .. 3]`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecayFunction {
     /// `π(pos) = pos / n` — the paper's default ("divide the insertion time
     /// by the session length").
@@ -58,7 +56,7 @@ impl DecayFunction {
 
 /// Match weight λ applied to the insertion position of the most recent item
 /// shared between the evolving session and a neighbour session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatchWeight {
     /// The paper's default: `λ(x) = 1 − 0.1·x` for insertion times `x < 10`,
     /// and zero otherwise (Section 2, toy example: `λ(3) = 0.7`).
@@ -105,7 +103,7 @@ impl MatchWeight {
 }
 
 /// Inverse-document-frequency weighting applied to candidate items.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IdfWeighting {
     /// `log(|H| / h_i)` — VMIS-kNN's simplified weighting (Section 3).
     Log,

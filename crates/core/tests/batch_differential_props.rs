@@ -47,7 +47,7 @@ fn batch_strategy() -> impl Strategy<Value = Vec<Vec<ItemId>>> {
 }
 
 /// Duplicate-heavy batches: single-item windows drawn from a tiny item
-/// space, the shape the per-pod coalescing path produces under a flash
+/// space, the shape the server's coalescing path produces under a flash
 /// crowd. Exercises the window-dedupe arm of the batch kernel.
 fn hot_batch_strategy() -> impl Strategy<Value = Vec<Vec<ItemId>>> {
     vec(vec(1u64..=4, 1..2), 1..32)

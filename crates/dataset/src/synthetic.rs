@@ -23,13 +23,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use serenade_core::Click;
 
 use crate::Dataset;
 
 /// Parameters of the synthetic clickstream generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticConfig {
     /// Dataset name (used in reports).
     pub name: String,

@@ -1,4 +1,4 @@
-//! Serving-node daemon: one pod of a multi-process cluster.
+//! Serving-node daemon: one machine of a multi-process cluster.
 //!
 //! Binds the data plane (HTTP) and control plane (framed binary), prints
 //! one machine-readable line with the bound addresses, then runs until

@@ -1,56 +1,47 @@
-//! A multi-pod serving cluster behind a sticky router.
+//! The serving process: one engine plus what only a process has.
 //!
-//! Mirrors the production deployment (Figure 1, right): every pod holds a
-//! replica of the session-similarity index and its own partition of the
-//! evolving-session state. The router guarantees stickiness, so a pod only
-//! ever sees its own sessions.
+//! Mirrors one serving machine of the production deployment (Figure 1,
+//! right): it holds a replica of the session-similarity index and its
+//! partition of the evolving-session state. Session affinity across
+//! machines is the router tier's job ([`crate::routerd`]), so a process
+//! holds exactly one partition and runs exactly one [`Engine`]. Around it
+//! sit the telemetry hub, the ingest pipeline and trace recording.
 //!
-//! Index replication is modelled with one shared [`IndexHandle`]: the daily
-//! rollover ([`ServingCluster::reload_index`]) builds the `VmisKnn` exactly
-//! once and publishes it atomically to every pod — there is no per-pod
-//! rebuild and no window where pods serve from different index versions.
-//! If the build or validation fails, nothing is published and every pod
-//! keeps serving the old index.
+//! The daily rollover ([`ServingCluster::reload_index`]) builds the
+//! `VmisKnn` exactly once and publishes it atomically through the engine's
+//! [`IndexHandle`](crate::handle::IndexHandle). If the build or validation
+//! fails, nothing is published and the engine keeps serving the old index.
 
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use serenade_core::{Click, CoreError, ItemScore, SessionIndex, VmisKnn};
+use serenade_core::{Click, CoreError, ItemScore, SessionIndex};
 use serenade_telemetry::{TraceConfig, TraceSample};
 
 use crate::cache::PredictionCache;
 use crate::context::{BatchContext, RequestContext};
 use crate::engine::{build_recommender, Engine, EngineConfig, RecommendRequest};
 use crate::error::ServingError;
-use crate::handle::IndexHandle;
 use crate::ingest::epoch::EpochChange;
 use crate::ingest::{IngestConfig, IngestPipeline};
-use crate::router::StickyRouter;
 use crate::rules::BusinessRules;
 use crate::telemetry::ClusterTelemetry;
 
-/// A set of serving pods — engines in this process — plus the sticky router
-/// in front of them and what the pods share: the index publication, the
-/// prediction cache, the ingest pipeline and the telemetry hub.
+/// A serving process's engine plus its telemetry hub and, once enabled,
+/// its ingest pipeline.
 pub struct ServingCluster {
-    pods: Vec<Arc<Engine>>,
-    router: StickyRouter,
+    engine: Arc<Engine>,
     telemetry: Arc<ClusterTelemetry>,
-    index: Arc<IndexHandle<VmisKnn>>,
-    config: EngineConfig,
-    /// One prediction cache shared by every pod: the index (and therefore
-    /// the generation stamp) is cluster-wide, so a list computed on one pod
-    /// is valid on all of them. `None` when disabled in the config.
-    cache: Option<Arc<PredictionCache>>,
     /// The streaming write path, set once by
     /// [`ServingCluster::enable_ingest`]; `None` for read-only clusters.
     ingest: OnceLock<Arc<IngestPipeline>>,
 }
 
 impl ServingCluster {
-    /// Builds a cluster of `pods` engines sharing one published index
-    /// (built once, here) while each keeps its own session store.
+    /// Builds the process's engine over `index` (the recommender is built
+    /// once, here). `pods` must be 1: sessions are partitioned across
+    /// nodes by the router tier, never inside a process.
     pub fn new(
         index: Arc<SessionIndex>,
         pods: usize,
@@ -69,72 +60,62 @@ impl ServingCluster {
         rules: BusinessRules,
         trace: TraceConfig,
     ) -> Result<Self, CoreError> {
-        let vmis = crate::sync::Arc::new(build_recommender(index, &config)?);
+        if pods != 1 {
+            return Err(CoreError::InvalidConfig {
+                parameter: "pods",
+                reason: format!(
+                    "a serving process runs exactly one engine, not {pods}; \
+                     partition sessions across nodes behind serenade-routerd"
+                ),
+            });
+        }
+        let engine = Arc::new(Engine::new(index, config, rules)?);
         let telemetry = Arc::new(ClusterTelemetry::new(trace));
-        let handle = Arc::new(IndexHandle::new(vmis));
-        telemetry.watch_index(&handle);
-        let cache =
-            config.cache.enabled.then(|| Arc::new(PredictionCache::new(config.cache)));
-        let mut engines = Vec::with_capacity(pods);
-        for _ in 0..pods {
-            engines.push(Arc::new(
-                Engine::with_shared_index(
-                    Arc::clone(&handle),
-                    config.clone(),
-                    rules.clone(),
-                )
-                .with_prediction_cache(cache.clone()),
-            ));
+        let registry = telemetry.registry();
+        telemetry.watch_index(engine.index_handle());
+        if let Some(cache) = engine.prediction_cache() {
+            cache.register_into(registry);
         }
-        if let Some(cache) = &cache {
-            cache.register_into(telemetry.registry());
-        }
-        for (i, pod) in engines.iter().enumerate() {
-            let label = i.to_string();
-            pod.stats_handle().register_into(telemetry.registry(), &label);
-            let live = Arc::clone(pod);
-            telemetry.registry().polled_gauge(
-                "serenade_live_sessions",
-                "Live (non-expired) sessions stored on the pod.",
-                &[("pod", &label)],
-                move || live.live_sessions() as u64,
-            );
-            let expirations = Arc::clone(pod);
-            telemetry.registry().polled_counter(
-                "serenade_session_expirations_total",
-                "Sessions reclaimed lazily on access after their TTL elapsed.",
-                &[("pod", &label)],
-                move || expirations.session_expiry_counts().0,
-            );
-            let evictions = Arc::clone(pod);
-            telemetry.registry().polled_counter(
-                "serenade_session_evictions_total",
-                "Sessions reclaimed by the eager TTL eviction sweep.",
-                &[("pod", &label)],
-                move || evictions.session_expiry_counts().1,
-            );
-        }
-        Ok(Self {
-            pods: engines,
-            router: StickyRouter::new(pods),
-            telemetry,
-            index: handle,
-            config,
-            cache,
-            ingest: OnceLock::new(),
-        })
+        engine.stats_handle().register_into(registry);
+        let live = Arc::clone(&engine);
+        registry.polled_gauge(
+            "serenade_live_sessions",
+            "Live (non-expired) sessions stored on the node.",
+            &[],
+            move || live.live_sessions() as u64,
+        );
+        let expirations = Arc::clone(&engine);
+        registry.polled_counter(
+            "serenade_session_expirations_total",
+            "Sessions reclaimed lazily on access after their TTL elapsed.",
+            &[],
+            move || expirations.session_expiry_counts().0,
+        );
+        let evictions = Arc::clone(&engine);
+        registry.polled_counter(
+            "serenade_session_evictions_total",
+            "Sessions reclaimed by the eager TTL eviction sweep.",
+            &[],
+            move || evictions.session_expiry_counts().1,
+        );
+        Ok(Self { engine, telemetry, ingest: OnceLock::new() })
     }
 
-    /// The cluster-wide prediction cache, if enabled.
+    /// The process's engine.
+    pub fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
+    /// The prediction cache, if enabled.
     pub fn prediction_cache(&self) -> Option<&Arc<PredictionCache>> {
-        self.cache.as_ref()
+        self.engine.prediction_cache()
     }
 
     /// Enables the streaming write path: seeds an incremental indexer with
     /// `seed` (the click log the serving index was built from) and starts
-    /// the publisher thread that mini-publishes to every pod through the
-    /// shared [`IndexHandle`]. At most once per cluster; while ingest is
-    /// live the publisher is the single index writer — do not call
+    /// the publisher thread that mini-publishes through the engine's index
+    /// handle. At most once per cluster; while ingest is live the publisher
+    /// is the single index writer — do not call
     /// [`ServingCluster::reload_index`] concurrently.
     pub fn enable_ingest(
         &self,
@@ -144,9 +125,9 @@ impl ServingCluster {
         let pipeline = IngestPipeline::start(
             config,
             seed,
-            Arc::clone(&self.index),
-            self.config.clone(),
-            self.cache.clone(),
+            Arc::clone(self.engine.index_handle()),
+            self.engine.config().clone(),
+            self.engine.prediction_cache().cloned(),
             Arc::clone(&self.telemetry),
         )?;
         if self.ingest.set(Arc::clone(&pipeline)).is_err() {
@@ -173,24 +154,17 @@ impl ServingCluster {
         self.ingest.get()
     }
 
-    /// Unlearns a session cluster-wide: removes it from the retained click
-    /// log and republishes the index (synchronous, through the ingest
-    /// pipeline), then erases its evolving state from the owning pod's
-    /// session store so the session also stops influencing its *own* future
-    /// requests. Returns whether the session existed anywhere. Requires
-    /// ingest to be enabled.
+    /// Unlearns a session: removes it from the retained click log and
+    /// republishes the index (synchronous, through the ingest pipeline),
+    /// then erases its evolving state from the session store so the session
+    /// also stops influencing its *own* future requests. Returns whether
+    /// the session existed in either. Requires ingest to be enabled.
     pub fn delete_session(&self, session_id: u64) -> Result<bool, ServingError> {
         let Some(pipeline) = self.ingest() else {
             return Err(ServingError::Internal("ingest is not enabled on this cluster"));
         };
         let in_log = pipeline.delete_session(session_id)?;
-        // Sticky routing pins a session to one pod, but erasure is a
-        // compliance action: sweep every pod in case the pod count changed
-        // since the session was live.
-        let mut in_store = false;
-        for pod in &self.pods {
-            in_store |= pod.forget_session(session_id);
-        }
+        let in_store = self.engine.forget_session(session_id);
         Ok(in_log || in_store)
     }
 
@@ -212,7 +186,7 @@ impl ServingCluster {
         }
     }
 
-    /// Handles a request on the responsible pod with a per-thread context:
+    /// Handles a request with a per-thread context:
     /// [`ServingCluster::handle_with`] for callers without worker state.
     pub fn handle(&self, req: RecommendRequest) -> Result<Vec<ItemScore>, ServingError> {
         thread_local! {
@@ -221,16 +195,16 @@ impl ServingCluster {
         CTX.with(|ctx| self.handle_with(req, &mut ctx.borrow_mut()))
     }
 
-    /// Handles a request on the responsible pod, reusing the caller's
-    /// per-worker [`RequestContext`]. Successful requests feed the
-    /// slow-request trace ring (subject to its sampling knobs) with the
-    /// per-stage breakdown left on the context.
+    /// Handles a request, reusing the caller's per-worker
+    /// [`RequestContext`]. Successful requests feed the slow-request trace
+    /// ring (subject to its sampling knobs) with the per-stage breakdown
+    /// left on the context.
     pub fn handle_with(
         &self,
         req: RecommendRequest,
         ctx: &mut RequestContext,
     ) -> Result<Vec<ItemScore>, ServingError> {
-        let result = self.pod_for(req.session_id).handle_with(req, ctx);
+        let result = self.engine.handle_with(req, ctx);
         self.record_trace(&req, ctx, result.is_ok());
         result
     }
@@ -267,76 +241,50 @@ impl ServingCluster {
         });
     }
 
-    /// Handles a coalesced batch of requests that all route to pod
-    /// `pod_index` (the dispatch queue groups by [`Self::pod_index_for`]),
-    /// recording one trace sample per successful member exactly as
-    /// [`ServingCluster::handle_with`] does for single requests. Request
-    /// ids and deadlines are read from the per-member contexts in `bctx`,
-    /// where the HTTP worker tagged them before handing the batch over.
-    ///
-    /// Returns one result per request, in request order. Debug builds
-    /// assert the routing invariant; in release a misrouted member is still
-    /// handled correctly by the named pod's own store (stickiness is a
-    /// partitioning optimisation, not a correctness requirement here).
+    /// Handles a coalesced batch of requests, recording one trace sample
+    /// per successful member exactly as [`ServingCluster::handle_with`]
+    /// does for single requests. Request ids and deadlines are read from
+    /// the per-member contexts in `bctx`, where the HTTP worker tagged them
+    /// before handing the batch over. Returns one result per request, in
+    /// request order.
     pub fn handle_batch(
         &self,
-        pod_index: usize,
         reqs: &[RecommendRequest],
         bctx: &mut BatchContext,
     ) -> Vec<Result<Vec<ItemScore>, ServingError>> {
-        debug_assert!(
-            reqs.iter().all(|r| self.router.route(r.session_id) == pod_index),
-            "batched requests must all route to pod {pod_index}"
-        );
-        let results = self.pods[pod_index % self.pods.len()].handle_batch(reqs, bctx);
+        let results = self.engine.handle_batch(reqs, bctx);
         for (i, (req, result)) in reqs.iter().zip(&results).enumerate() {
             self.record_trace(req, bctx.member_mut(i), result.is_ok());
         }
         results
     }
 
-    /// The engine a session is routed to.
-    pub fn pod_for(&self, session_id: u64) -> &Arc<Engine> {
-        &self.pods[self.router.route(session_id)]
-    }
-
-    /// The index of the pod a session is routed to — the dispatch queue's
-    /// coalescing key: only same-pod predicts may share a batch, because a
-    /// batch executes against exactly one pod's session store.
-    pub fn pod_index_for(&self, session_id: u64) -> usize {
-        self.router.route(session_id)
-    }
-
-    /// All pods (for maintenance sweeps and statistics).
-    pub fn pods(&self) -> &[Arc<Engine>] {
-        &self.pods
-    }
-
-    /// Total live sessions across pods.
+    /// Live sessions in the session store.
     pub fn live_sessions(&self) -> usize {
-        self.pods.iter().map(|p| p.live_sessions()).sum()
+        self.engine.live_sessions()
     }
 
-    /// Runs the TTL sweep on every pod; returns total evictions.
+    /// Runs the TTL sweep; returns how many sessions it evicted.
     pub fn evict_expired_sessions(&self) -> usize {
-        self.pods.iter().map(|p| p.evict_expired_sessions()).sum()
+        self.engine.evict_expired_sessions()
     }
 
     /// The daily rollover (Figure 1's "index replication" arrow): builds
-    /// the recommender from `index` exactly once and publishes it to all
-    /// pods atomically. Readers never block, in-flight requests finish on
-    /// the version they loaded, and session state survives. On error, no
-    /// pod is moved off the old index.
+    /// the recommender from `index` exactly once and publishes it
+    /// atomically. Readers never block, in-flight requests finish on the
+    /// version they loaded, and session state survives. On error, the
+    /// engine stays on the old index.
     pub fn reload_index(&self, index: Arc<SessionIndex>) -> Result<(), CoreError> {
         let started = Instant::now();
-        let fresh = crate::sync::Arc::new(build_recommender(index, &self.config)?);
+        let fresh = crate::sync::Arc::new(build_recommender(index, self.engine.config())?);
+        let handle = self.engine.index_handle();
         // A rollover replaces the whole neighbourhood structure: record an
         // all-items epoch (before the store — see the epoch-log contract)
         // so no cached entry survives via epoch revalidation.
-        if let Some(cache) = &self.cache {
-            cache.epoch_log().record(self.index.generation() + 1, EpochChange::All);
+        if let Some(cache) = self.engine.prediction_cache() {
+            cache.epoch_log().record(handle.generation() + 1, EpochChange::All);
         }
-        self.index.store(fresh);
+        handle.store(fresh);
         self.telemetry.record_rollover(started.elapsed());
         Ok(())
     }
@@ -347,16 +295,18 @@ mod tests {
     use super::*;
     use serenade_core::Click;
 
-    fn cluster(pods: usize) -> ServingCluster {
+    fn index() -> Arc<SessionIndex> {
         let mut clicks = Vec::new();
         for s in 0..40u64 {
             let ts = 100 + s * 10;
             clicks.push(Click::new(s + 1, s % 6, ts));
             clicks.push(Click::new(s + 1, (s + 1) % 6, ts + 1));
         }
-        let index = Arc::new(SessionIndex::build(&clicks, 500).unwrap());
-        ServingCluster::new(index, pods, EngineConfig::default(), BusinessRules::none())
-            .unwrap()
+        Arc::new(SessionIndex::build(&clicks, 500).unwrap())
+    }
+
+    fn cluster() -> ServingCluster {
+        ServingCluster::new(index(), 1, EngineConfig::default(), BusinessRules::none()).unwrap()
     }
 
     fn req(session_id: u64, item: u64) -> RecommendRequest {
@@ -364,48 +314,40 @@ mod tests {
     }
 
     #[test]
+    fn a_process_runs_exactly_one_engine() {
+        for pods in [0, 2] {
+            match ServingCluster::new(index(), pods, EngineConfig::default(), BusinessRules::none())
+            {
+                Err(CoreError::InvalidConfig { parameter, .. }) => assert_eq!(parameter, "pods"),
+                other => panic!("{pods} pods must be rejected, got {:?}", other.err()),
+            }
+        }
+        // A node builds its cluster with the one engine and serves from it.
+        let node = crate::node::ServingNode::start(index(), Default::default()).unwrap();
+        let mut client = crate::transport::HttpClient::connect(node.data_addr()).unwrap();
+        let (status, _) = client
+            .post("/recommend", r#"{"session_id": 5, "item_id": 1, "consent": true}"#)
+            .unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(node.cluster().engine().stored_session_len(5), 1);
+        node.shutdown();
+    }
+
+    #[test]
     fn sticky_sessions_accumulate_on_one_pod() {
-        let c = cluster(3);
+        let c = cluster();
         for i in 0..5 {
             c.handle(req(42, i % 6)).unwrap();
         }
-        // Exactly one pod holds session 42, with all 5 clicks.
-        let with_state: Vec<usize> = c
-            .pods()
-            .iter()
-            .map(|p| p.stored_session_len(42))
-            .filter(|&l| l > 0)
-            .collect();
-        assert_eq!(with_state, vec![5]);
+        // The engine holds session 42, with all 5 clicks.
+        assert_eq!(c.engine().stored_session_len(42), 5);
         assert_eq!(c.live_sessions(), 1);
     }
 
     #[test]
-    fn sessions_spread_across_pods() {
-        let c = cluster(4);
-        for sid in 0..200u64 {
-            c.handle(req(sid, sid % 6)).unwrap();
-        }
-        assert_eq!(c.live_sessions(), 200);
-        let per_pod: Vec<usize> = c.pods().iter().map(|p| p.live_sessions()).collect();
-        assert!(per_pod.iter().all(|&n| n > 20), "imbalanced: {per_pod:?}");
-    }
-
-    #[test]
-    fn cluster_results_match_single_engine() {
-        let single = cluster(1);
-        let multi = cluster(4);
-        for sid in [1u64, 2, 3] {
-            for item in [0u64, 1, 2] {
-                assert_eq!(single.handle(req(sid, item)).unwrap(), multi.handle(req(sid, item)).unwrap());
-            }
-        }
-    }
-
-    #[test]
     fn handle_with_matches_handle() {
-        let a = cluster(3);
-        let b = cluster(3);
+        let a = cluster();
+        let b = cluster();
         let mut ctx = RequestContext::new();
         for sid in 0..10u64 {
             assert_eq!(a.handle_with(req(sid, sid % 6), &mut ctx).unwrap(), b.handle(req(sid, sid % 6)).unwrap());
@@ -414,7 +356,7 @@ mod tests {
 
     #[test]
     fn eviction_sweep_runs_on_all_pods() {
-        let c = cluster(2);
+        let c = cluster();
         for sid in 0..10u64 {
             c.handle(req(sid, 0)).unwrap();
         }
@@ -424,17 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn pods_share_one_prediction_cache() {
-        let c = cluster(4);
+    fn depersonalised_requests_share_one_prediction_cache() {
+        let c = cluster();
         let shared = c.prediction_cache().expect("enabled by default");
-        for pod in c.pods() {
-            assert!(
-                Arc::ptr_eq(pod.prediction_cache().unwrap(), shared),
-                "every pod must see the same cache instance",
-            );
-        }
-        // Depersonalised requests from different sessions land on different
-        // pods, yet after the first computation they all hit the one cache.
+        // Depersonalised requests from different sessions all hit the one
+        // cache after the first computation.
         let dep = |sid| RecommendRequest {
             session_id: sid,
             item: 1,
@@ -446,19 +382,6 @@ mod tests {
             assert_eq!(c.handle(dep(sid)).unwrap(), first);
         }
         assert_eq!((shared.hit_count(), shared.miss_count()), (7, 1));
-    }
-
-    #[test]
-    fn pods_share_one_index_version() {
-        let c = cluster(4);
-        let expected = Arc::as_ptr(&c.pods()[0].index_handle().load());
-        for pod in c.pods() {
-            assert_eq!(
-                Arc::as_ptr(&pod.index_handle().load()),
-                expected,
-                "all pods must serve the same index instance",
-            );
-        }
     }
 }
 
@@ -483,7 +406,7 @@ mod ingest_tests {
         let clicks = seed_clicks();
         let index = Arc::new(SessionIndex::build(&clicks, 500).unwrap());
         let cluster =
-            ServingCluster::new(index, 2, EngineConfig::default(), BusinessRules::none())
+            ServingCluster::new(index, 1, EngineConfig::default(), BusinessRules::none())
                 .unwrap();
         let pipeline = cluster.enable_ingest(config, &clicks).unwrap();
         (cluster, pipeline)
@@ -499,7 +422,7 @@ mod ingest_tests {
             publish_interval: Duration::from_millis(5),
             ..IngestConfig::default()
         });
-        let generation_before = c.pods()[0].index_handle().generation();
+        let generation_before = c.engine().index_handle().generation();
         // Item 42 does not exist in the seed log: nothing to recommend.
         assert!(c.handle(dep(900, 42)).unwrap().is_empty());
 
@@ -519,14 +442,14 @@ mod ingest_tests {
             publish_interval: Duration::from_millis(5),
             ..IngestConfig::default()
         });
-        // A consented request leaves evolving state on the owning pod.
+        // A consented request leaves evolving state in the session store.
         c.handle(RecommendRequest { session_id: 77, item: 3, consent: true, filter_adult: false })
             .unwrap();
-        assert_eq!(c.pod_for(77).stored_session_len(77), 1);
+        assert_eq!(c.engine().stored_session_len(77), 1);
 
         // Unlearning erases both the state and (here, absent) log entry.
-        assert!(c.delete_session(77).unwrap(), "session state existed on a pod");
-        assert_eq!(c.pod_for(77).stored_session_len(77), 0);
+        assert!(c.delete_session(77).unwrap(), "session state existed in the store");
+        assert_eq!(c.engine().stored_session_len(77), 0);
 
         // Seed session 5 exists only in the click log — still "existed".
         assert!(c.delete_session(5).unwrap(), "session 5 was in the seed log");
@@ -539,7 +462,7 @@ mod ingest_tests {
         let clicks = seed_clicks();
         let index = Arc::new(SessionIndex::build(&clicks, 500).unwrap());
         let cluster =
-            ServingCluster::new(index, 2, EngineConfig::default(), BusinessRules::none())
+            ServingCluster::new(index, 1, EngineConfig::default(), BusinessRules::none())
                 .unwrap();
         assert!(cluster.delete_session(1).is_err());
     }
@@ -581,7 +504,7 @@ mod ingest_tests {
     #[test]
     fn flush_with_nothing_pending_is_a_cheap_sync_point() {
         let (c, p) = cluster_with_ingest(IngestConfig::default());
-        let generation = c.pods()[0].index_handle().generation();
+        let generation = c.engine().index_handle().generation();
         assert_eq!(p.flush().unwrap(), generation, "no publish without work");
         assert_eq!(p.metrics().publishes(), 0);
     }
@@ -731,30 +654,30 @@ mod rollover_tests {
     fn daily_rollover_changes_predictions_but_keeps_sessions() {
         let c = ServingCluster::new(
             make_index(0),
-            2,
+            1,
             EngineConfig::default(),
             BusinessRules::none(),
         )
         .unwrap();
         let before = c.handle(req(7, 1)).unwrap();
-        assert_eq!(c.pod_for(7).stored_session_len(7), 1);
+        assert_eq!(c.engine().stored_session_len(7), 1);
 
-        // Overnight: a new index arrives and is replicated to every pod.
+        // Overnight: a new index arrives and is published.
         c.reload_index(make_index(3)).unwrap();
 
         // Session state survived the rollover...
-        assert_eq!(c.pod_for(7).stored_session_len(7), 1);
+        assert_eq!(c.engine().stored_session_len(7), 1);
         // ...and predictions now come from the new index.
         let after = c.handle(req(8, 1)).unwrap();
         assert_ne!(before, after, "rollover must change the model");
-        assert_eq!(c.pod_for(7).stored_session_len(7), 1);
+        assert_eq!(c.engine().stored_session_len(7), 1);
     }
 
     #[test]
     fn rollover_invalidates_the_shared_cache() {
         let c = ServingCluster::new(
             make_index(0),
-            2,
+            1,
             EngineConfig::default(),
             BusinessRules::none(),
         )
@@ -780,32 +703,16 @@ mod rollover_tests {
     }
 
     #[test]
-    fn rollover_publishes_to_every_pod_at_once() {
-        let c = ServingCluster::new(
-            make_index(0),
-            3,
-            EngineConfig::default(),
-            BusinessRules::none(),
-        )
-        .unwrap();
-        c.reload_index(make_index(2)).unwrap();
-        let published = Arc::as_ptr(&c.pods()[0].index_handle().load());
-        for pod in c.pods() {
-            assert_eq!(Arc::as_ptr(&pod.index_handle().load()), published);
-        }
-    }
-
-    #[test]
     fn failed_rollover_leaves_every_pod_on_the_old_index() {
         let c = ServingCluster::new(
             make_index(0),
-            3,
+            1,
             EngineConfig::default(),
             BusinessRules::none(),
         )
         .unwrap();
         let before: Vec<_> = (0..6u64).map(|i| c.handle(req(100 + i, i % 6)).unwrap()).collect();
-        let old = Arc::as_ptr(&c.pods()[0].index_handle().load());
+        let old = Arc::as_ptr(&c.engine().index_handle().load());
 
         // A broken artefact: posting capacity m_max = 2 cannot satisfy the
         // configured sample size m = 500, so validation rejects it.
@@ -814,12 +721,10 @@ mod rollover_tests {
         let broken = Arc::new(SessionIndex::build(&clicks, 2).unwrap());
         c.reload_index(broken).expect_err("validation must reject the artefact");
 
-        // Atomic from the caller's view: no pod moved.
-        for pod in c.pods() {
-            assert_eq!(Arc::as_ptr(&pod.index_handle().load()), old);
-        }
+        // Atomic from the caller's view: the engine did not move.
+        assert_eq!(Arc::as_ptr(&c.engine().index_handle().load()), old);
         let after: Vec<_> = (0..6u64).map(|i| c.handle(req(200 + i, i % 6)).unwrap()).collect();
-        assert_eq!(before, after, "predictions must be unchanged on every pod");
+        assert_eq!(before, after, "predictions must be unchanged");
     }
 
     #[test]
@@ -827,7 +732,7 @@ mod rollover_tests {
         let c = Arc::new(
             ServingCluster::new(
                 make_index(0),
-                2,
+                1,
                 EngineConfig::default(),
                 BusinessRules::none(),
             )

@@ -55,7 +55,7 @@ pub struct RequestContext {
     /// (depersonalised-fallback) mode because its deadline expired.
     degraded: bool,
     /// What the kernel did for the in-flight request; all zero when none
-    /// ran here (a cache hit, a remote pod). Consumed by the trace recorder.
+    /// ran here (a cache hit, a remote node). Consumed by the trace recorder.
     kernel_work: KernelWork,
 }
 

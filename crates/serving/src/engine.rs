@@ -1,9 +1,9 @@
-//! The per-pod recommendation engine.
+//! The recommendation engine: a serving node's request pipeline.
 //!
 //! Handles one shop-frontend request end to end (Section 4.2) as a
 //! three-stage pipeline — see [`Engine::handle_with`]:
 //!
-//! 1. **Session stage** — update the evolving session in the pod's
+//! 1. **Session stage** — update the evolving session in the node's
 //!    [`SessionStore`] and extract the configured view of it.
 //! 2. **Prediction stage** — run VMIS-kNN over the view, against the
 //!    currently published index.
@@ -21,8 +21,6 @@
 //! [`IndexHandle`], which the daily rollover publishes to — the request
 //! path takes no lock besides the store's per-shard mutex.
 
-use serde::{Deserialize, Serialize};
-
 use serenade_core::{
     CoreError, ItemId, ItemScore, KernelWork, SessionIndex, VmisConfig, VmisKnn,
 };
@@ -39,7 +37,7 @@ use crate::rules::BusinessRules;
 use crate::stats::ServingStats;
 
 /// Which view of the evolving session feeds the prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServingVariant {
     /// `serenade-hist`: the last `n` items (the A/B test used `n = 2`).
     Hist(usize),
@@ -123,13 +121,13 @@ struct Scored {
     predict: Duration,
 }
 
-/// A stateful recommendation engine — one per serving pod.
+/// A stateful recommendation engine — one per serving node.
 ///
 /// Generic over the session store `S` so the request path is written purely
 /// against the [`SessionStore`] contract; the default is the sharded
-/// in-memory [`TtlStore`]. The recommender is read through a shared
-/// [`IndexHandle`]: the daily rollover (Section 4.1) builds the new index
-/// once and publishes it atomically to every pod holding the handle, and
+/// in-memory [`TtlStore`]. The recommender is read through an
+/// [`IndexHandle`]: the daily rollover (Section 4.1) and live ingest build
+/// the new index once and publish it atomically through the handle, and
 /// readers never block — in-flight requests finish against the index they
 /// started with.
 pub struct Engine<S: SessionStore<u64, Vec<ItemId>> = TtlStore<u64, Vec<ItemId>>> {
@@ -139,15 +137,14 @@ pub struct Engine<S: SessionStore<u64, Vec<ItemId>> = TtlStore<u64, Vec<ItemId>>
     config: EngineConfig,
     stats: ServingStats,
     /// Generation-aware prediction cache for single-item-view requests;
-    /// `None` when disabled. Pods of one cluster share a single cache
-    /// (entries depend only on the item, the view kind and the index
-    /// generation — never on per-user state).
+    /// `None` when disabled. Entries depend only on the item, the view
+    /// kind and the index generation — never on per-user state.
     cache: Option<Arc<PredictionCache>>,
 }
 
 impl Engine {
-    /// Creates a standalone engine over a session index, with its own
-    /// default [`TtlStore`] and a private index handle.
+    /// Creates an engine over a session index, with a default [`TtlStore`]
+    /// and its own index handle.
     pub fn new(
         index: Arc<SessionIndex>,
         config: EngineConfig,
@@ -156,19 +153,8 @@ impl Engine {
         // The published value uses the sync-facade Arc: under the loom
         // feature the handle's reclamation protocol is model-checked.
         let vmis = crate::sync::Arc::new(build_recommender(index, &config)?);
-        Ok(Self::with_shared_index(Arc::new(IndexHandle::new(vmis)), config, rules))
-    }
-
-    /// Creates an engine with a default [`TtlStore`] that reads the
-    /// recommender from `index` — typically a handle shared by every pod of
-    /// a cluster, so one rollover publication reaches them all.
-    pub fn with_shared_index(
-        index: Arc<IndexHandle<VmisKnn>>,
-        config: EngineConfig,
-        rules: BusinessRules,
-    ) -> Self {
         let sessions = TtlStore::new(config.store);
-        Engine::with_store(index, sessions, config, rules)
+        Ok(Engine::with_store(Arc::new(IndexHandle::new(vmis)), sessions, config, rules))
     }
 }
 
@@ -185,26 +171,9 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
         Self { index, rules, sessions, config, stats: ServingStats::new(), cache }
     }
 
-    /// Replaces this engine's prediction cache — the cluster uses this to
-    /// share one cache (and one set of metrics) across all pods. `None`
-    /// disables caching regardless of the config flag.
-    pub fn with_prediction_cache(mut self, cache: Option<Arc<PredictionCache>>) -> Self {
-        self.cache = cache;
-        self
-    }
-
     /// The engine's prediction cache, if enabled.
     pub fn prediction_cache(&self) -> Option<&Arc<PredictionCache>> {
         self.cache.as_ref()
-    }
-
-    /// Builds a fresh recommender from `index` and publishes it to this
-    /// engine's index handle (shared handles propagate to all holders).
-    /// On error nothing is published and serving continues on the old index.
-    pub fn swap_index(&self, index: Arc<SessionIndex>) -> Result<(), CoreError> {
-        let fresh = crate::sync::Arc::new(build_recommender(index, &self.config)?);
-        self.index.store(fresh);
-        Ok(())
     }
 
     /// The engine's index handle (shared with the publishing side).
@@ -219,7 +188,7 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
 
     /// Handles one frontend request through the three-stage pipeline,
     /// reusing the caller's per-worker [`RequestContext`]. Per-stage
-    /// timings are recorded into the pod's stats and left on the context.
+    /// timings are recorded into the engine's stats and left on the context.
     ///
     /// The pipeline is written once, as [`Engine::begin`] → score →
     /// [`Engine::finish`]; this is it with [`VmisKnn::recommend_with_scratch`]
@@ -231,11 +200,11 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
     /// degrades instead of blowing the SLA: the prediction runs over the
     /// displayed item only (the depersonalised view, whose cost is bounded
     /// by a single-item query), the context is marked degraded, and the
-    /// pod's `serenade_deadline_degraded_total` counter is bumped. The
+    /// engine's `serenade_deadline_degraded_total` counter is bumped. The
     /// response stays valid — degraded, never dropped.
     ///
     /// Errors are pipeline invariant violations; the HTTP layer maps them
-    /// to a `500` response (and they bump the pod's error counter here).
+    /// to a `500` response (and they bump the engine's error counter here).
     pub fn handle_with(
         &self,
         req: RecommendRequest,
@@ -265,7 +234,7 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
         CTX.with(|ctx| self.handle_with(req, &mut ctx.borrow_mut()))
     }
 
-    /// Handles a coalesced batch of same-pod requests, producing for each
+    /// Handles a coalesced batch of requests, producing for each
     /// member exactly the response [`Engine::handle_with`] would have
     /// produced had the members been handled sequentially in slice order.
     ///
@@ -380,7 +349,7 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
     /// Second half of the pipeline, from a pre-policy list to the response:
     /// cache store-back under the generation that scored it, the policy
     /// stage, and the request's bookkeeping — kernel work and per-stage
-    /// timings on the context, one row in the pod's stats.
+    /// timings on the context, one row in the engine's stats.
     fn finish(
         &self,
         req: &RecommendRequest,
@@ -407,7 +376,7 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
         recs
     }
 
-    /// Counts a pipeline error on the pod and hands it back.
+    /// Counts a pipeline error and hands it back.
     fn failed(&self, e: ServingError) -> ServingError {
         self.stats.record_error();
         e
@@ -485,19 +454,19 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
         Some(CacheKey { item: req.item, view })
     }
 
-    /// Request/latency statistics of this pod.
+    /// Request/latency statistics of this engine.
     pub fn stats(&self) -> crate::stats::StatsSnapshot {
         self.stats.snapshot()
     }
 
-    /// The live stats collector, for registering this pod's counters and
+    /// The live stats collector, for registering this engine's counters and
     /// histograms into a metrics [`serenade_telemetry::Registry`].
     pub fn stats_handle(&self) -> &ServingStats {
         &self.stats
     }
 
     /// Cumulative `(lazily expired, swept)` session reclamation counts from
-    /// this pod's store.
+    /// this engine's store.
     pub fn session_expiry_counts(&self) -> (u64, u64) {
         self.sessions.expiry_counts()
     }
@@ -507,7 +476,7 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
         self.sessions.with_value(&session_id, Vec::len).unwrap_or(0)
     }
 
-    /// Erases a session's evolving state from this pod's store — live or
+    /// Erases a session's evolving state from this engine's store — live or
     /// expired — returning whether anything was dropped. The unlearning
     /// hook: [`crate::ServingCluster::delete_session`] calls this so a
     /// session deleted from the click log also stops influencing its own
@@ -516,13 +485,13 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
         self.sessions.forget(&session_id)
     }
 
-    /// Count of live sessions on this pod.
+    /// Count of live sessions in this engine's store.
     pub fn live_sessions(&self) -> usize {
         self.sessions.live_entries()
     }
 
     /// Snapshots up to `cap` live sessions for ownership handoff — see
-    /// [`SessionStore::export_live`]. The exporting pod keeps serving; the
+    /// [`SessionStore::export_live`]. The exporting node keeps serving; the
     /// handoff coordinator imports the snapshot into the new owners and
     /// then calls [`Engine::forget_session`] here.
     pub fn export_sessions(&self, cap: usize) -> Vec<(u64, Vec<ItemId>)> {
@@ -530,7 +499,7 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
     }
 
     /// Installs a handed-off session. Imported history is *prepended* to
-    /// whatever this pod already holds for the id: during the handoff gap
+    /// whatever this engine already holds for the id: during the handoff gap
     /// the new owner may have served the session fresh, and those clicks
     /// are newer than the snapshot, so they stay at the tail. The stored
     /// length cap applies as on the request path. Returns the stored
@@ -954,32 +923,6 @@ mod tests {
         let unfiltered_again = e.handle(dep(3, 0, false)).unwrap();
         assert_eq!(unfiltered, unfiltered_again, "filtering must not poison the entry");
         assert_eq!(e.prediction_cache().unwrap().hit_count(), 2);
-    }
-
-    #[test]
-    fn index_swap_invalidates_cached_predictions() {
-        let e = engine(ServingVariant::Full, BusinessRules::none());
-        let before = e.handle(dep(10, 2, false)).unwrap();
-        assert_eq!(e.handle(dep(11, 2, false)).unwrap(), before);
-        // Roll over to a different history: the same request must now be
-        // answered from the new index, not the cached old list.
-        let mut clicks = Vec::new();
-        for s in 0..10u64 {
-            clicks.push(Click::new(s + 1, 2, 100 + s * 10));
-            clicks.push(Click::new(s + 1, 4, 101 + s * 10));
-        }
-        let new_index = Arc::new(SessionIndex::build(&clicks, 500).unwrap());
-        e.swap_index(Arc::clone(&new_index)).unwrap();
-        let after = e.handle(dep(12, 2, false)).unwrap();
-        let reference_cfg = EngineConfig { variant: ServingVariant::Full, how_many: 3, ..Default::default() };
-        let reference = Engine::new(new_index, reference_cfg, BusinessRules::none()).unwrap();
-        assert_eq!(after, reference.handle(dep(99, 2, false)).unwrap());
-        assert_ne!(after, before, "the histories are engineered to disagree");
-        let cache = e.prediction_cache().unwrap();
-        assert_eq!(cache.stale_count(), 1, "the rolled-over entry was rejected");
-        // And the new answer is itself cached again.
-        assert_eq!(e.handle(dep(13, 2, false)).unwrap(), after);
-        assert_eq!(cache.hit_count(), 2);
     }
 
     #[test]

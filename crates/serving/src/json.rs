@@ -1,7 +1,7 @@
 //! A minimal JSON codec for the REST wire format.
 //!
-//! Hand-rolled to stay inside the approved dependency set (serde provides no
-//! format on its own). Supports the full JSON value grammar; numbers are
+//! Hand-rolled: the workspace vendors no serialisation crate. Supports the
+//! full JSON value grammar; numbers are
 //! kept as `f64` plus a lossless `u64` fast path for identifiers, which is
 //! what the recommendation API traffics in. Not a general-purpose JSON
 //! library — strings are UTF-8 with the standard escapes, and the parser

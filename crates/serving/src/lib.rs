@@ -2,14 +2,14 @@
 //!
 //! The online half of Serenade (Section 4): stateful recommendation servers
 //! that colocate the evolving user sessions with the update/recommendation
-//! requests. Every "pod" holds a replica of the session-similarity index and
-//! its partition of the evolving-session state in a machine-local TTL store;
-//! a sticky router (the in-process analogue of Kubernetes session affinity)
-//! guarantees that all requests of one session land on the same pod.
+//! requests. Every serving node holds a replica of the session-similarity
+//! index and its partition of the evolving-session state in a machine-local
+//! TTL store; the router tier (our analogue of Kubernetes session affinity)
+//! guarantees that all requests of one session land on the same node.
 //!
 //! * [`json`] — a minimal hand-rolled JSON codec for the REST wire format;
 //! * [`rules`] — business-rule filtering (unavailable / adult products);
-//! * [`engine`] — the per-pod recommendation engine: a three-stage pipeline
+//! * [`engine`] — the recommendation engine: a three-stage pipeline
 //!   (session update → VMIS-kNN prediction → policy) over a pluggable
 //!   session store, with the `serenade-hist` / `serenade-recent` variants
 //!   of the A/B test and the depersonalised mode;
@@ -24,12 +24,13 @@
 //!   behind the cache's epoch-bucketed invalidation;
 //! * [`context`] — per-worker request state (scratch buffers, session view,
 //!   per-stage timings) threaded through `http → cluster → engine`;
-//! * [`router`] — sticky-session partitioning across pods (rendezvous
+//! * [`router`] — sticky-session partitioning across nodes (rendezvous
 //!   hashing, so membership changes remap a minimal session fraction);
 //! * [`transport`] — the router tier's upstream side: a pooled keep-alive
 //!   HTTP client per node process;
-//! * [`cluster`] — the multi-pod in-process cluster every server fronts;
-//! * [`node`] — the single-pod serving node role for multi-process
+//! * [`cluster`] — one engine plus telemetry and ingest: what every server
+//!   fronts;
+//! * [`node`] — the serving node role for multi-process
 //!   deployments: a data-plane HTTP server plus a framed control socket for
 //!   artifact distribution and session handoff;
 //! * [`routerd`] — the router tier: routes by rendezvous hashing over live
@@ -40,7 +41,8 @@
 //!   incremental bounded parser, a per-connection state machine, admission
 //!   control with `503 + Retry-After` shedding, deadline budgets and a
 //!   graceful drain protocol (model-checked with loom);
-//! * [`stats`] — per-pod request/latency statistics, exposed at `GET /stats`;
+//! * [`stats`] — the engine's request/latency statistics, exposed at
+//!   `GET /stats`;
 //! * [`telemetry`] — the cluster-wide observability hub: Prometheus metric
 //!   registry (`GET /metrics`), request-id source and slow-request trace
 //!   ring (`GET /debug/slow`).

@@ -1,6 +1,6 @@
-//! The serving-node role: one pod of a multi-process cluster.
+//! The serving-node role: one machine of a multi-process cluster.
 //!
-//! A [`ServingNode`] wraps a single-pod in-process [`ServingCluster`] with
+//! A [`ServingNode`] wraps the process's [`ServingCluster`] (one engine) with
 //! the two planes a real deployment needs:
 //!
 //! * **data plane** — the event-loop [`HttpServer`] serving the full REST
@@ -35,7 +35,7 @@ use serenade_index::binfmt;
 use serenade_telemetry::TraceConfig;
 
 use crate::cluster::ServingCluster;
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::EngineConfig;
 use crate::server::{HttpServer, HttpServerConfig};
 use crate::rules::BusinessRules;
 
@@ -65,17 +65,17 @@ mod op {
 /// How a node identifies and binds itself.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
-    /// Member id in the cluster's rendezvous key space. Nodes `0..n`
-    /// reproduce exactly the ownership of an in-process `n`-pod cluster,
-    /// which the conformance tests rely on.
+    /// Member id in the cluster's rendezvous key space. Nodes `0..n` own
+    /// exactly what `StickyRouter::with_members(0..n)` assigns them, which
+    /// the conformance tests rely on.
     pub node_id: u64,
     /// Control-socket bind address (port 0 for ephemeral).
     pub ctrl_addr: String,
     /// Data-plane server configuration (bind address, workers, limits).
     pub server: HttpServerConfig,
-    /// Engine configuration for the node's single pod.
+    /// Engine configuration.
     pub engine: EngineConfig,
-    /// Business rules for the node's single pod.
+    /// Business rules.
     pub rules: BusinessRules,
 }
 
@@ -92,7 +92,7 @@ impl Default for NodeConfig {
 }
 
 /// A running serving node: data-plane HTTP server + control socket around
-/// one single-pod cluster. Dropping it (or [`ServingNode::shutdown`])
+/// the process's cluster. Dropping it (or [`ServingNode::shutdown`])
 /// drains the data plane and stops the control thread.
 pub struct ServingNode {
     id: u64,
@@ -105,8 +105,8 @@ pub struct ServingNode {
 }
 
 impl ServingNode {
-    /// Builds the single-pod cluster, starts the data-plane server and the
-    /// control listener.
+    /// Builds the cluster, starts the data-plane server and the control
+    /// listener.
     pub fn start(index: Arc<SessionIndex>, config: NodeConfig) -> Result<Self, CoreError> {
         let cluster = Arc::new(ServingCluster::with_trace_config(
             index,
@@ -169,7 +169,7 @@ impl ServingNode {
         self.ctrl_addr
     }
 
-    /// The node's cluster (the single pod plus telemetry).
+    /// The node's cluster (its engine plus telemetry).
     pub fn cluster(&self) -> &Arc<ServingCluster> {
         &self.cluster
     }
@@ -290,22 +290,17 @@ fn write_response(stream: &mut TcpStream, status: u8, payload: &[u8]) -> std::io
     stream.write_all(&frame)
 }
 
-/// The single pod behind a node cluster.
-fn pod(cluster: &ServingCluster) -> &Arc<Engine> {
-    &cluster.pods()[0]
-}
-
 /// Executes one control operation; returns `(status, payload)`.
 fn execute(cluster: &ServingCluster, opcode: u8, payload: &[u8]) -> (u8, Vec<u8>) {
     match opcode {
         op::PING => {
-            let generation = pod(cluster).index_handle().generation();
+            let generation = cluster.engine().index_handle().generation();
             (0, generation.to_le_bytes().to_vec())
         }
         op::LOAD_INDEX => match binfmt::read_index(payload) {
             Ok(index) => match cluster.reload_index(Arc::new(index)) {
                 Ok(()) => {
-                    let generation = pod(cluster).index_handle().generation();
+                    let generation = cluster.engine().index_handle().generation();
                     (0, generation.to_le_bytes().to_vec())
                 }
                 Err(e) => (1, format!("index rejected: {e}").into_bytes()),
@@ -317,14 +312,14 @@ fn execute(cluster: &ServingCluster, opcode: u8, payload: &[u8]) -> (u8, Vec<u8>
                 return (1, b"export expects cap:u32le".to_vec());
             }
             let cap = u32::from_le_bytes(payload.try_into().expect("4 bytes")) as usize;
-            let sessions = pod(cluster).export_sessions(cap);
+            let sessions = cluster.engine().export_sessions(cap);
             (0, encode_sessions(&sessions))
         }
         op::IMPORT => match decode_sessions(payload) {
             Ok(sessions) => {
                 let n = sessions.len() as u32;
                 for (sid, items) in sessions {
-                    pod(cluster).import_session(sid, items);
+                    cluster.engine().import_session(sid, items);
                 }
                 (0, n.to_le_bytes().to_vec())
             }
@@ -334,7 +329,7 @@ fn execute(cluster: &ServingCluster, opcode: u8, payload: &[u8]) -> (u8, Vec<u8>
             Ok(sids) => {
                 let mut dropped = 0u32;
                 for sid in sids {
-                    if pod(cluster).forget_session(sid) {
+                    if cluster.engine().forget_session(sid) {
                         dropped += 1;
                     }
                 }

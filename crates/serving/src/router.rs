@@ -3,9 +3,9 @@
 //! The paper partitions evolving sessions and their requests over the
 //! serving machines by session identifier, using Kubernetes session
 //! affinity via istio sidecars (Section 4.2). The same contract here is a
-//! deterministic map from session id onto a *member* (an in-process pod or
-//! a remote node): every request of a session reaches the same member, so
-//! session state never needs to move while membership is stable.
+//! deterministic map from session id onto a *member* (a serving node):
+//! every request of a session reaches the same node, so session state never
+//! needs to move while membership is stable.
 //!
 //! The map is **rendezvous hashing** (highest-random-weight): each member
 //! gets a pseudo-random weight per session and the heaviest member wins.
@@ -14,8 +14,7 @@
 //! only the ~1/(N+1) of sessions the new member now wins, instead of
 //! nearly all of them (property-tested in `tests/router_remap.rs`). That
 //! is what makes node join/leave handoff *bounded* in the multi-node
-//! cluster: the router tier and the in-process cluster share this exact
-//! routing function.
+//! cluster.
 
 /// SplitMix64 finaliser: full-avalanche 64-bit mixer.
 #[inline]
@@ -26,9 +25,8 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The rendezvous weight of `member` for `session_id`. Pure and shared by
-/// every routing tier, so an in-process cluster, the router daemon and any
-/// external tooling agree on ownership.
+/// The rendezvous weight of `member` for `session_id`. Pure, so the router
+/// daemon and any external tooling agree on ownership.
 #[inline]
 pub fn rendezvous_weight(session_id: u64, member: u64) -> u64 {
     // Double mixing decorrelates the two arguments: mix(session ^ mix(m))
@@ -43,24 +41,12 @@ pub struct StickyRouter {
 }
 
 impl StickyRouter {
-    /// Creates a router over `pods` serving pods (≥ 1) with member ids
-    /// `0..pods` — the in-process cluster's shape.
-    pub fn new(pods: usize) -> Self {
-        assert!(pods >= 1, "at least one pod required");
-        Self { members: (0..pods as u64).collect() }
-    }
-
     /// Creates a router over explicit member ids (≥ 1, caller-unique) —
     /// the router tier's shape, where members are node identities that
     /// survive joins and leaves of *other* nodes.
     pub fn with_members(members: &[u64]) -> Self {
         assert!(!members.is_empty(), "at least one member required");
         Self { members: members.into() }
-    }
-
-    /// Number of members.
-    pub fn pods(&self) -> usize {
-        self.members.len()
     }
 
     /// The member ids, in routing-slot order.
@@ -114,9 +100,14 @@ impl StickyRouter {
 mod tests {
     use super::*;
 
+    /// A router over member ids `0..n`.
+    fn router(n: u64) -> StickyRouter {
+        StickyRouter::with_members(&(0..n).collect::<Vec<_>>())
+    }
+
     #[test]
     fn routing_is_deterministic() {
-        let r = StickyRouter::new(3);
+        let r = router(3);
         for sid in 0..100u64 {
             assert_eq!(r.route(sid), r.route(sid));
         }
@@ -124,14 +115,14 @@ mod tests {
 
     #[test]
     fn routing_is_in_range() {
-        let r = StickyRouter::new(5);
+        let r = router(5);
         assert!((0..10_000u64).all(|sid| r.route(sid) < 5));
     }
 
     #[test]
     fn load_is_roughly_balanced() {
         let pods = 4;
-        let r = StickyRouter::new(pods);
+        let r = router(pods as u64);
         let mut counts = vec![0usize; pods];
         let n = 40_000u64;
         for sid in 0..n {
@@ -148,14 +139,14 @@ mod tests {
 
     #[test]
     fn single_pod_takes_everything() {
-        let r = StickyRouter::new(1);
+        let r = router(1);
         assert!((0..100u64).all(|sid| r.route(sid) == 0));
     }
 
     #[test]
-    #[should_panic(expected = "at least one pod")]
+    #[should_panic(expected = "at least one member")]
     fn zero_pods_is_rejected() {
-        let _ = StickyRouter::new(0);
+        let _ = router(0);
     }
 
     #[test]
@@ -180,7 +171,7 @@ mod tests {
 
     #[test]
     fn filtering_everything_routes_nowhere() {
-        let r = StickyRouter::new(3);
+        let r = router(3);
         assert_eq!(r.route_filtered(7, |_| false), None);
     }
 
@@ -189,8 +180,8 @@ mod tests {
         // The rendezvous guarantee in miniature (the full property test
         // lives in tests/router_remap.rs): 3 → 4 members moves about 1/4
         // of sessions, never the near-everything a modulo map moves.
-        let old = StickyRouter::new(3);
-        let new = StickyRouter::new(4);
+        let old = router(3);
+        let new = router(4);
         let n = 20_000u64;
         let moved = (0..n).filter(|&sid| old.route(sid) != new.route(sid)).count();
         let expected = n as f64 / 4.0;

@@ -25,12 +25,8 @@ use super::parser::ParsedRequest;
 /// Where a tier runs one well-formed predict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictRoute {
-    /// In this process, against `shard`'s session state. `shard` is also the
-    /// dispatch queue's coalescing key: only equal shards share a batch.
-    Local {
-        /// The shard (pod) owning the session.
-        shard: usize,
-    },
+    /// In this process, against its own session state.
+    Local,
     /// In another process: the reactor forwards the request there and
     /// relays the answer.
     Forward(ForwardTarget),
@@ -61,20 +57,19 @@ pub trait RequestBackend: Send + Sync + 'static {
     /// panic; the worker trusts endpoint routing.
     fn respond(&self, request: &ParsedRequest) -> (u16, String, &'static str);
 
-    /// Says where this tier runs `req`: in this process on the shard owning
-    /// the session, on another node, or nowhere. Called on the reactor
+    /// Says where this tier runs `req`: in this process, on another node,
+    /// or nowhere. Called on the reactor
     /// thread for every well-formed `POST /recommend`: it must not block.
     fn route_predict(&self, req: &RecommendRequest) -> PredictRoute;
 
-    /// Executes same-shard predicts (per [`PredictRoute::Local`]); one
-    /// result per request in request order. This is a tier's only way to
+    /// Executes local predicts (per [`PredictRoute::Local`]); one result
+    /// per request in request order. This is a tier's only way to
     /// run a predict locally: on the reactor thread as a batch of one when
     /// nobody is there to coalesce with, else on a worker. Request ids and
     /// deadlines arrive tagged on the per-member contexts. A tier that only
     /// forwards never gets here.
     fn handle_recommend_batch(
         &self,
-        _shard: usize,
         reqs: &[RecommendRequest],
         _bctx: &mut BatchContext,
     ) -> Vec<Result<Vec<ItemScore>, ServingError>> {
@@ -103,16 +98,15 @@ impl RequestBackend for ServingCluster {
         conn::respond(request, self)
     }
 
-    fn route_predict(&self, req: &RecommendRequest) -> PredictRoute {
-        PredictRoute::Local { shard: self.pod_index_for(req.session_id) }
+    fn route_predict(&self, _req: &RecommendRequest) -> PredictRoute {
+        PredictRoute::Local
     }
 
     fn handle_recommend_batch(
         &self,
-        shard: usize,
         reqs: &[RecommendRequest],
         bctx: &mut BatchContext,
     ) -> Vec<Result<Vec<ItemScore>, ServingError>> {
-        self.handle_batch(shard, reqs, bctx)
+        self.handle_batch(reqs, bctx)
     }
 }

@@ -136,45 +136,37 @@ pub(super) fn respond(
             )
         }
         ("GET", "/stats") => {
-            let pods: Vec<JsonValue> = cluster
-                .pods()
-                .iter()
-                .enumerate()
-                .map(|(i, pod)| {
-                    let s = pod.stats();
-                    let mut fields = vec![
-                        ("pod", JsonValue::Number(i as f64)),
-                        ("requests", JsonValue::Number(s.requests as f64)),
-                        ("depersonalised", JsonValue::Number(s.depersonalised as f64)),
-                        ("degraded", JsonValue::Number(s.degraded as f64)),
-                        ("empty_responses", JsonValue::Number(s.empty_responses as f64)),
-                        ("errors", JsonValue::Number(s.errors as f64)),
-                        ("live_sessions", JsonValue::Number(pod.live_sessions() as f64)),
-                        ("busy_ms", JsonValue::Number(s.busy.as_millis() as f64)),
-                    ];
-                    if let Some(l) = s.latency {
-                        fields.push(("p50_us", JsonValue::Number(l.p50_us as f64)));
-                        fields.push(("p90_us", JsonValue::Number(l.p90_us as f64)));
-                        fields.push(("p995_us", JsonValue::Number(l.p995_us as f64)));
-                    }
-                    for (p50_name, p90_name, summary) in [
-                        ("session_p50_us", "session_p90_us", s.session_latency),
-                        ("predict_p50_us", "predict_p90_us", s.predict_latency),
-                        ("policy_p50_us", "policy_p90_us", s.policy_latency),
-                    ] {
-                        if let Some(l) = summary {
-                            fields.push((p50_name, JsonValue::Number(l.p50_us as f64)));
-                            fields.push((p90_name, JsonValue::Number(l.p90_us as f64)));
-                        }
-                    }
-                    JsonValue::object(fields)
-                })
-                .collect();
-            (
-                200,
-                JsonValue::object([("pods", JsonValue::Array(pods))]).to_json(),
-                CONTENT_TYPE_JSON,
-            )
+            let engine = cluster.engine();
+            let s = engine.stats();
+            let mut fields = vec![
+                ("pod", JsonValue::Number(0.0)),
+                ("requests", JsonValue::Number(s.requests as f64)),
+                ("depersonalised", JsonValue::Number(s.depersonalised as f64)),
+                ("degraded", JsonValue::Number(s.degraded as f64)),
+                ("empty_responses", JsonValue::Number(s.empty_responses as f64)),
+                ("errors", JsonValue::Number(s.errors as f64)),
+                ("live_sessions", JsonValue::Number(engine.live_sessions() as f64)),
+                ("busy_ms", JsonValue::Number(s.busy.as_millis() as f64)),
+            ];
+            if let Some(l) = s.latency {
+                fields.push(("p50_us", JsonValue::Number(l.p50_us as f64)));
+                fields.push(("p90_us", JsonValue::Number(l.p90_us as f64)));
+                fields.push(("p995_us", JsonValue::Number(l.p995_us as f64)));
+            }
+            for (p50_name, p90_name, summary) in [
+                ("session_p50_us", "session_p90_us", s.session_latency),
+                ("predict_p50_us", "predict_p90_us", s.predict_latency),
+                ("policy_p50_us", "policy_p90_us", s.policy_latency),
+            ] {
+                if let Some(l) = summary {
+                    fields.push((p50_name, JsonValue::Number(l.p50_us as f64)));
+                    fields.push((p90_name, JsonValue::Number(l.p90_us as f64)));
+                }
+            }
+            // A one-element `pods` array: the wire shape `/stats` clients
+            // parse, kept byte for byte.
+            let pods = JsonValue::Array(vec![JsonValue::object(fields)]);
+            (200, JsonValue::object([("pods", pods)]).to_json(), CONTENT_TYPE_JSON)
         }
         ("POST", "/ingest") => {
             let Some(pipeline) = cluster.ingest() else {
@@ -243,8 +235,8 @@ pub(super) fn respond(
                 );
             };
             // Cluster-level unlearning: remove the session from the click
-            // log, republish, and erase its evolving state from the pods'
-            // session stores — one synchronous call.
+            // log, republish, and erase its evolving state from the session
+            // store — one synchronous call.
             match unwind_barrier(|| cluster.delete_session(session_id)) {
                 Ok(existed) => (
                     200,

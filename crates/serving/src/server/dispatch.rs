@@ -1,10 +1,10 @@
 //! The dispatch queue between the reactor and the worker pool, with
-//! per-pod request coalescing, and the completion queue going back.
+//! predict coalescing, and the completion queue going back.
 //!
 //! The reactor admits a request and pushes a [`Dispatch`]; a worker takes
-//! [`Work`] off the queue. Predict dispatches for the same pod coalesce
-//! into one [`Work::Batch`] so the engine can score them through the batch
-//! VMIS-kNN kernel: the worker takes whatever same-pod predicts are already
+//! [`Work`] off the queue. Predict dispatches coalesce into one
+//! [`Work::Batch`] so the engine can score them through the batch VMIS-kNN
+//! kernel: the worker takes whatever predicts are already
 //! queued and then — only when `max_batch_delay` is nonzero — waits out a
 //! bounded gather window for more. The window is the *fairness guard*:
 //! it ends at `min(now + max_batch_delay, earliest member deadline)`, so
@@ -32,9 +32,9 @@ use super::parser::ParsedRequest;
 /// What a dispatched request is, for coalescing purposes.
 #[derive(Debug)]
 pub(super) enum DispatchKind {
-    /// A well-formed `POST /recommend`, routed to `pod`; eligible to batch
-    /// with same-pod predicts.
-    Predict { req: RecommendRequest, pod: usize },
+    /// A well-formed `POST /recommend`; eligible to batch with any other
+    /// queued predict.
+    Predict(RecommendRequest),
     /// Everything else (health, metrics, stats, malformed predicts):
     /// executed one at a time through the regular responder.
     Other,
@@ -55,8 +55,8 @@ pub(super) struct Dispatch {
     pub close_hint: bool,
 }
 
-/// What a worker picks up: a single request, or a coalesced same-pod batch
-/// of predicts (in arrival order, length ≥ 1).
+/// What a worker picks up: a single request, or a coalesced batch of
+/// predicts (in arrival order, length ≥ 1).
 pub(super) enum Work {
     Single(Dispatch),
     Batch(Vec<Dispatch>),
@@ -67,7 +67,7 @@ struct Inner {
     closed: bool,
 }
 
-/// Bounded MPMC dispatch queue with same-pod predict coalescing.
+/// Bounded MPMC dispatch queue with predict coalescing.
 pub(super) struct DispatchQueue {
     inner: Mutex<Inner>,
     cond: Condvar,
@@ -121,7 +121,7 @@ impl DispatchQueue {
     /// Blocks for the next unit of work; `None` once closed and empty.
     ///
     /// A predict at the queue head starts a batch: every already-queued
-    /// same-pod predict joins immediately (preserving arrival order for
+    /// predict joins immediately (preserving arrival order for
     /// other traffic), then, if the batch is still short and
     /// `max_batch_delay` is nonzero, the worker waits out the fairness
     /// window for stragglers.
@@ -130,12 +130,11 @@ impl DispatchQueue {
         loop {
             if let Some(first) = inner.queue.pop_front() {
                 self.depth.fetch_sub(1, Ordering::SeqCst);
-                let pod = match first.kind {
-                    DispatchKind::Predict { pod, .. } => pod,
-                    DispatchKind::Other => return Some(Work::Single(first)),
-                };
+                if let DispatchKind::Other = first.kind {
+                    return Some(Work::Single(first));
+                }
                 let mut batch = vec![first];
-                self.gather(&mut inner, pod, &mut batch);
+                self.gather(&mut inner, &mut batch);
                 if batch.len() < self.max_batch_size && self.max_batch_delay > Duration::ZERO {
                     let mut window_end = Instant::now() + self.max_batch_delay;
                     for member in &batch {
@@ -157,7 +156,7 @@ impl DispatchQueue {
                             .unwrap_or_else(PoisonError::into_inner);
                         inner = guard;
                         let before = batch.len();
-                        self.gather(&mut inner, pod, &mut batch);
+                        self.gather(&mut inner, &mut batch);
                         for member in &batch[before..] {
                             if let Some(deadline) = member.deadline {
                                 window_end = window_end.min(deadline);
@@ -180,16 +179,12 @@ impl DispatchQueue {
         }
     }
 
-    /// Moves every queued same-pod predict into `batch` (bounded by
+    /// Moves every queued predict into `batch` (bounded by
     /// `max_batch_size`), leaving other traffic in place and in order.
-    fn gather(&self, inner: &mut Inner, pod: usize, batch: &mut Vec<Dispatch>) {
+    fn gather(&self, inner: &mut Inner, batch: &mut Vec<Dispatch>) {
         let mut i = 0;
         while i < inner.queue.len() && batch.len() < self.max_batch_size {
-            let same_pod = matches!(
-                inner.queue[i].kind,
-                DispatchKind::Predict { pod: p, .. } if p == pod
-            );
-            if same_pod {
+            if let DispatchKind::Predict(_) = inner.queue[i].kind {
                 if let Some(member) = inner.queue.remove(i) {
                     self.depth.fetch_sub(1, Ordering::SeqCst);
                     batch.push(member);
@@ -255,9 +250,9 @@ mod tests {
         }
     }
 
-    fn predict(token: u64, pod: usize) -> Dispatch {
+    fn predict(token: u64) -> Dispatch {
         let req = RecommendRequest { session_id: token, item: 1, consent: true, filter_adult: false };
-        dispatch(token, DispatchKind::Predict { req, pod }, None)
+        dispatch(token, DispatchKind::Predict(req), None)
     }
 
     #[test]
@@ -280,36 +275,32 @@ mod tests {
     #[test]
     fn same_pod_predicts_coalesce_and_other_traffic_keeps_its_order() {
         let q = DispatchQueue::new(16, 16, Duration::ZERO);
-        q.push(predict(1, 0)).unwrap();
+        q.push(predict(1)).unwrap();
         q.push(dispatch(2, DispatchKind::Other, None)).unwrap();
-        q.push(predict(3, 1)).unwrap();
-        q.push(predict(4, 0)).unwrap();
-        q.push(predict(5, 0)).unwrap();
+        q.push(predict(3)).unwrap();
+        q.push(dispatch(4, DispatchKind::Other, None)).unwrap();
+        q.push(predict(5)).unwrap();
         match q.next_work() {
             Some(Work::Batch(batch)) => {
                 let tokens: Vec<u64> = batch.iter().map(|d| d.token).collect();
-                assert_eq!(tokens, vec![1, 4, 5], "pod-0 predicts coalesce in arrival order");
+                assert_eq!(tokens, vec![1, 3, 5], "every predict coalesces in arrival order");
             }
             _ => panic!("expected batch"),
         }
-        match q.next_work() {
-            Some(Work::Single(d)) => assert_eq!(d.token, 2, "other traffic kept its place"),
-            _ => panic!("expected single"),
-        }
-        match q.next_work() {
-            Some(Work::Batch(batch)) => {
-                assert_eq!(batch.len(), 1);
-                assert_eq!(batch[0].token, 3, "pod-1 predict batches alone");
+        for token in [2, 4] {
+            match q.next_work() {
+                Some(Work::Single(d)) => assert_eq!(d.token, token, "other traffic kept its order"),
+                _ => panic!("expected single"),
             }
-            _ => panic!("expected batch"),
         }
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
     fn max_batch_size_caps_a_gather() {
         let q = DispatchQueue::new(16, 2, Duration::ZERO);
         for t in 0..5 {
-            q.push(predict(t, 0)).unwrap();
+            q.push(predict(t)).unwrap();
         }
         match q.next_work() {
             Some(Work::Batch(batch)) => assert_eq!(batch.len(), 2),
@@ -330,7 +321,7 @@ mod tests {
         let q = DispatchQueue::new(16, 16, Duration::from_secs(30));
         let deadline = Instant::now() + Duration::from_millis(30);
         let req = RecommendRequest { session_id: 9, item: 1, consent: true, filter_adult: false };
-        q.push(dispatch(9, DispatchKind::Predict { req, pod: 0 }, Some(deadline))).unwrap();
+        q.push(dispatch(9, DispatchKind::Predict(req), Some(deadline))).unwrap();
         let started = Instant::now();
         match q.next_work() {
             Some(Work::Batch(batch)) => assert_eq!(batch.len(), 1),
@@ -346,12 +337,12 @@ mod tests {
     #[test]
     fn gather_window_collects_stragglers() {
         let q = std::sync::Arc::new(DispatchQueue::new(16, 16, Duration::from_secs(10)));
-        q.push(predict(1, 0)).unwrap();
+        q.push(predict(1)).unwrap();
         let producer = {
             let q = std::sync::Arc::clone(&q);
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(20));
-                q.push(predict(2, 0)).unwrap();
+                q.push(predict(2)).unwrap();
                 std::thread::sleep(Duration::from_millis(20));
                 q.close();
             })

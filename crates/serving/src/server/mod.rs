@@ -19,7 +19,7 @@
 //!   for: a predict that arrives alone runs inline on this thread, and a
 //!   tier that sends predicts elsewhere (the router) has them forwarded
 //!   over upstream connections the reactor owns;
-//! * [`dispatch`] — the bounded reactor→worker queue with same-pod predict
+//! * [`dispatch`] — the bounded reactor→worker queue with predict
 //!   coalescing (and the fairness guard that never holds a request past its
 //!   deadline budget), plus the worker→reactor completion queue;
 //! * [`worker`] — the fixed worker pool executing what the reactor did not:
@@ -44,7 +44,8 @@
 //!   `{"session_id": u64, "item_id": u64, "consent": bool, "filter_adult": bool}`
 //!   → `{"recommendations": [{"item_id": …, "score": …}, …]}`
 //! * `GET /health` → `{"status": "ok", "uptime_seconds": …, "index_generation": …}`
-//! * `GET /stats` → per-pod request counters and latency percentiles (JSON)
+//! * `GET /stats` → the engine's request counters and latency percentiles
+//!   (JSON, as a one-element `pods` array)
 //! * `GET /metrics` → the full metric registry in Prometheus text
 //!   exposition format (version 0.0.4)
 //! * `GET /debug/slow` → the slowest recently traced requests with their
@@ -401,7 +402,7 @@ mod tests {
     use std::io::{BufReader, Read, Write};
     use std::net::TcpStream;
 
-    fn test_cluster(pods: usize) -> Arc<ServingCluster> {
+    fn test_cluster() -> Arc<ServingCluster> {
         let mut clicks = Vec::new();
         for s in 0..40u64 {
             let ts = 100 + s * 10;
@@ -410,13 +411,13 @@ mod tests {
         }
         let index = Arc::new(SessionIndex::build(&clicks, 500).unwrap());
         Arc::new(
-            ServingCluster::new(index, pods, EngineConfig::default(), BusinessRules::none())
+            ServingCluster::new(index, 1, EngineConfig::default(), BusinessRules::none())
                 .unwrap(),
         )
     }
 
-    fn start_server(pods: usize) -> (HttpServer, Arc<ServingCluster>) {
-        let cluster = test_cluster(pods);
+    fn start_server() -> (HttpServer, Arc<ServingCluster>) {
+        let cluster = test_cluster();
         let server =
             HttpServer::serve(Arc::clone(&cluster), HttpServerConfig::default()).unwrap();
         (server, cluster)
@@ -424,7 +425,7 @@ mod tests {
 
     #[test]
     fn health_endpoint_responds() {
-        let (server, _cluster) = start_server(2);
+        let (server, _cluster) = start_server();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let (status, body) = client.get("/health").unwrap();
         assert_eq!(status, 200);
@@ -437,7 +438,7 @@ mod tests {
 
     #[test]
     fn metrics_endpoint_is_valid_prometheus_exposition() {
-        let (server, cluster) = start_server(2);
+        let (server, cluster) = start_server();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         for item in 0..6u64 {
             let (status, _) = client
@@ -487,10 +488,10 @@ mod tests {
 
     #[test]
     fn debug_slow_reports_per_stage_breakdowns() {
-        let (server, _cluster) = start_server(1);
+        let (server, _cluster) = start_server();
         // A socket predict runs the pipeline an in-process caller runs: the
         // body is byte for byte what `handle_with` on a twin cluster renders.
-        let twin = test_cluster(1);
+        let twin = test_cluster();
         let mut ctx = crate::context::RequestContext::new();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         for item in 0..5u64 {
@@ -544,7 +545,7 @@ mod tests {
 
     #[test]
     fn recommend_endpoint_returns_items() {
-        let (server, cluster) = start_server(2);
+        let (server, cluster) = start_server();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let (status, body) = client
             .post("/recommend", r#"{"session_id": 7, "item_id": 0, "consent": true}"#)
@@ -554,14 +555,14 @@ mod tests {
         let recs = v.get("recommendations").unwrap().as_array().unwrap();
         assert!(!recs.is_empty());
         assert!(recs[0].get("item_id").unwrap().as_u64().is_some());
-        // The session state landed on the right pod.
-        assert_eq!(cluster.pod_for(7).stored_session_len(7), 1);
+        // The session state landed in the engine's store.
+        assert_eq!(cluster.engine().stored_session_len(7), 1);
         server.shutdown();
     }
 
     #[test]
     fn keep_alive_supports_sequential_requests() {
-        let (server, cluster) = start_server(1);
+        let (server, cluster) = start_server();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         for item in 0..5u64 {
             let (status, _) = client
@@ -572,13 +573,13 @@ mod tests {
                 .unwrap();
             assert_eq!(status, 200);
         }
-        assert_eq!(cluster.pod_for(9).stored_session_len(9), 5);
+        assert_eq!(cluster.engine().stored_session_len(9), 5);
         server.shutdown();
     }
 
     #[test]
     fn malformed_requests_get_400() {
-        let (server, _cluster) = start_server(1);
+        let (server, _cluster) = start_server();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let (status, body) = client.post("/recommend", "not json").unwrap();
         assert_eq!(status, 400);
@@ -590,7 +591,7 @@ mod tests {
 
     #[test]
     fn stats_endpoint_reports_pod_counters() {
-        let (server, _cluster) = start_server(2);
+        let (server, _cluster) = start_server();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         for item in 0..4u64 {
             let (status, _) = client
@@ -605,14 +606,14 @@ mod tests {
         assert_eq!(status, 200, "{body}");
         let v = json::parse(&body).unwrap();
         let pods = v.get("pods").unwrap().as_array().unwrap();
-        assert_eq!(pods.len(), 2);
+        assert_eq!(pods.len(), 1);
         let total: u64 = pods
             .iter()
             .map(|p| p.get("requests").unwrap().as_u64().unwrap())
             .sum();
         assert_eq!(total, 4);
-        // The pod that served traffic exposes latency percentiles, end to
-        // end and per pipeline stage.
+        // The engine exposes latency percentiles, end to end and per
+        // pipeline stage.
         assert!(pods
             .iter()
             .any(|p| p.get("p90_us").and_then(json::JsonValue::as_u64).is_some()));
@@ -639,7 +640,7 @@ mod tests {
 
     #[test]
     fn oversized_body_gets_413_and_the_connection_closes() {
-        let (server, _cluster) = start_server(1);
+        let (server, _cluster) = start_server();
         // Announce a 2 MiB body but send none: the server must answer
         // immediately (it cannot safely skip the unread body) and close.
         let response = raw_exchange(
@@ -654,7 +655,7 @@ mod tests {
 
     #[test]
     fn malformed_content_length_gets_400_and_the_connection_closes() {
-        let (server, _cluster) = start_server(1);
+        let (server, _cluster) = start_server();
         let response = raw_exchange(
             server.addr(),
             "POST /recommend HTTP/1.1\r\nhost: t\r\ncontent-length: abc\r\n\r\n{}",
@@ -667,7 +668,7 @@ mod tests {
 
     #[test]
     fn server_stays_healthy_after_rejected_requests() {
-        let (server, _cluster) = start_server(1);
+        let (server, _cluster) = start_server();
         raw_exchange(
             server.addr(),
             "POST /recommend HTTP/1.1\r\nhost: t\r\ncontent-length: 9999999\r\n\r\n",
@@ -683,7 +684,7 @@ mod tests {
 
     #[test]
     fn unknown_paths_get_404() {
-        let (server, _cluster) = start_server(1);
+        let (server, _cluster) = start_server();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let (status, _) = client.get("/nope").unwrap();
         assert_eq!(status, 404);
@@ -692,7 +693,7 @@ mod tests {
 
     #[test]
     fn concurrent_clients_are_served() {
-        let (server, cluster) = start_server(2);
+        let (server, cluster) = start_server();
         let addr = server.addr();
         let handles: Vec<_> = (0..6u64)
             .map(|sid| {

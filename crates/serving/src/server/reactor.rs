@@ -1119,11 +1119,11 @@ impl<B: RequestBackend> Reactor<B> {
             // A malformed predict body re-parses to its `400` on a worker.
             None => DispatchKind::Other,
             Some(req) => match self.cluster.route_predict(&req) {
-                PredictRoute::Local { shard } if self.nobody_to_coalesce_with() => {
-                    self.run_inline(token, req, shard, deadline, close_hint);
+                PredictRoute::Local if self.nobody_to_coalesce_with() => {
+                    self.run_inline(token, req, deadline, close_hint);
                     return;
                 }
-                PredictRoute::Local { shard } => DispatchKind::Predict { req, pod: shard },
+                PredictRoute::Local => DispatchKind::Predict(req),
                 route => {
                     let target = match route {
                         PredictRoute::Forward(target) => Some(target),
@@ -1136,7 +1136,7 @@ impl<B: RequestBackend> Reactor<B> {
                 }
             },
         };
-        let is_predict = matches!(kind, DispatchKind::Predict { .. });
+        let is_predict = matches!(kind, DispatchKind::Predict(_));
         let client_close = request.close;
         match self.queue.push(Dispatch { token, request, kind, deadline, close_hint }) {
             Ok(()) => {
@@ -1184,7 +1184,6 @@ impl<B: RequestBackend> Reactor<B> {
         &mut self,
         token: u64,
         req: RecommendRequest,
-        shard: usize,
         deadline: Option<Instant>,
         close_hint: bool,
     ) {
@@ -1196,7 +1195,6 @@ impl<B: RequestBackend> Reactor<B> {
         let mut answer = None;
         run_predicts(
             self.cluster.as_ref(),
-            shard,
             &[req],
             std::iter::once(deadline),
             &mut self.bctx,

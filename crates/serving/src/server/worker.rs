@@ -6,7 +6,7 @@
 //! predict, so the steady-state request path allocates only its response.
 //! What reaches a worker is what the reactor did not finish itself: predicts
 //! from a turn that had company (several ready connections, a backlog, a
-//! gather window — see [`reactor`](super::reactor)), coalesced by shard, and
+//! gather window — see [`reactor`](super::reactor)), coalesced, and
 //! every non-predict request, which the endpoint responder serves without a
 //! context. [`run_predicts`] is the one predict execution both threads use.
 //!
@@ -72,7 +72,7 @@ fn run_single<B: RequestBackend>(
     });
 }
 
-/// Executes one coalesced same-pod predict batch, completing every member
+/// Executes one coalesced predict batch, completing every member
 /// individually.
 fn run_batch<B: RequestBackend>(
     batch: Vec<Dispatch>,
@@ -83,40 +83,37 @@ fn run_batch<B: RequestBackend>(
     reqs: &mut Vec<RecommendRequest>,
 ) {
     reqs.clear();
-    let mut pod = None;
     for dispatch in &batch {
-        if let DispatchKind::Predict { req, pod: p } = &dispatch.kind {
-            pod = Some(*p);
+        if let DispatchKind::Predict(req) = &dispatch.kind {
             reqs.push(*req);
         }
     }
     // The queue only coalesces predicts, so a batch holding anything else
     // is an invariant violation: answer every member with a typed `500`
     // rather than guess at request/result alignment.
-    let Some(pod) = pod.filter(|_| reqs.len() == batch.len()) else {
+    if reqs.len() != batch.len() {
         let (status, body) =
             conn::render_error(&ServingError::Internal("non-predict dispatch in a predict batch"));
         for dispatch in &batch {
             complete(dispatch, status, body.clone(), completions, shared);
         }
         return;
-    };
+    }
     shared.metrics.record_batch_size(batch.len());
     let deadlines = batch.iter().map(|dispatch| dispatch.deadline);
-    run_predicts(cluster, pod, reqs, deadlines, bctx, |i, status, body| {
+    run_predicts(cluster, reqs, deadlines, bctx, |i, status, body| {
         if let Some(dispatch) = batch.get(i) {
             complete(dispatch, status, body, completions, shared);
         }
     });
 }
 
-/// Runs same-shard predicts through the backend's batch entry and hands
+/// Runs local predicts through the backend's batch entry and hands
 /// `answer` one `(index, status, body)` per request. Members get a request
 /// id and their deadline first; a panic anywhere in the call maps to a
 /// typed `500` for every member (the unwind barrier is batch-wide).
 pub(super) fn run_predicts<B: RequestBackend>(
     cluster: &B,
-    shard: usize,
     reqs: &[RecommendRequest],
     deadlines: impl Iterator<Item = Option<Instant>>,
     bctx: &mut BatchContext,
@@ -127,7 +124,7 @@ pub(super) fn run_predicts<B: RequestBackend>(
         member.set_request_id(cluster.telemetry().next_request_id());
         member.set_deadline(deadline);
     }
-    match conn::unwind_barrier(|| Ok(cluster.handle_recommend_batch(shard, reqs, bctx))) {
+    match conn::unwind_barrier(|| Ok(cluster.handle_recommend_batch(reqs, bctx))) {
         Ok(results) => {
             for (i, result) in results.into_iter().enumerate() {
                 let (status, body) = match result {

@@ -1,7 +1,8 @@
 //! Serving-side observability: per-engine request counters and latency.
 //!
 //! The paper's operational story (Sections 5.2.2–5.2.3, 7) rests on being
-//! able to watch request rate, latency percentiles and core usage per pod.
+//! able to watch request rate, latency percentiles and core usage per
+//! serving machine.
 //! This module provides the in-process equivalent: a stats collector every
 //! [`crate::engine::Engine`] feeds, exposed over HTTP as `GET /stats` and
 //! queryable in-process for the dashboards the benchmarks print. Latency is
@@ -11,7 +12,7 @@
 //! Recording is lock-free: counters are relaxed atomics and latency goes
 //! into `serenade-telemetry`'s sharded log-linear histograms, so memory is
 //! bounded at O(buckets × shards) per stage regardless of how many requests
-//! the pod has served (the previous design kept every raw sample in striped
+//! the engine has served (the previous design kept every raw sample in striped
 //! `LatencyRecorder`s, growing without bound). Percentiles reported in
 //! [`StatsSnapshot`] are therefore estimates within
 //! [`serenade_telemetry::REL_ERROR_BOUND`] of the exact order statistics;
@@ -42,7 +43,7 @@ fn latency_config() -> HistogramConfig {
     }
 }
 
-/// Thread-safe request statistics for one engine/pod.
+/// Thread-safe request statistics for one engine.
 #[derive(Debug)]
 pub struct ServingStats {
     requests: Arc<Counter>,
@@ -151,45 +152,44 @@ impl ServingStats {
         }
     }
 
-    /// Registers this pod's counters and stage histograms into `registry`
-    /// under the serenade metric names, labelled `pod=<pod>`. The registry
-    /// shares the live handles — no copying, no separate bookkeeping.
-    pub fn register_into(&self, registry: &Registry, pod: &str) {
-        let pod_label = [("pod", pod)];
+    /// Registers these counters and stage histograms into `registry` under
+    /// the serenade metric names. The registry shares the live handles — no
+    /// copying, no separate bookkeeping.
+    pub fn register_into(&self, registry: &Registry) {
         registry.counter_shared(
             "serenade_requests_total",
             "Requests handled since startup.",
-            &pod_label,
+            &[],
             Arc::clone(&self.requests),
         );
         registry.counter_shared(
             "serenade_depersonalised_total",
             "Requests served in depersonalised (no-consent) mode.",
-            &pod_label,
+            &[],
             Arc::clone(&self.depersonalised),
         );
         registry.counter_shared(
             "serenade_deadline_degraded_total",
             "Requests degraded to the depersonalised fallback on deadline expiry.",
-            &pod_label,
+            &[],
             Arc::clone(&self.degraded),
         );
         registry.counter_shared(
             "serenade_empty_responses_total",
             "Requests that produced an empty recommendation list.",
-            &pod_label,
+            &[],
             Arc::clone(&self.empty_responses),
         );
         registry.counter_shared(
             "serenade_errors_total",
             "Requests that failed with a serving error.",
-            &pod_label,
+            &[],
             Arc::clone(&self.errors),
         );
         registry.counter_shared(
             "serenade_handler_busy_nanoseconds_total",
             "Cumulative busy time spent inside request handling.",
-            &pod_label,
+            &[],
             Arc::clone(&self.busy_ns),
         );
         for (stage, histogram) in [
@@ -201,7 +201,7 @@ impl ServingStats {
             registry.histogram_shared(
                 "serenade_request_duration_seconds",
                 "Request latency by pipeline stage.",
-                &[("pod", pod), ("stage", stage)],
+                &[("stage", stage)],
                 Arc::clone(histogram),
             );
         }
@@ -251,12 +251,12 @@ mod tests {
     fn degraded_requests_are_counted_and_exported() {
         let registry = Registry::new();
         let s = ServingStats::new();
-        s.register_into(&registry, "0");
+        s.register_into(&registry);
         s.record_degraded();
         s.record_degraded();
         assert_eq!(s.snapshot().degraded, 2);
         assert!(
-            registry.render().contains("serenade_deadline_degraded_total{pod=\"0\"} 2"),
+            registry.render().contains("serenade_deadline_degraded_total 2"),
             "{}",
             registry.render()
         );
@@ -291,20 +291,20 @@ mod tests {
     fn register_into_exposes_the_live_handles() {
         let registry = Registry::new();
         let s = ServingStats::new();
-        s.register_into(&registry, "0");
+        s.register_into(&registry);
         s.record(timings(10, 100, 1), true, 0);
         s.record_error();
         let text = registry.render();
-        assert!(text.contains("serenade_requests_total{pod=\"0\"} 1"), "{text}");
-        assert!(text.contains("serenade_depersonalised_total{pod=\"0\"} 1"), "{text}");
-        assert!(text.contains("serenade_empty_responses_total{pod=\"0\"} 1"), "{text}");
-        assert!(text.contains("serenade_errors_total{pod=\"0\"} 1"), "{text}");
+        assert!(text.contains("serenade_requests_total 1"), "{text}");
+        assert!(text.contains("serenade_depersonalised_total 1"), "{text}");
+        assert!(text.contains("serenade_empty_responses_total 1"), "{text}");
+        assert!(text.contains("serenade_errors_total 1"), "{text}");
         assert!(
-            text.contains("serenade_request_duration_seconds_count{pod=\"0\",stage=\"total\"} 1"),
+            text.contains("serenade_request_duration_seconds_count{stage=\"total\"} 1"),
             "{text}"
         );
         assert!(
-            text.contains("serenade_request_duration_seconds_count{pod=\"0\",stage=\"predict\"} 1"),
+            text.contains("serenade_request_duration_seconds_count{stage=\"predict\"} 1"),
             "{text}"
         );
     }

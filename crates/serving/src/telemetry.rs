@@ -2,7 +2,7 @@
 //! slow-request trace ring behind `GET /metrics` and `GET /debug/slow`.
 //!
 //! One [`ClusterTelemetry`] exists per [`crate::cluster::ServingCluster`].
-//! It owns the `serenade-telemetry` [`Registry`] every pod's counters and
+//! It owns the `serenade-telemetry` [`Registry`] the engine's counters and
 //! stage histograms are registered into (see
 //! [`crate::stats::ServingStats::register_into`]), the cluster-level
 //! metrics (index generation; bytes per index structure, stranded slots and
@@ -29,7 +29,7 @@ use crate::handle::IndexHandle;
 /// model-checked ones).
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Observability state shared by every pod of a serving cluster.
+/// Observability state of a serving cluster.
 #[derive(Debug)]
 pub struct ClusterTelemetry {
     registry: Registry,

@@ -36,7 +36,7 @@ fn make_index(stride: u64) -> Arc<SessionIndex> {
 
 fn cluster_on(index: Arc<SessionIndex>) -> Arc<ServingCluster> {
     Arc::new(
-        ServingCluster::new(index, 2, EngineConfig::default(), BusinessRules::none())
+        ServingCluster::new(index, 1, EngineConfig::default(), BusinessRules::none())
             .unwrap(),
     )
 }

@@ -11,8 +11,9 @@
 //! * a replacement node can join and is routed to after recovery;
 //! * membership changes hand evolving session state to the new owner
 //!   (export → import → forget), verified over the control protocol;
-//! * the router's shard assignment is byte-identical to the in-process
-//!   rendezvous router — the socket tier changes topology, not routing.
+//! * the router's shard assignment is exactly the pure rendezvous map of
+//!   `StickyRouter` over the member ids — the socket tier changes
+//!   topology, not routing.
 
 #![cfg(not(feature = "loom"))]
 
@@ -323,8 +324,8 @@ fn membership_change_hands_session_state_to_the_new_owner() {
 fn router_sharding_matches_the_in_process_rendezvous_router() {
     // The socket tier must not change *where* sessions live, only how the
     // owner is reached: over members with ids 0..n the router forwards a
-    // session to the member the in-process router used by `ServingCluster`
-    // assigns it to. Dead addresses are fine — routing is pure.
+    // session to the member the pure rendezvous map `StickyRouter` assigns
+    // it to. Dead addresses are fine — routing is pure.
     use serenade_serving::engine::RecommendRequest;
     use serenade_serving::server::{ForwardTarget, PredictRoute, RequestBackend};
     let addr = |id: usize| SocketAddr::from(([127, 0, 0, 1], 1 + id as u16));
@@ -336,11 +337,11 @@ fn router_sharding_matches_the_in_process_rendezvous_router() {
             Duration::from_millis(10),
             100,
         );
-        let in_process = StickyRouter::new(n);
+        let rendezvous = StickyRouter::with_members(&(0..n as u64).collect::<Vec<_>>());
         for sid in (0..50_000u64).step_by(97) {
             let req =
                 RecommendRequest { session_id: sid, item: 1, consent: true, filter_adult: false };
-            let owner = addr(in_process.route(sid));
+            let owner = addr(rendezvous.route(sid));
             assert_eq!(
                 core.route_predict(&req),
                 PredictRoute::Forward(ForwardTarget { addr: owner, depersonalised: false, attempt: 0 }),

@@ -27,7 +27,7 @@ use serenade_serving::{
 };
 use serenade_telemetry::TraceConfig;
 
-const PODS: usize = 2;
+const NODES: u64 = 2;
 const SESSIONS: u64 = 32;
 const CLICKS_PER_SESSION: u64 = 12;
 
@@ -44,7 +44,7 @@ fn index() -> Arc<SessionIndex> {
 
 fn cluster() -> Arc<ServingCluster> {
     Arc::new(
-        ServingCluster::new(index(), PODS, EngineConfig::default(), BusinessRules::none()).unwrap(),
+        ServingCluster::new(index(), 1, EngineConfig::default(), BusinessRules::none()).unwrap(),
     )
 }
 
@@ -152,7 +152,7 @@ fn a_gather_window_queues_every_predict() {
 fn concurrent_connections_queue_and_coalesce() {
     // Sixteen connections, two sessions each, released together step by
     // step: turns deliver several ready connections, so predicts go to the
-    // worker pool and same-pod ones share batches.
+    // worker pool and share batches.
     const CONNECTIONS: u64 = 16;
     let reqs = stream();
     let expected = reference(&reqs);
@@ -203,7 +203,7 @@ fn concurrent_connections_queue_and_coalesce() {
 #[test]
 fn a_router_forwards_every_predict_and_relays_the_same_bytes() {
     let reqs = stream();
-    let nodes: Vec<ServingNode> = (0..PODS as u64)
+    let nodes: Vec<ServingNode> = (0..NODES)
         .map(|node_id| {
             ServingNode::start(index(), NodeConfig { node_id, ..NodeConfig::default() }).unwrap()
         })
@@ -248,12 +248,11 @@ impl RequestBackend for Panicky {
     }
 
     fn route_predict(&self, _req: &RecommendRequest) -> PredictRoute {
-        PredictRoute::Local { shard: 0 }
+        PredictRoute::Local
     }
 
     fn handle_recommend_batch(
         &self,
-        _shard: usize,
         reqs: &[RecommendRequest],
         _bctx: &mut BatchContext,
     ) -> Vec<Result<Vec<ItemScore>, ServingError>> {

@@ -45,7 +45,7 @@ fn serve_with_ingest(config: IngestConfig) -> (Arc<ServingCluster>, HttpServer) 
     let clicks = seed_clicks();
     let index = Arc::new(SessionIndex::build(&clicks, 500).unwrap());
     let cluster = Arc::new(
-        ServingCluster::new(index, 2, EngineConfig::default(), BusinessRules::none())
+        ServingCluster::new(index, 1, EngineConfig::default(), BusinessRules::none())
             .unwrap(),
     );
     cluster.enable_ingest(config, &clicks).unwrap();
@@ -166,7 +166,7 @@ fn ingest_endpoints_are_404_on_read_only_clusters() {
     let clicks = seed_clicks();
     let index = Arc::new(SessionIndex::build(&clicks, 500).unwrap());
     let cluster = Arc::new(
-        ServingCluster::new(index, 2, EngineConfig::default(), BusinessRules::none())
+        ServingCluster::new(index, 1, EngineConfig::default(), BusinessRules::none())
             .unwrap(),
     );
     let server =

@@ -21,7 +21,7 @@ use serenade_serving::{HttpClient, HttpServer, HttpServerConfig};
 use serenade_serving::json::{self, JsonValue};
 use serenade_serving::{BusinessRules, ServingCluster};
 
-fn cluster(pods: usize) -> Arc<ServingCluster> {
+fn cluster() -> Arc<ServingCluster> {
     let mut clicks = Vec::new();
     for s in 0..40u64 {
         let ts = 100 + s * 10;
@@ -30,12 +30,12 @@ fn cluster(pods: usize) -> Arc<ServingCluster> {
     }
     let index = Arc::new(SessionIndex::build(&clicks, 500).unwrap());
     Arc::new(
-        ServingCluster::new(index, pods, EngineConfig::default(), BusinessRules::none()).unwrap(),
+        ServingCluster::new(index, 1, EngineConfig::default(), BusinessRules::none()).unwrap(),
     )
 }
 
 fn start(config: HttpServerConfig) -> (HttpServer, Arc<ServingCluster>) {
-    let cluster = cluster(1);
+    let cluster = cluster();
     let server = HttpServer::serve(Arc::clone(&cluster), config).unwrap();
     (server, cluster)
 }
@@ -112,12 +112,13 @@ fn await_queue_depth(cluster: &ServingCluster, want: f64) {
 
 #[test]
 fn queue_overflow_sheds_deterministically_with_503_and_retry_after() {
-    // Determinism on the event loop: the single worker picks up a pod-0
-    // predict and sits in its batch gather window waiting for same-pod
-    // company; a pod-1 predict then occupies the one dispatch-queue slot,
-    // and the next request overflows the queue and is shed on the reactor
-    // thread with 503 + retry-after — the connection stays usable.
-    let cluster = cluster(2);
+    // Determinism on the event loop: the single worker picks up a predict
+    // and sits in its batch gather window waiting for company; a
+    // `GET /health`, which never joins a predict gather, then occupies the
+    // one dispatch-queue slot, and the next request overflows the queue and
+    // is shed on the reactor thread with 503 + retry-after — the connection
+    // stays usable.
+    let cluster = cluster();
     let server = HttpServer::serve(
         Arc::clone(&cluster),
         HttpServerConfig {
@@ -129,31 +130,28 @@ fn queue_overflow_sheds_deterministically_with_503_and_retry_after() {
         },
     )
     .unwrap();
-    let sid_a = (0..u64::MAX).find(|s| cluster.pod_index_for(*s) == 0).unwrap();
-    let sid_b = (0..u64::MAX).find(|s| cluster.pod_index_for(*s) == 1).unwrap();
-
     // Admitted, then taken by the worker: the queue is empty again while
     // the worker gathers.
     let mut held_a = TcpStream::connect(server.addr()).unwrap();
     held_a.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write_predict(&mut held_a, sid_a);
+    write_predict(&mut held_a, 1);
     let deadline = Instant::now() + Duration::from_secs(5);
     while server.metrics().requests.get() < 1 {
-        assert!(Instant::now() < deadline, "pod-0 predict never admitted");
+        assert!(Instant::now() < deadline, "predict never admitted");
         std::thread::yield_now();
     }
     await_queue_depth(&cluster, 0.0);
 
-    // A pod-1 predict cannot join the pod-0 gather: it fills the slot.
+    // A health check cannot join the predict gather: it fills the slot.
     let mut held_b = TcpStream::connect(server.addr()).unwrap();
     held_b.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write_predict(&mut held_b, sid_b);
+    held_b.write_all(b"GET /health HTTP/1.1\r\nhost: t\r\n\r\n").unwrap();
     await_queue_depth(&cluster, 1.0);
 
     // Over capacity: shed with 503 + retry-after, connection kept alive.
     let mut shed = TcpStream::connect(server.addr()).unwrap();
     shed.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write_predict(&mut shed, sid_b);
+    write_predict(&mut shed, 2);
     let mut reader = BufReader::new(shed.try_clone().unwrap());
     let mut head = String::new();
     loop {
@@ -169,8 +167,8 @@ fn queue_overflow_sheds_deterministically_with_503_and_retry_after() {
     assert!(head.contains("connection: keep-alive"), "{head}");
     assert_eq!(server.metrics().shed_queue_full.get(), 1);
 
-    // Nothing was dropped: both held predicts are answered once their
-    // batches execute (the gather window expires without more traffic).
+    // Nothing was dropped: both held requests are answered once the gather
+    // window expires without more predicts.
     for stream in [held_a, held_b] {
         let mut reader = BufReader::new(stream);
         let (status, body) = read_one_response(&mut reader);
@@ -466,7 +464,7 @@ fn expired_deadline_degrades_but_still_answers_200() {
         );
     }
     // Session state kept evolving despite the degradation.
-    assert_eq!(cluster.pod_for(77).stored_session_len(77), 3);
+    assert_eq!(cluster.engine().stored_session_len(77), 3);
     // Requests 2 and 3 had multi-item views, so both degraded.
     let (status, body) = client.get("/stats").unwrap();
     assert_eq!(status, 200);

@@ -68,8 +68,8 @@ proptest! {
         pods in 1usize..=9,
         sessions in session_sample(),
     ) {
-        let old = StickyRouter::new(pods);
-        let new = StickyRouter::new(pods + 1);
+        let old = StickyRouter::with_members(&(0..pods as u64).collect::<Vec<_>>());
+        let new = StickyRouter::with_members(&(0..=pods as u64).collect::<Vec<_>>());
         let moved = sessions.iter().filter(|&&s| old.route(s) != new.route(s)).count();
         let fair = SAMPLE as f64 / (pods + 1) as f64;
         let epsilon = 4.0 * (fair * (1.0 - 1.0 / (pods + 1) as f64)).sqrt() + 8.0;

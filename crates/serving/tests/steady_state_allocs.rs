@@ -129,7 +129,7 @@ fn cluster_handle_is_traced_and_allocates_only_its_response() {
     let config = EngineConfig { variant: ServingVariant::Hist(2), ..EngineConfig::default() };
     let always_sample = TraceConfig { slots: 8, sample_every: 1, slow_threshold_us: 0 };
     let cluster =
-        ServingCluster::with_trace_config(index(), 2, config, BusinessRules::none(), always_sample)
+        ServingCluster::with_trace_config(index(), 1, config, BusinessRules::none(), always_sample)
             .unwrap();
     assert!(cluster.telemetry().traces().snapshot().is_empty());
     cluster.handle(req(7, 0)).unwrap();

@@ -1,6 +1,6 @@
-//! A complete recommendation service: offline index build, a sticky-routed
-//! two-pod serving cluster behind a real HTTP server, and a client session
-//! talking to it — the full Figure 1 architecture in one process.
+//! A complete recommendation service: offline index build, one serving
+//! engine behind a real HTTP server, and a client session talking to it —
+//! one machine of the Figure 1 architecture in one process.
 //!
 //! Run: `cargo run -p serenade-bench --release --example recommendation_service`
 
@@ -28,9 +28,9 @@ fn main() {
     }
     drop(items);
 
-    // Online: two pods behind a sticky router, fronted by HTTP.
+    // Online: the serving engine, fronted by HTTP.
     let cluster = Arc::new(
-        ServingCluster::new(index, 2, EngineConfig::default(), rules).expect("valid config"),
+        ServingCluster::new(index, 1, EngineConfig::default(), rules).expect("valid config"),
     );
     let server = HttpServer::serve(Arc::clone(&cluster), HttpServerConfig::default())
         .expect("bind ephemeral port");
@@ -50,9 +50,9 @@ fn main() {
         println!("POST /recommend item={item} -> {status} {preview}...");
     }
     println!(
-        "pod state: session {} has {} stored clicks",
+        "engine state: session {} has {} stored clicks",
         session_id,
-        cluster.pod_for(session_id).stored_session_len(session_id)
+        cluster.engine().stored_session_len(session_id)
     );
 
     server.shutdown();

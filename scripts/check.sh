@@ -7,8 +7,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> tier-1: cargo build --release"
-cargo build --release
+echo "==> tier-1: cargo build --release (any warning fails the check)"
+build_output=$(cargo build --release 2>&1) || { echo "$build_output"; exit 1; }
+echo "$build_output"
+if warnings=$(grep '^warning' <<<"$build_output"); then
+    echo "FAIL: the release build printed warnings:" >&2
+    echo "$warnings" >&2
+    exit 1
+fi
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
