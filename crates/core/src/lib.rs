@@ -71,5 +71,5 @@ pub use sessions::SessionRuns;
 pub use hash::{FxHashMap, FxHashSet};
 pub use index::{IndexBytes, IndexStats, Posting, SessionIndex, SessionItems};
 pub use types::{Click, ItemId, ItemScore, SessionId, Timestamp};
-pub use vmis::{BatchScratch, KernelWork, Scratch, VmisConfig, VmisKnn};
+pub use vmis::{KernelWork, Scratch, VmisConfig, VmisKnn};
 pub use weights::{DecayFunction, IdfWeighting, MatchWeight};

@@ -5,7 +5,7 @@
 //! swap algorithms freely.
 
 use crate::types::{ItemId, ItemScore};
-use crate::vmis::{BatchScratch, Scratch, VmisKnn};
+use crate::vmis::{Scratch, VmisKnn};
 
 /// A next-item recommender over evolving sessions.
 ///
@@ -32,21 +32,6 @@ pub trait Recommender: Sync {
         self.recommend(session, how_many)
     }
 
-    /// Scores a batch of sessions in one call, returning one list per
-    /// session in input order. The default implementation is the obvious
-    /// loop; recommenders with a genuine batch kernel (VMIS-kNN) override it
-    /// with a shared-traversal path whose output is bit-identical to the
-    /// loop — the contract batching servers rely on when they coalesce
-    /// concurrent requests.
-    fn recommend_batch_with(
-        &self,
-        sessions: &[&[ItemId]],
-        how_many: usize,
-        _scratch: &mut BatchScratch,
-    ) -> Vec<Vec<ItemScore>> {
-        sessions.iter().map(|s| self.recommend(s, how_many)).collect()
-    }
-
     /// A short human-readable name used in experiment reports.
     fn name(&self) -> &str;
 }
@@ -67,19 +52,6 @@ impl Recommender for VmisKnn {
         let mut recs = self.recommend_with_scratch(session, scratch);
         recs.truncate(how_many);
         recs
-    }
-
-    fn recommend_batch_with(
-        &self,
-        sessions: &[&[ItemId]],
-        how_many: usize,
-        scratch: &mut BatchScratch,
-    ) -> Vec<Vec<ItemScore>> {
-        let mut lists = VmisKnn::recommend_batch(self, sessions, scratch);
-        for list in &mut lists {
-            list.truncate(how_many);
-        }
-        lists
     }
 
     fn name(&self) -> &str {
@@ -108,29 +80,6 @@ mod tests {
         let recs = r.recommend(&[10], 1);
         assert!(recs.len() <= 1);
         assert_eq!(r.name(), "vmis-knn");
-    }
-
-    #[test]
-    fn recommend_batch_with_matches_per_session_calls() {
-        let clicks = vec![
-            Click::new(1, 10, 100),
-            Click::new(1, 11, 101),
-            Click::new(2, 10, 200),
-            Click::new(2, 12, 201),
-            Click::new(3, 11, 300),
-            Click::new(3, 12, 301),
-        ];
-        let index = SessionIndex::build(&clicks, 500).unwrap();
-        let v = VmisKnn::new(index, VmisConfig::default()).unwrap();
-        let r: &dyn Recommender = &v;
-        let sessions: Vec<&[u64]> = vec![&[10], &[10, 11], &[12, 10], &[10]];
-        let mut scratch = BatchScratch::default();
-        let batch = r.recommend_batch_with(&sessions, 2, &mut scratch);
-        assert_eq!(batch.len(), sessions.len());
-        for (i, s) in sessions.iter().enumerate() {
-            assert_eq!(batch[i], r.recommend(s, 2), "session {s:?}");
-            assert!(batch[i].len() <= 2, "how_many must cap batch lists too");
-        }
     }
 
     #[test]

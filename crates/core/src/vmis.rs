@@ -31,7 +31,6 @@ use std::sync::Arc;
 
 use crate::candidates::{Candidate, CandidateTable};
 use crate::error::CoreError;
-use crate::hash::FxHasher;
 use crate::heap::DaryHeap;
 use crate::index::SessionIndex;
 use crate::types::{ItemId, ItemScore, SessionId};
@@ -120,17 +119,6 @@ impl VmisConfig {
         }
         Ok(())
     }
-}
-
-/// Fx hash of a capped window, used as the batch dedupe fast path.
-#[inline]
-fn window_hash(window: &[ItemId]) -> u64 {
-    use std::hash::Hasher;
-    let mut h = FxHasher::default();
-    for &item in window {
-        h.write_u64(item);
-    }
-    h.finish()
 }
 
 /// One accumulator cell: `val` is the item's score `d_i` only while `epoch`
@@ -263,42 +251,6 @@ impl Default for Scratch {
 
 /// One step of a window's traversal plan: `(item, π, 1-based position)`.
 type Step = (ItemId, f32, u32);
-
-/// Reusable buffers for [`VmisKnn::recommend_batch`]: one [`Scratch`] per
-/// *unique* capped window in the batch plus the dedupe and scheduling state
-/// of the shared traversal. Buffers grow to the largest batch seen and are
-/// reused across batches, so a steady-state batching worker allocates
-/// nothing per batch beyond the returned result lists.
-#[derive(Debug, Default)]
-pub struct BatchScratch {
-    /// Per-unique-window kernel state.
-    slots: Vec<Scratch>,
-    /// Owned copies of the unique capped windows (the dedupe keys). Entries
-    /// beyond the current batch's unique count are stale capacity.
-    windows: Vec<Vec<ItemId>>,
-    /// Fx hash of each unique window, parallel to `windows` — the dedupe
-    /// scan compares hashes first and touches the item slices only on a
-    /// hash match.
-    hashes: Vec<u64>,
-    /// Last request index using each unique slot; that requester takes the
-    /// result by move instead of cloning.
-    last_use: Vec<usize>,
-    /// Traversal plan per unique window, in the exact order the sequential
-    /// kernel would take the steps.
-    plans: Vec<Vec<Step>>,
-    /// Request index → unique-window index.
-    assign: Vec<usize>,
-    /// Per-unique-window scored output of the current batch.
-    results: Vec<Vec<ItemScore>>,
-}
-
-impl BatchScratch {
-    /// Work counters of request `request` of the most recent batch (shared
-    /// by all requests whose windows were deduplicated into one run).
-    pub fn work(&self, request: usize) -> KernelWork {
-        self.assign.get(request).map(|&u| self.slots[u].work()).unwrap_or_default()
-    }
-}
 
 /// A neighbour session together with its similarity score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -450,10 +402,7 @@ impl VmisKnn {
     }
 
     /// One step of the item-intersection loop: merges `item`'s posting list
-    /// into the candidate table with decay weight `pi`. State transitions
-    /// depend only on `scratch`'s own prior contents, so steps for
-    /// *different* scratches can be interleaved freely (the batch path
-    /// relies on this).
+    /// into the candidate table with decay weight `pi`.
     ///
     /// **Match position.** A candidate records `pos`, the position of the
     /// item that admitted it, and scoring takes that as the position of the
@@ -549,124 +498,6 @@ impl VmisKnn {
         }
         self.select_neighbors(scratch);
         window
-    }
-
-    /// Creates batch scratch buffers for [`recommend_batch`].
-    ///
-    /// [`recommend_batch`]: Self::recommend_batch
-    pub fn batch_scratch(&self) -> BatchScratch {
-        BatchScratch::default()
-    }
-
-    /// Scores a batch of evolving sessions in one shared pass, returning one
-    /// recommendation list per session in input order — **bit-identical** to
-    /// calling [`recommend_with_scratch`] once per session.
-    ///
-    /// Two levels of sharing amortise the per-request cost of a coalesced
-    /// batch:
-    ///
-    /// * **window dedupe** — sessions whose capped windows are identical
-    ///   (the common case for concurrently coalesced traffic on a hot
-    ///   product page) run the kernel once and share the result;
-    /// * **interleaved posting traversal** — the item-intersection loops of
-    ///   the distinct windows advance round-robin by position, so a posting
-    ///   list shared across windows is rewalked while still cache-resident.
-    ///
-    /// Each window's own operations (candidate admission, heap eviction, f32
-    /// accumulation) happen in exactly the sequential kernel's order on its
-    /// own scratch slot; the rounds only interleave *across* slots. That is
-    /// the whole bit-identity argument, and the differential suite checks it
-    /// on random logs, configs and batches.
-    ///
-    /// [`recommend_with_scratch`]: Self::recommend_with_scratch
-    pub fn recommend_batch(
-        &self,
-        sessions: &[&[ItemId]],
-        scratch: &mut BatchScratch,
-    ) -> Vec<Vec<ItemScore>> {
-        let cfg = &self.config;
-        let BatchScratch { slots, windows, hashes, last_use, plans, assign, results } = scratch;
-
-        // Dedupe capped windows; `assign[i]` maps request i to its slot. The
-        // scan compares window hashes first and falls back to the item
-        // slices only on a hash match, so a batch of distinct windows costs
-        // one u64 comparison per (request, unique) pair instead of a slice
-        // walk — and hash collisions stay correct, merely slower.
-        assign.clear();
-        let mut n_unique = 0usize;
-        for &session in sessions {
-            let window = self.cap_window(session);
-            let hash = window_hash(window);
-            let u = match (0..n_unique)
-                .find(|&u| hashes[u] == hash && windows[u].as_slice() == window)
-            {
-                Some(u) => u,
-                None => {
-                    if n_unique == windows.len() {
-                        windows.push(Vec::with_capacity(window.len()));
-                        hashes.push(0);
-                    }
-                    windows[n_unique].clear();
-                    windows[n_unique].extend_from_slice(window);
-                    hashes[n_unique] = hash;
-                    n_unique += 1;
-                    n_unique - 1
-                }
-            };
-            assign.push(u);
-        }
-        while slots.len() < n_unique {
-            slots.push(Scratch::for_config(cfg));
-        }
-        plans.resize_with(n_unique.max(plans.len()), Vec::new);
-        results.resize_with(n_unique.max(results.len()), Vec::new);
-
-        // Per-window traversal plans: the steps in exactly the order the
-        // sequential kernel would take them.
-        let mut rounds = 0usize;
-        for u in 0..n_unique {
-            slots[u].clear(cfg.m, self.idf.len());
-            plans[u].clear();
-            plans[u].extend(self.steps(&windows[u]));
-            rounds = rounds.max(plans[u].len());
-        }
-
-        // Shared traversal: round t advances every window's t-th step.
-        for t in 0..rounds {
-            for u in 0..n_unique {
-                if let Some(&step) = plans[u].get(t) {
-                    self.intersect_item(step, &mut slots[u]);
-                }
-            }
-        }
-
-        // Per-window top-k, scoring and extraction.
-        for (u, result) in results.iter_mut().enumerate().take(n_unique) {
-            let slot = &mut slots[u];
-            self.select_neighbors(slot);
-            self.score_items(&windows[u], slot);
-            *result = self.take_top(slot);
-        }
-
-        // The last requester of each unique slot takes the result by move;
-        // earlier duplicates clone. A batch with no duplicate windows
-        // therefore allocates nothing here.
-        last_use.clear();
-        last_use.resize(n_unique, usize::MAX);
-        for (i, &u) in assign.iter().enumerate() {
-            last_use[u] = i;
-        }
-        assign
-            .iter()
-            .enumerate()
-            .map(|(i, &u)| {
-                if last_use[u] == i {
-                    std::mem::take(&mut results[u])
-                } else {
-                    results[u].clone()
-                }
-            })
-            .collect()
     }
 
     /// Scores all items occurring in the neighbour sessions (Algorithm 2,
@@ -997,65 +828,6 @@ mod tests {
                 other => panic!("unexpected error {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn batch_matches_sequential_on_mixed_windows() {
-        let v = knn(VmisConfig::default());
-        let sessions: Vec<Vec<ItemId>> = vec![
-            vec![1, 2],
-            vec![2],
-            vec![2],          // duplicate window of the previous request
-            vec![],           // empty session
-            vec![999],        // unknown item
-            vec![5, 1, 3],
-            vec![2, 1, 2],    // dup item inside the window
-            vec![1, 2],       // duplicate of the first
-        ];
-        let refs: Vec<&[ItemId]> = sessions.iter().map(Vec::as_slice).collect();
-        let mut batch_scratch = v.batch_scratch();
-        let batch = v.recommend_batch(&refs, &mut batch_scratch);
-        assert_eq!(batch.len(), sessions.len());
-        let mut scratch = v.scratch();
-        for (i, s) in sessions.iter().enumerate() {
-            let seq = v.recommend_with_scratch(s, &mut scratch);
-            assert_eq!(batch[i], seq, "request {i} ({s:?}) diverged");
-        }
-    }
-
-    #[test]
-    fn batch_scratch_reuse_is_idempotent() {
-        let v = knn(VmisConfig::default());
-        let mut scratch = v.batch_scratch();
-        // A large first batch, then a smaller one: stale slots, windows and
-        // plans from the first call must not leak into the second.
-        let big: Vec<Vec<ItemId>> = vec![vec![1, 2], vec![2, 3], vec![4], vec![5, 1, 3]];
-        let refs: Vec<&[ItemId]> = big.iter().map(Vec::as_slice).collect();
-        let first = v.recommend_batch(&refs, &mut scratch);
-        let small: Vec<&[ItemId]> = vec![&[2, 3]];
-        let second = v.recommend_batch(&small, &mut scratch);
-        assert_eq!(second[0], first[1], "reused scratch changed a result");
-        let again = v.recommend_batch(&refs, &mut scratch);
-        assert_eq!(again, first);
-    }
-
-    #[test]
-    fn batch_of_identical_windows_shares_one_kernel_run() {
-        let v = knn(VmisConfig::default());
-        let mut scratch = v.batch_scratch();
-        let refs: Vec<&[ItemId]> = vec![&[2]; 16];
-        let out = v.recommend_batch(&refs, &mut scratch);
-        let reference = v.recommend(&[2]);
-        assert!(out.iter().all(|r| *r == reference));
-        // Dedupe is observable through the scratch: one slot was planned.
-        assert_eq!(scratch.plans.iter().filter(|p| !p.is_empty()).count(), 1);
-    }
-
-    #[test]
-    fn empty_batch_yields_empty_output() {
-        let v = knn(VmisConfig::default());
-        let mut scratch = v.batch_scratch();
-        assert!(v.recommend_batch(&[], &mut scratch).is_empty());
     }
 
     #[test]

@@ -161,11 +161,6 @@ proptest! {
                 "session {:?}", session
             );
         }
-        let refs: Vec<&[ItemId]> = sessions.iter().map(Vec::as_slice).collect();
-        let batch = vmis.recommend_batch(&refs, &mut vmis.batch_scratch());
-        for (session, answer) in sessions.iter().zip(batch) {
-            prop_assert_eq!(bits(answer), bits(expected.recommend(session)));
-        }
     }
 
     // The depersonalised entry point is bit-identical to the session path

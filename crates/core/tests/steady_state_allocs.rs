@@ -2,9 +2,7 @@
 //!
 //! `Scratch` promises that a steady-state request allocates nothing but
 //! the list it returns. This suite holds it to that: the only allocation of
-//! a warmed-up `recommend_with_scratch` is its result, and a warmed-up
-//! `recommend_batch` of `n` distinct windows makes `n + 1` (the lists and
-//! the vector holding them).
+//! a warmed-up `recommend_with_scratch` is its result.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -85,14 +83,4 @@ fn warmed_up_request_allocates_only_its_result() {
         assert_eq!(recs.len(), vmis.config().how_many, "window {window:?} under-filled");
         assert_eq!(allocs, 1, "window {window:?}");
     }
-}
-
-#[test]
-fn warmed_up_batch_of_distinct_windows_allocates_n_plus_one() {
-    let vmis = recommender();
-    let mut scratch = vmis.batch_scratch();
-    vmis.recommend_batch(&WINDOWS, &mut scratch);
-    let (lists, allocs) = allocations_of(|| vmis.recommend_batch(&WINDOWS, &mut scratch));
-    assert!(lists.iter().all(|l| l.len() == vmis.config().how_many));
-    assert_eq!(allocs, WINDOWS.len() as u64 + 1);
 }

@@ -20,7 +20,7 @@ use serenade_core::{Click, CoreError, ItemScore, SessionIndex};
 use serenade_telemetry::{TraceConfig, TraceSample};
 
 use crate::cache::PredictionCache;
-use crate::context::{BatchContext, RequestContext};
+use crate::context::RequestContext;
 use crate::engine::{build_recommender, Engine, EngineConfig, RecommendRequest};
 use crate::error::ServingError;
 use crate::ingest::epoch::EpochChange;
@@ -196,30 +196,23 @@ impl ServingCluster {
     }
 
     /// Handles a request, reusing the caller's per-worker
-    /// [`RequestContext`]. Successful requests feed the slow-request trace
-    /// ring (subject to its sampling knobs) with the per-stage breakdown
-    /// left on the context.
+    /// [`RequestContext`]. A successful request is fed back into live
+    /// ingest and offered to the slow-request trace ring (subject to its
+    /// sampling knobs) with the per-stage breakdown left on the context. The
+    /// id and kernel counters are consumed either way, so nothing stale
+    /// leaks into the next request handled on this context.
     pub fn handle_with(
         &self,
         req: RecommendRequest,
         ctx: &mut RequestContext,
     ) -> Result<Vec<ItemScore>, ServingError> {
         let result = self.engine.handle_with(req, ctx);
-        self.record_trace(&req, ctx, result.is_ok());
-        result
-    }
-
-    /// Finishes a request's bookkeeping: feeds a successful one back into
-    /// live ingest and offers its trace to the slow-request ring. The id and
-    /// kernel counters are consumed either way, so nothing stale leaks into
-    /// the next request handled on this context.
-    fn record_trace(&self, req: &RecommendRequest, ctx: &mut RequestContext, ok: bool) {
         let request_id = ctx.take_request_id();
         let work = ctx.take_kernel_work();
-        if !ok {
-            return;
+        if result.is_err() {
+            return result;
         }
-        self.feed_ingest(req);
+        self.feed_ingest(&req);
         let timings = ctx.last_timings();
         self.telemetry.traces().record(&TraceSample {
             request_id: if request_id == 0 {
@@ -239,24 +232,7 @@ impl ServingCluster {
             candidates: work.candidates,
             evicted: work.evicted,
         });
-    }
-
-    /// Handles a coalesced batch of requests, recording one trace sample
-    /// per successful member exactly as [`ServingCluster::handle_with`]
-    /// does for single requests. Request ids and deadlines are read from
-    /// the per-member contexts in `bctx`, where the HTTP worker tagged them
-    /// before handing the batch over. Returns one result per request, in
-    /// request order.
-    pub fn handle_batch(
-        &self,
-        reqs: &[RecommendRequest],
-        bctx: &mut BatchContext,
-    ) -> Vec<Result<Vec<ItemScore>, ServingError>> {
-        let results = self.engine.handle_batch(reqs, bctx);
-        for (i, (req, result)) in reqs.iter().zip(&results).enumerate() {
-            self.record_trace(req, bctx.member_mut(i), result.is_ok());
-        }
-        results
+        result
     }
 
     /// Live sessions in the session store.

@@ -1,15 +1,15 @@
 //! Per-worker request state threaded through `http → cluster → engine`.
 //!
-//! Each HTTP worker (and each load-generator or simulator thread) owns one
-//! [`RequestContext`]: the VMIS-kNN scratch buffers, the session-view
-//! buffer, and the per-stage timings of the last handled request. Because
-//! the context is exclusively borrowed for the duration of a request, the
-//! hot path shares no mutable state between workers — the seed's global
-//! scratch-pool mutex is gone.
+//! Each HTTP worker, the reactor thread (for the predicts it runs inline)
+//! and each in-process caller owns one [`RequestContext`]: the VMIS-kNN
+//! scratch buffers, the session-view buffer, and the per-stage timings of
+//! the last handled request. A request runs on one context from start to
+//! finish, and the context is exclusively borrowed meanwhile, so the hot
+//! path shares no mutable state between threads.
 
 use std::time::{Duration, Instant};
 
-use serenade_core::{BatchScratch, ItemId, KernelWork, Scratch};
+use serenade_core::{ItemId, KernelWork, Scratch};
 
 /// Wall-clock time spent in each stage of the serving pipeline for one
 /// request (see `crate::engine::Engine::handle_with` for the stages).
@@ -142,65 +142,9 @@ impl RequestContext {
     }
 }
 
-/// Reusable per-worker state for handling a coalesced batch of requests:
-/// one [`RequestContext`] per batch member (so every member keeps its own
-/// view, timings, request id and deadline, exactly as if handled alone)
-/// plus the shared batch-kernel scratch. Member contexts grow to the
-/// high-water batch size and are then reused; steady-state batches allocate
-/// only their response lists.
-#[derive(Debug, Default)]
-pub struct BatchContext {
-    members: Vec<RequestContext>,
-    pub(crate) batch_scratch: BatchScratch,
-}
-
-impl BatchContext {
-    /// Creates a fresh batch context.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Grows the member-context pool to at least `n` entries.
-    pub(crate) fn ensure(&mut self, n: usize) {
-        while self.members.len() < n {
-            self.members.push(RequestContext::new());
-        }
-    }
-
-    /// The context of batch member `i` (grows the pool as needed — the
-    /// HTTP worker tags ids/deadlines before handing the batch over).
-    pub fn member_mut(&mut self, i: usize) -> &mut RequestContext {
-        self.ensure(i + 1);
-        &mut self.members[i]
-    }
-
-    /// The context of batch member `i`, if it exists.
-    pub fn member(&self, i: usize) -> Option<&RequestContext> {
-        self.members.get(i)
-    }
-
-    /// Splits into per-member contexts and the shared kernel scratch, so
-    /// the engine can borrow member views and the scratch simultaneously.
-    pub(crate) fn split(&mut self, n: usize) -> (&mut [RequestContext], &mut BatchScratch) {
-        self.ensure(n);
-        (&mut self.members[..n], &mut self.batch_scratch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batch_context_members_are_independent() {
-        let mut bctx = BatchContext::new();
-        bctx.member_mut(1).set_request_id(11);
-        bctx.member_mut(0).set_request_id(7);
-        assert_eq!(bctx.member_mut(0).take_request_id(), 7);
-        assert_eq!(bctx.member_mut(1).take_request_id(), 11);
-        let (members, _scratch) = bctx.split(4);
-        assert_eq!(members.len(), 4, "split grows the pool to the batch size");
-    }
 
     #[test]
     fn timings_total_sums_stages() {

@@ -10,6 +10,10 @@
 //! 3. **Policy stage** — apply business rules and truncate to the 21 items
 //!    the product-detail-page slot needs.
 //!
+//! A request runs the whole pipeline alone on its caller's
+//! [`RequestContext`] — the reactor thread, a worker, or an in-process
+//! caller — so its answer never depends on what else was in flight.
+//!
 //! The two session views of the A/B test are first-class: `serenade-hist`
 //! predicts from the last *two* items of the evolving session and
 //! `serenade-recent` from the most recent item only (Section 5.2.3). Users
@@ -27,10 +31,10 @@ use serenade_core::{
 use serenade_kvstore::{SessionStore, StoreConfig, TtlStore};
 use std::cell::RefCell;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::cache::{CacheConfig, CacheKey, PredictionCache, ViewKind};
-use crate::context::{BatchContext, RequestContext, StageTimings};
+use crate::context::{RequestContext, StageTimings};
 use crate::error::ServingError;
 use crate::handle::IndexHandle;
 use crate::rules::BusinessRules;
@@ -102,25 +106,6 @@ pub(crate) fn build_recommender(
     VmisKnn::new(index, vmis_cfg)
 }
 
-/// One request between [`Engine::begin`] and [`Engine::finish`].
-struct Begun {
-    started: Instant,
-    session_done: Instant,
-    /// Where the scored list is stored back: set on a cacheable miss.
-    store_key: Option<CacheKey>,
-}
-
-/// A pre-policy recommendation list and what producing it cost.
-struct Scored {
-    recs: Vec<ItemScore>,
-    /// The index generation the kernel scored against and the work it did;
-    /// `None` when the list came from the cache.
-    kernel: Option<(u64, KernelWork)>,
-    /// The request's predict-stage time: its probe, its own kernel run, or
-    /// the batch kernel run it shared.
-    predict: Duration,
-}
-
 /// A stateful recommendation engine — one per serving node.
 ///
 /// Generic over the session store `S` so the request path is written purely
@@ -190,11 +175,6 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
     /// reusing the caller's per-worker [`RequestContext`]. Per-stage
     /// timings are recorded into the engine's stats and left on the context.
     ///
-    /// The pipeline is written once, as [`Engine::begin`] → score →
-    /// [`Engine::finish`]; this is it with [`VmisKnn::recommend_with_scratch`]
-    /// as the score step, and [`Engine::handle_batch`] is the same two
-    /// halves around one batched kernel call.
-    ///
     /// If the context carries a deadline budget (set at HTTP ingress) that
     /// has already expired when the session stage completes, the pipeline
     /// degrades instead of blowing the SLA: the prediction runs over the
@@ -210,111 +190,9 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
         req: RecommendRequest,
         ctx: &mut RequestContext,
     ) -> Result<Vec<ItemScore>, ServingError> {
-        let (begun, hit) = self.begin(&req, ctx)?;
-        let scored = hit.unwrap_or_else(|| {
-            let (vmis, generation) = self.index.load_with_generation();
-            let recs = vmis.recommend_with_scratch(&ctx.view, &mut ctx.scratch);
-            Scored {
-                recs,
-                kernel: Some((generation, ctx.scratch.work())),
-                predict: begun.session_done.elapsed(),
-            }
-        });
-        // Handled alone, a request goes straight from predict to policy.
-        let policy_started = begun.session_done + scored.predict;
-        Ok(self.finish(&req, ctx, &begun, scored, policy_started))
-    }
-
-    /// Handles one request with a per-thread context. Convenience wrapper
-    /// over [`Engine::handle_with`] for callers without worker state.
-    pub fn handle(&self, req: RecommendRequest) -> Result<Vec<ItemScore>, ServingError> {
-        thread_local! {
-            static CTX: RefCell<RequestContext> = RefCell::new(RequestContext::new());
-        }
-        CTX.with(|ctx| self.handle_with(req, &mut ctx.borrow_mut()))
-    }
-
-    /// Handles a coalesced batch of requests, producing for each
-    /// member exactly the response [`Engine::handle_with`] would have
-    /// produced had the members been handled sequentially in slice order.
-    ///
-    /// A batch of one *is* [`Engine::handle_with`] on the member's own
-    /// context — there is nothing to share, so the sequential kernel runs.
-    /// For more members:
-    ///
-    /// 1. [`Engine::begin`] runs per member, strictly in arrival order, so
-    ///    two coalesced requests from the same session observe each other's
-    ///    updates the way back-to-back sequential requests would; the
-    ///    deadline-degrade rule and the cache probe apply per member.
-    /// 2. The misses are scored by *one* [`VmisKnn::recommend_batch`] call
-    ///    against *one* index load — the interleaved kernel is proven
-    ///    bit-identical to per-view [`VmisKnn::recommend_with_scratch`] by
-    ///    the differential property suite, so a response can never depend on
-    ///    whether its request was batched.
-    /// 3. [`Engine::finish`] runs per member (business rules are per-user).
-    ///
-    /// Every member keeps its own timings, degraded flag and stats row in
-    /// its [`RequestContext`] inside `bctx`; misses account the shared
-    /// kernel duration as their predict stage, hits their probe time.
-    pub fn handle_batch(
-        &self,
-        reqs: &[RecommendRequest],
-        bctx: &mut BatchContext,
-    ) -> Vec<Result<Vec<ItemScore>, ServingError>> {
-        if let [req] = reqs {
-            return vec![self.handle_with(*req, bctx.member_mut(0))];
-        }
-        let (members, batch_scratch) = bctx.split(reqs.len());
-        let begun: Vec<_> =
-            reqs.iter().zip(members.iter_mut()).map(|(req, ctx)| self.begin(req, ctx)).collect();
-
-        let views: Vec<&[ItemId]> = begun
-            .iter()
-            .zip(members.iter())
-            .filter(|(begun, _)| matches!(begun, Ok((_, None))))
-            .map(|(_, ctx)| ctx.view.as_slice())
-            .collect();
-        // One generation observation and one interleaved posting-list walk
-        // for every miss; the lists come back in `views` (= member) order.
-        let kernel_started = Instant::now();
-        let (vmis, generation) = self.index.load_with_generation();
-        let mut lists = vmis.recommend_batch(&views, batch_scratch).into_iter().enumerate();
-        let predict = kernel_started.elapsed();
-
-        reqs.iter()
-            .zip(members.iter_mut())
-            .zip(begun)
-            .map(|((req, ctx), begun)| {
-                let (begun, hit) = begun?;
-                let scored = match hit {
-                    Some(hit) => hit,
-                    None => {
-                        let (j, recs) = lists.next().ok_or_else(|| {
-                            self.failed(ServingError::Internal(
-                                "batch kernel returned fewer lists than views",
-                            ))
-                        })?;
-                        Scored { recs, kernel: Some((generation, batch_scratch.work(j))), predict }
-                    }
-                };
-                Ok(self.finish(req, ctx, &begun, scored, Instant::now()))
-            })
-            .collect()
-    }
-
-    /// First half of the pipeline, up to the point where a kernel is
-    /// needed: the session stage, the deadline degrade, and the cache
-    /// probe. A hit comes back already [`Scored`] — no kernel runs for the
-    /// request; a cacheable miss carries the key its scored list is stored
-    /// back under.
-    fn begin(
-        &self,
-        req: &RecommendRequest,
-        ctx: &mut RequestContext,
-    ) -> Result<(Begun, Option<Scored>), ServingError> {
         let started = Instant::now();
         ctx.set_degraded(false);
-        self.session_stage(req, ctx).map_err(|e| self.failed(e))?;
+        self.session_stage(&req, ctx).map_err(|e| self.failed(e))?;
         let session_done = Instant::now();
         if ctx.deadline_expired_at(session_done) && ctx.view.len() > 1 {
             // Budget already spent: fall back to the cheapest valid view —
@@ -324,56 +202,59 @@ impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
             ctx.set_degraded(true);
             self.stats.record_degraded();
         }
-        let mut begun = Begun { started, session_done, store_key: None };
-        if let (Some(cache), Some(key)) = (&self.cache, self.cache_key(req, ctx)) {
-            // A hit performs no kernel work at all — one shard-mutex probe,
-            // no index load: the generation comparison alone proves the
-            // entry was computed on an index at least as new as the
-            // generation this request observes (see the invariant on
-            // [`IndexHandle::load_with_generation`]).
-            match cache.lookup(key, self.index.generation()) {
-                Some(list) => {
-                    // Policy mutates the response per request, so the
-                    // shared list is cloned out.
-                    let recs = list.as_ref().clone();
-                    let predict = session_done.elapsed();
-                    cache.record_hit_duration(predict);
-                    return Ok((begun, Some(Scored { recs, kernel: None, predict })));
-                }
-                None => begun.store_key = Some(key),
-            }
-        }
-        Ok((begun, None))
-    }
 
-    /// Second half of the pipeline, from a pre-policy list to the response:
-    /// cache store-back under the generation that scored it, the policy
-    /// stage, and the request's bookkeeping — kernel work and per-stage
-    /// timings on the context, one row in the engine's stats.
-    fn finish(
-        &self,
-        req: &RecommendRequest,
-        ctx: &mut RequestContext,
-        begun: &Begun,
-        scored: Scored,
-        policy_started: Instant,
-    ) -> Vec<ItemScore> {
-        let Scored { mut recs, kernel, predict } = scored;
-        let (generation, work) = kernel.unwrap_or_default();
-        if let (Some(cache), Some(key)) = (&self.cache, begun.store_key) {
-            cache.store_list(key, generation, recs.clone());
-        }
+        // Prediction stage. A cacheable view probes the cache first; a hit
+        // performs no kernel work at all — one shard-mutex probe, no index
+        // load: the generation comparison alone proves the entry was
+        // computed on an index at least as new as the generation this
+        // request observes (see the invariant on
+        // [`IndexHandle::load_with_generation`]).
+        let probe = self.cache.as_ref().zip(self.cache_key(&req, ctx));
+        let hit = probe
+            .and_then(|(cache, key)| Some((cache, cache.lookup(key, self.index.generation())?)));
+        let (mut recs, work, predict) = match hit {
+            Some((cache, list)) => {
+                // Policy mutates the response per request, so the shared
+                // list is cloned out.
+                let recs = list.as_ref().clone();
+                let predict = session_done.elapsed();
+                cache.record_hit_duration(predict);
+                (recs, KernelWork::default(), predict)
+            }
+            None => {
+                let (vmis, generation) = self.index.load_with_generation();
+                let recs = vmis.recommend_with_scratch(&ctx.view, &mut ctx.scratch);
+                let predict = session_done.elapsed();
+                // A cacheable miss stores its list back under the
+                // generation that scored it.
+                if let Some((cache, key)) = probe {
+                    cache.store_list(key, generation, recs.clone());
+                }
+                (recs, ctx.scratch.work(), predict)
+            }
+        };
+
+        // Policy stage and the request's bookkeeping.
         ctx.record_kernel_work(work);
         self.rules.apply(&mut recs, req.filter_adult);
         recs.truncate(self.config.how_many);
         let timings = StageTimings {
-            session: begun.session_done - begun.started,
+            session: session_done - started,
             predict,
-            policy: policy_started.elapsed(),
+            policy: (session_done + predict).elapsed(),
         };
         ctx.set_timings(timings);
         self.stats.record(timings, !req.consent, recs.len());
-        recs
+        Ok(recs)
+    }
+
+    /// Handles one request with a per-thread context. Convenience wrapper
+    /// over [`Engine::handle_with`] for callers without worker state.
+    pub fn handle(&self, req: RecommendRequest) -> Result<Vec<ItemScore>, ServingError> {
+        thread_local! {
+            static CTX: RefCell<RequestContext> = RefCell::new(RequestContext::new());
+        }
+        CTX.with(|ctx| self.handle_with(req, &mut ctx.borrow_mut()))
     }
 
     /// Counts a pipeline error and hands it back.
@@ -704,144 +585,6 @@ mod tests {
 
     fn dep(session_id: u64, item: ItemId, filter_adult: bool) -> RecommendRequest {
         RecommendRequest { session_id, item, consent: false, filter_adult }
-    }
-
-    /// The batch contract: `handle_batch` over a mixed batch must produce,
-    /// member for member, exactly what sequential `handle_with` calls in the
-    /// same order produce on a twin engine — including same-session members
-    /// observing each other's session updates, no-consent members, and the
-    /// stored session state left behind.
-    #[test]
-    fn handle_batch_matches_sequential_handling_exactly() {
-        for variant in [ServingVariant::Full, ServingVariant::Recent, ServingVariant::Hist(2)] {
-            let batch_engine = engine(variant, BusinessRules::none());
-            let seq_engine = engine(variant, BusinessRules::none());
-            // Warm both engines identically.
-            let mut warm_ctx = RequestContext::new();
-            for e in [&batch_engine, &seq_engine] {
-                e.handle_with(req(7, 0), &mut warm_ctx).unwrap();
-                e.handle_with(req(9, 4), &mut warm_ctx).unwrap();
-            }
-            let reqs = [
-                req(7, 1),        // existing session grows
-                req(8, 2),        // fresh session
-                req(7, 3),        // same session again, must see req(7, 1)'s update
-                dep(9, 2, false), // no consent: drops session 9's state
-                req(10, 2),       // shares item 2's posting lists with others
-            ];
-            let mut bctx = BatchContext::new();
-            let batched = batch_engine.handle_batch(&reqs, &mut bctx);
-            let mut ctx = RequestContext::new();
-            for (i, r) in reqs.iter().enumerate() {
-                let sequential = seq_engine.handle_with(*r, &mut ctx).unwrap();
-                assert_eq!(
-                    batched[i].as_ref().unwrap(),
-                    &sequential,
-                    "member {i} diverged from sequential handling ({variant:?})"
-                );
-            }
-            for sid in [7, 8, 9, 10] {
-                assert_eq!(
-                    batch_engine.stored_session_len(sid),
-                    seq_engine.stored_session_len(sid),
-                    "session {sid} state diverged ({variant:?})"
-                );
-            }
-            assert_eq!(batch_engine.stats().requests, seq_engine.stats().requests);
-
-            // A batch of one is `handle_with` on the member's own context:
-            // everything either call leaves behind must agree, over consent
-            // on/off, cacheable and uncacheable views, and a spent deadline.
-            // (Cache counters compare as deltas: in the mixed batch above
-            // every probe ran before the kernel, so two members sharing an
-            // item both missed where sequential handling hits the second.)
-            let counters = |e: &Engine| {
-                let cache = e.prediction_cache().unwrap();
-                [cache.hit_count(), cache.miss_count(), cache.len() as u64]
-            };
-            let before = [counters(&batch_engine), counters(&seq_engine)];
-            let past = Instant::now() - Duration::from_millis(1);
-            let singles = [
-                (req(7, 4), None),          // consented, grown session
-                (req(7, 4), Some(past)),    // … over budget: degrades where the view allows
-                (req(11, 2), None),         // consented single-item view
-                (dep(11, 2, false), None),  // no consent: cacheable, hits what Recent stored
-                (dep(12, 3, true), Some(past)),
-                (dep(13, 3, false), None),  // cache hit on the member before
-            ];
-            for (i, (r, deadline)) in singles.into_iter().enumerate() {
-                bctx.member_mut(0).set_deadline(deadline);
-                ctx.set_deadline(deadline);
-                let batched = batch_engine.handle_batch(&[r], &mut bctx).remove(0);
-                let sequential = seq_engine.handle_with(r, &mut ctx);
-                assert_eq!(batched, sequential, "single {i} response ({variant:?})");
-                let member = bctx.member_mut(0);
-                assert_eq!(member.session_len(), ctx.session_len(), "single {i} ({variant:?})");
-                assert_eq!(member.degraded(), ctx.degraded(), "single {i} ({variant:?})");
-                assert_eq!(member.view, ctx.view, "single {i} ({variant:?})");
-                let timings = member.last_timings();
-                assert!(
-                    [timings.session, timings.predict, timings.policy]
-                        .iter()
-                        .all(|stage| *stage > Duration::ZERO),
-                    "single {i}: every stage is timed ({variant:?}): {timings:?}"
-                );
-                assert_eq!(
-                    member.take_kernel_work(),
-                    ctx.take_kernel_work(),
-                    "single {i} kernel work ({variant:?})"
-                );
-            }
-            let (b, s) = (batch_engine.stats(), seq_engine.stats());
-            assert_eq!(
-                (b.requests, b.depersonalised, b.degraded, b.empty_responses, b.errors),
-                (s.requests, s.depersonalised, s.degraded, s.empty_responses, s.errors),
-                "stats rows ({variant:?})"
-            );
-            assert_eq!(b.policy_latency.map(|l| l.count), s.policy_latency.map(|l| l.count));
-            let delta = |now: [u64; 3], before: [u64; 3]| [0, 1, 2].map(|i| now[i] - before[i]);
-            assert_eq!(
-                delta(counters(&batch_engine), before[0]),
-                delta(counters(&seq_engine), before[1]),
-                "cache hits, misses and store-backs ({variant:?})"
-            );
-        }
-    }
-
-    #[test]
-    fn handle_batch_degrades_only_members_over_budget() {
-        let e = engine(ServingVariant::Full, BusinessRules::none());
-        let mut bctx = BatchContext::new();
-        // Grow session 7 so degradation is observable, via a warm-up batch.
-        e.handle_batch(&[req(7, 0), req(7, 1)], &mut bctx);
-        // Member 0 is over budget, member 1 has plenty left.
-        bctx.member_mut(0).set_deadline(Some(Instant::now() - Duration::from_millis(1)));
-        bctx.member_mut(1).set_deadline(Some(Instant::now() + Duration::from_secs(3600)));
-        let results = e.handle_batch(&[req(7, 2), req(8, 2)], &mut bctx);
-        assert!(bctx.member(0).is_some_and(RequestContext::degraded));
-        assert!(!bctx.member(1).is_some_and(RequestContext::degraded));
-        assert_eq!(e.stats().degraded, 1);
-        // The degraded member equals a fresh single-item prediction.
-        let expected = engine(ServingVariant::Full, BusinessRules::none()).handle(req(99, 2));
-        assert_eq!(results[0].as_ref().unwrap(), &expected.unwrap());
-        // Session state was still updated before the degrade checkpoint.
-        assert_eq!(e.stored_session_len(7), 3);
-    }
-
-    #[test]
-    fn handle_batch_probes_and_fills_the_prediction_cache() {
-        let e = engine(ServingVariant::Full, BusinessRules::none());
-        let cache = Arc::clone(e.prediction_cache().unwrap());
-        let mut bctx = BatchContext::new();
-        // Both depersonalised members miss (probes resolve before the batch
-        // kernel runs) and the scored list is stored back once per key.
-        let first = e.handle_batch(&[dep(50, 2, false), dep(51, 2, false)], &mut bctx);
-        assert_eq!(cache.hit_count(), 0);
-        assert_eq!(first[0].as_ref().unwrap(), first[1].as_ref().unwrap());
-        // A follow-up batch for the same item is served from the cache.
-        let second = e.handle_batch(&[dep(52, 2, false)], &mut bctx);
-        assert_eq!(cache.hit_count(), 1);
-        assert_eq!(second[0].as_ref().unwrap(), first[0].as_ref().unwrap());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The request backend the event-loop server executes against.
 //!
-//! The reactor/worker machinery (socket readiness, admission, batching,
+//! The reactor/worker machinery (socket readiness, admission, dispatch,
 //! forwarding, drain) is independent of *what* answers the requests.
 //! [`RequestBackend`] is that seam: [`ServingCluster`] implements it for the
 //! serving tier (endpoint table in [`conn`](super::conn), predicts run here),
@@ -14,7 +14,7 @@ use std::time::Duration;
 use serenade_core::ItemScore;
 
 use crate::cluster::ServingCluster;
-use crate::context::BatchContext;
+use crate::context::RequestContext;
 use crate::engine::RecommendRequest;
 use crate::error::ServingError;
 use crate::telemetry::ClusterTelemetry;
@@ -62,18 +62,17 @@ pub trait RequestBackend: Send + Sync + 'static {
     /// thread for every well-formed `POST /recommend`: it must not block.
     fn route_predict(&self, req: &RecommendRequest) -> PredictRoute;
 
-    /// Executes local predicts (per [`PredictRoute::Local`]); one result
-    /// per request in request order. This is a tier's only way to
-    /// run a predict locally: on the reactor thread as a batch of one when
-    /// nobody is there to coalesce with, else on a worker. Request ids and
-    /// deadlines arrive tagged on the per-member contexts. A tier that only
-    /// forwards never gets here.
-    fn handle_recommend_batch(
+    /// Executes one local predict (per [`PredictRoute::Local`]). This is a
+    /// tier's only way to run a predict locally: on the reactor thread when
+    /// the predict arrived alone, else on a worker. The request id and
+    /// deadline arrive tagged on `ctx`. A tier that only forwards never
+    /// gets here.
+    fn handle_recommend(
         &self,
-        reqs: &[RecommendRequest],
-        _bctx: &mut BatchContext,
-    ) -> Vec<Result<Vec<ItemScore>, ServingError>> {
-        reqs.iter().map(|_| Err(ServingError::Internal("this tier runs no predict locally"))).collect()
+        _req: RecommendRequest,
+        _ctx: &mut RequestContext,
+    ) -> Result<Vec<ItemScore>, ServingError> {
+        Err(ServingError::Internal("this tier runs no predict locally"))
     }
 
     /// The tier's failover policy: the forward to `failed` produced no
@@ -102,11 +101,11 @@ impl RequestBackend for ServingCluster {
         PredictRoute::Local
     }
 
-    fn handle_recommend_batch(
+    fn handle_recommend(
         &self,
-        reqs: &[RecommendRequest],
-        bctx: &mut BatchContext,
-    ) -> Vec<Result<Vec<ItemScore>, ServingError>> {
-        self.handle_batch(reqs, bctx)
+        req: RecommendRequest,
+        ctx: &mut RequestContext,
+    ) -> Result<Vec<ItemScore>, ServingError> {
+        self.handle_with(req, ctx)
     }
 }

@@ -8,13 +8,13 @@
 //!
 //! * [`respond`] — routes one parsed request to its endpoint and renders
 //!   the body (health, metrics, stats, traces, ingest; predicts run through
-//!   the worker's batch path, never here);
+//!   `worker::run_predict`, never here);
 //! * [`render_response`] — frames one HTTP/1.1 response into bytes, the
 //!   single place the wire format lives;
 //! * [`unwind_barrier`] — converts engine panics into typed `500`s so one
 //!   poisoned request cannot take down a worker;
 //! * [`parse_recommend_request`] — the predict body schema the reactor's
-//!   batch classifier reads.
+//!   request classifier reads.
 
 use serenade_core::{Click, ItemScore};
 
@@ -275,15 +275,16 @@ pub(crate) fn unwind_barrier<R>(
 }
 
 /// The response to a `POST /recommend` that reached an endpoint responder.
-/// The reactor classifies every well-formed predict into the worker's batch
-/// path — a tier's one way to run a predict — so what arrives here is a body
-/// the classifier could not parse, and the answer is its `400`.
+/// The reactor classifies every well-formed predict into
+/// `worker::run_predict` — a tier's one way to run a predict — so what
+/// arrives here is a body the classifier could not parse, and the answer is
+/// its `400`.
 pub(crate) fn reject_predict(body: &str) -> (u16, String, &'static str) {
     let (status, body) = match parse_recommend_request(body) {
         Err(message) => {
             (400, JsonValue::object([("error", JsonValue::String(message))]).to_json())
         }
-        Ok(_) => render_error(&ServingError::Internal("predict dispatched outside a batch")),
+        Ok(_) => render_error(&ServingError::Internal("predict dispatched to the endpoint responder")),
     };
     (status, body, CONTENT_TYPE_JSON)
 }
@@ -324,7 +325,7 @@ pub(crate) fn parse_ingest_batch(body: &str) -> Result<Vec<Click>, String> {
         .map_err(String::from)
 }
 
-/// Parses the `POST /recommend` body (the reactor's batch classifier and
+/// Parses the `POST /recommend` body (the reactor's request classifier and
 /// the `400` for bodies it rejects agree on the schema through this).
 pub(crate) fn parse_recommend_request(body: &str) -> Result<RecommendRequest, String> {
     let v = json::parse(body).map_err(|e| format!("invalid json: {e}"))?;

@@ -122,12 +122,6 @@ pub struct ServerMetrics {
     pub rejects: Arc<Counter>,
     /// Per-state connection durations, indexed by [`ConnState::index`].
     states: [Arc<Histogram>; 6],
-    /// Sizes of executed predict batches: coalesced ones from the worker
-    /// pool, and the reactor's inline predicts as batches of one.
-    /// Recorded through [`ServerMetrics::record_batch_size`], which scales
-    /// a size `n` so the rendered seconds-denominated buckets read as raw
-    /// request counts.
-    batch_size: Arc<Histogram>,
 }
 
 impl ServerMetrics {
@@ -151,7 +145,6 @@ impl ServerMetrics {
             states: std::array::from_fn(|_| {
                 Arc::new(Histogram::new(HistogramConfig::default()))
             }),
-            batch_size: Arc::new(Histogram::new(HistogramConfig::default())),
         }
     }
 
@@ -159,14 +152,6 @@ impl ServerMetrics {
     /// (R6): a histogram record is a couple of relaxed atomic adds.
     pub fn record_state(&self, state: ConnState, spent: Duration) {
         self.states[state.index()].record(spent);
-    }
-
-    /// Records the size of one executed predict batch. Alloc- and lock-free
-    /// (R6): values land in the histogram pre-scaled by 10^6 µs per request,
-    /// so the seconds-denominated exposition reads in natural counts (a
-    /// batch of 8 shows as `8.0`).
-    pub fn record_batch_size(&self, size: usize) {
-        self.batch_size.record_us((size as u64).saturating_mul(1_000_000));
     }
 
     /// Registers every counter/histogram into `registry` under the
@@ -237,12 +222,6 @@ impl ServerMetrics {
                 Arc::clone(&self.states[state.index()]),
             );
         }
-        registry.histogram_shared(
-            "serenade_batch_size",
-            "Executed predict batch sizes (in requests): worker batches, and inline predicts as 1.",
-            &[],
-            Arc::clone(&self.batch_size),
-        );
     }
 }
 
@@ -280,7 +259,6 @@ mod tests {
         m.timeouts_idle.inc();
         m.rejects.inc();
         m.record_state(ConnState::Handling, Duration::from_micros(250));
-        m.record_batch_size(8);
         let text = registry.render();
         assert!(text.contains("serenade_http_connections_total 1"), "{text}");
         assert!(text.contains("serenade_http_shed_total{reason=\"queue_full\"} 1"), "{text}");
@@ -290,8 +268,6 @@ mod tests {
             text.contains("serenade_http_shed_total{reason=\"connection_limit\"} 1"),
             "{text}"
         );
-        assert!(text.contains("serenade_batch_size_count 1"), "{text}");
-        assert!(text.contains("serenade_batch_size_sum 8"), "{text}");
         assert!(text.contains("serenade_http_timeouts_total{kind=\"idle\"} 1"), "{text}");
         assert!(text.contains("serenade_http_rejects_total 1"), "{text}");
         assert!(

@@ -19,12 +19,11 @@
 //!   for: a predict that arrives alone runs inline on this thread, and a
 //!   tier that sends predicts elsewhere (the router) has them forwarded
 //!   over upstream connections the reactor owns;
-//! * [`dispatch`] — the bounded reactor→worker queue with predict
-//!   coalescing (and the fairness guard that never holds a request past its
-//!   deadline budget), plus the worker→reactor completion queue;
+//! * [`dispatch`] — the bounded reactor→worker queue, served in arrival
+//!   order, plus the worker→reactor completion queue;
 //! * [`worker`] — the fixed worker pool executing what the reactor did not:
-//!   non-predict requests, and predicts from turns that had company, as
-//!   coalesced batches through the batch VMIS-kNN path;
+//!   non-predict requests, and predicts from turns that had company, one
+//!   at a time on each worker's own request context;
 //! * [`backend`] — what a tier tells the server: where a predict runs, how
 //!   to run a local one, where a failed forward goes next;
 //! * [`lifecycle`] — the admission/drain gate and the parked-connection
@@ -33,7 +32,7 @@
 //! * [`conn`] — endpoint routing and response rendering, shared by the
 //!   reactor (sheds, rejects, timeouts) and the workers;
 //! * [`metrics`] — shed/timeout/reject counters, per-state histograms and
-//!   the batch-size histogram.
+//!   the per-path predict counters.
 //!
 //! # Endpoints
 //!
@@ -106,8 +105,8 @@ pub use lifecycle::{Admission, LifecycleGate, ParkDecision, ParkedSet};
 pub use metrics::{ConnState, ServerMetrics};
 
 /// Server configuration. [`Default`] keeps the seed's behaviour (generous
-/// limits, no inflight watermark, opportunistic-only coalescing); the
-/// overload and drain tests tighten the knobs they exercise.
+/// limits, no inflight watermark); the overload and drain tests tighten the
+/// knobs they exercise.
 #[derive(Debug, Clone)]
 pub struct HttpServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
@@ -124,13 +123,6 @@ pub struct HttpServerConfig {
     /// Inflight-request watermark; requests beyond it are shed with
     /// `503 + Retry-After`. `0` = unlimited.
     pub max_inflight_requests: usize,
-    /// Largest coalesced predict batch handed to one worker.
-    pub max_batch_size: usize,
-    /// Fairness-bounded gather window: how long a short batch may wait for
-    /// stragglers. Never extends past any member's deadline budget.
-    /// `Duration::ZERO` (the default) coalesces opportunistically only —
-    /// whatever is already queued batches, nobody waits.
-    pub max_batch_delay: Duration,
     /// Largest accepted request body; bigger is `413` + close.
     pub max_body_bytes: usize,
     /// Cap on the request head (request line + headers); bigger is `431`.
@@ -168,8 +160,6 @@ impl Default for HttpServerConfig {
             queue_capacity: 1024,
             max_connections: 0,
             max_inflight_requests: 0,
-            max_batch_size: 16,
-            max_batch_delay: Duration::ZERO,
             max_body_bytes: 1 << 20,
             max_head_bytes: 8 * 1024,
             max_headers: 64,
@@ -252,13 +242,8 @@ impl HttpServer {
         let addr = listener.local_addr()?;
         let mut config = config;
         config.queue_capacity = config.queue_capacity.max(1);
-        config.max_batch_size = config.max_batch_size.max(1);
         let workers = config.workers.max(1);
-        let queue = Arc::new(DispatchQueue::new(
-            config.queue_capacity,
-            config.max_batch_size,
-            config.max_batch_delay,
-        ));
+        let queue = Arc::new(DispatchQueue::new(config.queue_capacity));
         let completions = Arc::new(CompletionQueue::new());
         let shared = Arc::new(Shared {
             config,

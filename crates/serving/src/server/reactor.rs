@@ -16,18 +16,17 @@
 //! * **inline** — a predict the tier runs locally
 //!   ([`PredictRoute::Local`]), admitted in a turn that delivered no other
 //!   readiness event and has run no inline predict yet, with nothing else
-//!   in flight, an empty dispatch queue and no gather window configured,
-//!   has nobody to coalesce with. The
-//!   reactor runs it to completion itself, as the batch of one a worker
-//!   would have run, and writes the answer: no queue push, no condvar, no
-//!   wake-up, no `epoll_ctl` (the thread that read the request answers it,
-//!   as the paper's Actix workers do);
+//!   in flight and an empty dispatch queue, arrived alone. The reactor runs
+//!   it to completion itself, exactly as a worker would have run it, and
+//!   writes the answer: no queue push, no condvar, no wake-up, no
+//!   `epoll_ctl` (the thread that read the request answers it, as the
+//!   paper's Actix workers do);
 //! * **queued** — every other local predict (several ready connections, a
-//!   backlog, a gather window) goes to the worker pool as a [`Dispatch`]
-//!   through the coalescing [`DispatchQueue`], so flash crowds still batch
-//!   across the workers and queue-capacity shedding stays exact; so does
-//!   every non-predict request. Responses come back through the
-//!   [`CompletionQueue`] and a [`Waker`] kick;
+//!   backlog) goes to the worker pool as a [`Dispatch`] through the
+//!   [`DispatchQueue`], so concurrent predicts use every core and
+//!   queue-capacity shedding stays exact; so does every non-predict
+//!   request. Responses come back through the [`CompletionQueue`] and a
+//!   [`Waker`] kick;
 //! * **forwarded** — a predict the tier sends elsewhere
 //!   ([`PredictRoute::Forward`], the router) is written — the client's body
 //!   verbatim — on a non-blocking keep-alive [`Upstream`] connection this
@@ -65,9 +64,8 @@ use std::time::{Duration, Instant};
 
 use serenade_telemetry::Gauge;
 
-use crate::context::BatchContext;
+use crate::context::RequestContext;
 use crate::engine::RecommendRequest;
-use crate::error::ServingError;
 use crate::json::JsonValue;
 use crate::transport::{render_recommend_request, render_request, Progress, ResponseBuf};
 
@@ -77,7 +75,7 @@ use super::dispatch::{CompletionQueue, Dispatch, DispatchKind, DispatchQueue};
 use super::lifecycle::{Admission, ParkDecision};
 use super::metrics::{upstream_connections_gauge, ConnState};
 use super::parser::{ParsedRequest, Parser, ParserLimits, Poll};
-use super::worker::run_predicts;
+use super::worker::run_predict;
 use super::Shared;
 
 pub(crate) use sys::{dial, Poller, Waker};
@@ -745,9 +743,9 @@ pub(super) struct Reactor<B: RequestBackend> {
     upstreams: Slab<Upstream>,
     pools: HashMap<SocketAddr, NodePool>,
     /// The context inline predicts run in, reused like a worker's.
-    bctx: BatchContext,
+    ctx: RequestContext,
     /// The current poll turn delivered at most one readiness event and has
-    /// run no predict inline yet: whoever sent it has nobody to coalesce with.
+    /// run no predict inline yet: whoever sent it is alone.
     solo_turn: bool,
     /// The connection whose buffered frames [`Reactor::advance`] is walking.
     advancing: Option<u64>,
@@ -778,7 +776,7 @@ impl<B: RequestBackend> Reactor<B> {
             slab: Slab::new(0),
             upstreams: Slab::new(UPSTREAM_TAG),
             pools: HashMap::new(),
-            bctx: BatchContext::new(),
+            ctx: RequestContext::new(),
             solo_turn: false,
             advancing: None,
             events: Vec::with_capacity(256),
@@ -1079,7 +1077,7 @@ impl<B: RequestBackend> Reactor<B> {
     /// Admission for one parsed request, then its execution path — all on
     /// the reactor thread. A well-formed predict goes where the tier says
     /// ([`RequestBackend::route_predict`]): a local one runs right here when
-    /// this turn shows nobody to coalesce with, else on a worker; a remote
+    /// this turn shows it arrived alone, else on a worker; a remote
     /// one is forwarded. Everything else is a worker's.
     fn handle_request(&mut self, token: u64, request: ParsedRequest, started: Instant) {
         let max_inflight = self.shared.config.max_inflight_requests;
@@ -1119,7 +1117,7 @@ impl<B: RequestBackend> Reactor<B> {
             // A malformed predict body re-parses to its `400` on a worker.
             None => DispatchKind::Other,
             Some(req) => match self.cluster.route_predict(&req) {
-                PredictRoute::Local if self.nobody_to_coalesce_with() => {
+                PredictRoute::Local if self.predict_is_alone() => {
                     self.run_inline(token, req, deadline, close_hint);
                     return;
                 }
@@ -1166,20 +1164,17 @@ impl<B: RequestBackend> Reactor<B> {
     /// observed: it is the only ready connection and the turn's first
     /// inline predict (frames pipelined behind one take the queue, so one
     /// connection's backlog cannot hold the loop), the only request in
-    /// flight, no backlog waits for a worker, and no gather window is
-    /// configured to wait for company. Then the queue, the worker wake-up
-    /// and the completion kick would buy nothing, and the predict runs on
-    /// this thread. Anything else — a flash crowd, a busy pool — keeps the
-    /// coalescing dispatch queue and its exact capacity shedding.
-    fn nobody_to_coalesce_with(&self) -> bool {
-        self.solo_turn
-            && self.shared.config.max_batch_delay == Duration::ZERO
-            && self.queue.depth() == 0
-            && self.shared.gate.inflight() == 1
+    /// flight, and no backlog waits for a worker. Then the queue, the
+    /// worker wake-up and the completion kick would buy nothing, and the
+    /// predict runs on this thread. Anything else — a flash crowd, a busy
+    /// pool — keeps the dispatch queue, its spread across the workers and
+    /// its exact capacity shedding.
+    fn predict_is_alone(&self) -> bool {
+        self.solo_turn && self.queue.depth() == 0 && self.shared.gate.inflight() == 1
     }
 
-    /// Runs one admitted local predict to completion on this thread, as the
-    /// batch of one a worker would have run, and answers it.
+    /// Runs one admitted local predict to completion on this thread, as a
+    /// worker would have run it, and answers it.
     fn run_inline(
         &mut self,
         token: u64,
@@ -1191,18 +1186,7 @@ impl<B: RequestBackend> Reactor<B> {
         // One inline predict per turn.
         self.solo_turn = false;
         self.shared.metrics.predicts_inline.inc();
-        self.shared.metrics.record_batch_size(1);
-        let mut answer = None;
-        run_predicts(
-            self.cluster.as_ref(),
-            &[req],
-            std::iter::once(deadline),
-            &mut self.bctx,
-            |_, status, body| answer = Some((status, body)),
-        );
-        let (status, body) = answer.unwrap_or_else(|| {
-            conn::render_error(&ServingError::Internal("predict produced no result"))
-        });
+        let (status, body) = run_predict(self.cluster.as_ref(), req, deadline, &mut self.ctx);
         let close = self.release_slot(close_hint);
         self.respond_now(token, status, &body, close, None);
     }

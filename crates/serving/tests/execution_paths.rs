@@ -1,8 +1,8 @@
 //! One request stream, every execution path, the same bytes.
 //!
 //! Where the server runs a predict is decided turn by turn from what the
-//! reactor observed: inline on the reactor thread, queued to the worker pool
-//! (alone or coalesced), or — on the router — forwarded to a node. This
+//! reactor observed: inline on the reactor thread, queued to the worker
+//! pool, or — on the router — forwarded to a node. This
 //! suite sends the same request sequence down each path and holds every
 //! response body to the bytes `ServingCluster::handle_with` produces on a
 //! twin cluster, and holds the path counters to proof that the path under
@@ -15,7 +15,6 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use serenade_core::{Click, ItemScore, SessionIndex};
-use serenade_serving::context::BatchContext;
 use serenade_serving::engine::RecommendRequest;
 use serenade_serving::node::{NodeConfig, ServingNode};
 use serenade_serving::routerd::{RouterConfig, RouterDaemon};
@@ -125,34 +124,16 @@ fn one_connection_runs_every_predict_inline() {
     let telemetry = served.telemetry();
     assert_eq!(predicts(telemetry, "inline"), n, "a lone connection is never queued");
     assert_eq!(predicts(telemetry, "queued"), 0.0);
-    assert_eq!(metric(telemetry, "serenade_batch_size_count", &[]), n, "each a batch of one");
-    assert_eq!(metric(telemetry, "serenade_batch_size_sum", &[]), n);
+    assert_eq!(predicts(telemetry, "forwarded"), 0.0);
+    assert_eq!(metric(telemetry, "serenade_http_predicts_total", &[]), n, "one path each");
     server.shutdown();
 }
 
 #[test]
-fn a_gather_window_queues_every_predict() {
-    // A configured window means somebody may be worth waiting for: nothing
-    // runs inline, even a lone connection's requests.
-    let reqs: Vec<_> = stream().into_iter().take(48).collect();
-    let served = cluster();
-    let config = HttpServerConfig {
-        max_batch_delay: Duration::from_millis(2),
-        ..HttpServerConfig::default()
-    };
-    let server = HttpServer::serve(Arc::clone(&served), config).unwrap();
-    assert_eq!(send_all(server.addr(), &reqs), reference(&reqs));
-    let telemetry = served.telemetry();
-    assert_eq!(predicts(telemetry, "inline"), 0.0);
-    assert_eq!(predicts(telemetry, "queued"), reqs.len() as f64);
-    server.shutdown();
-}
-
-#[test]
-fn concurrent_connections_queue_and_coalesce() {
+fn concurrent_connections_spread_over_the_worker_pool() {
     // Sixteen connections, two sessions each, released together step by
     // step: turns deliver several ready connections, so predicts go to the
-    // worker pool and share batches.
+    // worker pool, each run alone on a worker's context.
     const CONNECTIONS: u64 = 16;
     let reqs = stream();
     let expected = reference(&reqs);
@@ -193,10 +174,6 @@ fn concurrent_connections_queue_and_coalesce() {
     let (inline, queued) = (predicts(telemetry, "inline"), predicts(telemetry, "queued"));
     assert_eq!(inline + queued, reqs.len() as f64, "every predict took exactly one path");
     assert!(queued > 0.0, "bursts of sixteen never reached the worker pool");
-    let batches = metric(telemetry, "serenade_batch_size_count", &[]);
-    let members = metric(telemetry, "serenade_batch_size_sum", &[]);
-    assert_eq!(members, reqs.len() as f64);
-    assert!(batches < members, "no two queued predicts ever shared a batch");
     server.shutdown();
 }
 
@@ -251,17 +228,13 @@ impl RequestBackend for Panicky {
         PredictRoute::Local
     }
 
-    fn handle_recommend_batch(
+    fn handle_recommend(
         &self,
-        reqs: &[RecommendRequest],
-        _bctx: &mut BatchContext,
-    ) -> Vec<Result<Vec<ItemScore>, ServingError>> {
-        reqs.iter()
-            .map(|req| {
-                assert_ne!(req.item, 13, "unlucky item");
-                Ok(vec![ItemScore { item: req.item, score: 1.0 }])
-            })
-            .collect()
+        req: RecommendRequest,
+        _ctx: &mut RequestContext,
+    ) -> Result<Vec<ItemScore>, ServingError> {
+        assert_ne!(req.item, 13, "unlucky item");
+        Ok(vec![ItemScore { item: req.item, score: 1.0 }])
     }
 }
 

@@ -2,24 +2,28 @@
 //! graceful drain, framing limits and keep-alive caps — each exercised over
 //! real sockets against deterministic server configurations.
 //!
-//! The determinism trick for the shed tests: with one worker, a connection
-//! that has completed a round-trip is *known* to be held by that worker (it
-//! drives a connection for its whole life), so the pending queue's occupancy
-//! can be set up exactly and observed via the `serenade_http_queue_depth`
-//! polled gauge before the over-capacity connection arrives.
+//! The determinism trick for the shed test: a backend whose `GET /hold`
+//! parks the one worker on a latch the test opens, so the dispatch queue's
+//! occupancy can be set up exactly and observed via the
+//! `serenade_http_queue_depth` polled gauge before the over-capacity
+//! request arrives.
 
 #![cfg(not(feature = "loom"))]
 
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use serenade_core::{Click, SessionIndex};
-use serenade_serving::engine::EngineConfig;
-use serenade_serving::{HttpClient, HttpServer, HttpServerConfig};
+use serenade_core::{Click, ItemScore, SessionIndex};
+use serenade_serving::engine::{EngineConfig, RecommendRequest};
 use serenade_serving::json::{self, JsonValue};
-use serenade_serving::{BusinessRules, ServingCluster};
+use serenade_serving::server::parser::ParsedRequest;
+use serenade_serving::server::{PredictRoute, RequestBackend};
+use serenade_serving::{
+    BusinessRules, ClusterTelemetry, HttpClient, HttpServer, HttpServerConfig, RequestContext,
+    ServingCluster, ServingError,
+};
 
 fn cluster() -> Arc<ServingCluster> {
     let mut clicks = Vec::new();
@@ -110,39 +114,83 @@ fn await_queue_depth(cluster: &ServingCluster, want: f64) {
     }
 }
 
+/// The serving tier, except that `GET /hold` parks the worker serving it
+/// until [`Latched::release`] (or a 10 s safety timeout, so a failing test
+/// cannot wedge the server's shutdown).
+struct Latched {
+    cluster: Arc<ServingCluster>,
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Latched {
+    fn release(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+}
+
+impl RequestBackend for Latched {
+    fn telemetry(&self) -> &Arc<ClusterTelemetry> {
+        self.cluster.telemetry()
+    }
+
+    fn respond(&self, request: &ParsedRequest) -> (u16, String, &'static str) {
+        if request.path != "/hold" {
+            return self.cluster.respond(request);
+        }
+        let give_up = Instant::now() + Duration::from_secs(10);
+        let mut open = self.open.lock().unwrap();
+        while !*open && Instant::now() < give_up {
+            open = self.opened.wait_timeout(open, Duration::from_millis(50)).unwrap().0;
+        }
+        (200, String::from("{}"), "application/json")
+    }
+
+    fn route_predict(&self, _req: &RecommendRequest) -> PredictRoute {
+        PredictRoute::Local
+    }
+
+    fn handle_recommend(
+        &self,
+        req: RecommendRequest,
+        ctx: &mut RequestContext,
+    ) -> Result<Vec<ItemScore>, ServingError> {
+        self.cluster.handle_with(req, ctx)
+    }
+}
+
 #[test]
 fn queue_overflow_sheds_deterministically_with_503_and_retry_after() {
-    // Determinism on the event loop: the single worker picks up a predict
-    // and sits in its batch gather window waiting for company; a
-    // `GET /health`, which never joins a predict gather, then occupies the
+    // Determinism on the event loop: the single worker picks up a
+    // `GET /hold` and parks on the latch; a `GET /health` then occupies the
     // one dispatch-queue slot, and the next request overflows the queue and
     // is shed on the reactor thread with 503 + retry-after — the connection
     // stays usable.
     let cluster = cluster();
+    let backend = Arc::new(Latched {
+        cluster: Arc::clone(&cluster),
+        open: Mutex::new(false),
+        opened: Condvar::new(),
+    });
     let server = HttpServer::serve(
-        Arc::clone(&cluster),
-        HttpServerConfig {
-            workers: 1,
-            queue_capacity: 1,
-            max_batch_size: 16,
-            max_batch_delay: Duration::from_secs(2),
-            ..HttpServerConfig::default()
-        },
+        Arc::clone(&backend),
+        HttpServerConfig { workers: 1, queue_capacity: 1, ..HttpServerConfig::default() },
     )
     .unwrap();
     // Admitted, then taken by the worker: the queue is empty again while
-    // the worker gathers.
+    // the worker is parked.
     let mut held_a = TcpStream::connect(server.addr()).unwrap();
     held_a.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write_predict(&mut held_a, 1);
+    held_a.write_all(b"GET /hold HTTP/1.1\r\nhost: t\r\n\r\n").unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
     while server.metrics().requests.get() < 1 {
-        assert!(Instant::now() < deadline, "predict never admitted");
+        assert!(Instant::now() < deadline, "hold never admitted");
         std::thread::yield_now();
     }
     await_queue_depth(&cluster, 0.0);
 
-    // A health check cannot join the predict gather: it fills the slot.
+    // A health check waits behind it: it fills the slot.
     let mut held_b = TcpStream::connect(server.addr()).unwrap();
     held_b.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     held_b.write_all(b"GET /health HTTP/1.1\r\nhost: t\r\n\r\n").unwrap();
@@ -167,8 +215,9 @@ fn queue_overflow_sheds_deterministically_with_503_and_retry_after() {
     assert!(head.contains("connection: keep-alive"), "{head}");
     assert_eq!(server.metrics().shed_queue_full.get(), 1);
 
-    // Nothing was dropped: both held requests are answered once the gather
-    // window expires without more predicts.
+    // Nothing was dropped: both held requests are answered once the latch
+    // opens.
+    backend.release();
     for stream in [held_a, held_b] {
         let mut reader = BufReader::new(stream);
         let (status, body) = read_one_response(&mut reader);

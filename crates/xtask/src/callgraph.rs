@@ -17,7 +17,7 @@
 //!    method of one and the same trait (its impls, its default body, and
 //!    same-named inherent methods of its implementors), the receiver is a
 //!    generic or `dyn` of that trait and the call links to all of them —
-//!    `self.cluster.handle_recommend_batch(..)` on a
+//!    `self.cluster.route_predict(..)` on a
 //!    `Reactor<B: RequestBackend>` reaches every backend's implementation.
 //!
 //! Missed edges weaken reachability (documented limitation); they never

@@ -933,8 +933,8 @@ mod tests {
         assert!(v.iter().any(|x| x.rule == "no-sleep"), "{v:?}");
     }
 
-    /// The dispatch queue's gather window must come from condvar timeouts,
-    /// never a sleep (R4), and its lock recovery must not panic (R2): a
+    /// The dispatch queue's waits must park on its condvar, never sleep
+    /// (R4), and its lock recovery must not panic (R2): a
     /// worker that dies in `next_work` silently strands every queued
     /// request behind it.
     #[test]
@@ -942,7 +942,7 @@ mod tests {
         let src = "fn next(q: &Q) -> W {\n    q.inner.lock().unwrap()\n}\n";
         let v = lint("crates/serving/src/server/dispatch.rs", src);
         assert!(v.iter().any(|x| x.rule == "no-panic-request-path"), "{v:?}");
-        let src = "fn gather() { std::thread::sleep(WINDOW); }\n";
+        let src = "fn next_work() { std::thread::sleep(TICK); }\n";
         let v = lint("crates/serving/src/server/dispatch.rs", src);
         assert!(v.iter().any(|x| x.rule == "no-sleep"), "{v:?}");
     }

@@ -5,10 +5,6 @@
 //!   (lock-order cycles, atomic-ordering audit, reactor-blocking
 //!   reachability). Exits non-zero on any finding; `--baseline` also
 //!   diffs the JSON output against a committed baseline file.
-//! * `bench-check` — the unified performance gate: every non-criterion
-//!   bench harness with a committed `BENCH_*.json` artefact is run in
-//!   `--check` mode (fresh measurement diffed against its baseline), and
-//!   the first regression fails the pass.
 //!
 //! Both passes are wired into tier-1 `cargo test` via
 //! `crates/xtask/tests/`; this binary exists for quick local runs and for
@@ -22,59 +18,17 @@ fn main() -> ExitCode {
     match args.next().as_deref() {
         Some("lint") => lint(),
         Some("analyze") => analyze(args.collect()),
-        Some("bench-check") => bench_check(),
         Some(other) => {
-            eprintln!("unknown task `{other}`; available tasks: lint, analyze, bench-check");
+            eprintln!("unknown task `{other}`; available tasks: lint, analyze");
             ExitCode::FAILURE
         }
         None => {
             eprintln!(
-                "usage: cargo run -p xtask -- <lint|analyze|bench-check> [--json] [--baseline FILE]"
+                "usage: cargo run -p xtask -- <lint|analyze> [--json] [--baseline FILE]"
             );
             ExitCode::FAILURE
         }
     }
-}
-
-/// The gated bench harnesses: `(bench target, committed artefact, what the
-/// gate holds)`. Each runs in `--check` mode, measuring fresh and failing
-/// on regression against the artefact committed at the workspace root.
-const BENCH_GATES: &[(&str, &str, &str)] = &[
-    ("server_batch", "BENCH_server.json", "coalesced-batch speedup + p99 (>10% fails)"),
-];
-
-fn bench_check() -> ExitCode {
-    let root = match workspace_root() {
-        Some(r) => r,
-        None => {
-            eprintln!("xtask: could not locate the workspace root Cargo.toml");
-            return ExitCode::FAILURE;
-        }
-    };
-    for (bench, artefact, what) in BENCH_GATES {
-        if !root.join(artefact).is_file() {
-            eprintln!("xtask bench-check: missing committed {artefact} (run the `{bench}` bench without --check and commit its artefact)");
-            return ExitCode::FAILURE;
-        }
-        println!("==> bench gate `{bench}`: {what}, baseline {artefact}");
-        let status = std::process::Command::new(env!("CARGO"))
-            .current_dir(&root)
-            .args(["bench", "-q", "-p", "serenade-bench", "--bench", bench, "--", "--check"])
-            .status();
-        match status {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("xtask bench-check: `{bench}` gate failed ({s})");
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("xtask bench-check: could not run cargo bench for `{bench}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    println!("xtask bench-check: all {} gates passed", BENCH_GATES.len());
-    ExitCode::SUCCESS
 }
 
 fn lint() -> ExitCode {

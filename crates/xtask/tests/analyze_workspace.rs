@@ -47,7 +47,7 @@ fn dispatch_queue_guard_scopes_match_ground_truth() {
         .iter()
         .find(|f| f.qual == "DispatchQueue::next_work")
         .expect("DispatchQueue::next_work found");
-    // It locks `inner` and parks on the batching condvar...
+    // It locks `inner` and parks on the queue's condvar...
     assert!(next_work.locks.iter().any(|l| l.class == "inner"), "lock site on `inner`");
     assert!(
         next_work.blocking.iter().any(|b| b.kind == BlockKind::CondvarWait),

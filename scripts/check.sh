@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One-command verification: tier-1 build+tests, then only what tier-1 does
-# not cover — the workspace lint pass and analyzer from the CLI, the legacy
-# bench gates, the benchmark's smoke run and self-tests, the loom model
+# not cover — the workspace lint pass and analyzer from the CLI, the
+# benchmark's smoke run and self-tests, the loom model
 # checks, and the seeded-mutation kill tests (where the checker must FAIL
 # the mutated protocol — their test files assert exactly that).
 set -euo pipefail
@@ -24,9 +24,6 @@ cargo run -q -p xtask -- lint
 
 echo "==> concurrency analyzer: lock order, atomic orderings, reactor blocking (vs committed baseline)"
 cargo run -q -p xtask -- analyze --baseline crates/xtask/analyze_baseline.json
-
-echo "==> SLA gates: every committed BENCH_*.json artefact vs a fresh --check measurement"
-cargo run -q -p xtask -- bench-check
 
 # A test or bench binary left over from an earlier step or run still holds
 # a core while the benchmark measures (EXPERIMENTS.md X3 ran a whole session
