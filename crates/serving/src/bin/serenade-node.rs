@@ -1,18 +1,17 @@
 //! Serving-node daemon: one machine of a multi-process cluster.
 //!
-//! Binds the data plane (HTTP) and control plane (framed binary), prints
-//! one machine-readable line with the bound addresses, then runs until
-//! stdin reaches EOF — the parent (an operator script or the cluster
-//! integration test) owns the lifecycle by holding the pipe open.
+//! Binds its one HTTP port (the REST surface and the router's `/admin/`
+//! routes), prints one machine-readable line with the bound address, then
+//! runs until stdin reaches EOF — the parent (an operator script or the
+//! cluster integration test) owns the lifecycle by holding the pipe open.
 //!
 //! ```text
-//! serenade-node [--id N] [--addr HOST:PORT] [--ctrl HOST:PORT]
-//!               [--seed-sessions N] [--index PATH]
+//! serenade-node [--id N] [--addr HOST:PORT] [--seed-sessions N] [--index PATH]
 //! ```
 //!
 //! The node starts on a small deterministic synthetic index (or the
 //! `binfmt` artifact at `--index`); production indices arrive from the
-//! router over the control plane.
+//! router as `PUT /admin/index`.
 
 use std::io::Read;
 use std::process::ExitCode;
@@ -24,8 +23,7 @@ use serenade_serving::node::{NodeConfig, ServingNode};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: serenade-node [--id N] [--addr HOST:PORT] [--ctrl HOST:PORT] \
-         [--seed-sessions N] [--index PATH]"
+        "usage: serenade-node [--id N] [--addr HOST:PORT] [--seed-sessions N] [--index PATH]"
     );
     std::process::exit(2);
 }
@@ -53,7 +51,6 @@ fn main() -> ExitCode {
         match flag.as_str() {
             "--id" => config.node_id = value().parse().unwrap_or_else(|_| usage()),
             "--addr" => config.server.addr = value(),
-            "--ctrl" => config.ctrl_addr = value(),
             "--seed-sessions" => {
                 seed_sessions = value().parse().unwrap_or_else(|_| usage())
             }
@@ -90,13 +87,8 @@ fn main() -> ExitCode {
         }
     };
 
-    // One parseable line; the parent reads it to learn the ephemeral ports.
-    println!(
-        "node id={} data={} ctrl={}",
-        node.id(),
-        node.data_addr(),
-        node.ctrl_addr()
-    );
+    // One parseable line; the parent reads it to learn the ephemeral port.
+    println!("node id={} data={}", node.id(), node.data_addr());
 
     // Serve until the parent closes our stdin (or exits, which closes it).
     let mut sink = Vec::new();

@@ -2,13 +2,13 @@
 //!
 //! Routes by rendezvous hashing over the member list, fails requests over
 //! to surviving nodes (depersonalised, never a 5xx), distributes index
-//! artifacts, and rebalances session ownership on membership changes.
-//! Members can be given up front with repeated `--node` flags or added
-//! later via `POST /cluster/join`.
+//! artifacts, and rebalances session ownership on membership changes — all
+//! over each node's one HTTP address. Members can be given up front with
+//! repeated `--node` flags or added later via `POST /cluster/join`.
 //!
 //! ```text
 //! serenade-routerd [--addr HOST:PORT]
-//!                  [--node ID,DATA_ADDR,CTRL_ADDR]...
+//!                  [--node ID,ADDR]...
 //!                  [--probe-interval-ms N] [--handoff-cap N]
 //! ```
 //!
@@ -24,18 +24,16 @@ use serenade_serving::routerd::{RouterConfig, RouterDaemon};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: serenade-routerd [--addr HOST:PORT] [--node ID,DATA,CTRL]... \
+        "usage: serenade-routerd [--addr HOST:PORT] [--node ID,ADDR]... \
          [--probe-interval-ms N] [--handoff-cap N]"
     );
     std::process::exit(2);
 }
 
 fn parse_member(spec: &str) -> Option<(u64, SocketAddr, SocketAddr)> {
-    let mut parts = spec.splitn(3, ',');
-    let id = parts.next()?.parse().ok()?;
-    let data = parts.next()?.parse().ok()?;
-    let ctrl = parts.next()?.parse().ok()?;
-    Some((id, data, ctrl))
+    let (id, addr) = spec.split_once(',')?;
+    let addr = addr.parse().ok()?;
+    Some((id.parse().ok()?, addr, addr))
 }
 
 fn main() -> ExitCode {

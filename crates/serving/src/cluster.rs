@@ -11,8 +11,11 @@
 //! `VmisKnn` exactly once and publishes it atomically through the engine's
 //! [`IndexHandle`](crate::handle::IndexHandle). If the build or validation
 //! fails, nothing is published and the engine keeps serving the old index.
+//! While live ingest is enabled its publisher is the index's one writer, and
+//! a rollover is refused ([`RolloverError::IngestEnabled`]).
 
 use std::cell::RefCell;
+use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -27,6 +30,30 @@ use crate::ingest::epoch::EpochChange;
 use crate::ingest::{IngestConfig, IngestPipeline};
 use crate::rules::BusinessRules;
 use crate::telemetry::ClusterTelemetry;
+
+/// Why [`ServingCluster::reload_index`] published nothing. The old index
+/// keeps serving either way.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RolloverError {
+    /// Live ingest is enabled: its publisher is the index's one writer, and
+    /// its next publish would undo the rollover.
+    IngestEnabled,
+    /// The recommender could not be built over the index.
+    Invalid(CoreError),
+}
+
+impl fmt::Display for RolloverError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RolloverError::IngestEnabled => f.write_str(
+                "live ingest is this node's index writer; its next publish would undo a rollover",
+            ),
+            RolloverError::Invalid(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for RolloverError {}
 
 /// A serving process's engine plus its telemetry hub and, once enabled,
 /// its ingest pipeline.
@@ -114,9 +141,8 @@ impl ServingCluster {
     /// Enables the streaming write path: seeds an incremental indexer with
     /// `seed` (the click log the serving index was built from) and starts
     /// the publisher thread that mini-publishes through the engine's index
-    /// handle. At most once per cluster; while ingest is live the publisher
-    /// is the single index writer — do not call
-    /// [`ServingCluster::reload_index`] concurrently.
+    /// handle. At most once per cluster; from then on the publisher is the
+    /// single index writer, and [`ServingCluster::reload_index`] refuses.
     pub fn enable_ingest(
         &self,
         config: IngestConfig,
@@ -249,10 +275,15 @@ impl ServingCluster {
     /// the recommender from `index` exactly once and publishes it
     /// atomically. Readers never block, in-flight requests finish on the
     /// version they loaded, and session state survives. On error, the
-    /// engine stays on the old index.
-    pub fn reload_index(&self, index: Arc<SessionIndex>) -> Result<(), CoreError> {
+    /// engine stays on the old index. A cluster with live ingest refuses:
+    /// its publisher is the one index writer.
+    pub fn reload_index(&self, index: Arc<SessionIndex>) -> Result<(), RolloverError> {
+        if self.ingest().is_some() {
+            return Err(RolloverError::IngestEnabled);
+        }
         let started = Instant::now();
-        let fresh = crate::sync::Arc::new(build_recommender(index, self.engine.config())?);
+        let fresh = build_recommender(index, self.engine.config()).map_err(RolloverError::Invalid)?;
+        let fresh = crate::sync::Arc::new(fresh);
         let handle = self.engine.index_handle();
         // A rollover replaces the whole neighbourhood structure: record an
         // all-items epoch (before the store — see the epoch-log contract)
@@ -583,27 +614,34 @@ mod ingest_tests {
     }
 
     #[test]
-    fn rollover_after_ingest_invalidates_everything() {
+    fn a_rollover_on_an_ingest_cluster_is_refused_and_ingest_keeps_the_index() {
         let (c, p) = cluster_with_ingest(IngestConfig {
             publish_interval: Duration::from_millis(5),
             ..IngestConfig::default()
         });
-        let cache = c.prediction_cache().unwrap();
-        let before = c.handle(dep(911, 1)).unwrap();
-        assert_eq!(c.handle(dep(912, 1)).unwrap(), before);
+        let sessions = || c.engine().index_handle().load().index().num_sessions();
+        assert_eq!(sessions(), 40);
+        let generation = c.engine().index_handle().generation();
 
-        // Quiesce the publisher, then roll over to a different index: the
-        // all-items epoch must defeat revalidation for every entry.
-        p.flush().unwrap();
+        // A different index: had it been published, the next mini-publish
+        // would have stored the click merged into the seed over it.
         let mut clicks = seed_clicks();
         for s in 0..20u64 {
             clicks.push(Click::new(500 + s, (s + 3) % 6, 5_000 + s));
             clicks.push(Click::new(500 + s, (s + 4) % 6, 5_001 + s));
         }
-        c.reload_index(Arc::new(SessionIndex::build(&clicks, 500).unwrap())).unwrap();
-        let after = c.handle(dep(913, 1)).unwrap();
-        assert_ne!(after, before, "rollover must change the answer");
-        assert_eq!(cache.revalidation_count(), 0, "nothing survives an all-items epoch");
+        let rollover = c.reload_index(Arc::new(SessionIndex::build(&clicks, 500).unwrap()));
+        assert_eq!(rollover, Err(RolloverError::IngestEnabled));
+        assert_eq!(c.engine().index_handle().generation(), generation, "nothing was published");
+        assert!(
+            c.prediction_cache().unwrap().epoch_log().is_empty(),
+            "no epoch was recorded for a publish that did not happen"
+        );
+
+        assert!(p.submit(&[Click::new(1_000, 0, 10_000), Click::new(1_000, 1, 10_001)]));
+        p.flush().unwrap();
+        assert_eq!(sessions(), 41, "the seed plus the click");
+        assert_eq!(c.engine().index_handle().generation(), generation + 1);
     }
 }
 

@@ -37,13 +37,14 @@
 //! serving — the log-side tombstone still holds.
 //!
 //! The publisher is the cluster's single index writer while ingest is
-//! enabled; calling [`ServingCluster::reload_index`] concurrently would
-//! violate the serialised-publisher contract the generation math and the
-//! epoch log stand on.
+//! enabled, the serialised-publisher contract the generation math and the
+//! epoch log stand on: [`ServingCluster::reload_index`] checks it and
+//! refuses with [`RolloverError::IngestEnabled`].
 //!
 //! [`IndexHandle`]: crate::handle::IndexHandle
 //! [`IndexHandle::store`]: crate::handle::IndexHandle::store
 //! [`ServingCluster::reload_index`]: crate::cluster::ServingCluster::reload_index
+//! [`RolloverError::IngestEnabled`]: crate::cluster::RolloverError::IngestEnabled
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;

@@ -27,12 +27,12 @@
 //! * [`router`] — sticky-session partitioning across nodes (rendezvous
 //!   hashing, so membership changes remap a minimal session fraction);
 //! * [`transport`] — the router tier's upstream side: a pooled keep-alive
-//!   HTTP client per node process;
+//!   HTTP client per node process, for everything but forwarded predicts;
 //! * [`cluster`] — one engine plus telemetry and ingest: what every server
 //!   fronts;
 //! * [`node`] — the serving node role for multi-process
-//!   deployments: a data-plane HTTP server plus a framed control socket for
-//!   artifact distribution and session handoff;
+//!   deployments: the HTTP server, whose `/admin/` routes take artifact
+//!   publishes and session handoff;
 //! * [`routerd`] — the router tier: routes by rendezvous hashing over live
 //!   nodes, probes health, fails over to depersonalised serving, and
 //!   republishes index artifacts to every node;
@@ -68,7 +68,7 @@ pub mod telemetry;
 pub mod transport;
 
 pub use cache::{CacheConfig, PredictionCache};
-pub use cluster::ServingCluster;
+pub use cluster::{RolloverError, ServingCluster};
 pub use context::{RequestContext, StageTimings};
 pub use engine::{Engine, EngineConfig, ServingVariant};
 pub use error::ServingError;

@@ -1,66 +1,53 @@
 //! The serving-node role: one machine of a multi-process cluster.
 //!
-//! A [`ServingNode`] wraps the process's [`ServingCluster`] (one engine) with
-//! the two planes a real deployment needs:
+//! A [`ServingNode`] is the process's [`ServingCluster`] (one engine) behind
+//! the event-loop [`HttpServer`]: one listening socket, one protocol. Beside
+//! the REST surface every server has (`/recommend`, `/metrics`, …), a node
+//! answers the router's control plane as four routes under `/admin/`, run
+//! like any other non-predict request on the worker pool:
 //!
-//! * **data plane** — the event-loop [`HttpServer`] serving the full REST
-//!   surface (`/recommend`, `/metrics`, …), identical to the in-process
-//!   server because it *is* the in-process server;
-//! * **control plane** — a framed binary protocol on a second socket for
-//!   the router tier: liveness pings, index-artifact distribution
-//!   (validated with `serenade_index::binfmt` before anything is
-//!   published — a corrupt artifact is rejected and the old generation
-//!   keeps serving), and session export/import/forget for ownership
-//!   handoff when membership changes.
+//! | route | body in | answer |
+//! |---|---|---|
+//! | `PUT /admin/index` | a `binfmt` index artefact | `{"index_generation": N}`; `400` naming why for a corrupt artefact, `409` while live ingest owns the index; the old generation keeps serving |
+//! | `POST /admin/sessions/export` | `{"cap": N}` | up to `N` live sessions, as a session set |
+//! | `POST /admin/sessions/import` | a session set | `{"imported": n}` (prepend semantics, see `Engine::import_session`) |
+//! | `POST /admin/sessions/forget` | a session-id list | `{"forgotten": n}`: how many existed |
 //!
-//! # Control protocol
-//!
-//! Requests are `b"SRNC" op:u8 len:u32le payload`, responses are
-//! `b"SRNR" status:u8 len:u32le payload` (status 0 = ok, 1 = error with a
-//! UTF-8 message payload). Session sets are encoded as
-//! `count:u32le (sid:u64le len:u32le item:u64le*len)*`. All reads are
-//! bounded: a declared length beyond [`MAX_CTRL_FRAME_BYTES`] is rejected
-//! before any allocation, and payloads are read incrementally so a hostile
-//! length costs only the bytes actually sent.
+//! The probe is `GET /health`. Binary bodies travel as
+//! `application/octet-stream`: a session set is
+//! `count:u32le (sid:u64le len:u32le item:u64le*len)*`, an id list
+//! `count:u32le sid:u64le*` (session ids use all 64 bits, more than a JSON
+//! number carries). Only a node serves these routes, and only its `/admin/`
+//! paths may declare a body beyond the server's `max_body_bytes`, up to a
+//! whole artefact; the upload must still arrive within
+//! `request_read_timeout`. The decoders bound every allocation by the bytes
+//! present.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
-use serenade_core::{CoreError, ItemId, SessionIndex};
+use serenade_core::{CoreError, ItemId, ItemScore, SessionIndex};
 use serenade_index::binfmt;
 use serenade_telemetry::TraceConfig;
 
-use crate::cluster::ServingCluster;
-use crate::engine::EngineConfig;
-use crate::server::{HttpServer, HttpServerConfig};
+use crate::cluster::{RolloverError, ServingCluster};
+use crate::context::RequestContext;
+use crate::engine::{EngineConfig, RecommendRequest};
+use crate::error::ServingError;
+use crate::json::{self, JsonValue};
 use crate::rules::BusinessRules;
+use crate::server::conn::{self, CONTENT_TYPE_JSON};
+use crate::server::parser::ParsedRequest;
+use crate::server::{HttpServer, HttpServerConfig, PredictRoute, RequestBackend};
+use crate::telemetry::ClusterTelemetry;
 
-/// Request frame magic.
-const CTRL_MAGIC: &[u8; 4] = b"SRNC";
-/// Response frame magic.
-const CTRL_RESPONSE_MAGIC: &[u8; 4] = b"SRNR";
+/// Content type of the artefacts, session sets and id lists.
+pub(crate) const OCTET_STREAM: &str = "application/octet-stream";
 
-/// Largest accepted control payload: must admit a full index artifact
-/// (bounded by `binfmt`'s own 1 GiB payload cap plus framing).
-pub const MAX_CTRL_FRAME_BYTES: u64 = (1 << 30) + (1 << 16);
-
-/// Control opcodes.
-mod op {
-    /// Liveness probe; responds with the serving index generation.
-    pub const PING: u8 = 1;
-    /// Validate + publish an index artifact (`binfmt` bytes).
-    pub const LOAD_INDEX: u8 = 2;
-    /// Export up to `cap` live sessions (payload: `cap:u32le`).
-    pub const EXPORT: u8 = 3;
-    /// Import a session set (prepend semantics, see `Engine::import_session`).
-    pub const IMPORT: u8 = 4;
-    /// Physically erase a list of session ids (`count:u32le sid:u64le*`).
-    pub const FORGET: u8 = 5;
-}
+/// Largest body an `/admin/` request may declare on a node: a whole index
+/// artefact, `binfmt`'s payload cap plus its header and trailer with room
+/// to spare.
+const ADMIN_BODY_BYTES: usize = binfmt::MAX_PAYLOAD_BYTES as usize + (1 << 16);
 
 /// How a node identifies and binds itself.
 #[derive(Debug, Clone)]
@@ -69,9 +56,7 @@ pub struct NodeConfig {
     /// exactly what `StickyRouter::with_members(0..n)` assigns them, which
     /// the conformance tests rely on.
     pub node_id: u64,
-    /// Control-socket bind address (port 0 for ephemeral).
-    pub ctrl_addr: String,
-    /// Data-plane server configuration (bind address, workers, limits).
+    /// Server configuration (bind address, workers, limits).
     pub server: HttpServerConfig,
     /// Engine configuration.
     pub engine: EngineConfig,
@@ -83,7 +68,6 @@ impl Default for NodeConfig {
     fn default() -> Self {
         Self {
             node_id: 0,
-            ctrl_addr: String::from("127.0.0.1:0"),
             server: HttpServerConfig::default(),
             engine: EngineConfig::default(),
             rules: BusinessRules::none(),
@@ -91,22 +75,17 @@ impl Default for NodeConfig {
     }
 }
 
-/// A running serving node: data-plane HTTP server + control socket around
-/// the process's cluster. Dropping it (or [`ServingNode::shutdown`])
-/// drains the data plane and stops the control thread.
+/// A running serving node: the HTTP server around the process's cluster.
+/// Dropping it (or [`ServingNode::shutdown`]) drains the server.
 pub struct ServingNode {
     id: u64,
     cluster: Arc<ServingCluster>,
     server: Option<HttpServer>,
     data_addr: SocketAddr,
-    ctrl_addr: SocketAddr,
-    ctrl_stop: Arc<AtomicBool>,
-    ctrl_thread: Option<JoinHandle<()>>,
 }
 
 impl ServingNode {
-    /// Builds the cluster, starts the data-plane server and the control
-    /// listener.
+    /// Builds the cluster and starts the server.
     pub fn start(index: Arc<SessionIndex>, config: NodeConfig) -> Result<Self, CoreError> {
         let cluster = Arc::new(ServingCluster::with_trace_config(
             index,
@@ -115,43 +94,16 @@ impl ServingNode {
             config.rules,
             TraceConfig::default(),
         )?);
+        let backend = Arc::new(NodeBackend(Arc::clone(&cluster)));
         let server =
-            HttpServer::serve(Arc::clone(&cluster), config.server).map_err(|e| {
+            HttpServer::serve(backend, config.server).map_err(|e| {
                 CoreError::InvalidConfig {
                     parameter: "node.server",
                     reason: format!("data plane failed to bind: {e}"),
                 }
             })?;
         let data_addr = server.addr();
-        let listener = TcpListener::bind(&config.ctrl_addr).map_err(|e| {
-            CoreError::InvalidConfig {
-                parameter: "node.ctrl_addr",
-                reason: format!("control plane failed to bind: {e}"),
-            }
-        })?;
-        let ctrl_addr = listener.local_addr().map_err(|e| CoreError::InvalidConfig {
-            parameter: "node.ctrl_addr",
-            reason: format!("control address unavailable: {e}"),
-        })?;
-        listener.set_nonblocking(true).map_err(|e| CoreError::InvalidConfig {
-            parameter: "node.ctrl_addr",
-            reason: format!("control listener mode: {e}"),
-        })?;
-        let ctrl_stop = Arc::new(AtomicBool::new(false));
-        let ctrl_thread = {
-            let cluster = Arc::clone(&cluster);
-            let stop = Arc::clone(&ctrl_stop);
-            std::thread::spawn(move || control_accept_loop(listener, cluster, stop))
-        };
-        Ok(Self {
-            id: config.node_id,
-            cluster,
-            data_addr,
-            server: Some(server),
-            ctrl_addr,
-            ctrl_stop,
-            ctrl_thread: Some(ctrl_thread),
-        })
+        Ok(Self { id: config.node_id, cluster, server: Some(server), data_addr })
     }
 
     /// The node's member id.
@@ -159,14 +111,15 @@ impl ServingNode {
         self.id
     }
 
-    /// The data-plane address.
+    /// The node's one address.
     pub fn data_addr(&self) -> SocketAddr {
         self.data_addr
     }
 
-    /// The control-socket address.
+    /// Where the router reaches the node's control plane: the same address,
+    /// since the control plane is routes on it.
     pub fn ctrl_addr(&self) -> SocketAddr {
-        self.ctrl_addr
+        self.data_addr
     }
 
     /// The node's cluster (its engine plus telemetry).
@@ -174,7 +127,7 @@ impl ServingNode {
         &self.cluster
     }
 
-    /// Drains the data plane and stops the control thread.
+    /// Drains the server.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -182,10 +135,6 @@ impl ServingNode {
     fn stop(&mut self) {
         if let Some(server) = self.server.take() {
             server.shutdown();
-        }
-        self.ctrl_stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.ctrl_thread.take() {
-            let _ = t.join();
         }
     }
 }
@@ -196,153 +145,104 @@ impl Drop for ServingNode {
     }
 }
 
-/// Accept loop for the control socket. Nonblocking accept + stop-flag poll;
-/// each accepted connection gets its own thread (control connections are
-/// one-per-router, not one-per-request, so the thread count is the router
-/// count — the data plane's reactor rationale does not apply here).
-fn control_accept_loop(
-    listener: TcpListener,
-    cluster: Arc<ServingCluster>,
-    stop: Arc<AtomicBool>,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let cluster = Arc::clone(&cluster);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || control_connection(stream, cluster, stop));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+/// What a node serves: its cluster, plus the `/admin/` routes and their
+/// raised body cap, which a bare cluster server does not expose.
+struct NodeBackend(Arc<ServingCluster>);
+
+impl RequestBackend for NodeBackend {
+    const ADMIN_BODY_BYTES: usize = ADMIN_BODY_BYTES;
+
+    fn telemetry(&self) -> &Arc<ClusterTelemetry> {
+        self.0.telemetry()
+    }
+
+    fn respond(&self, request: &ParsedRequest) -> (u16, Vec<u8>, &'static str) {
+        if request.path.starts_with("/admin/") {
+            respond_admin(request, &self.0)
+        } else {
+            conn::respond(request, &self.0)
         }
+    }
+
+    fn route_predict(&self, _req: &RecommendRequest) -> PredictRoute {
+        PredictRoute::Local
+    }
+
+    fn handle_recommend(
+        &self,
+        req: RecommendRequest,
+        ctx: &mut RequestContext,
+    ) -> Result<Vec<ItemScore>, ServingError> {
+        self.0.handle_with(req, ctx)
     }
 }
 
-/// Serves one keep-alive control connection until EOF, error or shutdown.
-fn control_connection(
-    mut stream: TcpStream,
-    cluster: Arc<ServingCluster>,
-    stop: Arc<AtomicBool>,
-) {
-    // Bounded reads so a dead peer cannot pin the thread forever; the
-    // first-byte wait polls the stop flag between timeouts.
-    if stream.set_read_timeout(Some(Duration::from_millis(250))).is_err() {
-        return;
-    }
-    loop {
-        let mut first = [0u8; 1];
-        match stream.read(&mut first) {
-            Ok(0) => return, // EOF: router closed the control channel.
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return;
+/// Answers one request under `/admin/` (the table in the module docs).
+fn respond_admin(
+    request: &ParsedRequest,
+    cluster: &ServingCluster,
+) -> (u16, Vec<u8>, &'static str) {
+    let engine = cluster.engine();
+    match (request.method.as_str(), request.path.as_str()) {
+        ("PUT", "/admin/index") => {
+            let loaded = binfmt::read_index(&request.body)
+                .map_err(|e| (400, format!("artifact rejected: {e}")))
+                .and_then(|index| {
+                    cluster.reload_index(Arc::new(index)).map_err(|e| match e {
+                        RolloverError::IngestEnabled => (409, format!("index rejected: {e}")),
+                        RolloverError::Invalid(_) => (400, format!("index rejected: {e}")),
+                    })
+                });
+            match loaded {
+                Ok(()) => counted("index_generation", engine.index_handle().generation()),
+                Err((status, reason)) => error(status, reason),
+            }
+        }
+        ("POST", "/admin/sessions/export") => {
+            let cap = json::parse(request.text())
+                .ok()
+                .and_then(|v| v.get("cap").and_then(JsonValue::as_u64));
+            match cap {
+                Some(cap) => {
+                    (200, encode_sessions(&engine.export_sessions(cap as usize)), OCTET_STREAM)
                 }
-                continue;
+                None => error(400, String::from("export expects {\"cap\": N}")),
             }
-            Err(_) => return,
         }
-        // A frame has started: the rest must follow promptly.
-        let Ok((opcode, payload)) = read_frame_rest(&mut stream, first[0]) else { return };
-        let (status, body) = execute(&cluster, opcode, &payload);
-        if write_response(&mut stream, status, &body).is_err() {
-            return;
-        }
-    }
-}
-
-/// Reads the remainder of a request frame given its first magic byte.
-fn read_frame_rest(stream: &mut TcpStream, first: u8) -> std::io::Result<(u8, Vec<u8>)> {
-    let corrupt = || std::io::Error::new(std::io::ErrorKind::InvalidData, "bad control frame");
-    if first != CTRL_MAGIC[0] {
-        return Err(corrupt());
-    }
-    let mut head = [0u8; 3 + 1 + 4];
-    stream.read_exact(&mut head)?;
-    if head[..3] != CTRL_MAGIC[1..] {
-        return Err(corrupt());
-    }
-    let opcode = head[3];
-    let len = u64::from(u32::from_le_bytes(head[4..8].try_into().expect("4 bytes")));
-    if len > MAX_CTRL_FRAME_BYTES {
-        return Err(corrupt());
-    }
-    let mut payload = Vec::new();
-    stream.take(len).read_to_end(&mut payload)?;
-    if payload.len() as u64 != len {
-        return Err(corrupt());
-    }
-    Ok((opcode, payload))
-}
-
-/// Writes one response frame.
-fn write_response(stream: &mut TcpStream, status: u8, payload: &[u8]) -> std::io::Result<()> {
-    let mut frame = Vec::with_capacity(9 + payload.len());
-    frame.extend_from_slice(CTRL_RESPONSE_MAGIC);
-    frame.push(status);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    stream.write_all(&frame)
-}
-
-/// Executes one control operation; returns `(status, payload)`.
-fn execute(cluster: &ServingCluster, opcode: u8, payload: &[u8]) -> (u8, Vec<u8>) {
-    match opcode {
-        op::PING => {
-            let generation = cluster.engine().index_handle().generation();
-            (0, generation.to_le_bytes().to_vec())
-        }
-        op::LOAD_INDEX => match binfmt::read_index(payload) {
-            Ok(index) => match cluster.reload_index(Arc::new(index)) {
-                Ok(()) => {
-                    let generation = cluster.engine().index_handle().generation();
-                    (0, generation.to_le_bytes().to_vec())
-                }
-                Err(e) => (1, format!("index rejected: {e}").into_bytes()),
-            },
-            Err(e) => (1, format!("artifact rejected: {e}").into_bytes()),
-        },
-        op::EXPORT => {
-            if payload.len() != 4 {
-                return (1, b"export expects cap:u32le".to_vec());
-            }
-            let cap = u32::from_le_bytes(payload.try_into().expect("4 bytes")) as usize;
-            let sessions = cluster.engine().export_sessions(cap);
-            (0, encode_sessions(&sessions))
-        }
-        op::IMPORT => match decode_sessions(payload) {
+        ("POST", "/admin/sessions/import") => match decode_sessions(&request.body) {
             Ok(sessions) => {
-                let n = sessions.len() as u32;
+                let imported = sessions.len() as u64;
                 for (sid, items) in sessions {
-                    cluster.engine().import_session(sid, items);
+                    engine.import_session(sid, items);
                 }
-                (0, n.to_le_bytes().to_vec())
+                counted("imported", imported)
             }
-            Err(e) => (1, e.into_bytes()),
+            Err(e) => error(400, e),
         },
-        op::FORGET => match decode_session_ids(payload) {
+        ("POST", "/admin/sessions/forget") => match decode_session_ids(&request.body) {
             Ok(sids) => {
-                let mut dropped = 0u32;
-                for sid in sids {
-                    if cluster.engine().forget_session(sid) {
-                        dropped += 1;
-                    }
-                }
-                (0, dropped.to_le_bytes().to_vec())
+                let forgotten = sids.into_iter().filter(|&sid| engine.forget_session(sid)).count();
+                counted("forgotten", forgotten as u64)
             }
-            Err(e) => (1, e.into_bytes()),
+            Err(e) => error(400, e),
         },
-        _ => (1, format!("unknown control opcode {opcode}").into_bytes()),
+        _ => error(404, String::from("not found")),
     }
 }
 
-/// Encodes a session set for the wire.
-pub(crate) fn encode_sessions(sessions: &[(u64, Vec<ItemId>)]) -> Vec<u8> {
+/// A `200` with one count: `{"<name>": n}`.
+fn counted(name: &'static str, n: u64) -> (u16, Vec<u8>, &'static str) {
+    let body = JsonValue::object([(name, JsonValue::Number(n as f64))]).to_json();
+    (200, body.into_bytes(), CONTENT_TYPE_JSON)
+}
+
+fn error(status: u16, message: String) -> (u16, Vec<u8>, &'static str) {
+    let body = JsonValue::object([("error", JsonValue::String(message))]).to_json();
+    (status, body.into_bytes(), CONTENT_TYPE_JSON)
+}
+
+/// Encodes a session set: the export route's answer, the import route's body.
+pub fn encode_sessions(sessions: &[(u64, Vec<ItemId>)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + sessions.len() * 16);
     out.extend_from_slice(&(sessions.len() as u32).to_le_bytes());
     for (sid, items) in sessions {
@@ -356,7 +256,7 @@ pub(crate) fn encode_sessions(sessions: &[(u64, Vec<ItemId>)]) -> Vec<u8> {
 }
 
 /// Decodes a session set; allocation is bounded by the bytes present.
-pub(crate) fn decode_sessions(bytes: &[u8]) -> Result<Vec<(u64, Vec<ItemId>)>, String> {
+pub fn decode_sessions(bytes: &[u8]) -> Result<Vec<(u64, Vec<ItemId>)>, String> {
     let mut cursor = Cursor { bytes, at: 0 };
     let count = cursor.u32()? as usize;
     // A count cannot exceed what the payload could possibly hold.
@@ -382,8 +282,8 @@ pub(crate) fn decode_sessions(bytes: &[u8]) -> Result<Vec<(u64, Vec<ItemId>)>, S
     Ok(sessions)
 }
 
-/// Encodes a bare session-id list (for FORGET).
-pub(crate) fn encode_session_ids(sids: &[u64]) -> Vec<u8> {
+/// Encodes a bare session-id list (the forget route's body).
+pub fn encode_session_ids(sids: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + sids.len() * 8);
     out.extend_from_slice(&(sids.len() as u32).to_le_bytes());
     for sid in sids {
@@ -393,7 +293,7 @@ pub(crate) fn encode_session_ids(sids: &[u64]) -> Vec<u8> {
 }
 
 /// Decodes a bare session-id list.
-pub(crate) fn decode_session_ids(bytes: &[u8]) -> Result<Vec<u64>, String> {
+pub fn decode_session_ids(bytes: &[u8]) -> Result<Vec<u64>, String> {
     let mut cursor = Cursor { bytes, at: 0 };
     let count = cursor.u32()? as usize;
     if count > bytes.len() / 8 {
@@ -419,137 +319,25 @@ impl Cursor<'_> {
         self.bytes.len() - self.at
     }
 
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        let chunk = self.bytes[self.at..].first_chunk::<N>().ok_or("truncated session set")?;
+        self.at += N;
+        Ok(*chunk)
+    }
+
     fn u32(&mut self) -> Result<u32, String> {
-        let end = self.at.checked_add(4).filter(|&e| e <= self.bytes.len());
-        let Some(end) = end else { return Err(String::from("truncated session set")) };
-        let v = u32::from_le_bytes(self.bytes[self.at..end].try_into().expect("4 bytes"));
-        self.at = end;
-        Ok(v)
+        self.take().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, String> {
-        let end = self.at.checked_add(8).filter(|&e| e <= self.bytes.len());
-        let Some(end) = end else { return Err(String::from("truncated session set")) };
-        let v = u64::from_le_bytes(self.bytes[self.at..end].try_into().expect("8 bytes"));
-        self.at = end;
-        Ok(v)
-    }
-}
-
-/// The router side of the control protocol: one keep-alive connection to a
-/// node's control socket.
-pub struct ControlClient {
-    stream: TcpStream,
-}
-
-impl ControlClient {
-    /// Connects with a bounded dial + I/O timeout.
-    pub fn connect(addr: SocketAddr, timeout: Duration) -> std::io::Result<Self> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        Ok(Self { stream })
-    }
-
-    fn call(&mut self, opcode: u8, payload: &[u8]) -> std::io::Result<(u8, Vec<u8>)> {
-        let mut frame = Vec::with_capacity(9 + payload.len());
-        frame.extend_from_slice(CTRL_MAGIC);
-        frame.push(opcode);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.stream.write_all(&frame)?;
-        let corrupt =
-            || std::io::Error::new(std::io::ErrorKind::InvalidData, "bad control response");
-        let mut head = [0u8; 4 + 1 + 4];
-        self.stream.read_exact(&mut head)?;
-        if &head[..4] != CTRL_RESPONSE_MAGIC {
-            return Err(corrupt());
-        }
-        let status = head[4];
-        let len = u64::from(u32::from_le_bytes(head[5..9].try_into().expect("4 bytes")));
-        if len > MAX_CTRL_FRAME_BYTES {
-            return Err(corrupt());
-        }
-        let mut body = Vec::new();
-        (&mut self.stream).take(len).read_to_end(&mut body)?;
-        if body.len() as u64 != len {
-            return Err(corrupt());
-        }
-        Ok((status, body))
-    }
-
-    fn expect_u64(response: (u8, Vec<u8>)) -> std::io::Result<u64> {
-        let (status, body) = response;
-        if status != 0 || body.len() != 8 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                String::from_utf8_lossy(&body).into_owned(),
-            ));
-        }
-        Ok(u64::from_le_bytes(body[..8].try_into().expect("8 bytes")))
-    }
-
-    fn expect_u32(response: (u8, Vec<u8>)) -> std::io::Result<u32> {
-        let (status, body) = response;
-        if status != 0 || body.len() != 4 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                String::from_utf8_lossy(&body).into_owned(),
-            ));
-        }
-        Ok(u32::from_le_bytes(body[..4].try_into().expect("4 bytes")))
-    }
-
-    /// Liveness probe; returns the node's serving index generation.
-    pub fn ping(&mut self) -> std::io::Result<u64> {
-        let response = self.call(op::PING, &[])?;
-        Self::expect_u64(response)
-    }
-
-    /// Publishes an index artifact. `Ok(Ok(generation))` on success,
-    /// `Ok(Err(reason))` when the node rejected the artifact (and keeps
-    /// serving its old generation), `Err` on transport failure.
-    pub fn load_index(&mut self, artifact: &[u8]) -> std::io::Result<Result<u64, String>> {
-        let (status, body) = self.call(op::LOAD_INDEX, artifact)?;
-        if status == 0 && body.len() == 8 {
-            Ok(Ok(u64::from_le_bytes(body[..8].try_into().expect("8 bytes"))))
-        } else {
-            Ok(Err(String::from_utf8_lossy(&body).into_owned()))
-        }
-    }
-
-    /// Exports up to `cap` live sessions from the node.
-    pub fn export_sessions(&mut self, cap: u32) -> std::io::Result<Vec<(u64, Vec<ItemId>)>> {
-        let (status, body) = self.call(op::EXPORT, &cap.to_le_bytes())?;
-        if status != 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                String::from_utf8_lossy(&body).into_owned(),
-            ));
-        }
-        decode_sessions(&body)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
-    /// Imports a session set into the node; returns how many were applied.
-    pub fn import_sessions(
-        &mut self,
-        sessions: &[(u64, Vec<ItemId>)],
-    ) -> std::io::Result<u32> {
-        let response = self.call(op::IMPORT, &encode_sessions(sessions))?;
-        Self::expect_u32(response)
-    }
-
-    /// Physically erases sessions on the node; returns how many existed.
-    pub fn forget_sessions(&mut self, sids: &[u64]) -> std::io::Result<u32> {
-        let response = self.call(op::FORGET, &encode_session_ids(sids))?;
-        Self::expect_u32(response)
+        self.take().map(u64::from_le_bytes)
     }
 }
 
 #[cfg(all(test, not(feature = "loom")))]
 mod tests {
     use super::*;
+    use crate::transport::HttpClient;
     use serenade_core::Click;
 
     fn seed_index() -> Arc<SessionIndex> {
@@ -593,33 +381,59 @@ mod tests {
         assert!(decode_sessions(&padded).is_err());
     }
 
+    /// One exchange with an `application/octet-stream` body.
+    fn admin(client: &mut HttpClient, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
+        client.exchange(method, path, Some((OCTET_STREAM, body))).unwrap()
+    }
+
+    fn export(client: &mut HttpClient, cap: u32) -> Vec<(u64, Vec<ItemId>)> {
+        let cap = format!("{{\"cap\": {cap}}}");
+        let (status, body) =
+            client.exchange("POST", "/admin/sessions/export", Some((CONTENT_TYPE_JSON, cap.as_bytes()))).unwrap();
+        assert_eq!(status, 200);
+        decode_sessions(&body).unwrap()
+    }
+
+    /// `GET /health`'s `index_generation`: the probe's reading.
+    fn generation(client: &mut HttpClient) -> u64 {
+        let (status, body) = client.get("/health").unwrap();
+        assert_eq!(status, 200, "{body}");
+        json::parse(&body).unwrap().get("index_generation").and_then(JsonValue::as_u64).unwrap()
+    }
+
+    fn artifact() -> Vec<u8> {
+        let mut artifact = Vec::new();
+        binfmt::write_index(&seed_index(), &mut artifact).unwrap();
+        artifact
+    }
+
     #[test]
     fn ping_reports_the_index_generation() {
         let node = start_node();
-        let mut ctrl =
-            ControlClient::connect(node.ctrl_addr(), Duration::from_secs(2)).unwrap();
-        assert_eq!(ctrl.ping().unwrap(), 1, "fresh node serves generation 1");
+        let mut client = HttpClient::connect(node.ctrl_addr()).unwrap();
+        assert_eq!(generation(&mut client), 1, "fresh node serves generation 1");
         node.shutdown();
     }
 
     #[test]
     fn load_index_publishes_a_valid_artifact_and_rejects_a_corrupt_one() {
         let node = start_node();
-        let mut ctrl =
-            ControlClient::connect(node.ctrl_addr(), Duration::from_secs(2)).unwrap();
-        let mut artifact = Vec::new();
-        binfmt::write_index(&seed_index(), &mut artifact).unwrap();
+        let mut ctrl = HttpClient::connect(node.ctrl_addr()).unwrap();
+        let artifact = artifact();
 
-        let generation = ctrl.load_index(&artifact).unwrap().unwrap();
-        assert_eq!(generation, 2, "publish bumps the generation");
+        let (status, body) = admin(&mut ctrl, "PUT", "/admin/index", &artifact);
+        assert_eq!((status, String::from_utf8(body).unwrap()), (200, String::from(r#"{"index_generation":2}"#)));
+        assert_eq!(generation(&mut ctrl), 2, "publish bumps the generation");
 
         // Flip one payload byte: the node must reject it and keep serving.
         let mut corrupt = artifact.clone();
         let flip = corrupt.len() - 25;
         corrupt[flip] ^= 0x40;
-        let rejection = ctrl.load_index(&corrupt).unwrap().unwrap_err();
+        let (status, rejection) = admin(&mut ctrl, "PUT", "/admin/index", &corrupt);
+        let rejection = String::from_utf8(rejection).unwrap();
+        assert_eq!(status, 400, "{rejection}");
         assert!(rejection.contains("rejected"), "{rejection}");
-        assert_eq!(ctrl.ping().unwrap(), 2, "old generation keeps serving");
+        assert_eq!(generation(&mut ctrl), 2, "old generation keeps serving");
 
         // An artefact framed as format version 2 is refused by its version.
         let mut v2 = artifact.clone();
@@ -627,9 +441,11 @@ mod tests {
         for magic in [0, trailer] {
             v2[magic + 6] = 2;
         }
-        let rejection = ctrl.load_index(&v2).unwrap().unwrap_err();
+        let (status, rejection) = admin(&mut ctrl, "PUT", "/admin/index", &v2);
+        let rejection = String::from_utf8(rejection).unwrap();
+        assert_eq!(status, 400, "{rejection}");
         assert!(rejection.contains("version 2"), "{rejection}");
-        assert_eq!(ctrl.ping().unwrap(), 2, "old generation keeps serving");
+        assert_eq!(generation(&mut ctrl), 2, "old generation keeps serving");
         node.shutdown();
     }
 
@@ -638,27 +454,87 @@ mod tests {
         let a = start_node();
         let b = start_node();
         // Give node A some session state through its data plane.
-        let mut http = crate::transport::HttpClient::connect(a.data_addr()).unwrap();
+        let mut http = HttpClient::connect(a.data_addr()).unwrap();
         for item in [0u64, 1, 2] {
             let body =
                 format!("{{\"session_id\": 77, \"item_id\": {item}, \"consent\": true}}");
             let (status, _) = http.post("/recommend", &body).unwrap();
             assert_eq!(status, 200);
         }
-        let mut ctrl_a =
-            ControlClient::connect(a.ctrl_addr(), Duration::from_secs(2)).unwrap();
-        let mut ctrl_b =
-            ControlClient::connect(b.ctrl_addr(), Duration::from_secs(2)).unwrap();
-        let exported = ctrl_a.export_sessions(1_000).unwrap();
+        let mut ctrl_a = HttpClient::connect(a.ctrl_addr()).unwrap();
+        let mut ctrl_b = HttpClient::connect(b.ctrl_addr()).unwrap();
+        let exported = export(&mut ctrl_a, 1_000);
         assert_eq!(exported.len(), 1);
         assert_eq!(exported[0].0, 77);
         assert_eq!(exported[0].1.len(), 3);
 
-        assert_eq!(ctrl_b.import_sessions(&exported).unwrap(), 1);
+        let imported = admin(&mut ctrl_b, "POST", "/admin/sessions/import", &encode_sessions(&exported));
+        assert_eq!(imported, (200, br#"{"imported":1}"#.to_vec()));
         assert_eq!(b.cluster().live_sessions(), 1);
-        assert_eq!(ctrl_a.forget_sessions(&[77]).unwrap(), 1);
+        let forgotten = admin(&mut ctrl_a, "POST", "/admin/sessions/forget", &encode_session_ids(&[77]));
+        assert_eq!(forgotten, (200, br#"{"forgotten":1}"#.to_vec()));
         assert_eq!(a.cluster().live_sessions(), 0);
+
+        // A malformed set is a 400 with the decoder's message.
+        let (status, body) = admin(&mut ctrl_b, "POST", "/admin/sessions/import", &[1, 2, 3]);
+        assert_eq!(status, 400);
+        assert!(String::from_utf8(body).unwrap().contains("truncated session set"));
         a.shutdown();
         b.shutdown();
+    }
+
+    /// Writes `head` on a fresh connection and reads until the node closes it.
+    fn raw_exchange(addr: SocketAddr, head: &[u8]) -> String {
+        use std::io::{Read, Write};
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
+        stream.write_all(head).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response
+    }
+
+    #[test]
+    fn bodies_past_their_cap_are_413_before_any_byte_of_them_is_read() {
+        let node = start_node();
+        let too_big = ADMIN_BODY_BYTES + 1;
+        for head in [
+            format!("PUT /admin/index HTTP/1.1\r\ncontent-type: {OCTET_STREAM}\r\ncontent-length: {too_big}\r\n\r\n"),
+            format!("POST /ingest HTTP/1.1\r\ncontent-length: {}\r\n\r\n", (1 << 20) + 1),
+        ] {
+            let response = raw_exchange(node.data_addr(), head.as_bytes());
+            assert!(response.starts_with("HTTP/1.1 413 Payload Too Large"), "{head}: {response}");
+            assert!(response.contains("connection: close"), "{response}");
+        }
+        // A JSON route still refuses a body that is not UTF-8, and closes.
+        let response = raw_exchange(node.data_addr(), b"POST /ingest HTTP/1.1\r\ncontent-length: 2\r\n\r\n\xff\xfe");
+        assert!(response.starts_with("HTTP/1.1 400 Bad Request"), "{response}");
+        assert!(response.contains("not valid utf-8") && response.contains("connection: close"), "{response}");
+        node.shutdown();
+    }
+
+    #[test]
+    fn a_rollover_on_an_ingest_node_is_409_and_every_generation_agrees() {
+        use serenade_core::Click;
+        let node = start_node();
+        let seed: Vec<Click> = (0..40u64)
+            .flat_map(|s| [Click::new(s + 1, s % 6, 100 + s * 10), Click::new(s + 1, (s + 1) % 6, 101 + s * 10)])
+            .collect();
+        let ingest = node.cluster().enable_ingest(crate::IngestConfig::default(), &seed).unwrap();
+        assert!(ingest.submit(&[Click::new(900, 1, 5_000), Click::new(900, 2, 5_001)]));
+        assert_eq!(ingest.flush().unwrap(), 2, "one publish");
+
+        let mut ctrl = HttpClient::connect(node.ctrl_addr()).unwrap();
+        let (status, body) = admin(&mut ctrl, "PUT", "/admin/index", &artifact());
+        let body = String::from_utf8(body).unwrap();
+        assert_eq!(status, 409, "{body}");
+        assert!(body.contains("live ingest"), "{body}");
+
+        let handle = node.cluster().engine().index_handle().generation();
+        let (_, metrics) = ctrl.get("/metrics").unwrap();
+        let scraped = serenade_telemetry::parse(&metrics).unwrap().value("serenade_index_generation", &[]);
+        assert_eq!((generation(&mut ctrl), scraped, handle), (2, Some(2.0), 2));
+        assert_eq!(node.cluster().engine().index_handle().load().index().num_sessions(), 41);
+        node.shutdown();
     }
 }

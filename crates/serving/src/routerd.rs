@@ -21,12 +21,19 @@
 //!   `serenade_router_failover_total`) — the client never sees a 5xx for a
 //!   node loss, mirroring the engine's own deadline-degrade contract;
 //! * **artifact distribution** — `POST /cluster/publish` validates a
-//!   `binfmt` index artifact locally, then pushes it to every live node
-//!   over the control protocol; nodes that join later receive the last
-//!   published artifact automatically;
+//!   `binfmt` index artifact locally, then `PUT`s it to every live node's
+//!   `/admin/index`; nodes that join later receive the last published
+//!   artifact automatically;
 //! * **ownership handoff** — joins and leaves trigger a bounded session
-//!   export → import → forget sweep so moved sessions keep their evolving
-//!   state instead of restarting cold.
+//!   export → import → forget sweep over the nodes' `/admin/sessions/`
+//!   routes, so moved sessions keep their evolving state instead of
+//!   restarting cold.
+//!
+//! Everything but a forwarded predict — the probe, publishes, handoff, the
+//! `/ingest` proxy and the unlearning broadcast — reaches a member through
+//! its one pooled [`RemotePod`], on the member's third address (a real
+//! node's data address: a node has one socket). The router never forwards
+//! a client's `/admin/` request; it answers `404`.
 //!
 //! # Membership snapshots
 //!
@@ -52,7 +59,7 @@ use serenade_telemetry::{Histogram, HistogramConfig, TraceConfig};
 use crate::engine::RecommendRequest;
 use crate::handle::IndexHandle;
 use crate::json::{self, JsonValue};
-use crate::node::ControlClient;
+use crate::node::{decode_sessions, encode_session_ids, encode_sessions, OCTET_STREAM};
 use crate::router::StickyRouter;
 use crate::server::conn;
 use crate::server::parser::ParsedRequest;
@@ -67,9 +74,9 @@ pub struct RouterConfig {
     pub server: HttpServerConfig,
     /// Interval between health probes of each member.
     pub probe_interval: Duration,
-    /// Dial + I/O timeout for one control-plane call (a probe exceeding it
-    /// marks the node dead) and for the workers' blocking data-plane calls
-    /// (`/ingest` proxy, unlearning broadcast).
+    /// Dial + I/O timeout for every call to a node outside the predict
+    /// path: the health probe (one exceeding it marks the node dead),
+    /// publishes, handoff, the `/ingest` proxy and the unlearning broadcast.
     pub probe_timeout: Duration,
     /// Most sessions exported from any one node during a handoff sweep.
     /// Bounds the membership-change stall; sessions beyond the cap restart
@@ -92,12 +99,10 @@ impl Default for RouterConfig {
 pub struct NodeEntry {
     /// Member id in the rendezvous key space.
     pub id: u64,
-    /// Data-plane (HTTP) address.
+    /// Where predicts are forwarded.
     pub data_addr: SocketAddr,
-    /// Control-plane address.
-    pub ctrl_addr: SocketAddr,
-    /// The workers' blocking client for the fan-out endpoints; predicts
-    /// never use it.
+    /// The blocking client for everything else (the probe, publishes,
+    /// handoff, the fan-out endpoints).
     transport: RemotePod,
     alive: AtomicBool,
 }
@@ -162,7 +167,8 @@ pub struct RouterCore {
 }
 
 impl RouterCore {
-    /// Creates a router over an initial (possibly empty) member list.
+    /// Creates a router over an initial (possibly empty) member list of
+    /// `(id, predict address, address for everything else)`.
     pub fn new(
         members: &[(u64, SocketAddr, SocketAddr)],
         trace: TraceConfig,
@@ -193,7 +199,8 @@ impl RouterCore {
             probe_timeout,
             handoff_cap,
         });
-        let nodes = members.iter().map(|&(id, data, ctrl)| core.node_entry(id, data, ctrl)).collect();
+        let nodes =
+            members.iter().map(|&(id, data, other)| core.node_entry(id, data, other)).collect();
         core.membership.store(crate::sync::Arc::new(Membership::new(nodes)));
         let gauge = Arc::clone(&core);
         core.telemetry.registry().polled_gauge(
@@ -212,12 +219,11 @@ impl RouterCore {
         core
     }
 
-    fn node_entry(&self, id: u64, data_addr: SocketAddr, ctrl_addr: SocketAddr) -> Arc<NodeEntry> {
+    fn node_entry(&self, id: u64, data_addr: SocketAddr, other: SocketAddr) -> Arc<NodeEntry> {
         Arc::new(NodeEntry {
             id,
             data_addr,
-            ctrl_addr,
-            transport: RemotePod::new(data_addr, self.probe_timeout),
+            transport: RemotePod::new(other, self.probe_timeout),
             alive: AtomicBool::new(true),
         })
     }
@@ -232,15 +238,14 @@ impl RouterCore {
         self.failover_total.get()
     }
 
-    /// Health-probes every member once: a control-plane ping within the
-    /// probe timeout marks the node alive (recovering it after a crash or
-    /// restart), anything else marks it dead.
+    /// Health-probes every member once with `GET /health`: any complete
+    /// response within the probe timeout marks the node alive (recovering
+    /// it after a crash or restart) — a `503` shed proves its server is up —
+    /// and only an I/O error or a timeout marks it dead.
     pub fn probe_members(&self) {
         let membership = self.membership.load();
         for node in &membership.nodes {
-            let alive = ControlClient::connect(node.ctrl_addr, self.probe_timeout)
-                .and_then(|mut c| c.ping())
-                .is_ok();
+            let alive = node.transport.call("GET", "/health", None).is_ok();
             node.alive.store(alive, Ordering::SeqCst);
         }
     }
@@ -250,29 +255,23 @@ impl RouterCore {
     /// imported here when the new router maps them to the joiner, then
     /// forgotten at the source. If an artifact was published earlier, the
     /// joiner receives it before taking traffic.
-    pub fn join(
-        &self,
-        id: u64,
-        data_addr: SocketAddr,
-        ctrl_addr: SocketAddr,
-    ) -> Result<(), String> {
+    pub fn join(&self, id: u64, data_addr: SocketAddr) -> Result<(), String> {
         let _admin = self.admin.lock();
         let old = self.membership.load();
         if old.nodes.iter().any(|n| n.id == id) {
             return Err(format!("member {id} is already in the routing table"));
         }
+        let joiner = self.node_entry(id, data_addr, data_addr);
         // Seed the joiner with the current artifact so it serves the same
         // generation as everyone else from its first request.
         let artifact = self.last_artifact.lock().clone();
         if let Some(artifact) = artifact {
-            let mut ctrl = ControlClient::connect(ctrl_addr, self.probe_timeout)
-                .map_err(|e| format!("joiner control plane unreachable: {e}"))?;
-            ctrl.load_index(&artifact)
+            push_artifact(&joiner.transport, &artifact)
                 .map_err(|e| format!("artifact push failed: {e}"))?
                 .map_err(|reason| format!("joiner rejected the artifact: {reason}"))?;
         }
         let mut nodes = old.nodes.clone();
-        nodes.push(self.node_entry(id, data_addr, ctrl_addr));
+        nodes.push(joiner);
         let new = Membership::new(nodes);
         self.remap_sessions(&old, &new);
         self.membership.store(crate::sync::Arc::new(new));
@@ -313,14 +312,12 @@ impl RouterCore {
                 failed.push((node.id, String::from("node is dead")));
                 continue;
             }
-            let outcome = ControlClient::connect(node.ctrl_addr, self.probe_timeout)
-                .and_then(|mut c| c.load_index(&artifact));
-            match outcome {
-                Ok(Ok(_generation)) => published.push(node.id),
+            match push_artifact(&node.transport, &artifact) {
+                Ok(Ok(())) => published.push(node.id),
                 Ok(Err(reason)) => failed.push((node.id, reason)),
                 Err(e) => {
                     node.alive.store(false, Ordering::SeqCst);
-                    failed.push((node.id, format!("control plane failed: {e}")));
+                    failed.push((node.id, format!("node unreachable: {e}")));
                 }
             }
         }
@@ -339,11 +336,13 @@ impl RouterCore {
             if !source.is_alive() {
                 continue;
             }
-            let Ok(mut ctrl) = ControlClient::connect(source.ctrl_addr, self.probe_timeout)
+            let cap = format!("{{\"cap\":{}}}", self.handoff_cap);
+            let export = Some((conn::CONTENT_TYPE_JSON, cap.as_bytes()));
+            let Ok((200, body)) = source.transport.call("POST", "/admin/sessions/export", export)
             else {
                 continue;
             };
-            let Ok(exported) = ctrl.export_sessions(self.handoff_cap) else { continue };
+            let Ok(exported) = decode_sessions(&body) else { continue };
             // A session moves only if rendezvous now names a different
             // member id than the slot currently holding it.
             let mut moves: Vec<(u64, Vec<(u64, Vec<u64>)>)> = Vec::new();
@@ -363,9 +362,10 @@ impl RouterCore {
                 let Some(target) = new.nodes.iter().find(|n| n.id == *owner_id) else {
                     continue;
                 };
-                let imported = ControlClient::connect(target.ctrl_addr, self.probe_timeout)
-                    .and_then(|mut c| c.import_sessions(batch));
-                if imported.is_err() {
+                let encoded = encode_sessions(batch);
+                let import = Some((OCTET_STREAM, encoded.as_slice()));
+                let imported = target.transport.call("POST", "/admin/sessions/import", import);
+                if !matches!(imported, Ok((200, _))) {
                     // The target is unreachable: leave the sessions on the
                     // source (they will be re-exported by a later change)
                     // rather than forgetting state nobody holds.
@@ -373,7 +373,9 @@ impl RouterCore {
                 }
             }
             if !moved_ids.is_empty() {
-                let _ = ctrl.forget_sessions(&moved_ids);
+                let ids = encode_session_ids(&moved_ids);
+                let forget = Some((OCTET_STREAM, ids.as_slice()));
+                let _ = source.transport.call("POST", "/admin/sessions/forget", forget);
             }
         }
     }
@@ -422,8 +424,9 @@ impl RouterCore {
         }
         for (slot, batch) in groups {
             let body = render_ingest_batch(&batch);
+            let body = Some((conn::CONTENT_TYPE_JSON, body.as_bytes()));
             let node = &membership.nodes[slot];
-            match node.transport.post("/ingest", &body) {
+            match node.transport.call("POST", "/ingest", body) {
                 Ok((202, _)) => accepted += batch.len(),
                 Ok((_status, _)) => failed += batch.len(),
                 Err(_) => {
@@ -446,8 +449,8 @@ impl RouterCore {
                 continue;
             }
             let path = format!("/ingest/session/{session_id}");
-            if let Ok((200, body)) = node.transport.delete(&path) {
-                deleted |= body.contains("true");
+            if let Ok((200, body)) = node.transport.call("DELETE", &path, None) {
+                deleted |= body.windows(4).any(|w| w == b"true");
             }
         }
         deleted
@@ -462,13 +465,27 @@ impl RouterCore {
                 JsonValue::object([
                     ("id", JsonValue::Number(n.id as f64)),
                     ("data_addr", JsonValue::String(n.data_addr.to_string())),
-                    ("ctrl_addr", JsonValue::String(n.ctrl_addr.to_string())),
                     ("alive", JsonValue::Bool(n.is_alive())),
                 ])
             })
             .collect();
         JsonValue::object([("members", JsonValue::Array(members))]).to_json()
     }
+}
+
+/// `PUT`s an index artifact to one node's `/admin/index`: `Ok(Err(reason))`
+/// when the node refused it (and keeps serving its old generation), `Err`
+/// when it could not be reached.
+fn push_artifact(pod: &RemotePod, artifact: &[u8]) -> std::io::Result<Result<(), String>> {
+    let (status, body) = pod.call("PUT", "/admin/index", Some((OCTET_STREAM, artifact)))?;
+    if status == 200 {
+        return Ok(Ok(()));
+    }
+    let text = String::from_utf8_lossy(&body);
+    let reason = json::parse(&text)
+        .ok()
+        .and_then(|v| v.get("error").and_then(JsonValue::as_str).map(String::from));
+    Ok(Err(reason.unwrap_or_else(|| format!("status {status}: {text}"))))
 }
 
 /// Renders an ingest sub-batch back into the `POST /ingest` body format.
@@ -535,7 +552,15 @@ impl RequestBackend for RouterCore {
         self.upstream_seconds.record(elapsed);
     }
 
-    fn respond(&self, request: &ParsedRequest) -> (u16, String, &'static str) {
+    fn respond(&self, request: &ParsedRequest) -> (u16, Vec<u8>, &'static str) {
+        let (status, body, content_type) = self.respond_text(request);
+        (status, body.into_bytes(), content_type)
+    }
+}
+
+impl RouterCore {
+    /// The router's endpoints, all text; `/admin/` is not among them.
+    fn respond_text(&self, request: &ParsedRequest) -> (u16, String, &'static str) {
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/health") => {
                 let membership = self.membership.load();
@@ -561,7 +586,7 @@ impl RequestBackend for RouterCore {
                 (200, self.members_body(), conn::CONTENT_TYPE_JSON)
             }
             ("POST", "/cluster/join") => {
-                let parsed = json::parse(&request.body)
+                let parsed = json::parse(request.text())
                     .map_err(|e| format!("invalid json: {e}"))
                     .and_then(|v| {
                         let id = v
@@ -573,15 +598,10 @@ impl RequestBackend for RouterCore {
                             .and_then(JsonValue::as_str)
                             .and_then(|s| s.parse::<SocketAddr>().ok())
                             .ok_or("missing or invalid data_addr")?;
-                        let ctrl = v
-                            .get("ctrl_addr")
-                            .and_then(JsonValue::as_str)
-                            .and_then(|s| s.parse::<SocketAddr>().ok())
-                            .ok_or("missing or invalid ctrl_addr")?;
-                        Ok((id, data, ctrl))
+                        Ok((id, data))
                     });
                 match parsed {
-                    Ok((id, data, ctrl)) => match self.join(id, data, ctrl) {
+                    Ok((id, data)) => match self.join(id, data) {
                         Ok(()) => (200, self.members_body(), conn::CONTENT_TYPE_JSON),
                         Err(e) => bad_request(&e),
                     },
@@ -589,7 +609,7 @@ impl RequestBackend for RouterCore {
                 }
             }
             ("POST", "/cluster/leave") => {
-                let id = json::parse(&request.body)
+                let id = json::parse(request.text())
                     .ok()
                     .and_then(|v| v.get("id").and_then(JsonValue::as_u64));
                 match id {
@@ -601,7 +621,7 @@ impl RequestBackend for RouterCore {
                 }
             }
             ("POST", "/cluster/publish") => {
-                let path = json::parse(&request.body)
+                let path = json::parse(request.text())
                     .ok()
                     .and_then(|v| v.get("path").and_then(|p| p.as_str().map(String::from)));
                 let Some(path) = path else { return bad_request("missing path") };
@@ -645,8 +665,8 @@ impl RequestBackend for RouterCore {
                     Err(e) => bad_request(&e),
                 }
             }
-            ("POST", "/recommend") => conn::reject_predict(&request.body),
-            ("POST", "/ingest") => match conn::parse_ingest_batch(&request.body) {
+            ("POST", "/recommend") => conn::reject_predict(request.text()),
+            ("POST", "/ingest") => match conn::parse_ingest_batch(request.text()) {
                 Ok(clicks) => {
                     let (accepted, failed) = self.proxy_ingest(&clicks);
                     let status = if failed == 0 { 202 } else { 503 };
@@ -708,6 +728,8 @@ impl RouterDaemon {
             config.probe_timeout,
             config.handoff_cap,
         );
+        // The first probe runs before the router takes traffic.
+        core.probe_members();
         let server = HttpServer::serve(Arc::clone(&core), config.server)?;
         let addr = server.addr();
         let probe_stop = Arc::new(AtomicBool::new(false));
@@ -715,13 +737,14 @@ impl RouterDaemon {
             let core = Arc::clone(&core);
             let stop = Arc::clone(&probe_stop);
             let interval = config.probe_interval.max(Duration::from_millis(10));
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    core.probe_members();
-                    // Parked, not asleep: `stop` unparks, so shutdown does
-                    // not wait out the interval.
-                    std::thread::park_timeout(interval);
+            std::thread::spawn(move || loop {
+                // Parked, not asleep: `stop` unparks, so shutdown does not
+                // wait out the interval.
+                std::thread::park_timeout(interval);
+                if stop.load(Ordering::SeqCst) {
+                    return;
                 }
+                core.probe_members();
             })
         };
         Ok(Self {
@@ -875,8 +898,8 @@ mod tests {
     fn owner_dying_mid_exchange_fails_over_without_an_error() {
         let survivor = survivor();
         let (dying, owner_thread) = owner_that_dies_on_its_second_request();
-        // The dying owner borrows the survivor's control socket, so the
-        // prober's one ping finds both members alive.
+        // The dying owner's probes go to the survivor, so the prober's one
+        // round finds both members alive.
         let router = router(
             &[(0, dying, survivor.ctrl_addr()), (1, survivor.data_addr(), survivor.ctrl_addr())],
             HttpServerConfig::default(),
@@ -997,9 +1020,88 @@ mod tests {
             Duration::from_millis(50),
             1_000,
         );
-        assert!(core.join(3, addr, addr).is_err());
+        assert!(core.join(3, addr).is_err());
         assert!(core.leave(9).is_err());
         assert!(core.leave(3).is_ok());
         assert!(core.membership().nodes().is_empty());
+    }
+
+    /// A fake node that sheds the one request it is sent with a `503`.
+    fn shedding_node() -> (SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let thread = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut buf = [0u8; 1024];
+            assert!(stream.read(&mut buf).unwrap() > 0);
+            stream.write_all(b"HTTP/1.1 503 Service Unavailable\r\ncontent-length: 2\r\n\r\n{}").unwrap();
+        });
+        (addr, thread)
+    }
+
+    #[test]
+    fn a_probe_counts_any_answer_as_alive_and_only_silence_as_dead() {
+        let stalled = TcpListener::bind("127.0.0.1:0").unwrap();
+        let ((shedding, shed), stalled_addr) = (shedding_node(), stalled.local_addr().unwrap());
+        let timeout = Duration::from_millis(200);
+        let core = RouterCore::new(
+            &[(0, shedding, shedding), (1, stalled_addr, stalled_addr)],
+            TraceConfig::default(),
+            timeout,
+            1_000,
+        );
+        let membership = core.membership();
+        membership.nodes()[0].alive.store(false, Ordering::SeqCst);
+        let started = Instant::now();
+        core.probe_members();
+        let probed = started.elapsed();
+        assert!(membership.nodes()[0].is_alive(), "a 503 shed proves the node's server is up");
+        assert!(!membership.nodes()[1].is_alive(), "a node that accepts and never answers is dead");
+        assert!(probed >= timeout && probed < timeout * 3, "{probed:?}");
+        shed.join().unwrap();
+        drop(stalled);
+    }
+
+    #[test]
+    fn a_client_never_reaches_the_admin_routes_through_the_router() {
+        let node = survivor();
+        let router = router(&[(0, node.data_addr(), node.ctrl_addr())], HttpServerConfig::default());
+        let mut artifact = Vec::new();
+        binfmt::write_index(node.cluster().engine().index_handle().load().index(), &mut artifact)
+            .unwrap();
+        let mut client = HttpClient::connect(router.addr()).unwrap();
+        let (status, _) = client.exchange("PUT", "/admin/index", Some((OCTET_STREAM, &artifact))).unwrap();
+        assert_eq!(status, 404);
+        assert_eq!(node.cluster().engine().index_handle().generation(), 1, "nothing was published");
+        // Nor does the router buffer an upload for the node: 1 MiB is its cap
+        // on every path.
+        let mut raw = TcpStream::connect(router.addr()).unwrap();
+        raw.write_all(b"PUT /admin/index HTTP/1.1\r\ncontent-length: 2097152\r\n\r\n").unwrap();
+        let mut response = String::new();
+        raw.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 413"), "{response}");
+        router.shutdown();
+        node.shutdown();
+    }
+
+    #[test]
+    fn a_publish_to_an_ingest_node_is_listed_as_failed() {
+        let node = survivor();
+        let seed: Vec<Click> = (0..40u64)
+            .flat_map(|s| [Click::new(s, s % 6, s * 10), Click::new(s, (s + 1) % 6, s * 10 + 1)])
+            .collect();
+        node.cluster().enable_ingest(crate::IngestConfig::default(), &seed).unwrap();
+        let router = router(&[(0, node.data_addr(), node.ctrl_addr())], HttpServerConfig::default());
+        let mut artifact = Vec::new();
+        binfmt::write_index(node.cluster().engine().index_handle().load().index(), &mut artifact)
+            .unwrap();
+        let (published, failed) = router.core().publish_artifact(artifact).unwrap();
+        assert!(published.is_empty());
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].1.contains("live ingest"), "{failed:?}");
+        assert!(router.core().membership().nodes()[0].is_alive(), "a refusal is not a death");
+        assert_eq!(node.cluster().engine().index_handle().generation(), 1);
+        router.shutdown();
+        node.shutdown();
     }
 }

@@ -4,7 +4,7 @@
 //! forwarding, drain) is independent of *what* answers the requests.
 //! [`RequestBackend`] is that seam: [`ServingCluster`] implements it for the
 //! serving tier (endpoint table in [`conn`](super::conn), predicts run here),
-//! and the router tier ([`crate::routerd`]) implements it to send predicts to
+//! a [`crate::node`] wraps it to add its `/admin/` routes, and the router tier ([`crate::routerd`]) implements it to send predicts to
 //! remote nodes — one server implementation, two roles.
 
 use std::net::SocketAddr;
@@ -48,6 +48,10 @@ pub struct ForwardTarget {
 
 /// What the event-loop server needs from the tier it fronts.
 pub trait RequestBackend: Send + Sync + 'static {
+    /// Largest body a request under `/admin/` may declare; `0` leaves those
+    /// paths at the server's `max_body_bytes` like every other.
+    const ADMIN_BODY_BYTES: usize = 0;
+
     /// The observability hub the server registers its lifecycle metrics
     /// into (also the request-id source for predicts).
     fn telemetry(&self) -> &Arc<ClusterTelemetry>;
@@ -55,7 +59,7 @@ pub trait RequestBackend: Send + Sync + 'static {
     /// Routes one parsed request that is not a well-formed predict to its
     /// endpoint and renders `(status, body, content type)`. Must not
     /// panic; the worker trusts endpoint routing.
-    fn respond(&self, request: &ParsedRequest) -> (u16, String, &'static str);
+    fn respond(&self, request: &ParsedRequest) -> (u16, Vec<u8>, &'static str);
 
     /// Says where this tier runs `req`: in this process, on another node,
     /// or nowhere. Called on the reactor
@@ -93,7 +97,7 @@ impl RequestBackend for ServingCluster {
         ServingCluster::telemetry(self)
     }
 
-    fn respond(&self, request: &ParsedRequest) -> (u16, String, &'static str) {
+    fn respond(&self, request: &ParsedRequest) -> (u16, Vec<u8>, &'static str) {
         conn::respond(request, self)
     }
 

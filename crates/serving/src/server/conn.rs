@@ -7,7 +7,8 @@
 //! responses) share:
 //!
 //! * [`respond`] — routes one parsed request to its endpoint and renders
-//!   the body (health, metrics, stats, traces, ingest; predicts run through
+//!   the body (health, metrics, stats, traces, ingest; a node adds its
+//!   `/admin/` routes in [`crate::node`]; predicts run through
 //!   `worker::run_predict`, never here);
 //! * [`render_response`] — frames one HTTP/1.1 response into bytes, the
 //!   single place the wire format lives;
@@ -35,25 +36,26 @@ const CONTENT_TYPE_METRICS: &str = "text/plain; version=0.0.4";
 /// overload sheds advertise.
 pub(crate) fn render_response(
     status: u16,
-    body: &str,
+    body: &[u8],
     content_type: &str,
     close: bool,
     retry_after: Option<u32>,
 ) -> Vec<u8> {
-    use std::fmt::Write as _;
+    use std::io::Write as _;
     let reason = match status {
         200 => "OK",
         202 => "Accepted",
         400 => "Bad Request",
         404 => "Not Found",
         408 => "Request Timeout",
+        409 => "Conflict",
         413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     };
     let connection = if close { "close" } else { "keep-alive" };
-    let mut out = String::with_capacity(128 + body.len());
+    let mut out = Vec::with_capacity(128 + body.len());
     let _ = write!(
         out,
         "HTTP/1.1 {status} {reason}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\n",
@@ -62,8 +64,9 @@ pub(crate) fn render_response(
     if let Some(seconds) = retry_after {
         let _ = write!(out, "retry-after: {seconds}\r\n");
     }
-    let _ = write!(out, "connection: {connection}\r\n\r\n{body}");
-    out.into_bytes()
+    let _ = write!(out, "connection: {connection}\r\n\r\n");
+    out.extend_from_slice(body);
+    out
 }
 
 /// Renders one recommendation list as the `POST /recommend` success body.
@@ -86,10 +89,16 @@ pub(crate) fn render_error(e: &ServingError) -> (u16, String) {
 }
 
 /// Routes one request to its endpoint and renders the response.
-pub(super) fn respond(
+pub(crate) fn respond(
     request: &ParsedRequest,
     cluster: &ServingCluster,
-) -> (u16, String, &'static str) {
+) -> (u16, Vec<u8>, &'static str) {
+    let (status, body, content_type) = respond_text(request, cluster);
+    (status, body.into_bytes(), content_type)
+}
+
+/// The JSON and text endpoints.
+fn respond_text(request: &ParsedRequest, cluster: &ServingCluster) -> (u16, String, &'static str) {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/health") => (
             200,
@@ -101,7 +110,7 @@ pub(super) fn respond(
                 ),
                 (
                     "index_generation",
-                    JsonValue::Number(cluster.telemetry().index_generation() as f64),
+                    JsonValue::Number(cluster.engine().index_handle().generation() as f64),
                 ),
             ])
             .to_json(),
@@ -180,7 +189,7 @@ pub(super) fn respond(
                     CONTENT_TYPE_JSON,
                 );
             };
-            match parse_ingest_batch(&request.body) {
+            match parse_ingest_batch(request.text()) {
                 Ok(clicks) => {
                     if pipeline.submit(&clicks) {
                         (
@@ -249,7 +258,7 @@ pub(super) fn respond(
                 }
             }
         }
-        ("POST", "/recommend") => reject_predict(&request.body),
+        ("POST", "/recommend") => reject_predict(request.text()),
         _ => (
             404,
             JsonValue::object([("error", JsonValue::String("not found".into()))]).to_json(),
@@ -395,13 +404,13 @@ mod tests {
 
     #[test]
     fn render_response_frames_the_wire_format() {
-        let bytes = render_response(503, "{}", CONTENT_TYPE_JSON, true, Some(2));
+        let bytes = render_response(503, b"{}", CONTENT_TYPE_JSON, true, Some(2));
         let text = String::from_utf8(bytes).unwrap();
         assert_eq!(
             text,
             "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\ncontent-length: 2\r\nretry-after: 2\r\nconnection: close\r\n\r\n{}"
         );
-        let keep = String::from_utf8(render_response(200, "ok", "text/plain", false, None)).unwrap();
+        let keep = String::from_utf8(render_response(200, b"ok", "text/plain", false, None)).unwrap();
         assert!(keep.ends_with("connection: keep-alive\r\n\r\nok"), "{keep}");
         assert!(!keep.contains("retry-after"), "{keep}");
     }

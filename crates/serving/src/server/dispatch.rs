@@ -161,7 +161,7 @@ mod tests {
             request: ParsedRequest {
                 method: "POST".into(),
                 path: "/recommend".into(),
-                body: String::new(),
+                body: Vec::new(),
                 close: false,
             },
             kind,

@@ -43,6 +43,7 @@
 //!   `{"session_id": u64, "item_id": u64, "consent": bool, "filter_adult": bool}`
 //!   → `{"recommendations": [{"item_id": …, "score": …}, …]}`
 //! * `GET /health` → `{"status": "ok", "uptime_seconds": …, "index_generation": …}`
+//!   (the router's liveness probe)
 //! * `GET /stats` → the engine's request counters and latency percentiles
 //!   (JSON, as a one-element `pods` array)
 //! * `GET /metrics` → the full metric registry in Prometheus text
@@ -51,6 +52,14 @@
 //!   per-stage latency breakdown and kernel work counters
 //! * `POST /ingest`, `DELETE /ingest/session/{id}` → the streaming write
 //!   path ([`crate::ingest`]), `404` unless ingest is enabled
+//! * `PUT /admin/index`, `POST /admin/sessions/{export,import,forget}` → the
+//!   router's control plane, served only by a [`crate::node`]: artefact
+//!   loads and session handoff, with `application/octet-stream` bodies; a
+//!   router or a bare cluster server answers them `404`
+//!
+//! Every body is capped at `max_body_bytes` except under `/admin/`, where a
+//! tier may allow more ([`RequestBackend::ADMIN_BODY_BYTES`]: a whole index
+//! artefact on a node, nothing extra anywhere else).
 //!
 //! Request ids are assigned at ingress, so one id identifies a request
 //! across the whole `http → cluster → engine` path and in the slow-request
@@ -673,6 +682,21 @@ mod tests {
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let (status, _) = client.get("/nope").unwrap();
         assert_eq!(status, 404);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_bare_cluster_server_has_no_admin_routes() {
+        let (server, _cluster) = start_server();
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let (status, _) =
+            client.exchange("PUT", "/admin/index", Some(("application/octet-stream", b"SRN"))).unwrap();
+        assert_eq!(status, 404);
+        let response = raw_exchange(
+            server.addr(),
+            "PUT /admin/index HTTP/1.1\r\ncontent-type: application/octet-stream\r\ncontent-length: 2097152\r\n\r\n",
+        );
+        assert!(response.starts_with("HTTP/1.1 413"), "{response}");
         server.shutdown();
     }
 

@@ -12,10 +12,15 @@
 //! * total request-head bytes (request line + headers) — exceeding it is
 //!   `431 Request Header Fields Too Large`;
 //! * header count — `431`;
-//! * declared body size — `413 Payload Too Large`;
+//! * declared body size — `413 Payload Too Large`, judged from the head
+//!   before any body byte is buffered; a request under `/admin/` may declare
+//!   up to its own cap instead (a node's artefact upload);
 //! * a request line without both a method and a path token is
 //!   `400 Bad Request` (the seed parsed these as empty strings and fell
 //!   through to a misleading `404`).
+//!
+//! A body must be UTF-8 (`400` and close otherwise) unless the request
+//! declares `content-type: application/octet-stream`.
 //!
 //! Pipelined requests are supported: bytes beyond the current request stay
 //! buffered and the next [`Parser::poll`] resumes on them.
@@ -29,11 +34,19 @@ pub struct ParserLimits {
     pub max_headers: usize,
     /// Cap on the declared `Content-Length`.
     pub max_body_bytes: usize,
+    /// Cap on the declared `Content-Length` of a request under `/admin/`;
+    /// the larger of this and `max_body_bytes` applies there.
+    pub max_admin_body_bytes: usize,
 }
 
 impl Default for ParserLimits {
     fn default() -> Self {
-        Self { max_head_bytes: 8 * 1024, max_headers: 64, max_body_bytes: 1 << 20 }
+        Self {
+            max_head_bytes: 8 * 1024,
+            max_headers: 64,
+            max_body_bytes: 1 << 20,
+            max_admin_body_bytes: 0,
+        }
     }
 }
 
@@ -44,10 +57,18 @@ pub struct ParsedRequest {
     pub method: String,
     /// Request target (e.g. `/recommend`).
     pub path: String,
-    /// Request body (UTF-8; non-UTF-8 bodies are rejected with 400).
-    pub body: String,
+    /// Request body: UTF-8 unless the request declared
+    /// `application/octet-stream`.
+    pub body: Vec<u8>,
     /// Whether the client asked for `connection: close`.
     pub close: bool,
+}
+
+impl ParsedRequest {
+    /// The body as text; a binary body that is not UTF-8 reads as empty.
+    pub fn text(&self) -> &str {
+        std::str::from_utf8(&self.body).unwrap_or_default()
+    }
 }
 
 /// A protocol violation: respond with `status` and close the connection
@@ -78,7 +99,7 @@ pub enum Poll {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Section {
     Head,
-    Body { content_length: usize, close: bool },
+    Body { content_length: usize, close: bool, binary: bool },
 }
 
 /// Incremental request parser. Feed bytes as they arrive, poll for events.
@@ -157,23 +178,36 @@ impl Parser {
                     }
                     HeadStep::Done => {} // fall through to the body section
                 },
-                Section::Body { content_length, close } => {
+                Section::Body { content_length, close, binary } => {
                     let available = self.buf.len() - self.consumed;
                     if available < content_length {
                         return Poll::NeedBody;
                     }
-                    let start = self.consumed;
-                    let body_bytes = &self.buf[start..start + content_length];
-                    let Ok(body) = std::str::from_utf8(body_bytes) else {
+                    let end = self.consumed + content_length;
+                    if !binary && std::str::from_utf8(&self.buf[self.consumed..end]).is_err() {
                         let reject = Reject {
                             status: 400,
                             message: "request body is not valid utf-8",
                         };
                         self.rejected = Some(reject);
                         return Poll::Reject(reject);
+                    }
+                    let body = if content_length > self.limits.max_body_bytes {
+                        // A body past the ordinary cap (an admin upload)
+                        // leaves with the buffer it grew, so a long-lived
+                        // connection does not keep that memory. Judged by
+                        // the frame, not the buffer: a deep pipeline of
+                        // small frames must cost each frame only its bytes.
+                        let rest = self.buf.split_off(end);
+                        let mut body = std::mem::replace(&mut self.buf, rest);
+                        body.drain(..self.consumed);
+                        self.consumed = 0;
+                        body
+                    } else {
+                        let body = self.buf[self.consumed..end].to_vec();
+                        self.consumed = end;
+                        body
                     };
-                    let body = body.to_string();
-                    self.consumed += content_length;
                     self.section = Section::Head;
                     let Some((method, path)) = self.head.take() else {
                         // Unreachable by construction (the head is stored
@@ -241,6 +275,7 @@ impl Parser {
 
         let mut content_length = 0usize;
         let mut close = false;
+        let mut binary = false;
         let mut header_count = 0usize;
         for line in it {
             if line.is_empty() {
@@ -273,9 +308,16 @@ impl Parser {
                 }
             } else if name == "connection" && value.eq_ignore_ascii_case("close") {
                 close = true;
+            } else if name == "content-type" {
+                binary = value.eq_ignore_ascii_case("application/octet-stream");
             }
         }
-        if content_length > self.limits.max_body_bytes {
+        let max_body_bytes = if path.starts_with("/admin/") {
+            self.limits.max_body_bytes.max(self.limits.max_admin_body_bytes)
+        } else {
+            self.limits.max_body_bytes
+        };
+        if content_length > max_body_bytes {
             return HeadStep::Reject(Reject {
                 status: 413,
                 message: "request body too large",
@@ -283,7 +325,7 @@ impl Parser {
         }
         self.consumed += head_len + term_len;
         self.head = Some((method.to_string(), path.to_string()));
-        self.section = Section::Body { content_length, close };
+        self.section = Section::Body { content_length, close, binary };
         HeadStep::Done
     }
 }
@@ -319,7 +361,12 @@ mod tests {
     }
 
     fn small() -> Parser {
-        Parser::new(ParserLimits { max_head_bytes: 128, max_headers: 4, max_body_bytes: 64 })
+        Parser::new(ParserLimits {
+            max_head_bytes: 128,
+            max_headers: 4,
+            max_body_bytes: 64,
+            max_admin_body_bytes: 4096,
+        })
     }
 
     #[test]
@@ -330,7 +377,7 @@ mod tests {
             Poll::Request(r) => {
                 assert_eq!(r.method, "POST");
                 assert_eq!(r.path, "/recommend");
-                assert_eq!(r.body, "hi");
+                assert_eq!(r.body, b"hi");
                 assert!(!r.close);
             }
             other => panic!("expected request, got {other:?}"),
@@ -469,6 +516,76 @@ mod tests {
             Poll::Reject(r) => assert_eq!(r.status, 400),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn an_octet_stream_body_is_bytes_and_any_other_must_be_utf8() {
+        let mut p = parser();
+        p.feed(b"PUT /admin/index HTTP/1.1\r\ncontent-type: Application/Octet-Stream\r\ncontent-length: 2\r\n\r\n\xff\xfe");
+        match p.poll() {
+            Poll::Request(r) => assert_eq!((r.body.as_slice(), r.text()), (&b"\xff\xfe"[..], "")),
+            other => panic!("{other:?}"),
+        }
+        p.feed(b"POST /x HTTP/1.1\r\ncontent-type: application/json\r\ncontent-length: 2\r\n\r\n\xff\xfe");
+        match p.poll() {
+            Poll::Reject(r) => assert_eq!(r.status, 400),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn only_admin_paths_get_the_admin_body_cap() {
+        for (path, declared, status) in
+            [("/admin/index", 4096, None), ("/admin/index", 4097, Some(413)), ("/ingest", 65, Some(413))]
+        {
+            let mut p = small();
+            p.feed(format!("PUT {path} HTTP/1.1\r\ncontent-length: {declared}\r\n\r\n").as_bytes());
+            match (p.poll(), status) {
+                (Poll::NeedBody, None) => {}
+                (Poll::Reject(r), Some(status)) => assert_eq!(r.status, status, "{path} {declared}"),
+                (other, _) => panic!("{path} {declared}: {other:?}"),
+            }
+        }
+        let mut router = parser();
+        router.feed(b"PUT /admin/index HTTP/1.1\r\ncontent-length: 2097152\r\n\r\n");
+        assert!(matches!(router.poll(), Poll::Reject(Reject { status: 413, .. })), "no admin cap, no raise");
+    }
+
+    #[test]
+    fn a_frame_past_the_ordinary_cap_takes_its_buffer_along() {
+        let mut p = small();
+        let body = vec![b'x'; 4000];
+        p.feed(b"PUT /admin/index HTTP/1.1\r\ncontent-type: application/octet-stream\r\ncontent-length: 4000\r\n\r\n");
+        p.feed(&body);
+        p.feed(b"GET /next HTTP/1.1\r\n\r\n");
+        match p.poll() {
+            Poll::Request(r) => assert_eq!(r.body, body),
+            other => panic!("{other:?}"),
+        }
+        assert!(p.buf.capacity() < 128 + 64, "{} bytes kept after the upload", p.buf.capacity());
+        match p.poll() {
+            Poll::Request(r) => assert_eq!(r.path, "/next"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_deep_pipeline_of_small_frames_copies_each_frame_once() {
+        // 4 MiB of pipelined `GET /health`, buffered at once: far past the
+        // ordinary cap, yet no frame may move the buffer or carry it away.
+        let frame = b"GET /health HTTP/1.1\r\n\r\n";
+        let frames = (4 << 20) / frame.len();
+        let mut p = parser();
+        p.feed(&frame.repeat(frames));
+        let (buffer, capacity) = (p.buf.as_ptr(), p.buf.capacity());
+        for _ in 0..frames {
+            match p.poll() {
+                Poll::Request(r) => assert_eq!((r.path.as_str(), r.body.capacity()), ("/health", 0)),
+                other => panic!("{other:?}"),
+            }
+            assert_eq!((p.buf.as_ptr(), p.buf.capacity()), (buffer, capacity), "a small frame moved the buffer");
+        }
+        assert_eq!(p.poll(), Poll::NeedHead);
     }
 
     #[test]

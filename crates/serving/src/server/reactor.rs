@@ -878,6 +878,7 @@ impl<B: RequestBackend> Reactor<B> {
             max_head_bytes: config.max_head_bytes,
             max_headers: config.max_headers,
             max_body_bytes: config.max_body_bytes,
+            max_admin_body_bytes: B::ADMIN_BODY_BYTES,
         };
         let token = self.slab.insert(Connection::new(stream, limits, Instant::now()));
         let registered = match self.slab.get_mut(token) {
@@ -903,7 +904,7 @@ impl<B: RequestBackend> Reactor<B> {
             JsonValue::object([("error", JsonValue::String("server overloaded".into()))]).to_json();
         let bytes = conn::render_response(
             503,
-            &body,
+            body.as_bytes(),
             CONTENT_TYPE_JSON,
             true,
             Some(config.retry_after_seconds),
@@ -1111,7 +1112,7 @@ impl<B: RequestBackend> Reactor<B> {
         // (Queue-full pushes stay counted too — they did pass the gate.)
         self.shared.metrics.requests.inc();
         let predict = (request.method == "POST" && request.path == "/recommend")
-            .then(|| conn::parse_recommend_request(&request.body).ok())
+            .then(|| conn::parse_recommend_request(request.text()).ok())
             .flatten();
         let kind = match predict {
             // A malformed predict body re-parses to its `400` on a worker.
@@ -1129,7 +1130,8 @@ impl<B: RequestBackend> Reactor<B> {
                     };
                     self.shared.metrics.predicts_forwarded.inc();
                     self.set_state(token, ConnState::Handling);
-                    self.forward(token, req, target, Some(&request.body), deadline, close_hint);
+                    let body = Some(request.body.as_slice());
+                    self.forward(token, req, target, body, deadline, close_hint);
                     return;
                 }
             },
@@ -1200,7 +1202,7 @@ impl<B: RequestBackend> Reactor<B> {
         token: u64,
         req: RecommendRequest,
         target: Option<ForwardTarget>,
-        body: Option<&str>,
+        body: Option<&[u8]>,
         deadline: Option<Instant>,
         close_hint: bool,
     ) {
@@ -1222,10 +1224,11 @@ impl<B: RequestBackend> Reactor<B> {
                     None => {
                         without_consent =
                             render_recommend_request(&RecommendRequest { consent: false, ..req });
-                        &without_consent
+                        without_consent.as_bytes()
                     }
                 };
-                render_request(&mut up.out, "POST", "/recommend", up.addr, Some(body));
+                let body = Some((CONTENT_TYPE_JSON, body));
+                render_request(&mut up.out, "POST", "/recommend", up.addr, body);
                 up.out_pos = 0;
                 up.client = Some(token);
             }
@@ -1373,13 +1376,11 @@ impl<B: RequestBackend> Reactor<B> {
     fn complete_forward(&mut self, up_token: u64) {
         let Some(up) = self.upstreams.get_mut(up_token) else { return };
         let Some(client) = up.client else { return };
-        let body = match std::str::from_utf8(up.response.body()) {
-            Ok(body) if up.response.status() == 200 => body,
-            _ => {
-                self.fail_upstream(up_token);
-                return;
-            }
-        };
+        if up.response.status() != 200 {
+            self.fail_upstream(up_token);
+            return;
+        }
+        let body = up.response.body();
         let Some(fwd) = self.slab.get_mut(client).and_then(|conn| conn.forward.take()) else {
             self.close_upstream(up_token);
             return;
@@ -1480,7 +1481,8 @@ impl<B: RequestBackend> Reactor<B> {
         close: bool,
         retry_after: Option<u32>,
     ) {
-        let bytes = conn::render_response(status, body, CONTENT_TYPE_JSON, close, retry_after);
+        let bytes =
+            conn::render_response(status, body.as_bytes(), CONTENT_TYPE_JSON, close, retry_after);
         self.answer(token, bytes, close);
     }
 
@@ -1508,7 +1510,10 @@ impl<B: RequestBackend> Reactor<B> {
                 Ok(n) => {
                     conn.out_pos += n;
                     if conn.out_pos >= conn.out.len() {
-                        conn.out.clear();
+                        // Dropped, not cleared: the next answer brings its
+                        // own buffer, and a large one (a session export) is
+                        // not kept.
+                        conn.out = Vec::new();
                         conn.out_pos = 0;
                         conn.write_since = None;
                         break;
@@ -1694,7 +1699,7 @@ mod tests {
     #[test]
     fn slab_tokens_are_generation_guarded() {
         let mut slab = Slab::new(0);
-        let limits = ParserLimits { max_head_bytes: 1024, max_headers: 16, max_body_bytes: 1024 };
+        let limits = ParserLimits { max_head_bytes: 1024, max_headers: 16, ..ParserLimits::default() };
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let c1 = TcpStream::connect(addr).expect("connect");

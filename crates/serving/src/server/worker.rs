@@ -40,7 +40,7 @@ pub(super) fn run<B: RequestBackend>(
             DispatchKind::Predict(req) => {
                 let (status, body) =
                     run_predict(cluster.as_ref(), req, dispatch.deadline, &mut ctx);
-                (status, body, CONTENT_TYPE_JSON)
+                (status, body.into_bytes(), CONTENT_TYPE_JSON)
             }
             DispatchKind::Other => cluster.respond(&dispatch.request),
         };

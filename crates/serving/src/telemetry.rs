@@ -5,8 +5,8 @@
 //! It owns the `serenade-telemetry` [`Registry`] the engine's counters and
 //! stage histograms are registered into (see
 //! [`crate::stats::ServingStats::register_into`]), the cluster-level
-//! metrics (index generation; bytes per index structure, stranded slots and
-//! dead posting entries, read off the published index when `/metrics` is
+//! metrics (index generation, bytes per index structure, stranded slots and
+//! dead posting entries, all read off the published index when `/metrics` is
 //! scraped, not when it is published; uptime, rollover duration), and the
 //! [`TraceRing`] that keeps the N slowest recent requests with their
 //! per-stage breakdown.
@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serenade_core::VmisKnn;
-use serenade_telemetry::{Gauge, Histogram, HistogramConfig, Registry, TraceConfig, TraceRing};
+use serenade_telemetry::{Histogram, HistogramConfig, Registry, TraceConfig, TraceRing};
 
 use crate::handle::IndexHandle;
 
@@ -36,7 +36,6 @@ pub struct ClusterTelemetry {
     traces: TraceRing,
     next_request_id: AtomicU64,
     started: Instant,
-    generation: Arc<Gauge>,
     rollover_seconds: Arc<Histogram>,
 }
 
@@ -62,18 +61,11 @@ fn index_bytes(published: &VmisKnn) -> [u64; 6] {
 
 impl ClusterTelemetry {
     /// Creates the telemetry hub and registers the cluster-level metrics
-    /// that need no index: `serenade_index_generation`,
-    /// `serenade_uptime_seconds` and
+    /// that need no index: `serenade_uptime_seconds` and
     /// `serenade_index_rollover_duration_seconds`.
     pub fn new(trace: TraceConfig) -> Self {
         let registry = Registry::new();
         let started = Instant::now();
-        let generation = registry.gauge(
-            "serenade_index_generation",
-            "Monotone index version; bumps on every successful rollover.",
-            &[],
-        );
-        generation.set(1);
         registry.polled_gauge(
             "serenade_uptime_seconds",
             "Seconds since the cluster was constructed.",
@@ -91,7 +83,6 @@ impl ClusterTelemetry {
             traces: TraceRing::new(trace),
             next_request_id: AtomicU64::new(0),
             started,
-            generation,
             rollover_seconds,
         }
     }
@@ -119,15 +110,17 @@ impl ClusterTelemetry {
         self.started.elapsed().as_secs()
     }
 
-    /// The currently published index generation (starts at 1).
-    pub fn index_generation(&self) -> u64 {
-        self.generation.get()
-    }
-
-    /// Registers `serenade_index_bytes{structure}`,
+    /// Registers `serenade_index_generation`, `serenade_index_bytes{structure}`,
     /// `serenade_index_dead_slots` and `serenade_index_dead_posting_entries`,
     /// read off whatever `handle` publishes at the time of a scrape.
     pub fn watch_index(&self, handle: &Arc<IndexHandle<VmisKnn>>) {
+        let watched = Arc::clone(handle);
+        self.registry.polled_gauge(
+            "serenade_index_generation",
+            "Monotone index version; bumps on every publish, rollover or ingest.",
+            &[],
+            move || watched.generation(),
+        );
         for (i, structure) in INDEX_STRUCTURES.into_iter().enumerate() {
             let handle = Arc::clone(handle);
             self.registry.polled_gauge(
@@ -156,12 +149,9 @@ impl ClusterTelemetry {
         );
     }
 
-    /// Records one successful rollover: bumps the generation gauge and feeds
-    /// the rollover-duration histogram. Rollovers are externally serialised
-    /// (one publisher), so read-modify-write on the gauge is race-free by
-    /// contract.
+    /// Records how long one successful publish took, in the
+    /// rollover-duration histogram.
     pub fn record_rollover(&self, took: Duration) {
-        self.generation.set(self.generation.get() + 1);
         self.rollover_seconds.record(took);
     }
 }
@@ -187,11 +177,18 @@ mod tests {
 
     #[test]
     fn rollovers_bump_generation_and_histogram() {
+        use serenade_core::{Click, SessionIndex, VmisConfig};
+        let index = SessionIndex::build(&[Click::new(1, 7, 10), Click::new(1, 8, 11)], 10).unwrap();
+        let config = VmisConfig { m: 10, ..VmisConfig::default() };
+        let kernel = crate::sync::Arc::new(VmisKnn::new(index, config).unwrap());
+        let handle = Arc::new(IndexHandle::new(crate::sync::Arc::clone(&kernel)));
         let t = ClusterTelemetry::default();
-        assert_eq!(t.index_generation(), 1);
-        t.record_rollover(Duration::from_millis(120));
-        t.record_rollover(Duration::from_millis(80));
-        assert_eq!(t.index_generation(), 3);
+        t.watch_index(&handle);
+        assert!(t.registry().render().contains("serenade_index_generation 1"));
+        for took in [120, 80] {
+            handle.store(crate::sync::Arc::clone(&kernel));
+            t.record_rollover(Duration::from_millis(took));
+        }
         let text = t.registry().render();
         assert!(text.contains("serenade_index_generation 3"), "{text}");
         assert!(

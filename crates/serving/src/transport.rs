@@ -9,11 +9,14 @@
 //! the socket conformance suite checks the responses are byte-identical
 //! (`tests/cluster_failover.rs`, `tests/execution_paths.rs`).
 //!
-//! What stays blocking is the rare fan-out traffic — the `/ingest` proxy and
-//! the unlearning broadcast — which router *workers* send through a
-//! [`RemotePod`]: a bounded pool of [`HttpClient`]s whose dial and I/O are
-//! bounded by the router's `probe_timeout`, so a node that accepts and never
-//! answers costs a worker that long and no longer.
+//! Everything else the router says to a node — the health probe, artefact
+//! publishes, session handoff, the `/ingest` proxy and the unlearning
+//! broadcast — goes through that node's one [`RemotePod`]: a bounded pool of
+//! [`HttpClient`]s on the node's data port, whose dial and I/O are bounded by
+//! the router's `probe_timeout`, so a node that accepts and never answers
+//! costs the caller that long and no longer. Bodies are bytes: the admin
+//! routes carry `application/octet-stream` (an index artefact, a session
+//! set), everything else JSON.
 //!
 //! # Pool discipline
 //!
@@ -33,24 +36,25 @@ use parking_lot::Mutex;
 
 use crate::engine::RecommendRequest;
 use crate::json::JsonValue;
+use crate::server::conn::CONTENT_TYPE_JSON;
 
-/// Frames one HTTP/1.1 request into `out` (cleared first). A body is sent
-/// as `application/json`.
+/// A request body: `(content type, bytes)`.
+pub type Body<'a> = Option<(&'a str, &'a [u8])>;
+
+/// Frames one HTTP/1.1 request into `out` (cleared first).
 pub(crate) fn render_request(
     out: &mut Vec<u8>,
     method: &str,
     path: &str,
     host: SocketAddr,
-    body: Option<&str>,
+    body: Body<'_>,
 ) {
     out.clear();
     let _ = write!(out, "{method} {path} HTTP/1.1\r\nhost: {host}\r\n");
-    if let Some(body) = body {
-        let _ = write!(
-            out,
-            "content-type: application/json\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        );
+    if let Some((content_type, body)) = body {
+        let length = body.len();
+        let _ = write!(out, "content-type: {content_type}\r\ncontent-length: {length}\r\n\r\n");
+        out.extend_from_slice(body);
     } else {
         out.extend_from_slice(b"\r\n");
     }
@@ -208,31 +212,39 @@ impl HttpClient {
         Ok(Self { stream, addr, out: Vec::new(), response: ResponseBuf::default() })
     }
 
-    /// Issues a POST and returns `(status, body)`.
+    /// Issues a POST of a JSON body and returns `(status, body)`.
     pub fn post(&mut self, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-        self.exchange("POST", path, Some(body))
+        text(self.exchange("POST", path, Some((CONTENT_TYPE_JSON, body.as_bytes()))))
     }
 
     /// Issues a DELETE and returns `(status, body)` (the session-unlearning
     /// endpoint `DELETE /ingest/session/{id}` is the only consumer).
     pub fn delete(&mut self, path: &str) -> std::io::Result<(u16, String)> {
-        self.exchange("DELETE", path, None)
+        text(self.exchange("DELETE", path, None))
     }
 
     /// Issues a GET and returns `(status, body)`.
     pub fn get(&mut self, path: &str) -> std::io::Result<(u16, String)> {
-        self.exchange("GET", path, None)
+        text(self.exchange("GET", path, None))
     }
 
-    fn exchange(
+    /// One request/response exchange with bytes either way: what
+    /// [`post`](Self::post), [`get`](Self::get) and [`delete`](Self::delete)
+    /// wrap, and how the admin routes' binary bodies travel.
+    pub fn exchange(
         &mut self,
         method: &str,
         path: &str,
-        body: Option<&str>,
-    ) -> std::io::Result<(u16, String)> {
+        body: Body<'_>,
+    ) -> std::io::Result<(u16, Vec<u8>)> {
         use std::io::{Error, ErrorKind};
         render_request(&mut self.out, method, path, self.addr, body);
-        self.stream.write_all(&self.out)?;
+        let written = self.stream.write_all(&self.out);
+        if self.out.capacity() > RETAINED_BYTES {
+            // An artefact upload is not kept resident on a pooled connection.
+            self.out = Vec::new();
+        }
+        written?;
         let mut chunk = [0u8; 4096];
         loop {
             match self.response.poll() {
@@ -250,12 +262,25 @@ impl HttpClient {
                 Err(e) => return Err(e),
             }
         }
-        let status = self.response.status();
-        let body = String::from_utf8(self.response.body().to_vec())
-            .map_err(|_| Error::new(ErrorKind::InvalidData, "non-utf8 body"));
+        let answer = (self.response.status(), self.response.body().to_vec());
         self.response.consume();
-        Ok((status, body?))
+        if self.response.buf.capacity() > RETAINED_BYTES && self.response.buf.is_empty() {
+            // Nor is a session export's answer.
+            self.response = ResponseBuf::default();
+        }
+        Ok(answer)
     }
+}
+
+/// Request buffers beyond this are dropped after use rather than reused.
+const RETAINED_BYTES: usize = 1 << 20;
+
+/// A text exchange's answer: the body must be UTF-8.
+fn text(answer: std::io::Result<(u16, Vec<u8>)>) -> std::io::Result<(u16, String)> {
+    let (status, body) = answer?;
+    let body = String::from_utf8(body)
+        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-utf8 body"))?;
+    Ok((status, body))
 }
 
 /// Idle keep-alive connections retained per remote pod. Connections beyond
@@ -264,8 +289,8 @@ impl HttpClient {
 /// concurrently (each request that finds the pool empty dials its own).
 const MAX_IDLE_CONNECTIONS: usize = 8;
 
-/// A serving node reached over HTTP on its data socket, by blocking calls
-/// from router workers.
+/// A serving node reached over HTTP on its data port, by blocking calls
+/// from router workers and the prober.
 pub struct RemotePod {
     addr: SocketAddr,
     /// Bound on the dial and on each read and write of every call.
@@ -284,28 +309,9 @@ impl RemotePod {
         Self { addr, timeout, idle: Mutex::new(Vec::new()) }
     }
 
-    /// The node's data-plane address.
+    /// The address this pod dials.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Checks a connection out of the pool, dialing a fresh one when the
-    /// pool is empty. The pool guard is dropped before any socket I/O.
-    fn checkout(&self) -> std::io::Result<HttpClient> {
-        let pooled = self.idle.lock().pop();
-        match pooled {
-            Some(client) => Ok(client),
-            None => HttpClient::connect_timeout(self.addr, self.timeout),
-        }
-    }
-
-    /// Returns a healthy connection to the pool; drops it when the pool is
-    /// at its bound.
-    fn checkin(&self, client: HttpClient) {
-        let mut idle = self.idle.lock();
-        if idle.len() < MAX_IDLE_CONNECTIONS {
-            idle.push(client);
-        }
     }
 
     /// Idle connections currently pooled (observability/tests).
@@ -313,32 +319,41 @@ impl RemotePod {
         self.idle.lock().len()
     }
 
-    /// One exchange over a pooled connection. A connection that errors
-    /// mid-exchange is dropped, never pooled again — its stream state is
-    /// unknowable.
-    fn call(
+    /// One exchange over a pooled connection, dialling one when the pool is
+    /// empty; the pool guard is dropped before any socket I/O. A pooled
+    /// connection the node has closed since (idle reaping, a restart) fails
+    /// before any answer, and the exchange is made once more on a fresh
+    /// dial. A connection that errors is dropped, never pooled again — its
+    /// stream state is unknowable; a healthy one goes back unless the pool
+    /// is at its bound.
+    pub fn call(
         &self,
-        exchange: impl FnOnce(&mut HttpClient) -> std::io::Result<(u16, String)>,
-    ) -> std::io::Result<(u16, String)> {
-        let mut client = self.checkout()?;
-        let response = exchange(&mut client)?;
-        self.checkin(client);
-        Ok(response)
-    }
-
-    /// One proxied POST over a pooled connection.
-    pub fn post(&self, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-        self.call(|client| client.post(path, body))
-    }
-
-    /// One proxied GET over a pooled connection.
-    pub fn get(&self, path: &str) -> std::io::Result<(u16, String)> {
-        self.call(|client| client.get(path))
-    }
-
-    /// One proxied DELETE over a pooled connection.
-    pub fn delete(&self, path: &str) -> std::io::Result<(u16, String)> {
-        self.call(|client| client.delete(path))
+        method: &str,
+        path: &str,
+        body: Body<'_>,
+    ) -> std::io::Result<(u16, Vec<u8>)> {
+        use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof};
+        let pooled = self.idle.lock().pop();
+        let dial = || HttpClient::connect_timeout(self.addr, self.timeout);
+        let reused = pooled.is_some();
+        let mut client = match pooled {
+            Some(client) => client,
+            None => dial()?,
+        };
+        let mut answer = client.exchange(method, path, body);
+        let stale = |e: &std::io::Error| {
+            matches!(e.kind(), UnexpectedEof | ConnectionReset | BrokenPipe | ConnectionAborted)
+        };
+        if reused && answer.as_ref().is_err_and(stale) {
+            client = dial()?;
+            answer = client.exchange(method, path, body);
+        }
+        let answer = answer?;
+        let mut idle = self.idle.lock();
+        if idle.len() < MAX_IDLE_CONNECTIONS {
+            idle.push(client);
+        }
+        Ok(answer)
     }
 }
 
@@ -429,7 +444,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let pod = RemotePod::new(addr, Duration::from_millis(100));
         let started = std::time::Instant::now();
-        let err = pod.post("/ingest", "{}").unwrap_err();
+        let err = pod.call("POST", "/ingest", Some((CONTENT_TYPE_JSON, b"{}"))).unwrap_err();
         assert!(
             matches!(err.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
             "{err:?}"
@@ -440,12 +455,33 @@ mod tests {
     }
 
     #[test]
+    fn a_pooled_connection_the_node_closed_is_redialled_once() {
+        // Answers one request per connection, then hangs up: every pooled
+        // connection is stale by the time it is reused.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let node = std::thread::spawn(move || {
+            for _ in 0..2 {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut buf = [0u8; 1024];
+                assert!(stream.read(&mut buf).unwrap() > 0);
+                stream.write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok").unwrap();
+            }
+        });
+        let pod = RemotePod::new(addr, Duration::from_secs(2));
+        assert_eq!(pod.call("GET", "/health", None).unwrap(), (200, b"ok".to_vec()));
+        assert_eq!(pod.idle_connections(), 1);
+        assert_eq!(pod.call("GET", "/health", None).unwrap(), (200, b"ok".to_vec()));
+        node.join().unwrap();
+    }
+
+    #[test]
     fn pool_checkin_is_bounded() {
         // No live server needed: the pool logic is independent of whether
         // connections work. Dial nothing, exercise the bound directly.
         let pod = RemotePod::new("127.0.0.1:1".parse().unwrap(), Duration::from_millis(100));
         assert_eq!(pod.idle_connections(), 0);
-        assert!(pod.post("/recommend", "{}").is_err(), "nothing listens on port 1");
+        assert!(pod.call("GET", "/health", None).is_err(), "nothing listens on port 1");
         assert_eq!(pod.idle_connections(), 0, "failed connections are never pooled");
     }
 }

@@ -10,7 +10,7 @@
 //!   `serenade_router_failover_total` on `/metrics`;
 //! * a replacement node can join and is routed to after recovery;
 //! * membership changes hand evolving session state to the new owner
-//!   (export → import → forget), verified over the control protocol;
+//!   (export → import → forget), verified over the nodes' admin routes;
 //! * the router's shard assignment is exactly the pure rendezvous map of
 //!   `StickyRouter` over the member ids — the socket tier changes
 //!   topology, not routing.
@@ -27,17 +27,16 @@ use serenade_core::{Click, SessionIndex};
 use serenade_index::binfmt;
 use serenade_serving::HttpClient;
 use serenade_serving::json::{self, JsonValue};
-use serenade_serving::node::ControlClient;
+use serenade_serving::node::decode_sessions;
 use serenade_serving::routerd::{RouterConfig, RouterDaemon};
 use serenade_serving::StickyRouter;
 
-/// One spawned `serenade-node` child with its parsed addresses. The child
+/// One spawned `serenade-node` child with its parsed address. The child
 /// serves until its stdin pipe closes — dropping the handle (or killing
 /// it) is the shutdown.
 struct NodeProc {
     child: Child,
     data: SocketAddr,
-    ctrl: SocketAddr,
 }
 
 impl NodeProc {
@@ -53,20 +52,8 @@ impl NodeProc {
         BufReader::new(stdout)
             .read_line(&mut line)
             .expect("node prints its address line");
-        let mut data = None;
-        let mut ctrl = None;
-        for token in line.split_whitespace() {
-            if let Some(addr) = token.strip_prefix("data=") {
-                data = addr.parse().ok();
-            } else if let Some(addr) = token.strip_prefix("ctrl=") {
-                ctrl = addr.parse().ok();
-            }
-        }
-        Self {
-            child,
-            data: data.expect("node line carries data="),
-            ctrl: ctrl.expect("node line carries ctrl="),
-        }
+        let data = line.split_whitespace().find_map(|token| token.strip_prefix("data="));
+        Self { child, data: data.and_then(|addr| addr.parse().ok()).expect("node line carries data=") }
     }
 
     /// Hard-kills the process: sockets reset, no drain — a crash.
@@ -91,7 +78,25 @@ fn fast_probe_config() -> RouterConfig {
 }
 
 fn member(id: u64, node: &NodeProc) -> (u64, SocketAddr, SocketAddr) {
-    (id, node.data, node.ctrl)
+    (id, node.data, node.data)
+}
+
+/// The node's served index generation, off `GET /health`.
+fn generation(node: &NodeProc) -> u64 {
+    let (status, body) = HttpClient::connect(node.data).unwrap().get("/health").unwrap();
+    assert_eq!(status, 200, "{body}");
+    json::parse(&body).unwrap().get("index_generation").and_then(JsonValue::as_u64).unwrap()
+}
+
+/// The node's live sessions, off `POST /admin/sessions/export`.
+fn export_sessions(node: &NodeProc, cap: u32) -> Vec<(u64, Vec<u64>)> {
+    let cap = format!("{{\"cap\":{cap}}}");
+    let (status, body) = HttpClient::connect(node.data)
+        .unwrap()
+        .exchange("POST", "/admin/sessions/export", Some(("application/json", cap.as_bytes())))
+        .unwrap();
+    assert_eq!(status, 200);
+    decode_sessions(&body).unwrap()
 }
 
 fn recommend_body(session_id: u64, item: u64) -> String {
@@ -136,8 +141,7 @@ fn artifact_publish_reaches_every_node_and_later_joiners() {
 
     // Every node serves its synthetic seed at generation 1.
     for node in &nodes {
-        let mut ctrl = ControlClient::connect(node.ctrl, Duration::from_secs(2)).unwrap();
-        assert_eq!(ctrl.ping().unwrap(), 1);
+        assert_eq!(generation(node), 1);
     }
 
     let path = artifact_path("publish");
@@ -149,21 +153,16 @@ fn artifact_publish_reaches_every_node_and_later_joiners() {
     assert!(json_array(&parsed, "failed").is_empty(), "no failures: {response}");
 
     for node in &nodes {
-        let mut ctrl = ControlClient::connect(node.ctrl, Duration::from_secs(2)).unwrap();
-        assert_eq!(ctrl.ping().unwrap(), 2, "publish bumped the generation");
+        assert_eq!(generation(node), 2, "publish bumped the generation");
     }
 
     // A node joining after the publish receives the artifact before it
     // takes traffic: its generation is already 2 when join returns.
     let late = NodeProc::spawn(2);
-    let join = format!(
-        "{{\"id\":2,\"data_addr\":\"{}\",\"ctrl_addr\":\"{}\"}}",
-        late.data, late.ctrl
-    );
+    let join = format!("{{\"id\":2,\"data_addr\":\"{}\"}}", late.data);
     let (status, response) = http.post("/cluster/join", &join).unwrap();
     assert_eq!(status, 200, "join failed: {response}");
-    let mut ctrl = ControlClient::connect(late.ctrl, Duration::from_secs(2)).unwrap();
-    assert_eq!(ctrl.ping().unwrap(), 2, "joiner was seeded with the artifact");
+    assert_eq!(generation(&late), 2, "joiner was seeded with the artifact");
 
     let _ = std::fs::remove_file(&path);
     router.shutdown();
@@ -239,10 +238,7 @@ fn node_loss_mid_load_serves_200s_and_counts_failover() {
     // Recovery: a replacement joins, is probed alive, and the dead member
     // leaves; traffic keeps flowing clean.
     let replacement = NodeProc::spawn(3);
-    let join = format!(
-        "{{\"id\":3,\"data_addr\":\"{}\",\"ctrl_addr\":\"{}\"}}",
-        replacement.data, replacement.ctrl
-    );
+    let join = format!("{{\"id\":3,\"data_addr\":\"{}\"}}", replacement.data);
     let (status, response) = http.post("/cluster/join", &join).unwrap();
     assert_eq!(status, 200, "join failed: {response}");
     let (status, response) = http.post("/cluster/leave", "{\"id\":1}").unwrap();
@@ -280,10 +276,7 @@ fn membership_change_hands_session_state_to_the_new_owner() {
 
     // Joining member 2 moves exactly the sessions rendezvous reassigns.
     let joiner = NodeProc::spawn(2);
-    let join = format!(
-        "{{\"id\":2,\"data_addr\":\"{}\",\"ctrl_addr\":\"{}\"}}",
-        joiner.data, joiner.ctrl
-    );
+    let join = format!("{{\"id\":2,\"data_addr\":\"{}\"}}", joiner.data);
     let (status, response) = http.post("/cluster/join", &join).unwrap();
     assert_eq!(status, 200, "join failed: {response}");
 
@@ -298,8 +291,7 @@ fn membership_change_hands_session_state_to_the_new_owner() {
     );
 
     // The moved sessions now live on the joiner with their full history…
-    let mut joiner_ctrl = ControlClient::connect(joiner.ctrl, Duration::from_secs(2)).unwrap();
-    let exported = joiner_ctrl.export_sessions(10_000).unwrap();
+    let exported = export_sessions(&joiner, 10_000);
     for &sid in &moved {
         let session = exported.iter().find(|(s, _)| *s == sid);
         let (_, items) = session.unwrap_or_else(|| panic!("session {sid} missing on joiner"));
@@ -308,8 +300,7 @@ fn membership_change_hands_session_state_to_the_new_owner() {
 
     // …and were forgotten at their old owners.
     for node in &nodes {
-        let mut ctrl = ControlClient::connect(node.ctrl, Duration::from_secs(2)).unwrap();
-        let remaining = ctrl.export_sessions(10_000).unwrap();
+        let remaining = export_sessions(node, 10_000);
         for &sid in &moved {
             assert!(
                 remaining.iter().all(|(s, _)| *s != sid),

@@ -187,7 +187,10 @@ fn a_router_forwards_every_predict_and_relays_the_same_bytes() {
         .collect();
     let members: Vec<_> =
         nodes.iter().map(|node| (node.id(), node.data_addr(), node.ctrl_addr())).collect();
-    let router = RouterDaemon::start(&members, RouterConfig::default()).unwrap();
+    // The probe is a request to the node like any other: one probe at
+    // start, then none while the path counters are read.
+    let config = RouterConfig { probe_interval: Duration::from_secs(3600), ..RouterConfig::default() };
+    let router = RouterDaemon::start(&members, config).unwrap();
     assert_eq!(send_all(router.addr(), &reqs), reference(&reqs));
 
     let n = reqs.len() as f64;
@@ -220,8 +223,8 @@ impl RequestBackend for Panicky {
         &self.0
     }
 
-    fn respond(&self, _request: &ParsedRequest) -> (u16, String, &'static str) {
-        (404, String::from("{}"), "application/json")
+    fn respond(&self, _request: &ParsedRequest) -> (u16, Vec<u8>, &'static str) {
+        (404, b"{}".to_vec(), "application/json")
     }
 
     fn route_predict(&self, _req: &RecommendRequest) -> PredictRoute {

@@ -140,7 +140,8 @@ proptest! {
     fn garbage_never_panics_and_rejects_are_4xx(
         chunks in vec(vec(any::<u8>(), 0..64), 1..12),
     ) {
-        let limits = ParserLimits { max_head_bytes: 256, max_headers: 8, max_body_bytes: 128 };
+        let limits =
+            ParserLimits { max_head_bytes: 256, max_headers: 8, max_body_bytes: 128, max_admin_body_bytes: 0 };
         let mut parser = Parser::new(limits);
         let mut first_reject = None;
         for chunk in &chunks {
@@ -168,7 +169,8 @@ proptest! {
         pad in 0usize..64,
         cuts in vec(0usize..512, 0..8),
     ) {
-        let limits = ParserLimits { max_head_bytes: 128, max_headers: 8, max_body_bytes: 64 };
+        let limits =
+            ParserLimits { max_head_bytes: 128, max_headers: 8, max_body_bytes: 64, max_admin_body_bytes: 0 };
         let mut wire = format!("GET /x HTTP/1.1\r\nx-pad: {}\r\n\r\n", "a".repeat(pad + 64));
         let over_budget = wire.len() - 4 > limits.max_head_bytes;
         wire.push_str("GET /y HTTP/1.1\r\n\r\n");

@@ -135,7 +135,7 @@ impl RequestBackend for Latched {
         self.cluster.telemetry()
     }
 
-    fn respond(&self, request: &ParsedRequest) -> (u16, String, &'static str) {
+    fn respond(&self, request: &ParsedRequest) -> (u16, Vec<u8>, &'static str) {
         if request.path != "/hold" {
             return self.cluster.respond(request);
         }
@@ -144,7 +144,7 @@ impl RequestBackend for Latched {
         while !*open && Instant::now() < give_up {
             open = self.opened.wait_timeout(open, Duration::from_millis(50)).unwrap().0;
         }
-        (200, String::from("{}"), "application/json")
+        (200, b"{}".to_vec(), "application/json")
     }
 
     fn route_predict(&self, _req: &RecommendRequest) -> PredictRoute {
