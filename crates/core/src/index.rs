@@ -11,7 +11,8 @@
 //! * the timestamp array `t`: one integer timestamp per historical session,
 //!   indexed by dense [`SessionId`], giving constant-time random access;
 //! * per-session item lists (needed for the final item-scoring step) stored
-//!   as accumulator slots in CSR layout to avoid per-session allocations;
+//!   as accumulator slots in CSR layout to avoid per-session allocations,
+//!   each in ascending item-id order (see *Rows are sets*);
 //! * per-item support counts `h_i` (the number of historical sessions
 //!   containing the item) for the idf weighting.
 //!
@@ -52,6 +53,17 @@
 //! id order; a live index appends, and numbers afresh only when it rewrites
 //! every segment anyway. Slot numbering is not part of what an index *is*:
 //! two indexes of the same log answer identically under any numbering.
+//!
+//! ## Rows are sets
+//!
+//! A session's row is the set of its items. The kernel reads it as one:
+//! it adds one weight per slot, and ranks ties by item id, so the order of
+//! a row cannot change a bit of an answer. Every producer writes a row in
+//! one canonical order, ascending item id — the build and every merge of a
+//! live index, and the artefact writer keeps it — which depends on no slot
+//! numbering, so two indexes of the same log hold the same rows. A row in
+//! another order (an artefact written before rows were canonical kept each
+//! item at its first click) loads and answers the same.
 //!
 //! ## Postings and arenas
 //!
@@ -303,8 +315,8 @@ impl Segment {
         self.timestamps[row]
     }
 
-    /// Accumulator slots of the session's items in `row`, first-occurrence
-    /// order.
+    /// Accumulator slots of the session's items in `row`, in row order
+    /// (see the module docs, *Rows are sets*).
     #[inline]
     pub fn slots(&self, row: usize) -> &[u32] {
         &self.slots[self.offsets[row] as usize..self.offsets[row + 1] as usize]
@@ -327,7 +339,7 @@ pub struct SessionItems<'a> {
 }
 
 impl<'a> SessionItems<'a> {
-    /// The items, first-occurrence order.
+    /// The items, in row order.
     #[inline]
     pub fn iter(self) -> impl ExactSizeIterator<Item = ItemId> + DoubleEndedIterator + 'a {
         self.slots.iter().map(move |&slot| self.slot_items[slot as usize])
@@ -621,18 +633,24 @@ impl SessionIndex {
         segment.timestamp(row)
     }
 
-    /// Deduplicated items of a historical session, first-occurrence order,
-    /// read through their slots.
+    /// Deduplicated items of a historical session, in row order (ascending
+    /// item id for every index this crate makes), read through their slots.
     #[inline]
     pub fn session_items(&self, session: SessionId) -> SessionItems<'_> {
         SessionItems { slots: self.session_slots(session), slot_items: &self.slot_items }
     }
 
-    /// Accumulator slots of a historical session's items, in item order.
+    /// Accumulator slots of a historical session's items, in row order.
     #[inline]
     pub fn session_slots(&self, session: SessionId) -> &[u32] {
         let (segment, row) = self.locate(session);
         segment.slots(row)
+    }
+
+    /// Number of `(session, item)` entries, all rows together: a walk over
+    /// the segments.
+    pub fn session_item_entries(&self) -> usize {
+        self.segments.iter().map(|s| s.slots.len()).sum()
     }
 
     /// Number of historical sessions `|H|`.
@@ -671,7 +689,7 @@ impl SessionIndex {
             num_items: self.num_items(),
             posting_entries: self.live_entries,
             max_posting_len: self.postings.values().map(len).max().unwrap_or(0),
-            session_item_entries: self.segments.iter().map(|s| s.slots.len()).sum(),
+            session_item_entries: self.session_item_entries(),
         }
     }
 
@@ -688,7 +706,7 @@ impl SessionIndex {
             cap => cap / 7 * 8,
         };
         let slot = std::mem::size_of::<(ItemId, Posting)>() + 1;
-        let entries: usize = self.segments.iter().map(|s| s.slots.len()).sum();
+        let entries = self.session_item_entries();
         let sessions = self.num_sessions;
         let headers = self.segments.len() * (16 + std::mem::size_of::<Segment>())
             + arc_slice_bytes::<Arc<Segment>>(self.segments.len());
@@ -812,6 +830,9 @@ mod tests {
         assert_eq!(idx.session_items(0), &[1, 2]); // dup of item 1 removed
         assert_eq!(idx.session_items(1), &[2, 3]);
         assert_eq!(idx.session_items(2), &[1, 3]);
+        // A row is in item-id order, not in the order of first clicks.
+        let clicks = [Click::new(1, 9, 1), Click::new(1, 3, 2), Click::new(1, 9, 3)];
+        assert_eq!(SessionIndex::build(&clicks, 10).unwrap().session_items(0), &[3, 9]);
     }
 
     #[test]

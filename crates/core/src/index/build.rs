@@ -8,7 +8,9 @@
 //!    the runs in dense-id order;
 //! 2. each click's item is remapped to a dense item number, and each run is
 //!    deduplicated to the numbers' first occurrences straight into the
-//!    segment's slot column — an item's slot is then the rank of its id;
+//!    segment's slot column — an item's slot is then the rank of its id,
+//!    and each row is sorted by slot into item-id order, the one order every
+//!    producer writes a row in (`serenade_core::index`, *Rows are sets*);
 //! 3. supports are counted by slot, which gives each posting an exact-size
 //!    range: `min(support, m_max)` entries;
 //! 4. the ranges are filled by walking the sessions newest-first and
@@ -41,9 +43,8 @@ impl SessionIndex {
     /// `m_max` is the maximum posting-list length — the recency-sample upper
     /// bound `m` that the online algorithm may request. Sessions are formed
     /// by grouping clicks on their external session id; a session's timestamp
-    /// is the maximum click timestamp it contains; within a session items are
-    /// ordered chronologically (ties by item id) and deduplicated to their
-    /// first occurrence.
+    /// is the maximum click timestamp it contains; a session's items are
+    /// deduplicated and kept in ascending id order.
     ///
     /// # Errors
     ///
@@ -83,14 +84,19 @@ impl SessionIndex {
         }
         let slot_items: Arc<[ItemId]> = by_id.into_iter().map(|(item, _)| item).collect();
 
-        // Per range of segments: its items' slots, and how many of its sessions
-        // hold each item.
+        // Per range of segments: its items' slots, each row in item-id order,
+        // and how many of its sessions hold each item.
         let per_thread = segments.len().div_ceil(threads.max(1));
         let mut shares = run_parallel(segments.chunks_mut(per_thread).collect(), |segments| {
             let mut holders = vec![0u32; slot_items.len()];
-            for slot in segments.iter_mut().flat_map(|segment| segment.slots.iter_mut()) {
-                *slot = slot_of[*slot as usize];
-                holders[*slot as usize] += 1;
+            for segment in segments.iter_mut() {
+                for slot in segment.slots.iter_mut() {
+                    *slot = slot_of[*slot as usize];
+                    holders[*slot as usize] += 1;
+                }
+                for row in segment.offsets.windows(2) {
+                    segment.slots[row[0] as usize..row[1] as usize].sort_unstable();
+                }
             }
             holders
         });

@@ -144,12 +144,6 @@ impl SessionRuns {
     pub fn click_ranks(&self) -> &[u32] {
         &self.click_ranks
     }
-
-    /// The external ids by rank, the run offsets and the runs themselves:
-    /// a rank-ordered click log in CSR form.
-    pub fn into_log(self) -> (Vec<ExternalSessionId>, Vec<u32>, Vec<(Timestamp, ItemId)>) {
-        (self.ext_ids, self.offsets, self.clicks)
-    }
 }
 
 /// Runs `work` on every job, each on a scoped thread of its own — on the
@@ -199,7 +193,11 @@ mod tests {
         let one = SessionRuns::group(&clicks, 1);
         for threads in [2, 3, 8, 1_000] {
             let many = SessionRuns::group(&clicks, threads);
-            assert_eq!(many.into_log(), one.clone().into_log(), "threads {threads}");
+            assert_eq!(many.offsets(), one.offsets(), "threads {threads}");
+            for rank in 0..one.len() {
+                assert_eq!(many.ext_id(rank), one.ext_id(rank), "threads {threads}");
+                assert_eq!(many.run(rank), one.run(rank), "threads {threads}");
+            }
         }
     }
 

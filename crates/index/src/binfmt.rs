@@ -20,7 +20,7 @@
 //! | 8 × `n` | session timestamps, by dense id |
 //! | 4 × (`n` + 1) | session offsets: session `s` holds entries `offsets[s]..offsets[s + 1]` |
 //! | 8 | entry count `e` |
-//! | 4 × `e` | the sessions' items as slots, each session in first-occurrence order |
+//! | 4 × `e` | the sessions' items as slots, each session ascending (item-id order) |
 //! | 8 | slot count `k` |
 //! | 8 × `k` | slot → item table, item ids strictly ascending |
 //! | 4 × `k` | supports `h_i`, by slot |
@@ -36,6 +36,11 @@
 //! renumbers both away. So the bytes depend only on the index's content —
 //! its sessions, their items and its postings — and every slot has a
 //! posting. There are no per-posting item ids: the slot table names them.
+//! Every producer keeps a row in ascending item id (`serenade_core::index`,
+//! *Rows are sets*), and renumbering by id keeps that order, so a row is
+//! written ascending. The reader takes a row in any order: an artefact
+//! written before rows were canonical, with each item at its first click,
+//! still loads and answers the same.
 //!
 //! # The checksum
 //!

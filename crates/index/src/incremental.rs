@@ -7,15 +7,16 @@
 //! path, `merge`, which emits the next generation instead of rebuilding:
 //!
 //! 1. group only the batch; a session that is already indexed is re-ranked
-//!    with its retained clicks, i.e. removed at its old rank and inserted at
-//!    its new one;
+//!    from its row — removed at its old rank and inserted at its new one,
+//!    its items those of its row and of the batch, its timestamp the newer
+//!    of its own and the batch's newest click;
 //! 2. locate the old ranks by `(timestamp, external id)` — the order dense
 //!    ids are assigned in — and take the first rank that changes, `cut`;
 //! 3. in one linear pass write the sessions of the new rank order from the
 //!    segment holding `cut` up — timestamps and the items' slots into
-//!    new [`Segment`]s, external ids and clicks into the indexer's own
-//!    columns — with the monotone old → new rank map of everything at or
-//!    above `cut`; every segment wholly below `cut` is handed on by pointer;
+//!    new [`Segment`]s, external ids into the indexer's own column — with
+//!    the monotone old → new rank map of everything at or above `cut`;
+//!    every segment wholly below `cut` is handed on by pointer;
 //! 4. start from a copy of the previous posting table and rewrite only the
 //!    postings of items that occur in a session at or above `cut` (their
 //!    entries are renumbered ranks) or in a removed or inserted session
@@ -34,9 +35,20 @@
 //! timestamps (a backfill at rank 0, or the retention window dropping its
 //! oldest session) renumbers every rank, so every segment and every posting
 //! is written anew: the path degrades to the cost of a build, never to a
-//! wrong index. [`Sharing`] counts both cases. The result is always
-//! identical to [`SessionIndex::build`] over [`retained_log`], which the
-//! differential suites hold it to bit for bit.
+//! wrong index. [`Sharing`] counts both cases.
+//!
+//! ## The index is its own log
+//!
+//! The indexer keeps no click: a session is its row and its timestamp, and
+//! that is all a re-rank needs. The kernel reads a row as a set
+//! (`serenade_core::index`, *Rows are sets*), and every producer writes a
+//! row in ascending item id, so the row of `clicks ∪ batch` is the sorted
+//! union of the row of `clicks` and the batch's items, whatever order the
+//! clicks came in. The result is always identical to
+//! [`SessionIndex::build`] over the traffic of the sessions the indexer
+//! holds ([`IncrementalIndexer::session_ids`]), which the differential
+//! suites hold it to bit for bit, each against a model of that traffic of
+//! its own.
 //!
 //! ## Slots
 //!
@@ -47,9 +59,11 @@
 //! items. An item whose last session leaves strands its slot, and if it
 //! returns it is given a fresh one. Stranded slots cost a few bytes each in
 //! the kernel's per-slot tables; a merge that writes every segment anyway
-//! (`cut` = 0) numbers the live items afresh, and a merge that finds more
-//! than one stranded slot per [`DEAD_SLOT_SHARE`] live ones is made such a
-//! merge, so they stay bounded under any turnover of the catalogue.
+//! (`cut` = 0) numbers the live items afresh, by first appearance over the
+//! rows in rank order, and a merge that finds more than one stranded slot
+//! per [`DEAD_SLOT_SHARE`] live ones is made such a merge, so they stay
+//! bounded under any turnover of the catalogue. Renumbering keeps each
+//! row's order, so it stays canonical.
 //!
 //! ## Arenas
 //!
@@ -63,16 +77,17 @@
 //! dead entries stay at most the live ones and the merge's copy of the
 //! arena table stays short, under any churn of hot items.
 //!
-//! ## Click-log retention
+//! ## Retention
 //!
-//! Re-ranking a session needs its earlier clicks, but retaining them forever
-//! grows memory without bound. [`IncrementalIndexer::with_retained_clicks_cap`]
-//! bounds the log: whenever it exceeds the cap, the oldest whole sessions
-//! are dropped (never splitting a session, always keeping the newest one)
-//! — the indexer degrades to a **sliding window** over the most recent
-//! traffic, which is exactly the regime session-based recommenders operate
-//! in. A dropped session's external id is forgotten with it, so if that id
-//! reappears later it is treated as a new session.
+//! What grows with traffic is the index itself.
+//! [`IncrementalIndexer::with_retained_session_items_cap`] bounds it by
+//! what it holds: whenever its session-item entries — the sum of its rows'
+//! lengths — exceed the cap, the oldest whole sessions are dropped (never
+//! splitting a session, always keeping the newest one) — the indexer
+//! degrades to a **sliding window** over the most recent traffic, which is
+//! exactly the regime session-based recommenders operate in. A dropped
+//! session's external id is forgotten with it, so if that id reappears
+//! later it is treated as a new session.
 //!
 //! ## Deletion (unlearning)
 //!
@@ -94,7 +109,6 @@
 //! [`crate::diff::changed_items`]), which the property suite verifies.
 //!
 //! [`snapshot`]: IncrementalIndexer::snapshot
-//! [`retained_log`]: IncrementalIndexer::retained_log
 //! [`drain_touched`]: IncrementalIndexer::drain_touched
 
 use std::sync::Arc;
@@ -106,10 +120,6 @@ use serenade_core::{
 
 /// What sessions are ranked by: `(session timestamp, external id)`.
 type Key = (Timestamp, u64);
-
-/// A retained click, in the log of its session: the session's external id
-/// is the log's key, not a column of it.
-type LogEntry = (Timestamp, ItemId);
 
 /// Live slots per stranded one a merge tolerates before it numbers slots
 /// afresh (see the module docs).
@@ -181,9 +191,7 @@ pub struct Sharing {
 /// more clicks (whose old rank the same merge removes).
 struct Pending {
     key: Key,
-    /// Every retained click of the session, in `(timestamp, item)` order.
-    clicks: Vec<LogEntry>,
-    /// `clicks` deduplicated to first occurrences: the indexed item list.
+    /// The session's row: its distinct items, ascending.
     items: Vec<ItemId>,
 }
 
@@ -205,12 +213,9 @@ pub struct IncrementalIndexer {
     /// Timestamp of each indexed session by external id; with `ext_ids` it
     /// locates a session's rank by binary search on its [`Key`].
     session_ts: FxHashMap<u64, Timestamp>,
-    /// The retained clicks as a CSR parallel to the index: session by
-    /// session in rank order, `(timestamp, item)` order within a session.
-    log: Vec<LogEntry>,
-    log_offsets: Vec<u32>,
-    /// Upper bound on `log.len()`; `usize::MAX` means unbounded.
-    max_retained_clicks: usize,
+    /// Upper bound on the index's session-item entries; `usize::MAX` means
+    /// unbounded.
+    max_session_items: usize,
     /// External ids of explicitly deleted sessions; their clicks are
     /// discarded from all future batches (no resurrection).
     tombstones: FxHashSet<u64>,
@@ -225,22 +230,22 @@ pub struct IncrementalIndexer {
 }
 
 impl IncrementalIndexer {
-    /// Creates an empty indexer with the given posting capacity and an
-    /// unbounded click log.
+    /// Creates an empty indexer with the given posting capacity and no
+    /// retention cap.
     pub fn new(m_max: usize) -> Result<Self, CoreError> {
-        Self::with_retained_clicks_cap(m_max, usize::MAX)
+        Self::with_retained_session_items_cap(m_max, usize::MAX)
     }
 
-    /// Creates an empty indexer whose retained click log is bounded by
-    /// `max_retained_clicks` (see the module docs for the sliding-window
-    /// semantics this implies).
+    /// Creates an empty indexer whose index holds at most
+    /// `max_session_items` session-item entries (see the module docs for the
+    /// sliding-window semantics this implies).
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] if `m_max == 0` or the cap is zero.
-    pub fn with_retained_clicks_cap(
+    pub fn with_retained_session_items_cap(
         m_max: usize,
-        max_retained_clicks: usize,
+        max_session_items: usize,
     ) -> Result<Self, CoreError> {
         if m_max == 0 {
             return Err(CoreError::InvalidConfig {
@@ -248,10 +253,10 @@ impl IncrementalIndexer {
                 reason: "posting-list capacity must be positive".into(),
             });
         }
-        if max_retained_clicks == 0 {
+        if max_session_items == 0 {
             return Err(CoreError::InvalidConfig {
-                parameter: "max_retained_clicks",
-                reason: "click-log retention cap must be positive".into(),
+                parameter: "max_session_items",
+                reason: "session-item retention cap must be positive".into(),
             });
         }
         Ok(Self {
@@ -264,9 +269,7 @@ impl IncrementalIndexer {
             ),
             ext_ids: Vec::new(),
             session_ts: FxHashMap::default(),
-            log: Vec::new(),
-            log_offsets: vec![0],
-            max_retained_clicks,
+            max_session_items,
             tombstones: FxHashSet::default(),
             touched: FxHashSet::default(),
             sharing: Sharing::default(),
@@ -276,38 +279,48 @@ impl IncrementalIndexer {
     }
 
     /// Makes `index` the current generation of a fresh indexer, provided it
-    /// is exactly the index of `seed` at this posting capacity and `seed`
-    /// fits the retention cap: the click log and the rank → external-id
-    /// column are derived from `seed`, nothing is indexed a second time.
-    /// Returns `false`, leaving the indexer empty, when `index` is anything
-    /// else; [`IncrementalIndexer::apply_batch`] then indexes `seed`.
+    /// is exactly the index of `seed` at this posting capacity and fits the
+    /// retention cap: the rank → external-id column and the timestamps by
+    /// external id are derived from `seed`, nothing is indexed a second time.
+    /// It holds O(sessions) while it checks — the map it keeps, the ids by
+    /// rank and their sort keys, where each row starts, and one bit a
+    /// session-item entry — and nothing a click. Returns
+    /// `false`, leaving the indexer empty, when `index` is anything else;
+    /// [`IncrementalIndexer::apply_batch`] then indexes `seed`.
     pub fn adopt(&mut self, index: &SessionIndex, seed: &[Click]) -> bool {
         if self.num_sessions() != 0
             || index.m_max() != self.index.m_max()
-            || seed.len() > self.max_retained_clicks.min(u32::MAX as usize)
+            || index.session_item_entries() > self.max_session_items
         {
             return false;
         }
-        // The grouping is the log: sessions by rank, each run in
-        // `(timestamp, item)` order.
-        let runs = SessionRuns::group(seed, 1);
-        let agrees = |rank: usize| {
-            let items = index.session_items(rank as SessionId).iter();
-            runs.timestamp(rank) == index.session_timestamp(rank as SessionId)
-                && first_occurrences(runs.run(rank)).eq(items)
-        };
-        if runs.len() != index.num_sessions() || !(0..runs.len()).all(agrees) {
+        // Each session's newest click; its keys, sorted, are the rank order.
+        let mut session_ts = FxHashMap::default();
+        session_ts.reserve(index.num_sessions());
+        for c in seed {
+            let ts = session_ts.entry(c.session_id).or_insert(c.timestamp);
+            *ts = (*ts).max(c.timestamp);
+        }
+        let mut keys: Vec<Key> = session_ts.iter().map(|(&ext, &ts)| (ts, ext)).collect();
+        keys.sort_unstable();
+        let timestamp = |rank: usize| index.session_timestamp(rank as SessionId);
+        if keys.len() != index.num_sessions()
+            || keys.iter().enumerate().any(|(rank, &(ts, _))| ts != timestamp(rank))
+        {
             return false;
         }
-        let (ext_ids, log_offsets, mut log) = runs.into_log();
-        // Room for live traffic on top of the seed, or the first merge would
-        // double the log — copy it whole — to append a few clicks.
-        log.reserve_exact(seed.len() / 8);
-        let timestamp = |rank: usize| index.session_timestamp(rank as SessionId);
-        self.session_ts =
-            ext_ids.iter().enumerate().map(|(rank, &ext)| (ext, timestamp(rank))).collect();
+        // While the rows are checked the map holds each session's rank, and
+        // the rank then gives the timestamp back.
+        for (rank, &(_, ext)) in keys.iter().enumerate() {
+            session_ts.insert(ext, rank as Timestamp);
+        }
+        if !rows_hold_exactly(index, seed, &session_ts) {
+            return false;
+        }
+        session_ts.values_mut().for_each(|ts| *ts = timestamp(*ts as usize));
+        self.ext_ids = keys.iter().map(|&(_, ext)| ext).collect();
+        self.session_ts = session_ts;
         self.index = index.clone();
-        (self.ext_ids, self.log, self.log_offsets) = (ext_ids, log, log_offsets);
         true
     }
 
@@ -316,7 +329,13 @@ impl IncrementalIndexer {
         self.ext_ids.len()
     }
 
-    /// How many retention compactions dropped old sessions from the log.
+    /// External id of each indexed session, by rank (its dense id): the
+    /// sessions whose traffic the index is the build of.
+    pub fn session_ids(&self) -> &[u64] {
+        &self.ext_ids
+    }
+
+    /// How many retention compactions dropped old sessions.
     pub fn compaction_count(&self) -> usize {
         self.compactions
     }
@@ -331,19 +350,10 @@ impl IncrementalIndexer {
         self.tombstones.len()
     }
 
-    /// Number of clicks currently retained.
-    pub fn retained_clicks(&self) -> usize {
-        self.log.len()
-    }
-
-    /// The retained click log, oldest session first: the traffic the index
-    /// is equivalent to a from-scratch build over. Assembled on demand (the
-    /// differential suites ask): the log itself stores no session ids.
-    pub fn retained_log(&self) -> Vec<Click> {
-        let clicks_of = |(rank, &ext): (usize, &u64)| {
-            self.session_log(rank).iter().map(move |&(ts, item)| Click::new(ext, item, ts))
-        };
-        self.ext_ids.iter().enumerate().flat_map(clicks_of).collect()
+    /// Number of session-item entries the index holds, all rows together:
+    /// what the retention cap counts.
+    pub fn retained_session_items(&self) -> usize {
+        self.index.session_item_entries()
     }
 
     /// Drains the accumulated touched-item set: the items whose postings may
@@ -384,25 +394,25 @@ impl IncrementalIndexer {
             if self.tombstones.contains(&ext) {
                 continue;
             }
-            let mut clicks = runs.run(fresh).to_vec();
+            let mut items: Vec<ItemId> = runs.run(fresh).iter().map(|&(_, item)| item).collect();
+            let mut newest = runs.timestamp(fresh);
             if let Some(rank) = self.rank_of(ext) {
-                clicks.extend_from_slice(self.session_log(rank));
-                clicks.sort_unstable();
-                removed.push(rank as SessionId);
+                items.extend(self.index.session_items(rank).iter());
+                newest = newest.max(self.index.session_timestamp(rank));
+                removed.push(rank);
             }
-            let newest = clicks.last().expect("a run holds at least one click").0;
-            let items = first_occurrences(&clicks).collect();
-            pending.push(Pending { key: (newest, ext), items, clicks });
+            items.sort_unstable();
+            items.dedup();
+            pending.push(Pending { key: (newest, ext), items });
         }
         removed.sort_unstable();
         self.merge(&removed, pending)?;
         self.enforce_retention()
     }
 
-    /// Removes one session from the click log and the index, tombstoning its
-    /// external id so later clicks cannot resurrect it. Returns `true` if
-    /// the session was present, `false` if it was unknown (the tombstone is
-    /// still laid).
+    /// Removes one session from the index, tombstoning its external id so
+    /// later clicks cannot resurrect it. Returns `true` if the session was
+    /// present, `false` if it was unknown (the tombstone is still laid).
     ///
     /// After this call [`IncrementalIndexer::snapshot`] is indistinguishable
     /// from a from-scratch build over a log that never contained the
@@ -412,17 +422,20 @@ impl IncrementalIndexer {
         let Some(rank) = self.rank_of(ext_id) else {
             return Ok(false);
         };
-        self.merge(&[rank as SessionId], Vec::new())?;
+        self.merge(&[rank], Vec::new())?;
         self.deletions += 1;
         Ok(true)
     }
 
-    /// Enforces the click-log retention cap by dropping the oldest whole
-    /// sessions (never the newest).
+    /// Enforces the retention cap by dropping the oldest whole sessions
+    /// (never the newest) until the rows dropped hold the excess.
     fn enforce_retention(&mut self) -> Result<(), CoreError> {
-        let over = self.log.len().saturating_sub(self.max_retained_clicks);
-        let older = &self.log_offsets[..self.num_sessions().saturating_sub(1)];
-        let dropped = older.partition_point(|&start| (start as usize) < over);
+        let over = self.index.session_item_entries().saturating_sub(self.max_session_items);
+        let (mut dropped, mut freed) = (0, 0);
+        while freed < over && dropped + 1 < self.num_sessions() {
+            freed += self.index.session_slots(dropped as SessionId).len();
+            dropped += 1;
+        }
         if dropped == 0 {
             return Ok(()); // within the cap, or a single oversized session
         }
@@ -432,21 +445,16 @@ impl IncrementalIndexer {
     }
 
     /// Rank (dense id) of the indexed session with this external id.
-    fn rank_of(&self, ext_id: u64) -> Option<usize> {
+    fn rank_of(&self, ext_id: u64) -> Option<SessionId> {
         let key = (*self.session_ts.get(&ext_id)?, ext_id);
         let key_at = |rank| (self.index.session_timestamp(rank as SessionId), self.ext_ids[rank]);
-        Some(lower_bound(self.num_sessions(), key_at, key))
-    }
-
-    /// The retained clicks of the session at `rank`.
-    fn session_log(&self, rank: usize) -> &[LogEntry] {
-        &self.log[self.log_offsets[rank] as usize..self.log_offsets[rank + 1] as usize]
+        Some(lower_bound(self.num_sessions(), key_at, key) as SessionId)
     }
 
     /// The one path every mutation takes (see the module docs): emits the
     /// generation without the sessions at the ascending ranks `removed` and
     /// with the `pending` ones. Nothing of `self` is written before the last
-    /// step, so an error leaves log and index as they were.
+    /// step, so an error leaves the indexer as it was.
     fn merge(&mut self, removed: &[SessionId], pending: Vec<Pending>) -> Result<(), CoreError> {
         if removed.is_empty() && pending.is_empty() {
             return Ok(());
@@ -495,11 +503,6 @@ impl IncrementalIndexer {
         // The sessions from `base` up, segment by segment, with the new rank
         // of each old one (`MAX` for a removed one) and, per touched item,
         // how many sessions it lost and the ids it gained (ascending).
-        let log_base = self.log_offsets[base] as usize;
-        let gained_clicks: usize = pending.iter().map(|p| p.clicks.len()).sum();
-        let mut log: Vec<LogEntry> =
-            Vec::with_capacity(self.log.len() - log_base + gained_clicks);
-        let mut log_off = Vec::with_capacity(order.len());
         let mut ext_ids = Vec::with_capacity(order.len());
         let mut segments: Vec<Arc<Segment>> = old.segments()[..first_segment].to_vec();
         let mut remap = vec![SessionId::MAX; n_old - base];
@@ -531,26 +534,23 @@ impl IncrementalIndexer {
                             slots.extend_from_slice(old.session_slots(rank as SessionId));
                         }
                         remap[rank - base] = session;
-                        log.extend_from_slice(self.session_log(rank));
                     }
                     Source::New(k) => {
                         for &item in &pending[k].items {
                             delta.entry(item).or_default().1.push(session);
                             slots.push(slot_of(item));
                         }
-                        log.extend_from_slice(&pending[k].clicks);
                     }
                 }
                 timestamps.push(timestamp);
                 offsets.push(slots.len() as u32);
                 ext_ids.push(ext_id);
-                log_off.push((log_base + log.len()) as u32);
                 session += 1;
             }
             segments.push(Arc::new(Segment::new(timestamps.into(), offsets.into(), slots.into())));
         }
         let n_new = base + order.len();
-        if n_new.max(log_base + log.len()) > u32::MAX as usize {
+        if n_new > u32::MAX as usize {
             return Err(CoreError::TooManySessions(n_new));
         }
         let new_key =
@@ -645,10 +645,6 @@ impl IncrementalIndexer {
         self.session_ts.extend(pending.iter().map(|p| (p.key.1, p.key.0)));
         self.ext_ids.truncate(base);
         self.ext_ids.append(&mut ext_ids);
-        self.log_offsets.truncate(base + 1);
-        self.log_offsets.append(&mut log_off);
-        self.log.truncate(log_base);
-        self.log.append(&mut log);
         self.touched.extend(touched);
         self.sharing.postings_copied += copied;
         self.sharing.postings_shared += items - copied;
@@ -675,11 +671,35 @@ fn lower_bound(len: usize, key_at: impl Fn(usize) -> Key, key: Key) -> usize {
     lo
 }
 
-/// The items of time-ordered `clicks`, each at its first occurrence. A linear
-/// scan per click, as in [`SessionIndex::build`]: the median session is short.
-fn first_occurrences(clicks: &[LogEntry]) -> impl Iterator<Item = ItemId> + '_ {
-    let first = |&(k, &(_, item)): &(usize, &LogEntry)| clicks[..k].iter().all(|c| c.1 != item);
-    clicks.iter().enumerate().filter(first).map(|(_, &(_, item))| item)
+/// `true` if every row of `index` is the set of items its session clicks in
+/// `seed`, each session's rank given by its external id: each click finds
+/// its item in its session's row and marks that entry, and every entry ends
+/// up marked — one bit an entry.
+fn rows_hold_exactly(index: &SessionIndex, seed: &[Click], rank_of: &FxHashMap<u64, u64>) -> bool {
+    // Where each row starts among all the entries.
+    let mut starts = Vec::with_capacity(index.num_sessions());
+    let entries = (0..index.num_sessions() as SessionId).fold(0, |at, rank| {
+        starts.push(at);
+        at + index.session_slots(rank).len()
+    });
+    let mut marked = vec![0u64; entries.div_ceil(64)];
+    // A chunk's ranks are looked up before its rows are read, so that the
+    // lookups overlap, and then the rows they lead to.
+    let mut ranks = [0; 16];
+    for chunk in seed.chunks(ranks.len()) {
+        for (rank, c) in ranks.iter_mut().zip(chunk) {
+            *rank = rank_of[&c.session_id] as usize;
+        }
+        for (&rank, c) in ranks.iter().zip(chunk) {
+            let row = index.session_items(rank as SessionId);
+            let Some(at) = row.iter().position(|item| item == c.item_id) else {
+                return false;
+            };
+            let entry = starts[rank] + at;
+            marked[entry / 64] |= 1 << (entry % 64);
+        }
+    }
+    marked.iter().map(|word| word.count_ones() as usize).sum::<usize>() == entries
 }
 
 /// Appends to `out` the first `want` ids of two descending id streams,
@@ -715,6 +735,13 @@ mod tests {
             out.push(Click::new(s, (s + 2) % 6, ts + 1));
         }
         out
+    }
+
+    /// Keeps `log`, a model of the traffic fed to `inc`, to the sessions
+    /// `inc` still holds: the log its index must be the build of.
+    fn prune(log: &mut Vec<Click>, inc: &IncrementalIndexer) {
+        let held: FxHashSet<u64> = inc.session_ids().iter().copied().collect();
+        log.retain(|c| held.contains(&c.session_id));
     }
 
     fn assert_same(a: &SessionIndex, b: &SessionIndex) {
@@ -839,7 +866,10 @@ mod tests {
         let served = SessionIndex::build(&seed, 7).unwrap();
         let mut inc = IncrementalIndexer::new(7).unwrap();
         assert!(inc.adopt(&served, &seed));
-        assert_eq!((inc.num_sessions(), inc.retained_clicks()), (39, seed.len()));
+        assert_eq!((inc.num_sessions(), inc.retained_session_items()), (39, seed.len()));
+        let mut by_rank: Vec<u64> = (1..40).collect();
+        by_rank.sort_by_key(|&s| (1_000 + s * 10 + 1, s));
+        assert_eq!(inc.session_ids(), &by_rank[..]);
         let held = inc.snapshot().unwrap();
         for item in served.items() {
             assert!(std::ptr::eq(served.postings(item).unwrap(), held.postings(item).unwrap()));
@@ -851,7 +881,6 @@ mod tests {
         let log: Vec<Click> =
             seed.iter().chain(&more).filter(|c| c.session_id != 17).copied().collect();
         assert_same(&inc.snapshot().unwrap(), &SessionIndex::build(&log, 7).unwrap());
-        assert_same(&inc.snapshot().unwrap(), &SessionIndex::build(&inc.retained_log(), 7).unwrap());
     }
 
     #[test]
@@ -860,15 +889,29 @@ mod tests {
         let served = SessionIndex::build(&seed, 7).unwrap();
         let mut other_items = seed.clone();
         other_items[3].item_id += 1;
+        // Session 5 clicks items 5 and 1 at 1_050 and 1_051.
+        let mut one_more_item = seed.clone();
+        one_more_item.push(Click::new(5, 3, 1_050)); // the row misses item 3
+        let one_item_less: Vec<Click> =
+            seed.iter().filter(|c| (c.session_id, c.timestamp) != (5, 1_050)).copied().collect();
+        let mut unknown_session = seed.clone();
+        unknown_session.push(Click::new(77, 1, 1_000)); // a session the index lacks
+        let mut later = seed.clone();
+        later.iter_mut().filter(|c| c.timestamp == 1_051).for_each(|c| c.timestamp += 1);
         let refused = [
             (IncrementalIndexer::new(8).unwrap(), &seed[..]), // another m_max
             (IncrementalIndexer::new(7).unwrap(), &seed[2..]), // another session set
             (IncrementalIndexer::new(7).unwrap(), &other_items[..]), // another item list
-            (IncrementalIndexer::with_retained_clicks_cap(7, 10).unwrap(), &seed[..]), // too long
+            (IncrementalIndexer::new(7).unwrap(), &one_more_item[..]), // a row missing an item
+            (IncrementalIndexer::new(7).unwrap(), &one_item_less[..]), // a row with an extra one
+            (IncrementalIndexer::new(7).unwrap(), &unknown_session[..]),
+            (IncrementalIndexer::new(7).unwrap(), &later[..]), // a timestamp off by one
+            (IncrementalIndexer::with_retained_session_items_cap(7, 10).unwrap(), &seed[..]),
         ];
         for (mut inc, log) in refused {
             assert!(!inc.adopt(&served, log));
-            assert_eq!((inc.num_sessions(), inc.retained_clicks()), (0, 0));
+            assert_eq!((inc.num_sessions(), inc.retained_session_items()), (0, 0));
+            assert!(inc.session_ids().is_empty());
             // The refusal leaves a working empty indexer behind.
             inc.apply_batch(&seed[..4]).unwrap();
             assert_eq!(inc.num_sessions(), 2);
@@ -876,6 +919,67 @@ mod tests {
         let mut used = IncrementalIndexer::new(7).unwrap();
         used.apply_batch(&seed[..2]).unwrap();
         assert!(!used.adopt(&served, &seed), "only a fresh indexer adopts");
+    }
+
+    /// `index` with every row in the order of its session's first clicks in
+    /// `seed`, as artefacts were written before rows were canonical.
+    fn rows_in_first_click_order(index: &SessionIndex, seed: &[Click]) -> SessionIndex {
+        let runs = SessionRuns::group(seed, 1);
+        let segments: Vec<Arc<Segment>> = (index.segments().iter().enumerate())
+            .map(|(k, segment)| {
+                let (mut offsets, mut slots) = (vec![0u32], Vec::new());
+                for row in 0..segment.len() {
+                    for &(_, item) in runs.run(k * SEGMENT_SESSIONS + row) {
+                        let slot = index.item_slot(item).unwrap();
+                        if !slots[offsets[row] as usize..].contains(&slot) {
+                            slots.push(slot);
+                        }
+                    }
+                    offsets.push(slots.len() as u32);
+                }
+                let timestamps = (0..segment.len()).map(|row| segment.timestamp(row)).collect();
+                Arc::new(Segment::new(timestamps, offsets.into(), slots.into()))
+            })
+            .collect();
+        let (table, arenas) = (index.posting_table().clone(), index.arenas().into());
+        let slot_items = Arc::clone(index.slot_items());
+        SessionIndex::from_generation(table, arenas, segments.into(), slot_items, index.m_max())
+    }
+
+    #[test]
+    fn adopt_takes_over_an_index_whose_rows_keep_first_clicks() {
+        use serenade_core::{VmisConfig, VmisKnn};
+        let config = VmisConfig { m: 7, how_many: 6, ..VmisConfig::default() };
+        let sessions = [&[0][..], &[4], &[5, 1], &[1, 5], &[2, 0, 4], &[3, 3, 5]];
+        let assert_agree = |a: SessionIndex, b: SessionIndex| {
+            let a = VmisKnn::new(a, config.clone()).unwrap();
+            let b = VmisKnn::new(b, config.clone()).unwrap();
+            for session in sessions {
+                assert_eq!(a.recommend(session), b.recommend(session), "{session:?}");
+            }
+        };
+        // Sessions 4, 5, 10, 11, … click an item, then one with a smaller id.
+        // Their artefact, as written before rows were canonical, loads and
+        // answers as the build does.
+        let seed = batch(1..40, 1_000);
+        let built = SessionIndex::build(&seed, 7).unwrap();
+        let mut artefact = Vec::new();
+        crate::write_index(&rows_in_first_click_order(&built, &seed), &mut artefact).unwrap();
+        let legacy = crate::read_index(&artefact).unwrap();
+        assert_eq!(legacy.session_items(3), &[4, 0], "session 4, rank 3");
+        assert_agree(legacy.clone(), built);
+        let mut inc = IncrementalIndexer::new(7).unwrap();
+        assert!(inc.adopt(&legacy, &seed));
+        // One merge: session 4 reappears and is re-ranked from its row, and
+        // a new session lands on top of the untouched legacy rows.
+        let more = [Click::new(4, 2, 9_000), Click::new(90, 5, 9_001), Click::new(90, 0, 9_002)];
+        inc.apply_batch(&more).unwrap();
+        let mut log = seed;
+        log.extend_from_slice(&more);
+        let live = inc.snapshot().unwrap();
+        assert_eq!(live.session_items(38), &[0, 2, 4], "session 4, re-ranked");
+        assert_eq!(live.session_items(3), &[5, 1], "session 5 keeps its legacy row");
+        assert_agree(live, SessionIndex::build(&log, 7).unwrap());
     }
 
     #[test]
@@ -892,7 +996,7 @@ mod tests {
     #[test]
     fn zero_capacity_is_rejected() {
         assert!(IncrementalIndexer::new(0).is_err());
-        assert!(IncrementalIndexer::with_retained_clicks_cap(5, 0).is_err());
+        assert!(IncrementalIndexer::with_retained_session_items_cap(5, 0).is_err());
     }
 
     #[test]
@@ -908,45 +1012,54 @@ mod tests {
     }
 
     #[test]
-    fn retained_click_log_is_bounded() {
-        // 200 append-only batches of 2 clicks against a 40-click cap: the
-        // log (and the indexed session count) must stay bounded instead of
-        // growing linearly with traffic.
+    fn retained_session_items_are_bounded() {
+        // 200 append-only batches of 2 items against a 40-entry cap: the
+        // index (and the indexed session count) must stay bounded instead
+        // of growing linearly with traffic.
         let cap = 40;
-        let mut inc = IncrementalIndexer::with_retained_clicks_cap(6, cap).unwrap();
+        let mut inc = IncrementalIndexer::with_retained_session_items_cap(6, cap).unwrap();
         for s in 1..=200u64 {
             inc.apply_batch(&[Click::new(s, s % 6, s * 10), Click::new(s, (s + 2) % 6, s * 10 + 1)])
                 .unwrap();
             assert!(
-                inc.retained_clicks() <= cap,
-                "log grew to {} clicks after session {s}",
-                inc.retained_clicks()
+                inc.retained_session_items() <= cap,
+                "the index grew to {} session items after session {s}",
+                inc.retained_session_items()
             );
         }
         assert!(inc.compaction_count() > 0, "the cap must have been enforced");
-        assert!(inc.num_sessions() <= cap, "indexed sessions follow the retained log");
+        assert_eq!(inc.num_sessions(), cap / 2, "the newest sessions that fit");
+        // Repeated items count once: a session of 8 clicks over 2 items
+        // holds 2 entries.
+        let repeats: Vec<Click> = (0..8).map(|i| Click::new(500, i % 2, 10_000 + i)).collect();
+        inc.apply_batch(&repeats).unwrap();
+        assert_eq!(inc.retained_session_items(), cap);
     }
 
     #[test]
-    fn retention_compaction_keeps_snapshot_consistent_with_retained_log() {
-        let mut inc = IncrementalIndexer::with_retained_clicks_cap(4, 30).unwrap();
+    fn retention_compaction_keeps_snapshot_the_build_of_the_held_sessions() {
+        let mut inc = IncrementalIndexer::with_retained_session_items_cap(4, 30).unwrap();
+        let mut log = Vec::new();
         for s in 1..=100u64 {
-            inc.apply_batch(&[Click::new(s, s % 5, s * 10), Click::new(s, (s + 1) % 5, s * 10 + 1)])
-                .unwrap();
+            let b = [Click::new(s, s % 5, s * 10), Click::new(s, (s + 1) % 5, s * 10 + 1)];
+            inc.apply_batch(&b).unwrap();
+            log.extend_from_slice(&b);
+            prune(&mut log, &inc);
         }
         assert!(inc.compaction_count() > 0);
         // The documented sliding-window contract: the snapshot equals a
         // from-scratch build over exactly the retained suffix of the log.
-        let reference = SessionIndex::build(&inc.retained_log(), 4).unwrap();
+        assert_eq!(log.len(), 30);
+        let reference = SessionIndex::build(&log, 4).unwrap();
         assert_same(&inc.snapshot().unwrap(), &reference);
     }
 
     #[test]
     fn stranded_slots_stay_bounded_under_catalogue_turnover() {
         use serenade_core::{VmisConfig, VmisKnn};
-        let agrees_with_a_build = |inc: &IncrementalIndexer, m_max: usize| {
+        let agrees_with_a_build = |inc: &IncrementalIndexer, log: &[Click], m_max: usize| {
             let live = inc.snapshot().unwrap();
-            let built = SessionIndex::build(&inc.retained_log(), m_max).unwrap();
+            let built = SessionIndex::build(log, m_max).unwrap();
             assert_same(&live, &built);
             let config = VmisConfig { m: m_max, ..VmisConfig::default() };
             let last = live.num_sessions() as SessionId - 1;
@@ -959,11 +1072,15 @@ mod tests {
         // A window of 30 sessions sliding over ever-new items, twenty
         // catalogues' worth: every batch ends in a retention merge from rank
         // 0, which numbers the slots afresh.
-        let mut inc = IncrementalIndexer::with_retained_clicks_cap(5, 60).unwrap();
+        let mut inc = IncrementalIndexer::with_retained_session_items_cap(5, 60).unwrap();
+        let mut log = Vec::new();
         for s in 0..600u64 {
-            inc.apply_batch(&[Click::new(s, s, s * 10), Click::new(s, s + 1, s * 10 + 1)]).unwrap();
+            let b = [Click::new(s, s, s * 10), Click::new(s, s + 1, s * 10 + 1)];
+            inc.apply_batch(&b).unwrap();
+            log.extend_from_slice(&b);
+            prune(&mut log, &inc);
             assert_eq!(inc.snapshot().unwrap().dead_slots(), 0, "after session {s}");
-            agrees_with_a_build(&inc, 5);
+            agrees_with_a_build(&inc, &log, 5);
         }
         assert!(inc.compaction_count() > 500);
         // No cap, and the turnover at the recent end, where no merge starts
@@ -975,6 +1092,7 @@ mod tests {
             (0..40u64).flat_map(|s| [Click::new(s, s, 1_000 + s), Click::new(s, s + 1, 1_000 + s)]).collect();
         inc.apply_batch(&lasting).unwrap();
         inc.take_sharing();
+        let log = lasting;
         for s in 100..500u64 {
             inc.apply_batch(&[Click::new(s, 2 * s, s * 10_000), Click::new(s, 2 * s + 1, s * 10_000)])
                 .unwrap();
@@ -986,7 +1104,7 @@ mod tests {
                 live.dead_slots(),
                 live.num_items()
             );
-            agrees_with_a_build(&inc, 5);
+            agrees_with_a_build(&inc, &log, 5);
         }
         // The renumbering merges are the only ones that started at rank 0.
         let sharing = inc.take_sharing();
@@ -1005,6 +1123,7 @@ mod tests {
             .flat_map(|s| [Click::new(s, s, 1_000 + s), Click::new(s, 100 + s % 3, 1_000 + s)])
             .collect();
         inc.apply_batch(&lasting).unwrap();
+        let mut log = lasting;
         let live = inc.snapshot().unwrap().posting_entries();
         let (mut died, mut compactions) = (0, 0);
         for s in 100u64.. {
@@ -1012,10 +1131,11 @@ mod tests {
                 break;
             }
             let before = inc.snapshot().unwrap();
-            let hot = [100, 101, 102];
-            inc.apply_batch(&hot.map(|item| Click::new(s, item, s * 10))).unwrap();
+            let hot = [100, 101, 102].map(|item| Click::new(s, item, s * 10));
+            inc.apply_batch(&hot).unwrap();
+            log.extend_from_slice(&hot);
             let after = inc.snapshot().unwrap();
-            died += hot.iter().map(|&item| before.postings(item).unwrap().len()).sum::<usize>();
+            died += hot.iter().map(|c| before.postings(c.item_id).unwrap().len()).sum::<usize>();
             let (dead, dead_before) = (after.dead_posting_entries(), before.dead_posting_entries());
             compactions += usize::from(dead < dead_before);
             assert!(
@@ -1023,18 +1143,20 @@ mod tests {
                 "{dead} dead entries beside {} live after session {s}",
                 after.posting_entries()
             );
-            assert_same(&after, &SessionIndex::build(&inc.retained_log(), 5).unwrap());
+            assert_same(&after, &SessionIndex::build(&log, 5).unwrap());
         }
         assert!(compactions >= 5, "{compactions} compactions");
         // Sessions of new items only: no entry dies, yet the arenas — one a
         // merge — are compacted before they pass their cap.
         for s in 1_000..1_000 + 2 * MAX_ARENAS as u64 {
-            inc.apply_batch(&[Click::new(s, 10_000 + s, s * 100)]).unwrap();
+            let new_item = Click::new(s, 10_000 + s, s * 100);
+            inc.apply_batch(&[new_item]).unwrap();
+            log.push(new_item);
             let live = inc.snapshot().unwrap();
             assert!(live.arenas().len() <= MAX_ARENAS, "{} arenas", live.arenas().len());
             assert_eq!(live.postings(10_000 + s).unwrap(), &[live.num_sessions() as SessionId - 1]);
         }
-        let built = SessionIndex::build(&inc.retained_log(), 5).unwrap();
+        let built = SessionIndex::build(&log, 5).unwrap();
         assert_same(&inc.snapshot().unwrap(), &built);
     }
 
@@ -1090,21 +1212,27 @@ mod tests {
         // Delete a session that retention would also drop: neither path may
         // double-remove or resurrect it, and the sliding-window contract
         // must keep holding afterwards.
-        let mut inc = IncrementalIndexer::with_retained_clicks_cap(5, 20).unwrap();
+        let mut inc = IncrementalIndexer::with_retained_session_items_cap(5, 20).unwrap();
+        let mut log = Vec::new();
+        let mut feed = |inc: &mut IncrementalIndexer, s: u64| {
+            let b = [Click::new(s, s % 4, s * 10), Click::new(s, (s + 1) % 4, s * 10 + 1)];
+            inc.apply_batch(&b).unwrap();
+            log.extend_from_slice(&b);
+            prune(&mut log, inc);
+        };
         for s in 1..=10u64 {
-            inc.apply_batch(&[Click::new(s, s % 4, s * 10), Click::new(s, (s + 1) % 4, s * 10 + 1)])
-                .unwrap();
+            feed(&mut inc, s);
         }
         // Session 9 is still retained; delete it, then push more traffic so
         // retention compacts around the hole.
         assert!(inc.delete_session(9).unwrap());
         for s in 11..=30u64 {
-            inc.apply_batch(&[Click::new(s, s % 4, s * 10), Click::new(s, (s + 1) % 4, s * 10 + 1)])
-                .unwrap();
+            feed(&mut inc, s);
         }
         assert!(inc.compaction_count() > 0);
-        assert!(inc.retained_log().iter().all(|c| c.session_id != 9));
-        let reference = SessionIndex::build(&inc.retained_log(), 5).unwrap();
+        assert!(!inc.session_ids().contains(&9));
+        prune(&mut log, &inc);
+        let reference = SessionIndex::build(&log, 5).unwrap();
         assert_same(&inc.snapshot().unwrap(), &reference);
     }
 
@@ -1114,7 +1242,7 @@ mod tests {
         inc.apply_batch(&[Click::new(1, 0, 100), Click::new(1, 1, 101)]).unwrap();
         assert!(inc.delete_session(1).unwrap());
         assert_eq!(inc.num_sessions(), 0);
-        assert_eq!(inc.retained_clicks(), 0);
+        assert_eq!(inc.retained_session_items(), 0);
         assert!(inc.snapshot().is_err(), "empty index has no snapshot");
         // The indexer keeps working after emptying out.
         inc.apply_batch(&[Click::new(2, 2, 200)]).unwrap();
@@ -1169,11 +1297,11 @@ mod tests {
     #[test]
     fn single_oversized_session_is_kept_whole() {
         // One session bigger than the cap: retention never splits a session
-        // and always keeps the newest, so the log may exceed the cap here.
-        let mut inc = IncrementalIndexer::with_retained_clicks_cap(5, 3).unwrap();
+        // and always keeps the newest, so the index may exceed the cap here.
+        let mut inc = IncrementalIndexer::with_retained_session_items_cap(5, 3).unwrap();
         let b: Vec<Click> = (0..6).map(|i| Click::new(1, i, 100 + i)).collect();
         inc.apply_batch(&b).unwrap();
-        assert_eq!(inc.retained_clicks(), 6);
+        assert_eq!(inc.retained_session_items(), 6);
         assert_eq!(inc.num_sessions(), 1);
     }
 }

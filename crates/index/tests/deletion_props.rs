@@ -17,7 +17,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use serenade_core::{Click, SessionIndex, VmisConfig, VmisKnn};
+use serenade_core::{Click, FxHashSet, SessionIndex, VmisConfig, VmisKnn};
 use serenade_index::{changed_items, IncrementalIndexer, TouchedItems};
 
 /// Random click logs: small id spaces force collisions (shared items across
@@ -45,15 +45,31 @@ fn config_strategy() -> impl Strategy<Value = VmisConfig> {
     )
 }
 
-/// Feeds the log to the indexer in batches split at arbitrary points.
-fn apply_split(inc: &mut IncrementalIndexer, clicks: &[Click], splits: &[usize]) {
+/// The log split at arbitrary points.
+fn batches<'a>(clicks: &'a [Click], splits: &[usize]) -> Vec<&'a [Click]> {
+    let mut out = Vec::new();
     let mut start = 0;
     for &cut in splits {
         let end = cut.min(clicks.len()).max(start);
-        inc.apply_batch(&clicks[start..end]).expect("batch applies");
+        out.push(&clicks[start..end]);
         start = end;
     }
-    inc.apply_batch(&clicks[start..]).expect("final batch applies");
+    out.push(&clicks[start..]);
+    out
+}
+
+/// Feeds the log to the indexer in batches split at arbitrary points.
+fn apply_split(inc: &mut IncrementalIndexer, clicks: &[Click], splits: &[usize]) {
+    for batch in batches(clicks, splits) {
+        inc.apply_batch(batch).expect("batch applies");
+    }
+}
+
+/// Keeps `model`, the traffic fed to `inc`, to the sessions `inc` still
+/// holds: the log its index must be the build of.
+fn prune(model: &mut Vec<Click>, inc: &IncrementalIndexer) {
+    let held: FxHashSet<u64> = inc.session_ids().iter().copied().collect();
+    model.retain(|c| held.contains(&c.session_id));
 }
 
 /// Asserts the two indexes are structurally identical.
@@ -206,17 +222,24 @@ proptest! {
         // With a retention cap in play, a delete must still leave the index
         // equal to a from-scratch build over exactly the retained log (which
         // never contains the victim).
-        let mut inc = IncrementalIndexer::with_retained_clicks_cap(m_max, cap)
+        let mut inc = IncrementalIndexer::with_retained_session_items_cap(m_max, cap)
             .expect("valid cap");
-        apply_split(&mut inc, &clicks, &splits);
+        // The model of the retained log, pruned after every call.
+        let mut model = Vec::new();
+        for batch in batches(&clicks, &splits) {
+            inc.apply_batch(batch).expect("batch applies");
+            model.extend_from_slice(batch);
+            prune(&mut model, &inc);
+            prop_assert!(inc.retained_session_items() <= cap || inc.num_sessions() == 1);
+        }
         inc.delete_session(victim).expect("delete applies");
-        prop_assert!(inc.retained_log().iter().all(|c| c.session_id != victim));
-        if inc.retained_log().is_empty() {
+        prop_assert!(!inc.session_ids().contains(&victim));
+        prune(&mut model, &inc);
+        if model.is_empty() {
             prop_assert!(inc.snapshot().is_err());
             return Ok(());
         }
-        let reference =
-            SessionIndex::build(&inc.retained_log(), m_max).expect("non-empty log");
+        let reference = SessionIndex::build(&model, m_max).expect("non-empty log");
         assert_same(&inc.snapshot().expect("non-empty"), &reference)?;
     }
 }

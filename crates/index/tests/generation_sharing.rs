@@ -59,6 +59,13 @@ fn assert_same(a: &SessionIndex, b: &SessionIndex, what: &str) {
     }
 }
 
+/// Keeps `log`, a model of the traffic fed to `inc`, to the sessions `inc`
+/// still holds: the log its index must be the build of.
+fn prune(log: &mut Vec<Click>, inc: &IncrementalIndexer) {
+    let held: FxHashSet<u64> = inc.session_ids().iter().copied().collect();
+    log.retain(|c| held.contains(&c.session_id));
+}
+
 /// Postings of `next` that are the very same entries in memory as in `prev`.
 fn shared_postings(prev: &SessionIndex, next: &SessionIndex) -> usize {
     next.items()
@@ -83,7 +90,9 @@ fn shared_segments(prev: &SessionIndex, next: &SessionIndex) -> usize {
 fn a_held_generation_never_changes_under_later_merges() {
     const M_MAX: usize = 4; // small: hot postings truncate, deletes refill them
     let mut rng = Rng(7);
-    let mut inc = IncrementalIndexer::with_retained_clicks_cap(M_MAX, 300).unwrap();
+    let mut inc = IncrementalIndexer::with_retained_session_items_cap(M_MAX, 300).unwrap();
+    // The model of the retained log, pruned after every call.
+    let mut log: Vec<Click> = Vec::new();
     // (generation, the retained log it is the index of)
     let mut held: Vec<(SessionIndex, Vec<Click>)> = Vec::new();
     let mut next_session = 1u64;
@@ -101,6 +110,7 @@ fn a_held_generation_never_changes_under_later_merges() {
                     next_session += 1;
                 }
                 inc.apply_batch(&batch).unwrap();
+                log.extend(batch);
             }
             // Indexed sessions reappear, some with clicks older than their own.
             4..=5 => {
@@ -114,6 +124,7 @@ fn a_held_generation_never_changes_under_later_merges() {
                     })
                     .collect();
                 inc.apply_batch(&batch).unwrap();
+                log.extend(batch);
             }
             // An out-of-order batch: new sessions far below the newest.
             6..=7 => {
@@ -122,21 +133,23 @@ fn a_held_generation_never_changes_under_later_merges() {
                     .collect();
                 next_session += 2;
                 inc.apply_batch(&batch).unwrap();
+                log.extend(batch);
             }
             // A delete, of a live session more often than not.
             _ => {
                 inc.delete_session(1 + rng.next(next_session)).unwrap();
             }
         }
+        prune(&mut log, &inc);
         if let Ok(generation) = inc.snapshot() {
-            let reference = SessionIndex::build(&inc.retained_log(), M_MAX).unwrap();
+            let reference = SessionIndex::build(&log, M_MAX).unwrap();
             assert_same(
                 &generation,
                 &reference,
                 &format!("step {step}, current generation"),
             );
             if step % 6 == 0 {
-                held.push((generation, inc.retained_log()));
+                held.push((generation, log.clone()));
             }
         }
     }
@@ -294,22 +307,25 @@ fn two_click_log(sessions: u64) -> Vec<Click> {
 fn segments_below_the_first_changed_rank_are_shared_wherever_it_falls() {
     const M_MAX: usize = 20;
     const SEG: u64 = SEGMENT_SESSIONS as u64;
-    let check = |inc: &IncrementalIndexer, what: &str| {
+    let check = |inc: &IncrementalIndexer, log: &mut Vec<Click>, what: &str| {
+        prune(log, inc);
         let generation = inc.snapshot().unwrap();
-        let reference = SessionIndex::build(&inc.retained_log(), M_MAX).unwrap();
+        let reference = SessionIndex::build(log, M_MAX).unwrap();
         assert_same(&generation, &reference, what);
         generation
     };
     // Three segments, all full: the first changed rank of an append is 3·SEG,
     // exactly a segment edge, so nothing is written over again.
     let mut inc = IncrementalIndexer::new(M_MAX).unwrap();
-    inc.apply_batch(&two_click_log(3 * SEG)).unwrap();
-    let g0 = check(&inc, "seed");
+    let mut log = two_click_log(3 * SEG);
+    inc.apply_batch(&log).unwrap();
+    let g0 = check(&inc, &mut log, "seed");
     assert_eq!(g0.segments().len(), 3);
     inc.take_sharing();
-    inc.apply_batch(&[Click::new(3 * SEG, 7, 1_000 + 3 * SEG)])
-        .unwrap();
-    let g1 = check(&inc, "append on a segment edge");
+    let append = Click::new(3 * SEG, 7, 1_000 + 3 * SEG);
+    inc.apply_batch(&[append]).unwrap();
+    log.push(append);
+    let g1 = check(&inc, &mut log, "append on a segment edge");
     assert_eq!((shared_segments(&g0, &g1), g1.segments().len()), (3, 4));
     let sharing = inc.take_sharing();
     assert_eq!((sharing.segments_shared, sharing.segments_copied), (3, 1));
@@ -317,7 +333,7 @@ fn segments_below_the_first_changed_rank_are_shared_wherever_it_falls() {
     // A delete in the middle: rank SEG + 10 goes, every later session moves
     // down one rank, the first segment is untouched.
     assert!(inc.delete_session(SEG + 10).unwrap());
-    let g2 = check(&inc, "delete in the second segment");
+    let g2 = check(&inc, &mut log, "delete in the second segment");
     assert_eq!((shared_segments(&g1, &g2), g2.segments().len()), (1, 3));
     assert_eq!(g2.session_items((2 * SEG) as SessionId), g1.session_items((2 * SEG + 1) as SessionId));
     let sharing = inc.take_sharing();
@@ -327,13 +343,15 @@ fn segments_below_the_first_changed_rank_are_shared_wherever_it_falls() {
     // A delete of the first session of a segment: that segment is the first
     // one written.
     assert!(inc.delete_session(2 * SEG + 1).unwrap()); // rank 2·SEG since the delete above
-    let g3 = check(&inc, "delete on a segment edge");
+    let g3 = check(&inc, &mut log, "delete on a segment edge");
     assert_eq!(shared_segments(&g2, &g3), 2);
     assert_eq!(inc.take_sharing().ranks_unchanged, 2 * SEG);
 
     // The first changed rank is 0: nothing is shared.
-    inc.apply_batch(&[Click::new(9 * SEG, 7, 1)]).unwrap();
-    let g4 = check(&inc, "backfill below everything");
+    let backfill = Click::new(9 * SEG, 7, 1);
+    inc.apply_batch(&[backfill]).unwrap();
+    log.push(backfill);
+    let g4 = check(&inc, &mut log, "backfill below everything");
     assert_eq!(shared_segments(&g3, &g4), 0);
     let sharing = inc.take_sharing();
     assert_eq!((sharing.ranks_unchanged, sharing.segments_shared, sharing.segments_copied), (0, 0, 3));
@@ -348,8 +366,10 @@ fn retention_eating_into_the_oldest_segment_rewrites_every_segment() {
     const M_MAX: usize = 20;
     const SEG: u64 = SEGMENT_SESSIONS as u64;
     // Room for two and a half segments of two-click sessions.
-    let mut inc = IncrementalIndexer::with_retained_clicks_cap(M_MAX, 5 * SEGMENT_SESSIONS).unwrap();
-    inc.apply_batch(&two_click_log(2 * SEG + SEG / 2)).unwrap();
+    let mut inc =
+        IncrementalIndexer::with_retained_session_items_cap(M_MAX, 5 * SEGMENT_SESSIONS).unwrap();
+    let mut log = two_click_log(2 * SEG + SEG / 2);
+    inc.apply_batch(&log).unwrap();
     let g0 = inc.snapshot().unwrap();
     assert_eq!((inc.compaction_count(), g0.segments().len()), (0, 3));
     inc.take_sharing();
@@ -366,7 +386,9 @@ fn retention_eating_into_the_oldest_segment_rewrites_every_segment() {
     let sharing = inc.take_sharing();
     assert_eq!((sharing.segments_shared, sharing.segments_copied), (2, 1 + 3));
     assert_eq!(sharing.ranks_unchanged, g0.num_sessions() as u64);
-    let reference = SessionIndex::build(&inc.retained_log(), M_MAX).unwrap();
+    log.extend_from_slice(&more);
+    prune(&mut log, &inc);
+    let reference = SessionIndex::build(&log, M_MAX).unwrap();
     assert_same(&g1, &reference, "after retention");
     assert_same(&g0, &SessionIndex::build(&two_click_log(2 * SEG + SEG / 2), M_MAX).unwrap(), "held");
 }
@@ -388,37 +410,40 @@ fn an_item_that_leaves_and_returns_takes_a_fresh_slot() {
     const M_MAX: usize = 20;
     const SEG: u64 = SEGMENT_SESSIONS as u64;
     const ITEM: ItemId = 9_999;
-    let check = |inc: &IncrementalIndexer, what: &str| {
+    let check = |inc: &IncrementalIndexer, log: &mut Vec<Click>, what: &str| {
+        prune(log, inc);
         let generation = inc.snapshot().unwrap();
-        let log = inc.retained_log();
-        assert_same(&generation, &SessionIndex::build(&log, M_MAX).unwrap(), what);
-        (generation, log)
+        assert_same(&generation, &SessionIndex::build(log, M_MAX).unwrap(), what);
+        (generation, log.clone())
     };
     // Two full segments of lasting sessions, then the item arrives at the
     // recent end...
     let mut inc = IncrementalIndexer::new(M_MAX).unwrap();
-    inc.apply_batch(&two_click_log(2 * SEG)).unwrap();
+    let mut log = two_click_log(2 * SEG);
+    inc.apply_batch(&log).unwrap();
     let arrival = [Click::new(5 * SEG, ITEM, 10_000 * SEG), Click::new(5 * SEG, 3, 10_000 * SEG)];
     inc.apply_batch(&arrival).unwrap();
-    let (g0, log0) = check(&inc, "the item arrives");
+    log.extend_from_slice(&arrival);
+    let (g0, log0) = check(&inc, &mut log, "the item arrives");
     let first = g0.item_slot(ITEM).unwrap();
 
     // ...leaves with its only session, stranding its slot...
     assert!(inc.delete_session(5 * SEG).unwrap());
-    let (g1, _) = check(&inc, "the item leaves");
+    let (g1, _) = check(&inc, &mut log, "the item leaves");
     assert_eq!((g1.item_slot(ITEM), g1.dead_slots()), (None, 1));
     assert_eq!(g1.slot_items()[first as usize], ITEM, "a stranded slot keeps its entry");
     assert_shared_slots_stable(&g0, &g1);
 
     // ...and returns in a later batch, beside an item that is new too: both
     // are given slots past every one the table held, none is handed on.
-    inc.apply_batch(&[
+    let returns = [
         Click::new(6 * SEG, 7, 20_000 * SEG),
         Click::new(6 * SEG, ITEM, 20_000 * SEG),
         Click::new(6 * SEG, ITEM + 1, 20_000 * SEG),
-    ])
-    .unwrap();
-    let (g2, _) = check(&inc, "the item returns");
+    ];
+    inc.apply_batch(&returns).unwrap();
+    log.extend_from_slice(&returns);
+    let (g2, _) = check(&inc, &mut log, "the item returns");
     let (again, new) = (g2.item_slot(ITEM).unwrap(), g2.item_slot(ITEM + 1).unwrap());
     let held = g1.slot_items().len() as u32;
     assert!(again >= held && new >= held && again != new, "{first} → {again}, {new}");

@@ -4,11 +4,13 @@
 //! (`serenade_core::index`, "The id is the recency key"). That is sound only
 //! while every producer numbers sessions in ascending `(timestamp, external
 //! id)` order and writes every posting strictly descending. This suite holds
-//! each of them to it against an expectation derived from nothing but the
-//! click log: `SessionIndex::build`, `build_parallel`, a `binfmt` round trip,
-//! and every generation an `IncrementalIndexer` emits under appends,
-//! reappearing sessions, out-of-order batches, deletes and retention drops —
-//! with timestamps that tie four ways as often as not. The build is also
+//! each of them to it, and every row to its canonical order (distinct items,
+//! ascending), against an expectation derived from nothing but the click
+//! log: `SessionIndex::build`, `build_parallel`, a `binfmt` round trip, and
+//! every generation an `IncrementalIndexer` emits under appends, reappearing
+//! sessions, out-of-order batches, deletes and retention drops — the log it
+//! was fed, pruned after every call to the sessions it still holds — with
+//! timestamps that tie four ways as often as not. The build is also
 //! held to it at posting caps 1, 2 and 500 and at 1, 2, 3 and 8 threads,
 //! and its artefact to pinned bytes.
 //!
@@ -22,7 +24,7 @@ use std::collections::BTreeMap;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use serenade_core::index::SEGMENT_SESSIONS;
-use serenade_core::{Click, ItemId, SessionId, SessionIndex, VmisConfig, VmisKnn};
+use serenade_core::{Click, FxHashSet, ItemId, SessionId, SessionIndex, VmisConfig, VmisKnn};
 use serenade_dataset::{generate, split_last_days, SyntheticConfig};
 use serenade_index::{build_parallel, read_index, write_index, BuilderConfig, IncrementalIndexer};
 
@@ -47,7 +49,8 @@ fn clicks_strategy() -> impl Strategy<Value = Vec<Click>> {
 }
 
 /// The sessions of `log` as `(timestamp, external id, items)` in the order
-/// dense ids must be assigned in.
+/// dense ids must be assigned in, each session's items distinct and
+/// ascending: the canonical row.
 fn ranked(log: &[Click]) -> Vec<(u64, u64, Vec<ItemId>)> {
     let mut by_session = BTreeMap::<u64, Vec<(u64, ItemId)>>::new();
     for c in log {
@@ -55,15 +58,12 @@ fn ranked(log: &[Click]) -> Vec<(u64, u64, Vec<ItemId>)> {
     }
     let mut sessions: Vec<_> = by_session
         .into_iter()
-        .map(|(ext, mut clicks)| {
-            clicks.sort_unstable();
-            let mut items = Vec::new();
-            for &(_, item) in &clicks {
-                if !items.contains(&item) {
-                    items.push(item);
-                }
-            }
-            (clicks.last().expect("grouped from a click").0, ext, items)
+        .map(|(ext, clicks)| {
+            let newest = clicks.iter().map(|&(ts, _)| ts).max().expect("grouped from a click");
+            let mut items: Vec<ItemId> = clicks.iter().map(|&(_, item)| item).collect();
+            items.sort_unstable();
+            items.dedup();
+            (newest, ext, items)
         })
         .collect();
     sessions.sort_unstable();
@@ -161,13 +161,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[test]
 fn the_artefact_of_a_synthetic_day_is_pinned_at_every_thread_count() {
     // FNV-1a of `write_index` over the training part of `tiny` at seeds 1–3.
-    // Pinned once for format version 3 (session items as slots, postings in
-    // an arena, the four-lane checksum); the build code did not change with
-    // the format, so these moved with the format alone. Before that, the
-    // version-2 pins held what the hash-grouping builders of earlier
-    // versions wrote.
+    // Re-pinned once when rows became canonical (each session's items in
+    // ascending id, not in the order of their first clicks): the format and
+    // everything else the bytes hold did not change. Before that, pinned
+    // once for format version 3 (session items as slots, postings in an
+    // arena, the four-lane checksum), and the version-2 pins held what the
+    // hash-grouping builders of earlier versions wrote.
     let pinned =
-        [(1, 0x58da_770a_cfe6_1dbc_u64), (2, 0xb8f0_c1eb_736b_9460), (3, 0xe98b_e6a0_aefe_4fed)];
+        [(1, 0x2063_6b37_58e8_0dfc_u64), (2, 0xa7c8_41e0_70ca_c248), (3, 0x4941_1fc3_9582_5969)];
     for (seed, expected) in pinned {
         let clicks = generate(&SyntheticConfig::tiny().with_seed(seed)).clicks;
         let train = split_last_days(&clicks, 1).train;
@@ -187,19 +188,21 @@ fn the_artefact_depends_on_the_content_not_the_slot_numbering() {
     // neither dense nor ascending, yet it writes the bytes of a build of its
     // log, which numbers slots by id.
     let mut inc = IncrementalIndexer::new(10).expect("valid capacity");
-    let lasting: Vec<Click> = (0..40u64)
+    let mut log: Vec<Click> = (0..40u64)
         .flat_map(|s| [Click::new(s, 1 + s % 20, 10 * s), Click::new(s, 1 + s * 7 % 20, 10 * s + 1)])
         .collect();
-    inc.apply_batch(&lasting).expect("batch applies");
+    inc.apply_batch(&log).expect("batch applies");
     inc.apply_batch(&[Click::new(100, 500, 1_000), Click::new(100, 3, 1_001)]).expect("applies");
     assert!(inc.delete_session(100).expect("delete applies"));
-    inc.apply_batch(&[Click::new(101, 500, 2_000), Click::new(101, 0, 2_001)]).expect("applies");
+    let returning = [Click::new(101, 500, 2_000), Click::new(101, 0, 2_001)];
+    inc.apply_batch(&returning).expect("applies");
+    log.extend_from_slice(&returning);
     let live = inc.snapshot().expect("sessions remain");
     let slot_items = live.slot_items();
     assert_eq!(live.dead_slots(), 1, "item 500's first slot is stranded");
     assert!(slot_items.windows(2).any(|w| w[0] > w[1]), "item 0 came last: {slot_items:?}");
 
-    let built = SessionIndex::build(&inc.retained_log(), 10).expect("non-empty log");
+    let built = SessionIndex::build(&log, 10).expect("non-empty log");
     assert_eq!(artefact(&live), artefact(&built));
 }
 
@@ -209,10 +212,12 @@ fn an_item_that_arrives_later_under_a_smaller_id_still_leads_a_score_tie() {
     // 9 and 5 score the same bits (one session each, same similarity, same
     // support), and item 5 — the larger slot in the live index — must lead.
     let mut inc = IncrementalIndexer::new(10).expect("valid capacity");
-    inc.apply_batch(&[Click::new(1, 1, 10), Click::new(1, 9, 11)]).expect("batch applies");
-    inc.apply_batch(&[Click::new(2, 1, 20), Click::new(2, 5, 21)]).expect("batch applies");
+    let log =
+        [Click::new(1, 1, 10), Click::new(1, 9, 11), Click::new(2, 1, 20), Click::new(2, 5, 21)];
+    inc.apply_batch(&log[..2]).expect("batch applies");
+    inc.apply_batch(&log[2..]).expect("batch applies");
     let live = inc.snapshot().expect("two sessions");
-    let built = SessionIndex::build(&inc.retained_log(), 10).expect("two sessions");
+    let built = SessionIndex::build(&log, 10).expect("two sessions");
     assert!(live.item_slot(5) > live.item_slot(9), "a live index numbers by arrival");
     assert!(built.item_slot(5) < built.item_slot(9), "a built index numbers by id");
     // `how_many` 1 decides the tie while selecting, 21 while sorting.
@@ -276,37 +281,44 @@ proptest! {
         m_max in 1usize..8,
         cap in prop_oneof![Just(usize::MAX), 20usize..200],
     ) {
-        let mut inc = IncrementalIndexer::with_retained_clicks_cap(m_max, cap).expect("valid caps");
+        let mut inc =
+            IncrementalIndexer::with_retained_session_items_cap(m_max, cap).expect("valid caps");
+        // The model of the retained log: every click fed, pruned after every
+        // call to the sessions the indexer still holds.
+        let mut log: Vec<Click> = Vec::new();
         let mut newest = 0;
         for op in ops {
             match op {
-                Op::Anywhere(batch) => inc.apply_batch(&batch).expect("batch applies"),
+                Op::Anywhere(batch) => {
+                    inc.apply_batch(&batch).expect("batch applies");
+                    log.extend(batch);
+                }
                 Op::AtRecentEnd(mut batch) => {
                     batch.iter_mut().for_each(|c| c.timestamp += newest);
                     inc.apply_batch(&batch).expect("batch applies");
+                    log.extend(batch);
                 }
                 Op::Delete(ext) => {
                     inc.delete_session(ext).expect("delete applies");
                 }
             }
-            newest = inc.retained_log().iter().map(|c| c.timestamp).max().unwrap_or(newest);
+            let held: FxHashSet<u64> = inc.session_ids().iter().copied().collect();
+            log.retain(|c| held.contains(&c.session_id));
+            newest = log.iter().map(|c| c.timestamp).max().unwrap_or(newest);
             let Ok(generation) = inc.snapshot() else { continue };
-            assert_id_is_recency_key(&generation, &inc.retained_log(), m_max)?;
+            assert_id_is_recency_key(&generation, &log, m_max)?;
             // However the generation came to number its slots, the kernel
             // over it answers as the kernel over a build of the same log.
-            let built = SessionIndex::build(&inc.retained_log(), m_max).expect("non-empty log");
+            let built = SessionIndex::build(&log, m_max).expect("non-empty log");
             let config = VmisConfig { m: m_max, k: 3, how_many: 4, ..VmisConfig::default() };
             let live = VmisKnn::new(generation, config.clone()).expect("valid config");
             let built = VmisKnn::new(built, config).expect("valid config");
             for item in 1..=12 {
                 prop_assert_eq!(live.recommend(&[item, 1]), built.recommend(&[item, 1]));
             }
-            // The retained log is kept in rank order, which names the
-            // external id behind each dense id outright.
-            let mut by_rank: Vec<u64> = inc.retained_log().iter().map(|c| c.session_id).collect();
-            by_rank.dedup();
-            let expected: Vec<u64> = ranked(&inc.retained_log()).iter().map(|s| s.1).collect();
-            prop_assert_eq!(by_rank, expected);
+            // The external id behind each dense id.
+            let expected: Vec<u64> = ranked(&log).iter().map(|s| s.1).collect();
+            prop_assert_eq!(inc.session_ids(), &expected[..]);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Allocation budget of one whole publish — the merge, the snapshot and the
-//! kernel over it — under a counting allocator (the pattern of
-//! `crates/core/tests/steady_state_allocs.rs`).
+//! kernel over it — and of adopting a served index, under a counting
+//! allocator (the pattern of `crates/core/tests/steady_state_allocs.rs`).
 //!
 //! A ten-click batch at the recent end of the rank order may allocate the
 //! last segment of sessions over again, one arena of O(touched) postings,
@@ -8,12 +8,15 @@
 //! the kernel's idf table. Nothing may grow with the number of sessions or clicks
 //! indexed: the same publish into an index four times the size allocates
 //! the same bytes. `snapshot()` allocates nothing.
+//!
+//! `adopt` allocates O(sessions) and nothing a click: the same index adopted
+//! from a seed with four times the clicks allocates the same bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use serenade_core::index::SEGMENT_SESSIONS;
-use serenade_core::{Click, VmisConfig, VmisKnn};
+use serenade_core::{Click, SessionIndex, VmisConfig, VmisKnn};
 use serenade_index::IncrementalIndexer;
 
 thread_local! {
@@ -96,8 +99,8 @@ fn recent_end_publish(sessions: u64) -> (u64, usize) {
             })
             .collect()
     };
-    // The first batch grows the indexer's own vectors (the retained log,
-    // the external ids) past their seed capacity.
+    // The first batch grows the indexer's own columns (the external ids,
+    // the timestamps by external id) past their seed capacity.
     inc.apply_batch(&batch(0)).expect("warm-up batch");
     inc.take_sharing();
 
@@ -148,4 +151,36 @@ fn a_recent_end_publish_allocates_the_same_at_four_times_the_index() {
             "{allocations} allocations for a 10-click batch over {ITEMS} items"
         );
     }
+}
+
+/// Adopts the index of 4,000 two-item sessions from a seed with
+/// `clicks_per_session` clicks a session — the extra ones repeat the two
+/// items — and returns the bytes `adopt` asked for.
+fn adopt_bytes(clicks_per_session: u64) -> u64 {
+    let seed: Vec<Click> = (0..4_000u64)
+        .flat_map(|s| {
+            (0..clicks_per_session)
+                .map(move |k| Click::new(s, (s + k % 2 * 7) % ITEMS, 1_000 + s * 10 + k))
+        })
+        .collect();
+    let index = SessionIndex::build(&seed, 500).expect("non-empty seed");
+    assert_eq!(index.stats().session_item_entries, 8_000, "two items a session");
+    let mut inc = IncrementalIndexer::new(500).expect("positive capacity");
+    let (adopted, _, bytes) = allocated_by(|| inc.adopt(&index, &seed));
+    assert!(adopted, "the index of the seed");
+    bytes
+}
+
+#[test]
+fn adopt_allocates_per_session_not_per_click() {
+    // Six more clicks a session, 24,000 in all: an allocation a click, or
+    // a copy of them, would show as at least 4 bytes each (96,000 bytes).
+    // What may differ is the allocator's own rounding, not the requests.
+    const SLACK: u64 = 64;
+    let (two, eight) = (adopt_bytes(2), adopt_bytes(8));
+    assert!(two.abs_diff(eight) <= SLACK, "{two} bytes from 2 clicks a session, {eight} from 8");
+    // The map it keeps (8,192 buckets of 17 bytes), the ids by rank, their
+    // sort keys, where each row starts and a bit an entry: 72 bytes a
+    // session.
+    assert!(two < 4_000 * 72, "{two} bytes for 4,000 sessions");
 }

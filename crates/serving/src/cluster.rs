@@ -180,8 +180,8 @@ impl ServingCluster {
         self.ingest.get()
     }
 
-    /// Unlearns a session: removes it from the retained click log and
-    /// republishes the index (synchronous, through the ingest pipeline),
+    /// Unlearns a session: removes it from the live index and republishes
+    /// it (synchronous, through the ingest pipeline),
     /// then erases its evolving state from the session store so the session
     /// also stops influencing its *own* future requests. Returns whether
     /// the session existed in either. Requires ingest to be enabled.
@@ -189,9 +189,9 @@ impl ServingCluster {
         let Some(pipeline) = self.ingest() else {
             return Err(ServingError::Internal("ingest is not enabled on this cluster"));
         };
-        let in_log = pipeline.delete_session(session_id)?;
+        let in_index = pipeline.delete_session(session_id)?;
         let in_store = self.engine.forget_session(session_id);
-        Ok(in_log || in_store)
+        Ok(in_index || in_store)
     }
 
     /// The cluster's observability hub (metric registry, trace ring,
@@ -202,7 +202,7 @@ impl ServingCluster {
 
     /// Feeds a served request back into the live index when the ingest
     /// hook is enabled. Consent-gated: depersonalised traffic never lands
-    /// in the retained click log.
+    /// in the live index.
     fn feed_ingest(&self, req: &RecommendRequest) {
         if !req.consent {
             return;

@@ -32,9 +32,9 @@
 //! [`IngestPipeline::delete_session`] is synchronous: it enqueues the
 //! deletion, wakes the publisher (deletions don't wait for the cadence
 //! tick), and blocks until the publish that excludes the session is
-//! visible. When the deletion empties the click log entirely there is no
-//! index left to publish; the call errors and the previous snapshot keeps
-//! serving — the log-side tombstone still holds.
+//! visible. When the deletion empties the index entirely there is nothing
+//! left to publish; the call errors and the previous snapshot keeps
+//! serving — the indexer's tombstone still holds.
 //!
 //! The publisher is the cluster's single index writer while ingest is
 //! enabled, the serialised-publisher contract the generation math and the
@@ -73,9 +73,11 @@ pub struct IngestConfig {
     /// Posting-list capacity `m` for the maintained index (must be ≥ the
     /// engine's configured sample size, exactly like an offline artefact).
     pub m_max: usize,
-    /// Optional sliding-window cap on retained clicks; `None` retains the
-    /// full log (the offline builder's behaviour).
-    pub retained_clicks_cap: Option<usize>,
+    /// Optional sliding-window cap on the index's session-item entries
+    /// (the sum of its sessions' distinct items): past it, the oldest whole
+    /// sessions are dropped. `None` keeps every session (the offline
+    /// builder's behaviour).
+    pub retained_session_items_cap: Option<usize>,
     /// When `true`, every *consented* request the cluster serves is fed
     /// back into the index (the internal served-session hook) — the live
     /// loop the paper's daily batch pipeline approximates offline.
@@ -88,7 +90,7 @@ impl Default for IngestConfig {
             publish_interval: Duration::from_millis(200),
             max_pending_appends: 65_536,
             m_max: 500,
-            retained_clicks_cap: None,
+            retained_session_items_cap: None,
             observe_served: false,
         }
     }
@@ -196,8 +198,8 @@ impl IngestPipeline {
                 reason: String::from("must be at least 1"),
             });
         }
-        let mut indexer = match config.retained_clicks_cap {
-            Some(cap) => IncrementalIndexer::with_retained_clicks_cap(config.m_max, cap)?,
+        let mut indexer = match config.retained_session_items_cap {
+            Some(cap) => IncrementalIndexer::with_retained_session_items_cap(config.m_max, cap)?,
             None => IncrementalIndexer::new(config.m_max)?,
         };
         if !indexer.adopt(handle.load().index(), seed) {

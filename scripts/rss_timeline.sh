@@ -10,9 +10,11 @@
 # Prints one row per child: VmRSS in MB at fixed ages of the child (MARKS,
 # seconds since its first sample), at its last sample, and VmHWM — the figure
 # `rss_mb` sums over the children that are alive at the end (the `measured`
-# ones; the benchmark starts each role a few times for `setup_s` first). A
-# node loads within its first 0.3 s (VmHWM then is its load peak), is warmed
-# up by 1.5 s, and is measured from there. The samples stay in the directory
+# ones; the benchmark starts each role a few times for `setup_s` first) —
+# with `hwm_at_s`, the child's age at the first sample whose VmHWM equals its
+# final one: the phase that set the peak. A node loads within its first
+# 0.3 s (VmHWM then is its load peak), is warmed up by 1.5 s, and is
+# measured from there. The samples stay in the directory
 # named on the last line. awk only: the sandbox has neither bc nor rsync.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -50,23 +52,27 @@ trap - EXIT
 
 awk -v marks="$MARKS" '
     BEGIN { m = split(marks, mark, " ") }
-    !($2 in first) { first[$2] = $1; order[++n] = $2; role[$2] = $3; next_mark[$2] = 1 }
+    !($2 in first) {
+        first[$2] = $1; order[++n] = $2; role[$2] = $3; next_mark[$2] = 1
+        hwm[$2] = $5; hwm_at[$2] = 0
+    }
     $3 != "?" { role[$2] = $3 } # "?": sampled between fork and exec
     {
         age = ($1 - first[$2]) / 1e6
         while (next_mark[$2] <= m && age >= mark[next_mark[$2]]) at[$2, next_mark[$2]++] = $4
+        if ($5 != hwm[$2]) hwm_at[$2] = age # VmHWM only grows: its last rise
         last[$2] = $1; end[$2] = $4; hwm[$2] = $5
         if ($1 > newest) newest = $1
     }
     END {
         printf "%-8s %-7s %7s", "pid", "role", "life_s"
         for (k = 1; k <= m; k++) printf " %7s", mark[k] "s"
-        printf " %7s %7s\n", "end", "VmHWM"
+        printf " %7s %7s %8s\n", "end", "VmHWM", "hwm_at_s"
         for (i = 1; i <= n; i++) {
             p = order[i]
             printf "%-8s %-7s %7.1f", p, role[p], (last[p] - first[p]) / 1e6
             for (k = 1; k <= m; k++) printf " %7s", ((p, k) in at) ? sprintf("%.1f", at[p, k] / 1024) : "-"
-            printf " %7.1f %7.1f  %s\n", end[p] / 1024, hwm[p] / 1024,
+            printf " %7.1f %7.1f %8.2f  %s\n", end[p] / 1024, hwm[p] / 1024, hwm_at[p],
                 (newest - last[p] < 200000 ? "measured" : "")
         }
     }' "$out/samples.txt"
