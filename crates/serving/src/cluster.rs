@@ -1,34 +1,57 @@
-//! The serving process: one engine plus what only a process has.
+//! The serving process's engine: the request pipeline over the node's
+//! index replica and its partition of the evolving sessions.
 //!
 //! Mirrors one serving machine of the production deployment (Figure 1,
 //! right): it holds a replica of the session-similarity index and its
 //! partition of the evolving-session state. Session affinity across
 //! machines is the router tier's job ([`crate::routerd`]), so a process
-//! holds exactly one partition and runs exactly one [`Engine`]. Around it
-//! sit the telemetry hub, the ingest pipeline and trace recording.
+//! holds exactly one partition and runs exactly one [`ServingCluster`].
+//! Beside the pipeline sit the telemetry hub, the ingest pipeline and trace
+//! recording.
+//!
+//! [`ServingCluster::handle_with`] answers one shop-frontend request end to
+//! end (Section 4.2) in three timed stages:
+//!
+//! 1. **Session stage** — update the evolving session in the node's
+//!    [`SessionStore`] and extract the configured view of it.
+//! 2. **Prediction stage** — answer a cacheable view from the prediction
+//!    cache, or run VMIS-kNN over the view against the currently published
+//!    index.
+//! 3. **Policy stage** — apply business rules and truncate to the 21 items
+//!    the product-detail-page slot needs.
+//!
+//! A request runs the whole pipeline alone on its caller's
+//! [`RequestContext`] — the reactor thread, a worker, or an in-process
+//! caller — so its answer never depends on what else was in flight. The
+//! store is generic (defaulting to the sharded [`TtlStore`]) and the
+//! recommender is read through a lock-free [`IndexHandle`], so the request
+//! path takes no lock besides the store's per-shard mutex.
 //!
 //! The daily rollover ([`ServingCluster::reload_index`]) builds the
-//! `VmisKnn` exactly once and publishes it atomically through the engine's
-//! [`IndexHandle`](crate::handle::IndexHandle). If the build or validation
-//! fails, nothing is published and the engine keeps serving the old index.
-//! While live ingest is enabled its publisher is the index's one writer, and
-//! a rollover is refused ([`RolloverError::IngestEnabled`]).
+//! `VmisKnn` exactly once and publishes it atomically through the
+//! [`IndexHandle`]. If the build or validation fails, nothing is published
+//! and the old index keeps serving. While live ingest is enabled its
+//! publisher is the index's one writer, and a rollover is refused
+//! ([`RolloverError::IngestEnabled`]).
 
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use serenade_core::{Click, CoreError, ItemScore, SessionIndex};
+use serenade_core::{Click, CoreError, ItemId, ItemScore, KernelWork, SessionIndex, VmisKnn};
+use serenade_kvstore::{SessionStore, TtlStore};
 use serenade_telemetry::{TraceConfig, TraceSample};
 
-use crate::cache::PredictionCache;
-use crate::context::RequestContext;
-use crate::engine::{build_recommender, Engine, EngineConfig, RecommendRequest};
+use crate::cache::{CacheKey, PredictionCache, ViewKind};
+use crate::context::{RequestContext, StageTimings};
+use crate::engine::{build_recommender, EngineConfig, RecommendRequest, ServingVariant};
 use crate::error::ServingError;
+use crate::handle::IndexHandle;
 use crate::ingest::epoch::EpochChange;
 use crate::ingest::{IngestConfig, IngestPipeline};
 use crate::rules::BusinessRules;
+use crate::stats::{ServingStats, StatsSnapshot};
 use crate::telemetry::ClusterTelemetry;
 
 /// Why [`ServingCluster::reload_index`] published nothing. The old index
@@ -55,10 +78,27 @@ impl fmt::Display for RolloverError {
 
 impl std::error::Error for RolloverError {}
 
-/// A serving process's engine plus its telemetry hub and, once enabled,
-/// its ingest pipeline.
-pub struct ServingCluster {
-    engine: Arc<Engine>,
+/// A serving process's engine: its index handle, business rules, session
+/// store, configuration, stats and prediction cache, plus its telemetry
+/// hub and, once enabled, its ingest pipeline.
+///
+/// Generic over the session store `S` so the request path is written purely
+/// against the [`SessionStore`] contract; the default is the sharded
+/// in-memory [`TtlStore`]. The daily rollover (Section 4.1) and live ingest
+/// build the new index once and publish it atomically through the
+/// [`IndexHandle`], and readers never block — in-flight requests finish
+/// against the index they started with.
+pub struct ServingCluster<S: SessionStore<u64, Vec<ItemId>> = TtlStore<u64, Vec<ItemId>>> {
+    index: Arc<IndexHandle<VmisKnn>>,
+    rules: BusinessRules,
+    /// Shared with the polled session gauges on the metric registry.
+    sessions: Arc<S>,
+    config: EngineConfig,
+    stats: ServingStats,
+    /// Generation-aware prediction cache for single-item-view requests;
+    /// `None` when disabled. Entries depend only on the item, the view
+    /// kind and the index generation — never on per-user state.
+    cache: Option<Arc<PredictionCache>>,
     telemetry: Arc<ClusterTelemetry>,
     /// The streaming write path, set once by
     /// [`ServingCluster::enable_ingest`]; `None` for read-only clusters.
@@ -67,8 +107,9 @@ pub struct ServingCluster {
 
 impl ServingCluster {
     /// Builds the process's engine over `index` (the recommender is built
-    /// once, here). `pods` must be 1: sessions are partitioned across
-    /// nodes by the router tier, never inside a process.
+    /// once, here) with a default [`TtlStore`]. `pods` must be 1: sessions
+    /// are partitioned across nodes by the router tier, never inside a
+    /// process.
     pub fn new(
         index: Arc<SessionIndex>,
         pods: usize,
@@ -96,71 +137,113 @@ impl ServingCluster {
                 ),
             });
         }
-        let engine = Arc::new(Engine::new(index, config, rules)?);
+        // The published value uses the sync-facade Arc: under the loom
+        // feature the handle's reclamation protocol is model-checked.
+        let vmis = crate::sync::Arc::new(build_recommender(index, &config)?);
+        let sessions = TtlStore::new(config.store);
+        Ok(Self::with_store(Arc::new(IndexHandle::new(vmis)), sessions, config, rules, trace))
+    }
+}
+
+impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
+    /// Builds the engine over an explicit index handle and session store
+    /// implementation, and registers its metrics.
+    pub fn with_store(
+        index: Arc<IndexHandle<VmisKnn>>,
+        sessions: S,
+        config: EngineConfig,
+        rules: BusinessRules,
+        trace: TraceConfig,
+    ) -> Self {
+        let sessions = Arc::new(sessions);
+        let cache = config.cache.enabled.then(|| Arc::new(PredictionCache::new(config.cache)));
+        let stats = ServingStats::new();
         let telemetry = Arc::new(ClusterTelemetry::new(trace));
         let registry = telemetry.registry();
-        telemetry.watch_index(engine.index_handle());
-        if let Some(cache) = engine.prediction_cache() {
+        telemetry.watch_index(&index);
+        if let Some(cache) = &cache {
             cache.register_into(registry);
         }
-        engine.stats_handle().register_into(registry);
-        let live = Arc::clone(&engine);
+        stats.register_into(registry);
+        let live = Arc::clone(&sessions);
         registry.polled_gauge(
             "serenade_live_sessions",
             "Live (non-expired) sessions stored on the node.",
             &[],
-            move || live.live_sessions() as u64,
+            move || live.live_entries() as u64,
         );
-        let expirations = Arc::clone(&engine);
+        let expirations = Arc::clone(&sessions);
         registry.polled_counter(
             "serenade_session_expirations_total",
             "Sessions reclaimed lazily on access after their TTL elapsed.",
             &[],
-            move || expirations.session_expiry_counts().0,
+            move || expirations.expiry_counts().0,
         );
-        let evictions = Arc::clone(&engine);
+        let evictions = Arc::clone(&sessions);
         registry.polled_counter(
             "serenade_session_evictions_total",
             "Sessions reclaimed by the eager TTL eviction sweep.",
             &[],
-            move || evictions.session_expiry_counts().1,
+            move || evictions.expiry_counts().1,
         );
-        Ok(Self { engine, telemetry, ingest: OnceLock::new() })
-    }
-
-    /// The process's engine.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
+        Self { index, rules, sessions, config, stats, cache, telemetry, ingest: OnceLock::new() }
     }
 
     /// The prediction cache, if enabled.
     pub fn prediction_cache(&self) -> Option<&Arc<PredictionCache>> {
-        self.engine.prediction_cache()
+        self.cache.as_ref()
+    }
+
+    /// The index handle (shared with the publishing side).
+    pub fn index_handle(&self) -> &Arc<IndexHandle<VmisKnn>> {
+        &self.index
+    }
+
+    /// The engine configuration.
+    pub fn config(&self) -> &EngineConfig {
+        &self.config
+    }
+
+    /// Request/latency statistics, as `GET /stats` reports them.
+    pub fn stats(&self) -> StatsSnapshot {
+        self.stats.snapshot()
+    }
+
+    /// The cluster's observability hub (metric registry, trace ring,
+    /// request-id source).
+    pub fn telemetry(&self) -> &Arc<ClusterTelemetry> {
+        &self.telemetry
     }
 
     /// Enables the streaming write path: seeds an incremental indexer with
     /// `seed` (the click log the serving index was built from) and starts
-    /// the publisher thread that mini-publishes through the engine's index
-    /// handle. At most once per cluster; from then on the publisher is the
-    /// single index writer, and [`ServingCluster::reload_index`] refuses.
+    /// the publisher thread that mini-publishes through the index handle.
+    /// At most once per cluster, checked before any start-up work; from
+    /// then on the publisher is the single index writer, and
+    /// [`ServingCluster::reload_index`] refuses.
     pub fn enable_ingest(
         &self,
         config: IngestConfig,
         seed: &[Click],
     ) -> Result<Arc<IngestPipeline>, CoreError> {
+        let already_enabled = || CoreError::InvalidConfig {
+            parameter: "ingest",
+            reason: String::from("ingest is already enabled on this cluster"),
+        };
+        if self.ingest.get().is_some() {
+            return Err(already_enabled());
+        }
         let pipeline = IngestPipeline::start(
             config,
             seed,
-            Arc::clone(self.engine.index_handle()),
-            self.engine.config().clone(),
-            self.engine.prediction_cache().cloned(),
+            Arc::clone(&self.index),
+            self.config.clone(),
+            self.cache.clone(),
             Arc::clone(&self.telemetry),
         )?;
+        // Two racing first calls both pass the check above; one loses here.
         if self.ingest.set(Arc::clone(&pipeline)).is_err() {
-            return Err(CoreError::InvalidConfig {
-                parameter: "ingest",
-                reason: String::from("ingest is already enabled on this cluster"),
-            });
+            return Err(already_enabled());
         }
         pipeline.metrics().register_into(self.telemetry.registry());
         {
@@ -190,26 +273,8 @@ impl ServingCluster {
             return Err(ServingError::Internal("ingest is not enabled on this cluster"));
         };
         let in_index = pipeline.delete_session(session_id)?;
-        let in_store = self.engine.forget_session(session_id);
+        let in_store = self.forget_session(session_id);
         Ok(in_index || in_store)
-    }
-
-    /// The cluster's observability hub (metric registry, trace ring,
-    /// request-id source).
-    pub fn telemetry(&self) -> &Arc<ClusterTelemetry> {
-        &self.telemetry
-    }
-
-    /// Feeds a served request back into the live index when the ingest
-    /// hook is enabled. Consent-gated: depersonalised traffic never lands
-    /// in the live index.
-    fn feed_ingest(&self, req: &RecommendRequest) {
-        if !req.consent {
-            return;
-        }
-        if let Some(pipeline) = self.ingest() {
-            pipeline.observe_request(req.session_id, req.item);
-        }
     }
 
     /// Handles a request with a per-thread context:
@@ -221,25 +286,92 @@ impl ServingCluster {
         CTX.with(|ctx| self.handle_with(req, &mut ctx.borrow_mut()))
     }
 
-    /// Handles a request, reusing the caller's per-worker
-    /// [`RequestContext`]. A successful request is fed back into live
-    /// ingest and offered to the slow-request trace ring (subject to its
-    /// sampling knobs) with the per-stage breakdown left on the context. The
-    /// id and kernel counters are consumed either way, so nothing stale
-    /// leaks into the next request handled on this context.
+    /// Handles one frontend request through the three-stage pipeline,
+    /// reusing the caller's per-worker [`RequestContext`]. Per-stage
+    /// timings are recorded into the stats and left on the context. A
+    /// successful request is then fed back into live ingest and offered to
+    /// the slow-request trace ring (subject to its sampling knobs). The
+    /// ingress request id is consumed either way, so a stale id never
+    /// reaches the next request handled on this context.
+    ///
+    /// If the context carries a deadline budget (set at HTTP ingress) that
+    /// has already expired when the session stage completes, the pipeline
+    /// degrades instead of blowing the SLA: the prediction runs over the
+    /// displayed item only (the depersonalised view, whose cost is bounded
+    /// by a single-item query), the context is marked degraded, and the
+    /// `serenade_deadline_degraded_total` counter is bumped. The response
+    /// stays valid — degraded, never dropped.
+    ///
+    /// Errors are pipeline invariant violations; the HTTP layer maps them
+    /// to a `500` response (and they bump the error counter here).
     pub fn handle_with(
         &self,
         req: RecommendRequest,
         ctx: &mut RequestContext,
     ) -> Result<Vec<ItemScore>, ServingError> {
-        let result = self.engine.handle_with(req, ctx);
+        let started = Instant::now();
         let request_id = ctx.take_request_id();
-        let work = ctx.take_kernel_work();
-        if result.is_err() {
-            return result;
+        ctx.set_degraded(false);
+        let session_len = self.session_stage(&req, ctx).inspect_err(|_| self.stats.record_error())?;
+        let session_done = Instant::now();
+        if ctx.deadline_expired_at(session_done) && ctx.view.len() > 1 {
+            // Budget already spent: fall back to the cheapest valid view —
+            // the displayed item alone, exactly the depersonalised shape.
+            let last = ctx.view.len() - 1;
+            ctx.view.drain(..last);
+            ctx.set_degraded(true);
+            self.stats.record_degraded();
         }
-        self.feed_ingest(&req);
-        let timings = ctx.last_timings();
+
+        // Prediction stage. A cacheable view probes the cache first; a hit
+        // performs no kernel work at all — one shard-mutex probe, no index
+        // load: the generation comparison alone proves the entry was
+        // computed on an index at least as new as the generation this
+        // request observes (see the invariant on
+        // [`IndexHandle::load_with_generation`]).
+        let probe = self.cache.as_ref().zip(self.cache_key(&req, ctx));
+        let hit = probe
+            .and_then(|(cache, key)| Some((cache, cache.lookup(key, self.index.generation())?)));
+        let (mut recs, work, predict) = match hit {
+            Some((cache, list)) => {
+                // Policy mutates the response per request, so the shared
+                // list is cloned out.
+                let recs = list.as_ref().clone();
+                let predict = session_done.elapsed();
+                cache.record_hit_duration(predict);
+                (recs, KernelWork::default(), predict)
+            }
+            None => {
+                let (vmis, generation) = self.index.load_with_generation();
+                let recs = vmis.recommend_with_scratch(&ctx.view, &mut ctx.scratch);
+                let predict = session_done.elapsed();
+                // A cacheable miss stores its list back under the
+                // generation that scored it.
+                if let Some((cache, key)) = probe {
+                    cache.store_list(key, generation, recs.clone());
+                }
+                (recs, ctx.scratch.work(), predict)
+            }
+        };
+
+        // Policy stage and the request's bookkeeping.
+        self.rules.apply(&mut recs, req.filter_adult);
+        recs.truncate(self.config.how_many);
+        let timings = StageTimings {
+            session: session_done - started,
+            predict,
+            policy: (session_done + predict).elapsed(),
+        };
+        ctx.set_timings(timings);
+        self.stats.record(timings, !req.consent, recs.len());
+
+        // Consent-gated: depersonalised traffic never lands in the live
+        // index.
+        if req.consent {
+            if let Some(pipeline) = self.ingest() {
+                pipeline.observe_request(req.session_id, req.item);
+            }
+        }
         self.telemetry.traces().record(&TraceSample {
             request_id: if request_id == 0 {
                 self.telemetry.next_request_id()
@@ -250,7 +382,7 @@ impl ServingCluster {
             session_us: timings.session.as_micros() as u64,
             predict_us: timings.predict.as_micros() as u64,
             policy_us: timings.policy.as_micros() as u64,
-            session_len: ctx.session_len() as u64,
+            session_len: session_len as u64,
             // Degraded requests served the depersonalised fallback view,
             // so the trace marks them the same way.
             depersonalised: !req.consent || ctx.degraded(),
@@ -258,40 +390,150 @@ impl ServingCluster {
             candidates: work.candidates,
             evicted: work.evicted,
         });
-        result
+        Ok(recs)
+    }
+
+    /// Session stage: update the evolving session (or drop it, for
+    /// no-consent requests) and write the configured view into `ctx`.
+    /// Returns the stored session length (1 for a depersonalised request,
+    /// which predicts from the displayed item alone).
+    fn session_stage(
+        &self,
+        req: &RecommendRequest,
+        ctx: &mut RequestContext,
+    ) -> Result<usize, ServingError> {
+        let view = &mut ctx.view;
+        view.clear();
+        if !req.consent {
+            // Depersonalised: predict from the displayed item only, and drop
+            // any previously stored state for this session.
+            self.sessions.remove(&req.session_id);
+            view.push(req.item);
+            return Ok(1);
+        }
+        let max_len = self.config.max_stored_session_len;
+        let variant = self.config.variant;
+        let item = req.item;
+        self.sessions.update_or_insert(req.session_id, Vec::new, |items| {
+            items.push(item);
+            if items.len() > max_len {
+                let excess = items.len() - max_len;
+                items.drain(..excess);
+            }
+            match variant {
+                ServingVariant::Hist(n) => {
+                    view.extend_from_slice(&items[items.len().saturating_sub(n)..]);
+                }
+                // `items` is never empty here (we just pushed), so an
+                // empty tail is an invariant violation, not a panic.
+                ServingVariant::Recent => match items.last() {
+                    Some(last) => view.push(*last),
+                    None => {
+                        return Err(ServingError::Internal(
+                            "session empty after update in Recent variant",
+                        ))
+                    }
+                },
+                ServingVariant::Full => view.extend_from_slice(items),
+            }
+            Ok(items.len())
+        })
+    }
+
+    /// Cache key for this request, or `None` when its view is not cacheable.
+    /// Only views consisting of exactly the displayed item qualify: the
+    /// depersonalised shape (no consent, or the deadline-degraded fallback)
+    /// and the consented `Recent` variant, whose view is the most recent
+    /// item by definition. Everything else depends on per-user session
+    /// state and must run the kernel.
+    fn cache_key(&self, req: &RecommendRequest, ctx: &RequestContext) -> Option<CacheKey> {
+        if ctx.view.len() != 1 || ctx.view[0] != req.item {
+            return None;
+        }
+        let view = if !req.consent || ctx.degraded() {
+            ViewKind::Depersonalised
+        } else if self.config.variant == ServingVariant::Recent {
+            ViewKind::Recent
+        } else {
+            return None;
+        };
+        Some(CacheKey { item: req.item, view })
+    }
+
+    /// Number of clicks currently stored for a session.
+    pub fn stored_session_len(&self, session_id: u64) -> usize {
+        self.sessions.with_value(&session_id, Vec::len).unwrap_or(0)
+    }
+
+    /// Snapshots up to `cap` live sessions for ownership handoff — see
+    /// [`SessionStore::export_live`]. The exporting node keeps serving; the
+    /// handoff coordinator imports the snapshot into the new owners and
+    /// then calls [`ServingCluster::forget_session`] here.
+    pub fn export_sessions(&self, cap: usize) -> Vec<(u64, Vec<ItemId>)> {
+        self.sessions.export_live(cap)
+    }
+
+    /// Installs a handed-off session. Imported history is *prepended* to
+    /// whatever this node already holds for the id: during the handoff gap
+    /// the new owner may have served the session fresh, and those clicks
+    /// are newer than the snapshot, so they stay at the tail. The stored
+    /// length cap applies as on the request path. Returns the stored
+    /// session length after the merge.
+    pub fn import_session(&self, session_id: u64, mut items: Vec<ItemId>) -> usize {
+        let max_len = self.config.max_stored_session_len;
+        self.sessions.update_or_insert(session_id, Vec::new, |existing| {
+            if !existing.is_empty() {
+                items.extend_from_slice(existing);
+            }
+            std::mem::swap(existing, &mut items);
+            if existing.len() > max_len {
+                let excess = existing.len() - max_len;
+                existing.drain(..excess);
+            }
+            existing.len()
+        })
+    }
+
+    /// Erases a session's evolving state from the store — live or expired —
+    /// returning whether anything was dropped. The unlearning hook:
+    /// [`ServingCluster::delete_session`] calls this so a session deleted
+    /// from the click log also stops influencing its own future requests
+    /// (and its clicks stop occupying the TTL store).
+    pub fn forget_session(&self, session_id: u64) -> bool {
+        self.sessions.forget(&session_id)
     }
 
     /// Live sessions in the session store.
     pub fn live_sessions(&self) -> usize {
-        self.engine.live_sessions()
+        self.sessions.live_entries()
     }
 
-    /// Runs the TTL sweep; returns how many sessions it evicted.
+    /// Runs the TTL sweep (the paper's 30-minute-inactivity cleanup);
+    /// returns how many sessions it evicted.
     pub fn evict_expired_sessions(&self) -> usize {
-        self.engine.evict_expired_sessions()
+        self.sessions.evict_expired()
     }
 
     /// The daily rollover (Figure 1's "index replication" arrow): builds
     /// the recommender from `index` exactly once and publishes it
     /// atomically. Readers never block, in-flight requests finish on the
     /// version they loaded, and session state survives. On error, the
-    /// engine stays on the old index. A cluster with live ingest refuses:
-    /// its publisher is the one index writer.
+    /// old index keeps serving. A cluster with live ingest refuses: its
+    /// publisher is the one index writer.
     pub fn reload_index(&self, index: Arc<SessionIndex>) -> Result<(), RolloverError> {
         if self.ingest().is_some() {
             return Err(RolloverError::IngestEnabled);
         }
         let started = Instant::now();
-        let fresh = build_recommender(index, self.engine.config()).map_err(RolloverError::Invalid)?;
+        let fresh = build_recommender(index, &self.config).map_err(RolloverError::Invalid)?;
         let fresh = crate::sync::Arc::new(fresh);
-        let handle = self.engine.index_handle();
         // A rollover replaces the whole neighbourhood structure: record an
         // all-items epoch (before the store — see the epoch-log contract)
         // so no cached entry survives via epoch revalidation.
-        if let Some(cache) = self.engine.prediction_cache() {
-            cache.epoch_log().record(handle.generation() + 1, EpochChange::All);
+        if let Some(cache) = &self.cache {
+            cache.epoch_log().record(self.index.generation() + 1, EpochChange::All);
         }
-        handle.store(fresh);
+        self.index.store(fresh);
         self.telemetry.record_rollover(started.elapsed());
         Ok(())
     }
@@ -300,17 +542,8 @@ impl ServingCluster {
 #[cfg(all(test, not(feature = "loom")))]
 mod tests {
     use super::*;
-    use serenade_core::Click;
-
-    fn index() -> Arc<SessionIndex> {
-        let mut clicks = Vec::new();
-        for s in 0..40u64 {
-            let ts = 100 + s * 10;
-            clicks.push(Click::new(s + 1, s % 6, ts));
-            clicks.push(Click::new(s + 1, (s + 1) % 6, ts + 1));
-        }
-        Arc::new(SessionIndex::build(&clicks, 500).unwrap())
-    }
+    use crate::engine::tests::index;
+    use std::time::Duration;
 
     fn cluster() -> ServingCluster {
         ServingCluster::new(index(), 1, EngineConfig::default(), BusinessRules::none()).unwrap()
@@ -336,29 +569,19 @@ mod tests {
             .post("/recommend", r#"{"session_id": 5, "item_id": 1, "consent": true}"#)
             .unwrap();
         assert_eq!(status, 200);
-        assert_eq!(node.cluster().engine().stored_session_len(5), 1);
+        assert_eq!(node.cluster().stored_session_len(5), 1);
         node.shutdown();
     }
 
     #[test]
-    fn sticky_sessions_accumulate_on_one_pod() {
+    fn sticky_sessions_accumulate_in_one_store() {
         let c = cluster();
         for i in 0..5 {
-            c.handle(req(42, i % 6)).unwrap();
+            c.handle(req(42, i % 5)).unwrap();
         }
-        // The engine holds session 42, with all 5 clicks.
-        assert_eq!(c.engine().stored_session_len(42), 5);
+        // The node's store holds session 42, with all 5 clicks.
+        assert_eq!(c.stored_session_len(42), 5);
         assert_eq!(c.live_sessions(), 1);
-    }
-
-    #[test]
-    fn handle_with_matches_handle() {
-        let a = cluster();
-        let b = cluster();
-        let mut ctx = RequestContext::new();
-        for sid in 0..10u64 {
-            assert_eq!(a.handle_with(req(sid, sid % 6), &mut ctx).unwrap(), b.handle(req(sid, sid % 6)).unwrap());
-        }
     }
 
     #[test]
@@ -389,6 +612,55 @@ mod tests {
             assert_eq!(c.handle(dep(sid)).unwrap(), first);
         }
         assert_eq!((shared.hit_count(), shared.miss_count()), (7, 1));
+    }
+
+    #[test]
+    fn trace_records_describe_the_request_that_wrote_them() {
+        let every_request = TraceConfig { slots: 16, sample_every: 1, slow_threshold_us: 0 };
+        let c = ServingCluster::with_trace_config(
+            index(),
+            1,
+            EngineConfig::default(),
+            BusinessRules::none(),
+            every_request,
+        )
+        .unwrap();
+        let mut ctx = RequestContext::new();
+        let mut traced = |id: u64, req: RecommendRequest, deadline: Option<Instant>| {
+            ctx.set_deadline(deadline);
+            ctx.set_request_id(id);
+            c.handle_with(req, &mut ctx).unwrap();
+            let traces = c.telemetry().traces().snapshot();
+            *traces.iter().find(|t| t.request_id == id).expect("every request is traced")
+        };
+        let dep = |session_id, item| RecommendRequest {
+            session_id,
+            item,
+            consent: false,
+            filter_adult: false,
+        };
+
+        // Consented clicks on one session run the kernel over its history.
+        for (id, item) in [(1, 0), (2, 1), (3, 2)] {
+            let t = traced(id, req(7, item), None);
+            assert_eq!(t.session_len, id, "the stored length after this click");
+            assert!(!t.depersonalised);
+            assert!(t.postings_walked > 0, "request {id} ran the kernel");
+        }
+        // A depersonalised miss runs the kernel on the displayed item.
+        let miss = traced(4, dep(8, 3), None);
+        assert!(miss.depersonalised);
+        assert_eq!(miss.session_len, 1);
+        assert!(miss.postings_walked > 0 && miss.candidates > 0, "{miss:?}");
+        // The same item again is a cache hit: no kernel work at all.
+        let hit = traced(5, dep(9, 3), None);
+        assert!(hit.depersonalised);
+        assert_eq!((hit.postings_walked, hit.candidates, hit.evicted), (0, 0, 0));
+        // A consented request past its deadline serves the depersonalised
+        // fallback view, and its trace says so.
+        let late = traced(6, req(7, 4), Some(Instant::now() - Duration::from_millis(1)));
+        assert!(late.depersonalised, "a degraded request is traced as depersonalised");
+        assert_eq!(late.session_len, 4, "the session stage still ran");
     }
 }
 
@@ -429,7 +701,7 @@ mod ingest_tests {
             publish_interval: Duration::from_millis(5),
             ..IngestConfig::default()
         });
-        let generation_before = c.engine().index_handle().generation();
+        let generation_before = c.index_handle().generation();
         // Item 42 does not exist in the seed log: nothing to recommend.
         assert!(c.handle(dep(900, 42)).unwrap().is_empty());
 
@@ -452,11 +724,11 @@ mod ingest_tests {
         // A consented request leaves evolving state in the session store.
         c.handle(RecommendRequest { session_id: 77, item: 3, consent: true, filter_adult: false })
             .unwrap();
-        assert_eq!(c.engine().stored_session_len(77), 1);
+        assert_eq!(c.stored_session_len(77), 1);
 
         // Unlearning erases both the state and (here, absent) log entry.
         assert!(c.delete_session(77).unwrap(), "session state existed in the store");
-        assert_eq!(c.engine().stored_session_len(77), 0);
+        assert_eq!(c.stored_session_len(77), 0);
 
         // Seed session 5 exists only in the click log — still "existed".
         assert!(c.delete_session(5).unwrap(), "session 5 was in the seed log");
@@ -511,7 +783,7 @@ mod ingest_tests {
     #[test]
     fn flush_with_nothing_pending_is_a_cheap_sync_point() {
         let (c, p) = cluster_with_ingest(IngestConfig::default());
-        let generation = c.engine().index_handle().generation();
+        let generation = c.index_handle().generation();
         assert_eq!(p.flush().unwrap(), generation, "no publish without work");
         assert_eq!(p.metrics().publishes(), 0);
     }
@@ -611,6 +883,13 @@ mod ingest_tests {
         assert!(c.ingest().is_some());
         c.enable_ingest(IngestConfig::default(), &seed_clicks())
             .expect_err("second enable must be rejected");
+        // Refused before any start-up work: an invalid config is never
+        // looked at, let alone a seed adopted or a publisher spawned.
+        let invalid = IngestConfig { max_pending_appends: 0, ..IngestConfig::default() };
+        match c.enable_ingest(invalid, &[]) {
+            Err(CoreError::InvalidConfig { parameter, .. }) => assert_eq!(parameter, "ingest"),
+            other => panic!("a second enable must answer \"ingest\", got {:?}", other.err()),
+        }
     }
 
     #[test]
@@ -619,9 +898,9 @@ mod ingest_tests {
             publish_interval: Duration::from_millis(5),
             ..IngestConfig::default()
         });
-        let sessions = || c.engine().index_handle().load().index().num_sessions();
+        let sessions = || c.index_handle().load().index().num_sessions();
         assert_eq!(sessions(), 40);
-        let generation = c.engine().index_handle().generation();
+        let generation = c.index_handle().generation();
 
         // A different index: had it been published, the next mini-publish
         // would have stored the click merged into the seed over it.
@@ -632,7 +911,7 @@ mod ingest_tests {
         }
         let rollover = c.reload_index(Arc::new(SessionIndex::build(&clicks, 500).unwrap()));
         assert_eq!(rollover, Err(RolloverError::IngestEnabled));
-        assert_eq!(c.engine().index_handle().generation(), generation, "nothing was published");
+        assert_eq!(c.index_handle().generation(), generation, "nothing was published");
         assert!(
             c.prediction_cache().unwrap().epoch_log().is_empty(),
             "no epoch was recorded for a publish that did not happen"
@@ -641,7 +920,7 @@ mod ingest_tests {
         assert!(p.submit(&[Click::new(1_000, 0, 10_000), Click::new(1_000, 1, 10_001)]));
         p.flush().unwrap();
         assert_eq!(sessions(), 41, "the seed plus the click");
-        assert_eq!(c.engine().index_handle().generation(), generation + 1);
+        assert_eq!(c.index_handle().generation(), generation + 1);
     }
 }
 
@@ -674,17 +953,17 @@ mod rollover_tests {
         )
         .unwrap();
         let before = c.handle(req(7, 1)).unwrap();
-        assert_eq!(c.engine().stored_session_len(7), 1);
+        assert_eq!(c.stored_session_len(7), 1);
 
         // Overnight: a new index arrives and is published.
         c.reload_index(make_index(3)).unwrap();
 
         // Session state survived the rollover...
-        assert_eq!(c.engine().stored_session_len(7), 1);
+        assert_eq!(c.stored_session_len(7), 1);
         // ...and predictions now come from the new index.
         let after = c.handle(req(8, 1)).unwrap();
         assert_ne!(before, after, "rollover must change the model");
-        assert_eq!(c.engine().stored_session_len(7), 1);
+        assert_eq!(c.stored_session_len(7), 1);
     }
 
     #[test]
@@ -717,7 +996,7 @@ mod rollover_tests {
     }
 
     #[test]
-    fn failed_rollover_leaves_every_pod_on_the_old_index() {
+    fn failed_rollover_keeps_serving_the_old_index() {
         let c = ServingCluster::new(
             make_index(0),
             1,
@@ -726,7 +1005,7 @@ mod rollover_tests {
         )
         .unwrap();
         let before: Vec<_> = (0..6u64).map(|i| c.handle(req(100 + i, i % 6)).unwrap()).collect();
-        let old = Arc::as_ptr(&c.engine().index_handle().load());
+        let old = Arc::as_ptr(&c.index_handle().load());
 
         // A broken artefact: posting capacity m_max = 2 cannot satisfy the
         // configured sample size m = 500, so validation rejects it.
@@ -735,8 +1014,8 @@ mod rollover_tests {
         let broken = Arc::new(SessionIndex::build(&clicks, 2).unwrap());
         c.reload_index(broken).expect_err("validation must reject the artefact");
 
-        // Atomic from the caller's view: the engine did not move.
-        assert_eq!(Arc::as_ptr(&c.engine().index_handle().load()), old);
+        // Atomic from the caller's view: the published index did not move.
+        assert_eq!(Arc::as_ptr(&c.index_handle().load()), old);
         let after: Vec<_> = (0..6u64).map(|i| c.handle(req(200 + i, i % 6)).unwrap()).collect();
         assert_eq!(before, after, "predictions must be unchanged");
     }

@@ -1,4 +1,4 @@
-//! Per-worker request state threaded through `http → cluster → engine`.
+//! Per-worker request state threaded from HTTP ingress into the engine.
 //!
 //! Each HTTP worker, the reactor thread (for the predicts it runs inline)
 //! and each in-process caller owns one [`RequestContext`]: the VMIS-kNN
@@ -9,10 +9,10 @@
 
 use std::time::{Duration, Instant};
 
-use serenade_core::{ItemId, KernelWork, Scratch};
+use serenade_core::{ItemId, Scratch};
 
 /// Wall-clock time spent in each stage of the serving pipeline for one
-/// request (see `crate::engine::Engine::handle_with` for the stages).
+/// request (see [`crate::ServingCluster::handle_with`] for the stages).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Session layer: evolving-session update and view extraction.
@@ -45,18 +45,12 @@ pub struct RequestContext {
     /// Request id assigned at HTTP ingress for the in-flight request
     /// (0 = unassigned; consumed by the trace recorder).
     request_id: u64,
-    /// Stored session length after the session stage of the most recent
-    /// request.
-    session_len: usize,
     /// Absolute deadline for the in-flight request, set at HTTP ingress
     /// from the first byte of the request frame. `None` = no budget.
     deadline: Option<Instant>,
     /// Whether the in-flight request was answered in degraded
     /// (depersonalised-fallback) mode because its deadline expired.
     degraded: bool,
-    /// What the kernel did for the in-flight request; all zero when none
-    /// ran here (a cache hit, a remote node). Consumed by the trace recorder.
-    kernel_work: KernelWork,
 }
 
 impl RequestContext {
@@ -75,7 +69,7 @@ impl RequestContext {
     }
 
     /// Tags the in-flight request with an id (assigned at HTTP ingress so
-    /// one id spans the whole `http → cluster → engine` path).
+    /// one id spans the request from the socket to its trace record).
     pub fn set_request_id(&mut self, id: u64) {
         self.request_id = id;
     }
@@ -84,26 +78,6 @@ impl RequestContext {
     /// stale id never leaks into the next request on this worker.
     pub fn take_request_id(&mut self) -> u64 {
         std::mem::take(&mut self.request_id)
-    }
-
-    /// Notes the kernel work counters of the in-flight request.
-    pub(crate) fn record_kernel_work(&mut self, work: KernelWork) {
-        self.kernel_work = work;
-    }
-
-    /// Takes the in-flight request's kernel work counters, resetting them to
-    /// zero so they never describe a later request that ran no kernel.
-    pub(crate) fn take_kernel_work(&mut self) -> KernelWork {
-        std::mem::take(&mut self.kernel_work)
-    }
-
-    /// Stored session length after the most recent request's session stage.
-    pub fn session_len(&self) -> usize {
-        self.session_len
-    }
-
-    pub(crate) fn set_session_len(&mut self, len: usize) {
-        self.session_len = len;
     }
 
     /// Sets (or clears) the deadline budget for the in-flight request.

@@ -1,44 +1,20 @@
-//! The recommendation engine: a serving node's request pipeline.
+//! What configures a serving node's engine, and what a request carries.
 //!
-//! Handles one shop-frontend request end to end (Section 4.2) as a
-//! three-stage pipeline — see [`Engine::handle_with`]:
+//! The pipeline itself is [`ServingCluster::handle_with`]; this module holds
+//! the types it is configured and called with. The two session views of
+//! the A/B test are first-class: `serenade-hist` predicts from the last
+//! *two* items of the evolving session and `serenade-recent` from the most
+//! recent item only (Section 5.2.3). Users without personalisation consent
+//! get the depersonalised variant, which uses only the currently displayed
+//! item and stores nothing.
 //!
-//! 1. **Session stage** — update the evolving session in the node's
-//!    [`SessionStore`] and extract the configured view of it.
-//! 2. **Prediction stage** — run VMIS-kNN over the view, against the
-//!    currently published index.
-//! 3. **Policy stage** — apply business rules and truncate to the 21 items
-//!    the product-detail-page slot needs.
-//!
-//! A request runs the whole pipeline alone on its caller's
-//! [`RequestContext`] — the reactor thread, a worker, or an in-process
-//! caller — so its answer never depends on what else was in flight.
-//!
-//! The two session views of the A/B test are first-class: `serenade-hist`
-//! predicts from the last *two* items of the evolving session and
-//! `serenade-recent` from the most recent item only (Section 5.2.3). Users
-//! without personalisation consent get the depersonalised variant, which
-//! uses only the currently displayed item and stores nothing.
-//!
-//! The engine is generic over its session store (defaulting to the sharded
-//! [`TtlStore`]) and reads the recommender through a lock-free
-//! [`IndexHandle`], which the daily rollover publishes to — the request
-//! path takes no lock besides the store's per-shard mutex.
+//! [`ServingCluster::handle_with`]: crate::ServingCluster::handle_with
 
-use serenade_core::{
-    CoreError, ItemId, ItemScore, KernelWork, SessionIndex, VmisConfig, VmisKnn,
-};
-use serenade_kvstore::{SessionStore, StoreConfig, TtlStore};
-use std::cell::RefCell;
+use serenade_core::{CoreError, ItemId, SessionIndex, VmisConfig, VmisKnn};
+use serenade_kvstore::StoreConfig;
 use std::sync::Arc;
-use std::time::Instant;
 
-use crate::cache::{CacheConfig, CacheKey, PredictionCache, ViewKind};
-use crate::context::{RequestContext, StageTimings};
-use crate::error::ServingError;
-use crate::handle::IndexHandle;
-use crate::rules::BusinessRules;
-use crate::stats::ServingStats;
+use crate::cache::CacheConfig;
 
 /// Which view of the evolving session feeds the prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,312 +82,17 @@ pub(crate) fn build_recommender(
     VmisKnn::new(index, vmis_cfg)
 }
 
-/// A stateful recommendation engine — one per serving node.
-///
-/// Generic over the session store `S` so the request path is written purely
-/// against the [`SessionStore`] contract; the default is the sharded
-/// in-memory [`TtlStore`]. The recommender is read through an
-/// [`IndexHandle`]: the daily rollover (Section 4.1) and live ingest build
-/// the new index once and publish it atomically through the handle, and
-/// readers never block — in-flight requests finish against the index they
-/// started with.
-pub struct Engine<S: SessionStore<u64, Vec<ItemId>> = TtlStore<u64, Vec<ItemId>>> {
-    index: Arc<IndexHandle<VmisKnn>>,
-    rules: BusinessRules,
-    sessions: S,
-    config: EngineConfig,
-    stats: ServingStats,
-    /// Generation-aware prediction cache for single-item-view requests;
-    /// `None` when disabled. Entries depend only on the item, the view
-    /// kind and the index generation — never on per-user state.
-    cache: Option<Arc<PredictionCache>>,
-}
-
-impl Engine {
-    /// Creates an engine over a session index, with a default [`TtlStore`]
-    /// and its own index handle.
-    pub fn new(
-        index: Arc<SessionIndex>,
-        config: EngineConfig,
-        rules: BusinessRules,
-    ) -> Result<Self, CoreError> {
-        // The published value uses the sync-facade Arc: under the loom
-        // feature the handle's reclamation protocol is model-checked.
-        let vmis = crate::sync::Arc::new(build_recommender(index, &config)?);
-        let sessions = TtlStore::new(config.store);
-        Ok(Engine::with_store(Arc::new(IndexHandle::new(vmis)), sessions, config, rules))
-    }
-}
-
-impl<S: SessionStore<u64, Vec<ItemId>>> Engine<S> {
-    /// Creates an engine over an explicit session store implementation.
-    pub fn with_store(
-        index: Arc<IndexHandle<VmisKnn>>,
-        sessions: S,
-        config: EngineConfig,
-        rules: BusinessRules,
-    ) -> Self {
-        let cache =
-            config.cache.enabled.then(|| Arc::new(PredictionCache::new(config.cache)));
-        Self { index, rules, sessions, config, stats: ServingStats::new(), cache }
-    }
-
-    /// The engine's prediction cache, if enabled.
-    pub fn prediction_cache(&self) -> Option<&Arc<PredictionCache>> {
-        self.cache.as_ref()
-    }
-
-    /// The engine's index handle (shared with the publishing side).
-    pub fn index_handle(&self) -> &Arc<IndexHandle<VmisKnn>> {
-        &self.index
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// Handles one frontend request through the three-stage pipeline,
-    /// reusing the caller's per-worker [`RequestContext`]. Per-stage
-    /// timings are recorded into the engine's stats and left on the context.
-    ///
-    /// If the context carries a deadline budget (set at HTTP ingress) that
-    /// has already expired when the session stage completes, the pipeline
-    /// degrades instead of blowing the SLA: the prediction runs over the
-    /// displayed item only (the depersonalised view, whose cost is bounded
-    /// by a single-item query), the context is marked degraded, and the
-    /// engine's `serenade_deadline_degraded_total` counter is bumped. The
-    /// response stays valid — degraded, never dropped.
-    ///
-    /// Errors are pipeline invariant violations; the HTTP layer maps them
-    /// to a `500` response (and they bump the engine's error counter here).
-    pub fn handle_with(
-        &self,
-        req: RecommendRequest,
-        ctx: &mut RequestContext,
-    ) -> Result<Vec<ItemScore>, ServingError> {
-        let started = Instant::now();
-        ctx.set_degraded(false);
-        self.session_stage(&req, ctx).map_err(|e| self.failed(e))?;
-        let session_done = Instant::now();
-        if ctx.deadline_expired_at(session_done) && ctx.view.len() > 1 {
-            // Budget already spent: fall back to the cheapest valid view —
-            // the displayed item alone, exactly the depersonalised shape.
-            let last = ctx.view.len() - 1;
-            ctx.view.drain(..last);
-            ctx.set_degraded(true);
-            self.stats.record_degraded();
-        }
-
-        // Prediction stage. A cacheable view probes the cache first; a hit
-        // performs no kernel work at all — one shard-mutex probe, no index
-        // load: the generation comparison alone proves the entry was
-        // computed on an index at least as new as the generation this
-        // request observes (see the invariant on
-        // [`IndexHandle::load_with_generation`]).
-        let probe = self.cache.as_ref().zip(self.cache_key(&req, ctx));
-        let hit = probe
-            .and_then(|(cache, key)| Some((cache, cache.lookup(key, self.index.generation())?)));
-        let (mut recs, work, predict) = match hit {
-            Some((cache, list)) => {
-                // Policy mutates the response per request, so the shared
-                // list is cloned out.
-                let recs = list.as_ref().clone();
-                let predict = session_done.elapsed();
-                cache.record_hit_duration(predict);
-                (recs, KernelWork::default(), predict)
-            }
-            None => {
-                let (vmis, generation) = self.index.load_with_generation();
-                let recs = vmis.recommend_with_scratch(&ctx.view, &mut ctx.scratch);
-                let predict = session_done.elapsed();
-                // A cacheable miss stores its list back under the
-                // generation that scored it.
-                if let Some((cache, key)) = probe {
-                    cache.store_list(key, generation, recs.clone());
-                }
-                (recs, ctx.scratch.work(), predict)
-            }
-        };
-
-        // Policy stage and the request's bookkeeping.
-        ctx.record_kernel_work(work);
-        self.rules.apply(&mut recs, req.filter_adult);
-        recs.truncate(self.config.how_many);
-        let timings = StageTimings {
-            session: session_done - started,
-            predict,
-            policy: (session_done + predict).elapsed(),
-        };
-        ctx.set_timings(timings);
-        self.stats.record(timings, !req.consent, recs.len());
-        Ok(recs)
-    }
-
-    /// Handles one request with a per-thread context. Convenience wrapper
-    /// over [`Engine::handle_with`] for callers without worker state.
-    pub fn handle(&self, req: RecommendRequest) -> Result<Vec<ItemScore>, ServingError> {
-        thread_local! {
-            static CTX: RefCell<RequestContext> = RefCell::new(RequestContext::new());
-        }
-        CTX.with(|ctx| self.handle_with(req, &mut ctx.borrow_mut()))
-    }
-
-    /// Counts a pipeline error and hands it back.
-    fn failed(&self, e: ServingError) -> ServingError {
-        self.stats.record_error();
-        e
-    }
-
-    /// Session stage: update the evolving session (or drop it, for
-    /// no-consent requests) and write the configured view into `ctx`.
-    fn session_stage(
-        &self,
-        req: &RecommendRequest,
-        ctx: &mut RequestContext,
-    ) -> Result<(), ServingError> {
-        let view = &mut ctx.view;
-        view.clear();
-        let mut stored_len = 0usize;
-        if req.consent {
-            let max_len = self.config.max_stored_session_len;
-            let variant = self.config.variant;
-            let item = req.item;
-            let stored_len_out = &mut stored_len;
-            let result = self.sessions.update_or_insert(req.session_id, Vec::new, |items| {
-                items.push(item);
-                if items.len() > max_len {
-                    let excess = items.len() - max_len;
-                    items.drain(..excess);
-                }
-                *stored_len_out = items.len();
-                match variant {
-                    ServingVariant::Hist(n) => {
-                        view.extend_from_slice(&items[items.len().saturating_sub(n)..]);
-                    }
-                    // `items` is never empty here (we just pushed), so an
-                    // empty tail is an invariant violation, not a panic.
-                    ServingVariant::Recent => match items.last() {
-                        Some(last) => view.push(*last),
-                        None => {
-                            return Err(ServingError::Internal(
-                                "session empty after update in Recent variant",
-                            ))
-                        }
-                    },
-                    ServingVariant::Full => view.extend_from_slice(items),
-                }
-                Ok(())
-            });
-            ctx.set_session_len(stored_len);
-            result
-        } else {
-            // Depersonalised: predict from the displayed item only, and drop
-            // any previously stored state for this session.
-            self.sessions.remove(&req.session_id);
-            view.push(req.item);
-            ctx.set_session_len(1);
-            Ok(())
-        }
-    }
-
-    /// Cache key for this request, or `None` when its view is not cacheable.
-    /// Only views consisting of exactly the displayed item qualify: the
-    /// depersonalised shape (no consent, or the deadline-degraded fallback)
-    /// and the consented `Recent` variant, whose view is the most recent
-    /// item by definition. Everything else depends on per-user session
-    /// state and must run the kernel.
-    fn cache_key(&self, req: &RecommendRequest, ctx: &RequestContext) -> Option<CacheKey> {
-        if ctx.view.len() != 1 || ctx.view[0] != req.item {
-            return None;
-        }
-        let view = if !req.consent || ctx.degraded() {
-            ViewKind::Depersonalised
-        } else if self.config.variant == ServingVariant::Recent {
-            ViewKind::Recent
-        } else {
-            return None;
-        };
-        Some(CacheKey { item: req.item, view })
-    }
-
-    /// Request/latency statistics of this engine.
-    pub fn stats(&self) -> crate::stats::StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// The live stats collector, for registering this engine's counters and
-    /// histograms into a metrics [`serenade_telemetry::Registry`].
-    pub fn stats_handle(&self) -> &ServingStats {
-        &self.stats
-    }
-
-    /// Cumulative `(lazily expired, swept)` session reclamation counts from
-    /// this engine's store.
-    pub fn session_expiry_counts(&self) -> (u64, u64) {
-        self.sessions.expiry_counts()
-    }
-
-    /// Number of clicks currently stored for a session.
-    pub fn stored_session_len(&self, session_id: u64) -> usize {
-        self.sessions.with_value(&session_id, Vec::len).unwrap_or(0)
-    }
-
-    /// Erases a session's evolving state from this engine's store — live or
-    /// expired — returning whether anything was dropped. The unlearning
-    /// hook: [`crate::ServingCluster::delete_session`] calls this so a
-    /// session deleted from the click log also stops influencing its own
-    /// future requests (and its clicks stop occupying the TTL store).
-    pub fn forget_session(&self, session_id: u64) -> bool {
-        self.sessions.forget(&session_id)
-    }
-
-    /// Count of live sessions in this engine's store.
-    pub fn live_sessions(&self) -> usize {
-        self.sessions.live_entries()
-    }
-
-    /// Snapshots up to `cap` live sessions for ownership handoff — see
-    /// [`SessionStore::export_live`]. The exporting node keeps serving; the
-    /// handoff coordinator imports the snapshot into the new owners and
-    /// then calls [`Engine::forget_session`] here.
-    pub fn export_sessions(&self, cap: usize) -> Vec<(u64, Vec<ItemId>)> {
-        self.sessions.export_live(cap)
-    }
-
-    /// Installs a handed-off session. Imported history is *prepended* to
-    /// whatever this engine already holds for the id: during the handoff gap
-    /// the new owner may have served the session fresh, and those clicks
-    /// are newer than the snapshot, so they stay at the tail. The stored
-    /// length cap applies as on the request path. Returns the stored
-    /// session length after the merge.
-    pub fn import_session(&self, session_id: u64, mut items: Vec<ItemId>) -> usize {
-        let max_len = self.config.max_stored_session_len;
-        self.sessions.update_or_insert(session_id, Vec::new, |existing| {
-            if !existing.is_empty() {
-                items.extend_from_slice(existing);
-            }
-            std::mem::swap(existing, &mut items);
-            if existing.len() > max_len {
-                let excess = existing.len() - max_len;
-                existing.drain(..excess);
-            }
-            existing.len()
-        })
-    }
-
-    /// Sweeps expired sessions (the paper's 30-minute-inactivity cleanup).
-    pub fn evict_expired_sessions(&self) -> usize {
-        self.sessions.evict_expired()
-    }
-}
-
 #[cfg(all(test, not(feature = "loom")))]
-mod tests {
-    use super::*;
-    use serenade_core::Click;
+pub(crate) mod tests {
+    //! The variants, the cache eligibility of each view and the session
+    //! handoff, driven through the pipeline they configure.
 
-    fn index() -> Arc<SessionIndex> {
+    use super::*;
+    use crate::{BusinessRules, RequestContext, ServingCluster};
+    use serenade_core::Click;
+    use std::time::Instant;
+
+    pub(crate) fn index() -> Arc<SessionIndex> {
         let mut clicks = Vec::new();
         for s in 0..30u64 {
             let ts = 100 + s * 10;
@@ -422,9 +103,9 @@ mod tests {
         Arc::new(SessionIndex::build(&clicks, 500).unwrap())
     }
 
-    fn engine(variant: ServingVariant, rules: BusinessRules) -> Engine {
+    fn engine(variant: ServingVariant, rules: BusinessRules) -> ServingCluster {
         let config = EngineConfig { variant, how_many: 3, ..Default::default() };
-        Engine::new(index(), config, rules).unwrap()
+        ServingCluster::new(index(), 1, config, rules).unwrap()
     }
 
     fn req(session_id: u64, item: ItemId) -> RecommendRequest {
@@ -499,7 +180,7 @@ mod tests {
             max_stored_session_len: 4,
             ..Default::default()
         };
-        let e = Engine::new(index(), config, BusinessRules::none()).unwrap();
+        let e = ServingCluster::new(index(), 1, config, BusinessRules::none()).unwrap();
         for i in 0..10 {
             e.handle(req(1, i % 5)).unwrap();
         }
@@ -631,7 +312,7 @@ mod tests {
             cache: CacheConfig { enabled: false, ..CacheConfig::default() },
             ..Default::default()
         };
-        let disabled = Engine::new(index(), disabled_cfg, BusinessRules::none()).unwrap();
+        let disabled = ServingCluster::new(index(), 1, disabled_cfg, BusinessRules::none()).unwrap();
         assert!(disabled.prediction_cache().is_none());
         for item in [0u64, 2, 2, 4, 0] {
             assert_eq!(
@@ -658,7 +339,7 @@ mod tests {
         let idx = Arc::new(SessionIndex::build(&clicks, 500).unwrap());
         let mut rules = BusinessRules::none();
         rules.mark_adult(7);
-        let e = Engine::new(idx, EngineConfig::default(), rules).unwrap();
+        let e = ServingCluster::new(idx, 1, EngineConfig::default(), rules).unwrap();
         let unfiltered = e.handle(dep(1, 0, false)).unwrap();
         assert!(unfiltered.iter().any(|r| r.item == 7), "warm-up sees the adult item");
         let filtered = e.handle(dep(2, 0, true)).unwrap();
@@ -715,7 +396,7 @@ mod tests {
             max_stored_session_len: 4,
             ..Default::default()
         };
-        let e = Engine::new(index(), config, BusinessRules::none()).unwrap();
+        let e = ServingCluster::new(index(), 1, config, BusinessRules::none()).unwrap();
         e.handle(req(7, 0)).unwrap();
         let len = e.import_session(7, vec![1, 2, 3, 4, 0, 1]);
         assert_eq!(len, 4, "oldest imported items are dropped first");
@@ -739,6 +420,9 @@ mod store_abstraction_tests {
     //! here with a deliberately naive mutex-over-hashmap store.
 
     use super::*;
+    use crate::{BusinessRules, IndexHandle, ServingCluster};
+    use serenade_kvstore::SessionStore;
+    use serenade_telemetry::TraceConfig;
     use parking_lot::Mutex;
     use serenade_core::Click;
     use std::collections::HashMap;
@@ -798,13 +482,14 @@ mod store_abstraction_tests {
             ..Default::default()
         };
         let vmis = Arc::new(build_recommender(Arc::clone(&index), &config).unwrap());
-        let naive: Engine<NaiveStore> = Engine::with_store(
+        let naive: ServingCluster<NaiveStore> = ServingCluster::with_store(
             Arc::new(IndexHandle::new(vmis)),
             NaiveStore::default(),
             config.clone(),
             BusinessRules::none(),
+            TraceConfig::default(),
         );
-        let ttl = Engine::new(index, config, BusinessRules::none()).unwrap();
+        let ttl = ServingCluster::new(index, 1, config, BusinessRules::none()).unwrap();
         for i in 0..6u64 {
             let r = RecommendRequest {
                 session_id: 1,
@@ -822,6 +507,7 @@ mod store_abstraction_tests {
 #[cfg(all(test, not(feature = "loom")))]
 mod ttl_tests {
     use super::*;
+    use crate::{BusinessRules, ServingCluster};
     use serenade_core::Click;
 
     fn tiny_index() -> Arc<SessionIndex> {
@@ -841,7 +527,7 @@ mod ttl_tests {
             store: StoreConfig { shards: 2, ttl_ms: 40, touch_on_read: true },
             ..Default::default()
         };
-        let e = Engine::new(tiny_index(), config, BusinessRules::none()).unwrap();
+        let e = ServingCluster::new(tiny_index(), 1, config, BusinessRules::none()).unwrap();
         e.handle(RecommendRequest { session_id: 5, item: 0, consent: true, filter_adult: false })
             .unwrap();
         assert_eq!(e.stored_session_len(5), 1);
@@ -860,7 +546,7 @@ mod ttl_tests {
             store: StoreConfig { shards: 2, ttl_ms: 30, touch_on_read: false },
             ..Default::default()
         };
-        let e = Engine::new(tiny_index(), config, BusinessRules::none()).unwrap();
+        let e = ServingCluster::new(tiny_index(), 1, config, BusinessRules::none()).unwrap();
         for sid in 0..6u64 {
             e.handle(RecommendRequest {
                 session_id: sid,
@@ -888,7 +574,7 @@ mod ttl_tests {
         let index = Arc::new(SessionIndex::build(&clicks, 500).unwrap());
         let mut rules = BusinessRules::none();
         rules.mark_adult(7);
-        let e = Engine::new(index, EngineConfig::default(), rules).unwrap();
+        let e = ServingCluster::new(index, 1, EngineConfig::default(), rules).unwrap();
         let filtered = e.handle(RecommendRequest {
             session_id: 1,
             item: 0,

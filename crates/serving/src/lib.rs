@@ -9,10 +9,9 @@
 //!
 //! * [`json`] — a minimal hand-rolled JSON codec for the REST wire format;
 //! * [`rules`] — business-rule filtering (unavailable / adult products);
-//! * [`engine`] — the recommendation engine: a three-stage pipeline
-//!   (session update → VMIS-kNN prediction → policy) over a pluggable
-//!   session store, with the `serenade-hist` / `serenade-recent` variants
-//!   of the A/B test and the depersonalised mode;
+//! * [`engine`] — what configures the engine and what a request carries:
+//!   the `serenade-hist` / `serenade-recent` variants of the A/B test and
+//!   the depersonalised mode;
 //! * [`handle`] — lock-free index publication for the daily rollover;
 //! * [`cache`] — the generation-aware prediction cache: completed
 //!   single-item-view recommendation lists keyed by `(item, view-kind)`,
@@ -23,13 +22,14 @@
 //!   [`handle`], GDPR-style session unlearning, and the publish-epoch log
 //!   behind the cache's epoch-bucketed invalidation;
 //! * [`context`] — per-worker request state (scratch buffers, session view,
-//!   per-stage timings) threaded through `http → cluster → engine`;
+//!   per-stage timings) threaded from HTTP ingress into the engine;
 //! * [`router`] — sticky-session partitioning across nodes (rendezvous
 //!   hashing, so membership changes remap a minimal session fraction);
 //! * [`transport`] — the router tier's upstream side: a pooled keep-alive
 //!   HTTP client per node process, for everything but forwarded predicts;
-//! * [`cluster`] — one engine plus telemetry and ingest: what every server
-//!   fronts;
+//! * [`cluster`] — the process's one engine, what every server fronts: a
+//!   three-stage pipeline (session update → VMIS-kNN prediction → policy)
+//!   over a pluggable session store, beside telemetry and ingest;
 //! * [`node`] — the serving node role for multi-process
 //!   deployments: the HTTP server, whose `/admin/` routes take artifact
 //!   publishes and session handoff;
@@ -70,7 +70,7 @@ pub mod transport;
 pub use cache::{CacheConfig, PredictionCache};
 pub use cluster::{RolloverError, ServingCluster};
 pub use context::{RequestContext, StageTimings};
-pub use engine::{Engine, EngineConfig, ServingVariant};
+pub use engine::{EngineConfig, ServingVariant};
 pub use error::ServingError;
 pub use handle::IndexHandle;
 pub use ingest::{IngestConfig, IngestPipeline};

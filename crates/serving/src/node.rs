@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | `PUT /admin/index` | a `binfmt` index artefact | `{"index_generation": N}`; `400` naming why for a corrupt artefact, `409` while live ingest owns the index; the old generation keeps serving |
 //! | `POST /admin/sessions/export` | `{"cap": N}` | up to `N` live sessions, as a session set |
-//! | `POST /admin/sessions/import` | a session set | `{"imported": n}` (prepend semantics, see `Engine::import_session`) |
+//! | `POST /admin/sessions/import` | a session set | `{"imported": n}` (prepend semantics, see `ServingCluster::import_session`) |
 //! | `POST /admin/sessions/forget` | a session-id list | `{"forgotten": n}`: how many existed |
 //!
 //! The probe is `GET /health`. Binary bodies travel as
@@ -122,7 +122,7 @@ impl ServingNode {
         self.data_addr
     }
 
-    /// The node's cluster (its engine plus telemetry).
+    /// The node's engine: its index, sessions, telemetry and ingest.
     pub fn cluster(&self) -> &Arc<ServingCluster> {
         &self.cluster
     }
@@ -182,7 +182,6 @@ fn respond_admin(
     request: &ParsedRequest,
     cluster: &ServingCluster,
 ) -> (u16, Vec<u8>, &'static str) {
-    let engine = cluster.engine();
     match (request.method.as_str(), request.path.as_str()) {
         ("PUT", "/admin/index") => {
             let loaded = binfmt::read_index(&request.body)
@@ -194,7 +193,7 @@ fn respond_admin(
                     })
                 });
             match loaded {
-                Ok(()) => counted("index_generation", engine.index_handle().generation()),
+                Ok(()) => counted("index_generation", cluster.index_handle().generation()),
                 Err((status, reason)) => error(status, reason),
             }
         }
@@ -204,7 +203,7 @@ fn respond_admin(
                 .and_then(|v| v.get("cap").and_then(JsonValue::as_u64));
             match cap {
                 Some(cap) => {
-                    (200, encode_sessions(&engine.export_sessions(cap as usize)), OCTET_STREAM)
+                    (200, encode_sessions(&cluster.export_sessions(cap as usize)), OCTET_STREAM)
                 }
                 None => error(400, String::from("export expects {\"cap\": N}")),
             }
@@ -213,7 +212,7 @@ fn respond_admin(
             Ok(sessions) => {
                 let imported = sessions.len() as u64;
                 for (sid, items) in sessions {
-                    engine.import_session(sid, items);
+                    cluster.import_session(sid, items);
                 }
                 counted("imported", imported)
             }
@@ -221,7 +220,7 @@ fn respond_admin(
         },
         ("POST", "/admin/sessions/forget") => match decode_session_ids(&request.body) {
             Ok(sids) => {
-                let forgotten = sids.into_iter().filter(|&sid| engine.forget_session(sid)).count();
+                let forgotten = sids.into_iter().filter(|&sid| cluster.forget_session(sid)).count();
                 counted("forgotten", forgotten as u64)
             }
             Err(e) => error(400, e),
@@ -530,11 +529,11 @@ mod tests {
         assert_eq!(status, 409, "{body}");
         assert!(body.contains("live ingest"), "{body}");
 
-        let handle = node.cluster().engine().index_handle().generation();
+        let handle = node.cluster().index_handle().generation();
         let (_, metrics) = ctrl.get("/metrics").unwrap();
         let scraped = serenade_telemetry::parse(&metrics).unwrap().value("serenade_index_generation", &[]);
         assert_eq!((generation(&mut ctrl), scraped, handle), (2, Some(2.0), 2));
-        assert_eq!(node.cluster().engine().index_handle().load().index().num_sessions(), 41);
+        assert_eq!(node.cluster().index_handle().load().index().num_sessions(), 41);
         node.shutdown();
     }
 }

@@ -1067,12 +1067,12 @@ mod tests {
         let node = survivor();
         let router = router(&[(0, node.data_addr(), node.ctrl_addr())], HttpServerConfig::default());
         let mut artifact = Vec::new();
-        binfmt::write_index(node.cluster().engine().index_handle().load().index(), &mut artifact)
+        binfmt::write_index(node.cluster().index_handle().load().index(), &mut artifact)
             .unwrap();
         let mut client = HttpClient::connect(router.addr()).unwrap();
         let (status, _) = client.exchange("PUT", "/admin/index", Some((OCTET_STREAM, &artifact))).unwrap();
         assert_eq!(status, 404);
-        assert_eq!(node.cluster().engine().index_handle().generation(), 1, "nothing was published");
+        assert_eq!(node.cluster().index_handle().generation(), 1, "nothing was published");
         // Nor does the router buffer an upload for the node: 1 MiB is its cap
         // on every path.
         let mut raw = TcpStream::connect(router.addr()).unwrap();
@@ -1093,14 +1093,14 @@ mod tests {
         node.cluster().enable_ingest(crate::IngestConfig::default(), &seed).unwrap();
         let router = router(&[(0, node.data_addr(), node.ctrl_addr())], HttpServerConfig::default());
         let mut artifact = Vec::new();
-        binfmt::write_index(node.cluster().engine().index_handle().load().index(), &mut artifact)
+        binfmt::write_index(node.cluster().index_handle().load().index(), &mut artifact)
             .unwrap();
         let (published, failed) = router.core().publish_artifact(artifact).unwrap();
         assert!(published.is_empty());
         assert_eq!(failed.len(), 1);
         assert!(failed[0].1.contains("live ingest"), "{failed:?}");
         assert!(router.core().membership().nodes()[0].is_alive(), "a refusal is not a death");
-        assert_eq!(node.cluster().engine().index_handle().generation(), 1);
+        assert_eq!(node.cluster().index_handle().generation(), 1);
         router.shutdown();
         node.shutdown();
     }

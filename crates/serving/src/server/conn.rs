@@ -110,7 +110,7 @@ fn respond_text(request: &ParsedRequest, cluster: &ServingCluster) -> (u16, Stri
                 ),
                 (
                     "index_generation",
-                    JsonValue::Number(cluster.engine().index_handle().generation() as f64),
+                    JsonValue::Number(cluster.index_handle().generation() as f64),
                 ),
             ])
             .to_json(),
@@ -145,8 +145,7 @@ fn respond_text(request: &ParsedRequest, cluster: &ServingCluster) -> (u16, Stri
             )
         }
         ("GET", "/stats") => {
-            let engine = cluster.engine();
-            let s = engine.stats();
+            let s = cluster.stats();
             let mut fields = vec![
                 ("pod", JsonValue::Number(0.0)),
                 ("requests", JsonValue::Number(s.requests as f64)),
@@ -154,7 +153,7 @@ fn respond_text(request: &ParsedRequest, cluster: &ServingCluster) -> (u16, Stri
                 ("degraded", JsonValue::Number(s.degraded as f64)),
                 ("empty_responses", JsonValue::Number(s.empty_responses as f64)),
                 ("errors", JsonValue::Number(s.errors as f64)),
-                ("live_sessions", JsonValue::Number(engine.live_sessions() as f64)),
+                ("live_sessions", JsonValue::Number(cluster.live_sessions() as f64)),
                 ("busy_ms", JsonValue::Number(s.busy.as_millis() as f64)),
             ];
             if let Some(l) = s.latency {

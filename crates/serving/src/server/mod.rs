@@ -44,8 +44,9 @@
 //!   → `{"recommendations": [{"item_id": …, "score": …}, …]}`
 //! * `GET /health` → `{"status": "ok", "uptime_seconds": …, "index_generation": …}`
 //!   (the router's liveness probe)
-//! * `GET /stats` → the engine's request counters and latency percentiles
-//!   (JSON, as a one-element `pods` array)
+//! * `GET /stats` → the node's request counters and latency percentiles
+//!   ([`crate::ServingCluster::stats`]; JSON, as a one-element `pods`
+//!   array)
 //! * `GET /metrics` → the full metric registry in Prometheus text
 //!   exposition format (version 0.0.4)
 //! * `GET /debug/slow` → the slowest recently traced requests with their
@@ -550,7 +551,7 @@ mod tests {
         assert!(!recs.is_empty());
         assert!(recs[0].get("item_id").unwrap().as_u64().is_some());
         // The session state landed in the engine's store.
-        assert_eq!(cluster.engine().stored_session_len(7), 1);
+        assert_eq!(cluster.stored_session_len(7), 1);
         server.shutdown();
     }
 
@@ -567,7 +568,7 @@ mod tests {
                 .unwrap();
             assert_eq!(status, 200);
         }
-        assert_eq!(cluster.engine().stored_session_len(9), 5);
+        assert_eq!(cluster.stored_session_len(9), 5);
         server.shutdown();
     }
 

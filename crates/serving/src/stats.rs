@@ -4,7 +4,7 @@
 //! able to watch request rate, latency percentiles and core usage per
 //! serving machine.
 //! This module provides the in-process equivalent: a stats collector every
-//! [`crate::engine::Engine`] feeds, exposed over HTTP as `GET /stats` and
+//! [`crate::ServingCluster`] feeds, exposed over HTTP as `GET /stats` and
 //! queryable in-process for the dashboards the benchmarks print. Latency is
 //! recorded per pipeline stage (session / predict / policy), so the
 //! breakdown of where a request's time went is first-class.

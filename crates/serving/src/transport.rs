@@ -5,8 +5,9 @@
 //! router's reactor owns non-blocking upstream connections itself (see
 //! [`crate::server`]) and uses only [`render_request`] and [`ResponseBuf`]
 //! from here, relaying the node's body bytes undecoded. The node runs the
-//! same pipeline an in-process call runs on an [`Engine`](crate::Engine), and
-//! the socket conformance suite checks the responses are byte-identical
+//! same pipeline an in-process call runs on a
+//! [`ServingCluster`](crate::ServingCluster), and the socket conformance
+//! suite checks the responses are byte-identical
 //! (`tests/cluster_failover.rs`, `tests/execution_paths.rs`).
 //!
 //! Everything else the router says to a node — the health probe, artefact

@@ -67,7 +67,7 @@ fn admin_connections_and_operations_add_no_thread() {
         operate(&mut clients[i % CONNECTIONS], CONNECTIONS + i, &artifact);
     }
     assert_eq!(threads(), before, "1,000 admin operations");
-    assert!(node.cluster().engine().index_handle().generation() > 200, "the artefact loads ran");
+    assert!(node.cluster().index_handle().generation() > 200, "the artefact loads ran");
     drop(clients);
     node.shutdown();
 }

@@ -513,7 +513,7 @@ fn expired_deadline_degrades_but_still_answers_200() {
         );
     }
     // Session state kept evolving despite the degradation.
-    assert_eq!(cluster.engine().stored_session_len(77), 3);
+    assert_eq!(cluster.stored_session_len(77), 3);
     // Requests 2 and 3 had multi-item views, so both degraded.
     let (status, body) = client.get("/stats").unwrap();
     assert_eq!(status, 200);

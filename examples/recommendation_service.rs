@@ -52,7 +52,7 @@ fn main() {
     println!(
         "engine state: session {} has {} stored clicks",
         session_id,
-        cluster.engine().stored_session_len(session_id)
+        cluster.stored_session_len(session_id)
     );
 
     server.shutdown();

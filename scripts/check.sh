@@ -61,6 +61,13 @@ quiesce_host() {
 echo "==> quiesce: reap our own stragglers, name foreign load"
 quiesce_host
 
+# Building the benchmark rewrites its committed Cargo.lock (cargo prunes
+# entries the workspace no longer uses); put the committed bytes back on exit,
+# pass or fail, so the check leaves the tree as it found it.
+bench_lock=$(mktemp)
+cp benchmark/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" benchmark/Cargo.lock; rm -f "$bench_lock"' EXIT
+
 echo "==> benchmark (BENCHMARK.json): every workload on the tiny dataset, answers checked"
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
 

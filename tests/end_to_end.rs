@@ -79,7 +79,7 @@ fn full_pipeline_from_clicks_to_http_responses() {
     assert!(!recs.is_empty(), "a known session must produce recommendations");
     assert!(recs.len() <= 21);
     assert_eq!(
-        cluster.engine().stored_session_len(1),
+        cluster.stored_session_len(1),
         3,
         "the session must accumulate in the engine's store"
     );
