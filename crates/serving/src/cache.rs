@@ -315,19 +315,6 @@ impl Default for CacheConfig {
     }
 }
 
-/// Histogram sizing for the hit-latency metric; shrunk under loom like the
-/// other serving histograms so model schedules stay small.
-fn hit_latency_config() -> HistogramConfig {
-    #[cfg(feature = "loom")]
-    {
-        HistogramConfig { max_value_us: 63, shards: 2 }
-    }
-    #[cfg(not(feature = "loom"))]
-    {
-        HistogramConfig::default()
-    }
-}
-
 /// The production prediction cache: a [`GenerationCache`] over
 /// `(item, view-kind)` keys plus the `serenade_cache_*` telemetry.
 #[derive(Debug)]
@@ -345,18 +332,55 @@ pub struct PredictionCache {
 
 impl PredictionCache {
     /// Creates a cache sized by `config` (the `enabled` flag is the
-    /// caller's concern — a constructed cache always caches).
+    /// caller's concern — a constructed cache always caches), with its
+    /// metrics in a registry of its own.
     pub fn new(config: CacheConfig) -> Self {
+        Self::with_registry(config, &Registry::new())
+    }
+
+    /// [`Self::new`] with the `serenade_cache_*` counters and hit-latency
+    /// histogram in `registry`.
+    pub(crate) fn with_registry(config: CacheConfig, registry: &Registry) -> Self {
         Self {
             inner: GenerationCache::new(config.shards, config.capacity_per_shard),
             epochs: Arc::new(EpochLog::new(config.epoch_window)),
-            hits: Arc::new(Counter::new()),
-            misses: Arc::new(Counter::new()),
-            stale: Arc::new(Counter::new()),
-            evictions: Arc::new(Counter::new()),
-            insertions: Arc::new(Counter::new()),
-            revalidations: Arc::new(Counter::new()),
-            hit_latency: Arc::new(Histogram::new(hit_latency_config())),
+            hits: registry.counter(
+                "serenade_cache_hits_total",
+                "Prediction-cache lookups served from a generation-valid entry.",
+                &[],
+            ),
+            misses: registry.counter(
+                "serenade_cache_misses_total",
+                "Prediction-cache lookups with no entry for the key.",
+                &[],
+            ),
+            stale: registry.counter(
+                "serenade_cache_stale_total",
+                "Prediction-cache lookups that found an entry from a previous index generation.",
+                &[],
+            ),
+            evictions: registry.counter(
+                "serenade_cache_evictions_total",
+                "Prediction-cache entries evicted by the CLOCK sweep to make room.",
+                &[],
+            ),
+            insertions: registry.counter(
+                "serenade_cache_insertions_total",
+                "Prediction lists inserted into the cache after a miss.",
+                &[],
+            ),
+            revalidations: registry.counter(
+                "serenade_cache_epoch_revalidations_total",
+                "Prediction-cache entries served across a publish because no \
+                 intervening epoch touched their item.",
+                &[],
+            ),
+            hit_latency: registry.histogram(
+                "serenade_cache_hit_duration_seconds",
+                "End-to-end prediction-stage latency of cache hits.",
+                &[],
+                HistogramConfig::default(),
+            ),
         }
     }
 
@@ -407,62 +431,6 @@ impl PredictionCache {
     /// Records how long a cache-hit prediction stage took end to end.
     pub fn record_hit_duration(&self, elapsed: Duration) {
         self.hit_latency.record(elapsed);
-    }
-
-    /// Registers the cache metrics into a `/metrics` registry. Takes the
-    /// shared handle so the live-entry gauge can poll the cache at render
-    /// time.
-    pub fn register_into(self: &Arc<Self>, registry: &Registry) {
-        registry.counter_shared(
-            "serenade_cache_hits_total",
-            "Prediction-cache lookups served from a generation-valid entry.",
-            &[],
-            Arc::clone(&self.hits),
-        );
-        registry.counter_shared(
-            "serenade_cache_misses_total",
-            "Prediction-cache lookups with no entry for the key.",
-            &[],
-            Arc::clone(&self.misses),
-        );
-        registry.counter_shared(
-            "serenade_cache_stale_total",
-            "Prediction-cache lookups that found an entry from a previous index generation.",
-            &[],
-            Arc::clone(&self.stale),
-        );
-        registry.counter_shared(
-            "serenade_cache_evictions_total",
-            "Prediction-cache entries evicted by the CLOCK sweep to make room.",
-            &[],
-            Arc::clone(&self.evictions),
-        );
-        registry.counter_shared(
-            "serenade_cache_insertions_total",
-            "Prediction lists inserted into the cache after a miss.",
-            &[],
-            Arc::clone(&self.insertions),
-        );
-        registry.counter_shared(
-            "serenade_cache_epoch_revalidations_total",
-            "Prediction-cache entries served across a publish because no \
-             intervening epoch touched their item.",
-            &[],
-            Arc::clone(&self.revalidations),
-        );
-        registry.histogram_shared(
-            "serenade_cache_hit_duration_seconds",
-            "End-to-end prediction-stage latency of cache hits.",
-            &[],
-            Arc::clone(&self.hit_latency),
-        );
-        let cache = Arc::clone(self);
-        registry.polled_gauge(
-            "serenade_cache_entries",
-            "Live prediction-cache entries across all shards.",
-            &[],
-            move || cache.len() as u64,
-        );
     }
 
     /// Live entries across all shards.

@@ -156,15 +156,21 @@ impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
         trace: TraceConfig,
     ) -> Self {
         let sessions = Arc::new(sessions);
-        let cache = config.cache.enabled.then(|| Arc::new(PredictionCache::new(config.cache)));
-        let stats = ServingStats::new();
         let telemetry = Arc::new(ClusterTelemetry::new(trace));
         let registry = telemetry.registry();
         telemetry.watch_index(&index);
-        if let Some(cache) = &cache {
-            cache.register_into(registry);
-        }
-        stats.register_into(registry);
+        let cache = config.cache.enabled.then(|| {
+            let cache = Arc::new(PredictionCache::with_registry(config.cache, registry));
+            let polled = Arc::clone(&cache);
+            registry.polled_gauge(
+                "serenade_cache_entries",
+                "Live prediction-cache entries across all shards.",
+                &[],
+                move || polled.len() as u64,
+            );
+            cache
+        });
+        let stats = ServingStats::new(registry);
         let live = Arc::clone(&sessions);
         registry.polled_gauge(
             "serenade_live_sessions",
@@ -245,7 +251,6 @@ impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
         if self.ingest.set(Arc::clone(&pipeline)).is_err() {
             return Err(already_enabled());
         }
-        pipeline.metrics().register_into(self.telemetry.registry());
         {
             let pipeline = Arc::clone(&pipeline);
             self.telemetry.registry().polled_gauge(

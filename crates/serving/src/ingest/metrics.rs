@@ -27,28 +27,73 @@ pub struct IngestMetrics {
     unchanged_ranks_permille: Arc<Gauge>,
 }
 
-impl Default for IngestMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl IngestMetrics {
-    /// Creates zeroed metrics.
-    pub fn new() -> Self {
+    /// The `serenade_ingest_*` counters, histograms and gauge in `registry`.
+    pub fn new(registry: &Registry) -> Self {
         Self {
-            accepted_clicks: Arc::new(Counter::new()),
-            rejected_clicks: Arc::new(Counter::new()),
-            deletions: Arc::new(Counter::new()),
-            publishes: Arc::new(Counter::new()),
-            publish_failures: Arc::new(Counter::new()),
-            publish_duration: PUBLISH_STAGES
-                .map(|_| Arc::new(Histogram::new(HistogramConfig::default()))),
-            postings_shared: Arc::new(Counter::new()),
-            postings_copied: Arc::new(Counter::new()),
-            segments_shared: Arc::new(Counter::new()),
-            segments_copied: Arc::new(Counter::new()),
-            unchanged_ranks_permille: Arc::new(Gauge::new()),
+            accepted_clicks: registry.counter(
+                "serenade_ingest_accepted_clicks_total",
+                "Click events admitted into the ingest pending queue.",
+                &[],
+            ),
+            rejected_clicks: registry.counter(
+                "serenade_ingest_rejected_clicks_total",
+                "Click events rejected because the ingest queue was at capacity.",
+                &[],
+            ),
+            deletions: registry.counter(
+                "serenade_ingest_deletions_total",
+                "Sessions deleted (unlearned) from the live index.",
+                &[],
+            ),
+            publishes: registry.counter(
+                "serenade_ingest_publishes_total",
+                "Successful live index mini-publishes.",
+                &[],
+            ),
+            publish_failures: registry.counter(
+                "serenade_ingest_publish_failures_total",
+                "Publish attempts that failed and left the previous index serving.",
+                &[],
+            ),
+            publish_duration: PUBLISH_STAGES.map(|stage| {
+                registry.histogram(
+                    "serenade_ingest_publish_duration_seconds",
+                    "Time of one mini-publish by stage; the stages sum to apply-batch to visible.",
+                    &[("stage", stage)],
+                    HistogramConfig::default(),
+                )
+            }),
+            postings_shared: registry.counter(
+                "serenade_ingest_postings_shared_total",
+                "Posting lists a publish handed on where they lie in the previous generation's \
+                 arenas.",
+                &[],
+            ),
+            postings_copied: registry.counter(
+                "serenade_ingest_postings_copied_total",
+                "Posting lists a publish wrote anew: touched, above the first changed session \
+                 rank, or moved by a compaction of the arenas.",
+                &[],
+            ),
+            segments_shared: registry.counter(
+                "serenade_ingest_segments_shared_total",
+                "Segments of sessions a publish handed on from the previous index generation by \
+                 pointer: those wholly below the first changed session rank.",
+                &[],
+            ),
+            segments_copied: registry.counter(
+                "serenade_ingest_segments_copied_total",
+                "Segments of sessions a publish wrote anew: from the one holding the first \
+                 changed session rank up.",
+                &[],
+            ),
+            unchanged_ranks_permille: registry.gauge(
+                "serenade_ingest_unchanged_ranks_permille",
+                "Share of session ranks below the first one the last publish changed: 1000 for \
+                 traffic at the recent end, 0 when old timestamps renumbered the whole index.",
+                &[],
+            ),
         }
     }
 
@@ -107,81 +152,5 @@ impl IngestMetrics {
     /// snapshot keeps serving.
     pub fn publish_failures(&self) -> u64 {
         self.publish_failures.get()
-    }
-
-    /// Registers the ingest metrics into a `/metrics` registry.
-    pub fn register_into(&self, registry: &Registry) {
-        registry.counter_shared(
-            "serenade_ingest_accepted_clicks_total",
-            "Click events admitted into the ingest pending queue.",
-            &[],
-            Arc::clone(&self.accepted_clicks),
-        );
-        registry.counter_shared(
-            "serenade_ingest_rejected_clicks_total",
-            "Click events rejected because the ingest queue was at capacity.",
-            &[],
-            Arc::clone(&self.rejected_clicks),
-        );
-        registry.counter_shared(
-            "serenade_ingest_deletions_total",
-            "Sessions deleted (unlearned) from the live index.",
-            &[],
-            Arc::clone(&self.deletions),
-        );
-        registry.counter_shared(
-            "serenade_ingest_publishes_total",
-            "Successful live index mini-publishes.",
-            &[],
-            Arc::clone(&self.publishes),
-        );
-        registry.counter_shared(
-            "serenade_ingest_publish_failures_total",
-            "Publish attempts that failed and left the previous index serving.",
-            &[],
-            Arc::clone(&self.publish_failures),
-        );
-        for (stage, histogram) in PUBLISH_STAGES.iter().zip(&self.publish_duration) {
-            registry.histogram_shared(
-                "serenade_ingest_publish_duration_seconds",
-                "Time of one mini-publish by stage; the stages sum to apply-batch to visible.",
-                &[("stage", stage)],
-                Arc::clone(histogram),
-            );
-        }
-        registry.counter_shared(
-            "serenade_ingest_postings_shared_total",
-            "Posting lists a publish handed on where they lie in the previous generation's arenas.",
-            &[],
-            Arc::clone(&self.postings_shared),
-        );
-        registry.counter_shared(
-            "serenade_ingest_postings_copied_total",
-            "Posting lists a publish wrote anew: touched, above the first changed session rank, \
-             or moved by a compaction of the arenas.",
-            &[],
-            Arc::clone(&self.postings_copied),
-        );
-        registry.counter_shared(
-            "serenade_ingest_segments_shared_total",
-            "Segments of sessions a publish handed on from the previous index generation by \
-             pointer: those wholly below the first changed session rank.",
-            &[],
-            Arc::clone(&self.segments_shared),
-        );
-        registry.counter_shared(
-            "serenade_ingest_segments_copied_total",
-            "Segments of sessions a publish wrote anew: from the one holding the first \
-             changed session rank up.",
-            &[],
-            Arc::clone(&self.segments_copied),
-        );
-        registry.gauge_shared(
-            "serenade_ingest_unchanged_ranks_permille",
-            "Share of session ranks below the first one the last publish changed: 1000 for \
-             traffic at the recent end, 0 when old timestamps renumbered the whole index.",
-            &[],
-            Arc::clone(&self.unchanged_ranks_permille),
-        );
     }
 }

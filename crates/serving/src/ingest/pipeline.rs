@@ -212,7 +212,7 @@ impl IngestPipeline {
         let shared = Arc::new(SharedState {
             pending: Mutex::new(Pending::default()),
             cond: Condvar::new(),
-            metrics: IngestMetrics::new(),
+            metrics: IngestMetrics::new(telemetry.registry()),
             handle,
         });
         let worker = {
@@ -498,16 +498,16 @@ mod tests {
         let engine_config = EngineConfig::default();
         let index = Arc::new(SessionIndex::build(&seed, 500).unwrap());
         let served = build_recommender(Arc::clone(&index), &engine_config).unwrap();
+        let telemetry = ClusterTelemetry::new(TraceConfig::default());
         let shared = SharedState {
             pending: Mutex::new(Pending::default()),
             cond: Condvar::new(),
-            metrics: IngestMetrics::new(),
+            metrics: IngestMetrics::new(telemetry.registry()),
             handle: Arc::new(IndexHandle::new(crate::sync::Arc::new(served))),
         };
         let mut indexer = IncrementalIndexer::new(500).unwrap();
         assert!(indexer.adopt(&index, &seed));
         let batch: Vec<Click> = (0..10u64).map(|i| Click::new(900 + i, i % 6, 1_000 + i)).collect();
-        let telemetry = ClusterTelemetry::new(TraceConfig::default());
         publish_cycle(
             &shared,
             &mut indexer,
@@ -520,7 +520,6 @@ mod tests {
         );
         assert_eq!(shared.metrics.publishes(), 1);
         // Forty sessions are one segment: the publish wrote it over again.
-        shared.metrics.register_into(telemetry.registry());
         let text = telemetry.registry().render();
         assert!(text.contains("serenade_ingest_segments_copied_total 1"), "{text}");
         assert!(text.contains("serenade_ingest_segments_shared_total 0"), "{text}");

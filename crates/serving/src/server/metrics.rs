@@ -1,7 +1,7 @@
 //! Lifecycle telemetry for the HTTP server.
 //!
-//! One [`ServerMetrics`] per server, registered into the cluster's metric
-//! [`Registry`] so the new lifecycle shows up at `GET /metrics`:
+//! One [`ServerMetrics`] per server, made from the cluster's metric
+//! [`Registry`] so the lifecycle shows up at `GET /metrics`:
 //!
 //! * shed counters by reason (`serenade_http_shed_total{reason=…}`) — the
 //!   overload behaviour is only trustworthy if every shed is counted;
@@ -18,9 +18,11 @@
 //! * on a forwarding tier, the upstream connections the reactor holds open
 //!   per node (`serenade_http_upstream_connections{node=…}`).
 //!
-//! Inflight/queue-depth/active-connection *gauges* are registered by
+//! A server started again on the same cluster records into the same series.
+//! The inflight, queue-depth and open-connection *gauges* are registered by
 //! [`super::HttpServer::serve`] as polled gauges over the live lifecycle
-//! state — they are views, not separate bookkeeping.
+//! state — they are views, not separate bookkeeping, and each serve points
+//! them at its own server.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -125,25 +127,65 @@ pub struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    /// Fresh, unregistered metrics.
-    pub fn new() -> Self {
+    /// The `serenade_http_*` counters and per-state histograms in
+    /// `registry`.
+    pub fn new(registry: &Registry) -> Self {
+        let shed = |reason| {
+            registry.counter(
+                "serenade_http_shed_total",
+                "Requests/connections shed with 503 by the admission control.",
+                &[("reason", reason)],
+            )
+        };
+        let timeout = |kind| {
+            registry.counter(
+                "serenade_http_timeouts_total",
+                "Connections that hit a read/write/idle/upstream timeout.",
+                &[("kind", kind)],
+            )
+        };
+        let predicts = |path| {
+            registry.counter(
+                "serenade_http_predicts_total",
+                "Admitted predicts by where they ran: on the reactor thread, \
+                 on a worker, or on a node the reactor forwarded them to.",
+                &[("path", path)],
+            )
+        };
         Self {
-            connections: Arc::new(Counter::new()),
-            requests: Arc::new(Counter::new()),
-            shed_queue_full: Arc::new(Counter::new()),
-            shed_inflight: Arc::new(Counter::new()),
-            shed_draining: Arc::new(Counter::new()),
-            shed_connections: Arc::new(Counter::new()),
-            timeouts_read: Arc::new(Counter::new()),
-            timeouts_write: Arc::new(Counter::new()),
-            timeouts_idle: Arc::new(Counter::new()),
-            timeouts_upstream: Arc::new(Counter::new()),
-            predicts_inline: Arc::new(Counter::new()),
-            predicts_queued: Arc::new(Counter::new()),
-            predicts_forwarded: Arc::new(Counter::new()),
-            rejects: Arc::new(Counter::new()),
-            states: std::array::from_fn(|_| {
-                Arc::new(Histogram::new(HistogramConfig::default()))
+            connections: registry.counter(
+                "serenade_http_connections_total",
+                "Connections accepted by the listener.",
+                &[],
+            ),
+            requests: registry.counter(
+                "serenade_http_requests_total",
+                "Requests admitted past the lifecycle gate.",
+                &[],
+            ),
+            shed_queue_full: shed("queue_full"),
+            shed_inflight: shed("inflight"),
+            shed_draining: shed("draining"),
+            shed_connections: shed("connection_limit"),
+            timeouts_read: timeout("read"),
+            timeouts_write: timeout("write"),
+            timeouts_idle: timeout("idle"),
+            timeouts_upstream: timeout("upstream"),
+            predicts_inline: predicts("inline"),
+            predicts_queued: predicts("queued"),
+            predicts_forwarded: predicts("forwarded"),
+            rejects: registry.counter(
+                "serenade_http_rejects_total",
+                "Requests rejected by the parser for framing violations (4xx).",
+                &[],
+            ),
+            states: CONN_STATES.map(|state| {
+                registry.histogram(
+                    "serenade_connection_state_seconds",
+                    "Time connections spend in each lifecycle state.",
+                    &[("state", state.label())],
+                    HistogramConfig::default(),
+                )
             }),
         }
     }
@@ -152,76 +194,6 @@ impl ServerMetrics {
     /// (R6): a histogram record is a couple of relaxed atomic adds.
     pub fn record_state(&self, state: ConnState, spent: Duration) {
         self.states[state.index()].record(spent);
-    }
-
-    /// Registers every counter/histogram into `registry` under the
-    /// `serenade_http_*` names. The registry shares the live handles.
-    pub fn register_into(&self, registry: &Registry) {
-        registry.counter_shared(
-            "serenade_http_connections_total",
-            "Connections accepted by the listener.",
-            &[],
-            Arc::clone(&self.connections),
-        );
-        registry.counter_shared(
-            "serenade_http_requests_total",
-            "Requests admitted past the lifecycle gate.",
-            &[],
-            Arc::clone(&self.requests),
-        );
-        for (reason, counter) in [
-            ("queue_full", &self.shed_queue_full),
-            ("inflight", &self.shed_inflight),
-            ("draining", &self.shed_draining),
-            ("connection_limit", &self.shed_connections),
-        ] {
-            registry.counter_shared(
-                "serenade_http_shed_total",
-                "Requests/connections shed with 503 by the admission control.",
-                &[("reason", reason)],
-                Arc::clone(counter),
-            );
-        }
-        for (kind, counter) in [
-            ("read", &self.timeouts_read),
-            ("write", &self.timeouts_write),
-            ("idle", &self.timeouts_idle),
-            ("upstream", &self.timeouts_upstream),
-        ] {
-            registry.counter_shared(
-                "serenade_http_timeouts_total",
-                "Connections that hit a read/write/idle/upstream timeout.",
-                &[("kind", kind)],
-                Arc::clone(counter),
-            );
-        }
-        for (path, counter) in [
-            ("inline", &self.predicts_inline),
-            ("queued", &self.predicts_queued),
-            ("forwarded", &self.predicts_forwarded),
-        ] {
-            registry.counter_shared(
-                "serenade_http_predicts_total",
-                "Admitted predicts by where they ran: on the reactor thread, \
-                 on a worker, or on a node the reactor forwarded them to.",
-                &[("path", path)],
-                Arc::clone(counter),
-            );
-        }
-        registry.counter_shared(
-            "serenade_http_rejects_total",
-            "Requests rejected by the parser for framing violations (4xx).",
-            &[],
-            Arc::clone(&self.rejects),
-        );
-        for state in CONN_STATES {
-            registry.histogram_shared(
-                "serenade_connection_state_seconds",
-                "Time connections spend in each lifecycle state.",
-                &[("state", state.label())],
-                Arc::clone(&self.states[state.index()]),
-            );
-        }
     }
 }
 
@@ -236,12 +208,6 @@ pub(super) fn upstream_connections_gauge(registry: &Registry, node: SocketAddr) 
     )
 }
 
-impl Default for ServerMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(all(test, not(feature = "loom")))]
 mod tests {
     use super::*;
@@ -249,8 +215,7 @@ mod tests {
     #[test]
     fn registration_exposes_sheds_timeouts_and_state_histograms() {
         let registry = Registry::new();
-        let m = ServerMetrics::new();
-        m.register_into(&registry);
+        let m = ServerMetrics::new(&registry);
         m.connections.inc();
         m.shed_queue_full.inc();
         m.shed_inflight.add(2);

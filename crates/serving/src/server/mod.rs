@@ -239,10 +239,6 @@ pub struct HttpServer {
 
 impl HttpServer {
     /// Starts serving `cluster` per `config`.
-    ///
-    /// Registers the server's lifecycle metrics into the cluster's metric
-    /// registry — run one `HttpServer` per cluster, or the families would
-    /// be registered twice.
     pub fn serve<B: backend::RequestBackend>(
         cluster: Arc<B>,
         config: HttpServerConfig,
@@ -255,17 +251,15 @@ impl HttpServer {
         let workers = config.workers.max(1);
         let queue = Arc::new(DispatchQueue::new(config.queue_capacity));
         let completions = Arc::new(CompletionQueue::new());
+        let registry = cluster.telemetry().registry();
         let shared = Arc::new(Shared {
             config,
             gate: LifecycleGate::new(),
-            metrics: ServerMetrics::new(),
+            metrics: ServerMetrics::new(registry),
             open_connections: AtomicUsize::new(0),
             wakeup: Wakeup::default(),
             parked: ParkedSet::new(),
         });
-
-        let registry = cluster.telemetry().registry();
-        shared.metrics.register_into(registry);
         let gauge = Arc::clone(&shared);
         registry.polled_gauge(
             "serenade_http_inflight_requests",
@@ -279,13 +273,6 @@ impl HttpServer {
             "Admitted requests waiting for a worker.",
             &[],
             move || gauge.depth() as u64,
-        );
-        let gauge = Arc::clone(&shared);
-        registry.polled_gauge(
-            "serenade_http_active_connections",
-            "Connections currently registered with the reactor.",
-            &[],
-            move || gauge.open_connections.load(Ordering::SeqCst) as u64,
         );
         let gauge = Arc::clone(&shared);
         registry.polled_gauge(
@@ -447,11 +434,10 @@ mod tests {
                 .unwrap();
             assert_eq!(status, 200);
         }
-        cluster.reload_index(Arc::new(SessionIndex::build(
-            &[Click::new(1, 0, 10), Click::new(1, 1, 11), Click::new(2, 0, 20), Click::new(2, 1, 21)],
-            500,
-        ).unwrap()))
-        .unwrap();
+        let reloaded =
+            [Click::new(1, 0, 10), Click::new(1, 1, 11), Click::new(2, 0, 20), Click::new(2, 1, 21)];
+        cluster.reload_index(Arc::new(SessionIndex::build(&reloaded, 500).unwrap())).unwrap();
+        cluster.enable_ingest(crate::IngestConfig::default(), &reloaded).unwrap();
         let (status, body) = client.get("/metrics").unwrap();
         assert_eq!(status, 200);
         // Structural conformance: unique family names with `# TYPE` lines,
@@ -478,6 +464,85 @@ mod tests {
         assert!(exposition.sum_values("serenade_http_requests_total", &[]) >= 7.0, "{body}");
         assert_eq!(exposition.value("serenade_http_shed_total", &[("reason", "queue_full")]), Some(0.0));
         assert!(exposition.value("serenade_http_inflight_requests", &[]).is_some(), "{body}");
+        // The node's whole family set, ingest included: a family added,
+        // renamed or dropped shows up here first.
+        let mut families: Vec<&str> =
+            exposition.types.iter().map(|(name, _)| name.as_str()).collect();
+        families.sort_unstable();
+        assert_eq!(
+            families,
+            [
+                "serenade_cache_entries",
+                "serenade_cache_epoch_revalidations_total",
+                "serenade_cache_evictions_total",
+                "serenade_cache_hit_duration_seconds",
+                "serenade_cache_hits_total",
+                "serenade_cache_insertions_total",
+                "serenade_cache_misses_total",
+                "serenade_cache_stale_total",
+                "serenade_connection_state_seconds",
+                "serenade_deadline_degraded_total",
+                "serenade_depersonalised_total",
+                "serenade_empty_responses_total",
+                "serenade_errors_total",
+                "serenade_handler_busy_nanoseconds_total",
+                "serenade_http_connections_total",
+                "serenade_http_inflight_requests",
+                "serenade_http_predicts_total",
+                "serenade_http_queue_depth",
+                "serenade_http_rejects_total",
+                "serenade_http_requests_total",
+                "serenade_http_shed_total",
+                "serenade_http_timeouts_total",
+                "serenade_index_bytes",
+                "serenade_index_dead_posting_entries",
+                "serenade_index_dead_slots",
+                "serenade_index_generation",
+                "serenade_index_rollover_duration_seconds",
+                "serenade_ingest_accepted_clicks_total",
+                "serenade_ingest_deletions_total",
+                "serenade_ingest_pending_clicks",
+                "serenade_ingest_postings_copied_total",
+                "serenade_ingest_postings_shared_total",
+                "serenade_ingest_publish_duration_seconds",
+                "serenade_ingest_publish_failures_total",
+                "serenade_ingest_publishes_total",
+                "serenade_ingest_rejected_clicks_total",
+                "serenade_ingest_segments_copied_total",
+                "serenade_ingest_segments_shared_total",
+                "serenade_ingest_unchanged_ranks_permille",
+                "serenade_live_sessions",
+                "serenade_request_duration_seconds",
+                "serenade_requests_total",
+                "serenade_server_open_connections",
+                "serenade_session_evictions_total",
+                "serenade_session_expirations_total",
+                "serenade_uptime_seconds",
+            ],
+            "{body}"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_cluster_served_again_exposes_each_series_once() {
+        let (server, cluster) = start_server();
+        server.shutdown();
+        let server = HttpServer::serve(Arc::clone(&cluster), HttpServerConfig::default()).unwrap();
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let (status, _) = client
+            .post("/recommend", r#"{"session_id": 1, "item_id": 1, "consent": true}"#)
+            .unwrap();
+        assert_eq!(status, 200);
+        let (status, body) = client.get("/metrics").unwrap();
+        assert_eq!(status, 200);
+        let exposition = serenade_telemetry::parse(&body).unwrap();
+        exposition.validate().unwrap();
+        // The polled gauges read the live server: this scrape is its one
+        // request in flight, on its one open connection.
+        assert_eq!(exposition.value("serenade_http_inflight_requests", &[]), Some(1.0), "{body}");
+        assert_eq!(exposition.value("serenade_server_open_connections", &[]), Some(1.0), "{body}");
+        assert_eq!(exposition.sum_values("serenade_http_predicts_total", &[]), 1.0, "{body}");
         server.shutdown();
     }
 

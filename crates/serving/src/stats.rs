@@ -9,18 +9,15 @@
 //! recorded per pipeline stage (session / predict / policy), so the
 //! breakdown of where a request's time went is first-class.
 //!
-//! Recording is lock-free: counters are relaxed atomics and latency goes
-//! into `serenade-telemetry`'s sharded log-linear histograms, so memory is
-//! bounded at O(buckets × shards) per stage regardless of how many requests
-//! the engine has served (the previous design kept every raw sample in striped
-//! `LatencyRecorder`s, growing without bound). Percentiles reported in
-//! [`StatsSnapshot`] are therefore estimates within
+//! Every counter and histogram is a series of the cluster's [`Registry`],
+//! made by [`ServingStats::new`], so `GET /metrics` renders the very handles
+//! `GET /stats` snapshots. Recording is lock-free: counters are relaxed
+//! atomics and latency goes into `serenade-telemetry`'s sharded log-linear
+//! histograms, so memory is bounded at O(buckets × shards) per stage
+//! regardless of how many requests the engine has served. Percentiles
+//! reported in [`StatsSnapshot`] are therefore estimates within
 //! [`serenade_telemetry::REL_ERROR_BOUND`] of the exact order statistics;
 //! `count`, `mean_us`, `min_us` and `max_us` stay exact.
-//!
-//! The same counter/histogram handles can be registered into a
-//! [`Registry`] (see [`ServingStats::register_into`]) so `GET /metrics`
-//! exposes them in Prometheus text format without double bookkeeping.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,20 +25,6 @@ use std::time::Duration;
 use serenade_telemetry::{Counter, Histogram, HistogramConfig, LatencySummary, Registry};
 
 use crate::context::StageTimings;
-
-/// Latency histogram sizing. Production tracks up to an hour at ≤2%
-/// relative error; the loom build shrinks the value range so a model
-/// schedule's step budget is spent on interleavings, not bucket loads.
-fn latency_config() -> HistogramConfig {
-    #[cfg(feature = "loom")]
-    {
-        HistogramConfig { max_value_us: 63, shards: 2 }
-    }
-    #[cfg(not(feature = "loom"))]
-    {
-        HistogramConfig::default()
-    }
-}
 
 /// Thread-safe request statistics for one engine.
 #[derive(Debug)]
@@ -56,23 +39,6 @@ pub struct ServingStats {
     session: Arc<Histogram>,
     predict: Arc<Histogram>,
     policy: Arc<Histogram>,
-}
-
-impl Default for ServingStats {
-    fn default() -> Self {
-        Self {
-            requests: Arc::new(Counter::new()),
-            depersonalised: Arc::new(Counter::new()),
-            degraded: Arc::new(Counter::new()),
-            empty_responses: Arc::new(Counter::new()),
-            errors: Arc::new(Counter::new()),
-            busy_ns: Arc::new(Counter::new()),
-            total: Arc::new(Histogram::new(latency_config())),
-            session: Arc::new(Histogram::new(latency_config())),
-            predict: Arc::new(Histogram::new(latency_config())),
-            policy: Arc::new(Histogram::new(latency_config())),
-        }
-    }
 }
 
 /// A point-in-time snapshot of [`ServingStats`].
@@ -102,9 +68,53 @@ pub struct StatsSnapshot {
 }
 
 impl ServingStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
+    /// The engine's `serenade_*` request counters and stage histograms in
+    /// `registry`.
+    pub fn new(registry: &Registry) -> Self {
+        let stage = |stage| {
+            registry.histogram(
+                "serenade_request_duration_seconds",
+                "Request latency by pipeline stage.",
+                &[("stage", stage)],
+                HistogramConfig::default(),
+            )
+        };
+        Self {
+            requests: registry.counter(
+                "serenade_requests_total",
+                "Requests handled since startup.",
+                &[],
+            ),
+            depersonalised: registry.counter(
+                "serenade_depersonalised_total",
+                "Requests served in depersonalised (no-consent) mode.",
+                &[],
+            ),
+            degraded: registry.counter(
+                "serenade_deadline_degraded_total",
+                "Requests degraded to the depersonalised fallback on deadline expiry.",
+                &[],
+            ),
+            empty_responses: registry.counter(
+                "serenade_empty_responses_total",
+                "Requests that produced an empty recommendation list.",
+                &[],
+            ),
+            errors: registry.counter(
+                "serenade_errors_total",
+                "Requests that failed with a serving error.",
+                &[],
+            ),
+            busy_ns: registry.counter(
+                "serenade_handler_busy_nanoseconds_total",
+                "Cumulative busy time spent inside request handling.",
+                &[],
+            ),
+            total: stage("total"),
+            session: stage("session"),
+            predict: stage("predict"),
+            policy: stage("policy"),
+        }
     }
 
     /// Records one failed request (the engine returned a serving error).
@@ -151,61 +161,6 @@ impl ServingStats {
             policy_latency: self.policy.snapshot().summary(),
         }
     }
-
-    /// Registers these counters and stage histograms into `registry` under
-    /// the serenade metric names. The registry shares the live handles — no
-    /// copying, no separate bookkeeping.
-    pub fn register_into(&self, registry: &Registry) {
-        registry.counter_shared(
-            "serenade_requests_total",
-            "Requests handled since startup.",
-            &[],
-            Arc::clone(&self.requests),
-        );
-        registry.counter_shared(
-            "serenade_depersonalised_total",
-            "Requests served in depersonalised (no-consent) mode.",
-            &[],
-            Arc::clone(&self.depersonalised),
-        );
-        registry.counter_shared(
-            "serenade_deadline_degraded_total",
-            "Requests degraded to the depersonalised fallback on deadline expiry.",
-            &[],
-            Arc::clone(&self.degraded),
-        );
-        registry.counter_shared(
-            "serenade_empty_responses_total",
-            "Requests that produced an empty recommendation list.",
-            &[],
-            Arc::clone(&self.empty_responses),
-        );
-        registry.counter_shared(
-            "serenade_errors_total",
-            "Requests that failed with a serving error.",
-            &[],
-            Arc::clone(&self.errors),
-        );
-        registry.counter_shared(
-            "serenade_handler_busy_nanoseconds_total",
-            "Cumulative busy time spent inside request handling.",
-            &[],
-            Arc::clone(&self.busy_ns),
-        );
-        for (stage, histogram) in [
-            ("total", &self.total),
-            ("session", &self.session),
-            ("predict", &self.predict),
-            ("policy", &self.policy),
-        ] {
-            registry.histogram_shared(
-                "serenade_request_duration_seconds",
-                "Request latency by pipeline stage.",
-                &[("stage", stage)],
-                Arc::clone(histogram),
-            );
-        }
-    }
 }
 
 #[cfg(all(test, not(feature = "loom")))]
@@ -222,7 +177,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let s = ServingStats::new();
+        let s = ServingStats::new(&Registry::new());
         s.record(timings(20, 70, 10), false, 21);
         s.record(timings(50, 200, 50), true, 0);
         let snap = s.snapshot();
@@ -237,7 +192,7 @@ mod tests {
 
     #[test]
     fn per_stage_breakdowns_are_recorded() {
-        let s = ServingStats::new();
+        let s = ServingStats::new(&Registry::new());
         s.record(timings(10, 100, 1), false, 5);
         s.record(timings(30, 300, 3), false, 5);
         let snap = s.snapshot();
@@ -250,8 +205,7 @@ mod tests {
     #[test]
     fn degraded_requests_are_counted_and_exported() {
         let registry = Registry::new();
-        let s = ServingStats::new();
-        s.register_into(&registry);
+        let s = ServingStats::new(&registry);
         s.record_degraded();
         s.record_degraded();
         assert_eq!(s.snapshot().degraded, 2);
@@ -264,7 +218,7 @@ mod tests {
 
     #[test]
     fn empty_stats_have_no_latency() {
-        let snap = ServingStats::new().snapshot();
+        let snap = ServingStats::new(&Registry::new()).snapshot();
         assert_eq!(snap.requests, 0);
         assert!(snap.latency.is_none());
         assert!(snap.session_latency.is_none());
@@ -274,7 +228,7 @@ mod tests {
 
     #[test]
     fn quantiles_stay_within_the_documented_bound() {
-        let s = ServingStats::new();
+        let s = ServingStats::new(&Registry::new());
         for us in 1..=1_000u64 {
             s.record(timings(0, us, 0), false, 5);
         }
@@ -288,10 +242,9 @@ mod tests {
     }
 
     #[test]
-    fn register_into_exposes_the_live_handles() {
+    fn the_registry_renders_the_live_handles() {
         let registry = Registry::new();
-        let s = ServingStats::new();
-        s.register_into(&registry);
+        let s = ServingStats::new(&registry);
         s.record(timings(10, 100, 1), true, 0);
         s.record_error();
         let text = registry.render();
@@ -311,7 +264,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording_is_lossless() {
-        let s = std::sync::Arc::new(ServingStats::new());
+        let s = std::sync::Arc::new(ServingStats::new(&Registry::new()));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let s = std::sync::Arc::clone(&s);

@@ -2,9 +2,10 @@
 //! slow-request trace ring behind `GET /metrics` and `GET /debug/slow`.
 //!
 //! One [`ClusterTelemetry`] exists per [`crate::cluster::ServingCluster`].
-//! It owns the `serenade-telemetry` [`Registry`] the engine's counters and
-//! stage histograms are registered into (see
-//! [`crate::stats::ServingStats::register_into`]), the cluster-level
+//! It owns the `serenade-telemetry` [`Registry`] every metric of the node is
+//! made in (the engine's counters and stage histograms by
+//! [`crate::stats::ServingStats::new`], the cache's, the server's and the
+//! ingest pipeline's by their own constructors), the cluster-level
 //! metrics (index generation, bytes per index structure, stranded slots and
 //! dead posting entries, all read off the published index when `/metrics` is
 //! scraped, not when it is published; uptime, rollover duration), and the

@@ -654,7 +654,8 @@ fn stats_stripes_do_not_lose_updates() {
     let mut builder = loom::Builder::default();
     builder.preemption_bound = 2;
     let report = builder.explore(|| {
-        let stats = StdArc::new(serenade_serving::ServingStats::new());
+        let registry = serenade_telemetry::Registry::new();
+        let stats = StdArc::new(serenade_serving::ServingStats::new(&registry));
         let workers: Vec<_> = (0..2)
             .map(|_| {
                 let stats = StdArc::clone(&stats);

@@ -89,9 +89,15 @@ pub struct HistogramConfig {
 
 impl Default for HistogramConfig {
     fn default() -> Self {
-        // One hour in microseconds: far beyond any serving latency, and the
-        // bucket table stays under 1,000 entries (~7.5 KiB per shard).
-        Self { max_value_us: 3_600_000_000, shards: 8 }
+        if cfg!(feature = "loom") {
+            // The model-checked build shrinks the range so a schedule's
+            // step budget is spent on interleavings, not bucket loads.
+            Self { max_value_us: 63, shards: 2 }
+        } else {
+            // One hour in microseconds: far beyond any serving latency, and
+            // the bucket table stays under 1,000 entries (~7.5 KiB per shard).
+            Self { max_value_us: 3_600_000_000, shards: 8 }
+        }
     }
 }
 
@@ -145,15 +151,7 @@ impl Histogram {
     /// atomic RMWs on this worker's shard, no lock, no allocation.
     #[inline]
     pub fn record_us(&self, value_us: u64) {
-        let v = value_us.min(self.clamp);
-        let shard = &self.shards[shard_slot(self.shards.len())];
-        // ORDERING: statistical counters with no partner; `snapshot` merges
-        // racy per-shard reads and tolerates torn cross-field views (a
-        // count/sum skew of a few in-flight observations).
-        shard.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        shard.sum_us.fetch_add(v, Ordering::Relaxed); // ORDERING: see buckets above
-        shard.min_us.fetch_min(v, Ordering::Relaxed); // ORDERING: see buckets above
-        shard.max_us.fetch_max(v, Ordering::Relaxed); // ORDERING: see buckets above
+        self.record_into(shard_slot(self.shards.len()), value_us);
     }
 
     /// Records one observation given as a [`std::time::Duration`].
@@ -166,8 +164,14 @@ impl Histogram {
     /// without spawning threads.
     #[doc(hidden)]
     pub fn record_us_in_shard(&self, shard: usize, value_us: u64) {
+        self.record_into(shard % self.shards.len(), value_us);
+    }
+
+    /// Records one observation into shard `shard` (in range).
+    #[inline]
+    fn record_into(&self, shard: usize, value_us: u64) {
         let v = value_us.min(self.clamp);
-        let shard = &self.shards[shard % self.shards.len()];
+        let shard = &self.shards[shard];
         // ORDERING: statistical counters with no partner; `snapshot` merges
         // racy per-shard reads and tolerates torn cross-field views (a
         // count/sum skew of a few in-flight observations).

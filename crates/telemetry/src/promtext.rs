@@ -409,7 +409,7 @@ impl Exposition {
 #[cfg(all(test, not(feature = "loom")))]
 mod tests {
     use super::*;
-    use crate::histogram::{Histogram, HistogramConfig, REL_ERROR_BOUND};
+    use crate::histogram::{HistogramConfig, REL_ERROR_BOUND};
     use crate::registry::Registry;
 
     #[test]
@@ -534,10 +534,8 @@ h_count 5
 
     #[test]
     fn reference_histogram_parses() {
-        let h = Histogram::default();
-        h.record_us(125);
         let registry = Registry::new();
-        registry.histogram_shared("h_seconds", "H.", &[], std::sync::Arc::new(h));
+        registry.histogram("h_seconds", "H.", &[], HistogramConfig::default()).record_us(125);
         let exp = parse(&registry.render()).unwrap();
         exp.validate().unwrap();
         assert_eq!(exp.value("h_seconds_count", &[]), Some(1.0));

@@ -1,13 +1,16 @@
 //! Named metric registry with Prometheus text exposition.
 //!
 //! A [`Registry`] owns the set of metric families the server exposes at
-//! `GET /metrics`. Handles returned at registration time ([`Counter`],
-//! [`Gauge`], [`crate::Histogram`]) are plain `Arc`s the hot path updates
-//! with relaxed atomics — the registry's mutex is touched only at
-//! registration and render time, never per request. Values that already
+//! `GET /metrics`, and is the only place a metric handle is made:
+//! [`Registry::counter`], [`Registry::gauge`] and [`Registry::histogram`]
+//! return the series named by a name and label set, creating it on first
+//! use, so a series registered twice is one series. The handles
+//! ([`Counter`], [`Gauge`], [`crate::Histogram`]) are plain `Arc`s the hot
+//! path updates with relaxed atomics — the registry's mutex is touched only
+//! at registration and render time, never per request. Values that already
 //! live elsewhere (index generation, live session counts, store eviction
 //! counters) are registered as *polled* metrics: a closure sampled at
-//! render time.
+//! render time, replaced when the series is registered again.
 //!
 //! [`Registry::render`] produces the Prometheus text exposition format
 //! (version 0.0.4): one `# HELP`/`# TYPE` header per family followed by its
@@ -27,15 +30,9 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug)]
 pub struct Counter(AtomicU64);
 
-impl Default for Counter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
+    /// A counter at zero; [`Registry::counter`] is the only maker.
+    fn new() -> Self {
         Self(AtomicU64::new(0))
     }
 
@@ -66,15 +63,9 @@ impl Counter {
 #[derive(Debug)]
 pub struct Gauge(AtomicU64);
 
-impl Default for Gauge {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Gauge {
-    /// Creates a gauge at zero.
-    pub fn new() -> Self {
+    /// A gauge at zero; [`Registry::gauge`] is the only maker.
+    fn new() -> Self {
         Self(AtomicU64::new(0))
     }
 
@@ -94,14 +85,15 @@ impl Gauge {
 }
 
 /// What a registered metric observes when the registry renders.
+#[derive(Clone)]
 enum Observed {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
     /// Cumulative value sampled from elsewhere at render time.
-    PolledCounter(Box<dyn Fn() -> u64 + Send + Sync>),
+    PolledCounter(Arc<dyn Fn() -> u64 + Send + Sync>),
     /// Instantaneous value sampled from elsewhere at render time.
-    PolledGauge(Box<dyn Fn() -> u64 + Send + Sync>),
+    PolledGauge(Arc<dyn Fn() -> u64 + Send + Sync>),
 }
 
 impl Observed {
@@ -111,6 +103,19 @@ impl Observed {
             Observed::Gauge(_) | Observed::PolledGauge(_) => "gauge",
             Observed::Histogram(_) => "histogram",
         }
+    }
+
+    /// Whether a registration of `new` over this series keeps this one: a
+    /// counter, gauge or histogram handle of the same type is kept, so every
+    /// caller records into one series; anything else (a polled closure in
+    /// particular) is replaced.
+    fn keeps_over(&self, new: &Observed) -> bool {
+        matches!(
+            (self, new),
+            (Observed::Counter(_), Observed::Counter(_))
+                | (Observed::Gauge(_), Observed::Gauge(_))
+                | (Observed::Histogram(_), Observed::Histogram(_))
+        )
     }
 }
 
@@ -140,42 +145,62 @@ impl Registry {
         Self::default()
     }
 
-    fn register(&self, name: &str, help: &str, labels: &[(&str, &str)], observed: Observed) {
+    /// Puts `observed` behind the series `name{labels}`, the one place a
+    /// series is added or changed. A series registered again stays one
+    /// series: an existing handle of the same type is kept and returned
+    /// (the caller then records into it), and anything else is replaced,
+    /// so a polled series samples its latest closure and drops the state
+    /// the earlier one captured. Returns `None` when `observed` was stored.
+    fn register(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        observed: Observed,
+    ) -> Option<Observed> {
         let mut families = self.families.lock().unwrap_or_else(|p| p.into_inner());
-        let metric = Metric {
-            labels: labels
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
-            observed,
-        };
-        if let Some(family) = families.iter_mut().find(|f| f.name == name) {
-            family.metrics.push(metric);
-        } else {
-            families.push(Family {
-                name: name.to_string(),
-                help: help.to_string(),
-                metrics: vec![metric],
-            });
+        let labels: Vec<(String, String)> =
+            labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+        let at = families.iter().position(|f| f.name == name).unwrap_or_else(|| {
+            let (name, help) = (name.to_string(), help.to_string());
+            families.push(Family { name, help, metrics: Vec::new() });
+            families.len() - 1
+        });
+        let family = &mut families[at];
+        match family.metrics.iter_mut().find(|m| m.labels == labels) {
+            Some(series) if series.observed.keeps_over(&observed) => Some(series.observed.clone()),
+            Some(series) => {
+                series.observed = observed;
+                None
+            }
+            None => {
+                family.metrics.push(Metric { labels, observed });
+                None
+            }
         }
     }
 
-    /// Registers and returns a counter series.
+    /// The counter series `name{labels}`, registered on first use.
     pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        let c = Arc::new(Counter::new());
-        self.register(name, help, labels, Observed::Counter(Arc::clone(&c)));
-        c
+        let fresh = Arc::new(Counter::new());
+        match self.register(name, help, labels, Observed::Counter(Arc::clone(&fresh))) {
+            Some(Observed::Counter(existing)) => existing,
+            _ => fresh,
+        }
     }
 
-    /// Registers and returns a gauge series.
+    /// The gauge series `name{labels}`, registered on first use.
     pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let g = Arc::new(Gauge::new());
-        self.register(name, help, labels, Observed::Gauge(Arc::clone(&g)));
-        g
+        let fresh = Arc::new(Gauge::new());
+        match self.register(name, help, labels, Observed::Gauge(Arc::clone(&fresh))) {
+            Some(Observed::Gauge(existing)) => existing,
+            _ => fresh,
+        }
     }
 
-    /// Registers and returns a histogram series (values in microseconds,
-    /// rendered in seconds).
+    /// The histogram series `name{labels}` (values in microseconds,
+    /// rendered in seconds), registered on first use; `config` sizes it
+    /// then and is ignored after.
     pub fn histogram(
         &self,
         name: &str,
@@ -183,39 +208,15 @@ impl Registry {
         labels: &[(&str, &str)],
         config: HistogramConfig,
     ) -> Arc<Histogram> {
-        let h = Arc::new(Histogram::new(config));
-        self.register(name, help, labels, Observed::Histogram(Arc::clone(&h)));
-        h
+        let fresh = Arc::new(Histogram::new(config));
+        match self.register(name, help, labels, Observed::Histogram(Arc::clone(&fresh))) {
+            Some(Observed::Histogram(existing)) => existing,
+            _ => fresh,
+        }
     }
 
-    /// Registers an already-shared counter under `name`.
-    pub fn counter_shared(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        counter: Arc<Counter>,
-    ) {
-        self.register(name, help, labels, Observed::Counter(counter));
-    }
-
-    /// Registers an already-shared gauge under `name`.
-    pub fn gauge_shared(&self, name: &str, help: &str, labels: &[(&str, &str)], gauge: Arc<Gauge>) {
-        self.register(name, help, labels, Observed::Gauge(gauge));
-    }
-
-    /// Registers an already-shared histogram under `name`.
-    pub fn histogram_shared(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        histogram: Arc<Histogram>,
-    ) {
-        self.register(name, help, labels, Observed::Histogram(histogram));
-    }
-
-    /// Registers a counter whose value is sampled from `f` at render time.
+    /// Registers a counter whose value is sampled from `f` at render time;
+    /// registered again, the series samples the new `f`.
     pub fn polled_counter(
         &self,
         name: &str,
@@ -223,10 +224,11 @@ impl Registry {
         labels: &[(&str, &str)],
         f: impl Fn() -> u64 + Send + Sync + 'static,
     ) {
-        self.register(name, help, labels, Observed::PolledCounter(Box::new(f)));
+        self.register(name, help, labels, Observed::PolledCounter(Arc::new(f)));
     }
 
-    /// Registers a gauge whose value is sampled from `f` at render time.
+    /// Registers a gauge whose value is sampled from `f` at render time;
+    /// registered again, the series samples the new `f`.
     pub fn polled_gauge(
         &self,
         name: &str,
@@ -234,7 +236,7 @@ impl Registry {
         labels: &[(&str, &str)],
         f: impl Fn() -> u64 + Send + Sync + 'static,
     ) {
-        self.register(name, help, labels, Observed::PolledGauge(Box::new(f)));
+        self.register(name, help, labels, Observed::PolledGauge(Arc::new(f)));
     }
 
     /// Renders the Prometheus text exposition format (version 0.0.4).
@@ -383,6 +385,38 @@ mod tests {
         assert_eq!(text.matches("# TYPE req_total").count(), 1, "{text}");
         assert!(text.contains("req_total{pod=\"0\"} 1"));
         assert!(text.contains("req_total{pod=\"1\"} 2"));
+    }
+
+    #[test]
+    fn a_series_registered_twice_is_one_series() {
+        let registry = Registry::new();
+        let first = registry.counter("req_total", "Requests served.", &[("pod", "0")]);
+        let again = registry.counter("req_total", "Requests served.", &[("pod", "0")]);
+        assert!(Arc::ptr_eq(&first, &again));
+        first.inc();
+        again.inc();
+        let h = registry.histogram("lat_seconds", "Latency.", &[], HistogramConfig::default());
+        let h_again =
+            registry.histogram("lat_seconds", "Latency.", &[], HistogramConfig::default());
+        assert!(Arc::ptr_eq(&h, &h_again));
+        let text = registry.render();
+        assert_eq!(text.matches("req_total{pod=\"0\"}").count(), 1, "{text}");
+        assert!(text.contains("req_total{pod=\"0\"} 2"), "{text}");
+        assert_eq!(text.matches("lat_seconds_count").count(), 1, "{text}");
+    }
+
+    #[test]
+    fn a_polled_series_registered_again_samples_the_new_closure() {
+        let registry = Registry::new();
+        let old = Arc::new(AtomicU64::new(1));
+        let captured = Arc::clone(&old);
+        registry
+            .polled_gauge("inflight", "In flight.", &[], move || captured.load(Ordering::Relaxed));
+        registry.polled_gauge("inflight", "In flight.", &[], || 7);
+        let text = registry.render();
+        let samples: Vec<_> = text.lines().filter(|l| l.starts_with("inflight ")).collect();
+        assert_eq!(samples, ["inflight 7"], "{text}");
+        assert_eq!(Arc::strong_count(&old), 1, "the replaced closure still holds its state");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One-command verification: tier-1 build+tests, then only what tier-1 does
-# not cover — the workspace lint pass and analyzer from the CLI, the
-# benchmark's smoke run and self-tests, the loom model
+# not cover — the workspace lint pass, the rustdoc link check and the
+# analyzer from the CLI, the benchmark's smoke run and self-tests, the loom model
 # checks, and the seeded-mutation kill tests (where the checker must FAIL
 # the mutated protocol — their test files assert exactly that).
 set -euo pipefail
@@ -21,6 +21,9 @@ cargo test -q
 
 echo "==> workspace lint"
 cargo run -q -p xtask -- lint
+
+echo "==> rustdoc: every intra-doc link resolves"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace --offline
 
 echo "==> concurrency analyzer: lock order, atomic orderings, reactor blocking (vs committed baseline)"
 cargo run -q -p xtask -- analyze --baseline crates/xtask/analyze_baseline.json
