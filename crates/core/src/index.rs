@@ -26,8 +26,8 @@
 //! depends only on this *order*, never on a timestamp's magnitude, so a
 //! posting stores ids alone and the kernel compares ids alone: "descending
 //! recency" and "descending id" are one order. Every producer upholds the
-//! invariant and [`SessionIndex::from_parts`] checks it on anything loaded
-//! from outside; `t` survives as a column for the consumers that need a
+//! invariant, and an artefact cannot break it: it stores each timestamp as
+//! its increase over the one before (`serenade_index::binfmt`); `t` survives as a column for the consumers that need a
 //! time (incremental merges, snapshot diffing), not for ordering.
 //!
 //! ## Segments and slots
@@ -62,8 +62,9 @@
 //! one canonical order, ascending item id — the build and every merge of a
 //! live index, and the artefact writer keeps it — which depends on no slot
 //! numbering, so two indexes of the same log hold the same rows. A row in
-//! another order (an artefact written before rows were canonical kept each
-//! item at its first click) loads and answers the same.
+//! another order (artefacts written before rows were canonical kept each
+//! item at its first click) answers the same; an artefact now stores every
+//! row strictly ascending, so a load makes none.
 //!
 //! ## Postings and arenas
 //!
@@ -171,94 +172,6 @@ impl IndexBytes {
     pub fn total(&self) -> usize {
         self.postings + self.posting_table + self.session_items + self.timestamps + self.slots
     }
-}
-
-/// Checks that the timestamps of the `n` sessions do not decrease with the
-/// dense id — the invariant that makes the id the recency key, and with it
-/// the whole kernel order.
-fn check_recency(n: usize, timestamp: impl Fn(usize) -> Timestamp) -> Result<(), CoreError> {
-    match (1..n).find(|&s| timestamp(s - 1) > timestamp(s)) {
-        Some(older) => Err(CoreError::CorruptIndex(format!(
-            "session {older} is older than session {}: timestamps must not decrease with the \
-             dense id",
-            older - 1
-        ))),
-        None => Ok(()),
-    }
-}
-
-/// Checks postings laid out by slot — slot `s`'s posting is the `arena`
-/// entries `offset(s)..offset(s + 1)` and its item's support `support(s)` —
-/// as an index of `n` sessions needs them: the offsets tile the arena, and
-/// each posting holds `min(support, m_max)` strictly descending ids of the
-/// `n` sessions.
-fn check_postings(
-    slot_items: &[ItemId],
-    support: impl Fn(usize) -> u32,
-    offset: impl Fn(usize) -> u32,
-    arena: &[SessionId],
-    n: usize,
-    m_max: usize,
-) -> Result<(), CoreError> {
-    let slots = slot_items.len();
-    if offset(0) != 0 {
-        return Err(CoreError::CorruptIndex("posting offsets do not start at 0".into()));
-    }
-    if let Some(slot) = (0..slots).find(|&s| offset(s) > offset(s + 1)) {
-        return Err(CoreError::CorruptIndex(format!("posting offsets decrease after slot {slot}")));
-    }
-    let end = offset(slots) as usize;
-    if end != arena.len() {
-        let how = if end > arena.len() { "overrun" } else { "fall short of" };
-        return Err(CoreError::CorruptIndex(format!(
-            "posting offsets {how} the {}-entry arena: they end at {end}",
-            arena.len()
-        )));
-    }
-    for (slot, item) in slot_items.iter().enumerate() {
-        let entries = &arena[offset(slot) as usize..offset(slot + 1) as usize];
-        let support = support(slot) as usize;
-        if entries.len() > m_max {
-            return Err(CoreError::CorruptIndex(format!(
-                "posting list of item {item} longer than m_max"
-            )));
-        }
-        if support < entries.len() {
-            return Err(CoreError::CorruptIndex(format!(
-                "posting list of item {item} longer than its support"
-            )));
-        }
-        if entries.len() < support.min(m_max) {
-            return Err(CoreError::CorruptIndex(format!(
-                "posting list of item {item} shorter than min(support, m_max)"
-            )));
-        }
-        // Strictly descending, so the first entry bounds all of them.
-        if entries.first().is_some_and(|&newest| newest as usize >= n) {
-            return Err(CoreError::CorruptIndex(format!(
-                "posting list of item {item} references unknown session"
-            )));
-        }
-        if entries.windows(2).any(|w| w[0] <= w[1]) {
-            return Err(CoreError::CorruptIndex(format!(
-                "posting list of item {item} not in descending recency order"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// The record of every slot's item for postings laid out by slot in arena
-/// 0, slot `s`'s from `start(s)`: one table, sized once.
-fn records(
-    slot_items: &[ItemId],
-    support: impl Fn(usize) -> u32,
-    start: impl Fn(usize) -> u32,
-) -> FxHashMap<ItemId, Posting> {
-    let record = |(slot, &item): (usize, &ItemId)| {
-        (item, Posting { support: support(slot), slot: slot as u32, arena: 0, start: start(slot) })
-    };
-    slot_items.iter().enumerate().map(record).collect()
 }
 
 /// A new arena of `len` entries, written in place by `fill`: one allocation
@@ -382,30 +295,6 @@ impl std::fmt::Debug for SessionItems<'_> {
     }
 }
 
-/// Flat columns as a producer holds them before they become an index — the
-/// bytes of an artefact in a decoder — read by position, so
-/// [`SessionIndex::from_parts`] lays them out without a copy in between:
-/// per session its timestamp and CSR offset, per session item its slot, and
-/// per slot its item's support and posting offset.
-pub trait IndexColumns {
-    /// Number of sessions.
-    fn num_sessions(&self) -> usize;
-    /// Number of `(session, item)` entries, all sessions together.
-    fn num_entries(&self) -> usize;
-    /// Timestamp of `session < num_sessions()`.
-    fn timestamp(&self, session: usize) -> Timestamp;
-    /// CSR offset of `session <= num_sessions()`: its items are the entries
-    /// `offset(session)..offset(session + 1)`.
-    fn offset(&self, session: usize) -> u32;
-    /// Accumulator slot of the item of `entry < num_entries()`.
-    fn slot(&self, entry: usize) -> u32;
-    /// Support `h_i` of the item in `slot`, below the slot count.
-    fn support(&self, slot: usize) -> u32;
-    /// Posting offset of `slot`, up to the slot count: its item's posting is
-    /// the arena entries `posting_offset(slot)..posting_offset(slot + 1)`.
-    fn posting_offset(&self, slot: usize) -> u32;
-}
-
 /// The prebuilt `(M, t)` index over historical sessions. Cloning is a
 /// handle copy: the clone shares every array with the original.
 #[derive(Debug, Clone)]
@@ -436,76 +325,8 @@ impl SessionIndex {
         Self::build_with_threads(clicks, m_max, 1)
     }
 
-    /// Assembles an index from pre-built parts (an artefact being loaded),
-    /// validating all structural invariants and laying the columns out in
-    /// segments; `arena` becomes the index's one arena.
-    ///
-    /// The offsets of `columns` must start at 0, be monotone and end at its
-    /// number of entries. Its timestamps must be non-decreasing in the dense
-    /// id — the invariant that makes the id the recency key, and with it the
-    /// whole kernel order. Slots are numbered as a built index numbers them:
-    /// `slot_items` is strictly ascending and every slot in `columns` is
-    /// below `slot_items.len()`. The postings are laid out by slot: the
-    /// posting offsets start at 0, do not decrease and end at the arena's
-    /// length, and each posting holds `min(support, m_max)` strictly
-    /// descending valid session ids.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::CorruptIndex`] describing the first violated invariant.
-    pub fn from_parts(
-        columns: &impl IndexColumns,
-        slot_items: Arc<[ItemId]>,
-        arena: Arc<[SessionId]>,
-        m_max: usize,
-    ) -> Result<Self, CoreError> {
-        let n = columns.num_sessions();
-        if m_max == 0 {
-            return Err(CoreError::CorruptIndex("m_max must be positive".into()));
-        }
-        if n > u32::MAX as usize {
-            return Err(CoreError::CorruptIndex(format!("{n} sessions exceed the u32 id space")));
-        }
-        if columns.offset(0) != 0 || columns.offset(n) as usize != columns.num_entries() {
-            return Err(CoreError::CorruptIndex("items_offsets endpoints invalid".into()));
-        }
-        if (0..n).any(|s| columns.offset(s) > columns.offset(s + 1)) {
-            return Err(CoreError::CorruptIndex("items_offsets not monotone".into()));
-        }
-        check_recency(n, |s| columns.timestamp(s))?;
-        if let Some(slot) = (1..slot_items.len()).find(|&s| slot_items[s - 1] >= slot_items[s]) {
-            return Err(CoreError::CorruptIndex(format!(
-                "slot table not strictly ascending at slot {slot}"
-            )));
-        }
-        let (support, offset) = (|s| columns.support(s), |s| columns.posting_offset(s));
-        check_postings(&slot_items, support, offset, &arena, n, m_max)?;
-
-        let mut segments = Vec::with_capacity(n.div_ceil(SEGMENT_SESSIONS));
-        for lo in (0..n).step_by(SEGMENT_SESSIONS) {
-            let hi = n.min(lo + SEGMENT_SESSIONS);
-            let base = columns.offset(lo);
-            // Exact-size iterators collect straight into the segment's arrays.
-            let slots: Box<[u32]> =
-                (base as usize..columns.offset(hi) as usize).map(|e| columns.slot(e)).collect();
-            if let Some(slot) = slots.iter().find(|&&slot| slot as usize >= slot_items.len()) {
-                return Err(CoreError::CorruptIndex(format!(
-                    "session item slot {slot} is not below the slot count {}",
-                    slot_items.len()
-                )));
-            }
-            segments.push(Arc::new(Segment::new(
-                (lo..hi).map(|s| columns.timestamp(s)).collect(),
-                (lo..=hi).map(|s| columns.offset(s) - base).collect(),
-                slots,
-            )));
-        }
-        let postings = records(&slot_items, support, offset);
-        Ok(Self::from_generation(postings, Arc::from([arena]), segments.into(), slot_items, m_max))
-    }
-
     /// Assembles an index **without** validating it: the caller vouches for
-    /// every invariant [`SessionIndex::from_parts`] checks, that all
+    /// every invariant [`SessionIndex::from_segments`] relies on, that all
     /// `segments` but the last hold [`SEGMENT_SESSIONS`] sessions, that every
     /// record's range lies in its arena, no two overlapping, and that slots
     /// agree — `slot_items[posting.slot]` is the posting's item, and every
@@ -739,81 +560,6 @@ mod tests {
         ]
     }
 
-    /// An index taken apart into the flat parts a producer would hold.
-    struct Parts {
-        timestamps: Vec<Timestamp>,
-        offsets: Vec<u32>,
-        slots: Vec<u32>,
-        slot_items: Vec<ItemId>,
-        supports: Vec<u32>,
-        posting_offsets: Vec<u32>,
-        arena: Vec<SessionId>,
-        m_max: usize,
-    }
-
-    impl Parts {
-        fn of(index: &SessionIndex) -> Self {
-            let sessions = 0..index.num_sessions() as SessionId;
-            let mut offsets = vec![0];
-            let mut slots = Vec::new();
-            for s in sessions.clone() {
-                slots.extend_from_slice(index.session_slots(s));
-                offsets.push(slots.len() as u32);
-            }
-            let support = |item| index.item_support(item).unwrap();
-            let (mut posting_offsets, mut arena) = (vec![0], Vec::new());
-            for &item in index.slot_items().iter() {
-                arena.extend_from_slice(index.postings(item).unwrap());
-                posting_offsets.push(arena.len() as u32);
-            }
-            Self {
-                timestamps: sessions.map(|s| index.session_timestamp(s)).collect(),
-                offsets,
-                slots,
-                slot_items: index.slot_items().to_vec(),
-                supports: index.slot_items().iter().map(|&i| support(i)).collect(),
-                posting_offsets,
-                arena,
-                m_max: index.m_max(),
-            }
-        }
-
-        fn assemble(self) -> Result<SessionIndex, CoreError> {
-            let (slot_items, arena) = (self.slot_items[..].into(), self.arena[..].into());
-            SessionIndex::from_parts(&self, slot_items, arena, self.m_max)
-        }
-    }
-
-    impl IndexColumns for Parts {
-        fn num_sessions(&self) -> usize {
-            self.timestamps.len()
-        }
-
-        fn num_entries(&self) -> usize {
-            self.slots.len()
-        }
-
-        fn timestamp(&self, session: usize) -> Timestamp {
-            self.timestamps[session]
-        }
-
-        fn offset(&self, session: usize) -> u32 {
-            self.offsets[session]
-        }
-
-        fn slot(&self, entry: usize) -> u32 {
-            self.slots[entry]
-        }
-
-        fn support(&self, slot: usize) -> u32 {
-            self.supports[slot]
-        }
-
-        fn posting_offset(&self, slot: usize) -> u32 {
-            self.posting_offsets[slot]
-        }
-    }
-
     #[test]
     fn build_assigns_dense_ids_in_timestamp_order() {
         let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
@@ -930,83 +676,59 @@ mod tests {
         assert_eq!(idx.session_items(1), &[7]);
     }
 
+    /// `idx` made again from its rows and slot table on `threads` threads.
+    fn from_its_segments(idx: &SessionIndex, threads: usize) -> SessionIndex {
+        let (segments, slot_items) = (idx.segments().to_vec(), Arc::clone(idx.slot_items()));
+        SessionIndex::from_segments(segments, slot_items, idx.m_max(), threads).unwrap()
+    }
+
     #[test]
     fn roundtrip_through_parts_preserves_index() {
+        // The rows and the slot table are all an index is made of.
         let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
-        let idx2 = Parts::of(&idx).assemble().unwrap();
+        let idx2 = from_its_segments(&idx, 1);
         assert_eq!(idx2.stats(), idx.stats());
         assert_eq!(idx2.postings(1).unwrap(), &[2, 0]);
+        assert_eq!(idx2.item_support(1), Some(2));
         assert_eq!(idx2.session_items(2), &[1, 3]);
     }
 
     #[test]
-    fn from_parts_rejects_bad_offsets() {
-        let mut parts = Parts::of(&SessionIndex::build(&sample_clicks(), 10).unwrap());
-        parts.offsets[1] = 100; // out of range / non-monotone
-        assert!(matches!(parts.assemble(), Err(CoreError::CorruptIndex(_))));
-    }
-
-    #[test]
-    fn from_parts_rejects_unsorted_postings() {
-        let mut parts = Parts::of(&SessionIndex::build(&sample_clicks(), 10).unwrap());
-        parts.arena[..2].copy_from_slice(&[0, 2]); // item 1's posting, ascending: wrong
-        assert!(matches!(parts.assemble(), Err(CoreError::CorruptIndex(_))));
-    }
-
-    #[test]
-    fn from_parts_rejects_unknown_and_repeated_sessions() {
-        for bad in [[3, 0], [2, 2]] {
-            let mut parts = Parts::of(&SessionIndex::build(&sample_clicks(), 10).unwrap());
-            parts.arena[..2].copy_from_slice(&bad); // item 1's posting
-            assert!(matches!(parts.assemble(), Err(CoreError::CorruptIndex(_))), "{bad:?}");
+    fn postings_derived_on_any_thread_count_are_the_builds() {
+        // Three full segments and a short one: ranges of one, two and more
+        // segments, and postings truncated to `m_max` across them.
+        let n = SEGMENT_SESSIONS as u64 * 3 + 5;
+        let clicks: Vec<Click> =
+            (0..n).flat_map(|s| [Click::new(s, s % 7, s), Click::new(s, 7 + s % 3, s)]).collect();
+        for (clicks, m_max) in [(sample_clicks(), 1), (clicks.clone(), 500), (clicks, 5_000)] {
+            let idx = SessionIndex::build(&clicks, m_max).unwrap();
+            for threads in [1, 2, 3, 8] {
+                let idx2 = from_its_segments(&idx, threads);
+                assert_eq!(idx2.stats(), idx.stats());
+                for item in idx.items() {
+                    assert_eq!(idx2.postings(item), idx.postings(item), "item {item}");
+                    assert_eq!(idx2.item_support(item), idx.item_support(item), "item {item}");
+                }
+            }
         }
     }
 
     #[test]
-    fn from_parts_rejects_timestamps_that_decrease_with_the_id() {
-        // Unchecked, this would silently reverse the kernel's recency order:
-        // ids are all it compares.
-        let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
-        let mut parts = Parts::of(&idx);
-        parts.timestamps.swap(1, 2);
-        assert!(matches!(parts.assemble(), Err(CoreError::CorruptIndex(m)) if m.contains("session 2")));
-        // Ties are fine: equal timestamps are ordered by external id.
-        let mut parts = Parts::of(&idx);
-        parts.timestamps = vec![12, 21, 21];
-        parts.assemble().unwrap();
-    }
-
-    #[test]
-    fn from_parts_rejects_posting_longer_than_support() {
-        let mut parts = Parts::of(&SessionIndex::build(&sample_clicks(), 10).unwrap());
-        parts.supports[0] = 1; // item 1's posting has 2 entries
-        assert!(matches!(parts.assemble(), Err(CoreError::CorruptIndex(_))));
-    }
-
-    #[test]
-    fn slots_are_numbered_by_item_id_and_from_parts_checks_every_slot() {
+    fn slots_are_numbered_by_item_id_and_from_segments_checks_every_slot_is_held() {
         let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
         assert_eq!(&idx.slot_items()[..], &[1, 2, 3]);
         assert_eq!((idx.item_slot(3), idx.session_slots(1)), (Some(2), &[1, 2][..]));
         assert_eq!(idx.dead_slots(), 0);
-        let rejection = |edit: fn(&mut Parts)| {
-            let mut parts = Parts::of(&idx);
-            edit(&mut parts);
-            match parts.assemble() {
-                Err(CoreError::CorruptIndex(reason)) => reason,
-                other => panic!("expected a rejection, got {other:?}"),
+        // An item no row holds would have no posting.
+        let slot_items: Arc<[ItemId]> = Arc::from([1, 2, 3, 4]);
+        match SessionIndex::from_segments(idx.segments().to_vec(), slot_items, 10, 1) {
+            Err(CoreError::CorruptIndex(reason)) => {
+                assert!(reason.contains("item 4 (slot 3) is in no session"), "{reason}")
             }
-        };
-        let reason = rejection(|p| p.slot_items.swap(0, 1));
-        assert!(reason.contains("slot table not strictly ascending at slot 1"), "{reason}");
-        let reason = rejection(|p| p.slots[3] = 3);
-        assert!(reason.contains("slot 3 is not below the slot count 3"), "{reason}");
-        // A posting's length follows from its support, so one that holds
-        // fewer than it should is no posting of this index.
-        let reason = rejection(|p| p.supports[0] = 3);
-        assert!(reason.contains("item 1 shorter than min(support, m_max)"), "{reason}");
-        let reason = rejection(|p| p.posting_offsets[3] = 7);
-        assert!(reason.contains("posting offsets overrun the 6-entry arena"), "{reason}");
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+        let zero_cap = SessionIndex::from_segments(vec![], Arc::from([]), 0, 1);
+        assert!(matches!(zero_cap, Err(CoreError::CorruptIndex(m)) if m.contains("m_max")));
     }
 
     #[test]

@@ -17,19 +17,22 @@
 //!    stopping each item when its range is full, so every posting comes out
 //!    strictly descending and truncated to `m_max` with no further work.
 //!
+//! Steps 3–4 are [`SessionIndex::from_segments`], which a load of an
+//! artefact calls too: an artefact holds the rows and no postings, so there
+//! is one way to make a posting, and a posting cannot disagree with its
+//! rows.
+//!
 //! Threads work on separate ranges of sessions, with no shuffle: they sort
-//! the runs of a range of ranks, then number the slots of and fill the
-//! postings from a range of segments. A range's share of a posting is what
-//! the ranges of newer sessions leave of its `m_max`, so each thread writes
-//! only its own entries. The postings are then copied into the index's one
-//! arena by slot, each its shares, newest range first, and the result is
-//! checked as [`SessionIndex::from_parts`] checks what it loads.
+//! the runs of a range of ranks, then number the slots of, count and fill
+//! the postings from a range of segments. A range's share of a posting is
+//! what the ranges of newer sessions leave of its `m_max`, so each thread
+//! writes only its own entries. The postings are then copied into the
+//! index's one arena by slot, each its shares, newest range first; one
+//! range fills the arena in place.
 
 use std::sync::Arc;
 
-use super::{
-    check_postings, check_recency, new_arena, records, Segment, SessionIndex, SEGMENT_SESSIONS,
-};
+use super::{new_arena, Posting, Segment, SessionIndex, SEGMENT_SESSIONS};
 use crate::error::CoreError;
 use crate::hash::FxHashMap;
 use crate::sessions::{run_parallel, SessionRuns};
@@ -71,7 +74,6 @@ impl SessionIndex {
         }
 
         let runs = SessionRuns::group(clicks, threads);
-        let n = runs.len();
         let (mut segments, items_by_number) = deduplicate(&runs);
         drop(runs);
 
@@ -84,25 +86,66 @@ impl SessionIndex {
         }
         let slot_items: Arc<[ItemId]> = by_id.into_iter().map(|(item, _)| item).collect();
 
-        // Per range of segments: its items' slots, each row in item-id order,
-        // and how many of its sessions hold each item.
+        // Per range of segments: its items' slots, each row in item-id order.
         let per_thread = segments.len().div_ceil(threads.max(1));
-        let mut shares = run_parallel(segments.chunks_mut(per_thread).collect(), |segments| {
-            let mut holders = vec![0u32; slot_items.len()];
+        run_parallel(segments.chunks_mut(per_thread).collect(), |segments| {
             for segment in segments.iter_mut() {
                 for slot in segment.slots.iter_mut() {
                     *slot = slot_of[*slot as usize];
-                    holders[*slot as usize] += 1;
                 }
                 for row in segment.offsets.windows(2) {
                     segment.slots[row[0] as usize..row[1] as usize].sort_unstable();
                 }
             }
+        });
+        let segments = segments.into_iter().map(Arc::new).collect();
+        Self::from_segments(segments, slot_items, m_max, threads)
+    }
+
+    /// Makes the index of `segments`, whose slots `slot_items` names, by
+    /// deriving its postings from the rows on up to `threads` threads: steps
+    /// 3–4 of the build, and all a load of an artefact leaves to do (see the
+    /// `build` module). The index is the same for every `threads`.
+    ///
+    /// The caller vouches for the rows: all `segments` but the last hold
+    /// [`SEGMENT_SESSIONS`] sessions, timestamps do not decrease with the
+    /// dense id, `slot_items` holds distinct items, and every row holds
+    /// distinct slots below `slot_items.len()` in ascending order.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::CorruptIndex`] if `m_max` is 0 or a slot's item is in no
+    /// session, so that it would have no posting.
+    pub fn from_segments(
+        segments: Vec<Arc<Segment>>,
+        slot_items: Arc<[ItemId]>,
+        m_max: usize,
+        threads: usize,
+    ) -> Result<Self, CoreError> {
+        if m_max == 0 {
+            return Err(CoreError::CorruptIndex("m_max must be positive".into()));
+        }
+        // Step 3, per range of segments: how many of its sessions hold each
+        // item.
+        let slots = slot_items.len();
+        let per_thread = segments.len().div_ceil(threads.max(1)).max(1);
+        let mut shares = run_parallel(segments.chunks(per_thread).collect(), |segments| {
+            let mut holders = vec![0u32; slots];
+            for segment in segments {
+                for &slot in segment.slot_column() {
+                    holders[slot as usize] += 1;
+                }
+            }
             holders
         });
-        let supports: Vec<u32> = (0..slot_items.len())
-            .map(|slot| shares.iter().map(|holders| holders[slot]).sum())
-            .collect();
+        let supports: Vec<u32> =
+            (0..slots).map(|slot| shares.iter().map(|holders| holders[slot]).sum()).collect();
+        if let Some(slot) = supports.iter().position(|&support| support == 0) {
+            return Err(CoreError::CorruptIndex(format!(
+                "item {} (slot {slot}) is in no session",
+                slot_items[slot]
+            )));
+        }
         // Each range's share of every posting: what the newer ranges leave.
         let cap = u32::try_from(m_max).unwrap_or(u32::MAX);
         let mut room: Vec<u32> = supports.iter().map(|&support| support.min(cap)).collect();
@@ -112,16 +155,27 @@ impl SessionIndex {
                 *room -= *share;
             }
         }
+        drop(room);
 
-        let segments: Vec<Arc<Segment>> = segments.into_iter().map(Arc::new).collect();
-        let jobs = segments.chunks(per_thread).zip(0..).zip(shares).collect();
-        let filled = run_parallel(jobs, |((range, k), share)| fill(range, k * per_thread, &share));
-        let (arena, offsets) = assemble(slot_items.len(), &filled);
-        drop(filled);
-        check_recency(n, |s| segments[s / SEGMENT_SESSIONS].timestamp(s % SEGMENT_SESSIONS))?;
-        let (support, offset) = (|s: usize| supports[s], |s: usize| offsets[s]);
-        check_postings(&slot_items, support, offset, &arena, n, m_max)?;
-        let postings = records(&slot_items, support, offset);
+        // Step 4. One range fills the arena in place; more fill their shares
+        // apart, and the shares are copied into the arena.
+        let arena = if let [share] = &shares[..] {
+            let starts = running_totals(share);
+            new_arena(starts[slots] as usize, |arena| fill(&segments, 0, &starts, arena))
+        } else {
+            let jobs = segments.chunks(per_thread).zip(0..).zip(&shares).collect();
+            let filled = run_parallel(jobs, |((range, k), share)| {
+                let starts = running_totals(share);
+                let mut ids = vec![0; starts[slots] as usize];
+                fill(range, k * per_thread, &starts, &mut ids);
+                (starts, ids)
+            });
+            assemble(slots, &filled)
+        };
+        // Only the supports outlive the fill: a load's peak is the finished
+        // index and them (`serenade_index`'s `tests/load_allocs.rs`).
+        drop(shares);
+        let postings = records(&slot_items, &supports, m_max);
         Ok(Self::from_generation(postings, Arc::from([arena]), segments.into(), slot_items, m_max))
     }
 }
@@ -161,17 +215,23 @@ fn deduplicate(runs: &SessionRuns) -> (Vec<Segment>, Vec<ItemId>) {
     (segments, items_by_number)
 }
 
-/// Step 4 for a range of segments, the first of them segment `first`: the
-/// range's `share` of every posting, as CSR by slot — offsets, then the ids,
-/// each share newest first.
-fn fill(segments: &[Arc<Segment>], first: usize, share: &[u32]) -> (Vec<u32>, Vec<SessionId>) {
-    let mut starts = vec![0u32];
-    starts.extend(share.iter().scan(0, |total, &share| {
-        *total += share;
+/// 0, then the running totals of `lens`: CSR offsets.
+fn running_totals(lens: &[u32]) -> Vec<u32> {
+    let mut totals = Vec::with_capacity(lens.len() + 1);
+    totals.push(0);
+    totals.extend(lens.iter().scan(0, |total, &len| {
+        *total += len;
         Some(*total)
     }));
-    let mut next = starts[..share.len()].to_vec();
-    let mut ids = vec![0; starts[share.len()] as usize];
+    totals
+}
+
+/// Step 4 for a range of segments, the first of them segment `first`:
+/// writes the range's share of every posting into `ids` as CSR by slot from
+/// the offsets `starts`, each share newest first.
+fn fill(segments: &[Arc<Segment>], first: usize, starts: &[u32], ids: &mut [SessionId]) {
+    let slots = starts.len() - 1;
+    let mut next = starts[..slots].to_vec();
     for (at, segment) in segments.iter().enumerate().rev() {
         let base = ((first + at) * SEGMENT_SESSIONS) as SessionId;
         for row in (0..segment.len()).rev() {
@@ -184,25 +244,32 @@ fn fill(segments: &[Arc<Segment>], first: usize, share: &[u32]) -> (Vec<u32>, Ve
             }
         }
     }
-    (starts, ids)
 }
 
 /// The postings laid out by slot in one arena, each its shares, newest
-/// range first; and the posting offsets.
-fn assemble(slots: usize, filled: &[(Vec<u32>, Vec<SessionId>)]) -> (Arc<[SessionId]>, Vec<u32>) {
+/// range first.
+fn assemble(slots: usize, filled: &[(Vec<u32>, Vec<SessionId>)]) -> Arc<[SessionId]> {
     let total = filled.iter().map(|(_, ids)| ids.len()).sum();
-    let mut offsets = Vec::with_capacity(slots + 1);
-    let arena = new_arena(total, |arena| {
+    new_arena(total, |arena| {
         let mut at = 0;
         for slot in 0..slots {
-            offsets.push(at as u32);
             for (starts, ids) in filled.iter().rev() {
                 let share = &ids[starts[slot] as usize..starts[slot + 1] as usize];
                 arena[at..at + share.len()].copy_from_slice(share);
                 at += share.len();
             }
         }
-        offsets.push(at as u32);
-    });
-    (arena, offsets)
+    })
+}
+
+/// The record of every slot's item for postings laid out by slot in arena
+/// 0, each `min(support, m_max)` entries: one table, sized once.
+fn records(slot_items: &[ItemId], supports: &[u32], m_max: usize) -> FxHashMap<ItemId, Posting> {
+    let mut start = 0;
+    let record = |((&item, &support), slot)| {
+        let posting = Posting { support, slot, arena: 0, start };
+        start += posting.range(m_max).len() as u32;
+        (item, posting)
+    };
+    slot_items.iter().zip(supports).zip(0..).map(record).collect()
 }

@@ -2,45 +2,62 @@
 //!
 //! The paper ships the Spark-built index as compressed Avro files that the
 //! serving pods ingest at startup. Here the artefact is a purpose-built
-//! little-endian format: a header frame, the payload, and a trailer frame
-//! that repeats the header's length and checksum, so a corrupted or
-//! truncated artefact is rejected before it can serve garbage. The payload
-//! is the index's own columns, so a load copies each one where it belongs,
-//! and [`SessionIndex::from_parts`] re-validates every structural invariant.
+//! format: a header frame, the payload, and a trailer frame that repeats the
+//! header's length and checksum, so a corrupted or truncated artefact is
+//! rejected before it can serve garbage. The payload holds only what cannot
+//! be derived — the slot table and the sessions' rows — each value a
+//! varint; a load lays the rows out in segments and derives the supports and
+//! the postings from them ([`SessionIndex::from_segments`], the build's own
+//! steps 3–4).
 //!
-//! # Format, version 3
+//! # Format, version 4
+//!
+//! The frames are little-endian `u64`s. Every payload value is a LEB128
+//! varint (`v` below): seven bits a byte, least significant first, the top
+//! bit set on every byte but the last, in the fewest bytes that hold it.
 //!
 //! | bytes | field |
 //! |---|---|
-//! | 8 | magic `SRNIDX\x03\x00` |
+//! | 8 | magic `SRNIDX\x04\x00` |
 //! | 8 | payload length |
 //! | 8 | payload checksum |
-//! | 8 | `m_max` |
-//! | 8 | session count `n` |
-//! | 8 × `n` | session timestamps, by dense id |
-//! | 4 × (`n` + 1) | session offsets: session `s` holds entries `offsets[s]..offsets[s + 1]` |
-//! | 8 | entry count `e` |
-//! | 4 × `e` | the sessions' items as slots, each session ascending (item-id order) |
-//! | 8 | slot count `k` |
-//! | 8 × `k` | slot → item table, item ids strictly ascending |
-//! | 4 × `k` | supports `h_i`, by slot |
-//! | 4 × (`k` + 1) | posting offsets: slot `i`'s posting is arena entries `offsets[i]..offsets[i + 1]` |
-//! | 8 | arena length `a` |
-//! | 4 × `a` | the posting entries, each posting strictly descending session ids |
-//! | 8 | trailer magic `SRNEND\x03\x00` |
+//! | v | `m_max` |
+//! | v | slot count `k` |
+//! | `k` × v | slot → item table: the first item id, then each id's increase over the one before (≥ 1) |
+//! | v | session count `n` |
+//! | `n` × 2 v | per session, by dense id: its timestamp's increase over the one before (the first session's: its timestamp), and its row length (≥ 1) |
+//! | Σ row lengths × v | the rows, session after session: each its first slot, then each slot's increase over the one before (≥ 1) |
+//! | 8 | trailer magic `SRNEND\x04\x00` |
 //! | 16 | payload length and checksum, again |
 //!
 //! A slot is an item's rank by id, whatever slots the index being written
 //! numbers its items by: a live index (`IncrementalIndexer`) gives a new item
 //! the next free slot and strands the slot of one that left, and the writer
 //! renumbers both away. So the bytes depend only on the index's content —
-//! its sessions, their items and its postings — and every slot has a
-//! posting. There are no per-posting item ids: the slot table names them.
-//! Every producer keeps a row in ascending item id (`serenade_core::index`,
-//! *Rows are sets*), and renumbering by id keeps that order, so a row is
-//! written ascending. The reader takes a row in any order: an artefact
-//! written before rows were canonical, with each item at its first click,
-//! still loads and answers the same.
+//! its sessions and their items — and every slot is held by a session. Every
+//! producer keeps a row in ascending item id (`serenade_core::index`, *Rows
+//! are sets*), which renumbering by id keeps ascending by slot.
+//!
+//! The increases make three orders unbreakable by construction rather than
+//! checked after the fact: timestamps do not decrease with the dense id (the
+//! id is the recency key), item ids ascend strictly in the slot table, and
+//! every row ascends strictly. A zero increase where one of at least 1 is
+//! due, and a sum that leaves the `u64` (or the slot) range, is rejected by
+//! name. The supports, the posting offsets and the posting arena are not
+//! written: they follow from the rows, so a posting read back cannot
+//! disagree with them. On `ecom-1m` (seed 1) the payload is 3.0 MB, where
+//! version 3's columns took 12.3 MB.
+//!
+//! # Why version 3 is rejected
+//!
+//! Version 3 stored every column as 4- or 8-byte values, the derivable ones
+//! too — the supports, the posting offsets and the posting arena — and a
+//! row in any order, as artefacts written before rows were canonical kept
+//! each item at its first click. Version 2 before it stored every session
+//! item as its 8-byte id and a byte-wise FNV-1a checksum. There is one
+//! reader, and artefacts are rebuilt daily, so it reads version 4 only: any
+//! other version is a [`BinError`] that names it, and a node that gets one
+//! keeps serving the generation it has.
 //!
 //! # The checksum
 //!
@@ -48,25 +65,16 @@
 //! `w` feeds lane `w % 4` — the lanes folded together by XOR, lane `j`
 //! rotated left by `16 j` bits, and the fold fed byte by byte through FNV-1a
 //! with the bytes after the last whole word. The lanes make it four
-//! independent multiply chains — on the 12.3 MB `ecom-1m` artefact 1.4 ms
-//! against 17 ms for byte-wise FNV-1a, on a 2-core x86-64 host — and it is
-//! still exact about what it catches: a change confined to one whole
-//! word, or to one byte of the tail, always changes the checksum. Each lane
-//! step `h ↦ (h ⊕ w) · p` is a bijection of `h` for a fixed word and of `w`
-//! for a fixed `h` (the FNV prime `p` is odd), so a changed word changes its
-//! lane's state at its step and every later step carries the difference to
-//! the lane's end; rotation is a bijection, and XOR with the unchanged lanes
-//! keeps the fold changed; the tail steps are bijections of the hash. Any
-//! single bit flip is such a change.
-//!
-//! # Why version 2 is rejected
-//!
-//! Version 2 stored every session item as its 8-byte id, which a load had
-//! to hash back to its slot, and every posting beside its item id; its
-//! checksum was byte-wise FNV-1a. There is one reader, and artefacts are
-//! rebuilt daily, so it reads version 3 only: any other version is a
-//! [`BinError`] that names it, and a node that gets one keeps serving the
-//! generation it has.
+//! independent multiply chains — on the 12.3 MB version-3 `ecom-1m`
+//! artefact 1.4 ms against 17 ms for byte-wise FNV-1a, on a 2-core x86-64
+//! host — and it is still exact about what it catches: a change confined
+//! to one whole word, or to one byte of the tail, always changes the
+//! checksum. Each lane step `h ↦ (h ⊕ w) · p` is a bijection of `h` for a
+//! fixed word and of `w` for a fixed `h` (the FNV prime `p` is odd), so a
+//! changed word changes its lane's state at its step and every later step
+//! carries the difference to the lane's end; rotation is a bijection, and
+//! XOR with the unchanged lanes keeps the fold changed; the tail steps are
+//! bijections of the hash. Any single bit flip is such a change.
 //!
 //! # Hostile-input posture
 //!
@@ -75,13 +83,13 @@
 //! input as attacker-controlled (the fuzz-style suite in
 //! `tests/binfmt_hostile.rs` drives this):
 //!
-//! * the artefact is parsed where it lies, in the caller's buffer, so a
-//!   hostile length allocates nothing, and the declared payload length is
-//!   capped ([`MAX_PAYLOAD_BYTES`]);
-//! * every count is bounded by the `u32` space the columns index, every
-//!   count-derived size is computed with checked arithmetic, and every
-//!   column is split off only if the bytes it declares are present, all
-//!   *before* any allocation sized from it;
+//! * the artefact is parsed where it lies, in the caller's buffer, and the
+//!   declared payload length is capped ([`MAX_PAYLOAD_BYTES`]);
+//! * a varint is at most ten bytes, and one that runs off the payload, does
+//!   not fit a `u64` or could be written shorter is rejected;
+//! * every value takes at least one byte, so a declared count — of slots,
+//!   of sessions, of a row's items — larger than the bytes that remain is
+//!   rejected *before* any allocation sized from it;
 //! * the trailer must agree with the header on both payload length and
 //!   checksum, which catches a stream truncated exactly at a frame
 //!   boundary as well as header/trailer mismatches;
@@ -90,32 +98,36 @@
 //!
 //! # Load peak
 //!
-//! Each column is copied from the caller's bytes straight into the index's
-//! own arrays, once: the slot table into its `Arc`, the arena column into
-//! the index's one arena, and the session columns into the segments while
-//! [`SessionIndex::from_parts`] lays them out and makes each item's record
-//! from its support and posting offset ([`IndexColumns`] over the payload).
-//! While it loads, an index costs the artefact the caller holds plus the
-//! index being built, with neither a payload-sized copy, nor flat columns,
-//! nor a hash lookup per session item in between, and a load allocates a
-//! constant plus a few arrays a segment, never one a posting
-//! (`tests/load_allocs.rs` holds it to that).
+//! A load decodes the slot table straight into its `Arc`, then the sessions
+//! into their segments: first every segment's timestamps and offsets, which
+//! give each segment's item count, then each segment's slots into an array
+//! of exactly that size. Deriving the postings writes the one arena in
+//! place, then the posting table once from the supports: 4 bytes a slot of
+//! scratch beside the finished index at the peak (the holder counts,
+//! posting offsets and fill cursor, 12 bytes a slot more, are freed before
+//! the table, larger than all of them, is allocated). So while it loads, an
+//! index costs the artefact the caller holds (3.0 MB on `ecom-1m`) plus the
+//! index being built and that scratch, with no payload-sized copy and no
+//! flat column in between, and a load allocates a constant plus a few
+//! arrays a segment, never one a posting (`tests/load_allocs.rs` holds it
+//! to that). A read-only node's load moment is now below what it serves
+//! from (EXPERIMENTS.md X12).
 
 use std::fmt;
 use std::io::Write;
 use std::sync::Arc;
 
-use serenade_core::index::{IndexColumns, Posting};
-use serenade_core::{CoreError, ItemId, SessionId, SessionIndex, Timestamp};
+use serenade_core::index::{Segment, SEGMENT_SESSIONS};
+use serenade_core::{CoreError, ItemId, SessionIndex};
 
 /// The format version this module writes and the only one it reads: the
 /// seventh byte of both magics.
-const VERSION: u8 = 3;
+const VERSION: u8 = 4;
 
-const MAGIC: &[u8; 8] = b"SRNIDX\x03\x00";
+const MAGIC: &[u8; 8] = b"SRNIDX\x04\x00";
 
 /// End-of-stream trailer magic (version-locked to [`MAGIC`]).
-const TRAILER_MAGIC: &[u8; 8] = b"SRNEND\x03\x00";
+const TRAILER_MAGIC: &[u8; 8] = b"SRNEND\x04\x00";
 
 /// Header and trailer alike: magic, payload length, payload checksum.
 const FRAME_BYTES: usize = 8 + 8 + 8;
@@ -131,7 +143,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 #[derive(Debug)]
 pub enum BinError {
     /// Structurally invalid artefact (bad magic or version, truncation,
-    /// checksum, a column that does not fit).
+    /// checksum, a malformed or out-of-range value).
     Corrupt(String),
     /// The decoded parts violated an index invariant.
     Core(CoreError),
@@ -162,16 +174,6 @@ fn le_u64(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes.try_into().expect("eight bytes"))
 }
 
-/// Value `i` of a column of little-endian `u32`s.
-fn u32_at(column: &[u8], i: usize) -> u32 {
-    u32::from_le_bytes(column[4 * i..4 * i + 4].try_into().expect("four bytes"))
-}
-
-/// Value `i` of a column of little-endian `u64`s.
-fn u64_at(column: &[u8], i: usize) -> u64 {
-    le_u64(&column[8 * i..8 * i + 8])
-}
-
 /// The payload checksum: four-lane word-wise FNV-1a with a byte-wise tail
 /// (see the module docs).
 fn checksum(payload: &[u8]) -> u64 {
@@ -191,30 +193,13 @@ fn checksum(payload: &[u8]) -> u64 {
     words.remainder().iter().fold(folded, |hash, &byte| step(hash, u64::from(byte)))
 }
 
-/// Appends each value's bytes. Sized up front, so the copies form one tight
-/// loop.
-fn put<const N: usize, I>(out: &mut Vec<u8>, values: I)
-where
-    I: IntoIterator<Item = [u8; N]>,
-    I::IntoIter: ExactSizeIterator,
-{
-    let values = values.into_iter();
-    let start = out.len();
-    out.resize(start + N * values.len(), 0);
-    for (to, bytes) in out[start..].chunks_exact_mut(N).zip(values) {
-        to.copy_from_slice(&bytes);
+/// Appends `value` as a LEB128 varint.
+fn put(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
     }
-}
-
-/// Appends the CSR offsets of consecutive runs of `lens`: 0, then the
-/// running totals.
-fn put_offsets(out: &mut Vec<u8>, lens: impl ExactSizeIterator<Item = usize>) {
-    let mut total = 0u32;
-    put(out, [total.to_le_bytes()]);
-    put(out, lens.map(|len| {
-        total += len as u32;
-        total.to_le_bytes()
-    }));
+    out.push(value as u8);
 }
 
 /// Serialises an index to a writer, in one `write_all` of the whole
@@ -222,49 +207,60 @@ fn put_offsets(out: &mut Vec<u8>, lens: impl ExactSizeIterator<Item = usize>) {
 pub fn write_index(index: &SessionIndex, mut writer: impl Write) -> std::io::Result<()> {
     // The artefact numbers slots by item id over the items the index holds
     // (see the module docs): `renumber` maps the index's slots to those.
-    // Placed by slot first, the items are already in id order unless the
+    // Taken in slot order, the items are already in id order unless the
     // index is live, and the sort has nothing to do.
-    let mut by_slot = vec![None; index.slot_items().len()];
-    for (item, posting) in index.postings_iter() {
-        by_slot[posting.slot as usize] = Some((item, posting));
-    }
-    let mut items: Vec<(ItemId, Posting)> = by_slot.into_iter().flatten().collect();
-    items.sort_unstable_by_key(|&(item, _)| item);
-    let mut renumber = vec![u32::MAX; index.slot_items().len()];
-    for (slot, (_, posting)) in items.iter().enumerate() {
-        renumber[posting.slot as usize] = slot as u32;
+    let slot_items = index.slot_items();
+    let mut items: Vec<(ItemId, u32)> = (slot_items.iter().copied().zip(0..))
+        .filter(|&(item, slot)| index.item_slot(item) == Some(slot))
+        .collect();
+    items.sort_unstable();
+    let mut renumber = vec![u32::MAX; slot_items.len()];
+    for (slot, &(_, old)) in items.iter().enumerate() {
+        renumber[old as usize] = slot as u32;
     }
 
-    // Sized exactly, so the artefact is written once and never regrown.
-    let stats = index.stats();
-    let (n, entries, slots) = (stats.num_sessions, stats.session_item_entries, items.len());
-    let payload_len = 8 + 8 + 8 * n + 4 * (n + 1) + 8 + 4 * entries
-        + 8 + 16 * slots + 4 + 8 + 4 * stats.posting_entries;
-    let mut out = Vec::with_capacity(FRAME_BYTES + payload_len + FRAME_BYTES);
+    // Most values take one or two bytes: a guess that the payload seldom
+    // outgrows.
+    let (n, entries) = (index.num_sessions(), index.session_item_entries());
+    let mut out = Vec::with_capacity(2 * FRAME_BYTES + 16 + 3 * (items.len() + n) + 2 * entries);
     // The header's length and checksum are filled in below.
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&[0; FRAME_BYTES - 8]);
-    let sessions = 0..n as SessionId;
-    put(&mut out, [index.m_max() as u64, n as u64].map(u64::to_le_bytes));
-    put(&mut out, sessions.clone().map(|s| index.session_timestamp(s).to_le_bytes()));
-    put_offsets(&mut out, sessions.map(|s| index.session_slots(s).len()));
-    put(&mut out, [(entries as u64).to_le_bytes()]);
+    put(&mut out, index.m_max() as u64);
+    put(&mut out, items.len() as u64);
+    let mut previous = 0;
+    for &(item, _) in &items {
+        put(&mut out, item - previous);
+        previous = item;
+    }
+    put(&mut out, n as u64);
+    let mut previous = 0;
     for segment in index.segments() {
-        let slots = segment.slot_column().iter();
-        put(&mut out, slots.map(|&slot| renumber[slot as usize].to_le_bytes()));
+        for row in 0..segment.len() {
+            put(&mut out, segment.timestamp(row) - previous);
+            put(&mut out, segment.slots(row).len() as u64);
+            previous = segment.timestamp(row);
+        }
     }
-    put(&mut out, [(slots as u64).to_le_bytes()]);
-    put(&mut out, items.iter().map(|(item, _)| item.to_le_bytes()));
-    put(&mut out, items.iter().map(|(_, posting)| posting.support.to_le_bytes()));
-    put_offsets(&mut out, items.iter().map(|&(_, posting)| index.entries(posting).len()));
-    put(&mut out, [(stats.posting_entries as u64).to_le_bytes()]);
-    for &(_, posting) in &items {
-        put(&mut out, index.entries(posting).iter().map(|id| id.to_le_bytes()));
+    let mut slots = Vec::new();
+    for segment in index.segments() {
+        for row in 0..segment.len() {
+            // Already ascending in every index this crate makes; sorted all
+            // the same, since a row is a set.
+            slots.clear();
+            slots.extend(segment.slots(row).iter().map(|&slot| renumber[slot as usize]));
+            slots.sort_unstable();
+            let mut previous = 0;
+            for &slot in &slots {
+                put(&mut out, u64::from(slot - previous));
+                previous = slot;
+            }
+        }
     }
-    debug_assert_eq!(out.len(), FRAME_BYTES + payload_len, "the payload is sized exactly");
 
+    let payload_len = (out.len() - FRAME_BYTES) as u64;
     let checksum = checksum(&out[FRAME_BYTES..]);
-    let frame = [(payload_len as u64).to_le_bytes(), checksum.to_le_bytes()].concat();
+    let frame = [payload_len.to_le_bytes(), checksum.to_le_bytes()].concat();
     out[8..FRAME_BYTES].copy_from_slice(&frame);
     // Length/checksum trailer: a reader that got this far knows the stream
     // was not cut at a frame boundary, and a header corrupted in transit
@@ -299,85 +295,74 @@ fn frame<'a>(
 /// The payload, consumed front to back.
 struct Cursor<'a>(&'a [u8]);
 
-impl<'a> Cursor<'a> {
-    /// The next `len` bytes, if the payload holds them.
-    fn take(&mut self, len: usize) -> Result<&'a [u8], BinError> {
-        let (head, rest) = self
-            .0
-            .split_at_checked(len)
-            .ok_or_else(|| corrupt("payload shorter than declared structure"))?;
-        self.0 = rest;
-        Ok(head)
+impl Cursor<'_> {
+    /// The next varint.
+    #[inline]
+    fn varint(&mut self) -> Result<u64, BinError> {
+        let mut value = 0;
+        for (i, &byte) in self.0.iter().take(10).enumerate() {
+            value |= u64::from(byte & 0x7f) << (7 * i);
+            if byte < 0x80 {
+                // The tenth byte holds the top bit of a `u64`, and a zero
+                // last byte after the first could have been left out.
+                if (i == 9 && byte > 1) || (i > 0 && byte == 0) {
+                    break;
+                }
+                self.0 = &self.0[i + 1..];
+                return Ok(value);
+            }
+        }
+        Err(self.malformed())
     }
 
-    /// The next `u64`, a count of `what`: the columns index it with `u32`s.
+    /// Why the bytes in front are no varint: kept out of line, so the
+    /// loop above stays small where the rows are read.
+    #[cold]
+    fn malformed(&self) -> BinError {
+        let ends = self.0.iter().take(10).any(|&byte| byte < 0x80);
+        corrupt(if ends || self.0.len() >= 10 { "overlong varint" } else { "unterminated varint" })
+    }
+
+    /// The next varint, a count of `what`: every value takes a byte, so it
+    /// is at most the bytes that remain.
     fn count(&mut self, what: &str) -> Result<usize, BinError> {
-        let count = le_u64(self.take(8)?);
-        if count > u64::from(u32::MAX) {
-            return Err(corrupt(format!("{what} count {count} exceeds u32 space")));
+        let count = self.varint()?;
+        if count > self.0.len() as u64 {
+            return Err(corrupt(format!(
+                "{what} count {count} exceeds the {} bytes that remain",
+                self.0.len()
+            )));
         }
         Ok(count as usize)
     }
 
-    /// The next column: `count` values `width` bytes wide.
-    fn column(&mut self, count: usize, width: usize) -> Result<&'a [u8], BinError> {
-        let len = count.checked_mul(width).ok_or_else(|| {
-            corrupt("declared count overflows the address space")
-        })?;
-        self.take(len)
-    }
-}
-
-/// The session and slot columns of a payload, read in place.
-struct PayloadColumns<'a> {
-    /// 8 little-endian bytes a session.
-    timestamps: &'a [u8],
-    /// 4 little-endian bytes a session, and 4 more.
-    offsets: &'a [u8],
-    /// 4 little-endian bytes an entry.
-    slots: &'a [u8],
-    /// 4 little-endian bytes a slot.
-    supports: &'a [u8],
-    /// 4 little-endian bytes a slot, and 4 more.
-    posting_offsets: &'a [u8],
-}
-
-impl IndexColumns for PayloadColumns<'_> {
-    fn num_sessions(&self) -> usize {
-        self.timestamps.len() / 8
-    }
-
-    fn num_entries(&self) -> usize {
-        self.slots.len() / 4
-    }
-
-    fn timestamp(&self, session: usize) -> Timestamp {
-        u64_at(self.timestamps, session)
-    }
-
-    fn offset(&self, session: usize) -> u32 {
-        u32_at(self.offsets, session)
-    }
-
-    fn slot(&self, entry: usize) -> u32 {
-        u32_at(self.slots, entry)
-    }
-
-    fn support(&self, slot: usize) -> u32 {
-        u32_at(self.supports, slot)
-    }
-
-    fn posting_offset(&self, slot: usize) -> u32 {
-        u32_at(self.posting_offsets, slot)
+    /// The row of `session` into `slots`: its first slot, then increases of
+    /// at least 1, every slot below `num_slots`.
+    fn row(&mut self, slots: &mut [u32], num_slots: usize, session: usize) -> Result<(), BinError> {
+        let mut slot = 0u64;
+        for (i, to) in slots.iter_mut().enumerate() {
+            let increase = self.varint()?;
+            if i > 0 && increase == 0 {
+                return Err(corrupt(format!("the row of session {session} is not strictly ascending")));
+            }
+            slot = slot.saturating_add(increase);
+            if slot >= num_slots as u64 {
+                return Err(corrupt(format!(
+                    "session item slot {slot} is not below the slot count {num_slots}"
+                )));
+            }
+            *to = slot as u32;
+        }
+        Ok(())
     }
 }
 
 /// Deserialises an index from the bytes of an artefact, verifying magic,
-/// version, checksum, the length/checksum trailer, that every column fits,
-/// and all structural invariants. Safe on hostile bytes: the payload is
-/// checksummed and parsed in place, allocation is bounded by the bytes
-/// actually present, and every malformation is a clean [`BinError`]. Bytes
-/// after the trailer are not looked at.
+/// version, checksum, the length/checksum trailer and every value, and
+/// derives its postings. Safe on hostile bytes: the payload is checksummed
+/// and parsed in place, allocation is bounded by the bytes actually
+/// present, and every malformation is a clean [`BinError`]. Bytes after the
+/// trailer are not looked at.
 pub fn read_index(bytes: &[u8]) -> Result<SessionIndex, BinError> {
     let (declared_len, declared_checksum, rest) = frame(bytes, MAGIC, "header")?;
     if declared_len > MAX_PAYLOAD_BYTES {
@@ -396,31 +381,70 @@ pub fn read_index(bytes: &[u8]) -> Result<SessionIndex, BinError> {
         return Err(corrupt("trailer disagrees with header"));
     }
 
-    // Every column is split off where it lies; nothing is allocated until
-    // all of them are known to fit.
     let mut payload = Cursor(payload);
-    let m_max = le_u64(payload.take(8)?) as usize;
-    let num_sessions = payload.count("session")?;
-    let timestamps = payload.column(num_sessions, 8)?;
-    let offsets = payload.column(num_sessions + 1, 4)?;
-    let num_entries = payload.count("entry")?;
-    let slots = payload.column(num_entries, 4)?;
+    let m_max = payload.varint()? as usize;
     let num_slots = payload.count("slot")?;
-    let slot_table = payload.column(num_slots, 8)?;
-    let supports = payload.column(num_slots, 4)?;
-    let posting_offsets = payload.column(num_slots + 1, 4)?;
-    let arena_len = payload.count("arena entry")?;
-    let arena = payload.column(arena_len, 4)?;
+    // An exact-size iterator collects straight into the `Arc`'s allocation.
+    let mut slot_items: Arc<[ItemId]> = (0..num_slots).map(|_| 0).collect();
+    let mut item = 0u64;
+    let table = Arc::get_mut(&mut slot_items).expect("a new table has no other owner");
+    for (slot, to) in table.iter_mut().enumerate() {
+        let increase = payload.varint()?;
+        item = match item.checked_add(increase) {
+            Some(next) if slot == 0 || increase > 0 => next,
+            _ => return Err(corrupt(format!("slot table not strictly ascending at slot {slot}"))),
+        };
+        *to = item;
+    }
+
+    // Every segment's timestamps and offsets, which size its slots.
+    let num_sessions = payload.count("session")?;
+    let mut columns = Vec::with_capacity(num_sessions.div_ceil(SEGMENT_SESSIONS));
+    let (mut timestamp, mut entries) = (0u64, 0usize);
+    for lo in (0..num_sessions).step_by(SEGMENT_SESSIONS) {
+        let len = SEGMENT_SESSIONS.min(num_sessions - lo);
+        let mut timestamps = vec![0; len].into_boxed_slice();
+        let mut offsets = vec![0u32; len + 1].into_boxed_slice();
+        for row in 0..len {
+            let session = lo + row;
+            timestamp = timestamp.checked_add(payload.varint()?).ok_or_else(|| {
+                corrupt(format!(
+                    "the timestamp of session {session} overflows u64: timestamps must not \
+                     decrease with the dense id"
+                ))
+            })?;
+            let items = payload.varint()?;
+            if items == 0 {
+                return Err(corrupt(format!("session {session} holds no item")));
+            }
+            // The rows follow, an item a byte at least.
+            if items > payload.0.len().saturating_sub(entries) as u64 {
+                return Err(corrupt(format!(
+                    "the rows declare more items than the {} bytes that remain",
+                    payload.0.len()
+                )));
+            }
+            entries += items as usize;
+            timestamps[row] = timestamp;
+            offsets[row + 1] = offsets[row] + items as u32;
+        }
+        columns.push((timestamps, offsets));
+    }
+    // Then every segment's slots, sized exactly.
+    let mut segments = Vec::with_capacity(columns.len());
+    let mut session = 0;
+    for (timestamps, offsets) in columns {
+        let mut slots = vec![0; offsets[timestamps.len()] as usize].into_boxed_slice();
+        for row in offsets.windows(2) {
+            payload.row(&mut slots[row[0] as usize..row[1] as usize], num_slots, session)?;
+            session += 1;
+        }
+        segments.push(Arc::new(Segment::new(timestamps, offsets, slots)));
+    }
     if !payload.0.is_empty() {
         return Err(corrupt("trailing bytes after payload"));
     }
-
-    let slot_items: Arc<[ItemId]> = (0..num_slots).map(|slot| u64_at(slot_table, slot)).collect();
-    // Exact-size iterators collect straight into the `Arc`s' allocations.
-    let entry = |id: &[u8]| u32::from_le_bytes(id.try_into().expect("four bytes"));
-    let arena: Arc<[SessionId]> = arena.chunks_exact(4).map(entry).collect();
-    let columns = PayloadColumns { timestamps, offsets, slots, supports, posting_offsets };
-    Ok(SessionIndex::from_parts(&columns, slot_items, arena, m_max)?)
+    Ok(SessionIndex::from_segments(segments, slot_items, m_max, 1)?)
 }
 
 #[cfg(test)]
@@ -460,6 +484,49 @@ mod tests {
             assert_eq!(loaded.item_support(item), index.item_support(item));
             assert_eq!(loaded.item_slot(item), index.item_slot(item));
         }
+    }
+
+    #[test]
+    fn varints_take_the_fewest_bytes_and_read_back() {
+        let values = [0, 1, 127, 128, 16_383, 16_384, u64::from(u32::MAX), u64::MAX - 1, u64::MAX];
+        let widths = [1, 1, 1, 2, 2, 3, 5, 10, 10];
+        let mut bytes = Vec::new();
+        for (&value, width) in values.iter().zip(widths) {
+            let before = bytes.len();
+            put(&mut bytes, value);
+            assert_eq!(bytes.len() - before, width, "{value}");
+        }
+        let mut cursor = Cursor(&bytes);
+        for value in values {
+            assert_eq!(cursor.varint().unwrap(), value);
+        }
+        assert!(cursor.0.is_empty());
+    }
+
+    #[test]
+    fn rows_are_written_ascending_whatever_order_the_index_holds() {
+        // Every row of the sample reversed, as no producer writes one: the
+        // artefact still holds each row as a set, ascending, so it loads.
+        let index = sample_index();
+        let segments: Vec<Arc<Segment>> = (index.segments().iter())
+            .map(|segment| {
+                let (mut offsets, mut slots) = (vec![0u32], Vec::new());
+                for row in 0..segment.len() {
+                    slots.extend(segment.slots(row).iter().rev());
+                    offsets.push(slots.len() as u32);
+                }
+                let timestamps = (0..segment.len()).map(|row| segment.timestamp(row)).collect();
+                Arc::new(Segment::new(timestamps, offsets.into(), slots.into()))
+            })
+            .collect();
+        let (table, arenas) = (index.posting_table().clone(), index.arenas().into());
+        let slot_items = Arc::clone(index.slot_items());
+        let reversed =
+            SessionIndex::from_generation(table, arenas, segments.into(), slot_items, index.m_max());
+        assert_eq!(reversed.session_items(0), &[1, 0]);
+        let loaded = read_index(&serialise(&reversed)).unwrap();
+        assert_eq!(serialise(&loaded), serialise(&index));
+        assert_eq!(loaded.session_items(0), &[0, 1]);
     }
 
     #[test]

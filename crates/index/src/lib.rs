@@ -13,8 +13,9 @@
 //!   truncate to `m`), carried out by counting: each worker takes a range of
 //!   sessions, with no shuffle; any thread count builds the index
 //!   [`serenade_core::SessionIndex::build`] builds;
-//! * [`binfmt`] — a compact little-endian binary serialisation of the index
-//!   (the paper uses Avro; the format here is purpose-built and versioned);
+//! * [`binfmt`] — a compact binary serialisation of the index: the rows and
+//!   the slot table as varints, the postings derived on load (the paper
+//!   ships compressed Avro; the format here is purpose-built and versioned);
 //! * [`incremental`] — an incremental indexer that holds the live index and
 //!   merges click batches, GDPR-style session deletions and retention drops
 //!   into it, sharing unchanged postings between generations, and tracks

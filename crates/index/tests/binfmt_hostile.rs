@@ -11,17 +11,19 @@
 //! * any single bit flip anywhere in the stream is rejected (the four-lane
 //!   checksum over the payload plus the length/checksum trailer covers
 //!   every region);
+//! * a varint that is overlong or runs off the payload is rejected;
 //! * declared counts larger than the bytes present are rejected **before**
-//!   any allocation sized from them — a 16-byte hostile frame must not be
-//!   able to request gigabytes;
+//!   any allocation sized from them — every value takes at least a byte, so
+//!   a few hostile bytes must not be able to request gigabytes;
 //! * a declared payload length beyond `MAX_PAYLOAD_BYTES` is rejected
 //!   before any payload read;
-//! * an artefact of format version 2 is rejected, naming the version;
-//! * a checksummed artefact whose *contents* break the layout or the order
-//!   the kernel relies on — timestamps that decrease with the dense id, a
-//!   posting with an ascending pair, a slot out of range, a slot table out
-//!   of order, posting offsets that decrease or overrun, a posting longer
-//!   than its support — is rejected by name, not served.
+//! * artefacts of format versions 2 and 3 are rejected, naming the version;
+//! * a checksummed artefact whose *values* break the layout or an order
+//!   the kernel relies on — a slot at or past the slot count, a row that
+//!   repeats an item, an item-id increase of zero or one that overflows, a
+//!   timestamp increase that overflows (the only way to write a timestamp
+//!   that decreases with the dense id), a slot no session holds — is
+//!   rejected by name, not served.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -65,17 +67,31 @@ fn checksum(payload: &[u8]) -> u64 {
     hash
 }
 
-/// Wraps a raw payload in a well-formed header + trailer (correct magic,
-/// length and checksum), so only the payload's *contents* are hostile.
+/// Wraps a raw payload in a well-formed header + trailer of format
+/// `version` (correct magic, length and checksum), so only the payload's
+/// *contents* are hostile.
+fn frame_version(payload: &[u8], version: u8) -> Vec<u8> {
+    let frame = [(payload.len() as u64).to_le_bytes(), checksum(payload).to_le_bytes()].concat();
+    let (header, trailer) = ([b'S', b'R', b'N', b'I', b'D', b'X', version, 0], *b"SRNEND\0\0");
+    let trailer = [&trailer[..6], &[version, 0]].concat();
+    [&header[..], &frame, payload, &trailer, &frame].concat()
+}
+
 fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 48);
-    out.extend_from_slice(b"SRNIDX\x03\x00");
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(b"SRNEND\x03\x00");
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
+    frame_version(payload, 4)
+}
+
+/// `values` as LEB128 varints, the payload's one encoding.
+fn leb128(values: &[u64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for &value in values {
+        let mut value = value;
+        while value >= 0x80 {
+            out.push(value as u8 | 0x80);
+            value >>= 7;
+        }
+        out.push(value as u8);
+    }
     out
 }
 
@@ -97,6 +113,40 @@ fn rejection(payload: &[u8]) -> String {
     }
 }
 
+/// The sample artefact's payload as its values, and where its parts start.
+struct Sample {
+    values: Vec<u64>,
+    /// The slot count, and the first value of the slot table.
+    num_slots: usize,
+    table: usize,
+    /// The first session's timestamp, then its row length; the first row's
+    /// first slot.
+    sessions: usize,
+    rows: usize,
+}
+
+fn sample() -> Sample {
+    let artefact = sample_artefact();
+    let mut values = Vec::new();
+    let (mut value, mut shift) = (0, 0);
+    for &byte in &artefact[24..artefact.len() - 24] {
+        value |= u64::from(byte & 0x7f) << shift;
+        shift += 7;
+        if byte < 0x80 {
+            values.push(value);
+            (value, shift) = (0, 0);
+        }
+    }
+    let num_slots = values[1] as usize;
+    let table = 2;
+    let sessions = table + num_slots + 1;
+    let rows = sessions + 2 * values[sessions - 1] as usize;
+    let entries: u64 = values[sessions..rows].iter().skip(1).step_by(2).sum();
+    assert_eq!(rows + entries as usize, values.len(), "the layout of the module docs");
+    assert_eq!(leb128(&values), artefact[24..artefact.len() - 24], "every varint is minimal");
+    Sample { values, num_slots, table, sessions, rows }
+}
+
 #[test]
 fn valid_artefact_still_loads() {
     let bytes = sample_artefact();
@@ -105,6 +155,13 @@ fn valid_artefact_still_loads() {
     // The checksum above is the writer's: re-framing the payload gives the
     // artefact back byte for byte.
     assert_eq!(frame(&bytes[24..bytes.len() - 24]), bytes);
+}
+
+#[test]
+fn a_value_after_the_last_row_is_rejected_by_name() {
+    let mut values = sample().values;
+    values.push(0);
+    assert_eq!(rejection(&leb128(&values)), "trailing bytes after payload");
 }
 
 #[test]
@@ -126,63 +183,49 @@ fn oversized_declared_payload_is_rejected_before_allocation() {
     // cap-sized claim allocates nothing).
     for claim in [MAX_PAYLOAD_BYTES + 1, u64::MAX, u64::MAX / 2] {
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"SRNIDX\x03\x00");
+        bytes.extend_from_slice(b"SRNIDX\x04\x00");
         bytes.extend_from_slice(&claim.to_le_bytes());
         bytes.extend_from_slice(&0u64.to_le_bytes());
         assert_clean_corrupt(&bytes, "oversized declared payload");
     }
 }
 
-/// A payload of little-endian fields, `u64` or `u32` as written.
-#[derive(Clone, Copy)]
-enum Field {
-    U64(u64),
-    U32(u32),
-}
-
-fn payload(fields: &[Field]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for field in fields {
-        match *field {
-            Field::U64(v) => out.extend_from_slice(&v.to_le_bytes()),
-            Field::U32(v) => out.extend_from_slice(&v.to_le_bytes()),
-        }
+#[test]
+fn an_overlong_or_unterminated_varint_is_rejected_by_name() {
+    // `m_max` and nothing else, in a varint that ends with the payload.
+    assert_eq!(rejection(&[0x88]), "unterminated varint");
+    assert_eq!(rejection(&[0x88, 0x80]), "unterminated varint");
+    // Eleven bytes; ten that hold more than a `u64`; 8 in two bytes where
+    // one holds it.
+    let past_u64 = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02];
+    let overlong: [&[u8]; 3] = [&[0x80; 11], &past_u64, &[0x88, 0x00]];
+    for bytes in overlong {
+        assert_eq!(rejection(bytes), "overlong varint", "{bytes:x?}");
     }
-    out
+    // A `u64::MAX` is ten bytes and well-formed: it is the count that fails.
+    let reason = rejection(&leb128(&[8, u64::MAX]));
+    assert!(reason.contains("slot count 18446744073709551615 exceeds"), "{reason}");
 }
 
 #[test]
 fn declared_counts_cannot_out_allocate_the_payload() {
-    // Valid checksum, hostile structure: every declared count or length
-    // field is probed with values far beyond what the payload holds. A
-    // reader that allocates from declared counts would request gigabytes
-    // here.
-    use Field::{U32, U64};
-    let huge = [u64::MAX, u64::MAX / 8, u32::MAX as u64, 1 << 40];
-    // m_max, no sessions, and the one offset of no sessions.
-    let empty_sessions = [U64(8), U64(0), U32(0)];
-
+    // Valid checksum, hostile structure: every declared count is probed with
+    // values far beyond what the payload holds. A reader that allocates from
+    // declared counts would request gigabytes here; this one rejects each
+    // against the bytes that remain before it allocates.
+    let huge = [u64::MAX, u64::MAX / 8, u32::MAX as u64, 1 << 40, 3];
     for &n in &huge {
-        let probes: [(&str, Vec<Field>); 5] = [
-            ("session count", vec![U64(8), U64(n)]),
-            ("entry count", [&empty_sessions[..], &[U64(n)]].concat()),
-            ("slot count", [&empty_sessions[..], &[U64(0), U64(n)]].concat()),
-            // One slot whose posting offsets claim a posting of up to
-            // u32::MAX entries in an empty arena. (Saturated: a truncating
-            // cast could wrap a hostile length to a harmless one.)
-            (
-                "posting offsets",
-                [
-                    &empty_sessions[..],
-                    &[U64(0), U64(1), U64(7), U32(1), U32(0)],
-                    &[U32(n.min(u64::from(u32::MAX)) as u32), U64(0)],
-                ]
-                .concat(),
-            ),
-            ("arena length", [&empty_sessions[..], &[U64(0), U64(0), U32(0), U64(n)]].concat()),
+        let probes: [(&str, Vec<u64>, &str); 3] = [
+            ("slot count", vec![8, n], "slot count"),
+            // No slots, then the sessions.
+            ("session count", vec![8, 0, n], "session count"),
+            // One slot (item 7), one session at t = 100 whose row claims `n`
+            // items, and one slot.
+            ("row length", vec![8, 1, 7, 1, 100, n, 0], "more items than"),
         ];
-        for (what, fields) in probes {
-            assert_clean_corrupt(&frame(&payload(&fields)), &format!("hostile {what} {n}"));
+        for (what, values, named) in probes {
+            let reason = rejection(&leb128(&values));
+            assert!(reason.contains(named), "hostile {what} {n}: {reason}");
         }
     }
 }
@@ -192,8 +235,7 @@ fn a_version_2_artefact_is_rejected_naming_its_version() {
     // A genuine version-2 artefact of one session holding item 7: the
     // session block, then the item as its 8-byte id, then one posting with
     // its item id, support, length and entry, under byte-wise FNV-1a.
-    use Field::{U32, U64};
-    let body = payload(&[
+    let body = fixed(&[
         U64(8), U64(1), U64(100), U32(0), U32(1), U64(1), U64(7),
         U64(1), U64(7), U32(1), U32(1), U32(0),
     ]);
@@ -206,121 +248,117 @@ fn a_version_2_artefact_is_rejected_naming_its_version() {
     }
 }
 
-/// The sample artefact's payload and where its columns start.
-struct Sample {
-    payload: Vec<u8>,
-    /// The sessions' slots, the slot table, the supports, the posting
-    /// offsets and the arena (whose first entries are slot 0's posting:
-    /// item 0, eight descending session ids).
-    slots: usize,
-    slot_table: usize,
-    supports: usize,
-    posting_offsets: usize,
-    arena: usize,
-    /// Slot count and arena length.
-    num_slots: usize,
-    arena_len: usize,
+#[test]
+fn a_version_3_artefact_is_rejected_naming_its_version() {
+    // A genuine version-3 artefact of one session holding item 7, under the
+    // four-lane checksum that format shares with this one: m_max, the
+    // sessions' timestamps and offsets, their slots, the slot table, the
+    // supports, the posting offsets and the arena, every value 4 or 8 bytes.
+    let body = fixed(&[
+        U64(8), U64(1), U64(100), U32(0), U32(1), U64(1), U32(0),
+        U64(1), U64(7), U32(1), U32(0), U32(1), U64(1), U32(0),
+    ]);
+    match read_index(&frame_version(&body, 3)) {
+        Err(BinError::Corrupt(reason)) => {
+            assert!(reason.contains("format version 3; this reader reads version 4"), "{reason}")
+        }
+        other => panic!("a version-3 artefact must be rejected, got {other:?}"),
+    }
 }
 
-fn sample() -> Sample {
-    let artefact = sample_artefact();
-    let payload = artefact[24..artefact.len() - 24].to_vec();
-    let u64_at = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
-    let sessions = u64_at(8);
-    let entries_at = 16 + 8 * sessions + 4 * (sessions + 1);
-    let slots = entries_at + 8;
-    let num_slots_at = slots + 4 * u64_at(entries_at);
-    let num_slots = u64_at(num_slots_at);
-    let slot_table = num_slots_at + 8;
-    let supports = slot_table + 8 * num_slots;
-    let posting_offsets = supports + 4 * num_slots;
-    let arena_len_at = posting_offsets + 4 * (num_slots + 1);
-    let arena_len = u64_at(arena_len_at);
-    let arena = arena_len_at + 8;
-    assert_eq!(arena + 4 * arena_len, payload.len(), "the layout of the module docs");
-    Sample { payload, slots, slot_table, supports, posting_offsets, arena, num_slots, arena_len }
+/// A fixed-width field of an earlier format version.
+#[derive(Clone, Copy)]
+enum Field {
+    U64(u64),
+    U32(u32),
 }
+use Field::{U32, U64};
 
-fn put_u32(payload: &mut [u8], at: usize, value: u32) {
-    payload[at..at + 4].copy_from_slice(&value.to_le_bytes());
+fn fixed(fields: &[Field]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for field in fields {
+        match *field {
+            U64(v) => out.extend_from_slice(&v.to_le_bytes()),
+            U32(v) => out.extend_from_slice(&v.to_le_bytes()),
+        }
+    }
+    out
 }
 
 #[test]
 fn timestamps_that_decrease_with_the_id_are_rejected_by_name() {
-    // The id is the kernel's recency key only while `t` ascends with it.
-    // Swapping two sessions' timestamps leaves every other invariant
-    // intact — and used to load.
-    let mut payload = sample().payload;
-    let (t3, t4) = (16 + 8 * 3, 16 + 8 * 4);
-    let (older, newer) = payload[t3..t4 + 8].split_at_mut(8);
-    older.swap_with_slice(newer);
-    let reason = rejection(&payload);
-    assert!(reason.contains("session 4 is older than session 3"), "{reason}");
+    // The id is the kernel's recency key only while `t` ascends with it. A
+    // timestamp is stored as its increase over the one before, so the only
+    // way to write a smaller one is an increase that wraps around.
+    let Sample { mut values, sessions, .. } = sample();
+    values[sessions + 2 * 4] = u64::MAX - 5;
+    let reason = rejection(&leb128(&values));
+    assert!(reason.contains("timestamp of session 4 overflows u64"), "{reason}");
 }
 
 #[test]
-fn a_posting_with_an_ascending_pair_is_rejected() {
-    let Sample { mut payload, arena, .. } = sample();
-    let (newest, next) = payload[arena..arena + 8].split_at_mut(4);
-    newest.swap_with_slice(next);
-    let reason = rejection(&payload);
-    assert!(reason.contains("item 0 not in descending recency order"), "{reason}");
+fn a_row_that_is_not_strictly_ascending_is_rejected_by_name() {
+    // A slot repeated within a row — an increase of 0 — would enter the
+    // session into one posting twice.
+    let Sample { values, rows, sessions, .. } = sample();
+    assert_eq!(values[sessions + 1], 2, "the first row holds two items");
+    let mut repeated = values.clone();
+    repeated[rows + 1] = 0;
+    let reason = rejection(&leb128(&repeated));
+    assert!(reason.contains("the row of session 0 is not strictly ascending"), "{reason}");
+    // A session holds at least one item.
+    let mut empty = values;
+    empty[sessions + 1] = 0;
+    let reason = rejection(&leb128(&empty));
+    assert!(reason.contains("session 0 holds no item"), "{reason}");
 }
 
 #[test]
 fn a_slot_at_or_beyond_the_slot_count_is_rejected_by_name() {
-    let Sample { mut payload, slots, num_slots, .. } = sample();
-    put_u32(&mut payload, slots, num_slots as u32);
-    let reason = rejection(&payload);
-    assert!(reason.contains(&format!("slot {num_slots} is not below the slot count")), "{reason}");
+    let Sample { values, num_slots, rows, .. } = sample();
+    // The first slot of a row, and a later one reached by an increase.
+    let mut first = values.clone();
+    first[rows] = num_slots as u64;
+    let mut increase = values.clone();
+    increase[rows + 1] = num_slots as u64;
+    let mut wrapping = values;
+    wrapping[rows + 1] = u64::MAX;
+    for (values, slot) in [(first, num_slots as u64), (increase, 5), (wrapping, u64::MAX)] {
+        let reason = rejection(&leb128(&values));
+        let named = format!("slot {slot} is not below the slot count {num_slots}");
+        assert!(reason.contains(&named), "{reason}");
+    }
 }
 
 #[test]
 fn a_slot_table_out_of_order_is_rejected_by_name() {
-    // Swapped (each posting then sits under another item's id), or one id
-    // twice (two postings under one id).
-    let Sample { payload, slot_table, .. } = sample();
-    let (first, second) = (slot_table, slot_table + 8);
-    let mut swapped = payload.clone();
-    let (a, b) = swapped[first..second + 8].split_at_mut(8);
-    a.swap_with_slice(b);
-    let mut repeated = payload;
-    repeated.copy_within(first..second, second);
-    for payload in [swapped, repeated] {
-        let reason = rejection(&payload);
+    // One id twice (an increase of 0), or a smaller id after a larger (an
+    // increase that overflows `u64`: ids are stored as increases).
+    let Sample { values, table, .. } = sample();
+    let mut repeated = values.clone();
+    repeated[table + 1] = 0;
+    let mut smaller = values;
+    smaller[table + 1] = u64::MAX;
+    smaller[table] = 3;
+    for values in [repeated, smaller] {
+        let reason = rejection(&leb128(&values));
         assert!(reason.contains("slot table not strictly ascending at slot 1"), "{reason}");
     }
 }
 
 #[test]
-fn posting_offsets_that_decrease_or_overrun_are_rejected_by_name() {
-    let Sample { payload, posting_offsets, num_slots, arena_len, .. } = sample();
-    let offset = |slot: usize| posting_offsets + 4 * slot;
-    let read = |payload: &[u8], slot: usize| {
-        u32::from_le_bytes(payload[offset(slot)..offset(slot) + 4].try_into().unwrap())
-    };
-    let mut decreasing = payload.clone();
-    put_u32(&mut decreasing, offset(1), read(&payload, 2) + 1);
-    let reason = rejection(&decreasing);
-    assert!(reason.contains("posting offsets decrease after slot 1"), "{reason}");
-
-    let mut overrunning = payload.clone();
-    put_u32(&mut overrunning, offset(num_slots), arena_len as u32 + 1);
-    let reason = rejection(&overrunning);
-    assert!(reason.contains("posting offsets overrun"), "{reason}");
-
-    let mut not_at_zero = payload;
-    put_u32(&mut not_at_zero, offset(0), 1);
-    let reason = rejection(&not_at_zero);
-    assert!(reason.contains("posting offsets do not start at 0"), "{reason}");
-}
-
-#[test]
-fn a_posting_longer_than_its_support_is_rejected_by_name() {
-    let Sample { mut payload, supports, .. } = sample();
-    put_u32(&mut payload, supports, 1); // item 0's posting holds eight
-    let reason = rejection(&payload);
-    assert!(reason.contains("item 0 longer than its support"), "{reason}");
+fn a_slot_no_session_holds_is_rejected_by_name() {
+    // Item 5, after the sample's items 0–4, in the slot table but in no row:
+    // it would have no posting.
+    let Sample { mut values, num_slots, table, .. } = sample();
+    values[1] += 1;
+    values.insert(table + num_slots, 1);
+    match read_index(&frame(&leb128(&values))) {
+        Err(BinError::Core(CoreError::CorruptIndex(reason))) => {
+            assert!(reason.contains("item 5 (slot 5) is in no session"), "{reason}")
+        }
+        other => panic!("expected a rejection, got {other:?}"),
+    }
 }
 
 proptest! {

@@ -161,14 +161,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[test]
 fn the_artefact_of_a_synthetic_day_is_pinned_at_every_thread_count() {
     // FNV-1a of `write_index` over the training part of `tiny` at seeds 1–3.
-    // Re-pinned once when rows became canonical (each session's items in
-    // ascending id, not in the order of their first clicks): the format and
-    // everything else the bytes hold did not change. Before that, pinned
-    // once for format version 3 (session items as slots, postings in an
-    // arena, the four-lane checksum), and the version-2 pins held what the
+    // Pinned once for format version 4 (varints; the rows and the slot
+    // table, no postings). The version-3 pins were re-pinned once when rows
+    // became canonical (each session's items in ascending id, not in the
+    // order of their first clicks), and the version-2 pins held what the
     // hash-grouping builders of earlier versions wrote.
     let pinned =
-        [(1, 0x2063_6b37_58e8_0dfc_u64), (2, 0xa7c8_41e0_70ca_c248), (3, 0x4941_1fc3_9582_5969)];
+        [(1, 0xbcae_b63f_1a95_4515_u64), (2, 0x11f1_7830_f171_5bc9), (3, 0x64f8_6fb3_b562_3fba)];
     for (seed, expected) in pinned {
         let clicks = generate(&SyntheticConfig::tiny().with_seed(seed)).clicks;
         let train = split_last_days(&clicks, 1).train;
@@ -247,13 +246,17 @@ enum Op {
     Delete(u64),
 }
 
+/// Mutations of a live index, the first of them a batch in which item 1 is
+/// in all twenty sessions: more than any `m_max` the properties draw, so
+/// its posting is truncated.
 fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
     let op = prop_oneof![
         clicks_strategy().prop_map(Op::Anywhere),
         clicks_strategy().prop_map(Op::AtRecentEnd),
         (1u64..=20).prop_map(Op::Delete),
     ];
-    vec(op, 1..10)
+    let hot = (1..=20).map(|s| Click::new(s, 1, 3 * s)).collect();
+    vec(op, 0..10).prop_map(move |ops| [vec![Op::Anywhere(Clone::clone(&hot))], ops].concat())
 }
 
 proptest! {
@@ -286,7 +289,7 @@ proptest! {
         // The model of the retained log: every click fed, pruned after every
         // call to the sessions the indexer still holds.
         let mut log: Vec<Click> = Vec::new();
-        let mut newest = 0;
+        let (mut newest, mut truncated) = (0, false);
         for op in ops {
             match op {
                 Op::Anywhere(batch) => {
@@ -307,6 +310,15 @@ proptest! {
             newest = log.iter().map(|c| c.timestamp).max().unwrap_or(newest);
             let Ok(generation) = inc.snapshot() else { continue };
             assert_id_is_recency_key(&generation, &log, m_max)?;
+            // An artefact holds no postings, so its load derives them: they
+            // must be the generation's own, truncated ones too.
+            let loaded = read_index(&artefact(&generation)).expect("own artefact");
+            prop_assert_eq!(loaded.num_items(), generation.num_items());
+            for (item, posting) in generation.postings_iter() {
+                prop_assert_eq!(loaded.postings(item), Some(generation.entries(posting)));
+                prop_assert_eq!(loaded.item_support(item), Some(posting.support));
+                truncated |= posting.support as usize > m_max;
+            }
             // However the generation came to number its slots, the kernel
             // over it answers as the kernel over a build of the same log.
             let built = SessionIndex::build(&log, m_max).expect("non-empty log");
@@ -320,5 +332,6 @@ proptest! {
             let expected: Vec<u64> = ranked(&log).iter().map(|s| s.1).collect();
             prop_assert_eq!(inc.session_ids(), &expected[..]);
         }
+        prop_assert!(truncated, "no posting was truncated to m_max {}", m_max);
     }
 }

@@ -7,6 +7,34 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# A `file.rs:N` reference in the docs names a file by its path or by a
+# unique path suffix (`cluster.rs:115`, `core/src/index/build.rs:183`).
+# It fails when no file or several match, or when the file ends before
+# line N; it cannot tell whether line N still says what the text claims,
+# so a PR that moves lines re-reads the references into its files.
+check_references() {
+    local files doc path line matches count lines failed=0
+    files=$(find crates benchmark/src examples tests shims -name '*.rs' -not -path '*/target/*' | sort)
+    while IFS=: read -r doc path line; do
+        matches=$(grep -E "(^|/)${path//./\\.}\$" <<<"$files" || true)
+        count=$(grep -c . <<<"$matches" || true)
+        if [ "$count" -ne 1 ]; then
+            echo "FAIL: $doc names $path:$line, which matches $count files: ${matches//$'\n'/ }" >&2
+            failed=1
+            continue
+        fi
+        lines=$(wc -l <"$matches")
+        if [ "$line" -lt 1 ] || [ "$line" -gt "$lines" ]; then
+            echo "FAIL: $doc names $path:$line, but $matches has $lines lines" >&2
+            failed=1
+        fi
+    done < <(grep -oE '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.rs:[0-9]+' DESIGN.md README.md ROADMAP.md)
+    return "$failed"
+}
+
+echo "==> docs: every file.rs:N reference in DESIGN.md, README.md and ROADMAP.md names an existing line"
+check_references
+
 echo "==> tier-1: cargo build --release (any warning fails the check)"
 build_output=$(cargo build --release 2>&1) || { echo "$build_output"; exit 1; }
 echo "$build_output"
