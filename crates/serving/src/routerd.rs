@@ -798,6 +798,10 @@ mod tests {
         let clicks = [Click::new(1, 2, 3), Click::new(4, 5, 6)];
         let refs: Vec<&Click> = clicks.iter().collect();
         let body = render_ingest_batch(&refs);
+        assert_eq!(
+            body,
+            r#"{"clicks":[{"item_id":2,"session_id":1,"timestamp":3},{"item_id":5,"session_id":4,"timestamp":6}]}"#
+        );
         let parsed = conn::parse_ingest_batch(&body).unwrap();
         assert_eq!(parsed, clicks);
     }

@@ -382,6 +382,7 @@ mod tests {
             filter_adult: true,
         };
         let body = render_recommend_request(&req);
+        assert_eq!(body, r#"{"consent":false,"filter_adult":true,"item_id":123,"session_id":71}"#);
         let parsed = crate::server::conn::parse_recommend_request(&body).unwrap();
         assert_eq!(parsed, req);
     }
