@@ -7,7 +7,8 @@
 //! TTL store; the router tier (our analogue of Kubernetes session affinity)
 //! guarantees that all requests of one session land on the same node.
 //!
-//! * [`json`] — a minimal hand-rolled JSON codec for the REST wire format;
+//! * [`json`] — the REST wire format's JSON: a scanner that reads a body in
+//!   place and a writer that emits one straight into its buffer;
 //! * [`rules`] — business-rule filtering (unavailable / adult products);
 //! * [`engine`] — what configures the engine and what a request carries:
 //!   the `serenade-hist` / `serenade-recent` variants of the A/B test and
@@ -74,7 +75,6 @@ pub use engine::{EngineConfig, ServingVariant};
 pub use error::ServingError;
 pub use handle::IndexHandle;
 pub use ingest::{IngestConfig, IngestPipeline};
-pub use json::JsonValue;
 pub use router::StickyRouter;
 pub use rules::BusinessRules;
 pub use server::{HttpServer, HttpServerConfig};

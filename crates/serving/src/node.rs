@@ -34,7 +34,7 @@ use crate::cluster::{RolloverError, ServingCluster};
 use crate::context::RequestContext;
 use crate::engine::{EngineConfig, RecommendRequest};
 use crate::error::ServingError;
-use crate::json::{self, JsonValue};
+use crate::json::{self, Value};
 use crate::rules::BusinessRules;
 use crate::server::conn::{self, CONTENT_TYPE_JSON};
 use crate::server::parser::ParsedRequest;
@@ -198,9 +198,7 @@ fn respond_admin(
             }
         }
         ("POST", "/admin/sessions/export") => {
-            let cap = json::parse(request.text())
-                .ok()
-                .and_then(|v| v.get("cap").and_then(JsonValue::as_u64));
+            let cap = json::parse(request.text()).ok().and_then(|v| v.get("cap").and_then(Value::as_u64));
             match cap {
                 Some(cap) => {
                     (200, encode_sessions(&cluster.export_sessions(cap as usize)), OCTET_STREAM)
@@ -231,13 +229,14 @@ fn respond_admin(
 
 /// A `200` with one count: `{"<name>": n}`.
 fn counted(name: &'static str, n: u64) -> (u16, Vec<u8>, &'static str) {
-    let body = JsonValue::object([(name, JsonValue::Number(n as f64))]).to_json();
+    let body = json::object(|o| {
+        o.u64(name, n);
+    });
     (200, body.into_bytes(), CONTENT_TYPE_JSON)
 }
 
 fn error(status: u16, message: String) -> (u16, Vec<u8>, &'static str) {
-    let body = JsonValue::object([("error", JsonValue::String(message))]).to_json();
-    (status, body.into_bytes(), CONTENT_TYPE_JSON)
+    (status, json::error(&message).into_bytes(), CONTENT_TYPE_JSON)
 }
 
 /// Encodes a session set: the export route's answer, the import route's body.
@@ -397,7 +396,7 @@ mod tests {
     fn generation(client: &mut HttpClient) -> u64 {
         let (status, body) = client.get("/health").unwrap();
         assert_eq!(status, 200, "{body}");
-        json::parse(&body).unwrap().get("index_generation").and_then(JsonValue::as_u64).unwrap()
+        json::parse(&body).unwrap().get("index_generation").and_then(json::Value::as_u64).unwrap()
     }
 
     fn artifact() -> Vec<u8> {

@@ -44,6 +44,7 @@
 //! Per-node liveness is an `AtomicBool` inside the (shared) node entry, so
 //! marking a node dead needs no new snapshot.
 
+use std::borrow::Cow;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -58,7 +59,7 @@ use serenade_telemetry::{Histogram, HistogramConfig, TraceConfig};
 
 use crate::engine::RecommendRequest;
 use crate::handle::IndexHandle;
-use crate::json::{self, JsonValue};
+use crate::json::{self, Value};
 use crate::node::{decode_sessions, encode_session_ids, encode_sessions, OCTET_STREAM};
 use crate::router::StickyRouter;
 use crate::server::conn;
@@ -458,18 +459,13 @@ impl RouterCore {
 
     fn members_body(&self) -> String {
         let membership = self.membership.load();
-        let members: Vec<JsonValue> = membership
-            .nodes
-            .iter()
-            .map(|n| {
-                JsonValue::object([
-                    ("id", JsonValue::Number(n.id as f64)),
-                    ("data_addr", JsonValue::String(n.data_addr.to_string())),
-                    ("alive", JsonValue::Bool(n.is_alive())),
-                ])
-            })
-            .collect();
-        JsonValue::object([("members", JsonValue::Array(members))]).to_json()
+        json::object(|o| {
+            o.objects("members", &membership.nodes, |o, n| {
+                o.bool("alive", n.is_alive())
+                    .str("data_addr", &n.data_addr.to_string())
+                    .u64("id", n.id);
+            });
+        })
     }
 }
 
@@ -484,31 +480,17 @@ fn push_artifact(pod: &RemotePod, artifact: &[u8]) -> std::io::Result<Result<(),
     let text = String::from_utf8_lossy(&body);
     let reason = json::parse(&text)
         .ok()
-        .and_then(|v| v.get("error").and_then(JsonValue::as_str).map(String::from));
+        .and_then(|v| v.get("error").and_then(Value::as_str).map(Cow::into_owned));
     Ok(Err(reason.unwrap_or_else(|| format!("status {status}: {text}"))))
 }
 
 /// Renders an ingest sub-batch back into the `POST /ingest` body format.
 fn render_ingest_batch(clicks: &[&Click]) -> String {
-    let items: Vec<JsonValue> = clicks
-        .iter()
-        .map(|c| {
-            JsonValue::object([
-                ("session_id", JsonValue::Number(c.session_id as f64)),
-                ("item_id", JsonValue::Number(c.item_id as f64)),
-                ("timestamp", JsonValue::Number(c.timestamp as f64)),
-            ])
-        })
-        .collect();
-    JsonValue::object([("clicks", JsonValue::Array(items))]).to_json()
-}
-
-fn bad_request(message: &str) -> (u16, String, &'static str) {
-    (
-        400,
-        JsonValue::object([("error", JsonValue::String(message.into()))]).to_json(),
-        conn::CONTENT_TYPE_JSON,
-    )
+    json::object(|o| {
+        o.objects("clicks", clicks, |o, c| {
+            o.u64("item_id", c.item_id).u64("session_id", c.session_id).u64("timestamp", c.timestamp);
+        });
+    })
 }
 
 impl RequestBackend for RouterCore {
@@ -561,149 +543,96 @@ impl RequestBackend for RouterCore {
 impl RouterCore {
     /// The router's endpoints, all text; `/admin/` is not among them.
     fn respond_text(&self, request: &ParsedRequest) -> (u16, String, &'static str) {
-        match (request.method.as_str(), request.path.as_str()) {
+        let (status, body) = match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/health") => {
                 let membership = self.membership.load();
                 let live = membership.nodes.iter().filter(|n| n.is_alive()).count();
-                (
-                    200,
-                    JsonValue::object([
-                        ("status", JsonValue::String("ok".into())),
-                        ("role", JsonValue::String("router".into())),
-                        ("members", JsonValue::Number(membership.nodes.len() as f64)),
-                        ("live", JsonValue::Number(live as f64)),
-                    ])
-                    .to_json(),
-                    conn::CONTENT_TYPE_JSON,
-                )
+                let body = json::object(|o| {
+                    o.u64("live", live as u64)
+                        .u64("members", membership.nodes.len() as u64)
+                        .str("role", "router")
+                        .str("status", "ok");
+                });
+                (200, body)
             }
-            ("GET", "/metrics") => (
-                200,
-                self.telemetry.registry().render(),
-                "text/plain; version=0.0.4",
-            ),
-            ("GET", "/cluster/members") => {
-                (200, self.members_body(), conn::CONTENT_TYPE_JSON)
+            ("GET", "/metrics") => {
+                return (200, self.telemetry.registry().render(), "text/plain; version=0.0.4")
             }
+            ("GET", "/cluster/members") => (200, self.members_body()),
             ("POST", "/cluster/join") => {
                 let parsed = json::parse(request.text())
                     .map_err(|e| format!("invalid json: {e}"))
                     .and_then(|v| {
-                        let id = v
-                            .get("id")
-                            .and_then(JsonValue::as_u64)
-                            .ok_or("missing id")?;
+                        let id = v.get("id").and_then(Value::as_u64).ok_or("missing id")?;
                         let data = v
                             .get("data_addr")
-                            .and_then(JsonValue::as_str)
+                            .and_then(Value::as_str)
                             .and_then(|s| s.parse::<SocketAddr>().ok())
                             .ok_or("missing or invalid data_addr")?;
                         Ok((id, data))
                     });
-                match parsed {
-                    Ok((id, data)) => match self.join(id, data) {
-                        Ok(()) => (200, self.members_body(), conn::CONTENT_TYPE_JSON),
-                        Err(e) => bad_request(&e),
-                    },
-                    Err(e) => bad_request(&e),
+                match parsed.and_then(|(id, data)| self.join(id, data)) {
+                    Ok(()) => (200, self.members_body()),
+                    Err(e) => (400, json::error(&e)),
                 }
             }
             ("POST", "/cluster/leave") => {
                 let id = json::parse(request.text())
                     .ok()
-                    .and_then(|v| v.get("id").and_then(JsonValue::as_u64));
-                match id {
-                    Some(id) => match self.leave(id) {
-                        Ok(()) => (200, self.members_body(), conn::CONTENT_TYPE_JSON),
-                        Err(e) => bad_request(&e),
-                    },
-                    None => bad_request("missing id"),
+                    .and_then(|v| v.get("id").and_then(Value::as_u64));
+                match id.ok_or_else(|| String::from("missing id")).and_then(|id| self.leave(id)) {
+                    Ok(()) => (200, self.members_body()),
+                    Err(e) => (400, json::error(&e)),
                 }
             }
             ("POST", "/cluster/publish") => {
                 let path = json::parse(request.text())
                     .ok()
-                    .and_then(|v| v.get("path").and_then(|p| p.as_str().map(String::from)));
-                let Some(path) = path else { return bad_request("missing path") };
-                let artifact = match std::fs::read(&path) {
-                    Ok(bytes) => bytes,
-                    Err(e) => return bad_request(&format!("unreadable artifact: {e}")),
-                };
-                match self.publish_artifact(artifact) {
+                    .and_then(|v| v.get("path").and_then(Value::as_str).map(Cow::into_owned));
+                let published = path
+                    .ok_or_else(|| String::from("missing path"))
+                    .and_then(|path| {
+                        std::fs::read(path).map_err(|e| format!("unreadable artifact: {e}"))
+                    })
+                    .and_then(|artifact| self.publish_artifact(artifact));
+                match published {
                     Ok((published, failed)) => {
-                        let body = JsonValue::object([
-                            (
-                                "published",
-                                JsonValue::Array(
-                                    published
-                                        .iter()
-                                        .map(|&id| JsonValue::Number(id as f64))
-                                        .collect(),
-                                ),
-                            ),
-                            (
-                                "failed",
-                                JsonValue::Array(
-                                    failed
-                                        .iter()
-                                        .map(|(id, reason)| {
-                                            JsonValue::object([
-                                                ("id", JsonValue::Number(*id as f64)),
-                                                (
-                                                    "error",
-                                                    JsonValue::String(reason.clone()),
-                                                ),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                        .to_json();
-                        (200, body, conn::CONTENT_TYPE_JSON)
+                        let body = json::object(|o| {
+                            o.objects("failed", &failed, |o, (id, reason)| {
+                                o.str("error", reason).u64("id", *id);
+                            })
+                            .u64s("published", published);
+                        });
+                        (200, body)
                     }
-                    Err(e) => bad_request(&e),
+                    Err(e) => (400, json::error(&e)),
                 }
             }
             ("POST", "/recommend") => conn::reject_predict(request.text()),
             ("POST", "/ingest") => match conn::parse_ingest_batch(request.text()) {
                 Ok(clicks) => {
                     let (accepted, failed) = self.proxy_ingest(&clicks);
-                    let status = if failed == 0 { 202 } else { 503 };
-                    (
-                        status,
-                        JsonValue::object([
-                            ("accepted", JsonValue::Number(accepted as f64)),
-                            ("failed", JsonValue::Number(failed as f64)),
-                        ])
-                        .to_json(),
-                        conn::CONTENT_TYPE_JSON,
-                    )
+                    let body = json::object(|o| {
+                        o.u64("accepted", accepted as u64).u64("failed", failed as u64);
+                    });
+                    (if failed == 0 { 202 } else { 503 }, body)
                 }
-                Err(e) => bad_request(&e),
+                Err(e) => (400, json::error(&e)),
             },
             ("DELETE", path) if path.starts_with("/ingest/session/") => {
-                let id = path["/ingest/session/".len()..].parse::<u64>();
-                match id {
+                match path["/ingest/session/".len()..].parse::<u64>() {
                     Ok(id) => {
                         let deleted = self.proxy_delete(id);
-                        (
-                            200,
-                            JsonValue::object([("deleted", JsonValue::Bool(deleted))])
-                                .to_json(),
-                            conn::CONTENT_TYPE_JSON,
-                        )
+                        (200, json::object(|o| {
+                            o.bool("deleted", deleted);
+                        }))
                     }
-                    Err(_) => bad_request("invalid session id"),
+                    Err(_) => (400, json::error("invalid session id")),
                 }
             }
-            _ => (
-                404,
-                JsonValue::object([("error", JsonValue::String("not found".into()))])
-                    .to_json(),
-                conn::CONTENT_TYPE_JSON,
-            ),
-        }
+            _ => (404, json::error("not found")),
+        };
+        (status, body, conn::CONTENT_TYPE_JSON)
     }
 }
 

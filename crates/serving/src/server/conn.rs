@@ -22,7 +22,8 @@ use serenade_core::{Click, ItemScore};
 use crate::cluster::ServingCluster;
 use crate::engine::RecommendRequest;
 use crate::error::ServingError;
-use crate::json::{self, JsonValue};
+use crate::json::{self, Value};
+use crate::stats::StatsSnapshot;
 
 use super::parser::ParsedRequest;
 
@@ -71,21 +72,18 @@ pub(crate) fn render_response(
 
 /// Renders one recommendation list as the `POST /recommend` success body.
 pub(crate) fn render_recommendations(recs: &[ItemScore]) -> String {
-    let items: Vec<JsonValue> = recs
-        .iter()
-        .map(|r| {
-            JsonValue::object([
-                ("item_id", JsonValue::Number(r.item as f64)),
-                ("score", JsonValue::Number(f64::from(r.score))),
-            ])
-        })
-        .collect();
-    JsonValue::object([("recommendations", JsonValue::Array(items))]).to_json()
+    let mut out = String::with_capacity(24 + 48 * recs.len());
+    json::write_object(&mut out, |o| {
+        o.objects("recommendations", recs, |o, r| {
+            o.u64("item_id", r.item).f64("score", f64::from(r.score));
+        });
+    });
+    out
 }
 
 /// Renders one serving error as `(status, body)`.
 pub(crate) fn render_error(e: &ServingError) -> (u16, String) {
-    (e.status(), JsonValue::object([("error", JsonValue::String(e.to_string()))]).to_json())
+    (e.status(), json::error(&e.to_string()))
 }
 
 /// Routes one request to its endpoint and renders the response.
@@ -99,170 +97,103 @@ pub(crate) fn respond(
 
 /// The JSON and text endpoints.
 fn respond_text(request: &ParsedRequest, cluster: &ServingCluster) -> (u16, String, &'static str) {
-    match (request.method.as_str(), request.path.as_str()) {
+    let (status, body) = match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/health") => (
             200,
-            JsonValue::object([
-                ("status", JsonValue::String("ok".into())),
-                (
-                    "uptime_seconds",
-                    JsonValue::Number(cluster.telemetry().uptime_seconds() as f64),
-                ),
-                (
-                    "index_generation",
-                    JsonValue::Number(cluster.index_handle().generation() as f64),
-                ),
-            ])
-            .to_json(),
-            CONTENT_TYPE_JSON,
+            json::object(|o| {
+                o.u64("index_generation", cluster.index_handle().generation())
+                    .str("status", "ok")
+                    .u64("uptime_seconds", cluster.telemetry().uptime_seconds());
+            }),
         ),
-        ("GET", "/metrics") => (200, cluster.telemetry().registry().render(), CONTENT_TYPE_METRICS),
+        ("GET", "/metrics") => {
+            return (200, cluster.telemetry().registry().render(), CONTENT_TYPE_METRICS)
+        }
         ("GET", "/debug/slow") => {
-            let traces: Vec<JsonValue> = cluster
-                .telemetry()
-                .traces()
-                .snapshot()
-                .iter()
-                .map(|t| {
-                    JsonValue::object([
-                        ("request_id", JsonValue::Number(t.request_id as f64)),
-                        ("total_us", JsonValue::Number(t.total_us as f64)),
-                        ("session_us", JsonValue::Number(t.session_us as f64)),
-                        ("predict_us", JsonValue::Number(t.predict_us as f64)),
-                        ("policy_us", JsonValue::Number(t.policy_us as f64)),
-                        ("session_len", JsonValue::Number(t.session_len as f64)),
-                        ("depersonalised", JsonValue::Bool(t.depersonalised)),
-                        ("postings_walked", JsonValue::Number(f64::from(t.postings_walked))),
-                        ("candidates", JsonValue::Number(f64::from(t.candidates))),
-                        ("evicted", JsonValue::Number(f64::from(t.evicted))),
-                    ])
-                })
-                .collect();
-            (
-                200,
-                JsonValue::object([("traces", JsonValue::Array(traces))]).to_json(),
-                CONTENT_TYPE_JSON,
-            )
+            let traces = cluster.telemetry().traces().snapshot();
+            let body = json::object(|o| {
+                o.objects("traces", &traces, |o, t| {
+                    o.u64("candidates", u64::from(t.candidates))
+                        .bool("depersonalised", t.depersonalised)
+                        .u64("evicted", u64::from(t.evicted))
+                        .u64("policy_us", t.policy_us)
+                        .u64("postings_walked", u64::from(t.postings_walked))
+                        .u64("predict_us", t.predict_us)
+                        .u64("request_id", t.request_id)
+                        .u64("session_len", t.session_len)
+                        .u64("session_us", t.session_us)
+                        .u64("total_us", t.total_us);
+                });
+            });
+            (200, body)
         }
-        ("GET", "/stats") => {
-            let s = cluster.stats();
-            let mut fields = vec![
-                ("pod", JsonValue::Number(0.0)),
-                ("requests", JsonValue::Number(s.requests as f64)),
-                ("depersonalised", JsonValue::Number(s.depersonalised as f64)),
-                ("degraded", JsonValue::Number(s.degraded as f64)),
-                ("empty_responses", JsonValue::Number(s.empty_responses as f64)),
-                ("errors", JsonValue::Number(s.errors as f64)),
-                ("live_sessions", JsonValue::Number(cluster.live_sessions() as f64)),
-                ("busy_ms", JsonValue::Number(s.busy.as_millis() as f64)),
-            ];
-            if let Some(l) = s.latency {
-                fields.push(("p50_us", JsonValue::Number(l.p50_us as f64)));
-                fields.push(("p90_us", JsonValue::Number(l.p90_us as f64)));
-                fields.push(("p995_us", JsonValue::Number(l.p995_us as f64)));
-            }
-            for (p50_name, p90_name, summary) in [
-                ("session_p50_us", "session_p90_us", s.session_latency),
-                ("predict_p50_us", "predict_p90_us", s.predict_latency),
-                ("policy_p50_us", "policy_p90_us", s.policy_latency),
-            ] {
-                if let Some(l) = summary {
-                    fields.push((p50_name, JsonValue::Number(l.p50_us as f64)));
-                    fields.push((p90_name, JsonValue::Number(l.p90_us as f64)));
-                }
-            }
-            // A one-element `pods` array: the wire shape `/stats` clients
-            // parse, kept byte for byte.
-            let pods = JsonValue::Array(vec![JsonValue::object(fields)]);
-            (200, JsonValue::object([("pods", pods)]).to_json(), CONTENT_TYPE_JSON)
-        }
-        ("POST", "/ingest") => {
-            let Some(pipeline) = cluster.ingest() else {
-                return (
-                    404,
-                    JsonValue::object([(
-                        "error",
-                        JsonValue::String("ingest is not enabled on this cluster".into()),
-                    )])
-                    .to_json(),
-                    CONTENT_TYPE_JSON,
-                );
-            };
-            match parse_ingest_batch(request.text()) {
+        // A one-element `pods` array: the wire shape `/stats` clients
+        // parse, kept byte for byte.
+        ("GET", "/stats") => (200, json::object(|o| {
+            o.objects("pods", [cluster.stats()], |o, s| render_stats(o, &s, cluster));
+        })),
+        ("POST", "/ingest") => match cluster.ingest() {
+            None => (404, json::error(INGEST_NOT_ENABLED)),
+            Some(pipeline) => match parse_ingest_batch(request.text()) {
                 Ok(clicks) => {
                     if pipeline.submit(&clicks) {
-                        (
-                            202,
-                            JsonValue::object([(
-                                "accepted",
-                                JsonValue::Number(clicks.len() as f64),
-                            )])
-                            .to_json(),
-                            CONTENT_TYPE_JSON,
-                        )
+                        (202, json::object(|o| {
+                            o.u64("accepted", clicks.len() as u64);
+                        }))
                     } else {
-                        (
-                            503,
-                            JsonValue::object([(
-                                "error",
-                                JsonValue::String("ingest queue is at capacity".into()),
-                            )])
-                            .to_json(),
-                            CONTENT_TYPE_JSON,
-                        )
+                        (503, json::error("ingest queue is at capacity"))
                     }
                 }
-                Err(message) => (
-                    400,
-                    JsonValue::object([("error", JsonValue::String(message))]).to_json(),
-                    CONTENT_TYPE_JSON,
-                ),
-            }
-        }
+                Err(message) => (400, json::error(&message)),
+            },
+        },
         ("DELETE", path) if path.starts_with(INGEST_SESSION_PREFIX) => {
             if cluster.ingest().is_none() {
-                return (
-                    404,
-                    JsonValue::object([(
-                        "error",
-                        JsonValue::String("ingest is not enabled on this cluster".into()),
-                    )])
-                    .to_json(),
-                    CONTENT_TYPE_JSON,
-                );
-            }
-            let Ok(session_id) = path[INGEST_SESSION_PREFIX.len()..].parse::<u64>() else {
-                return (
-                    400,
-                    JsonValue::object([(
-                        "error",
-                        JsonValue::String("session id must be an unsigned integer".into()),
-                    )])
-                    .to_json(),
-                    CONTENT_TYPE_JSON,
-                );
-            };
-            // Cluster-level unlearning: remove the session from the click
-            // log, republish, and erase its evolving state from the session
-            // store — one synchronous call.
-            match unwind_barrier(|| cluster.delete_session(session_id)) {
-                Ok(existed) => (
-                    200,
-                    JsonValue::object([("deleted", JsonValue::Bool(existed))]).to_json(),
-                    CONTENT_TYPE_JSON,
-                ),
-                Err(e) => {
-                    let (status, body) = render_error(&e);
-                    (status, body, CONTENT_TYPE_JSON)
+                (404, json::error(INGEST_NOT_ENABLED))
+            } else if let Ok(session_id) = path[INGEST_SESSION_PREFIX.len()..].parse::<u64>() {
+                // Cluster-level unlearning: remove the session from the
+                // click log, republish, and erase its evolving state from
+                // the session store — one synchronous call.
+                match unwind_barrier(|| cluster.delete_session(session_id)) {
+                    Ok(existed) => (200, json::object(|o| {
+                        o.bool("deleted", existed);
+                    })),
+                    Err(e) => render_error(&e),
                 }
+            } else {
+                (400, json::error("session id must be an unsigned integer"))
             }
         }
         ("POST", "/recommend") => reject_predict(request.text()),
-        _ => (
-            404,
-            JsonValue::object([("error", JsonValue::String("not found".into()))]).to_json(),
-            CONTENT_TYPE_JSON,
-        ),
+        _ => (404, json::error("not found")),
+    };
+    (status, body, CONTENT_TYPE_JSON)
+}
+
+const INGEST_NOT_ENABLED: &str = "ingest is not enabled on this cluster";
+
+/// The one element of `/stats`' `pods` array: the engine's counters, then
+/// its latency percentiles once it has served a request.
+fn render_stats(o: &mut json::Object<'_>, s: &StatsSnapshot, cluster: &ServingCluster) {
+    o.u64("busy_ms", s.busy.as_millis() as u64)
+        .u64("degraded", s.degraded)
+        .u64("depersonalised", s.depersonalised)
+        .u64("empty_responses", s.empty_responses)
+        .u64("errors", s.errors)
+        .u64("live_sessions", cluster.live_sessions() as u64);
+    if let Some(l) = s.latency {
+        o.u64("p50_us", l.p50_us).u64("p90_us", l.p90_us).u64("p995_us", l.p995_us);
+    }
+    o.u64("pod", 0);
+    if let Some(l) = s.policy_latency {
+        o.u64("policy_p50_us", l.p50_us).u64("policy_p90_us", l.p90_us);
+    }
+    if let Some(l) = s.predict_latency {
+        o.u64("predict_p50_us", l.p50_us).u64("predict_p90_us", l.p90_us);
+    }
+    o.u64("requests", s.requests);
+    if let Some(l) = s.session_latency {
+        o.u64("session_p50_us", l.p50_us).u64("session_p90_us", l.p90_us);
     }
 }
 
@@ -287,14 +218,11 @@ pub(crate) fn unwind_barrier<R>(
 /// `worker::run_predict` — a tier's one way to run a predict — so what
 /// arrives here is a body the classifier could not parse, and the answer is
 /// its `400`.
-pub(crate) fn reject_predict(body: &str) -> (u16, String, &'static str) {
-    let (status, body) = match parse_recommend_request(body) {
-        Err(message) => {
-            (400, JsonValue::object([("error", JsonValue::String(message))]).to_json())
-        }
+pub(crate) fn reject_predict(body: &str) -> (u16, String) {
+    match parse_recommend_request(body) {
+        Err(message) => (400, json::error(&message)),
         Ok(_) => render_error(&ServingError::Internal("predict dispatched to the endpoint responder")),
-    };
-    (status, body, CONTENT_TYPE_JSON)
+    }
 }
 
 /// Path prefix of the unlearning endpoint: `DELETE /ingest/session/{id}`.
@@ -308,26 +236,22 @@ const MAX_INGEST_BATCH: usize = 10_000;
 /// `{"clicks": [{"session_id": u64, "item_id": u64, "timestamp": u64}, ...]}`.
 pub(crate) fn parse_ingest_batch(body: &str) -> Result<Vec<Click>, String> {
     let v = json::parse(body).map_err(|e| format!("invalid json: {e}"))?;
-    let clicks = v
-        .get("clicks")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing clicks array")?;
-    if clicks.is_empty() {
-        return Err(String::from("clicks array is empty"));
-    }
-    if clicks.len() > MAX_INGEST_BATCH {
-        return Err(format!("clicks array exceeds the {MAX_INGEST_BATCH}-event batch limit"));
+    let clicks = v.get("clicks").and_then(Value::elements).ok_or("missing clicks array")?;
+    match clicks.clone().count() {
+        0 => return Err(String::from("clicks array is empty")),
+        n if n > MAX_INGEST_BATCH => {
+            return Err(format!("clicks array exceeds the {MAX_INGEST_BATCH}-event batch limit"))
+        }
+        _ => {}
     }
     clicks
-        .iter()
         .map(|c| {
-            let session_id =
-                c.get("session_id").and_then(JsonValue::as_u64).ok_or("missing session_id")?;
-            let item_id =
-                c.get("item_id").and_then(JsonValue::as_u64).ok_or("missing item_id")?;
-            let timestamp =
-                c.get("timestamp").and_then(JsonValue::as_u64).ok_or("missing timestamp")?;
-            Ok(Click::new(session_id, item_id, timestamp))
+            let field = |key, missing| c.get(key).and_then(Value::as_u64).ok_or(missing);
+            Ok(Click::new(
+                field("session_id", "missing session_id")?,
+                field("item_id", "missing item_id")?,
+                field("timestamp", "missing timestamp")?,
+            ))
         })
         .collect::<Result<Vec<Click>, &'static str>>()
         .map_err(String::from)
@@ -337,11 +261,10 @@ pub(crate) fn parse_ingest_batch(body: &str) -> Result<Vec<Click>, String> {
 /// the `400` for bodies it rejects agree on the schema through this).
 pub(crate) fn parse_recommend_request(body: &str) -> Result<RecommendRequest, String> {
     let v = json::parse(body).map_err(|e| format!("invalid json: {e}"))?;
-    let session_id =
-        v.get("session_id").and_then(JsonValue::as_u64).ok_or("missing session_id")?;
-    let item = v.get("item_id").and_then(JsonValue::as_u64).ok_or("missing item_id")?;
-    let consent = v.get("consent").and_then(JsonValue::as_bool).unwrap_or(true);
-    let filter_adult = v.get("filter_adult").and_then(JsonValue::as_bool).unwrap_or(false);
+    let session_id = v.get("session_id").and_then(Value::as_u64).ok_or("missing session_id")?;
+    let item = v.get("item_id").and_then(Value::as_u64).ok_or("missing item_id")?;
+    let consent = v.get("consent").and_then(Value::as_bool).unwrap_or(true);
+    let filter_adult = v.get("filter_adult").and_then(Value::as_bool).unwrap_or(false);
     Ok(RecommendRequest { session_id, item, consent, filter_adult })
 }
 

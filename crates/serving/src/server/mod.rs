@@ -377,7 +377,7 @@ mod tests {
     use super::*;
     use crate::cluster::ServingCluster;
     use crate::engine::EngineConfig;
-    use crate::json::{self, JsonValue};
+    use crate::json::{self, Value};
     use crate::rules::BusinessRules;
     use crate::transport::HttpClient;
     use serenade_core::{Click, SessionIndex};
@@ -413,8 +413,8 @@ mod tests {
         assert_eq!(status, 200);
         assert!(body.contains("ok"));
         let v = json::parse(&body).unwrap();
-        assert!(v.get("uptime_seconds").and_then(JsonValue::as_u64).is_some(), "{body}");
-        assert_eq!(v.get("index_generation").and_then(JsonValue::as_u64), Some(1), "{body}");
+        assert!(v.get("uptime_seconds").and_then(Value::as_u64).is_some(), "{body}");
+        assert_eq!(v.get("index_generation").and_then(Value::as_u64), Some(1), "{body}");
         server.shutdown();
     }
 
@@ -574,30 +574,30 @@ mod tests {
         let (status, body) = client.get("/debug/slow").unwrap();
         assert_eq!(status, 200, "{body}");
         let v = json::parse(&body).unwrap();
-        let traces = v.get("traces").unwrap().as_array().unwrap();
+        let traces = v.get("traces").unwrap().elements().unwrap().collect::<Vec<_>>();
         assert!(!traces.is_empty(), "{body}");
-        for t in traces {
-            assert!(t.get("request_id").and_then(JsonValue::as_u64).unwrap() > 0);
-            let total = t.get("total_us").and_then(JsonValue::as_u64).unwrap();
+        for t in &traces {
+            assert!(t.get("request_id").and_then(Value::as_u64).unwrap() > 0);
+            let total = t.get("total_us").and_then(Value::as_u64).unwrap();
             let stages = ["session_us", "predict_us", "policy_us"]
                 .iter()
-                .map(|f| t.get(f).and_then(JsonValue::as_u64).unwrap())
+                .map(|f| t.get(f).and_then(Value::as_u64).unwrap())
                 .sum::<u64>();
             // Stage micros are truncated individually, so they can undershoot
             // the (also truncated) total by at most the number of stages.
             assert!(stages <= total + 3, "stages {stages} vs total {total}");
-            assert!(t.get("session_len").and_then(JsonValue::as_u64).unwrap() >= 1);
+            assert!(t.get("session_len").and_then(Value::as_u64).unwrap() >= 1);
             // Kernel work counters: every request here ran the kernel over
             // known items, far below the sample size.
-            let walked = t.get("postings_walked").and_then(JsonValue::as_u64).unwrap();
-            let candidates = t.get("candidates").and_then(JsonValue::as_u64).unwrap();
+            let walked = t.get("postings_walked").and_then(Value::as_u64).unwrap();
+            let candidates = t.get("candidates").and_then(Value::as_u64).unwrap();
             assert!(1 <= candidates && candidates <= walked, "{candidates} of {walked}");
-            assert_eq!(t.get("evicted").and_then(JsonValue::as_u64), Some(0));
+            assert_eq!(t.get("evicted").and_then(Value::as_u64), Some(0));
         }
         // Traces are sorted slowest-first.
         let totals: Vec<u64> = traces
             .iter()
-            .map(|t| t.get("total_us").and_then(JsonValue::as_u64).unwrap())
+            .map(|t| t.get("total_us").and_then(Value::as_u64).unwrap())
             .collect();
         assert!(totals.windows(2).all(|w| w[0] >= w[1]), "{totals:?}");
         server.shutdown();
@@ -612,7 +612,7 @@ mod tests {
             .unwrap();
         assert_eq!(status, 200, "{body}");
         let v = json::parse(&body).unwrap();
-        let recs = v.get("recommendations").unwrap().as_array().unwrap();
+        let recs = v.get("recommendations").unwrap().elements().unwrap().collect::<Vec<_>>();
         assert!(!recs.is_empty());
         assert!(recs[0].get("item_id").unwrap().as_u64().is_some());
         // The session state landed in the engine's store.
@@ -665,7 +665,7 @@ mod tests {
         let (status, body) = client.get("/stats").unwrap();
         assert_eq!(status, 200, "{body}");
         let v = json::parse(&body).unwrap();
-        let pods = v.get("pods").unwrap().as_array().unwrap();
+        let pods = v.get("pods").unwrap().elements().unwrap().collect::<Vec<_>>();
         assert_eq!(pods.len(), 1);
         let total: u64 = pods
             .iter()
@@ -676,10 +676,10 @@ mod tests {
         // pipeline stage.
         assert!(pods
             .iter()
-            .any(|p| p.get("p90_us").and_then(json::JsonValue::as_u64).is_some()));
+            .any(|p| p.get("p90_us").and_then(Value::as_u64).is_some()));
         for field in ["session_p50_us", "predict_p90_us", "policy_p50_us"] {
             assert!(
-                pods.iter().any(|p| p.get(field).and_then(json::JsonValue::as_u64).is_some()),
+                pods.iter().any(|p| p.get(field).and_then(Value::as_u64).is_some()),
                 "missing stage breakdown field {field}",
             );
         }

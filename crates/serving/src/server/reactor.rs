@@ -1,11 +1,11 @@
 //! The readiness-driven event loop at the heart of the server.
 //!
 //! One reactor thread multiplexes every connection over a [`Poller`] — an
-//! epoll instance on Linux/x86-64 (driven by raw syscalls, the tree vendors
-//! no libc) or a portable condvar-paced fallback elsewhere — so concurrency
-//! is bounded by file descriptors, not threads. It owns every socket and
-//! never blocks on one: reads, writes, accepts and dials run to `WouldBlock`
-//! and then wait for readiness.
+//! epoll instance driven by raw x86-64 syscalls (the tree vendors no libc),
+//! so the server builds on Linux/x86-64 only — and concurrency is bounded
+//! by file descriptors, not threads. It owns every socket and never blocks
+//! on one: reads, writes, accepts and dials run to `WouldBlock` and then
+//! wait for readiness.
 //!
 //! # Which turn runs where
 //!
@@ -66,7 +66,7 @@ use serenade_telemetry::Gauge;
 
 use crate::context::RequestContext;
 use crate::engine::RecommendRequest;
-use crate::json::JsonValue;
+use crate::json;
 use crate::transport::{render_recommend_request, render_request, Progress, ResponseBuf};
 
 use super::backend::{ForwardTarget, PredictRoute, RequestBackend};
@@ -96,7 +96,9 @@ pub(crate) struct Event {
     pub writable: bool,
 }
 
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+compile_error!("the server polls through raw x86-64 epoll syscalls: it builds on Linux/x86-64 only");
+
 mod sys {
     //! Raw-syscall epoll backend. The container bakes in the Rust toolchain
     //! but no libc crate, so the three epoll calls (plus `close`,
@@ -422,142 +424,6 @@ mod sys {
         if ret < 0 && ret != -EINPROGRESS && ret != -EINTR {
             return Err(io::Error::from_raw_os_error(-ret as i32));
         }
-        Ok(stream)
-    }
-}
-
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-mod sys {
-    //! Portable fallback poller: a condvar-paced tick that reports every
-    //! registered source as ready per its interest. Combined with
-    //! nonblocking sockets this is *correct* (spurious readiness degrades
-    //! into `WouldBlock`), just not scalable — the epoll backend is the
-    //! production path.
-
-    use std::io;
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::{Arc, Condvar, Mutex, PoisonError};
-    use std::time::Duration;
-
-    use super::{Event, READ, WRITE};
-
-    #[derive(Default)]
-    struct Signal {
-        lock: Mutex<bool>,
-        cond: Condvar,
-    }
-
-    /// Cross-thread readiness kick for the fallback poller.
-    #[derive(Clone)]
-    pub(crate) struct Waker {
-        signal: Arc<Signal>,
-    }
-
-    impl Waker {
-        pub(crate) fn wake(&self) {
-            let mut pending =
-                self.signal.lock.lock().unwrap_or_else(PoisonError::into_inner);
-            *pending = true;
-            self.signal.cond.notify_all();
-        }
-    }
-
-    pub(crate) struct Poller {
-        signal: Arc<Signal>,
-        registered: Mutex<Vec<(u64, u8)>>,
-    }
-
-    impl Poller {
-        pub(crate) fn new() -> io::Result<Self> {
-            Ok(Self { signal: Arc::new(Signal::default()), registered: Mutex::new(Vec::new()) })
-        }
-
-        pub(crate) fn waker(&self) -> Waker {
-            Waker { signal: Arc::clone(&self.signal) }
-        }
-
-        fn set(&self, token: u64, interest: Option<u8>) {
-            let mut reg = self.registered.lock().unwrap_or_else(PoisonError::into_inner);
-            reg.retain(|(t, _)| *t != token);
-            if let Some(interest) = interest {
-                reg.push((token, interest));
-            }
-        }
-
-        pub(crate) fn register_listener(&self, _l: &TcpListener, token: u64) -> io::Result<()> {
-            self.set(token, Some(READ));
-            Ok(())
-        }
-
-        pub(crate) fn register_stream(
-            &self,
-            _s: &TcpStream,
-            token: u64,
-            interest: u8,
-        ) -> io::Result<()> {
-            self.set(token, Some(interest));
-            Ok(())
-        }
-
-        pub(crate) fn rearm_stream(
-            &self,
-            _s: &TcpStream,
-            token: u64,
-            interest: u8,
-        ) -> io::Result<()> {
-            self.set(token, Some(interest));
-            Ok(())
-        }
-
-        pub(crate) fn deregister_stream(&self, _s: &TcpStream) -> io::Result<()> {
-            // Tokens are retired by the slab's generation counter; stale
-            // fallback events are filtered there, so nothing to do beyond
-            // dropping on the next rearm. Deregistration by stream is
-            // impossible without fd identity; the reactor also calls
-            // `forget` with the token.
-            Ok(())
-        }
-
-        /// Token-keyed deregistration for the fallback backend.
-        pub(crate) fn forget(&self, token: u64) {
-            self.set(token, None);
-        }
-
-        pub(crate) fn wait(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
-            {
-                let mut pending =
-                    self.signal.lock.lock().unwrap_or_else(PoisonError::into_inner);
-                if !*pending {
-                    let (guard, _) = self
-                        .signal
-                        .cond
-                        .wait_timeout(pending, timeout)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    pending = guard;
-                }
-                *pending = false;
-            }
-            let reg = self.registered.lock().unwrap_or_else(PoisonError::into_inner);
-            for (token, interest) in reg.iter() {
-                if *interest == 0 {
-                    continue;
-                }
-                events.push(Event {
-                    token: *token,
-                    readable: interest & READ != 0,
-                    writable: interest & WRITE != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    /// Fallback dial: std has no non-blocking connect, so this one waits —
-    /// briefly, and only once per upstream connection — for the handshake.
-    /// The returned stream is nonblocking and already connected.
-    pub(crate) fn dial(addr: std::net::SocketAddr) -> io::Result<TcpStream> {
-        let stream = TcpStream::connect_timeout(&addr, Duration::from_millis(250))?;
-        stream.set_nonblocking(true)?;
         Ok(stream)
     }
 }
@@ -900,8 +766,7 @@ impl<B: RequestBackend> Reactor<B> {
         self.shared.metrics.shed_connections.inc();
         let config = &self.shared.config;
         let _ = stream.set_write_timeout(Some(config.write_timeout));
-        let body =
-            JsonValue::object([("error", JsonValue::String("server overloaded".into()))]).to_json();
+        let body = json::error(OVERLOADED);
         let bytes = conn::render_response(
             503,
             body.as_bytes(),
@@ -1044,10 +909,7 @@ impl<B: RequestBackend> Reactor<B> {
                 }
                 Poll::Reject(reject) => {
                     self.shared.metrics.rejects.inc();
-                    let body =
-                        JsonValue::object([("error", JsonValue::String(reject.message.into()))])
-                            .to_json();
-                    self.respond_now(token, reject.status, &body, true, None);
+                    self.respond_now(token, reject.status, &json::error(reject.message), true, None);
                     return;
                 }
                 Poll::NeedHead => {
@@ -1088,14 +950,14 @@ impl<B: RequestBackend> Reactor<B> {
             Admission::Draining => {
                 self.shared.metrics.shed_draining.inc();
                 self.set_state(token, ConnState::Draining);
-                self.respond_now(token, 503, &shed_body(), true, retry);
+                self.respond_now(token, 503, &json::error(OVERLOADED), true, retry);
                 return;
             }
             Admission::Overloaded => {
                 self.shared.metrics.shed_inflight.inc();
                 // Framing is intact: shed the request, keep the connection
                 // unless the client asked to close.
-                self.respond_now(token, 503, &shed_body(), request.close, retry);
+                self.respond_now(token, 503, &json::error(OVERLOADED), request.close, retry);
                 return;
             }
             Admission::Admitted => {}
@@ -1151,7 +1013,7 @@ impl<B: RequestBackend> Reactor<B> {
             Err(_rejected) => {
                 self.shared.gate.finish_request();
                 self.shared.metrics.shed_queue_full.inc();
-                self.respond_now(token, 503, &shed_body(), client_close, retry);
+                self.respond_now(token, 503, &json::error(OVERLOADED), client_close, retry);
             }
         }
     }
@@ -1251,8 +1113,8 @@ impl<B: RequestBackend> Reactor<B> {
         }
         let stream = dial(addr).ok()?;
         let _ = stream.set_nodelay(true);
-        // The fallback dial returns connected; the epoll one reports through
-        // `WRITE` readiness either way.
+        // The connect completes in the background; `WRITE` readiness
+        // reports it either way.
         let token = self.upstreams.insert(Upstream {
             stream,
             addr,
@@ -1437,8 +1299,6 @@ impl<B: RequestBackend> Reactor<B> {
     fn close_upstream(&mut self, token: u64) {
         let Some(up) = self.upstreams.remove(token) else { return };
         let _ = self.poller.deregister_stream(&up.stream);
-        #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-        self.poller.forget(token);
         if let Some(pool) = self.pools.get_mut(&up.addr) {
             pool.idle.retain(|idle| *idle != token);
             pool.open.set(pool.open.get().saturating_sub(1));
@@ -1633,14 +1493,9 @@ impl<B: RequestBackend> Reactor<B> {
             if let Some(started) = conn.frame_started {
                 if now.duration_since(started) > request_read_timeout {
                     self.shared.metrics.timeouts_read.inc();
-                    let body = JsonValue::object([(
-                        "error",
-                        JsonValue::String("request read timed out".into()),
-                    )])
-                    .to_json();
                     let Some(conn) = self.slab.get_mut(token) else { continue };
                     conn.frame_started = None;
-                    self.respond_now(token, 408, &body, true, None);
+                    self.respond_now(token, 408, &json::error("request read timed out"), true, None);
                 }
                 continue;
             }
@@ -1665,8 +1520,6 @@ impl<B: RequestBackend> Reactor<B> {
         self.shared.parked.unpark(token);
         self.shared.metrics.record_state(conn.state, conn.state_since.elapsed());
         let _ = self.poller.deregister_stream(&conn.stream);
-        #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-        self.poller.forget(token);
         self.shared.open_connections.fetch_sub(1, crate::sync::atomic::Ordering::SeqCst);
         if !self.shared.gate.is_running() {
             self.shared.wakeup.notify_all();
@@ -1687,10 +1540,8 @@ impl<B: RequestBackend> Reactor<B> {
     }
 }
 
-/// Body of every `503` shed.
-fn shed_body() -> String {
-    JsonValue::object([("error", JsonValue::String("server overloaded".into()))]).to_json()
-}
+/// The error of every `503` shed.
+const OVERLOADED: &str = "server overloaded";
 
 #[cfg(all(test, not(feature = "loom")))]
 mod tests {

@@ -36,7 +36,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::engine::RecommendRequest;
-use crate::json::JsonValue;
+use crate::json;
 use crate::server::conn::CONTENT_TYPE_JSON;
 
 /// A request body: `(content type, bytes)`.
@@ -360,13 +360,12 @@ impl RemotePod {
 
 /// Renders one [`RecommendRequest`] as the `POST /recommend` body.
 pub(crate) fn render_recommend_request(req: &RecommendRequest) -> String {
-    JsonValue::object([
-        ("session_id", JsonValue::Number(req.session_id as f64)),
-        ("item_id", JsonValue::Number(req.item as f64)),
-        ("consent", JsonValue::Bool(req.consent)),
-        ("filter_adult", JsonValue::Bool(req.filter_adult)),
-    ])
-    .to_json()
+    json::object(|o| {
+        o.bool("consent", req.consent)
+            .bool("filter_adult", req.filter_adult)
+            .u64("item_id", req.item)
+            .u64("session_id", req.session_id);
+    })
 }
 
 #[cfg(all(test, not(feature = "loom")))]

@@ -26,7 +26,7 @@ use std::time::Duration;
 use serenade_core::{Click, SessionIndex};
 use serenade_index::binfmt;
 use serenade_serving::HttpClient;
-use serenade_serving::json::{self, JsonValue};
+use serenade_serving::json::{self, Value};
 use serenade_serving::node::decode_sessions;
 use serenade_serving::routerd::{RouterConfig, RouterDaemon};
 use serenade_serving::StickyRouter;
@@ -85,7 +85,7 @@ fn member(id: u64, node: &NodeProc) -> (u64, SocketAddr, SocketAddr) {
 fn generation(node: &NodeProc) -> u64 {
     let (status, body) = HttpClient::connect(node.data).unwrap().get("/health").unwrap();
     assert_eq!(status, 200, "{body}");
-    json::parse(&body).unwrap().get("index_generation").and_then(JsonValue::as_u64).unwrap()
+    json::parse(&body).unwrap().get("index_generation").and_then(Value::as_u64).unwrap()
 }
 
 /// The node's live sessions, off `POST /admin/sessions/export`.
@@ -125,10 +125,10 @@ fn artifact_path(tag: &str) -> std::path::PathBuf {
     path
 }
 
-fn json_array<'a>(value: &'a JsonValue, key: &str) -> &'a [JsonValue] {
-    match value.get(key) {
-        Some(JsonValue::Array(items)) => items,
-        other => panic!("expected {key} array, got {other:?}"),
+fn json_array<'a>(value: &Value<'a>, key: &str) -> Vec<Value<'a>> {
+    match value.get(key).and_then(Value::elements) {
+        Some(items) => items.collect(),
+        None => panic!("expected {key} array in {value:?}"),
     }
 }
 
@@ -145,7 +145,9 @@ fn artifact_publish_reaches_every_node_and_later_joiners() {
     }
 
     let path = artifact_path("publish");
-    let body = format!("{{\"path\":{}}}", JsonValue::String(path.display().to_string()).to_json());
+    let body = json::object(|o| {
+        o.str("path", &path.display().to_string());
+    });
     let (status, response) = http.post("/cluster/publish", &body).unwrap();
     assert_eq!(status, 200, "publish failed: {response}");
     let parsed = json::parse(&response).unwrap();

@@ -22,7 +22,7 @@ use serenade_serving::server::parser::ParsedRequest;
 use serenade_serving::server::{PredictRoute, RequestBackend};
 use serenade_serving::{
     BusinessRules, ClusterTelemetry, EngineConfig, HttpClient, HttpServer, HttpServerConfig,
-    JsonValue, RequestContext, ServingCluster, ServingError,
+    RequestContext, ServingCluster, ServingError,
 };
 use serenade_telemetry::TraceConfig;
 
@@ -74,16 +74,11 @@ fn body_of(req: &RecommendRequest) -> String {
 
 /// The success body the server renders for `recs`.
 fn rendered(recs: &[ItemScore]) -> String {
-    let items = recs
+    let items: Vec<String> = recs
         .iter()
-        .map(|r| {
-            JsonValue::object([
-                ("item_id", JsonValue::Number(r.item as f64)),
-                ("score", JsonValue::Number(f64::from(r.score))),
-            ])
-        })
+        .map(|r| format!(r#"{{"item_id":{},"score":{}}}"#, r.item, f64::from(r.score)))
         .collect();
-    JsonValue::object([("recommendations", JsonValue::Array(items))]).to_json()
+    format!(r#"{{"recommendations":[{}]}}"#, items.join(","))
 }
 
 /// What `handle_with` answers on a twin cluster, request by request.

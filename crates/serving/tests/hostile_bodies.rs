@@ -234,3 +234,52 @@ fn export_cap_bodies_keep_their_verdicts() {
     }
     node.shutdown();
 }
+
+/// Bodies of nothing but `[`: 20,000 bytes, and one byte under the 1 MiB
+/// body limit. A parser that recurses per bracket overflows its thread's
+/// stack on either and takes the process down.
+fn open_brackets() -> [Vec<u8>; 2] {
+    [vec![b'['; 20_000], vec![b'['; (1 << 20) - 1]]
+}
+
+const TOO_DEEP: &str = r#"{"error":"invalid json: nesting deeper than 64 at offset 64"}"#;
+
+/// Each deep body gets a `400`, and the server still answers a predict on
+/// a new connection.
+fn survives_deep_nesting(addr: std::net::SocketAddr, path: &str) {
+    for body in open_brackets() {
+        let answer = send(&mut HttpClient::connect(addr).unwrap(), "POST", path, &body);
+        assert_eq!(answer, (400, TOO_DEEP.to_string()), "{} bytes of [ to {path}", body.len());
+        let (status, answer) = HttpClient::connect(addr)
+            .unwrap()
+            .post("/recommend", r#"{"session_id":7,"item_id":1}"#)
+            .unwrap();
+        assert_eq!(status, 200, "{answer}");
+    }
+}
+
+#[test]
+fn deep_nesting_is_a_400_on_a_bare_node() {
+    let server = HttpServer::serve(cluster(), HttpServerConfig::default()).unwrap();
+    survives_deep_nesting(server.addr(), "/recommend");
+    server.shutdown();
+}
+
+#[test]
+fn deep_nesting_is_a_400_through_routerd() {
+    let node = ServingNode::start(index(), NodeConfig::default()).unwrap();
+    let config = RouterConfig { probe_interval: Duration::from_secs(3600), ..RouterConfig::default() };
+    let router = RouterDaemon::start(&[(0, node.data_addr(), node.ctrl_addr())], config).unwrap();
+    survives_deep_nesting(router.addr(), "/recommend");
+    router.shutdown();
+    node.shutdown();
+}
+
+#[test]
+fn deep_nesting_is_a_400_on_ingest() {
+    let cluster = cluster();
+    cluster.enable_ingest(IngestConfig::default(), &clicks()).unwrap();
+    let server = HttpServer::serve(cluster, HttpServerConfig::default()).unwrap();
+    survives_deep_nesting(server.addr(), "/ingest");
+    server.shutdown();
+}

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use serenade_core::{Click, ItemScore, SessionIndex};
 use serenade_serving::engine::{EngineConfig, RecommendRequest};
-use serenade_serving::json::{self, JsonValue};
+use serenade_serving::json::{self, Value};
 use serenade_serving::server::parser::ParsedRequest;
 use serenade_serving::server::{PredictRoute, RequestBackend};
 use serenade_serving::{
@@ -508,7 +508,7 @@ fn expired_deadline_degrades_but_still_answers_200() {
         assert_eq!(status, 200, "{body}");
         let v = json::parse(&body).unwrap();
         assert!(
-            !v.get("recommendations").unwrap().as_array().unwrap().is_empty(),
+            v.get("recommendations").unwrap().elements().unwrap().next().is_some(),
             "{body}"
         );
     }
@@ -521,10 +521,9 @@ fn expired_deadline_degrades_but_still_answers_200() {
     let degraded: u64 = v
         .get("pods")
         .unwrap()
-        .as_array()
+        .elements()
         .unwrap()
-        .iter()
-        .map(|p| p.get("degraded").and_then(JsonValue::as_u64).unwrap())
+        .map(|p| p.get("degraded").and_then(Value::as_u64).unwrap())
         .sum();
     assert_eq!(degraded, 2, "{body}");
     // And the telemetry counter agrees.

@@ -75,7 +75,7 @@ fn full_pipeline_from_clicks_to_http_responses() {
         last_body = body;
     }
     let parsed = json::parse(&last_body).unwrap();
-    let recs = parsed.get("recommendations").unwrap().as_array().unwrap();
+    let recs = parsed.get("recommendations").unwrap().elements().unwrap().collect::<Vec<_>>();
     assert!(!recs.is_empty(), "a known session must produce recommendations");
     assert!(recs.len() <= 21);
     assert_eq!(

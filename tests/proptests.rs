@@ -1,6 +1,6 @@
 //! Property-based tests over the whole stack.
 //!
-//! Random click logs, configurations and value trees drive the invariants
+//! Random click logs, configurations and JSON documents drive the invariants
 //! that DESIGN.md §5 promises: index structure, bounded intermediate state,
 //! exact equivalence of every execution strategy, lossless codecs, and
 //! metric bounds.
@@ -15,7 +15,7 @@ use serenade_core::heap::DaryHeap;
 use serenade_core::{Click, FxHashSet, ItemId, Recommender, SessionIndex, VmisConfig, VmisKnn};
 use serenade_index::{read_index, write_index, IncrementalIndexer};
 use serenade_metrics::ranking;
-use serenade_serving::json::{self, JsonValue};
+use serenade_serving::json::{self, Value};
 
 /// Random click logs: up to 25 sessions over 15 items, arbitrary (possibly
 /// colliding) timestamps — timestamp ties are exactly the hard case for the
@@ -247,32 +247,95 @@ proptest! {
     }
 }
 
-/// Recursive strategy for arbitrary JSON values (integral numbers keep the
-/// comparison exact; float formatting itself is covered by unit tests).
-fn json_strategy() -> impl Strategy<Value = JsonValue> {
+/// JSON text a reader must skip: arrays and objects nested at random
+/// around numbers, literals and strings holding structural characters.
+fn json_noise() -> impl Strategy<Value = String> {
     let leaf = prop_oneof![
-        Just(JsonValue::Null),
-        any::<bool>().prop_map(JsonValue::Bool),
-        (-1_000_000i64..1_000_000).prop_map(|n| JsonValue::Number(n as f64)),
-        "[a-zA-Z0-9 _\\-\"\\\\\n\u{e9}]{0,12}".prop_map(JsonValue::String),
+        Just(String::from("null")),
+        any::<bool>().prop_map(|b| b.to_string()),
+        (-1_000_000i64..1_000_000).prop_map(|n| format!("{n}e-3")),
+        "[a-z\\[\\]\\{\\}\",:\\\\]{0,8}".prop_map(|s| json::object(|o| {
+            o.str("s", &s);
+        })),
     ];
-    leaf.prop_recursive(3, 24, 4, |inner| {
+    leaf.prop_recursive(4, 32, 4, |inner| {
         prop_oneof![
-            vec(inner.clone(), 0..5).prop_map(JsonValue::Array),
-            vec(("[a-z]{1,6}", inner), 0..5).prop_map(|fields| {
-                JsonValue::Object(fields.into_iter().collect())
+            vec(inner.clone(), 0..4).prop_map(|items| format!("[{}]", items.join(","))),
+            vec(("[a-z]{1,4}", inner), 0..4).prop_map(|fields| {
+                let fields: Vec<String> =
+                    fields.iter().map(|(k, v)| format!("\"{k}\" : {v}")).collect();
+                format!("{{ {} }}", fields.join(" , "))
             }),
         ]
     })
 }
 
+/// Finite `f32` scores: any bit pattern that is one, and plain fractions.
+fn score_strategy() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        any::<u32>().prop_map(f32::from_bits).prop_map(|x| if x.is_finite() { x } else { 0.25 }),
+        (0u32..1_000_000).prop_map(|n| n as f32 / 7.0),
+    ]
+}
+
+/// Reads every part of `value`, as a client of the scanner would.
+fn visit(value: Value<'_>) -> usize {
+    let scalars = [
+        value.as_u64().is_some(),
+        value.as_f64().is_some(),
+        value.as_bool().is_some(),
+        value.as_str().is_some(),
+    ];
+    let fields = value.fields().into_iter().flatten().map(|(_, v)| 1 + visit(v)).sum::<usize>();
+    let elements = value.elements().into_iter().flatten().map(|v| 1 + visit(v)).sum::<usize>();
+    scalars.iter().filter(|&&s| s).count() + fields + elements
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
+    // What the writer emits, the scanner reads back exactly, with unknown
+    // fields and elements of any shape around it.
     #[test]
-    fn json_roundtrips(value in json_strategy()) {
-        let text = value.to_json();
-        let parsed = json::parse(&text).unwrap();
-        prop_assert_eq!(parsed, value);
+    fn json_roundtrips(
+        id in 0u64..=(1 << 53),
+        score in score_strategy(),
+        text in "[a-z \"\\\\/\n\r\t\u{1}\u{8}\u{c}\u{1f}\u{7f}é€😀]{0,16}",
+        flag in any::<bool>(),
+        noise in vec(json_noise(), 3..4),
+    ) {
+        let body = json::object(|o| {
+            o.bool("flag", flag)
+                .objects("items", [(id, score)], |o, (id, score)| {
+                    o.u64("item_id", id).f64("score", f64::from(score));
+                })
+                .str("text", &text);
+        });
+        let fields = &body[1..body.len() - 1];
+        let doc = format!("[{},{{\"a\":{},{fields},\"zz\":{}}}]", noise[0], noise[1], noise[2]);
+        let elements: Vec<Value<'_>> = json::parse(&doc).unwrap().elements().unwrap().collect();
+        prop_assert_eq!(elements.len(), 2);
+        let read = elements[1];
+        prop_assert_eq!(read.get("flag").and_then(Value::as_bool), Some(flag));
+        let read_text = read.get("text").and_then(Value::as_str);
+        prop_assert_eq!(read_text.as_deref(), Some(text.as_str()));
+        let item = read.get("items").and_then(Value::elements).unwrap().next().unwrap();
+        prop_assert_eq!(item.get("item_id").and_then(Value::as_u64), Some(id));
+        prop_assert_eq!(item.get("score").and_then(Value::as_f64), Some(f64::from(score)));
+        prop_assert_eq!(json::parse(&body).unwrap().fields().unwrap().count(), 3);
+    }
+
+    // No input makes the scanner panic, however it is read afterwards:
+    // arbitrary bytes, and long runs of JSON's own characters.
+    #[test]
+    fn json_scanner_never_panics(
+        text in prop_oneof![
+            vec(any::<u8>(), 0..65_536).prop_map(|b| String::from_utf8_lossy(&b).into_owned()),
+            "[\\[\\]\\{\\}\",:\\\\u0-9.eE+\\-tfrlsn \n\u{e9}]{0,65536}",
+        ],
+    ) {
+        if let Ok(value) = json::parse(&text) {
+            visit(value);
+        }
     }
 }
