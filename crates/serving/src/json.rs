@@ -223,7 +223,8 @@ impl<'a> Scanner<'a> {
                     return Ok(());
                 }
                 _ => {
-                    return Err(format!("expected ',' or '{}' at offset {}", close as char, self.pos))
+                    let close = close as char;
+                    return Err(format!("expected ',' or '{close}' at offset {}", self.pos));
                 }
             }
         }

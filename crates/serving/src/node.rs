@@ -198,7 +198,8 @@ fn respond_admin(
             }
         }
         ("POST", "/admin/sessions/export") => {
-            let cap = json::parse(request.text()).ok().and_then(|v| v.get("cap").and_then(Value::as_u64));
+            let cap =
+                json::parse(request.text()).ok().and_then(|v| v.get("cap").and_then(Value::as_u64));
             match cap {
                 Some(cap) => {
                     (200, encode_sessions(&cluster.export_sessions(cap as usize)), OCTET_STREAM)

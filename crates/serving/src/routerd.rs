@@ -488,7 +488,9 @@ fn push_artifact(pod: &RemotePod, artifact: &[u8]) -> std::io::Result<Result<(),
 fn render_ingest_batch(clicks: &[&Click]) -> String {
     json::object(|o| {
         o.objects("clicks", clicks, |o, c| {
-            o.u64("item_id", c.item_id).u64("session_id", c.session_id).u64("timestamp", c.timestamp);
+            o.u64("item_id", c.item_id)
+                .u64("session_id", c.session_id)
+                .u64("timestamp", c.timestamp);
         });
     })
 }

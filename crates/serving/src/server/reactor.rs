@@ -97,7 +97,7 @@ pub(crate) struct Event {
 }
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-compile_error!("the server polls through raw x86-64 epoll syscalls: it builds on Linux/x86-64 only");
+compile_error!("the server polls through raw x86-64 epoll syscalls: Linux/x86-64 only");
 
 mod sys {
     //! Raw-syscall epoll backend. The container bakes in the Rust toolchain
@@ -909,7 +909,8 @@ impl<B: RequestBackend> Reactor<B> {
                 }
                 Poll::Reject(reject) => {
                     self.shared.metrics.rejects.inc();
-                    self.respond_now(token, reject.status, &json::error(reject.message), true, None);
+                    let body = json::error(reject.message);
+                    self.respond_now(token, reject.status, &body, true, None);
                     return;
                 }
                 Poll::NeedHead => {
@@ -1114,7 +1115,7 @@ impl<B: RequestBackend> Reactor<B> {
         let stream = dial(addr).ok()?;
         let _ = stream.set_nodelay(true);
         // The connect completes in the background; `WRITE` readiness
-        // reports it either way.
+        // reports whether it succeeded.
         let token = self.upstreams.insert(Upstream {
             stream,
             addr,
@@ -1495,7 +1496,8 @@ impl<B: RequestBackend> Reactor<B> {
                     self.shared.metrics.timeouts_read.inc();
                     let Some(conn) = self.slab.get_mut(token) else { continue };
                     conn.frame_started = None;
-                    self.respond_now(token, 408, &json::error("request read timed out"), true, None);
+                    let body = json::error("request read timed out");
+                    self.respond_now(token, 408, &body, true, None);
                 }
                 continue;
             }
