@@ -397,7 +397,7 @@ mod tests {
     fn generation(client: &mut HttpClient) -> u64 {
         let (status, body) = client.get("/health").unwrap();
         assert_eq!(status, 200, "{body}");
-        json::parse(&body).unwrap().get("index_generation").and_then(json::Value::as_u64).unwrap()
+        json::parse(&body).unwrap().get("index_generation").and_then(Value::as_u64).unwrap()
     }
 
     fn artifact() -> Vec<u8> {
