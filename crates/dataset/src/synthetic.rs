@@ -147,9 +147,13 @@ impl SyntheticConfig {
     }
 }
 
-/// Cumulative-weight Zipf sampler over ranks `0..n`.
+/// Cumulative-weight Zipf sampler over ranks `0..n`, with a guide table:
+/// `guide[j]` is the first rank whose cumulative weight reaches the start of
+/// the `j`-th of `n` equal slices of the total, so a draw starts its search
+/// at most a few ranks before its answer instead of bisecting all `n`.
 struct ZipfSampler {
     cumulative: Vec<f64>,
+    guide: Vec<usize>,
 }
 
 impl ZipfSampler {
@@ -161,14 +165,34 @@ impl ZipfSampler {
             acc += 1.0 / (rank as f64).powf(exponent);
             cumulative.push(acc);
         }
-        Self { cumulative }
+        let mut guide = Vec::with_capacity(n);
+        let mut rank = 0;
+        for j in 0..n {
+            let start = j as f64 * acc / n as f64;
+            while rank < n - 1 && cumulative[rank] < start {
+                rank += 1;
+            }
+            guide.push(rank);
+        }
+        Self { cumulative, guide }
     }
 
-    /// Samples a rank in `0..n`; smaller ranks are more popular.
+    /// Samples a rank in `0..n`; smaller ranks are more popular. The answer
+    /// is the first rank whose cumulative weight is ≥ `u` (the last rank if
+    /// none is), whatever rank the guide starts the search at.
     fn sample(&self, rng: &mut StdRng) -> usize {
-        let total = *self.cumulative.last().expect("non-empty");
+        let c = &self.cumulative;
+        let total = c[c.len() - 1];
         let u = rng.gen::<f64>() * total;
-        self.cumulative.partition_point(|&c| c < u).min(self.cumulative.len() - 1)
+        let bucket = ((u / total * c.len() as f64) as usize).min(c.len() - 1);
+        let mut rank = self.guide[bucket];
+        while rank > 0 && c[rank - 1] >= u {
+            rank -= 1;
+        }
+        while rank < c.len() - 1 && c[rank] < u {
+            rank += 1;
+        }
+        rank
     }
 }
 
@@ -218,6 +242,7 @@ pub fn generate(config: &SyntheticConfig) -> Dataset {
     let day_secs = 86_400u64;
     let sessions_per_day = config.num_sessions.div_ceil(config.days as usize).max(1);
     let drift_ranks = (config.drift_per_day * n as f64) as usize;
+    let items: Vec<u64> = (0..n).map(|rank| mix_rank(rank, n, config.seed ^ 0xA5A5_5A5A)).collect();
 
     let mut clicks = Vec::with_capacity(
         (config.num_sessions as f64 * config.length_log_mean.exp() * 1.3) as usize,
@@ -261,8 +286,7 @@ pub fn generate(config: &SyntheticConfig) -> Dataset {
                 }
                 next
             };
-            let drifted = (rank + drift) % n;
-            let item = mix_rank(drifted, n, config.seed ^ 0xA5A5_5A5A);
+            let item = items[(rank + drift) % n];
             let jitter = rng.gen_range(0..10);
             clicks.push(Click::new(session_id, item, start + (c as u64) * 30 + jitter));
         }
