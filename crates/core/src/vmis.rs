@@ -121,13 +121,10 @@ impl VmisConfig {
     }
 }
 
-/// One accumulator cell: `val` is the item's score `d_i` only while `epoch`
-/// equals the scratch's current epoch; stale cells cost nothing to clear.
-#[derive(Debug, Clone, Copy, Default)]
-struct AccCell {
-    epoch: u32,
-    val: f32,
-}
+/// What an accumulator cell holds between requests. Every contribution
+/// `session_weight * idf` is ≥ 0 and never `-0.0`, and `-0.0 + x` has the
+/// bits of `x`, so a cell with these bits has not been scored this request.
+const CLEAR: f32 = -0.0;
 
 /// What one request made the kernel do, counted in plain (non-atomic)
 /// words of its [`Scratch`] — the answer to "why was this request slow".
@@ -152,6 +149,12 @@ pub struct KernelWork {
 /// A production recommendation server keeps one `Scratch` per worker thread
 /// so that a steady-state request allocates nothing but the list it returns
 /// (Rust Performance Book: reuse workhorse collections).
+///
+/// The accumulator is one `f32` per slot of the index, holding `CLEAR`
+/// (`-0.0`) between requests. A request lists each slot in `touched` before
+/// it first writes the slot's cell, and the next request starts by clearing
+/// exactly those cells, so a request that unwound halfway leaves nothing
+/// behind for the next one on the same scratch.
 #[derive(Debug)]
 pub struct Scratch {
     /// The candidate sessions `r` with their similarities and match
@@ -168,11 +171,10 @@ pub struct Scratch {
     order: Vec<u64>,
     /// Accumulator slots of the window's items (`exclude_session_items`).
     excluded: Vec<u32>,
-    /// Candidate item scores `d`, indexed by accumulator slot.
-    acc: Vec<AccCell>,
-    /// Current accumulator epoch; never 0, so fresh cells are always stale.
-    epoch: u32,
-    /// Slots touched this epoch, in first-touch order.
+    /// Candidate item scores `d`, indexed by accumulator slot; `CLEAR`
+    /// (`-0.0`) in every cell the current request has not scored.
+    acc: Vec<f32>,
+    /// Slots scored by the current request, in first-touch order.
     touched: Vec<u32>,
     /// Ranking keys of the positively scored slots (see `take_top`).
     rank: Vec<u64>,
@@ -199,7 +201,6 @@ impl Scratch {
             order: Vec::with_capacity(config.k),
             excluded: Vec::new(),
             acc: Vec::new(),
-            epoch: 1,
             touched: Vec::new(),
             rank: Vec::new(),
             work: KernelWork::default(),
@@ -211,34 +212,30 @@ impl Scratch {
         self.work
     }
 
-    /// Test hook: restarts both epoch counters (candidate table and
-    /// accumulator) at `epoch`, so a test can cross the wrap-around.
+    /// Test hook: restarts the candidate table's epoch counter at `epoch`,
+    /// so a test can cross its wrap-around.
     #[doc(hidden)]
     pub fn set_epoch(&mut self, epoch: u32) {
         self.table.set_epoch(epoch);
-        self.acc.fill(AccCell::default());
-        self.epoch = epoch;
     }
 
     /// Readies the buffers for a request with sample size `m` over `slots`
-    /// distinct items.
+    /// distinct items: clears the cells the previous request touched, in
+    /// O(touched) rather than O(slots).
     fn clear(&mut self, m: usize, slots: usize) {
         self.table.reset(m);
         self.bt.clear();
         self.topk.clear();
         self.order.clear();
         self.excluded.clear();
+        for &slot in &self.touched {
+            self.acc[slot as usize] = CLEAR;
+        }
         self.touched.clear();
         self.rank.clear();
         self.work = KernelWork::default();
         if self.acc.len() < slots {
-            self.acc.resize(slots, AccCell::default());
-        }
-        // Advancing the epoch invalidates every accumulator cell in O(1).
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.acc.fill(AccCell::default());
-            self.epoch = 1;
+            self.acc.resize(slots, CLEAR);
         }
     }
 }
@@ -505,13 +502,16 @@ impl VmisKnn {
     /// `max(ω(s)⊙n)` is the neighbour's recorded match position.
     ///
     /// One neighbour costs one contiguous read of its 4-byte slots, and per
-    /// item one idf and one accumulator cell. First touch of a cell
-    /// *assigns*, as a map's `or_insert(0.0)` followed by `+=` would, so the
-    /// f32 operations — and hence the output bits — are those of the plain
-    /// formulation.
+    /// item one idf and one 4-byte accumulator cell. First touch of a cell
+    /// adds to `CLEAR` (`-0.0`), which gives the contribution's own bits —
+    /// what a map's `or_insert(0.0)` followed by `+=` would store — so the
+    /// f32 operations, and hence the output bits, are those of the plain
+    /// formulation. A slot is listed in `touched` before its cell is first
+    /// written, so the next request's `Scratch::clear` finds every cell
+    /// this one wrote even if it unwinds halfway.
     fn score_items(&self, window: &[ItemId], scratch: &mut Scratch) {
         let cfg = &self.config;
-        let Scratch { table, order, excluded, acc, epoch, touched, work, .. } = scratch;
+        let Scratch { table, order, excluded, acc, touched, work, .. } = scratch;
         let wlen = window.len();
         let norm = if cfg.normalize_by_session_length { 1.0 / wlen as f32 } else { 1.0 };
         if cfg.exclude_session_items {
@@ -524,7 +524,6 @@ impl VmisKnn {
         let idf = &self.idf[..];
         let acc = &mut acc[..idf.len()];
         let cands = table.as_slice();
-        let e = *epoch;
         // Locate a batch of neighbours' slots before reading any: the
         // session-offset lookups are independent cache misses that overlap
         // here, instead of each one stalling the accumulation behind it.
@@ -546,14 +545,13 @@ impl VmisKnn {
                     if excluded.contains(&slot) {
                         continue;
                     }
-                    let idf = idf[slot as usize];
+                    let contribution = session_weight * idf[slot as usize];
+                    debug_assert!(contribution.to_bits() != CLEAR.to_bits());
                     let a = &mut acc[slot as usize];
-                    if a.epoch == e {
-                        a.val += session_weight * idf;
-                    } else {
-                        *a = AccCell { epoch: e, val: session_weight * idf };
+                    if a.to_bits() == CLEAR.to_bits() {
                         touched.push(slot);
                     }
+                    *a += contribution;
                 }
             }
         }
@@ -577,7 +575,7 @@ impl VmisKnn {
     fn take_top(&self, scratch: &mut Scratch) -> Vec<ItemScore> {
         let Scratch { acc, touched, rank, .. } = scratch;
         rank.extend(touched.iter().filter_map(|&slot| {
-            let score = acc[slot as usize].val;
+            let score = acc[slot as usize];
             (score > 0.0).then(|| u64::from(score.to_bits()) << 32 | u64::from(slot))
         }));
         let n = self.config.how_many.min(rank.len());
@@ -810,6 +808,43 @@ mod tests {
         let first = v.recommend_with_scratch(&[1, 2], &mut scratch);
         let second = v.recommend_with_scratch(&[1, 2], &mut scratch);
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn unwound_request_leaves_nothing_for_the_next() {
+        let v = knn(VmisConfig::default());
+        let mut scratch = v.scratch();
+        // A request that unwinds after scoring: its cells are written and no
+        // extraction follows.
+        let window = v.fill_neighbors(&[1, 2], &mut scratch);
+        v.score_items(window, &mut scratch);
+        assert!(scratch.work().slots_touched > 0);
+        for session in [&[1u64, 2] as &[u64], &[2, 4], &[3]] {
+            assert_eq!(v.recommend_with_scratch(session, &mut scratch), v.recommend(session));
+        }
+    }
+
+    #[test]
+    fn item_in_every_session_is_touched_once_at_idf_zero() {
+        // Item 1 is in both sessions, so its log idf is exactly 0 and every
+        // contribution to it is +0.0: its cell must stop reading as clear.
+        let clicks = vec![
+            Click::new(1, 1, 10),
+            Click::new(1, 2, 11),
+            Click::new(2, 1, 20),
+            Click::new(2, 3, 21),
+        ];
+        let v = VmisKnn::new(SessionIndex::build(&clicks, 500).unwrap(), VmisConfig::default())
+            .unwrap();
+        // Both neighbours: r = π(1, 1) = 1, λ(1, 1), idf of items 2 and 3 = ln 2.
+        let score = MatchWeight::PaperLinear.weight(1, 1) * IdfWeighting::Log.weight(1, 2);
+        let mut scratch = v.scratch();
+        for _ in 0..2 {
+            let recs = v.recommend_with_scratch(&[1], &mut scratch);
+            assert_eq!(scratch.work().slots_touched, 3);
+            let got: Vec<(ItemId, u32)> = recs.iter().map(|r| (r.item, r.score.to_bits())).collect();
+            assert_eq!(got, vec![(2, score.to_bits()), (3, score.to_bits())]);
+        }
     }
 
     #[test]

@@ -293,8 +293,9 @@ proptest! {
         }
     }
 
-    // (c) The epoch counters of the candidate table and of the accumulator
-    // wrap around without a stale cell ever being read as live.
+    // (c) The candidate table's epoch counter wraps around without a stale
+    // directory slot ever being read as live. (The accumulator has no epoch:
+    // its cells are cleared from the previous request's touched list.)
     #[test]
     fn epoch_wrap_around_matches_fresh(
         clicks in clicks_strategy(300),
@@ -304,7 +305,8 @@ proptest! {
         let index = SessionIndex::build(&clicks, config.m.max(4)).expect("non-empty log");
         let vmis = VmisKnn::new(index, config).expect("valid config");
         let mut scratch: Scratch = vmis.scratch();
-        // Fill cells under an ordinary epoch first, then jump to the brink.
+        // Fill directory slots under an ordinary epoch first, then jump the
+        // table's counter to the brink.
         vmis.recommend_with_scratch(&sessions[0], &mut scratch);
         scratch.set_epoch(u32::MAX - 1);
         for session in &sessions {
