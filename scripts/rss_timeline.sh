@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # RSS timeline of one benchmark workload: runs it as BENCHMARK.json does and
 # samples VmRSS / VmHWM of every server child the benchmark spawns, from
-# /proc, every 50 ms.
+# /proc, every 50 ms. A workload that spawns no server (replay.inproc serves
+# in the benchmark's own process) gets one row for the benchmark itself,
+# role `bench`, whose VmHWM is then what `rss_mb` reads. Helpers the
+# benchmark runs for its host line (rustc, git) carry no `--role` and are
+# not reported.
 #
 #   scripts/rss_timeline.sh <workload> <seed> [benchmark-binary]
 #
@@ -22,7 +26,7 @@ cd "$(dirname "$0")/.."
 workload=${1:?usage: scripts/rss_timeline.sh <workload> <seed> [benchmark-binary]}
 seed=${2:?usage: scripts/rss_timeline.sh <workload> <seed> [benchmark-binary]}
 bin=${3:-}
-MARKS="0 0.1 0.2 0.3 0.5 1 1.5 3 6"
+MARKS="0 0.1 0.2 0.3 0.5 1 1.5 3 6 9 12"
 
 if [ -z "$bin" ]; then
     cargo build --release --quiet --offline --manifest-path benchmark/Cargo.toml
@@ -34,12 +38,17 @@ out=$(mktemp -d "${TMPDIR:-/tmp}/rss_timeline.XXXXXX")
 bench=$!
 trap 'kill "$bench" 2>/dev/null || true' EXIT
 
-# "<t_us> <pid> <role> <VmRSS kB> <VmHWM kB>" per child per tick.
+# "<t_us> <pid> <role> <VmRSS kB> <VmHWM kB>" per process per tick: every
+# child, and the benchmark itself (reported only if no server ever shows).
 while kill -0 "$bench" 2>/dev/null; do
     now=${EPOCHREALTIME/./}
-    for pid in $(cat /proc/"$bench"/task/*/children 2>/dev/null); do
+    for pid in "$bench" $(cat /proc/"$bench"/task/*/children 2>/dev/null); do
         # A child may exit between any two of these reads.
-        role=$(cat "/proc/$pid/cmdline" 2>/dev/null | tr '\0' ' ' | sed -n 's/.*--role \([a-z]*\).*/\1/p' || true)
+        if [ "$pid" = "$bench" ]; then
+            role=bench
+        else
+            role=$(cat "/proc/$pid/cmdline" 2>/dev/null | tr '\0' ' ' | sed -n 's/.*--role \([a-z]*\).*/\1/p' || true)
+        fi
         awk -v now="$now" -v pid="$pid" -v role="${role:-?}" '
             $1 == "VmHWM:" { hwm = $2 }
             $1 == "VmRSS:" { rss = $2 }
@@ -56,7 +65,7 @@ awk -v marks="$MARKS" '
         first[$2] = $1; order[++n] = $2; role[$2] = $3; next_mark[$2] = 1
         hwm[$2] = $5; hwm_at[$2] = 0
     }
-    $3 != "?" { role[$2] = $3 } # "?": sampled between fork and exec
+    $3 != "?" { role[$2] = $3 } # "?": sampled between fork and exec, or a helper
     {
         age = ($1 - first[$2]) / 1e6
         while (next_mark[$2] <= m && age >= mark[next_mark[$2]]) at[$2, next_mark[$2]++] = $4
@@ -68,8 +77,10 @@ awk -v marks="$MARKS" '
         printf "%-8s %-7s %7s", "pid", "role", "life_s"
         for (k = 1; k <= m; k++) printf " %7s", mark[k] "s"
         printf " %7s %7s %8s\n", "end", "VmHWM", "hwm_at_s"
+        for (i = 1; i <= n; i++) if (role[order[i]] != "?" && role[order[i]] != "bench") servers++
         for (i = 1; i <= n; i++) {
             p = order[i]
+            if (role[p] == "?" || (role[p] == "bench" && servers)) continue
             printf "%-8s %-7s %7.1f", p, role[p], (last[p] - first[p]) / 1e6
             for (k = 1; k <= m; k++) printf " %7s", ((p, k) in at) ? sprintf("%.1f", at[p, k] / 1024) : "-"
             printf " %7.1f %7.1f %8.2f  %s\n", end[p] / 1024, hwm[p] / 1024, hwm_at[p],
