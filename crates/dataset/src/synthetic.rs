@@ -149,8 +149,8 @@ impl SyntheticConfig {
 
 /// Cumulative-weight Zipf sampler over ranks `0..n`, with a guide table:
 /// `guide[j]` is the first rank whose cumulative weight reaches the start of
-/// the `j`-th of `n` equal slices of the total, so a draw starts its search
-/// at most a few ranks before its answer instead of bisecting all `n`.
+/// the `j`-th of `n` equal slices of the total, so a draw walks the ranks of
+/// its own slice instead of bisecting all `n`.
 struct ZipfSampler {
     cumulative: Vec<f64>,
     guide: Vec<usize>,
