@@ -9,7 +9,11 @@
 //!   large `u32` arenas; a hash table maps each item to a 16-byte [`Posting`]
 //!   record that says where its array lies (see *Postings and arenas*);
 //! * the timestamp array `t`: one integer timestamp per historical session,
-//!   indexed by dense [`SessionId`], giving constant-time random access;
+//!   indexed by dense [`SessionId`], giving constant-time random access. It
+//!   is non-decreasing in the id (see below), so each segment codes its
+//!   share in Elias–Fano form, about `2 + log₂(span / n)` bits a session
+//!   (under a byte on a day-long log) instead of 8 bytes, and reads any
+//!   entry with one sampled select;
 //! * per-session item lists (needed for the final item-scoring step) stored
 //!   as accumulator slots in CSR layout to avoid per-session allocations,
 //!   each in ascending item-id order (see *Rows are sets*);
@@ -27,8 +31,10 @@
 //! posting stores ids alone and the kernel compares ids alone: "descending
 //! recency" and "descending id" are one order. Every producer upholds the
 //! invariant, and an artefact cannot break it: it stores each timestamp as
-//! its increase over the one before (`serenade_index::binfmt`); `t` survives as a column for the consumers that need a
-//! time (incremental merges, snapshot diffing), not for ordering.
+//! its increase over the one before (`serenade_index::binfmt`). `t`
+//! survives as a column for the consumers that need a time — the artefact
+//! writer, the live indexer's merges, the scan baselines — not for
+//! ordering; no request path reads it.
 //!
 //! ## Segments and slots
 //!
@@ -92,6 +98,9 @@ use crate::hash::FxHashMap;
 use crate::types::{Click, ItemId, SessionId, Timestamp};
 
 mod build;
+mod elias_fano;
+
+use elias_fano::EliasFano;
 
 const SEGMENT_SHIFT: u32 = 12;
 
@@ -160,7 +169,8 @@ pub struct IndexBytes {
     /// The CSR layout of the sessions: the offsets of every segment, the
     /// segment headers and the table of segment pointers.
     pub session_items: usize,
-    /// The timestamp column `t`.
+    /// The timestamp column `t`: every segment's Elias–Fano array, about
+    /// `2 + log₂(span / n)` bits a session.
     pub timestamps: usize,
     /// The slot streams of every segment — a session item is its slot, 4
     /// bytes — and the slot → item table.
@@ -191,41 +201,63 @@ fn arc_slice_bytes<T>(len: usize) -> usize {
 }
 
 /// [`SEGMENT_SESSIONS`] consecutive sessions (fewer in an index's last
-/// segment): their timestamps and, in CSR layout, their items' accumulator
-/// slots. Immutable once made; generations share it by pointer.
+/// segment): their timestamps, in Elias–Fano form, and, in CSR layout, their
+/// items' accumulator slots. Immutable once made; generations share it by
+/// pointer.
 #[derive(Debug)]
 pub struct Segment {
-    timestamps: Box<[Timestamp]>,
+    timestamps: EliasFano,
     /// Row `r` owns `slots[offsets[r]..offsets[r + 1]]`.
     offsets: Box<[u32]>,
     slots: Box<[u32]>,
 }
 
 impl Segment {
-    /// A segment of `timestamps.len()` sessions. The caller vouches that
+    /// A segment of as many sessions as `timestamps` yields. The column is
+    /// walked twice, to size its array and to fill it, so any cloneable
+    /// iterator does and none is collected first. The caller vouches that
     /// `offsets` starts at 0, does not decrease and ends at `slots.len()`.
     ///
     /// # Panics
     ///
-    /// If the three columns do not describe the same sessions.
-    pub fn new(timestamps: Box<[Timestamp]>, offsets: Box<[u32]>, slots: Box<[u32]>) -> Self {
-        assert!((1..=SEGMENT_SESSIONS).contains(&timestamps.len()), "segment size");
-        assert_eq!(offsets.len(), timestamps.len() + 1, "one offset a session, and one");
+    /// If the timestamps decrease, or if the three columns do not describe
+    /// the same sessions.
+    pub fn new(
+        timestamps: impl Iterator<Item = Timestamp> + Clone,
+        offsets: Box<[u32]>,
+        slots: Box<[u32]>,
+    ) -> Self {
+        let len = offsets.len().wrapping_sub(1);
+        assert!((1..=SEGMENT_SESSIONS).contains(&len), "segment size");
         assert_eq!(offsets.last().copied(), Some(slots.len() as u32), "offsets end at the slots");
         debug_assert!(offsets[0] == 0 && offsets.windows(2).all(|w| w[0] <= w[1]));
+        let timestamps = EliasFano::new(timestamps);
+        assert_eq!(timestamps.len(), len, "one offset a session, and one");
         Self { timestamps, offsets, slots }
     }
 
     /// Number of sessions.
     #[allow(clippy::len_without_is_empty)] // never empty, by construction
     pub fn len(&self) -> usize {
-        self.timestamps.len()
+        self.offsets.len() - 1
     }
 
-    /// Timestamp of the session in `row`.
+    /// Timestamp of the session in `row`: a select in the Elias–Fano
+    /// column, constant time.
     #[inline]
     pub fn timestamp(&self, row: usize) -> Timestamp {
-        self.timestamps[row]
+        self.timestamps.get(row)
+    }
+
+    /// The timestamps of every row, in row order, decoded sequentially.
+    #[inline]
+    pub fn timestamps(&self) -> impl ExactSizeIterator<Item = Timestamp> + Clone + '_ {
+        self.timestamps.iter()
+    }
+
+    /// Heap bytes of the timestamp column.
+    pub fn timestamp_bytes(&self) -> usize {
+        self.timestamps.bytes()
     }
 
     /// Accumulator slots of the session's items in `row`, in row order
@@ -447,7 +479,8 @@ impl SessionIndex {
         (&self.segments[session >> SEGMENT_SHIFT], session & (SEGMENT_SESSIONS - 1))
     }
 
-    /// Timestamp `t_h` of a historical session (constant-time array access).
+    /// Timestamp `t_h` of a historical session: constant time, one select in
+    /// its segment's Elias–Fano column.
     #[inline]
     pub fn session_timestamp(&self, session: SessionId) -> Timestamp {
         let (segment, row) = self.locate(session);
@@ -536,7 +569,7 @@ impl SessionIndex {
             postings: arenas + arc_slice_bytes::<Arc<[SessionId]>>(self.arenas.len()),
             posting_table: if buckets == 0 { 0 } else { buckets * slot + 16 },
             session_items: 4 * (sessions + self.segments.len()) + headers,
-            timestamps: 8 * sessions,
+            timestamps: self.segments.iter().map(|s| s.timestamp_bytes()).sum(),
             slots: 4 * entries + arc_slice_bytes::<ItemId>(self.slot_items.len()),
         }
     }

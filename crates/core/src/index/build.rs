@@ -209,7 +209,7 @@ fn deduplicate(runs: &SessionRuns) -> (Vec<Segment>, Vec<ItemId>) {
             }
             offsets.push(scratch.len() as u32);
         }
-        let timestamps = (lo..hi).map(|rank| runs.timestamp(rank)).collect();
+        let timestamps = (lo..hi).map(|rank| runs.timestamp(rank));
         segments.push(Segment::new(timestamps, offsets.into(), scratch[..].into()));
     }
     (segments, items_by_number)

@@ -74,7 +74,7 @@ fn with_slots_renumbered(index: &SessionIndex, shift: usize) -> SessionIndex {
                 Some(*end)
             }));
             Arc::new(Segment::new(
-                rows.clone().map(|row| segment.timestamp(row)).collect(),
+                segment.timestamps(),
                 offsets.collect(),
                 rows.flat_map(|row| segment.slots(row)).map(|&slot| renumbered(slot)).collect(),
             ))

@@ -236,10 +236,10 @@ pub fn write_index(index: &SessionIndex, mut writer: impl Write) -> std::io::Res
     put(&mut out, n as u64);
     let mut previous = 0;
     for segment in index.segments() {
-        for row in 0..segment.len() {
-            put(&mut out, segment.timestamp(row) - previous);
+        for (row, timestamp) in segment.timestamps().enumerate() {
+            put(&mut out, timestamp - previous);
             put(&mut out, segment.slots(row).len() as u64);
-            previous = segment.timestamp(row);
+            previous = timestamp;
         }
     }
     let mut slots = Vec::new();
@@ -293,6 +293,7 @@ fn frame<'a>(
 }
 
 /// The payload, consumed front to back.
+#[derive(Clone, Copy)]
 struct Cursor<'a>(&'a [u8]);
 
 impl Cursor<'_> {
@@ -397,13 +398,14 @@ pub fn read_index(bytes: &[u8]) -> Result<SessionIndex, BinError> {
         *to = item;
     }
 
-    // Every segment's timestamps and offsets, which size its slots.
+    // Every segment's offsets, which size its slots, and where its
+    // timestamps lie: checked here, they are read again to code the column.
     let num_sessions = payload.count("session")?;
     let mut columns = Vec::with_capacity(num_sessions.div_ceil(SEGMENT_SESSIONS));
     let (mut timestamp, mut entries) = (0u64, 0usize);
     for lo in (0..num_sessions).step_by(SEGMENT_SESSIONS) {
         let len = SEGMENT_SESSIONS.min(num_sessions - lo);
-        let mut timestamps = vec![0; len].into_boxed_slice();
+        let (rows, before) = (payload, timestamp);
         let mut offsets = vec![0u32; len + 1].into_boxed_slice();
         for row in 0..len {
             let session = lo + row;
@@ -425,20 +427,25 @@ pub fn read_index(bytes: &[u8]) -> Result<SessionIndex, BinError> {
                 )));
             }
             entries += items as usize;
-            timestamps[row] = timestamp;
             offsets[row + 1] = offsets[row] + items as u32;
         }
-        columns.push((timestamps, offsets));
+        columns.push((rows, before, offsets));
     }
     // Then every segment's slots, sized exactly.
     let mut segments = Vec::with_capacity(columns.len());
     let mut session = 0;
-    for (timestamps, offsets) in columns {
-        let mut slots = vec![0; offsets[timestamps.len()] as usize].into_boxed_slice();
+    for (rows, before, offsets) in columns {
+        let mut slots = vec![0; offsets[offsets.len() - 1] as usize].into_boxed_slice();
         for row in offsets.windows(2) {
             payload.row(&mut slots[row[0] as usize..row[1] as usize], num_slots, session)?;
             session += 1;
         }
+        // The increases were checked above, so they read back as they did.
+        let timestamps = (1..offsets.len()).scan((rows, before), |(rows, timestamp), _| {
+            *timestamp += rows.varint().expect("an increase read above");
+            rows.varint().expect("a row length read above");
+            Some(*timestamp)
+        });
         segments.push(Arc::new(Segment::new(timestamps, offsets, slots)));
     }
     if !payload.0.is_empty() {
@@ -515,8 +522,7 @@ mod tests {
                     slots.extend(segment.slots(row).iter().rev());
                     offsets.push(slots.len() as u32);
                 }
-                let timestamps = (0..segment.len()).map(|row| segment.timestamp(row)).collect();
-                Arc::new(Segment::new(timestamps, offsets.into(), slots.into()))
+                Arc::new(Segment::new(segment.timestamps(), offsets.into(), slots.into()))
             })
             .collect();
         let (table, arenas) = (index.posting_table().clone(), index.arenas().into());

@@ -105,8 +105,9 @@
 //! *content* may have changed (renumbering alone does not count). Publishers
 //! drain this set per publish to drive *epoch-bucketed* cache invalidation:
 //! a cached prediction for an untouched item survives the publish. The set
-//! is a sound over-approximation of the semantic posting diff (see
-//! [`crate::diff::changed_items`]), which the property suite verifies.
+//! is a sound over-approximation of the semantic posting diff — the items
+//! whose support or posting sessions, compared by content, differ — which
+//! the property suite (`tests/deletion_props.rs`) verifies.
 //!
 //! [`snapshot`]: IncrementalIndexer::snapshot
 //! [`drain_touched`]: IncrementalIndexer::drain_touched
@@ -303,10 +304,12 @@ impl IncrementalIndexer {
         }
         let mut keys: Vec<Key> = session_ts.iter().map(|(&ext, &ts)| (ts, ext)).collect();
         keys.sort_unstable();
-        let timestamp = |rank: usize| index.session_timestamp(rank as SessionId);
-        if keys.len() != index.num_sessions()
-            || keys.iter().enumerate().any(|(rank, &(ts, _))| ts != timestamp(rank))
-        {
+        // Each segment's timestamps decoded in order, against its keys.
+        let mut by_segment = keys.chunks(SEGMENT_SESSIONS).zip(index.segments());
+        let same = |(keys, segment): (&[Key], &Arc<Segment>)| {
+            keys.iter().map(|&(ts, _)| ts).eq(segment.timestamps())
+        };
+        if keys.len() != index.num_sessions() || !by_segment.all(same) {
             return false;
         }
         // While the rows are checked the map holds each session's rank, and
@@ -317,7 +320,7 @@ impl IncrementalIndexer {
         if !rows_hold_exactly(index, seed, &session_ts) {
             return false;
         }
-        session_ts.values_mut().for_each(|ts| *ts = timestamp(*ts as usize));
+        session_ts.values_mut().for_each(|ts| *ts = keys[*ts as usize].0);
         self.ext_ids = keys.iter().map(|&(_, ext)| ext).collect();
         self.session_ts = session_ts;
         self.index = index.clone();
@@ -479,11 +482,17 @@ impl IncrementalIndexer {
         let base = first_segment * SEGMENT_SESSIONS;
 
         // The rank order from `base` up. The survivors are one ascending run,
-        // which the stable sort detects and merges the few others into.
-        let mut order: Vec<(Key, Source)> = (base..n_old)
-            .filter(|&rank| removed.binary_search(&(rank as SessionId)).is_err())
-            .map(|rank| (old_key(rank), Source::Old(rank)))
-            .collect();
+        // which the stable sort detects and merges the few others into. Their
+        // timestamps are decoded in order, a segment at a time.
+        let mut order: Vec<(Key, Source)> = Vec::with_capacity(n_old - base + pending.len());
+        for (k, segment) in old.segments()[first_segment..].iter().enumerate() {
+            let lo = base + k * SEGMENT_SESSIONS;
+            for (rank, timestamp) in (lo..).zip(segment.timestamps()) {
+                if removed.binary_search(&(rank as SessionId)).is_err() {
+                    order.push(((timestamp, self.ext_ids[rank]), Source::Old(rank)));
+                }
+            }
+        }
         order.extend(pending.iter().enumerate().map(|(k, p)| (p.key, Source::New(k))));
         order.sort_by_key(|&(key, _)| key);
 
@@ -520,11 +529,10 @@ impl IncrementalIndexer {
         for chunk in order.chunks(SEGMENT_SESSIONS) {
             // Sized exactly: a segment is allocated once and never shrunk.
             let entries = chunk.iter().map(|&(_, source)| len_of(source)).sum();
-            let mut timestamps = Vec::with_capacity(chunk.len());
             let mut offsets = Vec::with_capacity(chunk.len() + 1);
             let mut slots = Vec::with_capacity(entries);
             offsets.push(0);
-            for &((timestamp, ext_id), source) in chunk {
+            for &((_, ext_id), source) in chunk {
                 match source {
                     Source::Old(rank) => {
                         if renumber {
@@ -542,12 +550,12 @@ impl IncrementalIndexer {
                         }
                     }
                 }
-                timestamps.push(timestamp);
                 offsets.push(slots.len() as u32);
                 ext_ids.push(ext_id);
                 session += 1;
             }
-            segments.push(Arc::new(Segment::new(timestamps.into(), offsets.into(), slots.into())));
+            let timestamps = chunk.iter().map(|&((timestamp, _), _)| timestamp);
+            segments.push(Arc::new(Segment::new(timestamps, offsets.into(), slots.into())));
         }
         let n_new = base + order.len();
         if n_new > u32::MAX as usize {
@@ -937,8 +945,7 @@ mod tests {
                     }
                     offsets.push(slots.len() as u32);
                 }
-                let timestamps = (0..segment.len()).map(|row| segment.timestamp(row)).collect();
-                Arc::new(Segment::new(timestamps, offsets.into(), slots.into()))
+                Arc::new(Segment::new(segment.timestamps(), offsets.into(), slots.into()))
             })
             .collect();
         let (table, arenas) = (index.posting_table().clone(), index.arenas().into());

@@ -19,19 +19,14 @@
 //! * [`incremental`] — an incremental indexer that holds the live index and
 //!   merges click batches, GDPR-style session deletions and retention drops
 //!   into it, sharing unchanged postings between generations, and tracks
-//!   touched items per publish (future work, Section 7);
-//! * [`diff`] — semantic (dense-id-independent) snapshot diffing used to
-//!   verify the touched-item tracking that drives epoch-bucketed cache
-//!   invalidation.
+//!   touched items per publish (future work, Section 7).
 
 #![warn(missing_docs)]
 
 pub mod binfmt;
 pub mod builder;
-pub mod diff;
 pub mod incremental;
 
 pub use binfmt::{read_index, write_index, BinError};
 pub use builder::{build_parallel, BuilderConfig};
-pub use diff::changed_items;
 pub use incremental::{IncrementalIndexer, Sharing, TouchedItems};

@@ -11,14 +11,80 @@
 //!
 //! The epoch contract: the items drained by `drain_touched()` across a span
 //! of mutations must be a superset of the *semantic* snapshot diff
-//! ([`serenade_index::changed_items`]) over that span — the soundness
+//! (`changed_items`, below) over that span — the soundness
 //! condition for epoch-bucketed cache invalidation (an untouched item's
 //! cached prediction may survive the publish).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use serenade_core::{Click, FxHashSet, SessionIndex, VmisConfig, VmisKnn};
-use serenade_index::{changed_items, IncrementalIndexer, TouchedItems};
+use serenade_core::{
+    Click, FxHashSet, ItemId, SessionIndex, SessionItems, Timestamp, VmisConfig, VmisKnn,
+};
+use serenade_index::{IncrementalIndexer, TouchedItems};
+
+/// The content signature of one posting session: `(timestamp, items)`.
+type SessionSig<'a> = (Timestamp, SessionItems<'a>);
+
+/// The dense-id-independent signature of an item's neighbourhood in `index`:
+/// its support and the content of its posting sessions, in posting order. A
+/// session is compared by its content, not its dense id, since ids are
+/// renumbered by every deletion and retention drop.
+fn item_signature(index: &SessionIndex, item: ItemId) -> Option<(u32, Vec<SessionSig<'_>>)> {
+    let posting = index.postings(item)?;
+    let support = index.item_support(item)?;
+    let sessions = posting
+        .iter()
+        .map(|&s| (index.session_timestamp(s), index.session_items(s)))
+        .collect();
+    Some((support, sessions))
+}
+
+/// The semantic snapshot diff: items whose neighbourhood (support or
+/// posting-session content) differs between the two snapshots, including
+/// items present in only one of them, sorted.
+fn changed_items(a: &SessionIndex, b: &SessionIndex) -> Vec<ItemId> {
+    let mut universe: FxHashSet<ItemId> = a.items().collect();
+    universe.extend(b.items());
+    let mut changed: Vec<ItemId> = universe
+        .into_iter()
+        .filter(|&item| item_signature(a, item) != item_signature(b, item))
+        .collect();
+    changed.sort_unstable();
+    changed
+}
+
+fn build(clicks: &[Click]) -> SessionIndex {
+    SessionIndex::build(clicks, 100).unwrap()
+}
+
+#[test]
+fn identical_indexes_have_no_changed_items() {
+    let clicks = vec![Click::new(1, 0, 10), Click::new(1, 1, 11), Click::new(2, 1, 20)];
+    assert!(changed_items(&build(&clicks), &build(&clicks)).is_empty());
+}
+
+#[test]
+fn appended_session_touches_only_its_items() {
+    let base = vec![Click::new(1, 0, 10), Click::new(1, 1, 11), Click::new(2, 2, 20)];
+    let mut grown = base.clone();
+    grown.push(Click::new(3, 1, 30));
+    grown.push(Click::new(3, 5, 31));
+    assert_eq!(changed_items(&build(&base), &build(&grown)), vec![1, 5]);
+}
+
+#[test]
+fn deletion_is_insensitive_to_dense_id_renumbering() {
+    // Deleting session 1 shifts every later dense id; only the deleted
+    // session's items may differ semantically.
+    let base = vec![
+        Click::new(1, 0, 10),
+        Click::new(1, 7, 11),
+        Click::new(2, 2, 20),
+        Click::new(3, 3, 30),
+    ];
+    let without: Vec<Click> = base.iter().filter(|c| c.session_id != 1).copied().collect();
+    assert_eq!(changed_items(&build(&base), &build(&without)), vec![0, 7]);
+}
 
 /// Random click logs: small id spaces force collisions (shared items across
 /// sessions, duplicate items within a session, timestamp ties).
