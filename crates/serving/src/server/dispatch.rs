@@ -9,8 +9,8 @@
 //! Both queues are hand-rolled `std::sync` Mutex+Condvar structures: the
 //! workers block on an empty queue, and the loom facade has no Condvar, so
 //! these live outside the model-checked surface (the lifecycle
-//! gate and parked-set handshakes are what loom proves; the queues are
-//! plain bounded buffers). Lock poisoning is unwinding noise, not state
+//! gate's handshake is what loom proves; the queues are plain bounded
+//! buffers). Lock poisoning is unwinding noise, not state
 //! corruption — a poisoned guard is recovered.
 
 use std::collections::VecDeque;

@@ -1,6 +1,6 @@
 //! Lifecycle gate: admission control and the drain handshake.
 //!
-//! One [`LifecycleGate`] is shared by the listener, every worker and the
+//! One [`LifecycleGate`] is shared by the reactor, every worker and the
 //! shutdown controller. It folds three concerns into two atomics:
 //!
 //! * **server state** — `RUNNING → DRAINING → STOPPED`, driven only by the
@@ -114,11 +114,6 @@ impl LifecycleGate {
         self.state.load(Ordering::SeqCst) == RUNNING
     }
 
-    /// True once `begin_drain` has been called (and until `force_stop`).
-    pub fn is_draining(&self) -> bool {
-        self.state.load(Ordering::SeqCst) == DRAINING
-    }
-
     /// True once `force_stop` has been called.
     pub fn is_stopped(&self) -> bool {
         self.state.load(Ordering::SeqCst) == STOPPED
@@ -133,118 +128,6 @@ impl LifecycleGate {
 impl Default for LifecycleGate {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// What the parker must do after a [`ParkedSet::park`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParkDecision {
-    /// The token is parked; the drain reaper owns any eventual close.
-    Parked,
-    /// A drain raced the park and the reaper may already have run: the
-    /// caller took the token back and must close the connection itself.
-    ShouldClose,
-}
-
-/// The set of idle (parked) event-loop connections, shared by the reactor
-/// and the drain path.
-///
-/// # Why parking needs its own handshake
-///
-/// A nonblocking idle connection generates no readiness events, so without
-/// help a drain would only reach it at the next timeout sweep — or never,
-/// within the grace period, for a silent peer. The reactor therefore parks
-/// idle tokens here, and the drain wake reaps the whole set immediately.
-/// The race is the park that straddles `begin_drain`: the reaper may run
-/// *before* the token lands in the set, which would leak the connection
-/// past the drain. The protocol is Dekker-shaped, mirroring admission:
-///
-/// * the parker **publishes** the token (mutex insert), then **checks** the
-///   gate state (`SeqCst` load);
-/// * the drain controller **flips** the state (`SeqCst` swap in
-///   [`LifecycleGate::begin_drain`]), then the reaper **takes** the set.
-///
-/// If the parker still sees `RUNNING`, seq-cst + the mutex order guarantee
-/// the reaper's take observes the insert (the alternative is a cycle
-/// `flip < take < insert < check < flip`). If the parker sees the drain, it
-/// removes its own token — [`ParkDecision::ShouldClose`] — unless the
-/// reaper already took it, in which case the reaper owns the close. Either
-/// way exactly one side closes the connection; `tests/loom_models.rs`
-/// proves it, and the `mutation-skip-parked-reap` feature (which turns
-/// [`ParkedSet::reap_all`] into a no-op) demonstrates the leak.
-#[derive(Debug)]
-pub struct ParkedSet {
-    parked: crate::sync::Mutex<Vec<u64>>,
-}
-
-impl Default for ParkedSet {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ParkedSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self { parked: crate::sync::Mutex::new(Vec::new()) }
-    }
-
-    /// Parks an idle connection token; see the type docs for the handshake.
-    pub fn park(&self, token: u64, gate: &LifecycleGate) -> ParkDecision {
-        {
-            let mut parked = self.parked.lock();
-            if !parked.contains(&token) {
-                parked.push(token);
-            }
-        }
-        // Publish-then-check (Dekker): if the drain began, the reaper may
-        // have swept before our insert — reclaim the token if it is still
-        // there and close it ourselves.
-        if !gate.is_running() {
-            let mut parked = self.parked.lock();
-            if let Some(pos) = parked.iter().position(|t| *t == token) {
-                parked.swap_remove(pos);
-                return ParkDecision::ShouldClose;
-            }
-        }
-        ParkDecision::Parked
-    }
-
-    /// Removes a token (readiness arrived, or the connection closed).
-    /// Returns whether it was parked.
-    pub fn unpark(&self, token: u64) -> bool {
-        let mut parked = self.parked.lock();
-        match parked.iter().position(|t| *t == token) {
-            Some(pos) => {
-                parked.swap_remove(pos);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Takes every parked token for immediate drain reaping.
-    pub fn reap_all(&self) -> Vec<u64> {
-        // Seeded mutation: skipping the sweep leaks every parked idle
-        // connection past the drain; the loom parked-reap model kills it.
-        #[cfg(feature = "mutation-skip-parked-reap")]
-        {
-            return Vec::new();
-        }
-        #[cfg(not(feature = "mutation-skip-parked-reap"))]
-        {
-            std::mem::take(&mut *self.parked.lock())
-        }
-    }
-
-    /// Parked tokens right now (tests and debugging).
-    pub fn len(&self) -> usize {
-        self.parked.lock().len()
-    }
-
-    /// True when nothing is parked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -286,74 +169,10 @@ mod tests {
         assert_eq!(gate.inflight(), 1, "the admitted request survives drain");
         gate.finish_request();
         assert_eq!(gate.inflight(), 0);
-        assert!(gate.is_draining());
+        assert!(!gate.is_running() && !gate.is_stopped(), "draining");
         gate.force_stop();
         assert!(gate.is_stopped());
         assert_eq!(gate.try_begin_request(0), Admission::Draining);
-    }
-
-    #[test]
-    fn parked_set_parks_unparks_and_reaps() {
-        let gate = LifecycleGate::new();
-        let parked = ParkedSet::new();
-        assert_eq!(parked.park(7, &gate), ParkDecision::Parked);
-        assert_eq!(parked.park(7, &gate), ParkDecision::Parked, "re-park is idempotent");
-        assert_eq!(parked.park(9, &gate), ParkDecision::Parked);
-        assert_eq!(parked.len(), 2);
-        assert!(parked.unpark(7));
-        assert!(!parked.unpark(7), "already unparked");
-        let mut reaped = parked.reap_all();
-        reaped.sort_unstable();
-        assert_eq!(reaped, vec![9]);
-        assert!(parked.is_empty());
-    }
-
-    #[test]
-    fn parking_after_drain_tells_the_caller_to_close() {
-        let gate = LifecycleGate::new();
-        let parked = ParkedSet::new();
-        gate.begin_drain();
-        assert_eq!(parked.park(3, &gate), ParkDecision::ShouldClose);
-        assert!(parked.is_empty(), "the caller reclaimed its own token");
-    }
-
-    /// Std twin of the loom parked-reap model: exactly one side closes a
-    /// connection whose park races the drain.
-    #[test]
-    fn std_twin_park_drain_race_closes_exactly_once() {
-        for _ in 0..200 {
-            let gate = Arc::new(LifecycleGate::new());
-            let parked = Arc::new(ParkedSet::new());
-            let closes = Arc::new(crate::sync::atomic::AtomicUsize::new(0));
-            let parker = {
-                let (gate, parked, closes) =
-                    (Arc::clone(&gate), Arc::clone(&parked), Arc::clone(&closes));
-                std::thread::spawn(move || {
-                    if parked.park(42, &gate) == ParkDecision::ShouldClose {
-                        closes.fetch_add(1, Ordering::SeqCst);
-                    }
-                })
-            };
-            let reaper = {
-                let (gate, parked, closes) =
-                    (Arc::clone(&gate), Arc::clone(&parked), Arc::clone(&closes));
-                std::thread::spawn(move || {
-                    gate.begin_drain();
-                    for token in parked.reap_all() {
-                        assert_eq!(token, 42);
-                        closes.fetch_add(1, Ordering::SeqCst);
-                    }
-                })
-            };
-            parker.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-            reaper.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-            // Late reap (the parker may have parked after the reap ran).
-            for token in parked.reap_all() {
-                assert_eq!(token, 42);
-                closes.fetch_add(1, Ordering::SeqCst);
-            }
-            assert_eq!(closes.load(Ordering::SeqCst), 1, "parked connection closed exactly once");
-        }
     }
 
     /// Std twin of the loom drain model: once the controller has observed

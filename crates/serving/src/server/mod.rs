@@ -26,9 +26,8 @@
 //!   at a time on each worker's own request context;
 //! * [`backend`] — what a tier tells the server: where a predict runs, how
 //!   to run a local one, where a failed forward goes next;
-//! * [`lifecycle`] — the admission/drain gate and the parked-connection
-//!   set shared by reactor, workers and the shutdown controller
-//!   (model-checked in `tests/loom_models.rs`);
+//! * [`lifecycle`] — the admission/drain gate shared by reactor, workers
+//!   and the shutdown controller (model-checked in `tests/loom_models.rs`);
 //! * [`conn`] — endpoint routing and response rendering, shared by the
 //!   reactor (sheds, rejects, timeouts) and the workers;
 //! * [`metrics`] — shed/timeout/reject counters, per-state histograms and
@@ -82,13 +81,13 @@
 //!
 //! [`HttpServer::shutdown`] drains instead of aborting: the gate flips to
 //! DRAINING (new requests are shed with `503`), a waker kick makes the
-//! reactor reap every parked idle connection *immediately* and stop
-//! accepting, and the controller waits until nothing is inflight, queued or
-//! open (or the grace period expires, whereupon the gate is forced to
-//! STOPPED; the reactor closes every remaining connection and the dispatch
-//! queue, whose drained backlog lets workers answer what was admitted and
-//! then exit). Every accepted request is answered or shed; none is silently
-//! dropped.
+//! reactor stop accepting and close every idle connection *immediately*
+//! (its timer sweep runs every turn while draining), and the controller
+//! waits until nothing is inflight, queued or open (or the grace period
+//! expires, whereupon the gate is forced to STOPPED; the reactor closes
+//! every remaining connection and the dispatch queue, whose drained backlog
+//! lets workers answer what was admitted and then exit). Every accepted
+//! request is answered or shed; none is silently dropped.
 
 pub mod lifecycle;
 pub mod metrics;
@@ -111,7 +110,7 @@ use dispatch::{CompletionQueue, DispatchQueue};
 use reactor::{Reactor, Waker};
 
 pub use backend::{ForwardTarget, PredictRoute, RequestBackend};
-pub use lifecycle::{Admission, LifecycleGate, ParkDecision, ParkedSet};
+pub use lifecycle::{Admission, LifecycleGate};
 pub use metrics::{ConnState, ServerMetrics};
 
 /// Server configuration. [`Default`] keeps the seed's behaviour (generous
@@ -220,8 +219,6 @@ pub(crate) struct Shared {
     /// closed) — the `serenade_server_open_connections` gauge.
     pub(crate) open_connections: AtomicUsize,
     pub(crate) wakeup: Wakeup,
-    /// Idle connections eligible for immediate drain reaping.
-    pub(crate) parked: ParkedSet,
 }
 
 /// How often the drain controller re-checks quiescence between wakeups.
@@ -258,7 +255,6 @@ impl HttpServer {
             metrics: ServerMetrics::new(registry),
             open_connections: AtomicUsize::new(0),
             wakeup: Wakeup::default(),
-            parked: ParkedSet::new(),
         });
         let gauge = Arc::clone(&shared);
         registry.polled_gauge(
@@ -339,7 +335,7 @@ impl HttpServer {
         }
         if self.shared.gate.begin_drain() {
             // Kick the reactor out of its poll wait: it stops accepting and
-            // reaps every parked idle connection immediately.
+            // closes every idle connection in that turn's sweep.
             self.waker.wake();
             self.shared.wakeup.notify_all();
             let grace_until = Instant::now() + self.shared.config.drain_grace;

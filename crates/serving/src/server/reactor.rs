@@ -47,14 +47,12 @@
 //! A connection waiting for a worker or a node reads nothing more: its
 //! poller interest is cleared the first time it speaks out of turn, so a
 //! pipelining flood backs up into the kernel socket buffer instead of the
-//! parser's heap. Idle keep-alive connections are parked in the
-//! [`ParkedSet`]; the drain controller's wake reaps every parked connection
-//! *immediately* instead of waiting out the next readiness event (the
-//! Dekker handshake between `park` and drain is model-checked in
-//! `tests/loom_models.rs`).
+//! parser's heap. An idle keep-alive connection costs its fd and nothing
+//! else until the timer sweep. Once the drain begins the sweep runs every
+//! turn and closes each idle connection there and then, so a silent peer
+//! never holds the drain open until its `idle_timeout`.
 //!
 //! [`LifecycleGate`]: super::lifecycle::LifecycleGate
-//! [`ParkedSet`]: super::lifecycle::ParkedSet
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -72,7 +70,7 @@ use crate::transport::{render_recommend_request, render_request, Progress, Respo
 use super::backend::{ForwardTarget, PredictRoute, RequestBackend};
 use super::conn::{self, CONTENT_TYPE_JSON};
 use super::dispatch::{CompletionQueue, Dispatch, DispatchKind, DispatchQueue};
-use super::lifecycle::{Admission, ParkDecision};
+use super::lifecycle::Admission;
 use super::metrics::{upstream_connections_gauge, ConnState};
 use super::parser::{ParsedRequest, Parser, ParserLimits, Poll};
 use super::worker::run_predict;
@@ -593,8 +591,8 @@ impl<T> Slab<T> {
     }
 }
 
-/// Minimum interval between full timeout sweeps; a sweep is O(connections),
-/// so under event pressure it must not run per wakeup.
+/// Minimum interval between full timeout sweeps while running; a sweep is
+/// O(connections), so under event pressure it must not run per wakeup.
 const SWEEP_INTERVAL: Duration = Duration::from_millis(25);
 
 /// The reactor: poller, listener, connection slabs and the dispatch plumbing.
@@ -681,13 +679,13 @@ impl<B: RequestBackend> Reactor<B> {
                 }
             }
             self.events = events;
-            if !self.shared.gate.is_running() {
-                self.reap_parked();
-            }
+            // Draining, every turn sweeps: it closes the connections that
+            // went idle since the last one.
+            let draining = !self.shared.gate.is_running();
             let now = Instant::now();
-            if now.duration_since(self.last_sweep) >= SWEEP_INTERVAL {
+            if draining || now.duration_since(self.last_sweep) >= SWEEP_INTERVAL {
                 self.last_sweep = now;
-                self.sweep_timeouts(now);
+                self.sweep_timeouts(now, draining);
             }
             if self.shared.gate.is_stopped() {
                 break;
@@ -753,11 +751,7 @@ impl<B: RequestBackend> Reactor<B> {
         };
         if !registered {
             self.close(token);
-            return;
         }
-        // A fresh keep-alive connection is idle until its first byte: park
-        // it so an immediate drain reaps it without waiting for readiness.
-        self.park(token);
     }
 
     /// Sheds one connection at the accept gate: the fd budget is exhausted,
@@ -818,15 +812,8 @@ impl<B: RequestBackend> Reactor<B> {
             }
             return;
         }
-        self.shared.parked.unpark(ev.token);
-        if ev.writable {
-            let has_output = match self.slab.get_mut(ev.token) {
-                Some(conn) => !conn.out.is_empty(),
-                None => return,
-            };
-            if has_output {
-                self.flush(ev.token);
-            }
+        if ev.writable && !conn.out.is_empty() {
+            self.flush(ev.token);
         }
         if ev.readable {
             self.read_ready(ev.token);
@@ -922,7 +909,6 @@ impl<B: RequestBackend> Reactor<B> {
                     } else {
                         conn.idle_since = now;
                         self.set_state(token, ConnState::Idle);
-                        self.park(token);
                     }
                     return;
                 }
@@ -1432,38 +1418,11 @@ impl<B: RequestBackend> Reactor<B> {
         }
     }
 
-    /// Parks an idle connection for immediate drain reaping. If the drain
-    /// began concurrently, the Dekker check in [`ParkedSet::park`] tells us
-    /// to close it ourselves.
-    ///
-    /// [`ParkedSet::park`]: super::lifecycle::ParkedSet::park
-    fn park(&mut self, token: u64) {
-        match self.shared.parked.park(token, &self.shared.gate) {
-            ParkDecision::Parked => {}
-            ParkDecision::ShouldClose => {
-                self.set_state(token, ConnState::Draining);
-                self.close(token);
-            }
-        }
-    }
-
-    /// Drain wake: every parked (idle) connection closes immediately.
-    fn reap_parked(&mut self) {
-        for token in self.shared.parked.reap_all() {
-            let Some(conn) = self.slab.get_mut(token) else { continue };
-            if conn.busy || !conn.out.is_empty() || conn.parser.mid_request() {
-                // Not idle after all (raced with new traffic): the normal
-                // paths shed or answer it.
-                continue;
-            }
-            self.set_state(token, ConnState::Draining);
-            self.close(token);
-        }
-    }
-
     /// The timer sweep: slow frames (`408`), stuck writes, idle reaping,
-    /// and forwards whose node has not answered by their deadline.
-    fn sweep_timeouts(&mut self, now: Instant) {
+    /// and forwards whose node has not answered by their deadline. While
+    /// `draining`, an idle connection closes at once: nothing more will be
+    /// admitted on it.
+    fn sweep_timeouts(&mut self, now: Instant, draining: bool) {
         let config = &self.shared.config;
         let (write_timeout, request_read_timeout, idle_timeout) =
             (config.write_timeout, config.request_read_timeout, config.idle_timeout);
@@ -1501,7 +1460,10 @@ impl<B: RequestBackend> Reactor<B> {
                 }
                 continue;
             }
-            if idle_timeout != Duration::ZERO
+            if draining {
+                self.set_state(token, ConnState::Draining);
+                self.close(token);
+            } else if idle_timeout != Duration::ZERO
                 && now.duration_since(conn.idle_since) > idle_timeout
             {
                 self.shared.metrics.timeouts_idle.inc();
@@ -1519,7 +1481,6 @@ impl<B: RequestBackend> Reactor<B> {
             self.shared.gate.finish_request();
             self.close_upstream(fwd.upstream);
         }
-        self.shared.parked.unpark(token);
         self.shared.metrics.record_state(conn.state, conn.state_since.elapsed());
         let _ = self.poller.deregister_stream(&conn.stream);
         self.shared.open_connections.fetch_sub(1, crate::sync::atomic::Ordering::SeqCst);

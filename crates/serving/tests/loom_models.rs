@@ -7,7 +7,7 @@
 //! visibility, and tracks every shimmed `Arc` allocation so use-after-free,
 //! double-free and leaks fail the schedule that produced them.
 //!
-//! Three seeded mutations prove the checker has teeth (a checker that
+//! Five seeded mutations prove the checker has teeth (a checker that
 //! passes everything is worthless):
 //!
 //! * `--features "loom mutation-skip-wait-for-readers"` removes the
@@ -25,10 +25,6 @@
 //!   prediction cache's generation comparison; the checker must find the
 //!   schedule where a probe under the post-rollover generation is served a
 //!   list computed on the pre-rollover index.
-//! * `--features "loom mutation-skip-parked-reap"` turns the drain-side
-//!   reap of parked idle connections into a no-op; the checker must find
-//!   the schedule where a parked connection is never closed and leaks past
-//!   the drain.
 //! * `--features "loom mutation-skip-epoch-check"` makes the epoch log
 //!   vouch for any recorded epoch regardless of which items it touched;
 //!   the epoch-revalidation model must find the schedule where a probe
@@ -94,8 +90,7 @@ fn explore() -> loom::Report {
 #[cfg(not(any(
     feature = "mutation-skip-wait-for-readers",
     feature = "mutation-weak-orderings",
-    feature = "mutation-skip-epoch-check",
-    feature = "mutation-skip-parked-reap"
+    feature = "mutation-skip-epoch-check"
 )))]
 #[test]
 fn index_handle_publication_is_sound() {
@@ -219,8 +214,7 @@ fn explore_drain() -> loom::Report {
     feature = "mutation-skip-wait-for-readers",
     feature = "mutation-weak-orderings",
     feature = "mutation-weak-admission",
-    feature = "mutation-skip-epoch-check",
-    feature = "mutation-skip-parked-reap"
+    feature = "mutation-skip-epoch-check"
 )))]
 #[test]
 fn drain_handshake_is_sound() {
@@ -343,8 +337,7 @@ fn explore_cache() -> loom::Report {
     feature = "mutation-weak-orderings",
     feature = "mutation-weak-admission",
     feature = "mutation-skip-generation-check",
-    feature = "mutation-skip-epoch-check",
-    feature = "mutation-skip-parked-reap"
+    feature = "mutation-skip-epoch-check"
 )))]
 #[test]
 fn cache_generation_coherence_is_sound() {
@@ -376,108 +369,6 @@ fn skipped_generation_check_is_caught() {
         failure.contains("stale"),
         "unexpected failure kind: {failure}"
     );
-}
-
-/// The reactor's park/drain handshake, reduced to its essential race: one
-/// parker inserting an idle connection token then checking the gate state
-/// (publish-then-check, mirroring admission), one drain controller flipping
-/// the state then reaping the set (flip-then-take). The reactor performs a
-/// final reap after joining the racing park — modelled by the post-join
-/// `reap_all` here — so on every schedule exactly one side must close the
-/// connection: the reaper (token was in the set when it swept), the parker
-/// (it observed the drain and reclaimed its own token), or the late reap.
-/// Zero closes is the leaked-connection bug `mutation-skip-parked-reap`
-/// plants; two would be a double-close on one socket.
-fn parked_reap_model() {
-    use serenade_serving::server::{LifecycleGate, ParkDecision, ParkedSet};
-    use serenade_serving::sync::atomic::{AtomicUsize, Ordering};
-
-    let gate = StdArc::new(LifecycleGate::new());
-    let parked = StdArc::new(ParkedSet::new());
-    let closes = StdArc::new(AtomicUsize::new(0));
-    const TOKEN: u64 = 42;
-
-    let parker = {
-        let (gate, parked, closes) =
-            (StdArc::clone(&gate), StdArc::clone(&parked), StdArc::clone(&closes));
-        loom::thread::spawn(move || {
-            if parked.park(TOKEN, &gate) == ParkDecision::ShouldClose {
-                closes.fetch_add(1, Ordering::SeqCst);
-            }
-        })
-    };
-
-    let reaper = {
-        let (gate, parked, closes) =
-            (StdArc::clone(&gate), StdArc::clone(&parked), StdArc::clone(&closes));
-        loom::thread::spawn(move || {
-            gate.begin_drain();
-            for token in parked.reap_all() {
-                assert_eq!(token, TOKEN);
-                closes.fetch_add(1, Ordering::SeqCst);
-            }
-        })
-    };
-
-    parker.join().unwrap();
-    reaper.join().unwrap();
-
-    // The reactor's shutdown path reaps once more after the event loop has
-    // quiesced, catching a park that landed after the drain-wake sweep.
-    for token in parked.reap_all() {
-        assert_eq!(token, TOKEN);
-        closes.fetch_add(1, Ordering::SeqCst);
-    }
-    assert_eq!(
-        closes.load(Ordering::SeqCst),
-        1,
-        "parked connection must be closed exactly once across the drain"
-    );
-}
-
-fn explore_parked_reap() -> loom::Report {
-    let mut builder = loom::Builder::default();
-    builder.preemption_bound = 3;
-    builder.max_iterations = 500_000;
-    builder.max_steps = 20_000;
-    builder.explore(parked_reap_model)
-}
-
-/// The park/drain handshake is sound on every explored schedule: no
-/// interleaving leaks a parked connection past the drain, and none closes
-/// one twice. (All mutations are excluded: the admission mutation weakens
-/// the gate state load `park` relies on, the reap mutation is this model's
-/// own kill switch, and the handle mutations share the feature-unification
-/// build.)
-#[cfg(not(any(
-    feature = "mutation-skip-wait-for-readers",
-    feature = "mutation-weak-orderings",
-    feature = "mutation-weak-admission",
-    feature = "mutation-skip-generation-check",
-    feature = "mutation-skip-epoch-check",
-    feature = "mutation-skip-parked-reap"
-)))]
-#[test]
-fn parked_reap_handshake_is_sound() {
-    let report = explore_parked_reap();
-    assert!(
-        report.failure.is_none(),
-        "checker found a bad schedule: {}",
-        report.failure.unwrap()
-    );
-    assert!(report.exhausted, "exploration must finish within the iteration budget");
-}
-
-/// Mutation kill: with `reap_all` a no-op, a connection parked before the
-/// drain flip is never taken by the reaper and never reclaimed by its
-/// parker (which still observed `RUNNING`), so it leaks — zero closes. The
-/// checker must find that schedule.
-#[cfg(feature = "mutation-skip-parked-reap")]
-#[test]
-fn skipped_parked_reap_is_caught() {
-    let report = explore_parked_reap();
-    let failure = report.failure.expect("checker failed to catch the skipped parked reap");
-    assert!(failure.contains("parked"), "unexpected failure kind: {failure}");
 }
 
 /// The epoch-bucketed revalidation protocol, reduced to its essential race.
@@ -609,8 +500,7 @@ fn explore_epoch() -> loom::Report {
     feature = "mutation-weak-orderings",
     feature = "mutation-weak-admission",
     feature = "mutation-skip-generation-check",
-    feature = "mutation-skip-epoch-check",
-    feature = "mutation-skip-parked-reap"
+    feature = "mutation-skip-epoch-check"
 )))]
 #[test]
 fn epoch_revalidation_is_sound() {
@@ -646,8 +536,7 @@ fn skipped_epoch_check_is_caught() {
 #[cfg(not(any(
     feature = "mutation-skip-wait-for-readers",
     feature = "mutation-weak-orderings",
-    feature = "mutation-skip-epoch-check",
-    feature = "mutation-skip-parked-reap"
+    feature = "mutation-skip-epoch-check"
 )))]
 #[test]
 fn stats_stripes_do_not_lose_updates() {

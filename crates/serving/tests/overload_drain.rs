@@ -359,13 +359,13 @@ fn drain_reaps_many_parked_idle_connections_immediately() {
     let (server, _cluster) = start(HttpServerConfig {
         workers: 2,
         // Long grace and idle timeout: if the drain relied on either (or on
-        // per-connection readiness) instead of the parked-set reap, this
-        // test would stall well past the assertion bound.
+        // per-connection readiness) instead of closing idle connections in
+        // the reactor's sweep, this test would stall well past the bound.
         drain_grace: Duration::from_secs(10),
         idle_timeout: Duration::from_secs(60),
         ..HttpServerConfig::default()
     });
-    // A mix of served-then-idle and never-spoke connections, all parked.
+    // A mix of served-then-idle and never-spoke connections, all idle.
     let mut served: Vec<HttpClient> = (0..16)
         .map(|_| {
             let mut c = HttpClient::connect(server.addr()).unwrap();
@@ -373,14 +373,14 @@ fn drain_reaps_many_parked_idle_connections_immediately() {
             c
         })
         .collect();
-    let silent: Vec<TcpStream> =
+    let mut silent: Vec<TcpStream> =
         (0..16).map(|_| TcpStream::connect(server.addr()).unwrap()).collect();
     let deadline = Instant::now() + Duration::from_secs(5);
     while server.open_connections() < 32 {
         assert!(Instant::now() < deadline, "connections never all registered");
         std::thread::yield_now();
     }
-    // The parked fleet stays live: every served connection is woken and
+    // The idle fleet stays live: every served connection is woken and
     // answered again, round after round, and none of them is closed.
     for _ in 0..2 {
         for c in &mut served {
@@ -388,18 +388,27 @@ fn drain_reaps_many_parked_idle_connections_immediately() {
         }
     }
     assert_eq!(server.open_connections(), 32, "the served fleet must not churn");
+    let timeouts_idle = Arc::clone(&server.metrics().timeouts_idle);
 
     let t0 = Instant::now();
     server.shutdown();
     let drain_time = t0.elapsed();
     assert!(
         drain_time < Duration::from_secs(2),
-        "32 parked idle connections must be reaped immediately, took {drain_time:?}"
+        "32 idle connections must be closed immediately, took {drain_time:?}"
     );
     for c in &mut served {
         assert!(c.get("/health").is_err(), "reaped connection still answered");
     }
-    drop(silent);
+    for stream in &mut silent {
+        stream.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        match stream.read(&mut [0u8; 64]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("never-spoke connection still open after the drain: {other:?}"),
+        }
+    }
+    assert_eq!(timeouts_idle.get(), 0, "a drain close is not an idle timeout");
 }
 
 #[test]
