@@ -8,7 +8,46 @@
 
 use std::time::Duration;
 
-pub use serenade_telemetry::LatencySummary;
+/// Percentile summary of a latency distribution, in microseconds, as
+/// [`LatencyRecorder::summary`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LatencySummary {
+    /// Number of observations.
+    pub count: usize,
+    /// Arithmetic mean.
+    pub mean_us: u64,
+    /// Minimum.
+    pub min_us: u64,
+    /// Median.
+    pub p50_us: u64,
+    /// 75th percentile.
+    pub p75_us: u64,
+    /// 90th percentile (the paper's headline SLA percentile).
+    pub p90_us: u64,
+    /// 99th percentile.
+    pub p99_us: u64,
+    /// 99.5th percentile (reported in Figures 3b/3c).
+    pub p995_us: u64,
+    /// Maximum.
+    pub max_us: u64,
+}
+
+impl std::fmt::Display for LatencySummary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "n={} mean={}us p50={}us p75={}us p90={}us p99={}us p99.5={}us max={}us",
+            self.count,
+            self.mean_us,
+            self.p50_us,
+            self.p75_us,
+            self.p90_us,
+            self.p99_us,
+            self.p995_us,
+            self.max_us
+        )
+    }
+}
 
 /// Collects individual latency observations in microseconds; every
 /// observation is retained and `summary()` sorts and reads percentiles

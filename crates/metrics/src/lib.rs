@@ -10,7 +10,7 @@
 //! * [`ranking`] — per-event metric computations.
 //! * [`harness`] — sequential and multi-threaded evaluation drivers.
 //! * [`latency`] — exact latency recording for the microbenchmarks and the
-//!   A/B simulator, summarised in `serenade-telemetry`'s `LatencySummary`.
+//!   A/B simulator, summarised as a [`LatencySummary`].
 
 #![warn(missing_docs)]
 

@@ -442,32 +442,6 @@ impl PredictionCache {
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
     }
-
-    /// Total generation-valid hits served.
-    pub fn hit_count(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Total key misses.
-    pub fn miss_count(&self) -> u64 {
-        self.misses.get()
-    }
-
-    /// Total stale-generation rejections.
-    pub fn stale_count(&self) -> u64 {
-        self.stale.get()
-    }
-
-    /// Total CLOCK evictions.
-    pub fn eviction_count(&self) -> u64 {
-        self.evictions.get()
-    }
-
-    /// Total entries served across a publish via epoch revalidation (these
-    /// are also counted as hits).
-    pub fn revalidation_count(&self) -> u64 {
-        self.revalidations.get()
-    }
 }
 
 #[cfg(all(test, not(feature = "loom")))]
@@ -538,7 +512,7 @@ mod tests {
         assert_eq!(hit.len(), 1);
         assert!(cache.lookup(key, 2).is_none(), "generation bump invalidates");
         assert_eq!(
-            (cache.hit_count(), cache.miss_count(), cache.stale_count()),
+            (cache.hits.get(), cache.misses.get(), cache.stale.get()),
             (1, 1, 1)
         );
         assert!(cache.is_empty(), "stale entry evicted");
@@ -590,8 +564,8 @@ mod tests {
         cache.epoch_log().record(2, EpochChange::items([4]));
         assert!(cache.lookup(hot, 2).is_some(), "untouched item survives the publish");
         assert!(cache.lookup(churned, 2).is_none(), "touched item is invalidated");
-        assert_eq!(cache.revalidation_count(), 1);
-        assert_eq!(cache.stale_count(), 1);
+        assert_eq!(cache.revalidations.get(), 1);
+        assert_eq!(cache.stale.get(), 1);
 
         // A full rollover (EpochChange::All) invalidates the survivor too.
         cache.epoch_log().record(3, EpochChange::All);
@@ -606,8 +580,8 @@ mod tests {
         // Generation moved to 2 but no epoch was recorded (e.g. a direct
         // handle store): conservative whole-generation invalidation.
         assert!(cache.lookup(key, 2).is_none());
-        assert_eq!(cache.stale_count(), 1);
-        assert_eq!(cache.revalidation_count(), 0);
+        assert_eq!(cache.stale.get(), 1);
+        assert_eq!(cache.revalidations.get(), 0);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::handle::IndexHandle;
 use crate::ingest::epoch::EpochChange;
 use crate::ingest::{IngestConfig, IngestPipeline};
 use crate::rules::BusinessRules;
-use crate::stats::{ServingStats, StatsSnapshot};
+use crate::stats::ServingStats;
 use crate::telemetry::ClusterTelemetry;
 
 /// Why [`ServingCluster::reload_index`] published nothing. The old index
@@ -195,11 +195,6 @@ impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
         Self { index, rules, sessions, config, stats, cache, telemetry, ingest: OnceLock::new() }
     }
 
-    /// The prediction cache, if enabled.
-    pub fn prediction_cache(&self) -> Option<&Arc<PredictionCache>> {
-        self.cache.as_ref()
-    }
-
     /// The index handle (shared with the publishing side).
     pub fn index_handle(&self) -> &Arc<IndexHandle<VmisKnn>> {
         &self.index
@@ -208,11 +203,6 @@ impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
     /// The engine configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// Request/latency statistics, as `GET /stats` reports them.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
     }
 
     /// The cluster's observability hub (metric registry, trace ring,
@@ -545,6 +535,15 @@ impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
 }
 
 #[cfg(all(test, not(feature = "loom")))]
+impl<S: SessionStore<u64, Vec<ItemId>>> ServingCluster<S> {
+    /// The series `name{labels}` as `GET /metrics` renders it now.
+    pub(crate) fn scraped(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
+        let exposition = crate::telemetry::scrape(self.telemetry.registry());
+        exposition.value(name, labels).unwrap_or_else(|| panic!("no series {name}")) as u64
+    }
+}
+
+#[cfg(all(test, not(feature = "loom")))]
 mod tests {
     use super::*;
     use crate::engine::tests::index;
@@ -603,7 +602,6 @@ mod tests {
     #[test]
     fn depersonalised_requests_share_one_prediction_cache() {
         let c = cluster();
-        let shared = c.prediction_cache().expect("enabled by default");
         // Depersonalised requests from different sessions all hit the one
         // cache after the first computation.
         let dep = |sid| RecommendRequest {
@@ -616,7 +614,8 @@ mod tests {
         for sid in 1..8u64 {
             assert_eq!(c.handle(dep(sid)).unwrap(), first);
         }
-        assert_eq!((shared.hit_count(), shared.miss_count()), (7, 1));
+        let hits = c.scraped("serenade_cache_hits_total", &[]);
+        assert_eq!((hits, c.scraped("serenade_cache_misses_total", &[])), (7, 1));
     }
 
     #[test]
@@ -713,7 +712,7 @@ mod ingest_tests {
         assert!(p.submit(&[Click::new(1_000, 0, 10_000), Click::new(1_000, 42, 10_001)]));
         let generation_after = p.flush().unwrap();
         assert!(generation_after > generation_before, "publish must bump the generation");
-        assert_eq!(p.metrics().publishes(), 1);
+        assert_eq!(c.scraped("serenade_ingest_publishes_total", &[]), 1);
 
         // The live co-occurrence (0, 42) is now served.
         let recs = c.handle(dep(901, 42)).unwrap();
@@ -762,7 +761,7 @@ mod ingest_tests {
         p.flush().unwrap();
         let recs = c.handle(dep(902, 99)).unwrap();
         assert!(recs.iter().any(|r| r.item == 3), "served clicks must reach the index: {recs:?}");
-        assert_eq!(p.metrics().accepted_clicks(), 2);
+        assert_eq!(c.scraped("serenade_ingest_accepted_clicks_total", &[]), 2);
     }
 
     #[test]
@@ -780,7 +779,7 @@ mod ingest_tests {
             c.handle(dep(904, 77)).unwrap().is_empty(),
             "the unlearned session must stop influencing predictions"
         );
-        assert_eq!(p.metrics().deletions(), 1);
+        assert_eq!(c.scraped("serenade_ingest_deletions_total", &[]), 1);
         // Unknown sessions report false but still tombstone.
         assert!(!p.delete_session(999_999).unwrap());
     }
@@ -790,13 +789,13 @@ mod ingest_tests {
         let (c, p) = cluster_with_ingest(IngestConfig::default());
         let generation = c.index_handle().generation();
         assert_eq!(p.flush().unwrap(), generation, "no publish without work");
-        assert_eq!(p.metrics().publishes(), 0);
+        assert_eq!(c.scraped("serenade_ingest_publishes_total", &[]), 0);
     }
 
     #[test]
     fn full_queue_rejects_the_whole_batch() {
         // A long interval keeps the publisher from draining mid-test.
-        let (_c, p) = cluster_with_ingest(IngestConfig {
+        let (c, p) = cluster_with_ingest(IngestConfig {
             publish_interval: Duration::from_secs(30),
             max_pending_appends: 4,
             ..IngestConfig::default()
@@ -805,7 +804,7 @@ mod ingest_tests {
         assert!(p.submit(&[click(1), click(2), click(3)]));
         assert!(!p.submit(&[click(4), click(5)]), "3 + 2 exceeds the bound of 4");
         assert_eq!(p.pending_clicks(), 3, "rejected batches admit nothing");
-        assert_eq!(p.metrics().rejected_clicks(), 2);
+        assert_eq!(c.scraped("serenade_ingest_rejected_clicks_total", &[]), 2);
         assert!(p.submit(&[click(6)]), "room for one more");
     }
 
@@ -815,19 +814,20 @@ mod ingest_tests {
             publish_interval: Duration::from_millis(5),
             ..IngestConfig::default()
         });
-        let cache = c.prediction_cache().unwrap();
         let warm = c.handle(dep(905, 1)).unwrap();
         assert_eq!(c.handle(dep(906, 1)).unwrap(), warm, "warm: second request hits");
-        let hits_before = cache.hit_count();
+        let hits_before = c.scraped("serenade_cache_hits_total", &[]);
 
         // A publish touching only brand-new items (40, 41).
         assert!(p.submit(&[Click::new(3_000, 40, 10_000), Click::new(3_000, 41, 10_001)]));
         p.flush().unwrap();
 
         assert_eq!(c.handle(dep(907, 1)).unwrap(), warm, "untouched entry still serves");
-        assert_eq!(cache.revalidation_count(), 1, "served via epoch revalidation");
-        assert_eq!(cache.hit_count(), hits_before + 1);
-        assert_eq!(cache.stale_count(), 0, "no whole-generation eviction happened");
+        let revalidations = c.scraped("serenade_cache_epoch_revalidations_total", &[]);
+        assert_eq!(revalidations, 1, "served via epoch revalidation");
+        assert_eq!(c.scraped("serenade_cache_hits_total", &[]), hits_before + 1);
+        let stale = c.scraped("serenade_cache_stale_total", &[]);
+        assert_eq!(stale, 0, "no whole-generation eviction happened");
     }
 
     #[test]
@@ -836,7 +836,6 @@ mod ingest_tests {
             publish_interval: Duration::from_millis(5),
             ..IngestConfig::default()
         });
-        let cache = c.prediction_cache().unwrap();
         let before = c.handle(dep(908, 1)).unwrap();
         assert_eq!(c.handle(dep(909, 1)).unwrap(), before, "warm: second request hits");
 
@@ -847,8 +846,9 @@ mod ingest_tests {
         let after = c.handle(dep(910, 1)).unwrap();
         assert_ne!(after, before, "the touched item's answer must be recomputed");
         assert!(after.iter().any(|r| r.item == 55), "and reflect the live click: {after:?}");
-        assert_eq!(cache.stale_count(), 1, "the touched entry was invalidated");
-        assert_eq!(cache.revalidation_count(), 0);
+        let stale = c.scraped("serenade_cache_stale_total", &[]);
+        assert_eq!(stale, 1, "the touched entry was invalidated");
+        assert_eq!(c.scraped("serenade_cache_epoch_revalidations_total", &[]), 0);
     }
 
     #[test]
@@ -863,7 +863,7 @@ mod ingest_tests {
         c.handle(consented).unwrap();
         c.handle(dep(701, 1)).unwrap();
         assert_eq!(
-            p.metrics().accepted_clicks(),
+            c.scraped("serenade_ingest_accepted_clicks_total", &[]),
             1,
             "only the consented request feeds the index"
         );
@@ -872,14 +872,14 @@ mod ingest_tests {
 
     #[test]
     fn served_session_hook_is_off_by_default() {
-        let (c, p) = cluster_with_ingest(IngestConfig {
+        let (c, _p) = cluster_with_ingest(IngestConfig {
             publish_interval: Duration::from_secs(30),
             ..IngestConfig::default()
         });
         let consented =
             RecommendRequest { session_id: 702, item: 1, consent: true, filter_adult: false };
         c.handle(consented).unwrap();
-        assert_eq!(p.metrics().accepted_clicks(), 0);
+        assert_eq!(c.scraped("serenade_ingest_accepted_clicks_total", &[]), 0);
     }
 
     #[test]
@@ -918,7 +918,7 @@ mod ingest_tests {
         assert_eq!(rollover, Err(RolloverError::IngestEnabled));
         assert_eq!(c.index_handle().generation(), generation, "nothing was published");
         assert!(
-            c.prediction_cache().unwrap().epoch_log().is_empty(),
+            c.cache.as_ref().unwrap().epoch_log().is_empty(),
             "no epoch was recorded for a publish that did not happen"
         );
 
@@ -995,8 +995,7 @@ mod rollover_tests {
         // rejects it and recomputes on the new index.
         let after = c.handle(dep(3)).unwrap();
         assert_ne!(after, before, "rollover must change the depersonalised answer");
-        let cache = c.prediction_cache().unwrap();
-        assert_eq!(cache.stale_count(), 1);
+        assert_eq!(c.scraped("serenade_cache_stale_total", &[]), 1);
         assert_eq!(c.handle(dep(4)).unwrap(), after, "fresh entry serves hits again");
     }
 

@@ -230,12 +230,11 @@ pub(crate) mod tests {
             timings.total(),
             timings.session + timings.predict + timings.policy,
         );
-        let snap = e.stats();
-        assert_eq!(snap.requests, 5);
-        assert_eq!(snap.latency.unwrap().count, 5);
-        assert_eq!(snap.session_latency.unwrap().count, 5);
-        assert_eq!(snap.predict_latency.unwrap().count, 5);
-        assert_eq!(snap.policy_latency.unwrap().count, 5);
+        assert_eq!(e.scraped("serenade_requests_total", &[]), 5);
+        for stage in ["total", "session", "predict", "policy"] {
+            let count = e.scraped("serenade_request_duration_seconds_count", &[("stage", stage)]);
+            assert_eq!(count, 5, "{stage}");
+        }
     }
 
     #[test]
@@ -250,7 +249,7 @@ pub(crate) mod tests {
         ctx.set_deadline(Some(Instant::now() - Duration::from_millis(1)));
         let degraded = e.handle_with(req(7, 2), &mut ctx).unwrap();
         assert!(ctx.degraded());
-        assert_eq!(e.stats().degraded, 1);
+        assert_eq!(e.scraped("serenade_deadline_degraded_total", &[]), 1);
         // The degraded response equals a fresh single-item prediction.
         let fresh = engine(ServingVariant::Full, BusinessRules::none());
         let expected = fresh.handle(req(99, 2)).unwrap();
@@ -261,7 +260,7 @@ pub(crate) mod tests {
         ctx.set_deadline(Some(Instant::now() + Duration::from_secs(3600)));
         e.handle_with(req(7, 3), &mut ctx).unwrap();
         assert!(!ctx.degraded());
-        assert_eq!(e.stats().degraded, 1);
+        assert_eq!(e.scraped("serenade_deadline_degraded_total", &[]), 1);
     }
 
     fn dep(session_id: u64, item: ItemId, filter_adult: bool) -> RecommendRequest {
@@ -274,8 +273,8 @@ pub(crate) mod tests {
         let first = e.handle(dep(50, 2, false)).unwrap();
         let second = e.handle(dep(51, 2, false)).unwrap();
         assert_eq!(first, second, "a cache hit must be byte-identical to the computed list");
-        let cache = e.prediction_cache().expect("cache is enabled by default");
-        assert_eq!((cache.hit_count(), cache.miss_count()), (1, 1));
+        let hits = e.scraped("serenade_cache_hits_total", &[]);
+        assert_eq!((hits, e.scraped("serenade_cache_misses_total", &[])), (1, 1));
     }
 
     #[test]
@@ -284,8 +283,8 @@ pub(crate) mod tests {
         let a = e.handle(req(1, 3)).unwrap();
         let b = e.handle(req(2, 3)).unwrap();
         assert_eq!(a, b);
-        let cache = e.prediction_cache().unwrap();
-        assert_eq!(cache.hit_count(), 1, "same most-recent item, different session");
+        let hits = e.scraped("serenade_cache_hits_total", &[]);
+        assert_eq!(hits, 1, "same most-recent item, different session");
     }
 
     #[test]
@@ -295,9 +294,9 @@ pub(crate) mod tests {
         e.handle(req(1, 1)).unwrap();
         e.handle(req(2, 0)).unwrap();
         e.handle(req(2, 1)).unwrap();
-        let cache = e.prediction_cache().unwrap();
+        let hits = e.scraped("serenade_cache_hits_total", &[]);
         assert_eq!(
-            (cache.hit_count(), cache.miss_count()),
+            (hits, e.scraped("serenade_cache_misses_total", &[])),
             (0, 0),
             "session-dependent views must never touch the cache"
         );
@@ -313,14 +312,15 @@ pub(crate) mod tests {
             ..Default::default()
         };
         let disabled = ServingCluster::new(index(), 1, disabled_cfg, BusinessRules::none()).unwrap();
-        assert!(disabled.prediction_cache().is_none());
+        let families = disabled.telemetry().registry().render();
+        assert!(!families.contains("serenade_cache_"), "no cache, no cache series: {families}");
         for item in [0u64, 2, 2, 4, 0] {
             assert_eq!(
                 enabled.handle(dep(80, item, false)).unwrap(),
                 disabled.handle(dep(80, item, false)).unwrap(),
             );
         }
-        assert!(enabled.prediction_cache().unwrap().hit_count() > 0);
+        assert!(enabled.scraped("serenade_cache_hits_total", &[]) > 0);
     }
 
     #[test]
@@ -346,7 +346,7 @@ pub(crate) mod tests {
         assert!(filtered.iter().all(|r| r.item != 7), "cached hit must still filter");
         let unfiltered_again = e.handle(dep(3, 0, false)).unwrap();
         assert_eq!(unfiltered, unfiltered_again, "filtering must not poison the entry");
-        assert_eq!(e.prediction_cache().unwrap().hit_count(), 2);
+        assert_eq!(e.scraped("serenade_cache_hits_total", &[]), 2);
     }
 
     #[test]

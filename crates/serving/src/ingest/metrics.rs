@@ -127,30 +127,4 @@ impl IngestMetrics {
     pub(crate) fn record_publish_failure(&self) {
         self.publish_failures.inc();
     }
-
-    /// Clicks admitted into the pending queue.
-    pub fn accepted_clicks(&self) -> u64 {
-        self.accepted_clicks.get()
-    }
-
-    /// Clicks rejected because the pending queue was full.
-    pub fn rejected_clicks(&self) -> u64 {
-        self.rejected_clicks.get()
-    }
-
-    /// Sessions deleted (unlearned) through the pipeline.
-    pub fn deletions(&self) -> u64 {
-        self.deletions.get()
-    }
-
-    /// Successful mini-publishes (each bumps the index generation).
-    pub fn publishes(&self) -> u64 {
-        self.publishes.get()
-    }
-
-    /// Publish attempts that failed (e.g. an emptied index); the old
-    /// snapshot keeps serving.
-    pub fn publish_failures(&self) -> u64 {
-        self.publish_failures.get()
-    }
 }

@@ -42,8 +42,8 @@
 //!   incremental bounded parser, a per-connection state machine, admission
 //!   control with `503 + Retry-After` shedding, deadline budgets and a
 //!   graceful drain protocol (model-checked with loom);
-//! * [`stats`] — the engine's request/latency statistics, exposed at
-//!   `GET /stats`;
+//! * [`stats`] — the engine's request counters and per-stage latency
+//!   histograms, series of the registry `GET /metrics` renders;
 //! * [`telemetry`] — the cluster-wide observability hub: Prometheus metric
 //!   registry (`GET /metrics`), request-id source and slow-request trace
 //!   ring (`GET /debug/slow`).
@@ -78,6 +78,6 @@ pub use ingest::{IngestConfig, IngestPipeline};
 pub use router::StickyRouter;
 pub use rules::BusinessRules;
 pub use server::{HttpServer, HttpServerConfig};
-pub use stats::{ServingStats, StatsSnapshot};
+pub use stats::ServingStats;
 pub use telemetry::ClusterTelemetry;
 pub use transport::{HttpClient, RemotePod};

@@ -7,7 +7,7 @@
 //! responses) share:
 //!
 //! * [`respond`] — routes one parsed request to its endpoint and renders
-//!   the body (health, metrics, stats, traces, ingest; a node adds its
+//!   the body (health, metrics, traces, ingest; a node adds its
 //!   `/admin/` routes in [`crate::node`]; predicts run through
 //!   `worker::run_predict`, never here);
 //! * [`render_response`] — frames one HTTP/1.1 response into bytes, the
@@ -23,7 +23,6 @@ use crate::cluster::ServingCluster;
 use crate::engine::RecommendRequest;
 use crate::error::ServingError;
 use crate::json::{self, Value};
-use crate::stats::StatsSnapshot;
 
 use super::parser::ParsedRequest;
 
@@ -127,11 +126,6 @@ fn respond_text(request: &ParsedRequest, cluster: &ServingCluster) -> (u16, Stri
             });
             (200, body)
         }
-        // A one-element `pods` array: the wire shape `/stats` clients
-        // parse, kept byte for byte.
-        ("GET", "/stats") => (200, json::object(|o| {
-            o.objects("pods", [cluster.stats()], |o, s| render_stats(o, &s, cluster));
-        })),
         ("POST", "/ingest") => match cluster.ingest() {
             None => (404, json::error(INGEST_NOT_ENABLED)),
             Some(pipeline) => match parse_ingest_batch(request.text()) {
@@ -171,31 +165,6 @@ fn respond_text(request: &ParsedRequest, cluster: &ServingCluster) -> (u16, Stri
 }
 
 const INGEST_NOT_ENABLED: &str = "ingest is not enabled on this cluster";
-
-/// The one element of `/stats`' `pods` array: the engine's counters, then
-/// its latency percentiles once it has served a request.
-fn render_stats(o: &mut json::Object<'_>, s: &StatsSnapshot, cluster: &ServingCluster) {
-    o.u64("busy_ms", s.busy.as_millis() as u64)
-        .u64("degraded", s.degraded)
-        .u64("depersonalised", s.depersonalised)
-        .u64("empty_responses", s.empty_responses)
-        .u64("errors", s.errors)
-        .u64("live_sessions", cluster.live_sessions() as u64);
-    if let Some(l) = s.latency {
-        o.u64("p50_us", l.p50_us).u64("p90_us", l.p90_us).u64("p995_us", l.p995_us);
-    }
-    o.u64("pod", 0);
-    if let Some(l) = s.policy_latency {
-        o.u64("policy_p50_us", l.p50_us).u64("policy_p90_us", l.p90_us);
-    }
-    if let Some(l) = s.predict_latency {
-        o.u64("predict_p50_us", l.p50_us).u64("predict_p90_us", l.p90_us);
-    }
-    o.u64("requests", s.requests);
-    if let Some(l) = s.session_latency {
-        o.u64("session_p50_us", l.p50_us).u64("session_p90_us", l.p90_us);
-    }
-}
 
 /// Runs `f` behind an unwind barrier: a panic becomes a typed error (and a
 /// `500`) instead of unwinding the worker's dispatch loop and killing every

@@ -27,7 +27,7 @@ use super::parser::ParsedRequest;
 pub(super) enum DispatchKind {
     /// A well-formed `POST /recommend`, run on the worker's context.
     Predict(RecommendRequest),
-    /// Everything else (health, metrics, stats, malformed predicts):
+    /// Everything else (health, metrics, traces, ingest, malformed predicts):
     /// served through the endpoint responder.
     Other,
 }

@@ -43,13 +43,11 @@
 //!   → `{"recommendations": [{"item_id": …, "score": …}, …]}`
 //! * `GET /health` → `{"status": "ok", "uptime_seconds": …, "index_generation": …}`
 //!   (the router's liveness probe)
-//! * `GET /stats` → the node's request counters and latency percentiles
-//!   ([`crate::ServingCluster::stats`]; JSON, as a one-element `pods`
-//!   array)
 //! * `GET /metrics` → the full metric registry in Prometheus text
-//!   exposition format (version 0.0.4)
-//! * `GET /debug/slow` → the slowest recently traced requests with their
-//!   per-stage latency breakdown and kernel work counters
+//!   exposition format (version 0.0.4): the node's one read-out of its
+//!   request counters and per-stage latency histograms
+//! * `GET /debug/slow` → the most recently traced requests, slowest first,
+//!   with their per-stage latency breakdown and kernel work counters
 //! * `POST /ingest`, `DELETE /ingest/session/{id}` → the streaming write
 //!   path ([`crate::ingest`]), `404` unless ingest is enabled
 //! * `PUT /admin/index`, `POST /admin/sessions/{export,import,forget}` → the
@@ -646,7 +644,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_endpoint_reports_pod_counters() {
+    fn metrics_endpoint_reports_request_counters_per_stage() {
         let (server, _cluster) = start_server();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         for item in 0..4u64 {
@@ -658,26 +656,16 @@ mod tests {
                 .unwrap();
             assert_eq!(status, 200);
         }
-        let (status, body) = client.get("/stats").unwrap();
+        let (status, body) = client.get("/metrics").unwrap();
         assert_eq!(status, 200, "{body}");
-        let v = json::parse(&body).unwrap();
-        let pods = v.get("pods").unwrap().elements().unwrap().collect::<Vec<_>>();
-        assert_eq!(pods.len(), 1);
-        let total: u64 = pods
-            .iter()
-            .map(|p| p.get("requests").unwrap().as_u64().unwrap())
-            .sum();
-        assert_eq!(total, 4);
-        // The engine exposes latency percentiles, end to end and per
-        // pipeline stage.
-        assert!(pods
-            .iter()
-            .any(|p| p.get("p90_us").and_then(Value::as_u64).is_some()));
-        for field in ["session_p50_us", "predict_p90_us", "policy_p50_us"] {
-            assert!(
-                pods.iter().any(|p| p.get(field).and_then(Value::as_u64).is_some()),
-                "missing stage breakdown field {field}",
-            );
+        let exposition = serenade_telemetry::parse(&body).unwrap();
+        assert_eq!(exposition.value("serenade_requests_total", &[]), Some(4.0), "{body}");
+        // The engine exposes its latency end to end and per pipeline stage.
+        for stage in ["total", "session", "predict", "policy"] {
+            let histogram = exposition
+                .histogram("serenade_request_duration_seconds", &[("stage", stage)])
+                .unwrap_or_else(|| panic!("missing stage {stage}: {body}"));
+            assert_eq!(histogram.count, 4.0, "{stage}");
         }
         server.shutdown();
     }

@@ -3,26 +3,21 @@
 //! The paper's operational story (Sections 5.2.2–5.2.3, 7) rests on being
 //! able to watch request rate, latency percentiles and core usage per
 //! serving machine.
-//! This module provides the in-process equivalent: a stats collector every
-//! [`crate::ServingCluster`] feeds, exposed over HTTP as `GET /stats` and
-//! queryable in-process for the dashboards the benchmarks print. Latency is
-//! recorded per pipeline stage (session / predict / policy), so the
-//! breakdown of where a request's time went is first-class.
+//! This module provides the in-process equivalent: the recorder every
+//! [`crate::ServingCluster`] feeds. Latency is recorded per pipeline stage
+//! (session / predict / policy), so the breakdown of where a request's time
+//! went is first-class.
 //!
 //! Every counter and histogram is a series of the cluster's [`Registry`],
-//! made by [`ServingStats::new`], so `GET /metrics` renders the very handles
-//! `GET /stats` snapshots. Recording is lock-free: counters are relaxed
-//! atomics and latency goes into `serenade-telemetry`'s sharded log-linear
-//! histograms, so memory is bounded at O(buckets × shards) per stage
-//! regardless of how many requests the engine has served. Percentiles
-//! reported in [`StatsSnapshot`] are therefore estimates within
-//! [`serenade_telemetry::REL_ERROR_BOUND`] of the exact order statistics;
-//! `count`, `mean_us`, `min_us` and `max_us` stay exact.
+//! made by [`ServingStats::new`]; `GET /metrics` is their one read-out.
+//! Recording is lock-free: counters are relaxed atomics and latency goes
+//! into `serenade-telemetry`'s sharded log-linear histograms, so memory is
+//! bounded at O(buckets × shards) per stage regardless of how many requests
+//! the engine has served.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use serenade_telemetry::{Counter, Histogram, HistogramConfig, LatencySummary, Registry};
+use serenade_telemetry::{Counter, Histogram, HistogramConfig, Registry};
 
 use crate::context::StageTimings;
 
@@ -39,32 +34,6 @@ pub struct ServingStats {
     session: Arc<Histogram>,
     predict: Arc<Histogram>,
     policy: Arc<Histogram>,
-}
-
-/// A point-in-time snapshot of [`ServingStats`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StatsSnapshot {
-    /// Requests handled since startup.
-    pub requests: u64,
-    /// Requests served in depersonalised (no-consent) mode.
-    pub depersonalised: u64,
-    /// Requests degraded to the depersonalised fallback because their
-    /// deadline budget expired mid-pipeline.
-    pub degraded: u64,
-    /// Requests that produced an empty recommendation list.
-    pub empty_responses: u64,
-    /// Requests that failed with a serving error (HTTP 5xx).
-    pub errors: u64,
-    /// Total busy time spent inside request handling.
-    pub busy: Duration,
-    /// End-to-end latency percentiles, if any requests were recorded.
-    pub latency: Option<LatencySummary>,
-    /// Session-stage latency (evolving-session update + view).
-    pub session_latency: Option<LatencySummary>,
-    /// Prediction-stage latency (VMIS-kNN).
-    pub predict_latency: Option<LatencySummary>,
-    /// Policy-stage latency (business rules + truncation).
-    pub policy_latency: Option<LatencySummary>,
 }
 
 impl ServingStats {
@@ -144,28 +113,13 @@ impl ServingStats {
         self.predict.record(timings.predict);
         self.policy.record(timings.policy);
     }
-
-    /// Takes a snapshot (quantiles estimated from the bounded histograms,
-    /// merged across recording shards; counts and extremes exact).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.requests.get(),
-            depersonalised: self.depersonalised.get(),
-            degraded: self.degraded.get(),
-            empty_responses: self.empty_responses.get(),
-            errors: self.errors.get(),
-            busy: Duration::from_nanos(self.busy_ns.get()),
-            latency: self.total.snapshot().summary(),
-            session_latency: self.session.snapshot().summary(),
-            predict_latency: self.predict.snapshot().summary(),
-            policy_latency: self.policy.snapshot().summary(),
-        }
-    }
 }
 
 #[cfg(all(test, not(feature = "loom")))]
 mod tests {
     use super::*;
+    use crate::telemetry::scrape;
+    use std::time::Duration;
 
     fn timings(session_us: u64, predict_us: u64, policy_us: u64) -> StageTimings {
         StageTimings {
@@ -175,31 +129,37 @@ mod tests {
         }
     }
 
+    /// `_count` and `_sum` (in microseconds) of one stage's histogram.
+    fn stage(registry: &Registry, stage: &str) -> (f64, f64) {
+        let m = scrape(registry);
+        let h = m.histogram("serenade_request_duration_seconds", &[("stage", stage)]).unwrap();
+        (h.count, (h.sum_seconds * 1e6).round())
+    }
+
     #[test]
     fn counters_accumulate() {
-        let s = ServingStats::new(&Registry::new());
+        let registry = Registry::new();
+        let s = ServingStats::new(&registry);
         s.record(timings(20, 70, 10), false, 21);
         s.record(timings(50, 200, 50), true, 0);
-        let snap = s.snapshot();
-        assert_eq!(snap.requests, 2);
-        assert_eq!(snap.depersonalised, 1);
-        assert_eq!(snap.empty_responses, 1);
-        assert_eq!(snap.busy, Duration::from_micros(400));
-        let lat = snap.latency.unwrap();
-        assert_eq!(lat.count, 2);
-        assert_eq!(lat.max_us, 300);
+        let m = scrape(&registry);
+        assert_eq!(m.value("serenade_requests_total", &[]), Some(2.0));
+        assert_eq!(m.value("serenade_depersonalised_total", &[]), Some(1.0));
+        assert_eq!(m.value("serenade_empty_responses_total", &[]), Some(1.0));
+        assert_eq!(m.value("serenade_handler_busy_nanoseconds_total", &[]), Some(400_000.0));
+        assert_eq!(stage(&registry, "total"), (2.0, 400.0));
     }
 
     #[test]
     fn per_stage_breakdowns_are_recorded() {
-        let s = ServingStats::new(&Registry::new());
+        let registry = Registry::new();
+        let s = ServingStats::new(&registry);
         s.record(timings(10, 100, 1), false, 5);
         s.record(timings(30, 300, 3), false, 5);
-        let snap = s.snapshot();
-        assert_eq!(snap.session_latency.unwrap().max_us, 30);
-        assert_eq!(snap.predict_latency.unwrap().max_us, 300);
-        assert_eq!(snap.policy_latency.unwrap().max_us, 3);
-        assert_eq!(snap.latency.unwrap().max_us, 333);
+        assert_eq!(stage(&registry, "session"), (2.0, 40.0));
+        assert_eq!(stage(&registry, "predict"), (2.0, 400.0));
+        assert_eq!(stage(&registry, "policy"), (2.0, 4.0));
+        assert_eq!(stage(&registry, "total"), (2.0, 444.0));
     }
 
     #[test]
@@ -208,37 +168,11 @@ mod tests {
         let s = ServingStats::new(&registry);
         s.record_degraded();
         s.record_degraded();
-        assert_eq!(s.snapshot().degraded, 2);
         assert!(
             registry.render().contains("serenade_deadline_degraded_total 2"),
             "{}",
             registry.render()
         );
-    }
-
-    #[test]
-    fn empty_stats_have_no_latency() {
-        let snap = ServingStats::new(&Registry::new()).snapshot();
-        assert_eq!(snap.requests, 0);
-        assert!(snap.latency.is_none());
-        assert!(snap.session_latency.is_none());
-        assert!(snap.predict_latency.is_none());
-        assert!(snap.policy_latency.is_none());
-    }
-
-    #[test]
-    fn quantiles_stay_within_the_documented_bound() {
-        let s = ServingStats::new(&Registry::new());
-        for us in 1..=1_000u64 {
-            s.record(timings(0, us, 0), false, 5);
-        }
-        let lat = s.snapshot().predict_latency.unwrap();
-        let tolerance = |exact: u64| (exact as f64 * serenade_telemetry::REL_ERROR_BOUND) as u64 + 1;
-        assert!(lat.p50_us.abs_diff(500) <= tolerance(500), "p50 {}", lat.p50_us);
-        assert!(lat.p90_us.abs_diff(900) <= tolerance(900), "p90 {}", lat.p90_us);
-        assert!(lat.p995_us.abs_diff(995) <= tolerance(995), "p995 {}", lat.p995_us);
-        assert_eq!(lat.min_us, 1);
-        assert_eq!(lat.max_us, 1_000);
     }
 
     #[test]
@@ -264,7 +198,8 @@ mod tests {
 
     #[test]
     fn concurrent_recording_is_lossless() {
-        let s = std::sync::Arc::new(ServingStats::new(&Registry::new()));
+        let registry = Registry::new();
+        let s = std::sync::Arc::new(ServingStats::new(&registry));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let s = std::sync::Arc::clone(&s);
@@ -278,9 +213,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let snap = s.snapshot();
-        assert_eq!(snap.requests, 4_000);
-        assert_eq!(snap.latency.unwrap().count, 4_000);
-        assert_eq!(snap.predict_latency.unwrap().count, 4_000);
+        assert_eq!(scrape(&registry).value("serenade_requests_total", &[]), Some(4_000.0));
+        assert_eq!(stage(&registry, "total").0, 4_000.0);
+        assert_eq!(stage(&registry, "predict").0, 4_000.0);
     }
 }

@@ -9,7 +9,7 @@
 //! metrics (index generation, bytes per index structure, stranded slots and
 //! dead posting entries, all read off the published index when `/metrics` is
 //! scraped, not when it is published; uptime, rollover duration), and the
-//! [`TraceRing`] that keeps the N slowest recent requests with their
+//! [`TraceRing`] that keeps the most recent traced requests with their
 //! per-stage breakdown.
 //!
 //! Request ids are assigned by the HTTP layer at ingress (so one id spans
@@ -161,6 +161,12 @@ impl Default for ClusterTelemetry {
     fn default() -> Self {
         Self::new(TraceConfig::default())
     }
+}
+
+/// Parses what `GET /metrics` renders from `registry` right now.
+#[cfg(all(test, not(feature = "loom")))]
+pub(crate) fn scrape(registry: &Registry) -> serenade_telemetry::Exposition {
+    serenade_telemetry::parse(&registry.render()).expect("the registry renders valid exposition text")
 }
 
 #[cfg(all(test, not(feature = "loom")))]

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use serenade_core::{Click, ItemScore, SessionIndex};
 use serenade_serving::engine::{EngineConfig, RecommendRequest};
-use serenade_serving::json::{self, Value};
+use serenade_serving::json;
 use serenade_serving::server::parser::ParsedRequest;
 use serenade_serving::server::{PredictRoute, RequestBackend};
 use serenade_serving::{
@@ -524,18 +524,6 @@ fn expired_deadline_degrades_but_still_answers_200() {
     // Session state kept evolving despite the degradation.
     assert_eq!(cluster.stored_session_len(77), 3);
     // Requests 2 and 3 had multi-item views, so both degraded.
-    let (status, body) = client.get("/stats").unwrap();
-    assert_eq!(status, 200);
-    let v = json::parse(&body).unwrap();
-    let degraded: u64 = v
-        .get("pods")
-        .unwrap()
-        .elements()
-        .unwrap()
-        .map(|p| p.get("degraded").and_then(Value::as_u64).unwrap())
-        .sum();
-    assert_eq!(degraded, 2, "{body}");
-    // And the telemetry counter agrees.
     let (_, metrics) = client.get("/metrics").unwrap();
     let exposition = serenade_telemetry::parse(&metrics).unwrap();
     assert_eq!(exposition.sum_values("serenade_deadline_degraded_total", &[]), 2.0);

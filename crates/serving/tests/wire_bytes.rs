@@ -139,37 +139,12 @@ fn endpoint_bodies() {
         r#"{"index_generation":1,"status":"ok","uptime_seconds":N}"#
     );
 
-    // Before any predict: no latency fields, an empty trace ring.
-    assert_eq!(
-        client.get("/stats").unwrap(),
-        (
-            200,
-            String::from(
-                r#"{"pods":[{"busy_ms":0,"degraded":0,"depersonalised":0,"empty_responses":0,"errors":0,"live_sessions":0,"pod":0,"requests":0}]}"#
-            )
-        )
-    );
+    // Before any predict: an empty trace ring. The counters are read on
+    // `/metrics` alone; `/stats` is not a route.
+    assert_eq!(client.get("/stats").unwrap(), (404, String::from(r#"{"error":"not found"}"#)));
     assert_eq!(client.get("/debug/slow").unwrap(), (200, String::from(r#"{"traces":[]}"#)));
 
     assert_eq!(client.post("/recommend", r#"{"session_id":3,"item_id":2}"#).unwrap().0, 200);
-    let (status, body) = client.get("/stats").unwrap();
-    assert_eq!(status, 200);
-    let clocks = [
-        "busy_ms",
-        "p50_us",
-        "p90_us",
-        "p995_us",
-        "policy_p50_us",
-        "policy_p90_us",
-        "predict_p50_us",
-        "predict_p90_us",
-        "session_p50_us",
-        "session_p90_us",
-    ];
-    assert_eq!(
-        mask(&body, &clocks),
-        r#"{"pods":[{"busy_ms":N,"degraded":0,"depersonalised":0,"empty_responses":0,"errors":0,"live_sessions":1,"p50_us":N,"p90_us":N,"p995_us":N,"pod":0,"policy_p50_us":N,"policy_p90_us":N,"predict_p50_us":N,"predict_p90_us":N,"requests":1,"session_p50_us":N,"session_p90_us":N}]}"#
-    );
     let (status, body) = client.get("/debug/slow").unwrap();
     assert_eq!(status, 200);
     assert_eq!(

@@ -9,9 +9,10 @@
 //!   allocation-free recording via relaxed atomics.
 //! * [`registry`] — named counters/gauges/histograms rendered in the
 //!   Prometheus text exposition format for `GET /metrics`.
-//! * [`trace`] — a lock-striped ring buffer of recent slow-request traces
+//! * [`trace`] — a lock-striped ring buffer of recent request traces
 //!   (per-stage timings, session length, depersonalised flag) behind
-//!   sampling and threshold knobs, for `GET /debug/slow`.
+//!   sampling and threshold knobs fixed at construction, for
+//!   `GET /debug/slow`.
 //! * [`promtext`] — an exposition parser, so tests can verify conformance
 //!   and read server-side percentiles back from `/metrics`.
 //!
@@ -26,9 +27,7 @@ pub mod registry;
 pub mod sync;
 pub mod trace;
 
-pub use histogram::{
-    Histogram, HistogramConfig, HistogramSnapshot, LatencySummary, REL_ERROR_BOUND,
-};
+pub use histogram::{Histogram, HistogramConfig, HistogramSnapshot, REL_ERROR_BOUND};
 pub use promtext::{parse, Exposition, ParsedSample, ScrapedHistogram};
 pub use registry::{Counter, Gauge, Registry};
 pub use trace::{TraceConfig, TraceRing, TraceSample};

@@ -16,9 +16,9 @@
 //! theoretically torn read is a benign mixed sample, never undefined
 //! behavior.
 //!
-//! Both knobs are runtime-adjustable atomics: `sample_every` (0 disables
-//! tracing entirely) and `slow_threshold_us` (0 traces every sampled
-//! request).
+//! Both knobs are fixed when the ring is built from its [`TraceConfig`]:
+//! `sample_every` (0 disables tracing entirely) and `slow_threshold_us` (0
+//! traces every sampled request).
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
@@ -109,8 +109,8 @@ pub struct TraceRing {
     slots: Box<[Slot]>,
     /// Requests offered so far; drives sampling and slot rotation.
     seq: AtomicU64,
-    sample_every: AtomicU64,
-    slow_threshold_us: AtomicU64,
+    sample_every: u64,
+    slow_threshold_us: u64,
 }
 
 impl Default for TraceRing {
@@ -125,33 +125,9 @@ impl TraceRing {
         Self {
             slots: (0..config.slots.max(1)).map(|_| Slot::new()).collect(),
             seq: AtomicU64::new(0),
-            sample_every: AtomicU64::new(config.sample_every),
-            slow_threshold_us: AtomicU64::new(config.slow_threshold_us),
+            sample_every: config.sample_every,
+            slow_threshold_us: config.slow_threshold_us,
         }
-    }
-
-    /// Adjusts the sampling knob at runtime (0 disables tracing).
-    pub fn set_sample_every(&self, n: u64) {
-        // ORDERING: standalone knob with no partner; `record` tolerates a
-        // stale value (it only skews the sample rate for a few requests).
-        self.sample_every.store(n, Ordering::Relaxed);
-    }
-
-    /// Adjusts the slow threshold (microseconds) at runtime.
-    pub fn set_slow_threshold_us(&self, us: u64) {
-        // ORDERING: standalone knob with no partner; a stale threshold only
-        // mis-filters a few samples.
-        self.slow_threshold_us.store(us, Ordering::Relaxed);
-    }
-
-    /// Current `(sample_every, slow_threshold_us)` knob values.
-    pub fn knobs(&self) -> (u64, u64) {
-        // ORDERING: standalone knob reads, partnered with nothing; the
-        // setters publish no data under these values.
-        (
-            self.sample_every.load(Ordering::Relaxed),
-            self.slow_threshold_us.load(Ordering::Relaxed), // ORDERING: standalone knob read, partner: none
-        )
     }
 
     /// Offers a finished request's trace to the ring. Lock-free and
@@ -160,9 +136,7 @@ impl TraceRing {
     /// another writer on its slot.
     #[inline]
     pub fn record(&self, sample: &TraceSample) {
-        // ORDERING: standalone knob read (partner: none); staleness only
-        // skews the sampling rate.
-        let every = self.sample_every.load(Ordering::Relaxed);
+        let every = self.sample_every;
         if every == 0 {
             return;
         }
@@ -172,8 +146,7 @@ impl TraceRing {
         if seq % every != 0 {
             return;
         }
-        // ORDERING: standalone knob read (partner: none).
-        if sample.total_us < self.slow_threshold_us.load(Ordering::Relaxed) {
+        if sample.total_us < self.slow_threshold_us {
             return;
         }
         let slot = &self.slots[(seq / every) as usize % self.slots.len()];
@@ -239,8 +212,8 @@ impl std::fmt::Debug for TraceRing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceRing")
             .field("slots", &self.slots.len())
-            .field("sample_every", &self.sample_every.load(Ordering::Relaxed)) // ORDERING: debug knob read, partner: none
-            .field("slow_threshold_us", &self.slow_threshold_us.load(Ordering::Relaxed)) // ORDERING: debug knob read, partner: none
+            .field("sample_every", &self.sample_every)
+            .field("slow_threshold_us", &self.slow_threshold_us)
             .finish()
     }
 }
@@ -311,17 +284,9 @@ mod tests {
         }
         assert_eq!(ring.snapshot().len(), 4);
 
-        ring.set_sample_every(0);
-        ring.record(&sample(99, 100));
-        assert!(ring.snapshot().iter().all(|s| s.request_id != 99));
-    }
-
-    #[test]
-    fn knobs_are_runtime_adjustable() {
-        let ring = TraceRing::default();
-        ring.set_sample_every(7);
-        ring.set_slow_threshold_us(2_500);
-        assert_eq!(ring.knobs(), (7, 2_500));
+        let disabled = TraceRing::new(TraceConfig { sample_every: 0, ..TraceConfig::default() });
+        disabled.record(&sample(99, 100));
+        assert!(disabled.snapshot().is_empty());
     }
 
     #[test]

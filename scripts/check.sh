@@ -105,7 +105,7 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smok
 echo "==> benchmark: the generator's self-tests"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> loom models: serving (IndexHandle publication, drain handshake, stats stripes)"
+echo "==> loom models: serving (IndexHandle publication, drain handshake, prediction cache, stats counters)"
 cargo test -q -p serenade-serving --features loom
 
 echo "==> loom models: kvstore (TtlStore expiry race)"
