@@ -82,16 +82,6 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// Drop-in `HashSet` with the fast Fx hasher.
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
-/// Creates an [`FxHashMap`] with at least `capacity` slots preallocated.
-pub fn fx_map_with_capacity<K, V>(capacity: usize) -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default())
-}
-
-/// Creates an [`FxHashSet`] with at least `capacity` slots preallocated.
-pub fn fx_set_with_capacity<K>(capacity: usize) -> FxHashSet<K> {
-    FxHashSet::with_capacity_and_hasher(capacity, FxBuildHasher::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,11 +116,11 @@ mod tests {
 
     #[test]
     fn map_and_set_are_usable() {
-        let mut m: FxHashMap<u64, u32> = fx_map_with_capacity(8);
+        let mut m: FxHashMap<u64, u32> = FxHashMap::default();
         m.insert(1, 10);
         m.insert(2, 20);
         assert_eq!(m.get(&1), Some(&10));
-        let mut s: FxHashSet<u64> = fx_set_with_capacity(8);
+        let mut s: FxHashSet<u64> = FxHashSet::default();
         s.insert(5);
         assert!(s.contains(&5));
         assert!(!s.contains(&6));

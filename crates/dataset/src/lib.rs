@@ -7,34 +7,30 @@
 //!
 //! This crate provides:
 //!
-//! * [`loader`] — CSV loaders for the public dataset formats (used verbatim
-//!   when the real files are available on disk);
 //! * [`synthetic`] — a statistically calibrated synthetic clickstream
-//!   generator that substitutes the proprietary (and, offline, the public)
-//!   datasets: session-length distribution matched to the Table 1
-//!   percentiles, Zipf item popularity, within-session topical coherence and
-//!   day-level popularity drift (so that recency sampling matters, as it does
-//!   on the real platform);
-//! * [`mod@preprocess`] — inactivity-gap splitting and support filters (the
-//!   session-rec preprocessing pipeline);
+//!   generator that substitutes the proprietary and the public datasets:
+//!   session-length distribution matched to the Table 1 percentiles, Zipf
+//!   item popularity, within-session topical coherence and day-level
+//!   popularity drift (so that recency sampling matters, as it does on the
+//!   real platform);
 //! * [`session`] — sessionization of a click log;
 //! * [`split`] — temporal train/test splits (the paper holds out the last day);
 //! * [`stats`] — the Table 1 statistics (clicks, sessions, items, days,
 //!   clicks-per-session percentiles).
+//!
+//! There is no file loader: nothing here reads the real CSVs, so a loader
+//! (and the session-rec preprocessing that goes with it) comes back with
+//! its first caller, once the files are in the repository.
 
 #![warn(missing_docs)]
 
-pub mod loader;
-pub mod preprocess;
 pub mod session;
 pub mod split;
 pub mod stats;
 pub mod synthetic;
 
-pub use loader::{CsvFormat, LoaderError, TimeFormat};
-pub use preprocess::{preprocess, split_on_inactivity};
 pub use session::{sessionize, Session};
-pub use split::{split_last_days, temporal_split, EvaluationSplit};
+pub use split::{split_last_days, EvaluationSplit};
 pub use stats::{percentile, DatasetStats};
 pub use synthetic::{generate, SyntheticConfig};
 

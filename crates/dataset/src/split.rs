@@ -29,15 +29,11 @@ impl EvaluationSplit {
 }
 
 /// Splits on a timestamp: sessions *ending* strictly before `cutoff` train,
-/// sessions ending at/after it test.
+/// sessions ending at/after it test. Sessions are ranked by their end, so
+/// the test sessions are the ranks from the first that ends at or after
+/// `cutoff`.
 pub fn split_at(clicks: &[Click], cutoff: u64) -> EvaluationSplit {
-    split_runs(clicks, &SessionRuns::group(clicks, 1), cutoff)
-}
-
-/// [`split_at`] over the grouping of `clicks`. Sessions are ranked by their
-/// end, so the test sessions are the ranks from the first that ends at or
-/// after `cutoff`.
-fn split_runs(clicks: &[Click], runs: &SessionRuns, cutoff: u64) -> EvaluationSplit {
+    let runs = &SessionRuns::group(clicks, 1);
     let mut first_test = runs.len();
     while first_test > 0 && runs.timestamp(first_test - 1) >= cutoff {
         first_test -= 1;
@@ -75,21 +71,6 @@ pub fn split_last_days(clicks: &[Click], days: u64) -> EvaluationSplit {
     let max_ts = clicks.iter().map(|c| c.timestamp).max().unwrap_or(0);
     let cutoff = max_ts.saturating_sub(days.saturating_mul(86_400)).saturating_add(1);
     split_at(clicks, cutoff)
-}
-
-/// Holds out the chronologically last `fraction` of sessions.
-///
-/// `fraction` must be in `(0, 1)`.
-pub fn temporal_split(clicks: &[Click], fraction: f64) -> EvaluationSplit {
-    assert!(fraction > 0.0 && fraction < 1.0, "fraction must be in (0, 1)");
-    let runs = SessionRuns::group(clicks, 1);
-    if runs.is_empty() {
-        return EvaluationSplit { train: Vec::new(), test: Vec::new() };
-    }
-    let test_count = ((runs.len() as f64 * fraction).round() as usize)
-        .clamp(1, runs.len().saturating_sub(1).max(1));
-    let cutoff = runs.timestamp(runs.len() - test_count);
-    split_runs(clicks, &runs, cutoff)
 }
 
 #[cfg(test)]
@@ -142,22 +123,6 @@ mod tests {
     fn prediction_events_count() {
         let split = split_last_days(&clicks_over_days(), 1);
         assert_eq!(split.num_prediction_events(), 1); // one 2-click session
-    }
-
-    #[test]
-    fn temporal_split_respects_fraction() {
-        let split = temporal_split(&clicks_over_days(), 0.25);
-        // 4 sessions; 25% -> 1 test session, the most recent one.
-        assert_eq!(split.test.len(), 1);
-        assert_eq!(split.test[0].id, 4);
-        let train_ids: FxHashSet<u64> = split.train.iter().map(|c| c.session_id).collect();
-        assert_eq!(train_ids.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction")]
-    fn temporal_split_rejects_bad_fraction() {
-        let _ = temporal_split(&clicks_over_days(), 1.5);
     }
 
     #[test]

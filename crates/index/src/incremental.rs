@@ -348,11 +348,6 @@ impl IncrementalIndexer {
         self.deletions
     }
 
-    /// Number of tombstoned (explicitly deleted) session ids.
-    pub fn tombstone_count(&self) -> usize {
-        self.tombstones.len()
-    }
-
     /// Number of session-item entries the index holds, all rows together:
     /// what the retention cap counts.
     pub fn retained_session_items(&self) -> usize {
@@ -1187,7 +1182,7 @@ mod tests {
         let mut inc = IncrementalIndexer::new(7).unwrap();
         inc.apply_batch(&batch(1..5, 1_000)).unwrap();
         assert!(!inc.delete_session(99).unwrap());
-        assert_eq!(inc.tombstone_count(), 1);
+        assert_eq!(inc.tombstones.len(), 1);
         assert_eq!(inc.deletion_count(), 0);
         // The pre-delete index is untouched...
         let reference = SessionIndex::build(&batch(1..5, 1_000), 7).unwrap();

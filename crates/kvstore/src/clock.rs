@@ -39,11 +39,6 @@ impl ManualClock {
     pub fn advance_ms(&self, ms: u64) {
         self.now.fetch_add(ms, Ordering::SeqCst);
     }
-
-    /// Sets the clock to an absolute time.
-    pub fn set_ms(&self, ms: u64) {
-        self.now.store(ms, Ordering::SeqCst);
-    }
 }
 
 impl Clock for ManualClock {
@@ -71,8 +66,6 @@ mod tests {
         assert_eq!(c.now_ms(), 0);
         c.advance_ms(500);
         assert_eq!(c.now_ms(), 500);
-        c.set_ms(10);
-        assert_eq!(c.now_ms(), 10);
     }
 
     #[test]

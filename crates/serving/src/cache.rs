@@ -299,21 +299,21 @@ pub struct CacheConfig {
     pub shards: usize,
     /// Bounded CLOCK capacity per shard; total capacity is the product.
     pub capacity_per_shard: usize,
-    /// How many publish epochs the attached [`EpochLog`] retains. An entry
-    /// older than the window can no longer be revalidated and degrades to
-    /// the whole-generation stale path.
-    pub epoch_window: usize,
 }
 
 impl Default for CacheConfig {
     /// 8 shards × 512 entries ≈ 4k distinct single-item views — far more
-    /// than the hot head of a Zipf-distributed catalogue needs. 64 retained
-    /// epochs cover multiple seconds of mini-publishing at the default
-    /// ingest cadence.
+    /// than the hot head of a Zipf-distributed catalogue needs.
     fn default() -> Self {
-        Self { enabled: true, shards: 8, capacity_per_shard: 512, epoch_window: 64 }
+        Self { enabled: true, shards: 8, capacity_per_shard: 512 }
     }
 }
+
+/// How many publish epochs a cache's [`EpochLog`] retains: multiple seconds
+/// of mini-publishing at the default ingest cadence. An entry older than
+/// the window can no longer be revalidated and degrades to the
+/// whole-generation stale path.
+const EPOCH_WINDOW: usize = 64;
 
 /// The production prediction cache: a [`GenerationCache`] over
 /// `(item, view-kind)` keys plus the `serenade_cache_*` telemetry.
@@ -343,7 +343,7 @@ impl PredictionCache {
     pub(crate) fn with_registry(config: CacheConfig, registry: &Registry) -> Self {
         Self {
             inner: GenerationCache::new(config.shards, config.capacity_per_shard),
-            epochs: Arc::new(EpochLog::new(config.epoch_window)),
+            epochs: Arc::new(EpochLog::new(EPOCH_WINDOW)),
             hits: registry.counter(
                 "serenade_cache_hits_total",
                 "Prediction-cache lookups served from a generation-valid entry.",

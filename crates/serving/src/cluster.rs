@@ -116,18 +116,6 @@ impl ServingCluster {
         config: EngineConfig,
         rules: BusinessRules,
     ) -> Result<Self, CoreError> {
-        Self::with_trace_config(index, pods, config, rules, TraceConfig::default())
-    }
-
-    /// [`ServingCluster::new`] with an explicit slow-request trace
-    /// configuration (ring size, sampling rate, slow threshold).
-    pub fn with_trace_config(
-        index: Arc<SessionIndex>,
-        pods: usize,
-        config: EngineConfig,
-        rules: BusinessRules,
-        trace: TraceConfig,
-    ) -> Result<Self, CoreError> {
         if pods != 1 {
             return Err(CoreError::InvalidConfig {
                 parameter: "pods",
@@ -137,6 +125,17 @@ impl ServingCluster {
                 ),
             });
         }
+        Self::with_trace_config(index, config, rules, TraceConfig::default())
+    }
+
+    /// [`ServingCluster::new`] with an explicit slow-request trace
+    /// configuration (ring size, sampling rate, slow threshold).
+    pub fn with_trace_config(
+        index: Arc<SessionIndex>,
+        config: EngineConfig,
+        rules: BusinessRules,
+        trace: TraceConfig,
+    ) -> Result<Self, CoreError> {
         // The published value uses the sync-facade Arc: under the loom
         // feature the handle's reclamation protocol is model-checked.
         let vmis = crate::sync::Arc::new(build_recommender(index, &config)?);
@@ -589,7 +588,7 @@ mod tests {
     }
 
     #[test]
-    fn eviction_sweep_runs_on_all_pods() {
+    fn eviction_sweep_keeps_unexpired_sessions() {
         let c = cluster();
         for sid in 0..10u64 {
             c.handle(req(sid, 0)).unwrap();
@@ -623,7 +622,6 @@ mod tests {
         let every_request = TraceConfig { slots: 16, sample_every: 1, slow_threshold_us: 0 };
         let c = ServingCluster::with_trace_config(
             index(),
-            1,
             EngineConfig::default(),
             BusinessRules::none(),
             every_request,

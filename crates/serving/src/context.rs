@@ -82,7 +82,7 @@ impl RequestContext {
 
     /// Sets (or clears) the deadline budget for the in-flight request.
     /// Assigned at HTTP ingress; stages downstream observe it through
-    /// [`Self::remaining_budget`] and degrade rather than blow the SLA.
+    /// [`Self::deadline_expired_at`] and degrade rather than blow the SLA.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
         self.degraded = false;
@@ -91,12 +91,6 @@ impl RequestContext {
     /// The absolute deadline of the in-flight request, if one was set.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
-    }
-
-    /// Budget left before the deadline (`None` = no deadline configured;
-    /// `Some(ZERO)` = already expired).
-    pub fn remaining_budget(&self) -> Option<Duration> {
-        self.deadline.map(|d| d.saturating_duration_since(Instant::now()))
     }
 
     /// Whether the deadline had already passed at `now`. Takes the probe
@@ -139,10 +133,10 @@ mod tests {
     #[test]
     fn deadline_budget_and_expiry() {
         let mut ctx = RequestContext::new();
-        assert!(ctx.remaining_budget().is_none());
+        assert!(ctx.deadline().is_none());
         let now = Instant::now();
         ctx.set_deadline(Some(now + Duration::from_secs(3600)));
-        assert!(ctx.remaining_budget().is_some_and(|b| b > Duration::from_secs(3000)));
+        assert_eq!(ctx.deadline(), Some(now + Duration::from_secs(3600)));
         assert!(!ctx.deadline_expired_at(now));
         assert!(ctx.deadline_expired_at(now + Duration::from_secs(3601)));
         ctx.set_degraded(true);

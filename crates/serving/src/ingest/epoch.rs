@@ -30,7 +30,7 @@
 //! VMIS-kNN weighs every neighbour by `log(|H| / h_i)`, and `|H|` (total
 //! session count) moves on every publish — so a revalidated entry's scores
 //! can drift by the idf delta even though its neighbourhood is unchanged.
-//! That drift is bounded by the epoch window (at most `epoch_window`
+//! That drift is bounded by the cache's epoch window (at most 64
 //! mini-publishes, seconds of traffic) and collapses to zero at the next
 //! full rollover, which records [`EpochChange::All`] and evicts everything.
 //! This is the deliberate freshness/throughput trade documented in
@@ -155,11 +155,6 @@ impl EpochLog {
             let _ = (change, item);
         }
         true
-    }
-
-    /// The newest recorded generation, if any (observability/tests).
-    pub fn latest_generation(&self) -> Option<u64> {
-        self.epochs.lock().back().map(|&(g, _)| g)
     }
 
     /// Number of retained epochs (observability/tests).

@@ -89,7 +89,6 @@ impl ServingNode {
     pub fn start(index: Arc<SessionIndex>, config: NodeConfig) -> Result<Self, CoreError> {
         let cluster = Arc::new(ServingCluster::with_trace_config(
             index,
-            1,
             config.engine,
             config.rules,
             TraceConfig::default(),

@@ -7,8 +7,8 @@
 //!   shutdown controller ([`super::HttpServer::stop_and_join`]);
 //! * **inflight accounting** — how many requests are between admission and
 //!   completion, read by the drain loop and exported as a gauge;
-//! * **admission** — a request is admitted only while `RUNNING` and below
-//!   the inflight watermark; everything else is shed with `503`.
+//! * **admission** — a request is admitted only while `RUNNING`; while
+//!   the server drains it is shed with `503`.
 //!
 //! # Why the orderings are `SeqCst` (Dekker handshake)
 //!
@@ -58,9 +58,6 @@ pub enum Admission {
     Admitted,
     /// The server is draining or stopped: shed with `503` and close.
     Draining,
-    /// The inflight watermark is exceeded: shed with `503 + Retry-After`,
-    /// keep-alive may continue (framing is intact).
-    Overloaded,
 }
 
 /// Shared admission/drain state. See the module docs for the protocol.
@@ -76,19 +73,15 @@ impl LifecycleGate {
         Self { state: AtomicUsize::new(RUNNING), inflight: AtomicUsize::new(0) }
     }
 
-    /// Admission check for one parsed request. `max_inflight == 0` means
-    /// no watermark. On [`Admission::Admitted`] the caller must invoke
-    /// [`Self::finish_request`] exactly once, on every path.
-    pub fn try_begin_request(&self, max_inflight: usize) -> Admission {
+    /// Admission check for one parsed request. On [`Admission::Admitted`]
+    /// the caller must invoke [`Self::finish_request`] exactly once, on
+    /// every path.
+    pub fn try_begin_request(&self) -> Admission {
         // Publish intent first (Dekker; see module docs).
-        let prior = self.inflight.fetch_add(1, HANDSHAKE);
+        self.inflight.fetch_add(1, HANDSHAKE);
         if self.state.load(HANDSHAKE) != RUNNING {
             self.inflight.fetch_sub(1, HANDSHAKE);
             return Admission::Draining;
-        }
-        if max_inflight != 0 && prior >= max_inflight {
-            self.inflight.fetch_sub(1, HANDSHAKE);
-            return Admission::Overloaded;
         }
         Admission::Admitted
     }
@@ -137,42 +130,32 @@ mod tests {
     use crate::sync::Arc;
 
     #[test]
-    fn admits_below_watermark_and_sheds_above() {
-        let gate = LifecycleGate::new();
-        assert_eq!(gate.try_begin_request(2), Admission::Admitted);
-        assert_eq!(gate.try_begin_request(2), Admission::Admitted);
-        assert_eq!(gate.try_begin_request(2), Admission::Overloaded);
-        assert_eq!(gate.inflight(), 2);
-        gate.finish_request();
-        assert_eq!(gate.try_begin_request(2), Admission::Admitted);
-        gate.finish_request();
-        gate.finish_request();
-        assert_eq!(gate.inflight(), 0);
-    }
-
-    #[test]
-    fn zero_watermark_means_unlimited() {
+    fn a_running_gate_admits_without_limit() {
         let gate = LifecycleGate::new();
         for _ in 0..100 {
-            assert_eq!(gate.try_begin_request(0), Admission::Admitted);
+            assert_eq!(gate.try_begin_request(), Admission::Admitted);
         }
         assert_eq!(gate.inflight(), 100);
+        for _ in 0..100 {
+            gate.finish_request();
+        }
+        assert_eq!(gate.inflight(), 0);
     }
 
     #[test]
     fn draining_bounces_new_requests_but_keeps_inflight() {
         let gate = LifecycleGate::new();
-        assert_eq!(gate.try_begin_request(0), Admission::Admitted);
+        assert_eq!(gate.try_begin_request(), Admission::Admitted);
         assert!(gate.begin_drain());
         assert!(!gate.begin_drain(), "second drain call must report no-op");
-        assert_eq!(gate.try_begin_request(0), Admission::Draining);
+        assert_eq!(gate.try_begin_request(), Admission::Draining);
         assert_eq!(gate.inflight(), 1, "the admitted request survives drain");
         gate.finish_request();
         assert_eq!(gate.inflight(), 0);
         assert!(!gate.is_running() && !gate.is_stopped(), "draining");
         gate.force_stop();
         assert!(gate.is_stopped());
-        assert_eq!(gate.try_begin_request(0), Admission::Draining);
+        assert_eq!(gate.try_begin_request(), Admission::Draining);
     }
 
     /// Std twin of the loom drain model: once the controller has observed
@@ -189,7 +172,7 @@ mod tests {
                 let done = Arc::clone(&done);
                 let closed = Arc::clone(&closed);
                 handles.push(std::thread::spawn(move || {
-                    if gate.try_begin_request(0) == Admission::Admitted {
+                    if gate.try_begin_request() == Admission::Admitted {
                         assert_eq!(
                             closed.load(Ordering::SeqCst),
                             0,

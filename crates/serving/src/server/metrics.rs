@@ -98,8 +98,6 @@ pub struct ServerMetrics {
     pub requests: Arc<Counter>,
     /// Sheds because the pending-connection queue was at capacity.
     pub shed_queue_full: Arc<Counter>,
-    /// Sheds because the inflight watermark was exceeded.
-    pub shed_inflight: Arc<Counter>,
     /// Sheds because the server was draining or stopped.
     pub shed_draining: Arc<Counter>,
     /// Connections answered 503-and-close at the accept gate because the
@@ -164,7 +162,6 @@ impl ServerMetrics {
                 &[],
             ),
             shed_queue_full: shed("queue_full"),
-            shed_inflight: shed("inflight"),
             shed_draining: shed("draining"),
             shed_connections: shed("connection_limit"),
             timeouts_read: timeout("read"),
@@ -218,7 +215,6 @@ mod tests {
         let m = ServerMetrics::new(&registry);
         m.connections.inc();
         m.shed_queue_full.inc();
-        m.shed_inflight.add(2);
         m.shed_draining.inc();
         m.shed_connections.inc();
         m.timeouts_idle.inc();
@@ -227,7 +223,6 @@ mod tests {
         let text = registry.render();
         assert!(text.contains("serenade_http_connections_total 1"), "{text}");
         assert!(text.contains("serenade_http_shed_total{reason=\"queue_full\"} 1"), "{text}");
-        assert!(text.contains("serenade_http_shed_total{reason=\"inflight\"} 2"), "{text}");
         assert!(text.contains("serenade_http_shed_total{reason=\"draining\"} 1"), "{text}");
         assert!(
             text.contains("serenade_http_shed_total{reason=\"connection_limit\"} 1"),

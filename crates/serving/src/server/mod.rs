@@ -65,9 +65,9 @@
 //!
 //! # Overload and framing
 //!
-//! * admission control sheds with `503` + a `retry-after` header when the
-//!   dispatch queue, the connection cap or the inflight watermark is
-//!   exceeded, and while the server drains;
+//! * admission control sheds with `503` + a `retry-after: 1` header when
+//!   the dispatch queue or the connection cap is full, and while the
+//!   server drains;
 //! * framing violations answer a precise 4xx (`400` malformed request line
 //!   or header, `413` oversized body, `431` oversized head) and close;
 //! * slow clients get `408` after `request_read_timeout`; idle keep-alive
@@ -112,8 +112,9 @@ pub use lifecycle::{Admission, LifecycleGate};
 pub use metrics::{ConnState, ServerMetrics};
 
 /// Server configuration. [`Default`] keeps the seed's behaviour (generous
-/// limits, no inflight watermark); the overload and drain tests tighten the
-/// knobs they exercise.
+/// limits); the overload and drain tests tighten the knobs they exercise.
+/// The reactor's tick (50 ms), the write budget for one response (5 s) and
+/// the `retry-after` of a `503` (1 s) are constants of the reactor.
 #[derive(Debug, Clone)]
 pub struct HttpServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
@@ -127,9 +128,6 @@ pub struct HttpServerConfig {
     /// it are answered `503 + Retry-After` and closed. `0` = unlimited
     /// (bounded only by the process fd limit).
     pub max_connections: usize,
-    /// Inflight-request watermark; requests beyond it are shed with
-    /// `503 + Retry-After`. `0` = unlimited.
-    pub max_inflight_requests: usize,
     /// Largest accepted request body; bigger is `413` + close.
     pub max_body_bytes: usize,
     /// Cap on the request head (request line + headers); bigger is `431`.
@@ -138,15 +136,10 @@ pub struct HttpServerConfig {
     pub max_headers: usize,
     /// Requests served per connection before it is closed. `0` = unlimited.
     pub keepalive_max_requests: usize,
-    /// Reactor tick: upper bound on how long the poller sleeps with no
-    /// readiness, wake or timer traffic. Bounds timeout-sweep latency.
-    pub read_timeout: Duration,
     /// Slow-client budget for one full request frame; exceeding it is
     /// `408` + close. `Duration::ZERO` is never exceeded in practice —
     /// pick a real budget.
     pub request_read_timeout: Duration,
-    /// Budget for flushing one response to a slow reader.
-    pub write_timeout: Duration,
     /// Idle keep-alive reaping budget. `Duration::ZERO` = never reap.
     pub idle_timeout: Duration,
     /// Per-request deadline budget, measured from the frame's first byte;
@@ -155,8 +148,6 @@ pub struct HttpServerConfig {
     pub request_deadline: Duration,
     /// How long shutdown waits for inflight/queued work before forcing.
     pub drain_grace: Duration,
-    /// Value of the `retry-after` header on `503` sheds.
-    pub retry_after_seconds: u32,
 }
 
 impl Default for HttpServerConfig {
@@ -166,18 +157,14 @@ impl Default for HttpServerConfig {
             workers: 4,
             queue_capacity: 1024,
             max_connections: 0,
-            max_inflight_requests: 0,
             max_body_bytes: 1 << 20,
             max_head_bytes: 8 * 1024,
             max_headers: 64,
             keepalive_max_requests: 0,
-            read_timeout: Duration::from_millis(50),
             request_read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(60),
             request_deadline: Duration::from_secs(5),
             drain_grace: Duration::from_secs(5),
-            retry_after_seconds: 1,
         }
     }
 }

@@ -154,12 +154,6 @@ impl Parser {
         self.has_buffered() || !matches!(self.section, Section::Head)
     }
 
-    /// True once the parser is mid-*body* (the head parsed; the connection
-    /// state machine is in ReadingBody).
-    pub fn in_body(&self) -> bool {
-        matches!(self.section, Section::Body { .. })
-    }
-
     /// Advances the state machine over the buffered bytes.
     ///
     /// After a [`Poll::Reject`] the parser is poisoned: every later poll
@@ -623,10 +617,10 @@ mod tests {
         p.feed(b"POST /x HTTP/1.1\r\n");
         assert_eq!(p.poll(), Poll::NeedHead);
         assert!(p.mid_request());
-        assert!(!p.in_body());
+        assert!(!matches!(p.section, Section::Body { .. }));
         p.feed(b"content-length: 3\r\n\r\n");
         assert_eq!(p.poll(), Poll::NeedBody);
-        assert!(p.in_body());
+        assert!(matches!(p.section, Section::Body { .. }));
         p.feed(b"abc");
         assert!(matches!(p.poll(), Poll::Request(_)));
         assert!(!p.mid_request());

@@ -595,6 +595,16 @@ impl<T> Slab<T> {
 /// O(connections), so under event pressure it must not run per wakeup.
 const SWEEP_INTERVAL: Duration = Duration::from_millis(25);
 
+/// The poller's longest sleep with no readiness, wake or timer traffic:
+/// bounds how late a timeout sweep runs.
+const TICK: Duration = Duration::from_millis(50);
+
+/// Budget for flushing one response to a slow reader.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The `retry-after` header of every `503` shed, in seconds.
+const RETRY_AFTER: Option<u32> = Some(1);
+
 /// The reactor: poller, listener, connection slabs and the dispatch plumbing.
 pub(super) struct Reactor<B: RequestBackend> {
     poller: Poller,
@@ -659,10 +669,9 @@ impl<B: RequestBackend> Reactor<B> {
     /// exit every connection is closed and the dispatch queue is closed so
     /// workers drain their backlog and join.
     pub(super) fn run(mut self) {
-        let tick = self.shared.config.read_timeout.max(Duration::from_millis(1));
         loop {
             self.events.clear();
-            if self.poller.wait(&mut self.events, tick).is_err() {
+            if self.poller.wait(&mut self.events, TICK).is_err() {
                 // Transient poller failure: treat as an empty tick; the
                 // timer sweep and gate checks below still run.
             }
@@ -758,16 +767,10 @@ impl<B: RequestBackend> Reactor<B> {
     /// so answer `503 + Retry-After` on the still-blocking socket and close.
     fn shed_connection(&mut self, stream: TcpStream) {
         self.shared.metrics.shed_connections.inc();
-        let config = &self.shared.config;
-        let _ = stream.set_write_timeout(Some(config.write_timeout));
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         let body = json::error(OVERLOADED);
-        let bytes = conn::render_response(
-            503,
-            body.as_bytes(),
-            CONTENT_TYPE_JSON,
-            true,
-            Some(config.retry_after_seconds),
-        );
+        let bytes =
+            conn::render_response(503, body.as_bytes(), CONTENT_TYPE_JSON, true, RETRY_AFTER);
         let mut stream = stream;
         let _ = stream.write_all(&bytes);
         // Lingering close. The shed client is usually mid-write: closing
@@ -777,7 +780,7 @@ impl<B: RequestBackend> Reactor<B> {
         // drain until the client's FIN so the response is reliably
         // delivered — bounded, since a shed storm must not capture the
         // reactor thread (the blocking `write_all` above has the same
-        // `write_timeout` bound).
+        // `WRITE_TIMEOUT` bound).
         let _ = stream.shutdown(std::net::Shutdown::Write);
         const SHED_LINGER: Duration = Duration::from_millis(100);
         let _ = stream.set_read_timeout(Some(SHED_LINGER));
@@ -930,24 +933,12 @@ impl<B: RequestBackend> Reactor<B> {
     /// this turn shows it arrived alone, else on a worker; a remote
     /// one is forwarded. Everything else is a worker's.
     fn handle_request(&mut self, token: u64, request: ParsedRequest, started: Instant) {
-        let max_inflight = self.shared.config.max_inflight_requests;
-        let retry = Some(self.shared.config.retry_after_seconds);
         let keepalive_cap = self.shared.config.keepalive_max_requests;
-        match self.shared.gate.try_begin_request(max_inflight) {
-            Admission::Draining => {
-                self.shared.metrics.shed_draining.inc();
-                self.set_state(token, ConnState::Draining);
-                self.respond_now(token, 503, &json::error(OVERLOADED), true, retry);
-                return;
-            }
-            Admission::Overloaded => {
-                self.shared.metrics.shed_inflight.inc();
-                // Framing is intact: shed the request, keep the connection
-                // unless the client asked to close.
-                self.respond_now(token, 503, &json::error(OVERLOADED), request.close, retry);
-                return;
-            }
-            Admission::Admitted => {}
+        if self.shared.gate.try_begin_request() == Admission::Draining {
+            self.shared.metrics.shed_draining.inc();
+            self.set_state(token, ConnState::Draining);
+            self.respond_now(token, 503, &json::error(OVERLOADED), true, RETRY_AFTER);
+            return;
         }
         let Some(conn) = self.slab.get_mut(token) else {
             self.shared.gate.finish_request();
@@ -1000,7 +991,7 @@ impl<B: RequestBackend> Reactor<B> {
             Err(_rejected) => {
                 self.shared.gate.finish_request();
                 self.shared.metrics.shed_queue_full.inc();
-                self.respond_now(token, 503, &json::error(OVERLOADED), client_close, retry);
+                self.respond_now(token, 503, &json::error(OVERLOADED), client_close, RETRY_AFTER);
             }
         }
     }
@@ -1424,8 +1415,8 @@ impl<B: RequestBackend> Reactor<B> {
     /// admitted on it.
     fn sweep_timeouts(&mut self, now: Instant, draining: bool) {
         let config = &self.shared.config;
-        let (write_timeout, request_read_timeout, idle_timeout) =
-            (config.write_timeout, config.request_read_timeout, config.idle_timeout);
+        let (request_read_timeout, idle_timeout) =
+            (config.request_read_timeout, config.idle_timeout);
         let mut tokens = std::mem::take(&mut self.sweep_tokens);
         self.slab.tokens_into(&mut tokens);
         for &token in &tokens {
@@ -1443,7 +1434,7 @@ impl<B: RequestBackend> Reactor<B> {
             }
             if !conn.out.is_empty() {
                 if let Some(since) = conn.write_since {
-                    if now.duration_since(since) > write_timeout {
+                    if now.duration_since(since) > WRITE_TIMEOUT {
                         self.shared.metrics.timeouts_write.inc();
                         self.close(token);
                     }

@@ -315,11 +315,6 @@ impl RemotePod {
         self.addr
     }
 
-    /// Idle connections currently pooled (observability/tests).
-    pub fn idle_connections(&self) -> usize {
-        self.idle.lock().len()
-    }
-
     /// One exchange over a pooled connection, dialling one when the pool is
     /// empty; the pool guard is dropped before any socket I/O. A pooled
     /// connection the node has closed since (idle reaping, a restart) fails
@@ -451,7 +446,7 @@ mod tests {
             "{err:?}"
         );
         assert!(started.elapsed() < Duration::from_secs(2), "{:?}", started.elapsed());
-        assert_eq!(pod.idle_connections(), 0, "a timed-out connection is never pooled");
+        assert_eq!(pod.idle.lock().len(), 0, "a timed-out connection is never pooled");
         drop(listener);
     }
 
@@ -471,7 +466,7 @@ mod tests {
         });
         let pod = RemotePod::new(addr, Duration::from_secs(2));
         assert_eq!(pod.call("GET", "/health", None).unwrap(), (200, b"ok".to_vec()));
-        assert_eq!(pod.idle_connections(), 1);
+        assert_eq!(pod.idle.lock().len(), 1);
         assert_eq!(pod.call("GET", "/health", None).unwrap(), (200, b"ok".to_vec()));
         node.join().unwrap();
     }
@@ -481,8 +476,8 @@ mod tests {
         // No live server needed: the pool logic is independent of whether
         // connections work. Dial nothing, exercise the bound directly.
         let pod = RemotePod::new("127.0.0.1:1".parse().unwrap(), Duration::from_millis(100));
-        assert_eq!(pod.idle_connections(), 0);
+        assert_eq!(pod.idle.lock().len(), 0);
         assert!(pod.call("GET", "/health", None).is_err(), "nothing listens on port 1");
-        assert_eq!(pod.idle_connections(), 0, "failed connections are never pooled");
+        assert_eq!(pod.idle.lock().len(), 0, "failed connections are never pooled");
     }
 }

@@ -161,7 +161,7 @@ fn drain_handshake_model() {
             let gate = StdArc::clone(&gate);
             let closed = StdArc::clone(&closed);
             loom::thread::spawn(move || {
-                if gate.try_begin_request(0) == Admission::Admitted {
+                if gate.try_begin_request() == Admission::Admitted {
                     // The request body runs here. The controller must not
                     // have declared the server quiesced.
                     assert_eq!(

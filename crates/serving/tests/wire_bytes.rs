@@ -43,7 +43,6 @@ fn cluster() -> Arc<ServingCluster> {
     Arc::new(
         ServingCluster::with_trace_config(
             index(),
-            1,
             EngineConfig::default(),
             BusinessRules::none(),
             always_sample,

@@ -160,13 +160,6 @@ impl Histogram {
         self.record_us(value.as_micros() as u64);
     }
 
-    /// Records into an explicit shard — test hook for exercising the merge
-    /// without spawning threads.
-    #[doc(hidden)]
-    pub fn record_us_in_shard(&self, shard: usize, value_us: u64) {
-        self.record_into(shard % self.shards.len(), value_us);
-    }
-
     /// Records one observation into shard `shard` (in range).
     #[inline]
     fn record_into(&self, shard: usize, value_us: u64) {
@@ -278,17 +271,6 @@ impl HistogramSnapshot {
         }
         out
     }
-
-    /// Merges another snapshot (same bucket geometry) into this one.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_us = self.sum_us.wrapping_add(other.sum_us);
-        self.min_us = self.min_us.min(other.min_us);
-        self.max_us = self.max_us.max(other.max_us);
-    }
 }
 
 #[cfg(all(test, not(feature = "loom")))]
@@ -339,7 +321,7 @@ mod tests {
     fn snapshot_counts_and_extremes_are_exact() {
         let h = Histogram::new(HistogramConfig { max_value_us: 1 << 30, shards: 4 });
         for (i, v) in [3u64, 100, 7_500, 100, 1_000_000].into_iter().enumerate() {
-            h.record_us_in_shard(i, v);
+            h.record_into(i % 4, v);
         }
         let s = h.snapshot();
         assert_eq!(s.count, 5);
@@ -390,19 +372,6 @@ mod tests {
             prev = c;
         }
         assert_eq!(prev, s.count);
-    }
-
-    #[test]
-    fn snapshot_merge_adds_distributions() {
-        let a = Histogram::default();
-        let b = Histogram::default();
-        a.record_us(10);
-        b.record_us(1_000);
-        let mut s = a.snapshot();
-        s.merge(&b.snapshot());
-        assert_eq!(s.count, 2);
-        assert_eq!(s.min_us, 10);
-        assert_eq!(s.max_us, 1_000);
     }
 
     #[test]

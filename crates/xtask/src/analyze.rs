@@ -3,7 +3,8 @@
 //! `cargo run -p xtask -- analyze [--json] [--baseline FILE]` runs the
 //! whole pipeline over `crates/` (shims implement the primitives the rules
 //! reason about, so they are out of scope; test code is skipped inside the
-//! rules). Any finding fails the run — vetted exceptions live in
+//! rules), with `benchmark/src` and `examples/` read as callers only. Any
+//! finding fails the run — vetted exceptions live in
 //! `crates/xtask/analyze_allow.txt` as
 //! `rule :: file :: function :: needle :: justification` lines with the
 //! same stale-entry detection as the lint allowlist: an entry that stops
@@ -106,9 +107,11 @@ pub fn apply_analyze_allowlist(
 }
 
 /// Parses every source and runs the rules + allowlist: the pure core used
-/// by both the workspace entry point and the fixture tests.
+/// by both the workspace entry point and the fixture tests. `callers` are
+/// parsed only for the uses they make of the analyzed sources.
 pub fn analyze_sources(
     sources: &[(String, String)],
+    callers: &[(String, String)],
     config: &AnalyzeConfig,
     allow: &[AnalyzeAllowEntry],
 ) -> Vec<Finding> {
@@ -128,7 +131,8 @@ pub fn analyze_sources(
         }
         files.push(facts);
     }
-    findings.extend(run_rules(&files, config));
+    let callers: Vec<FileFacts> = callers.iter().map(|(p, c)| parse_file(p, c)).collect();
+    findings.extend(run_rules(&files, &callers, config));
     let mut out = apply_analyze_allowlist(findings, allow);
     out.sort_by(|a, b| {
         (a.rule, &a.file, a.line, &a.message).cmp(&(b.rule, &b.file, b.line, &b.message))
@@ -149,8 +153,20 @@ pub fn parse_workspace(root: &Path) -> Result<Vec<FileFacts>, String> {
 /// workspace: `crates/` only (shims implement the primitives; top-level
 /// `tests/` are integration-test code the rules skip anyway).
 pub fn workspace_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
+    read_sources(root, &["crates"])
+}
+
+/// The sources that only call into the analyzed ones: the benchmark (read,
+/// never audited: its surface is frozen) and the top-level examples.
+pub fn caller_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
+    read_sources(root, &["benchmark/src", "examples"])
+}
+
+fn read_sources(root: &Path, dirs: &[&str]) -> Result<Vec<(String, String)>, String> {
     let mut files = Vec::new();
-    crate::collect_rs(&root.join("crates"), &mut files)?;
+    for dir in dirs {
+        crate::collect_rs(&root.join(dir), &mut files)?;
+    }
     files.sort();
     let mut out = Vec::new();
     for f in &files {
@@ -171,10 +187,11 @@ pub fn workspace_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
 /// Full workspace analysis with the committed allowlist.
 pub fn analyze_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     let sources = workspace_sources(root)?;
+    let callers = caller_sources(root)?;
     let allow_content =
         std::fs::read_to_string(root.join("crates/xtask/analyze_allow.txt")).unwrap_or_default();
     let (entries, mut findings) = parse_analyze_allowlist(&allow_content);
-    findings.extend(analyze_sources(&sources, &AnalyzeConfig::default(), &entries));
+    findings.extend(analyze_sources(&sources, &callers, &AnalyzeConfig::default(), &entries));
     Ok(findings)
 }
 

@@ -18,6 +18,8 @@
 //! * a condvar `wait`/`wait_timeout` releases the mutex while parked, so
 //!   it is exempt from "guard held across blocking call".
 
+use std::collections::HashSet;
+
 use crate::lexer::{find_token, is_ident, Lexer};
 
 /// Field table of one `struct` definition: `(field name, base type)`.
@@ -161,6 +163,8 @@ pub struct FnFacts {
     pub line: usize,
     pub end_line: usize,
     pub is_test: bool,
+    /// Declared `pub` or `pub(…)`.
+    pub is_pub: bool,
     pub calls: Vec<CallSite>,
     pub locks: Vec<LockSite>,
     pub atomics: Vec<AtomicSite>,
@@ -180,6 +184,9 @@ pub struct FileFacts {
     pub fns: Vec<FnFacts>,
     /// `Ordering::` uses outside any function (module-level consts).
     pub module_atomics: Vec<AtomicSite>,
+    /// Every identifier in the file's non-test code except the name each
+    /// `fn` item defines: where the `test-only-pub` rule looks for callers.
+    pub uses: HashSet<String>,
     /// Structural problems (unbalanced braces, unclosed items). A healthy
     /// workspace file must parse with none.
     pub errors: Vec<String>,
@@ -245,7 +252,7 @@ enum Ctx {
 enum Pending {
     Impl { ty: String, of_trait: Option<String> },
     Struct { name: String },
-    Fn { name: String },
+    Fn { name: String, is_pub: bool },
 }
 
 struct Guard {
@@ -300,6 +307,7 @@ pub fn parse_file(relpath: &str, content: &str) -> FileFacts {
     let mut stmt_has_ordering = false;
 
     let is_test_file = relpath.contains("/tests/") || relpath.starts_with("tests/");
+    let mut in_use_decl = false;
 
     for (idx, raw) in content.lines().enumerate() {
         let lineno = idx + 1;
@@ -326,6 +334,12 @@ pub fn parse_file(relpath: &str, content: &str) -> FileFacts {
             pending_test_attr = true;
         }
         let in_test = is_test_file || test_region_until.is_some() || pending_test_attr;
+        // A `use` declaration imports or re-exports a name; it calls nothing.
+        if in_use_decl || is_use_decl(trimmed) {
+            in_use_decl = !code.contains(';');
+        } else if !in_test {
+            collect_uses(code, &mut out.uses);
+        }
 
         // Split the line into statement fragments at top-level `;`/`{`/`}`.
         // Parens/brackets never nest braces-relevant statements in this
@@ -382,7 +396,7 @@ pub fn parse_file(relpath: &str, content: &str) -> FileFacts {
                     // Decide what this brace introduces from the statement.
                     let p = pending.take().or_else(|| classify_stmt(&stmt));
                     match p {
-                        Some(Pending::Fn { name }) => {
+                        Some(Pending::Fn { name, is_pub }) => {
                             let (impl_type, trait_name) = ctx
                                 .iter()
                                 .rev()
@@ -405,6 +419,7 @@ pub fn parse_file(relpath: &str, content: &str) -> FileFacts {
                                     trait_name,
                                     line: lineno,
                                     is_test: in_test,
+                                    is_pub,
                                     ..FnFacts::default()
                                 },
                                 guards: Vec::new(),
@@ -499,6 +514,40 @@ pub fn parse_file(relpath: &str, content: &str) -> FileFacts {
     out
 }
 
+/// `use …` or `pub(…) use …` starts this line.
+fn is_use_decl(trimmed: &str) -> bool {
+    let rest = match trimmed.strip_prefix("pub") {
+        Some(r) if r.starts_with('(') => r.find(')').map_or(r, |p| &r[p + 1..]),
+        Some(r) => r,
+        None => trimmed,
+    };
+    rest.trim_start().starts_with("use ")
+}
+
+/// Adds the identifiers of one lexed line to `uses`, skipping the one
+/// right after a `fn` keyword (a definition, not a use).
+fn collect_uses(code: &str, uses: &mut HashSet<String>) {
+    let b = code.as_bytes();
+    let mut i = 0;
+    let mut after_fn = false;
+    while i < b.len() {
+        if !is_ident(b[i]) {
+            after_fn &= b[i].is_ascii_whitespace();
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < b.len() && is_ident(b[i]) {
+            i += 1;
+        }
+        let word = &code[start..i];
+        if !after_fn && !b[start].is_ascii_digit() {
+            uses.insert(word.to_string());
+        }
+        after_fn = word == "fn";
+    }
+}
+
 /// Classifies a statement that ends in `{`: which item (if any) is it
 /// introducing? Order matters: `fn f(x: impl Trait) {` is a fn.
 fn classify_stmt(stmt: &str) -> Option<Pending> {
@@ -509,7 +558,10 @@ fn classify_stmt(stmt: &str) -> Option<Pending> {
     let (pos, kw) = positions.into_iter().min_by_key(|(p, _)| *p)?;
     let rest = &stmt[pos + kw.len()..];
     match kw {
-        "fn" => ident_after(rest).map(|name| Pending::Fn { name }),
+        "fn" => ident_after(rest).map(|name| Pending::Fn {
+            name,
+            is_pub: find_token(&stmt[..pos], "pub").is_some(),
+        }),
         "struct" => ident_after(rest).map(|name| Pending::Struct { name }),
         "trait" => {
             ident_after(rest).map(|ty| Pending::Impl { of_trait: Some(ty.clone()), ty })

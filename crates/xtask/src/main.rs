@@ -3,8 +3,9 @@
 //! * `lint` — the line-lexer hygiene rules (R1–R6).
 //! * `analyze [--json] [--baseline FILE]` — the concurrency analyzer
 //!   (lock-order cycles, atomic-ordering audit, reactor-blocking
-//!   reachability). Exits non-zero on any finding; `--baseline` also
-//!   diffs the JSON output against a committed baseline file.
+//!   reachability) and the test-only-pub surface rule. Exits non-zero on
+//!   any finding; `--baseline` also diffs the JSON output against a
+//!   committed baseline file.
 //!
 //! Both passes are wired into tier-1 `cargo test` via
 //! `crates/xtask/tests/`; this binary exists for quick local runs and for

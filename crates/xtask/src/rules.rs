@@ -18,6 +18,13 @@
 //! * **reactor-blocking** — no function reachable from the reactor event
 //!   loop may block; the worker-pool handoff is allowlisted with a
 //!   justification (see `analyze_allow.txt`).
+//! * **test-only-pub** — a `pub`/`pub(crate)` fn in the non-test code of a
+//!   product crate (`PRODUCT_CRATES`) whose name occurs in no non-test
+//!   code but its own definition and `use` declarations: surface only
+//!   tests reach. Callers are
+//!   matched by name, not resolved, so an untyped receiver can never make
+//!   a live function look dead; the caller-only sources (`benchmark/src`,
+//!   `examples/`) count as callers and are never audited themselves.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -83,14 +90,20 @@ impl Default for AnalyzeConfig {
     }
 }
 
-/// Runs every rule family and returns the raw findings (allowlist is
-/// applied by the caller), sorted by (rule, file, line).
-pub fn run_rules(files: &[FileFacts], config: &AnalyzeConfig) -> Vec<Finding> {
+/// Runs every rule family over `files` and returns the raw findings
+/// (allowlist is applied by the caller), sorted by (rule, file, line).
+/// `callers` only supply uses to the test-only-pub rule.
+pub fn run_rules(
+    files: &[FileFacts],
+    callers: &[FileFacts],
+    config: &AnalyzeConfig,
+) -> Vec<Finding> {
     let graph = CallGraph::build(files);
     let mut findings = Vec::new();
     findings.extend(atomic_rules(files));
     findings.extend(lock_order_rules(&graph));
     findings.extend(reactor_blocking_rule(&graph, config));
+    findings.extend(test_only_pub_rule(files, callers));
     findings.sort_by(|a, b| {
         (a.rule, &a.file, a.line, &a.message).cmp(&(b.rule, &b.file, b.line, &b.message))
     });
@@ -515,4 +528,75 @@ fn reactor_blocking_rule(graph: &CallGraph<'_>, config: &AnalyzeConfig) -> Vec<F
         }
     }
     findings
+}
+
+// ---------------------------------------------------------------------------
+// Test-only-pub rule
+// ---------------------------------------------------------------------------
+
+/// The crates the test-only-pub rule audits: the served system. The paper's
+/// experiments (`bench`, `baselines`, `metrics`, `neural`) only call in.
+const PRODUCT_CRATES: &[&str] =
+    &["core", "dataset", "index", "kvstore", "serving", "telemetry"];
+
+fn test_only_pub_rule(files: &[FileFacts], callers: &[FileFacts]) -> Vec<Finding> {
+    let used: HashSet<&str> =
+        files.iter().chain(callers).flat_map(|f| f.uses.iter().map(String::as_str)).collect();
+    let mut findings = Vec::new();
+    for file in files.iter().filter(|f| PRODUCT_CRATES.contains(&f.crate_name.as_str())) {
+        for f in &file.fns {
+            if f.is_pub && !f.is_test && !used.contains(f.name.as_str()) {
+                findings.push(Finding {
+                    rule: "test-only-pub",
+                    file: file.path.clone(),
+                    line: f.line,
+                    function: f.qual.clone(),
+                    message: format!(
+                        "`{}` is `pub` but no non-test code names it: delete it, make it \
+                         private, or move it under `#[cfg(test)]`",
+                        f.qual
+                    ),
+                    chain: Vec::new(),
+                });
+            }
+        }
+    }
+    findings
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::facts::parse_file;
+
+    #[test]
+    fn test_only_pub_counts_benchmark_and_example_callers_but_not_test_targets() {
+        let files = [
+            parse_file(
+                "crates/serving/src/lib.rs",
+                "pub use inner::reexported;\n\
+                 pub fn frozen_surface() {}\n\
+                 pub fn example_only() {}\n\
+                 pub fn integration_test_only() {}\n\
+                 pub(crate) fn reexported() {}\n",
+            ),
+            parse_file(
+                "crates/serving/tests/it.rs",
+                "fn it() { serenade_serving::integration_test_only(); }\n",
+            ),
+        ];
+        let callers = [
+            parse_file(
+                "benchmark/src/surface.rs",
+                "pub fn never_audited() { serenade_serving::frozen_surface(); }\n",
+            ),
+            parse_file(
+                "examples/quickstart.rs",
+                "fn main() { serenade_serving::example_only(); }\n",
+            ),
+        ];
+        let found: Vec<String> =
+            test_only_pub_rule(&files, &callers).into_iter().map(|f| f.function).collect();
+        assert_eq!(found, ["integration_test_only", "reexported"], "a re-export calls nothing");
+    }
 }

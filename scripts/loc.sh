@@ -29,13 +29,16 @@ for crate in crates/*/; do
     read -r lines code < <(count "${files[@]}")
     row "${crate%/}" "$lines" "$code"
 done
+mapfile -t files < <(find crates/*/src -name '*.rs' | sort)
+read -r lines code < <(count "${files[@]}")
+row "crates/ total" "$lines" "$code"
 echo
 while read -r file; do
     read -r lines code < <(count "$file")
     row "$file" "$lines" "$code"
 done < <(find crates/serving/src -name '*.rs' | sort)
 
-# The vendored dependencies (ROADMAP item 11 counts them beside the crates).
+# The vendored dependencies (ROADMAP item 13 counts them beside the crates).
 echo
 for shim in shims/*/; do
     mapfile -t files < <(find "$shim" -name '*.rs' | sort)
