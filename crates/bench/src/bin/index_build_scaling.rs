@@ -79,7 +79,7 @@ fn main() {
         &["structure", "bytes / ms"],
         &[
             vec!["in-memory: postings (arenas)".into(), bytes.postings.to_string()],
-            vec!["in-memory: posting table".into(), bytes.posting_table.to_string()],
+            vec!["in-memory: records + slot table".into(), bytes.posting_table.to_string()],
             vec!["in-memory: session items".into(), bytes.session_items.to_string()],
             vec!["in-memory: timestamps".into(), bytes.timestamps.to_string()],
             vec!["in-memory: slots".into(), bytes.slots.to_string()],

@@ -1,0 +1,170 @@
+//! **Kernel probe** — the VMIS-kNN kernel alone, in process, on the
+//! requests `replay.inproc` sends.
+//!
+//! Builds the index of `ecom-1m` (seed 1, `m_max` 500) without its last
+//! day, then replays the held-out day click by click as growing sessions —
+//! 40,000 requests at the serving defaults: `m` 500, `k` 100, a 9-item
+//! window, twice the engine's 21 recommendations — through one
+//! `recommend_with_scratch` on one thread. One warm-up pass, then three
+//! timed passes. It prints:
+//!
+//! * the per-request wall time: p50, p99 and mean;
+//! * the kernel's work counters (`KernelWork`) by percentile, so a time
+//!   can be told apart as long walks, a full sample with evictions and
+//!   early stops, or neither;
+//! * `SessionIndex::bytes()` by structure.
+//!
+//! `--drift-per-day D` sets the generator's popularity drift (the preset is
+//! 0.004; 0 keeps the popularity head in place, so postings run past `m`
+//! and the kernel takes its bounded path). `--scale X` scales the dataset;
+//! `--quick` runs a tenth of the dataset and of the requests.
+//!
+//! One thread and no sockets, so pinning it gives a stable figure; compare
+//! two builds by alternating them on the same core:
+//!
+//! `taskset -c 1 cargo run -p serenade-bench --release --bin kernel_probe -- --drift-per-day 0`
+
+use std::collections::HashMap;
+use std::time::Instant;
+
+use serenade_bench::{build_index, prepare, print_table, BenchArgs};
+use serenade_core::{ItemId, KernelWork, VmisConfig, VmisKnn};
+use serenade_dataset::SyntheticConfig;
+use serenade_serving::EngineConfig;
+
+/// Requests replayed at full size.
+const REQUESTS: usize = 40_000;
+/// Timed passes over the requests, after one warm-up pass.
+const PASSES: usize = 3;
+/// Posting capacity of every index the serving path builds.
+const M_MAX: usize = 500;
+/// Items of a session the engine keeps and hands to the kernel.
+const STORED: usize = 50;
+/// Seconds between the clicks of a held-out session, as the replay paces
+/// them.
+const CLICK_GAP_SECS: u64 = 30;
+
+/// A `KernelWork` counter by name.
+type Counter = (&'static str, fn(&KernelWork) -> u32);
+
+/// `q`-quantile of `sorted`, by nearest rank.
+fn quantile<T: Copy>(sorted: &[T], q: f64) -> T {
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+}
+
+/// The value of `--drift-per-day`, if given.
+fn drift_per_day() -> Option<f64> {
+    let args: Vec<String> = std::env::args().collect();
+    let at = args.iter().position(|a| a == "--drift-per-day")?;
+    let value = args.get(at + 1).and_then(|v| v.parse().ok());
+    Some(value.expect("--drift-per-day takes a number"))
+}
+
+fn main() {
+    let args = BenchArgs::from_env();
+    let mut config = SyntheticConfig::ecom_1m().with_seed(1).scaled(args.scale);
+    if let Some(drift) = drift_per_day() {
+        config.drift_per_day = drift;
+    }
+    let requests = if args.quick { REQUESTS / 10 } else { REQUESTS };
+    let (_, split) = prepare(&config);
+    let index = build_index(&split.train, M_MAX);
+    let bytes = index.bytes();
+
+    // The held-out day as the replay sends it: clicks in time order, each a
+    // request for the session so far.
+    let mut clicks: Vec<(u64, u64, ItemId)> = (split.test.iter())
+        .flat_map(|s| {
+            let at = |i: usize| s.start + i as u64 * CLICK_GAP_SECS;
+            s.items.iter().enumerate().map(move |(i, &item)| (at(i), s.id, item))
+        })
+        .collect();
+    clicks.sort_unstable_by_key(|&(ts, session, _)| (ts, session));
+    let mut sessions: HashMap<u64, Vec<ItemId>> = HashMap::new();
+    let windows: Vec<Vec<ItemId>> = (clicks.iter().take(requests))
+        .map(|&(_, session, item)| {
+            let items = sessions.entry(session).or_default();
+            items.push(item);
+            items[items.len().saturating_sub(STORED)..].to_vec()
+        })
+        .collect();
+    // A node holds the index and no click log: the kernel runs beside what
+    // it would run beside in one.
+    drop((split, clicks, sessions));
+
+    let engine = EngineConfig::default();
+    let kernel = VmisConfig { how_many: engine.how_many * 2, ..engine.vmis };
+    let (m, k, window) = (kernel.m, kernel.k, kernel.max_session_len);
+    let vmis = VmisKnn::new(index, kernel).expect("valid config");
+    let mut scratch = vmis.scratch();
+    let mut work: Vec<KernelWork> = Vec::with_capacity(windows.len());
+    for session in &windows {
+        std::hint::black_box(vmis.recommend_with_scratch(session, &mut scratch));
+        work.push(scratch.work());
+    }
+    let mut nanos: Vec<u64> = Vec::with_capacity(PASSES * windows.len());
+    for _ in 0..PASSES {
+        for session in &windows {
+            let t0 = Instant::now();
+            std::hint::black_box(vmis.recommend_with_scratch(session, &mut scratch));
+            nanos.push(t0.elapsed().as_nanos() as u64);
+        }
+    }
+
+    println!(
+        "Kernel probe: {} (drift_per_day {}), {} sessions, {} requests x {PASSES} passes; \
+         m {m}, k {k}, window {window}, m_max {M_MAX}\n",
+        config.name,
+        config.drift_per_day,
+        vmis.index().num_sessions(),
+        windows.len(),
+    );
+    let mean = nanos.iter().sum::<u64>() as f64 / nanos.len() as f64 / 1e3;
+    nanos.sort_unstable();
+    let us = |q: f64| format!("{:.1}", quantile(&nanos, q) as f64 / 1e3);
+    print_table(
+        &["per request", "p50 us", "p99 us", "mean us"],
+        &[vec!["kernel".into(), us(0.5), us(0.99), format!("{mean:.1}")]],
+    );
+
+    println!();
+    let counters: [Counter; 6] = [
+        ("postings_walked", |w| w.postings_walked),
+        ("candidates", |w| w.candidates),
+        ("evicted", |w| w.evicted),
+        ("early_stops", |w| w.early_stops),
+        ("neighbors_scored", |w| w.neighbors_scored),
+        ("slots_touched", |w| w.slots_touched),
+    ];
+    let rows: Vec<Vec<String>> = (counters.iter())
+        .map(|(name, get)| {
+            let mut values: Vec<u32> = work.iter().map(get).collect();
+            let nonzero = values.iter().filter(|&&v| v > 0).count();
+            let mean = values.iter().map(|&v| f64::from(v)).sum::<f64>() / values.len() as f64;
+            values.sort_unstable();
+            vec![
+                name.to_string(),
+                quantile(&values, 0.5).to_string(),
+                quantile(&values, 0.99).to_string(),
+                values[values.len() - 1].to_string(),
+                format!("{mean:.2}"),
+                nonzero.to_string(),
+            ]
+        })
+        .collect();
+    print_table(&["KernelWork", "p50", "p99", "max", "mean", "requests > 0"], &rows);
+
+    println!();
+    let structures = [
+        ("postings", bytes.postings),
+        ("posting_table", bytes.posting_table),
+        ("session_items", bytes.session_items),
+        ("timestamps", bytes.timestamps),
+        ("slots", bytes.slots),
+        ("idf", vmis.idf_bytes()),
+    ];
+    let mut rows: Vec<Vec<String>> =
+        structures.iter().map(|(name, b)| vec![name.to_string(), b.to_string()]).collect();
+    rows.push(vec!["total".into(), (bytes.total() + vmis.idf_bytes()).to_string()]);
+    print_table(&["SessionIndex::bytes()", "bytes"], &rows);
+}

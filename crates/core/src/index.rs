@@ -6,8 +6,9 @@
 //!   most) `m` most recent historical sessions containing `i`, stored in
 //!   **descending recency order** so the most recent session is the first
 //!   entry — this enables early stopping. The arrays lie end to end in a few
-//!   large `u32` arenas; a hash table maps each item to a 16-byte [`Posting`]
-//!   record that says where its array lies (see *Postings and arenas*);
+//!   large `u32` arenas; a column of 12-byte [`Posting`] records, one a
+//!   slot, says where each lies, and a table of 4-byte slots finds an
+//!   item's slot (see *Postings and arenas*);
 //! * the timestamp array `t`: one integer timestamp per historical session,
 //!   indexed by dense [`SessionId`], giving constant-time random access. It
 //!   is non-decreasing in the id (see below), so each segment codes its
@@ -18,7 +19,7 @@
 //!   as accumulator slots in CSR layout to avoid per-session allocations,
 //!   each in ascending item-id order (see *Rows are sets*);
 //! * per-item support counts `h_i` (the number of historical sessions
-//!   containing the item) for the idf weighting.
+//!   containing the item) for the idf weighting, in the records.
 //!
 //! ## The id is the recency key
 //!
@@ -48,17 +49,19 @@
 //! in constant time and a publish writes O(delta), not O(index).
 //!
 //! Each item has an **accumulator slot**: a small integer the scoring kernel
-//! indexes its per-item tables by. The slot is a property of the index,
-//! stored in the item's [`Posting`] and — as a `u32` stream — in every
-//! segment, so scoring a session reads 4 bytes an item and never a hash
-//! table. The slot stream is the only record of a session's items:
-//! [`SessionIndex::session_items`] reads them back through
-//! [`SessionIndex::slot_items`]. So a slot is assigned when the item first
-//! appears, and it is neither renumbered nor handed to another item while
-//! any segment holds it. Built and loaded indexes number items in ascending
-//! id order; a live index appends, and numbers afresh only when it rewrites
-//! every segment anyway. Slot numbering is not part of what an index *is*:
-//! two indexes of the same log answer identically under any numbering.
+//! indexes its per-item tables by. The slot is a property of the index: the
+//! [`SlotTable`] maps an item to it, the item's [`Posting`] is the record at
+//! it, and — as a `u32` stream — every segment holds it, so scoring a
+//! session reads 4 bytes an item and never a hash table. The slot stream is
+//! the only record of a session's items: [`SessionIndex::session_items`]
+//! reads them back through [`SessionIndex::slot_items`]. So a slot is
+//! assigned when the item first appears, and it is neither renumbered nor
+//! handed to another item while any segment holds it; an item that leaves
+//! keeps it, dead, and takes it back if it returns. Built and loaded
+//! indexes number items in ascending id order; a live index appends, and
+//! numbers afresh only when it rewrites every segment anyway. Slot
+//! numbering is not part of what an index *is*: two indexes of the same log
+//! answer identically under any numbering.
 //!
 //! ## Rows are sets
 //!
@@ -75,32 +78,37 @@
 //! ## Postings and arenas
 //!
 //! A posting's entries are a range of one of the index's arenas
-//! (`Arc<[SessionId]>`), and its [`Posting`] record — `Copy`, 16 bytes —
-//! holds the arena, the range's start, the support and the slot. The range
-//! holds `min(h_i, m_max)` entries: every producer keeps the `m_max` most
-//! recent sessions of an item, or all of them, so the length follows from
-//! the support and is not stored. `postings(item)` is one table probe and
-//! one arena read.
+//! (`Arc<[SessionId]>`), and its [`Posting`] record — `Copy`, 12 bytes —
+//! holds the support, the arena and the range's start. The records form one
+//! column indexed by slot, a support of 0 marking a dead slot; the item is
+//! not stored with them, since the slot → item table already holds it. The
+//! range holds `min(h_i, m_max)` entries: every producer keeps the `m_max`
+//! most recent sessions of an item, or all of them, so the length follows
+//! from the support and is not stored. `postings(item)` is a probe of the
+//! [`SlotTable`] — a walk over 4-byte buckets, each hit confirmed through
+//! the slot → item table — one record read and one arena read.
 //!
 //! A build or a load writes one arena, postings by slot, with no allocation
-//! per posting. A live merge writes the postings it rewrites into one fresh
-//! arena and leaves the others where they are: untouched records, and the
-//! arenas they point into, are the previous generation's. The entries a
-//! rewritten posting leaves behind are dead — no record points at them —
-//! until a merge copies the live ones into one arena again
+//! per posting, and the record column beside it. A live merge writes the
+//! postings it rewrites into one fresh arena and leaves the others where
+//! they are: untouched records, and the arenas they point into, are the
+//! previous generation's. The entries a rewritten posting leaves behind are
+//! dead — no record points at them — until a merge copies the live ones
+//! into one arena again
 //! ([`SessionIndex::compact_postings`]; the indexer decides when).
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use crate::error::CoreError;
-use crate::hash::FxHashMap;
 use crate::types::{Click, ItemId, SessionId, Timestamp};
 
 mod build;
 mod elias_fano;
+mod slot_table;
 
 use elias_fano::EliasFano;
+pub use slot_table::SlotTable;
 
 const SEGMENT_SHIFT: u32 = 12;
 
@@ -108,21 +116,20 @@ const SEGMENT_SHIFT: u32 = 12;
 /// recent end rewrites, and every reader divides by it.
 pub const SEGMENT_SESSIONS: usize = 1 << SEGMENT_SHIFT;
 
-/// An item's entry in `M`: where its posting list lies, and the support
-/// count `h_i` over *all* historical sessions. 16 bytes, `Copy`.
+/// An item's entry in `M`, the record at its slot: the support count `h_i`
+/// over *all* historical sessions, and where its posting list lies. 12
+/// bytes, `Copy`; the record of a dead slot has a support of 0.
 ///
 /// The entries are dense session ids, 4 bytes each, strictly descending —
 /// most recent first — truncated to the index's `m_max`: the one form a
 /// posting has in the builders, in the binary artefact and in memory. The
 /// id *is* the recency key (see the module docs), so nothing else is stored
 /// with it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Posting {
     /// `h_i`: number of historical sessions containing the item (before
-    /// truncation to `m_max`).
+    /// truncation to `m_max`); 0 for a slot whose item has no posting.
     pub support: u32,
-    /// The item's accumulator slot (see the module docs).
-    pub slot: u32,
     /// The arena holding the entries: an index into
     /// [`SessionIndex::arenas`].
     pub arena: u32,
@@ -156,15 +163,16 @@ pub struct IndexStats {
 }
 
 /// Heap bytes of an index by structure, from the real layouts: every `Arc`
-/// counted with its two reference counts, the posting table with all its
-/// buckets and control bytes. (Allocator headers and size-class rounding
-/// come on top; they are the allocator's, not the layout's.)
+/// counted with its two reference counts, the slot table with all its
+/// buckets. (Allocator headers and size-class rounding come on top; they
+/// are the allocator's, not the layout's.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexBytes {
     /// The posting arenas: 4 bytes an entry, dead ones included, one `Arc`
     /// header an arena, and the table of arenas.
     pub postings: usize,
-    /// The item → [`Posting`] hash table: buckets, occupied or not.
+    /// What finds an item's posting: the [`Posting`] records, 12 bytes a
+    /// slot, and the [`SlotTable`], 4 bytes a bucket, occupied or not.
     pub posting_table: usize,
     /// The CSR layout of the sessions: the offsets of every segment, the
     /// segment headers and the table of segment pointers.
@@ -331,12 +339,17 @@ impl std::fmt::Debug for SessionItems<'_> {
 /// handle copy: the clone shares every array with the original.
 #[derive(Debug, Clone)]
 pub struct SessionIndex {
-    postings: Arc<FxHashMap<ItemId, Posting>>,
+    /// The record of each slot's item, by slot (see the module docs).
+    records: Arc<[Posting]>,
+    /// Item → slot, for every slot of `slot_items`, dead ones included.
+    slot_table: SlotTable,
     /// The arenas the records point into (see the module docs).
     arenas: Arc<[Arc<[SessionId]>]>,
     /// Entries the records hold, all postings together; the rest of the
     /// arenas is dead.
     live_entries: usize,
+    /// Items with a posting: records whose support is not 0.
+    num_items: usize,
     /// The per-session columns; all segments but the last are full.
     segments: Arc<[Arc<Segment>]>,
     num_sessions: usize,
@@ -359,16 +372,18 @@ impl SessionIndex {
 
     /// Assembles an index **without** validating it: the caller vouches for
     /// every invariant [`SessionIndex::from_segments`] relies on, that all
-    /// `segments` but the last hold [`SEGMENT_SESSIONS`] sessions, that every
-    /// record's range lies in its arena, no two overlapping, and that slots
-    /// agree — `slot_items[posting.slot]` is the posting's item, and every
-    /// slot in a segment names an item its session holds. This is how the
-    /// incremental indexer emits the next generation of a live index — the
-    /// arrays it passes are mostly the previous generation's own `Arc`s.
-    /// With no segments the result is the empty index only this constructor
-    /// can make.
+    /// `segments` but the last hold [`SEGMENT_SESSIONS`] sessions, that
+    /// every live record's range lies in its arena, no two overlapping, and
+    /// that slots agree — `records` has one record a slot of `slot_items`,
+    /// which holds distinct items, `slot_table` is the table of
+    /// `slot_items`, and every slot in a segment names an item its session
+    /// holds. This is how the incremental indexer emits the next generation
+    /// of a live index — the arrays it passes are mostly the previous
+    /// generation's own `Arc`s. With no segments the result is the empty
+    /// index only this constructor can make.
     pub fn from_generation(
-        postings: FxHashMap<ItemId, Posting>,
+        records: Arc<[Posting]>,
+        slot_table: SlotTable,
         arenas: Arc<[Arc<[SessionId]>]>,
         segments: Arc<[Arc<Segment>]>,
         slot_items: Arc<[ItemId]>,
@@ -376,17 +391,32 @@ impl SessionIndex {
     ) -> Self {
         let full = segments.len().saturating_sub(1);
         debug_assert!(segments[..full].iter().all(|s| s.len() == SEGMENT_SESSIONS));
-        debug_assert!(postings.iter().all(|(i, p)| slot_items.get(p.slot as usize) == Some(i)));
-        debug_assert!(postings.values().all(|p| {
+        debug_assert_eq!(records.len(), slot_items.len());
+        debug_assert!((slot_items.iter().zip(0..))
+            .all(|(&item, slot)| slot_table.get(item, &slot_items) == Some(slot)));
+        debug_assert!(records.iter().filter(|p| p.support != 0).all(|p| {
             arenas.get(p.arena as usize).is_some_and(|arena| arena.get(p.range(m_max)).is_some())
         }));
         debug_assert!(segments
             .iter()
             .all(|s| s.slots.iter().all(|&slot| (slot as usize) < slot_items.len())));
-        let live_entries = postings.values().map(|p| p.range(m_max).len()).sum();
+        let (mut live_entries, mut num_items) = (0, 0);
+        for posting in records.iter().filter(|p| p.support != 0) {
+            live_entries += posting.range(m_max).len();
+            num_items += 1;
+        }
         let num_sessions = full * SEGMENT_SESSIONS + segments.last().map_or(0, |s| s.len());
-        let postings = Arc::new(postings);
-        Self { postings, arenas, live_entries, segments, num_sessions, slot_items, m_max }
+        Self {
+            records,
+            slot_table,
+            arenas,
+            live_entries,
+            num_items,
+            segments,
+            num_sessions,
+            slot_items,
+            m_max,
+        }
     }
 
     /// Posting list `m_i` of `item`: the ids of the most recent sessions
@@ -394,7 +424,14 @@ impl SessionIndex {
     /// item never occurred.
     #[inline]
     pub fn postings(&self, item: ItemId) -> Option<&[SessionId]> {
-        self.postings.get(&item).map(|&posting| self.entries(posting))
+        self.record(item).map(|posting| self.entries(posting))
+    }
+
+    /// The record of `item`, if it has a posting.
+    #[inline]
+    fn record(&self, item: ItemId) -> Option<Posting> {
+        let posting = self.records[self.slot_of(item)? as usize];
+        (posting.support != 0).then_some(posting)
     }
 
     /// The entries `posting`, a record of this index, points at.
@@ -406,18 +443,30 @@ impl SessionIndex {
     /// Support `h_i` of `item` (sessions containing it), if it occurred.
     #[inline]
     pub fn item_support(&self, item: ItemId) -> Option<u32> {
-        self.postings.get(&item).map(|p| p.support)
+        self.record(item).map(|p| p.support)
     }
 
     /// Accumulator slot of `item`, if it has a posting.
     #[inline]
     pub fn item_slot(&self, item: ItemId) -> Option<u32> {
-        self.postings.get(&item).map(|p| p.slot)
+        self.slot_of(item).filter(|&slot| self.records[slot as usize].support != 0)
     }
 
-    /// The whole posting table, as the next generation starts from it.
-    pub fn posting_table(&self) -> &FxHashMap<ItemId, Posting> {
-        &self.postings
+    /// The slot `item` holds, with or without a posting: an item that has
+    /// left the index keeps its slot, dead, until slots are numbered afresh.
+    #[inline]
+    pub fn slot_of(&self, item: ItemId) -> Option<u32> {
+        self.slot_table.get(item, &self.slot_items)
+    }
+
+    /// The record column, by slot, as the next generation starts from it.
+    pub fn records(&self) -> &[Posting] {
+        &self.records
+    }
+
+    /// The item → slot table, as the next generation starts from it.
+    pub fn slot_table(&self) -> &SlotTable {
+        &self.slot_table
     }
 
     /// The arenas the records point into, as the next generation starts
@@ -437,16 +486,16 @@ impl SessionIndex {
         self.arenas.iter().map(|arena| arena.len()).sum::<usize>() - self.live_entries
     }
 
-    /// Copies every posting into one new arena, end to end, and points the
-    /// records at it, so no arena entry is dead. The posting table is
-    /// rewritten in place when this handle is its only owner, as it is
-    /// straight after [`SessionIndex::from_generation`].
+    /// Copies every posting into one new arena, end to end, by slot, and
+    /// points the records at it, so no arena entry is dead. The record
+    /// column is rewritten in place when this handle is its only owner, as
+    /// it is straight after [`SessionIndex::from_generation`].
     pub fn compact_postings(&mut self) {
-        let Self { postings, arenas, live_entries, m_max, .. } = self;
-        let table = Arc::make_mut(postings);
+        let Self { records, arenas, live_entries, m_max, .. } = self;
+        let records = Arc::make_mut(records);
         let arena = new_arena(*live_entries, |to| {
             let mut at = 0;
-            for posting in table.values_mut() {
+            for posting in records.iter_mut().filter(|p| p.support != 0) {
                 let from = &arenas[posting.arena as usize][posting.range(*m_max)];
                 to[at..at + from.len()].copy_from_slice(from);
                 *posting = Posting { arena: 0, start: at as u32, ..*posting };
@@ -470,7 +519,7 @@ impl SessionIndex {
     /// Slots no item holds any more: their items have left the index since
     /// slots were last numbered.
     pub fn dead_slots(&self) -> usize {
-        self.slot_items.len() - self.postings.len()
+        self.slot_items.len() - self.num_items
     }
 
     #[inline]
@@ -516,7 +565,7 @@ impl SessionIndex {
     /// Number of distinct items `|I|`.
     #[inline]
     pub fn num_items(&self) -> usize {
-        self.postings.len()
+        self.num_items
     }
 
     /// The maximum posting-list length this index was built for.
@@ -525,14 +574,16 @@ impl SessionIndex {
         self.m_max
     }
 
-    /// Iterates over all indexed items in unspecified order.
+    /// Iterates over all indexed items, in slot order.
     pub fn items(&self) -> impl Iterator<Item = ItemId> + '_ {
-        self.postings.keys().copied()
+        self.postings_iter().map(|(item, _)| item)
     }
 
-    /// Iterates over `(item, posting)` pairs in unspecified order.
+    /// Iterates over the `(item, posting)` pairs of the items with a
+    /// posting, in slot order.
     pub fn postings_iter(&self) -> impl Iterator<Item = (ItemId, Posting)> + '_ {
-        self.postings.iter().map(|(&item, &posting)| (item, posting))
+        let pairs = self.slot_items.iter().copied().zip(self.records.iter().copied());
+        pairs.filter(|(_, posting)| posting.support != 0)
     }
 
     /// Computes aggregate statistics (sizes).
@@ -542,7 +593,7 @@ impl SessionIndex {
             num_sessions: self.num_sessions(),
             num_items: self.num_items(),
             posting_entries: self.live_entries,
-            max_posting_len: self.postings.values().map(len).max().unwrap_or(0),
+            max_posting_len: self.postings_iter().map(|(_, p)| len(&p)).max().unwrap_or(0),
             session_item_entries: self.session_item_entries(),
         }
     }
@@ -550,16 +601,6 @@ impl SessionIndex {
     /// Heap bytes by structure (see [`IndexBytes`]): a walk over the
     /// segments and the arenas, not over the items.
     pub fn bytes(&self) -> IndexBytes {
-        // hashbrown's layout, recovered from the capacity it reports: a
-        // power-of-two number of buckets of which 7/8 may fill (all but one
-        // below 8 buckets), each a `(key, value)` slot plus one control
-        // byte, and one trailing group of 16 control bytes.
-        let buckets = match self.postings.capacity() {
-            0 => 0,
-            cap @ 1..=7 => cap + 1,
-            cap => cap / 7 * 8,
-        };
-        let slot = std::mem::size_of::<(ItemId, Posting)>() + 1;
         let entries = self.session_item_entries();
         let sessions = self.num_sessions;
         let headers = self.segments.len() * (16 + std::mem::size_of::<Segment>())
@@ -567,7 +608,8 @@ impl SessionIndex {
         let arenas: usize = self.arenas.iter().map(|a| arc_slice_bytes::<SessionId>(a.len())).sum();
         IndexBytes {
             postings: arenas + arc_slice_bytes::<Arc<[SessionId]>>(self.arenas.len()),
-            posting_table: if buckets == 0 { 0 } else { buckets * slot + 16 },
+            posting_table: arc_slice_bytes::<Posting>(self.records.len())
+                + arc_slice_bytes::<u32>(self.slot_table.buckets().len()),
             session_items: 4 * (sessions + self.segments.len()) + headers,
             timestamps: self.segments.iter().map(|s| s.timestamp_bytes()).sum(),
             slots: 4 * entries + arc_slice_bytes::<ItemId>(self.slot_items.len()),
@@ -635,10 +677,16 @@ mod tests {
     }
 
     #[test]
-    fn a_posting_record_is_sixteen_bytes() {
-        // A table bucket is the 8-byte item and its record (DESIGN.md §4.8).
-        assert_eq!(std::mem::size_of::<Posting>(), 16);
-        assert_eq!(std::mem::size_of::<(ItemId, Posting)>(), 24);
+    fn a_posting_record_is_twelve_bytes_and_a_slot_bucket_four() {
+        // A record is the support, the arena and the start, by slot; a
+        // bucket of the slot table is a slot, the item read through the slot
+        // → item table (DESIGN.md §4.8). Three records, padded to 8 bytes,
+        // and eight buckets, each column behind its `Arc` header.
+        assert_eq!(std::mem::size_of::<Posting>(), 12);
+        let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
+        assert_eq!(std::mem::size_of_val(&idx.slot_table().buckets()[0]), 4);
+        assert_eq!(idx.slot_table().buckets().len(), 8);
+        assert_eq!(idx.bytes().posting_table, (16 + 3 * 12 + 4) + (16 + 8 * 4));
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!    range: `min(support, m_max)` entries;
 //! 4. the ranges are filled by walking the sessions newest-first and
 //!    stopping each item when its range is full, so every posting comes out
-//!    strictly descending and truncated to `m_max` with no further work.
+//!    strictly descending and truncated to `m_max` with no further work;
+//!    each slot's record is then written from its support, and the slot
+//!    table from the slot → item table.
 //!
 //! Steps 3–4 are [`SessionIndex::from_segments`], which a load of an
 //! artefact calls too: an artefact holds the rows and no postings, so there
@@ -32,7 +34,7 @@
 
 use std::sync::Arc;
 
-use super::{new_arena, Posting, Segment, SessionIndex, SEGMENT_SESSIONS};
+use super::{new_arena, Posting, Segment, SessionIndex, SlotTable, SEGMENT_SESSIONS};
 use crate::error::CoreError;
 use crate::hash::FxHashMap;
 use crate::sessions::{run_parallel, SessionRuns};
@@ -172,11 +174,23 @@ impl SessionIndex {
             });
             assemble(slots, &filled)
         };
-        // Only the supports outlive the fill: a load's peak is the finished
-        // index and them (`serenade_index`'s `tests/load_allocs.rs`).
+        // Only the supports outlive the fill. The records are written from
+        // them and the slot table is made after them; the two outweigh every
+        // scratch array of the fill, so a load peaks at the finished index
+        // (`serenade_index`'s `tests/load_allocs.rs`).
         drop(shares);
-        let postings = records(&slot_items, &supports, m_max);
-        Ok(Self::from_generation(postings, Arc::from([arena]), segments.into(), slot_items, m_max))
+        let mut start = 0;
+        let records: Arc<[Posting]> = (supports.iter())
+            .map(|&support| {
+                let posting = Posting { support, arena: 0, start };
+                start += posting.range(m_max).len() as u32;
+                posting
+            })
+            .collect();
+        drop(supports);
+        let slot_table = SlotTable::new(&slot_items);
+        let arenas = Arc::from([arena]);
+        Ok(Self::from_generation(records, slot_table, arenas, segments.into(), slot_items, m_max))
     }
 }
 
@@ -260,16 +274,4 @@ fn assemble(slots: usize, filled: &[(Vec<u32>, Vec<SessionId>)]) -> Arc<[Session
             }
         }
     })
-}
-
-/// The record of every slot's item for postings laid out by slot in arena
-/// 0, each `min(support, m_max)` entries: one table, sized once.
-fn records(slot_items: &[ItemId], supports: &[u32], m_max: usize) -> FxHashMap<ItemId, Posting> {
-    let mut start = 0;
-    let record = |((&item, &support), slot)| {
-        let posting = Posting { support, slot, arena: 0, start };
-        start += posting.range(m_max).len() as u32;
-        (item, posting)
-    };
-    slot_items.iter().zip(supports).zip(0..).map(record).collect()
 }

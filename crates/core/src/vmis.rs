@@ -32,7 +32,7 @@ use std::sync::Arc;
 use crate::candidates::{Candidate, CandidateTable};
 use crate::error::CoreError;
 use crate::heap::DaryHeap;
-use crate::index::SessionIndex;
+use crate::index::{Posting, SessionIndex};
 use crate::types::{ItemId, ItemScore, SessionId};
 use crate::weights::{DecayFunction, IdfWeighting, MatchWeight};
 
@@ -270,7 +270,7 @@ pub struct VmisKnn {
     /// slot of an item with a posting, 1.0 for any other. It is all the
     /// kernel keeps beside the index — `|H|` moves with every publish, so
     /// this table is what a publish rebuilds; the slots themselves, in the
-    /// postings and beside every session's items, are the index's.
+    /// slot table and beside every session's items, are the index's.
     idf: Box<[f32]>,
 }
 
@@ -285,10 +285,11 @@ impl VmisKnn {
         let index = index.into();
         config.validate(&index)?;
         let num_sessions = index.num_sessions();
-        let mut idf: Box<[f32]> = vec![1.0; index.slot_items().len()].into();
-        for (_, posting) in index.postings_iter() {
-            idf[posting.slot as usize] = config.idf.weight(posting.support as usize, num_sessions);
-        }
+        let weight = |posting: &Posting| match posting.support {
+            0 => 1.0,
+            support => config.idf.weight(support as usize, num_sessions),
+        };
+        let idf = index.records().iter().map(weight).collect();
         Ok(Self { index, config, idf })
     }
 
@@ -789,12 +790,15 @@ mod tests {
         // Item 5 occurs only in session D = {2, 4, 5}; drop its posting the
         // way only a hand-assembled index can.
         let built = SessionIndex::build(&history(), 500).unwrap();
-        let mut postings = built.posting_table().clone();
-        postings.remove(&5);
+        let five = built.item_slot(5).unwrap() as usize;
+        let records = (built.records().iter().enumerate())
+            .map(|(slot, &p)| if slot == five { Posting::default() } else { p })
+            .collect();
         let (arenas, segments) = (built.arenas().into(), built.segments().into());
-        let slot_items = built.slot_items().clone();
-        let index =
-            SessionIndex::from_generation(postings, arenas, segments, slot_items, built.m_max());
+        let (slot_table, slot_items) = (built.slot_table().clone(), built.slot_items().clone());
+        let index = SessionIndex::from_generation(
+            records, slot_table, arenas, segments, slot_items, built.m_max(),
+        );
         let recs = VmisKnn::new(index, VmisConfig::default()).unwrap().recommend(&[2]);
         // λ(1, 1) · r_D · idf = 0.9 · 1 · 1.
         let five = recs.iter().find(|r| r.item == 5).expect("item 5 is scored");

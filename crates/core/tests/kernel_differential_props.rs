@@ -2,25 +2,29 @@
 //!
 //! The cache-conscious kernel layout — id-only postings whose id is the
 //! recency key (`serenade-index`'s `id_is_recency_key` suite holds every
-//! index producer to that), the bounded candidate table that records each
-//! candidate's match position at admission, the 4-byte slot stream and
-//! the dense epoch-stamped score accumulator — is an *internal*
-//! rearrangement: its correctness contract is bit-identical output to the
-//! straightforward formulation. This suite samples that contract over
-//! random click logs and configs, leaning on the shapes that stress the
-//! layout specifically: timestamp ties (where only the id tells two
-//! sessions apart), `m` at or near the posting length (the early-stop and
-//! eviction boundary), truncated postings (`m_max` below an item's
+//! index producer to that), found through a table of 4-byte slots, the
+//! bounded candidate table that records each candidate's match position at
+//! admission, the 4-byte slot stream and the dense 4-byte score
+//! accumulator, cleared from the previous request's touched list — is an
+//! *internal* rearrangement: its correctness contract is bit-identical
+//! output to the straightforward formulation. This suite samples that
+//! contract over random click logs and configs, leaning on the shapes that
+//! stress the layout specifically: timestamp ties (where only the id tells
+//! two sessions apart), `m` at or near the posting length (the early-stop
+//! and eviction boundary), truncated postings (`m_max` below an item's
 //! support), windows with repeated items, and scratch buffers reused across
-//! recommenders and across an epoch wrap-around.
+//! recommenders and across the candidate table's epoch wrap-around. The
+//! strategies take the bounded path: summed over a run, the kernel evicts
+//! candidates and stops walks early (`the_strategies_reach_the_bounded_path`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use serenade_core::candidates::{Candidate, CandidateTable};
-use serenade_core::index::{Posting, Segment};
+use serenade_core::index::{Posting, Segment, SlotTable};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use serenade_core::{Click, ItemId, Scratch, SessionIndex, VmisConfig, VmisKnn};
 
 /// Random click logs over a small id space; the timestamp range is a
@@ -60,10 +64,10 @@ fn with_slots_renumbered(index: &SessionIndex, shift: usize) -> SessionIndex {
     for (slot, &item) in index.slot_items().iter().enumerate() {
         slot_items[renumbered(slot as u32) as usize] = item;
     }
-    let postings = index
-        .postings_iter()
-        .map(|(item, p)| (item, Posting { slot: renumbered(p.slot), ..p }))
-        .collect();
+    let mut records = vec![Posting::default(); n];
+    for (slot, &posting) in index.records().iter().enumerate() {
+        records[renumbered(slot as u32) as usize] = posting;
+    }
     let segments: Vec<Arc<Segment>> = index
         .segments()
         .iter()
@@ -81,7 +85,9 @@ fn with_slots_renumbered(index: &SessionIndex, shift: usize) -> SessionIndex {
         })
         .collect();
     let (arenas, segments) = (index.arenas().into(), segments.into());
-    SessionIndex::from_generation(postings, arenas, segments, slot_items.into(), index.m_max())
+    let slot_table = SlotTable::new(&slot_items);
+    let (records, slot_items) = (records.into(), slot_items.into());
+    SessionIndex::from_generation(records, slot_table, arenas, segments, slot_items, index.m_max())
 }
 
 fn bits(recs: Vec<serenade_core::ItemScore>) -> Vec<(ItemId, u32)> {
@@ -133,6 +139,27 @@ fn a_tie_that_straddles_the_cut_is_cut_by_item_id() {
             assert_eq!(items, [31, 32, 33, 34, 35, 36, 1, 40][..how_many]);
         }
     }
+}
+
+#[test]
+fn the_strategies_reach_the_bounded_path() {
+    // The inputs of `early_stop_boundary_is_output_invariant`, 64 cases:
+    // postings past `m` must fill the candidate table, so that candidates
+    // are evicted and walks stop early, or the suite proves the light path
+    // only.
+    let cases = (clicks_strategy(50), config_strategy(), vec(1u64..=14, 1..6));
+    let mut rng = TestRng::from_name("the_strategies_reach_the_bounded_path");
+    let (mut evicted, mut early_stops) = (0u64, 0u64);
+    for _ in 0..64 {
+        let (clicks, config, session) = cases.generate(&mut rng);
+        let index = SessionIndex::build(&clicks, config.m.max(4)).expect("non-empty log");
+        let vmis = VmisKnn::new(index, config).expect("valid config");
+        let mut scratch = vmis.scratch();
+        vmis.recommend_with_scratch(&session, &mut scratch);
+        evicted += u64::from(scratch.work().evicted);
+        early_stops += u64::from(scratch.work().early_stops);
+    }
+    assert!(evicted > 0 && early_stops > 0, "{evicted} evictions, {early_stops} early stops");
 }
 
 proptest! {

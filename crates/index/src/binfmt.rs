@@ -98,20 +98,20 @@
 //!
 //! # Load peak
 //!
-//! A load decodes the slot table straight into its `Arc`, then the sessions
-//! into their segments: first every segment's timestamps and offsets, which
-//! give each segment's item count, then each segment's slots into an array
-//! of exactly that size. Deriving the postings writes the one arena in
-//! place, then the posting table once from the supports: 4 bytes a slot of
-//! scratch beside the finished index at the peak (the holder counts,
-//! posting offsets and fill cursor, 12 bytes a slot more, are freed before
-//! the table, larger than all of them, is allocated). So while it loads, an
-//! index costs the artefact the caller holds (3.0 MB on `ecom-1m`) plus the
-//! index being built and that scratch, with no payload-sized copy and no
-//! flat column in between, and a load allocates a constant plus a few
-//! arrays a segment, never one a posting (`tests/load_allocs.rs` holds it
-//! to that). A read-only node's load moment is now below what it serves
-//! from (EXPERIMENTS.md X12).
+//! A load decodes the slot → item table straight into its `Arc`, then the
+//! sessions into their segments: first every segment's timestamps and
+//! offsets, which give each segment's item count, then each segment's slots
+//! into an array of exactly that size. Deriving the postings writes the one
+//! arena in place, then the 12-byte records once from the supports, then
+//! the item → slot table. The derivation's scratch (holder counts,
+//! supports, posting offsets and fill cursor, 16 bytes a slot) never
+//! outgrows the records and the table still to come, so the load peaks at
+//! the finished index. So while it loads, an index costs the artefact the
+//! caller holds (3.0 MB on `ecom-1m`) plus the index being built, with no
+//! payload-sized copy and no flat column in between, and a load allocates a
+//! constant plus a few arrays a segment, never one a posting
+//! (`tests/load_allocs.rs` holds it to that). A read-only node's load
+//! moment is now below what it serves from (EXPERIMENTS.md X12).
 
 use std::fmt;
 use std::io::Write;
@@ -211,7 +211,8 @@ pub fn write_index(index: &SessionIndex, mut writer: impl Write) -> std::io::Res
     // index is live, and the sort has nothing to do.
     let slot_items = index.slot_items();
     let mut items: Vec<(ItemId, u32)> = (slot_items.iter().copied().zip(0..))
-        .filter(|&(item, slot)| index.item_slot(item) == Some(slot))
+        .zip(index.records())
+        .filter_map(|(pair, posting)| (posting.support != 0).then_some(pair))
         .collect();
     items.sort_unstable();
     let mut renumber = vec![u32::MAX; slot_items.len()];
@@ -525,10 +526,16 @@ mod tests {
                 Arc::new(Segment::new(segment.timestamps(), offsets.into(), slots.into()))
             })
             .collect();
-        let (table, arenas) = (index.posting_table().clone(), index.arenas().into());
-        let slot_items = Arc::clone(index.slot_items());
-        let reversed =
-            SessionIndex::from_generation(table, arenas, segments.into(), slot_items, index.m_max());
+        let (records, slot_table) = (index.records().into(), index.slot_table().clone());
+        let (arenas, slot_items) = (index.arenas().into(), Arc::clone(index.slot_items()));
+        let reversed = SessionIndex::from_generation(
+            records,
+            slot_table,
+            arenas,
+            segments.into(),
+            slot_items,
+            index.m_max(),
+        );
         assert_eq!(reversed.session_items(0), &[1, 0]);
         let loaded = read_index(&serialise(&reversed)).unwrap();
         assert_eq!(serialise(&loaded), serialise(&index));

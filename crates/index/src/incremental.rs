@@ -17,7 +17,7 @@
 //!    new [`Segment`]s, external ids into the indexer's own column — with
 //!    the monotone old → new rank map of everything at or above `cut`;
 //!    every segment wholly below `cut` is handed on by pointer;
-//! 4. start from a copy of the previous posting table and rewrite only the
+//! 4. start from a copy of the previous record column and rewrite only the
 //!    postings of items that occur in a session at or above `cut` (their
 //!    entries are renumbered ranks) or in a removed or inserted session
 //!    (support ±1, entries dropped and merged in), all into one fresh
@@ -29,9 +29,9 @@
 //! segment are shared through their `Arc`s. Live traffic lands at the
 //! recent end of the rank order, so `cut` is near the top and a merge
 //! allocates O(delta) — at most the last segment or two and one arena of
-//! the touched postings — plus what stays O(items): the posting table's
-//! 16-byte records are copied, and a merge that meets an item for the first
-//! time copies the slot → item table to append to it. A batch of *old*
+//! the touched postings — plus what stays O(items): the 12-byte records
+//! are copied, and a merge that meets an item for the first time copies
+//! the slot → item table and the item → slot table to add to them. A batch of *old*
 //! timestamps (a backfill at rank 0, or the retention window dropping its
 //! oldest session) renumbers every rank, so every segment and every posting
 //! is written anew: the path degrades to the cost of a build, never to a
@@ -56,13 +56,15 @@
 //! session copied into a new segment brings its slots along, and only an
 //! item the index has not seen is given one, the next — never a slot the
 //! table already holds, since the slots are the only record of a session's
-//! items. An item whose last session leaves strands its slot, and if it
-//! returns it is given a fresh one. Stranded slots cost a few bytes each in
-//! the kernel's per-slot tables; a merge that writes every segment anyway
-//! (`cut` = 0) numbers the live items afresh, by first appearance over the
-//! rows in rank order, and a merge that finds more than one stranded slot
-//! per [`DEAD_SLOT_SHARE`] live ones is made such a merge, so they stay
-//! bounded under any turnover of the catalogue. Renumbering keeps each
+//! items. An item whose last session leaves strands its slot — its record's
+//! support is 0 — and if it returns it takes that slot back, found through
+//! the item → slot table, which therefore only grows between renumberings.
+//! Stranded slots cost a few bytes each in the index's and the kernel's
+//! per-slot tables; a merge that writes every segment anyway (`cut` = 0)
+//! numbers the live items afresh, by first appearance over the rows in rank
+//! order, and a merge that finds more than one stranded slot per
+//! [`DEAD_SLOT_SHARE`] live ones is made such a merge, so they stay bounded
+//! under any turnover of the catalogue. Renumbering keeps each
 //! row's order, so it stays canonical.
 //!
 //! ## Arenas
@@ -114,7 +116,7 @@
 
 use std::sync::Arc;
 
-use serenade_core::index::{Posting, Segment, SEGMENT_SESSIONS};
+use serenade_core::index::{Posting, Segment, SlotTable, SEGMENT_SESSIONS};
 use serenade_core::{
     Click, CoreError, FxHashMap, FxHashSet, ItemId, SessionId, SessionIndex, SessionRuns, Timestamp,
 };
@@ -262,7 +264,8 @@ impl IncrementalIndexer {
         }
         Ok(Self {
             index: SessionIndex::from_generation(
-                FxHashMap::default(),
+                Arc::from([]),
+                SlotTable::new(&[]),
                 Arc::from([]),
                 Arc::from([]),
                 Arc::from([]),
@@ -458,7 +461,6 @@ impl IncrementalIndexer {
             return Ok(());
         }
         let old = self.index.clone();
-        let old_table = old.posting_table();
         let n_old = old.num_sessions();
         let old_key = |rank: usize| (old.session_timestamp(rank as SessionId), self.ext_ids[rank]);
         let first_gained = pending.iter().map(|p| p.key).min();
@@ -491,13 +493,14 @@ impl IncrementalIndexer {
         order.extend(pending.iter().enumerate().map(|(k, p)| (p.key, Source::New(k))));
         order.sort_by_key(|&(key, _)| key);
 
-        // An item keeps its slot; one without takes the next. When slots are
-        // numbered afresh no item has one, and they go in order of appearance.
+        // An item keeps its slot, or takes back the one it left; one without
+        // takes the next. When slots are numbered afresh no item has one, and
+        // they go in order of appearance.
         let kept_slots = if renumber { 0 } else { old.slot_items().len() };
         let mut new_slot_items: Vec<ItemId> = Vec::new();
         let mut new_slots: FxHashMap<ItemId, u32> = FxHashMap::default();
-        let mut slot_of = |item: ItemId| match old_table.get(&item) {
-            Some(posting) if !renumber => posting.slot,
+        let mut slot_of = |item: ItemId| match old.slot_of(item) {
+            Some(slot) if !renumber => slot,
             _ => *new_slots.entry(item).or_insert_with(|| {
                 new_slot_items.push(item);
                 (kept_slots + new_slot_items.len() - 1) as u32
@@ -573,27 +576,40 @@ impl IncrementalIndexer {
             rewrite.extend(old.session_items(rank as SessionId).iter());
         }
         let m_max = old.m_max();
-        let mut table = old_table.clone();
+        // The record column: the old records, and a dead one a new slot,
+        // copied straight into the new generation's `Arc`.
+        let held = old.records()[..kept_slots].iter().copied();
+        let new = std::iter::repeat_n(Posting::default(), new_slot_items.len());
+        let mut records: Arc<[Posting]> = held.chain(new).collect();
+        let column = Arc::get_mut(&mut records).expect("a new column has no other owner");
         let mut arenas = if renumber { Vec::new() } else { old.arenas().to_vec() };
         let fresh_arena = arenas.len() as u32;
         let mut fresh: Vec<SessionId> = Vec::new();
         let mut copied = 0;
         for &item in &rewrite {
             let (lost, gained) = delta.remove(&item).unwrap_or_default();
-            let (was, was_support, was_slot) = match old_table.get(&item) {
-                Some(&posting) => (old.entries(posting), posting.support, Some(posting.slot)),
-                None => (&[][..], 0, None),
+            let was_slot = old.slot_of(item);
+            let was_record = was_slot.map_or_else(Posting::default, |s| old.records()[s as usize]);
+            let was = match was_record.support {
+                0 => &[][..],
+                _ => old.entries(was_record),
             };
-            let support = was_support - lost + gained.len() as u32;
+            let support = was_record.support - lost + gained.len() as u32;
+            let slot = new_slots.get(&item).copied().or(was_slot.filter(|_| !renumber));
             if support == 0 {
-                table.remove(&item);
+                // A slot numbered afresh is only given to an item that stays.
+                if let Some(slot) = slot {
+                    column[slot as usize] = Posting::default();
+                }
                 continue;
             }
+            let slot =
+                slot.expect("an item is given its slot with the first session that lists it");
             // A truncated posting left out only sessions older than its last
             // entry. A session gained down there competes with those, so it
             // is dropped here and found again by the refill scan below.
             let floor = match was.last() {
-                Some(&last) if was_support as usize > was.len() => {
+                Some(&last) if was_record.support as usize > was.len() => {
                     lower_bound(n_new, new_key, old_key(last as usize))
                 }
                 _ => 0,
@@ -603,11 +619,6 @@ impl IncrementalIndexer {
             let want = m_max.min(support as usize);
             let start = fresh.len();
             merge_descending(kept, gained, want, &mut fresh);
-            let slot = new_slots
-                .get(&item)
-                .copied()
-                .or(was_slot)
-                .expect("an item is given its slot with the first session that lists it");
             let mut rank = floor;
             while fresh.len() - start < want && rank > 0 {
                 rank -= 1;
@@ -616,23 +627,29 @@ impl IncrementalIndexer {
                 }
             }
             let start = start as u32;
-            table.insert(item, Posting { support, slot, arena: fresh_arena, start });
+            column[slot as usize] = Posting { support, arena: fresh_arena, start };
             copied += 1;
         }
         if !fresh.is_empty() {
             arenas.push(fresh.into());
         }
-        // The slot → item table is the old one unless this merge gave a slot.
+        // The slot tables are the old ones unless this merge gave a slot.
         let slot_items = if new_slot_items.is_empty() && !renumber {
             Arc::clone(old.slot_items())
         } else {
             old.slot_items()[..kept_slots].iter().copied().chain(new_slot_items).collect()
         };
+        let slot_table = if renumber {
+            SlotTable::new(&slot_items)
+        } else {
+            old.slot_table().with_new_slots(&slot_items, kept_slots)
+        };
 
         let written = (segments.len() - first_segment) as u64;
-        let items = table.len() as u64;
+        let (arenas, segments) = (arenas.into(), segments.into());
         let mut index =
-            SessionIndex::from_generation(table, arenas.into(), segments.into(), slot_items, m_max);
+            SessionIndex::from_generation(records, slot_table, arenas, segments, slot_items, m_max);
+        let items = index.num_items() as u64;
         // Dead arena entries stay bounded by the live ones, and the table of
         // arenas, which every merge copies, stays short.
         if index.dead_posting_entries() > index.posting_entries() / DEAD_ENTRY_SHARE
@@ -943,9 +960,10 @@ mod tests {
                 Arc::new(Segment::new(segment.timestamps(), offsets.into(), slots.into()))
             })
             .collect();
-        let (table, arenas) = (index.posting_table().clone(), index.arenas().into());
-        let slot_items = Arc::clone(index.slot_items());
-        SessionIndex::from_generation(table, arenas, segments.into(), slot_items, index.m_max())
+        let (records, slot_table) = (index.records().into(), index.slot_table().clone());
+        let (arenas, slot_items) = (index.arenas().into(), Arc::clone(index.slot_items()));
+        let (segments, m_max) = (segments.into(), index.m_max());
+        SessionIndex::from_generation(records, slot_table, arenas, segments, slot_items, m_max)
     }
 
     #[test]

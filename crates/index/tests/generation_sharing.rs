@@ -406,7 +406,7 @@ fn assert_shared_slots_stable(prev: &SessionIndex, next: &SessionIndex) {
 }
 
 #[test]
-fn an_item_that_leaves_and_returns_takes_a_fresh_slot() {
+fn an_item_that_leaves_and_returns_takes_back_its_slot() {
     const M_MAX: usize = 20;
     const SEG: u64 = SEGMENT_SESSIONS as u64;
     const ITEM: ItemId = 9_999;
@@ -434,8 +434,9 @@ fn an_item_that_leaves_and_returns_takes_a_fresh_slot() {
     assert_eq!(g1.slot_items()[first as usize], ITEM, "a stranded slot keeps its entry");
     assert_shared_slots_stable(&g0, &g1);
 
-    // ...and returns in a later batch, beside an item that is new too: both
-    // are given slots past every one the table held, none is handed on.
+    // ...and returns in a later batch, beside an item that is new too: it
+    // takes back the slot it stranded, and the new item is given the next
+    // slot past every one the table held.
     let returns = [
         Click::new(6 * SEG, 7, 20_000 * SEG),
         Click::new(6 * SEG, ITEM, 20_000 * SEG),
@@ -446,8 +447,8 @@ fn an_item_that_leaves_and_returns_takes_a_fresh_slot() {
     let (g2, _) = check(&inc, &mut log, "the item returns");
     let (again, new) = (g2.item_slot(ITEM).unwrap(), g2.item_slot(ITEM + 1).unwrap());
     let held = g1.slot_items().len() as u32;
-    assert!(again >= held && new >= held && again != new, "{first} → {again}, {new}");
-    assert_eq!(g2.slot_items()[first as usize], ITEM);
+    assert_eq!((again, new), (first, held), "{first} → {again}, {new}");
+    assert_eq!((g2.dead_slots(), g2.slot_items().len() as u32), (0, held + 1));
     assert_eq!(shared_segments(&g1, &g2), 2);
     assert_shared_slots_stable(&g1, &g2);
 

@@ -181,24 +181,27 @@ fn the_artefact_of_a_synthetic_day_is_pinned_at_every_thread_count() {
 
 #[test]
 fn the_artefact_depends_on_the_content_not_the_slot_numbering() {
-    // A live generation with a stranded slot (item 500 left with its only
-    // session), an item that returned to a fresh slot (500 again), and a
-    // new item whose id is below every other's (0): its slot table is
-    // neither dense nor ascending, yet it writes the bytes of a build of its
-    // log, which numbers slots by id.
+    // A live generation with a stranded slot (item 501 left with its only
+    // session), an item that left with it and returned to its own slot
+    // (500), and a new item whose id is below every other's (0): its slot
+    // table is neither dense nor ascending, yet it writes the bytes of a
+    // build of its log, which numbers slots by id.
     let mut inc = IncrementalIndexer::new(10).expect("valid capacity");
     let mut log: Vec<Click> = (0..40u64)
         .flat_map(|s| [Click::new(s, 1 + s % 20, 10 * s), Click::new(s, 1 + s * 7 % 20, 10 * s + 1)])
         .collect();
     inc.apply_batch(&log).expect("batch applies");
-    inc.apply_batch(&[Click::new(100, 500, 1_000), Click::new(100, 3, 1_001)]).expect("applies");
+    let leaving = [Click::new(100, 500, 1_000), Click::new(100, 501, 1_001)];
+    inc.apply_batch(&leaving).expect("applies");
+    let first = inc.snapshot().expect("sessions remain").item_slot(500);
     assert!(inc.delete_session(100).expect("delete applies"));
     let returning = [Click::new(101, 500, 2_000), Click::new(101, 0, 2_001)];
     inc.apply_batch(&returning).expect("applies");
     log.extend_from_slice(&returning);
     let live = inc.snapshot().expect("sessions remain");
     let slot_items = live.slot_items();
-    assert_eq!(live.dead_slots(), 1, "item 500's first slot is stranded");
+    assert_eq!(live.dead_slots(), 1, "item 501's slot is stranded");
+    assert_eq!(live.item_slot(500), first, "item 500 took its slot back");
     assert!(slot_items.windows(2).any(|w| w[0] > w[1]), "item 0 came last: {slot_items:?}");
 
     let built = SessionIndex::build(&log, 10).expect("non-empty log");

@@ -4,10 +4,13 @@
 //!
 //! A ten-click batch at the recent end of the rank order may allocate the
 //! last segment of sessions over again, one arena of O(touched) postings,
-//! and the two things that stay O(items): the posting table's records and
-//! the kernel's idf table. Nothing may grow with the number of sessions or clicks
-//! indexed: the same publish into an index four times the size allocates
-//! the same bytes. `snapshot()` allocates nothing.
+//! and the two things that stay O(items): the 12-byte posting records and
+//! the kernel's idf table. The slot tables — slot → item and item → slot —
+//! are shared with the previous generation unless the batch brings an item
+//! the index has not held, and only then copied. Nothing may grow with the
+//! number of sessions or clicks indexed: the same publish into an index
+//! four times the size allocates the same bytes. `snapshot()` allocates
+//! nothing.
 //!
 //! `adopt` allocates O(sessions) and nothing a click: the same index adopted
 //! from a seed with four times the clicks allocates the same bytes.
@@ -15,7 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use serenade_core::index::SEGMENT_SESSIONS;
+use serenade_core::index::{Posting, SEGMENT_SESSIONS};
 use serenade_core::{Click, SessionIndex, VmisConfig, VmisKnn};
 use serenade_index::IncrementalIndexer;
 
@@ -69,7 +72,9 @@ const ITEMS: u64 = 12_000;
 
 /// Publishes a ten-click batch at the recent end of an index of `sessions`
 /// sessions of four clicks; returns the allocations and the bytes the
-/// publish asked for, the latter without the posting table's.
+/// publish asked for, the latter without the records'. Then checks that a
+/// batch with an item the index never held copies the slot tables, and
+/// only such a batch.
 fn recent_end_publish(sessions: u64) -> (u64, usize) {
     let mut state = 5u64;
     let mut log = Vec::new();
@@ -105,6 +110,7 @@ fn recent_end_publish(sessions: u64) -> (u64, usize) {
     inc.take_sharing();
 
     let measured = batch(1);
+    let before = inc.snapshot().expect("non-empty");
     let (kernel, allocations, bytes) = allocated_by(|| {
         inc.apply_batch(&measured).expect("measured batch");
         let generation = inc.snapshot().expect("non-empty");
@@ -119,9 +125,27 @@ fn recent_end_publish(sessions: u64) -> (u64, usize) {
         (1, sessions / SEGMENT_SESSIONS as u64),
         "a recent-end merge writes the last segment"
     );
-    let table = kernel.index().bytes().posting_table;
-    assert!(bytes as usize > table, "the posting table's records are copied");
-    (allocations, bytes as usize - table)
+    let after = kernel.index();
+    let records = std::mem::size_of_val(after.records());
+    assert_eq!(std::mem::size_of::<Posting>(), 12);
+    assert!(bytes as usize > records, "the records are copied");
+    assert!(std::ptr::eq(before.slot_table().buckets(), after.slot_table().buckets()));
+    assert!(std::sync::Arc::ptr_eq(before.slot_items(), after.slot_items()));
+
+    // An item the index never held: both slot tables are copied to add it.
+    let new_item = [Click::new(sessions + 100, ITEMS + 1, newest + 1_000)];
+    let ((), _, new_item_bytes) = allocated_by(|| inc.apply_batch(&new_item).expect("applies"));
+    let grown = inc.snapshot().expect("non-empty");
+    assert_eq!(grown.slot_items().len(), after.slot_items().len() + 1);
+    assert!(!std::ptr::eq(after.slot_table().buckets(), grown.slot_table().buckets()));
+    let tables = std::mem::size_of_val(grown.slot_table().buckets())
+        + std::mem::size_of_val(&grown.slot_items()[..]);
+    assert!(
+        new_item_bytes as usize >= records + tables,
+        "{new_item_bytes} bytes for a new item; the records and both slot tables are \
+         {records} + {tables}"
+    );
+    (allocations, bytes as usize - records)
 }
 
 #[test]
@@ -143,7 +167,7 @@ fn a_recent_end_publish_allocates_the_same_at_four_times_the_index() {
     let segment = SEGMENT_SESSIONS * (8 + 4 + 4 * (8 + 4));
     assert!(
         large_bytes < 4 * segment,
-        "{large_bytes} bytes beside the posting table; one segment is {segment}"
+        "{large_bytes} bytes beside the records; one segment is {segment}"
     );
     for allocations in [small_allocations, large_allocations] {
         assert!(

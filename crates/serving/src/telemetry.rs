@@ -127,7 +127,7 @@ impl ClusterTelemetry {
             self.registry.polled_gauge(
                 "serenade_index_bytes",
                 "Heap bytes of the published index, by structure (layout sizes, Arc headers \
-                 and hash buckets included).",
+                 and empty slot-table buckets included).",
                 &[("structure", structure)],
                 move || index_bytes(&handle.load())[i],
             );

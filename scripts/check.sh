@@ -47,6 +47,9 @@ fi
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> kernel probe: the committed instrument runs (--quick)"
+cargo run --release -q -p serenade-bench --bin kernel_probe -- --quick
+
 echo "==> workspace lint"
 cargo run -q -p xtask -- lint
 
