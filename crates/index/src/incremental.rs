@@ -100,19 +100,7 @@
 //! arriving in later batches are silently discarded instead of resurrecting
 //! the session as new traffic.
 //!
-//! ## Touched-item tracking
-//!
-//! The indexer accumulates the items of every removed and inserted session
-//! since the last [`drain_touched`] call — exactly the items whose posting
-//! *content* may have changed (renumbering alone does not count). Publishers
-//! drain this set per publish to drive *epoch-bucketed* cache invalidation:
-//! a cached prediction for an untouched item survives the publish. The set
-//! is a sound over-approximation of the semantic posting diff — the items
-//! whose support or posting sessions, compared by content, differ — which
-//! the property suite (`tests/deletion_props.rs`) verifies.
-//!
 //! [`snapshot`]: IncrementalIndexer::snapshot
-//! [`drain_touched`]: IncrementalIndexer::drain_touched
 
 use std::sync::Arc;
 
@@ -135,39 +123,6 @@ const DEAD_ENTRY_SHARE: usize = 1;
 /// Arenas a generation may point into before a merge compacts them: every
 /// merge copies the table of arenas and may add one.
 const MAX_ARENAS: usize = 64;
-
-/// Items whose posting lists may have changed since the last drain — the
-/// unit of epoch-bucketed cache invalidation (see the module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TouchedItems {
-    /// Every posting may have changed; invalidate unconditionally.
-    All,
-    /// Only these items' postings may have changed.
-    Items(FxHashSet<ItemId>),
-}
-
-impl TouchedItems {
-    /// `true` if `item` is in the touched set.
-    pub fn contains(&self, item: ItemId) -> bool {
-        match self {
-            TouchedItems::All => true,
-            TouchedItems::Items(set) => set.contains(&item),
-        }
-    }
-
-    /// Number of touched items (`None` for [`TouchedItems::All`]).
-    pub fn len(&self) -> Option<usize> {
-        match self {
-            TouchedItems::All => None,
-            TouchedItems::Items(set) => Some(set.len()),
-        }
-    }
-
-    /// `true` if no item is touched.
-    pub fn is_empty(&self) -> bool {
-        matches!(self, TouchedItems::Items(set) if set.is_empty())
-    }
-}
 
 /// How much of the previous generations the merges since the last
 /// [`IncrementalIndexer::take_sharing`] carried over untouched.
@@ -222,9 +177,6 @@ pub struct IncrementalIndexer {
     /// External ids of explicitly deleted sessions; their clicks are
     /// discarded from all future batches (no resurrection).
     tombstones: FxHashSet<u64>,
-    /// Items whose postings may have changed since the last
-    /// [`IncrementalIndexer::drain_touched`].
-    touched: FxHashSet<ItemId>,
     sharing: Sharing,
     /// Number of retention compactions (oldest-session drops) — observability.
     compactions: usize,
@@ -275,7 +227,6 @@ impl IncrementalIndexer {
             session_ts: FxHashMap::default(),
             max_session_items,
             tombstones: FxHashSet::default(),
-            touched: FxHashSet::default(),
             sharing: Sharing::default(),
             compactions: 0,
             deletions: 0,
@@ -355,13 +306,6 @@ impl IncrementalIndexer {
     /// what the retention cap counts.
     pub fn retained_session_items(&self) -> usize {
         self.index.session_item_entries()
-    }
-
-    /// Drains the accumulated touched-item set: the items whose postings may
-    /// have changed since the previous drain. Publishers call this once per
-    /// publish to bucket cache invalidation by epoch.
-    pub fn drain_touched(&mut self) -> TouchedItems {
-        TouchedItems::Items(std::mem::take(&mut self.touched))
     }
 
     /// Takes the sharing counts accumulated since the previous call.
@@ -570,8 +514,7 @@ impl IncrementalIndexer {
         // (every old session from `cut` up) and the touched ones, which this
         // merge writes into one fresh arena. A merge that numbers slots
         // afresh rewrites every posting, so the fresh arena is the only one.
-        let touched: Vec<ItemId> = delta.keys().copied().collect();
-        let mut rewrite: FxHashSet<ItemId> = touched.iter().copied().collect();
+        let mut rewrite: FxHashSet<ItemId> = delta.keys().copied().collect();
         for rank in cut..n_old {
             rewrite.extend(old.session_items(rank as SessionId).iter());
         }
@@ -665,7 +608,6 @@ impl IncrementalIndexer {
         self.session_ts.extend(pending.iter().map(|p| (p.key.1, p.key.0)));
         self.ext_ids.truncate(base);
         self.ext_ids.append(&mut ext_ids);
-        self.touched.extend(touched);
         self.sharing.postings_copied += copied;
         self.sharing.postings_shared += items - copied;
         self.sharing.ranks_unchanged += cut as u64;
@@ -1266,51 +1208,6 @@ mod tests {
         // The indexer keeps working after emptying out.
         inc.apply_batch(&[Click::new(2, 2, 200)]).unwrap();
         assert_eq!(inc.num_sessions(), 1);
-    }
-
-    #[test]
-    fn new_session_touches_exactly_its_items() {
-        let mut inc = IncrementalIndexer::new(7).unwrap();
-        inc.apply_batch(&[Click::new(1, 3, 100), Click::new(1, 5, 101)]).unwrap();
-        match inc.drain_touched() {
-            TouchedItems::Items(set) => {
-                let mut items: Vec<_> = set.into_iter().collect();
-                items.sort_unstable();
-                assert_eq!(items, vec![3, 5]);
-            }
-            TouchedItems::All => panic!("a merge reports a precise set"),
-        }
-        // Draining resets the accumulator.
-        assert!(inc.drain_touched().is_empty());
-    }
-
-    #[test]
-    fn deletion_touches_the_deleted_sessions_items() {
-        let mut inc = IncrementalIndexer::new(7).unwrap();
-        inc.apply_batch(&[
-            Click::new(1, 3, 100),
-            Click::new(1, 5, 101),
-            Click::new(2, 7, 200),
-        ])
-        .unwrap();
-        inc.drain_touched();
-        assert!(inc.delete_session(1).unwrap());
-        let touched = inc.drain_touched();
-        assert!(touched.contains(3) && touched.contains(5));
-        assert!(!touched.contains(7), "unrelated session's item must not be touched");
-    }
-
-    #[test]
-    fn reappearing_session_touches_its_old_items_too() {
-        let mut inc = IncrementalIndexer::new(7).unwrap();
-        inc.apply_batch(&[Click::new(1, 3, 100), Click::new(2, 9, 200)]).unwrap();
-        inc.drain_touched();
-        // Session 1 reappears with a new item: its old item 3 moves in
-        // recency and must be reported as touched alongside the new item.
-        inc.apply_batch(&[Click::new(1, 4, 300)]).unwrap();
-        let touched = inc.drain_touched();
-        assert!(touched.contains(3) && touched.contains(4));
-        assert!(!touched.contains(9));
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   ships compressed Avro; the format here is purpose-built and versioned);
 //! * [`incremental`] — an incremental indexer that holds the live index and
 //!   merges click batches, GDPR-style session deletions and retention drops
-//!   into it, sharing unchanged postings between generations, and tracks
-//!   touched items per publish (future work, Section 7).
+//!   into it, sharing unchanged postings between generations (future work,
+//!   Section 7).
 
 #![warn(missing_docs)]
 
@@ -29,4 +29,4 @@ pub mod incremental;
 
 pub use binfmt::{read_index, write_index, BinError};
 pub use builder::{build_parallel, BuilderConfig};
-pub use incremental::{IncrementalIndexer, Sharing, TouchedItems};
+pub use incremental::{IncrementalIndexer, Sharing};

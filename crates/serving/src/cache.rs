@@ -25,30 +25,14 @@
 //! ([`IndexHandle::load_with_generation`]), so a stamp is never newer than
 //! the index that produced the list. A lookup supplies the current
 //! generation; an entry with any other stamp is a miss (and is eagerly
-//! evicted). `reload_index` therefore invalidates the whole cache
-//! implicitly — by bumping the generation, not by touching entries — and
-//! once a request observes the post-rollover generation it can only be
-//! served lists computed on the new index. `tests/loom_models.rs` model-
-//! checks this claim and kills the `mutation-skip-generation-check` seeded
-//! mutation that drops the stamp comparison.
-//!
-//! ## Epoch-bucketed invalidation
-//!
-//! Whole-generation invalidation is right for the daily rollover (every
-//! posting changed) but thrashes under streaming ingest, where a
-//! mini-publish every few hundred milliseconds touches a handful of items.
-//! [`GenerationCache::get_with_validity`] therefore lets the caller supply
-//! an *epoch validity* predicate: on a stamp mismatch, the predicate is
-//! consulted with the entry's stamp, and if every publish epoch between the
-//! stamp and the current generation is known **not** to have touched the
-//! entry's item (see [`crate::ingest::epoch::EpochLog`]), the entry is
-//! **re-stamped** to the current generation and served
-//! ([`Lookup::Revalidated`]) instead of being evicted. A missing epoch
-//! record degrades to the conservative whole-generation behaviour — false
-//! staleness is always safe, false validity never happens. The
-//! publish/probe protocol is loom-modelled in `tests/loom_models.rs`, which
-//! also kills the `mutation-skip-epoch-check` seeded mutation that ignores
-//! the per-item touched sets.
+//! evicted). The daily rollover and every ingest mini-publish therefore
+//! invalidate the whole cache implicitly — by bumping the generation, not
+//! by touching entries — and once a request observes a new generation it
+//! can only be served lists computed on that generation's index, bit for
+//! bit what the kernel would answer. No entry outlives a publish: after
+//! one, every entry misses once. `tests/loom_models.rs` model-checks this
+//! claim and kills the `mutation-skip-generation-check` seeded mutation
+//! that drops the stamp comparison.
 //!
 //! ## Structure
 //!
@@ -70,7 +54,6 @@ use std::time::Duration;
 use serenade_core::{FxHashMap, ItemId, ItemScore};
 use serenade_telemetry::{Counter, Histogram, HistogramConfig, Registry};
 
-use crate::ingest::epoch::EpochLog;
 use crate::sync::Mutex;
 
 /// Which single-item view a cached list was computed for. The two variants
@@ -104,10 +87,6 @@ pub type CachedList = Arc<Vec<ItemScore>>;
 pub enum Lookup<V> {
     /// Entry present and stamped with the requested generation.
     Hit(V),
-    /// Entry stamped with an older generation, but the caller's validity
-    /// predicate vouched for every intervening publish epoch: the entry was
-    /// re-stamped to the requested generation and served.
-    Revalidated(V),
     /// Entry present but stamped with a different generation — the index
     /// rolled over since it was computed. The entry has been evicted.
     Stale,
@@ -175,26 +154,6 @@ impl<K: Hash + Eq + Clone, V: Clone> GenerationCache<K, V> {
     /// rollover, old entries die on first touch instead of occupying slots
     /// until the CLOCK hand reclaims them.
     pub fn get(&self, key: &K, generation: u64) -> Lookup<V> {
-        self.get_with_validity(key, generation, |_| false)
-    }
-
-    /// [`Self::get`] with an epoch escape hatch: on a stamp mismatch,
-    /// `still_valid` is consulted with the entry's stamp before eviction.
-    /// `true` means every publish between that stamp and `generation` is
-    /// known not to have changed this entry's answer; the entry is then
-    /// **re-stamped** to `generation` and served as [`Lookup::Revalidated`]
-    /// (re-stamping is sound because the validated span is now covered —
-    /// a later probe only needs to vouch for epochs after `generation`).
-    ///
-    /// The predicate runs under the shard lock; it must only take locks that
-    /// are never held while calling into this cache (the epoch log qualifies:
-    /// publishers record epochs without touching cache shards).
-    pub fn get_with_validity(
-        &self,
-        key: &K,
-        generation: u64,
-        still_valid: impl FnOnce(u64) -> bool,
-    ) -> Lookup<V> {
         let mut shard = self.shard(key).lock();
         let Some(&idx) = shard.map.get(key) else {
             return Lookup::Miss;
@@ -207,23 +166,13 @@ impl<K: Hash + Eq + Clone, V: Clone> GenerationCache<K, V> {
         };
         #[cfg(not(feature = "mutation-skip-generation-check"))]
         if entry_generation != generation {
-            if still_valid(entry_generation) {
-                match shard.slots[idx].as_mut() {
-                    Some(slot) => {
-                        slot.generation = generation;
-                        slot.referenced = true;
-                        return Lookup::Revalidated(slot.value.clone());
-                    }
-                    None => return Lookup::Miss,
-                }
-            }
             shard.slots[idx] = None;
             shard.map.remove(key);
             return Lookup::Stale;
         }
         #[cfg(feature = "mutation-skip-generation-check")]
         // seeded mutation: serve regardless
-        let _ = (entry_generation, generation, still_valid);
+        let _ = (entry_generation, generation);
         match shard.slots[idx].as_mut() {
             Some(slot) => {
                 slot.referenced = true;
@@ -309,24 +258,16 @@ impl Default for CacheConfig {
     }
 }
 
-/// How many publish epochs a cache's [`EpochLog`] retains: multiple seconds
-/// of mini-publishing at the default ingest cadence. An entry older than
-/// the window can no longer be revalidated and degrades to the
-/// whole-generation stale path.
-const EPOCH_WINDOW: usize = 64;
-
 /// The production prediction cache: a [`GenerationCache`] over
 /// `(item, view-kind)` keys plus the `serenade_cache_*` telemetry.
 #[derive(Debug)]
 pub struct PredictionCache {
     inner: GenerationCache<CacheKey, CachedList>,
-    epochs: Arc<EpochLog>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     stale: Arc<Counter>,
     evictions: Arc<Counter>,
     insertions: Arc<Counter>,
-    revalidations: Arc<Counter>,
     hit_latency: Arc<Histogram>,
 }
 
@@ -343,7 +284,6 @@ impl PredictionCache {
     pub(crate) fn with_registry(config: CacheConfig, registry: &Registry) -> Self {
         Self {
             inner: GenerationCache::new(config.shards, config.capacity_per_shard),
-            epochs: Arc::new(EpochLog::new(EPOCH_WINDOW)),
             hits: registry.counter(
                 "serenade_cache_hits_total",
                 "Prediction-cache lookups served from a generation-valid entry.",
@@ -369,12 +309,6 @@ impl PredictionCache {
                 "Prediction lists inserted into the cache after a miss.",
                 &[],
             ),
-            revalidations: registry.counter(
-                "serenade_cache_epoch_revalidations_total",
-                "Prediction-cache entries served across a publish because no \
-                 intervening epoch touched their item.",
-                &[],
-            ),
             hit_latency: registry.histogram(
                 "serenade_cache_hit_duration_seconds",
                 "End-to-end prediction-stage latency of cache hits.",
@@ -384,29 +318,12 @@ impl PredictionCache {
         }
     }
 
-    /// The publish-epoch log that index publishers (streaming ingest, the
-    /// daily rollover) record into *before* storing a new snapshot.
-    pub fn epoch_log(&self) -> &Arc<EpochLog> {
-        &self.epochs
-    }
-
     /// Generation-checked lookup. `None` covers both a true miss and a
     /// stale entry (counted separately); the caller recomputes either way.
-    /// An entry stamped by an older generation is still served when the
-    /// epoch log vouches that no intervening publish touched `key.item`.
     pub fn lookup(&self, key: CacheKey, generation: u64) -> Option<CachedList> {
-        let epochs = &self.epochs;
-        let verdict = self.inner.get_with_validity(&key, generation, |stamp| {
-            epochs.still_valid(key.item, stamp, generation)
-        });
-        match verdict {
+        match self.inner.get(&key, generation) {
             Lookup::Hit(list) => {
                 self.hits.inc();
-                Some(list)
-            }
-            Lookup::Revalidated(list) => {
-                self.hits.inc();
-                self.revalidations.inc();
                 Some(list)
             }
             Lookup::Stale => {
@@ -516,72 +433,6 @@ mod tests {
             (1, 1, 1)
         );
         assert!(cache.is_empty(), "stale entry evicted");
-    }
-
-    #[test]
-    fn validity_predicate_revalidates_and_restamps() {
-        let c: GenerationCache<u64, u64> = GenerationCache::new(1, 4);
-        c.insert(7, 1, 42);
-        // The predicate sees the entry's stamp and vouches for the span.
-        let mut seen_stamp = None;
-        let got = c.get_with_validity(&7, 3, |stamp| {
-            seen_stamp = Some(stamp);
-            true
-        });
-        assert_eq!(got, Lookup::Revalidated(42));
-        assert_eq!(seen_stamp, Some(1));
-        // Re-stamped: a plain generation-checked probe at 3 now hits.
-        assert_eq!(c.get(&7, 3), Lookup::Hit(42));
-    }
-
-    #[test]
-    fn validity_predicate_rejection_falls_back_to_stale() {
-        let c: GenerationCache<u64, u64> = GenerationCache::new(1, 4);
-        c.insert(7, 1, 42);
-        assert_eq!(c.get_with_validity(&7, 2, |_| false), Lookup::Stale);
-        assert_eq!(c.len(), 0, "rejected entry is eagerly evicted");
-    }
-
-    #[test]
-    fn validity_predicate_not_consulted_on_exact_generation() {
-        let c: GenerationCache<u64, u64> = GenerationCache::new(1, 4);
-        c.insert(7, 5, 42);
-        let got = c.get_with_validity(&7, 5, |_| panic!("must not consult on exact match"));
-        assert_eq!(got, Lookup::Hit(42));
-    }
-
-    #[test]
-    fn prediction_cache_revalidates_untouched_items_across_publishes() {
-        use crate::ingest::epoch::EpochChange;
-
-        let cache = PredictionCache::new(CacheConfig::default());
-        let hot = CacheKey { item: 9, view: ViewKind::Depersonalised };
-        let churned = CacheKey { item: 4, view: ViewKind::Depersonalised };
-        cache.store_list(hot, 1, vec![ItemScore { item: 1, score: 1.0 }]);
-        cache.store_list(churned, 1, vec![ItemScore { item: 2, score: 1.0 }]);
-
-        // A mini-publish bumping the generation to 2 touched only item 4.
-        cache.epoch_log().record(2, EpochChange::items([4]));
-        assert!(cache.lookup(hot, 2).is_some(), "untouched item survives the publish");
-        assert!(cache.lookup(churned, 2).is_none(), "touched item is invalidated");
-        assert_eq!(cache.revalidations.get(), 1);
-        assert_eq!(cache.stale.get(), 1);
-
-        // A full rollover (EpochChange::All) invalidates the survivor too.
-        cache.epoch_log().record(3, EpochChange::All);
-        assert!(cache.lookup(hot, 3).is_none(), "rollover invalidates everything");
-    }
-
-    #[test]
-    fn prediction_cache_degrades_to_stale_on_missing_epochs() {
-        let cache = PredictionCache::new(CacheConfig::default());
-        let key = CacheKey { item: 9, view: ViewKind::Depersonalised };
-        cache.store_list(key, 1, vec![ItemScore { item: 1, score: 1.0 }]);
-        // Generation moved to 2 but no epoch was recorded (e.g. a direct
-        // handle store): conservative whole-generation invalidation.
-        assert!(cache.lookup(key, 2).is_none());
-        assert_eq!(cache.stale.get(), 1);
-        assert_eq!(cache.revalidations.get(), 0);
     }
 
     #[test]

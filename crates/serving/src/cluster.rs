@@ -48,7 +48,6 @@ use crate::context::{RequestContext, StageTimings};
 use crate::engine::{build_recommender, EngineConfig, RecommendRequest, ServingVariant};
 use crate::error::ServingError;
 use crate::handle::IndexHandle;
-use crate::ingest::epoch::EpochChange;
 use crate::ingest::{IngestConfig, IngestPipeline};
 use crate::rules::BusinessRules;
 use crate::stats::ServingStats;
@@ -233,7 +232,6 @@ impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
             seed,
             Arc::clone(&self.index),
             self.config.clone(),
-            self.cache.clone(),
             Arc::clone(&self.telemetry),
         )?;
         // Two racing first calls both pass the check above; one loses here.
@@ -283,8 +281,8 @@ impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
     /// Handles one frontend request through the three-stage pipeline,
     /// reusing the caller's per-worker [`RequestContext`]. Per-stage
     /// timings are recorded into the stats and left on the context. A
-    /// successful request is then fed back into live ingest and offered to
-    /// the slow-request trace ring (subject to its sampling knobs). The
+    /// successful request is then offered to the slow-request trace ring
+    /// (subject to its sampling knobs). The
     /// ingress request id is consumed either way, so a stale id never
     /// reaches the next request handled on this context.
     ///
@@ -358,14 +356,6 @@ impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
         };
         ctx.set_timings(timings);
         self.stats.record(timings, !req.consent, recs.len());
-
-        // Consent-gated: depersonalised traffic never lands in the live
-        // index.
-        if req.consent {
-            if let Some(pipeline) = self.ingest() {
-                pipeline.observe_request(req.session_id, req.item);
-            }
-        }
         self.telemetry.traces().record(&TraceSample {
             request_id: if request_id == 0 {
                 self.telemetry.next_request_id()
@@ -520,14 +510,7 @@ impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
         }
         let started = Instant::now();
         let fresh = build_recommender(index, &self.config).map_err(RolloverError::Invalid)?;
-        let fresh = crate::sync::Arc::new(fresh);
-        // A rollover replaces the whole neighbourhood structure: record an
-        // all-items epoch (before the store — see the epoch-log contract)
-        // so no cached entry survives via epoch revalidation.
-        if let Some(cache) = &self.cache {
-            cache.epoch_log().record(self.index.generation() + 1, EpochChange::All);
-        }
-        self.index.store(fresh);
+        self.index.store(crate::sync::Arc::new(fresh));
         self.telemetry.record_rollover(started.elapsed());
         Ok(())
     }
@@ -684,11 +667,16 @@ mod ingest_tests {
     }
 
     fn cluster_with_ingest(config: IngestConfig) -> (ServingCluster, Arc<IngestPipeline>) {
+        cluster_with_engine_and_ingest(EngineConfig::default(), config)
+    }
+
+    fn cluster_with_engine_and_ingest(
+        engine: EngineConfig,
+        config: IngestConfig,
+    ) -> (ServingCluster, Arc<IngestPipeline>) {
         let clicks = seed_clicks();
         let index = Arc::new(SessionIndex::build(&clicks, 500).unwrap());
-        let cluster =
-            ServingCluster::new(index, 1, EngineConfig::default(), BusinessRules::none())
-                .unwrap();
+        let cluster = ServingCluster::new(index, 1, engine, BusinessRules::none()).unwrap();
         let pipeline = cluster.enable_ingest(config, &clicks).unwrap();
         (cluster, pipeline)
     }
@@ -749,20 +737,6 @@ mod ingest_tests {
     }
 
     #[test]
-    fn observe_served_feeds_the_index() {
-        let (c, p) = cluster_with_ingest(IngestConfig {
-            publish_interval: Duration::from_millis(5),
-            ..IngestConfig::default()
-        });
-        p.observe_served(4_000, 3, 10_000);
-        p.observe_served(4_000, 99, 10_001);
-        p.flush().unwrap();
-        let recs = c.handle(dep(902, 99)).unwrap();
-        assert!(recs.iter().any(|r| r.item == 3), "served clicks must reach the index: {recs:?}");
-        assert_eq!(c.scraped("serenade_ingest_accepted_clicks_total", &[]), 2);
-    }
-
-    #[test]
     fn deleted_session_stops_influencing_recommendations() {
         let (c, p) = cluster_with_ingest(IngestConfig {
             publish_interval: Duration::from_millis(5),
@@ -807,25 +781,49 @@ mod ingest_tests {
     }
 
     #[test]
-    fn mini_publish_revalidates_untouched_cache_entries() {
-        let (c, p) = cluster_with_ingest(IngestConfig {
-            publish_interval: Duration::from_millis(5),
-            ..IngestConfig::default()
-        });
-        let warm = c.handle(dep(905, 1)).unwrap();
-        assert_eq!(c.handle(dep(906, 1)).unwrap(), warm, "warm: second request hits");
-        let hits_before = c.scraped("serenade_cache_hits_total", &[]);
+    fn a_cached_answer_after_a_mini_publish_is_the_kernels_answer() {
+        // Two clusters from one seed, fed the same publishes; only one
+        // caches. A long interval leaves every publish to the flushes.
+        let ingest =
+            IngestConfig { publish_interval: Duration::from_secs(30), ..IngestConfig::default() };
+        let (cached, cached_pipeline) = cluster_with_ingest(ingest);
+        let mut uncached_engine = EngineConfig::default();
+        uncached_engine.cache.enabled = false;
+        let (kernel, kernel_pipeline) = cluster_with_engine_and_ingest(uncached_engine, ingest);
+        let seed_items: Vec<u64> = (0..6).collect();
+        let bits = |recs: Vec<ItemScore>| -> Vec<(u64, u32)> {
+            recs.into_iter().map(|r| (r.item, r.score.to_bits())).collect()
+        };
+        let mut request = 10_000;
+        let mut ask = |c: &ServingCluster, item: u64| {
+            request += 1;
+            bits(c.handle(dep(request, item)).unwrap())
+        };
+        // Warm the cache on the seed generation.
+        for &item in &seed_items {
+            ask(&cached, item);
+        }
 
-        // A publish touching only brand-new items (40, 41).
-        assert!(p.submit(&[Click::new(3_000, 40, 10_000), Click::new(3_000, 41, 10_001)]));
-        p.flush().unwrap();
-
-        assert_eq!(c.handle(dep(907, 1)).unwrap(), warm, "untouched entry still serves");
-        let revalidations = c.scraped("serenade_cache_epoch_revalidations_total", &[]);
-        assert_eq!(revalidations, 1, "served via epoch revalidation");
-        assert_eq!(c.scraped("serenade_cache_hits_total", &[]), hits_before + 1);
-        let stale = c.scraped("serenade_cache_stale_total", &[]);
-        assert_eq!(stale, 0, "no whole-generation eviction happened");
+        // Batches that touch only brand-new items (a changed session count
+        // still moves every idf) alternate with batches that touch seed
+        // items.
+        let batches: [&[u64]; 5] = [&[40, 41], &[1, 55], &[42, 43], &[2, 3, 4], &[44, 45]];
+        for (n, items) in (0u64..).zip(batches) {
+            let clicks: Vec<Click> = (0u64..)
+                .zip(items)
+                .map(|(i, &item)| Click::new(3_000 + n, item, 20_000 + 10 * n + i))
+                .collect();
+            assert!(cached_pipeline.submit(&clicks) && kernel_pipeline.submit(&clicks));
+            let generation = cached_pipeline.flush().unwrap();
+            assert_eq!(kernel_pipeline.flush().unwrap(), generation);
+            for &item in &seed_items {
+                let answer = ask(&kernel, item);
+                // The first probe after the publish and a plain hit after it.
+                assert_eq!(ask(&cached, item), answer, "item {item} after batch {n}");
+                assert_eq!(ask(&cached, item), answer, "item {item} after batch {n}, cache hit");
+            }
+        }
+        assert!(cached.scraped("serenade_cache_hits_total", &[]) >= 30, "the cache served");
     }
 
     #[test]
@@ -846,38 +844,6 @@ mod ingest_tests {
         assert!(after.iter().any(|r| r.item == 55), "and reflect the live click: {after:?}");
         let stale = c.scraped("serenade_cache_stale_total", &[]);
         assert_eq!(stale, 1, "the touched entry was invalidated");
-        assert_eq!(c.scraped("serenade_cache_epoch_revalidations_total", &[]), 0);
-    }
-
-    #[test]
-    fn served_session_hook_feeds_consented_requests_only() {
-        let (c, p) = cluster_with_ingest(IngestConfig {
-            publish_interval: Duration::from_secs(30),
-            observe_served: true,
-            ..IngestConfig::default()
-        });
-        let consented =
-            RecommendRequest { session_id: 700, item: 1, consent: true, filter_adult: false };
-        c.handle(consented).unwrap();
-        c.handle(dep(701, 1)).unwrap();
-        assert_eq!(
-            c.scraped("serenade_ingest_accepted_clicks_total", &[]),
-            1,
-            "only the consented request feeds the index"
-        );
-        assert_eq!(p.pending_clicks(), 1);
-    }
-
-    #[test]
-    fn served_session_hook_is_off_by_default() {
-        let (c, _p) = cluster_with_ingest(IngestConfig {
-            publish_interval: Duration::from_secs(30),
-            ..IngestConfig::default()
-        });
-        let consented =
-            RecommendRequest { session_id: 702, item: 1, consent: true, filter_adult: false };
-        c.handle(consented).unwrap();
-        assert_eq!(c.scraped("serenade_ingest_accepted_clicks_total", &[]), 0);
     }
 
     #[test]
@@ -915,10 +881,6 @@ mod ingest_tests {
         let rollover = c.reload_index(Arc::new(SessionIndex::build(&clicks, 500).unwrap()));
         assert_eq!(rollover, Err(RolloverError::IngestEnabled));
         assert_eq!(c.index_handle().generation(), generation, "nothing was published");
-        assert!(
-            c.cache.as_ref().unwrap().epoch_log().is_empty(),
-            "no epoch was recorded for a publish that did not happen"
-        );
 
         assert!(p.submit(&[Click::new(1_000, 0, 10_000), Click::new(1_000, 1, 10_001)]));
         p.flush().unwrap();

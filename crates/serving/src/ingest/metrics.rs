@@ -7,8 +7,8 @@ use serenade_index::Sharing;
 use serenade_telemetry::{Counter, Gauge, Histogram, HistogramConfig, Registry};
 
 /// The stages of one mini-publish, in order: folding the drained work into
-/// the held index, building the kernel over the result, and the epoch
-/// record plus handle swap.
+/// the held index, building the kernel over the result, and the handle
+/// swap.
 const PUBLISH_STAGES: [&str; 3] = ["apply", "kernel_build", "swap"];
 
 /// Counters and histograms the ingest pipeline reports through `/metrics`.

@@ -1,31 +1,27 @@
 //! The ingest write path: pending queue, publisher thread, unlearning.
 //!
 //! One bounded in-memory queue absorbs click submissions from the HTTP
-//! endpoint and the served-session hook; a single publisher thread drains
-//! it on a fixed cadence, folds the batch into the
-//! [`IncrementalIndexer`], and mini-publishes the resulting snapshot
-//! through the cluster's [`IndexHandle`] — readers never block, and the
-//! publish bumps the generation exactly like the daily rollover does.
+//! endpoint; a single publisher thread drains it on a fixed cadence, folds
+//! the batch into the [`IncrementalIndexer`], and mini-publishes the
+//! resulting snapshot through the cluster's [`IndexHandle`] — readers never
+//! block, and the publish bumps the generation exactly like the daily
+//! rollover does.
 //!
-//! ## Publish protocol (the order is load-bearing)
+//! ## Publish protocol
 //!
 //! 1. drain the pending queue (appends, deletions);
-//! 2. fold into the indexer: appends and deletions alike merge into the
-//!    index it holds and leave the next generation, which shares with the
-//!    served one every posting and every segment of sessions the batch did
-//!    not reach;
+//! 2. apply: appends and deletions alike merge into the index the indexer
+//!    holds and leave the next generation, which shares with the served
+//!    one every posting and every segment of sessions the batch did not
+//!    reach;
 //! 3. build the fresh `VmisKnn` over that same index (a handle, not a
 //!    copy, and one idf per item beside it); on any error stop here — the
 //!    old snapshot keeps serving and nothing below happens;
-//! 4. drain the touched-item set and, with a cache, record it into the
-//!    [`EpochLog`](crate::ingest::epoch::EpochLog) under the *next*
-//!    generation;
-//! 5. [`IndexHandle::store`] — the swap that makes the publish visible.
+//! 4. [`IndexHandle::store`] — the swap that makes the publish visible.
 //!
-//! Recording (4) strictly before storing (5) means a reader that observes
-//! the new generation either finds the epoch in the log (and can
-//! revalidate untouched cache entries) or races the record and
-//! conservatively treats its entry as stale — never the reverse.
+//! The store bumps the generation, so every prediction-cache entry is
+//! stale from then on: a cached answer is always the answer of the index
+//! generation it is served under.
 //!
 //! ## Deletion semantics
 //!
@@ -37,8 +33,8 @@
 //! serving — the indexer's tombstone still holds.
 //!
 //! The publisher is the cluster's single index writer while ingest is
-//! enabled, the serialised-publisher contract the generation math and the
-//! epoch log stand on: [`ServingCluster::reload_index`] checks it and
+//! enabled, the serialised-publisher contract the generation math stands
+//! on: [`ServingCluster::reload_index`] checks it and
 //! refuses with [`RolloverError::IngestEnabled`].
 //!
 //! [`IndexHandle`]: crate::handle::IndexHandle
@@ -53,7 +49,6 @@ use std::time::{Duration, Instant};
 use serenade_core::{Click, CoreError, VmisKnn};
 use serenade_index::IncrementalIndexer;
 
-use crate::cache::PredictionCache;
 use crate::engine::{build_recommender, EngineConfig};
 use crate::error::ServingError;
 use crate::handle::IndexHandle;
@@ -73,15 +68,6 @@ pub struct IngestConfig {
     /// Posting-list capacity `m` for the maintained index (must be ≥ the
     /// engine's configured sample size, exactly like an offline artefact).
     pub m_max: usize,
-    /// Optional sliding-window cap on the index's session-item entries
-    /// (the sum of its sessions' distinct items): past it, the oldest whole
-    /// sessions are dropped. `None` keeps every session (the offline
-    /// builder's behaviour).
-    pub retained_session_items_cap: Option<usize>,
-    /// When `true`, every *consented* request the cluster serves is fed
-    /// back into the index (the internal served-session hook) — the live
-    /// loop the paper's daily batch pipeline approximates offline.
-    pub observe_served: bool,
 }
 
 impl Default for IngestConfig {
@@ -90,8 +76,6 @@ impl Default for IngestConfig {
             publish_interval: Duration::from_millis(200),
             max_pending_appends: 65_536,
             m_max: 500,
-            retained_session_items_cap: None,
-            observe_served: false,
         }
     }
 }
@@ -176,7 +160,6 @@ pub struct IngestPipeline {
     shared: Arc<SharedState>,
     worker: Mutex<Option<JoinHandle<()>>>,
     max_pending: usize,
-    observe: bool,
 }
 
 impl IngestPipeline {
@@ -189,7 +172,6 @@ impl IngestPipeline {
         seed: &[Click],
         handle: Arc<IndexHandle<VmisKnn>>,
         engine_config: EngineConfig,
-        cache: Option<Arc<PredictionCache>>,
         telemetry: Arc<ClusterTelemetry>,
     ) -> Result<Arc<Self>, CoreError> {
         if config.max_pending_appends == 0 {
@@ -198,16 +180,13 @@ impl IngestPipeline {
                 reason: String::from("must be at least 1"),
             });
         }
-        let mut indexer = match config.retained_session_items_cap {
-            Some(cap) => IncrementalIndexer::with_retained_session_items_cap(config.m_max, cap)?,
-            None => IncrementalIndexer::new(config.m_max)?,
-        };
+        let mut indexer = IncrementalIndexer::new(config.m_max)?;
         if !indexer.adopt(handle.load().index(), seed) {
             // The served index is not the seed's (another `m_max`, another
-            // log, a retention cap that bites): index the seed here, and let
-            // the first publish bring the readers over.
+            // log): index the seed here, and let the first publish bring the
+            // readers over.
             indexer.apply_batch(seed)?;
-            let _ = (indexer.drain_touched(), indexer.take_sharing());
+            let _ = indexer.take_sharing();
         }
         let shared = Arc::new(SharedState {
             pending: Mutex::new(Pending::default()),
@@ -221,7 +200,7 @@ impl IngestPipeline {
             std::thread::Builder::new()
                 .name(String::from("serenade-ingest-publisher"))
                 .spawn(move || {
-                    publisher_loop(&shared, indexer, interval, &engine_config, cache.as_deref(), &telemetry);
+                    publisher_loop(&shared, indexer, interval, &engine_config, &telemetry);
                 })
                 .map_err(|e| CoreError::InvalidConfig {
                     parameter: "ingest",
@@ -232,7 +211,6 @@ impl IngestPipeline {
             shared,
             worker: Mutex::new(Some(worker)),
             max_pending: config.max_pending_appends,
-            observe: config.observe_served,
         }))
     }
 
@@ -258,30 +236,6 @@ impl IngestPipeline {
         self.shared.metrics.record_accepted(clicks.len());
         self.shared.cond.notify_all();
         true
-    }
-
-    /// The served-session hook: feeds one click observed on the read path
-    /// back into the index, dropping it silently under backpressure (the
-    /// read path must never block or fail on write-path congestion).
-    pub fn observe_served(&self, session_id: u64, item: u64, timestamp: u64) {
-        let _ = self.submit(&[Click::new(session_id, item, timestamp)]);
-    }
-
-    /// The cluster's per-request hook: a no-op unless
-    /// [`IngestConfig::observe_served`] was set, in which case the served
-    /// click is stamped with the wall clock and fed back like
-    /// [`IngestPipeline::observe_served`]. The cluster only calls this for
-    /// consented requests — depersonalised traffic never lands in the
-    /// retained log.
-    pub(crate) fn observe_request(&self, session_id: u64, item: u64) {
-        if !self.observe {
-            return;
-        }
-        let timestamp = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        self.observe_served(session_id, item, timestamp);
     }
 
     /// Deletes (unlearns) a session: removes every one of its clicks from
@@ -364,7 +318,6 @@ fn publisher_loop(
     mut indexer: IncrementalIndexer,
     interval: Duration,
     engine_config: &EngineConfig,
-    cache: Option<&PredictionCache>,
     telemetry: &ClusterTelemetry,
 ) {
     let mut last_publish = Instant::now();
@@ -397,7 +350,7 @@ fn publisher_loop(
                 pending.shutdown,
             )
         };
-        publish_cycle(shared, &mut indexer, clicks, deletes, flushes, engine_config, cache, telemetry);
+        publish_cycle(shared, &mut indexer, clicks, deletes, flushes, engine_config, telemetry);
         last_publish = Instant::now();
         if shutdown {
             break;
@@ -405,9 +358,7 @@ fn publisher_loop(
     }
 }
 
-/// One drain-fold-publish cycle. See the module docs for why the epoch
-/// record happens strictly before the handle store.
-#[allow(clippy::too_many_arguments)]
+/// One apply-build-store cycle (the module docs' publish protocol).
 fn publish_cycle(
     shared: &SharedState,
     indexer: &mut IncrementalIndexer,
@@ -415,7 +366,6 @@ fn publish_cycle(
     deletes: Vec<(u64, DeleteTicket)>,
     flushes: Vec<FlushTicket>,
     engine_config: &EngineConfig,
-    cache: Option<&PredictionCache>,
     telemetry: &ClusterTelemetry,
 ) {
     if clicks.is_empty() && deletes.is_empty() {
@@ -441,13 +391,6 @@ fn publish_cycle(
     let published = applied.and_then(|()| {
         let fresh = build_recommender(Arc::new(indexer.snapshot()?), engine_config)?;
         let built_at = Instant::now();
-        // Record-then-store: a reader observing the new generation either
-        // finds this epoch or errs on the stale side (see module docs).
-        // Drained with or without a cache, or the set grows without bound.
-        let touched = indexer.drain_touched();
-        if let Some(cache) = cache {
-            cache.epoch_log().record(shared.handle.generation() + 1, touched.into());
-        }
         shared.handle.store(crate::sync::Arc::new(fresh));
         Ok(built_at)
     });
@@ -475,59 +418,5 @@ fn publish_cycle(
             Ok(_) => Ok(shared.handle.generation()),
             Err(_) => Err(ServingError::Internal("ingest publish failed")),
         });
-    }
-}
-
-#[cfg(all(test, not(feature = "loom")))]
-mod tests {
-    use super::*;
-    use serenade_core::SessionIndex;
-    use serenade_index::TouchedItems;
-    use serenade_telemetry::TraceConfig;
-
-    /// One publish cycle of ten fresh clicks against a small served index,
-    /// with or without a prediction cache; returns what the indexer still
-    /// holds as touched afterwards and the generation reached.
-    fn touched_after_a_publish(cache: Option<&PredictionCache>) -> (TouchedItems, u64) {
-        let seed: Vec<Click> = (0..40u64).map(|s| Click::new(s, s % 6, 100 + s)).collect();
-        let engine_config = EngineConfig::default();
-        let index = Arc::new(SessionIndex::build(&seed, 500).unwrap());
-        let served = build_recommender(Arc::clone(&index), &engine_config).unwrap();
-        let telemetry = ClusterTelemetry::new(TraceConfig::default());
-        let shared = SharedState {
-            pending: Mutex::new(Pending::default()),
-            cond: Condvar::new(),
-            metrics: IngestMetrics::new(telemetry.registry()),
-            handle: Arc::new(IndexHandle::new(crate::sync::Arc::new(served))),
-        };
-        let mut indexer = IncrementalIndexer::new(500).unwrap();
-        assert!(indexer.adopt(&index, &seed));
-        let batch: Vec<Click> = (0..10u64).map(|i| Click::new(900 + i, i % 6, 1_000 + i)).collect();
-        publish_cycle(
-            &shared,
-            &mut indexer,
-            batch,
-            Vec::new(),
-            Vec::new(),
-            &engine_config,
-            cache,
-            &telemetry,
-        );
-        // Forty sessions are one segment: the publish wrote it over again.
-        let text = telemetry.registry().render();
-        assert!(text.contains("serenade_ingest_publishes_total 1"), "{text}");
-        assert!(text.contains("serenade_ingest_segments_copied_total 1"), "{text}");
-        assert!(text.contains("serenade_ingest_segments_shared_total 0"), "{text}");
-        (indexer.drain_touched(), shared.handle.generation())
-    }
-
-    #[test]
-    fn a_publish_drains_the_touched_set_with_or_without_a_cache() {
-        let cache = PredictionCache::new(crate::cache::CacheConfig::default());
-        for cache in [Some(&cache), None] {
-            let (left_over, generation) = touched_after_a_publish(cache);
-            assert_eq!(generation, 2);
-            assert!(left_over.is_empty(), "touched items outlived their publish: {left_over:?}");
-        }
     }
 }

@@ -20,8 +20,7 @@
 //!   entry implicitly (business rules run per request, *after* the cache);
 //! * [`ingest`] — the streaming write path: live click ingestion batched
 //!   into an incremental indexer, continuous index mini-publishes through
-//!   [`handle`], GDPR-style session unlearning, and the publish-epoch log
-//!   behind the cache's epoch-bucketed invalidation;
+//!   [`handle`], and GDPR-style session unlearning;
 //! * [`context`] — per-worker request state (scratch buffers, session view,
 //!   per-stage timings) threaded from HTTP ingress into the engine;
 //! * [`router`] — sticky-session partitioning across nodes (rendezvous

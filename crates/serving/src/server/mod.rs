@@ -454,7 +454,6 @@ mod tests {
             families,
             [
                 "serenade_cache_entries",
-                "serenade_cache_epoch_revalidations_total",
                 "serenade_cache_evictions_total",
                 "serenade_cache_hit_duration_seconds",
                 "serenade_cache_hits_total",

@@ -7,7 +7,7 @@
 //! visibility, and tracks every shimmed `Arc` allocation so use-after-free,
 //! double-free and leaks fail the schedule that produced them.
 //!
-//! Five seeded mutations prove the checker has teeth (a checker that
+//! Four seeded mutations prove the checker has teeth (a checker that
 //! passes everything is worthless):
 //!
 //! * `--features "loom mutation-skip-wait-for-readers"` removes the
@@ -25,11 +25,6 @@
 //!   prediction cache's generation comparison; the checker must find the
 //!   schedule where a probe under the post-rollover generation is served a
 //!   list computed on the pre-rollover index.
-//! * `--features "loom mutation-skip-epoch-check"` makes the epoch log
-//!   vouch for any recorded epoch regardless of which items it touched;
-//!   the epoch-revalidation model must find the schedule where a probe
-//!   under the post-publish generation is served a cached list for an
-//!   item whose postings that very publish changed.
 
 #![cfg(feature = "loom")]
 
@@ -89,8 +84,7 @@ fn explore() -> loom::Report {
 /// distinct interleavings the acceptance bar asks for.
 #[cfg(not(any(
     feature = "mutation-skip-wait-for-readers",
-    feature = "mutation-weak-orderings",
-    feature = "mutation-skip-epoch-check"
+    feature = "mutation-weak-orderings"
 )))]
 #[test]
 fn index_handle_publication_is_sound() {
@@ -213,8 +207,7 @@ fn explore_drain() -> loom::Report {
 #[cfg(not(any(
     feature = "mutation-skip-wait-for-readers",
     feature = "mutation-weak-orderings",
-    feature = "mutation-weak-admission",
-    feature = "mutation-skip-epoch-check"
+    feature = "mutation-weak-admission"
 )))]
 #[test]
 fn drain_handshake_is_sound() {
@@ -336,8 +329,7 @@ fn explore_cache() -> loom::Report {
     feature = "mutation-skip-wait-for-readers",
     feature = "mutation-weak-orderings",
     feature = "mutation-weak-admission",
-    feature = "mutation-skip-generation-check",
-    feature = "mutation-skip-epoch-check"
+    feature = "mutation-skip-generation-check"
 )))]
 #[test]
 fn cache_generation_coherence_is_sound() {
@@ -371,172 +363,11 @@ fn skipped_generation_check_is_caught() {
     );
 }
 
-/// The epoch-bucketed revalidation protocol, reduced to its essential race.
-/// Two cached entries warmed under generation 1 — one for an item the next
-/// mini-publish churns, one for an item it leaves alone — plus an
-/// `IndexHandle` and the `EpochLog` the prediction cache consults:
-///
-/// * a **publisher** models the ingest mini-publish: record the epoch's
-///   touched-item set for `generation() + 1` *then* store the new index
-///   (the record-then-store order the protocol mandates — the epoch must be
-///   in the log before any reader can observe the generation it vouches for);
-/// * a **prober** models a request: read the current generation, probe both
-///   keys through `get_with_validity` with the epoch-log predicate.
-///
-/// The invariant is the epoch design's promise, in both directions. Safety:
-/// a probe under the post-publish generation must never be served the
-/// churned item's pre-publish list (its stamp-1 entry must die `Stale`).
-/// Liveness: that same probe must *revalidate* the untouched item's entry —
-/// record-then-store guarantees the epoch is visible to anyone who saw the
-/// new generation, so the conservative fallback never fires for it.
-fn epoch_revalidation_model() {
-    use serenade_serving::cache::{GenerationCache, Lookup};
-    use serenade_serving::ingest::{EpochChange, EpochLog};
-
-    /// The item whose postings the mini-publish changes.
-    const CHURNED: u64 = 40;
-    /// The item the mini-publish leaves alone.
-    const UNTOUCHED: u64 = 7;
-
-    let handle = StdArc::new(IndexHandle::new(Arc::new(0u64)));
-    let cache: StdArc<GenerationCache<u64, u64>> =
-        StdArc::new(GenerationCache::new(1, 4));
-    let epochs = StdArc::new(EpochLog::new(8));
-
-    // Warm both entries under the seed generation, before the race begins.
-    cache.insert(CHURNED, 1, 0);
-    cache.insert(UNTOUCHED, 1, 0);
-
-    let publisher = {
-        let handle = StdArc::clone(&handle);
-        let epochs = StdArc::clone(&epochs);
-        loom::thread::spawn(move || {
-            epochs.record(handle.generation() + 1, EpochChange::items([CHURNED]));
-            handle.store(Arc::new(1u64));
-        })
-    };
-
-    let prober = {
-        let handle = StdArc::clone(&handle);
-        let cache = StdArc::clone(&cache);
-        let epochs = StdArc::clone(&epochs);
-        loom::thread::spawn(move || {
-            let generation = handle.generation();
-            let churned = cache.get_with_validity(&CHURNED, generation, |stamp| {
-                epochs.still_valid(CHURNED, stamp, generation)
-            });
-            let untouched = cache.get_with_validity(&UNTOUCHED, generation, |stamp| {
-                epochs.still_valid(UNTOUCHED, stamp, generation)
-            });
-            match generation {
-                1 => {
-                    // Pre-publish probe: both stamps match, both entries hit.
-                    assert!(
-                        matches!(churned, Lookup::Hit(0)),
-                        "pre-publish probe must hit the churned entry"
-                    );
-                    assert!(
-                        matches!(untouched, Lookup::Hit(0)),
-                        "pre-publish probe must hit the untouched entry"
-                    );
-                }
-                _ => {
-                    assert!(
-                        matches!(churned, Lookup::Stale | Lookup::Miss),
-                        "churned item served across a mini-publish"
-                    );
-                    assert!(
-                        matches!(untouched, Lookup::Revalidated(0)),
-                        "record-then-store must let the untouched entry revalidate"
-                    );
-                }
-            }
-        })
-    };
-
-    publisher.join().unwrap();
-    prober.join().unwrap();
-
-    // All threads joined: the publish has happened, the epoch is recorded.
-    // The churned entry is dead (evicted by the prober or stale now); the
-    // untouched entry survives every schedule, re-stamped or revalidating.
-    assert_eq!(handle.generation(), 2);
-    assert!(
-        matches!(
-            cache.get_with_validity(&CHURNED, 2, |stamp| epochs
-                .still_valid(CHURNED, stamp, 2)),
-            Lookup::Stale | Lookup::Miss
-        ),
-        "churned item served after the publish settled"
-    );
-    assert!(
-        matches!(
-            cache.get_with_validity(&UNTOUCHED, 2, |stamp| epochs
-                .still_valid(UNTOUCHED, stamp, 2)),
-            Lookup::Hit(0) | Lookup::Revalidated(0)
-        ),
-        "untouched entry must survive the publish"
-    );
-}
-
-fn explore_epoch() -> loom::Report {
-    let mut builder = loom::Builder::default();
-    builder.preemption_bound = 3;
-    builder.max_iterations = 500_000;
-    builder.max_steps = 20_000;
-    builder.explore(epoch_revalidation_model)
-}
-
-/// The epoch-bucketed protocol is sound on every explored schedule: no
-/// interleaving serves a churned item's stale list under the post-publish
-/// generation, and none spuriously invalidates the untouched item once the
-/// new generation is observable. (All mutations are excluded: the handle
-/// mutations break the `IndexHandle` inside this model, the generation
-/// mutation disables the stamp comparison this model exercises, the epoch
-/// mutation is this model's own kill switch, and the rest share the
-/// feature-unification build.)
-#[cfg(not(any(
-    feature = "mutation-skip-wait-for-readers",
-    feature = "mutation-weak-orderings",
-    feature = "mutation-weak-admission",
-    feature = "mutation-skip-generation-check",
-    feature = "mutation-skip-epoch-check"
-)))]
-#[test]
-fn epoch_revalidation_is_sound() {
-    let report = explore_epoch();
-    assert!(
-        report.failure.is_none(),
-        "checker found a bad schedule: {}",
-        report.failure.unwrap()
-    );
-    assert!(report.exhausted, "exploration must finish within the iteration budget");
-    assert!(
-        report.iterations >= 1_000,
-        "model too small to be meaningful: only {} interleavings explored",
-        report.iterations
-    );
-}
-
-/// Mutation kill: with the per-item `touches` check dropped, the epoch log
-/// vouches for the churned item too, so its stamp-1 entry is *revalidated*
-/// and served to a probe that already observed the post-publish generation —
-/// exactly the stale-prediction bug epoch bucketing exists to prevent. The
-/// checker must find the schedule.
-#[cfg(feature = "mutation-skip-epoch-check")]
-#[test]
-fn skipped_epoch_check_is_caught() {
-    let report = explore_epoch();
-    let failure = report.failure.expect("checker failed to catch the dropped epoch check");
-    assert!(failure.contains("churned"), "unexpected failure kind: {failure}");
-}
-
 /// The stats counters are single relaxed `AtomicU64` increments; model that
 /// none is lost under full interleaving, as the registry renders them.
 #[cfg(not(any(
     feature = "mutation-skip-wait-for-readers",
-    feature = "mutation-weak-orderings",
-    feature = "mutation-skip-epoch-check"
+    feature = "mutation-weak-orderings"
 )))]
 #[test]
 fn stats_stripes_do_not_lose_updates() {

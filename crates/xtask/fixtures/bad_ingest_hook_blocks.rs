@@ -1,7 +1,8 @@
 // The ingest write hook blocks a request worker: `submit` waits for the
 // publisher to acknowledge the batch instead of enqueueing and returning.
-// Mirrors the live workspace's `IngestPipeline::submit` root — the write
-// hook runs on the read path and must never wait on the publisher.
+// Mirrors the live workspace's `IngestPipeline::submit` root — `POST
+// /ingest` calls it on the workers that run queued predicts, so it must
+// never wait on the publisher.
 // path: crates/app/src/ingest.rs
 // root: crates/app/src/ingest.rs :: IngestHook::submit
 // expect: reactor-blocking

@@ -78,7 +78,6 @@ const REQUEST_PATH_MODULES: &[&str] = &[
     "crates/serving/src/rules.rs",
     "crates/serving/src/ingest/mod.rs",
     "crates/serving/src/ingest/pipeline.rs",
-    "crates/serving/src/ingest/epoch.rs",
     "crates/serving/src/ingest/metrics.rs",
     "crates/serving/src/server/backend.rs",
     "crates/serving/src/transport.rs",
@@ -111,7 +110,6 @@ const RECORD_PATH_MODULES: &[&str] = &[
     "crates/serving/src/server/metrics.rs",
     "crates/serving/src/routerd.rs",
     "crates/serving/src/ingest/metrics.rs",
-    "crates/serving/src/ingest/epoch.rs",
 ];
 
 /// Needles R6 treats as allocation or locking inside a `record*` function.
@@ -138,7 +136,6 @@ const FACADE_MODULES: &[&str] = &[
     "crates/serving/src/stats.rs",
     "crates/serving/src/server/lifecycle.rs",
     "crates/kvstore/src/store.rs",
-    "crates/serving/src/ingest/epoch.rs",
 ];
 
 const PANIC_NEEDLES: &[&str] =

@@ -78,8 +78,9 @@ impl Default for AnalyzeConfig {
                     String::from("crates/serving/src/server/reactor.rs"),
                     String::from("Reactor::run"),
                 ),
-                // The ingest write hook runs on request workers: anything
-                // blocking reachable from `submit` stalls the read path.
+                // `POST /ingest` calls `submit` on the worker pool that runs
+                // queued predicts: anything blocking reachable from it
+                // stalls the read path.
                 (
                     String::from("crates/serving/src/ingest/pipeline.rs"),
                     String::from("IngestPipeline::submit"),

@@ -129,9 +129,6 @@ cargo test -q -p serenade-serving --features "loom mutation-weak-admission" --te
 echo "==> mutation kill: prediction cache generation check dropped"
 cargo test -q -p serenade-serving --features "loom mutation-skip-generation-check" --test loom_models
 
-echo "==> mutation kill: epoch-log touched-items check dropped"
-cargo test -q -p serenade-serving --features "loom mutation-skip-epoch-check" --test loom_models
-
 echo "==> non-test line counts (the LOC delta CHANGES.md reports)"
 scripts/loc.sh
 
