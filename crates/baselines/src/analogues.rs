@@ -28,7 +28,7 @@ use serenade_core::{
 
 use crate::common;
 
-fn build_idf(index: &SessionIndex, config: &VmisConfig) -> FxHashMap<ItemId, f32> {
+pub(crate) fn build_idf(index: &SessionIndex, config: &VmisConfig) -> FxHashMap<ItemId, f32> {
     let n = index.num_sessions();
     let mut idf = FxHashMap::default();
     for (item, posting) in index.postings_iter() {

@@ -8,16 +8,18 @@
 //! `recommend_with_scratch` on one thread. One warm-up pass, then three
 //! timed passes. It prints:
 //!
+//! * an FNV-1a fingerprint over every answer's items and score bits, so two
+//!   builds can be shown to answer identically;
 //! * the per-request wall time: p50, p99 and mean;
 //! * the kernel's work counters (`KernelWork`) by percentile, so a time
-//!   can be told apart as long walks, a full sample with evictions and
-//!   early stops, or neither;
+//!   can be told apart as many posting entries to sort, a sample cut at
+//!   `m`, or many neighbour items to score;
 //! * `SessionIndex::bytes()` by structure.
 //!
 //! `--drift-per-day D` sets the generator's popularity drift (the preset is
-//! 0.004; 0 keeps the popularity head in place, so postings run past `m`
-//! and the kernel takes its bounded path). `--scale X` scales the dataset;
-//! `--quick` runs a tenth of the dataset and of the requests.
+//! 0.004; 0 keeps the popularity head in place, so the window's postings
+//! sum past `m` and the kernel cuts its sample at `m`). `--scale X` scales
+//! the dataset; `--quick` runs a tenth of the dataset and of the requests.
 //!
 //! One thread and no sockets, so pinning it gives a stable figure; compare
 //! two builds by alternating them on the same core:
@@ -46,6 +48,15 @@ const CLICK_GAP_SECS: u64 = 30;
 
 /// A `KernelWork` counter by name.
 type Counter = (&'static str, fn(&KernelWork) -> u32);
+
+/// Where a 64-bit FNV-1a hash starts.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a of `bytes`, continued from `hash`: the answers'
+/// fingerprint, so two builds can be held to the same output bits.
+fn fnv1a(hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(hash, |h, byte| (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3))
+}
 
 /// `q`-quantile of `sorted`, by nearest rank.
 fn quantile<T: Copy>(sorted: &[T], q: f64) -> T {
@@ -98,8 +109,12 @@ fn main() {
     let vmis = VmisKnn::new(index, kernel).expect("valid config");
     let mut scratch = vmis.scratch();
     let mut work: Vec<KernelWork> = Vec::with_capacity(windows.len());
+    let mut answers = FNV_OFFSET;
     for session in &windows {
-        std::hint::black_box(vmis.recommend_with_scratch(session, &mut scratch));
+        for rec in vmis.recommend_with_scratch(session, &mut scratch) {
+            let bytes = rec.item.to_le_bytes().into_iter().chain(rec.score.to_bits().to_le_bytes());
+            answers = fnv1a(answers, bytes);
+        }
         work.push(scratch.work());
     }
     let mut nanos: Vec<u64> = Vec::with_capacity(PASSES * windows.len());
@@ -119,6 +134,7 @@ fn main() {
         vmis.index().num_sessions(),
         windows.len(),
     );
+    println!("answers: FNV-1a {:#018x} over every item and score bit pattern\n", answers);
     let mean = nanos.iter().sum::<u64>() as f64 / nanos.len() as f64 / 1e3;
     nanos.sort_unstable();
     let us = |q: f64| format!("{:.1}", quantile(&nanos, q) as f64 / 1e3);
@@ -128,11 +144,9 @@ fn main() {
     );
 
     println!();
-    let counters: [Counter; 6] = [
+    let counters: [Counter; 4] = [
         ("postings_walked", |w| w.postings_walked),
         ("candidates", |w| w.candidates),
-        ("evicted", |w| w.evicted),
-        ("early_stops", |w| w.early_stops),
         ("neighbors_scored", |w| w.neighbors_scored),
         ("slots_touched", |w| w.slots_touched),
     ];

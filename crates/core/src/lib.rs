@@ -10,11 +10,13 @@
 //! VS-kNN: a prebuilt index `(M, t)` maps every item to the `m` most recent
 //! historical sessions containing it (stored in descending session-timestamp
 //! order) and records one integer timestamp per historical session. The
-//! online computation is a joint execution of a join between the evolving
-//! session and the historical sessions on matching items, plus two
-//! aggregations (the `m` most recent matching sessions, and their similarity
-//! scores), with intermediate state bounded by `O(m)` and early stopping on
-//! the timestamp-sorted posting lists.
+//! online computation is a join between the evolving session and the
+//! historical sessions on matching items, plus two aggregations (the `m`
+//! most recent matching sessions, and their similarity scores). Here the
+//! join is one sort of the window's posting entries by session id — the
+//! recency key — cut at `m` distinct sessions; the paper's recency heap and
+//! early stopping compute the same result and are kept only as a reference
+//! in `serenade-baselines`.
 //!
 //! ## Quick start
 //!
@@ -40,10 +42,6 @@
 //!
 //! * [`types`] — item/session/timestamp identifiers and the [`Click`] record.
 //! * [`hash`] — an FxHash-style fast hasher used for all hot-path hash maps.
-//! * [`candidates`] — the bounded open-addressing candidate table of the
-//!   online computation.
-//! * [`heap`] — the kernel's octonary min-heap (the paper's §3
-//!   micro-optimisation, at a fixed arity).
 //! * [`weights`] — the decay function π, the match weight λ and idf weighting.
 //! * [`sessions`] — grouping a click log into ranked, time-ordered sessions
 //!   by counting: the first step of the index build and of every other
@@ -54,10 +52,8 @@
 
 #![warn(missing_docs)]
 
-pub mod candidates;
 pub mod error;
 pub mod hash;
-pub mod heap;
 pub mod index;
 pub mod recommender;
 pub mod sessions;

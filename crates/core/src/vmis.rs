@@ -3,35 +3,40 @@
 //! Given an evolving session and the prebuilt [`SessionIndex`], VMIS-kNN
 //! computes the `k` most similar historical sessions out of the `m` most
 //! recent sessions sharing at least one item, then scores all items occurring
-//! in those neighbours. Intermediate state is bounded: a candidate table `r`
-//! of at most `m` sessions ([`crate::candidates`]), a recency min-heap `b_t`
-//! of capacity `m` driving eviction of the oldest candidate, and a top-k
-//! min-heap `N_s`. DESIGN.md §4.8 describes the memory layout.
+//! in those neighbours. DESIGN.md §4.8 describes the memory layout.
 //!
-//! Because each posting list is sorted by descending recency, the session
-//! loop can **early-stop** as soon as the current historical session is no
-//! more recent than the oldest session tracked in the full heap `b_t` — no
-//! later entry of the posting list can be admitted either.
+//! ## One join: sort the window's postings, cut at `m`
 //!
-//! ## Tie-breaking refinement
+//! Dense session ids are assigned in ascending `(timestamp, external id)`
+//! order, so the id alone is the recency key (proof in [`crate::index`]'s
+//! module docs) and the kernel never reads a timestamp. The join gathers
+//! one `u64` key per posting entry of the window's distinct items,
+//! `(!id) << 32 | step`, and sorts them: ids descending, and within an id
+//! the window's steps from the most recent position backwards. Walking the
+//! sorted keys folds each run of one id into a candidate — its π terms
+//! added in step order, its match position that of its first step — and
+//! stops at `m` distinct ids. The top `k` by `(similarity, id)` are then
+//! selected in place and sorted by id, the scoring order.
 //!
-//! The paper compares raw timestamps (`t_j > t_l`), which leaves eviction
-//! undecided between sessions of equal timestamp. We order candidates by
-//! the composite key `(timestamp, session id)`, a *strict* total order —
-//! and since dense ids are assigned in ascending `(timestamp, external id)`
-//! order, that key orders sessions exactly as the id alone does (proof in
-//! [`crate::index`]'s module docs). So the kernel never reads a timestamp:
-//! `b_t` is a heap of ids, the top-k key is `(similarity, id)`, and early
-//! stopping compares ids. Eviction is deterministic under timestamp ties
-//! and early stopping is **exact**: VMIS-kNN with and without early
-//! stopping, and the scan-based VS-kNN baseline, all return identical
-//! neighbour sets — a property the test suite verifies.
+//! **Why the cut is exact.** A session `j` among the `m` most recent
+//! sessions sharing an item with the window, holding window item `x`, is in
+//! `x`'s posting list: a list truncated at `m_max ≥ m` that left `j` out
+//! would hold `m` sessions more recent than `j`, all sharing `x`, and `j`
+//! would not be among the `m` most recent. So every such session is
+//! gathered with every one of its window items, its sum is complete and its
+//! first step is its most recent shared item.
+//!
+//! This replaces the paper's candidate map, recency heap `b_t`, early
+//! stopping and top-k heap `N_s` with a sort and a selection that compute
+//! the same result directly; intermediate state is at most window × `m_max`
+//! keys instead of `O(m)` (DESIGN.md §3). `serenade-baselines`' `vmis_noopt`
+//! keeps the paper's walk as a reference, and the test suites hold it, the
+//! scan-based VS-kNN baseline and this kernel to identical neighbour sets.
 
+use std::cmp::Reverse;
 use std::sync::Arc;
 
-use crate::candidates::{Candidate, CandidateTable};
 use crate::error::CoreError;
-use crate::heap::DaryHeap;
 use crate::index::{Posting, SessionIndex};
 use crate::types::{ItemId, ItemScore, SessionId};
 use crate::weights::{DecayFunction, IdfWeighting, MatchWeight};
@@ -59,8 +64,6 @@ pub struct VmisConfig {
     /// this constant factor (it does not change the ranking); enable it to
     /// reproduce VS-kNN scores bit-for-bit.
     pub normalize_by_session_length: bool,
-    /// Early stopping on the recency-sorted posting lists (Section 3).
-    pub early_stopping: bool,
     /// Remove items that already occur in the evolving session from the
     /// recommendation list (typically desired when serving product pages).
     pub exclude_session_items: bool,
@@ -69,8 +72,7 @@ pub struct VmisConfig {
 impl Default for VmisConfig {
     /// Paper-flavoured defaults: `m = 500`, `k = 100`, 21 recommendations,
     /// session cap 9 (keeps the paper's λ non-zero across the window),
-    /// linear decay, the paper's linear match weight, `log(|H|/h_i)` idf,
-    /// early stopping on.
+    /// linear decay, the paper's linear match weight, `log(|H|/h_i)` idf.
     fn default() -> Self {
         Self {
             m: 500,
@@ -81,7 +83,6 @@ impl Default for VmisConfig {
             match_weight: MatchWeight::PaperLinear,
             idf: IdfWeighting::Log,
             normalize_by_session_length: false,
-            early_stopping: true,
             exclude_session_items: false,
         }
     }
@@ -130,14 +131,11 @@ const CLEAR: f32 = -0.0;
 /// words of its [`Scratch`] — the answer to "why was this request slow".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelWork {
-    /// Posting entries read by the item-intersection loop.
+    /// Posting entries gathered (Σ over the window's postings).
     pub postings_walked: u32,
-    /// Sessions admitted to the candidate table (evicted ones included).
+    /// Candidate sessions kept: the distinct ids of the gathered entries,
+    /// cut at `m`.
     pub candidates: u32,
-    /// Candidates evicted again because the table was full at `m`.
-    pub evicted: u32,
-    /// Posting walks cut short by early stopping.
-    pub early_stops: u32,
     /// Neighbour sessions whose items were scored.
     pub neighbors_scored: u32,
     /// Distinct items that received a score.
@@ -157,18 +155,13 @@ pub struct KernelWork {
 /// behind for the next one on the same scratch.
 #[derive(Debug)]
 pub struct Scratch {
-    /// The candidate sessions `r` with their similarities and match
-    /// positions.
-    table: CandidateTable,
-    /// Min-heap `b_t` over the ids (the recency keys) of the candidates;
-    /// built only once the table is full and an eviction has to be decided.
-    bt: DaryHeap<SessionId, ()>,
-    /// Min-heap `N_s` over (similarity, id) → dense candidate index, used
-    /// only when there are more than `k` candidates.
-    topk: DaryHeap<(f32, SessionId), u32>,
-    /// The neighbours as `session << 32 | dense candidate index`, sorted —
-    /// the canonical (ascending session id) scoring order.
-    order: Vec<u64>,
+    /// `(π, 1-based position)` of each step of the window's traversal plan.
+    plan: Vec<(f32, u32)>,
+    /// One key per gathered posting entry: `(!id) << 32 | step`.
+    keys: Vec<u64>,
+    /// The candidates `r`, then the `k` neighbours in ascending id order —
+    /// the canonical scoring order.
+    cands: Vec<Candidate>,
     /// Accumulator slots of the window's items (`exclude_session_items`).
     excluded: Vec<u32>,
     /// Candidate item scores `d`, indexed by accumulator slot; `CLEAR`
@@ -195,10 +188,9 @@ impl Scratch {
     /// know — it grows to the recommender's slot count on first use.
     pub fn for_config(config: &VmisConfig) -> Self {
         Self {
-            table: CandidateTable::with_capacity(config.m),
-            bt: DaryHeap::with_capacity(config.m),
-            topk: DaryHeap::with_capacity(config.k),
-            order: Vec::with_capacity(config.k),
+            plan: Vec::new(),
+            keys: Vec::with_capacity(config.m),
+            cands: Vec::with_capacity(config.m),
             excluded: Vec::new(),
             acc: Vec::new(),
             touched: Vec::new(),
@@ -212,21 +204,13 @@ impl Scratch {
         self.work
     }
 
-    /// Test hook: restarts the candidate table's epoch counter at `epoch`,
-    /// so a test can cross its wrap-around.
-    #[doc(hidden)]
-    pub fn set_epoch(&mut self, epoch: u32) {
-        self.table.set_epoch(epoch);
-    }
-
-    /// Readies the buffers for a request with sample size `m` over `slots`
-    /// distinct items: clears the cells the previous request touched, in
-    /// O(touched) rather than O(slots).
-    fn clear(&mut self, m: usize, slots: usize) {
-        self.table.reset(m);
-        self.bt.clear();
-        self.topk.clear();
-        self.order.clear();
+    /// Readies the buffers for a request over `slots` distinct items:
+    /// clears the cells the previous request touched, in O(touched) rather
+    /// than O(slots).
+    fn clear(&mut self, slots: usize) {
+        self.plan.clear();
+        self.keys.clear();
+        self.cands.clear();
         self.excluded.clear();
         for &slot in &self.touched {
             self.acc[slot as usize] = CLEAR;
@@ -248,6 +232,17 @@ impl Default for Scratch {
 
 /// One step of a window's traversal plan: `(item, π, 1-based position)`.
 type Step = (ItemId, f32, u32);
+
+/// One candidate session of the current request, 12 bytes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Candidate {
+    session: SessionId,
+    /// Decayed similarity `r_j`.
+    similarity: f32,
+    /// 1-based window position of the most recent item it shares with the
+    /// window.
+    match_pos: u32,
+}
 
 /// A neighbour session together with its similarity score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -368,17 +363,11 @@ impl VmisKnn {
         scratch: &mut Scratch,
     ) -> Vec<Neighbor> {
         self.fill_neighbors(session, scratch);
-        let cands = scratch.table.as_slice();
-        scratch
-            .order
-            .iter()
-            .map(|&packed| {
-                let c = cands[packed as u32 as usize];
-                Neighbor {
-                    session: c.session,
-                    similarity: c.similarity,
-                    match_pos: c.match_pos as usize,
-                }
+        (scratch.cands.iter())
+            .map(|c| Neighbor {
+                session: c.session,
+                similarity: c.similarity,
+                match_pos: c.match_pos as usize,
             })
             .collect()
     }
@@ -399,102 +388,43 @@ impl VmisKnn {
         })
     }
 
-    /// One step of the item-intersection loop: merges `item`'s posting list
-    /// into the candidate table with decay weight `pi`.
-    ///
-    /// **Match position.** A candidate records `pos`, the position of the
-    /// item that admitted it, and scoring takes that as the position of the
-    /// most recent item it shares with the window. Steps run from the most
-    /// recent position backwards, so this holds if no earlier step's item
-    /// `B` is also in the session `j` without having admitted it. Suppose
-    /// one were. If `j` is in `B`'s posting list, the walk either rejected
-    /// it or stopped early before it: the table was full and `b_t`'s root
-    /// at least as recent as `j`. If `j` was truncated out of the list, the
-    /// list holds `m_max ≥ m` sessions more recent than `j`; while the root
-    /// is older than `j` none of them is rejected or evicted, so by the end
-    /// of the walk either the table holds exactly those `m` sessions or the
-    /// root has passed `j`. In every case the table is full with a root more
-    /// recent than `j`, the root only ever gets more recent, and `j` is
-    /// never admitted afterwards — a contradiction. (An evicted session is
-    /// older than every later root for the same reason, so it never
-    /// returns either.) `kernel_differential_props` checks the recorded
-    /// position against a recomputation.
-    #[inline]
-    fn intersect_item(&self, (item, pi, pos): Step, scratch: &mut Scratch) {
-        let cfg = &self.config;
-        let Some(posting) = self.index.postings(item) else {
-            return; // item unseen in the historical data
-        };
-        let Scratch { table, bt, work, .. } = scratch;
-        let mut walked = 0u32;
-        for &session in posting {
-            walked += 1;
-            let vacant = match table.find(session) {
-                Ok(idx) => {
-                    table.get_mut(idx).similarity += pi;
-                    continue;
-                }
-                Err(vacant) => vacant,
-            };
-            let cand = Candidate { session, similarity: pi, match_pos: pos };
-            if table.len() < cfg.m {
-                table.insert_at(vacant, cand);
-                continue;
-            }
-            if bt.is_empty() {
-                // First decision at a full table: only now is `b_t` needed.
-                bt.rebuild(table.as_slice().iter().map(|c| (c.session, ())));
-            }
-            let &(oldest, ()) = bt.peek().expect("bt non-empty when the table is full");
-            if session > oldest {
-                bt.replace_root(session, ());
-                table.replace(oldest, cand);
-                work.evicted += 1;
-            } else if cfg.early_stopping {
-                // Posting lists are strictly descending in the id, the
-                // recency key: nothing further can enter.
-                work.early_stops += 1;
-                break;
-            }
-        }
-        work.postings_walked += walked;
-    }
-
-    /// Top-k similarity step: leaves the `k` most similar candidates (ties
-    /// to the more recent) in `scratch.order`, in ascending session-id
-    /// order — the canonical order that keeps the f32 summation of the
-    /// scoring step identical across all implementation variants.
-    fn select_neighbors(&self, scratch: &mut Scratch) {
-        let Scratch { table, topk, order, work, .. } = scratch;
-        let cands = table.as_slice();
-        work.candidates = cands.len() as u32 + work.evicted;
-        let pack = |idx: u32| u64::from(cands[idx as usize].session) << 32 | u64::from(idx);
-        if cands.len() <= self.config.k {
-            order.extend((0..cands.len() as u32).map(pack));
-        } else {
-            for (idx, c) in cands.iter().enumerate() {
-                let key = (c.similarity, c.session);
-                if topk.len() < self.config.k {
-                    topk.push(key, idx as u32);
-                } else if key > topk.peek().expect("topk non-empty when full").0 {
-                    topk.replace_root(key, idx as u32);
-                }
-            }
-            order.extend(topk.iter().map(|&(_, idx)| pack(idx)));
-        }
-        order.sort_unstable();
-    }
-
-    /// Runs the item-intersection and top-k similarity steps for `session`,
-    /// leaving the candidates and the neighbour order in `scratch`. Returns
-    /// the capped window.
+    /// Runs the join and the top-k similarity step for `session` (the
+    /// module docs give the shape and why it is exact), leaving the `k`
+    /// neighbours in `scratch.cands` in ascending id order. Returns the
+    /// capped window.
     fn fill_neighbors<'a>(&self, session: &'a [ItemId], scratch: &mut Scratch) -> &'a [ItemId] {
         let window = self.cap_window(session);
-        scratch.clear(self.config.m, self.idf.len());
-        for step in self.steps(window) {
-            self.intersect_item(step, scratch);
+        scratch.clear(self.idf.len());
+        let Scratch { plan, keys, cands, work, .. } = scratch;
+        for (item, pi, pos) in self.steps(window) {
+            let step = plan.len() as u64;
+            plan.push((pi, pos));
+            if let Some(posting) = self.index.postings(item) {
+                keys.extend(posting.iter().map(|&session| u64::from(!session) << 32 | step));
+            }
         }
-        self.select_neighbors(scratch);
+        work.postings_walked = keys.len() as u32;
+        keys.sort_unstable();
+        for &key in keys.iter() {
+            let session = !((key >> 32) as u32);
+            let (pi, pos) = plan[key as u32 as usize];
+            if let Some(c) = cands.last_mut().filter(|c| c.session == session) {
+                c.similarity += pi;
+            } else if cands.len() == self.config.m {
+                break;
+            } else {
+                cands.push(Candidate { session, similarity: pi, match_pos: pos });
+            }
+        }
+        work.candidates = cands.len() as u32;
+        // Similarities are positive, so their bits order as the floats do;
+        // ties go to the more recent session.
+        let k = self.config.k;
+        if cands.len() > k {
+            cands.select_nth_unstable_by_key(k - 1, |c| Reverse((c.similarity.to_bits(), c.session)));
+            cands.truncate(k);
+        }
+        cands.sort_unstable_by_key(|c| c.session);
         window
     }
 
@@ -512,7 +442,7 @@ impl VmisKnn {
     /// this one wrote even if it unwinds halfway.
     fn score_items(&self, window: &[ItemId], scratch: &mut Scratch) {
         let cfg = &self.config;
-        let Scratch { table, order, excluded, acc, touched, work, .. } = scratch;
+        let Scratch { cands, excluded, acc, touched, work, .. } = scratch;
         let wlen = window.len();
         let norm = if cfg.normalize_by_session_length { 1.0 / wlen as f32 } else { 1.0 };
         if cfg.exclude_session_items {
@@ -524,15 +454,13 @@ impl VmisKnn {
         // at least as long as `idf`.
         let idf = &self.idf[..];
         let acc = &mut acc[..idf.len()];
-        let cands = table.as_slice();
         // Locate a batch of neighbours' slots before reading any: the
         // session-offset lookups are independent cache misses that overlap
         // here, instead of each one stalling the accumulation behind it.
         let mut runs: [(&[u32], f32); 32] = [(&[], 0.0); 32];
-        for neighbors in order.chunks(runs.len()) {
+        for neighbors in cands.chunks(runs.len()) {
             let mut located = 0;
-            for &packed in neighbors {
-                let c = cands[packed as u32 as usize];
+            for c in neighbors {
                 let lambda = cfg.match_weight.weight(c.match_pos as usize, wlen);
                 if lambda > 0.0 {
                     let weight = lambda * c.similarity * norm;
@@ -728,18 +656,8 @@ mod tests {
     }
 
     #[test]
-    fn early_stopping_does_not_change_results() {
-        for m in [2, 500] {
-            let with = VmisConfig { m, early_stopping: true, ..VmisConfig::default() };
-            let without = VmisConfig { early_stopping: false, ..with.clone() };
-            let v_with = knn(with);
-            let v_without = knn(without);
-            for session in [&[1u64, 2] as &[u64], &[2, 3], &[4], &[5, 1, 3], &[1, 2, 3]] {
-                let a = v_with.recommend(session);
-                let b = v_without.recommend(session);
-                assert_eq!(a, b, "m {m}, session {session:?}");
-            }
-        }
+    fn a_candidate_is_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<Candidate>(), 12);
     }
 
     #[test]

@@ -2,30 +2,29 @@
 //!
 //! The cache-conscious kernel layout — id-only postings whose id is the
 //! recency key (`serenade-index`'s `id_is_recency_key` suite holds every
-//! index producer to that), found through a table of 4-byte slots, the
-//! bounded candidate table that records each candidate's match position at
-//! admission, the 4-byte slot stream and the dense 4-byte score
-//! accumulator, cleared from the previous request's touched list — is an
-//! *internal* rearrangement: its correctness contract is bit-identical
-//! output to the straightforward formulation. This suite samples that
-//! contract over random click logs and configs, leaning on the shapes that
-//! stress the layout specifically: timestamp ties (where only the id tells
-//! two sessions apart), `m` at or near the posting length (the early-stop
-//! and eviction boundary), truncated postings (`m_max` below an item's
+//! index producer to that), found through a table of 4-byte slots, the one
+//! join that sorts the window's posting entries by id and cuts at `m`
+//! distinct sessions, the in-place top-k selection, the 4-byte slot stream
+//! and the dense 4-byte score accumulator, cleared from the previous
+//! request's touched list — is an *internal* rearrangement: its correctness
+//! contract is bit-identical output to the straightforward formulation.
+//! This suite samples that contract over random click logs and configs,
+//! leaning on the shapes that stress the layout specifically: timestamp
+//! ties (where only the id tells two sessions apart), `m` at or near the
+//! posting length (the cut), truncated postings (`m_max` below an item's
 //! support), windows with repeated items, and scratch buffers reused across
-//! recommenders and across the candidate table's epoch wrap-around. The
-//! strategies take the bounded path: summed over a run, the kernel evicts
-//! candidates and stops walks early (`the_strategies_reach_the_bounded_path`).
+//! recommenders. The strategies take the bounded path: some cases match
+//! more than `m` sessions and keep exactly `m`
+//! (`the_strategies_reach_the_bounded_path`).
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::Arc;
 
-use serenade_core::candidates::{Candidate, CandidateTable};
 use serenade_core::index::{Posting, Segment, SlotTable};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use serenade_core::{Click, ItemId, Scratch, SessionIndex, VmisConfig, VmisKnn};
+use serenade_core::{Click, ItemId, SessionIndex, VmisConfig, VmisKnn};
 
 /// Random click logs over a small id space; the timestamp range is a
 /// parameter so callers can force heavy ties.
@@ -40,15 +39,14 @@ fn clicks_strategy(max_ts: u64) -> impl Strategy<Value = Vec<Click>> {
 
 /// Random-but-valid configs spanning the knobs the kernel layout touches.
 /// `m` stays small so it regularly lands exactly on a posting length — the
-/// early-stop/heap-eviction boundary.
+/// boundary of the cut.
 fn config_strategy() -> impl Strategy<Value = VmisConfig> {
-    (1usize..=12, 1usize..=8, 1usize..=10, 1usize..=6, any::<bool>(), any::<bool>()).prop_map(
-        |(m, k, how_many, max_session_len, early_stopping, exclude)| VmisConfig {
+    (1usize..=12, 1usize..=8, 1usize..=10, 1usize..=6, any::<bool>()).prop_map(
+        |(m, k, how_many, max_session_len, exclude)| VmisConfig {
             m,
             k,
             how_many,
             max_session_len,
-            early_stopping,
             exclude_session_items: exclude,
             ..VmisConfig::default()
         },
@@ -143,23 +141,30 @@ fn a_tie_that_straddles_the_cut_is_cut_by_item_id() {
 
 #[test]
 fn the_strategies_reach_the_bounded_path() {
-    // The inputs of `early_stop_boundary_is_output_invariant`, 64 cases:
-    // postings past `m` must fill the candidate table, so that candidates
-    // are evicted and walks stop early, or the suite proves the light path
-    // only.
+    // 64 cases of the strategies the properties below draw from: some must
+    // match more than `m` sessions — Σ|postings| > m — and keep exactly the
+    // `m` most recent, or the suite proves the light path only.
     let cases = (clicks_strategy(50), config_strategy(), vec(1u64..=14, 1..6));
     let mut rng = TestRng::from_name("the_strategies_reach_the_bounded_path");
-    let (mut evicted, mut early_stops) = (0u64, 0u64);
+    let mut cut = 0;
     for _ in 0..64 {
         let (clicks, config, session) = cases.generate(&mut rng);
         let index = SessionIndex::build(&clicks, config.m.max(4)).expect("non-empty log");
         let vmis = VmisKnn::new(index, config).expect("valid config");
+        let m = vmis.config().m;
+        let window = &session[session.len().saturating_sub(vmis.config().max_session_len)..];
+        let matched: HashSet<u32> =
+            window.iter().filter_map(|&item| vmis.index().postings(item)).flatten().copied().collect();
         let mut scratch = vmis.scratch();
         vmis.recommend_with_scratch(&session, &mut scratch);
-        evicted += u64::from(scratch.work().evicted);
-        early_stops += u64::from(scratch.work().early_stops);
+        let work = scratch.work();
+        if matched.len() > m {
+            assert!(work.postings_walked as usize > m);
+            assert_eq!(work.candidates as usize, m, "{} sessions matched", matched.len());
+            cut += 1;
+        }
     }
-    assert!(evicted > 0 && early_stops > 0, "{evicted} evictions, {early_stops} early stops");
+    assert!(cut > 0, "no case was cut at m");
 }
 
 proptest! {
@@ -232,31 +237,6 @@ proptest! {
         }
     }
 
-    // Early stopping is a pure optimisation at every `m`-vs-posting-length
-    // boundary, through both entry points.
-    #[test]
-    fn early_stop_boundary_is_output_invariant(
-        clicks in clicks_strategy(50),
-        config in config_strategy(),
-        session in vec(1u64..=14, 1..6),
-    ) {
-        let index = std::sync::Arc::new(
-            SessionIndex::build(&clicks, config.m.max(4)).expect("non-empty log"),
-        );
-        let mut on = config.clone();
-        on.early_stopping = true;
-        let mut off = config;
-        off.early_stopping = false;
-        let vmis_on = VmisKnn::new(std::sync::Arc::clone(&index), on).expect("valid config");
-        let vmis_off = VmisKnn::new(index, off).expect("valid config");
-        prop_assert_eq!(vmis_on.recommend(&session), vmis_off.recommend(&session));
-        let mut s_on = vmis_on.scratch();
-        let mut s_off = vmis_off.scratch();
-        prop_assert_eq!(
-            vmis_on.recommend_depersonalised(session[0], &mut s_on),
-            vmis_off.recommend_depersonalised(session[0], &mut s_off)
-        );
-    }
     // (a) The match position a candidate records when it is admitted is the
     // position of the most recent item it shares with the window — also
     // when `m` is far below `m_max`, postings are truncated below an item's
@@ -267,7 +247,6 @@ proptest! {
         ties in any::<bool>(),
         m in 1usize..8,
         m_max_extra in 1usize..4,
-        early_stopping in any::<bool>(),
         session in vec(1u64..=14, 1..10),
     ) {
         let clicks: Vec<Click> = clicks
@@ -276,7 +255,7 @@ proptest! {
             .collect();
         let index = SessionIndex::build(&clicks, m + m_max_extra).expect("non-empty log");
         // k ≥ m: every surviving candidate is reported as a neighbour.
-        let config = VmisConfig { m, k: 8, early_stopping, ..VmisConfig::default() };
+        let config = VmisConfig { m, k: 8, ..VmisConfig::default() };
         let vmis = VmisKnn::new(index, config).expect("valid config");
         let window = &session[session.len().saturating_sub(vmis.config().max_session_len)..];
         let mut scratch = vmis.scratch();
@@ -316,73 +295,6 @@ proptest! {
                     vmis.recommend_with_scratch(session, &mut shared),
                     vmis.recommend(session)
                 );
-            }
-        }
-    }
-
-    // (c) The candidate table's epoch counter wraps around without a stale
-    // directory slot ever being read as live. (The accumulator has no epoch:
-    // its cells are cleared from the previous request's touched list.)
-    #[test]
-    fn epoch_wrap_around_matches_fresh(
-        clicks in clicks_strategy(300),
-        config in config_strategy(),
-        sessions in vec(vec(1u64..=14, 1..6), 4..8),
-    ) {
-        let index = SessionIndex::build(&clicks, config.m.max(4)).expect("non-empty log");
-        let vmis = VmisKnn::new(index, config).expect("valid config");
-        let mut scratch: Scratch = vmis.scratch();
-        // Fill directory slots under an ordinary epoch first, then jump the
-        // table's counter to the brink.
-        vmis.recommend_with_scratch(&sessions[0], &mut scratch);
-        scratch.set_epoch(u32::MAX - 1);
-        for session in &sessions {
-            prop_assert_eq!(
-                vmis.recommend_with_scratch(session, &mut scratch),
-                vmis.recommend(session)
-            );
-        }
-    }
-
-    // (d) The candidate table against a `HashMap` model: lookups, additions
-    // to an existing candidate, admissions up to `m` of its `2·m` slots,
-    // evictions at `m` (backward-shift deletion under wrap-around probe
-    // runs) and resets, with every key re-probed after every step.
-    #[test]
-    fn candidate_table_matches_hashmap_model(
-        m in 1usize..12,
-        ops in vec((0u32..40, any::<bool>()), 1..200),
-    ) {
-        let mut table = CandidateTable::with_capacity(m);
-        let mut model: HashMap<u32, Candidate> = HashMap::new();
-        for (step, &(session, reset)) in ops.iter().enumerate() {
-            if reset && step % 16 == 15 {
-                table.reset(m);
-                model.clear();
-            }
-            // `match_pos` doubles as the admission step the model evicts by.
-            let fresh = Candidate { session, similarity: 1.0, match_pos: step as u32 };
-            match table.find(session) {
-                Ok(idx) => {
-                    table.get_mut(idx).similarity += 0.5;
-                    model.get_mut(&session).expect("model has it too").similarity += 0.5;
-                }
-                Err(vacant) if model.len() < m => {
-                    table.insert_at(vacant, fresh);
-                    model.insert(session, fresh);
-                }
-                Err(_) => {
-                    // Evict the oldest admission, as the kernel's `b_t` would.
-                    let evict = *model.iter().min_by_key(|(_, c)| c.match_pos).expect("full").0;
-                    table.replace(evict, fresh);
-                    model.remove(&evict);
-                    model.insert(session, fresh);
-                }
-            }
-            prop_assert_eq!(table.len(), model.len());
-            for probe in 0..40 {
-                let found = table.find(probe).ok().map(|idx| table.as_slice()[idx]);
-                prop_assert_eq!(found, model.get(&probe).copied(), "session {}", probe);
             }
         }
     }

@@ -3,8 +3,8 @@
 //! The hand-built fixtures in the unit suites pin down specific behaviours;
 //! this suite samples *random* click logs and configs: the core [`VmisKnn`]
 //! kernel, [`AllocHeavyVmis`] (an independently written kernel — `std`
-//! binary heaps and hash maps, no shared code with `core::candidates` or
-//! `core::heap`), and the core kernel over an
+//! binary heaps and hash maps, no shared code with the kernel's sorted
+//! join), and the core kernel over an
 //! [`IncrementalIndexer::snapshot`] must produce bit-identical output — the
 //! same guarantee DESIGN.md states for the fixture tests, now sampled from
 //! a much larger input space (shrinking gives a minimal counterexample on
@@ -29,13 +29,12 @@ fn clicks_strategy() -> impl Strategy<Value = Vec<Click>> {
 
 /// Random-but-valid configs spanning the knobs that alter the scoring path.
 fn config_strategy() -> impl Strategy<Value = VmisConfig> {
-    (1usize..=12, 1usize..=8, 1usize..=10, 1usize..=6, any::<bool>(), any::<bool>()).prop_map(
-        |(m, k, how_many, max_session_len, early_stopping, exclude)| VmisConfig {
+    (1usize..=12, 1usize..=8, 1usize..=10, 1usize..=6, any::<bool>()).prop_map(
+        |(m, k, how_many, max_session_len, exclude)| VmisConfig {
             m,
             k,
             how_many,
             max_session_len,
-            early_stopping,
             exclude_session_items: exclude,
             ..VmisConfig::default()
         },

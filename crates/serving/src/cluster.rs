@@ -372,7 +372,6 @@ impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
             depersonalised: !req.consent || ctx.degraded(),
             postings_walked: work.postings_walked,
             candidates: work.candidates,
-            evicted: work.evicted,
         });
         Ok(recs)
     }
@@ -640,7 +639,7 @@ mod tests {
         // The same item again is a cache hit: no kernel work at all.
         let hit = traced(5, dep(9, 3), None);
         assert!(hit.depersonalised);
-        assert_eq!((hit.postings_walked, hit.candidates, hit.evicted), (0, 0, 0));
+        assert_eq!((hit.postings_walked, hit.candidates), (0, 0));
         // A consented request past its deadline serves the depersonalised
         // fallback view, and its trace says so.
         let late = traced(6, req(7, 4), Some(Instant::now() - Duration::from_millis(1)));

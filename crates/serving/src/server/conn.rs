@@ -114,7 +114,6 @@ fn respond_text(request: &ParsedRequest, cluster: &ServingCluster) -> (u16, Stri
                 o.objects("traces", &traces, |o, t| {
                     o.u64("candidates", u64::from(t.candidates))
                         .bool("depersonalised", t.depersonalised)
-                        .u64("evicted", u64::from(t.evicted))
                         .u64("policy_us", t.policy_us)
                         .u64("postings_walked", u64::from(t.postings_walked))
                         .u64("predict_us", t.predict_us)

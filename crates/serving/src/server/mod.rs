@@ -568,11 +568,10 @@ mod tests {
             assert!(stages <= total + 3, "stages {stages} vs total {total}");
             assert!(t.get("session_len").and_then(Value::as_u64).unwrap() >= 1);
             // Kernel work counters: every request here ran the kernel over
-            // known items, far below the sample size.
+            // known items.
             let walked = t.get("postings_walked").and_then(Value::as_u64).unwrap();
             let candidates = t.get("candidates").and_then(Value::as_u64).unwrap();
             assert!(1 <= candidates && candidates <= walked, "{candidates} of {walked}");
-            assert_eq!(t.get("evicted").and_then(Value::as_u64), Some(0));
         }
         // Traces are sorted slowest-first.
         let totals: Vec<u64> = traces

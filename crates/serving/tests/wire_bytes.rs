@@ -148,7 +148,7 @@ fn endpoint_bodies() {
     assert_eq!(status, 200);
     assert_eq!(
         mask(&body, &["request_id", "total_us", "session_us", "predict_us", "policy_us"]),
-        r#"{"traces":[{"candidates":14,"depersonalised":false,"evicted":0,"policy_us":N,"postings_walked":14,"predict_us":N,"request_id":N,"session_len":1,"session_us":N,"total_us":N}]}"#
+        r#"{"traces":[{"candidates":14,"depersonalised":false,"policy_us":N,"postings_walked":14,"predict_us":N,"request_id":N,"session_len":1,"session_us":N,"total_us":N}]}"#
     );
 
     // Read-only: ingest and unlearning answer 404; unknown paths too.

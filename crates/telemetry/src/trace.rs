@@ -60,10 +60,8 @@ pub struct TraceSample {
     /// Posting entries the kernel walked (0 when no kernel ran: a cache
     /// hit, or a request proxied to a remote pod).
     pub postings_walked: u32,
-    /// Candidate sessions the kernel admitted.
+    /// Candidate sessions the kernel kept (at most `m`).
     pub candidates: u32,
-    /// Candidates evicted again because the sample was full at `m`.
-    pub evicted: u32,
 }
 
 const FLAG_DEPERSONALISED: u64 = 1;
@@ -82,7 +80,6 @@ struct Slot {
     flags: AtomicU64,
     postings_walked: AtomicU64,
     candidates: AtomicU64,
-    evicted: AtomicU64,
 }
 
 impl Slot {
@@ -99,7 +96,6 @@ impl Slot {
             flags: AtomicU64::new(0),
             postings_walked: AtomicU64::new(0),
             candidates: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
         }
     }
 }
@@ -167,7 +163,6 @@ impl TraceRing {
         slot.flags.store(flags, Ordering::Release); // ORDERING: pairs with snapshot's Acquire load
         slot.postings_walked.store(u64::from(sample.postings_walked), Ordering::Release); // ORDERING: pairs with snapshot's Acquire load
         slot.candidates.store(u64::from(sample.candidates), Ordering::Release); // ORDERING: pairs with snapshot's Acquire load
-        slot.evicted.store(u64::from(sample.evicted), Ordering::Release); // ORDERING: pairs with snapshot's Acquire load
         slot.version.fetch_add(1, Ordering::SeqCst); // even again: published
         // ORDERING: pairs with the next writer's `busy.swap(1, Acquire)`
         // above, handing the slot over with all our stores visible.
@@ -197,7 +192,6 @@ impl TraceRing {
                 depersonalised: slot.flags.load(Ordering::Acquire) & FLAG_DEPERSONALISED != 0, // ORDERING: see request_id above
                 postings_walked: slot.postings_walked.load(Ordering::Acquire) as u32, // ORDERING: see request_id above
                 candidates: slot.candidates.load(Ordering::Acquire) as u32, // ORDERING: see request_id above
-                evicted: slot.evicted.load(Ordering::Acquire) as u32, // ORDERING: see request_id above
             };
             if slot.version.load(Ordering::SeqCst) == v1 {
                 out.push(sample);
@@ -233,7 +227,6 @@ mod tests {
             depersonalised: id % 2 == 0,
             postings_walked: total as u32,
             candidates: 7,
-            evicted: 1,
         }
     }
 
@@ -312,7 +305,6 @@ mod tests {
                         depersonalised: false,
                         postings_walked: id as u32,
                         candidates: id as u32,
-                        evicted: id as u32,
                     });
                 }
             }));
@@ -325,7 +317,7 @@ mod tests {
                         assert_eq!(s.request_id, s.total_us, "torn sample: {s:?}");
                         assert_eq!(s.request_id, s.session_len);
                         assert_eq!(s.request_id as u32, s.postings_walked);
-                        assert_eq!(s.postings_walked, s.evicted);
+                        assert_eq!(s.postings_walked, s.candidates);
                     }
                 }
             }));

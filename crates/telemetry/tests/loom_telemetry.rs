@@ -85,7 +85,6 @@ fn trace_ring_writers_never_mix_fields() {
             depersonalised: false,
             postings_walked: id as u32,
             candidates: id as u32,
-            evicted: id as u32,
         }
     }
 

@@ -50,6 +50,9 @@ cargo test -q
 echo "==> kernel probe: the committed instrument runs (--quick)"
 cargo run --release -q -p serenade-bench --bin kernel_probe -- --quick
 
+echo "==> kernel probe: the popularity head held in place, so samples are cut at m (--quick)"
+cargo run --release -q -p serenade-bench --bin kernel_probe -- --quick --drift-per-day 0
+
 echo "==> workspace lint"
 cargo run -q -p xtask -- lint
 

@@ -10,8 +10,7 @@ use std::sync::Arc;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use serenade_baselines::VsKnnBaseline;
-use serenade_core::heap::DaryHeap;
+use serenade_baselines::{vmis_noopt, VsKnnBaseline};
 use serenade_core::{Click, FxHashSet, ItemId, Recommender, SessionIndex, VmisConfig, VmisKnn};
 use serenade_index::{read_index, write_index, IncrementalIndexer};
 use serenade_metrics::ranking;
@@ -131,10 +130,12 @@ proptest! {
         let mut base = VmisConfig::default();
         base.m = m;
         base.k = 10;
-        let reference = VmisKnn::new(Arc::clone(&index), base.clone()).unwrap().recommend(&session);
-        let cfg = VmisConfig { early_stopping: false, ..base };
-        let out = VmisKnn::new(Arc::clone(&index), cfg).unwrap().recommend(&session);
-        prop_assert_eq!(out, reference);
+        let out = VmisKnn::new(Arc::clone(&index), base.clone()).unwrap();
+        let reference = vmis_noopt(index, base).unwrap();
+        prop_assert_eq!(
+            Recommender::recommend(&out, &session, 21),
+            Recommender::recommend(&reference, &session, 21)
+        );
     }
 
     #[test]
@@ -177,50 +178,6 @@ proptest! {
         for item in reference.items() {
             prop_assert_eq!(snapshot.postings(item), reference.postings(item));
         }
-    }
-
-    #[test]
-    fn dary_heap_matches_std_binary_heap(
-        ops in vec((0u8..8, 0u64..1000, vec(0u64..1000, 0..40)), 1..200),
-    ) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        // Op 0–3 push, 4–5 pop, 6 replace_root, 7 rebuild: the kernel's
-        // operations, pushes weighted so the heap grows deep.
-        let mut ours: DaryHeap<u64, u32> = DaryHeap::with_capacity(0);
-        let mut reference = BinaryHeap::new();
-        for (op, key, entries) in ops {
-            match op {
-                0..=3 => {
-                    ours.push(key, 0);
-                    reference.push(Reverse(key));
-                }
-                4 | 5 => {
-                    let a = ours.pop().map(|(k, _)| k);
-                    let b = reference.pop().map(|Reverse(k)| k);
-                    prop_assert_eq!(a, b);
-                }
-                6 if !ours.is_empty() => {
-                    let (a, _) = ours.replace_root(key, 0);
-                    let Reverse(b) = reference.pop().expect("same length");
-                    reference.push(Reverse(key));
-                    prop_assert_eq!(a, b);
-                }
-                6 => {}
-                _ => {
-                    ours.rebuild(entries.iter().map(|&k| (k, 0)));
-                    reference = entries.iter().map(|&k| Reverse(k)).collect();
-                }
-            }
-            prop_assert_eq!(ours.len(), reference.len());
-            prop_assert_eq!(
-                ours.peek().map(|&(k, _)| k),
-                reference.peek().map(|&Reverse(k)| k)
-            );
-        }
-        let drained: Vec<u64> = std::iter::from_fn(|| ours.pop().map(|(k, _)| k)).collect();
-        let want: Vec<u64> = reference.into_sorted_vec().into_iter().rev().map(|Reverse(k)| k).collect();
-        prop_assert_eq!(drained, want);
     }
 
     #[test]
