@@ -1,10 +1,11 @@
 //! The sharded TTL hash store.
 //!
 //! Keys are hashed (FxHash scheme, same as `serenade-core`) to one of `2^s`
-//! shards, each guarded by its own `parking_lot::Mutex`. Contention is
-//! therefore bounded by the shard count, and single-shard operations are a
-//! lock + one hash-map probe — microseconds, matching the paper's RocksDB
-//! measurements for this workload shape.
+//! shards, each guarded by its own `Mutex`. Contention is therefore bounded
+//! by the shard count, and single-shard operations are a lock + one hash-map
+//! probe — microseconds, matching the paper's RocksDB measurements for this
+//! workload shape. A lock poisoned by a panicking caller is entered anyway,
+//! so one failed request never takes its shard's sessions down with it.
 //!
 //! Expiry is lazy (an expired entry encountered on `get`/`update` is treated
 //! as absent and removed) plus an explicit [`TtlStore::evict_expired`] sweep
@@ -15,6 +16,7 @@
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::sync::PoisonError;
 
 use crate::clock::{Clock, SystemClock};
 use crate::sync::atomic::{AtomicU64, Ordering};
@@ -109,7 +111,7 @@ pub struct TtlStore<K, V, C: Clock = SystemClock> {
 }
 
 impl<K: Hash + Eq, V> TtlStore<K, V, SystemClock> {
-    /// Creates a store with the wall clock.
+    /// Creates a store on the process's monotonic [`SystemClock`].
     pub fn new(config: StoreConfig) -> Self {
         Self::with_clock(config, SystemClock)
     }
@@ -143,14 +145,14 @@ impl<K: Hash + Eq, V, C: Clock> TtlStore<K, V, C> {
     /// Inserts or replaces; the entry's TTL starts now.
     pub fn put(&self, key: K, value: V) {
         let expires = self.clock.now_ms() + self.config.ttl_ms;
-        let mut shard = self.shard_of(&key).lock();
+        let mut shard = self.shard_of(&key).lock().unwrap_or_else(PoisonError::into_inner);
         shard.insert(key, Entry { value, expires_at_ms: expires });
     }
 
     /// Removes an entry, returning its value if it was live.
     pub fn remove(&self, key: &K) -> Option<V> {
         let now = self.clock.now_ms();
-        let mut shard = self.shard_of(key).lock();
+        let mut shard = self.shard_of(key).lock().unwrap_or_else(PoisonError::into_inner);
         let entry = shard.remove(key)?;
         if entry.expires_at_ms > now {
             Some(entry.value)
@@ -166,7 +168,7 @@ impl<K: Hash + Eq, V, C: Clock> TtlStore<K, V, C> {
     /// `true` if a live entry exists (does not refresh the TTL).
     pub fn contains(&self, key: &K) -> bool {
         let now = self.clock.now_ms();
-        let shard = self.shard_of(key).lock();
+        let shard = self.shard_of(key).lock().unwrap_or_else(PoisonError::into_inner);
         shard.get(key).is_some_and(|e| e.expires_at_ms > now)
     }
 
@@ -174,7 +176,7 @@ impl<K: Hash + Eq, V, C: Clock> TtlStore<K, V, C> {
     /// `touch_on_read` is set. Expired entries are removed.
     pub fn with_value<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
         let now = self.clock.now_ms();
-        let mut shard = self.shard_of(key).lock();
+        let mut shard = self.shard_of(key).lock().unwrap_or_else(PoisonError::into_inner);
         match shard.get_mut(key) {
             Some(entry) if entry.expires_at_ms > now => {
                 if self.config.touch_on_read {
@@ -206,7 +208,7 @@ impl<K: Hash + Eq, V, C: Clock> TtlStore<K, V, C> {
     ) -> T {
         let now = self.clock.now_ms();
         let expires = now + self.config.ttl_ms;
-        let mut shard = self.shard_of(&key).lock();
+        let mut shard = self.shard_of(&key).lock().unwrap_or_else(PoisonError::into_inner);
         match shard.entry(key) {
             MapEntry::Occupied(mut occupied) => {
                 let entry = occupied.get_mut();
@@ -231,7 +233,7 @@ impl<K: Hash + Eq, V, C: Clock> TtlStore<K, V, C> {
         let now = self.clock.now_ms();
         let mut evicted = 0;
         for shard in self.shards.iter() {
-            let mut shard = shard.lock();
+            let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
             let before = shard.len();
             shard.retain(|_, e| e.expires_at_ms > now);
             evicted += before - shard.len();
@@ -247,7 +249,10 @@ impl<K: Hash + Eq, V, C: Clock> TtlStore<K, V, C> {
         let live = self
             .shards
             .iter()
-            .map(|s| s.lock().values().filter(|e| e.expires_at_ms > now).count())
+            .map(|s| {
+                let shard = s.lock().unwrap_or_else(PoisonError::into_inner);
+                shard.values().filter(|e| e.expires_at_ms > now).count()
+            })
             .sum();
         StoreStats {
             live_entries: live,
@@ -271,14 +276,14 @@ impl<K: Hash + Eq, V, C: Clock> TtlStore<K, V, C> {
     /// caller is erasing the key on purpose (GDPR-style unlearning), not
     /// observing a TTL event, so reclamation statistics stay untouched.
     pub fn forget(&self, key: &K) -> bool {
-        let mut shard = self.shard_of(key).lock();
+        let mut shard = self.shard_of(key).lock().unwrap_or_else(PoisonError::into_inner);
         shard.remove(key).is_some()
     }
 
     /// Removes all entries.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            shard.lock().clear();
+            shard.lock().unwrap_or_else(PoisonError::into_inner).clear();
         }
     }
 }
@@ -301,7 +306,7 @@ impl<K: Hash + Eq + Clone, V: Clone, C: Clock> TtlStore<K, V, C> {
             if out.len() >= cap {
                 break;
             }
-            let shard = shard.lock();
+            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
             for (k, e) in shard.iter() {
                 if out.len() >= cap {
                     break;
@@ -441,6 +446,25 @@ mod tests {
         s.update_or_insert(7, Vec::new, |v| v.push(2));
         // The stale [1] must be gone: the session restarted.
         assert_eq!(s.get(&7), Some(vec![2]));
+    }
+
+    #[test]
+    fn panic_inside_update_leaves_the_shard_usable() {
+        let (s, _) = store(1_000, true);
+        s.put(7, vec![1]);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.update_or_insert(7, Vec::new, |_| panic!("request handler failed"));
+        }));
+        assert!(caught.is_err(), "the closure's panic must reach the caller");
+        // The shard lock is poisoned now; the next request still gets in.
+        let len = s.update_or_insert(7, Vec::new, |v| {
+            v.push(2);
+            v.len()
+        });
+        assert_eq!(len, 2);
+        assert_eq!(s.get(&7), Some(vec![1, 2]));
+        assert!(s.contains(&7));
+        assert_eq!(s.stats().live_entries, 1);
     }
 
     #[test]

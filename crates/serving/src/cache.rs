@@ -48,7 +48,7 @@
 //! [`IndexHandle::load_with_generation`]: crate::handle::IndexHandle::load_with_generation
 
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
 use serenade_core::{FxHashMap, ItemId, ItemScore};
@@ -154,7 +154,7 @@ impl<K: Hash + Eq + Clone, V: Clone> GenerationCache<K, V> {
     /// rollover, old entries die on first touch instead of occupying slots
     /// until the CLOCK hand reclaims them.
     pub fn get(&self, key: &K, generation: u64) -> Lookup<V> {
-        let mut shard = self.shard(key).lock();
+        let mut shard = self.shard(key).lock().unwrap_or_else(PoisonError::into_inner);
         let Some(&idx) = shard.map.get(key) else {
             return Lookup::Miss;
         };
@@ -186,7 +186,7 @@ impl<K: Hash + Eq + Clone, V: Clone> GenerationCache<K, V> {
     /// Returns `true` when a *different* live entry was evicted to make
     /// room (the CLOCK second-chance sweep).
     pub fn insert(&self, key: K, generation: u64, value: V) -> bool {
-        let mut shard = self.shard(&key).lock();
+        let mut shard = self.shard(&key).lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(&idx) = shard.map.get(&key) {
             shard.slots[idx] =
                 Some(Slot { key, generation, value, referenced: true });
@@ -223,14 +223,14 @@ impl<K: Hash + Eq + Clone, V: Clone> GenerationCache<K, V> {
                 }
             }
         }
-        // Unreachable with len ≥ 1; kept total for the lint's sake.
+        // Unreachable with len ≥ 1; kept total so no arm can panic.
         false
     }
 
     /// Number of live entries across all shards (locks each shard once —
     /// observability only, not a hot-path call).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards.iter().map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len()).sum()
     }
 
     /// Whether the cache currently holds no entries.

@@ -423,7 +423,7 @@ mod store_abstraction_tests {
     use crate::{BusinessRules, IndexHandle, ServingCluster};
     use serenade_kvstore::SessionStore;
     use serenade_telemetry::TraceConfig;
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
     use serenade_core::Click;
     use std::collections::HashMap;
 
@@ -439,19 +439,19 @@ mod store_abstraction_tests {
             default: impl FnOnce() -> Vec<ItemId>,
             f: impl FnOnce(&mut Vec<ItemId>) -> T,
         ) -> T {
-            f(self.map.lock().entry(key).or_insert_with(default))
+            f(self.map.lock().unwrap().entry(key).or_insert_with(default))
         }
 
         fn with_value<T>(&self, key: &u64, f: impl FnOnce(&Vec<ItemId>) -> T) -> Option<T> {
-            self.map.lock().get(key).map(f)
+            self.map.lock().unwrap().get(key).map(f)
         }
 
         fn remove(&self, key: &u64) -> Option<Vec<ItemId>> {
-            self.map.lock().remove(key)
+            self.map.lock().unwrap().remove(key)
         }
 
         fn contains(&self, key: &u64) -> bool {
-            self.map.lock().contains_key(key)
+            self.map.lock().unwrap().contains_key(key)
         }
 
         fn evict_expired(&self) -> usize {
@@ -459,11 +459,11 @@ mod store_abstraction_tests {
         }
 
         fn live_entries(&self) -> usize {
-            self.map.lock().len()
+            self.map.lock().unwrap().len()
         }
 
         fn clear(&self) {
-            self.map.lock().clear()
+            self.map.lock().unwrap().clear()
         }
     }
 

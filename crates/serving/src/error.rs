@@ -4,7 +4,7 @@
 //! surface as a [`ServingError`] that the HTTP layer turns into a `500`
 //! response on a connection that stays usable. (A panic would unwind the
 //! worker's keep-alive loop and kill every in-flight request multiplexed
-//! on that connection.) The `xtask` lint enforces the no-panic rule
+//! on that connection.) `xtask analyze` enforces the no-panic rule
 //! statically; this type is what the fallible paths return instead.
 
 use std::fmt;

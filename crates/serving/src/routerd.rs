@@ -47,11 +47,10 @@
 use std::borrow::Cow;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use serenade_core::Click;
 use serenade_index::binfmt;
 use serenade_telemetry::registry::Counter;
@@ -257,7 +256,7 @@ impl RouterCore {
     /// forgotten at the source. If an artifact was published earlier, the
     /// joiner receives it before taking traffic.
     pub fn join(&self, id: u64, data_addr: SocketAddr) -> Result<(), String> {
-        let _admin = self.admin.lock();
+        let _admin = self.admin.lock().unwrap_or_else(PoisonError::into_inner);
         let old = self.membership.load();
         if old.nodes.iter().any(|n| n.id == id) {
             return Err(format!("member {id} is already in the routing table"));
@@ -265,7 +264,7 @@ impl RouterCore {
         let joiner = self.node_entry(id, data_addr, data_addr);
         // Seed the joiner with the current artifact so it serves the same
         // generation as everyone else from its first request.
-        let artifact = self.last_artifact.lock().clone();
+        let artifact = self.last_artifact.lock().unwrap_or_else(PoisonError::into_inner).clone();
         if let Some(artifact) = artifact {
             push_artifact(&joiner.transport, &artifact)
                 .map_err(|e| format!("artifact push failed: {e}"))?
@@ -283,7 +282,7 @@ impl RouterCore {
     /// (bounded by the handoff cap; best-effort if the leaver is already
     /// unreachable).
     pub fn leave(&self, id: u64) -> Result<(), String> {
-        let _admin = self.admin.lock();
+        let _admin = self.admin.lock().unwrap_or_else(PoisonError::into_inner);
         let old = self.membership.load();
         if !old.nodes.iter().any(|n| n.id == id) {
             return Err(format!("member {id} is not in the routing table"));
@@ -303,7 +302,7 @@ impl RouterCore {
         // router without bothering any node.
         binfmt::read_index(artifact.as_slice())
             .map_err(|e| format!("artifact rejected: {e}"))?;
-        let _admin = self.admin.lock();
+        let _admin = self.admin.lock().unwrap_or_else(PoisonError::into_inner);
         let artifact = Arc::new(artifact);
         let membership = self.membership.load();
         let mut published = Vec::new();
@@ -323,7 +322,7 @@ impl RouterCore {
             }
         }
         if !published.is_empty() {
-            *self.last_artifact.lock() = Some(artifact);
+            *self.last_artifact.lock().unwrap_or_else(PoisonError::into_inner) = Some(artifact);
         }
         Ok((published, failed))
     }

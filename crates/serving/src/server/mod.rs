@@ -170,10 +170,8 @@ impl Default for HttpServerConfig {
 }
 
 /// Coordination wakeup: the drain controller's quiescence wait parks here,
-/// and reactor/worker state changes notify. Uses `std::sync` directly (not
-/// `parking_lot`) because the vendored `parking_lot` shim carries no
-/// `Condvar`; lock poisoning is impossible to panic on — a poisoned guard
-/// is recovered, the protected state is `()`.
+/// and reactor/worker state changes notify. A poisoned lock is entered like
+/// every other lock in the workspace; the protected state is `()`.
 #[derive(Debug, Default)]
 pub(crate) struct Wakeup {
     lock: std::sync::Mutex<()>,

@@ -2,10 +2,11 @@
 //!
 //! Modules that participate in model checking ([`crate::handle`],
 //! [`crate::stats`]) import `Arc`, `Mutex` and atomics from here instead of
-//! `std`/`parking_lot` (enforced by the `xtask` lint). In normal builds the
-//! facade re-exports the real types at zero cost; with `--features loom` it
+//! `std` (enforced by `xtask analyze`). In normal builds the facade
+//! re-exports the real types at zero cost; with `--features loom` it
 //! re-exports the deterministic model-checker shims, so the same source is
-//! explored schedule-by-schedule inside `loom::model`.
+//! explored schedule-by-schedule inside `loom::model`. Both `Mutex`es return
+//! a `std::sync::LockResult`, so one locking line serves both builds.
 //!
 //! The facade also owns the per-thread slot chooser ([`reader_slot`]): in
 //! std mode it is a round-robin `thread_local!` assignment (which a model
@@ -45,8 +46,7 @@ mod imp {
 /// Production mode: zero-cost re-exports of the real primitives.
 #[cfg(not(feature = "loom"))]
 mod imp {
-    pub use parking_lot::{Mutex, MutexGuard};
-    pub use std::sync::Arc;
+    pub use std::sync::{Arc, Mutex, MutexGuard};
 
     /// Atomic types (the real ones).
     pub mod atomic {

@@ -31,9 +31,8 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::engine::RecommendRequest;
 use crate::json;
@@ -329,7 +328,7 @@ impl RemotePod {
         body: Body<'_>,
     ) -> std::io::Result<(u16, Vec<u8>)> {
         use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof};
-        let pooled = self.idle.lock().pop();
+        let pooled = self.idle.lock().unwrap_or_else(PoisonError::into_inner).pop();
         let dial = || HttpClient::connect_timeout(self.addr, self.timeout);
         let reused = pooled.is_some();
         let mut client = match pooled {
@@ -345,7 +344,7 @@ impl RemotePod {
             answer = client.exchange(method, path, body);
         }
         let answer = answer?;
-        let mut idle = self.idle.lock();
+        let mut idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
         if idle.len() < MAX_IDLE_CONNECTIONS {
             idle.push(client);
         }
@@ -446,7 +445,7 @@ mod tests {
             "{err:?}"
         );
         assert!(started.elapsed() < Duration::from_secs(2), "{:?}", started.elapsed());
-        assert_eq!(pod.idle.lock().len(), 0, "a timed-out connection is never pooled");
+        assert_eq!(pod.idle.lock().unwrap().len(), 0, "a timed-out connection is never pooled");
         drop(listener);
     }
 
@@ -466,7 +465,7 @@ mod tests {
         });
         let pod = RemotePod::new(addr, Duration::from_secs(2));
         assert_eq!(pod.call("GET", "/health", None).unwrap(), (200, b"ok".to_vec()));
-        assert_eq!(pod.idle.lock().len(), 1);
+        assert_eq!(pod.idle.lock().unwrap().len(), 1);
         assert_eq!(pod.call("GET", "/health", None).unwrap(), (200, b"ok".to_vec()));
         node.join().unwrap();
     }
@@ -476,8 +475,8 @@ mod tests {
         // No live server needed: the pool logic is independent of whether
         // connections work. Dial nothing, exercise the bound directly.
         let pod = RemotePod::new("127.0.0.1:1".parse().unwrap(), Duration::from_millis(100));
-        assert_eq!(pod.idle.lock().len(), 0);
+        assert_eq!(pod.idle.lock().unwrap().len(), 0);
         assert!(pod.call("GET", "/health", None).is_err(), "nothing listens on port 1");
-        assert_eq!(pod.idle.lock().len(), 0, "failed connections are never pooled");
+        assert_eq!(pod.idle.lock().unwrap().len(), 0, "failed connections are never pooled");
     }
 }

@@ -1,14 +1,14 @@
-//! Analyzer orchestration: walk → parse → rules → allowlist → output.
+//! Checker orchestration: walk → parse → rules → allowlist → output.
 //!
-//! `cargo run -p xtask -- analyze [--json] [--baseline FILE]` runs the
-//! whole pipeline over `crates/` (shims implement the primitives the rules
-//! reason about, so they are out of scope; test code is skipped inside the
-//! rules), with `benchmark/src` and `examples/` read as callers only. Any
-//! finding fails the run — vetted exceptions live in
+//! `cargo run -p xtask -- analyze` runs the whole pipeline: the graph
+//! rules over `crates/` (shims implement the primitives the rules reason
+//! about, so they are out of scope; test code is skipped inside the rules),
+//! with `benchmark/src` and `examples/` read as callers only, and the line
+//! rules (R1–R6, see the crate docs) over `crates/`, `shims/` and `tests/`.
+//! Any finding fails the run — vetted exceptions live in
 //! `crates/xtask/analyze_allow.txt` as
-//! `rule :: file :: function :: needle :: justification` lines with the
-//! same stale-entry detection as the lint allowlist: an entry that stops
-//! waiving anything becomes a finding itself.
+//! `rule :: file :: function :: needle :: justification` lines, and an
+//! entry that stops waiving anything becomes a finding itself.
 
 use std::path::Path;
 
@@ -107,10 +107,12 @@ pub fn apply_analyze_allowlist(
 }
 
 /// Parses every source and runs the rules + allowlist: the pure core used
-/// by both the workspace entry point and the fixture tests. `callers` are
-/// parsed only for the uses they make of the analyzed sources.
+/// by both the workspace entry point and the fixture tests. The graph rules
+/// read `sources`, the line rules `line_sources`; `callers` are parsed only
+/// for the uses they make of the analyzed sources.
 pub fn analyze_sources(
     sources: &[(String, String)],
+    line_sources: &[(String, String)],
     callers: &[(String, String)],
     config: &AnalyzeConfig,
     allow: &[AnalyzeAllowEntry],
@@ -130,6 +132,9 @@ pub fn analyze_sources(
             });
         }
         files.push(facts);
+    }
+    for (path, content) in line_sources {
+        findings.extend(crate::scan_file(path, content));
     }
     let callers: Vec<FileFacts> = callers.iter().map(|(p, c)| parse_file(p, c)).collect();
     findings.extend(run_rules(&files, &callers, config));
@@ -154,6 +159,13 @@ pub fn parse_workspace(root: &Path) -> Result<Vec<FileFacts>, String> {
 /// `tests/` are integration-test code the rules skip anyway).
 pub fn workspace_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
     read_sources(root, &["crates"])
+}
+
+/// The sources the line rules read: `crates/`, the shims (whose `unsafe`
+/// needs its SAFETY argument like any other) and the workspace-level
+/// `tests/`.
+pub fn line_rule_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
+    read_sources(root, &["crates", "shims", "tests"])
 }
 
 /// The sources that only call into the analyzed ones: the benchmark (read,
@@ -186,91 +198,18 @@ fn read_sources(root: &Path, dirs: &[&str]) -> Result<Vec<(String, String)>, Str
 
 /// Full workspace analysis with the committed allowlist.
 pub fn analyze_workspace(root: &Path) -> Result<Vec<Finding>, String> {
-    let sources = workspace_sources(root)?;
-    let callers = caller_sources(root)?;
     let allow_content =
         std::fs::read_to_string(root.join("crates/xtask/analyze_allow.txt")).unwrap_or_default();
     let (entries, mut findings) = parse_analyze_allowlist(&allow_content);
-    findings.extend(analyze_sources(&sources, &callers, &AnalyzeConfig::default(), &entries));
+    findings.extend(analyze_sources(
+        &workspace_sources(root)?,
+        &line_rule_sources(root)?,
+        &caller_sources(root)?,
+        &AnalyzeConfig::default(),
+        &entries,
+    ));
+    findings.extend(crate::shim_wiring(root)?);
     Ok(findings)
-}
-
-// ---------------------------------------------------------------------------
-// JSON output + baseline
-// ---------------------------------------------------------------------------
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders findings as stable, diffable JSON (sorted; one finding per
-/// entry; chains included) — the `--json` output and the baseline format.
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"version\": 1,\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {");
-        out.push_str(&format!("\"rule\": \"{}\", ", json_escape(f.rule)));
-        out.push_str(&format!("\"file\": \"{}\", ", json_escape(&f.file)));
-        out.push_str(&format!("\"line\": {}, ", f.line));
-        out.push_str(&format!("\"function\": \"{}\", ", json_escape(&f.function)));
-        out.push_str(&format!("\"message\": \"{}\", ", json_escape(&f.message)));
-        out.push_str("\"chain\": [");
-        for (j, hop) in f.chain.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\"", json_escape(hop)));
-        }
-        out.push_str("]}");
-    }
-    if !findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-/// Compares current findings against a committed baseline file (the JSON
-/// rendered by [`render_json`]). Returns `Err` with a human-readable diff
-/// when they disagree.
-pub fn check_baseline(findings: &[Finding], baseline: &str) -> Result<(), String> {
-    let current = render_json(findings);
-    if current.trim() == baseline.trim() {
-        return Ok(());
-    }
-    let cur_lines: Vec<&str> = current.lines().collect();
-    let base_lines: Vec<&str> = baseline.lines().collect();
-    let mut diff = String::from("analyzer findings differ from the committed baseline:\n");
-    for l in &cur_lines {
-        if !base_lines.contains(l) {
-            diff.push_str(&format!("  + {l}\n"));
-        }
-    }
-    for l in &base_lines {
-        if !cur_lines.contains(l) {
-            diff.push_str(&format!("  - {l}\n"));
-        }
-    }
-    diff.push_str(
-        "regenerate with `cargo run -p xtask -- analyze --json > \
-         crates/xtask/analyze_baseline.json` if the change is intended",
-    );
-    Err(diff)
 }
 
 #[cfg(test)]
@@ -328,24 +267,5 @@ mod tests {
         )];
         let kept = apply_analyze_allowlist(findings, &entries);
         assert!(kept.iter().any(|f| f.rule == "reactor-blocking"), "different fn not waived");
-    }
-
-    #[test]
-    fn render_json_is_stable_and_escaped() {
-        let f = finding("parse-error", "a\\b.rs", "f", "quote \" and\nnewline");
-        let json = render_json(&[f]);
-        assert!(json.contains("\"a\\\\b.rs\""));
-        assert!(json.contains("quote \\\" and\\nnewline"));
-        assert!(json.starts_with("{\n  \"version\": 1"));
-    }
-
-    #[test]
-    fn baseline_diff_names_both_directions() {
-        let current = vec![finding("parse-error", "new.rs", "", "x")];
-        let stale_baseline = render_json(&[finding("parse-error", "old.rs", "", "y")]);
-        let err = check_baseline(&current, &stale_baseline).unwrap_err();
-        assert!(err.contains("+") && err.contains("new.rs"));
-        assert!(err.contains("-") && err.contains("old.rs"));
-        assert!(check_baseline(&current, &render_json(&current)).is_ok());
     }
 }

@@ -295,7 +295,7 @@ pub fn parse_file(relpath: &str, content: &str) -> FileFacts {
     let mut fn_stack: Vec<FnScratch> = Vec::new();
     let mut pending: Option<Pending> = None;
 
-    // Test-region tracking (same model as the lint pass).
+    // Test-region tracking (same model as the line rules).
     let mut test_region_until: Option<i32> = None;
     let mut pending_test_attr = false;
 

@@ -1,4 +1,4 @@
-//! Line lexer shared by the lint pass and the concurrency analyzer.
+//! Line lexer shared by the line rules and the fact parser.
 //!
 //! Strips comments and string/char literal bodies from source lines so the
 //! passes above it can substring-match code without being fooled by text in

@@ -1,24 +1,29 @@
-//! Workspace lint pass: concurrency-hygiene rules the compiler cannot check.
+//! Workspace checks the compiler cannot make, in one command:
+//! `cargo run -p xtask -- analyze` ([`analyze::analyze_workspace`]).
 //!
 //! The serving core carries hand-rolled `unsafe` reclamation
 //! (`serving::handle`), a model-checker shim (`shims/loom`), and a no-panic
 //! request path — invariants that are easy to break silently in a later
-//! change. This crate enforces them statically with a small line lexer (no
-//! `syn`, no network): run `cargo run -p xtask -- lint`, or rely on
-//! `tests/workspace_lint.rs`, which wires the same pass into tier-1
-//! `cargo test`.
+//! change. This crate checks them statically with a small line lexer and a
+//! fact parser (no `syn`, no network); `tests/analyze_workspace.rs` wires
+//! the same pass into tier-1 `cargo test`. Every rule reports a
+//! [`rules::Finding`] that names its enclosing function, and
+//! `crates/xtask/analyze_allow.txt` is the one allowlist of vetted
+//! exceptions.
 //!
-//! Rules (each is documented in detail on its check below):
+//! The line rules live in this file and read `crates/`, `shims/` and the
+//! workspace-level `tests/` (each is documented in detail on its check
+//! below):
 //!
 //! * **R1 safety-comment** — every `unsafe` keyword needs a `// SAFETY:`
 //!   comment (or a `# Safety` doc section) in the comment block immediately
 //!   above it (blank lines break the association) or on the same line.
 //! * **R2 no-panic-request-path** — request-path modules must not contain
-//!   `unwrap()`/`expect()`/`panic!`-family calls outside test code; vetted
-//!   exceptions live in `lint_allow.txt` with a one-line justification.
+//!   `unwrap()`/`expect()`/`panic!`-family calls outside test code.
 //! * **R3 facade-only-sync** — modules ported to the `sync` facade must not
-//!   import `std::sync::atomic`, `std::thread`, or `parking_lot` directly
-//!   (normal builds re-export them; `--features loom` swaps in the shim).
+//!   take atomics or `Mutex` from `std::sync` (a grouped import counts) or
+//!   use `std::thread` directly (normal builds re-export them; `--features
+//!   loom` swaps in the shim).
 //! * **R4 no-sleep** — `thread::sleep` only in tests.
 //! * **R5 shim-wiring** — every directory in `shims/` must be wired into
 //!   the workspace by a `path` dependency, keyed by its package name, and
@@ -28,6 +33,8 @@
 //!   allocation- and lock-free: no `Vec::push`/`String`/`format!` and no
 //!   mutex acquisition (snapshot/render functions are naturally exempt —
 //!   the rule keys on the function name).
+//!
+//! The graph rules ([`rules`]) read `crates/` only.
 
 pub mod analyze;
 pub mod callgraph;
@@ -35,28 +42,11 @@ pub mod facts;
 pub mod lexer;
 pub mod rules;
 
-use std::fmt;
 use std::path::{Path, PathBuf};
 
-use lexer::{braces, find_token, Lexer};
-
-/// One rule violation at a specific line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// Workspace-relative path, `/`-separated.
-    pub file: String,
-    /// 1-based line number (0 for file-level findings).
-    pub line: usize,
-    /// Stable rule identifier (`safety-comment`, `no-panic-request-path`, …).
-    pub rule: &'static str,
-    pub message: String,
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: [{}] {}", self.file, self.line, self.rule, self.message)
-    }
-}
+use facts::parse_file;
+use lexer::{braces, find_token, is_ident, Lexer};
+use rules::Finding;
 
 /// Serving/kvstore modules on the request hot path: a panic here unwinds an
 /// HTTP worker's keep-alive loop and kills every connection multiplexed on
@@ -128,7 +118,7 @@ const RECORD_ALLOC_NEEDLES: &[&str] = &[
 
 /// Modules ported to the `sync` facade (R3). Their concurrency primitives
 /// must come from `crate::sync` so `--features loom` can swap in the model
-/// checker; a direct `std::sync::atomic`/`std::thread`/`parking_lot` import
+/// checker; an atomic or `Mutex` taken from `std::sync`, or `std::thread`,
 /// would silently escape the checker's instrumentation.
 const FACADE_MODULES: &[&str] = &[
     "crates/serving/src/cache.rs",
@@ -141,58 +131,45 @@ const FACADE_MODULES: &[&str] = &[
 const PANIC_NEEDLES: &[&str] =
     &[".unwrap()", ".expect(", "panic!(", "unreachable!(", "todo!(", "unimplemented!("];
 
-/// One `lint_allow.txt` entry: `path :: needle :: justification`.
-#[derive(Debug, Clone)]
-pub struct AllowEntry {
-    pub file: String,
-    pub needle: String,
-    pub justification: String,
-    /// Line in `lint_allow.txt`, for stale-entry reporting.
-    pub source_line: usize,
-}
+/// R3: the `std::sync` names a facade module must take from `crate::sync`.
+const FACADE_SYNC_NAMES: &[&str] = &["atomic", "Mutex"];
 
-/// Parses `lint_allow.txt`. Lines are `path :: needle :: justification`;
-/// blank lines and `#` comments are skipped. Malformed lines are reported
-/// as violations rather than ignored.
-pub fn parse_allowlist(content: &str) -> (Vec<AllowEntry>, Vec<Violation>) {
-    let mut entries = Vec::new();
-    let mut violations = Vec::new();
-    for (i, raw) in content.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let parts: Vec<&str> = line.splitn(3, " :: ").collect();
-        if parts.len() != 3 || parts.iter().any(|p| p.trim().is_empty()) {
-            violations.push(Violation {
-                file: String::from("crates/xtask/lint_allow.txt"),
-                line: i + 1,
-                rule: "allowlist-format",
-                message: format!("expected `path :: needle :: justification`, got `{line}`"),
-            });
-            continue;
-        }
-        entries.push(AllowEntry {
-            file: parts[0].trim().to_string(),
-            needle: parts[1].trim().to_string(),
-            justification: parts[2].trim().to_string(),
-            source_line: i + 1,
-        });
-    }
-    (entries, violations)
-}
-
-/// Per-file lint over `content`. `relpath` is workspace-relative with `/`
-/// separators; it selects which rules apply. Pure function of its inputs so
-/// fixture tests can feed it synthetic files.
-pub fn scan_file(relpath: &str, content: &str) -> Vec<Violation> {
+/// Runs the line rules over one file. `relpath` is workspace-relative with
+/// `/` separators; it selects which rules apply. Each finding names the
+/// innermost function around its line, from the analyzer's parse of the
+/// same file. Pure function of its inputs so unit tests can feed it
+/// synthetic files.
+pub fn scan_file(relpath: &str, content: &str) -> Vec<Finding> {
     let is_test_file = relpath.contains("/tests/") || relpath.starts_with("tests/");
     let request_path = REQUEST_PATH_MODULES.contains(&relpath);
     let facade = FACADE_MODULES.contains(&relpath);
     let record_path = RECORD_PATH_MODULES.contains(&relpath);
 
+    let fns = parse_file(relpath, content).fns;
+    let mut findings = Vec::new();
+    let mut flag = |rule: &'static str, line: usize, message: String| {
+        let function = fns
+            .iter()
+            .filter(|f| (f.line..=f.end_line).contains(&line))
+            .min_by_key(|f| f.end_line - f.line)
+            .map_or_else(String::new, |f| f.qual.clone());
+        findings.push(Finding {
+            rule,
+            file: relpath.to_string(),
+            line,
+            function,
+            message,
+            chain: Vec::new(),
+        });
+    };
+    // R6 scans the bodies of non-test functions named `record*`.
+    let in_record_fn = |line: usize| {
+        fns.iter().any(|f| {
+            !f.is_test && f.name.starts_with("record") && (f.line..=f.end_line).contains(&line)
+        })
+    };
+
     let mut lexer = Lexer::default();
-    let mut violations = Vec::new();
 
     // Test-region tracking: a `#[cfg(test)]`-style attribute (any cfg
     // containing the `test` token) puts the lexer in "test code" until the
@@ -207,11 +184,9 @@ pub fn scan_file(relpath: &str, content: &str) -> Vec<Violation> {
     // consumes/breaks it.
     let mut safety_pending = false;
 
-    // R6: region tracking for `fn record*` bodies, mirroring the test-region
-    // machinery — the region opens at the function's `{` and closes when the
-    // brace depth returns to the level outside it.
-    let mut record_region_until: Option<i32> = None;
-    let mut pending_record_fn = false;
+    // R3: brace depth of a `std::sync::{…}` group still open from an
+    // earlier line (0: none).
+    let mut sync_group = 0;
 
     for (idx, raw) in content.lines().enumerate() {
         let lineno = idx + 1;
@@ -245,28 +220,6 @@ pub fn scan_file(relpath: &str, content: &str) -> Vec<Violation> {
             pending_test_attr = true;
         }
 
-        // R6 region transitions (before the depth update, like test regions).
-        let mut record_scan_line = record_region_until.is_some();
-        if record_path {
-            if record_region_until.is_none() && !pending_record_fn {
-                if let Some(pos) = find_token(code, "fn") {
-                    if code[pos + 2..].trim_start().starts_with("record") {
-                        pending_record_fn = true;
-                    }
-                }
-            }
-            if pending_record_fn {
-                if code.contains('{') {
-                    pending_record_fn = false;
-                    record_region_until = Some(depth);
-                    record_scan_line = true;
-                } else if code.contains(';') {
-                    // Bodyless declaration (trait method) — nothing to scan.
-                    pending_record_fn = false;
-                }
-            }
-        }
-
         let depth_before = depth;
         depth += braces(code);
         let in_test = is_test_file
@@ -274,21 +227,13 @@ pub fn scan_file(relpath: &str, content: &str) -> Vec<Violation> {
                 Some(limit) => {
                     if depth <= limit {
                         test_region_until = None;
-                        // The closing-brace line itself still belongs to
-                        // the test region.
-                        true
-                    } else {
-                        true
                     }
+                    // The closing-brace line itself still belongs to the
+                    // test region.
+                    true
                 }
                 None => pending_test_attr && depth > depth_before,
             };
-        if let Some(limit) = record_region_until {
-            // The closing-brace line itself was already marked for scanning.
-            if depth <= limit {
-                record_region_until = None;
-            }
-        }
 
         // R1: `unsafe` needs a SAFETY comment attached — in the comment
         // block directly above (blank lines break it) or on the same line.
@@ -299,14 +244,11 @@ pub fn scan_file(relpath: &str, content: &str) -> Vec<Violation> {
             let after = code[col + "unsafe".len()..].trim_start();
             let is_fn_ptr_type = after.starts_with("fn(");
             if !is_fn_ptr_type && !safety_pending {
-                violations.push(Violation {
-                    file: relpath.to_string(),
-                    line: lineno,
-                    rule: "safety-comment",
-                    message: String::from(
-                        "`unsafe` without a `// SAFETY:` comment attached above it",
-                    ),
-                });
+                flag(
+                    "safety-comment",
+                    lineno,
+                    String::from("`unsafe` without a `// SAFETY:` comment attached above it"),
+                );
             }
         }
 
@@ -319,61 +261,68 @@ pub fn scan_file(relpath: &str, content: &str) -> Vec<Violation> {
                     if *needle == ".expect(" && code[..col].ends_with("self") {
                         continue;
                     }
-                    violations.push(Violation {
-                        file: relpath.to_string(),
-                        line: lineno,
-                        rule: "no-panic-request-path",
-                        message: format!(
+                    flag(
+                        "no-panic-request-path",
+                        lineno,
+                        format!(
                             "`{needle}` on the request path (a panic kills the worker's \
                              keep-alive connection); return a typed error or allowlist it"
                         ),
-                    });
+                    );
                 }
             }
         }
 
         // R6: no allocation or locking inside `record*` hot-path functions.
-        if record_scan_line && !in_test {
+        if record_path && !in_test && in_record_fn(lineno) {
             for needle in RECORD_ALLOC_NEEDLES {
                 if code.contains(needle) {
-                    violations.push(Violation {
-                        file: relpath.to_string(),
-                        line: lineno,
-                        rule: "record-no-alloc",
-                        message: format!(
+                    flag(
+                        "record-no-alloc",
+                        lineno,
+                        format!(
                             "`{needle}` inside a `record*` function; the record path runs \
                              per request per worker and must not allocate or lock"
                         ),
-                    });
+                    );
                 }
             }
         }
 
-        // R3: facade-ported modules must go through `crate::sync`.
+        // R3: facade-ported modules must go through `crate::sync`. The group
+        // state is kept up in test code too, so a test-only import cannot
+        // leave it open.
+        let taken = std_sync_names(code, &mut sync_group);
         if facade && !in_test {
-            for needle in ["std::sync::atomic", "std::thread", "parking_lot"] {
-                if code.contains(needle) {
-                    violations.push(Violation {
-                        file: relpath.to_string(),
-                        line: lineno,
-                        rule: "facade-only-sync",
-                        message: format!(
-                            "`{needle}` bypasses the `sync` facade; the loom build would \
-                             not instrument it"
-                        ),
-                    });
-                }
+            for name in FACADE_SYNC_NAMES.iter().filter(|n| taken.contains(n)) {
+                flag(
+                    "facade-only-sync",
+                    lineno,
+                    format!(
+                        "`std::sync::{name}` bypasses the `sync` facade; the loom build \
+                         would not instrument it"
+                    ),
+                );
+            }
+            if code.contains("std::thread") {
+                flag(
+                    "facade-only-sync",
+                    lineno,
+                    String::from(
+                        "`std::thread` bypasses the `sync` facade; the loom build would \
+                         not instrument it",
+                    ),
+                );
             }
         }
 
         // R4: no sleeping on worker threads.
         if !is_test_file && !in_test && code.contains("::sleep(") {
-            violations.push(Violation {
-                file: relpath.to_string(),
-                line: lineno,
-                rule: "no-sleep",
-                message: String::from("`thread::sleep` outside tests; use channels or condvars"),
-            });
+            flag(
+                "no-sleep",
+                lineno,
+                String::from("`thread::sleep` outside tests; use channels or condvars"),
+            );
         }
 
         // A code line consumes the attached SAFETY block; a blank line
@@ -384,7 +333,47 @@ pub fn scan_file(relpath: &str, content: &str) -> Vec<Violation> {
                 || lexed.comment.contains("# Safety");
         }
     }
-    violations
+    findings
+}
+
+/// R3: the [`FACADE_SYNC_NAMES`] one line takes from `std::sync`, by path
+/// (`std::sync::Mutex`, `std::sync::atomic::AtomicU64`) or in a grouped
+/// import (`use std::sync::{Arc, Mutex};`). A group may span lines:
+/// `group` holds the brace depth of one left open by an earlier line.
+fn std_sync_names(code: &str, group: &mut usize) -> Vec<&'static str> {
+    let mut names = String::new();
+    let mut rest = code;
+    loop {
+        if *group > 0 {
+            let mut end = rest.len();
+            for (i, c) in rest.char_indices() {
+                match c {
+                    '{' => *group += 1,
+                    '}' => *group -= 1,
+                    _ => continue,
+                }
+                if *group == 0 {
+                    end = i;
+                    break;
+                }
+            }
+            names.push_str(&rest[..end]);
+            names.push(' ');
+            rest = &rest[end..];
+        }
+        let Some(at) = rest.find("std::sync::") else { break };
+        rest = &rest[at + "std::sync::".len()..];
+        if let Some(inner) = rest.strip_prefix('{') {
+            *group = 1;
+            rest = inner;
+        } else {
+            let len = rest.bytes().take_while(|b| is_ident(*b)).count();
+            names.push_str(&rest[..len]);
+            names.push(' ');
+            rest = &rest[len..];
+        }
+    }
+    FACADE_SYNC_NAMES.iter().copied().filter(|n| find_token(&names, n).is_some()).collect()
 }
 
 /// R5: every shim directory must be wired into the workspace under its
@@ -396,41 +385,33 @@ pub fn check_shim_wiring(
     root_manifest: &str,
     shim_manifests_joined: &str,
     readme: &str,
-) -> Vec<Violation> {
-    let mut violations = Vec::new();
+) -> Vec<Finding> {
+    let mut findings = Vec::new();
     for (dir, manifest) in shim_dirs {
-        let file = format!("shims/{dir}/Cargo.toml");
-        let name = toml_value(manifest, "name");
-        let version = toml_value(manifest, "version");
-        let Some(name) = name else {
-            violations.push(Violation {
-                file,
-                line: 0,
+        let mut flag = |message: String| {
+            findings.push(Finding {
                 rule: "shim-wiring",
-                message: String::from("shim manifest has no `name` field"),
+                file: format!("shims/{dir}/Cargo.toml"),
+                line: 0,
+                function: String::new(),
+                message,
+                chain: Vec::new(),
             });
+        };
+        let Some(name) = toml_value(manifest, "name") else {
+            flag(String::from("shim manifest has no `name` field"));
             continue;
         };
-        if version.is_none() {
-            violations.push(Violation {
-                file: file.clone(),
-                line: 0,
-                rule: "shim-wiring",
-                message: format!("shim `{name}` declares no `version`"),
-            });
+        if toml_value(manifest, "version").is_none() {
+            flag(format!("shim `{name}` declares no `version`"));
         }
         let root_ref = format!("path = \"shims/{dir}\"");
         let sibling_ref = format!("path = \"../{dir}\"");
         if !root_manifest.contains(&root_ref) && !shim_manifests_joined.contains(&sibling_ref) {
-            violations.push(Violation {
-                file: file.clone(),
-                line: 0,
-                rule: "shim-wiring",
-                message: format!(
-                    "shims/{dir} is not wired in: no `{root_ref}` in the root Cargo.toml \
-                     and no shim depends on it"
-                ),
-            });
+            flag(format!(
+                "shims/{dir} is not wired in: no `{root_ref}` in the root Cargo.toml \
+                 and no shim depends on it"
+            ));
         } else if root_manifest.contains(&root_ref) {
             // The dependency key must equal the package name, or the crate
             // in the directory is not the one the name resolves to.
@@ -438,137 +419,22 @@ pub fn check_shim_wiring(
                 l.trim_start().starts_with(&format!("{name} ")) && l.contains(&root_ref)
             });
             if !keyed {
-                violations.push(Violation {
-                    file: file.clone(),
-                    line: 0,
-                    rule: "shim-wiring",
-                    message: format!(
-                        "root Cargo.toml wires shims/{dir} under a key other than its \
-                         package name `{name}`"
-                    ),
-                });
+                flag(format!(
+                    "root Cargo.toml wires shims/{dir} under a key other than its \
+                     package name `{name}`"
+                ));
             }
         }
         if !readme.contains(&format!("`{name}`")) {
-            violations.push(Violation {
-                file,
-                line: 0,
-                rule: "shim-wiring",
-                message: format!("shims/README.md has no row for `{name}`"),
-            });
+            flag(format!("shims/README.md has no row for `{name}`"));
         }
     }
-    violations
+    findings
 }
 
-/// First `key = "value"` in a TOML chunk (enough for our manifests; no
-/// TOML parser in an offline workspace).
-fn toml_value<'a>(toml: &'a str, key: &str) -> Option<&'a str> {
-    for line in toml.lines() {
-        let t = line.trim();
-        if let Some(rest) = t.strip_prefix(key) {
-            let rest = rest.trim_start();
-            if let Some(v) = rest.strip_prefix('=') {
-                return v.trim().strip_prefix('"').and_then(|v| v.split('"').next());
-            }
-        }
-    }
-    None
-}
-
-/// Applies the allowlist: waives matching violations, then reports unused
-/// (stale) entries so the list can only shrink, never rot.
-pub fn apply_allowlist(
-    violations: Vec<Violation>,
-    entries: &[AllowEntry],
-    sources: &dyn Fn(&str) -> Option<String>,
-) -> Vec<Violation> {
-    let mut used = vec![false; entries.len()];
-    let mut kept = Vec::new();
-    for v in violations {
-        let mut waived = false;
-        for (i, e) in entries.iter().enumerate() {
-            if e.file == v.file && v.line > 0 {
-                let line_matches = sources(&v.file)
-                    .and_then(|src| src.lines().nth(v.line - 1).map(|l| l.contains(&e.needle)))
-                    .unwrap_or(false);
-                if line_matches {
-                    used[i] = true;
-                    waived = true;
-                }
-            }
-        }
-        if !waived {
-            kept.push(v);
-        }
-    }
-    for (i, e) in entries.iter().enumerate() {
-        if !used[i] {
-            kept.push(Violation {
-                file: String::from("crates/xtask/lint_allow.txt"),
-                line: e.source_line,
-                rule: "allowlist-stale",
-                message: format!(
-                    "entry for {} (`{}`) no longer waives anything; remove it",
-                    e.file, e.needle
-                ),
-            });
-        }
-    }
-    kept
-}
-
-/// Walks the workspace and runs every rule. `root` is the workspace root
-/// (the directory holding the top-level `Cargo.toml`).
-/// The workspace-relative paths the lint walks — exposed so tests can pin
-/// coverage (e.g. that `shims/loom` and the reactor's raw-syscall module
-/// are inside the SAFETY-comment rule's reach).
-pub fn lint_targets(root: &Path) -> Result<Vec<String>, String> {
-    let mut files: Vec<PathBuf> = Vec::new();
-    for top in ["crates", "shims", "tests"] {
-        collect_rs(&root.join(top), &mut files)?;
-    }
-    files.sort();
-    Ok(files
-        .iter()
-        .map(|p| {
-            p.strip_prefix(root)
-                .unwrap_or(p)
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy())
-                .collect::<Vec<_>>()
-                .join("/")
-        })
-        .collect())
-}
-
-pub fn lint_workspace(root: &Path) -> Result<Vec<Violation>, String> {
-    let mut violations = Vec::new();
-
-    // Rust sources under crates/, shims/, and the workspace-level tests/.
-    let mut files: Vec<PathBuf> = Vec::new();
-    for top in ["crates", "shims", "tests"] {
-        collect_rs(&root.join(top), &mut files)?;
-    }
-    files.sort();
-
-    let rel = |p: &Path| -> String {
-        p.strip_prefix(root)
-            .unwrap_or(p)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/")
-    };
-
-    let mut raw: Vec<Violation> = Vec::new();
-    for f in &files {
-        let content = std::fs::read_to_string(f)
-            .map_err(|e| format!("read {}: {e}", f.display()))?;
-        raw.extend(scan_file(&rel(f), &content));
-    }
-
-    // R5 needs the manifests and README.
+/// R5 over the workspace at `root`: reads the root manifest, every shim's
+/// manifest and the shim README.
+pub fn shim_wiring(root: &Path) -> Result<Vec<Finding>, String> {
     let root_manifest = std::fs::read_to_string(root.join("Cargo.toml"))
         .map_err(|e| format!("read root Cargo.toml: {e}"))?;
     let readme = std::fs::read_to_string(root.join("shims/README.md")).unwrap_or_default();
@@ -588,19 +454,22 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Violation>, String> {
         }
     }
     shim_dirs.sort();
-    raw.extend(check_shim_wiring(&shim_dirs, &root_manifest, &shim_manifests, &readme));
+    Ok(check_shim_wiring(&shim_dirs, &root_manifest, &shim_manifests, &readme))
+}
 
-    // Allowlist pass.
-    let allow_path = root.join("crates/xtask/lint_allow.txt");
-    let allow_content = std::fs::read_to_string(&allow_path).unwrap_or_default();
-    let (entries, mut format_violations) = parse_allowlist(&allow_content);
-    violations.append(&mut format_violations);
-    let root_owned = root.to_path_buf();
-    let sources = move |relpath: &str| std::fs::read_to_string(root_owned.join(relpath)).ok();
-    violations.extend(apply_allowlist(raw, &entries, &sources));
-
-    violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(violations)
+/// First `key = "value"` in a TOML chunk (enough for our manifests; no
+/// TOML parser in an offline workspace).
+fn toml_value<'a>(toml: &'a str, key: &str) -> Option<&'a str> {
+    for line in toml.lines() {
+        let t = line.trim();
+        if let Some(rest) = t.strip_prefix(key) {
+            let rest = rest.trim_start();
+            if let Some(v) = rest.strip_prefix('=') {
+                return v.trim().strip_prefix('"').and_then(|v| v.split('"').next());
+            }
+        }
+    }
+    None
 }
 
 pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
@@ -629,7 +498,7 @@ pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), Strin
 mod tests {
     use super::*;
 
-    fn lint(path: &str, src: &str) -> Vec<Violation> {
+    fn lint(path: &str, src: &str) -> Vec<Finding> {
         scan_file(path, src)
     }
 
@@ -821,33 +690,38 @@ mod tests {
         assert!(v.iter().any(|x| x.rule == "no-panic-request-path"), "{v:?}");
     }
 
+    /// A line finding names its enclosing function, so the one allowlist
+    /// waives it exactly like a graph finding, and an entry for another
+    /// function waives nothing and is reported stale.
     #[test]
     fn allowlist_waives_and_detects_stale() {
-        let (entries, bad) = parse_allowlist(
+        let (entries, bad) = crate::analyze::parse_analyze_allowlist(
             "# comment\n\
-             crates/serving/src/engine.rs :: .unwrap() :: vetted\n\
-             crates/serving/src/http.rs :: .unwrap() :: no longer present\n",
+             no-panic-request-path :: crates/serving/src/engine.rs :: E::f :: `.unwrap()` :: vetted\n\
+             no-panic-request-path :: crates/serving/src/engine.rs :: E::g :: `.unwrap()` :: gone\n",
         );
         assert!(bad.is_empty());
-        let engine_src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        let raw = scan_file("crates/serving/src/engine.rs", engine_src);
-        assert_eq!(raw.len(), 1);
-        let sources = move |p: &str| {
-            (p == "crates/serving/src/engine.rs").then(|| engine_src.to_string())
-        };
-        let kept = apply_allowlist(raw, &entries, &sources);
-        // The engine violation is waived; the http entry is stale.
+        let src = "impl E {\n    fn f(x: Option<u8>) -> u8 {\n        x.unwrap()\n    }\n}\n";
+        let raw = lint("crates/serving/src/engine.rs", src);
+        assert_eq!(raw.len(), 1, "{raw:?}");
+        assert_eq!(raw[0].function, "E::f");
+        let kept = crate::analyze::apply_analyze_allowlist(raw, &entries);
+        // The `E::f` finding is waived; the `E::g` entry is stale.
         assert_eq!(kept.len(), 1, "{kept:?}");
-        assert_eq!(kept[0].rule, "allowlist-stale");
+        assert_eq!(kept[0].rule, "analyze-allowlist-stale");
         assert_eq!(kept[0].line, 3);
     }
 
+    /// An entry in the retired three-field `path :: needle :: justification`
+    /// format is a format finding, never silently read as waiving nothing.
     #[test]
     fn malformed_allowlist_line_is_reported() {
-        let (entries, bad) = parse_allowlist("not a valid entry\n");
+        let (entries, bad) = crate::analyze::parse_analyze_allowlist(
+            "crates/kvstore/src/clock.rs :: .expect( :: old format\n",
+        );
         assert!(entries.is_empty());
         assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].rule, "allowlist-format");
+        assert_eq!(bad[0].rule, "analyze-allowlist-format");
     }
 
     #[test]
@@ -891,12 +765,30 @@ mod tests {
     /// cache/generation model actually instruments them.
     #[test]
     fn cache_is_facade_only() {
-        let src = "use parking_lot::Mutex;\n";
+        let src = "use std::sync::Mutex;\n";
         let v = lint("crates/serving/src/cache.rs", src);
         assert!(v.iter().any(|x| x.rule == "facade-only-sync"), "{v:?}");
         // `std::sync::Arc` is not a facade bypass: the loom build keeps it
-        // for the counter handles the registry shares.
-        assert!(lint("crates/serving/src/cache.rs", "use std::sync::Arc;\n").is_empty());
+        // for the counter handles the registry shares. Nor is `PoisonError`,
+        // which both builds' `lock()` returns.
+        let src = "use std::sync::{Arc, PoisonError};\nuse std::sync::Arc;\n";
+        assert!(lint("crates/serving/src/cache.rs", src).is_empty());
+    }
+
+    /// A `Mutex` in a grouped `std::sync` import skips loom's
+    /// instrumentation as surely as a path does, on one line or several.
+    #[test]
+    fn grouped_std_mutex_import_is_a_facade_bypass() {
+        let v = lint("crates/serving/src/cache.rs", "use std::sync::{Arc, Mutex};\n");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "facade-only-sync");
+        let src = "use std::sync::{\n    atomic::{AtomicU64, Ordering},\n    Arc,\n    Mutex,\n};\n";
+        let v = lint("crates/kvstore/src/store.rs", src);
+        let lines: Vec<_> = v.iter().map(|x| x.line).collect();
+        assert_eq!(lines, [2, 4], "{v:?}");
+        // The group is closed: later code is read as code again.
+        let src = "use std::sync::{\n    Arc,\n};\nfn f() -> Mutex<u8> { todo() }\n";
+        assert!(lint("crates/serving/src/cache.rs", src).is_empty());
     }
 
     /// `record_hit_duration` runs on every cache hit; it must stay
@@ -945,7 +837,7 @@ mod tests {
     }
 
     /// The acceptance-criteria fixture: an uncommented `unsafe` block plus
-    /// a request-path `unwrap()` must both fail the lint.
+    /// a request-path `unwrap()` must both fail the check.
     #[test]
     fn acceptance_fixture_fails_both_rules() {
         let src = "pub fn read(p: *const u8, fallback: Option<u8>) -> u8 {\n    let v = unsafe { *p };\n    v + fallback.unwrap()\n}\n";

@@ -1,128 +1,42 @@
-//! `cargo run -p xtask -- <task>` — workspace checks from the CLI.
+//! `cargo run -p xtask -- analyze` — the workspace checker from the CLI:
+//! the line rules (R1–R6) and the graph rules (lock-order cycles,
+//! atomic-ordering audit, reactor-blocking reachability, test-only `pub`
+//! surface) under the one allowlist, `crates/xtask/analyze_allow.txt`.
+//! Exits non-zero on any finding.
 //!
-//! * `lint` — the line-lexer hygiene rules (R1–R6).
-//! * `analyze [--json] [--baseline FILE]` — the concurrency analyzer
-//!   (lock-order cycles, atomic-ordering audit, reactor-blocking
-//!   reachability) and the test-only-pub surface rule. Exits non-zero on
-//!   any finding; `--baseline` also diffs the JSON output against a
-//!   committed baseline file.
-//!
-//! Both passes are wired into tier-1 `cargo test` via
-//! `crates/xtask/tests/`; this binary exists for quick local runs and for
+//! `crates/xtask/tests/analyze_workspace.rs` wires the same pass into
+//! tier-1 `cargo test`; this binary exists for quick local runs and for
 //! `scripts/check.sh`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("lint") => lint(),
-        Some("analyze") => analyze(args.collect()),
-        Some(other) => {
-            eprintln!("unknown task `{other}`; available tasks: lint, analyze");
-            ExitCode::FAILURE
-        }
-        None => {
-            eprintln!(
-                "usage: cargo run -p xtask -- <lint|analyze> [--json] [--baseline FILE]"
-            );
-            ExitCode::FAILURE
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args != ["analyze"] {
+        eprintln!("usage: cargo run -p xtask -- analyze");
+        return ExitCode::FAILURE;
     }
-}
-
-fn lint() -> ExitCode {
-    let root = match workspace_root() {
-        Some(r) => r,
-        None => {
-            eprintln!("xtask: could not locate the workspace root Cargo.toml");
-            return ExitCode::FAILURE;
-        }
+    let Some(root) = workspace_root() else {
+        eprintln!("xtask: could not locate the workspace root Cargo.toml");
+        return ExitCode::FAILURE;
     };
-    match xtask::lint_workspace(&root) {
-        Ok(violations) if violations.is_empty() => {
-            println!("xtask lint: clean");
+    match xtask::analyze::analyze_workspace(&root) {
+        Ok(findings) if findings.is_empty() => {
+            println!("xtask analyze: clean");
             ExitCode::SUCCESS
         }
-        Ok(violations) => {
-            for v in &violations {
-                println!("{v}");
+        Ok(findings) => {
+            for f in &findings {
+                println!("{f}");
             }
-            println!("xtask lint: {} violation(s)", violations.len());
+            println!("xtask analyze: {} finding(s)", findings.len());
             ExitCode::FAILURE
         }
-        Err(e) => {
-            eprintln!("xtask lint: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn analyze(args: Vec<String>) -> ExitCode {
-    let mut json = false;
-    let mut baseline: Option<PathBuf> = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--baseline" => match it.next() {
-                Some(p) => baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("xtask analyze: --baseline needs a file argument");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("xtask analyze: unknown flag `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let root = match workspace_root() {
-        Some(r) => r,
-        None => {
-            eprintln!("xtask: could not locate the workspace root Cargo.toml");
-            return ExitCode::FAILURE;
-        }
-    };
-    let findings = match xtask::analyze::analyze_workspace(&root) {
-        Ok(f) => f,
         Err(e) => {
             eprintln!("xtask analyze: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    if json {
-        print!("{}", xtask::analyze::render_json(&findings));
-    } else if findings.is_empty() {
-        println!("xtask analyze: clean");
-    } else {
-        for f in &findings {
-            println!("{f}");
-        }
-        println!("xtask analyze: {} finding(s)", findings.len());
-    }
-    let mut ok = findings.is_empty();
-    if let Some(path) = baseline {
-        let resolved = if path.is_absolute() { path } else { root.join(path) };
-        match std::fs::read_to_string(&resolved) {
-            Ok(content) => {
-                if let Err(diff) = xtask::analyze::check_baseline(&findings, &content) {
-                    eprintln!("{diff}");
-                    ok = false;
-                }
-            }
-            Err(e) => {
-                eprintln!("xtask analyze: read baseline {}: {e}", resolved.display());
-                ok = false;
-            }
-        }
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }
 

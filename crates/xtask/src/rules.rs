@@ -31,8 +31,8 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use crate::callgraph::{CallGraph, FnId};
 use crate::facts::{AtomicOp, BlockKind, FileFacts};
 
-/// One analyzer finding. Unlike the lint's `Violation`, findings carry the
-/// function and (for graph rules) the acquisition/call chain.
+/// One finding of any rule, line or graph: the function it sits in and,
+/// for graph rules, the acquisition/call chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Stable rule id.

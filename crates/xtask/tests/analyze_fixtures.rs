@@ -100,7 +100,7 @@ fn run_fixture(f: &Fixture) -> Vec<xtask::rules::Finding> {
     };
     let (entries, mut findings) = parse_analyze_allowlist(&f.allow);
     let sources = vec![(f.path.clone(), f.body.clone())];
-    findings.extend(analyze_sources(&sources, &[], &config, &entries));
+    findings.extend(analyze_sources(&sources, &[], &[], &config, &entries));
     findings
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One-command verification: tier-1 build+tests, then only what tier-1 does
-# not cover — the workspace lint pass, the rustdoc link check and the
-# analyzer from the CLI, the benchmark's smoke run and self-tests, the loom model
+# not cover — the workspace checker from the CLI, the rustdoc link check,
+# the benchmark's smoke run and self-tests, the loom model
 # checks, and the seeded-mutation kill tests (where the checker must FAIL
 # the mutated protocol — their test files assert exactly that).
 set -euo pipefail
@@ -53,14 +53,11 @@ cargo run --release -q -p serenade-bench --bin kernel_probe -- --quick
 echo "==> kernel probe: the popularity head held in place, so samples are cut at m (--quick)"
 cargo run --release -q -p serenade-bench --bin kernel_probe -- --quick --drift-per-day 0
 
-echo "==> workspace lint"
-cargo run -q -p xtask -- lint
-
 echo "==> rustdoc: every intra-doc link resolves"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace --offline
 
-echo "==> concurrency analyzer: lock order, atomic orderings, reactor blocking (vs committed baseline)"
-cargo run -q -p xtask -- analyze --baseline crates/xtask/analyze_baseline.json
+echo "==> workspace checker: line rules, lock order, atomic orderings, reactor blocking, test-only pub"
+cargo run -q -p xtask -- analyze
 
 # A test or bench binary left over from an earlier step or run still holds
 # a core while the benchmark measures (EXPERIMENTS.md X3 ran a whole session

@@ -322,8 +322,9 @@ impl<T: std::fmt::Display> std::fmt::Display for Arc<T> {
     }
 }
 
-/// Model-checked mutex with the guard-returning API of the parking_lot
-/// shim (`lock()` yields the guard directly, no poisoning).
+/// Model-checked mutex with `std::sync::Mutex`'s API. A model thread
+/// that panics fails the whole model run, so the lock is never poisoned:
+/// `lock()` always returns `Ok`.
 pub struct Mutex<T> {
     id: OnceLock<usize>,
     cell: UnsafeCell<T>,
@@ -345,9 +346,9 @@ impl<T> Mutex<T> {
     }
 
     /// Acquires the lock, blocking the model thread until available.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
+    pub fn lock(&self) -> std::sync::LockResult<MutexGuard<'_, T>> {
         rt::mutex_lock(self.mid());
-        MutexGuard { mx: self }
+        Ok(MutexGuard { mx: self })
     }
 
     /// Returns the inner value, consuming the mutex.

@@ -62,7 +62,7 @@ fn mutex_provides_exclusion() {
             .map(|_| {
                 let c = Arc::clone(&c);
                 thread::spawn(move || {
-                    let mut g = c.lock();
+                    let mut g = c.lock().unwrap();
                     let v = *g;
                     *g = v + 1;
                 })
@@ -71,7 +71,7 @@ fn mutex_provides_exclusion() {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(*c.lock(), 2);
+        assert_eq!(*c.lock().unwrap(), 2);
     });
     assert!(report.failure.is_none(), "{:?}", report.failure);
     assert!(report.exhausted);
@@ -192,11 +192,11 @@ fn deadlock_is_reported() {
         let b = Arc::new(Mutex::new(0u64));
         let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
         let t = thread::spawn(move || {
-            let _ga = a2.lock();
-            let _gb = b2.lock();
+            let _ga = a2.lock().unwrap();
+            let _gb = b2.lock().unwrap();
         });
-        let _gb = b.lock();
-        let _ga = a.lock();
+        let _gb = b.lock().unwrap();
+        let _ga = a.lock().unwrap();
         drop((_ga, _gb));
         t.join().unwrap();
     });
