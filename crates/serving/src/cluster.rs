@@ -21,7 +21,7 @@
 //!    the product-detail-page slot needs.
 //!
 //! A request runs the whole pipeline alone on its caller's
-//! [`RequestContext`] — the reactor thread, a worker, or an in-process
+//! [`RequestContext`] — the reactor thread that read it, or an in-process
 //! caller — so its answer never depends on what else was in flight. The
 //! store is generic (defaulting to the sharded [`TtlStore`]) and the
 //! recommender is read through a lock-free [`IndexHandle`], so the request
@@ -753,6 +753,31 @@ mod ingest_tests {
         assert_eq!(c.scraped("serenade_ingest_deletions_total", &[]), 1);
         // Unknown sessions report false but still tombstone.
         assert!(!p.delete_session(999_999).unwrap());
+    }
+
+    #[test]
+    fn a_publisher_that_panics_fails_its_waiters_at_once_and_takes_no_more_work() {
+        let (c, p) = cluster_with_ingest(IngestConfig {
+            publish_interval: Duration::from_millis(5),
+            ..IngestConfig::default()
+        });
+        assert_eq!(c.scraped("serenade_ingest_publisher_up", &[]), 1);
+        let panic_session = crate::ingest::pipeline::PANIC_SESSION;
+        assert!(p.submit(&[Click::new(panic_session, 0, 10_000)]));
+        // The flush waits on the cycle that panics, or finds the publisher
+        // already gone: either way it fails now, not after `SYNC_WAIT`.
+        let started = std::time::Instant::now();
+        assert!(p.flush().is_err(), "nothing was published");
+        assert!(started.elapsed() < Duration::from_secs(5), "{:?}", started.elapsed());
+        assert_eq!(c.scraped("serenade_ingest_publisher_up", &[]), 0);
+        // Nothing will publish from here on, so nothing is accepted.
+        assert!(!p.submit(&[Click::new(1_001, 0, 10_001)]), "a dead publisher takes clicks");
+        assert_eq!(p.pending_clicks(), 0);
+        let started = std::time::Instant::now();
+        assert!(c.delete_session(1).is_err());
+        assert!(p.flush().is_err());
+        assert!(started.elapsed() < Duration::from_secs(1), "{:?}", started.elapsed());
+        assert_eq!(c.scraped("serenade_ingest_publishes_total", &[]), 0);
     }
 
     #[test]

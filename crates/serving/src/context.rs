@@ -1,7 +1,7 @@
 //! Per-worker request state threaded from HTTP ingress into the engine.
 //!
-//! Each HTTP worker, the reactor thread (for the predicts it runs inline)
-//! and each in-process caller owns one [`RequestContext`]: the VMIS-kNN
+//! Each reactor thread (for the predicts it runs) and each in-process
+//! caller owns one [`RequestContext`]: the VMIS-kNN
 //! scratch buffers, the session-view buffer, and the per-stage timings of
 //! the last handled request. A request runs on one context from start to
 //! finish, and the context is exclusively borrowed meanwhile, so the hot

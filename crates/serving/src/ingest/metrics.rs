@@ -25,6 +25,7 @@ pub struct IngestMetrics {
     segments_shared: Arc<Counter>,
     segments_copied: Arc<Counter>,
     unchanged_ranks_permille: Arc<Gauge>,
+    publisher_up: Arc<Gauge>,
 }
 
 impl IngestMetrics {
@@ -94,6 +95,12 @@ impl IngestMetrics {
                  traffic at the recent end, 0 when old timestamps renumbered the whole index.",
                 &[],
             ),
+            publisher_up: registry.gauge(
+                "serenade_ingest_publisher_up",
+                "1 while the ingest publisher thread runs; 0 once it has stopped, at shutdown \
+                 or after a panic, and nothing more is published.",
+                &[],
+            ),
         }
     }
 
@@ -126,5 +133,9 @@ impl IngestMetrics {
 
     pub(crate) fn record_publish_failure(&self) {
         self.publish_failures.inc();
+    }
+
+    pub(crate) fn set_publisher_up(&self, up: bool) {
+        self.publisher_up.set(u64::from(up));
     }
 }

@@ -194,6 +194,7 @@ impl IngestPipeline {
             metrics: IngestMetrics::new(telemetry.registry()),
             handle,
         });
+        shared.metrics.set_publisher_up(true);
         let worker = {
             let shared = Arc::clone(&shared);
             let interval = config.publish_interval;
@@ -312,7 +313,9 @@ impl std::fmt::Debug for IngestPipeline {
 /// The publisher thread: waits for work (appends due by cadence; deletions,
 /// flushes and shutdown immediately), folds it into the indexer, publishes,
 /// and completes synchronous tickets. Exits after the drain that observes
-/// `shutdown`.
+/// `shutdown`, or after a cycle that panicked: the indexer may then be
+/// half-applied, so nothing more is published, and every waiter is failed
+/// at once instead of at its `SYNC_WAIT`.
 fn publisher_loop(
     shared: &SharedState,
     mut indexer: IncrementalIndexer,
@@ -350,11 +353,50 @@ fn publisher_loop(
                 pending.shutdown,
             )
         };
-        publish_cycle(shared, &mut indexer, clicks, deletes, flushes, engine_config, telemetry);
+        let cycle = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            publish_cycle(
+                shared,
+                &mut indexer,
+                clicks,
+                &deletes,
+                &flushes,
+                engine_config,
+                telemetry,
+            )
+        }));
+        if cycle.is_err() {
+            stop_after_panic(shared, &deletes, &flushes);
+            return;
+        }
         last_publish = Instant::now();
         if shutdown {
             break;
         }
+    }
+    shared.metrics.set_publisher_up(false);
+}
+
+/// The publisher panicked: refuse all further work (submits answer `503`,
+/// deletions and flushes fail on the spot) and fail every ticket waiting
+/// on it, those of the cycle that panicked included.
+fn stop_after_panic(
+    shared: &SharedState,
+    deletes: &[(u64, DeleteTicket)],
+    flushes: &[FlushTicket],
+) {
+    const STOPPED: ServingError = ServingError::Internal("ingest publisher stopped after a panic");
+    shared.metrics.set_publisher_up(false);
+    let (queued_deletes, queued_flushes) = {
+        let mut pending = shared.lock_pending();
+        pending.shutdown = true;
+        pending.clicks = Vec::new();
+        (std::mem::take(&mut pending.deletes), std::mem::take(&mut pending.flushes))
+    };
+    for (_, ticket) in deletes.iter().chain(&queued_deletes) {
+        ticket.complete(Err(STOPPED));
+    }
+    for ticket in flushes.iter().chain(&queued_flushes) {
+        ticket.complete(Err(STOPPED));
     }
 }
 
@@ -363,11 +405,12 @@ fn publish_cycle(
     shared: &SharedState,
     indexer: &mut IncrementalIndexer,
     clicks: Vec<Click>,
-    deletes: Vec<(u64, DeleteTicket)>,
-    flushes: Vec<FlushTicket>,
+    deletes: &[(u64, DeleteTicket)],
+    flushes: &[FlushTicket],
     engine_config: &EngineConfig,
     telemetry: &ClusterTelemetry,
 ) {
+    panic_hook(&clicks);
     if clicks.is_empty() && deletes.is_empty() {
         // A flush with nothing pending is just a synchronisation point.
         for flush in flushes {
@@ -380,7 +423,7 @@ fn publish_cycle(
     let applied = indexer.apply_batch(&clicks);
     let mut delete_outcomes = Vec::with_capacity(deletes.len());
     for (session_id, ticket) in deletes {
-        let outcome = indexer.delete_session(session_id);
+        let outcome = indexer.delete_session(*session_id);
         if outcome.is_ok() {
             shared.metrics.record_deletion();
         }
@@ -418,5 +461,22 @@ fn publish_cycle(
             Ok(_) => Ok(shared.handle.generation()),
             Err(_) => Err(ServingError::Internal("ingest publish failed")),
         });
+    }
+}
+
+/// Where the tests kill the publisher (see the `#[cfg(test)]` twin below);
+/// nothing in any other build.
+#[cfg(not(test))]
+fn panic_hook(_clicks: &[Click]) {}
+
+/// A session id whose clicks make the publish cycle that applies them
+/// panic.
+#[cfg(test)]
+pub(crate) const PANIC_SESSION: u64 = 0xDEAD_BEEF;
+
+#[cfg(test)]
+fn panic_hook(clicks: &[Click]) {
+    if clicks.iter().any(|click| click.session_id == PANIC_SESSION) {
+        panic!("injected publisher panic");
     }
 }

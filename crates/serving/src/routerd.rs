@@ -37,8 +37,8 @@
 //!
 //! # Membership snapshots
 //!
-//! The reactor thread routes every predict (and every failover) itself, so
-//! membership reads must never block. Membership lives in an
+//! Each reactor thread routes the predicts it reads (and their failovers)
+//! itself, so membership reads must never block. Membership lives in an
 //! [`IndexHandle<Membership>`]: admin operations build a new snapshot and
 //! publish it atomically; request paths [`IndexHandle::load`] it lock-free.
 //! Per-node liveness is an `AtomicBool` inside the (shared) node entry, so
@@ -609,7 +609,6 @@ impl RouterCore {
                     Err(e) => (400, json::error(&e)),
                 }
             }
-            ("POST", "/recommend") => conn::reject_predict(request.text()),
             ("POST", "/ingest") => match conn::parse_ingest_batch(request.text()) {
                 Ok(clicks) => {
                     let (accepted, failed) = self.proxy_ingest(&clicks);

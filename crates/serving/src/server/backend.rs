@@ -3,9 +3,10 @@
 //! The reactor/worker machinery (socket readiness, admission, dispatch,
 //! forwarding, drain) is independent of *what* answers the requests.
 //! [`RequestBackend`] is that seam: [`ServingCluster`] implements it for the
-//! serving tier (endpoint table in [`conn`](super::conn), predicts run here),
-//! a [`crate::node`] wraps it to add its `/admin/` routes, and the router tier ([`crate::routerd`]) implements it to send predicts to
-//! remote nodes — one server implementation, two roles.
+//! serving tier (endpoint table in [`conn`](super::conn) on the workers,
+//! predicts on the reactors), a [`crate::node`] wraps it to add its
+//! `/admin/` routes, and the router tier ([`crate::routerd`]) implements it
+//! to send predicts to remote nodes — one server implementation, two roles.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -56,9 +57,9 @@ pub trait RequestBackend: Send + Sync + 'static {
     /// into (also the request-id source for predicts).
     fn telemetry(&self) -> &Arc<ClusterTelemetry>;
 
-    /// Routes one parsed request that is not a well-formed predict to its
-    /// endpoint and renders `(status, body, content type)`. Must not
-    /// panic; the worker trusts endpoint routing.
+    /// Routes one parsed request that is not a predict to its endpoint and
+    /// renders `(status, body, content type)`. Runs on a worker, so it may
+    /// block. Must not panic; the worker trusts endpoint routing.
     fn respond(&self, request: &ParsedRequest) -> (u16, Vec<u8>, &'static str);
 
     /// Says where this tier runs `req`: in this process, on another node,
@@ -67,8 +68,8 @@ pub trait RequestBackend: Send + Sync + 'static {
     fn route_predict(&self, req: &RecommendRequest) -> PredictRoute;
 
     /// Executes one local predict (per [`PredictRoute::Local`]). This is a
-    /// tier's only way to run a predict locally: on the reactor thread when
-    /// the predict arrived alone, else on a worker. The request id and
+    /// tier's only way to run a predict locally, always on the reactor that
+    /// read the request, on that reactor's context. The request id and
     /// deadline arrive tagged on `ctx`. A tier that only forwards never
     /// gets here.
     fn handle_recommend(

@@ -3,19 +3,19 @@
 //! The blocking per-connection driver that used to live here is gone — the
 //! [`reactor`](super::reactor) owns every socket, timeout and admission
 //! concern now. What remains is the protocol-independent core both the
-//! reactor (for sheds, rejects and timeouts) and the worker pool (for real
-//! responses) share:
+//! reactors (for predicts, sheds, rejects and timeouts) and the worker pool
+//! (for every other response) share:
 //!
-//! * [`respond`] — routes one parsed request to its endpoint and renders
-//!   the body (health, metrics, traces, ingest; a node adds its
-//!   `/admin/` routes in [`crate::node`]; predicts run through
-//!   `worker::run_predict`, never here);
+//! * [`respond`] — routes one parsed request that is not a predict to its
+//!   endpoint and renders the body (health, metrics, traces, ingest; a node
+//!   adds its `/admin/` routes in [`crate::node`]); predicts, malformed
+//!   ones included, never reach it;
 //! * [`render_response`] — frames one HTTP/1.1 response into bytes, the
 //!   single place the wire format lives;
 //! * [`unwind_barrier`] — converts engine panics into typed `500`s so one
-//!   poisoned request cannot take down a worker;
-//! * [`parse_recommend_request`] — the predict body schema the reactor's
-//!   request classifier reads.
+//!   poisoned request cannot take down a reactor or a worker;
+//! * [`parse_recommend_request`] — the predict body schema the reactor
+//!   reads, and the `400` message of a body it rejects.
 
 use serenade_core::{Click, ItemScore};
 
@@ -157,7 +157,6 @@ fn respond_text(request: &ParsedRequest, cluster: &ServingCluster) -> (u16, Stri
                 (400, json::error("session id must be an unsigned integer"))
             }
         }
-        ("POST", "/recommend") => reject_predict(request.text()),
         _ => (404, json::error("not found")),
     };
     (status, body, CONTENT_TYPE_JSON)
@@ -166,8 +165,8 @@ fn respond_text(request: &ParsedRequest, cluster: &ServingCluster) -> (u16, Stri
 const INGEST_NOT_ENABLED: &str = "ingest is not enabled on this cluster";
 
 /// Runs `f` behind an unwind barrier: a panic becomes a typed error (and a
-/// `500`) instead of unwinding the worker's dispatch loop and killing every
-/// request multiplexed on the reactor.
+/// `500`) instead of unwinding a reactor's loop or a worker's and killing
+/// every request multiplexed on it.
 pub(crate) fn unwind_barrier<R>(
     f: impl FnOnce() -> Result<R, ServingError>,
 ) -> Result<R, ServingError> {
@@ -179,18 +178,6 @@ pub(crate) fn unwind_barrier<R>(
             .unwrap_or_else(|| String::from("unknown panic"));
         Err(ServingError::Panicked(msg))
     })
-}
-
-/// The response to a `POST /recommend` that reached an endpoint responder.
-/// The reactor classifies every well-formed predict into
-/// `worker::run_predict` — a tier's one way to run a predict — so what
-/// arrives here is a body the classifier could not parse, and the answer is
-/// its `400`.
-pub(crate) fn reject_predict(body: &str) -> (u16, String) {
-    match parse_recommend_request(body) {
-        Err(message) => (400, json::error(&message)),
-        Ok(_) => render_error(&ServingError::Internal("predict dispatched to the endpoint responder")),
-    }
 }
 
 /// Path prefix of the unlearning endpoint: `DELETE /ingest/session/{id}`.
@@ -225,8 +212,8 @@ pub(crate) fn parse_ingest_batch(body: &str) -> Result<Vec<Click>, String> {
         .map_err(String::from)
 }
 
-/// Parses the `POST /recommend` body (the reactor's request classifier and
-/// the `400` for bodies it rejects agree on the schema through this).
+/// Parses the `POST /recommend` body; an `Err` is the message of the `400`
+/// the reactor answers.
 pub(crate) fn parse_recommend_request(body: &str) -> Result<RecommendRequest, String> {
     let v = json::parse(body).map_err(|e| format!("invalid json: {e}"))?;
     let session_id = v.get("session_id").and_then(Value::as_u64).ok_or("missing session_id")?;

@@ -1,10 +1,11 @@
-//! The dispatch queue between the reactor and the worker pool, and the
-//! completion queue going back.
+//! The dispatch queue between the reactors and the worker pool, and the
+//! completion queue going back to each reactor.
 //!
-//! The reactor admits a request and pushes a [`Dispatch`]; a worker takes
-//! the next one off the queue, in arrival order, and runs it alone — a
-//! predict on the worker's own context, anything else through the endpoint
-//! responder.
+//! A reactor admits a request that may block (anything but a predict) and
+//! pushes a [`Dispatch`]; a worker takes the next one off the queue, in
+//! arrival order, serves it through the endpoint responder, and pushes the
+//! answer onto the [`CompletionQueue`] of the reactor that owns the
+//! connection, which the dispatch carries.
 //!
 //! Both queues are hand-rolled `std::sync` Mutex+Condvar structures: the
 //! workers block on an empty queue, and the loom facade has no Condvar, so
@@ -14,37 +15,24 @@
 //! corruption — a poisoned guard is recovered.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-use crate::engine::RecommendRequest;
 use crate::sync::atomic::{AtomicUsize, Ordering};
 
 use super::parser::ParsedRequest;
+use super::reactor::Waker;
 
-/// What a dispatched request is, parsed once on the reactor.
-#[derive(Debug)]
-pub(super) enum DispatchKind {
-    /// A well-formed `POST /recommend`, run on the worker's context.
-    Predict(RecommendRequest),
-    /// Everything else (health, metrics, traces, ingest, malformed predicts):
-    /// served through the endpoint responder.
-    Other,
-}
-
-/// One admitted request travelling from the reactor to a worker.
-#[derive(Debug)]
+/// One admitted request travelling from a reactor to a worker.
 pub(super) struct Dispatch {
     /// Connection slab token the response must come back to.
     pub token: u64,
-    /// The parsed frame (method/path/body), for non-predict execution.
+    /// The parsed frame (method/path/body).
     pub request: ParsedRequest,
-    pub kind: DispatchKind,
-    /// Absolute deadline budget (frame first byte + `request_deadline`).
-    pub deadline: Option<Instant>,
     /// Close the connection after this response (client `Connection:
     /// close` or the keep-alive request cap).
     pub close_hint: bool,
+    /// The completion queue of the reactor that owns the connection.
+    pub reply: Arc<CompletionQueue>,
 }
 
 struct Inner {
@@ -126,21 +114,25 @@ pub(super) struct Completion {
     pub close: bool,
 }
 
-/// Unbounded worker→reactor completion queue. Unbounded is safe: its
-/// population is limited by inflight admissions, which the gate bounds.
-#[derive(Default)]
+/// Unbounded worker→reactor completion queue, one per reactor, with the
+/// waker that kicks that reactor's poll. Unbounded is safe: its population
+/// is limited by inflight admissions, which the gate bounds.
 pub(super) struct CompletionQueue {
     inner: Mutex<Vec<Completion>>,
+    waker: Waker,
 }
 
 impl CompletionQueue {
-    pub(super) fn new() -> Self {
-        Self::default()
+    pub(super) fn new(waker: Waker) -> Self {
+        Self { inner: Mutex::new(Vec::new()), waker }
     }
 
+    /// Queues one answer and wakes its reactor.
     pub(super) fn push(&self, completion: Completion) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.push(completion);
+        drop(inner);
+        self.waker.wake();
     }
 
     /// Moves every pending completion into `out` (which is cleared first).
@@ -154,32 +146,32 @@ impl CompletionQueue {
 #[cfg(all(test, not(feature = "loom")))]
 mod tests {
     use super::*;
+    use crate::server::reactor::Poller;
 
-    fn dispatch(token: u64, kind: DispatchKind) -> Dispatch {
+    fn completions() -> Arc<CompletionQueue> {
+        Arc::new(CompletionQueue::new(Poller::new().expect("poller").waker()))
+    }
+
+    fn dispatch(token: u64, reply: &Arc<CompletionQueue>) -> Dispatch {
         Dispatch {
             token,
             request: ParsedRequest {
-                method: "POST".into(),
-                path: "/recommend".into(),
+                method: "GET".into(),
+                path: "/health".into(),
                 body: Vec::new(),
                 close: false,
             },
-            kind,
-            deadline: None,
             close_hint: false,
+            reply: Arc::clone(reply),
         }
-    }
-
-    fn predict(token: u64) -> Dispatch {
-        let req = RecommendRequest { session_id: token, item: 1, consent: true, filter_adult: false };
-        dispatch(token, DispatchKind::Predict(req))
     }
 
     #[test]
     fn other_work_is_served_singly_in_order() {
+        let reply = completions();
         let q = DispatchQueue::new(8);
-        q.push(dispatch(1, DispatchKind::Other)).unwrap();
-        q.push(dispatch(2, DispatchKind::Other)).unwrap();
+        assert!(q.push(dispatch(1, &reply)).is_ok());
+        assert!(q.push(dispatch(2, &reply)).is_ok());
         assert_eq!(q.depth(), 2);
         assert_eq!(q.next_work().map(|d| d.token), Some(1));
         assert_eq!(q.next_work().map(|d| d.token), Some(2));
@@ -187,35 +179,20 @@ mod tests {
     }
 
     #[test]
-    fn predicts_and_other_traffic_keep_arrival_order() {
-        let q = DispatchQueue::new(16);
-        q.push(predict(1)).unwrap();
-        q.push(dispatch(2, DispatchKind::Other)).unwrap();
-        q.push(predict(3)).unwrap();
-        q.push(predict(4)).unwrap();
-        q.close();
-        let mut order = Vec::new();
-        while let Some(d) = q.next_work() {
-            order.push((d.token, matches!(d.kind, DispatchKind::Predict(_))));
-        }
-        assert_eq!(order, vec![(1, true), (2, false), (3, true), (4, true)]);
-        assert_eq!(q.depth(), 0);
-    }
-
-    #[test]
     fn queue_capacity_and_close_reject_pushes() {
+        let reply = completions();
         let q = DispatchQueue::new(1);
-        q.push(dispatch(1, DispatchKind::Other)).unwrap();
-        assert!(q.push(dispatch(2, DispatchKind::Other)).is_err(), "over capacity");
+        assert!(q.push(dispatch(1, &reply)).is_ok());
+        assert!(q.push(dispatch(2, &reply)).is_err(), "over capacity");
         q.close();
         assert!(q.next_work().is_some(), "backlog drains after close");
         assert!(q.next_work().is_none(), "closed and empty");
-        assert!(q.push(dispatch(3, DispatchKind::Other)).is_err(), "closed");
+        assert!(q.push(dispatch(3, &reply)).is_err(), "closed");
     }
 
     #[test]
     fn completions_drain_in_push_order() {
-        let c = CompletionQueue::new();
+        let c = completions();
         c.push(Completion { token: 1, bytes: vec![b'a'], close: false });
         c.push(Completion { token: 2, bytes: vec![b'b'], close: true });
         let mut out = vec![Completion { token: 0, bytes: vec![], close: false }];

@@ -1,6 +1,6 @@
 //! Lifecycle gate: admission control and the drain handshake.
 //!
-//! One [`LifecycleGate`] is shared by the reactor, every worker and the
+//! One [`LifecycleGate`] is shared by every reactor, every worker and the
 //! shutdown controller. It folds three concerns into two atomics:
 //!
 //! * **server state** — `RUNNING → DRAINING → STOPPED`, driven only by the

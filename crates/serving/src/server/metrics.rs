@@ -13,8 +13,8 @@
 //!   traffic, `handling` under load, `reading_head` under slowloris);
 //! * accepted-connection and handled-request totals, and where each
 //!   admitted predict ran (`serenade_http_predicts_total{path=…}`: `inline`
-//!   on the reactor thread, `queued` to the worker pool, `forwarded` to a
-//!   node) — the execution model is only legible if every path is counted;
+//!   on the reactor that read it, `forwarded` to a node) — the execution
+//!   model is only legible if every path is counted;
 //! * on a forwarding tier, the upstream connections the reactor holds open
 //!   per node (`serenade_http_upstream_connections{node=…}`).
 //!
@@ -111,10 +111,8 @@ pub struct ServerMetrics {
     pub timeouts_idle: Arc<Counter>,
     /// Forwards that had no whole response from the node by their deadline.
     pub timeouts_upstream: Arc<Counter>,
-    /// Predicts run to completion on the reactor thread.
+    /// Predicts run to completion on the reactor that read them.
     pub predicts_inline: Arc<Counter>,
-    /// Predicts handed to the worker pool through the dispatch queue.
-    pub predicts_queued: Arc<Counter>,
     /// Predicts sent to a node over an upstream connection (counted once
     /// per request, however many targets it took).
     pub predicts_forwarded: Arc<Counter>,
@@ -145,8 +143,8 @@ impl ServerMetrics {
         let predicts = |path| {
             registry.counter(
                 "serenade_http_predicts_total",
-                "Admitted predicts by where they ran: on the reactor thread, \
-                 on a worker, or on a node the reactor forwarded them to.",
+                "Admitted predicts by where they ran: on the reactor that read \
+                 them, or on a node the reactor forwarded them to.",
                 &[("path", path)],
             )
         };
@@ -169,7 +167,6 @@ impl ServerMetrics {
             timeouts_idle: timeout("idle"),
             timeouts_upstream: timeout("upstream"),
             predicts_inline: predicts("inline"),
-            predicts_queued: predicts("queued"),
             predicts_forwarded: predicts("forwarded"),
             rejects: registry.counter(
                 "serenade_http_rejects_total",

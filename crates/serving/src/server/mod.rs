@@ -9,27 +9,29 @@
 //!
 //! * [`parser`] — incremental, bounded HTTP/1.1 parser (pure state machine
 //!   over bytes; head/header-count/body caps; property-tested);
-//! * [`reactor`] — ONE thread multiplexing every connection over an
+//! * [`reactor`] — one thread per available core, each multiplexing the
+//!   connections it accepted from the shared listener over its own
 //!   epoll-style poller: non-blocking accepts/reads/writes, the
 //!   per-connection state machine
 //!   (`Idle → ReadingHead → ReadingBody → Handling → Writing`, with
 //!   `Draining`/close terminal), state-split timeouts, admission control
 //!   and the connection cap — concurrency is bounded by file descriptors,
-//!   not threads. It also *finishes* the requests that have nobody to wait
-//!   for: a predict that arrives alone runs inline on this thread, and a
-//!   tier that sends predicts elsewhere (the router) has them forwarded
-//!   over upstream connections the reactor owns;
+//!   not threads. A reactor also *finishes* every predict it reads: a local
+//!   one runs inline on its own request context (the Actix model: the
+//!   thread that read the request answers it), and a tier that sends
+//!   predicts elsewhere (the router) has them forwarded over upstream
+//!   connections the reactor owns;
 //! * [`dispatch`] — the bounded reactor→worker queue, served in arrival
-//!   order, plus the worker→reactor completion queue;
-//! * [`worker`] — the fixed worker pool executing what the reactor did not:
-//!   non-predict requests, and predicts from turns that had company, one
-//!   at a time on each worker's own request context;
+//!   order, plus each reactor's worker→reactor completion queue;
+//! * [`worker`] — the fixed worker pool serving the requests that may
+//!   block and are not predicts (admin, ingest, unlearning, `/metrics`, the
+//!   router's fan-out endpoints), one at a time;
 //! * [`backend`] — what a tier tells the server: where a predict runs, how
 //!   to run a local one, where a failed forward goes next;
-//! * [`lifecycle`] — the admission/drain gate shared by reactor, workers
+//! * [`lifecycle`] — the admission/drain gate shared by reactors, workers
 //!   and the shutdown controller (model-checked in `tests/loom_models.rs`);
 //! * [`conn`] — endpoint routing and response rendering, shared by the
-//!   reactor (sheds, rejects, timeouts) and the workers;
+//!   reactors (predicts, sheds, rejects, timeouts) and the workers;
 //! * [`metrics`] — shed/timeout/reject counters, per-state histograms and
 //!   the per-path predict counters.
 //!
@@ -67,7 +69,9 @@
 //!
 //! * admission control sheds with `503` + a `retry-after: 1` header when
 //!   the dispatch queue or the connection cap is full, and while the
-//!   server drains;
+//!   server drains. A predict never enters the dispatch queue, so
+//!   `queue_capacity` does not shed it: under overload it waits in its
+//!   socket for its reactor and degrades under `request_deadline`;
 //! * framing violations answer a precise 4xx (`400` malformed request line
 //!   or header, `413` oversized body, `431` oversized head) and close;
 //! * slow clients get `408` after `request_read_timeout`; idle keep-alive
@@ -78,14 +82,15 @@
 //! # Shutdown protocol
 //!
 //! [`HttpServer::shutdown`] drains instead of aborting: the gate flips to
-//! DRAINING (new requests are shed with `503`), a waker kick makes the
-//! reactor stop accepting and close every idle connection *immediately*
-//! (its timer sweep runs every turn while draining), and the controller
-//! waits until nothing is inflight, queued or open (or the grace period
-//! expires, whereupon the gate is forced to STOPPED; the reactor closes
-//! every remaining connection and the dispatch queue, whose drained backlog
-//! lets workers answer what was admitted and then exit). Every accepted
-//! request is answered or shed; none is silently dropped.
+//! DRAINING (new requests are shed with `503`), a waker kick makes every
+//! reactor stop accepting and close each of its idle connections
+//! *immediately* (its timer sweep runs every turn while draining), and the
+//! controller waits until nothing is inflight, queued or open (or the grace
+//! period expires, whereupon the gate is forced to STOPPED; each reactor
+//! closes its remaining connections, and the controller closes the dispatch
+//! queue, whose drained backlog lets workers answer what was admitted and
+//! then exit). Every accepted request is answered or shed; none is silently
+//! dropped.
 
 pub mod lifecycle;
 pub mod metrics;
@@ -104,7 +109,7 @@ use std::time::{Duration, Instant};
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
 
-use dispatch::{CompletionQueue, DispatchQueue};
+use dispatch::DispatchQueue;
 use reactor::{Reactor, Waker};
 
 pub use backend::{ForwardTarget, PredictRoute, RequestBackend};
@@ -119,10 +124,13 @@ pub use metrics::{ConnState, ServerMetrics};
 pub struct HttpServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Worker threads executing dispatched requests.
+    /// Threads serving non-predict requests (health, metrics, ingest,
+    /// unlearning, admin). Predicts run on the reactors, one per core.
     pub workers: usize,
-    /// Dispatch-queue capacity (admitted requests waiting for a worker);
-    /// requests beyond it are shed with `503 + Retry-After` (min 1).
+    /// Dispatch-queue capacity (admitted non-predict requests waiting for a
+    /// worker); requests beyond it are shed with `503 + Retry-After`
+    /// (min 1). A predict never queues: under overload it waits in its
+    /// socket and degrades under `request_deadline`.
     pub queue_capacity: usize,
     /// Open-connection cap enforced at the accept gate; connections beyond
     /// it are answered `503 + Retry-After` and closed. `0` = unlimited
@@ -192,14 +200,15 @@ impl Wakeup {
     }
 }
 
-/// State shared by the reactor, workers and the shutdown controller.
+/// State shared by the reactors, workers and the shutdown controller.
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub(crate) config: HttpServerConfig,
     pub(crate) gate: LifecycleGate,
     pub(crate) metrics: ServerMetrics,
-    /// Connections currently registered with the reactor (accepted, not yet
-    /// closed) — the `serenade_server_open_connections` gauge.
+    /// Connections currently registered with a reactor (accepted, not yet
+    /// closed) — the `serenade_server_open_connections` gauge, and what
+    /// `max_connections` caps.
     pub(crate) open_connections: AtomicUsize,
     pub(crate) wakeup: Wakeup,
 }
@@ -213,12 +222,14 @@ pub struct HttpServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
     queue: Arc<DispatchQueue>,
-    waker: Waker,
+    /// One per reactor.
+    wakers: Vec<Waker>,
     threads: Vec<JoinHandle<()>>,
 }
 
 impl HttpServer {
-    /// Starts serving `cluster` per `config`.
+    /// Starts serving `cluster` per `config`: one reactor per available
+    /// core over one listening socket, and `config.workers` workers.
     pub fn serve<B: backend::RequestBackend>(
         cluster: Arc<B>,
         config: HttpServerConfig,
@@ -230,7 +241,6 @@ impl HttpServer {
         config.queue_capacity = config.queue_capacity.max(1);
         let workers = config.workers.max(1);
         let queue = Arc::new(DispatchQueue::new(config.queue_capacity));
-        let completions = Arc::new(CompletionQueue::new());
         let registry = cluster.telemetry().registry();
         let shared = Arc::new(Shared {
             config,
@@ -261,28 +271,29 @@ impl HttpServer {
             move || gauge.open_connections.load(Ordering::SeqCst) as u64,
         );
 
-        let reactor = Reactor::new(
-            listener,
-            Arc::clone(&shared),
-            Arc::clone(&cluster),
-            Arc::clone(&queue),
-            Arc::clone(&completions),
-        )?;
-        let waker = reactor.waker();
-        let mut threads = Vec::with_capacity(workers + 1);
-        threads.push(std::thread::spawn(move || reactor.run()));
+        // Sized like the index build: the reactor count is the machine's,
+        // not a setting.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let reactors = (0..cores)
+            .map(|_| {
+                let listener = listener.try_clone()?;
+                let (shared, queue) = (Arc::clone(&shared), Arc::clone(&queue));
+                Reactor::new(listener, shared, Arc::clone(&cluster), queue)
+            })
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let wakers = reactors.iter().map(Reactor::waker).collect();
+        let mut threads = Vec::with_capacity(cores + workers);
+        for reactor in reactors {
+            threads.push(std::thread::spawn(move || reactor.run()));
+        }
         for _ in 0..workers {
             let queue = Arc::clone(&queue);
-            let completions = Arc::clone(&completions);
             let cluster = Arc::clone(&cluster);
             let shared = Arc::clone(&shared);
-            let waker = waker.clone();
-            threads.push(std::thread::spawn(move || {
-                worker::run(queue, completions, cluster, shared, waker)
-            }));
+            threads.push(std::thread::spawn(move || worker::run(queue, cluster, shared)));
         }
 
-        Ok(Self { addr, shared, queue, waker, threads })
+        Ok(Self { addr, shared, queue, wakers, threads })
     }
 
     /// The bound address (useful with ephemeral ports).
@@ -301,7 +312,7 @@ impl HttpServer {
         self.shared.gate.inflight()
     }
 
-    /// Connections currently registered with the reactor.
+    /// Connections currently registered with the reactors.
     pub fn open_connections(&self) -> usize {
         self.shared.open_connections.load(Ordering::SeqCst)
     }
@@ -317,9 +328,9 @@ impl HttpServer {
             return;
         }
         if self.shared.gate.begin_drain() {
-            // Kick the reactor out of its poll wait: it stops accepting and
-            // closes every idle connection in that turn's sweep.
-            self.waker.wake();
+            // Kick every reactor out of its poll wait: each stops accepting
+            // and closes its idle connections in that turn's sweep.
+            self.wake_reactors();
             self.shared.wakeup.notify_all();
             let grace_until = Instant::now() + self.shared.config.drain_grace;
             loop {
@@ -332,15 +343,21 @@ impl HttpServer {
                 self.shared.wakeup.wait_timeout(DRAIN_TICK);
             }
             self.shared.gate.force_stop();
-            // STOPPED: the reactor exits its loop (closing all remaining
-            // connections and the queue); close the queue here too in case
-            // the reactor is already gone.
-            self.waker.wake();
+            // STOPPED: each reactor exits its loop, closing its remaining
+            // connections; the closed queue lets the workers answer their
+            // backlog and exit.
+            self.wake_reactors();
             self.queue.close();
             self.shared.wakeup.notify_all();
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
+        }
+    }
+
+    fn wake_reactors(&self) {
+        for waker in &self.wakers {
+            waker.wake();
         }
     }
 }
@@ -484,6 +501,7 @@ mod tests {
                 "serenade_ingest_postings_shared_total",
                 "serenade_ingest_publish_duration_seconds",
                 "serenade_ingest_publish_failures_total",
+                "serenade_ingest_publisher_up",
                 "serenade_ingest_publishes_total",
                 "serenade_ingest_rejected_clicks_total",
                 "serenade_ingest_segments_copied_total",

@@ -1,32 +1,35 @@
 //! The readiness-driven event loop at the heart of the server.
 //!
-//! One reactor thread multiplexes every connection over a [`Poller`] — an
-//! epoll instance driven by raw x86-64 syscalls (the tree vendors no libc),
-//! so the server builds on Linux/x86-64 only — and concurrency is bounded
-//! by file descriptors, not threads. It owns every socket and never blocks
-//! on one: reads, writes, accepts and dials run to `WouldBlock` and then
-//! wait for readiness.
+//! The server runs one reactor per available core over one listening
+//! socket. Each reactor multiplexes the connections it accepted over its
+//! own [`Poller`] — an epoll instance driven by raw x86-64 syscalls (the
+//! tree vendors no libc), so the server builds on Linux/x86-64 only — and
+//! concurrency is bounded by file descriptors, not threads. A reactor owns
+//! its sockets and never blocks on one: reads, writes, accepts and dials
+//! run to `WouldBlock` and then wait for readiness. Every reactor polls the
+//! shared listener and accepts one connection per readiness event, so
+//! connections spread over the reactors that are free to take them.
 //!
 //! # Which turn runs where
 //!
-//! Parsed requests are admitted through the [`LifecycleGate`] on this
-//! thread. Where an admitted request *runs* is decided from what the poll
-//! turn observed, never from a setting:
+//! Parsed requests are admitted through the [`LifecycleGate`] on the
+//! reactor that read them. Where an admitted request *runs* follows from
+//! what it is, never from a setting or from how busy the turn was:
 //!
-//! * **inline** — a predict the tier runs locally
-//!   ([`PredictRoute::Local`]), admitted in a turn that delivered no other
-//!   readiness event and has run no inline predict yet, with nothing else
-//!   in flight and an empty dispatch queue, arrived alone. The reactor runs
-//!   it to completion itself, exactly as a worker would have run it, and
-//!   writes the answer: no queue push, no condvar, no wake-up, no
-//!   `epoll_ctl` (the thread that read the request answers it, as the
-//!   paper's Actix workers do);
-//! * **queued** — every other local predict (several ready connections, a
-//!   backlog) goes to the worker pool as a [`Dispatch`] through the
-//!   [`DispatchQueue`], so concurrent predicts use every core and
-//!   queue-capacity shedding stays exact; so does every non-predict
-//!   request. Responses come back through the [`CompletionQueue`] and a
-//!   [`Waker`] kick;
+//! * **inline** — every well-formed predict the tier runs locally
+//!   ([`PredictRoute::Local`]). The reactor runs it to completion on its
+//!   own [`RequestContext`] and writes the answer: no queue push, no
+//!   condvar, no wake-up (the thread that read the request answers it, as
+//!   the paper's Actix workers do). A predict whose body does not parse is
+//!   answered `400` on the spot. While another connection on this reactor
+//!   is ready, a connection runs at most one inline predict per turn and
+//!   its further frames wait for the next turn, so one connection's
+//!   backlog cannot hold the loop;
+//! * **queued** — every request that is not a predict, and so may block
+//!   (admin, ingest, unlearning, `/metrics`, a router's fan-out), goes to
+//!   the worker pool as a [`Dispatch`] through the [`DispatchQueue`], where
+//!   queue-capacity shedding stays exact. The answer comes back through
+//!   this reactor's [`CompletionQueue`], whose push kicks its [`Waker`];
 //! * **forwarded** — a predict the tier sends elsewhere
 //!   ([`PredictRoute::Forward`], the router) is written — the client's body
 //!   verbatim — on a non-blocking keep-alive [`Upstream`] connection this
@@ -69,11 +72,10 @@ use crate::transport::{render_recommend_request, render_request, Progress, Respo
 
 use super::backend::{ForwardTarget, PredictRoute, RequestBackend};
 use super::conn::{self, CONTENT_TYPE_JSON};
-use super::dispatch::{CompletionQueue, Dispatch, DispatchKind, DispatchQueue};
+use super::dispatch::{Completion, CompletionQueue, Dispatch, DispatchQueue};
 use super::lifecycle::Admission;
 use super::metrics::{upstream_connections_gauge, ConnState};
 use super::parser::{ParsedRequest, Parser, ParserLimits, Poll};
-use super::worker::run_predict;
 use super::Shared;
 
 pub(crate) use sys::{dial, Poller, Waker};
@@ -447,6 +449,10 @@ struct Connection {
     frame_started: Option<Instant>,
     /// The forward this connection is parked on (router tier).
     forward: Option<Forward>,
+    /// The turn in which this connection last ran a predict inline.
+    inline_turn: u64,
+    /// Waiting in [`Reactor::yielded`] for the next turn.
+    yielded: bool,
 }
 
 impl Connection {
@@ -467,6 +473,8 @@ impl Connection {
             idle_since: now,
             frame_started: None,
             forward: None,
+            inline_turn: 0,
+            yielded: false,
         }
     }
 }
@@ -577,10 +585,6 @@ impl<T> Slab<T> {
         Some(value)
     }
 
-    fn len(&self) -> usize {
-        self.entries.len() - self.free.len()
-    }
-
     fn tokens_into(&self, out: &mut Vec<u64>) {
         out.clear();
         for (index, slot) in self.entries.iter().enumerate() {
@@ -605,41 +609,48 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// The `retry-after` header of every `503` shed, in seconds.
 const RETRY_AFTER: Option<u32> = Some(1);
 
-/// The reactor: poller, listener, connection slabs and the dispatch plumbing.
+/// One reactor: poller, listener, connection slabs and the dispatch plumbing.
 pub(super) struct Reactor<B: RequestBackend> {
     poller: Poller,
     listener: TcpListener,
     shared: Arc<Shared>,
     cluster: Arc<B>,
     queue: Arc<DispatchQueue>,
+    /// Where the workers answer this reactor's dispatches.
     completions: Arc<CompletionQueue>,
     slab: Slab<Connection>,
     upstreams: Slab<Upstream>,
     pools: HashMap<SocketAddr, NodePool>,
-    /// The context inline predicts run in, reused like a worker's.
+    /// The context every local predict on this reactor runs in.
     ctx: RequestContext,
-    /// The current poll turn delivered at most one readiness event and has
-    /// run no predict inline yet: whoever sent it is alone.
-    solo_turn: bool,
+    /// The poll turn, counted from 1.
+    turn: u64,
+    /// More than one connection is ready this turn: one that has run a
+    /// predict inline leaves its next frame to the next turn.
+    crowded: bool,
+    /// Connections that left buffered frames to the next turn.
+    yielded: Vec<u64>,
     /// The connection whose buffered frames [`Reactor::advance`] is walking.
     advancing: Option<u64>,
     events: Vec<Event>,
     sweep_tokens: Vec<u64>,
-    completion_scratch: Vec<super::dispatch::Completion>,
+    completion_scratch: Vec<Completion>,
     last_sweep: Instant,
     read_buf: Box<[u8; 8192]>,
 }
 
 impl<B: RequestBackend> Reactor<B> {
+    /// A reactor polling `listener`, a handle on the socket every reactor
+    /// shares.
     pub(super) fn new(
         listener: TcpListener,
         shared: Arc<Shared>,
         cluster: Arc<B>,
         queue: Arc<DispatchQueue>,
-        completions: Arc<CompletionQueue>,
     ) -> std::io::Result<Self> {
         let poller = Poller::new()?;
         poller.register_listener(&listener, LISTENER_TOKEN)?;
+        let completions = Arc::new(CompletionQueue::new(poller.waker()));
         Ok(Self {
             poller,
             listener,
@@ -651,7 +662,9 @@ impl<B: RequestBackend> Reactor<B> {
             upstreams: Slab::new(UPSTREAM_TAG),
             pools: HashMap::new(),
             ctx: RequestContext::new(),
-            solo_turn: false,
+            turn: 0,
+            crowded: false,
+            yielded: Vec::new(),
             advancing: None,
             events: Vec::with_capacity(256),
             sweep_tokens: Vec::new(),
@@ -666,17 +679,26 @@ impl<B: RequestBackend> Reactor<B> {
     }
 
     /// Runs the event loop until the lifecycle gate reaches STOPPED. On
-    /// exit every connection is closed and the dispatch queue is closed so
-    /// workers drain their backlog and join.
+    /// exit every connection this reactor owns is closed.
     pub(super) fn run(mut self) {
         loop {
             self.events.clear();
-            if self.poller.wait(&mut self.events, TICK).is_err() {
+            // A connection that left frames to the next turn gets it at once.
+            let timeout = if self.yielded.is_empty() { TICK } else { Duration::ZERO };
+            if self.poller.wait(&mut self.events, timeout).is_err() {
                 // Transient poller failure: treat as an empty tick; the
                 // timer sweep and gate checks below still run.
             }
-            self.solo_turn = self.events.len() <= 1;
-            self.apply_completions();
+            self.turn += 1;
+            // Worker answers: queue the rendered bytes and flush.
+            let mut batch = std::mem::take(&mut self.completion_scratch);
+            self.completions.drain_into(&mut batch);
+            let ready = self.events.iter().filter(|ev| ev.token != LISTENER_TOKEN).count();
+            self.crowded = batch.len() + ready + self.yielded.len() > 1;
+            for completion in batch.drain(..) {
+                self.answer(completion.token, completion.bytes, completion.close);
+            }
+            self.completion_scratch = batch;
             let events = std::mem::take(&mut self.events);
             for ev in &events {
                 if ev.token == LISTENER_TOKEN {
@@ -688,6 +710,17 @@ impl<B: RequestBackend> Reactor<B> {
                 }
             }
             self.events = events;
+            // Walk the connections that yielded last turn; one that yields
+            // again goes to the back of the list.
+            let yielded = self.yielded.len();
+            for i in 0..yielded {
+                let token = self.yielded[i];
+                if let Some(conn) = self.slab.get_mut(token) {
+                    conn.yielded = false;
+                    self.resume(token);
+                }
+            }
+            self.yielded.drain(..yielded);
             // Draining, every turn sweeps: it closes the connections that
             // went idle since the last one.
             let draining = !self.shared.gate.is_running();
@@ -701,33 +734,24 @@ impl<B: RequestBackend> Reactor<B> {
             }
         }
         self.close_all();
-        self.queue.close();
         self.shared.wakeup.notify_all();
     }
 
-    /// Applies worker completions: queue the rendered bytes and flush.
-    fn apply_completions(&mut self) {
-        let mut batch = std::mem::take(&mut self.completion_scratch);
-        self.completions.drain_into(&mut batch);
-        for completion in batch.drain(..) {
-            self.answer(completion.token, completion.bytes, completion.close);
-        }
-        self.completion_scratch = batch;
-    }
-
-    /// Accepts until `WouldBlock`. During drain the backlog is left in the
-    /// kernel: those connections are answered by the reset when the
-    /// listener drops at exit, and `connect` keeps succeeding only as long
-    /// as the backlog has room — matching the documented drain contract
-    /// that post-drain requests fail at the connection level.
+    /// Accepts one connection. The listener is every reactor's and stays
+    /// readable while its backlog holds more, so each reactor that is free
+    /// takes one a turn and the connections spread over them. During drain
+    /// the backlog is left in the kernel: those connections are answered by
+    /// the reset when the listener drops at exit, and `connect` keeps
+    /// succeeding only as long as the backlog has room — matching the
+    /// documented drain contract that post-drain requests fail at the
+    /// connection level.
     fn accept_ready(&mut self) {
         if !self.shared.gate.is_running() {
             return;
         }
         loop {
             match self.listener.accept() {
-                Ok((stream, _)) => self.admit_connection(stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Ok((stream, _)) => return self.admit_connection(stream),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
             }
@@ -735,18 +759,22 @@ impl<B: RequestBackend> Reactor<B> {
     }
 
     fn admit_connection(&mut self, stream: TcpStream) {
+        use crate::sync::atomic::Ordering::SeqCst;
         let config = &self.shared.config;
-        let cap = config.max_connections;
-        if cap != 0 && self.slab.len() >= cap {
+        // The cap counts every reactor's connections. Taking the place
+        // before the check means two reactors cannot both take the last one.
+        let open = self.shared.open_connections.fetch_add(1, SeqCst);
+        if config.max_connections != 0 && open >= config.max_connections {
+            self.shared.open_connections.fetch_sub(1, SeqCst);
             self.shed_connection(stream);
             return;
         }
         if stream.set_nonblocking(true).is_err() {
+            self.shared.open_connections.fetch_sub(1, SeqCst);
             return;
         }
         let _ = stream.set_nodelay(true);
         self.shared.metrics.connections.inc();
-        self.shared.open_connections.fetch_add(1, crate::sync::atomic::Ordering::SeqCst);
         let limits = ParserLimits {
             max_head_bytes: config.max_head_bytes,
             max_headers: config.max_headers,
@@ -856,10 +884,15 @@ impl<B: RequestBackend> Reactor<B> {
                 }
             }
         }
+        self.resume(token);
+    }
+
+    /// Advances the protocol machine, then closes the connection if its
+    /// peer is gone and nothing is owed or left to walk.
+    fn resume(&mut self, token: u64) {
         self.advance(token);
         if let Some(conn) = self.slab.get_mut(token) {
-            if conn.eof && !conn.busy && conn.out.is_empty() {
-                // Peer is gone and nothing is owed: close now.
+            if conn.eof && !conn.busy && conn.out.is_empty() && !conn.yielded {
                 self.close(token);
             }
         }
@@ -888,6 +921,15 @@ impl<B: RequestBackend> Reactor<B> {
             let now = Instant::now();
             let Some(conn) = self.slab.get_mut(token) else { return };
             if conn.busy || !conn.out.is_empty() {
+                return;
+            }
+            if self.crowded && conn.inline_turn == self.turn && conn.parser.has_buffered() {
+                // This connection has had its predict this turn and another
+                // one is ready: the next frame waits for the next turn.
+                if !conn.yielded {
+                    conn.yielded = true;
+                    self.yielded.push(token);
+                }
                 return;
             }
             match conn.parser.poll() {
@@ -929,9 +971,8 @@ impl<B: RequestBackend> Reactor<B> {
 
     /// Admission for one parsed request, then its execution path — all on
     /// the reactor thread. A well-formed predict goes where the tier says
-    /// ([`RequestBackend::route_predict`]): a local one runs right here when
-    /// this turn shows it arrived alone, else on a worker; a remote
-    /// one is forwarded. Everything else is a worker's.
+    /// ([`RequestBackend::route_predict`]): a local one runs right here, a
+    /// remote one is forwarded. Everything else is a worker's.
     fn handle_request(&mut self, token: u64, request: ParsedRequest, started: Instant) {
         let keepalive_cap = self.shared.config.keepalive_max_requests;
         if self.shared.gate.try_begin_request() == Admission::Draining {
@@ -951,38 +992,29 @@ impl<B: RequestBackend> Reactor<B> {
         // the exposition must already include the request being served.
         // (Queue-full pushes stay counted too — they did pass the gate.)
         self.shared.metrics.requests.inc();
-        let predict = (request.method == "POST" && request.path == "/recommend")
-            .then(|| conn::parse_recommend_request(request.text()).ok())
-            .flatten();
-        let kind = match predict {
-            // A malformed predict body re-parses to its `400` on a worker.
-            None => DispatchKind::Other,
-            Some(req) => match self.cluster.route_predict(&req) {
-                PredictRoute::Local if self.predict_is_alone() => {
-                    self.run_inline(token, req, deadline, close_hint);
+        if request.method == "POST" && request.path == "/recommend" {
+            let req = match conn::parse_recommend_request(request.text()) {
+                Ok(req) => req,
+                Err(message) => {
+                    let close = self.release_slot(close_hint);
+                    self.respond_now(token, 400, &json::error(&message), close, None);
                     return;
                 }
-                PredictRoute::Local => DispatchKind::Predict(req),
-                route => {
-                    let target = match route {
-                        PredictRoute::Forward(target) => Some(target),
-                        _ => None,
-                    };
-                    self.shared.metrics.predicts_forwarded.inc();
-                    self.set_state(token, ConnState::Handling);
-                    let body = Some(request.body.as_slice());
-                    self.forward(token, req, target, body, deadline, close_hint);
-                    return;
-                }
-            },
-        };
-        let is_predict = matches!(kind, DispatchKind::Predict(_));
+            };
+            self.set_state(token, ConnState::Handling);
+            let target = match self.cluster.route_predict(&req) {
+                PredictRoute::Local => return self.run_inline(token, req, deadline, close_hint),
+                PredictRoute::Forward(target) => Some(target),
+                PredictRoute::Unroutable => None,
+            };
+            self.shared.metrics.predicts_forwarded.inc();
+            self.forward(token, req, target, Some(&request.body), deadline, close_hint);
+            return;
+        }
         let client_close = request.close;
-        match self.queue.push(Dispatch { token, request, kind, deadline, close_hint }) {
+        let reply = Arc::clone(&self.completions);
+        match self.queue.push(Dispatch { token, request, close_hint, reply }) {
             Ok(()) => {
-                if is_predict {
-                    self.shared.metrics.predicts_queued.inc();
-                }
                 self.set_state(token, ConnState::Handling);
                 if let Some(conn) = self.slab.get_mut(token) {
                     conn.busy = true;
@@ -1002,21 +1034,10 @@ impl<B: RequestBackend> Reactor<B> {
         (budget != Duration::ZERO).then(|| from + budget)
     }
 
-    /// Whether the predict just admitted is alone, by what this turn
-    /// observed: it is the only ready connection and the turn's first
-    /// inline predict (frames pipelined behind one take the queue, so one
-    /// connection's backlog cannot hold the loop), the only request in
-    /// flight, and no backlog waits for a worker. Then the queue, the
-    /// worker wake-up and the completion kick would buy nothing, and the
-    /// predict runs on this thread. Anything else — a flash crowd, a busy
-    /// pool — keeps the dispatch queue, its spread across the workers and
-    /// its exact capacity shedding.
-    fn predict_is_alone(&self) -> bool {
-        self.solo_turn && self.queue.depth() == 0 && self.shared.gate.inflight() == 1
-    }
-
-    /// Runs one admitted local predict to completion on this thread, as a
-    /// worker would have run it, and answers it.
+    /// Runs one admitted local predict to completion on this thread, on the
+    /// reactor's context, and answers it. The request gets an id and its
+    /// deadline first; a panic anywhere in the call maps to a typed `500`
+    /// (the unwind barrier).
     fn run_inline(
         &mut self,
         token: u64,
@@ -1024,11 +1045,17 @@ impl<B: RequestBackend> Reactor<B> {
         deadline: Option<Instant>,
         close_hint: bool,
     ) {
-        self.set_state(token, ConnState::Handling);
-        // One inline predict per turn.
-        self.solo_turn = false;
+        if let Some(conn) = self.slab.get_mut(token) {
+            conn.inline_turn = self.turn;
+        }
         self.shared.metrics.predicts_inline.inc();
-        let (status, body) = run_predict(self.cluster.as_ref(), req, deadline, &mut self.ctx);
+        let (cluster, ctx) = (self.cluster.as_ref(), &mut self.ctx);
+        ctx.set_request_id(cluster.telemetry().next_request_id());
+        ctx.set_deadline(deadline);
+        let (status, body) = match conn::unwind_barrier(|| cluster.handle_recommend(req, ctx)) {
+            Ok(recs) => (200, conn::render_recommendations(&recs)),
+            Err(e) => conn::render_error(&e),
+        };
         let close = self.release_slot(close_hint);
         self.respond_now(token, status, &body, close, None);
     }
@@ -1114,13 +1141,14 @@ impl<B: RequestBackend> Reactor<B> {
         }
         // A node's pool, and with it the node's gauge series, is made on the
         // first dial and kept for good: a member that leaves and rejoins
-        // finds both again. This thread is the gauge's only writer.
+        // finds both again. Every reactor that dials the node writes the
+        // one series, so each write is an atomic add or sub.
         let registry = self.cluster.telemetry().registry();
         let pool = self.pools.entry(addr).or_insert_with(|| NodePool {
             idle: Vec::new(),
             open: upstream_connections_gauge(registry, addr),
         });
-        pool.open.set(pool.open.get() + 1);
+        pool.open.add(1);
         Some(token)
     }
 
@@ -1279,7 +1307,7 @@ impl<B: RequestBackend> Reactor<B> {
         let _ = self.poller.deregister_stream(&up.stream);
         if let Some(pool) = self.pools.get_mut(&up.addr) {
             pool.idle.retain(|idle| *idle != token);
-            pool.open.set(pool.open.get().saturating_sub(1));
+            pool.open.sub(1);
         }
     }
 
@@ -1309,8 +1337,8 @@ impl<B: RequestBackend> Reactor<B> {
         self.flush(token);
     }
 
-    /// Renders and answers a reactor-side response (inline predicts, sheds,
-    /// rejects, 408s).
+    /// Renders and answers a reactor-side response (inline predicts,
+    /// malformed predicts, sheds, rejects, 408s).
     fn respond_now(
         &mut self,
         token: u64,
@@ -1421,6 +1449,10 @@ impl<B: RequestBackend> Reactor<B> {
         self.slab.tokens_into(&mut tokens);
         for &token in &tokens {
             let Some(conn) = self.slab.get_mut(token) else { continue };
+            if conn.yielded {
+                // Its next frame is walked next turn.
+                continue;
+            }
             if conn.busy {
                 let overdue = conn
                     .forward
@@ -1512,9 +1544,8 @@ mod tests {
         let now = Instant::now();
         let t1 = slab.insert(Connection::new(c1, limits, now));
         assert!(slab.get_mut(t1).is_some());
-        assert_eq!(slab.len(), 1);
         assert!(slab.remove(t1).is_some());
-        assert_eq!(slab.len(), 0);
+        assert!(slab.remove(t1).is_none(), "removed once");
         // The recycled slot gets a bumped generation: the stale token must
         // not resolve to the new occupant.
         let t2 = slab.insert(Connection::new(c2, limits, now));

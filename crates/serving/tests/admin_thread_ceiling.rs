@@ -1,6 +1,6 @@
 //! A node's control plane costs it no thread: admin traffic is requests to
-//! the one reactor and its fixed worker pool, however many connections carry
-//! it and however many operations they make.
+//! its reactors (one per core) and its fixed worker pool, however many
+//! connections carry it and however many operations they make.
 //!
 //! One test in its own binary, so the process's thread count is this test's
 //! node and nothing else.

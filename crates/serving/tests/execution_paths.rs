@@ -1,12 +1,12 @@
 //! One request stream, every execution path, the same bytes.
 //!
-//! Where the server runs a predict is decided turn by turn from what the
-//! reactor observed: inline on the reactor thread, queued to the worker
-//! pool, or — on the router — forwarded to a node. This
-//! suite sends the same request sequence down each path and holds every
-//! response body to the bytes `ServingCluster::handle_with` produces on a
-//! twin cluster, and holds the path counters to proof that the path under
-//! test is the one that actually ran.
+//! A predict runs where the tier says: inline on the reactor that read it
+//! (one reactor per core), or — on the router — forwarded to a node. This
+//! suite sends the same request sequence down each path, over one
+//! connection and over many, and holds every response body to the bytes
+//! `ServingCluster::handle_with` produces on a twin cluster, and holds the
+//! path counters to proof that the path under test is the one that
+//! actually ran.
 
 #![cfg(not(feature = "loom"))]
 
@@ -125,10 +125,10 @@ fn one_connection_runs_every_predict_inline() {
 }
 
 #[test]
-fn concurrent_connections_spread_over_the_worker_pool() {
+fn concurrent_connections_spread_over_the_reactors() {
     // Sixteen connections, two sessions each, released together step by
-    // step: turns deliver several ready connections, so predicts go to the
-    // worker pool, each run alone on a worker's context.
+    // step: the connections spread over the reactors, and each reactor runs
+    // every predict it reads to completion on its own context.
     const CONNECTIONS: u64 = 16;
     let reqs = stream();
     let expected = reference(&reqs);
@@ -166,9 +166,9 @@ fn concurrent_connections_spread_over_the_worker_pool() {
     }
     assert_eq!(answers, expected);
     let telemetry = served.telemetry();
-    let (inline, queued) = (predicts(telemetry, "inline"), predicts(telemetry, "queued"));
-    assert_eq!(inline + queued, reqs.len() as f64, "every predict took exactly one path");
-    assert!(queued > 0.0, "bursts of sixteen never reached the worker pool");
+    let n = reqs.len() as f64;
+    assert_eq!(predicts(telemetry, "inline"), n, "every predict ran on the reactor that read it");
+    assert_eq!(metric(telemetry, "serenade_http_predicts_total", &[]), n, "one path each");
     server.shutdown();
 }
 
@@ -316,12 +316,9 @@ fn a_pipelined_flood_on_one_connection_is_answered_frame_by_frame() {
     let served = cluster();
     let server = HttpServer::serve(Arc::clone(&served), HttpServerConfig::default()).unwrap();
     assert_eq!(flood(server.addr(), FRAMES, "HTTP/1.1 200 OK"), FRAMES);
-    let telemetry = served.telemetry();
-    let (inline, queued) = (predicts(telemetry, "inline"), predicts(telemetry, "queued"));
-    assert_eq!(inline + queued, FRAMES as f64);
-    // One turn runs at most one predict inline; the frames buffered behind
-    // it wait their turn in the dispatch queue like anybody else's.
-    assert!(queued > FRAMES as f64 / 4.0, "inline {inline}, queued {queued}");
+    // Alone on its reactor, the connection has every frame run inline, one
+    // after the other, by the loop that walks its buffered frames.
+    assert_eq!(predicts(served.telemetry(), "inline"), FRAMES as f64);
     server.shutdown();
 
     // Same shape on a router with nowhere to forward: every frame is

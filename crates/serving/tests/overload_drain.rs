@@ -6,7 +6,8 @@
 //! parks the one worker on a latch the test opens, so the dispatch queue's
 //! occupancy can be set up exactly and observed via the
 //! `serenade_http_queue_depth` polled gauge before the over-capacity
-//! request arrives.
+//! request arrives. The same latch holds every worker while a predict is
+//! answered beside them: predicts never enter the queue.
 
 #![cfg(not(feature = "loom"))]
 
@@ -85,19 +86,6 @@ fn read_one_response<R: std::io::BufRead>(reader: &mut R) -> (u16, String) {
     (status, String::from_utf8(body).unwrap())
 }
 
-/// Writes one keep-alive `POST /recommend` frame for `session_id` without
-/// reading the response (so the dispatch sits in the server unanswered).
-fn write_predict(stream: &mut TcpStream, session_id: u64) {
-    let body = format!(r#"{{"session_id": {session_id}, "item_id": 0, "consent": true}}"#);
-    write!(
-        stream,
-        "POST /recommend HTTP/1.1\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    stream.flush().unwrap();
-}
-
 /// Polls the cluster registry (in-process — no HTTP round-trip, so it works
 /// while every worker is busy) until the dispatch-queue depth gauge reads
 /// `want`.
@@ -160,19 +148,81 @@ impl RequestBackend for Latched {
     }
 }
 
+/// The success body the server renders for `recs`.
+fn rendered(recs: &[ItemScore]) -> String {
+    let items: Vec<String> = recs
+        .iter()
+        .map(|r| format!(r#"{{"item_id":{},"score":{}}}"#, r.item, f64::from(r.score)))
+        .collect();
+    format!(r#"{{"recommendations":[{}]}}"#, items.join(","))
+}
+
+fn latched(cluster: &Arc<ServingCluster>) -> Arc<Latched> {
+    let cluster = Arc::clone(cluster);
+    Arc::new(Latched { cluster, open: Mutex::new(false), opened: Condvar::new() })
+}
+
+/// Sends `GET /hold` on a fresh connection, whose answer waits for the
+/// latch.
+fn hold(addr: SocketAddr) -> TcpStream {
+    let mut held = TcpStream::connect(addr).unwrap();
+    held.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    held.write_all(b"GET /hold HTTP/1.1\r\nhost: t\r\n\r\n").unwrap();
+    held
+}
+
+#[test]
+fn a_predict_is_answered_while_every_worker_is_held() {
+    // Every worker parks on the latch; a predict on another connection
+    // still runs at once, on the reactor that reads it, and its body is
+    // byte for byte what `handle_with` renders on a twin cluster.
+    const WORKERS: usize = 2;
+    let cluster = cluster();
+    let backend = latched(&cluster);
+    let server = HttpServer::serve(
+        Arc::clone(&backend),
+        HttpServerConfig { workers: WORKERS, ..HttpServerConfig::default() },
+    )
+    .unwrap();
+    let held: Vec<TcpStream> = (0..WORKERS).map(|_| hold(server.addr())).collect();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.metrics().requests.get() < WORKERS as u64 {
+        assert!(Instant::now() < deadline, "holds never admitted");
+        std::thread::yield_now();
+    }
+    await_queue_depth(&cluster, 0.0);
+
+    let twin = self::cluster();
+    let mut ctx = RequestContext::new();
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    let started = Instant::now();
+    for item in 0..3u64 {
+        let body = format!(r#"{{"session_id": 5, "item_id": {item}, "consent": true}}"#);
+        let (status, body) = client.post("/recommend", &body).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let req = RecommendRequest { session_id: 5, item, consent: true, filter_adult: false };
+        assert_eq!(body, rendered(&twin.handle_with(req, &mut ctx).unwrap()), "item {item}");
+    }
+    assert!(started.elapsed() < Duration::from_secs(5), "the predicts waited for a worker");
+    assert_eq!(server.metrics().predicts_inline.get(), 3);
+
+    backend.release();
+    for stream in held {
+        let (status, body) = read_one_response(&mut BufReader::new(stream));
+        assert_eq!(status, 200, "{body}");
+    }
+    server.shutdown();
+}
+
 #[test]
 fn queue_overflow_sheds_deterministically_with_503_and_retry_after() {
     // Determinism on the event loop: the single worker picks up a
     // `GET /hold` and parks on the latch; a `GET /health` then occupies the
-    // one dispatch-queue slot, and the next request overflows the queue and
-    // is shed on the reactor thread with 503 + retry-after — the connection
-    // stays usable.
+    // one dispatch-queue slot, and a second `GET /health` overflows the
+    // queue and is shed on the reactor thread with 503 + retry-after — the
+    // connection stays usable.
     let cluster = cluster();
-    let backend = Arc::new(Latched {
-        cluster: Arc::clone(&cluster),
-        open: Mutex::new(false),
-        opened: Condvar::new(),
-    });
+    let backend = latched(&cluster);
     let server = HttpServer::serve(
         Arc::clone(&backend),
         HttpServerConfig { workers: 1, queue_capacity: 1, ..HttpServerConfig::default() },
@@ -180,9 +230,7 @@ fn queue_overflow_sheds_deterministically_with_503_and_retry_after() {
     .unwrap();
     // Admitted, then taken by the worker: the queue is empty again while
     // the worker is parked.
-    let mut held_a = TcpStream::connect(server.addr()).unwrap();
-    held_a.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    held_a.write_all(b"GET /hold HTTP/1.1\r\nhost: t\r\n\r\n").unwrap();
+    let held_a = hold(server.addr());
     let deadline = Instant::now() + Duration::from_secs(5);
     while server.metrics().requests.get() < 1 {
         assert!(Instant::now() < deadline, "hold never admitted");
@@ -199,7 +247,7 @@ fn queue_overflow_sheds_deterministically_with_503_and_retry_after() {
     // Over capacity: shed with 503 + retry-after, connection kept alive.
     let mut shed = TcpStream::connect(server.addr()).unwrap();
     shed.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write_predict(&mut shed, 2);
+    shed.write_all(b"GET /health HTTP/1.1\r\nhost: t\r\n\r\n").unwrap();
     let mut reader = BufReader::new(shed.try_clone().unwrap());
     let mut head = String::new();
     loop {

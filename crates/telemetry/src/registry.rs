@@ -77,6 +77,22 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
+    /// Adds `n` in one atomic step, so writers on several threads never
+    /// lose each other's updates (as `set(get() + n)` would).
+    #[inline]
+    pub fn add(&self, n: u64) {
+        // ORDERING: standalone gauge update with no partner (see `set`).
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Subtracts `n` in one atomic step; each writer subtracts only what it
+    /// added, so the value never wraps.
+    #[inline]
+    pub fn sub(&self, n: u64) {
+        // ORDERING: standalone gauge update with no partner (see `set`).
+        self.0.fetch_sub(n, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         // ORDERING: racy gauge read, partner: none.
@@ -374,6 +390,27 @@ mod tests {
         assert!(text.contains("req_total{pod=\"0\"} 3"), "{text}");
         assert!(text.contains("# TYPE live gauge"), "{text}");
         assert!(text.contains("live 17"), "{text}");
+    }
+
+    #[test]
+    fn a_gauge_written_from_several_threads_loses_no_update() {
+        let registry = Registry::new();
+        let g = registry.gauge("open", "Open connections.", &[]);
+        let writers: Vec<_> = (0..4)
+            .map(|_| {
+                let g = Arc::clone(&g);
+                std::thread::spawn(move || {
+                    for _ in 0..10_000 {
+                        g.add(2);
+                        g.sub(1);
+                    }
+                })
+            })
+            .collect();
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        assert_eq!(g.get(), 40_000);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Facade over the concurrency primitives used on the telemetry hot path.
 //!
 //! [`crate::histogram`] and [`crate::trace`] take their atomics from here
-//! instead of `std::sync::atomic` directly (not checked: `xtask analyze`'s
-//! facade rule does not cover this crate's modules): normal builds re-export the real types at zero cost, `--features loom`
-//! builds re-export the deterministic model-checker shims so record/snapshot
+//! instead of `std::sync::atomic` directly (checked: both are facade
+//! modules of `xtask analyze`'s `facade-only-sync` rule): normal builds
+//! re-export the real types at zero cost, `--features loom` builds
+//! re-export the deterministic model-checker shims so record/snapshot
 //! interleavings can be explored schedule-by-schedule inside `loom::model`.
 
 /// Model-checked mode: every primitive routes through the `loom` shim.

@@ -248,6 +248,17 @@ mod tests {
     }
 
     #[test]
+    fn a_source_the_parser_rejects_is_a_parse_error() {
+        let sources = [(String::from("crates/a/src/lib.rs"), String::from("fn open() {\n"))];
+        let config = AnalyzeConfig { reactor_roots: Vec::new(), require_roots: false };
+        let findings = analyze_sources(&sources, &[], &[], &config, &[]);
+        assert!(
+            findings.iter().any(|f| f.rule == "parse-error" && f.file == "crates/a/src/lib.rs"),
+            "{findings:?}"
+        );
+    }
+
+    #[test]
     fn malformed_allowlist_lines_are_findings() {
         let (entries, findings) = parse_analyze_allowlist("not a valid line\n");
         assert!(entries.is_empty());

@@ -126,6 +126,8 @@ const FACADE_MODULES: &[&str] = &[
     "crates/serving/src/stats.rs",
     "crates/serving/src/server/lifecycle.rs",
     "crates/kvstore/src/store.rs",
+    "crates/telemetry/src/histogram.rs",
+    "crates/telemetry/src/trace.rs",
 ];
 
 const PANIC_NEEDLES: &[&str] =
@@ -666,6 +668,15 @@ mod tests {
                 v.iter().any(|x| x.rule == "no-panic-request-path"),
                 "{file} must be on the request path: {v:?}"
             );
+        }
+    }
+
+    #[test]
+    fn telemetry_recorders_are_facade_only() {
+        let src = "use std::sync::atomic::AtomicU64;\n";
+        for file in ["crates/telemetry/src/trace.rs", "crates/telemetry/src/histogram.rs"] {
+            let v = lint(file, src);
+            assert!(v.iter().any(|x| x.rule == "facade-only-sync"), "{file}: {v:?}");
         }
     }
 

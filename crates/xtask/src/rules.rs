@@ -78,9 +78,9 @@ impl Default for AnalyzeConfig {
                     String::from("crates/serving/src/server/reactor.rs"),
                     String::from("Reactor::run"),
                 ),
-                // `POST /ingest` calls `submit` on the worker pool that runs
-                // queued predicts: anything blocking reachable from it
-                // stalls the read path.
+                // `POST /ingest` calls `submit` on the worker pool that serves
+                // every request that is not a predict: anything blocking
+                // reachable from it stalls health checks, scrapes and admin.
                 (
                     String::from("crates/serving/src/ingest/pipeline.rs"),
                     String::from("IngestPipeline::submit"),
