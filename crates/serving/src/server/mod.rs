@@ -107,6 +107,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use serenade_telemetry::Registry;
+
 use crate::sync::atomic::{AtomicUsize, Ordering};
 
 use dispatch::DispatchQueue;
@@ -213,6 +215,18 @@ pub(crate) struct Shared {
     pub(crate) wakeup: Wakeup,
 }
 
+impl Shared {
+    pub(crate) fn new(config: HttpServerConfig, registry: &Registry) -> Self {
+        Self {
+            config,
+            gate: LifecycleGate::new(),
+            metrics: ServerMetrics::new(registry),
+            open_connections: AtomicUsize::new(0),
+            wakeup: Wakeup::default(),
+        }
+    }
+}
+
 /// How often the drain controller re-checks quiescence between wakeups.
 const DRAIN_TICK: Duration = Duration::from_millis(1);
 
@@ -242,13 +256,7 @@ impl HttpServer {
         let workers = config.workers.max(1);
         let queue = Arc::new(DispatchQueue::new(config.queue_capacity));
         let registry = cluster.telemetry().registry();
-        let shared = Arc::new(Shared {
-            config,
-            gate: LifecycleGate::new(),
-            metrics: ServerMetrics::new(registry),
-            open_connections: AtomicUsize::new(0),
-            wakeup: Wakeup::default(),
-        });
+        let shared = Arc::new(Shared::new(config, registry));
         let gauge = Arc::clone(&shared);
         registry.polled_gauge(
             "serenade_http_inflight_requests",

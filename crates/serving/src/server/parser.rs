@@ -626,3 +626,11 @@ mod tests {
         assert!(!p.mid_request());
     }
 }
+
+#[cfg(all(test, not(feature = "loom")))]
+impl Parser {
+    /// Bytes the parse buffer holds, the consumed prefix included.
+    pub(crate) fn buffer_len(&self) -> usize {
+        self.buf.len()
+    }
+}

@@ -50,7 +50,9 @@
 //! A connection waiting for a worker or a node reads nothing more: its
 //! poller interest is cleared the first time it speaks out of turn, so a
 //! pipelining flood backs up into the kernel socket buffer instead of the
-//! parser's heap. An idle keep-alive connection costs its fd and nothing
+//! parser's heap. A connection that yielded reads nothing either until its
+//! buffered frames are walked, so its parser holds at most what one read
+//! pass took in. An idle keep-alive connection costs its fd and nothing
 //! else until the timer sweep. Once the drain begins the sweep runs every
 //! turn and closes each idle connection there and then, so a silent peer
 //! never holds the drain open until its `idle_timeout`.
@@ -451,7 +453,8 @@ struct Connection {
     forward: Option<Forward>,
     /// The turn in which this connection last ran a predict inline.
     inline_turn: u64,
-    /// Waiting in [`Reactor::yielded`] for the next turn.
+    /// Waiting in [`Reactor::yielded`] for the next turn with bytes
+    /// buffered; nothing more is read until they are walked.
     yielded: bool,
 }
 
@@ -572,6 +575,11 @@ impl<T> Slab<T> {
         self.token_for(index)
     }
 
+    fn get(&self, token: u64) -> Option<&T> {
+        let index = self.slot(token)?;
+        self.entries[index].as_ref()
+    }
+
     fn get_mut(&mut self, token: u64) -> Option<&mut T> {
         let index = self.slot(token)?;
         self.entries[index].as_mut()
@@ -681,60 +689,71 @@ impl<B: RequestBackend> Reactor<B> {
     /// Runs the event loop until the lifecycle gate reaches STOPPED. On
     /// exit every connection this reactor owns is closed.
     pub(super) fn run(mut self) {
-        loop {
-            self.events.clear();
-            // A connection that left frames to the next turn gets it at once.
-            let timeout = if self.yielded.is_empty() { TICK } else { Duration::ZERO };
-            if self.poller.wait(&mut self.events, timeout).is_err() {
-                // Transient poller failure: treat as an empty tick; the
-                // timer sweep and gate checks below still run.
-            }
-            self.turn += 1;
-            // Worker answers: queue the rendered bytes and flush.
-            let mut batch = std::mem::take(&mut self.completion_scratch);
-            self.completions.drain_into(&mut batch);
-            let ready = self.events.iter().filter(|ev| ev.token != LISTENER_TOKEN).count();
-            self.crowded = batch.len() + ready + self.yielded.len() > 1;
-            for completion in batch.drain(..) {
-                self.answer(completion.token, completion.bytes, completion.close);
-            }
-            self.completion_scratch = batch;
-            let events = std::mem::take(&mut self.events);
-            for ev in &events {
-                if ev.token == LISTENER_TOKEN {
-                    self.accept_ready();
-                } else if ev.token & UPSTREAM_TAG != 0 {
-                    self.upstream_ready(*ev);
-                } else {
-                    self.connection_ready(*ev);
-                }
-            }
-            self.events = events;
-            // Walk the connections that yielded last turn; one that yields
-            // again goes to the back of the list.
-            let yielded = self.yielded.len();
-            for i in 0..yielded {
-                let token = self.yielded[i];
-                if let Some(conn) = self.slab.get_mut(token) {
-                    conn.yielded = false;
-                    self.resume(token);
-                }
-            }
-            self.yielded.drain(..yielded);
-            // Draining, every turn sweeps: it closes the connections that
-            // went idle since the last one.
-            let draining = !self.shared.gate.is_running();
-            let now = Instant::now();
-            if draining || now.duration_since(self.last_sweep) >= SWEEP_INTERVAL {
-                self.last_sweep = now;
-                self.sweep_timeouts(now, draining);
-            }
-            if self.shared.gate.is_stopped() {
-                break;
-            }
-        }
+        while !self.poll_turn() {}
         self.close_all();
         self.shared.wakeup.notify_all();
+    }
+
+    /// One turn of the loop: wait for readiness, answer the workers'
+    /// completions, serve the ready sockets, walk the connections that
+    /// yielded last turn, sweep. Returns whether the gate has stopped.
+    fn poll_turn(&mut self) -> bool {
+        self.events.clear();
+        // A connection that left frames to the next turn gets it at once.
+        let timeout = if self.yielded.is_empty() { TICK } else { Duration::ZERO };
+        if self.poller.wait(&mut self.events, timeout).is_err() {
+            // Transient poller failure: treat as an empty tick; the timer
+            // sweep and gate checks below still run.
+        }
+        self.turn += 1;
+        // Worker answers: queue the rendered bytes and flush.
+        let mut batch = std::mem::take(&mut self.completion_scratch);
+        self.completions.drain_into(&mut batch);
+        // Crowded counts connections, not signals: a yielded connection's
+        // socket stays readable while its client sends, and it counts once.
+        let slab = &self.slab;
+        let ready = self
+            .events
+            .iter()
+            .filter(|ev| ev.token != LISTENER_TOKEN)
+            .filter(|ev| !slab.get(ev.token).is_some_and(|conn| conn.yielded))
+            .count();
+        let carried = self.yielded.len();
+        self.crowded = batch.len() + ready + carried > 1;
+        for completion in batch.drain(..) {
+            self.answer(completion.token, completion.bytes, completion.close);
+        }
+        self.completion_scratch = batch;
+        let events = std::mem::take(&mut self.events);
+        for ev in &events {
+            if ev.token == LISTENER_TOKEN {
+                self.accept_ready();
+            } else if ev.token & UPSTREAM_TAG != 0 {
+                self.upstream_ready(*ev);
+            } else {
+                self.connection_ready(*ev);
+            }
+        }
+        self.events = events;
+        // Walk the connections that yielded last turn; one that yields again
+        // goes to the back of the list, behind those that yielded this turn.
+        for i in 0..carried {
+            let token = self.yielded[i];
+            if let Some(conn) = self.slab.get_mut(token) {
+                conn.yielded = false;
+                self.resume(token);
+            }
+        }
+        self.yielded.drain(..carried);
+        // Draining, every turn sweeps: it closes the connections that went
+        // idle since the last one.
+        let draining = !self.shared.gate.is_running();
+        let now = Instant::now();
+        if draining || now.duration_since(self.last_sweep) >= SWEEP_INTERVAL {
+            self.last_sweep = now;
+            self.sweep_timeouts(now, draining);
+        }
+        self.shared.gate.is_stopped()
     }
 
     /// Accepts one connection. The listener is every reactor's and stays
@@ -855,9 +874,11 @@ impl<B: RequestBackend> Reactor<B> {
     fn read_ready(&mut self, token: u64) {
         loop {
             let Some(conn) = self.slab.get_mut(token) else { return };
-            if conn.busy || !conn.out.is_empty() {
+            if conn.busy || !conn.out.is_empty() || conn.yielded {
                 // Leave the bytes in the kernel buffer until the response
-                // is out.
+                // is out, or until the frames already read are walked: a
+                // yielded connection that read on while its client sends
+                // would grow its parser by a socket buffer every turn.
                 return;
             }
             match conn.stream.read(&mut self.read_buf[..]) {
@@ -1531,7 +1552,224 @@ const OVERLOADED: &str = "server overloaded";
 
 #[cfg(all(test, not(feature = "loom")))]
 mod tests {
+    use std::io::BufRead;
+    use std::thread::JoinHandle;
+
+    use serenade_core::ItemScore;
+    use serenade_telemetry::TraceConfig;
+
     use super::*;
+    use crate::error::ServingError;
+    use crate::server::HttpServerConfig;
+    use crate::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+    use crate::telemetry::ClusterTelemetry;
+    use crate::transport::HttpClient;
+
+    /// A tier that runs every predict locally and answers it with the item
+    /// it was asked about.
+    struct Echo(Arc<ClusterTelemetry>);
+
+    impl RequestBackend for Echo {
+        fn telemetry(&self) -> &Arc<ClusterTelemetry> {
+            &self.0
+        }
+
+        fn respond(&self, _request: &ParsedRequest) -> (u16, Vec<u8>, &'static str) {
+            (404, b"{}".to_vec(), CONTENT_TYPE_JSON)
+        }
+
+        fn route_predict(&self, _req: &RecommendRequest) -> PredictRoute {
+            PredictRoute::Local
+        }
+
+        fn handle_recommend(
+            &self,
+            req: RecommendRequest,
+            _ctx: &mut RequestContext,
+        ) -> Result<Vec<ItemScore>, ServingError> {
+            Ok(vec![ItemScore { item: req.item, score: 1.0 }])
+        }
+    }
+
+    /// `count` reactors over one listener, each driven turn by turn by the
+    /// test thread.
+    fn reactors(count: usize, config: HttpServerConfig) -> (Vec<Reactor<Echo>>, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let addr = listener.local_addr().expect("addr");
+        let backend = Arc::new(Echo(Arc::new(ClusterTelemetry::new(TraceConfig::default()))));
+        let shared = Arc::new(Shared::new(config, backend.0.registry()));
+        let queue = Arc::new(DispatchQueue::new(16));
+        let reactors = (0..count)
+            .map(|_| {
+                let listener = listener.try_clone().expect("clone");
+                let (shared, queue) = (Arc::clone(&shared), Arc::clone(&queue));
+                Reactor::new(listener, shared, Arc::clone(&backend), queue).expect("reactor")
+            })
+            .collect();
+        (reactors, addr)
+    }
+
+    fn predict_frame(item: usize) -> String {
+        let body = format!(r#"{{"session_id":1,"item_id":{item},"consent":false}}"#);
+        format!("POST /recommend HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n{body}", body.len())
+    }
+
+    /// Reads one `200` and returns its body.
+    fn read_answer(reader: &mut impl BufRead) -> String {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("status line");
+        assert!(line.starts_with("HTTP/1.1 200"), "{line:?}");
+        let mut length = 0;
+        while line != "\r\n" {
+            line.clear();
+            reader.read_line(&mut line).expect("header");
+            if let Some(value) = line.strip_prefix("content-length:") {
+                length = value.trim().parse().expect("content-length");
+            }
+        }
+        let mut body = vec![0; length];
+        reader.read_exact(&mut body).expect("body");
+        String::from_utf8(body).expect("utf-8")
+    }
+
+    /// Pipelines predicts for items `0..frames` on one connection from one
+    /// thread and reads the answers on another, counting them in
+    /// `answered`: every frame is answered once, in order.
+    fn flood(addr: SocketAddr, frames: usize, answered: Arc<AtomicUsize>) -> [JoinHandle<()>; 2] {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+        let mut writer = stream.try_clone().expect("clone");
+        let writing = std::thread::spawn(move || {
+            for first in (0..frames).step_by(500) {
+                let chunk: String = (first..frames.min(first + 500)).map(predict_frame).collect();
+                writer.write_all(chunk.as_bytes()).expect("write");
+            }
+        });
+        let reading = std::thread::spawn(move || {
+            let mut reader = std::io::BufReader::new(stream);
+            for item in 0..frames {
+                let body = read_answer(&mut reader);
+                assert!(body.contains(&format!(r#""item_id":{item},"#)), "answer {item}: {body}");
+                answered.fetch_add(1, SeqCst);
+            }
+        });
+        [writing, reading]
+    }
+
+    #[test]
+    fn floods_beside_another_connection_yield_and_read_nothing_while_yielded() {
+        // Two pipelining floods and a one-request-at-a-time client on one
+        // reactor: crowded, a flood runs one inline predict a turn and
+        // yields. A yielded connection already holds complete frames, so it
+        // must read nothing until they are walked; otherwise its parser
+        // grows by a socket buffer every turn its client keeps sending.
+        const FRAMES: usize = 20_000;
+        const ASKS: usize = 20;
+        let (mut reactors, addr) = reactors(1, HttpServerConfig::default());
+        let reactor = &mut reactors[0];
+        let progress = [Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0))];
+        let mut clients: Vec<JoinHandle<()>> =
+            progress.iter().flat_map(|answered| flood(addr, FRAMES, Arc::clone(answered))).collect();
+        let floods = progress.clone();
+        clients.push(std::thread::spawn(move || {
+            while floods.iter().any(|answered| answered.load(SeqCst) == 0) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let mut client = HttpClient::connect(addr).expect("connect");
+            for item in 0..ASKS {
+                let body = format!(r#"{{"session_id":2,"item_id":{item},"consent":false}}"#);
+                let (status, body) = client.post("/recommend", &body).expect("post");
+                assert_eq!(status, 200, "{body}");
+                assert!(body.contains(&format!(r#""item_id":{item},"#)), "{body}");
+                let flooding = floods.iter().all(|answered| answered.load(SeqCst) < FRAMES);
+                assert!(flooding, "ask {item} waited for a flood to finish");
+            }
+        }));
+        let started = Instant::now();
+        let (mut yields, mut watched) = (0, Vec::new());
+        while !clients.iter().all(JoinHandle::is_finished) {
+            assert!(started.elapsed() < Duration::from_secs(120), "the floods stalled");
+            reactor.poll_turn();
+            for &(token, len) in &watched {
+                if let Some(conn) = reactor.slab.get(token) {
+                    let now = conn.parser.buffer_len();
+                    assert!(now <= len, "a yielded connection's parser grew from {len} to {now} bytes");
+                }
+            }
+            watched.clear();
+            for &token in &reactor.yielded {
+                if let Some(conn) = reactor.slab.get(token) {
+                    watched.push((token, conn.parser.buffer_len()));
+                }
+            }
+            yields += watched.len();
+        }
+        for client in clients {
+            client.join().expect("client");
+        }
+        assert!(yields > 0, "the crowded branch never ran");
+    }
+
+    #[test]
+    fn a_yielded_connection_alone_is_not_crowded_by_its_own_readiness() {
+        let (mut reactors, addr) = reactors(1, HttpServerConfig::default());
+        let reactor = &mut reactors[0];
+        let mut a = TcpStream::connect(addr).expect("connect");
+        let mut b = TcpStream::connect(addr).expect("connect");
+        a.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        while reactor.slab.entries.iter().flatten().count() < 2 {
+            reactor.poll_turn();
+        }
+        let local = a.local_addr().expect("addr");
+        let token_a = (0..reactor.slab.entries.len())
+            .map(|index| reactor.slab.token_for(index))
+            .find(|&token| {
+                reactor.slab.get(token).is_some_and(|conn| conn.stream.peer_addr().ok() == Some(local))
+            })
+            .expect("a is accepted");
+        let yielded = |reactor: &Reactor<Echo>| reactor.slab.get(token_a).expect("open").yielded;
+        // Both connections ready: `a` runs its first frame and leaves two.
+        a.write_all((0..3).map(predict_frame).collect::<String>().as_bytes()).expect("write");
+        b.write_all(predict_frame(9).as_bytes()).expect("write");
+        std::thread::sleep(Duration::from_millis(20));
+        reactor.poll_turn();
+        assert!(yielded(reactor), "crowded, `a` yields after one frame");
+        // `a` alone: its own readiness and its yield entry are one
+        // connection, so the next turn walks both buffered frames.
+        a.write_all(predict_frame(3).as_bytes()).expect("write");
+        std::thread::sleep(Duration::from_millis(20));
+        reactor.poll_turn();
+        assert!(!yielded(reactor), "alone, `a` walks its whole buffer");
+        reactor.poll_turn();
+        let mut reader = std::io::BufReader::new(a);
+        for item in 0..4 {
+            assert!(read_answer(&mut reader).contains(&format!(r#""item_id":{item},"#)));
+        }
+    }
+
+    #[test]
+    fn reactors_on_one_listener_take_one_connection_a_turn_under_one_cap() {
+        let config = HttpServerConfig { max_connections: 2, ..HttpServerConfig::default() };
+        let (mut reactors, addr) = reactors(2, config);
+        let open = |reactor: &Reactor<Echo>| reactor.slab.entries.iter().flatten().count();
+        let clients: Vec<TcpStream> =
+            (0..3).map(|_| TcpStream::connect(addr).expect("connect")).collect();
+        // Each turn takes one connection off the shared backlog, so two
+        // reactors polling in turn split the first two between them.
+        for reactor in &mut reactors {
+            reactor.poll_turn();
+            assert_eq!(open(reactor), 1);
+        }
+        // The third finds the cap the reactors share taken, though the
+        // reactor that takes it holds one connection of its own.
+        reactors[0].poll_turn();
+        assert_eq!(open(&reactors[0]), 1);
+        assert_eq!(reactors[0].shared.open_connections.load(SeqCst), 2);
+        let mut shed = String::new();
+        (&clients[2]).read_to_string(&mut shed).expect("read");
+        assert!(shed.starts_with("HTTP/1.1 503"), "{shed}");
+    }
 
     #[test]
     fn slab_tokens_are_generation_guarded() {
