@@ -10,7 +10,13 @@
 //!
 //! * an FNV-1a fingerprint over every answer's items and score bits, so two
 //!   builds can be shown to answer identically;
-//! * the per-request wall time: p50, p99 and mean;
+//! * the per-request wall time: p50, p99 and mean, of the whole kernel and
+//!   of its first phases alone — the join (`neighbors_with_scratch`, which
+//!   also collects the `k` neighbours into a list the kernel does not make)
+//!   and the join with the score phase (`score_with_scratch`) — each timed
+//!   in passes of its own, with each phase's mean as the difference of its
+//!   stage's mean and the previous stage's (no clock is read inside the
+//!   kernel);
 //! * the kernel's work counters (`KernelWork`) by percentile, so a time
 //!   can be told apart as many posting entries to sort, a sample cut at
 //!   `m`, or many neighbour items to score;
@@ -30,7 +36,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use serenade_bench::{build_index, prepare, print_table, BenchArgs};
-use serenade_core::{ItemId, KernelWork, VmisConfig, VmisKnn};
+use serenade_core::{ItemId, KernelWork, Scratch, VmisConfig, VmisKnn};
 use serenade_dataset::SyntheticConfig;
 use serenade_serving::EngineConfig;
 
@@ -48,6 +54,21 @@ const CLICK_GAP_SECS: u64 = 30;
 
 /// A `KernelWork` counter by name.
 type Counter = (&'static str, fn(&KernelWork) -> u32);
+
+/// A timed stage: its name, the phase it ends with, and how to run it. Each
+/// stage runs the kernel up to and including its phase.
+type Stage = (&'static str, &'static str, fn(&VmisKnn, &[ItemId], &mut Scratch));
+
+/// The kernel's stages, cumulative, in the order the kernel runs them.
+const STAGES: [Stage; 3] = [
+    ("join", "join", |vmis, session, scratch| {
+        std::hint::black_box(vmis.neighbors_with_scratch(session, scratch));
+    }),
+    ("join + score", "score", |vmis, session, scratch| vmis.score_with_scratch(session, scratch)),
+    ("kernel", "take_top", |vmis, session, scratch| {
+        std::hint::black_box(vmis.recommend_with_scratch(session, scratch));
+    }),
+];
 
 /// Where a 64-bit FNV-1a hash starts.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -117,12 +138,14 @@ fn main() {
         }
         work.push(scratch.work());
     }
-    let mut nanos: Vec<u64> = Vec::with_capacity(PASSES * windows.len());
+    let mut nanos: Vec<Vec<u64>> = vec![Vec::with_capacity(PASSES * windows.len()); STAGES.len()];
     for _ in 0..PASSES {
-        for session in &windows {
-            let t0 = Instant::now();
-            std::hint::black_box(vmis.recommend_with_scratch(session, &mut scratch));
-            nanos.push(t0.elapsed().as_nanos() as u64);
+        for ((_, _, run), nanos) in STAGES.iter().zip(&mut nanos) {
+            for session in &windows {
+                let t0 = Instant::now();
+                run(&vmis, session, &mut scratch);
+                nanos.push(t0.elapsed().as_nanos() as u64);
+            }
         }
     }
 
@@ -135,13 +158,18 @@ fn main() {
         windows.len(),
     );
     println!("answers: FNV-1a {:#018x} over every item and score bit pattern\n", answers);
-    let mean = nanos.iter().sum::<u64>() as f64 / nanos.len() as f64 / 1e3;
-    nanos.sort_unstable();
-    let us = |q: f64| format!("{:.1}", quantile(&nanos, q) as f64 / 1e3);
-    print_table(
-        &["per request", "p50 us", "p99 us", "mean us"],
-        &[vec!["kernel".into(), us(0.5), us(0.99), format!("{mean:.1}")]],
-    );
+    let mut before = 0.0;
+    let rows: Vec<Vec<String>> = (STAGES.iter().zip(&mut nanos))
+        .map(|((stage, phase, _), nanos)| {
+            let mean = nanos.iter().sum::<u64>() as f64 / nanos.len() as f64 / 1e3;
+            let own = mean - std::mem::replace(&mut before, mean);
+            nanos.sort_unstable();
+            let us = |q: f64| format!("{:.1}", quantile(nanos, q) as f64 / 1e3);
+            let (stage, phase) = (stage.to_string(), phase.to_string());
+            vec![stage, us(0.5), us(0.99), format!("{mean:.1}"), phase, format!("{own:.1}")]
+        })
+        .collect();
+    print_table(&["per request", "p50 us", "p99 us", "mean us", "phase", "phase mean us"], &rows);
 
     println!();
     let counters: [Counter; 4] = [

@@ -169,7 +169,8 @@ pub struct Scratch {
     acc: Vec<f32>,
     /// Slots scored by the current request, in first-touch order.
     touched: Vec<u32>,
-    /// Ranking keys of the positively scored slots (see `take_top`).
+    /// Ranking keys of the positively scored slots, complemented so that
+    /// ascending is best first (see `take_top`).
     rank: Vec<u64>,
     work: KernelWork,
 }
@@ -228,6 +229,22 @@ impl Default for Scratch {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Starts loading the first cache line of `row` into every cache level, so
+/// that a later read of it does not wait for memory. A no-op where there is
+/// no prefetch instruction to ask for.
+#[inline(always)]
+fn prefetch(row: &[u32]) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint: it reads no memory into the program and
+    // cannot fault, whatever the address, so any pointer is sound.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(row.as_ptr().cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
 }
 
 /// One step of a window's traversal plan: `(item, π, 1-based position)`.
@@ -334,8 +351,7 @@ impl VmisKnn {
         session: &[ItemId],
         scratch: &mut Scratch,
     ) -> Vec<ItemScore> {
-        let window = self.fill_neighbors(session, scratch);
-        self.score_items(window, scratch);
+        self.score_with_scratch(session, scratch);
         self.take_top(scratch)
     }
 
@@ -370,6 +386,17 @@ impl VmisKnn {
                 match_pos: c.match_pos as usize,
             })
             .collect()
+    }
+
+    /// Runs the join and the score phase of [`recommend_with_scratch`] and
+    /// stops before extraction: the scores stay in `scratch`, and
+    /// [`Scratch::work`] counts what was scored. Exposed so that a probe can
+    /// time the kernel's phases apart without a clock read inside it.
+    ///
+    /// [`recommend_with_scratch`]: Self::recommend_with_scratch
+    pub fn score_with_scratch(&self, session: &[ItemId], scratch: &mut Scratch) {
+        let window = self.fill_neighbors(session, scratch);
+        self.score_items(window, scratch);
     }
 
     /// Caps an evolving session to its most recent `max_session_len` items.
@@ -440,6 +467,13 @@ impl VmisKnn {
     /// formulation. A slot is listed in `touched` before its cell is first
     /// written, so the next request's `Scratch::clear` finds every cell
     /// this one wrote even if it unwinds halfway.
+    ///
+    /// The loop is bound by memory, not arithmetic (DESIGN.md §4.8): a
+    /// batch's rows are located and prefetched before any is read, so their
+    /// misses overlap, and a first touch is recorded without a branch — the
+    /// slot is written past the listed end of `touched` every time and the
+    /// end moves only when the cell was `CLEAR` — because a mispredicted
+    /// first-touch test would stall the loads of the next row behind it.
     fn score_items(&self, window: &[ItemId], scratch: &mut Scratch) {
         let cfg = &self.config;
         let Scratch { cands, excluded, acc, touched, work, .. } = scratch;
@@ -454,21 +488,30 @@ impl VmisKnn {
         // at least as long as `idf`.
         let idf = &self.idf[..];
         let acc = &mut acc[..idf.len()];
-        // Locate a batch of neighbours' slots before reading any: the
-        // session-offset lookups are independent cache misses that overlap
-        // here, instead of each one stalling the accumulation behind it.
+        // Locate a batch of neighbours' slots, and prefetch each row, before
+        // reading any: the session-offset lookups and the rows are
+        // independent cache misses that overlap here, instead of each one
+        // stalling the accumulation behind it.
         let mut runs: [(&[u32], f32); 32] = [(&[], 0.0); 32];
+        // `touched[..listed]` are the slots scored so far; `touched` itself
+        // is longer while a batch runs, so every slot the batch writes is in
+        // it before its cell is.
+        let mut listed = touched.len();
         for neighbors in cands.chunks(runs.len()) {
-            let mut located = 0;
+            let (mut located, mut cells) = (0, 0);
             for c in neighbors {
                 let lambda = cfg.match_weight.weight(c.match_pos as usize, wlen);
                 if lambda > 0.0 {
                     let weight = lambda * c.similarity * norm;
-                    runs[located] = (self.index.session_slots(c.session), weight);
+                    let slots = self.index.session_slots(c.session);
+                    prefetch(slots);
+                    runs[located] = (slots, weight);
                     located += 1;
+                    cells += slots.len();
                 }
             }
             work.neighbors_scored += located as u32;
+            touched.resize(listed + cells, 0);
             for &(slots, session_weight) in &runs[..located] {
                 for &slot in slots {
                     if excluded.contains(&slot) {
@@ -477,45 +520,46 @@ impl VmisKnn {
                     let contribution = session_weight * idf[slot as usize];
                     debug_assert!(contribution.to_bits() != CLEAR.to_bits());
                     let a = &mut acc[slot as usize];
-                    if a.to_bits() == CLEAR.to_bits() {
-                        touched.push(slot);
-                    }
+                    touched[listed] = slot;
+                    listed += usize::from(a.to_bits() == CLEAR.to_bits());
                     *a += contribution;
                 }
             }
         }
-        work.slots_touched = touched.len() as u32;
+        touched.truncate(listed);
+        work.slots_touched = listed as u32;
     }
 
     /// Extracts the `how_many` highest-scored items, descending, as an
     /// exactly-sized list — the request's only allocation.
     ///
-    /// Touched slots are ranked as `score bits << 32 | slot`. Only positive
-    /// scores are kept, and for positive floats the integer order of the
-    /// bits is `total_cmp`'s order, so selecting and sorting the keys as
-    /// plain integers gives "descending score" — and, among equal scores, an
-    /// order by slot that means nothing: slots are numbered as items enter
-    /// the index. Equal scores are frequent (a one-item window weighs all
-    /// its neighbours alike) and must come out in ascending item id, so the
-    /// ties are put right afterwards, through the slot → item table: the
-    /// group that straddles the cut is selected by id, and each group left
-    /// in the list is sorted by id. Only tied items have their ids read
-    /// before the survivors are known.
+    /// Touched slots are ranked as `!(score bits << 32 | slot)`. Only
+    /// positive scores are kept, and for positive floats the integer order
+    /// of the bits is `total_cmp`'s order, so selecting and sorting the
+    /// complemented keys as plain integers, ascending, gives "descending
+    /// score" in the integers' own order (through a comparator that
+    /// reverses it, extraction took a third longer; EXPERIMENTS.md X20) —
+    /// and, among equal scores, an order by slot that means nothing: slots
+    /// are numbered as items enter the index. Equal scores are frequent (a
+    /// one-item window weighs all its neighbours alike) and must come out in
+    /// ascending item id, so the ties are put right afterwards, through the
+    /// slot → item table: the group that straddles the cut is selected by
+    /// id, and each group left in the list is sorted by id. Only tied items
+    /// have their ids read before the survivors are known.
     fn take_top(&self, scratch: &mut Scratch) -> Vec<ItemScore> {
         let Scratch { acc, touched, rank, .. } = scratch;
         rank.extend(touched.iter().filter_map(|&slot| {
             let score = acc[slot as usize];
-            (score > 0.0).then(|| u64::from(score.to_bits()) << 32 | u64::from(slot))
+            (score > 0.0).then(|| !(u64::from(score.to_bits()) << 32 | u64::from(slot)))
         }));
         let n = self.config.how_many.min(rank.len());
         if n == 0 {
             return Vec::new();
         }
         let slot_items = self.index.slot_items();
-        let item = |key: &u64| slot_items[*key as u32 as usize];
-        let descending = |a: &u64, b: &u64| b.cmp(a);
+        let item = |key: &u64| slot_items[!*key as u32 as usize];
         if n < rank.len() {
-            rank.select_nth_unstable_by(n - 1, descending);
+            rank.select_nth_unstable(n - 1);
             // Items that tie with the last one in compete for its place and
             // the ones beside it by id: gather them around position n.
             let last = rank[n - 1] >> 32;
@@ -538,20 +582,25 @@ impl VmisKnn {
             }
             rank.truncate(n);
         }
-        rank.sort_unstable_by(descending);
+        rank.sort_unstable();
         for tied in rank.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
             if tied.len() > 1 {
                 tied.sort_unstable_by_key(item);
             }
         }
         rank.iter()
-            .map(|key| ItemScore { item: item(key), score: f32::from_bits((key >> 32) as u32) })
+            .map(|key| ItemScore { item: item(key), score: f32::from_bits((!key >> 32) as u32) })
             .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
     use super::*;
     use crate::types::Click;
 
@@ -743,6 +792,46 @@ mod tests {
         assert!(scratch.work().slots_touched > 0);
         for session in [&[1u64, 2] as &[u64], &[2, 4], &[3]] {
             assert_eq!(v.recommend_with_scratch(session, &mut scratch), v.recommend(session));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig { cases: 128 })]
+
+        // The first-touch push has no branch: a slot is written past the
+        // listed end of `touched` on every update and listed only when its
+        // cell was clear. Whatever the window — repeated items, items the
+        // index does not know (0, 11, 12), the window's own items excluded
+        // or not — after each request, whole or cut off after scoring,
+        // `touched` lists every cell that is not `CLEAR` once and nothing
+        // else, which is what the next request's `clear` relies on.
+        #[test]
+        fn touched_lists_exactly_the_scored_cells(
+            clicks in vec((1u64..=15, 1u64..=10, 0u64..=40), 1..80),
+            k in 1usize..=8,
+            exclude in any::<bool>(),
+            requests in vec((vec(0u64..=12, 0..8), any::<bool>()), 1..8),
+        ) {
+            let clicks: Vec<Click> =
+                clicks.into_iter().map(|(s, i, t)| Click::new(s, i, t)).collect();
+            let config = VmisConfig { k, exclude_session_items: exclude, ..VmisConfig::default() };
+            let v = VmisKnn::new(SessionIndex::build(&clicks, 500).unwrap(), config).unwrap();
+            let mut scratch = v.scratch();
+            for (window, whole) in &requests {
+                if *whole {
+                    let answer = v.recommend_with_scratch(window, &mut scratch);
+                    prop_assert_eq!(answer, v.recommend(window));
+                } else {
+                    v.score_with_scratch(window, &mut scratch);
+                }
+                let listed: HashSet<u32> = scratch.touched.iter().copied().collect();
+                prop_assert_eq!(listed.len(), scratch.touched.len(), "a slot listed twice");
+                let scored: HashSet<u32> = (0..scratch.acc.len() as u32)
+                    .filter(|&slot| scratch.acc[slot as usize].to_bits() != CLEAR.to_bits())
+                    .collect();
+                prop_assert_eq!(listed, scored);
+                prop_assert_eq!(scratch.work().slots_touched as usize, scratch.touched.len());
+            }
         }
     }
 

@@ -770,8 +770,18 @@ mod ingest_tests {
         assert!(p.flush().is_err(), "nothing was published");
         assert!(started.elapsed() < Duration::from_secs(5), "{:?}", started.elapsed());
         assert_eq!(c.scraped("serenade_ingest_publisher_up", &[]), 0);
-        // Nothing will publish from here on, so nothing is accepted.
+        // Nothing will publish from here on, so nothing is accepted, and
+        // the endpoint says why: retrying will not help.
         assert!(!p.submit(&[Click::new(1_001, 0, 10_001)]), "a dead publisher takes clicks");
+        assert!(p.is_stopped());
+        let ingest = crate::server::parser::ParsedRequest {
+            method: String::from("POST"),
+            path: String::from("/ingest"),
+            body: br#"{"clicks":[{"session_id":1001,"item_id":0,"timestamp":10001}]}"#.to_vec(),
+            close: false,
+        };
+        let (status, body, _) = crate::server::conn::respond(&ingest, &c);
+        assert_eq!((status, body), (503, br#"{"error":"ingest publisher is stopped"}"#.to_vec()));
         assert_eq!(p.pending_clicks(), 0);
         let started = std::time::Instant::now();
         assert!(c.delete_session(1).is_err());
@@ -799,6 +809,7 @@ mod ingest_tests {
         let click = |s| Click::new(s, 1, 10_000);
         assert!(p.submit(&[click(1), click(2), click(3)]));
         assert!(!p.submit(&[click(4), click(5)]), "3 + 2 exceeds the bound of 4");
+        assert!(!p.is_stopped(), "a full queue is not a stopped publisher");
         assert_eq!(p.pending_clicks(), 3, "rejected batches admit nothing");
         assert_eq!(c.scraped("serenade_ingest_rejected_clicks_total", &[]), 2);
         assert!(p.submit(&[click(6)]), "room for one more");

@@ -282,6 +282,13 @@ impl IngestPipeline {
     pub fn pending_clicks(&self) -> usize {
         self.shared.lock_pending().clicks.len()
     }
+
+    /// Whether the publisher has stopped for good — it panicked, or the
+    /// pipeline is shutting down — so that [`submit`](Self::submit) refuses
+    /// every batch from now on, not only those the queue cannot hold.
+    pub fn is_stopped(&self) -> bool {
+        self.shared.lock_pending().shutdown
+    }
 }
 
 impl Drop for IngestPipeline {

@@ -133,6 +133,8 @@ fn respond_text(request: &ParsedRequest, cluster: &ServingCluster) -> (u16, Stri
                         (202, json::object(|o| {
                             o.u64("accepted", clicks.len() as u64);
                         }))
+                    } else if pipeline.is_stopped() {
+                        (503, json::error("ingest publisher is stopped"))
                     } else {
                         (503, json::error("ingest queue is at capacity"))
                     }

@@ -298,6 +298,9 @@ pub fn parse_file(relpath: &str, content: &str) -> FileFacts {
     // Test-region tracking (same model as the line rules).
     let mut test_region_until: Option<i32> = None;
     let mut pending_test_attr = false;
+    // Whether the attributed item's first line has gone by: only that line
+    // can be a field or a variant, so only there does a `,` end the item.
+    let mut attr_item_started = false;
 
     // ORDERING-comment attachment (same model as the SAFETY rule).
     let mut ordering_pending = false;
@@ -316,15 +319,22 @@ pub fn parse_file(relpath: &str, content: &str) -> FileFacts {
         let trimmed = code.trim();
         let line_has_ordering = lexed.comment.contains("ORDERING:");
 
-        // Test-region attribute machinery.
+        // Test-region attribute machinery. An attributed item without a
+        // brace — a `use` or `static` ending in `;`, a field or an enum
+        // variant on one line ending in `,` — is test code on its own line
+        // only.
+        let mut attributed_line = false;
         if pending_test_attr {
             if trimmed.starts_with("#[") {
                 // stacked attribute; keep waiting
             } else if code.contains('{') {
                 test_region_until = Some(depth);
                 pending_test_attr = false;
-            } else if code.contains(';') {
+            } else if code.contains(';') || (!attr_item_started && trimmed.ends_with(',')) {
                 pending_test_attr = false;
+                attributed_line = true;
+            } else if !trimmed.is_empty() {
+                attr_item_started = true;
             }
         }
         if test_region_until.is_none()
@@ -332,8 +342,10 @@ pub fn parse_file(relpath: &str, content: &str) -> FileFacts {
                 || trimmed.starts_with("#[test]"))
         {
             pending_test_attr = true;
+            attr_item_started = false;
         }
-        let in_test = is_test_file || test_region_until.is_some() || pending_test_attr;
+        let in_test =
+            is_test_file || test_region_until.is_some() || pending_test_attr || attributed_line;
         // A `use` declaration imports or re-exports a name; it calls nothing.
         if in_use_decl || is_use_decl(trimmed) {
             in_use_decl = !code.contains(';');
@@ -1184,6 +1196,35 @@ mod tests {
         assert_eq!(facts.module_atomics.len(), 1);
         assert_eq!(facts.module_atomics[0].op, AtomicOp::ConstDef);
         assert_eq!(facts.module_atomics[0].ordering, "SeqCst");
+    }
+
+    #[test]
+    fn test_attribute_on_a_field_covers_only_that_field() {
+        let src = "struct S {\n    live: Mutex<u32>,\n    #[cfg(test)]\n    hook: u32,\n}\n\
+                   impl S {\n    fn f(&self) { self.live.lock(); }\n}\n";
+        let facts = parse_file("crates/x/src/s.rs", src);
+        let f = one_fn(&facts, "S::f");
+        assert!(!f.is_test, "the impl after the field is product code");
+        assert_eq!(f.locks.len(), 1);
+        let s = &facts.structs[0];
+        assert!(s.fields.iter().any(|(name, _)| name == "live"));
+    }
+
+    #[test]
+    fn test_attribute_on_a_variant_covers_only_that_variant() {
+        let src = "enum E {\n    Live,\n    #[cfg(test)]\n    Hook(u32),\n}\n\
+                   fn g(m: &Mutex<u32>) { m.lock(); }\n";
+        let facts = parse_file("crates/x/src/e.rs", src);
+        let g = one_fn(&facts, "g");
+        assert!(!g.is_test);
+        assert_eq!(g.locks.len(), 1);
+    }
+
+    #[test]
+    fn test_attribute_on_a_multi_line_signature_covers_the_whole_fn() {
+        let src = "#[cfg(test)]\nfn helper(\n    m: &Mutex<u32>,\n) {\n    m.lock();\n}\n";
+        let facts = parse_file("crates/x/src/h.rs", src);
+        assert!(one_fn(&facts, "helper").is_test);
     }
 
     #[test]

@@ -180,6 +180,9 @@ pub fn scan_file(relpath: &str, content: &str) -> Vec<Finding> {
     let mut depth: i32 = 0;
     let mut test_region_until: Option<i32> = None; // skip while depth > this
     let mut pending_test_attr = false;
+    // Whether the attributed item's first line has gone by: only that line
+    // can be a field or a variant, so only there does a `,` end the item.
+    let mut attr_item_started = false;
 
     // R1: true while a `SAFETY:` comment block immediately above is still
     // "attached" — comment-only lines extend it, any code or blank line
@@ -207,19 +210,24 @@ pub fn scan_file(relpath: &str, content: &str) -> Vec<Finding> {
             } else if code.contains('{') {
                 test_region_until = Some(depth);
                 pending_test_attr = false;
-            } else if code.contains(';') {
-                // Braceless item (use/static): only that line is test code.
+            } else if code.contains(';') || (!attr_item_started && trimmed.ends_with(',')) {
+                // Braceless item (use/static, or a field or an enum variant
+                // on one line): only that line is test code.
                 pending_test_attr = false;
                 depth += braces(code);
                 continue;
+            } else if !trimmed.is_empty() {
+                attr_item_started = true;
             }
         }
         if trimmed.starts_with("#[cfg(") && trimmed.contains("test") && test_region_until.is_none()
         {
             pending_test_attr = true;
+            attr_item_started = false;
         }
         if trimmed.starts_with("#[test]") && test_region_until.is_none() {
             pending_test_attr = true;
+            attr_item_started = false;
         }
 
         let depth_before = depth;
@@ -845,6 +853,21 @@ mod tests {
         let src = "fn next_work() { std::thread::sleep(TICK); }\n";
         let v = lint("crates/serving/src/server/dispatch.rs", src);
         assert!(v.iter().any(|x| x.rule == "no-sleep"), "{v:?}");
+    }
+
+    #[test]
+    fn test_attribute_on_a_field_covers_only_that_field() {
+        let src = "struct S {\n    #[cfg(test)]\n    hook: u32,\n}\n\
+                   impl S {\n    fn f() { std::thread::sleep(D); }\n}\n";
+        let v = lint("crates/serving/src/s.rs", src);
+        assert_eq!(v.len(), 1, "the impl after the field is product code: {v:?}");
+        assert_eq!(v[0].rule, "no-sleep");
+    }
+
+    #[test]
+    fn test_attribute_on_a_multi_line_signature_covers_the_whole_fn() {
+        let src = "#[cfg(test)]\nfn helper(\n    d: u64,\n) {\n    std::thread::sleep(D);\n}\n";
+        assert!(lint("crates/serving/src/h.rs", src).is_empty());
     }
 
     /// The acceptance-criteria fixture: an uncommented `unsafe` block plus

@@ -47,11 +47,25 @@ fi
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> kernel probe: the committed instrument runs (--quick)"
-cargo run --release -q -p serenade-bench --bin kernel_probe -- --quick
+# The probe's answer fingerprint at `--quick`, held to the committed value:
+# a kernel change that moves one answer bit fails here, not only in the
+# property tests. A change meant to move answers updates the value here.
+probe_answers() {
+    local expected=$1 output
+    shift
+    output=$(cargo run --release -q -p serenade-bench --bin kernel_probe -- --quick "$@")
+    echo "$output"
+    if ! grep -q "^answers: FNV-1a $expected " <<<"$output"; then
+        echo "FAIL: kernel_probe --quick${*:+ $*} no longer answers with fingerprint $expected" >&2
+        return 1
+    fi
+}
+
+echo "==> kernel probe: the committed instrument runs, answers pinned (--quick)"
+probe_answers 0xe91c44c6402ba667
 
 echo "==> kernel probe: the popularity head held in place, so samples are cut at m (--quick)"
-cargo run --release -q -p serenade-bench --bin kernel_probe -- --quick --drift-per-day 0
+probe_answers 0xa52ee454dbe87a21 --drift-per-day 0
 
 echo "==> rustdoc: every intra-doc link resolves"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace --offline

@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Non-test line counts, the one way every PR computes ROADMAP's "report the
-# LOC delta": for each `src/**/*.rs`, the lines before the first
-# `#[cfg(test` / `#[cfg(all(test` attribute. `code` leaves out blank and
-# comment-only lines, so deleting prose does not read as deleting code.
+# LOC delta": for each `src/**/*.rs`, every line outside the items that a
+# `#[cfg(test` / `#[cfg(all(test` attribute introduces — a braced item is
+# skipped to its closing brace, a braceless one (`mod tests;`, a field) is
+# its own line — so a test item above product code hides nothing after it.
+# `code` leaves out blank and comment-only lines, so deleting prose does not
+# read as deleting code. Braces are counted after string and char literals
+# and `//` comments are blanked out.
 #
 #   scripts/loc.sh [checkout]     # default: this repository
 set -euo pipefail
@@ -12,9 +16,36 @@ cd "$root"
 # Prints "<lines> <code>" for the non-test part of the given files.
 count() {
     awk '
-        FNR == 1 { in_tests = 0 }
-        /^[[:space:]]*#\[cfg\((all\()?test/ { in_tests = 1 }
-        in_tests { next }
+        # The line with its string, raw string and char literals and its `//`
+        # comment blanked. A raw string may span lines (`in_raw`).
+        function blank(text) {
+            if (in_raw) {
+                if (!sub(/^([^"]|"[^#])*"#/, "", text)) return ""
+                in_raw = 0
+            }
+            gsub(/r#"([^"]|"[^#])*"#/, "\"\"", text)
+            if (sub(/r#".*/, "", text)) in_raw = 1
+            gsub(/"([^"\\]|\\.)*"/, "\"\"", text)
+            gsub(/\047([^\047\\]|\\.)\047/, "\047 \047", text)
+            sub(/\/\/.*/, "", text)
+            return text
+        }
+        function braces(text) { return gsub(/\{/, "{", text) - gsub(/\}/, "}", text) }
+        FNR == 1 { depth = 0; pending = 0; in_raw = 0 }
+        # Inside a test item: skip to its closing brace.
+        depth > 0 { depth += braces(blank($0)); next }
+        /^[[:space:]]*#\[cfg\((all\()?test/ { pending = 1; sub(/^[[:space:]]*#\[[^]]*\]/, "") }
+        # The attributed item: a field or variant is one line ending in `,`;
+        # any other item runs to its `{` or `;`. A `}` first closes the
+        # enclosing item, which is not test code.
+        pending {
+            text = blank($0)
+            if (text ~ /^[[:space:]]*(#\[.*)?$/) next
+            if (text ~ /\{/) { pending = 0; depth = braces(text); next }
+            if (text ~ /;/ || (pending == 1 && text ~ /,[[:space:]]*$/)) { pending = 0; next }
+            if (text !~ /\}/) { pending = 2; next }
+            pending = 0
+        }
         { lines++ }
         !/^[[:space:]]*(\/\/.*)?$/ { code++ }
         END { printf "%d %d\n", lines, code }
