@@ -4,23 +4,28 @@
 //! Builds the index of `ecom-1m` (seed 1, `m_max` 500) without its last
 //! day, then replays the held-out day click by click as growing sessions —
 //! 40,000 requests at the serving defaults: `m` 500, `k` 100, a 9-item
-//! window, twice the engine's 21 recommendations — through one
+//! window, twice the engine's 21 recommendations, as a node with business
+//! rules asks for (one without asks for 21) — through one
 //! `recommend_with_scratch` on one thread. One warm-up pass, then three
 //! timed passes. It prints:
 //!
 //! * an FNV-1a fingerprint over every answer's items and score bits, so two
 //!   builds can be shown to answer identically;
-//! * the per-request wall time: p50, p99 and mean, of the whole kernel and
-//!   of its first phases alone — the join (`neighbors_with_scratch`, which
-//!   also collects the `k` neighbours into a list the kernel does not make)
-//!   and the join with the score phase (`score_with_scratch`) — each timed
-//!   in passes of its own, with each phase's mean as the difference of its
-//!   stage's mean and the previous stage's (no clock is read inside the
-//!   kernel);
+//! * the per-request wall time: p50, p99 and mean, of the join alone
+//!   (`neighbors_with_scratch`, which also collects the `k` neighbours into
+//!   a list the kernel does not make), in passes of its own; then, in the
+//!   same passes, back to back for each request, of the join with the score
+//!   phase (`score_with_scratch`), of the extraction (`take_top`) and of
+//!   the two together — the kernel, with one clock read more than a
+//!   `recommend_with_scratch` makes. The score phase's mean is the
+//!   difference of its stage's mean and the join's; the extraction is timed
+//!   on its own (no clock is read inside the kernel);
 //! * the kernel's work counters (`KernelWork`) by percentile, so a time
 //!   can be told apart as many posting entries to sort, a sample cut at
 //!   `m`, or many neighbour items to score;
-//! * `SessionIndex::bytes()` by structure.
+//! * `SessionIndex::bytes()` by structure, the kernel's idf table and their
+//!   total, and how many segments store their slots and their row offsets
+//!   at each width.
 //!
 //! `--drift-per-day D` sets the generator's popularity drift (the preset is
 //! 0.004; 0 keeps the popularity head in place, so the window's postings
@@ -32,11 +37,11 @@
 //!
 //! `taskset -c 1 cargo run -p serenade-bench --release --bin kernel_probe -- --drift-per-day 0`
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use serenade_bench::{build_index, prepare, print_table, BenchArgs};
-use serenade_core::{ItemId, KernelWork, Scratch, VmisConfig, VmisKnn};
+use serenade_core::{ItemId, KernelWork, VmisConfig, VmisKnn};
 use serenade_dataset::SyntheticConfig;
 use serenade_serving::EngineConfig;
 
@@ -55,20 +60,6 @@ const CLICK_GAP_SECS: u64 = 30;
 /// A `KernelWork` counter by name.
 type Counter = (&'static str, fn(&KernelWork) -> u32);
 
-/// A timed stage: its name, the phase it ends with, and how to run it. Each
-/// stage runs the kernel up to and including its phase.
-type Stage = (&'static str, &'static str, fn(&VmisKnn, &[ItemId], &mut Scratch));
-
-/// The kernel's stages, cumulative, in the order the kernel runs them.
-const STAGES: [Stage; 3] = [
-    ("join", "join", |vmis, session, scratch| {
-        std::hint::black_box(vmis.neighbors_with_scratch(session, scratch));
-    }),
-    ("join + score", "score", |vmis, session, scratch| vmis.score_with_scratch(session, scratch)),
-    ("kernel", "take_top", |vmis, session, scratch| {
-        std::hint::black_box(vmis.recommend_with_scratch(session, scratch));
-    }),
-];
 
 /// Where a 64-bit FNV-1a hash starts.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -138,14 +129,25 @@ fn main() {
         }
         work.push(scratch.work());
     }
-    let mut nanos: Vec<Vec<u64>> = vec![Vec::with_capacity(PASSES * windows.len()); STAGES.len()];
+    // Per request: the join in passes of its own; then join + score, the
+    // extraction and the kernel, read off three clock reads a request.
+    let [mut join, mut scored, mut extracted, mut kernel] =
+        std::array::from_fn(|_| Vec::with_capacity(PASSES * windows.len()));
     for _ in 0..PASSES {
-        for ((_, _, run), nanos) in STAGES.iter().zip(&mut nanos) {
-            for session in &windows {
-                let t0 = Instant::now();
-                run(&vmis, session, &mut scratch);
-                nanos.push(t0.elapsed().as_nanos() as u64);
-            }
+        for session in &windows {
+            let t0 = Instant::now();
+            std::hint::black_box(vmis.neighbors_with_scratch(session, &mut scratch));
+            join.push(t0.elapsed().as_nanos() as u64);
+        }
+        for session in &windows {
+            let t0 = Instant::now();
+            vmis.score_with_scratch(session, &mut scratch);
+            let t1 = Instant::now();
+            std::hint::black_box(vmis.take_top(&mut scratch));
+            let t2 = Instant::now();
+            scored.push((t1 - t0).as_nanos() as u64);
+            extracted.push((t2 - t1).as_nanos() as u64);
+            kernel.push((t2 - t0).as_nanos() as u64);
         }
     }
 
@@ -158,15 +160,24 @@ fn main() {
         windows.len(),
     );
     println!("answers: FNV-1a {:#018x} over every item and score bit pattern\n", answers);
-    let mut before = 0.0;
-    let rows: Vec<Vec<String>> = (STAGES.iter().zip(&mut nanos))
-        .map(|((stage, phase, _), nanos)| {
-            let mean = nanos.iter().sum::<u64>() as f64 / nanos.len() as f64 / 1e3;
-            let own = mean - std::mem::replace(&mut before, mean);
+    let mean = |nanos: &[u64]| nanos.iter().sum::<u64>() as f64 / nanos.len() as f64 / 1e3;
+    let join_mean = mean(&join);
+    // Each series with the phase it shows and that phase's own mean: the
+    // score phase's as a difference, the others' as timed.
+    let series = [
+        ("join", join, "join", Some(0.0)),
+        ("join + score", scored, "score", Some(join_mean)),
+        ("take_top", extracted, "take_top", Some(0.0)),
+        ("kernel", kernel, "", None),
+    ];
+    let rows: Vec<Vec<String>> = (series.into_iter())
+        .map(|(stage, mut nanos, phase, less)| {
+            let mean = mean(&nanos);
+            let own = less.map_or(String::new(), |less: f64| format!("{:.1}", mean - less));
             nanos.sort_unstable();
-            let us = |q: f64| format!("{:.1}", quantile(nanos, q) as f64 / 1e3);
+            let us = |q: f64| format!("{:.1}", quantile(&nanos, q) as f64 / 1e3);
             let (stage, phase) = (stage.to_string(), phase.to_string());
-            vec![stage, us(0.5), us(0.99), format!("{mean:.1}"), phase, format!("{own:.1}")]
+            vec![stage, us(0.5), us(0.99), format!("{mean:.1}"), phase, own]
         })
         .collect();
     print_table(&["per request", "p50 us", "p99 us", "mean us", "phase", "phase mean us"], &rows);
@@ -209,4 +220,14 @@ fn main() {
         structures.iter().map(|(name, b)| vec![name.to_string(), b.to_string()]).collect();
     rows.push(vec!["total".into(), (bytes.total() + vmis.idf_bytes()).to_string()]);
     print_table(&["SessionIndex::bytes()", "bytes"], &rows);
+
+    println!();
+    let mut widths: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+    for segment in vmis.index().segments() {
+        *widths.entry((segment.slot_width(), segment.offset_width())).or_default() += 1;
+    }
+    let rows: Vec<Vec<String>> = (widths.iter())
+        .map(|(&(slot, offset), &n)| vec![slot.to_string(), offset.to_string(), n.to_string()])
+        .collect();
+    print_table(&["slot bytes", "offset bytes", "segments"], &rows);
 }

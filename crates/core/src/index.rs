@@ -17,7 +17,8 @@
 //!   entry with one sampled select;
 //! * per-session item lists (needed for the final item-scoring step) stored
 //!   as accumulator slots in CSR layout to avoid per-session allocations,
-//!   each in ascending item-id order (see *Rows are sets*);
+//!   each in ascending item-id order (see *Rows are sets*), at the narrowest
+//!   whole-byte width of their segment (see *Segments and slots*);
 //! * per-item support counts `h_i` (the number of historical sessions
 //!   containing the item) for the idf weighting, in the records.
 //!
@@ -51,10 +52,10 @@
 //! Each item has an **accumulator slot**: a small integer the scoring kernel
 //! indexes its per-item tables by. The slot is a property of the index: the
 //! [`SlotTable`] maps an item to it, the item's [`Posting`] is the record at
-//! it, and — as a `u32` stream — every segment holds it, so scoring a
-//! session reads 4 bytes an item and never a hash table. The slot stream is
-//! the only record of a session's items: [`SessionIndex::session_items`]
-//! reads them back through [`SessionIndex::slot_items`]. So a slot is
+//! it, and every segment holds it in its slot column, so scoring a session
+//! reads a few bytes an item and never a hash table. The slot column is the
+//! only record of a session's items: [`SessionIndex::session_items`] reads
+//! them back through [`SessionIndex::slot_items`]. So a slot is
 //! assigned when the item first appears, and it is neither renumbered nor
 //! handed to another item while any segment holds it; an item that leaves
 //! keeps it, dead, and takes it back if it returns. Built and loaded
@@ -62,6 +63,13 @@
 //! numbers afresh only when it rewrites every segment anyway. Slot
 //! numbering is not part of what an index *is*: two indexes of the same log
 //! answer identically under any numbering.
+//!
+//! A segment stores its slot column, and its row offsets, each at the
+//! narrowest whole-byte width — 1 to 4 bytes — that holds the column's
+//! largest value, chosen when the segment is made and read through one view,
+//! [`Row`]: 3-byte slots below 2²⁴ items, 2-byte offsets below 65,536 slot
+//! entries a segment. A segment a publish does not touch keeps its width, so
+//! a catalogue that outgrows a width widens only the segments made after.
 //!
 //! ## Rows are sets
 //!
@@ -104,9 +112,12 @@ use crate::error::CoreError;
 use crate::types::{Click, ItemId, SessionId, Timestamp};
 
 mod build;
+mod column;
 mod elias_fano;
 mod slot_table;
 
+use column::Column;
+pub use column::Row;
 use elias_fano::EliasFano;
 pub use slot_table::SlotTable;
 
@@ -174,14 +185,14 @@ pub struct IndexBytes {
     /// What finds an item's posting: the [`Posting`] records, 12 bytes a
     /// slot, and the [`SlotTable`], 4 bytes a bucket, occupied or not.
     pub posting_table: usize,
-    /// The CSR layout of the sessions: the offsets of every segment, the
-    /// segment headers and the table of segment pointers.
+    /// The CSR layout of the sessions: the offsets of every segment, at its
+    /// width, the segment headers and the table of segment pointers.
     pub session_items: usize,
     /// The timestamp column `t`: every segment's Elias–Fano array, about
     /// `2 + log₂(span / n)` bits a session.
     pub timestamps: usize,
-    /// The slot streams of every segment — a session item is its slot, 4
-    /// bytes — and the slot → item table.
+    /// The slot columns of every segment — a session item is its slot, at
+    /// its segment's width — and the slot → item table.
     pub slots: usize,
 }
 
@@ -210,21 +221,24 @@ fn arc_slice_bytes<T>(len: usize) -> usize {
 
 /// [`SEGMENT_SESSIONS`] consecutive sessions (fewer in an index's last
 /// segment): their timestamps, in Elias–Fano form, and, in CSR layout, their
-/// items' accumulator slots. Immutable once made; generations share it by
-/// pointer.
+/// items' accumulator slots, the slots and the offsets each at the narrowest
+/// whole-byte width that holds their largest value (see the module docs).
+/// Immutable once made; generations share it by pointer.
 #[derive(Debug)]
 pub struct Segment {
     timestamps: EliasFano,
     /// Row `r` owns `slots[offsets[r]..offsets[r + 1]]`.
-    offsets: Box<[u32]>,
-    slots: Box<[u32]>,
+    offsets: Column,
+    slots: Column,
 }
 
 impl Segment {
-    /// A segment of as many sessions as `timestamps` yields. The column is
-    /// walked twice, to size its array and to fill it, so any cloneable
-    /// iterator does and none is collected first. The caller vouches that
-    /// `offsets` starts at 0, does not decrease and ends at `slots.len()`.
+    /// A segment of as many sessions as `timestamps` yields, its rows
+    /// `slots[offsets[r]..offsets[r + 1]]` copied in at their narrowest
+    /// widths. The timestamp column is walked twice, to size its array and
+    /// to fill it, so any cloneable iterator does and none is collected
+    /// first. The caller vouches that `offsets` starts at 0 and does not
+    /// decrease.
     ///
     /// # Panics
     ///
@@ -232,22 +246,26 @@ impl Segment {
     /// the same sessions.
     pub fn new(
         timestamps: impl Iterator<Item = Timestamp> + Clone,
-        offsets: Box<[u32]>,
-        slots: Box<[u32]>,
+        offsets: &[u32],
+        slots: &[u32],
     ) -> Self {
+        Self::from_columns(EliasFano::new(timestamps), offsets, slots)
+    }
+
+    /// [`Segment::new`] for a timestamp column already coded.
+    fn from_columns(timestamps: EliasFano, offsets: &[u32], slots: &[u32]) -> Self {
         let len = offsets.len().wrapping_sub(1);
         assert!((1..=SEGMENT_SESSIONS).contains(&len), "segment size");
         assert_eq!(offsets.last().copied(), Some(slots.len() as u32), "offsets end at the slots");
         debug_assert!(offsets[0] == 0 && offsets.windows(2).all(|w| w[0] <= w[1]));
-        let timestamps = EliasFano::new(timestamps);
         assert_eq!(timestamps.len(), len, "one offset a session, and one");
-        Self { timestamps, offsets, slots }
+        Self { timestamps, offsets: Column::new(offsets), slots: Column::new(slots) }
     }
 
     /// Number of sessions.
     #[allow(clippy::len_without_is_empty)] // never empty, by construction
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.timestamps.len()
     }
 
     /// Timestamp of the session in `row`: a select in the Elias–Fano
@@ -271,14 +289,38 @@ impl Segment {
     /// Accumulator slots of the session's items in `row`, in row order
     /// (see the module docs, *Rows are sets*).
     #[inline]
-    pub fn slots(&self, row: usize) -> &[u32] {
-        &self.slots[self.offsets[row] as usize..self.offsets[row + 1] as usize]
+    pub fn slots(&self, row: usize) -> Row<'_> {
+        self.slots.run(self.offsets.get(row) as usize..self.offsets.get(row + 1) as usize)
     }
 
     /// The slot column: the slots of every row, row after row.
     #[inline]
-    pub fn slot_column(&self) -> &[u32] {
-        &self.slots
+    pub fn slot_column(&self) -> Row<'_> {
+        self.slots.run(0..self.slots.len())
+    }
+
+    /// Bytes a slot: the narrowest whole-byte width that holds the
+    /// segment's largest slot.
+    pub fn slot_width(&self) -> usize {
+        self.slots.width()
+    }
+
+    /// Bytes a row offset: the narrowest whole-byte width that holds the
+    /// length of the slot column.
+    pub fn offset_width(&self) -> usize {
+        self.offsets.width()
+    }
+
+    /// Heap bytes of the slot column: a slot a [`Segment::slot_width`], and
+    /// 3 bytes of padding.
+    pub fn slot_bytes(&self) -> usize {
+        self.slots.bytes()
+    }
+
+    /// Heap bytes of the offsets: one a row and one more, each of
+    /// [`Segment::offset_width`] bytes, and 3 bytes of padding.
+    pub fn offset_bytes(&self) -> usize {
+        self.offsets.bytes()
     }
 }
 
@@ -287,7 +329,7 @@ impl Segment {
 /// another view, or to a slice, holding the same items in the same order.
 #[derive(Clone, Copy)]
 pub struct SessionItems<'a> {
-    slots: &'a [u32],
+    slots: Row<'a>,
     slot_items: &'a [ItemId],
 }
 
@@ -295,7 +337,7 @@ impl<'a> SessionItems<'a> {
     /// The items, in row order.
     #[inline]
     pub fn iter(self) -> impl ExactSizeIterator<Item = ItemId> + DoubleEndedIterator + 'a {
-        self.slots.iter().map(move |&slot| self.slot_items[slot as usize])
+        self.slots.iter().map(move |slot| self.slot_items[slot as usize])
     }
 
     /// Number of items.
@@ -399,7 +441,7 @@ impl SessionIndex {
         }));
         debug_assert!(segments
             .iter()
-            .all(|s| s.slots.iter().all(|&slot| (slot as usize) < slot_items.len())));
+            .all(|s| s.slot_column().iter().all(|slot| (slot as usize) < slot_items.len())));
         let (mut live_entries, mut num_items) = (0, 0);
         for posting in records.iter().filter(|p| p.support != 0) {
             live_entries += posting.range(m_max).len();
@@ -545,7 +587,7 @@ impl SessionIndex {
 
     /// Accumulator slots of a historical session's items, in row order.
     #[inline]
-    pub fn session_slots(&self, session: SessionId) -> &[u32] {
+    pub fn session_slots(&self, session: SessionId) -> Row<'_> {
         let (segment, row) = self.locate(session);
         segment.slots(row)
     }
@@ -601,8 +643,8 @@ impl SessionIndex {
     /// Heap bytes by structure (see [`IndexBytes`]): a walk over the
     /// segments and the arenas, not over the items.
     pub fn bytes(&self) -> IndexBytes {
-        let entries = self.session_item_entries();
-        let sessions = self.num_sessions;
+        let column =
+            |bytes: fn(&Segment) -> usize| self.segments.iter().map(|s| bytes(s)).sum::<usize>();
         let headers = self.segments.len() * (16 + std::mem::size_of::<Segment>())
             + arc_slice_bytes::<Arc<Segment>>(self.segments.len());
         let arenas: usize = self.arenas.iter().map(|a| arc_slice_bytes::<SessionId>(a.len())).sum();
@@ -610,9 +652,9 @@ impl SessionIndex {
             postings: arenas + arc_slice_bytes::<Arc<[SessionId]>>(self.arenas.len()),
             posting_table: arc_slice_bytes::<Posting>(self.records.len())
                 + arc_slice_bytes::<u32>(self.slot_table.buckets().len()),
-            session_items: 4 * (sessions + self.segments.len()) + headers,
-            timestamps: self.segments.iter().map(|s| s.timestamp_bytes()).sum(),
-            slots: 4 * entries + arc_slice_bytes::<ItemId>(self.slot_items.len()),
+            session_items: column(Segment::offset_bytes) + headers,
+            timestamps: column(Segment::timestamp_bytes),
+            slots: column(Segment::slot_bytes) + arc_slice_bytes::<ItemId>(self.slot_items.len()),
         }
     }
 }
@@ -690,19 +732,30 @@ mod tests {
     }
 
     #[test]
-    fn a_session_item_is_four_bytes() {
-        // A session item is its slot and nothing else; its id is read back
-        // through the slot → item table (DESIGN.md §4.8). Six entries of 4
-        // bytes, four 4-byte offsets for three sessions, the one segment —
-        // three boxed columns behind an `Arc` — and the one-pointer table of
-        // segments, and three 8-byte items in the slot table behind its `Arc`.
+    fn a_session_item_is_its_slot_at_its_segments_width() {
+        // A session item is its slot and nothing else, and a row offset is
+        // its position, each at the narrowest whole-byte width that holds
+        // its column's largest value; an item's id is read back through the
+        // slot → item table (DESIGN.md §4.8). Slots 0–2 and offsets up to 6
+        // take a byte: six slots and four offsets for three sessions, each
+        // column with its 3 bytes of padding; the one segment — the
+        // timestamp column and two byte columns of a width each, behind an
+        // `Arc` — and the one-pointer table of segments; and three 8-byte
+        // items in the slot table behind its `Arc`.
         let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
-        let bytes = idx.bytes();
-        assert_eq!(std::mem::size_of::<Segment>(), 3 * 16);
+        let (segment, bytes) = (&idx.segments()[0], idx.bytes());
+        assert_eq!((segment.slot_width(), segment.offset_width()), (1, 1));
+        assert_eq!(std::mem::size_of::<Segment>(), 16 + 2 * 24);
         assert_eq!(
             bytes.session_items + bytes.slots,
-            6 * 4 + 4 * 4 + (16 + 3 * 16) + (16 + 8) + (16 + 3 * 8)
+            (6 + 3) + (4 + 3) + (16 + 16 + 2 * 24) + (16 + 8) + (16 + 3 * 8)
         );
+        // 300 items take slots up to 299: two bytes a slot.
+        let clicks: Vec<Click> = (0..300).map(|item| Click::new(item / 2, item, item)).collect();
+        let wide = SessionIndex::build(&clicks, 10).unwrap();
+        let segment = &wide.segments()[0];
+        assert_eq!((segment.slot_width(), segment.slot_bytes()), (2, 300 * 2 + 3));
+        assert_eq!((segment.offset_width(), segment.offset_bytes()), (2, 151 * 2 + 3));
     }
 
     #[test]
@@ -798,7 +851,8 @@ mod tests {
     fn slots_are_numbered_by_item_id_and_from_segments_checks_every_slot_is_held() {
         let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
         assert_eq!(&idx.slot_items()[..], &[1, 2, 3]);
-        assert_eq!((idx.item_slot(3), idx.session_slots(1)), (Some(2), &[1, 2][..]));
+        assert_eq!(idx.item_slot(3), Some(2));
+        assert_eq!(idx.session_slots(1), [1, 2]);
         assert_eq!(idx.dead_slots(), 0);
         // An item no row holds would have no posting.
         let slot_items: Arc<[ItemId]> = Arc::from([1, 2, 3, 4]);
@@ -824,7 +878,8 @@ mod tests {
             assert_eq!(idx.session_timestamp(s as SessionId), s);
             assert_eq!(idx.session_items(s as SessionId), &[s % 7, 7 + s % 3]);
             let slots = idx.session_slots(s as SessionId);
-            assert_eq!([idx.slot_items()[slots[0] as usize], idx.slot_items()[slots[1] as usize]], [s % 7, 7 + s % 3]);
+            let items = slots.iter().map(|slot| idx.slot_items()[slot as usize]);
+            assert!(items.eq([s % 7, 7 + s % 3]));
         }
         assert_eq!(idx.stats().session_item_entries, 2 * n as usize);
     }

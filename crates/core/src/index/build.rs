@@ -8,9 +8,10 @@
 //!    the runs in dense-id order;
 //! 2. each click's item is remapped to a dense item number, and each run is
 //!    deduplicated to the numbers' first occurrences straight into the
-//!    segment's slot column — an item's slot is then the rank of its id,
+//!    segment's `u32` rows — an item's slot is then the rank of its id,
 //!    and each row is sorted by slot into item-id order, the one order every
-//!    producer writes a row in (`serenade_core::index`, *Rows are sets*);
+//!    producer writes a row in (`serenade_core::index`, *Rows are sets*) —
+//!    and each segment is then made, its columns narrowed to their widths;
 //! 3. supports are counted by slot, which gives each posting an exact-size
 //!    range: `min(support, m_max)` entries;
 //! 4. the ranges are filled by walking the sessions newest-first and
@@ -34,7 +35,7 @@
 
 use std::sync::Arc;
 
-use super::{new_arena, Posting, Segment, SessionIndex, SlotTable, SEGMENT_SESSIONS};
+use super::{new_arena, EliasFano, Posting, Segment, SessionIndex, SlotTable, SEGMENT_SESSIONS};
 use crate::error::CoreError;
 use crate::hash::FxHashMap;
 use crate::sessions::{run_parallel, SessionRuns};
@@ -76,7 +77,7 @@ impl SessionIndex {
         }
 
         let runs = SessionRuns::group(clicks, threads);
-        let (mut segments, items_by_number) = deduplicate(&runs);
+        let (mut rows, items_by_number) = deduplicate(&runs);
         drop(runs);
 
         // An item's slot is the rank of its id.
@@ -89,18 +90,23 @@ impl SessionIndex {
         let slot_items: Arc<[ItemId]> = by_id.into_iter().map(|(item, _)| item).collect();
 
         // Per range of segments: its items' slots, each row in item-id order.
-        let per_thread = segments.len().div_ceil(threads.max(1));
-        run_parallel(segments.chunks_mut(per_thread).collect(), |segments| {
-            for segment in segments.iter_mut() {
-                for slot in segment.slots.iter_mut() {
+        let per_thread = rows.len().div_ceil(threads.max(1));
+        run_parallel(rows.chunks_mut(per_thread).collect(), |rows| {
+            for Rows { offsets, slots, .. } in rows.iter_mut() {
+                for slot in slots.iter_mut() {
                     *slot = slot_of[*slot as usize];
                 }
-                for row in segment.offsets.windows(2) {
-                    segment.slots[row[0] as usize..row[1] as usize].sort_unstable();
+                for row in offsets.windows(2) {
+                    slots[row[0] as usize..row[1] as usize].sort_unstable();
                 }
             }
         });
-        let segments = segments.into_iter().map(Arc::new).collect();
+        // Each segment's `u32` rows are freed as its narrow columns are made.
+        let segments = (rows.into_iter())
+            .map(|Rows { timestamps, offsets, slots }| {
+                Arc::new(Segment::from_columns(timestamps, &offsets, &slots))
+            })
+            .collect();
         Self::from_segments(segments, slot_items, m_max, threads)
     }
 
@@ -134,7 +140,7 @@ impl SessionIndex {
         let mut shares = run_parallel(segments.chunks(per_thread).collect(), |segments| {
             let mut holders = vec![0u32; slots];
             for segment in segments {
-                for &slot in segment.slot_column() {
+                for slot in segment.slot_column().iter() {
                     holders[slot as usize] += 1;
                 }
             }
@@ -194,9 +200,18 @@ impl SessionIndex {
     }
 }
 
-/// Step 2: the segments of `runs`, each item numbered by first appearance
-/// and its number standing in for its slot, and the item of each number.
-fn deduplicate(runs: &SessionRuns) -> (Vec<Segment>, Vec<ItemId>) {
+/// A segment on its way through the build: its coded timestamps and, in
+/// CSR layout, its rows at 4 bytes an entry, until its slots are final.
+struct Rows {
+    timestamps: EliasFano,
+    offsets: Box<[u32]>,
+    slots: Box<[u32]>,
+}
+
+/// Step 2: the rows of `runs`, a segment at a time, each item numbered by
+/// first appearance and its number standing in for its slot, and the item
+/// of each number.
+fn deduplicate(runs: &SessionRuns) -> (Vec<Rows>, Vec<ItemId>) {
     let n = runs.len();
     let mut numbers: FxHashMap<ItemId, u32> = FxHashMap::default();
     let mut items_by_number: Vec<ItemId> = Vec::new();
@@ -223,8 +238,8 @@ fn deduplicate(runs: &SessionRuns) -> (Vec<Segment>, Vec<ItemId>) {
             }
             offsets.push(scratch.len() as u32);
         }
-        let timestamps = (lo..hi).map(|rank| runs.timestamp(rank));
-        segments.push(Segment::new(timestamps, offsets.into(), scratch[..].into()));
+        let timestamps = EliasFano::new((lo..hi).map(|rank| runs.timestamp(rank)));
+        segments.push(Rows { timestamps, offsets: offsets.into(), slots: scratch[..].into() });
     }
     (segments, items_by_number)
 }
@@ -249,7 +264,7 @@ fn fill(segments: &[Arc<Segment>], first: usize, starts: &[u32], ids: &mut [Sess
     for (at, segment) in segments.iter().enumerate().rev() {
         let base = ((first + at) * SEGMENT_SESSIONS) as SessionId;
         for row in (0..segment.len()).rev() {
-            for &slot in segment.slots(row) {
+            for slot in segment.slots(row).iter() {
                 let slot = slot as usize;
                 if next[slot] < starts[slot + 1] {
                     ids[next[slot] as usize] = base + row as SessionId;

@@ -37,7 +37,7 @@ use std::cmp::Reverse;
 use std::sync::Arc;
 
 use crate::error::CoreError;
-use crate::index::{Posting, SessionIndex};
+use crate::index::{Posting, Row, SessionIndex};
 use crate::types::{ItemId, ItemScore, SessionId};
 use crate::weights::{DecayFunction, IdfWeighting, MatchWeight};
 
@@ -217,7 +217,6 @@ impl Scratch {
             self.acc[slot as usize] = CLEAR;
         }
         self.touched.clear();
-        self.rank.clear();
         self.work = KernelWork::default();
         if self.acc.len() < slots {
             self.acc.resize(slots, CLEAR);
@@ -235,7 +234,7 @@ impl Default for Scratch {
 /// that a later read of it does not wait for memory. A no-op where there is
 /// no prefetch instruction to ask for.
 #[inline(always)]
-fn prefetch(row: &[u32]) {
+fn prefetch(row: Row<'_>) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: a prefetch is a hint: it reads no memory into the program and
     // cannot fault, whatever the address, so any pointer is sound.
@@ -390,10 +389,12 @@ impl VmisKnn {
 
     /// Runs the join and the score phase of [`recommend_with_scratch`] and
     /// stops before extraction: the scores stay in `scratch`, and
-    /// [`Scratch::work`] counts what was scored. Exposed so that a probe can
-    /// time the kernel's phases apart without a clock read inside it.
+    /// [`Scratch::work`] counts what was scored. Exposed, with
+    /// [`take_top`], so that a probe can time the kernel's phases apart
+    /// without a clock read inside it.
     ///
     /// [`recommend_with_scratch`]: Self::recommend_with_scratch
+    /// [`take_top`]: Self::take_top
     pub fn score_with_scratch(&self, session: &[ItemId], scratch: &mut Scratch) {
         let window = self.fill_neighbors(session, scratch);
         self.score_items(window, scratch);
@@ -459,8 +460,9 @@ impl VmisKnn {
     /// lines 6–7): `d_i = Σ_n 1_n(i) · λ(max(ω(s)⊙n)) · r_n · idf_i`, where
     /// `max(ω(s)⊙n)` is the neighbour's recorded match position.
     ///
-    /// One neighbour costs one contiguous read of its 4-byte slots, and per
-    /// item one idf and one 4-byte accumulator cell. First touch of a cell
+    /// One neighbour costs one contiguous read of its slots — each a few
+    /// bytes, its segment's width, decoded by [`Row`] — and per item one idf
+    /// and one 4-byte accumulator cell. First touch of a cell
     /// adds to `CLEAR` (`-0.0`), which gives the contribution's own bits —
     /// what a map's `or_insert(0.0)` followed by `+=` would store — so the
     /// f32 operations, and hence the output bits, are those of the plain
@@ -484,6 +486,11 @@ impl VmisKnn {
             // one found no neighbour and has nothing to exclude.
             excluded.extend(window.iter().filter_map(|&item| self.index.item_slot(item)));
         }
+        // Slices, not the `Vec`s, here and for `touched` below: the loop
+        // keeps their lengths in registers instead of reading them again
+        // after every store, and, testing `excluded` for emptiness before
+        // searching it, runs without the search when nothing is excluded.
+        let excluded = &excluded[..];
         // One bounds check covers both per-slot tables: `clear` made `acc`
         // at least as long as `idf`.
         let idf = &self.idf[..];
@@ -492,7 +499,7 @@ impl VmisKnn {
         // reading any: the session-offset lookups and the rows are
         // independent cache misses that overlap here, instead of each one
         // stalling the accumulation behind it.
-        let mut runs: [(&[u32], f32); 32] = [(&[], 0.0); 32];
+        let mut runs: [(Row<'_>, f32); 32] = [(Row::default(), 0.0); 32];
         // `touched[..listed]` are the slots scored so far; `touched` itself
         // is longer while a batch runs, so every slot the batch writes is in
         // it before its cell is.
@@ -512,15 +519,16 @@ impl VmisKnn {
             }
             work.neighbors_scored += located as u32;
             touched.resize(listed + cells, 0);
+            let spare = &mut touched[..];
             for &(slots, session_weight) in &runs[..located] {
-                for &slot in slots {
-                    if excluded.contains(&slot) {
+                for slot in slots.iter() {
+                    if !excluded.is_empty() && excluded.contains(&slot) {
                         continue;
                     }
                     let contribution = session_weight * idf[slot as usize];
                     debug_assert!(contribution.to_bits() != CLEAR.to_bits());
                     let a = &mut acc[slot as usize];
-                    touched[listed] = slot;
+                    spare[listed] = slot;
                     listed += usize::from(a.to_bits() == CLEAR.to_bits());
                     *a += contribution;
                 }
@@ -531,7 +539,9 @@ impl VmisKnn {
     }
 
     /// Extracts the `how_many` highest-scored items, descending, as an
-    /// exactly-sized list — the request's only allocation.
+    /// exactly-sized list — the request's only allocation — from the scores
+    /// the last [`score_with_scratch`] left in `scratch`: the last phase of
+    /// [`recommend_with_scratch`].
     ///
     /// Touched slots are ranked as `!(score bits << 32 | slot)`. Only
     /// positive scores are kept, and for positive floats the integer order
@@ -546,8 +556,12 @@ impl VmisKnn {
     /// slot → item table: the group that straddles the cut is selected by
     /// id, and each group left in the list is sorted by id. Only tied items
     /// have their ids read before the survivors are known.
-    fn take_top(&self, scratch: &mut Scratch) -> Vec<ItemScore> {
+    ///
+    /// [`score_with_scratch`]: Self::score_with_scratch
+    /// [`recommend_with_scratch`]: Self::recommend_with_scratch
+    pub fn take_top(&self, scratch: &mut Scratch) -> Vec<ItemScore> {
         let Scratch { acc, touched, rank, .. } = scratch;
+        rank.clear();
         rank.extend(touched.iter().filter_map(|&slot| {
             let score = acc[slot as usize];
             (score > 0.0).then(|| !(u64::from(score.to_bits()) << 32 | u64::from(slot)))

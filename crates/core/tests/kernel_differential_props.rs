@@ -75,11 +75,9 @@ fn with_slots_renumbered(index: &SessionIndex, shift: usize) -> SessionIndex {
                 *end += segment.slots(row).len() as u32;
                 Some(*end)
             }));
-            Arc::new(Segment::new(
-                segment.timestamps(),
-                offsets.collect(),
-                rows.flat_map(|row| segment.slots(row)).map(|&slot| renumbered(slot)).collect(),
-            ))
+            let slots: Vec<u32> =
+                rows.flat_map(|row| segment.slots(row).iter()).map(renumbered).collect();
+            Arc::new(Segment::new(segment.timestamps(), &offsets.collect::<Vec<_>>(), &slots))
         })
         .collect();
     let (arenas, segments) = (index.arenas().into(), segments.into());

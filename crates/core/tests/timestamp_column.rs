@@ -10,7 +10,7 @@ use serenade_core::{Click, SessionIndex, Timestamp};
 /// A segment of one single-slot row a timestamp.
 fn segment(column: &[Timestamp]) -> Segment {
     let offsets: Vec<u32> = (0..=column.len() as u32).collect();
-    Segment::new(column.iter().copied(), offsets.into(), vec![0; column.len()].into())
+    Segment::new(column.iter().copied(), &offsets, &vec![0; column.len()])
 }
 
 /// The layout's bytes for `column`, with `ℓ = ⌊log₂(span / n)⌋`: the base

@@ -99,9 +99,11 @@
 //! # Load peak
 //!
 //! A load decodes the slot → item table straight into its `Arc`, then the
-//! sessions into their segments: first every segment's timestamps and
-//! offsets, which give each segment's item count, then each segment's slots
-//! into an array of exactly that size. Deriving the postings writes the one
+//! sessions into their segments: first every segment's timestamps and row
+//! lengths, which give each segment's item count, then each segment's
+//! offsets and slots into two `u32` buffers sized for the largest segment
+//! and reused, from which the segment's columns are made at their widths.
+//! Deriving the postings writes the one
 //! arena in place, then the 12-byte records once from the supports, then
 //! the item → slot table. The derivation's scratch (holder counts,
 //! supports, posting offsets and fill cursor, 16 bytes a slot) never
@@ -249,7 +251,7 @@ pub fn write_index(index: &SessionIndex, mut writer: impl Write) -> std::io::Res
             // Already ascending in every index this crate makes; sorted all
             // the same, since a row is a set.
             slots.clear();
-            slots.extend(segment.slots(row).iter().map(|&slot| renumber[slot as usize]));
+            slots.extend(segment.slots(row).iter().map(|slot| renumber[slot as usize]));
             slots.sort_unstable();
             let mut previous = 0;
             for &slot in &slots {
@@ -399,15 +401,15 @@ pub fn read_index(bytes: &[u8]) -> Result<SessionIndex, BinError> {
         *to = item;
     }
 
-    // Every segment's offsets, which size its slots, and where its
-    // timestamps lie: checked here, they are read again to code the column.
+    // Where every segment's timestamps and row lengths lie, and how many
+    // entries its rows hold: checked here, they are read again to code the
+    // columns.
     let num_sessions = payload.count("session")?;
     let mut columns = Vec::with_capacity(num_sessions.div_ceil(SEGMENT_SESSIONS));
     let (mut timestamp, mut entries) = (0u64, 0usize);
     for lo in (0..num_sessions).step_by(SEGMENT_SESSIONS) {
         let len = SEGMENT_SESSIONS.min(num_sessions - lo);
-        let (rows, before) = (payload, timestamp);
-        let mut offsets = vec![0u32; len + 1].into_boxed_slice();
+        let (rows, before, first) = (payload, timestamp, entries);
         for row in 0..len {
             let session = lo + row;
             timestamp = timestamp.checked_add(payload.varint()?).ok_or_else(|| {
@@ -428,27 +430,43 @@ pub fn read_index(bytes: &[u8]) -> Result<SessionIndex, BinError> {
                 )));
             }
             entries += items as usize;
-            offsets[row + 1] = offsets[row] + items as u32;
         }
-        columns.push((rows, before, offsets));
+        columns.push((rows, before, len, entries - first));
     }
-    // Then every segment's slots, sized exactly.
+    // Then every segment's rows, read into two buffers sized for the
+    // largest segment and reused, and narrowed into the segment's columns.
+    let largest = columns.iter().map(|&(_, _, _, entries)| entries).max().unwrap_or(0);
+    let mut offsets: Vec<u32> = Vec::with_capacity(SEGMENT_SESSIONS.min(num_sessions) + 1);
+    let mut slots: Vec<u32> = Vec::with_capacity(largest);
     let mut segments = Vec::with_capacity(columns.len());
     let mut session = 0;
-    for (rows, before, offsets) in columns {
-        let mut slots = vec![0; offsets[offsets.len() - 1] as usize].into_boxed_slice();
+    for (rows, before, len, entries) in columns {
+        // The increases and lengths were checked above, so they read back
+        // as they did.
+        let mut lengths = rows;
+        offsets.clear();
+        offsets.push(0);
+        for _ in 0..len {
+            lengths.varint().expect("an increase read above");
+            let items = lengths.varint().expect("a row length read above");
+            offsets.push(offsets[offsets.len() - 1] + items as u32);
+        }
+        slots.clear();
+        slots.resize(entries, 0);
         for row in offsets.windows(2) {
             payload.row(&mut slots[row[0] as usize..row[1] as usize], num_slots, session)?;
             session += 1;
         }
-        // The increases were checked above, so they read back as they did.
-        let timestamps = (1..offsets.len()).scan((rows, before), |(rows, timestamp), _| {
+        let timestamps = (0..len).scan((rows, before), |(rows, timestamp), _| {
             *timestamp += rows.varint().expect("an increase read above");
             rows.varint().expect("a row length read above");
             Some(*timestamp)
         });
-        segments.push(Arc::new(Segment::new(timestamps, offsets, slots)));
+        segments.push(Arc::new(Segment::new(timestamps, &offsets, &slots)));
     }
+    // The buffers go before the postings are derived: the load peaks at the
+    // finished index and nothing beside it.
+    drop((offsets, slots));
     if !payload.0.is_empty() {
         return Err(corrupt("trailing bytes after payload"));
     }
@@ -523,7 +541,7 @@ mod tests {
                     slots.extend(segment.slots(row).iter().rev());
                     offsets.push(slots.len() as u32);
                 }
-                Arc::new(Segment::new(segment.timestamps(), offsets.into(), slots.into()))
+                Arc::new(Segment::new(segment.timestamps(), &offsets, &slots))
             })
             .collect();
         let (records, slot_table) = (index.records().into(), index.slot_table().clone());

@@ -463,16 +463,13 @@ impl IncrementalIndexer {
                 delta.entry(item).or_default().0 += 1;
             }
         }
-        let len_of = |source: Source| match source {
-            Source::Old(rank) => old.session_slots(rank as SessionId).len(),
-            Source::New(k) => pending[k].items.len(),
-        };
+        // A segment's rows, at 4 bytes an entry until its columns are made
+        // at their widths: two buffers, reused from segment to segment.
+        let (mut offsets, mut slots) = (Vec::new(), Vec::new());
         let mut session = base as SessionId;
         for chunk in order.chunks(SEGMENT_SESSIONS) {
-            // Sized exactly: a segment is allocated once and never shrunk.
-            let entries = chunk.iter().map(|&(_, source)| len_of(source)).sum();
-            let mut offsets = Vec::with_capacity(chunk.len() + 1);
-            let mut slots = Vec::with_capacity(entries);
+            offsets.clear();
+            slots.clear();
             offsets.push(0);
             for &((_, ext_id), source) in chunk {
                 match source {
@@ -481,7 +478,7 @@ impl IncrementalIndexer {
                             let items = old.session_items(rank as SessionId);
                             slots.extend(items.iter().map(&mut slot_of));
                         } else {
-                            slots.extend_from_slice(old.session_slots(rank as SessionId));
+                            slots.extend(old.session_slots(rank as SessionId).iter());
                         }
                         remap[rank - base] = session;
                     }
@@ -497,8 +494,9 @@ impl IncrementalIndexer {
                 session += 1;
             }
             let timestamps = chunk.iter().map(|&((timestamp, _), _)| timestamp);
-            segments.push(Arc::new(Segment::new(timestamps, offsets.into(), slots.into())));
+            segments.push(Arc::new(Segment::new(timestamps, &offsets, &slots)));
         }
+        drop((offsets, slots));
         let n_new = base + order.len();
         if n_new > u32::MAX as usize {
             return Err(CoreError::TooManySessions(n_new));
@@ -565,7 +563,7 @@ impl IncrementalIndexer {
             let mut rank = floor;
             while fresh.len() - start < want && rank > 0 {
                 rank -= 1;
-                if slots_at(rank).contains(&slot) {
+                if slots_at(rank).iter().any(|held| held == slot) {
                     fresh.push(rank as SessionId);
                 }
             }
@@ -899,7 +897,7 @@ mod tests {
                     }
                     offsets.push(slots.len() as u32);
                 }
-                Arc::new(Segment::new(segment.timestamps(), offsets.into(), slots.into()))
+                Arc::new(Segment::new(segment.timestamps(), &offsets, &slots))
             })
             .collect();
         let (records, slot_table) = (index.records().into(), index.slot_table().clone());

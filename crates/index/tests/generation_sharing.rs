@@ -403,8 +403,8 @@ fn retention_eating_into_the_oldest_segment_rewrites_every_segment() {
 /// items, so a shared segment reads the same items through either table.
 fn assert_shared_slots_stable(prev: &SessionIndex, next: &SessionIndex) {
     for segment in &next.segments()[..shared_segments(prev, next)] {
-        for slot in (0..segment.len()).flat_map(|row| segment.slots(row)) {
-            let slot = *slot as usize;
+        for slot in (0..segment.len()).flat_map(|row| segment.slots(row).iter()) {
+            let slot = slot as usize;
             assert_eq!(prev.slot_items()[slot], next.slot_items()[slot], "slot {slot}");
         }
     }

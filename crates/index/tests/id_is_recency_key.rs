@@ -87,7 +87,7 @@ fn assert_id_is_recency_key(
         prop_assert_eq!(index.session_timestamp(id), *timestamp, "t[{}], session {}", id, ext);
         prop_assert_eq!(index.session_items(id), &items[..], "items of {}, session {}", id, ext);
         let named: Vec<ItemId> =
-            index.session_slots(id).iter().map(|&slot| index.slot_items()[slot as usize]).collect();
+            index.session_slots(id).iter().map(|slot| index.slot_items()[slot as usize]).collect();
         prop_assert_eq!(&named, items, "slots of {}, session {}", id, ext);
         for &item in items {
             holders.entry(item).or_default().push(id);

@@ -12,7 +12,9 @@
 //! once the arena is filled, and the slot table of at least 4/3 buckets of
 //! 4 bytes a slot, made after the supports are freed. There is no
 //! payload-sized copy of the artefact and no flat column on the way to the
-//! segments. It is made with a constant number of
+//! segments: each segment's rows are read into two `u32` buffers sized for
+//! the largest segment and reused, which are freed before the postings are
+//! derived. It is made with a constant number of
 //! allocations plus a few a segment, none a posting; and `VmisKnn::new`
 //! allocates its per-slot idf table and nothing else, not even in passing.
 //! The same run checks `SessionIndex::bytes` and `VmisKnn::idf_bytes` (what
@@ -110,14 +112,16 @@ fn artefact() -> Vec<u8> {
 #[test]
 fn loading_holds_the_finished_index_and_nothing_else() {
     const SLACK: usize = 4 * 1024;
-    // The slot → item table, the segments' columns until their slots are
-    // read, the segment list and its shared copy; the job list and the
+    // The slot → item table, where each segment's columns lie until its
+    // rows are read, the two buffers every segment's offsets and slots are
+    // read into, the segment list and its shared copy; the job list and the
     // result list of the one counting job, its holder counts, the supports,
     // the room left in each posting, the posting offsets, the fill cursor,
     // the arena, the records, the item → slot table and the table of
-    // arenas: fifteen.
-    const ALLOCATIONS: u64 = 15;
-    // A segment's timestamps, offsets and slots, and its `Arc`.
+    // arenas: seventeen.
+    const ALLOCATIONS: u64 = 17;
+    // A segment's timestamps, its offsets and its slots, each column at its
+    // width, and its `Arc`.
     const PER_SEGMENT: u64 = 4;
     let artefact = artefact();
 

@@ -45,7 +45,7 @@ use serenade_telemetry::{TraceConfig, TraceSample};
 
 use crate::cache::{CacheKey, PredictionCache, ViewKind};
 use crate::context::{RequestContext, StageTimings};
-use crate::engine::{build_recommender, EngineConfig, RecommendRequest, ServingVariant};
+use crate::engine::{kernel_config, EngineConfig, RecommendRequest, ServingVariant};
 use crate::error::ServingError;
 use crate::handle::IndexHandle;
 use crate::ingest::{IngestConfig, IngestPipeline};
@@ -137,7 +137,7 @@ impl ServingCluster {
     ) -> Result<Self, CoreError> {
         // The published value uses the sync-facade Arc: under the loom
         // feature the handle's reclamation protocol is model-checked.
-        let vmis = crate::sync::Arc::new(build_recommender(index, &config)?);
+        let vmis = crate::sync::Arc::new(VmisKnn::new(index, kernel_config(&config, &rules))?);
         let sessions = TtlStore::new(config.store);
         Ok(Self::with_store(Arc::new(IndexHandle::new(vmis)), sessions, config, rules, trace))
     }
@@ -231,7 +231,7 @@ impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
             config,
             seed,
             Arc::clone(&self.index),
-            self.config.clone(),
+            kernel_config(&self.config, &self.rules),
             Arc::clone(&self.telemetry),
         )?;
         // Two racing first calls both pass the check above; one loses here.
@@ -508,7 +508,8 @@ impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
             return Err(RolloverError::IngestEnabled);
         }
         let started = Instant::now();
-        let fresh = build_recommender(index, &self.config).map_err(RolloverError::Invalid)?;
+        let fresh = VmisKnn::new(index, kernel_config(&self.config, &self.rules))
+            .map_err(RolloverError::Invalid)?;
         self.index.store(crate::sync::Arc::new(fresh));
         self.telemetry.record_rollover(started.elapsed());
         Ok(())
@@ -528,6 +529,7 @@ impl<S: SessionStore<u64, Vec<ItemId>>> ServingCluster<S> {
 mod tests {
     use super::*;
     use crate::engine::tests::index;
+    use serenade_core::VmisConfig;
     use std::time::Duration;
 
     fn cluster() -> ServingCluster {
@@ -556,6 +558,54 @@ mod tests {
         assert_eq!(status, 200);
         assert_eq!(node.cluster().stored_session_len(5), 1);
         node.shutdown();
+    }
+
+    /// 300 sessions of three to five clicks over 90 items: lists long enough
+    /// that a kernel's 42 candidates and the 21 items served differ.
+    fn wide_log() -> Vec<Click> {
+        let mut state = 11u64;
+        let mut clicks = Vec::new();
+        for s in 0..300u64 {
+            for step in 0..3 + s % 3 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                clicks.push(Click::new(s, (state >> 33) % 90, 1_000 + s * 10 + step));
+            }
+        }
+        clicks
+    }
+
+    /// Each answer's items and score bits.
+    fn bits(recs: &[ItemScore]) -> Vec<(ItemId, u32)> {
+        recs.iter().map(|r| (r.item, r.score.to_bits())).collect()
+    }
+
+    #[test]
+    fn without_rules_the_kernel_is_asked_for_the_served_list_and_answers_as_before() {
+        let index = Arc::new(SessionIndex::build(&wide_log(), 500).unwrap());
+        let config = EngineConfig::default();
+        let rules = BusinessRules::none;
+        let served = ServingCluster::new(Arc::clone(&index), 1, config.clone(), rules()).unwrap();
+        assert_eq!(served.index_handle().load().config().how_many, config.how_many);
+        // What a cluster without rules served before: twice the candidates,
+        // cut to the served list by the policy stage.
+        let twice = VmisConfig { how_many: 2 * config.how_many, ..config.vmis.clone() };
+        let handle = IndexHandle::new(crate::sync::Arc::new(VmisKnn::new(index, twice).unwrap()));
+        let store = TtlStore::new(config.store);
+        let trace = TraceConfig::default();
+        let reference =
+            ServingCluster::with_store(Arc::new(handle), store, config.clone(), rules(), trace);
+        // A replayed stream: 40 sessions growing one click at a time, one
+        // request in five without consent, which the prediction cache serves.
+        let (mut state, mut full) = (5u64, 0);
+        for n in 0..600u64 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let (session_id, item) = (n % 40, (state >> 33) % 90);
+            let req = RecommendRequest { session_id, item, consent: n % 5 != 0, filter_adult: false };
+            let (answer, before) = (served.handle(req).unwrap(), reference.handle(req).unwrap());
+            assert_eq!(bits(&answer), bits(&before), "request {n}: {req:?}");
+            full += usize::from(answer.len() == config.how_many);
+        }
+        assert!(full > 300, "{full} of 600 answers fill the list");
     }
 
     #[test]
@@ -682,6 +732,32 @@ mod ingest_tests {
 
     fn dep(session_id: u64, item: u64) -> RecommendRequest {
         RecommendRequest { session_id, item, consent: false, filter_adult: false }
+    }
+
+    #[test]
+    fn rules_that_can_filter_get_twice_the_candidates_at_every_build() {
+        let clicks = seed_clicks();
+        let index = || Arc::new(SessionIndex::build(&clicks, 500).unwrap());
+        let engine = EngineConfig::default;
+        let plain = ServingCluster::new(index(), 1, engine(), BusinessRules::none()).unwrap();
+        let adult = BusinessRules::new([], [3]);
+        let filtered = ServingCluster::new(index(), 1, engine(), adult).unwrap();
+        let candidates = || {
+            let of = |c: &ServingCluster| c.index_handle().load().config().how_many;
+            (of(&plain), of(&filtered))
+        };
+        assert_eq!(candidates(), (21, 42), "at start");
+        plain.reload_index(index()).unwrap();
+        filtered.reload_index(index()).unwrap();
+        assert_eq!(candidates(), (21, 42), "after a rollover");
+        for cluster in [&plain, &filtered] {
+            let generation = cluster.index_handle().generation();
+            let pipeline = cluster.enable_ingest(IngestConfig::default(), &clicks).unwrap();
+            assert!(pipeline.submit(&[Click::new(1_000, 0, 10_000), Click::new(1_000, 1, 10_001)]));
+            pipeline.flush().unwrap();
+            assert_eq!(cluster.index_handle().generation(), generation + 1);
+        }
+        assert_eq!(candidates(), (21, 42), "after a mini-publish");
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //!
 //! [`ServingCluster::handle_with`]: crate::ServingCluster::handle_with
 
-use serenade_core::{CoreError, ItemId, SessionIndex, VmisConfig, VmisKnn};
+use serenade_core::{ItemId, VmisConfig};
 use serenade_kvstore::StoreConfig;
-use std::sync::Arc;
 
 use crate::cache::CacheConfig;
+use crate::rules::BusinessRules;
 
 /// Which view of the evolving session feeds the prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,16 +70,14 @@ pub struct RecommendRequest {
     pub filter_adult: bool,
 }
 
-/// Builds the serving recommender for `config` over a session index. The
-/// engine owns the final list length; the algorithm is asked for a few
-/// extra items so business-rule filtering does not starve slots.
-pub(crate) fn build_recommender(
-    index: Arc<SessionIndex>,
-    config: &EngineConfig,
-) -> Result<VmisKnn, CoreError> {
-    let mut vmis_cfg = config.vmis.clone();
-    vmis_cfg.how_many = config.how_many * 2;
-    VmisKnn::new(index, vmis_cfg)
+/// The kernel's configuration for `config` on a cluster whose business
+/// rules are `rules`. The engine owns the final list length. With no rules
+/// the kernel is asked for exactly that many items; rules that can remove
+/// items get twice as many, so that filtering does not starve slots. A
+/// cluster's rules are fixed when it starts, so this is decided once.
+pub(crate) fn kernel_config(config: &EngineConfig, rules: &BusinessRules) -> VmisConfig {
+    let candidates = if rules.is_empty() { config.how_many } else { 2 * config.how_many };
+    VmisConfig { how_many: candidates, ..config.vmis.clone() }
 }
 
 #[cfg(all(test, not(feature = "loom")))]
@@ -89,7 +87,8 @@ pub(crate) mod tests {
 
     use super::*;
     use crate::{BusinessRules, RequestContext, ServingCluster};
-    use serenade_core::Click;
+    use serenade_core::{Click, SessionIndex};
+    use std::sync::Arc;
     use std::time::Instant;
 
     pub(crate) fn index() -> Arc<SessionIndex> {
@@ -423,8 +422,8 @@ mod store_abstraction_tests {
     use crate::{BusinessRules, IndexHandle, ServingCluster};
     use serenade_kvstore::SessionStore;
     use serenade_telemetry::TraceConfig;
-    use std::sync::Mutex;
-    use serenade_core::Click;
+    use std::sync::{Arc, Mutex};
+    use serenade_core::{Click, SessionIndex, VmisKnn};
     use std::collections::HashMap;
 
     #[derive(Default)]
@@ -481,7 +480,8 @@ mod store_abstraction_tests {
             how_many: 3,
             ..Default::default()
         };
-        let vmis = Arc::new(build_recommender(Arc::clone(&index), &config).unwrap());
+        let kernel = kernel_config(&config, &BusinessRules::none());
+        let vmis = Arc::new(VmisKnn::new(Arc::clone(&index), kernel).unwrap());
         let naive: ServingCluster<NaiveStore> = ServingCluster::with_store(
             Arc::new(IndexHandle::new(vmis)),
             NaiveStore::default(),
@@ -508,7 +508,8 @@ mod store_abstraction_tests {
 mod ttl_tests {
     use super::*;
     use crate::{BusinessRules, ServingCluster};
-    use serenade_core::Click;
+    use serenade_core::{Click, SessionIndex};
+    use std::sync::Arc;
 
     fn tiny_index() -> Arc<SessionIndex> {
         let clicks = vec![

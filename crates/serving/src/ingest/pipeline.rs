@@ -46,10 +46,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use serenade_core::{Click, CoreError, VmisKnn};
+use serenade_core::{Click, CoreError, VmisConfig, VmisKnn};
 use serenade_index::IncrementalIndexer;
 
-use crate::engine::{build_recommender, EngineConfig};
 use crate::error::ServingError;
 use crate::handle::IndexHandle;
 use crate::ingest::metrics::IngestMetrics;
@@ -164,14 +163,15 @@ pub struct IngestPipeline {
 
 impl IngestPipeline {
     /// Seeds the indexer with the cluster's click log and starts the
-    /// publisher thread. No publish happens until live work arrives — the
+    /// publisher thread, which makes each generation's kernel with `kernel`,
+    /// the cluster's own. No publish happens until live work arrives — the
     /// cluster already serves an index built from the same seed, and the
     /// indexer adopts that very index instead of building its own.
     pub(crate) fn start(
         config: IngestConfig,
         seed: &[Click],
         handle: Arc<IndexHandle<VmisKnn>>,
-        engine_config: EngineConfig,
+        kernel: VmisConfig,
         telemetry: Arc<ClusterTelemetry>,
     ) -> Result<Arc<Self>, CoreError> {
         if config.max_pending_appends == 0 {
@@ -201,7 +201,7 @@ impl IngestPipeline {
             std::thread::Builder::new()
                 .name(String::from("serenade-ingest-publisher"))
                 .spawn(move || {
-                    publisher_loop(&shared, indexer, interval, &engine_config, &telemetry);
+                    publisher_loop(&shared, indexer, interval, &kernel, &telemetry);
                 })
                 .map_err(|e| CoreError::InvalidConfig {
                     parameter: "ingest",
@@ -327,7 +327,7 @@ fn publisher_loop(
     shared: &SharedState,
     mut indexer: IncrementalIndexer,
     interval: Duration,
-    engine_config: &EngineConfig,
+    kernel: &VmisConfig,
     telemetry: &ClusterTelemetry,
 ) {
     let mut last_publish = Instant::now();
@@ -367,7 +367,7 @@ fn publisher_loop(
                 clicks,
                 &deletes,
                 &flushes,
-                engine_config,
+                kernel,
                 telemetry,
             )
         }));
@@ -414,7 +414,7 @@ fn publish_cycle(
     clicks: Vec<Click>,
     deletes: &[(u64, DeleteTicket)],
     flushes: &[FlushTicket],
-    engine_config: &EngineConfig,
+    kernel: &VmisConfig,
     telemetry: &ClusterTelemetry,
 ) {
     panic_hook(&clicks);
@@ -439,7 +439,7 @@ fn publish_cycle(
     let applied_at = Instant::now();
 
     let published = applied.and_then(|()| {
-        let fresh = build_recommender(Arc::new(indexer.snapshot()?), engine_config)?;
+        let fresh = VmisKnn::new(Arc::new(indexer.snapshot()?), kernel.clone())?;
         let built_at = Instant::now();
         shared.handle.store(crate::sync::Arc::new(fresh));
         Ok(built_at)

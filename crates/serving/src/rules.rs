@@ -31,6 +31,11 @@ impl BusinessRules {
         }
     }
 
+    /// `true` if the rules remove no item from any list: both sets are empty.
+    pub fn is_empty(&self) -> bool {
+        self.unavailable.is_empty() && self.adult.is_empty()
+    }
+
     /// Marks an item as out of stock.
     pub fn mark_unavailable(&mut self, item: ItemId) {
         self.unavailable.insert(item);

@@ -219,19 +219,20 @@ mod tests {
         let text = t.registry().render();
         // Items 7 and 8: three 4-byte entries in the one arena behind a
         // 16-byte Arc header, padded to its alignment, and the one-arena table
-        // behind its own header. Three 4-byte offsets of two
-        // sessions, the one segment's three boxed columns behind its Arc
-        // header and the one-pointer segment table behind its own. The two
-        // sessions' timestamps (11, 20) in Elias–Fano form: base, meta, one
-        // word of select samples, one of low parts (ℓ = ⌊log₂(9 / 2)⌋ = 2
-        // bits each) and one of unary high parts, five 8-byte words. Three
-        // 4-byte slots — the session
-        // items themselves — in the one segment and a two-item slot table
-        // behind its Arc header; one 4-byte idf a slot.
+        // behind its own header. Three 1-byte offsets of two sessions and
+        // their 3 bytes of padding, the one segment — its timestamp column
+        // and two byte columns of a width each — behind its Arc header, and
+        // the one-pointer segment table behind its own. The two sessions'
+        // timestamps (11, 20) in Elias–Fano form: base, meta, one word of
+        // select samples, one of low parts (ℓ = ⌊log₂(9 / 2)⌋ = 2 bits each)
+        // and one of unary high parts, five 8-byte words. Three 1-byte slots
+        // — the session items themselves — and their padding in the one
+        // segment, and a two-item slot table behind its Arc header; one
+        // 4-byte idf a slot.
         assert!(text.contains("serenade_index_bytes{structure=\"postings\"} 64"), "{text}");
-        assert!(text.contains("serenade_index_bytes{structure=\"session_items\"} 100"), "{text}");
+        assert!(text.contains("serenade_index_bytes{structure=\"session_items\"} 110"), "{text}");
         assert!(text.contains("serenade_index_bytes{structure=\"timestamps\"} 40"), "{text}");
-        assert!(text.contains("serenade_index_bytes{structure=\"slots\"} 44"), "{text}");
+        assert!(text.contains("serenade_index_bytes{structure=\"slots\"} 38"), "{text}");
         assert!(text.contains("serenade_index_bytes{structure=\"idf\"} 8"), "{text}");
         assert!(text.contains("serenade_index_dead_slots 0"), "{text}");
         assert!(text.contains("serenade_index_dead_posting_entries 0"), "{text}");

@@ -49,23 +49,30 @@ cargo test -q
 
 # The probe's answer fingerprint at `--quick`, held to the committed value:
 # a kernel change that moves one answer bit fails here, not only in the
-# property tests. A change meant to move answers updates the value here.
+# property tests. So is the layout's size, the `total` row of the probe's
+# `SessionIndex::bytes()` table (the index and the kernel's idf table): a
+# layout that grows fails here. A change meant to move either updates the
+# value here.
 probe_answers() {
-    local expected=$1 output
-    shift
+    local expected=$1 bytes=$2 output
+    shift 2
     output=$(cargo run --release -q -p serenade-bench --bin kernel_probe -- --quick "$@")
     echo "$output"
     if ! grep -q "^answers: FNV-1a $expected " <<<"$output"; then
         echo "FAIL: kernel_probe --quick${*:+ $*} no longer answers with fingerprint $expected" >&2
         return 1
     fi
+    if ! grep -qE "^ +total +$bytes\$" <<<"$output"; then
+        echo "FAIL: kernel_probe --quick${*:+ $*} no longer holds its index in $bytes bytes" >&2
+        return 1
+    fi
 }
 
-echo "==> kernel probe: the committed instrument runs, answers pinned (--quick)"
-probe_answers 0xe91c44c6402ba667
+echo "==> kernel probe: the committed instrument runs, answers and layout pinned (--quick)"
+probe_answers 0xe91c44c6402ba667 1013144
 
 echo "==> kernel probe: the popularity head held in place, so samples are cut at m (--quick)"
-probe_answers 0xa52ee454dbe87a21 --drift-per-day 0
+probe_answers 0xa52ee454dbe87a21 886964 --drift-per-day 0
 
 echo "==> rustdoc: every intra-doc link resolves"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace --offline
