@@ -21,4 +21,4 @@ pub mod sync;
 
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use session::SessionStore;
-pub use store::{StoreConfig, StoreStats, TtlStore};
+pub use store::{StoreConfig, TtlStore};

@@ -1,11 +1,11 @@
-//! The storage abstraction the serving engine is written against.
+//! The session-store contract.
 //!
-//! The paper's serving component treats session storage as a swappable
-//! substrate: production uses machine-local RocksDB, the load tests an
-//! in-memory store, and both share the same 30-minutes-of-inactivity TTL
-//! contract (Section 4.2). [`SessionStore`] captures that contract so the
-//! request path depends only on the trait; [`crate::TtlStore`] is the
-//! default implementation.
+//! The paper's serving component keeps sessions in machine-local RocksDB,
+//! its load tests in an in-memory store, and both share the same
+//! 30-minutes-of-inactivity TTL contract (Section 4.2). [`SessionStore`]
+//! states that contract; [`crate::TtlStore`] is its one implementation, the
+//! store a serving node runs, and the conformance suite below holds it to
+//! the contract.
 //!
 //! # TTL semantics
 //!
@@ -56,29 +56,18 @@ pub trait SessionStore<K, V>: Send + Sync {
     /// whether one was physically dropped. This is the unlearning hook: a
     /// session deleted from the click log must also vanish from the
     /// evolving-session state, even if its TTL already lapsed (an expired
-    /// entry still holds the data until it is reclaimed). The default
-    /// delegates to [`SessionStore::remove`], which only sees live entries;
-    /// implementations holding expired data past its deadline should
-    /// override it with a physical erase.
-    fn forget(&self, key: &K) -> bool {
-        self.remove(key).is_some()
-    }
+    /// entry still holds the data until it is reclaimed).
+    fn forget(&self, key: &K) -> bool;
 
     /// Snapshots up to `cap` live entries for ownership handoff: when the
     /// cluster remaps a member's sessions to new owners, the old owner
     /// exports them here, the new owners import them, and the old owner
     /// then [`SessionStore::forget`]s them. Expired entries must never be
-    /// exported. The default exports nothing — an implementation without
-    /// the override degrades handoff to "sessions restart from empty",
-    /// which is the same contract a TTL expiry already imposes on clients.
+    /// exported.
     fn export_live(&self, cap: usize) -> Vec<(K, V)>
     where
         K: Clone,
-        V: Clone,
-    {
-        let _ = cap;
-        Vec::new()
-    }
+        V: Clone;
 
     /// `true` if a live entry exists. Must not refresh the TTL.
     fn contains(&self, key: &K) -> bool;
@@ -93,11 +82,8 @@ pub trait SessionStore<K, V>: Send + Sync {
     fn clear(&self);
 
     /// Cumulative `(lazily expired, swept)` reclamation counts, for
-    /// observability. Implementations that do not track reclamation may
-    /// keep the default `(0, 0)`.
-    fn expiry_counts(&self) -> (u64, u64) {
-        (0, 0)
-    }
+    /// observability.
+    fn expiry_counts(&self) -> (u64, u64);
 }
 
 impl<K, V, C> SessionStore<K, V> for TtlStore<K, V, C>
@@ -144,7 +130,7 @@ where
     }
 
     fn live_entries(&self) -> usize {
-        self.stats().live_entries
+        TtlStore::live_entries(self)
     }
 
     fn clear(&self) {

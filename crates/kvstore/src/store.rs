@@ -75,21 +75,6 @@ impl Default for StoreConfig {
     }
 }
 
-/// Aggregate store statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Live (non-expired) entries at the time of the call.
-    pub live_entries: usize,
-    /// Number of shards.
-    pub shards: usize,
-    /// Entries reclaimed lazily: found expired during a read/write/remove
-    /// and dropped (or restarted) on the spot, since startup.
-    pub expired: u64,
-    /// Entries reclaimed eagerly by [`TtlStore::evict_expired`] sweeps,
-    /// since startup.
-    pub swept: u64,
-}
-
 struct Entry<V> {
     value: V,
     expires_at_ms: u64,
@@ -243,23 +228,16 @@ impl<K: Hash + Eq, V, C: Clock> TtlStore<K, V, C> {
         evicted
     }
 
-    /// Counts live entries (takes every shard lock once).
-    pub fn stats(&self) -> StoreStats {
+    /// Counts live (non-expired) entries; takes every shard lock once.
+    pub fn live_entries(&self) -> usize {
         let now = self.clock.now_ms();
-        let live = self
-            .shards
+        self.shards
             .iter()
             .map(|s| {
                 let shard = s.lock().unwrap_or_else(PoisonError::into_inner);
                 shard.values().filter(|e| e.expires_at_ms > now).count()
             })
-            .sum();
-        StoreStats {
-            live_entries: live,
-            shards: self.shards.len(),
-            expired: self.expired.load(Ordering::Relaxed), // ORDERING: racy statistical read, partner: none
-            swept: self.swept.load(Ordering::Relaxed), // ORDERING: racy statistical read, partner: none
-        }
+            .sum()
     }
 
     /// Cumulative `(lazily expired, swept)` reclamation counts — the inputs
@@ -391,8 +369,6 @@ mod tests {
         assert_eq!(s.evict_expired(), 6); // 5 fresh + key 2's rewritten entry
         let (expired, swept) = s.expiry_counts();
         assert_eq!((expired, swept), (3, 6));
-        assert_eq!(s.stats().expired, expired);
-        assert_eq!(s.stats().swept, swept);
 
         // Removing a live entry counts nowhere.
         s.put(4, vec![4]);
@@ -464,7 +440,7 @@ mod tests {
         assert_eq!(len, 2);
         assert_eq!(s.get(&7), Some(vec![1, 2]));
         assert!(s.contains(&7));
-        assert_eq!(s.stats().live_entries, 1);
+        assert_eq!(s.live_entries(), 1);
     }
 
     #[test]
@@ -508,9 +484,8 @@ mod tests {
         }
         clock.advance_ms(600); // first 100 expired, last 50 live
         assert_eq!(s.evict_expired(), 100);
-        let stats = s.stats();
-        assert_eq!(stats.live_entries, 50);
-        assert_eq!(stats.shards, 4);
+        assert_eq!(s.live_entries(), 50);
+        assert_eq!(s.shards.len(), 4);
         assert_eq!(s.evict_expired(), 0);
     }
 
@@ -521,7 +496,7 @@ mod tests {
         s.put(2, vec![2]);
         clock.advance_ms(2_000);
         s.put(3, vec![3]);
-        assert_eq!(s.stats().live_entries, 1);
+        assert_eq!(s.live_entries(), 1);
     }
 
     #[test]
@@ -531,7 +506,7 @@ mod tests {
             s.put(k, vec![k]);
         }
         s.clear();
-        assert_eq!(s.stats().live_entries, 0);
+        assert_eq!(s.live_entries(), 0);
     }
 
     #[test]
@@ -559,14 +534,14 @@ mod tests {
         assert!(s.export_live(0).is_empty());
 
         // Export is a snapshot: the store still serves everything.
-        assert_eq!(s.stats().live_entries, 6);
+        assert_eq!(s.live_entries(), 6);
     }
 
     #[test]
     fn shard_count_rounds_to_power_of_two() {
         let cfg = StoreConfig { shards: 5, ..Default::default() };
         let s: TtlStore<u64, u64> = TtlStore::new(cfg);
-        assert_eq!(s.stats().shards, 8);
+        assert_eq!(s.shards.len(), 8);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! end (Section 4.2) in three timed stages:
 //!
 //! 1. **Session stage** — update the evolving session in the node's
-//!    [`SessionStore`] and extract the configured view of it.
+//!    [`TtlStore`] and extract the configured view of it. A node stores a
+//!    session's last `vmis.max_session_len` clicks, the window the kernel
+//!    reads.
 //! 2. **Prediction stage** — answer a cacheable view from the prediction
 //!    cache, or run VMIS-kNN over the view against the currently published
 //!    index.
@@ -23,9 +25,8 @@
 //! A request runs the whole pipeline alone on its caller's
 //! [`RequestContext`] — the reactor thread that read it, or an in-process
 //! caller — so its answer never depends on what else was in flight. The
-//! store is generic (defaulting to the sharded [`TtlStore`]) and the
 //! recommender is read through a lock-free [`IndexHandle`], so the request
-//! path takes no lock besides the store's per-shard mutex.
+//! path takes no lock besides the session store's per-shard mutex.
 //!
 //! The daily rollover ([`ServingCluster::reload_index`]) builds the
 //! `VmisKnn` exactly once and publishes it atomically through the
@@ -40,7 +41,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use serenade_core::{Click, CoreError, ItemId, ItemScore, KernelWork, SessionIndex, VmisKnn};
-use serenade_kvstore::{SessionStore, TtlStore};
+use serenade_kvstore::TtlStore;
 use serenade_telemetry::{TraceConfig, TraceSample};
 
 use crate::cache::{CacheKey, PredictionCache, ViewKind};
@@ -81,17 +82,16 @@ impl std::error::Error for RolloverError {}
 /// store, configuration, stats and prediction cache, plus its telemetry
 /// hub and, once enabled, its ingest pipeline.
 ///
-/// Generic over the session store `S` so the request path is written purely
-/// against the [`SessionStore`] contract; the default is the sharded
-/// in-memory [`TtlStore`]. The daily rollover (Section 4.1) and live ingest
-/// build the new index once and publish it atomically through the
-/// [`IndexHandle`], and readers never block — in-flight requests finish
-/// against the index they started with.
-pub struct ServingCluster<S: SessionStore<u64, Vec<ItemId>> = TtlStore<u64, Vec<ItemId>>> {
+/// The daily rollover (Section 4.1) and live ingest build the new index
+/// once and publish it atomically through the [`IndexHandle`], and readers
+/// never block — in-flight requests finish against the index they started
+/// with.
+pub struct ServingCluster {
     index: Arc<IndexHandle<VmisKnn>>,
     rules: BusinessRules,
+    /// Each session's last `vmis.max_session_len` clicks, under the TTL.
     /// Shared with the polled session gauges on the metric registry.
-    sessions: Arc<S>,
+    sessions: Arc<TtlStore<u64, Vec<ItemId>>>,
     config: EngineConfig,
     stats: ServingStats,
     /// Generation-aware prediction cache for single-item-view requests;
@@ -138,22 +138,18 @@ impl ServingCluster {
         // The published value uses the sync-facade Arc: under the loom
         // feature the handle's reclamation protocol is model-checked.
         let vmis = crate::sync::Arc::new(VmisKnn::new(index, kernel_config(&config, &rules))?);
-        let sessions = TtlStore::new(config.store);
-        Ok(Self::with_store(Arc::new(IndexHandle::new(vmis)), sessions, config, rules, trace))
+        Ok(Self::with_store(Arc::new(IndexHandle::new(vmis)), config, rules, trace))
     }
-}
 
-impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
-    /// Builds the engine over an explicit index handle and session store
-    /// implementation, and registers its metrics.
+    /// Builds the engine over an explicit index handle, with a session
+    /// store of `config.store`, and registers its metrics.
     pub fn with_store(
         index: Arc<IndexHandle<VmisKnn>>,
-        sessions: S,
         config: EngineConfig,
         rules: BusinessRules,
         trace: TraceConfig,
     ) -> Self {
-        let sessions = Arc::new(sessions);
+        let sessions = Arc::new(TtlStore::new(config.store));
         let telemetry = Arc::new(ClusterTelemetry::new(trace));
         let registry = telemetry.registry();
         telemetry.watch_index(&index);
@@ -378,8 +374,9 @@ impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
 
     /// Session stage: update the evolving session (or drop it, for
     /// no-consent requests) and write the configured view into `ctx`.
-    /// Returns the stored session length (1 for a depersonalised request,
-    /// which predicts from the displayed item alone).
+    /// Returns the stored session length, at most `vmis.max_session_len`
+    /// (1 for a depersonalised request, which predicts from the displayed
+    /// item alone).
     fn session_stage(
         &self,
         req: &RecommendRequest,
@@ -394,15 +391,12 @@ impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
             view.push(req.item);
             return Ok(1);
         }
-        let max_len = self.config.max_stored_session_len;
+        let window = self.config.vmis.max_session_len;
         let variant = self.config.variant;
         let item = req.item;
         self.sessions.update_or_insert(req.session_id, Vec::new, |items| {
             items.push(item);
-            if items.len() > max_len {
-                let excess = items.len() - max_len;
-                items.drain(..excess);
-            }
+            keep_last(items, window);
             match variant {
                 ServingVariant::Hist(n) => {
                     view.extend_from_slice(&items[items.len().saturating_sub(n)..]);
@@ -449,7 +443,7 @@ impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
     }
 
     /// Snapshots up to `cap` live sessions for ownership handoff — see
-    /// [`SessionStore::export_live`]. The exporting node keeps serving; the
+    /// [`TtlStore::export_live`]. The exporting node keeps serving; the
     /// handoff coordinator imports the snapshot into the new owners and
     /// then calls [`ServingCluster::forget_session`] here.
     pub fn export_sessions(&self, cap: usize) -> Vec<(u64, Vec<ItemId>)> {
@@ -459,20 +453,17 @@ impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
     /// Installs a handed-off session. Imported history is *prepended* to
     /// whatever this node already holds for the id: during the handoff gap
     /// the new owner may have served the session fresh, and those clicks
-    /// are newer than the snapshot, so they stay at the tail. The stored
-    /// length cap applies as on the request path. Returns the stored
-    /// session length after the merge.
+    /// are newer than the snapshot, so they stay at the tail. The merge is
+    /// trimmed to the stored window as on the request path. Returns the
+    /// stored session length after the merge.
     pub fn import_session(&self, session_id: u64, mut items: Vec<ItemId>) -> usize {
-        let max_len = self.config.max_stored_session_len;
+        let window = self.config.vmis.max_session_len;
         self.sessions.update_or_insert(session_id, Vec::new, |existing| {
             if !existing.is_empty() {
                 items.extend_from_slice(existing);
             }
             std::mem::swap(existing, &mut items);
-            if existing.len() > max_len {
-                let excess = existing.len() - max_len;
-                existing.drain(..excess);
-            }
+            keep_last(existing, window);
             existing.len()
         })
     }
@@ -516,8 +507,16 @@ impl<S: SessionStore<u64, Vec<ItemId>> + 'static> ServingCluster<S> {
     }
 }
 
+/// Trims a stored session to its last `window` clicks: the most that any
+/// view, the deadline fallback or the kernel (`VmisKnn`'s window cap)
+/// reads, so every answer is the one the untrimmed session would get.
+fn keep_last(items: &mut Vec<ItemId>, window: usize) {
+    let excess = items.len().saturating_sub(window);
+    items.drain(..excess);
+}
+
 #[cfg(all(test, not(feature = "loom")))]
-impl<S: SessionStore<u64, Vec<ItemId>>> ServingCluster<S> {
+impl ServingCluster {
     /// The series `name{labels}` as `GET /metrics` renders it now.
     pub(crate) fn scraped(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
         let exposition = crate::telemetry::scrape(self.telemetry.registry());
@@ -590,10 +589,8 @@ mod tests {
         // cut to the served list by the policy stage.
         let twice = VmisConfig { how_many: 2 * config.how_many, ..config.vmis.clone() };
         let handle = IndexHandle::new(crate::sync::Arc::new(VmisKnn::new(index, twice).unwrap()));
-        let store = TtlStore::new(config.store);
         let trace = TraceConfig::default();
-        let reference =
-            ServingCluster::with_store(Arc::new(handle), store, config.clone(), rules(), trace);
+        let reference = ServingCluster::with_store(Arc::new(handle), config.clone(), rules(), trace);
         // A replayed stream: 40 sessions growing one click at a time, one
         // request in five without consent, which the prediction cache serves.
         let (mut state, mut full) = (5u64, 0);
@@ -606,6 +603,50 @@ mod tests {
             full += usize::from(answer.len() == config.how_many);
         }
         assert!(full > 300, "{full} of 600 answers fill the list");
+    }
+
+    #[test]
+    fn a_node_stores_the_window_the_kernel_reads_and_answers_as_the_kernel_over_it() {
+        let index = Arc::new(SessionIndex::build(&wide_log(), 500).unwrap());
+        let window = VmisConfig::default().max_session_len;
+        for variant in [ServingVariant::Full, ServingVariant::Hist(20)] {
+            let config = EngineConfig { variant, ..EngineConfig::default() };
+            let build = || {
+                ServingCluster::new(Arc::clone(&index), 1, config.clone(), BusinessRules::none())
+                    .unwrap()
+            };
+            let (a, b) = (build(), build());
+            // Without rules the kernel is asked for the served list, so a
+            // served answer is the kernel's answer over the last clicks.
+            let kernel = a.index_handle().load();
+            let mut scratch = serenade_core::Scratch::new();
+            let mut expect = |clicks: &[ItemId]| {
+                let last = &clicks[clicks.len().saturating_sub(window)..];
+                bits(&kernel.recommend_with_scratch(last, &mut scratch))
+            };
+            let (mut state, mut clicks) = (17u64, Vec::new());
+            let mut click = || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 33) % 90
+            };
+            for n in 0..30 {
+                clicks.push(click());
+                let answer = bits(&a.handle(req(7, clicks[n])).unwrap());
+                assert_eq!(answer, expect(&clicks), "{variant:?}, click {n}");
+            }
+            assert_eq!(a.stored_session_len(7), window, "{variant:?}");
+
+            // Handed off, the session keeps its answer on its next click.
+            for (sid, items) in a.export_sessions(usize::MAX) {
+                assert_eq!(b.import_session(sid, items), window);
+            }
+            clicks.push(click());
+            let next = req(7, clicks[30]);
+            let (moved, stayed) = (bits(&b.handle(next).unwrap()), bits(&a.handle(next).unwrap()));
+            assert_eq!(moved, stayed, "{variant:?}");
+            assert_eq!(moved, expect(&clicks), "{variant:?}");
+            assert_eq!(b.stored_session_len(7), window, "{variant:?}");
+        }
     }
 
     #[test]

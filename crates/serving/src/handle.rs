@@ -112,7 +112,7 @@ impl<T> IndexHandle<T> {
     #[inline]
     fn slot(&self) -> &AtomicUsize {
         // Cheap per-thread slot choice; collisions only cost some sharing.
-        &self.guards[sync::reader_slot(SLOTS)].0
+        &self.guards[serenade_telemetry::sync::shard_slot(SLOTS)].0
     }
 
     /// Returns the currently published value. Wait-free: two atomic

@@ -1,10 +1,12 @@
 //! The serving-node role: one machine of a multi-process cluster.
 //!
 //! A [`ServingNode`] is the process's [`ServingCluster`] (one engine) behind
-//! the event-loop [`HttpServer`]: one listening socket, one protocol. Beside
-//! the REST surface every server has (`/recommend`, `/metrics`, …), a node
-//! answers the router's control plane as four routes under `/admin/`, run
-//! like any other non-predict request on the worker pool:
+//! the event-loop [`HttpServer`]: one listening socket, one protocol. The
+//! cluster is the server's backend (its [`RequestBackend`] impl lives
+//! here): predicts run inline on the reactor that read them, and beside the
+//! REST surface (`/recommend`, `/metrics`, …) it answers the router's
+//! control plane as four routes under `/admin/`, run like any other
+//! non-predict request on the worker pool:
 //!
 //! | route | body in | answer |
 //! |---|---|---|
@@ -17,11 +19,10 @@
 //! `application/octet-stream`: a session set is
 //! `count:u32le (sid:u64le len:u32le item:u64le*len)*`, an id list
 //! `count:u32le sid:u64le*` (session ids use all 64 bits, more than a JSON
-//! number carries). Only a node serves these routes, and only its `/admin/`
-//! paths may declare a body beyond the server's `max_body_bytes`, up to a
-//! whole artefact; the upload must still arrive within
-//! `request_read_timeout`. The decoders bound every allocation by the bytes
-//! present.
+//! number carries). Only these `/admin/` paths may declare a body beyond
+//! the server's `max_body_bytes`, up to a whole artefact; the upload must
+//! still arrive within `request_read_timeout`. The decoders bound every
+//! allocation by the bytes present.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -93,14 +94,12 @@ impl ServingNode {
             config.rules,
             TraceConfig::default(),
         )?);
-        let backend = Arc::new(NodeBackend(Arc::clone(&cluster)));
-        let server =
-            HttpServer::serve(backend, config.server).map_err(|e| {
-                CoreError::InvalidConfig {
-                    parameter: "node.server",
-                    reason: format!("data plane failed to bind: {e}"),
-                }
-            })?;
+        let server = HttpServer::serve(Arc::clone(&cluster), config.server).map_err(|e| {
+            CoreError::InvalidConfig {
+                parameter: "node.server",
+                reason: format!("data plane failed to bind: {e}"),
+            }
+        })?;
         let data_addr = server.addr();
         Ok(Self { id: config.node_id, cluster, server: Some(server), data_addr })
     }
@@ -144,22 +143,21 @@ impl Drop for ServingNode {
     }
 }
 
-/// What a node serves: its cluster, plus the `/admin/` routes and their
-/// raised body cap, which a bare cluster server does not expose.
-struct NodeBackend(Arc<ServingCluster>);
-
-impl RequestBackend for NodeBackend {
+/// What a node serves: every predict runs locally, on the reactor's
+/// context; the `/admin/` routes, with their raised body cap, beside the
+/// endpoint table every server has.
+impl RequestBackend for ServingCluster {
     const ADMIN_BODY_BYTES: usize = ADMIN_BODY_BYTES;
 
     fn telemetry(&self) -> &Arc<ClusterTelemetry> {
-        self.0.telemetry()
+        ServingCluster::telemetry(self)
     }
 
     fn respond(&self, request: &ParsedRequest) -> (u16, Vec<u8>, &'static str) {
         if request.path.starts_with("/admin/") {
-            respond_admin(request, &self.0)
+            respond_admin(request, self)
         } else {
-            conn::respond(request, &self.0)
+            conn::respond(request, self)
         }
     }
 
@@ -172,7 +170,7 @@ impl RequestBackend for NodeBackend {
         req: RecommendRequest,
         ctx: &mut RequestContext,
     ) -> Result<Vec<ItemScore>, ServingError> {
-        self.0.handle_with(req, ctx)
+        self.handle_with(req, ctx)
     }
 }
 

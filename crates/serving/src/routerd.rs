@@ -557,7 +557,7 @@ impl RouterCore {
                 (200, body)
             }
             ("GET", "/metrics") => {
-                return (200, self.telemetry.registry().render(), "text/plain; version=0.0.4")
+                return (200, self.telemetry.registry().render(), conn::CONTENT_TYPE_METRICS)
             }
             ("GET", "/cluster/members") => (200, self.members_body()),
             ("POST", "/cluster/join") => {
@@ -619,8 +619,8 @@ impl RouterCore {
                 }
                 Err(e) => (400, json::error(&e)),
             },
-            ("DELETE", path) if path.starts_with("/ingest/session/") => {
-                match path["/ingest/session/".len()..].parse::<u64>() {
+            ("DELETE", path) if path.starts_with(conn::INGEST_SESSION_PREFIX) => {
+                match path[conn::INGEST_SESSION_PREFIX.len()..].parse::<u64>() {
                     Ok(id) => {
                         let deleted = self.proxy_delete(id);
                         (200, json::object(|o| {

@@ -2,11 +2,11 @@
 //!
 //! The reactor/worker machinery (socket readiness, admission, dispatch,
 //! forwarding, drain) is independent of *what* answers the requests.
-//! [`RequestBackend`] is that seam: [`ServingCluster`] implements it for the
-//! serving tier (endpoint table in [`conn`](super::conn) on the workers,
-//! predicts on the reactors), a [`crate::node`] wraps it to add its
-//! `/admin/` routes, and the router tier ([`crate::routerd`]) implements it
-//! to send predicts to remote nodes — one server implementation, two roles.
+//! [`RequestBackend`] is that seam: [`crate::ServingCluster`] implements it
+//! in [`crate::node`] for the serving tier (endpoint table and `/admin/`
+//! routes on the workers, predicts on the reactors), and the router tier
+//! ([`crate::routerd`]) implements it to send predicts to remote nodes —
+//! one server implementation, two roles.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -14,13 +14,11 @@ use std::time::Duration;
 
 use serenade_core::ItemScore;
 
-use crate::cluster::ServingCluster;
 use crate::context::RequestContext;
 use crate::engine::RecommendRequest;
 use crate::error::ServingError;
 use crate::telemetry::ClusterTelemetry;
 
-use super::conn;
 use super::parser::ParsedRequest;
 
 /// Where a tier runs one well-formed predict.
@@ -91,26 +89,4 @@ pub trait RequestBackend: Send + Sync + 'static {
 
     /// One forward answered `200`, `elapsed` after its request was written.
     fn record_forward(&self, _elapsed: Duration) {}
-}
-
-impl RequestBackend for ServingCluster {
-    fn telemetry(&self) -> &Arc<ClusterTelemetry> {
-        ServingCluster::telemetry(self)
-    }
-
-    fn respond(&self, request: &ParsedRequest) -> (u16, Vec<u8>, &'static str) {
-        conn::respond(request, self)
-    }
-
-    fn route_predict(&self, _req: &RecommendRequest) -> PredictRoute {
-        PredictRoute::Local
-    }
-
-    fn handle_recommend(
-        &self,
-        req: RecommendRequest,
-        ctx: &mut RequestContext,
-    ) -> Result<Vec<ItemScore>, ServingError> {
-        self.handle_with(req, ctx)
-    }
 }

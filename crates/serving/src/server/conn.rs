@@ -7,9 +7,9 @@
 //! (for every other response) share:
 //!
 //! * [`respond`] — routes one parsed request that is not a predict to its
-//!   endpoint and renders the body (health, metrics, traces, ingest; a node
-//!   adds its `/admin/` routes in [`crate::node`]); predicts, malformed
-//!   ones included, never reach it;
+//!   endpoint and renders the body (health, metrics, traces, ingest; the
+//!   `/admin/` routes are [`crate::node`]'s); predicts, malformed ones
+//!   included, never reach it;
 //! * [`render_response`] — frames one HTTP/1.1 response into bytes, the
 //!   single place the wire format lives;
 //! * [`unwind_barrier`] — converts engine panics into typed `500`s so one
@@ -29,7 +29,7 @@ use super::parser::ParsedRequest;
 /// Response content types. `/metrics` uses the Prometheus text exposition
 /// content type; everything else is JSON.
 pub(crate) const CONTENT_TYPE_JSON: &str = "application/json";
-const CONTENT_TYPE_METRICS: &str = "text/plain; version=0.0.4";
+pub(crate) const CONTENT_TYPE_METRICS: &str = "text/plain; version=0.0.4";
 
 /// Renders one framed HTTP/1.1 response into bytes for the reactor's
 /// nonblocking write path. `retry_after` adds the `retry-after` header
@@ -183,7 +183,7 @@ pub(crate) fn unwind_barrier<R>(
 }
 
 /// Path prefix of the unlearning endpoint: `DELETE /ingest/session/{id}`.
-const INGEST_SESSION_PREFIX: &str = "/ingest/session/";
+pub(crate) const INGEST_SESSION_PREFIX: &str = "/ingest/session/";
 
 /// Upper bound on clicks per `POST /ingest` body; larger batches should be
 /// split client-side (the pending queue is bounded anyway).

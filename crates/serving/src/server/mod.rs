@@ -53,9 +53,9 @@
 //! * `POST /ingest`, `DELETE /ingest/session/{id}` → the streaming write
 //!   path ([`crate::ingest`]), `404` unless ingest is enabled
 //! * `PUT /admin/index`, `POST /admin/sessions/{export,import,forget}` → the
-//!   router's control plane, served only by a [`crate::node`]: artefact
-//!   loads and session handoff, with `application/octet-stream` bodies; a
-//!   router or a bare cluster server answers them `404`
+//!   router's control plane, served by every [`crate::ServingCluster`]
+//!   ([`crate::node`]): artefact loads and session handoff, with
+//!   `application/octet-stream` bodies; a router answers them `404`
 //!
 //! Every body is capped at `max_body_bytes` except under `/admin/`, where a
 //! tier may allow more ([`RequestBackend::ADMIN_BODY_BYTES`]: a whole index
@@ -741,21 +741,6 @@ mod tests {
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let (status, _) = client.get("/nope").unwrap();
         assert_eq!(status, 404);
-        server.shutdown();
-    }
-
-    #[test]
-    fn a_bare_cluster_server_has_no_admin_routes() {
-        let (server, _cluster) = start_server();
-        let mut client = HttpClient::connect(server.addr()).unwrap();
-        let (status, _) =
-            client.exchange("PUT", "/admin/index", Some(("application/octet-stream", b"SRN"))).unwrap();
-        assert_eq!(status, 404);
-        let response = raw_exchange(
-            server.addr(),
-            "PUT /admin/index HTTP/1.1\r\ncontent-type: application/octet-stream\r\ncontent-length: 2097152\r\n\r\n",
-        );
-        assert!(response.starts_with("HTTP/1.1 413"), "{response}");
         server.shutdown();
     }
 

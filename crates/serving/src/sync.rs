@@ -8,11 +8,9 @@
 //! explored schedule-by-schedule inside `loom::model`. Both `Mutex`es return
 //! a `std::sync::LockResult`, so one locking line serves both builds.
 //!
-//! The facade also owns the per-thread slot chooser ([`reader_slot`]): in
-//! std mode it is a round-robin `thread_local!` assignment (which a model
-//! checker cannot replay), in loom mode it derives from the deterministic
-//! model thread index. (Stats striping moved into `serenade-telemetry`'s
-//! sharded histograms, which carry their own facade.)
+//! The per-thread slot chooser is `serenade_telemetry::sync::shard_slot`,
+//! which [`crate::handle::IndexHandle`] and telemetry's sharded recorders
+//! share: the `loom` feature here turns on telemetry's too.
 
 /// Model-checked mode: every primitive routes through the `loom` shim.
 #[cfg(feature = "loom")]
@@ -36,11 +34,6 @@ mod imp {
     pub fn spin_loop_hint() {
         loom::thread::yield_now();
     }
-
-    /// Deterministic reader-guard slot for [`crate::handle::IndexHandle`].
-    pub fn reader_slot(slots: usize) -> usize {
-        loom::thread::current_index() % slots
-    }
 }
 
 /// Production mode: zero-cost re-exports of the real primitives.
@@ -63,30 +56,6 @@ mod imp {
     /// CPU spin-wait hint.
     pub fn spin_loop_hint() {
         std::hint::spin_loop();
-    }
-
-    fn round_robin(
-        cell: &'static std::thread::LocalKey<std::cell::OnceCell<usize>>,
-        counter: &'static std::sync::atomic::AtomicUsize,
-        n: usize,
-    ) -> usize {
-        cell.with(|c| {
-            // ORDERING: round-robin ticket counter with no partner; slot
-            // assignment needs uniqueness, not ordering.
-            *c.get_or_init(|| counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed))
-        }) % n
-    }
-
-    /// Reader-guard slot for [`crate::handle::IndexHandle`]: round-robin
-    /// assignment at first use per thread, so workers spread evenly
-    /// regardless of how the OS hashes thread ids.
-    pub fn reader_slot(slots: usize) -> usize {
-        thread_local! {
-            static SLOT: std::cell::OnceCell<usize> =
-                const { std::cell::OnceCell::new() };
-        }
-        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        round_robin(&SLOT, &NEXT, slots)
     }
 }
 

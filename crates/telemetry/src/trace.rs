@@ -53,7 +53,9 @@ pub struct TraceSample {
     pub predict_us: u64,
     /// Business-policy stage latency in microseconds.
     pub policy_us: u64,
-    /// Session length (events) at prediction time.
+    /// Stored session length (events) at prediction time: the node's
+    /// stored window, so at most the kernel's `max_session_len`; 1 for a
+    /// depersonalised request.
     pub session_len: u64,
     /// Whether the depersonalised fallback produced the response.
     pub depersonalised: bool,

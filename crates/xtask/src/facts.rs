@@ -187,6 +187,10 @@ pub struct FileFacts {
     /// Every identifier in the file's non-test code except the name each
     /// `fn` item defines: where the `test-only-pub` rule looks for callers.
     pub uses: HashSet<String>,
+    /// Whether each line (0-based) is test code: in a file under `tests/`,
+    /// or inside an item a `#[test]` or `#[cfg(…test…)]` attribute
+    /// introduces (the attribute lines included).
+    pub in_test: Vec<bool>,
     /// Structural problems (unbalanced braces, unclosed items). A healthy
     /// workspace file must parse with none.
     pub errors: Vec<String>,
@@ -295,7 +299,7 @@ pub fn parse_file(relpath: &str, content: &str) -> FileFacts {
     let mut fn_stack: Vec<FnScratch> = Vec::new();
     let mut pending: Option<Pending> = None;
 
-    // Test-region tracking (same model as the line rules).
+    // Test-region tracking, recorded per line in `out.in_test`.
     let mut test_region_until: Option<i32> = None;
     let mut pending_test_attr = false;
     // Whether the attributed item's first line has gone by: only that line
@@ -346,6 +350,7 @@ pub fn parse_file(relpath: &str, content: &str) -> FileFacts {
         }
         let in_test =
             is_test_file || test_region_until.is_some() || pending_test_attr || attributed_line;
+        out.in_test.push(in_test);
         // A `use` declaration imports or re-exports a name; it calls nothing.
         if in_use_decl || is_use_decl(trimmed) {
             in_use_decl = !code.contains(';');

@@ -45,7 +45,7 @@ pub mod rules;
 use std::path::{Path, PathBuf};
 
 use facts::parse_file;
-use lexer::{braces, find_token, is_ident, Lexer};
+use lexer::{find_token, is_ident, Lexer};
 use rules::Finding;
 
 /// Serving/kvstore modules on the request hot path: a panic here unwinds an
@@ -142,12 +142,13 @@ const FACADE_SYNC_NAMES: &[&str] = &["atomic", "Mutex"];
 /// same file. Pure function of its inputs so unit tests can feed it
 /// synthetic files.
 pub fn scan_file(relpath: &str, content: &str) -> Vec<Finding> {
-    let is_test_file = relpath.contains("/tests/") || relpath.starts_with("tests/");
     let request_path = REQUEST_PATH_MODULES.contains(&relpath);
     let facade = FACADE_MODULES.contains(&relpath);
     let record_path = RECORD_PATH_MODULES.contains(&relpath);
 
-    let fns = parse_file(relpath, content).fns;
+    // Which lines are test code comes from the same parse.
+    let facts = parse_file(relpath, content);
+    let fns = facts.fns;
     let mut findings = Vec::new();
     let mut flag = |rule: &'static str, line: usize, message: String| {
         let function = fns
@@ -173,17 +174,6 @@ pub fn scan_file(relpath: &str, content: &str) -> Vec<Finding> {
 
     let mut lexer = Lexer::default();
 
-    // Test-region tracking: a `#[cfg(test)]`-style attribute (any cfg
-    // containing the `test` token) puts the lexer in "test code" until the
-    // block it introduces closes. Attribute on a braceless item (e.g. a
-    // `use`) covers just that statement.
-    let mut depth: i32 = 0;
-    let mut test_region_until: Option<i32> = None; // skip while depth > this
-    let mut pending_test_attr = false;
-    // Whether the attributed item's first line has gone by: only that line
-    // can be a field or a variant, so only there does a `,` end the item.
-    let mut attr_item_started = false;
-
     // R1: true while a `SAFETY:` comment block immediately above is still
     // "attached" — comment-only lines extend it, any code or blank line
     // consumes/breaks it.
@@ -203,47 +193,7 @@ pub fn scan_file(relpath: &str, content: &str) -> Vec<Finding> {
         }
 
         let trimmed = code.trim();
-        if pending_test_attr {
-            // The attribute's item starts here (attributes may stack).
-            if trimmed.starts_with("#[") {
-                // another attribute; keep waiting
-            } else if code.contains('{') {
-                test_region_until = Some(depth);
-                pending_test_attr = false;
-            } else if code.contains(';') || (!attr_item_started && trimmed.ends_with(',')) {
-                // Braceless item (use/static, or a field or an enum variant
-                // on one line): only that line is test code.
-                pending_test_attr = false;
-                depth += braces(code);
-                continue;
-            } else if !trimmed.is_empty() {
-                attr_item_started = true;
-            }
-        }
-        if trimmed.starts_with("#[cfg(") && trimmed.contains("test") && test_region_until.is_none()
-        {
-            pending_test_attr = true;
-            attr_item_started = false;
-        }
-        if trimmed.starts_with("#[test]") && test_region_until.is_none() {
-            pending_test_attr = true;
-            attr_item_started = false;
-        }
-
-        let depth_before = depth;
-        depth += braces(code);
-        let in_test = is_test_file
-            || match test_region_until {
-                Some(limit) => {
-                    if depth <= limit {
-                        test_region_until = None;
-                    }
-                    // The closing-brace line itself still belongs to the
-                    // test region.
-                    true
-                }
-                None => pending_test_attr && depth > depth_before,
-            };
+        let in_test = facts.in_test[idx];
 
         // R1: `unsafe` needs a SAFETY comment attached — in the comment
         // block directly above (blank lines break it) or on the same line.
@@ -327,7 +277,7 @@ pub fn scan_file(relpath: &str, content: &str) -> Vec<Finding> {
         }
 
         // R4: no sleeping on worker threads.
-        if !is_test_file && !in_test && code.contains("::sleep(") {
+        if !in_test && code.contains("::sleep(") {
             flag(
                 "no-sleep",
                 lineno,
