@@ -20,19 +20,19 @@
 //!
 //! ## Generation invalidation
 //!
-//! Every entry is stamped with the [`IndexHandle`] generation observed
-//! *before* the index was loaded to compute it
-//! ([`IndexHandle::load_with_generation`]), so a stamp is never newer than
-//! the index that produced the list. A lookup supplies the current
-//! generation; an entry with any other stamp is a miss (and is eagerly
-//! evicted). The daily rollover and every ingest mini-publish therefore
-//! invalidate the whole cache implicitly — by bumping the generation, not
-//! by touching entries — and once a request observes a new generation it
-//! can only be served lists computed on that generation's index, bit for
-//! bit what the kernel would answer. No entry outlives a publish: after
-//! one, every entry misses once. `tests/loom_models.rs` model-checks this
-//! claim and kills the `mutation-skip-generation-check` seeded mutation
-//! that drops the stamp comparison.
+//! Every entry is stamped with the [`IndexHandle`] generation that the
+//! index which computed it was published with
+//! ([`IndexHandle::load_with_generation`] reads both under one lock). A
+//! lookup supplies the current generation; an entry with any other stamp is
+//! a miss (and is eagerly evicted). The daily rollover and every ingest
+//! mini-publish therefore invalidate the whole cache implicitly — by
+//! bumping the generation, not by touching entries — and once a request
+//! observes a new generation it can only be served lists computed on that
+//! generation's index, bit for bit what the kernel would answer. No entry
+//! outlives a publish: after one, every entry misses once.
+//! `tests/loom_models.rs` model-checks this claim and kills the
+//! `mutation-skip-generation-check` seeded mutation that drops the stamp
+//! comparison.
 //!
 //! ## Structure
 //!

@@ -25,8 +25,9 @@
 //! A request runs the whole pipeline alone on its caller's
 //! [`RequestContext`] — the reactor thread that read it, or an in-process
 //! caller — so its answer never depends on what else was in flight. The
-//! recommender is read through a lock-free [`IndexHandle`], so the request
-//! path takes no lock besides the session store's per-shard mutex.
+//! recommender is read through an [`IndexHandle`]: a cache hit reads its
+//! generation without a lock, and a miss clones the published index under
+//! the handle's mutex.
 //!
 //! The daily rollover ([`ServingCluster::reload_index`]) builds the
 //! `VmisKnn` exactly once and publishes it atomically through the
@@ -83,9 +84,8 @@ impl std::error::Error for RolloverError {}
 /// hub and, once enabled, its ingest pipeline.
 ///
 /// The daily rollover (Section 4.1) and live ingest build the new index
-/// once and publish it atomically through the [`IndexHandle`], and readers
-/// never block — in-flight requests finish against the index they started
-/// with.
+/// once and publish it atomically through the [`IndexHandle`], and
+/// in-flight requests finish against the index they started with.
 pub struct ServingCluster {
     index: Arc<IndexHandle<VmisKnn>>,
     rules: BusinessRules,
@@ -135,15 +135,15 @@ impl ServingCluster {
         rules: BusinessRules,
         trace: TraceConfig,
     ) -> Result<Self, CoreError> {
-        // The published value uses the sync-facade Arc: under the loom
-        // feature the handle's reclamation protocol is model-checked.
+        // The published value uses the sync-facade Arc, which the loom
+        // feature swaps for the model checker's.
         let vmis = crate::sync::Arc::new(VmisKnn::new(index, kernel_config(&config, &rules))?);
-        Ok(Self::with_store(Arc::new(IndexHandle::new(vmis)), config, rules, trace))
+        Ok(Self::over_index(Arc::new(IndexHandle::new(vmis)), config, rules, trace))
     }
 
     /// Builds the engine over an explicit index handle, with a session
     /// store of `config.store`, and registers its metrics.
-    pub fn with_store(
+    pub fn over_index(
         index: Arc<IndexHandle<VmisKnn>>,
         config: EngineConfig,
         rules: BusinessRules,
@@ -314,9 +314,8 @@ impl ServingCluster {
         // Prediction stage. A cacheable view probes the cache first; a hit
         // performs no kernel work at all — one shard-mutex probe, no index
         // load: the generation comparison alone proves the entry was
-        // computed on an index at least as new as the generation this
-        // request observes (see the invariant on
-        // [`IndexHandle::load_with_generation`]).
+        // computed on the index of the generation this request observes
+        // (see [`IndexHandle::load_with_generation`]).
         let probe = self.cache.as_ref().zip(self.cache_key(&req, ctx));
         let hit = probe
             .and_then(|(cache, key)| Some((cache, cache.lookup(key, self.index.generation())?)));
@@ -490,10 +489,10 @@ impl ServingCluster {
 
     /// The daily rollover (Figure 1's "index replication" arrow): builds
     /// the recommender from `index` exactly once and publishes it
-    /// atomically. Readers never block, in-flight requests finish on the
-    /// version they loaded, and session state survives. On error, the
-    /// old index keeps serving. A cluster with live ingest refuses: its
-    /// publisher is the one index writer.
+    /// atomically. In-flight requests finish on the version they loaded,
+    /// and session state survives. On error, the old index keeps serving.
+    /// A cluster with live ingest refuses: its publisher is the one index
+    /// writer.
     pub fn reload_index(&self, index: Arc<SessionIndex>) -> Result<(), RolloverError> {
         if self.ingest().is_some() {
             return Err(RolloverError::IngestEnabled);
@@ -590,7 +589,7 @@ mod tests {
         let twice = VmisConfig { how_many: 2 * config.how_many, ..config.vmis.clone() };
         let handle = IndexHandle::new(crate::sync::Arc::new(VmisKnn::new(index, twice).unwrap()));
         let trace = TraceConfig::default();
-        let reference = ServingCluster::with_store(Arc::new(handle), config.clone(), rules(), trace);
+        let reference = ServingCluster::over_index(Arc::new(handle), config.clone(), rules(), trace);
         // A replayed stream: 40 sessions growing one click at a time, one
         // request in five without consent, which the prediction cache serves.
         let (mut state, mut full) = (5u64, 0);

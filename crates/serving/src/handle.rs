@@ -1,219 +1,95 @@
-//! Lock-free publication of the recommendation index.
+//! Publication of the recommendation index.
 //!
-//! The daily rollover (Section 4.1) must swap a freshly built index under
-//! live traffic. The seed implementation kept each pod's `VmisKnn` behind an
-//! `RwLock<Arc<_>>`; even though writes are rare, every request paid a
-//! read-lock acquisition, and a writer waiting on the lock could momentarily
-//! convoy readers. [`IndexHandle`] replaces that with epoch-style
-//! publication: the current value lives behind an `AtomicPtr` produced by
-//! `Arc::into_raw`, readers pin it with two wait-free atomic ops, and the
-//! single writer swaps the pointer and waits for the short pinning windows
-//! to drain before dropping its reference to the old value — readers never
-//! block, and in-flight requests finish on the index they started with.
+//! The daily rollover (Section 4.1) must swap a freshly built index while
+//! requests keep being answered, and in-flight requests finish on the index
+//! they started with. [`IndexHandle`] keeps the published `Arc` and its
+//! generation in one mutex: a reader clones the `Arc` under the lock, a
+//! writer swaps it under the lock, and each holds the lock for a few
+//! instructions only.
 //!
-//! Reclamation protocol (RCU-flavoured): a reader bumps one of `SLOTS`
-//! cache-line-padded guard counters, loads the pointer, bumps the `Arc`
-//! strong count, and releases its guard. The writer swaps the pointer and
-//! then spins until every guard counter reads zero; at that point every
-//! reader that could have observed the *old* pointer has already secured its
-//! own strong reference, so dropping the writer's reference is safe. The
-//! guard is held only across two atomic increments — the writer's wait is
-//! bounded and tiny, and rollovers are daily.
+//! A mutex suffices because the handle's traffic is small next to the work
+//! around it:
 //!
-//! The protocol is model-checked: `tests/loom_models.rs` explores the
-//! reader/writer interleavings under the `loom` shim (build with
-//! `--features loom`), including two seeded mutations — skipping
-//! [`IndexHandle::wait_for_readers`] and weakening the orderings below —
-//! that the checker must catch.
+//! * **reads** — on a node, one lock-free [`IndexHandle::generation`] per
+//!   cacheable request and one [`IndexHandle::load_with_generation`] per
+//!   cache miss, beside a VMIS-kNN run; on the router, one
+//!   [`IndexHandle::load`] of the membership per forwarded predict and one
+//!   per failover, beside a round trip to a node; eight loads per
+//!   `/metrics` scrape;
+//! * **writes** — the daily rollover (or `PUT /admin/index`), at most one
+//!   ingest publish per `publish_interval` plus one per unlearn or flush,
+//!   and the router's join, leave and publish.
+//!
+//! Concurrent readers already share the `Arc`'s strong count, so the lock
+//! adds one more contended cache line to a load, not a new kind of cost.
+//! The old value is dropped after the lock is released, so no reader waits
+//! while an index is freed.
 
-use crate::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use crate::sync::{self, Arc};
+use std::sync::PoisonError;
 
-/// Number of reader guard slots. Readers hash their thread onto a slot, so
-/// guard traffic from different cores rarely shares a cache line.
-#[cfg(not(feature = "loom"))]
-const SLOTS: usize = 16;
-/// Under the model checker two slots keep the schedule tree tractable while
-/// still exercising the multi-slot drain loop.
-#[cfg(feature = "loom")]
-const SLOTS: usize = 2;
+use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::{Arc, Mutex, MutexGuard};
 
-/// Memory orderings of the four atomic operations the reclamation protocol
-/// stands on, named so the model checker can prove which ones are
-/// load-bearing (the `mutation-weak-orderings` feature swaps in the weaker
-/// set below and `tests/loom_models.rs` asserts the checker rejects it).
-///
-/// Why SeqCst everywhere here: reader (`pin` then `ptr load`) and writer
-/// (`ptr swap` then `guard load`) form a Dekker-style store/load pattern.
-/// With anything weaker than SeqCst the writer's guard load may read a
-/// *stale zero* from before the reader's pin — the writer then frees the
-/// value while the reader, which loaded the old pointer, is still about to
-/// bump its strong count: use-after-free. Acquire/Release only orders
-/// loads *after* stores it synchronises with; it does not forbid the
-/// store→load reordering this protocol must exclude.
-#[cfg(not(feature = "mutation-weak-orderings"))]
-mod ord {
-    use super::Ordering;
-    /// Reader's guard increment (`fetch_add`).
-    pub const PIN: Ordering = Ordering::SeqCst;
-    /// Reader's pointer load.
-    pub const PTR_LOAD: Ordering = Ordering::SeqCst;
-    /// Writer's pointer swap.
-    pub const PTR_SWAP: Ordering = Ordering::SeqCst;
-    /// Writer's guard drain loads.
-    pub const GUARD_WAIT: Ordering = Ordering::SeqCst;
-}
-/// Seeded mutation: the plausible-looking Acquire/Release variant. The
-/// model checker must find the stale-guard-read schedule that makes it
-/// unsound.
-#[cfg(feature = "mutation-weak-orderings")]
-mod ord {
-    use super::Ordering;
-    // ORDERING: deliberately *wrong* partner set — the pin (Relaxed) no
-    // longer participates in the SeqCst total order the Dekker-style
-    // pin/swap handshake needs, so the loom model can catch the writer
-    // freeing an index a pinned reader still sees. Compiled only under the
-    // `mutation-weak-orderings` feature; never in production builds.
-    pub const PIN: Ordering = Ordering::Relaxed;
-    pub const PTR_LOAD: Ordering = Ordering::Acquire; // ORDERING: seeded mutation, see module comment
-    pub const PTR_SWAP: Ordering = Ordering::AcqRel; // ORDERING: seeded mutation, see module comment
-    pub const GUARD_WAIT: Ordering = Ordering::Acquire; // ORDERING: seeded mutation, see module comment
-}
-
-/// Pads a guard counter to its own cache line to prevent false sharing.
-#[repr(align(64))]
-struct PaddedCounter(AtomicUsize);
-
-/// A shared, atomically replaceable `Arc<T>` with wait-free readers.
+/// A shared, atomically replaceable `Arc<T>` stamped with a publication
+/// generation.
 pub struct IndexHandle<T> {
-    current: AtomicPtr<T>,
-    /// Monotone publication counter: 1 for the initial value, bumped once
-    /// per [`IndexHandle::store`] *after* the pointer swap. Consumers that
-    /// cache results derived from the published value stamp them with a
-    /// generation read *before* the pointer load
-    /// ([`IndexHandle::load_with_generation`]); the swap-then-bump /
-    /// read-then-load pairing (all SeqCst) guarantees a stamp is never
-    /// newer than the value it labels, so a stamp equal to the current
-    /// generation proves the cached result came from the current index.
+    /// The published value and its generation: 1 for the initial value,
+    /// +1 per [`IndexHandle::store`]. Read and written together, so a
+    /// stamp always labels the value it was published with.
+    current: Mutex<(Arc<T>, u64)>,
+    /// A copy of `current`'s generation, written under its lock, so that
+    /// [`IndexHandle::generation`] takes no lock. It only labels: a value
+    /// is always read with the stamp beside it in `current`.
     generation: AtomicU64,
-    guards: [PaddedCounter; SLOTS],
 }
 
 impl<T> IndexHandle<T> {
     /// Creates a handle publishing `value`.
     pub fn new(value: Arc<T>) -> Self {
-        Self {
-            current: AtomicPtr::new(Arc::into_raw(value).cast_mut()),
-            generation: AtomicU64::new(1),
-            guards: std::array::from_fn(|_| PaddedCounter(AtomicUsize::new(0))),
-        }
+        Self { current: Mutex::new((value, 1)), generation: AtomicU64::new(1) }
     }
 
-    #[inline]
-    fn slot(&self) -> &AtomicUsize {
-        // Cheap per-thread slot choice; collisions only cost some sharing.
-        &self.guards[serenade_telemetry::sync::shard_slot(SLOTS)].0
+    /// The one place the lock is taken. Every holder runs a few
+    /// instructions and cannot panic, so a poisoned lock still holds a
+    /// whole pair.
+    fn locked(&self) -> MutexGuard<'_, (Arc<T>, u64)> {
+        self.current.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Returns the currently published value. Wait-free: two atomic
-    /// increments and one atomic load; never blocks, regardless of
-    /// concurrent [`IndexHandle::store`] calls.
+    /// Returns the currently published value.
     pub fn load(&self) -> Arc<T> {
-        let guard = self.slot();
-        guard.fetch_add(1, ord::PIN);
-        let ptr = self.current.load(ord::PTR_LOAD);
-        // SAFETY: guard-counter protocol, reader side. Our slot counter is
-        // non-zero (the SeqCst `fetch_add` above is globally ordered before
-        // this load), so a writer that swapped `current` before our load
-        // cannot have passed `wait_for_readers` yet and has not dropped its
-        // reference: `ptr` points at a live allocation with strong count
-        // ≥ 1 for the whole window until the `fetch_sub` below. Bumping the
-        // strong count first and then claiming it with `from_raw` therefore
-        // never revives a freed Arc, and the handle's own reference (or the
-        // writer's pre-drop reference) keeps the count balanced.
-        let value = unsafe {
-            Arc::increment_strong_count(ptr);
-            Arc::from_raw(ptr)
-        };
-        // ORDERING: Release pairs with the writer's `GUARD_WAIT` drain
-        // loads in `store` — it keeps the strong-count increment above
-        // ordered before the guard drop that lets the writer proceed;
-        // nothing after this line touches the pointee.
-        guard.fetch_sub(1, Ordering::Release);
-        value
+        self.load_with_generation().0
     }
 
     /// The current publication generation: 1 for the initial value, +1 per
-    /// [`IndexHandle::store`].
+    /// [`IndexHandle::store`]. One atomic load, no lock.
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::SeqCst)
     }
 
-    /// Returns the published value together with a generation stamp that is
-    /// **never newer than the value**: the stamp is read before the pointer,
-    /// and the writer bumps the counter only after its swap, so under the
-    /// SeqCst total order `stamp == g` implies the load returned the value
-    /// of publication `g` or a later one. Derived results cached under this
-    /// stamp therefore never label old-index output with a new generation —
-    /// the invariant the prediction cache's loom model verifies.
+    /// Returns the published value together with the generation it was
+    /// published with. Both are read under one lock, so a result cached
+    /// under this stamp was computed on exactly that publication: a stamp
+    /// equal to the current generation proves a cached result came from the
+    /// current index (the invariant the prediction cache's loom model
+    /// checks).
     pub fn load_with_generation(&self) -> (Arc<T>, u64) {
-        let generation = self.generation.load(Ordering::SeqCst);
-        (self.load(), generation)
+        let current = self.locked();
+        (Arc::clone(&current.0), current.1)
     }
 
-    /// Atomically publishes `value`; every subsequent [`IndexHandle::load`]
-    /// (on any thread) returns it. Waits for readers currently inside their
-    /// two-instruction pin window, then releases the previous value.
+    /// Publishes `value`; every later [`IndexHandle::load`] (on any thread)
+    /// returns it. Readers that loaded the previous value keep it until
+    /// they drop it; the handle's own reference is released after the lock.
     pub fn store(&self, value: Arc<T>) {
-        let old = self.current.swap(Arc::into_raw(value).cast_mut(), ord::PTR_SWAP);
-        // Strictly after the swap (SeqCst): once a reader observes the new
-        // generation, its subsequent pointer load cannot return the old
-        // index, which is what lets a generation match stand in for "this
-        // cached list was computed on the live index".
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        #[cfg(not(feature = "mutation-skip-wait-for-readers"))]
-        self.wait_for_readers();
-        // SAFETY: guard-counter protocol, writer side. `old` came out of
-        // the swap above, so no future reader can load it any more, and
-        // `wait_for_readers` has observed every guard slot at zero after
-        // the swap — any reader that loaded `old` inside its pin window has
-        // already executed its `increment_strong_count` (the increment is
-        // ordered before its guard release). The strong count we reclaim
-        // here is the one `Arc::into_raw` leaked when `old` was published,
-        // so this `from_raw` is the unique reclamation of that reference.
-        drop(unsafe { Arc::from_raw(old) });
-    }
-
-    /// Spins until every reader guard slot reads zero. Bounded and tiny:
-    /// guards are only held across two atomic increments.
-    #[cfg_attr(feature = "mutation-skip-wait-for-readers", allow(dead_code))]
-    fn wait_for_readers(&self) {
-        for guard in &self.guards {
-            let mut spins = 0u32;
-            while guard.0.load(ord::GUARD_WAIT) != 0 {
-                spins += 1;
-                if spins > 64 {
-                    sync::yield_now();
-                } else {
-                    sync::spin_loop_hint();
-                }
-            }
-        }
-    }
-}
-
-impl<T> Drop for IndexHandle<T> {
-    fn drop(&mut self) {
-        // ORDERING: Relaxed with no partner: `&mut self` proves no reader
-        // or writer is concurrent with the drop, so there is nothing to
-        // order against.
-        //
-        // SAFETY: `current` always holds the pointer leaked by the
-        // `Arc::into_raw` of the most recent `new`/`store` publication, and
-        // exclusive access means no reader is inside its pin window, so
-        // reclaiming that reference exactly once here is sound.
-        drop(unsafe { Arc::from_raw(self.current.load(Ordering::Relaxed)) });
+        let old = {
+            let mut current = self.locked();
+            let generation = current.1 + 1;
+            self.generation.store(generation, Ordering::SeqCst);
+            std::mem::replace(&mut *current, (value, generation)).0
+        };
+        drop(old);
     }
 }
 
@@ -267,6 +143,54 @@ mod tests {
         assert_eq!(Arc::strong_count(&value), 2);
         drop(h);
         assert_eq!(Arc::strong_count(&value), 1);
+    }
+
+    /// A published value whose `Drop` says that it started on `dropping`,
+    /// then blocks until `release` is signalled.
+    struct SlowDrop {
+        id: u32,
+        dropping: Option<std::sync::mpsc::Sender<()>>,
+        release: Mutex<Option<std::sync::mpsc::Receiver<()>>>,
+    }
+
+    impl Drop for SlowDrop {
+        fn drop(&mut self) {
+            if let Some(dropping) = self.dropping.take() {
+                dropping.send(()).unwrap();
+                let release = self.release.get_mut().unwrap().take().unwrap();
+                release.recv().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_load_while_the_old_value_drops_returns_the_new_value() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let (dropping, started) = channel();
+        let (release, released) = channel();
+        let old = SlowDrop { id: 1, dropping: Some(dropping), release: Mutex::new(Some(released)) };
+        let h = Arc::new(IndexHandle::new(Arc::new(old)));
+        let writer = {
+            let h = Arc::clone(&h);
+            std::thread::spawn(move || {
+                let new = SlowDrop { id: 2, dropping: None, release: Mutex::new(None) };
+                h.store(Arc::new(new));
+            })
+        };
+        // The writer is inside the old value's drop, and stays there until
+        // released: a load that needs the handle's lock would wait on it.
+        started.recv().unwrap();
+        let (loaded, answer) = channel();
+        let reader = {
+            let h = Arc::clone(&h);
+            std::thread::spawn(move || loaded.send(h.load().id).unwrap())
+        };
+        let seen = answer.recv_timeout(Duration::from_secs(10));
+        release.send(()).unwrap();
+        writer.join().unwrap();
+        reader.join().unwrap();
+        assert_eq!(seen, Ok(2), "a load waited while the old value was dropped");
     }
 
     /// A value whose invariant (`b == a + 1`) would be violated by a torn

@@ -3,9 +3,9 @@
 //! One bounded in-memory queue absorbs click submissions from the HTTP
 //! endpoint; a single publisher thread drains it on a fixed cadence, folds
 //! the batch into the [`IncrementalIndexer`], and mini-publishes the
-//! resulting snapshot through the cluster's [`IndexHandle`] — readers never
-//! block, and the publish bumps the generation exactly like the daily
-//! rollover does.
+//! resulting snapshot through the cluster's [`IndexHandle`] — in-flight
+//! requests finish on the snapshot they loaded, and the publish bumps the
+//! generation exactly like the daily rollover does.
 //!
 //! ## Publish protocol
 //!

@@ -13,7 +13,7 @@
 //! * [`engine`] — what configures the engine and what a request carries:
 //!   the `serenade-hist` / `serenade-recent` variants of the A/B test and
 //!   the depersonalised mode;
-//! * [`handle`] — lock-free index publication for the daily rollover;
+//! * [`handle`] — index publication for the daily rollover, under one mutex;
 //! * [`cache`] — the generation-aware prediction cache: completed
 //!   single-item-view recommendation lists keyed by `(item, view-kind)`,
 //!   stamped with the [`handle`] generation so a rollover invalidates every

@@ -38,9 +38,9 @@
 //! # Membership snapshots
 //!
 //! Each reactor thread routes the predicts it reads (and their failovers)
-//! itself, so membership reads must never block. Membership lives in an
-//! [`IndexHandle<Membership>`]: admin operations build a new snapshot and
-//! publish it atomically; request paths [`IndexHandle::load`] it lock-free.
+//! itself, so a membership read must be short. Membership lives in an
+//! [`IndexHandle<Membership>`]: admin operations publish a new snapshot
+//! atomically; request paths [`IndexHandle::load`] it (one `Arc` clone).
 //! Per-node liveness is an `AtomicBool` inside the (shared) node entry, so
 //! marking a node dead needs no new snapshot.
 

@@ -6,7 +6,6 @@
 //! re-export the real types at zero cost, `--features loom` builds
 //! re-export the deterministic model-checker shims so record/snapshot
 //! interleavings can be explored schedule-by-schedule inside `loom::model`.
-//! [`shard_slot`] also picks `serenade-serving`'s index-handle guard slot.
 
 /// Model-checked mode: every primitive routes through the `loom` shim.
 #[cfg(feature = "loom")]
@@ -16,9 +15,8 @@ mod imp {
         pub use loom::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     }
 
-    /// Deterministic shard choice for [`crate::histogram::Histogram`],
-    /// [`crate::trace::TraceRing`] and the serving index handle's guard
-    /// slots: the model thread index.
+    /// Deterministic shard choice for [`crate::histogram::Histogram`] and
+    /// [`crate::trace::TraceRing`]: the model thread index.
     pub fn shard_slot(shards: usize) -> usize {
         loom::thread::current_index() % shards
     }
@@ -32,10 +30,9 @@ mod imp {
         pub use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     }
 
-    /// Shard choice for the sharded recorders and the serving index
-    /// handle's guard slots: round-robin assignment at first use per
-    /// thread, so workers spread evenly across shards regardless of how the
-    /// OS hashes thread ids.
+    /// Shard choice for the sharded recorders: round-robin assignment at
+    /// first use per thread, so workers spread evenly across shards
+    /// regardless of how the OS hashes thread ids.
     pub fn shard_slot(shards: usize) -> usize {
         thread_local! {
             static SLOT: std::cell::OnceCell<usize> =

@@ -1,15 +1,14 @@
 //! Workspace checks the compiler cannot make, in one command:
 //! `cargo run -p xtask -- analyze` ([`analyze::analyze_workspace`]).
 //!
-//! The serving core carries hand-rolled `unsafe` reclamation
-//! (`serving::handle`), a model-checker shim (`shims/loom`), and a no-panic
-//! request path — invariants that are easy to break silently in a later
-//! change. This crate checks them statically with a small line lexer and a
-//! fact parser (no `syn`, no network); `tests/analyze_workspace.rs` wires
-//! the same pass into tier-1 `cargo test`. Every rule reports a
-//! [`rules::Finding`] that names its enclosing function, and
-//! `crates/xtask/analyze_allow.txt` is the one allowlist of vetted
-//! exceptions.
+//! The serving core carries `unsafe` syscall shims (`server::reactor`), a
+//! model-checker shim (`shims/loom`), and a no-panic request path —
+//! invariants that are easy to break silently in a later change. This crate
+//! checks them statically with a small line lexer and a fact parser (no
+//! `syn`, no network); `tests/analyze_workspace.rs` wires the same pass
+//! into tier-1 `cargo test`. Every rule reports a [`rules::Finding`] that
+//! names its enclosing function, and `crates/xtask/analyze_allow.txt` is
+//! the one allowlist of vetted exceptions.
 //!
 //! The line rules live in this file and read `crates/`, `shims/` and the
 //! workspace-level `tests/` (each is documented in detail on its check

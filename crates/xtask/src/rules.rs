@@ -10,8 +10,7 @@
 //!   through resolved calls) convoys every other thread needing that lock.
 //!   Condvar waits are exempt: they release the mutex while parked.
 //! * **atomic-ordering-comment** — every non-SeqCst `Ordering::` use must
-//!   carry an `// ORDERING:` comment naming its partner operation (the
-//!   SeqCst-audit discipline from `serving::handle`, mechanised).
+//!   carry an `// ORDERING:` comment naming its partner operation.
 //! * **atomic-acquire-partner** — an `Acquire` load/RMW synchronises with
 //!   nothing unless some `Release`-or-stronger store/RMW exists on the
 //!   same atomic field in the same crate.

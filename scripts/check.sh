@@ -129,7 +129,7 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smok
 echo "==> benchmark: the generator's self-tests"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> loom models: serving (IndexHandle publication, drain handshake, prediction cache, stats counters)"
+echo "==> loom models: serving (drain handshake, prediction cache, stats counters)"
 cargo test -q -p serenade-serving --features loom
 
 echo "==> loom models: kvstore (TtlStore expiry race)"
@@ -137,12 +137,6 @@ cargo test -q -p serenade-kvstore --features loom
 
 echo "==> loom models: telemetry (sharded histogram record/snapshot, trace ring)"
 cargo test -q -p serenade-telemetry --features loom
-
-echo "==> mutation kill: wait_for_readers removed"
-cargo test -q -p serenade-serving --features "loom mutation-skip-wait-for-readers" --test loom_models
-
-echo "==> mutation kill: weakened orderings"
-cargo test -q -p serenade-serving --features "loom mutation-weak-orderings" --test loom_models
 
 echo "==> mutation kill: weakened admission/drain handshake"
 cargo test -q -p serenade-serving --features "loom mutation-weak-admission" --test loom_models

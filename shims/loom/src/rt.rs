@@ -104,14 +104,11 @@ pub(crate) struct MutexState {
     pub release_clock: VClock,
 }
 
-/// A model `Arc` allocation. The backing memory is intentionally *not*
-/// released when the model drops the last reference — it is kept alive (with
-/// `freed` set) until the end of the iteration so that a racing reader's
-/// use-after-free dereferences checker-owned memory instead of crashing the
-/// checker, and is deallocated by the driver between iterations.
+/// A model `Arc` allocation. The backing memory is not released when the
+/// model drops the last reference; the driver deallocates every allocation
+/// between iterations, whichever path the execution took.
 pub(crate) struct ArcAlloc {
     pub strong: u64,
-    pub freed: bool,
     /// Type-erased deallocator: `(drop_fn, heap pointer as usize)`.
     pub dealloc: (unsafe fn(usize), usize),
 }
@@ -623,67 +620,19 @@ pub(crate) fn mutex_unlock(id: usize) {
 
 pub(crate) fn arc_register(dealloc: (unsafe fn(usize), usize)) -> usize {
     op(|st, _| {
-        st.arcs.push(ArcAlloc { strong: 1, freed: false, dealloc });
+        st.arcs.push(ArcAlloc { strong: 1, dealloc });
         st.arcs.len() - 1
     })
 }
 
 pub(crate) fn arc_incr(slot: usize) {
-    op(|st, _| {
-        if st.arcs[slot].freed {
-            st.fail(
-                "use-after-free: strong count incremented on an Arc whose last \
-                 reference was already dropped",
-            );
-            return;
-        }
-        st.arcs[slot].strong += 1;
-    });
+    op(|st, _| st.arcs[slot].strong += 1);
 }
 
-/// Decrements the strong count; returns true when this dropped the last
-/// reference (the caller must NOT free the memory — the driver does, after
-/// the iteration — but may run no further accesses through it).
-pub(crate) fn arc_decr(slot: usize) -> bool {
-    op(|st, _| {
-        let a = &mut st.arcs[slot];
-        if a.freed || a.strong == 0 {
-            st.fail("double free: Arc strong count decremented below zero");
-            return false;
-        }
-        a.strong -= 1;
-        if a.strong == 0 {
-            a.freed = true;
-            true
-        } else {
-            false
-        }
-    })
-}
-
-pub(crate) fn arc_strong_count(slot: usize) -> u64 {
-    op(|st, _| st.arcs[slot].strong)
-}
-
-/// Cheap freed-check on dereference. Deliberately not a scheduling point:
-/// derefs are pervasive and the pin/unpin operations around them already
-/// provide the interleaving coverage.
-pub(crate) fn arc_check_alive(slot: usize) {
-    let (rt, _) = current();
-    let mut st = lock(&rt);
-    if std::thread::panicking() {
-        return;
-    }
-    if st.failure.is_some() {
-        drop(st);
-        abort_unwind();
-    }
-    if st.arcs[slot].freed {
-        st.fail("use-after-free: Arc dereferenced after its last reference was dropped");
-        rt.cv.notify_all();
-        drop(st);
-        abort_unwind();
-    }
+/// Decrements the strong count. Reaching zero frees nothing: the driver
+/// deallocates after the iteration.
+pub(crate) fn arc_decr(slot: usize) {
+    op(|st, _| st.arcs[slot].strong -= 1);
 }
 
 /// Spawns a model thread. Returns its tid; the caller-provided closure runs
@@ -864,7 +813,7 @@ pub(crate) fn run_once(
             };
         }
         if st.failure.is_none() {
-            let leaked = st.arcs.iter().filter(|a| !a.freed).count();
+            let leaked = st.arcs.iter().filter(|a| a.strong > 0).count();
             if leaked > 0 {
                 st.fail(&format!(
                     "leak: {leaked} Arc allocation(s) still have strong references \
@@ -883,7 +832,7 @@ pub(crate) fn run_once(
         let _ = h.join();
     }
     // All model threads are gone; release every allocation made during the
-    // iteration (freed-flagged ones were kept alive for UAF detection).
+    // iteration.
     for (drop_fn, ptr) in deallocs {
         // SAFETY: each (drop_fn, ptr) pair was registered by Arc::new for a
         // Box it leaked; threads that could touch it have been joined, and

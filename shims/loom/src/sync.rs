@@ -119,90 +119,18 @@ pub mod atomic {
             rt::atomic_rmw(self.0.loc(), order, |old| old.min(v))
         }
     }
-
-    /// Model-checked `AtomicBool`.
-    #[derive(Debug)]
-    pub struct AtomicBool(Cell);
-
-    impl AtomicBool {
-        /// Creates a new atomic initialised to `v`.
-        pub const fn new(v: bool) -> Self {
-            Self(Cell::new(v as u64))
-        }
-
-        /// Loads the value; non-SeqCst loads may observe stale stores.
-        pub fn load(&self, order: Ordering) -> bool {
-            rt::atomic_load(self.0.loc(), order) != 0
-        }
-
-        /// Stores `v`.
-        pub fn store(&self, v: bool, order: Ordering) {
-            rt::atomic_store(self.0.loc(), v as u64, order);
-        }
-
-        /// Swaps in `v`, returning the previous value.
-        pub fn swap(&self, v: bool, order: Ordering) -> bool {
-            rt::atomic_rmw(self.0.loc(), order, |_| v as u64) != 0
-        }
-    }
-
-    /// Model-checked `AtomicPtr`.
-    pub struct AtomicPtr<T> {
-        id: OnceLock<usize>,
-        init: *mut T,
-    }
-
-    // SAFETY: the pointer is treated purely as a value; all shared-state
-    // mutation happens inside the runtime's state mutex.
-    unsafe impl<T> Send for AtomicPtr<T> {}
-    // SAFETY: as above — the raw pointer field is never dereferenced here.
-    unsafe impl<T> Sync for AtomicPtr<T> {}
-
-    impl<T> AtomicPtr<T> {
-        /// Creates a new atomic pointer (lazily registered on first use).
-        pub fn new(p: *mut T) -> Self {
-            Self { id: OnceLock::new(), init: p }
-        }
-
-        fn loc(&self) -> usize {
-            *self.id.get_or_init(|| rt::register_location(self.init as usize as u64))
-        }
-
-        /// Loads the pointer; non-SeqCst loads may observe stale stores.
-        pub fn load(&self, order: Ordering) -> *mut T {
-            rt::atomic_load(self.loc(), order) as usize as *mut T
-        }
-
-        /// Stores `p`.
-        pub fn store(&self, p: *mut T, order: Ordering) {
-            rt::atomic_store(self.loc(), p as usize as u64, order);
-        }
-
-        /// Swaps in `p`, returning the previous pointer.
-        pub fn swap(&self, p: *mut T, order: Ordering) -> *mut T {
-            rt::atomic_rmw(self.loc(), order, |_| p as usize as u64) as usize as *mut T
-        }
-    }
-
-    impl<T> std::fmt::Debug for AtomicPtr<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("AtomicPtr(..)")
-        }
-    }
 }
 
-/// Heap layout of a model [`Arc`]. `repr(C)` so `from_raw` can recover the
-/// header from a `*const T` pointing at `value` with a constant offset.
-#[repr(C)]
+/// Heap layout of a model [`Arc`]: its registry slot beside the value.
 struct ArcInner<T> {
     slot: usize,
     value: T,
 }
 
-/// Model-checked `Arc` with registry-backed use-after-free, double-free and
-/// leak detection. The pointee outlives the model iteration (the driver
-/// deallocates between iterations), so a buggy protocol reads stale — but
-/// valid — memory and the checker reports it instead of segfaulting.
+/// Model-checked `Arc` whose strong count lives in the runtime's registry,
+/// so an allocation still referenced when the execution ends fails it as a
+/// leak. The driver frees every allocation between iterations, so a model
+/// that fails part-way leaks nothing into the test process.
 pub struct Arc<T> {
     ptr: *const ArcInner<T>,
 }
@@ -232,57 +160,10 @@ impl<T> Arc<T> {
     }
 
     fn inner(&self) -> &ArcInner<T> {
-        // SAFETY: the allocation is kept alive by the driver until the end
-        // of the iteration, so the pointer is always dereferenceable; the
-        // runtime separately reports protocol violations.
+        // SAFETY: the driver frees the allocation only after the iteration
+        // ends, and this `Arc` is one of its strong references, so the
+        // pointer is dereferenceable.
         unsafe { &*self.ptr }
-    }
-
-    /// Consumes the `Arc` without dropping the strong count, returning a
-    /// pointer to the value.
-    pub fn into_raw(this: Self) -> *const T {
-        let p = &this.inner().value as *const T;
-        std::mem::forget(this);
-        p
-    }
-
-    /// Rebuilds an `Arc` from an [`Arc::into_raw`] pointer, claiming one
-    /// strong reference.
-    ///
-    /// # Safety
-    /// `ptr` must come from `Arc::<T>::into_raw` and the claimed reference
-    /// must not have been reconstructed already.
-    pub unsafe fn from_raw(ptr: *const T) -> Self {
-        let inner = (ptr as *const u8)
-            .wrapping_sub(std::mem::offset_of!(ArcInner<T>, value))
-            as *const ArcInner<T>;
-        Self { ptr: inner }
-    }
-
-    /// Increments the strong count behind a raw pointer; the model fails if
-    /// the allocation was already released.
-    ///
-    /// # Safety
-    /// `ptr` must come from `Arc::<T>::into_raw`.
-    pub unsafe fn increment_strong_count(ptr: *const T) {
-        let inner = (ptr as *const u8)
-            .wrapping_sub(std::mem::offset_of!(ArcInner<T>, value))
-            as *const ArcInner<T>;
-        // SAFETY: the allocation is driver-owned until the iteration ends,
-        // so reading the slot id is always in-bounds; liveness is what the
-        // registry call below verifies.
-        let slot = unsafe { (*inner).slot };
-        rt::arc_incr(slot);
-    }
-
-    /// Current strong count (a scheduling point like any atomic read).
-    pub fn strong_count(this: &Self) -> usize {
-        rt::arc_strong_count(this.inner().slot) as usize
-    }
-
-    /// Whether two `Arc`s point at the same allocation.
-    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
-        std::ptr::eq(a.ptr, b.ptr)
     }
 }
 
@@ -296,8 +177,8 @@ impl<T> Clone for Arc<T> {
 impl<T> Drop for Arc<T> {
     fn drop(&mut self) {
         // Deallocation is deferred to the driver; dropping the last
-        // reference only marks the allocation freed in the registry.
-        let _ = rt::arc_decr(self.inner().slot);
+        // reference only zeroes the count in the registry.
+        rt::arc_decr(self.inner().slot);
     }
 }
 
@@ -305,7 +186,6 @@ impl<T> std::ops::Deref for Arc<T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        rt::arc_check_alive(self.inner().slot);
         &self.inner().value
     }
 }

@@ -116,33 +116,6 @@ fn message_passing_with_relaxed_flag_is_caught() {
 }
 
 #[test]
-fn use_after_free_is_caught() {
-    let report = quick().explore(|| {
-        let a = Arc::new(7u64);
-        let p = Arc::into_raw(a);
-        let addr = p as usize;
-        let t = thread::spawn(move || {
-            // SAFETY: deliberately drops the only strong reference — the
-            // exact bug the checker must catch when the other thread
-            // touches `p` afterwards. The shim keeps the allocation alive
-            // until the iteration ends, so this is UB for the model, not
-            // for the test process.
-            drop(unsafe { Arc::from_raw(addr as *const u64) });
-        });
-        // SAFETY: racing revival of the refcount — in some schedule the
-        // drop above already freed the allocation; the checker (not the
-        // allocator) is what makes that observable, and it must fail here.
-        unsafe { Arc::increment_strong_count(p) };
-        // SAFETY: reclaims the reference minted by the increment above on
-        // schedules where the increment was still sound.
-        drop(unsafe { Arc::from_raw(p) });
-        t.join().unwrap();
-    });
-    let failure = report.failure.expect("checker must find the use-after-free");
-    assert!(failure.contains("use-after-free"), "unexpected failure: {failure}");
-}
-
-#[test]
 fn leaked_arc_is_caught() {
     let report = quick().explore(|| {
         std::mem::forget(Arc::new(1u64));
@@ -152,23 +125,8 @@ fn leaked_arc_is_caught() {
 }
 
 #[test]
-fn double_free_is_caught() {
-    let report = quick().explore(|| {
-        let a = Arc::new(3u64);
-        let p = Arc::into_raw(a);
-        // SAFETY: the first reclamation is the legitimate one...
-        drop(unsafe { Arc::from_raw(p) });
-        // SAFETY: ...and the second is the seeded double free the checker
-        // must flag (the shim defers deallocation, so the process survives).
-        drop(unsafe { Arc::from_raw(p) });
-    });
-    let failure = report.failure.expect("checker must flag the double free");
-    assert!(failure.contains("free"), "unexpected failure: {failure}");
-}
-
-#[test]
 fn yield_based_spin_wait_terminates() {
-    // Miniature wait_for_readers: the spinner only reruns when the worker
+    // A yield-based spin wait: the spinner only reruns when the worker
     // has blocked/finished, so the schedule tree stays finite.
     let report = quick().explore(|| {
         let guard = Arc::new(AtomicUsize::new(1));
