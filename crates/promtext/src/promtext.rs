@@ -1,15 +1,5 @@
-//! Parser for the Prometheus text exposition format (version 0.0.4).
-//!
-//! Its consumers are the `/metrics` conformance tests, which parse the
-//! server's output and [`Exposition::validate`] it (typed families, unique
-//! series, monotone cumulative buckets, `+Inf` == `_count`) and read
-//! **server-side** latency percentiles back from the cumulative bucket
-//! counts.
-//!
-//! Reconstruction is exact at the histogram's native bucket granularity:
-//! the renderer emits both edges of every non-empty bucket, so a scraped
-//! cumulative count only changes at rendered bounds and step interpolation
-//! between them loses nothing (see `registry.rs`).
+//! The parser, the validator and the histogram read-back (re-exported at
+//! the crate root).
 
 /// One parsed sample line: full sample name (`foo`, `foo_bucket`, …),
 /// labels in appearance order, value.
@@ -406,11 +396,9 @@ impl Exposition {
     }
 }
 
-#[cfg(all(test, not(feature = "loom")))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::histogram::{HistogramConfig, REL_ERROR_BOUND};
-    use crate::registry::Registry;
 
     #[test]
     fn parses_plain_and_labelled_samples() {
@@ -480,64 +468,5 @@ h_sum 1
 h_count 5
 ";
         assert!(parse(no_inf).unwrap().validate().is_err());
-    }
-
-    /// End-to-end: render a histogram, scrape it back, and check the
-    /// reconstructed quantiles agree with the server-side snapshot within
-    /// the documented error bound.
-    #[test]
-    fn scraped_quantiles_match_native_snapshot() {
-        let registry = Registry::new();
-        let h = registry.histogram(
-            "lat_seconds",
-            "L.",
-            &[("pod", "0")],
-            HistogramConfig::default(),
-        );
-        for v in 1..=5_000u64 {
-            h.record_us(v * 3);
-        }
-        let exp = parse(&registry.render()).unwrap();
-        exp.validate().unwrap();
-        let scraped = exp.histogram("lat_seconds", &[("pod", "0")]).unwrap();
-        let native = h.snapshot();
-        assert_eq!(scraped.count, native.count as f64);
-        for q in [0.5, 0.75, 0.9, 0.995] {
-            let s = scraped.quantile_us(q) as f64;
-            let n = native.quantile_us(q) as f64;
-            assert!(
-                (s - n).abs() <= n * REL_ERROR_BOUND + 1.0,
-                "q={q}: scraped {s} native {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn merged_series_reconstruct_quantiles() {
-        let registry = Registry::new();
-        let a = registry.histogram("lat_seconds", "L.", &[("pod", "0")], HistogramConfig::default());
-        let b = registry.histogram("lat_seconds", "L.", &[("pod", "1")], HistogramConfig::default());
-        for v in 1..=1_000u64 {
-            a.record_us(v);
-        }
-        for v in 1_001..=2_000u64 {
-            b.record_us(v);
-        }
-        // Both pods' series merge into one distribution.
-        let merged = parse(&registry.render()).unwrap().histogram("lat_seconds", &[]).unwrap();
-        assert_eq!(merged.count, 2_000.0);
-        let mid = merged.quantile_us(0.5) as f64;
-        assert!((mid - 1_000.0).abs() <= 1_000.0 * REL_ERROR_BOUND + 1.0, "{mid}");
-        let p90 = merged.quantile_us(0.9) as f64;
-        assert!((p90 - 1_800.0).abs() <= 1_800.0 * REL_ERROR_BOUND + 1.0, "{p90}");
-    }
-
-    #[test]
-    fn reference_histogram_parses() {
-        let registry = Registry::new();
-        registry.histogram("h_seconds", "H.", &[], HistogramConfig::default()).record_us(125);
-        let exp = parse(&registry.render()).unwrap();
-        exp.validate().unwrap();
-        assert_eq!(exp.value("h_seconds_count", &[]), Some(1.0));
     }
 }

@@ -36,7 +36,6 @@
 //! publisher is the index's one writer, and a rollover is refused
 //! ([`RolloverError::IngestEnabled`]).
 
-use std::cell::RefCell;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -194,11 +193,6 @@ impl ServingCluster {
         &self.index
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// The cluster's observability hub (metric registry, trace ring,
     /// request-id source).
     pub fn telemetry(&self) -> &Arc<ClusterTelemetry> {
@@ -263,15 +257,6 @@ impl ServingCluster {
         let in_index = pipeline.delete_session(session_id)?;
         let in_store = self.forget_session(session_id);
         Ok(in_index || in_store)
-    }
-
-    /// Handles a request with a per-thread context:
-    /// [`ServingCluster::handle_with`] for callers without worker state.
-    pub fn handle(&self, req: RecommendRequest) -> Result<Vec<ItemScore>, ServingError> {
-        thread_local! {
-            static CTX: RefCell<RequestContext> = RefCell::new(RequestContext::new());
-        }
-        CTX.with(|ctx| self.handle_with(req, &mut ctx.borrow_mut()))
     }
 
     /// Handles one frontend request through the three-stage pipeline,
@@ -526,7 +511,7 @@ impl ServingCluster {
 #[cfg(all(test, not(feature = "loom")))]
 mod tests {
     use super::*;
-    use crate::engine::tests::index;
+    use crate::engine::tests::{handle, index};
     use serenade_core::VmisConfig;
     use std::time::Duration;
 
@@ -587,9 +572,9 @@ mod tests {
         // What a cluster without rules served before: twice the candidates,
         // cut to the served list by the policy stage.
         let twice = VmisConfig { how_many: 2 * config.how_many, ..config.vmis.clone() };
-        let handle = IndexHandle::new(crate::sync::Arc::new(VmisKnn::new(index, twice).unwrap()));
+        let published = IndexHandle::new(crate::sync::Arc::new(VmisKnn::new(index, twice).unwrap()));
         let trace = TraceConfig::default();
-        let reference = ServingCluster::over_index(Arc::new(handle), config.clone(), rules(), trace);
+        let reference = ServingCluster::over_index(Arc::new(published), config.clone(), rules(), trace);
         // A replayed stream: 40 sessions growing one click at a time, one
         // request in five without consent, which the prediction cache serves.
         let (mut state, mut full) = (5u64, 0);
@@ -597,7 +582,7 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let (session_id, item) = (n % 40, (state >> 33) % 90);
             let req = RecommendRequest { session_id, item, consent: n % 5 != 0, filter_adult: false };
-            let (answer, before) = (served.handle(req).unwrap(), reference.handle(req).unwrap());
+            let (answer, before) = (handle(&served, req).unwrap(), handle(&reference, req).unwrap());
             assert_eq!(bits(&answer), bits(&before), "request {n}: {req:?}");
             full += usize::from(answer.len() == config.how_many);
         }
@@ -630,7 +615,7 @@ mod tests {
             };
             for n in 0..30 {
                 clicks.push(click());
-                let answer = bits(&a.handle(req(7, clicks[n])).unwrap());
+                let answer = bits(&handle(&a, req(7, clicks[n])).unwrap());
                 assert_eq!(answer, expect(&clicks), "{variant:?}, click {n}");
             }
             assert_eq!(a.stored_session_len(7), window, "{variant:?}");
@@ -641,7 +626,7 @@ mod tests {
             }
             clicks.push(click());
             let next = req(7, clicks[30]);
-            let (moved, stayed) = (bits(&b.handle(next).unwrap()), bits(&a.handle(next).unwrap()));
+            let (moved, stayed) = (bits(&handle(&b, next).unwrap()), bits(&handle(&a, next).unwrap()));
             assert_eq!(moved, stayed, "{variant:?}");
             assert_eq!(moved, expect(&clicks), "{variant:?}");
             assert_eq!(b.stored_session_len(7), window, "{variant:?}");
@@ -652,7 +637,7 @@ mod tests {
     fn sticky_sessions_accumulate_in_one_store() {
         let c = cluster();
         for i in 0..5 {
-            c.handle(req(42, i % 5)).unwrap();
+            handle(&c, req(42, i % 5)).unwrap();
         }
         // The node's store holds session 42, with all 5 clicks.
         assert_eq!(c.stored_session_len(42), 5);
@@ -663,7 +648,7 @@ mod tests {
     fn eviction_sweep_keeps_unexpired_sessions() {
         let c = cluster();
         for sid in 0..10u64 {
-            c.handle(req(sid, 0)).unwrap();
+            handle(&c, req(sid, 0)).unwrap();
         }
         // Nothing has expired (default 30-minute TTL).
         assert_eq!(c.evict_expired_sessions(), 0);
@@ -681,9 +666,9 @@ mod tests {
             consent: false,
             filter_adult: false,
         };
-        let first = c.handle(dep(0)).unwrap();
+        let first = handle(&c, dep(0)).unwrap();
         for sid in 1..8u64 {
-            assert_eq!(c.handle(dep(sid)).unwrap(), first);
+            assert_eq!(handle(&c, dep(sid)).unwrap(), first);
         }
         let hits = c.scraped("serenade_cache_hits_total", &[]);
         assert_eq!((hits, c.scraped("serenade_cache_misses_total", &[])), (7, 1));
@@ -741,6 +726,7 @@ mod tests {
 #[cfg(all(test, not(feature = "loom")))]
 mod ingest_tests {
     use super::*;
+    use crate::engine::tests::handle;
     use crate::ingest::IngestConfig;
     use serenade_core::Click;
     use std::time::Duration;
@@ -808,7 +794,7 @@ mod ingest_tests {
         });
         let generation_before = c.index_handle().generation();
         // Item 42 does not exist in the seed log: nothing to recommend.
-        assert!(c.handle(dep(900, 42)).unwrap().is_empty());
+        assert!(handle(&c, dep(900, 42)).unwrap().is_empty());
 
         assert!(p.submit(&[Click::new(1_000, 0, 10_000), Click::new(1_000, 42, 10_001)]));
         let generation_after = p.flush().unwrap();
@@ -816,7 +802,7 @@ mod ingest_tests {
         assert_eq!(c.scraped("serenade_ingest_publishes_total", &[]), 1);
 
         // The live co-occurrence (0, 42) is now served.
-        let recs = c.handle(dep(901, 42)).unwrap();
+        let recs = handle(&c, dep(901, 42)).unwrap();
         assert!(recs.iter().any(|r| r.item == 0), "fresh neighbourhood must serve: {recs:?}");
     }
 
@@ -827,7 +813,7 @@ mod ingest_tests {
             ..IngestConfig::default()
         });
         // A consented request leaves evolving state in the session store.
-        c.handle(RecommendRequest { session_id: 77, item: 3, consent: true, filter_adult: false })
+        handle(&c, RecommendRequest { session_id: 77, item: 3, consent: true, filter_adult: false })
             .unwrap();
         assert_eq!(c.stored_session_len(77), 1);
 
@@ -859,11 +845,11 @@ mod ingest_tests {
         });
         assert!(p.submit(&[Click::new(2_000, 5, 10_000), Click::new(2_000, 77, 10_001)]));
         p.flush().unwrap();
-        assert!(c.handle(dep(903, 77)).unwrap().iter().any(|r| r.item == 5));
+        assert!(handle(&c, dep(903, 77)).unwrap().iter().any(|r| r.item == 5));
 
         assert!(p.delete_session(2_000).unwrap(), "the session existed");
         assert!(
-            c.handle(dep(904, 77)).unwrap().is_empty(),
+            handle(&c, dep(904, 77)).unwrap().is_empty(),
             "the unlearned session must stop influencing predictions"
         );
         assert_eq!(c.scraped("serenade_ingest_deletions_total", &[]), 1);
@@ -948,7 +934,7 @@ mod ingest_tests {
         let mut request = 10_000;
         let mut ask = |c: &ServingCluster, item: u64| {
             request += 1;
-            bits(c.handle(dep(request, item)).unwrap())
+            bits(handle(c, dep(request, item)).unwrap())
         };
         // Warm the cache on the seed generation.
         for &item in &seed_items {
@@ -983,14 +969,14 @@ mod ingest_tests {
             publish_interval: Duration::from_millis(5),
             ..IngestConfig::default()
         });
-        let before = c.handle(dep(908, 1)).unwrap();
-        assert_eq!(c.handle(dep(909, 1)).unwrap(), before, "warm: second request hits");
+        let before = handle(&c, dep(908, 1)).unwrap();
+        assert_eq!(handle(&c, dep(909, 1)).unwrap(), before, "warm: second request hits");
 
         // A session containing item 1 changes item 1's neighbourhood.
         assert!(p.submit(&[Click::new(3_100, 1, 10_000), Click::new(3_100, 55, 10_001)]));
         p.flush().unwrap();
 
-        let after = c.handle(dep(910, 1)).unwrap();
+        let after = handle(&c, dep(910, 1)).unwrap();
         assert_ne!(after, before, "the touched item's answer must be recomputed");
         assert!(after.iter().any(|r| r.item == 55), "and reflect the live click: {after:?}");
         let stale = c.scraped("serenade_cache_stale_total", &[]);
@@ -1043,6 +1029,7 @@ mod ingest_tests {
 #[cfg(all(test, not(feature = "loom")))]
 mod rollover_tests {
     use super::*;
+    use crate::engine::tests::handle;
     use serenade_core::Click;
 
     fn make_index(offset: u64) -> Arc<SessionIndex> {
@@ -1068,7 +1055,7 @@ mod rollover_tests {
             BusinessRules::none(),
         )
         .unwrap();
-        let before = c.handle(req(7, 1)).unwrap();
+        let before = handle(&c, req(7, 1)).unwrap();
         assert_eq!(c.stored_session_len(7), 1);
 
         // Overnight: a new index arrives and is published.
@@ -1077,7 +1064,7 @@ mod rollover_tests {
         // Session state survived the rollover...
         assert_eq!(c.stored_session_len(7), 1);
         // ...and predictions now come from the new index.
-        let after = c.handle(req(8, 1)).unwrap();
+        let after = handle(&c, req(8, 1)).unwrap();
         assert_ne!(before, after, "rollover must change the model");
         assert_eq!(c.stored_session_len(7), 1);
     }
@@ -1097,17 +1084,17 @@ mod rollover_tests {
             consent: false,
             filter_adult: false,
         };
-        let before = c.handle(dep(1)).unwrap();
-        assert_eq!(c.handle(dep(2)).unwrap(), before, "warm: second request hits");
+        let before = handle(&c, dep(1)).unwrap();
+        assert_eq!(handle(&c, dep(2)).unwrap(), before, "warm: second request hits");
 
         c.reload_index(make_index(3)).unwrap();
 
         // The cached entry carries the old generation stamp: the next probe
         // rejects it and recomputes on the new index.
-        let after = c.handle(dep(3)).unwrap();
+        let after = handle(&c, dep(3)).unwrap();
         assert_ne!(after, before, "rollover must change the depersonalised answer");
         assert_eq!(c.scraped("serenade_cache_stale_total", &[]), 1);
-        assert_eq!(c.handle(dep(4)).unwrap(), after, "fresh entry serves hits again");
+        assert_eq!(handle(&c, dep(4)).unwrap(), after, "fresh entry serves hits again");
     }
 
     #[test]
@@ -1119,7 +1106,7 @@ mod rollover_tests {
             BusinessRules::none(),
         )
         .unwrap();
-        let before: Vec<_> = (0..6u64).map(|i| c.handle(req(100 + i, i % 6)).unwrap()).collect();
+        let before: Vec<_> = (0..6u64).map(|i| handle(&c, req(100 + i, i % 6)).unwrap()).collect();
         let old = Arc::as_ptr(&c.index_handle().load());
 
         // A broken artefact: posting capacity m_max = 2 cannot satisfy the
@@ -1131,7 +1118,7 @@ mod rollover_tests {
 
         // Atomic from the caller's view: the published index did not move.
         assert_eq!(Arc::as_ptr(&c.index_handle().load()), old);
-        let after: Vec<_> = (0..6u64).map(|i| c.handle(req(200 + i, i % 6)).unwrap()).collect();
+        let after: Vec<_> = (0..6u64).map(|i| handle(&c, req(200 + i, i % 6)).unwrap()).collect();
         assert_eq!(before, after, "predictions must be unchanged");
     }
 
@@ -1199,7 +1186,7 @@ mod rollover_tests {
                     BusinessRules::none(),
                 )
                 .unwrap();
-                (0..6u64).map(|item| probe.handle(req(item + 1, item)).unwrap()).collect()
+                (0..6u64).map(|item| handle(&probe, req(item + 1, item)).unwrap()).collect()
             })
             .collect();
 

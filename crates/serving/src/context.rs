@@ -88,11 +88,6 @@ impl RequestContext {
         self.degraded = false;
     }
 
-    /// The absolute deadline of the in-flight request, if one was set.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
     /// Whether the deadline had already passed at `now`. Takes the probe
     /// instant as a parameter so stages reuse the `Instant` they already
     /// captured for timings instead of another clock read.
@@ -133,11 +128,13 @@ mod tests {
     #[test]
     fn deadline_budget_and_expiry() {
         let mut ctx = RequestContext::new();
-        assert!(ctx.deadline().is_none());
         let now = Instant::now();
-        ctx.set_deadline(Some(now + Duration::from_secs(3600)));
-        assert_eq!(ctx.deadline(), Some(now + Duration::from_secs(3600)));
+        let deadline = now + Duration::from_secs(3600);
+        assert!(!ctx.deadline_expired_at(deadline + Duration::from_secs(3600)), "no budget, no expiry");
+        ctx.set_deadline(Some(deadline));
         assert!(!ctx.deadline_expired_at(now));
+        assert!(!ctx.deadline_expired_at(deadline - Duration::from_nanos(1)));
+        assert!(ctx.deadline_expired_at(deadline), "the budget ends at the deadline itself");
         assert!(ctx.deadline_expired_at(now + Duration::from_secs(3601)));
         ctx.set_degraded(true);
         assert!(ctx.degraded());

@@ -86,8 +86,9 @@ pub(crate) mod tests {
     //! handoff, driven through the pipeline they configure.
 
     use super::*;
+    use crate::error::ServingError;
     use crate::{BusinessRules, RequestContext, ServingCluster};
-    use serenade_core::{Click, SessionIndex};
+    use serenade_core::{Click, ItemScore, SessionIndex};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -111,11 +112,20 @@ pub(crate) mod tests {
         RecommendRequest { session_id, item, consent: true, filter_adult: false }
     }
 
+    /// Answers `req` the way an in-process caller does: `handle_with` on a
+    /// context of its own.
+    pub(crate) fn handle(
+        cluster: &ServingCluster,
+        req: RecommendRequest,
+    ) -> Result<Vec<ItemScore>, ServingError> {
+        cluster.handle_with(req, &mut RequestContext::new())
+    }
+
     #[test]
     fn consented_requests_accumulate_session_state() {
         let e = engine(ServingVariant::Full, BusinessRules::none());
-        assert!(!e.handle(req(7, 0)).unwrap().is_empty());
-        assert!(!e.handle(req(7, 1)).unwrap().is_empty());
+        assert!(!handle(&e, req(7, 0)).unwrap().is_empty());
+        assert!(!handle(&e, req(7, 1)).unwrap().is_empty());
         assert_eq!(e.stored_session_len(7), 2);
         assert_eq!(e.live_sessions(), 1);
     }
@@ -123,9 +133,9 @@ pub(crate) mod tests {
     #[test]
     fn no_consent_clears_state_and_uses_current_item_only() {
         let e = engine(ServingVariant::Full, BusinessRules::none());
-        e.handle(req(7, 0)).unwrap();
-        e.handle(req(7, 1)).unwrap();
-        let depersonalised = e.handle(RecommendRequest {
+        handle(&e, req(7, 0)).unwrap();
+        handle(&e, req(7, 1)).unwrap();
+        let depersonalised = handle(&e, RecommendRequest {
             session_id: 7,
             item: 2,
             consent: false,
@@ -135,39 +145,39 @@ pub(crate) mod tests {
         assert_eq!(e.stored_session_len(7), 0, "state must be dropped");
         // Result equals a fresh single-item prediction.
         let e2 = engine(ServingVariant::Full, BusinessRules::none());
-        let fresh = e2.handle(req(99, 2)).unwrap();
+        let fresh = handle(&e2, req(99, 2)).unwrap();
         assert_eq!(depersonalised, fresh);
     }
 
     #[test]
     fn recent_variant_matches_single_item_prediction() {
         let recent = engine(ServingVariant::Recent, BusinessRules::none());
-        recent.handle(req(1, 0)).unwrap();
-        let from_recent = recent.handle(req(1, 3)).unwrap();
-        let fresh = engine(ServingVariant::Recent, BusinessRules::none()).handle(req(2, 3)).unwrap();
+        handle(&recent, req(1, 0)).unwrap();
+        let from_recent = handle(&recent, req(1, 3)).unwrap();
+        let fresh = handle(&engine(ServingVariant::Recent, BusinessRules::none()), req(2, 3)).unwrap();
         assert_eq!(from_recent, fresh, "recent variant only sees the last item");
     }
 
     #[test]
     fn hist_variant_uses_last_two_items() {
         let hist = engine(ServingVariant::Hist(2), BusinessRules::none());
-        hist.handle(req(1, 0)).unwrap();
-        hist.handle(req(1, 1)).unwrap();
-        let from_hist = hist.handle(req(1, 2)).unwrap(); // view = [1, 2]
+        handle(&hist, req(1, 0)).unwrap();
+        handle(&hist, req(1, 1)).unwrap();
+        let from_hist = handle(&hist, req(1, 2)).unwrap(); // view = [1, 2]
         let pair = engine(ServingVariant::Hist(2), BusinessRules::none());
-        pair.handle(req(5, 1)).unwrap();
-        let fresh = pair.handle(req(5, 2)).unwrap(); // view = [1, 2]
+        handle(&pair, req(5, 1)).unwrap();
+        let fresh = handle(&pair, req(5, 2)).unwrap(); // view = [1, 2]
         assert_eq!(from_hist, fresh);
     }
 
     #[test]
     fn business_rules_filter_responses() {
         let clean = engine(ServingVariant::Recent, BusinessRules::none());
-        let baseline = clean.handle(req(1, 0)).unwrap();
+        let baseline = handle(&clean, req(1, 0)).unwrap();
         assert!(!baseline.is_empty());
         let banned = baseline[0].item;
         let filtered = engine(ServingVariant::Recent, BusinessRules::new([banned], []));
-        let recs = filtered.handle(req(1, 0)).unwrap();
+        let recs = handle(&filtered, req(1, 0)).unwrap();
         assert!(recs.iter().all(|r| r.item != banned));
     }
 
@@ -183,7 +193,7 @@ pub(crate) mod tests {
         let config = full_window(4);
         let e = ServingCluster::new(index(), 1, config, BusinessRules::none()).unwrap();
         for i in 0..10 {
-            e.handle(req(1, i % 5)).unwrap();
+            handle(&e, req(1, i % 5)).unwrap();
         }
         assert_eq!(e.stored_session_len(1), 4);
     }
@@ -191,7 +201,7 @@ pub(crate) mod tests {
     #[test]
     fn responses_respect_how_many() {
         let e = engine(ServingVariant::Full, BusinessRules::none());
-        let recs = e.handle(req(1, 0)).unwrap();
+        let recs = handle(&e, req(1, 0)).unwrap();
         assert!(recs.len() <= 3);
         assert!(recs.windows(2).all(|w| w[0].score >= w[1].score));
     }
@@ -255,7 +265,7 @@ pub(crate) mod tests {
         assert_eq!(e.scraped("serenade_deadline_degraded_total", &[]), 1);
         // The degraded response equals a fresh single-item prediction.
         let fresh = engine(ServingVariant::Full, BusinessRules::none());
-        let expected = fresh.handle(req(99, 2)).unwrap();
+        let expected = handle(&fresh, req(99, 2)).unwrap();
         assert_eq!(degraded, expected);
         // Session state was still updated before the checkpoint.
         assert_eq!(e.stored_session_len(7), 3);
@@ -273,8 +283,8 @@ pub(crate) mod tests {
     #[test]
     fn depersonalised_repeats_hit_the_cache_and_stay_identical() {
         let e = engine(ServingVariant::Full, BusinessRules::none());
-        let first = e.handle(dep(50, 2, false)).unwrap();
-        let second = e.handle(dep(51, 2, false)).unwrap();
+        let first = handle(&e, dep(50, 2, false)).unwrap();
+        let second = handle(&e, dep(51, 2, false)).unwrap();
         assert_eq!(first, second, "a cache hit must be byte-identical to the computed list");
         let hits = e.scraped("serenade_cache_hits_total", &[]);
         assert_eq!((hits, e.scraped("serenade_cache_misses_total", &[])), (1, 1));
@@ -283,8 +293,8 @@ pub(crate) mod tests {
     #[test]
     fn recent_variant_consented_requests_are_cached() {
         let e = engine(ServingVariant::Recent, BusinessRules::none());
-        let a = e.handle(req(1, 3)).unwrap();
-        let b = e.handle(req(2, 3)).unwrap();
+        let a = handle(&e, req(1, 3)).unwrap();
+        let b = handle(&e, req(2, 3)).unwrap();
         assert_eq!(a, b);
         let hits = e.scraped("serenade_cache_hits_total", &[]);
         assert_eq!(hits, 1, "same most-recent item, different session");
@@ -293,10 +303,10 @@ pub(crate) mod tests {
     #[test]
     fn hist_variant_consented_requests_bypass_the_cache() {
         let e = engine(ServingVariant::Hist(2), BusinessRules::none());
-        e.handle(req(1, 0)).unwrap();
-        e.handle(req(1, 1)).unwrap();
-        e.handle(req(2, 0)).unwrap();
-        e.handle(req(2, 1)).unwrap();
+        handle(&e, req(1, 0)).unwrap();
+        handle(&e, req(1, 1)).unwrap();
+        handle(&e, req(2, 0)).unwrap();
+        handle(&e, req(2, 1)).unwrap();
         let hits = e.scraped("serenade_cache_hits_total", &[]);
         assert_eq!(
             (hits, e.scraped("serenade_cache_misses_total", &[])),
@@ -319,8 +329,8 @@ pub(crate) mod tests {
         assert!(!families.contains("serenade_cache_"), "no cache, no cache series: {families}");
         for item in [0u64, 2, 2, 4, 0] {
             assert_eq!(
-                enabled.handle(dep(80, item, false)).unwrap(),
-                disabled.handle(dep(80, item, false)).unwrap(),
+                handle(&enabled, dep(80, item, false)).unwrap(),
+                handle(&disabled, dep(80, item, false)).unwrap(),
             );
         }
         assert!(enabled.scraped("serenade_cache_hits_total", &[]) > 0);
@@ -343,11 +353,11 @@ pub(crate) mod tests {
         let mut rules = BusinessRules::none();
         rules.mark_adult(7);
         let e = ServingCluster::new(idx, 1, EngineConfig::default(), rules).unwrap();
-        let unfiltered = e.handle(dep(1, 0, false)).unwrap();
+        let unfiltered = handle(&e, dep(1, 0, false)).unwrap();
         assert!(unfiltered.iter().any(|r| r.item == 7), "warm-up sees the adult item");
-        let filtered = e.handle(dep(2, 0, true)).unwrap();
+        let filtered = handle(&e, dep(2, 0, true)).unwrap();
         assert!(filtered.iter().all(|r| r.item != 7), "cached hit must still filter");
-        let unfiltered_again = e.handle(dep(3, 0, false)).unwrap();
+        let unfiltered_again = handle(&e, dep(3, 0, false)).unwrap();
         assert_eq!(unfiltered, unfiltered_again, "filtering must not poison the entry");
         assert_eq!(e.scraped("serenade_cache_hits_total", &[]), 2);
     }
@@ -356,9 +366,9 @@ pub(crate) mod tests {
     fn export_import_hands_sessions_between_engines() {
         let old_owner = engine(ServingVariant::Full, BusinessRules::none());
         let new_owner = engine(ServingVariant::Full, BusinessRules::none());
-        old_owner.handle(req(7, 0)).unwrap();
-        old_owner.handle(req(7, 1)).unwrap();
-        old_owner.handle(req(8, 2)).unwrap();
+        handle(&old_owner, req(7, 0)).unwrap();
+        handle(&old_owner, req(7, 1)).unwrap();
+        handle(&old_owner, req(8, 2)).unwrap();
 
         let exported = old_owner.export_sessions(usize::MAX);
         assert_eq!(exported.len(), 2);
@@ -372,11 +382,11 @@ pub(crate) mod tests {
 
         // The handed-off session continues where it left off: the next
         // request on the new owner sees the full history.
-        let continued = new_owner.handle(req(7, 2)).unwrap();
+        let continued = handle(&new_owner, req(7, 2)).unwrap();
         let reference = engine(ServingVariant::Full, BusinessRules::none());
-        reference.handle(req(7, 0)).unwrap();
-        reference.handle(req(7, 1)).unwrap();
-        assert_eq!(continued, reference.handle(req(7, 2)).unwrap());
+        handle(&reference, req(7, 0)).unwrap();
+        handle(&reference, req(7, 1)).unwrap();
+        assert_eq!(continued, handle(&reference, req(7, 2)).unwrap());
     }
 
     #[test]
@@ -384,7 +394,7 @@ pub(crate) mod tests {
         // During the handoff gap the new owner already served the session
         // fresh; the imported snapshot must slot in *before* those clicks.
         let e = engine(ServingVariant::Full, BusinessRules::none());
-        e.handle(req(7, 3)).unwrap(); // gap click on the new owner
+        handle(&e, req(7, 3)).unwrap(); // gap click on the new owner
         assert_eq!(e.import_session(7, vec![0, 1]), 3);
         let mut ctx = RequestContext::new();
         e.handle_with(req(7, 2), &mut ctx).unwrap();
@@ -395,19 +405,20 @@ pub(crate) mod tests {
     fn import_respects_the_stored_session_cap() {
         let config = full_window(4);
         let e = ServingCluster::new(index(), 1, config, BusinessRules::none()).unwrap();
-        e.handle(req(7, 0)).unwrap();
+        handle(&e, req(7, 0)).unwrap();
         let len = e.import_session(7, vec![1, 2, 3, 4, 0, 1]);
         assert_eq!(len, 4, "oldest imported items are dropped first");
         assert_eq!(e.stored_session_len(7), 4);
     }
 
+    /// A context reused across requests answers as a fresh one does.
     #[test]
     fn handle_with_matches_handle() {
         let a = engine(ServingVariant::Full, BusinessRules::none());
         let b = engine(ServingVariant::Full, BusinessRules::none());
         let mut ctx = RequestContext::new();
         for i in 0..6u64 {
-            assert_eq!(a.handle_with(req(3, i % 5), &mut ctx).unwrap(), b.handle(req(3, i % 5)).unwrap());
+            assert_eq!(a.handle_with(req(3, i % 5), &mut ctx).unwrap(), handle(&b, req(3, i % 5)).unwrap());
         }
     }
 }
@@ -415,6 +426,7 @@ pub(crate) mod tests {
 #[cfg(all(test, not(feature = "loom")))]
 mod ttl_tests {
     use super::*;
+    use crate::engine::tests::handle;
     use crate::{BusinessRules, ServingCluster};
     use serenade_core::{Click, SessionIndex};
     use std::sync::Arc;
@@ -437,14 +449,14 @@ mod ttl_tests {
             ..Default::default()
         };
         let e = ServingCluster::new(tiny_index(), 1, config, BusinessRules::none()).unwrap();
-        e.handle(RecommendRequest { session_id: 5, item: 0, consent: true, filter_adult: false })
+        handle(&e, RecommendRequest { session_id: 5, item: 0, consent: true, filter_adult: false })
             .unwrap();
         assert_eq!(e.stored_session_len(5), 1);
         std::thread::sleep(std::time::Duration::from_millis(80));
         assert_eq!(e.stored_session_len(5), 0, "session must expire after the TTL");
         assert_eq!(e.evict_expired_sessions(), 0, "lazy expiry already removed it");
         // A new request restarts the session from scratch.
-        e.handle(RecommendRequest { session_id: 5, item: 1, consent: true, filter_adult: false })
+        handle(&e, RecommendRequest { session_id: 5, item: 1, consent: true, filter_adult: false })
             .unwrap();
         assert_eq!(e.stored_session_len(5), 1);
     }
@@ -457,7 +469,7 @@ mod ttl_tests {
         };
         let e = ServingCluster::new(tiny_index(), 1, config, BusinessRules::none()).unwrap();
         for sid in 0..6u64 {
-            e.handle(RecommendRequest {
+            handle(&e, RecommendRequest {
                 session_id: sid,
                 item: 0,
                 consent: true,
@@ -484,7 +496,7 @@ mod ttl_tests {
         let mut rules = BusinessRules::none();
         rules.mark_adult(7);
         let e = ServingCluster::new(index, 1, EngineConfig::default(), rules).unwrap();
-        let filtered = e.handle(RecommendRequest {
+        let filtered = handle(&e, RecommendRequest {
             session_id: 1,
             item: 0,
             consent: false,
@@ -492,7 +504,7 @@ mod ttl_tests {
         })
         .unwrap();
         assert!(filtered.iter().all(|r| r.item != 7));
-        let unfiltered = e.handle(RecommendRequest {
+        let unfiltered = handle(&e, RecommendRequest {
             session_id: 2,
             item: 0,
             consent: false,

@@ -42,6 +42,7 @@
 //! [`ServingCluster::reload_index`]: crate::cluster::ServingCluster::reload_index
 //! [`RolloverError::IngestEnabled`]: crate::cluster::RolloverError::IngestEnabled
 
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -87,44 +88,18 @@ impl Default for IngestConfig {
 /// stage).
 const SYNC_WAIT: Duration = Duration::from_secs(30);
 
-/// A one-shot completion slot the publisher fills and a caller awaits.
-struct Ticket<T> {
-    done: Mutex<Option<T>>,
-    cond: Condvar,
+/// The publisher's end of a one-shot answer to a caller waiting on the
+/// channel's other end: a channel of capacity 1, answered with
+/// [`complete`].
+type Ticket<T> = SyncSender<Result<T, ServingError>>;
+type DeleteTicket = Ticket<bool>;
+type FlushTicket = Ticket<u64>;
+
+/// Answers a ticket once and never blocks: a ticket already answered, or
+/// one whose caller stopped waiting, drops `value`.
+fn complete<T>(ticket: &Ticket<T>, value: Result<T, ServingError>) {
+    let _ = ticket.try_send(value);
 }
-
-impl<T> Ticket<T> {
-    fn new() -> Self {
-        Self { done: Mutex::new(None), cond: Condvar::new() }
-    }
-
-    fn complete(&self, value: T) {
-        *self.done.lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
-        self.cond.notify_all();
-    }
-
-    fn wait(&self, timeout: Duration) -> Option<T> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = self.done.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(value) = slot.take() {
-                return Some(value);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .cond
-                .wait_timeout(slot, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            slot = guard;
-        }
-    }
-}
-
-type DeleteTicket = Arc<Ticket<Result<bool, ServingError>>>;
-type FlushTicket = Arc<Ticket<Result<u64, ServingError>>>;
 
 /// Work accumulated between publishes, behind one mutex with a condvar the
 /// submitters signal and the publisher waits on.
@@ -244,38 +219,34 @@ impl IngestPipeline {
     /// cannot resurrect it, and blocks until the publish that excludes it
     /// is visible. Returns whether the session existed in the log.
     pub fn delete_session(&self, session_id: u64) -> Result<bool, ServingError> {
-        let ticket: DeleteTicket = Arc::new(Ticket::new());
+        let (ticket, answer) = sync_channel(1);
         {
             let mut pending = self.shared.lock_pending();
             if pending.shutdown {
                 return Err(ServingError::Internal("ingest pipeline is shut down"));
             }
-            pending.deletes.push((session_id, Arc::clone(&ticket)));
+            pending.deletes.push((session_id, ticket));
         }
         self.shared.cond.notify_all();
-        match ticket.wait(SYNC_WAIT) {
-            Some(result) => result,
-            None => Err(ServingError::Internal("ingest deletion timed out")),
-        }
+        let timed_out = Err(ServingError::Internal("ingest deletion timed out"));
+        answer.recv_timeout(SYNC_WAIT).unwrap_or(timed_out)
     }
 
     /// Forces an immediate publish of everything pending and blocks until
     /// it is visible; returns the index generation afterwards. With nothing
     /// pending this is a cheap synchronisation point (no publish happens).
     pub fn flush(&self) -> Result<u64, ServingError> {
-        let ticket: FlushTicket = Arc::new(Ticket::new());
+        let (ticket, answer) = sync_channel(1);
         {
             let mut pending = self.shared.lock_pending();
             if pending.shutdown {
                 return Err(ServingError::Internal("ingest pipeline is shut down"));
             }
-            pending.flushes.push(Arc::clone(&ticket));
+            pending.flushes.push(ticket);
         }
         self.shared.cond.notify_all();
-        match ticket.wait(SYNC_WAIT) {
-            Some(result) => result,
-            None => Err(ServingError::Internal("ingest flush timed out")),
-        }
+        let timed_out = Err(ServingError::Internal("ingest flush timed out"));
+        answer.recv_timeout(SYNC_WAIT).unwrap_or(timed_out)
     }
 
     /// Clicks currently waiting for the next publish.
@@ -400,10 +371,10 @@ fn stop_after_panic(
         (std::mem::take(&mut pending.deletes), std::mem::take(&mut pending.flushes))
     };
     for (_, ticket) in deletes.iter().chain(&queued_deletes) {
-        ticket.complete(Err(STOPPED));
+        complete(ticket, Err(STOPPED));
     }
     for ticket in flushes.iter().chain(&queued_flushes) {
-        ticket.complete(Err(STOPPED));
+        complete(ticket, Err(STOPPED));
     }
 }
 
@@ -421,7 +392,7 @@ fn publish_cycle(
     if clicks.is_empty() && deletes.is_empty() {
         // A flush with nothing pending is just a synchronisation point.
         for flush in flushes {
-            flush.complete(Ok(shared.handle.generation()));
+            complete(flush, Ok(shared.handle.generation()));
         }
         return;
     }
@@ -455,7 +426,7 @@ fn publish_cycle(
     }
 
     for (outcome, ticket) in delete_outcomes {
-        ticket.complete(match (outcome, &published) {
+        complete(ticket, match (outcome, &published) {
             (Ok(existed), Ok(_)) => Ok(existed),
             (Ok(_), Err(_)) => Err(ServingError::Internal(
                 "session removed from the log but republish failed; previous index still serving",
@@ -464,7 +435,7 @@ fn publish_cycle(
         });
     }
     for flush in flushes {
-        flush.complete(match &published {
+        complete(flush, match &published {
             Ok(_) => Ok(shared.handle.generation()),
             Err(_) => Err(ServingError::Internal("ingest publish failed")),
         });

@@ -528,7 +528,7 @@ mod tests {
 
         let handle = node.cluster().index_handle().generation();
         let (_, metrics) = ctrl.get("/metrics").unwrap();
-        let scraped = serenade_telemetry::parse(&metrics).unwrap().value("serenade_index_generation", &[]);
+        let scraped = serenade_promtext::parse(&metrics).unwrap().value("serenade_index_generation", &[]);
         assert_eq!((generation(&mut ctrl), scraped, handle), (2, Some(2.0), 2));
         assert_eq!(node.cluster().index_handle().load().index().num_sessions(), 41);
         node.shutdown();

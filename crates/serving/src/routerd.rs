@@ -856,6 +856,39 @@ mod tests {
         survivor.shutdown();
     }
 
+    /// The router's own `/metrics` page, read over its socket after a
+    /// forward and a failover, is a valid exposition: its failover counter,
+    /// upstream histogram and per-node upstream gauge included.
+    #[test]
+    fn the_routers_metrics_page_is_a_valid_exposition_after_a_failover() {
+        let (owner, other) = (survivor(), survivor());
+        let router = router(
+            &[(0, owner.data_addr(), owner.ctrl_addr()), (1, other.data_addr(), other.ctrl_addr())],
+            HttpServerConfig::default(),
+        );
+        let core = Arc::clone(router.core());
+        let sid = (0..u64::MAX).find(|&sid| core.membership().route(sid) == Some(0)).unwrap();
+        let owner_addr = owner.data_addr().to_string();
+        let mut client = HttpClient::connect(router.addr()).unwrap();
+        assert_eq!(predict(&mut client, sid, true).0, 200, "forwarded to its owner");
+        owner.shutdown();
+        assert_eq!(predict(&mut client, sid, true).0, 200, "failed over, no 5xx");
+
+        let (status, page) = client.get("/metrics").unwrap();
+        assert_eq!(status, 200);
+        let metrics = serenade_promtext::parse(&page).unwrap();
+        metrics.validate().unwrap();
+        let failovers = metrics.value("serenade_router_failover_total", &[]).unwrap();
+        assert!(failovers >= 1.0, "{failovers}");
+        assert_eq!(failovers, core.failover_total() as f64);
+        let upstream = metrics.histogram("serenade_router_upstream_seconds", &[]).unwrap();
+        assert!(upstream.count >= 1.0, "the owner's answer was timed");
+        assert_eq!(metrics.kind("serenade_http_upstream_connections"), Some("gauge"));
+        assert!(metrics.value("serenade_http_upstream_connections", &[("node", &owner_addr)]).is_some());
+        router.shutdown();
+        other.shutdown();
+    }
+
     #[test]
     fn a_node_that_accepts_and_never_answers_costs_one_deadline_and_no_error() {
         let survivor = survivor();
@@ -875,7 +908,7 @@ mod tests {
 
         let upstream_timeouts = || {
             let text = core.telemetry().registry().render();
-            let metrics = serenade_telemetry::parse(&text).unwrap();
+            let metrics = serenade_promtext::parse(&text).unwrap();
             metrics.value("serenade_http_timeouts_total", &[("kind", "upstream")])
         };
 

@@ -231,7 +231,7 @@ mod tests {
             text.contains("serenade_connection_state_seconds_count{state=\"handling\"} 1"),
             "{text}"
         );
-        let exposition = serenade_telemetry::parse(&text).unwrap();
+        let exposition = serenade_promtext::parse(&text).unwrap();
         exposition.validate().unwrap();
     }
 

@@ -447,7 +447,7 @@ mod tests {
         // Structural conformance: unique family names with `# TYPE` lines,
         // unique series, per-series monotone cumulative buckets, `+Inf`
         // present and equal to `_count`.
-        let exposition = serenade_telemetry::parse(&body).unwrap();
+        let exposition = serenade_promtext::parse(&body).unwrap();
         exposition.validate().unwrap();
         assert_eq!(exposition.kind("serenade_requests_total"), Some("counter"));
         assert_eq!(exposition.kind("serenade_request_duration_seconds"), Some("histogram"));
@@ -540,7 +540,7 @@ mod tests {
         assert_eq!(status, 200);
         let (status, body) = client.get("/metrics").unwrap();
         assert_eq!(status, 200);
-        let exposition = serenade_telemetry::parse(&body).unwrap();
+        let exposition = serenade_promtext::parse(&body).unwrap();
         exposition.validate().unwrap();
         // The polled gauges read the live server: this scrape is its one
         // request in flight, on its one open connection.
@@ -667,7 +667,7 @@ mod tests {
         }
         let (status, body) = client.get("/metrics").unwrap();
         assert_eq!(status, 200, "{body}");
-        let exposition = serenade_telemetry::parse(&body).unwrap();
+        let exposition = serenade_promtext::parse(&body).unwrap();
         assert_eq!(exposition.value("serenade_requests_total", &[]), Some(4.0), "{body}");
         // The engine exposes its latency end to end and per pipeline stage.
         for stage in ["total", "session", "predict", "policy"] {

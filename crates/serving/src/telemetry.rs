@@ -165,8 +165,8 @@ impl Default for ClusterTelemetry {
 
 /// Parses what `GET /metrics` renders from `registry` right now.
 #[cfg(all(test, not(feature = "loom")))]
-pub(crate) fn scrape(registry: &Registry) -> serenade_telemetry::Exposition {
-    serenade_telemetry::parse(&registry.render()).expect("the registry renders valid exposition text")
+pub(crate) fn scrape(registry: &Registry) -> serenade_promtext::Exposition {
+    serenade_promtext::parse(&registry.render()).expect("the registry renders valid exposition text")
 }
 
 #[cfg(all(test, not(feature = "loom")))]

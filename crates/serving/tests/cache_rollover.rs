@@ -57,7 +57,7 @@ fn recommendations(client: &mut HttpClient, session_id: u64, item: u64) -> Strin
 fn metric(client: &mut HttpClient, name: &str) -> f64 {
     let (status, exposition) = client.get("/metrics").unwrap();
     assert_eq!(status, 200);
-    serenade_telemetry::parse(&exposition)
+    serenade_promtext::parse(&exposition)
         .unwrap()
         .sum_values(name, &[])
 }

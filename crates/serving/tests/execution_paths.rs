@@ -102,7 +102,7 @@ fn send_all(addr: SocketAddr, reqs: &[RecommendRequest]) -> Vec<String> {
 
 fn metric(telemetry: &ClusterTelemetry, name: &str, labels: &[(&str, &str)]) -> f64 {
     let text = telemetry.registry().render();
-    serenade_telemetry::parse(&text).unwrap().sum_values(name, labels)
+    serenade_promtext::parse(&text).unwrap().sum_values(name, labels)
 }
 
 fn predicts(telemetry: &ClusterTelemetry, path: &str) -> f64 {

@@ -93,7 +93,7 @@ fn await_queue_depth(cluster: &ServingCluster, want: f64) {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let text = cluster.telemetry().registry().render();
-        let exposition = serenade_telemetry::parse(&text).unwrap();
+        let exposition = serenade_promtext::parse(&text).unwrap();
         if exposition.value("serenade_http_queue_depth", &[]) == Some(want) {
             return;
         }
@@ -573,7 +573,7 @@ fn expired_deadline_degrades_but_still_answers_200() {
     assert_eq!(cluster.stored_session_len(77), 3);
     // Requests 2 and 3 had multi-item views, so both degraded.
     let (_, metrics) = client.get("/metrics").unwrap();
-    let exposition = serenade_telemetry::parse(&metrics).unwrap();
+    let exposition = serenade_promtext::parse(&metrics).unwrap();
     assert_eq!(exposition.sum_values("serenade_deadline_degraded_total", &[]), 2.0);
     server.shutdown();
 }

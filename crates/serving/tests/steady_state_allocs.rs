@@ -2,9 +2,9 @@
 //!
 //! A request context is a full kernel `Scratch` (a candidate table and two
 //! heaps, tens of kilobytes), so it belongs to a worker or a thread, never
-//! to a request. This suite holds the request paths to that:
-//! `ServingCluster::handle`, which has no worker to borrow a context from,
-//! allocates only its response; a predict the reactor runs inline allocates
+//! to a request. This suite holds the request paths to that: an
+//! in-process caller's `ServingCluster::handle_with` on the context it
+//! keeps allocates only its response; a predict the reactor runs inline allocates
 //! what a parse and a response take and nothing scratch-sized; and a
 //! forwarded predict reuses its upstream connection's buffers on the router.
 
@@ -22,8 +22,8 @@ use serenade_serving::engine::RecommendRequest;
 use serenade_serving::node::{NodeConfig, ServingNode};
 use serenade_serving::routerd::{RouterConfig, RouterDaemon};
 use serenade_serving::{
-    BusinessRules, EngineConfig, HttpClient, HttpServer, HttpServerConfig, ServingCluster,
-    ServingVariant,
+    BusinessRules, EngineConfig, HttpClient, HttpServer, HttpServerConfig, RequestContext,
+    ServingCluster, ServingVariant,
 };
 use serenade_telemetry::TraceConfig;
 
@@ -132,18 +132,19 @@ fn cluster_handle_is_traced_and_allocates_only_its_response() {
         ServingCluster::with_trace_config(index(), config, BusinessRules::none(), always_sample)
             .unwrap();
     assert!(cluster.telemetry().traces().snapshot().is_empty());
-    cluster.handle(req(7, 0)).unwrap();
+    let mut ctx = RequestContext::new();
+    cluster.handle_with(req(7, 0), &mut ctx).unwrap();
     let traces = cluster.telemetry().traces().snapshot();
-    assert_eq!(traces.len(), 1, "a request made through `handle` is offered to the trace ring");
+    assert_eq!(traces.len(), 1, "an in-process request is offered to the trace ring");
     assert!(traces[0].request_id > 0 && traces[0].postings_walked > 0, "{:?}", traces[0]);
 
-    // Warm up: the thread's context, and session 7 up to its stored cap so
+    // Warm up: the caller's context, and session 7 up to its stored cap so
     // the session store stops growing its item list.
     for i in 0..80 {
-        cluster.handle(req(7, i % 6)).unwrap();
+        cluster.handle_with(req(7, i % 6), &mut ctx).unwrap();
     }
     for i in 0..6 {
-        let (recs, (all, _)) = allocations_of(|| cluster.handle(req(7, i)).unwrap());
+        let (recs, (all, _)) = allocations_of(|| cluster.handle_with(req(7, i), &mut ctx).unwrap());
         assert!(!recs.is_empty());
         assert_eq!(all, 1, "item {i}: the response list and nothing else");
     }

@@ -174,14 +174,9 @@ impl Histogram {
         shard.max_us.fetch_max(v, Ordering::Relaxed); // ORDERING: see buckets above
     }
 
-    /// Number of shards (for tests and capacity accounting).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of buckets per shard (memory is `buckets × shards × 8` bytes
     /// plus three words per shard, independent of the observation count).
-    pub fn buckets(&self) -> usize {
+    fn buckets(&self) -> usize {
         self.shards[0].buckets.len()
     }
 

@@ -13,21 +13,22 @@
 //!   (per-stage timings, session length, depersonalised flag) behind
 //!   sampling and threshold knobs fixed at construction, for
 //!   `GET /debug/slow`.
-//! * [`promtext`] — an exposition parser, so tests can verify conformance
-//!   and read server-side percentiles back from `/metrics`.
+//!
+//! The server renders its metrics and never parses them, so the exposition
+//! parser the conformance tests read `/metrics` with is a crate of its own,
+//! `serenade-promtext`, which only `[dev-dependencies]` name.
 //!
 //! The crate is dependency-free; `--features loom` swaps the atomics for
-//! the deterministic model-checker shims via the [`sync`] facade.
+//! the deterministic model-checker shims via the crate-private `sync`
+//! facade.
 
 #![warn(missing_docs)]
 
 pub mod histogram;
-pub mod promtext;
 pub mod registry;
-pub mod sync;
+pub(crate) mod sync;
 pub mod trace;
 
 pub use histogram::{Histogram, HistogramConfig, HistogramSnapshot, REL_ERROR_BOUND};
-pub use promtext::{parse, Exposition, ParsedSample, ScrapedHistogram};
 pub use registry::{Counter, Gauge, Registry};
 pub use trace::{TraceConfig, TraceRing, TraceSample};

@@ -12,12 +12,12 @@
 mod imp {
     /// Atomic types whose every operation is a model scheduling point.
     pub mod atomic {
-        pub use loom::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+        pub use loom::sync::atomic::{AtomicU64, Ordering};
     }
 
-    /// Deterministic shard choice for [`crate::histogram::Histogram`] and
-    /// [`crate::trace::TraceRing`]: the model thread index.
-    pub fn shard_slot(shards: usize) -> usize {
+    /// Deterministic shard choice for [`crate::histogram::Histogram`]: the
+    /// model thread index.
+    pub(crate) fn shard_slot(shards: usize) -> usize {
         loom::thread::current_index() % shards
     }
 }
@@ -27,13 +27,13 @@ mod imp {
 mod imp {
     /// Atomic types (the real ones).
     pub mod atomic {
-        pub use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+        pub use std::sync::atomic::{AtomicU64, Ordering};
     }
 
-    /// Shard choice for the sharded recorders: round-robin assignment at
-    /// first use per thread, so workers spread evenly across shards
-    /// regardless of how the OS hashes thread ids.
-    pub fn shard_slot(shards: usize) -> usize {
+    /// Shard choice for [`crate::histogram::Histogram`]: round-robin
+    /// assignment at first use per thread, so workers spread evenly across
+    /// shards regardless of how the OS hashes thread ids.
+    pub(crate) fn shard_slot(shards: usize) -> usize {
         thread_local! {
             static SLOT: std::cell::OnceCell<usize> =
                 const { std::cell::OnceCell::new() };

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-command verification: tier-1 build+tests, then only what tier-1 does
-# not cover — the workspace checker from the CLI, the rustdoc link check,
+# not cover — the dev-only parser's place in the dependency graph, the
+# workspace checker from the CLI, the rustdoc link check,
 # the benchmark's smoke run and self-tests, the loom model
 # checks, and the seeded-mutation kill tests (where the checker must FAIL
 # the mutated protocol — their test files assert exactly that).
@@ -46,6 +47,19 @@ fi
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+# The exposition parser only reads /metrics back in tests: it is a
+# dev-dependency of the crates that render the page, and must not become a
+# build dependency of either.
+echo "==> dependencies: no product build links the dev-only serenade-promtext"
+for package in serenade-serving serenade-telemetry; do
+    tree=$(cargo tree --offline -e normal -p "$package")
+    if grep -q serenade-promtext <<<"$tree"; then
+        echo "FAIL: $package depends on serenade-promtext outside [dev-dependencies]:" >&2
+        echo "$tree" >&2
+        exit 1
+    fi
+done
 
 # The probe's answer fingerprint at `--quick`, held to the committed value:
 # a kernel change that moves one answer bit fails here, not only in the

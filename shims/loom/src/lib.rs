@@ -44,7 +44,7 @@ pub struct Report {
 #[derive(Debug, Clone)]
 pub struct Builder {
     /// CHESS-style cap on involuntary context switches per execution.
-    /// Yield/block/finish handoffs are free; preempting a runnable thread
+    /// Block/finish handoffs are free; preempting a runnable thread
     /// spends budget. 2 catches most protocol bugs; 3 is noticeably slower.
     pub preemption_bound: u32,
     /// Stop after this many executions even if schedules remain.

@@ -12,7 +12,7 @@
 //!
 //! Two bounds keep the tree finite: a CHESS-style preemption budget (only
 //! schedules with at most N involuntary context switches are explored —
-//! voluntary yields and blocking are free) and a per-execution step cap that
+//! blocking and finishing are free) and a per-execution step cap that
 //! converts livelocks into failures.
 //!
 //! Weak memory is modelled with per-location store histories and
@@ -76,8 +76,6 @@ pub(crate) struct Location {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Run {
     Runnable,
-    /// Parked by `yield_now`; only schedulable when no thread is Runnable.
-    Yielded,
     /// Waiting on a mutex or a join; made Runnable again by the waker.
     Blocked,
     Finished,
@@ -251,33 +249,18 @@ fn abort_unwind() -> ! {
 fn op_candidates(st: &State, me: usize) -> Vec<usize> {
     let mut cands = vec![me];
     if st.preemptions < st.preemption_bound {
-        for (tid, t) in st.threads.iter().enumerate() {
-            if tid != me && t.run == Run::Runnable {
-                cands.push(tid);
-            }
-        }
+        cands.extend(successor_candidates(st, me));
     }
     cands
 }
 
-/// Candidates when `me` cannot continue (blocked, yielded, or finished).
-/// Yielded threads are only eligible when nothing is Runnable, which keeps
-/// spin loops from generating infinite schedules.
+/// Candidates when `me` cannot continue (blocked or finished): every other
+/// Runnable thread.
 fn successor_candidates(st: &State, me: usize) -> Vec<usize> {
-    let runnable: Vec<usize> = st
-        .threads
-        .iter()
-        .enumerate()
-        .filter(|(tid, t)| *tid != me && t.run == Run::Runnable)
-        .map(|(tid, _)| tid)
-        .collect();
-    if !runnable.is_empty() {
-        return runnable;
-    }
     st.threads
         .iter()
         .enumerate()
-        .filter(|(tid, t)| *tid != me && t.run == Run::Yielded)
+        .filter(|(tid, t)| *tid != me && t.run == Run::Runnable)
         .map(|(tid, _)| tid)
         .collect()
 }
@@ -416,35 +399,6 @@ pub(crate) fn blocking_op<R>(mut attempt: impl FnMut(&mut State, usize) -> Optio
         st = handoff_and_wait(&rt, st, me, to);
         // We were made Runnable by a waker and scheduled again; retry.
     }
-}
-
-/// `thread::yield_now`: parks the thread until no other thread is Runnable.
-pub(crate) fn yield_op() {
-    let (rt, me) = current();
-    let mut st = lock(&rt);
-    if std::thread::panicking() {
-        return;
-    }
-    if st.failure.is_some() {
-        drop(st);
-        abort_unwind();
-    }
-    if !bump_steps(&mut st) {
-        rt.cv.notify_all();
-        drop(st);
-        abort_unwind();
-    }
-    st.threads[me].run = Run::Yielded;
-    let cands = successor_candidates(&st, me);
-    if cands.is_empty() {
-        // Nothing to yield to; keep running.
-        st.threads[me].run = Run::Runnable;
-        return;
-    }
-    let pick = st.choose(cands.len());
-    let to = cands[pick];
-    st = handoff_and_wait(&rt, st, me, to);
-    st.threads[me].run = Run::Runnable;
 }
 
 /// Registers a new atomic location holding `init`, attributed to the

@@ -44,13 +44,6 @@ where
     JoinHandle { tid, result }
 }
 
-/// Parks the calling thread until no other model thread is runnable. This
-/// is what makes bounded spin loops explorable: the spinner only re-runs
-/// once every peer has blocked, yielded, or finished.
-pub fn yield_now() {
-    rt::yield_op();
-}
-
 /// Index of the current model thread (0 for the model's root thread).
 /// Extension over loom's API, used by sync facades to pick striped slots.
 pub fn current_index() -> usize {

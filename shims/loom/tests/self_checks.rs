@@ -125,25 +125,6 @@ fn leaked_arc_is_caught() {
 }
 
 #[test]
-fn yield_based_spin_wait_terminates() {
-    // A yield-based spin wait: the spinner only reruns when the worker
-    // has blocked/finished, so the schedule tree stays finite.
-    let report = quick().explore(|| {
-        let guard = Arc::new(AtomicUsize::new(1));
-        let g2 = Arc::clone(&guard);
-        let t = thread::spawn(move || {
-            g2.fetch_sub(1, Ordering::SeqCst);
-        });
-        while guard.load(Ordering::SeqCst) != 0 {
-            thread::yield_now();
-        }
-        t.join().unwrap();
-    });
-    assert!(report.failure.is_none(), "{:?}", report.failure);
-    assert!(report.exhausted);
-}
-
-#[test]
 fn deadlock_is_reported() {
     let report = quick().explore(|| {
         let a = Arc::new(Mutex::new(0u64));

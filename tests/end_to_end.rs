@@ -10,7 +10,7 @@ use serenade_index::{build_parallel, read_index, write_index, BuilderConfig};
 use serenade_metrics::{evaluate, EvalConfig};
 use serenade_serving::engine::{EngineConfig, RecommendRequest, ServingVariant};
 use serenade_serving::{HttpClient, HttpServer, HttpServerConfig};
-use serenade_serving::{json, BusinessRules, ServingCluster};
+use serenade_serving::{json, BusinessRules, RequestContext, ServingCluster};
 
 fn assert_same_index(a: &SessionIndex, b: &SessionIndex) {
     assert_eq!(a.stats(), b.stats());
@@ -106,14 +106,13 @@ fn serving_variants_agree_with_direct_algorithm_calls() {
 
     let session: Vec<u64> = dataset.clicks.iter().take(4).map(|c| c.item_id).collect();
     let mut via_engine = Vec::new();
+    let mut ctx = RequestContext::new();
     for &item in &session {
         via_engine = cluster
-            .handle(RecommendRequest {
-                session_id: 99,
-                item,
-                consent: true,
-                filter_adult: false,
-            })
+            .handle_with(
+                RecommendRequest { session_id: 99, item, consent: true, filter_adult: false },
+                &mut ctx,
+            )
             .unwrap();
     }
     let mut direct = Recommender::recommend(&vmis, &session, 10);
