@@ -6,9 +6,9 @@
 //!   most) `m` most recent historical sessions containing `i`, stored in
 //!   **descending recency order** so the most recent session is the first
 //!   entry — this enables early stopping. The arrays lie end to end in a few
-//!   large `u32` arenas; a column of 12-byte [`Posting`] records, one a
-//!   slot, says where each lies, and a table of 4-byte slots finds an
-//!   item's slot (see *Postings and arenas*);
+//!   large `u32` arenas; the [`Records`], a [`Posting`] a slot, say where
+//!   each lies, and the [`SlotTable`] finds an item's slot (see *Postings
+//!   and arenas*);
 //! * the timestamp array `t`: one integer timestamp per historical session,
 //!   indexed by dense [`SessionId`], giving constant-time random access. It
 //!   is non-decreasing in the id (see below), so each segment codes its
@@ -71,6 +71,15 @@
 //! entries a segment. A segment a publish does not touch keeps its width, so
 //! a catalogue that outgrows a width widens only the segments made after.
 //!
+//! The per-slot tables are [`Column`]s too, each made at its own narrowest
+//! width: the three fields of the records, the slot → item table (`u64`
+//! ids at 1 to 8 bytes, read as one 8-byte load) and the slot table's
+//! buckets, which hold a slot plus one and 0 for an empty bucket. Every
+//! writer knows each table's largest value when it makes it: the build and
+//! a load write them from the supports and the decoded ids, and a publish
+//! copies them with its changes, at a wider width only when a change needs
+//! one.
+//!
 //! ## Rows are sets
 //!
 //! A session's row is the set of its items. The kernel reads it as one:
@@ -86,15 +95,15 @@
 //! ## Postings and arenas
 //!
 //! A posting's entries are a range of one of the index's arenas
-//! (`Arc<[SessionId]>`), and its [`Posting`] record — `Copy`, 12 bytes —
-//! holds the support, the arena and the range's start. The records form one
-//! column indexed by slot, a support of 0 marking a dead slot; the item is
+//! (`Arc<[SessionId]>`), and its [`Posting`] record holds the support, the
+//! arena and the range's start. The [`Records`] hold each field as a column
+//! by slot, a support of 0 marking a dead slot; the item is
 //! not stored with them, since the slot → item table already holds it. The
 //! range holds `min(h_i, m_max)` entries: every producer keeps the `m_max`
 //! most recent sessions of an item, or all of them, so the length follows
 //! from the support and is not stored. `postings(item)` is a probe of the
-//! [`SlotTable`] — a walk over 4-byte buckets, each hit confirmed through
-//! the slot → item table — one record read and one arena read.
+//! [`SlotTable`] — a walk over narrow buckets, each hit confirmed through
+//! the slot → item table — a read of each record field and one arena read.
 //!
 //! A build or a load writes one arena, postings by slot, with no allocation
 //! per posting, and the record column beside it. A live merge writes the
@@ -116,8 +125,7 @@ mod column;
 mod elias_fano;
 mod slot_table;
 
-use column::Column;
-pub use column::Row;
+pub use column::{Column, Row};
 use elias_fano::EliasFano;
 pub use slot_table::SlotTable;
 
@@ -128,8 +136,9 @@ const SEGMENT_SHIFT: u32 = 12;
 pub const SEGMENT_SESSIONS: usize = 1 << SEGMENT_SHIFT;
 
 /// An item's entry in `M`, the record at its slot: the support count `h_i`
-/// over *all* historical sessions, and where its posting list lies. 12
-/// bytes, `Copy`; the record of a dead slot has a support of 0.
+/// over *all* historical sessions, and where its posting list lies. `Copy`;
+/// the record of a dead slot has a support of 0. The index stores each
+/// field in a column of its own ([`Records`]).
 ///
 /// The entries are dense session ids, 4 bytes each, strictly descending —
 /// most recent first — truncated to the index's `m_max`: the one form a
@@ -158,6 +167,59 @@ impl Posting {
     }
 }
 
+/// The records of an index, by slot: each field of [`Posting`] a
+/// [`Column`] at its own narrowest width. Cloning copies the columns.
+#[derive(Debug, Clone, Default)]
+pub struct Records {
+    support: Column,
+    start: Column,
+    arena: Column,
+}
+
+impl Records {
+    /// The record at `slot`: three masked loads.
+    #[inline]
+    pub fn get(&self, slot: usize) -> Posting {
+        Posting {
+            support: self.support.get(slot),
+            arena: self.arena.get(slot),
+            start: self.start.get(slot),
+        }
+    }
+
+    /// Every record, by slot.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Posting> + '_ {
+        (0..self.len()).map(|slot| self.get(slot))
+    }
+
+    /// Number of slots.
+    #[allow(clippy::len_without_is_empty)] // `len() == 0` says it
+    pub fn len(&self) -> usize {
+        self.support.len()
+    }
+
+    /// Heap bytes of the three columns.
+    pub fn bytes(&self) -> usize {
+        self.support.bytes() + self.start.bytes() + self.arena.bytes()
+    }
+
+    /// The first `kept` records, then dead ones up to `len`, with `updates`
+    /// — `(slot, record)` pairs — written over them (see
+    /// [`Column::patched`]): what a publish makes of the previous
+    /// generation's records.
+    pub fn patched(&self, kept: usize, len: usize, updates: &[(u32, Posting)]) -> Self {
+        let field = |column: &Column, field: fn(&Posting) -> u32| {
+            let updates = updates.iter().map(move |(slot, p)| (*slot as usize, field(p)));
+            column.patched(kept, len, updates)
+        };
+        Self {
+            support: field(&self.support, |p| p.support),
+            start: field(&self.start, |p| p.start),
+            arena: field(&self.arena, |p| p.arena),
+        }
+    }
+}
+
 /// Aggregate statistics of a built index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexStats {
@@ -182,8 +244,8 @@ pub struct IndexBytes {
     /// The posting arenas: 4 bytes an entry, dead ones included, one `Arc`
     /// header an arena, and the table of arenas.
     pub postings: usize,
-    /// What finds an item's posting: the [`Posting`] records, 12 bytes a
-    /// slot, and the [`SlotTable`], 4 bytes a bucket, occupied or not.
+    /// What finds an item's posting: the [`Records`], a column a field, and
+    /// the [`SlotTable`]'s buckets, occupied or not, each behind its `Arc`.
     pub posting_table: usize,
     /// The CSR layout of the sessions: the offsets of every segment, at its
     /// width, the segment headers and the table of segment pointers.
@@ -192,7 +254,7 @@ pub struct IndexBytes {
     /// `2 + log₂(span / n)` bits a session.
     pub timestamps: usize,
     /// The slot columns of every segment — a session item is its slot, at
-    /// its segment's width — and the slot → item table.
+    /// its segment's width — and the slot → item table behind its `Arc`.
     pub slots: usize,
 }
 
@@ -212,11 +274,27 @@ fn new_arena(len: usize, fill: impl FnOnce(&mut [SessionId])) -> Arc<[SessionId]
     arena
 }
 
+/// Where each of a run of ranges of lengths `lens`, laid end to end from
+/// 0, starts: the running totals before each.
+fn starts(lens: impl Iterator<Item = u32> + Clone) -> impl Iterator<Item = u32> + Clone {
+    lens.scan(0, |total, len| {
+        let start = *total;
+        *total += len;
+        Some(start)
+    })
+}
+
 /// Heap bytes of an `Arc<[T]>` of `len` elements: the two counts, then the
 /// elements, padded to the alignment of the whole.
 fn arc_slice_bytes<T>(len: usize) -> usize {
     let align = std::mem::align_of::<usize>().max(std::mem::align_of::<T>());
     (2 * std::mem::size_of::<usize>() + len * std::mem::size_of::<T>()).next_multiple_of(align)
+}
+
+/// Heap bytes of an `Arc<T>` whose `T` owns `owned` heap bytes: the two
+/// counts, the `T`, and what it owns.
+fn arc_bytes<T>(owned: usize) -> usize {
+    arc_slice_bytes::<T>(1) + owned
 }
 
 /// [`SEGMENT_SESSIONS`] consecutive sessions (fewer in an index's last
@@ -259,6 +337,7 @@ impl Segment {
         assert_eq!(offsets.last().copied(), Some(slots.len() as u32), "offsets end at the slots");
         debug_assert!(offsets[0] == 0 && offsets.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(timestamps.len(), len, "one offset a session, and one");
+        let (offsets, slots) = (offsets.iter().copied(), slots.iter().copied());
         Self { timestamps, offsets: Column::new(offsets), slots: Column::new(slots) }
     }
 
@@ -330,14 +409,14 @@ impl Segment {
 #[derive(Clone, Copy)]
 pub struct SessionItems<'a> {
     slots: Row<'a>,
-    slot_items: &'a [ItemId],
+    slot_items: &'a Column<ItemId>,
 }
 
 impl<'a> SessionItems<'a> {
     /// The items, in row order.
     #[inline]
     pub fn iter(self) -> impl ExactSizeIterator<Item = ItemId> + DoubleEndedIterator + 'a {
-        self.slots.iter().map(move |slot| self.slot_items[slot as usize])
+        self.slots.iter().map(move |slot| self.slot_items.get(slot as usize))
     }
 
     /// Number of items.
@@ -382,7 +461,7 @@ impl std::fmt::Debug for SessionItems<'_> {
 #[derive(Debug, Clone)]
 pub struct SessionIndex {
     /// The record of each slot's item, by slot (see the module docs).
-    records: Arc<[Posting]>,
+    records: Arc<Records>,
     /// Item → slot, for every slot of `slot_items`, dead ones included.
     slot_table: SlotTable,
     /// The arenas the records point into (see the module docs).
@@ -397,7 +476,7 @@ pub struct SessionIndex {
     num_sessions: usize,
     /// Item of each accumulator slot. A slot whose item has left the index
     /// keeps its entry until slots are numbered afresh.
-    slot_items: Arc<[ItemId]>,
+    slot_items: Arc<Column<ItemId>>,
     m_max: usize,
 }
 
@@ -424,18 +503,18 @@ impl SessionIndex {
     /// generation's own `Arc`s. With no segments the result is the empty
     /// index only this constructor can make.
     pub fn from_generation(
-        records: Arc<[Posting]>,
+        records: Arc<Records>,
         slot_table: SlotTable,
         arenas: Arc<[Arc<[SessionId]>]>,
         segments: Arc<[Arc<Segment>]>,
-        slot_items: Arc<[ItemId]>,
+        slot_items: Arc<Column<ItemId>>,
         m_max: usize,
     ) -> Self {
         let full = segments.len().saturating_sub(1);
         debug_assert!(segments[..full].iter().all(|s| s.len() == SEGMENT_SESSIONS));
         debug_assert_eq!(records.len(), slot_items.len());
         debug_assert!((slot_items.iter().zip(0..))
-            .all(|(&item, slot)| slot_table.get(item, &slot_items) == Some(slot)));
+            .all(|(item, slot)| slot_table.get(item, &slot_items) == Some(slot)));
         debug_assert!(records.iter().filter(|p| p.support != 0).all(|p| {
             arenas.get(p.arena as usize).is_some_and(|arena| arena.get(p.range(m_max)).is_some())
         }));
@@ -472,7 +551,7 @@ impl SessionIndex {
     /// The record of `item`, if it has a posting.
     #[inline]
     fn record(&self, item: ItemId) -> Option<Posting> {
-        let posting = self.records[self.slot_of(item)? as usize];
+        let posting = self.records.get(self.slot_of(item)? as usize);
         (posting.support != 0).then_some(posting)
     }
 
@@ -491,7 +570,7 @@ impl SessionIndex {
     /// Accumulator slot of `item`, if it has a posting.
     #[inline]
     pub fn item_slot(&self, item: ItemId) -> Option<u32> {
-        self.slot_of(item).filter(|&slot| self.records[slot as usize].support != 0)
+        self.slot_of(item).filter(|&slot| self.records.support.get(slot as usize) != 0)
     }
 
     /// The slot `item` holds, with or without a posting: an item that has
@@ -501,8 +580,8 @@ impl SessionIndex {
         self.slot_table.get(item, &self.slot_items)
     }
 
-    /// The record column, by slot, as the next generation starts from it.
-    pub fn records(&self) -> &[Posting] {
+    /// The records, by slot, as the next generation starts from them.
+    pub fn records(&self) -> &Records {
         &self.records
     }
 
@@ -529,21 +608,24 @@ impl SessionIndex {
     }
 
     /// Copies every posting into one new arena, end to end, by slot, and
-    /// points the records at it, so no arena entry is dead. The record
-    /// column is rewritten in place when this handle is its only owner, as
-    /// it is straight after [`SessionIndex::from_generation`].
+    /// points the records at it, so no arena entry is dead. The supports are
+    /// kept in place when this handle is the records' only owner, as it is
+    /// straight after [`SessionIndex::from_generation`]; the starts and the
+    /// arenas are columns made afresh.
     pub fn compact_postings(&mut self) {
         let Self { records, arenas, live_entries, m_max, .. } = self;
-        let records = Arc::make_mut(records);
+        let (records, m_max) = (Arc::make_mut(records), *m_max);
         let arena = new_arena(*live_entries, |to| {
             let mut at = 0;
-            for posting in records.iter_mut().filter(|p| p.support != 0) {
-                let from = &arenas[posting.arena as usize][posting.range(*m_max)];
+            for posting in records.iter().filter(|p| p.support != 0) {
+                let from = &arenas[posting.arena as usize][posting.range(m_max)];
                 to[at..at + from.len()].copy_from_slice(from);
-                *posting = Posting { arena: 0, start: at as u32, ..*posting };
                 at += from.len();
             }
         });
+        let lens = records.support.iter().map(|support| m_max.min(support as usize) as u32);
+        records.start = Column::new(starts(lens));
+        records.arena = Column::new(std::iter::repeat_n(0, records.len()));
         *arenas = Arc::from([arena]);
     }
 
@@ -554,7 +636,7 @@ impl SessionIndex {
 
     /// The slot → item table, as the next generation starts from it. It is
     /// as long as the kernel's per-slot tables have to be.
-    pub fn slot_items(&self) -> &Arc<[ItemId]> {
+    pub fn slot_items(&self) -> &Arc<Column<ItemId>> {
         &self.slot_items
     }
 
@@ -624,7 +706,7 @@ impl SessionIndex {
     /// Iterates over the `(item, posting)` pairs of the items with a
     /// posting, in slot order.
     pub fn postings_iter(&self) -> impl Iterator<Item = (ItemId, Posting)> + '_ {
-        let pairs = self.slot_items.iter().copied().zip(self.records.iter().copied());
+        let pairs = self.slot_items.iter().zip(self.records.iter());
         pairs.filter(|(_, posting)| posting.support != 0)
     }
 
@@ -650,11 +732,11 @@ impl SessionIndex {
         let arenas: usize = self.arenas.iter().map(|a| arc_slice_bytes::<SessionId>(a.len())).sum();
         IndexBytes {
             postings: arenas + arc_slice_bytes::<Arc<[SessionId]>>(self.arenas.len()),
-            posting_table: arc_slice_bytes::<Posting>(self.records.len())
-                + arc_slice_bytes::<u32>(self.slot_table.buckets().len()),
+            posting_table: arc_bytes::<Records>(self.records.bytes())
+                + arc_bytes::<Column>(self.slot_table.buckets().bytes()),
             session_items: column(Segment::offset_bytes) + headers,
             timestamps: column(Segment::timestamp_bytes),
-            slots: column(Segment::slot_bytes) + arc_slice_bytes::<ItemId>(self.slot_items.len()),
+            slots: column(Segment::slot_bytes) + arc_bytes::<Column>(self.slot_items.bytes()),
         }
     }
 }
@@ -719,16 +801,31 @@ mod tests {
     }
 
     #[test]
-    fn a_posting_record_is_twelve_bytes_and_a_slot_bucket_four() {
-        // A record is the support, the arena and the start, by slot; a
-        // bucket of the slot table is a slot, the item read through the slot
-        // → item table (DESIGN.md §4.8). Three records, padded to 8 bytes,
-        // and eight buckets, each column behind its `Arc` header.
-        assert_eq!(std::mem::size_of::<Posting>(), 12);
+    fn a_posting_record_and_a_slot_bucket_take_their_narrowest_widths() {
+        // A record is the support, the arena and the start, by slot, each
+        // field a column at its narrowest width; a bucket of the slot table
+        // is a slot plus one, the item read through the slot → item table
+        // (DESIGN.md §4.8). Three records of three one-byte fields, each
+        // field with its 3 bytes of padding, behind one `Arc` that holds the
+        // three columns; and eight one-byte buckets with their padding,
+        // behind an `Arc` that holds the column.
         let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
-        assert_eq!(std::mem::size_of_val(&idx.slot_table().buckets()[0]), 4);
-        assert_eq!(idx.slot_table().buckets().len(), 8);
-        assert_eq!(idx.bytes().posting_table, (16 + 3 * 12 + 4) + (16 + 8 * 4));
+        let (records, buckets) = (idx.records(), idx.slot_table().buckets());
+        let fields: Vec<(u32, u32)> = records.iter().map(|p| (p.support, p.start)).collect();
+        assert_eq!(fields, [(2, 0), (2, 2), (2, 4)]);
+        assert_eq!((buckets.len(), buckets.width()), (8, 1));
+        let column = std::mem::size_of::<Column>();
+        assert_eq!(column, 24);
+        assert_eq!(
+            idx.bytes().posting_table,
+            (16 + 3 * column + 3 * (3 + 3)) + (16 + column + 8 + 3)
+        );
+        // 70,000 sessions of one item: a support of three bytes, and a
+        // start and an arena of one.
+        let clicks: Vec<Click> = (0..70_000).map(|s| Click::new(s, 9, s)).collect();
+        let idx = SessionIndex::build(&clicks, 100_000).unwrap();
+        assert_eq!(idx.records().bytes(), (3 + 3) + (1 + 3) + (1 + 3));
+        assert_eq!(idx.records().get(0), Posting { support: 70_000, arena: 0, start: 0 });
     }
 
     #[test]
@@ -740,15 +837,16 @@ mod tests {
         // take a byte: six slots and four offsets for three sessions, each
         // column with its 3 bytes of padding; the one segment — the
         // timestamp column and two byte columns of a width each, behind an
-        // `Arc` — and the one-pointer table of segments; and three 8-byte
-        // items in the slot table behind its `Arc`.
+        // `Arc` — and the one-pointer table of segments; and three one-byte
+        // items, with 7 bytes of padding, in the slot → item table behind
+        // its `Arc`.
         let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
         let (segment, bytes) = (&idx.segments()[0], idx.bytes());
         assert_eq!((segment.slot_width(), segment.offset_width()), (1, 1));
         assert_eq!(std::mem::size_of::<Segment>(), 16 + 2 * 24);
         assert_eq!(
             bytes.session_items + bytes.slots,
-            (6 + 3) + (4 + 3) + (16 + 16 + 2 * 24) + (16 + 8) + (16 + 3 * 8)
+            (6 + 3) + (4 + 3) + (16 + 16 + 2 * 24) + (16 + 8) + (16 + 24 + 3 + 7)
         );
         // 300 items take slots up to 299: two bytes a slot.
         let clicks: Vec<Click> = (0..300).map(|item| Click::new(item / 2, item, item)).collect();
@@ -850,19 +948,19 @@ mod tests {
     #[test]
     fn slots_are_numbered_by_item_id_and_from_segments_checks_every_slot_is_held() {
         let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
-        assert_eq!(&idx.slot_items()[..], &[1, 2, 3]);
+        assert!(idx.slot_items().iter().eq([1, 2, 3]));
         assert_eq!(idx.item_slot(3), Some(2));
         assert_eq!(idx.session_slots(1), [1, 2]);
         assert_eq!(idx.dead_slots(), 0);
         // An item no row holds would have no posting.
-        let slot_items: Arc<[ItemId]> = Arc::from([1, 2, 3, 4]);
+        let slot_items = Arc::new(Column::new([1, 2, 3, 4]));
         match SessionIndex::from_segments(idx.segments().to_vec(), slot_items, 10, 1) {
             Err(CoreError::CorruptIndex(reason)) => {
                 assert!(reason.contains("item 4 (slot 3) is in no session"), "{reason}")
             }
             other => panic!("expected a rejection, got {other:?}"),
         }
-        let zero_cap = SessionIndex::from_segments(vec![], Arc::from([]), 0, 1);
+        let zero_cap = SessionIndex::from_segments(vec![], Arc::default(), 0, 1);
         assert!(matches!(zero_cap, Err(CoreError::CorruptIndex(m)) if m.contains("m_max")));
     }
 
@@ -878,7 +976,7 @@ mod tests {
             assert_eq!(idx.session_timestamp(s as SessionId), s);
             assert_eq!(idx.session_items(s as SessionId), &[s % 7, 7 + s % 3]);
             let slots = idx.session_slots(s as SessionId);
-            let items = slots.iter().map(|slot| idx.slot_items()[slot as usize]);
+            let items = slots.iter().map(|slot| idx.slot_items().get(slot as usize));
             assert!(items.eq([s % 7, 7 + s % 3]));
         }
         assert_eq!(idx.stats().session_item_entries, 2 * n as usize);

@@ -17,13 +17,18 @@
 //! 4. the ranges are filled by walking the sessions newest-first and
 //!    stopping each item when its range is full, so every posting comes out
 //!    strictly descending and truncated to `m_max` with no further work;
-//!    each slot's record is then written from its support, and the slot
-//!    table from the slot → item table.
+//!    the slot table is then made from the slot → item table.
 //!
 //! Steps 3–4 are [`SessionIndex::from_segments`], which a load of an
 //! artefact calls too: an artefact holds the rows and no postings, so there
 //! is one way to make a posting, and a posting cannot disagree with its
 //! rows.
+//!
+//! The records' supports and starts are columns made at their widths from
+//! the counts, before the fill, and the fill counts down what each range
+//! still lacks in a column at the width of the longest: the scratch beside
+//! the rows stays below the per-slot tables still to come, so a load peaks
+//! at the finished index.
 //!
 //! Threads work on separate ranges of sessions, with no shuffle: they sort
 //! the runs of a range of ranks, then number the slots of, count and fill
@@ -35,7 +40,10 @@
 
 use std::sync::Arc;
 
-use super::{new_arena, EliasFano, Posting, Segment, SessionIndex, SlotTable, SEGMENT_SESSIONS};
+use super::{
+    new_arena, starts, Column, EliasFano, Records, Segment, SessionIndex, SlotTable,
+    SEGMENT_SESSIONS,
+};
 use crate::error::CoreError;
 use crate::hash::FxHashMap;
 use crate::sessions::{run_parallel, SessionRuns};
@@ -87,7 +95,8 @@ impl SessionIndex {
         for (slot, &(_, number)) in by_id.iter().enumerate() {
             slot_of[number as usize] = slot as u32;
         }
-        let slot_items: Arc<[ItemId]> = by_id.into_iter().map(|(item, _)| item).collect();
+        let slot_items = Arc::new(Column::new(by_id.iter().map(|&(item, _)| item)));
+        drop(by_id);
 
         // Per range of segments: its items' slots, each row in item-id order.
         let per_thread = rows.len().div_ceil(threads.max(1));
@@ -126,7 +135,7 @@ impl SessionIndex {
     /// session, so that it would have no posting.
     pub fn from_segments(
         segments: Vec<Arc<Segment>>,
-        slot_items: Arc<[ItemId]>,
+        slot_items: Arc<Column<ItemId>>,
         m_max: usize,
         threads: usize,
     ) -> Result<Self, CoreError> {
@@ -146,56 +155,51 @@ impl SessionIndex {
             }
             holders
         });
-        let supports: Vec<u32> =
-            (0..slots).map(|slot| shares.iter().map(|holders| holders[slot]).sum()).collect();
-        if let Some(slot) = supports.iter().position(|&support| support == 0) {
+        let support: Column =
+            Column::new((0..slots).map(|slot| shares.iter().map(|holders| holders[slot]).sum()));
+        if let Some(slot) = support.iter().position(|support| support == 0) {
             return Err(CoreError::CorruptIndex(format!(
                 "item {} (slot {slot}) is in no session",
-                slot_items[slot]
+                slot_items.get(slot)
             )));
         }
-        // Each range's share of every posting: what the newer ranges leave.
         let cap = u32::try_from(m_max).unwrap_or(u32::MAX);
-        let mut room: Vec<u32> = supports.iter().map(|&support| support.min(cap)).collect();
-        for share in shares.iter_mut().rev() {
-            for (share, room) in share.iter_mut().zip(&mut room) {
-                *share = (*share).min(*room);
-                *room -= *share;
-            }
-        }
-        drop(room);
+        let lens = support.iter().map(|support| support.min(cap));
+        let start = Column::new(starts(lens.clone()));
 
         // Step 4. One range fills the arena in place; more fill their shares
-        // apart, and the shares are copied into the arena.
-        let arena = if let [share] = &shares[..] {
-            let starts = running_totals(share);
-            new_arena(starts[slots] as usize, |arena| fill(&segments, 0, &starts, arena))
+        // apart, and the shares are copied into the arena. Either way the
+        // scratch — the counts, then a countdown a slot at the width of the
+        // longest posting — weighs less than the slot table still to come
+        // and the arena column, so a load peaks at the finished index
+        // (`serenade_index`'s `tests/load_allocs.rs`).
+        let arena = if shares.len() == 1 {
+            drop(shares);
+            let total = lens.clone().map(|len| len as usize).sum();
+            new_arena(total, |arena| fill(&segments, 0, &start, Column::new(lens), arena))
         } else {
+            // Each range's share of every posting: what the newer ranges
+            // leave.
+            let mut room: Vec<u32> = lens.collect();
+            for share in shares.iter_mut().rev() {
+                for (share, room) in share.iter_mut().zip(&mut room) {
+                    *share = (*share).min(*room);
+                    *room -= *share;
+                }
+            }
+            drop(room);
             let jobs = segments.chunks(per_thread).zip(0..).zip(&shares).collect();
             let filled = run_parallel(jobs, |((range, k), share)| {
-                let starts = running_totals(share);
-                let mut ids = vec![0; starts[slots] as usize];
-                fill(range, k * per_thread, &starts, &mut ids);
+                let starts = Column::new(starts(share.iter().copied()));
+                let mut ids = vec![0; share.iter().map(|&len| len as usize).sum()];
+                fill(range, k * per_thread, &starts, Column::new(share.iter().copied()), &mut ids);
                 (starts, ids)
             });
             assemble(slots, &filled)
         };
-        // Only the supports outlive the fill. The records are written from
-        // them and the slot table is made after them; the two outweigh every
-        // scratch array of the fill, so a load peaks at the finished index
-        // (`serenade_index`'s `tests/load_allocs.rs`).
-        drop(shares);
-        let mut start = 0;
-        let records: Arc<[Posting]> = (supports.iter())
-            .map(|&support| {
-                let posting = Posting { support, arena: 0, start };
-                start += posting.range(m_max).len() as u32;
-                posting
-            })
-            .collect();
-        drop(supports);
+        let records = Records { support, start, arena: Column::new(std::iter::repeat_n(0, slots)) };
         let slot_table = SlotTable::new(&slot_items);
-        let arenas = Arc::from([arena]);
+        let (records, arenas) = (Arc::new(records), Arc::from([arena]));
         Ok(Self::from_generation(records, slot_table, arenas, segments.into(), slot_items, m_max))
     }
 }
@@ -244,31 +248,36 @@ fn deduplicate(runs: &SessionRuns) -> (Vec<Rows>, Vec<ItemId>) {
     (segments, items_by_number)
 }
 
-/// 0, then the running totals of `lens`: CSR offsets.
-fn running_totals(lens: &[u32]) -> Vec<u32> {
-    let mut totals = Vec::with_capacity(lens.len() + 1);
-    totals.push(0);
-    totals.extend(lens.iter().scan(0, |total, &len| {
-        *total += len;
-        Some(*total)
-    }));
-    totals
+/// Where the share of `slot` ends among `total` entries laid out by slot
+/// from the offsets `starts`.
+#[inline]
+fn end_of(starts: &Column, slot: usize, total: usize) -> usize {
+    if slot + 1 < starts.len() {
+        starts.get(slot + 1) as usize
+    } else {
+        total
+    }
 }
 
 /// Step 4 for a range of segments, the first of them segment `first`:
-/// writes the range's share of every posting into `ids` as CSR by slot from
-/// the offsets `starts`, each share newest first.
-fn fill(segments: &[Arc<Segment>], first: usize, starts: &[u32], ids: &mut [SessionId]) {
-    let slots = starts.len() - 1;
-    let mut next = starts[..slots].to_vec();
+/// writes the range's share of every posting into `ids`, by slot from the
+/// offsets `starts`, each share newest first; `left` holds the length of
+/// each share and counts it down.
+fn fill(
+    segments: &[Arc<Segment>],
+    first: usize,
+    starts: &Column,
+    mut left: Column,
+    ids: &mut [SessionId],
+) {
     for (at, segment) in segments.iter().enumerate().rev() {
         let base = ((first + at) * SEGMENT_SESSIONS) as SessionId;
         for row in (0..segment.len()).rev() {
             for slot in segment.slots(row).iter() {
                 let slot = slot as usize;
-                if next[slot] < starts[slot + 1] {
-                    ids[next[slot] as usize] = base + row as SessionId;
-                    next[slot] += 1;
+                let lacks = left.count_down(slot);
+                if lacks > 0 {
+                    ids[end_of(starts, slot, ids.len()) - lacks as usize] = base + row as SessionId;
                 }
             }
         }
@@ -277,13 +286,13 @@ fn fill(segments: &[Arc<Segment>], first: usize, starts: &[u32], ids: &mut [Sess
 
 /// The postings laid out by slot in one arena, each its shares, newest
 /// range first.
-fn assemble(slots: usize, filled: &[(Vec<u32>, Vec<SessionId>)]) -> Arc<[SessionId]> {
+fn assemble(slots: usize, filled: &[(Column, Vec<SessionId>)]) -> Arc<[SessionId]> {
     let total = filled.iter().map(|(_, ids)| ids.len()).sum();
     new_arena(total, |arena| {
         let mut at = 0;
         for slot in 0..slots {
             for (starts, ids) in filled.iter().rev() {
-                let share = &ids[starts[slot] as usize..starts[slot + 1] as usize];
+                let share = &ids[starts.get(slot) as usize..end_of(starts, slot, ids.len())];
                 arena[at..at + share.len()].copy_from_slice(share);
                 at += share.len();
             }

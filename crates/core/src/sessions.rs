@@ -34,8 +34,6 @@ pub struct SessionRuns {
     /// Every click as `(timestamp, item)`, session by session in rank order,
     /// each run in ascending order.
     clicks: Vec<(Timestamp, ItemId)>,
-    /// Rank of each input click's session, in input order.
-    click_ranks: Vec<u32>,
 }
 
 impl SessionRuns {
@@ -48,12 +46,12 @@ impl SessionRuns {
     /// are 32-bit, as the index's dense ids and CSR offsets are.
     pub fn group(clicks: &[Click], threads: usize) -> Self {
         assert!(clicks.len() <= u32::MAX as usize, "more than u32::MAX clicks to group");
-        // 1. Dense numbers, by first appearance; each click keeps its
-        // session's number in `click_ranks` until it is replaced by the rank.
+        // 1. Dense numbers, by first appearance; each click's session
+        // number is kept until the scatter has read it.
         let mut dense: FxHashMap<ExternalSessionId, u32> = FxHashMap::default();
         // Per number: (last timestamp, external id, number, clicks).
         let mut keys: Vec<(Timestamp, ExternalSessionId, u32, u32)> = Vec::new();
-        let mut click_ranks: Vec<u32> = Vec::with_capacity(clicks.len());
+        let mut numbers: Vec<u32> = Vec::with_capacity(clicks.len());
         for c in clicks {
             let number = *dense.entry(c.session_id).or_insert_with(|| {
                 keys.push((c.timestamp, c.session_id, keys.len() as u32, 0));
@@ -61,7 +59,7 @@ impl SessionRuns {
             });
             let key = &mut keys[number as usize];
             (key.0, key.3) = (key.0.max(c.timestamp), key.3 + 1);
-            click_ranks.push(number);
+            numbers.push(number);
         }
         drop(dense);
 
@@ -81,12 +79,12 @@ impl SessionRuns {
         drop(keys);
         let mut next = offsets.clone();
         let mut runs = vec![(0, 0); clicks.len()];
-        for (c, rank) in clicks.iter().zip(&mut click_ranks) {
-            *rank = rank_of[*rank as usize];
-            let at = &mut next[*rank as usize];
+        for (c, &number) in clicks.iter().zip(&numbers) {
+            let at = &mut next[rank_of[number as usize] as usize];
             runs[*at as usize] = (c.timestamp, c.item_id);
             *at += 1;
         }
+        drop((numbers, rank_of, next));
 
         // 4. Time order within each run, `threads` ranges of ranks side by side.
         let n = ext_ids.len();
@@ -105,7 +103,7 @@ impl SessionRuns {
                     .sort_unstable();
             }
         });
-        Self { ext_ids, offsets, clicks: runs, click_ranks }
+        Self { ext_ids, offsets, clicks: runs }
     }
 
     /// Number of sessions.
@@ -138,11 +136,6 @@ impl SessionRuns {
     /// `offsets()[rank]..offsets()[rank + 1]` of all runs together.
     pub fn offsets(&self) -> &[u32] {
         &self.offsets
-    }
-
-    /// Rank of each input click's session, in input order.
-    pub fn click_ranks(&self) -> &[u32] {
-        &self.click_ranks
     }
 }
 
@@ -182,7 +175,6 @@ mod tests {
         assert_eq!(runs.run(1), &[(30, 6), (30, 7)]);
         assert_eq!(runs.run(2), &[(10, 1), (10, 2), (50, 1)]);
         assert_eq!((runs.timestamp(0), runs.timestamp(2)), (30, 50));
-        assert_eq!(runs.click_ranks(), &[2, 1, 2, 0, 1, 2]);
         assert_eq!(runs.offsets(), &[0, 1, 3, 6]);
     }
 

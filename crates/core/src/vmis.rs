@@ -296,7 +296,7 @@ impl VmisKnn {
         let index = index.into();
         config.validate(&index)?;
         let num_sessions = index.num_sessions();
-        let weight = |posting: &Posting| match posting.support {
+        let weight = |posting: Posting| match posting.support {
             0 => 1.0,
             support => config.idf.weight(support as usize, num_sessions),
         };
@@ -571,7 +571,7 @@ impl VmisKnn {
             return Vec::new();
         }
         let slot_items = self.index.slot_items();
-        let item = |key: &u64| slot_items[!*key as u32 as usize];
+        let item = |key: &u64| slot_items.get(!*key as u32 as usize);
         if n < rank.len() {
             rank.select_nth_unstable(n - 1);
             // Items that tie with the last one in compete for its place and
@@ -771,10 +771,10 @@ mod tests {
         // Item 5 occurs only in session D = {2, 4, 5}; drop its posting the
         // way only a hand-assembled index can.
         let built = SessionIndex::build(&history(), 500).unwrap();
-        let five = built.item_slot(5).unwrap() as usize;
-        let records = (built.records().iter().enumerate())
-            .map(|(slot, &p)| if slot == five { Posting::default() } else { p })
-            .collect();
+        let five = built.item_slot(5).unwrap();
+        let slots = built.records().len();
+        let dropped = [(five, Posting::default())];
+        let records = Arc::new(built.records().patched(slots, slots, &dropped));
         let (arenas, segments) = (built.arenas().into(), built.segments().into());
         let (slot_table, slot_items) = (built.slot_table().clone(), built.slot_items().clone());
         let index = SessionIndex::from_generation(

@@ -20,7 +20,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use serenade_core::index::{Posting, Segment, SlotTable};
+use serenade_core::index::{Column, Posting, Records, Segment, SlotTable};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -59,13 +59,12 @@ fn with_slots_renumbered(index: &SessionIndex, shift: usize) -> SessionIndex {
     let n = index.slot_items().len();
     let renumbered = |slot: u32| ((n - 1 - slot as usize + shift) % n) as u32;
     let mut slot_items: Vec<ItemId> = vec![0; n];
-    for (slot, &item) in index.slot_items().iter().enumerate() {
+    for (slot, item) in index.slot_items().iter().enumerate() {
         slot_items[renumbered(slot as u32) as usize] = item;
     }
-    let mut records = vec![Posting::default(); n];
-    for (slot, &posting) in index.records().iter().enumerate() {
-        records[renumbered(slot as u32) as usize] = posting;
-    }
+    let records: Vec<(u32, Posting)> = (index.records().iter().enumerate())
+        .map(|(slot, posting)| (renumbered(slot as u32), posting))
+        .collect();
     let segments: Vec<Arc<Segment>> = index
         .segments()
         .iter()
@@ -81,8 +80,10 @@ fn with_slots_renumbered(index: &SessionIndex, shift: usize) -> SessionIndex {
         })
         .collect();
     let (arenas, segments) = (index.arenas().into(), segments.into());
+    let slot_items = Column::new(slot_items);
     let slot_table = SlotTable::new(&slot_items);
-    let (records, slot_items) = (records.into(), slot_items.into());
+    let records = Records::default().patched(0, n, &records);
+    let (records, slot_items) = (Arc::new(records), Arc::new(slot_items));
     SessionIndex::from_generation(records, slot_table, arenas, segments, slot_items, index.m_max())
 }
 

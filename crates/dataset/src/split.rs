@@ -9,7 +9,7 @@
 //! contain at least two clicks so there is something to predict.
 
 use crate::session::Session;
-use serenade_core::{Click, FxHashMap, ItemId, SessionRuns};
+use serenade_core::{Click, FxHashMap, FxHashSet, ItemId, SessionRuns};
 
 /// A train/test split of a click log.
 #[derive(Debug, Clone)]
@@ -29,33 +29,30 @@ impl EvaluationSplit {
 }
 
 /// Splits on a timestamp: sessions *ending* strictly before `cutoff` train,
-/// sessions ending at/after it test. Sessions are ranked by their end, so
-/// the test sessions are the ranks from the first that ends at or after
-/// `cutoff`.
+/// sessions ending at/after it test. A session ends at or after `cutoff`
+/// exactly when one of its clicks lies there, so only the held-out clicks
+/// are grouped into sessions, in the order they end.
 pub fn split_at(clicks: &[Click], cutoff: u64) -> EvaluationSplit {
-    let runs = &SessionRuns::group(clicks, 1);
-    let mut first_test = runs.len();
-    while first_test > 0 && runs.timestamp(first_test - 1) >= cutoff {
-        first_test -= 1;
-    }
+    let held_out: FxHashSet<u64> =
+        clicks.iter().filter(|c| c.timestamp >= cutoff).map(|c| c.session_id).collect();
+    let held: Vec<Click> =
+        clicks.iter().filter(|c| held_out.contains(&c.session_id)).copied().collect();
     // Training clicks keep their original tuples and order.
-    let mut train = Vec::with_capacity(runs.offsets()[first_test] as usize);
-    for (c, &rank) in clicks.iter().zip(runs.click_ranks()) {
-        if (rank as usize) < first_test {
-            train.push(*c);
-        }
-    }
+    let mut train: Vec<Click> = Vec::with_capacity(clicks.len() - held.len());
+    train.extend(clicks.iter().filter(|c| !held_out.contains(&c.session_id)));
+    let runs = &SessionRuns::group(&held, 1);
+    drop(held);
     // Keep only test items known at training time, then re-check length.
     // The test items are the few: every training click looks its item up
     // among them.
-    let test_clicks = (first_test..runs.len()).flat_map(|rank| runs.run(rank));
+    let test_clicks = (0..runs.len()).flat_map(|rank| runs.run(rank));
     let mut known: FxHashMap<ItemId, bool> = test_clicks.map(|&(_, i)| (i, false)).collect();
     for c in &train {
         if let Some(known) = known.get_mut(&c.item_id) {
             *known = true;
         }
     }
-    let test = (first_test..runs.len())
+    let test = (0..runs.len())
         .filter_map(|rank| {
             let mut s = Session::of(runs, rank);
             s.items.retain(|i| known[i]);
@@ -76,7 +73,6 @@ pub fn split_last_days(clicks: &[Click], days: u64) -> EvaluationSplit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serenade_core::FxHashSet;
 
     fn clicks_over_days() -> Vec<Click> {
         // Day 0: sessions 1, 2; Day 1: session 3; Day 2: session 4.

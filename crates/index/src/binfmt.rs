@@ -98,28 +98,30 @@
 //!
 //! # Load peak
 //!
-//! A load decodes the slot → item table straight into its `Arc`, then the
-//! sessions into their segments: first every segment's timestamps and row
-//! lengths, which give each segment's item count, then each segment's
-//! offsets and slots into two `u32` buffers sized for the largest segment
-//! and reused, from which the segment's columns are made at their widths.
-//! Deriving the postings writes the one
-//! arena in place, then the 12-byte records once from the supports, then
-//! the item → slot table. The derivation's scratch (holder counts,
-//! supports, posting offsets and fill cursor, 16 bytes a slot) never
-//! outgrows the records and the table still to come, so the load peaks at
-//! the finished index. So while it loads, an index costs the artefact the
-//! caller holds (3.0 MB on `ecom-1m`) plus the index being built, with no
-//! payload-sized copy and no flat column in between, and a load allocates a
-//! constant plus a few arrays a segment, never one a posting
-//! (`tests/load_allocs.rs` holds it to that). A read-only node's load
+//! A load checks the slot → item table and decodes it again into its
+//! column, at the width of its largest id, then the sessions into their
+//! segments: first every segment's timestamps and row lengths, which give
+//! each segment's item count, then each segment's offsets and slots into
+//! two `u32` buffers sized for the largest segment and reused, from which
+//! the segment's columns are made at their widths. Deriving the postings
+//! makes the records' support and start columns from the counted
+//! supports, writes the one arena in place, then makes the arena column
+//! and the item → slot table. The derivation's scratch (the holder counts,
+//! freed once the supports and starts are columns, and the fill's
+//! countdown at the width of the longest posting) never outgrows what is
+//! still to come, so the load peaks at the finished index. So while it
+//! loads, an index costs the artefact the caller holds (3.0 MB on
+//! `ecom-1m`) plus the index being built, with no payload-sized copy and no
+//! flat column in between, and a load allocates a constant plus a few
+//! arrays a segment, never one a posting (`tests/load_allocs.rs` holds it
+//! to that). A read-only node's load
 //! moment is now below what it serves from (EXPERIMENTS.md X12).
 
 use std::fmt;
 use std::io::Write;
 use std::sync::Arc;
 
-use serenade_core::index::{Segment, SEGMENT_SESSIONS};
+use serenade_core::index::{Column, Segment, SEGMENT_SESSIONS};
 use serenade_core::{CoreError, ItemId, SessionIndex};
 
 /// The format version this module writes and the only one it reads: the
@@ -212,8 +214,8 @@ pub fn write_index(index: &SessionIndex, mut writer: impl Write) -> std::io::Res
     // Taken in slot order, the items are already in id order unless the
     // index is live, and the sort has nothing to do.
     let slot_items = index.slot_items();
-    let mut items: Vec<(ItemId, u32)> = (slot_items.iter().copied().zip(0..))
-        .zip(index.records())
+    let mut items: Vec<(ItemId, u32)> = (slot_items.iter().zip(0..))
+        .zip(index.records().iter())
         .filter_map(|(pair, posting)| (posting.support != 0).then_some(pair))
         .collect();
     items.sort_unstable();
@@ -388,18 +390,21 @@ pub fn read_index(bytes: &[u8]) -> Result<SessionIndex, BinError> {
     let mut payload = Cursor(payload);
     let m_max = payload.varint()? as usize;
     let num_slots = payload.count("slot")?;
-    // An exact-size iterator collects straight into the `Arc`'s allocation.
-    let mut slot_items: Arc<[ItemId]> = (0..num_slots).map(|_| 0).collect();
+    // The items are checked here and read again into their column, which
+    // takes the width of the largest, written in place.
+    let items = payload;
     let mut item = 0u64;
-    let table = Arc::get_mut(&mut slot_items).expect("a new table has no other owner");
-    for (slot, to) in table.iter_mut().enumerate() {
+    for slot in 0..num_slots {
         let increase = payload.varint()?;
         item = match item.checked_add(increase) {
             Some(next) if slot == 0 || increase > 0 => next,
             _ => return Err(corrupt(format!("slot table not strictly ascending at slot {slot}"))),
         };
-        *to = item;
     }
+    let slot_items = Arc::new(Column::new((0..num_slots).scan((items, 0u64), |(items, item), _| {
+        *item += items.varint().expect("an increase read above");
+        Some(*item)
+    })));
 
     // Where every segment's timestamps and row lengths lie, and how many
     // entries its rows hold: checked here, they are read again to code the
@@ -500,7 +505,7 @@ mod tests {
         let loaded = read_index(&bytes[..]).unwrap();
         assert_eq!(loaded.stats(), index.stats());
         assert_eq!(loaded.m_max(), index.m_max());
-        assert_eq!(loaded.slot_items(), index.slot_items());
+        assert!(loaded.slot_items().iter().eq(index.slot_items().iter()));
         for sid in 0..index.num_sessions() as u32 {
             assert_eq!(loaded.session_timestamp(sid), index.session_timestamp(sid));
             assert_eq!(loaded.session_slots(sid), index.session_slots(sid));
@@ -544,7 +549,7 @@ mod tests {
                 Arc::new(Segment::new(segment.timestamps(), &offsets, &slots))
             })
             .collect();
-        let (records, slot_table) = (index.records().into(), index.slot_table().clone());
+        let (records, slot_table) = (Arc::new(index.records().clone()), index.slot_table().clone());
         let (arenas, slot_items) = (index.arenas().into(), Arc::clone(index.slot_items()));
         let reversed = SessionIndex::from_generation(
             records,

@@ -29,9 +29,10 @@
 //! segment are shared through their `Arc`s. Live traffic lands at the
 //! recent end of the rank order, so `cut` is near the top and a merge
 //! allocates O(delta) — at most the last segment or two and one arena of
-//! the touched postings — plus what stays O(items): the 12-byte records
-//! are copied, and a merge that meets an item for the first time copies
-//! the slot → item table and the item → slot table to add to them. A batch of *old*
+//! the touched postings — plus what stays O(items): the records are
+//! copied, each field at its width unless an update needs a wider one, and
+//! a merge that meets an item for the first time copies the slot → item
+//! table and the item → slot table to add to them. A batch of *old*
 //! timestamps (a backfill at rank 0, or the retention window dropping its
 //! oldest session) renumbers every rank, so every segment and every posting
 //! is written anew: the path degrades to the cost of a build, never to a
@@ -63,7 +64,7 @@
 //! per-slot tables; a merge that writes every segment anyway (`cut` = 0)
 //! numbers the live items afresh, by first appearance over the rows in rank
 //! order, and a merge that finds more than one stranded slot per
-//! [`DEAD_SLOT_SHARE`] live ones is made such a merge, so they stay bounded
+//! `DEAD_SLOT_SHARE` live ones is made such a merge, so they stay bounded
 //! under any turnover of the catalogue. Renumbering keeps each
 //! row's order, so it stays canonical.
 //!
@@ -74,8 +75,8 @@
 //! the merge observes decides when they go, never an option: a merge that
 //! numbers slots afresh rewrites every posting anyway and keeps only its
 //! fresh arena; a merge after which the dead entries outnumber the live
-//! ones ([`DEAD_ENTRY_SHARE`]), or the arenas number more than
-//! [`MAX_ARENAS`], copies the live postings into one arena. Either way the
+//! ones (`DEAD_ENTRY_SHARE`), or the arenas number more than
+//! `MAX_ARENAS`, copies the live postings into one arena. Either way the
 //! dead entries stay at most the live ones and the merge's copy of the
 //! arena table stays short, under any churn of hot items.
 //!
@@ -104,7 +105,7 @@
 
 use std::sync::Arc;
 
-use serenade_core::index::{Posting, Segment, SlotTable, SEGMENT_SESSIONS};
+use serenade_core::index::{Column, Posting, Segment, SlotTable, SEGMENT_SESSIONS};
 use serenade_core::{
     Click, CoreError, FxHashMap, FxHashSet, ItemId, SessionId, SessionIndex, SessionRuns, Timestamp,
 };
@@ -216,11 +217,11 @@ impl IncrementalIndexer {
         }
         Ok(Self {
             index: SessionIndex::from_generation(
+                Arc::default(),
+                SlotTable::new(&Column::default()),
                 Arc::from([]),
-                SlotTable::new(&[]),
                 Arc::from([]),
-                Arc::from([]),
-                Arc::from([]),
+                Arc::default(),
                 m_max,
             ),
             ext_ids: Vec::new(),
@@ -517,12 +518,9 @@ impl IncrementalIndexer {
             rewrite.extend(old.session_items(rank as SessionId).iter());
         }
         let m_max = old.m_max();
-        // The record column: the old records, and a dead one a new slot,
-        // copied straight into the new generation's `Arc`.
-        let held = old.records()[..kept_slots].iter().copied();
-        let new = std::iter::repeat_n(Posting::default(), new_slot_items.len());
-        let mut records: Arc<[Posting]> = held.chain(new).collect();
-        let column = Arc::get_mut(&mut records).expect("a new column has no other owner");
+        // The rewritten records, by slot; the others are the old ones, and a
+        // dead one a new slot.
+        let mut updates: Vec<(u32, Posting)> = Vec::with_capacity(rewrite.len());
         let mut arenas = if renumber { Vec::new() } else { old.arenas().to_vec() };
         let fresh_arena = arenas.len() as u32;
         let mut fresh: Vec<SessionId> = Vec::new();
@@ -530,7 +528,8 @@ impl IncrementalIndexer {
         for &item in &rewrite {
             let (lost, gained) = delta.remove(&item).unwrap_or_default();
             let was_slot = old.slot_of(item);
-            let was_record = was_slot.map_or_else(Posting::default, |s| old.records()[s as usize]);
+            let was_record =
+                was_slot.map_or_else(Posting::default, |s| old.records().get(s as usize));
             let was = match was_record.support {
                 0 => &[][..],
                 _ => old.entries(was_record),
@@ -540,7 +539,7 @@ impl IncrementalIndexer {
             if support == 0 {
                 // A slot numbered afresh is only given to an item that stays.
                 if let Some(slot) = slot {
-                    column[slot as usize] = Posting::default();
+                    updates.push((slot, Posting::default()));
                 }
                 continue;
             }
@@ -568,17 +567,23 @@ impl IncrementalIndexer {
                 }
             }
             let start = start as u32;
-            column[slot as usize] = Posting { support, arena: fresh_arena, start };
+            updates.push((slot, Posting { support, arena: fresh_arena, start }));
             copied += 1;
         }
         if !fresh.is_empty() {
             arenas.push(fresh.into());
         }
-        // The slot tables are the old ones unless this merge gave a slot.
+        // The record columns are copied with the updates, each at a wider
+        // width only if an update needs one; the slot tables are the old ones
+        // unless this merge gave a slot.
+        let slots = kept_slots + new_slot_items.len();
+        let records = Arc::new(old.records().patched(kept_slots, slots, &updates));
+        drop(updates);
         let slot_items = if new_slot_items.is_empty() && !renumber {
             Arc::clone(old.slot_items())
         } else {
-            old.slot_items()[..kept_slots].iter().copied().chain(new_slot_items).collect()
+            let new = (kept_slots..).zip(new_slot_items);
+            Arc::new(old.slot_items().patched(kept_slots, slots, new))
         };
         let slot_table = if renumber {
             SlotTable::new(&slot_items)
@@ -900,7 +905,7 @@ mod tests {
                 Arc::new(Segment::new(segment.timestamps(), &offsets, &slots))
             })
             .collect();
-        let (records, slot_table) = (index.records().into(), index.slot_table().clone());
+        let (records, slot_table) = (Arc::new(index.records().clone()), index.slot_table().clone());
         let (arenas, slot_items) = (index.arenas().into(), Arc::clone(index.slot_items()));
         let (segments, m_max) = (segments.into(), index.m_max());
         SessionIndex::from_generation(records, slot_table, arenas, segments, slot_items, m_max)
@@ -939,6 +944,45 @@ mod tests {
         assert_eq!(live.session_items(38), &[0, 2, 4], "session 4, re-ranked");
         assert_eq!(live.session_items(3), &[5, 1], "session 5 keeps its legacy row");
         assert_agree(live, SessionIndex::build(&log, 7).unwrap());
+    }
+
+    #[test]
+    fn a_publish_widens_only_the_per_slot_tables_it_outgrows() {
+        // 300 sessions over six items: supports of 100, one byte a support,
+        // an item id and a slot-table bucket.
+        let mut inc = IncrementalIndexer::new(500).unwrap();
+        let mut log = batch(0..300, 1_000);
+        inc.apply_batch(&log).unwrap();
+        let before = inc.snapshot().unwrap();
+        let record_width =
+            |index: &SessionIndex| (index.records().bytes() - 9) / index.records().len();
+        let widths = |index: &SessionIndex| {
+            (index.slot_items().width(), index.slot_table().buckets().width())
+        };
+        assert_eq!(widths(&before), (1, 1));
+        // An item id past 2⁴⁰ and 200 more sessions of item 0, whose support
+        // passes 255: the slot → item table and the support field widen, and
+        // nothing else does.
+        let mut more = vec![Click::new(1_000, 1 << 40, 10_000)];
+        more.extend((0..200).map(|s| Click::new(2_000 + s, 0, 20_000 + s)));
+        inc.apply_batch(&more).unwrap();
+        log.extend_from_slice(&more);
+        let after = inc.snapshot().unwrap();
+        assert_same(&after, &SessionIndex::build(&log, 500).unwrap());
+        assert_eq!(widths(&after), (6, 1));
+        assert_eq!(record_width(&after), record_width(&before) + 1);
+        assert_eq!(after.item_support(0), Some(300));
+        // 250 new items: 257 slots outgrow one-byte buckets, and the slot
+        // table is made afresh at two.
+        let items: Vec<Click> =
+            (0..250).map(|k| Click::new(3_000 + k, 100 + k, 30_000 + k)).collect();
+        inc.apply_batch(&items).unwrap();
+        log.extend_from_slice(&items);
+        let grown = inc.snapshot().unwrap();
+        assert_same(&grown, &SessionIndex::build(&log, 500).unwrap());
+        assert_eq!(widths(&grown), (6, 2));
+        // Every generation reads on as it was published.
+        assert_eq!((widths(&before), before.item_support(0)), ((1, 1), Some(100)));
     }
 
     #[test]

@@ -405,7 +405,7 @@ fn assert_shared_slots_stable(prev: &SessionIndex, next: &SessionIndex) {
     for segment in &next.segments()[..shared_segments(prev, next)] {
         for slot in (0..segment.len()).flat_map(|row| segment.slots(row).iter()) {
             let slot = slot as usize;
-            assert_eq!(prev.slot_items()[slot], next.slot_items()[slot], "slot {slot}");
+            assert_eq!(prev.slot_items().get(slot), next.slot_items().get(slot), "slot {slot}");
         }
     }
 }
@@ -436,7 +436,7 @@ fn an_item_that_leaves_and_returns_takes_back_its_slot() {
     assert!(inc.delete_session(5 * SEG).unwrap());
     let (g1, _) = check(&inc, &mut log, "the item leaves");
     assert_eq!((g1.item_slot(ITEM), g1.dead_slots()), (None, 1));
-    assert_eq!(g1.slot_items()[first as usize], ITEM, "a stranded slot keeps its entry");
+    assert_eq!(g1.slot_items().get(first as usize), ITEM, "a stranded slot keeps its entry");
     assert_shared_slots_stable(&g0, &g1);
 
     // ...and returns in a later batch, beside an item that is new too: it

@@ -87,7 +87,7 @@ fn assert_id_is_recency_key(
         prop_assert_eq!(index.session_timestamp(id), *timestamp, "t[{}], session {}", id, ext);
         prop_assert_eq!(index.session_items(id), &items[..], "items of {}, session {}", id, ext);
         let named: Vec<ItemId> =
-            index.session_slots(id).iter().map(|slot| index.slot_items()[slot as usize]).collect();
+            index.session_slots(id).iter().map(|s| index.slot_items().get(s as usize)).collect();
         prop_assert_eq!(&named, items, "slots of {}, session {}", id, ext);
         for &item in items {
             holders.entry(item).or_default().push(id);
@@ -199,7 +199,7 @@ fn the_artefact_depends_on_the_content_not_the_slot_numbering() {
     inc.apply_batch(&returning).expect("applies");
     log.extend_from_slice(&returning);
     let live = inc.snapshot().expect("sessions remain");
-    let slot_items = live.slot_items();
+    let slot_items: Vec<ItemId> = live.slot_items().iter().collect();
     assert_eq!(live.dead_slots(), 1, "item 501's slot is stranded");
     assert_eq!(live.item_slot(500), first, "item 500 took its slot back");
     assert!(slot_items.windows(2).any(|w| w[0] > w[1]), "item 0 came last: {slot_items:?}");

@@ -6,17 +6,27 @@
 //! whatever `read_index` holds on the way to the finished index. An
 //! artefact holds the rows and no postings, so a load derives the postings,
 //! and the contract is: the finished index, and nothing beside it at the
-//! peak. The derivation's scratch — holder counts, supports, posting
-//! offsets and fill cursor, 16 bytes a slot — is at most what is still to
-//! come when it is live: the 12-byte records, written from the supports
-//! once the arena is filled, and the slot table of at least 4/3 buckets of
-//! 4 bytes a slot, made after the supports are freed. There is no
-//! payload-sized copy of the artefact and no flat column on the way to the
-//! segments: each segment's rows are read into two `u32` buffers sized for
-//! the largest segment and reused, which are freed before the postings are
-//! derived. It is made with a constant number of
-//! allocations plus a few a segment, none a posting; and `VmisKnn::new`
+//! peak. The per-slot tables are columns at their narrowest widths, and the
+//! derivation's scratch stays below what is still to come when it is live:
+//! the 4-byte holder counts are freed once the supports and the starts are
+//! columns, and the fill counts each posting down in a column at the width
+//! of the longest (2 bytes a slot at `m_max` 500), while the arena column
+//! and the slot table of at least 4/3 buckets a slot are still to be made.
+//! The slot → item table is read from the artefact twice, to check it and
+//! to write it at the width of its largest id, and never held at 8 bytes
+//! an item. There is no payload-sized copy of the artefact and no flat
+//! column on the way to the segments: each segment's rows are read into
+//! two `u32` buffers sized for the largest segment and reused, which are
+//! freed before the postings are derived. It is made with a constant number
+//! of allocations plus a few a segment, none a posting; and `VmisKnn::new`
 //! allocates its per-slot idf table and nothing else, not even in passing.
+//!
+//! The load stays on one thread. Deriving the postings on
+//! `available_parallelism()` threads (`SessionIndex::from_segments`' thread
+//! count) sets a node up a little faster, but every range's share of the
+//! postings, and their copy into the arena, then sit beside the index at
+//! the load peak: on `ecom-1m` at 2 threads it raised `node.browse`'s
+//! `rss_mb` from 15.7–15.8 to 20.2–20.5 MB (EXPERIMENTS.md X25).
 //! The same run checks `SessionIndex::bytes` and `VmisKnn::idf_bytes` (what
 //! `/metrics` publishes as `serenade_index_bytes`) against the bytes the
 //! allocator actually handed out.
@@ -112,14 +122,14 @@ fn artefact() -> Vec<u8> {
 #[test]
 fn loading_holds_the_finished_index_and_nothing_else() {
     const SLACK: usize = 4 * 1024;
-    // The slot → item table, where each segment's columns lie until its
-    // rows are read, the two buffers every segment's offsets and slots are
-    // read into, the segment list and its shared copy; the job list and the
-    // result list of the one counting job, its holder counts, the supports,
-    // the room left in each posting, the posting offsets, the fill cursor,
-    // the arena, the records, the item → slot table and the table of
-    // arenas: seventeen.
-    const ALLOCATIONS: u64 = 17;
+    // The slot → item column and its `Arc`, where each segment's columns
+    // lie until its rows are read, the two buffers every segment's offsets
+    // and slots are read into, the segment list and its shared copy; the
+    // job list and the result list of the one counting job, its holder
+    // counts, the support and start columns, the fill's countdown column,
+    // the arena, the arena column, the records' `Arc`, the item → slot
+    // table's buckets and its `Arc`, and the table of arenas: nineteen.
+    const ALLOCATIONS: u64 = 19;
     // A segment's timestamps, its offsets and its slots, each column at its
     // width, and its `Arc`.
     const PER_SEGMENT: u64 = 4;

@@ -4,10 +4,10 @@
 //!
 //! A ten-click batch at the recent end of the rank order may allocate the
 //! last segment of sessions over again, one arena of O(touched) postings,
-//! and the two things that stay O(items): the 12-byte posting records and
-//! the kernel's idf table. The slot tables — slot → item and item → slot —
-//! are shared with the previous generation unless the batch brings an item
-//! the index has not held, and only then copied. Nothing may grow with the
+//! and the two things that stay O(items): the posting records, a column a
+//! field at its width, and the kernel's idf table. The slot tables — slot →
+//! item and item → slot — are shared with the previous generation unless
+//! the batch brings an item the index has not held, and only then copied. Nothing may grow with the
 //! number of sessions or clicks indexed: the same publish into an index
 //! four times the size allocates the same bytes. `snapshot()` allocates
 //! nothing.
@@ -18,7 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use serenade_core::index::{Posting, SEGMENT_SESSIONS};
+use serenade_core::index::SEGMENT_SESSIONS;
 use serenade_core::{Click, SessionIndex, VmisConfig, VmisKnn};
 use serenade_index::IncrementalIndexer;
 
@@ -126,8 +126,10 @@ fn recent_end_publish(sessions: u64) -> (u64, usize) {
         "a recent-end merge writes the last segment"
     );
     let after = kernel.index();
-    let records = std::mem::size_of_val(after.records());
-    assert_eq!(std::mem::size_of::<Posting>(), 12);
+    let records = after.records().bytes();
+    // A byte of support, three of start and one of arena a slot, and each
+    // column's 3 bytes of padding.
+    assert_eq!(records, (1 + 3 + 1) * after.records().len() + 3 * 3);
     assert!(bytes as usize > records, "the records are copied");
     assert!(std::ptr::eq(before.slot_table().buckets(), after.slot_table().buckets()));
     assert!(std::sync::Arc::ptr_eq(before.slot_items(), after.slot_items()));
@@ -138,8 +140,7 @@ fn recent_end_publish(sessions: u64) -> (u64, usize) {
     let grown = inc.snapshot().expect("non-empty");
     assert_eq!(grown.slot_items().len(), after.slot_items().len() + 1);
     assert!(!std::ptr::eq(after.slot_table().buckets(), grown.slot_table().buckets()));
-    let tables = std::mem::size_of_val(grown.slot_table().buckets())
-        + std::mem::size_of_val(&grown.slot_items()[..]);
+    let tables = grown.slot_table().buckets().bytes() + grown.slot_items().bytes();
     assert!(
         new_item_bytes as usize >= records + tables,
         "{new_item_bytes} bytes for a new item; the records and both slot tables are \

@@ -94,7 +94,7 @@ struct Reached {
 
 /// Holds `index` to `model` item by item, the slot tables included.
 fn check(index: &SessionIndex, model: &HashMap<ItemId, Expected>) -> Result<(), String> {
-    let slot_items = index.slot_items();
+    let slot_items: Vec<ItemId> = index.slot_items().iter().collect();
     prop_assert_eq!(index.num_items(), model.len());
     let mut items: Vec<ItemId> = index.items().collect();
     items.sort_unstable();
@@ -130,21 +130,23 @@ fn check_kept(
     next: &SessionIndex,
     reached: &mut Reached,
 ) -> Result<(), String> {
-    if !next.slot_items().starts_with(prev.slot_items()) {
+    let (prev_items, next_items): (Vec<ItemId>, Vec<ItemId>) =
+        (prev.slot_items().iter().collect(), next.slot_items().iter().collect());
+    if !next_items.starts_with(&prev_items) {
         if prev.dead_slots() > prev.num_items() / 4 {
             reached.renumbered += 1;
         }
         return Ok(());
     }
     let (mut returned, mut left) = (0, 0);
-    for (slot, &item) in prev.slot_items().iter().enumerate() {
+    for (slot, &item) in prev_items.iter().enumerate() {
         let (was, is) = (prev.item_slot(item).is_some(), next.item_slot(item).is_some());
         prop_assert_eq!(next.slot_of(item), Some(slot as u32), "item {} moved", item);
         returned += usize::from(!was && is);
         left += usize::from(was && !is);
     }
     // A step's own items may leave in it too, as a stranding session's do.
-    let new_slots = &next.slot_items()[prev.slot_items().len()..];
+    let new_slots = &next_items[prev_items.len()..];
     left += new_slots.iter().filter(|&&item| next.item_slot(item).is_none()).count();
     prop_assert_eq!(next.dead_slots() + returned, prev.dead_slots() + left);
     reached.returned += returned;

@@ -4,7 +4,7 @@
 //! shutdown controller. It folds three concerns into two atomics:
 //!
 //! * **server state** — `RUNNING → DRAINING → STOPPED`, driven only by the
-//!   shutdown controller ([`super::HttpServer::stop_and_join`]);
+//!   shutdown controller (`HttpServer::stop_and_join`);
 //! * **inflight accounting** — how many requests are between admission and
 //!   completion, read by the drain loop and exported as a gauge;
 //! * **admission** — a request is admitted only while `RUNNING`; while

@@ -9,7 +9,7 @@
 //!
 //! * [`parser`] — incremental, bounded HTTP/1.1 parser (pure state machine
 //!   over bytes; head/header-count/body caps; property-tested);
-//! * [`reactor`] — one thread per available core, each multiplexing the
+//! * `reactor` — one thread per available core, each multiplexing the
 //!   connections it accepted from the shared listener over its own
 //!   epoll-style poller: non-blocking accepts/reads/writes, the
 //!   per-connection state machine
@@ -21,16 +21,16 @@
 //!   thread that read the request answers it), and a tier that sends
 //!   predicts elsewhere (the router) has them forwarded over upstream
 //!   connections the reactor owns;
-//! * [`dispatch`] — the bounded reactor→worker queue, served in arrival
+//! * `dispatch` — the bounded reactor→worker queue, served in arrival
 //!   order, plus each reactor's worker→reactor completion queue;
-//! * [`worker`] — the fixed worker pool serving the requests that may
+//! * `worker` — the fixed worker pool serving the requests that may
 //!   block and are not predicts (admin, ingest, unlearning, `/metrics`, the
 //!   router's fan-out endpoints), one at a time;
-//! * [`backend`] — what a tier tells the server: where a predict runs, how
+//! * `backend` — what a tier tells the server: where a predict runs, how
 //!   to run a local one, where a failed forward goes next;
 //! * [`lifecycle`] — the admission/drain gate shared by reactors, workers
 //!   and the shutdown controller (model-checked in `tests/loom_models.rs`);
-//! * [`conn`] — endpoint routing and response rendering, shared by the
+//! * `conn` — endpoint routing and response rendering, shared by the
 //!   reactors (predicts, sheds, rejects, timeouts) and the workers;
 //! * [`metrics`] — shed/timeout/reject counters, per-state histograms and
 //!   the per-path predict counters.

@@ -1,7 +1,7 @@
 //! Incremental, bounded HTTP/1.1 request parser.
 //!
 //! The parser is a pure state machine over bytes — no I/O, no clock — so the
-//! connection driver ([`crate::server::conn`]) owns all socket and timeout
+//! connection driver (`server::conn`) owns all socket and timeout
 //! concerns and the parser can be property-tested exhaustively: a valid
 //! request split at arbitrary byte boundaries parses identically, and *no*
 //! byte stream panics or escapes without either a request or a 4xx reject.

@@ -227,12 +227,13 @@ mod tests {
         // select samples, one of low parts (ℓ = ⌊log₂(9 / 2)⌋ = 2 bits each)
         // and one of unary high parts, five 8-byte words. Three 1-byte slots
         // — the session items themselves — and their padding in the one
-        // segment, and a two-item slot table behind its Arc header; one
+        // segment, and the slot → item table: two 1-byte ids and 7 bytes of
+        // padding, behind an Arc header that holds the 24-byte column; one
         // 4-byte idf a slot.
         assert!(text.contains("serenade_index_bytes{structure=\"postings\"} 64"), "{text}");
         assert!(text.contains("serenade_index_bytes{structure=\"session_items\"} 110"), "{text}");
         assert!(text.contains("serenade_index_bytes{structure=\"timestamps\"} 40"), "{text}");
-        assert!(text.contains("serenade_index_bytes{structure=\"slots\"} 38"), "{text}");
+        assert!(text.contains("serenade_index_bytes{structure=\"slots\"} 55"), "{text}");
         assert!(text.contains("serenade_index_bytes{structure=\"idf\"} 8"), "{text}");
         assert!(text.contains("serenade_index_dead_slots 0"), "{text}");
         assert!(text.contains("serenade_index_dead_posting_entries 0"), "{text}");

@@ -3,7 +3,7 @@
 //!
 //! A forwarded `POST /recommend` never comes through a client object: the
 //! router's reactor owns non-blocking upstream connections itself (see
-//! [`crate::server`]) and uses only [`render_request`] and [`ResponseBuf`]
+//! [`crate::server`]) and uses only `render_request` and `ResponseBuf`
 //! from here, relaying the node's body bytes undecoded. The node runs the
 //! same pipeline an in-process call runs on a
 //! [`ServingCluster`](crate::ServingCluster), and the socket conformance

@@ -2,7 +2,7 @@
 //!
 //! Runs a closure — the *model* — many times, exploring a different thread
 //! interleaving on each iteration via a deterministic cooperative scheduler
-//! (see [`rt`]'s module docs for the scheduling, weak-memory, and bounding
+//! (see the `rt` module's docs for the scheduling, weak-memory, and bounding
 //! rules). Code under test uses [`sync`] and [`thread`] instead of `std`'s
 //! versions, typically through a `sync` facade module that re-exports std
 //! in normal builds and this crate under a `loom` cfg/feature.

@@ -1,6 +1,6 @@
 //! Model-checked stand-ins for `std::sync` types.
 //!
-//! Every operation is routed through the runtime in [`crate::rt`], which
+//! Every operation is routed through the runtime in `crate::rt`, which
 //! turns it into a scheduling point and (for atomics) a read of the
 //! location's store history. The types only work inside [`crate::model`].
 
