@@ -4,77 +4,141 @@
 //! The paper builds its index with a daily Spark job (40 minutes on 75
 //! n1-highmem-8 machines over 2.3B interactions) and ships ~13 GB of index
 //! to each pod. The in-process analogue is the counting build behind
-//! `serenade_index::build_parallel` (workers take ranges of sessions, then
-//! ranges of items); this binary measures its scaling across worker
-//! threads, the in-memory and serialised index sizes, and the time to write
-//! the artefact and to load it back.
+//! `serenade_index::build_parallel`: every pass over the clicks runs on
+//! every worker thread, each owning a hash class of sessions or a range of
+//! sessions (`serenade_core::index`, the `build` module). This binary
+//! measures, on the training days of `ecom-1m` at 1× and 4× scale
+//! (`SyntheticConfig::scaled`), over 1 and 2 threads (and every core, where
+//! there are more):
+//! - the build's wall time and its speed-up over 1 thread, split into its
+//!   phases: the grouping's passes (number, sort, scatter, run sort), the
+//!   item numbering, the rows and the postings;
+//! - the time an ingest node takes to adopt the index
+//!   (`IncrementalIndexer::adopt`) on as many threads;
+//!
+//! and, at the first scale, the in-memory and serialised index sizes and
+//! the time to write the artefact and to load it back. Each time is the
+//! median of five runs, the phases those of the median run.
 //!
 //! Run: `cargo run -p serenade-bench --release --bin index_build_scaling [--quick]`
+//! (`--quick`: a tenth of each scale).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use serenade_bench::{prepare, print_table, BenchArgs};
+use serenade_core::{BuildPhases, Click, SessionIndex};
 use serenade_dataset::SyntheticConfig;
-use serenade_index::{build_parallel, read_index, write_index, BuilderConfig};
+use serenade_index::{read_index, write_index, IncrementalIndexer};
 
-fn main() {
-    let args = BenchArgs::from_env();
-    let config = SyntheticConfig::ecom_180m().scaled(args.scale);
-    let (_, split) = prepare(&config);
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    println!(
-        "§4.2/§7 index generation over {} clicks ({} dataset analogue); {} core(s) available\n",
-        split.train.len(),
-        config.name,
-        cores
-    );
-    if cores == 1 {
-        println!("NOTE: single-core host — thread scaling is necessarily flat; the\nproperty checked here degrades to 'parallel overhead stays small'.\n");
-    }
+const M_MAX: usize = 500;
+const RUNS: usize = 5;
 
-    let m_max = 500;
+fn ms(d: Duration) -> String {
+    format!("{:.1}", d.as_secs_f64() * 1e3)
+}
+
+/// The median of `RUNS` runs of `f`, by the time each took.
+fn median_of<T>(mut f: impl FnMut() -> (T, Duration)) -> (T, Duration) {
+    let mut runs: Vec<(T, Duration)> = (0..RUNS).map(|_| f()).collect();
+    runs.sort_by_key(|(_, took)| *took);
+    runs.swap_remove(RUNS / 2)
+}
+
+/// One table row a thread count: the build, its phases and the adopt.
+fn scaling_rows(train: &[Click], threads_list: &[usize]) -> Vec<Vec<String>> {
     let mut rows = Vec::new();
-    let mut baseline = 0.0f64;
-    let max_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8);
-    let mut threads_list = vec![1usize, 2, 4];
-    if max_threads >= 8 {
-        threads_list.push(8);
-    }
-    for &threads in &threads_list {
-        let t0 = Instant::now();
-        let index = build_parallel(&split.train, BuilderConfig { threads, m_max }).unwrap();
-        let secs = t0.elapsed().as_secs_f64();
+    let (mut build_1, mut adopt_1) = (Duration::ZERO, Duration::ZERO);
+    let mut reference = None;
+    for &threads in threads_list {
+        let ((index, phases), build) = median_of(|| {
+            let t = Instant::now();
+            let built = SessionIndex::build_timed(train, M_MAX, threads).expect("non-empty log");
+            (built, t.elapsed())
+        });
+        let stats = index.stats();
+        assert_eq!(*reference.get_or_insert(stats), stats, "every thread count builds one index");
+        let (adopted, adopt) = median_of(|| {
+            let mut indexer = IncrementalIndexer::new(M_MAX).expect("positive capacity");
+            let t = Instant::now();
+            let adopted = indexer.adopt(&index, train, threads);
+            (adopted, t.elapsed())
+        });
+        assert!(adopted, "the index of the training clicks is adopted");
         if threads == 1 {
-            baseline = secs;
+            (build_1, adopt_1) = (build, adopt);
         }
+        let BuildPhases { group, items, rows: made, postings } = phases;
         rows.push(vec![
             threads.to_string(),
-            format!("{secs:.2}s"),
-            format!("{:.2}x", baseline / secs),
-            index.stats().num_sessions.to_string(),
+            ms(build),
+            format!("{:.2}x", build_1.as_secs_f64() / build.as_secs_f64()),
+            ms(group.number),
+            ms(group.sort),
+            ms(group.scatter),
+            ms(group.run_sort),
+            ms(items),
+            ms(made),
+            ms(postings),
+            ms(adopt),
+            format!("{:.2}x", adopt_1.as_secs_f64() / adopt.as_secs_f64()),
         ]);
         eprintln!("{threads} threads done");
     }
-    print_table(&["threads", "build time", "speedup", "sessions"], &rows);
+    rows
+}
 
-    // Artefact and memory footprint.
-    let index = build_parallel(
-        &split.train,
-        BuilderConfig { threads: max_threads, m_max },
-    )
-    .unwrap();
+fn main() {
+    let args = BenchArgs::from_env();
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let mut threads_list = vec![1, 2];
+    if cores > 2 {
+        threads_list.push(cores.min(8));
+    }
+    println!("§4.2/§7 index generation; {cores} core(s) available\n");
+    if cores == 1 {
+        println!(
+            "NOTE: single-core host — thread scaling is necessarily flat; the\n\
+             property checked here degrades to 'parallel overhead stays small'.\n"
+        );
+    }
+
+    let mut train_1x = Vec::new();
+    for factor in [1.0, 4.0] {
+        let scale = args.scale * factor;
+        let config = SyntheticConfig::ecom_1m().scaled(scale);
+        let (_, split) = prepare(&config);
+        println!(
+            "{} at {scale}× ({} training clicks), times in ms:",
+            config.name,
+            split.train.len()
+        );
+        print_table(
+            &[
+                "threads", "build", "speedup", "number", "sort", "scatter", "run sort", "items",
+                "rows", "postings", "adopt", "speedup",
+            ],
+            &scaling_rows(&split.train, &threads_list),
+        );
+        println!();
+        if factor == 1.0 {
+            train_1x = split.train;
+        }
+    }
+
+    // Artefact and memory footprint, at the first scale.
+    let index = SessionIndex::build_with_threads(&train_1x, M_MAX, cores).unwrap();
     let stats = index.stats();
     let mut artefact = Vec::new();
     let t0 = Instant::now();
     write_index(&index, &mut artefact).unwrap();
-    let write_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let write = t0.elapsed();
     let t0 = Instant::now();
     let loaded = read_index(&artefact).unwrap();
-    let load_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let load = t0.elapsed();
     assert_eq!(loaded.stats(), stats, "the artefact loads back");
     let bytes = index.bytes();
 
-    println!("\nfootprint:");
+    println!("footprint at {}×:", args.scale);
     print_table(
         &["structure", "bytes / ms"],
         &[
@@ -85,8 +149,8 @@ fn main() {
             vec!["in-memory: slots".into(), bytes.slots.to_string()],
             vec!["in-memory index".into(), bytes.total().to_string()],
             vec!["serialised artefact".into(), artefact.len().to_string()],
-            vec!["write ms".into(), format!("{write_ms:.1}")],
-            vec!["load ms".into(), format!("{load_ms:.1}")],
+            vec!["write ms".into(), ms(write)],
+            vec!["load ms".into(), ms(load)],
         ],
     );
     println!(

@@ -125,6 +125,7 @@ mod column;
 mod elias_fano;
 mod slot_table;
 
+pub use build::BuildPhases;
 pub use column::{Column, Row};
 use elias_fano::EliasFano;
 pub use slot_table::SlotTable;
@@ -370,6 +371,12 @@ impl Segment {
     #[inline]
     pub fn slots(&self, row: usize) -> Row<'_> {
         self.slots.run(self.offsets.get(row) as usize..self.offsets.get(row + 1) as usize)
+    }
+
+    /// Where the slots of the session in `row` start in the slot column.
+    #[inline]
+    pub fn row_start(&self, row: usize) -> usize {
+        self.offsets.get(row) as usize
     }
 
     /// The slot column: the slots of every row, row after row.

@@ -6,23 +6,22 @@
 //!
 //! 1. [`SessionRuns::group`] puts each session's clicks in a sorted run and
 //!    the runs in dense-id order;
-//! 2. each click's item is remapped to a dense item number, and each run is
-//!    deduplicated to the numbers' first occurrences straight into the
-//!    segment's `u32` rows — an item's slot is then the rank of its id,
-//!    and each row is sorted by slot into item-id order, the one order every
-//!    producer writes a row in (`serenade_core::index`, *Rows are sets*) —
-//!    and each segment is then made, its columns narrowed to their widths;
+//! 2. the items are numbered by their ids: an item's slot is the rank of
+//!    its id, found through the slot table made from the slot → item table.
+//!    Each run is deduplicated straight into a row of slots, sorted by slot
+//!    into item-id order, the one order every producer writes a row in
+//!    (`serenade_core::index`, *Rows are sets*), and each segment is made,
+//!    its columns narrowed to their widths;
 //! 3. supports are counted by slot, which gives each posting an exact-size
 //!    range: `min(support, m_max)` entries;
 //! 4. the ranges are filled by walking the sessions newest-first and
 //!    stopping each item when its range is full, so every posting comes out
-//!    strictly descending and truncated to `m_max` with no further work;
-//!    the slot table is then made from the slot → item table.
+//!    strictly descending and truncated to `m_max` with no further work.
 //!
 //! Steps 3–4 are [`SessionIndex::from_segments`], which a load of an
 //! artefact calls too: an artefact holds the rows and no postings, so there
 //! is one way to make a posting, and a posting cannot disagree with its
-//! rows.
+//! rows. A load makes the slot table last, after the postings.
 //!
 //! The records' supports and starts are columns made at their widths from
 //! the counts, before the fill, and the fill counts down what each range
@@ -30,23 +29,37 @@
 //! the rows stays below the per-slot tables still to come, so a load peaks
 //! at the finished index.
 //!
-//! Threads work on separate ranges of sessions, with no shuffle: they sort
-//! the runs of a range of ranks, then number the slots of, count and fill
-//! the postings from a range of segments. A range's share of a posting is
-//! what the ranges of newer sessions leave of its `m_max`, so each thread
-//! writes only its own entries. The postings are then copied into the
-//! index's one arena by slot, each its shares, newest range first; one
-//! range fills the arena in place.
+//! Every pass over the clicks runs on `threads` threads, and the threads'
+//! shares merge in O(sessions) or O(items):
+//! - step 1's passes, split by hash class of sessions (see
+//!   [`crate::sessions`]);
+//! - the item numbering, split by hash class of items: each thread reads
+//!   every click but collects and sorts only its class's items, and the
+//!   sorted classes merge into the slot → item table;
+//! - the rows: each thread makes a range of segments, looking each click's
+//!   item up in the slot table. (Numbering each range's items by first
+//!   appearance instead looks a click up once, not twice, but holds a map
+//!   of nearly every item a thread beside the runs: 30 ms faster at 2
+//!   threads on `ecom-1m`, and 5.7 MB more at the build's peak.);
+//! - steps 3–4: each thread counts and fills the postings' shares of a
+//!   range of segments. A range's share of a posting is what the ranges of
+//!   newer sessions leave of its `m_max`, so each thread writes only its
+//!   own entries. The postings are then copied into the index's one arena
+//!   by slot, each its shares, newest range first; one range fills the
+//!   arena in place.
+//!
+//! `threads = 1` runs the same passes with one class and one range.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use super::{
     new_arena, starts, Column, EliasFano, Records, Segment, SessionIndex, SlotTable,
     SEGMENT_SESSIONS,
 };
 use crate::error::CoreError;
-use crate::hash::FxHashMap;
-use crate::sessions::{run_parallel, SessionRuns};
+use crate::hash::FxHashSet;
+use crate::sessions::{for_each_of_class, merge_ascending, run_parallel, GroupPhases, SessionRuns};
 use crate::types::{Click, ItemId, SessionId};
 
 impl SessionIndex {
@@ -71,6 +84,20 @@ impl SessionIndex {
         m_max: usize,
         threads: usize,
     ) -> Result<Self, CoreError> {
+        Self::build_timed(clicks, m_max, threads).map(|(index, _)| index)
+    }
+
+    /// [`SessionIndex::build_with_threads`], with the wall time of each of
+    /// its phases.
+    ///
+    /// # Errors
+    ///
+    /// As [`SessionIndex::build_with_threads`].
+    pub fn build_timed(
+        clicks: &[Click],
+        m_max: usize,
+        threads: usize,
+    ) -> Result<(Self, BuildPhases), CoreError> {
         if m_max == 0 {
             return Err(CoreError::InvalidConfig {
                 parameter: "m_max",
@@ -84,39 +111,20 @@ impl SessionIndex {
             return Err(CoreError::TooManySessions(clicks.len()));
         }
 
-        let runs = SessionRuns::group(clicks, threads);
-        let (mut rows, items_by_number) = deduplicate(&runs);
+        let mut phases = BuildPhases::default();
+        let runs = SessionRuns::group_timed(clicks, threads, &mut phases.group);
+        let t = Instant::now();
+        let slot_items = number_items(&runs, threads);
+        let slot_table = SlotTable::new(&slot_items);
+        phases.items = t.elapsed();
+        let t = Instant::now();
+        let segments = make_segments(&runs, &slot_table, &slot_items, threads);
         drop(runs);
-
-        // An item's slot is the rank of its id.
-        let mut by_id: Vec<(ItemId, u32)> = items_by_number.into_iter().zip(0..).collect();
-        by_id.sort_unstable();
-        let mut slot_of = vec![0u32; by_id.len()];
-        for (slot, &(_, number)) in by_id.iter().enumerate() {
-            slot_of[number as usize] = slot as u32;
-        }
-        let slot_items = Arc::new(Column::new(by_id.iter().map(|&(item, _)| item)));
-        drop(by_id);
-
-        // Per range of segments: its items' slots, each row in item-id order.
-        let per_thread = rows.len().div_ceil(threads.max(1));
-        run_parallel(rows.chunks_mut(per_thread).collect(), |rows| {
-            for Rows { offsets, slots, .. } in rows.iter_mut() {
-                for slot in slots.iter_mut() {
-                    *slot = slot_of[*slot as usize];
-                }
-                for row in offsets.windows(2) {
-                    slots[row[0] as usize..row[1] as usize].sort_unstable();
-                }
-            }
-        });
-        // Each segment's `u32` rows are freed as its narrow columns are made.
-        let segments = (rows.into_iter())
-            .map(|Rows { timestamps, offsets, slots }| {
-                Arc::new(Segment::from_columns(timestamps, &offsets, &slots))
-            })
-            .collect();
-        Self::from_segments(segments, slot_items, m_max, threads)
+        phases.rows = t.elapsed();
+        let t = Instant::now();
+        let index = Self::derive_postings(segments, slot_items, Some(slot_table), m_max, threads)?;
+        phases.postings = t.elapsed();
+        Ok((index, phases))
     }
 
     /// Makes the index of `segments`, whose slots `slot_items` names, by
@@ -136,6 +144,18 @@ impl SessionIndex {
     pub fn from_segments(
         segments: Vec<Arc<Segment>>,
         slot_items: Arc<Column<ItemId>>,
+        m_max: usize,
+        threads: usize,
+    ) -> Result<Self, CoreError> {
+        Self::derive_postings(segments, slot_items, None, m_max, threads)
+    }
+
+    /// [`SessionIndex::from_segments`] with the slot table of `slot_items`
+    /// if the caller has made it already, else made last.
+    fn derive_postings(
+        segments: Vec<Arc<Segment>>,
+        slot_items: Arc<Column<ItemId>>,
+        slot_table: Option<SlotTable>,
         m_max: usize,
         threads: usize,
     ) -> Result<Self, CoreError> {
@@ -198,54 +218,89 @@ impl SessionIndex {
             assemble(slots, &filled)
         };
         let records = Records { support, start, arena: Column::new(std::iter::repeat_n(0, slots)) };
-        let slot_table = SlotTable::new(&slot_items);
+        let slot_table = slot_table.unwrap_or_else(|| SlotTable::new(&slot_items));
         let (records, arenas) = (Arc::new(records), Arc::from([arena]));
         Ok(Self::from_generation(records, slot_table, arenas, segments.into(), slot_items, m_max))
     }
 }
 
-/// A segment on its way through the build: its coded timestamps and, in
-/// CSR layout, its rows at 4 bytes an entry, until its slots are final.
-struct Rows {
-    timestamps: EliasFano,
-    offsets: Box<[u32]>,
-    slots: Box<[u32]>,
+/// Wall time of each phase of [`SessionIndex::build_timed`] (see the
+/// `build` module).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BuildPhases {
+    /// Step 1, pass by pass.
+    pub group: GroupPhases,
+    /// Step 2's item numbering: the slot → item table and the slot table.
+    pub items: Duration,
+    /// Step 2's rows: the segments.
+    pub rows: Duration,
+    /// Steps 3–4: the postings.
+    pub postings: Duration,
 }
 
-/// Step 2: the rows of `runs`, a segment at a time, each item numbered by
-/// first appearance and its number standing in for its slot, and the item
-/// of each number.
-fn deduplicate(runs: &SessionRuns) -> (Vec<Rows>, Vec<ItemId>) {
+/// Step 2's numbering, on `threads` threads, each a hash class of items
+/// ([`crate::sessions::class_of`]): every item of `runs` by slot. Each thread collects and
+/// sorts the distinct items of its class, and the sorted classes merge into
+/// the slot → item table.
+fn number_items(runs: &SessionRuns, threads: usize) -> Arc<Column<ItemId>> {
+    let classes = threads.max(1);
+    let sorted = run_parallel((0..classes).collect(), |class| {
+        let mut items: FxHashSet<ItemId> = FxHashSet::default();
+        for_each_of_class(runs.clicks(), |&(_, item)| item, (class, classes), |&(_, item)| {
+            items.insert(item);
+        });
+        let mut items: Vec<ItemId> = items.into_iter().collect();
+        items.sort_unstable();
+        items
+    });
+    Arc::new(Column::new(merge_ascending(&sorted).map(|(_, item)| item)))
+}
+
+/// Step 2's rows, on `threads` threads, each a range of segments: the
+/// segments of `runs`, each row its session's slots, looked up in
+/// `slot_table`, deduplicated and ascending.
+fn make_segments(
+    runs: &SessionRuns,
+    slot_table: &SlotTable,
+    slot_items: &Column<ItemId>,
+    threads: usize,
+) -> Vec<Arc<Segment>> {
     let n = runs.len();
-    let mut numbers: FxHashMap<ItemId, u32> = FxHashMap::default();
-    let mut items_by_number: Vec<ItemId> = Vec::new();
-    let mut segments = Vec::with_capacity(n.div_ceil(SEGMENT_SESSIONS));
-    // A segment's item numbers, copied out of here at their exact size.
-    let mut scratch: Vec<u32> = Vec::new();
-    for lo in (0..n).step_by(SEGMENT_SESSIONS) {
-        let hi = n.min(lo + SEGMENT_SESSIONS);
-        scratch.clear();
-        let mut offsets = Vec::with_capacity(hi - lo + 1);
-        offsets.push(0u32);
-        for rank in lo..hi {
-            let first = scratch.len();
-            for &(_, item) in runs.run(rank) {
-                let number = *numbers.entry(item).or_insert_with(|| {
-                    items_by_number.push(item);
-                    (items_by_number.len() - 1) as u32
-                });
-                // A linear scan over the (short) session so far: the median
-                // e-commerce session has fewer than five items.
-                if !scratch[first..].contains(&number) {
-                    scratch.push(number);
+    let segments = n.div_ceil(SEGMENT_SESSIONS);
+    let per_thread = segments.div_ceil(threads.max(1)).max(1);
+    let ranges =
+        (0..segments).step_by(per_thread).map(|first| first..segments.min(first + per_thread));
+    let made = run_parallel(ranges.collect(), |range| {
+        // A segment's rows, copied out of here at their widths.
+        let (mut offsets, mut slots) = (Vec::new(), Vec::new());
+        range
+            .map(|segment| {
+                let lo = segment * SEGMENT_SESSIONS;
+                let hi = n.min(lo + SEGMENT_SESSIONS);
+                offsets.clear();
+                offsets.push(0u32);
+                slots.clear();
+                for rank in lo..hi {
+                    let first = slots.len();
+                    for &(_, item) in runs.run(rank) {
+                        let slot = slot_table.get(item, slot_items).expect("every item has a slot");
+                        // A linear scan over the (short) session so far: the
+                        // median e-commerce session has fewer than five items.
+                        if !slots[first..].contains(&slot) {
+                            slots.push(slot);
+                        }
+                    }
+                    slots[first..].sort_unstable();
+                    offsets.push(slots.len() as u32);
                 }
-            }
-            offsets.push(scratch.len() as u32);
-        }
-        let timestamps = EliasFano::new((lo..hi).map(|rank| runs.timestamp(rank)));
-        segments.push(Rows { timestamps, offsets: offsets.into(), slots: scratch[..].into() });
-    }
-    (segments, items_by_number)
+                let timestamps = EliasFano::new((lo..hi).map(|rank| runs.timestamp(rank)));
+                Arc::new(Segment::from_columns(timestamps, &offsets, &slots))
+            })
+            .collect::<Vec<_>>()
+    });
+    let mut segments = Vec::with_capacity(segments);
+    made.into_iter().for_each(|range| segments.extend(range));
+    segments
 }
 
 /// Where the share of `slot` ends among `total` entries laid out by slot

@@ -63,9 +63,9 @@ pub mod weights;
 
 pub use error::CoreError;
 pub use recommender::Recommender;
-pub use sessions::SessionRuns;
+pub use sessions::{GroupPhases, SessionRuns};
 pub use hash::{FxHashMap, FxHashSet};
-pub use index::{IndexBytes, IndexStats, Posting, SessionIndex, SessionItems};
+pub use index::{BuildPhases, IndexBytes, IndexStats, Posting, SessionIndex, SessionItems};
 pub use types::{Click, ItemId, ItemScore, SessionId, Timestamp};
 pub use vmis::{KernelWork, Scratch, VmisConfig, VmisKnn};
 pub use weights::{DecayFunction, IdfWeighting, MatchWeight};

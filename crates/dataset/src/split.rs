@@ -35,11 +35,15 @@ impl EvaluationSplit {
 pub fn split_at(clicks: &[Click], cutoff: u64) -> EvaluationSplit {
     let held_out: FxHashSet<u64> =
         clicks.iter().filter(|c| c.timestamp >= cutoff).map(|c| c.session_id).collect();
-    let held: Vec<Click> =
-        clicks.iter().filter(|c| held_out.contains(&c.session_id)).copied().collect();
-    // Training clicks keep their original tuples and order.
-    let mut train: Vec<Click> = Vec::with_capacity(clicks.len() - held.len());
-    train.extend(clicks.iter().filter(|c| !held_out.contains(&c.session_id)));
+    // One pass sends each click to its side, one lookup a click. Training
+    // clicks keep their original tuples and order; the room left over for
+    // the held-out ones is never written, and is handed back.
+    let (mut train, mut held) = (Vec::with_capacity(clicks.len()), Vec::new());
+    for c in clicks {
+        let side = if held_out.contains(&c.session_id) { &mut held } else { &mut train };
+        side.push(*c);
+    }
+    train.shrink_to_fit();
     let runs = &SessionRuns::group(&held, 1);
     drop(held);
     // Keep only test items known at training time, then re-check length.

@@ -23,6 +23,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serenade_core::sessions::run_parallel;
 use serenade_core::Click;
 
 use crate::Dataset;
@@ -291,8 +292,27 @@ pub fn generate(config: &SyntheticConfig) -> Dataset {
             clicks.push(Click::new(session_id, item, start + (c as u64) * 30 + jitter));
         }
     }
-    clicks.sort_unstable_by_key(|c| (c.timestamp, c.session_id, c.item_id));
+    sort_clicks(&mut clicks, std::thread::available_parallelism().map_or(1, usize::from));
     Dataset::new(config.name.clone(), clicks)
+}
+
+/// Sorts `clicks` by `(timestamp, session, item)` on up to `threads`
+/// threads: a slice is split at its median by that key, every click on the
+/// side of the median it sorts to, and the two sides sort side by side, in
+/// place. The key is the whole click, so equal keys are equal clicks and
+/// the bytes are those of one sort on one thread (`generator_pinned.rs`).
+fn sort_clicks(clicks: &mut [Click], threads: usize) {
+    let key = |c: &Click| (c.timestamp, c.session_id, c.item_id);
+    if threads < 2 || clicks.len() < 2 {
+        clicks.sort_unstable_by_key(key);
+        return;
+    }
+    let median = clicks.len() / 2;
+    clicks.select_nth_unstable_by_key(median, key);
+    let (low, high) = clicks.split_at_mut(median);
+    run_parallel(vec![(low, threads / 2), (high, threads - threads / 2)], |(side, threads)| {
+        sort_clicks(side, threads)
+    });
 }
 
 /// Geometric step with mean ≈ `scale`, at least 1.

@@ -1,16 +1,19 @@
-//! Sessionization and the train/test split against a `BTreeMap` model.
+//! Sessionization, the train/test split and the grouping under them
+//! against a `BTreeMap` model.
 //!
 //! `sessionize` and `split_at` group through the counting pass the index
 //! build uses (`serenade_core::SessionRuns`); this suite holds them to what
 //! a session is, derived from nothing but the click log: repeats kept,
 //! clicks in `(timestamp, item)` order, sessions in `(end, id)` order, and a
-//! training set that is the input-order filter of the log.
+//! training set that is the input-order filter of the log. The grouping
+//! itself is held to the model at every thread count, each thread owning a
+//! hash class of session ids.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use serenade_core::Click;
+use serenade_core::{Click, SessionRuns};
 use serenade_dataset::split::split_at;
 use serenade_dataset::{sessionize, Session};
 
@@ -26,6 +29,20 @@ fn clicks_strategy() -> impl Strategy<Value = Vec<Click>> {
         clicks.extend(repeats);
         clicks
     })
+}
+
+/// Random logs of a few sessions whose ids lie far apart over the whole
+/// `u64` range, so that every hash class of a few threads holds some, and
+/// whose clicks share a handful of timestamps, so that sessions tie on
+/// their ends.
+fn spread_strategy() -> impl Strategy<Value = Vec<Click>> {
+    (vec(any::<u64>(), 1..12), vec((0usize..12, 1u64..=10, 0u64..=4), 1..150)).prop_map(
+        |(ids, clicks)| {
+            (clicks.into_iter())
+                .map(|(session, item, ts)| Click::new(ids[session % ids.len()], item, ts))
+                .collect()
+        },
+    )
 }
 
 /// The sessions of `log` as the model has them, in `(end, id)` order.
@@ -56,6 +73,22 @@ proptest! {
     #[test]
     fn sessionize_is_the_model(log in clicks_strategy()) {
         prop_assert_eq!(sessionize(&log), model(&log));
+    }
+
+    #[test]
+    fn group_is_the_model_at_every_thread_count(log in spread_strategy()) {
+        let sessions = model(&log);
+        for threads in [1, 2, 3, 8] {
+            let runs = SessionRuns::group(&log, threads);
+            prop_assert_eq!(runs.len(), sessions.len(), "threads {}", threads);
+            for (rank, session) in sessions.iter().enumerate() {
+                prop_assert_eq!(runs.ext_id(rank), session.id, "threads {}", threads);
+                let items: Vec<u64> = runs.run(rank).iter().map(|&(_, item)| item).collect();
+                prop_assert_eq!(&items, &session.items, "threads {}", threads);
+                prop_assert_eq!(runs.run(rank)[0].0, session.start, "threads {}", threads);
+                prop_assert_eq!(runs.timestamp(rank), session.end, "threads {}", threads);
+            }
+        }
     }
 
     #[test]

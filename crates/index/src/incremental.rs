@@ -106,6 +106,7 @@
 use std::sync::Arc;
 
 use serenade_core::index::{Column, Posting, Segment, SlotTable, SEGMENT_SESSIONS};
+use serenade_core::sessions::{class_of, for_each_of_class, merge_ascending, run_parallel};
 use serenade_core::{
     Click, CoreError, FxHashMap, FxHashSet, ItemId, SessionId, SessionIndex, SessionRuns, Timestamp,
 };
@@ -162,6 +163,24 @@ enum Source {
     New(usize),
 }
 
+/// A map from external session ids, split into one map a hash class of ids
+/// ([`class_of`]): as many as the threads that adopted a seed filled, one
+/// otherwise.
+#[derive(Debug, Clone)]
+struct ByClass(Vec<FxHashMap<u64, Timestamp>>);
+
+impl ByClass {
+    /// The map that holds `ext_id`, if any map does.
+    fn map(&self, ext_id: u64) -> &FxHashMap<u64, Timestamp> {
+        &self.0[class_of(ext_id, self.0.len())]
+    }
+
+    fn map_mut(&mut self, ext_id: u64) -> &mut FxHashMap<u64, Timestamp> {
+        let classes = self.0.len();
+        &mut self.0[class_of(ext_id, classes)]
+    }
+}
+
 /// Stateful incremental index maintainer.
 #[derive(Debug, Clone)]
 pub struct IncrementalIndexer {
@@ -171,7 +190,7 @@ pub struct IncrementalIndexer {
     ext_ids: Vec<u64>,
     /// Timestamp of each indexed session by external id; with `ext_ids` it
     /// locates a session's rank by binary search on its [`Key`].
-    session_ts: FxHashMap<u64, Timestamp>,
+    session_ts: ByClass,
     /// Upper bound on the index's session-item entries; `usize::MAX` means
     /// unbounded.
     max_session_items: usize,
@@ -225,7 +244,7 @@ impl IncrementalIndexer {
                 m_max,
             ),
             ext_ids: Vec::new(),
-            session_ts: FxHashMap::default(),
+            session_ts: ByClass(vec![FxHashMap::default()]),
             max_session_items,
             tombstones: FxHashSet::default(),
             sharing: Sharing::default(),
@@ -238,45 +257,77 @@ impl IncrementalIndexer {
     /// is exactly the index of `seed` at this posting capacity and fits the
     /// retention cap: the rank → external-id column and the timestamps by
     /// external id are derived from `seed`, nothing is indexed a second time.
-    /// It holds O(sessions) while it checks — the map it keeps, the ids by
-    /// rank and their sort keys, where each row starts, and one bit a
-    /// session-item entry — and nothing a click. Returns
-    /// `false`, leaving the indexer empty, when `index` is anything else;
-    /// [`IncrementalIndexer::apply_batch`] then indexes `seed`.
-    pub fn adopt(&mut self, index: &SessionIndex, seed: &[Click]) -> bool {
+    /// Returns `false`, leaving the indexer empty, when `index` is anything
+    /// else; [`IncrementalIndexer::apply_batch`] then indexes `seed`.
+    ///
+    /// Its passes over the seed run on `threads` threads, and the answer is
+    /// the same for every `threads`:
+    /// 1. each thread finds the newest click of the sessions of one hash
+    ///    class of ids ([`class_of`]) and sorts their keys; the sorted
+    ///    classes merge into the rank order, which must match the index's
+    ///    timestamps, and each class's map takes its sessions' ranks;
+    /// 2. each thread checks its class's clicks against the rows
+    ///    (`rows_hold_exactly`);
+    /// 3. each class's map gives its ranks' timestamps back, and the maps
+    ///    stay split by class: the indexer looks a session up in its class's.
+    ///
+    /// It holds O(sessions) while it checks — the maps, the ids by rank and
+    /// their sort keys — and one bit a session-item entry a thread, and
+    /// nothing a click.
+    pub fn adopt(&mut self, index: &SessionIndex, seed: &[Click], threads: usize) -> bool {
         if self.num_sessions() != 0
             || index.m_max() != self.index.m_max()
             || index.session_item_entries() > self.max_session_items
         {
             return false;
         }
-        // Each session's newest click; its keys, sorted, are the rank order.
-        let mut session_ts = FxHashMap::default();
-        session_ts.reserve(index.num_sessions());
-        for c in seed {
-            let ts = session_ts.entry(c.session_id).or_insert(c.timestamp);
-            *ts = (*ts).max(c.timestamp);
-        }
-        let mut keys: Vec<Key> = session_ts.iter().map(|(&ext, &ts)| (ts, ext)).collect();
-        keys.sort_unstable();
-        // Each segment's timestamps decoded in order, against its keys.
-        let mut by_segment = keys.chunks(SEGMENT_SESSIONS).zip(index.segments());
-        let same = |(keys, segment): (&[Key], &Arc<Segment>)| {
-            keys.iter().map(|&(ts, _)| ts).eq(segment.timestamps())
-        };
-        if keys.len() != index.num_sessions() || !by_segment.all(same) {
+        // 1. Each class's newest click a session; its keys, sorted, merge
+        // into the rank order.
+        let (sessions, classes) = (index.num_sessions(), threads.max(1));
+        let (maps, sorted): (Vec<_>, Vec<_>) = run_parallel((0..classes).collect(), |class| {
+            let mut newest: FxHashMap<u64, Timestamp> = FxHashMap::default();
+            newest.reserve(sessions / classes);
+            for_each_of_class(seed, |c| c.session_id, (class, classes), |c| {
+                let ts = newest.entry(c.session_id).or_insert(c.timestamp);
+                *ts = (*ts).max(c.timestamp);
+            });
+            let mut keys: Vec<Key> = newest.iter().map(|(&ext, &ts)| (ts, ext)).collect();
+            keys.sort_unstable();
+            (newest, keys)
+        })
+        .into_iter()
+        .unzip();
+        if sorted.iter().map(Vec::len).sum::<usize>() != sessions {
             return false;
         }
-        // While the rows are checked the map holds each session's rank, and
-        // the rank then gives the timestamp back.
-        for (rank, &(_, ext)) in keys.iter().enumerate() {
-            session_ts.insert(ext, rank as Timestamp);
+        // Each segment's timestamps decoded in order, against the keys.
+        let mut timestamps = index.segments().iter().flat_map(|segment| segment.timestamps());
+        let mut ext_ids = Vec::with_capacity(sessions);
+        for (_, (ts, ext)) in merge_ascending(&sorted) {
+            if timestamps.next() != Some(ts) {
+                return false;
+            }
+            ext_ids.push(ext);
         }
+        drop(sorted);
+        // While the rows are checked the maps hold each session's rank, and
+        // the rank then gives the timestamp back.
+        let mut session_ts = ByClass(maps);
+        run_parallel(session_ts.0.iter_mut().enumerate().collect(), |(class, map)| {
+            for (rank, &ext) in ext_ids.iter().enumerate() {
+                if class_of(ext, classes) == class {
+                    map.insert(ext, rank as Timestamp);
+                }
+            }
+        });
+        // 2. The rows; 3. the timestamps.
         if !rows_hold_exactly(index, seed, &session_ts) {
             return false;
         }
-        session_ts.values_mut().for_each(|ts| *ts = keys[*ts as usize].0);
-        self.ext_ids = keys.iter().map(|&(_, ext)| ext).collect();
+        run_parallel(session_ts.0.iter_mut().collect(), |map| {
+            map.values_mut().for_each(|ts| *ts = index.session_timestamp(*ts as SessionId));
+        });
+        self.ext_ids = ext_ids;
         self.session_ts = session_ts;
         self.index = index.clone();
         true
@@ -392,7 +443,7 @@ impl IncrementalIndexer {
 
     /// Rank (dense id) of the indexed session with this external id.
     fn rank_of(&self, ext_id: u64) -> Option<SessionId> {
-        let key = (*self.session_ts.get(&ext_id)?, ext_id);
+        let key = (*self.session_ts.map(ext_id).get(&ext_id)?, ext_id);
         let key_at = |rank| (self.index.session_timestamp(rank as SessionId), self.ext_ids[rank]);
         Some(lower_bound(self.num_sessions(), key_at, key) as SessionId)
     }
@@ -606,9 +657,12 @@ impl IncrementalIndexer {
         }
 
         for &rank in removed {
-            self.session_ts.remove(&self.ext_ids[rank as usize]);
+            let ext = self.ext_ids[rank as usize];
+            self.session_ts.map_mut(ext).remove(&ext);
         }
-        self.session_ts.extend(pending.iter().map(|p| (p.key.1, p.key.0)));
+        for &Pending { key: (ts, ext), .. } in &pending {
+            self.session_ts.map_mut(ext).insert(ext, ts);
+        }
         self.ext_ids.truncate(base);
         self.ext_ids.append(&mut ext_ids);
         self.sharing.postings_copied += copied;
@@ -637,34 +691,55 @@ fn lower_bound(len: usize, key_at: impl Fn(usize) -> Key, key: Key) -> usize {
 }
 
 /// `true` if every row of `index` is the set of items its session clicks in
-/// `seed`, each session's rank given by its external id: each click finds
-/// its item in its session's row and marks that entry, and every entry ends
-/// up marked — one bit an entry.
-fn rows_hold_exactly(index: &SessionIndex, seed: &[Click], rank_of: &FxHashMap<u64, u64>) -> bool {
-    // Where each row starts among all the entries.
-    let mut starts = Vec::with_capacity(index.num_sessions());
-    let entries = (0..index.num_sessions() as SessionId).fold(0, |at, rank| {
-        starts.push(at);
-        at + index.session_slots(rank).len()
+/// `seed`, each session's rank given by its external id in the map of its
+/// class ([`class_of`]): each click finds its item in its session's row and
+/// marks that entry, and every entry ends up marked — one bit an entry.
+/// Each class's thread checks the clicks of its class into a bitmap of its
+/// own, looking their sessions up in its own map; the bitmaps are then
+/// or-ed.
+fn rows_hold_exactly(index: &SessionIndex, seed: &[Click], rank_of: &ByClass) -> bool {
+    // Where each segment's rows start among all the entries.
+    let segments = index.segments();
+    let mut bases = Vec::with_capacity(segments.len());
+    let entries = segments.iter().fold(0, |at, segment| {
+        bases.push(at);
+        at + segment.slot_column().len()
     });
-    let mut marked = vec![0u64; entries.div_ceil(64)];
-    // A chunk's ranks are looked up before its rows are read, so that the
-    // lookups overlap, and then the rows they lead to.
-    let mut ranks = [0; 16];
-    for chunk in seed.chunks(ranks.len()) {
-        for (rank, c) in ranks.iter_mut().zip(chunk) {
-            *rank = rank_of[&c.session_id] as usize;
-        }
-        for (&rank, c) in ranks.iter().zip(chunk) {
-            let row = index.session_items(rank as SessionId);
-            let Some(at) = row.iter().position(|item| item == c.item_id) else {
-                return false;
-            };
-            let entry = starts[rank] + at;
-            marked[entry / 64] |= 1 << (entry % 64);
-        }
-    }
-    marked.iter().map(|word| word.count_ones() as usize).sum::<usize>() == entries
+    let classes = rank_of.0.len();
+    let marks = run_parallel(rank_of.0.iter().enumerate().collect(), |(class, ranks)| {
+        let (mut marked, mut held) = (vec![0u64; entries.div_ceil(64)], true);
+        let mut check = |batch: &mut Vec<(usize, ItemId)>| {
+            for (rank, item) in batch.drain(..) {
+                let items = index.session_items(rank as SessionId);
+                let Some(at) = items.iter().position(|held| held == item) else {
+                    held = false;
+                    continue;
+                };
+                let (k, row) = (rank / SEGMENT_SESSIONS, rank % SEGMENT_SESSIONS);
+                let entry = bases[k] + segments[k].row_start(row) + at;
+                marked[entry / 64] |= 1 << (entry % 64);
+            }
+        };
+        // A batch's ranks are looked up before its rows are read, so that
+        // the lookups overlap, and then the rows they lead to.
+        let mut batch = Vec::with_capacity(16);
+        for_each_of_class(seed, |c| c.session_id, (class, classes), |c| {
+            batch.push((ranks[&c.session_id] as usize, c.item_id));
+            if batch.len() == batch.capacity() {
+                check(&mut batch);
+            }
+        });
+        check(&mut batch);
+        held.then_some(marked)
+    });
+    let Some(marks) = marks.into_iter().collect::<Option<Vec<_>>>() else {
+        return false;
+    };
+    let marked = marks.into_iter().reduce(|mut marked, other| {
+        marked.iter_mut().zip(other).for_each(|(word, other)| *word |= other);
+        marked
+    });
+    marked.iter().flatten().map(|word| word.count_ones() as usize).sum::<usize>() == entries
 }
 
 /// Appends to `out` the first `want` ids of two descending id streams,
@@ -830,7 +905,7 @@ mod tests {
         let seed = batch(1..40, 1_000);
         let served = SessionIndex::build(&seed, 7).unwrap();
         let mut inc = IncrementalIndexer::new(7).unwrap();
-        assert!(inc.adopt(&served, &seed));
+        assert!(inc.adopt(&served, &seed, 1));
         assert_eq!((inc.num_sessions(), inc.retained_session_items()), (39, seed.len()));
         let mut by_rank: Vec<u64> = (1..40).collect();
         by_rank.sort_by_key(|&s| (1_000 + s * 10 + 1, s));
@@ -848,42 +923,88 @@ mod tests {
         assert_same(&inc.snapshot().unwrap(), &SessionIndex::build(&log, 7).unwrap());
     }
 
+    /// [`batch`] with its session ids spread over the whole `u64` range, so
+    /// that every hash class of a few threads holds some.
+    fn spread_batch(range: std::ops::Range<u64>, ts_base: u64) -> Vec<Click> {
+        let spread = |c: Click| Click { session_id: c.session_id.wrapping_mul(0x9e37_79b9), ..c };
+        batch(range, ts_base).into_iter().map(spread).collect()
+    }
+
     #[test]
     fn adopt_refuses_anything_but_the_index_of_the_seed() {
-        let seed = batch(1..40, 1_000);
+        let seed = spread_batch(1..40, 1_000);
         let served = SessionIndex::build(&seed, 7).unwrap();
+        let id = |s: u64| s.wrapping_mul(0x9e37_79b9);
         let mut other_items = seed.clone();
         other_items[3].item_id += 1;
-        // Session 5 clicks items 5 and 1 at 1_050 and 1_051.
+        // Session 5 clicks items 5 and 1 at 1_050 and 1_051, session 6 items
+        // 0 and 2 at 1_060 and 1_061.
         let mut one_more_item = seed.clone();
-        one_more_item.push(Click::new(5, 3, 1_050)); // the row misses item 3
-        let one_item_less: Vec<Click> =
-            seed.iter().filter(|c| (c.session_id, c.timestamp) != (5, 1_050)).copied().collect();
+        one_more_item.push(Click::new(id(5), 3, 1_050)); // the row misses item 3
+        let kept = |c: &Click| (c.session_id, c.timestamp) != (id(5), 1_050);
+        let one_item_less: Vec<Click> = seed.iter().copied().filter(kept).collect();
+        // Both sessions keep their newest clicks: only the rows tell.
+        let mut moved = seed.clone();
+        moved.iter_mut().filter(|c| c.timestamp == 1_050).for_each(|c| c.session_id = id(6));
         let mut unknown_session = seed.clone();
-        unknown_session.push(Click::new(77, 1, 1_000)); // a session the index lacks
+        unknown_session.push(Click::new(id(77), 1, 1_000)); // a session the index lacks
+        let dropped: Vec<Click> = seed.iter().filter(|c| c.session_id != id(7)).copied().collect();
         let mut later = seed.clone();
         later.iter_mut().filter(|c| c.timestamp == 1_051).for_each(|c| c.timestamp += 1);
+        // (m_max, retention cap, seed)
         let refused = [
-            (IncrementalIndexer::new(8).unwrap(), &seed[..]), // another m_max
-            (IncrementalIndexer::new(7).unwrap(), &seed[2..]), // another session set
-            (IncrementalIndexer::new(7).unwrap(), &other_items[..]), // another item list
-            (IncrementalIndexer::new(7).unwrap(), &one_more_item[..]), // a row missing an item
-            (IncrementalIndexer::new(7).unwrap(), &one_item_less[..]), // a row with an extra one
-            (IncrementalIndexer::new(7).unwrap(), &unknown_session[..]),
-            (IncrementalIndexer::new(7).unwrap(), &later[..]), // a timestamp off by one
-            (IncrementalIndexer::with_retained_session_items_cap(7, 10).unwrap(), &seed[..]),
+            (8, usize::MAX, &seed[..]),           // another m_max
+            (7, usize::MAX, &seed[2..]),          // another session set
+            (7, usize::MAX, &other_items[..]),    // another item list
+            (7, usize::MAX, &one_more_item[..]),  // a row missing an item
+            (7, usize::MAX, &one_item_less[..]),  // a row with an extra one
+            (7, usize::MAX, &moved[..]),          // a click in another session
+            (7, usize::MAX, &unknown_session[..]),
+            (7, usize::MAX, &dropped[..]),        // a session less
+            (7, usize::MAX, &later[..]),          // a timestamp off by one
+            (7, 10, &seed[..]),                   // over the retention cap
         ];
-        for (mut inc, log) in refused {
-            assert!(!inc.adopt(&served, log));
-            assert_eq!((inc.num_sessions(), inc.retained_session_items()), (0, 0));
-            assert!(inc.session_ids().is_empty());
-            // The refusal leaves a working empty indexer behind.
-            inc.apply_batch(&seed[..4]).unwrap();
-            assert_eq!(inc.num_sessions(), 2);
+        for threads in [1, 2, 3, 8] {
+            for (case, &(m_max, cap, log)) in refused.iter().enumerate() {
+                let mut inc =
+                    IncrementalIndexer::with_retained_session_items_cap(m_max, cap).unwrap();
+                assert!(!inc.adopt(&served, log, threads), "case {case}, threads {threads}");
+                assert_eq!((inc.num_sessions(), inc.retained_session_items()), (0, 0));
+                assert!(inc.session_ids().is_empty());
+                // The refusal leaves a working empty indexer behind.
+                inc.apply_batch(&seed[..4]).unwrap();
+                assert_eq!(inc.num_sessions(), 2);
+            }
         }
         let mut used = IncrementalIndexer::new(7).unwrap();
         used.apply_batch(&seed[..2]).unwrap();
-        assert!(!used.adopt(&served, &seed), "only a fresh indexer adopts");
+        assert!(!used.adopt(&served, &seed, 1), "only a fresh indexer adopts");
+    }
+
+    #[test]
+    fn adopt_takes_over_the_same_state_at_every_thread_count() {
+        let seed = spread_batch(1..200, 1_000);
+        let served = SessionIndex::build(&seed, 7).unwrap();
+        // Clicks for adopted sessions of every class, new sessions, and a
+        // deletion: each finds its session through its class's map.
+        let more: Vec<Click> = spread_batch(150..230, 5_000);
+        let deleted = seed[7].session_id;
+        let log: Vec<Click> =
+            seed.iter().chain(&more).filter(|c| c.session_id != deleted).copied().collect();
+        let expected = SessionIndex::build(&log, 7).unwrap();
+        let mut one = IncrementalIndexer::new(7).unwrap();
+        assert!(one.adopt(&served, &seed, 1));
+        for threads in [1, 2, 3, 8] {
+            let mut inc = IncrementalIndexer::new(7).unwrap();
+            assert!(inc.adopt(&served, &seed, threads), "threads {threads}");
+            assert_eq!(inc.session_ids(), one.session_ids(), "threads {threads}");
+            assert!((0..inc.num_sessions()).all(|rank| {
+                inc.rank_of(inc.session_ids()[rank]) == Some(rank as SessionId)
+            }));
+            inc.apply_batch(&more).unwrap();
+            assert!(inc.delete_session(deleted).unwrap(), "threads {threads}");
+            assert_same(&inc.snapshot().unwrap(), &expected);
+        }
     }
 
     /// `index` with every row in the order of its session's first clicks in
@@ -933,7 +1054,7 @@ mod tests {
         assert_eq!(legacy.session_items(3), &[4, 0], "session 4, rank 3");
         assert_agree(legacy.clone(), built);
         let mut inc = IncrementalIndexer::new(7).unwrap();
-        assert!(inc.adopt(&legacy, &seed));
+        assert!(inc.adopt(&legacy, &seed, 1));
         // One merge: session 4 reappears and is re-ranked from its row, and
         // a new session lands on top of the untouched legacy rows.
         let more = [Click::new(4, 2, 9_000), Click::new(90, 5, 9_001), Click::new(90, 0, 9_002)];

@@ -191,7 +191,7 @@ fn adopt_bytes(clicks_per_session: u64) -> u64 {
     let index = SessionIndex::build(&seed, 500).expect("non-empty seed");
     assert_eq!(index.stats().session_item_entries, 8_000, "two items a session");
     let mut inc = IncrementalIndexer::new(500).expect("positive capacity");
-    let (adopted, _, bytes) = allocated_by(|| inc.adopt(&index, &seed));
+    let (adopted, _, bytes) = allocated_by(|| inc.adopt(&index, &seed, 1));
     assert!(adopted, "the index of the seed");
     bytes
 }
@@ -205,7 +205,8 @@ fn adopt_allocates_per_session_not_per_click() {
     let (two, eight) = (adopt_bytes(2), adopt_bytes(8));
     assert!(two.abs_diff(eight) <= SLACK, "{two} bytes from 2 clicks a session, {eight} from 8");
     // The map it keeps (8,192 buckets of 17 bytes), the ids by rank, their
-    // sort keys, where each row starts and a bit an entry: 72 bytes a
-    // session.
+    // sort keys, where each segment's rows start and a bit an entry: under
+    // 72 bytes a session. On one thread; more threads split the map and the
+    // keys by class and hold a bitmap each.
     assert!(two < 4_000 * 72, "{two} bytes for 4,000 sessions");
 }

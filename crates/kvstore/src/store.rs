@@ -82,6 +82,25 @@ struct Entry<V> {
 
 type Shard<K, V> = HashMap<K, Entry<V>, FxBuildHasher>;
 
+/// Control bytes a table probes at once: an SSE2 group on x86, a word
+/// elsewhere.
+const GROUP_WIDTH: usize =
+    if cfg!(any(target_arch = "x86", target_arch = "x86_64")) { 16 } else { 8 };
+
+/// Heap bytes of a standard hash map of `T` entries that reports
+/// `capacity`: its buckets of `T`, padded to the group alignment, then a
+/// control byte a bucket and one group more. A table holds 7/8 of its
+/// buckets, or all but one below 8; an empty one has no allocation.
+fn table_bytes<T>(capacity: usize) -> usize {
+    let buckets = match capacity {
+        0 => return 0,
+        1..=7 => capacity + 1,
+        _ => capacity / 7 * 8,
+    };
+    let align = GROUP_WIDTH.max(std::mem::align_of::<T>());
+    (buckets * std::mem::size_of::<T>()).next_multiple_of(align) + buckets + GROUP_WIDTH
+}
+
 /// Sharded in-memory key-value store with per-entry TTL.
 pub struct TtlStore<K, V, C: Clock = SystemClock> {
     shards: Box<[Mutex<Shard<K, V>>]>,
@@ -236,6 +255,20 @@ impl<K: Hash + Eq, V, C: Clock> TtlStore<K, V, C> {
             .map(|s| {
                 let shard = s.lock().unwrap_or_else(PoisonError::into_inner);
                 shard.values().filter(|e| e.expires_at_ms > now).count()
+            })
+            .sum()
+    }
+
+    /// Heap bytes of the stored sessions, live and expired alike: every
+    /// shard's table as the standard library's hash map lays it out, and
+    /// what each value owns, by `owned`. Takes every shard lock once.
+    pub fn heap_bytes(&self, owned: impl Fn(&V) -> usize) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                let shard = s.lock().unwrap_or_else(PoisonError::into_inner);
+                let values: usize = shard.values().map(|e| owned(&e.value)).sum();
+                table_bytes::<(K, Entry<V>)>(shard.capacity()) + values
             })
             .sum()
     }
@@ -535,6 +568,24 @@ mod tests {
 
         // Export is a snapshot: the store still serves everything.
         assert_eq!(s.live_entries(), 6);
+    }
+
+    #[test]
+    fn heap_bytes_counts_tables_and_windows() {
+        let store: TtlStore<u64, Vec<u64>> =
+            TtlStore::new(StoreConfig { shards: 1, ..StoreConfig::default() });
+        assert_eq!(store.heap_bytes(|w| w.capacity() * 8), 0, "an empty table allocates nothing");
+        for session in 0..100 {
+            store.put(session, vec![1, 2, 3]);
+        }
+        // 100 entries grow the table to 128 buckets of 40 bytes (the key,
+        // the window's `Vec` and its deadline), 128 control bytes and a
+        // group of 16; each window holds 3 items of 8 bytes.
+        let (table, windows) = (128 * 40 + 128 + 16, 100 * 3 * 8);
+        assert_eq!(store.heap_bytes(|w| w.capacity() * 8), table + windows);
+        // Expired entries stay until they are reclaimed, and count.
+        store.put(100, Vec::with_capacity(9));
+        assert_eq!(store.heap_bytes(|w| w.capacity() * 8), table + windows + 9 * 8);
     }
 
     #[test]

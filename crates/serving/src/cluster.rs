@@ -37,6 +37,7 @@
 //! ([`RolloverError::IngestEnabled`]).
 
 use std::fmt;
+use std::mem::size_of;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -170,6 +171,17 @@ impl ServingCluster {
             "Live (non-expired) sessions stored on the node.",
             &[],
             move || live.live_entries() as u64,
+        );
+        let stored = Arc::clone(&sessions);
+        registry.polled_gauge(
+            "serenade_sessions_bytes",
+            "Heap bytes of the session store: its tables and the windows they hold, expired \
+             sessions not yet reclaimed included.",
+            &[],
+            move || {
+                let window_bytes = |window: &Vec<ItemId>| window.capacity() * size_of::<ItemId>();
+                stored.heap_bytes(window_bytes) as u64
+            },
         );
         let expirations = Arc::clone(&sessions);
         registry.polled_counter(
@@ -642,6 +654,28 @@ mod tests {
         // The node's store holds session 42, with all 5 clicks.
         assert_eq!(c.stored_session_len(42), 5);
         assert_eq!(c.live_sessions(), 1);
+    }
+
+    #[test]
+    fn the_sessions_gauge_weighs_the_stores_tables_and_windows() {
+        let c = cluster();
+        let bytes = || c.scraped("serenade_sessions_bytes", &[]);
+        assert_eq!(bytes(), 0, "no shard has a table yet");
+        // Twelve clicks: the window keeps the last 9 in a `Vec` grown to 16
+        // items of 8 bytes. The session's shard has a table of 4 buckets of
+        // 40 bytes (the id, the window and its deadline), a control byte a
+        // bucket and a group of 16.
+        for i in 0..12 {
+            handle(&c, req(42, i % 5)).unwrap();
+        }
+        let table = 4 * 40 + 4 + 16;
+        assert_eq!(bytes(), table + 16 * 8);
+        // A depersonalised request stores nothing; unlearning frees the
+        // window, and the table stays.
+        handle(&c, RecommendRequest { consent: false, ..req(43, 1) }).unwrap();
+        assert_eq!(bytes(), table + 16 * 8);
+        assert!(c.forget_session(42));
+        assert_eq!(bytes(), table);
     }
 
     #[test]

@@ -156,7 +156,9 @@ impl IngestPipeline {
             });
         }
         let mut indexer = IncrementalIndexer::new(config.m_max)?;
-        if !indexer.adopt(handle.load().index(), seed) {
+        // Adopting runs once, as ingest starts: every core checks the seed.
+        let threads = std::thread::available_parallelism().map_or(1, usize::from);
+        if !indexer.adopt(handle.load().index(), seed, threads) {
             // The served index is not the seed's (another `m_max`, another
             // log): index the seed here, and let the first publish bring the
             // readers over.

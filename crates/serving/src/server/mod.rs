@@ -521,6 +521,7 @@ mod tests {
                 "serenade_server_open_connections",
                 "serenade_session_evictions_total",
                 "serenade_session_expirations_total",
+                "serenade_sessions_bytes",
                 "serenade_uptime_seconds",
             ],
             "{body}"

@@ -88,6 +88,12 @@ probe_answers 0xe91c44c6402ba667 869475
 echo "==> kernel probe: the popularity head held in place, so samples are cut at m (--quick)"
 probe_answers 0xa52ee454dbe87a21 746527 --drift-per-day 0
 
+# The build's thread scaling (M2) at a tenth of its scale: every thread
+# count must build the same index and adopt it. The speed-ups it prints
+# depend on the host, so none is gated.
+echo "==> index build scaling (M2): the instrument runs at every thread count (--quick)"
+cargo run --release -q -p serenade-bench --bin index_build_scaling -- --quick
+
 echo "==> rustdoc: every intra-doc link resolves, and none leads to a private item"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
     cargo doc --no-deps --workspace --offline
