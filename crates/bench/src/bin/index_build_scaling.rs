@@ -16,9 +16,15 @@
 //! - the time an ingest node takes to adopt the index
 //!   (`IncrementalIndexer::adopt`) on as many threads;
 //!
-//! and, at the first scale, the in-memory and serialised index sizes and
-//! the time to write the artefact and to load it back. Each time is the
-//! median of five runs, the phases those of the median run.
+//! - the set-up stages around the build, on as many threads: generating
+//!   the click log (`generate_with_threads`), splitting off the held-out day
+//!   (`split_last_days_with_threads`), writing the artefact
+//!   (`write_index_with_threads`) and loading it back
+//!   (`read_index_with_threads`); every thread count must make the same
+//!   bytes;
+//!
+//! and, at the first scale, the in-memory and serialised index sizes. Each
+//! time is the median of five runs, the phases those of the median run.
 //!
 //! Run: `cargo run -p serenade-bench --release --bin index_build_scaling [--quick]`
 //! (`--quick`: a tenth of each scale).
@@ -27,8 +33,11 @@ use std::time::{Duration, Instant};
 
 use serenade_bench::{prepare, print_table, BenchArgs};
 use serenade_core::{BuildPhases, Click, SessionIndex};
+use serenade_dataset::split::split_last_days_with_threads;
+use serenade_dataset::synthetic::generate_with_threads;
 use serenade_dataset::SyntheticConfig;
-use serenade_index::{read_index, write_index, IncrementalIndexer};
+use serenade_index::binfmt::{read_index_with_threads, write_index_with_threads};
+use serenade_index::{write_index, IncrementalIndexer};
 
 const M_MAX: usize = 500;
 const RUNS: usize = 5;
@@ -42,6 +51,41 @@ fn median_of<T>(mut f: impl FnMut() -> (T, Duration)) -> (T, Duration) {
     let mut runs: Vec<(T, Duration)> = (0..RUNS).map(|_| f()).collect();
     runs.sort_by_key(|(_, took)| *took);
     runs.swap_remove(RUNS / 2)
+}
+
+/// One table row a thread count: generate, split, encode and decode, each
+/// checked against the first thread count's output.
+fn stage_rows(config: &SyntheticConfig, threads_list: &[usize]) -> Vec<Vec<String>> {
+    let mut rows = Vec::new();
+    let mut reference: Option<(Vec<Click>, Vec<Click>, Vec<u8>)> = None;
+    for &threads in threads_list {
+        let (clicks, generate) = median_of(|| {
+            let t = Instant::now();
+            (generate_with_threads(config, threads).clicks, t.elapsed())
+        });
+        let (split, split_ms) = median_of(|| {
+            let t = Instant::now();
+            (split_last_days_with_threads(&clicks, 1, threads), t.elapsed())
+        });
+        let index = SessionIndex::build_with_threads(&split.train, M_MAX, threads).unwrap();
+        let (artefact, encode) = median_of(|| {
+            let (mut artefact, t) = (Vec::new(), Instant::now());
+            write_index_with_threads(&index, &mut artefact, threads).unwrap();
+            (artefact, t.elapsed())
+        });
+        let (loaded, decode) = median_of(|| {
+            let t = Instant::now();
+            (read_index_with_threads(&artefact, threads).unwrap(), t.elapsed())
+        });
+        assert_eq!(loaded.stats(), index.stats(), "the artefact loads back");
+        let (clicks_1, train_1, artefact_1) = reference
+            .get_or_insert_with(|| (clicks.clone(), split.train.clone(), artefact.clone()));
+        assert!(*clicks_1 == clicks, "every thread count generates one log");
+        assert!(*train_1 == split.train, "every thread count splits alike");
+        assert!(*artefact_1 == artefact, "every thread count writes one artefact");
+        rows.push(vec![threads.to_string(), ms(generate), ms(split_ms), ms(encode), ms(decode)]);
+    }
+    rows
 }
 
 /// One table row a thread count: the build, its phases and the adopt.
@@ -119,6 +163,11 @@ fn main() {
             ],
             &scaling_rows(&split.train, &threads_list),
         );
+        println!("set-up stages, times in ms:");
+        print_table(
+            &["threads", "generate", "split", "encode", "decode"],
+            &stage_rows(&config, &threads_list),
+        );
         println!();
         if factor == 1.0 {
             train_1x = split.train;
@@ -127,15 +176,8 @@ fn main() {
 
     // Artefact and memory footprint, at the first scale.
     let index = SessionIndex::build_with_threads(&train_1x, M_MAX, cores).unwrap();
-    let stats = index.stats();
     let mut artefact = Vec::new();
-    let t0 = Instant::now();
     write_index(&index, &mut artefact).unwrap();
-    let write = t0.elapsed();
-    let t0 = Instant::now();
-    let loaded = read_index(&artefact).unwrap();
-    let load = t0.elapsed();
-    assert_eq!(loaded.stats(), stats, "the artefact loads back");
     let bytes = index.bytes();
 
     println!("footprint at {}×:", args.scale);
@@ -149,8 +191,6 @@ fn main() {
             vec!["in-memory: slots".into(), bytes.slots.to_string()],
             vec!["in-memory index".into(), bytes.total().to_string()],
             vec!["serialised artefact".into(), artefact.len().to_string()],
-            vec!["write ms".into(), ms(write)],
-            vec!["load ms".into(), ms(load)],
         ],
     );
     println!(

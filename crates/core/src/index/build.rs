@@ -24,7 +24,7 @@
 //! rows. A load makes the slot table last, after the postings.
 //!
 //! The records' supports and starts are columns made at their widths from
-//! the counts, before the fill, and the fill counts down what each range
+//! the counts, before the fill, and the fill counts down what each posting
 //! still lacks in a column at the width of the longest: the scratch beside
 //! the rows stays below the per-slot tables still to come, so a load peaks
 //! at the finished index.
@@ -41,15 +41,18 @@
 //!   appearance instead looks a click up once, not twice, but holds a map
 //!   of nearly every item a thread beside the runs: 30 ms faster at 2
 //!   threads on `ecom-1m`, and 5.7 MB more at the build's peak.);
-//! - steps 3–4: each thread counts and fills the postings' shares of a
-//!   range of segments. A range's share of a posting is what the ranges of
-//!   newer sessions leave of its `m_max`, so each thread writes only its
-//!   own entries. The postings are then copied into the index's one arena
-//!   by slot, each its shares, newest range first; one range fills the
-//!   arena in place.
+//! - steps 3–4, split by range of slots: each thread reads every row,
+//!   counts its own slots' supports into its part of the one count array,
+//!   and fills its own slots' postings into its part of the one arena,
+//!   newest session first. A row ascends, so a range's slots in it are a
+//!   run, found with a branch or two a row. (Each range of segments once
+//!   filled its share of every posting apart, and the shares were copied
+//!   into the arena: they sat beside the index at a load's peak, 4.3–4.7
+//!   MB more on a node, EXPERIMENTS.md X25.)
 //!
 //! `threads = 1` runs the same passes with one class and one range.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -162,21 +165,26 @@ impl SessionIndex {
         if m_max == 0 {
             return Err(CoreError::CorruptIndex("m_max must be positive".into()));
         }
-        // Step 3, per range of segments: how many of its sessions hold each
-        // item.
+        // Step 3: how many sessions hold each slot. Each thread counts a
+        // range of slots, reading every row.
         let slots = slot_items.len();
-        let per_thread = segments.len().div_ceil(threads.max(1)).max(1);
-        let mut shares = run_parallel(segments.chunks(per_thread).collect(), |segments| {
-            let mut holders = vec![0u32; slots];
-            for segment in segments {
+        let threads = threads.clamp(1, slots.max(1));
+        let mut holders = vec![0u32; slots];
+        let per_thread = slots.div_ceil(threads).max(1);
+        let counts = holders.chunks_mut(per_thread).zip((0..).step_by(per_thread));
+        run_parallel(counts.collect(), |(holders, first)| {
+            // Every slot is read, and counted into the range's last holder
+            // as 0 when it is not the range's: no branch a slot.
+            let last = holders.len() - 1;
+            for segment in &segments {
                 for slot in segment.slot_column().iter() {
-                    holders[slot as usize] += 1;
+                    let mine = (slot as usize).wrapping_sub(first);
+                    holders[mine.min(last)] += u32::from(mine <= last);
                 }
             }
-            holders
         });
-        let support: Column =
-            Column::new((0..slots).map(|slot| shares.iter().map(|holders| holders[slot]).sum()));
+        let support = Column::new(holders.iter().copied());
+        drop(holders);
         if let Some(slot) = support.iter().position(|support| support == 0) {
             return Err(CoreError::CorruptIndex(format!(
                 "item {} (slot {slot}) is in no session",
@@ -184,39 +192,34 @@ impl SessionIndex {
             )));
         }
         let cap = u32::try_from(m_max).unwrap_or(u32::MAX);
-        let lens = support.iter().map(|support| support.min(cap));
-        let start = Column::new(starts(lens.clone()));
+        let len = |slot: usize| support.get(slot).min(cap);
+        let start = Column::new(starts((0..slots).map(len)));
+        let total = (0..slots).map(|slot| len(slot) as usize).sum();
 
-        // Step 4. One range fills the arena in place; more fill their shares
-        // apart, and the shares are copied into the arena. Either way the
-        // scratch — the counts, then a countdown a slot at the width of the
-        // longest posting — weighs less than the slot table still to come
+        // Step 4, into the one arena in place: each thread fills the
+        // postings of a range of slots, about a thread's share of the
+        // entries, reading every row. The scratch — a countdown a slot, at
+        // the width of its range's longest posting, made here on the
+        // caller's thread — weighs less than the slot table still to come
         // and the arena column, so a load peaks at the finished index
         // (`serenade_index`'s `tests/load_allocs.rs`).
-        let arena = if shares.len() == 1 {
-            drop(shares);
-            let total = lens.clone().map(|len| len as usize).sum();
-            new_arena(total, |arena| fill(&segments, 0, &start, Column::new(lens), arena))
-        } else {
-            // Each range's share of every posting: what the newer ranges
-            // leave.
-            let mut room: Vec<u32> = lens.collect();
-            for share in shares.iter_mut().rev() {
-                for (share, room) in share.iter_mut().zip(&mut room) {
-                    *share = (*share).min(*room);
-                    *room -= *share;
+        let arena = new_arena(total, |mut arena| {
+            let mut jobs = Vec::with_capacity(threads);
+            let (mut first, mut filled) = (0, 0);
+            for slot in 0..slots {
+                filled += len(slot) as usize;
+                if slot + 1 == slots || filled * threads >= total * (jobs.len() + 1) {
+                    let range = first..slot + 1;
+                    let entries = end_of(&start, slot, total) - start.get(first) as usize;
+                    let (ids, rest) = std::mem::take(&mut arena).split_at_mut(entries);
+                    arena = rest;
+                    let left = Column::new(range.clone().map(len));
+                    jobs.push((range, ids, left));
+                    first = slot + 1;
                 }
             }
-            drop(room);
-            let jobs = segments.chunks(per_thread).zip(0..).zip(&shares).collect();
-            let filled = run_parallel(jobs, |((range, k), share)| {
-                let starts = Column::new(starts(share.iter().copied()));
-                let mut ids = vec![0; share.iter().map(|&len| len as usize).sum()];
-                fill(range, k * per_thread, &starts, Column::new(share.iter().copied()), &mut ids);
-                (starts, ids)
-            });
-            assemble(slots, &filled)
-        };
+            run_parallel(jobs, |(range, ids, left)| fill(&segments, range, &start, left, ids));
+        });
         let records = Records { support, start, arena: Column::new(std::iter::repeat_n(0, slots)) };
         let slot_table = slot_table.unwrap_or_else(|| SlotTable::new(&slot_items));
         let (records, arenas) = (Arc::new(records), Arc::from([arena]));
@@ -314,43 +317,39 @@ fn end_of(starts: &Column, slot: usize, total: usize) -> usize {
     }
 }
 
-/// Step 4 for a range of segments, the first of them segment `first`:
-/// writes the range's share of every posting into `ids`, by slot from the
-/// offsets `starts`, each share newest first; `left` holds the length of
-/// each share and counts it down.
+/// Step 4 for the slots `range`: writes their postings into `ids`, which
+/// holds exactly those, laid out by slot from the offsets `starts`, each
+/// newest first, reading every row newest first; `left` holds the length
+/// of each of the range's postings and counts it down. A row ascends, so
+/// the range's slots in it are a run: the slots before the run are passed
+/// over and the row is left where the run ends, a mispredicted branch or
+/// two a row, not one a slot that is not the range's.
 fn fill(
     segments: &[Arc<Segment>],
-    first: usize,
+    range: Range<usize>,
     starts: &Column,
     mut left: Column,
     ids: &mut [SessionId],
 ) {
+    let offset = starts.get(range.start) as usize;
+    let total = offset + ids.len();
     for (at, segment) in segments.iter().enumerate().rev() {
-        let base = ((first + at) * SEGMENT_SESSIONS) as SessionId;
+        let base = (at * SEGMENT_SESSIONS) as SessionId;
         for row in (0..segment.len()).rev() {
             for slot in segment.slots(row).iter() {
                 let slot = slot as usize;
-                let lacks = left.count_down(slot);
+                if slot < range.start {
+                    continue;
+                }
+                if slot >= range.end {
+                    break;
+                }
+                let lacks = left.count_down(slot - range.start);
                 if lacks > 0 {
-                    ids[end_of(starts, slot, ids.len()) - lacks as usize] = base + row as SessionId;
+                    let at = end_of(starts, slot, total) - offset - lacks as usize;
+                    ids[at] = base + row as SessionId;
                 }
             }
         }
     }
-}
-
-/// The postings laid out by slot in one arena, each its shares, newest
-/// range first.
-fn assemble(slots: usize, filled: &[(Column, Vec<SessionId>)]) -> Arc<[SessionId]> {
-    let total = filled.iter().map(|(_, ids)| ids.len()).sum();
-    new_arena(total, |arena| {
-        let mut at = 0;
-        for slot in 0..slots {
-            for (starts, ids) in filled.iter().rev() {
-                let share = &ids[starts.get(slot) as usize..end_of(starts, slot, ids.len())];
-                arena[at..at + share.len()].copy_from_slice(share);
-                at += share.len();
-            }
-        }
-    })
 }

@@ -225,8 +225,8 @@ impl SessionRuns {
     }
 }
 
-/// Runs `work` on every job, each on a scoped thread of its own — on the
-/// caller's thread when there is only one — and returns the results in job
+/// Runs `work` on every job, the first on the caller's thread and each
+/// other on a scoped thread of its own, and returns the results in job
 /// order. A panicking job panics the caller.
 pub fn run_parallel<J: Send, R: Send>(jobs: Vec<J>, work: impl Fn(J) -> R + Sync) -> Vec<R> {
     if jobs.len() <= 1 {
@@ -241,12 +241,71 @@ pub fn run_parallel<J: Send, R: Send>(jobs: Vec<J>, work: impl Fn(J) -> R + Sync
     results.into_iter().map(|result| result.expect("every job ran")).collect()
 }
 
-/// Runs every task on a scoped thread of its own and waits for them all; a
-/// panicking task panics the caller. Not generic, so that the threads'
-/// machinery is compiled once for every caller of [`run_parallel`].
+/// A vector of the parts of `parts` laid end to end, each `(job, len)`
+/// written by `work`, as [`run_parallel`] runs it, through a [`Part`] of
+/// `len` entries. The vector is allocated here, on the caller's
+/// thread, and each part is first touched by the thread that writes it, so
+/// the page faults of a fresh vector spread over the cores.
+///
+/// # Panics
+///
+/// If `work` writes a part past its end or leaves it short.
+pub fn fill_parallel<J: Send, T: Copy + Send>(
+    parts: Vec<(J, usize)>,
+    work: impl Fn(J, &mut Part<'_, T>) + Sync,
+) -> Vec<T> {
+    let total = parts.iter().map(|&(_, len)| len).sum();
+    let mut out = Vec::with_capacity(total);
+    let mut rest = &mut out.spare_capacity_mut()[..total];
+    let jobs = parts.into_iter().map(|(job, len)| {
+        let (entries, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        (job, Part { entries, written: 0 })
+    });
+    let full = run_parallel(jobs.collect(), |(job, mut part)| {
+        work(job, &mut part);
+        part.written == part.entries.len()
+    });
+    assert!(full.iter().all(|&full| full), "a part was left short");
+    // SAFETY: the parts tile the first `total` entries of the capacity, and
+    // every part was written in full: `Part::push` writes its entries in
+    // order, one a call, and `written` counts them.
+    unsafe { out.set_len(total) };
+    out
+}
+
+/// One part of the vector [`fill_parallel`] makes: entries not yet written,
+/// written front to back.
+pub struct Part<'a, T> {
+    entries: &'a mut [std::mem::MaybeUninit<T>],
+    written: usize,
+}
+
+impl<T> Part<'_, T> {
+    /// Writes the next entry.
+    ///
+    /// # Panics
+    ///
+    /// If the part is full.
+    #[inline]
+    pub fn push(&mut self, value: T) {
+        self.entries[self.written].write(value);
+        self.written += 1;
+    }
+}
+
+/// Runs the first task on the caller's thread and every other on a scoped
+/// thread of its own, and waits for them all; a panicking task panics the
+/// caller. What the first task allocates goes to the caller's allocator
+/// arena, where a spawned thread's would stay out of the caller's reach.
+/// Not generic, so that the threads' machinery is compiled once for every
+/// caller of [`run_parallel`].
 fn run_tasks(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
+    let mut tasks = tasks.into_iter();
+    let first = tasks.next();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = tasks.into_iter().map(|task| scope.spawn(task)).collect();
+        let handles: Vec<_> = tasks.map(|task| scope.spawn(task)).collect();
+        first.into_iter().for_each(|task| task());
         for handle in handles {
             handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         }

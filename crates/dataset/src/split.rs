@@ -9,6 +9,7 @@
 //! contain at least two clicks so there is something to predict.
 
 use crate::session::Session;
+use serenade_core::sessions::{fill_parallel, run_parallel};
 use serenade_core::{Click, FxHashMap, FxHashSet, ItemId, SessionRuns};
 
 /// A train/test split of a click log.
@@ -32,34 +33,78 @@ impl EvaluationSplit {
 /// sessions ending at/after it test. A session ends at or after `cutoff`
 /// exactly when one of its clicks lies there, so only the held-out clicks
 /// are grouped into sessions, in the order they end.
+///
+/// The clicks are sent to their sides on `available_parallelism()`
+/// threads, each a range of the log: each marks its clicks of held-out
+/// sessions in a bitmap, one lookup a click, and counts the rest; then each
+/// copies its training clicks into its own part of `train`, which it is
+/// the first to touch, and each range of `train` marks the test items it
+/// holds. Training clicks keep their tuples and their order.
 pub fn split_at(clicks: &[Click], cutoff: u64) -> EvaluationSplit {
+    split_on(clicks, cutoff, std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// [`split_at`] on up to `threads` threads; the split is the same for
+/// every `threads`.
+fn split_on(clicks: &[Click], cutoff: u64, threads: usize) -> EvaluationSplit {
+    let threads = threads.max(1);
     let held_out: FxHashSet<u64> =
         clicks.iter().filter(|c| c.timestamp >= cutoff).map(|c| c.session_id).collect();
-    // One pass sends each click to its side, one lookup a click. Training
-    // clicks keep their original tuples and order; the room left over for
-    // the held-out ones is never written, and is handed back.
-    let (mut train, mut held) = (Vec::with_capacity(clicks.len()), Vec::new());
-    for c in clicks {
-        let side = if held_out.contains(&c.session_id) { &mut held } else { &mut train };
-        side.push(*c);
-    }
-    train.shrink_to_fit();
+    // Ranges of whole bitmap words.
+    let per_thread = clicks.len().div_ceil(64).div_ceil(threads).max(1) * 64;
+    let mut marks = vec![0u64; clicks.len().div_ceil(64)];
+    let ranges = clicks.chunks(per_thread).zip(marks.chunks_mut(per_thread / 64));
+    let trained = run_parallel(ranges.collect(), |(range, marks)| {
+        for (block, mark) in range.chunks(64).zip(marks.iter_mut()) {
+            for (at, c) in block.iter().enumerate() {
+                *mark |= u64::from(held_out.contains(&c.session_id)) << at;
+            }
+        }
+        range.len() - marks.iter().map(|mark| mark.count_ones() as usize).sum::<usize>()
+    });
+    let ranges = clicks.chunks(per_thread).zip(marks.chunks(per_thread / 64));
+    let train = fill_parallel(ranges.zip(trained).collect(), |(range, marks), part| {
+        for (block, &mark) in range.chunks(64).zip(marks) {
+            for (at, c) in block.iter().enumerate() {
+                if mark >> at & 1 == 0 {
+                    part.push(*c);
+                }
+            }
+        }
+    });
+    let held: Vec<Click> = (clicks.chunks(64).zip(&marks))
+        .filter(|&(_, &mark)| mark != 0)
+        .flat_map(|(block, &mark)| {
+            block.iter().enumerate().filter(move |&(at, _)| mark >> at & 1 == 1).map(|(_, c)| *c)
+        })
+        .collect();
+    drop(marks);
     let runs = &SessionRuns::group(&held, 1);
     drop(held);
     // Keep only test items known at training time, then re-check length.
-    // The test items are the few: every training click looks its item up
-    // among them.
-    let test_clicks = (0..runs.len()).flat_map(|rank| runs.run(rank));
-    let mut known: FxHashMap<ItemId, bool> = test_clicks.map(|&(_, i)| (i, false)).collect();
-    for c in &train {
-        if let Some(known) = known.get_mut(&c.item_id) {
-            *known = true;
-        }
+    // The test items are the few, numbered densely: each range of `train`
+    // looks its clicks' items up among them on a thread of its own, and
+    // marks the ones it finds.
+    let mut dense: FxHashMap<ItemId, usize> = FxHashMap::default();
+    for &(_, item) in (0..runs.len()).flat_map(|rank| runs.run(rank)) {
+        let next = dense.len();
+        dense.entry(item).or_insert(next);
     }
+    let per_thread = train.len().div_ceil(threads).max(1);
+    let ranges = train.chunks(per_thread).map(|range| (range, vec![false; dense.len()]));
+    let seen = run_parallel(ranges.collect(), |(range, mut seen)| {
+        for c in range {
+            if let Some(&item) = dense.get(&c.item_id) {
+                seen[item] = true;
+            }
+        }
+        seen
+    });
+    let known = |item: &ItemId| seen.iter().any(|seen| seen[dense[item]]);
     let test = (0..runs.len())
         .filter_map(|rank| {
             let mut s = Session::of(runs, rank);
-            s.items.retain(|i| known[i]);
+            s.items.retain(known);
             (s.items.len() >= 2).then_some(s)
         })
         .collect();
@@ -69,9 +114,23 @@ pub fn split_at(clicks: &[Click], cutoff: u64) -> EvaluationSplit {
 /// Holds out the last `days` calendar days (relative to the maximum
 /// timestamp) as the test set.
 pub fn split_last_days(clicks: &[Click], days: u64) -> EvaluationSplit {
+    split_at(clicks, cutoff(clicks, days))
+}
+
+/// [`split_last_days`] on up to `threads` threads (see [`split_at`]); the
+/// split is the same for every `threads`.
+pub fn split_last_days_with_threads(
+    clicks: &[Click],
+    days: u64,
+    threads: usize,
+) -> EvaluationSplit {
+    split_on(clicks, cutoff(clicks, days), threads)
+}
+
+/// The first timestamp of the last `days` calendar days of `clicks`.
+fn cutoff(clicks: &[Click], days: u64) -> u64 {
     let max_ts = clicks.iter().map(|c| c.timestamp).max().unwrap_or(0);
-    let cutoff = max_ts.saturating_sub(days.saturating_mul(86_400)).saturating_add(1);
-    split_at(clicks, cutoff)
+    max_ts.saturating_sub(days.saturating_mul(86_400)).saturating_add(1)
 }
 
 #[cfg(test)]
@@ -117,6 +176,21 @@ mod tests {
         clicks.push(Click::new(5, 10, 172_950));
         let split = split_last_days(&clicks, 1);
         assert!(split.test.iter().all(|s| s.id != 5));
+    }
+
+    #[test]
+    fn every_thread_count_splits_alike() {
+        // Ranges of whole bitmap words: one, several and a short last one.
+        let click = |s: u64, item, at| Click::new(s / 3, item, s * 200 + at);
+        let clicks: Vec<Click> =
+            (0..1_000u64).flat_map(|s| [click(s, s % 13, 0), click(s, s % 7, 1)]).collect();
+        let one = split_last_days_with_threads(&clicks, 1, 1);
+        assert!(one.train.len() > 100 && !one.test.is_empty());
+        for threads in [2, 3, 8, 64] {
+            let split = split_last_days_with_threads(&clicks, 1, threads);
+            assert_eq!(split.train, one.train, "threads {threads}");
+            assert_eq!(split.test, one.test, "threads {threads}");
+        }
     }
 
     #[test]

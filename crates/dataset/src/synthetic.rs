@@ -22,8 +22,8 @@
 //! so that neighbouring ids carry no accidental meaning for consumers.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serenade_core::sessions::run_parallel;
+use rand::{Rng, RngCore, SeedableRng};
+use serenade_core::sessions::{fill_parallel, run_parallel};
 use serenade_core::Click;
 
 use crate::Dataset;
@@ -230,52 +230,200 @@ fn sample_standard_normal(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Generates a deterministic synthetic click log for `config`.
+/// Seconds a day.
+const DAY_SECS: u64 = 86_400;
+
+/// Generates a deterministic synthetic click log for `config`, on
+/// `available_parallelism()` threads (see [`generate_with_threads`]).
+pub fn generate(config: &SyntheticConfig) -> Dataset {
+    generate_with_threads(config, std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// Generates a deterministic synthetic click log for `config` on up to
+/// `threads` threads; the log is the same for every `threads`.
 ///
 /// Sessions are spread over the configured number of days with increasing
 /// timestamps. Within a session, clicks are ~30 seconds apart. The returned
-/// clicks are ordered by timestamp.
-pub fn generate(config: &SyntheticConfig) -> Dataset {
+/// clicks are ordered by `(timestamp, session, item)`.
+///
+/// The draws are one xoshiro stream, session after session, so the stream
+/// is first replayed on the caller's thread with nothing emitted — no Zipf
+/// walk, no item lookup, no click written — which gives every day its
+/// starting state and its first click. Then each thread generates a range
+/// of days into its own part of the one output vector and sorts each day
+/// in place with a stable counting sort by second of day: within a day,
+/// generation order is ascending session id and a session's clicks lie at
+/// least 21 s apart, so equal seconds hold distinct sessions in ascending
+/// order and the sort yields the `(timestamp, session, item)` order. A
+/// session that runs past midnight would break that, so if the replay
+/// finds one, the log is sorted by comparison instead.
+pub fn generate_with_threads(config: &SyntheticConfig, threads: usize) -> Dataset {
     assert!(config.num_sessions > 0 && config.num_items > 0 && config.days > 0);
+    let model = Model::new(config);
+
+    // The replay: each day's starting state, first session and first click.
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let zipf = ZipfSampler::new(config.num_items, config.zipf_exponent);
-    let n = config.num_items;
-    let day_secs = 86_400u64;
-    let sessions_per_day = config.num_sessions.div_ceil(config.days as usize).max(1);
-    let drift_ranks = (config.drift_per_day * n as f64) as usize;
-    let items: Vec<u64> = (0..n).map(|rank| mix_rank(rank, n, config.seed ^ 0xA5A5_5A5A)).collect();
-
-    let mut clicks = Vec::with_capacity(
-        (config.num_sessions as f64 * config.length_log_mean.exp() * 1.3) as usize,
-    );
-
+    let mut days: Vec<(StdRng, usize, usize)> = Vec::with_capacity(config.days as usize);
+    let (mut total, mut spills) = (0, false);
     for s in 0..config.num_sessions {
-        let day = (s / sessions_per_day) as u64;
-        let day = day.min(config.days - 1);
-        // Uniform second-of-day offset; capped so the session stays in-day.
-        let offset = rng.gen_range(0..day_secs - 3_600);
-        let start = day * day_secs + offset;
+        let day = model.day(s);
+        if days.len() as u64 == day {
+            days.push((rng.clone(), s, total));
+        }
+        let (len, last) = model.session::<false>(s, &mut rng, |_| {});
+        total += len;
+        spills |= last >= (day + 1) * DAY_SECS;
+    }
+    let session_of = |day: usize| days.get(day).map_or(config.num_sessions, |d| d.1);
+    let click_of = |day: usize| days.get(day).map_or(total, |d| d.2);
+
+    // Ranges of days of about equal clicks, one a thread.
+    let mut bounds: Vec<usize> = (0..threads.max(1))
+        .map(|k| days.partition_point(|d| d.2 < k * total / threads.max(1)))
+        .collect();
+    bounds.push(days.len());
+    bounds.dedup();
+    let ranges: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
+    let parts = ranges.iter().map(|&(lo, hi)| ((lo, hi), click_of(hi) - click_of(lo)));
+    let mut clicks = fill_parallel(parts.collect(), |(lo, hi), part| {
+        let mut rng = days[lo].0.clone();
+        for s in session_of(lo)..session_of(hi) {
+            model.session::<true>(s, &mut rng, |click| part.push(click));
+        }
+    });
+
+    if spills {
+        sort_clicks(&mut clicks, threads);
+    } else {
+        // Each range's scratch — a count a second of day and a copy of its
+        // largest day — allocated here, on the caller's thread.
+        let (mut jobs, mut rest) = (Vec::with_capacity(ranges.len()), &mut clicks[..]);
+        for &(lo, hi) in &ranges {
+            let (range, tail) = std::mem::take(&mut rest).split_at_mut(click_of(hi) - click_of(lo));
+            rest = tail;
+            let largest = (lo..hi).map(|day| click_of(day + 1) - click_of(day)).max();
+            let scratch = (vec![0u32; DAY_SECS as usize], Vec::with_capacity(largest.unwrap_or(0)));
+            jobs.push((lo..hi, range, scratch));
+        }
+        run_parallel(jobs, |(days, mut range, (mut counts, mut copy))| {
+            for day in days {
+                let len = click_of(day + 1) - click_of(day);
+                let (clicks, tail) = std::mem::take(&mut range).split_at_mut(len);
+                sort_day(clicks, day as u64 * DAY_SECS, &mut counts, &mut copy);
+                range = tail;
+            }
+        });
+    }
+    Dataset::new(config.name.clone(), clicks)
+}
+
+/// Sorts `clicks`, all of one day that starts at `midnight`, by second of
+/// day, stably: a count a second, and the clicks copied out and scattered
+/// back to where their second starts.
+fn sort_day(clicks: &mut [Click], midnight: u64, counts: &mut [u32], copy: &mut Vec<Click>) {
+    counts.fill(0);
+    for c in clicks.iter() {
+        counts[(c.timestamp - midnight) as usize] += 1;
+    }
+    let mut at = 0;
+    for count in counts.iter_mut() {
+        (*count, at) = (at, at + *count);
+    }
+    copy.clear();
+    copy.extend_from_slice(clicks);
+    for &c in copy.iter() {
+        let to = &mut counts[(c.timestamp - midnight) as usize];
+        clicks[*to as usize] = c;
+        *to += 1;
+    }
+}
+
+/// The generative model of a [`SyntheticConfig`]: what every session draws
+/// from.
+struct Model<'a> {
+    config: &'a SyntheticConfig,
+    zipf: ZipfSampler,
+    /// Item id by popularity rank.
+    items: Vec<u64>,
+    sessions_per_day: usize,
+    /// Ranks the popularity ranking rotates by a day.
+    drift_ranks: usize,
+}
+
+impl<'a> Model<'a> {
+    fn new(config: &'a SyntheticConfig) -> Self {
+        let n = config.num_items;
+        Self {
+            config,
+            zipf: ZipfSampler::new(n, config.zipf_exponent),
+            items: (0..n).map(|rank| mix_rank(rank, n, config.seed ^ 0xA5A5_5A5A)).collect(),
+            sessions_per_day: config.num_sessions.div_ceil(config.days as usize).max(1),
+            drift_ranks: (config.drift_per_day * n as f64) as usize,
+        }
+    }
+
+    /// The day session `s` starts on.
+    fn day(&self, s: usize) -> u64 {
+        ((s / self.sessions_per_day) as u64).min(self.config.days - 1)
+    }
+
+    /// A popularity rank drawn from `rng`: with `EMIT`, a Zipf sample;
+    /// without, the same one draw, and no walk.
+    #[inline]
+    fn rank<const EMIT: bool>(&self, rng: &mut StdRng) -> usize {
+        if EMIT {
+            self.zipf.sample(rng)
+        } else {
+            rng.next_u64();
+            0
+        }
+    }
+
+    /// Draws session `s` from `rng`, every draw in order, and returns its
+    /// click count and the timestamp of its last click. With `EMIT` its
+    /// clicks go to `emit`; without, the Zipf walks, the item lookups and
+    /// the clicks are skipped, and the stream is left where emitting would
+    /// leave it.
+    fn session<const EMIT: bool>(
+        &self,
+        s: usize,
+        rng: &mut StdRng,
+        mut emit: impl FnMut(Click),
+    ) -> (usize, u64) {
+        let config = self.config;
+        let n = config.num_items;
+        let day = self.day(s);
+        // Uniform second-of-day offset, an hour short of midnight so that
+        // most sessions end in their day (one that does not sends the log
+        // to the comparison sort).
+        let offset = rng.gen_range(0..DAY_SECS - 3_600);
+        let start = day * DAY_SECS + offset;
 
         // Lognormal session length, clamped to [1, max].
-        let z = sample_standard_normal(&mut rng);
+        let z = sample_standard_normal(rng);
         let len = (config.length_log_mean + config.length_log_sigma * z).exp().round() as i64;
         let len = len.clamp(config.min_session_len.max(1) as i64, config.max_session_len as i64)
             as usize;
 
         // Popularity drift: today's rank r maps to base rank (r + day·drift).
-        let drift = (day as usize).wrapping_mul(drift_ranks) % n;
+        let drift = (day as usize).wrapping_mul(self.drift_ranks) % n;
 
-        let mut anchor = zipf.sample(&mut rng);
-        let session_id = s as u64 + 1;
+        let mut anchor = self.rank::<EMIT>(rng);
+        let mut last = start;
         for c in 0..len {
             let rank = if c == 0 || rng.gen::<f64>() >= config.coherence {
                 // Fresh draw from the (drifted) popularity distribution.
-                anchor = zipf.sample(&mut rng);
+                anchor = self.rank::<EMIT>(rng);
                 anchor
             } else {
                 // Stay in the topical neighbourhood: geometric step around
                 // the anchor, occasionally re-anchoring on the visited item.
-                let step = sample_geometric(&mut rng, config.locality);
+                let step = if EMIT {
+                    sample_geometric(rng, config.locality)
+                } else {
+                    rng.next_u64();
+                    0
+                };
                 let sign: bool = rng.gen();
                 let next = if sign {
                     (anchor + step) % n
@@ -287,13 +435,14 @@ pub fn generate(config: &SyntheticConfig) -> Dataset {
                 }
                 next
             };
-            let item = items[(rank + drift) % n];
             let jitter = rng.gen_range(0..10);
-            clicks.push(Click::new(session_id, item, start + (c as u64) * 30 + jitter));
+            last = start + (c as u64) * 30 + jitter;
+            if EMIT {
+                emit(Click::new(s as u64 + 1, self.items[(rank + drift) % n], last));
+            }
         }
+        (len, last)
     }
-    sort_clicks(&mut clicks, std::thread::available_parallelism().map_or(1, usize::from));
-    Dataset::new(config.name.clone(), clicks)
 }
 
 /// Sorts `clicks` by `(timestamp, session, item)` on up to `threads`

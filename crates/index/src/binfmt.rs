@@ -8,7 +8,8 @@
 //! be derived — the slot table and the sessions' rows — each value a
 //! varint; a load lays the rows out in segments and derives the supports and
 //! the postings from them ([`SessionIndex::from_segments`], the build's own
-//! steps 3–4).
+//! steps 3–4). Both directions run on every core and make the same bytes,
+//! and the same index, at every thread count.
 //!
 //! # Format, version 4
 //!
@@ -96,32 +97,45 @@
 //! * every failure is a clean [`BinError`] — never a panic or abort — and
 //!   a node that rejects an artefact keeps serving its old generation.
 //!
-//! # Load peak
+//! # Load peak, and the load on every core
 //!
 //! A load checks the slot → item table and decodes it again into its
-//! column, at the width of its largest id, then the sessions into their
-//! segments: first every segment's timestamps and row lengths, which give
-//! each segment's item count, then each segment's offsets and slots into
-//! two `u32` buffers sized for the largest segment and reused, from which
-//! the segment's columns are made at their widths. Deriving the postings
-//! makes the records' support and start columns from the counted
-//! supports, writes the one arena in place, then makes the arena column
-//! and the item → slot table. The derivation's scratch (the holder counts,
-//! freed once the supports and starts are columns, and the fill's
-//! countdown at the width of the longest posting) never outgrows what is
-//! still to come, so the load peaks at the finished index. So while it
-//! loads, an index costs the artefact the caller holds (3.0 MB on
-//! `ecom-1m`) plus the index being built, with no payload-sized copy and no
-//! flat column in between, and a load allocates a constant plus a few
+//! column, at the width of its largest id, then checks every session's
+//! timestamp increase and row length, which give each segment's item count.
+//! The segments are then decoded on up to `threads` threads, each a range
+//! of segments: a pre-scan finds where each range's rows start in the one
+//! row stream by counting varint terminators up to the entries before it,
+//! and each range reads its segments' offsets and slots into one `u32`
+//! buffer sized for its largest segment and reused, from which each
+//! segment's columns are made at their widths. Deriving the postings, on
+//! as many threads, each a range of slots, makes the records' support and
+//! start columns from the counted supports, writes the one arena in place,
+//! then makes the arena column and the item → slot table. The scratch —
+//! the row buffers, freed before the postings are derived, the holder
+//! counts, freed once the supports are a column, and the fill's countdowns
+//! at the width of each range's longest posting — is allocated on the
+//! caller's thread and never outgrows what is still to come, so the load
+//! peaks at the finished index at every thread count. So while it loads,
+//! an index costs the artefact the caller holds (3.0 MB on `ecom-1m`) plus
+//! the index being built, with no payload-sized copy and no flat column in
+//! between, and a load on one thread allocates a constant plus a few
 //! arrays a segment, never one a posting (`tests/load_allocs.rs` holds it
-//! to that). A read-only node's load
-//! moment is now below what it serves from (EXPERIMENTS.md X12).
+//! to that). A read-only node's load moment is now below what it serves
+//! from (EXPERIMENTS.md X12).
+//!
+//! A range that starts after malformed rows starts at the wrong byte and
+//! reads garbage; but every range before the first malformed one read what
+//! a read on one thread reads, so the first error in range order is the
+//! one-thread read's, and the error is the same at every thread count
+//! (`tests/binfmt_hostile.rs` reads every hostile artefact at 1, 2, 3 and
+//! 8 threads).
 
 use std::fmt;
 use std::io::Write;
 use std::sync::Arc;
 
-use serenade_core::index::{Column, Segment, SEGMENT_SESSIONS};
+use serenade_core::index::{Column, Row, Segment, SEGMENT_SESSIONS};
+use serenade_core::sessions::run_parallel;
 use serenade_core::{CoreError, ItemId, SessionIndex};
 
 /// The format version this module writes and the only one it reads: the
@@ -179,25 +193,76 @@ fn le_u64(bytes: &[u8]) -> u64 {
 }
 
 /// The payload checksum: four-lane word-wise FNV-1a with a byte-wise tail
-/// (see the module docs).
-fn checksum(payload: &[u8]) -> u64 {
-    let step = |hash: u64, value: u64| (hash ^ value).wrapping_mul(FNV_PRIME);
-    let mut lanes = [FNV_OFFSET; 4];
-    let mut blocks = payload.chunks_exact(32);
-    for block in &mut blocks {
-        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            *lane = step(*lane, le_u64(word));
+/// (see the module docs), over a payload fed in pieces.
+struct Checksum {
+    lanes: [u64; 4],
+    /// Whole words fed so far: the next word's lane is `words % 4`.
+    words: usize,
+    /// The bytes of a word begun but not finished, `held` of them.
+    word: [u8; 8],
+    held: usize,
+}
+
+impl Checksum {
+    fn new() -> Self {
+        Self { lanes: [FNV_OFFSET; 4], words: 0, word: [0; 8], held: 0 }
+    }
+
+    #[inline]
+    fn step(hash: u64, value: u64) -> u64 {
+        (hash ^ value).wrapping_mul(FNV_PRIME)
+    }
+
+    #[inline]
+    fn take_word(&mut self, word: u64) {
+        let lane = &mut self.lanes[self.words % 4];
+        *lane = Self::step(*lane, word);
+        self.words += 1;
+    }
+
+    /// Feeds the next bytes of the payload.
+    fn feed(&mut self, mut bytes: &[u8]) -> &mut Self {
+        if self.held > 0 {
+            let taken = (8 - self.held).min(bytes.len());
+            self.word[self.held..self.held + taken].copy_from_slice(&bytes[..taken]);
+            (self.held, bytes) = (self.held + taken, &bytes[taken..]);
+            if self.held < 8 {
+                return self;
+            }
+            self.held = 0;
+            self.take_word(u64::from_le_bytes(self.word));
         }
+        while self.words % 4 != 0 && bytes.len() >= 8 {
+            self.take_word(le_u64(&bytes[..8]));
+            bytes = &bytes[8..];
+        }
+        // Four words at a time, a word a lane: four independent chains.
+        let mut blocks = bytes.chunks_exact(32);
+        for block in &mut blocks {
+            for (lane, word) in self.lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *lane = Self::step(*lane, le_u64(word));
+            }
+            self.words += 4;
+        }
+        let mut words = blocks.remainder().chunks_exact(8);
+        for word in &mut words {
+            self.take_word(le_u64(word));
+        }
+        let rest = words.remainder();
+        self.word[..rest.len()].copy_from_slice(rest);
+        self.held = rest.len();
+        self
     }
-    let mut words = blocks.remainder().chunks_exact(8);
-    for (lane, word) in lanes.iter_mut().zip(&mut words) {
-        *lane = step(*lane, le_u64(word));
+
+    /// The checksum of what was fed.
+    fn finish(&self) -> u64 {
+        let folded = (0..4).fold(0, |hash, j| hash ^ self.lanes[j].rotate_left(16 * j as u32));
+        self.word[..self.held].iter().fold(folded, |hash, &byte| Self::step(hash, u64::from(byte)))
     }
-    let folded = (0..4).fold(0, |hash, j| hash ^ lanes[j].rotate_left(16 * j as u32));
-    words.remainder().iter().fold(folded, |hash, &byte| step(hash, u64::from(byte)))
 }
 
 /// Appends `value` as a LEB128 varint.
+#[inline]
 fn put(out: &mut Vec<u8>, mut value: u64) {
     while value >= 0x80 {
         out.push(value as u8 | 0x80);
@@ -206,73 +271,130 @@ fn put(out: &mut Vec<u8>, mut value: u64) {
     out.push(value as u8);
 }
 
-/// Serialises an index to a writer, in one `write_all` of the whole
-/// artefact.
-pub fn write_index(index: &SessionIndex, mut writer: impl Write) -> std::io::Result<()> {
-    // The artefact numbers slots by item id over the items the index holds
-    // (see the module docs): `renumber` maps the index's slots to those.
-    // Taken in slot order, the items are already in id order unless the
-    // index is live, and the sort has nothing to do.
-    let slot_items = index.slot_items();
-    let mut items: Vec<(ItemId, u32)> = (slot_items.iter().zip(0..))
-        .zip(index.records().iter())
-        .filter_map(|(pair, posting)| (posting.support != 0).then_some(pair))
-        .collect();
-    items.sort_unstable();
-    let mut renumber = vec![u32::MAX; slot_items.len()];
-    for (slot, &(_, old)) in items.iter().enumerate() {
-        renumber[old as usize] = slot as u32;
-    }
-
-    // Most values take one or two bytes: a guess that the payload seldom
-    // outgrows.
-    let (n, entries) = (index.num_sessions(), index.session_item_entries());
-    let mut out = Vec::with_capacity(2 * FRAME_BYTES + 16 + 3 * (items.len() + n) + 2 * entries);
-    // The header's length and checksum are filled in below.
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&[0; FRAME_BYTES - 8]);
-    put(&mut out, index.m_max() as u64);
-    put(&mut out, items.len() as u64);
+/// Puts the slot → item table: the count, the first item id, then each
+/// id's increase over the one before.
+fn put_items(sink: &mut Vec<u8>, items: impl ExactSizeIterator<Item = ItemId>) {
+    put(sink, items.len() as u64);
     let mut previous = 0;
-    for &(item, _) in &items {
-        put(&mut out, item - previous);
+    for item in items {
+        put(sink, item - previous);
         previous = item;
     }
-    put(&mut out, n as u64);
+}
+
+/// Puts a row's slots, ascending: the first, then each one's increase over
+/// the one before. A row of an index numbered by item id is ascending
+/// already, and is put as it lies; a live index's slots are renumbered
+/// (`renumber`), and a row is sorted, through `slots`, since a row is a
+/// set.
+fn put_row(out: &mut Vec<u8>, row: Row<'_>, renumber: Option<&[u32]>, slots: &mut Vec<u32>) {
     let mut previous = 0;
-    for segment in index.segments() {
-        for (row, timestamp) in segment.timestamps().enumerate() {
-            put(&mut out, timestamp - previous);
-            put(&mut out, segment.slots(row).len() as u64);
-            previous = timestamp;
-        }
+    let mut put_slot = |slot: u32| {
+        put(out, u64::from(slot - previous));
+        previous = slot;
+    };
+    if renumber.is_none() && row.iter().zip(row.iter().skip(1)).all(|(a, b)| a < b) {
+        row.iter().for_each(put_slot);
+        return;
     }
-    let mut slots = Vec::new();
-    for segment in index.segments() {
-        for row in 0..segment.len() {
-            // Already ascending in every index this crate makes; sorted all
-            // the same, since a row is a set.
-            slots.clear();
-            slots.extend(segment.slots(row).iter().map(|slot| renumber[slot as usize]));
-            slots.sort_unstable();
-            let mut previous = 0;
-            for &slot in &slots {
-                put(&mut out, u64::from(slot - previous));
-                previous = slot;
+    slots.clear();
+    slots.extend(row.iter().map(|slot| renumber.map_or(slot, |r| r[slot as usize])));
+    slots.sort_unstable();
+    slots.iter().for_each(|&slot| put_slot(slot));
+}
+
+/// Serialises an index to a writer, encoded on `available_parallelism()`
+/// threads (see [`write_index_with_threads`]).
+pub fn write_index(index: &SessionIndex, writer: impl Write) -> std::io::Result<()> {
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    write_index_with_threads(index, writer, threads)
+}
+
+/// [`write_index`] on up to `threads` threads; the bytes are the same for
+/// every `threads`.
+///
+/// The payload up to the session count is written first. Then each range
+/// of segments writes its sessions and its rows, on a thread of its own,
+/// into two buffers allocated on the caller's thread with room for the
+/// most they can take, which the thread is the first to touch. The parts
+/// are checksummed in order and handed to the writer one after the other,
+/// between the frames: no part is copied.
+pub fn write_index_with_threads(
+    index: &SessionIndex,
+    mut writer: impl Write,
+    threads: usize,
+) -> std::io::Result<()> {
+    // The artefact numbers slots by item id over the items the index holds
+    // (see the module docs). A built or loaded index numbers its slots so
+    // already, every slot held; a live one is renumbered, its items sorted
+    // and `renumber` mapping its slots to the artefact's.
+    let (slot_items, records) = (index.slot_items(), index.records());
+    let by_id = slot_items.iter().zip(slot_items.iter().skip(1)).all(|(a, b)| a < b)
+        && records.iter().all(|posting| posting.support != 0);
+    let mut head = Vec::with_capacity(30 + 10 * slot_items.len());
+    put(&mut head, index.m_max() as u64);
+    let renumber = if by_id {
+        put_items(&mut head, slot_items.iter());
+        None
+    } else {
+        let mut items: Vec<(ItemId, u32)> = (slot_items.iter().zip(0..))
+            .zip(records.iter())
+            .filter_map(|(pair, posting)| (posting.support != 0).then_some(pair))
+            .collect();
+        items.sort_unstable();
+        put_items(&mut head, items.iter().map(|&(item, _)| item));
+        let mut renumber = vec![u32::MAX; slot_items.len()];
+        for (slot, &(_, old)) in items.iter().enumerate() {
+            renumber[old as usize] = slot as u32;
+        }
+        Some(renumber)
+    };
+    put(&mut head, index.num_sessions() as u64);
+
+    // Room for the most a range can take: ten bytes a timestamp increase,
+    // five a row length or a slot.
+    let segments = index.segments();
+    let per_thread = segments.len().div_ceil(threads.max(1)).max(1);
+    let mut previous = 0;
+    let jobs = segments.chunks(per_thread).map(|range| {
+        let before = previous;
+        let last = &range[range.len() - 1];
+        previous = last.timestamp(last.len() - 1);
+        let sessions = range.iter().map(|segment| segment.len()).sum::<usize>();
+        let entries = range.iter().map(|segment| segment.slot_column().len()).sum::<usize>();
+        (range, before, Vec::with_capacity(15 * sessions), Vec::with_capacity(5 * entries))
+    });
+    let parts = run_parallel(jobs.collect(), |(range, mut previous, mut sessions, mut rows)| {
+        let mut slots = Vec::new();
+        for segment in range {
+            for (row, timestamp) in segment.timestamps().enumerate() {
+                put(&mut sessions, timestamp - previous);
+                put(&mut sessions, segment.slots(row).len() as u64);
+                previous = timestamp;
+                put_row(&mut rows, segment.slots(row), renumber.as_deref(), &mut slots);
             }
         }
-    }
+        (sessions, rows)
+    });
+    let (sessions, rows): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+    let payload = std::iter::once(&head).chain(&sessions).chain(&rows);
 
-    let payload_len = (out.len() - FRAME_BYTES) as u64;
-    let checksum = checksum(&out[FRAME_BYTES..]);
-    let frame = [payload_len.to_le_bytes(), checksum.to_le_bytes()].concat();
-    out[8..FRAME_BYTES].copy_from_slice(&frame);
+    let mut checksum = Checksum::new();
+    for part in payload.clone() {
+        checksum.feed(part);
+    }
+    let payload_len = payload.clone().map(Vec::len).sum::<usize>() as u64;
+    let frame = [payload_len.to_le_bytes(), checksum.finish().to_le_bytes()].concat();
+    writer.write_all(MAGIC)?;
+    writer.write_all(&frame)?;
+    for part in payload {
+        writer.write_all(part)?;
+    }
     // Length/checksum trailer: a reader that got this far knows the stream
     // was not cut at a frame boundary, and a header corrupted in transit
     // cannot agree with an honest trailer by accident.
-    out.extend_from_slice(TRAILER_MAGIC);
-    out.extend_from_slice(&frame);
-    writer.write_all(&out)?;
+    writer.write_all(TRAILER_MAGIC)?;
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -363,13 +485,41 @@ impl Cursor<'_> {
     }
 }
 
-/// Deserialises an index from the bytes of an artefact, verifying magic,
-/// version, checksum, the length/checksum trailer and every value, and
-/// derives its postings. Safe on hostile bytes: the payload is checksummed
-/// and parsed in place, allocation is bounded by the bytes actually
-/// present, and every malformation is a clean [`BinError`]. Bytes after the
-/// trailer are not looked at.
+/// Deserialises an index from the bytes of an artefact on
+/// `available_parallelism()` threads (see [`read_index_with_threads`]),
+/// verifying magic, version, checksum, the length/checksum trailer and
+/// every value, and derives its postings. Safe on hostile bytes: the
+/// payload is checksummed and parsed in place, allocation is bounded by the
+/// bytes actually present, and every malformation is a clean [`BinError`].
+/// Bytes after the trailer are not looked at.
 pub fn read_index(bytes: &[u8]) -> Result<SessionIndex, BinError> {
+    read_index_with_threads(bytes, std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// One thread's share of a load: a range of segments.
+struct Range<'a, 's> {
+    /// The sessions' timestamp increases and row lengths, from the range's
+    /// first session on.
+    sessions: Cursor<'a>,
+    /// The timestamp of the session before the range (0 for the first).
+    before: u64,
+    /// The range's first session.
+    first: usize,
+    /// The row entries before the range's first.
+    entries: usize,
+    /// The rows, from the range's first to the end of the payload.
+    rows: Cursor<'a>,
+    /// Where the range's segments go.
+    segments: &'s mut [Option<Arc<Segment>>],
+    /// Each segment's offsets, then its slots, read in here: room for the
+    /// range's largest segment.
+    buffer: Vec<u32>,
+}
+
+/// [`read_index`] on up to `threads` threads, each decoding the rows of a
+/// range of segments; the index, and the error for a malformed artefact,
+/// are the same for every `threads`.
+pub fn read_index_with_threads(bytes: &[u8], threads: usize) -> Result<SessionIndex, BinError> {
     let (declared_len, declared_checksum, rest) = frame(bytes, MAGIC, "header")?;
     if declared_len > MAX_PAYLOAD_BYTES {
         return Err(corrupt(format!(
@@ -379,7 +529,7 @@ pub fn read_index(bytes: &[u8]) -> Result<SessionIndex, BinError> {
     let (payload, rest) = rest
         .split_at_checked(declared_len as usize)
         .ok_or_else(|| corrupt("truncated payload"))?;
-    if checksum(payload) != declared_checksum {
+    if Checksum::new().feed(payload).finish() != declared_checksum {
         return Err(corrupt("checksum mismatch"));
     }
     let (trailer_len, trailer_checksum, _) = frame(rest, TRAILER_MAGIC, "trailer")?;
@@ -406,15 +556,30 @@ pub fn read_index(bytes: &[u8]) -> Result<SessionIndex, BinError> {
         Some(*item)
     })));
 
-    // Where every segment's timestamps and row lengths lie, and how many
-    // entries its rows hold: checked here, they are read again to code the
-    // columns.
+    // Every session's timestamp increase and row length, checked here and
+    // read again to make the segments; ranges of segments of about equal
+    // count, one a thread, each with where its sessions and its rows start
+    // and room for its largest segment.
     let num_sessions = payload.count("session")?;
-    let mut columns = Vec::with_capacity(num_sessions.div_ceil(SEGMENT_SESSIONS));
-    let (mut timestamp, mut entries) = (0u64, 0usize);
+    let mut segments = vec![None; num_sessions.div_ceil(SEGMENT_SESSIONS)];
+    let per_thread = segments.len().div_ceil(threads.max(1)).max(1);
+    let mut ranges: Vec<Range> = Vec::with_capacity(segments.len().div_ceil(per_thread));
+    let mut outs = segments.chunks_mut(per_thread);
+    let (mut timestamp, mut entries, mut largest) = (0u64, 0usize, 0usize);
     for lo in (0..num_sessions).step_by(SEGMENT_SESSIONS) {
-        let len = SEGMENT_SESSIONS.min(num_sessions - lo);
-        let (rows, before, first) = (payload, timestamp, entries);
+        if lo % (per_thread * SEGMENT_SESSIONS) == 0 {
+            ranges.push(Range {
+                sessions: payload,
+                before: timestamp,
+                first: lo,
+                entries,
+                rows: payload,
+                segments: outs.next().expect("a range of segments"),
+                buffer: Vec::new(),
+            });
+            largest = 0;
+        }
+        let (len, first) = (SEGMENT_SESSIONS.min(num_sessions - lo), entries);
         for row in 0..len {
             let session = lo + row;
             timestamp = timestamp.checked_add(payload.varint()?).ok_or_else(|| {
@@ -436,46 +601,93 @@ pub fn read_index(bytes: &[u8]) -> Result<SessionIndex, BinError> {
             }
             entries += items as usize;
         }
-        columns.push((rows, before, len, entries - first));
-    }
-    // Then every segment's rows, read into two buffers sized for the
-    // largest segment and reused, and narrowed into the segment's columns.
-    let largest = columns.iter().map(|&(_, _, _, entries)| entries).max().unwrap_or(0);
-    let mut offsets: Vec<u32> = Vec::with_capacity(SEGMENT_SESSIONS.min(num_sessions) + 1);
-    let mut slots: Vec<u32> = Vec::with_capacity(largest);
-    let mut segments = Vec::with_capacity(columns.len());
-    let mut session = 0;
-    for (rows, before, len, entries) in columns {
-        // The increases and lengths were checked above, so they read back
-        // as they did.
-        let mut lengths = rows;
-        offsets.clear();
-        offsets.push(0);
-        for _ in 0..len {
-            lengths.varint().expect("an increase read above");
-            let items = lengths.varint().expect("a row length read above");
-            offsets.push(offsets[offsets.len() - 1] + items as u32);
+        largest = largest.max(entries - first);
+        let range = ranges.last_mut().expect("a range");
+        if lo + len == num_sessions || (lo / SEGMENT_SESSIONS + 1) % per_thread == 0 {
+            let rows = SEGMENT_SESSIONS.min(num_sessions - range.first);
+            range.buffer = Vec::with_capacity(rows + 1 + largest);
         }
-        slots.clear();
-        slots.resize(entries, 0);
-        for row in offsets.windows(2) {
-            payload.row(&mut slots[row[0] as usize..row[1] as usize], num_slots, session)?;
-            session += 1;
-        }
-        let timestamps = (0..len).scan((rows, before), |(rows, timestamp), _| {
-            *timestamp += rows.varint().expect("an increase read above");
-            rows.varint().expect("a row length read above");
-            Some(*timestamp)
-        });
-        segments.push(Arc::new(Segment::new(timestamps, &offsets, &slots)));
     }
-    // The buffers go before the postings are derived: the load peaks at the
-    // finished index and nothing beside it.
-    drop((offsets, slots));
-    if !payload.0.is_empty() {
+    // Where each range's rows start: past the entries before it, found by
+    // counting varint terminators — the bytes below 0x80 — in the rows,
+    // never past them.
+    let (mut at, mut counted) = (0, 0);
+    for range in &mut ranges {
+        at += skip_varints(&payload.0[at..], range.entries - counted);
+        counted = range.entries;
+        range.rows = Cursor(&payload.0[at..]);
+    }
+
+    // The ranges' segments, side by side. A range that starts
+    // where the rows before it are malformed reads garbage, but the first
+    // error in the order of the rows is the one reported: the error a read
+    // on one thread meets first.
+    let read = run_parallel(ranges, |range| read_segments(range, num_slots, num_sessions));
+    let mut rest = payload;
+    for outcome in read {
+        rest = outcome?;
+    }
+    if !rest.0.is_empty() {
         return Err(corrupt("trailing bytes after payload"));
     }
-    Ok(SessionIndex::from_segments(segments, slot_items, m_max, 1)?)
+    let segments = segments.into_iter().map(|segment| segment.expect("every range read")).collect();
+    Ok(SessionIndex::from_segments(segments, slot_items, m_max, threads)?)
+}
+
+/// The bytes that the first `varints` varints of `bytes` take, found by
+/// counting their terminators — the bytes below 0x80 — eight bytes at a
+/// time; all of `bytes` if it holds fewer.
+fn skip_varints(bytes: &[u8], mut varints: usize) -> usize {
+    let mut at = 0;
+    for word in bytes.chunks_exact(8) {
+        let ends = (!le_u64(word) & 0x8080_8080_8080_8080).count_ones() as usize;
+        if ends >= varints {
+            break;
+        }
+        (at, varints) = (at + 8, varints - ends);
+    }
+    for &byte in &bytes[at..] {
+        if varints == 0 {
+            break;
+        }
+        (at, varints) = (at + 1, varints - usize::from(byte < 0x80));
+    }
+    at
+}
+
+/// Reads the segments of `range`, each of its rows checked, into its
+/// slots of the segment list; returns the payload after its rows.
+fn read_segments<'a>(
+    range: Range<'a, '_>,
+    num_slots: usize,
+    num_sessions: usize,
+) -> Result<Cursor<'a>, BinError> {
+    let Range { mut sessions, before: mut timestamp, first, mut rows, segments, mut buffer, .. } =
+        range;
+    for (lo, segment) in (first..).step_by(SEGMENT_SESSIONS).zip(segments) {
+        // The increases and lengths were checked by the caller, so they
+        // read back as they did.
+        let (len, pairs, before) = (SEGMENT_SESSIONS.min(num_sessions - lo), sessions, timestamp);
+        buffer.clear();
+        buffer.push(0);
+        for _ in 0..len {
+            timestamp += sessions.varint().expect("an increase read above");
+            let items = sessions.varint().expect("a row length read above");
+            buffer.push(buffer[buffer.len() - 1] + items as u32);
+        }
+        buffer.resize(len + 1 + buffer[len] as usize, 0);
+        let (offsets, slots) = buffer.split_at_mut(len + 1);
+        for (session, row) in (lo..).zip(offsets.windows(2)) {
+            rows.row(&mut slots[row[0] as usize..row[1] as usize], num_slots, session)?;
+        }
+        let timestamps = (0..len).scan((pairs, before), |(pairs, timestamp), _| {
+            *timestamp += pairs.varint().expect("an increase read above");
+            pairs.varint().expect("a row length read above");
+            Some(*timestamp)
+        });
+        *segment = Some(Arc::new(Segment::new(timestamps, offsets, slots)));
+    }
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -514,6 +726,44 @@ mod tests {
             assert_eq!(loaded.postings(item), index.postings(item));
             assert_eq!(loaded.item_support(item), index.item_support(item));
             assert_eq!(loaded.item_slot(item), index.item_slot(item));
+        }
+    }
+
+    /// `a` and `b` hold the same index in the same layout: every table,
+    /// every column at its width, every arena and every segment.
+    fn assert_same_structures(a: &SessionIndex, b: &SessionIndex) {
+        assert_eq!((a.stats(), a.m_max(), a.bytes()), (b.stats(), b.m_max(), b.bytes()));
+        let (items_a, items_b) = (a.slot_items(), b.slot_items());
+        assert!(items_a.width() == items_b.width() && items_a.iter().eq(items_b.iter()));
+        assert!(a.records().iter().eq(b.records().iter()));
+        let (table_a, table_b) = (a.slot_table().buckets(), b.slot_table().buckets());
+        assert!(table_a.width() == table_b.width() && table_a.iter().eq(table_b.iter()));
+        assert_eq!(a.arenas(), b.arenas());
+        assert_eq!(a.segments().len(), b.segments().len());
+        for (x, y) in a.segments().iter().zip(b.segments()) {
+            assert!(x.len() == y.len() && x.timestamps().eq(y.timestamps()));
+            assert_eq!((x.slot_width(), x.offset_width()), (y.slot_width(), y.offset_width()));
+            assert!((0..x.len()).all(|row| x.row_start(row) == y.row_start(row)));
+            assert!(x.slot_column().iter().eq(y.slot_column().iter()));
+        }
+    }
+
+    #[test]
+    fn every_thread_count_writes_the_same_bytes_and_loads_the_same_index() {
+        // `ecom-1m` at a tenth: several segments, so ranges of one and of
+        // more, and postings truncated to `m_max` across them.
+        let config = serenade_dataset::SyntheticConfig::ecom_1m().scaled(0.1);
+        let index = SessionIndex::build(&serenade_dataset::generate(&config).clicks, 500).unwrap();
+        assert!(index.segments().len() > 4);
+        let mut bytes = Vec::new();
+        write_index_with_threads(&index, &mut bytes, 1).unwrap();
+        let loaded = read_index_with_threads(&bytes, 1).unwrap();
+        assert_same_structures(&loaded, &index);
+        for threads in [2, 3, 8] {
+            let mut written = Vec::new();
+            write_index_with_threads(&index, &mut written, threads).unwrap();
+            assert!(written == bytes, "threads {threads} wrote other bytes");
+            assert_same_structures(&read_index_with_threads(&bytes, threads).unwrap(), &loaded);
         }
     }
 

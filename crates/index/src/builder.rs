@@ -6,10 +6,10 @@
 //! out by counting rather than by shuffling: [`SessionIndex::build_with_threads`]
 //! groups the clicks into per-session runs in one counting pass and fills
 //! every posting into an exact-size range (see `serenade_core::index`).
-//! Each worker takes a range of sessions: it sorts their runs, then counts
-//! and fills their share of every posting — no shuffle in between.
-//! With one thread it *is* [`SessionIndex::build`]; every thread count
-//! builds the same index.
+//! Each worker takes a hash class of sessions or items, a range of
+//! sessions, or a range of slots, whose postings it fills — no shuffle in
+//! between. With one thread it *is* [`SessionIndex::build`]; every thread
+//! count builds the same index.
 
 use serenade_core::{Click, CoreError, SessionIndex};
 

@@ -23,16 +23,24 @@
 //!   repeats an item, an item-id increase of zero or one that overflows, a
 //!   timestamp increase that overflows (the only way to write a timestamp
 //!   that decreases with the dense id), a slot no session holds — is
-//!   rejected by name, not served.
+//!   rejected by name, not served;
+//! * the load runs on several threads, each a range of segments, each
+//!   range's rows found by counting varint terminators: every artefact here
+//!   is read at 1, 2, 3 and 8 threads, which must reject it for the same
+//!   reason, or load the same index; an artefact of several segments is
+//!   broken in each range, and in its rows' terminators, which the count
+//!   must never read past.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use serenade_core::{Click, CoreError, SessionIndex};
-use serenade_index::binfmt::{read_index, write_index, BinError, MAX_PAYLOAD_BYTES};
+use serenade_core::index::SEGMENT_SESSIONS;
+use serenade_index::binfmt::{read_index_with_threads, write_index, BinError, MAX_PAYLOAD_BYTES};
 
-fn sample_artefact() -> Vec<u8> {
+/// The artefact of `sessions` sessions of two clicks each.
+fn artefact_of(sessions: u64) -> Vec<u8> {
     let mut clicks = Vec::new();
-    for s in 0..30u64 {
+    for s in 0..sessions {
         clicks.push(Click::new(s + 1, s % 5, 100 + s * 10));
         clicks.push(Click::new(s + 1, (s + 1) % 5, 101 + s * 10));
     }
@@ -40,6 +48,35 @@ fn sample_artefact() -> Vec<u8> {
     let mut out = Vec::new();
     write_index(&index, &mut out).unwrap();
     out
+}
+
+fn sample_artefact() -> Vec<u8> {
+    artefact_of(30)
+}
+
+/// Four segments and a short fifth: ranges of one segment and of more at
+/// every thread count below.
+fn segmented_artefact() -> Vec<u8> {
+    artefact_of(4 * SEGMENT_SESSIONS as u64 + 7)
+}
+
+/// `bytes` read at 1, 2, 3 and 8 threads: rejected for the same reason at
+/// every thread count, or loaded as the same index; the outcome on one.
+fn read_index(bytes: &[u8]) -> Result<SessionIndex, BinError> {
+    let written = |index: &SessionIndex| {
+        let mut out = Vec::new();
+        write_index(index, &mut out).unwrap();
+        out
+    };
+    let one = read_index_with_threads(bytes, 1);
+    for threads in [2, 3, 8] {
+        match (&one, read_index_with_threads(bytes, threads)) {
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "threads {threads}"),
+            (Ok(a), Ok(b)) => assert!(written(a) == written(&b), "threads {threads}"),
+            (a, b) => panic!("threads 1 read {a:?}, threads {threads} {b:?}"),
+        }
+    }
+    one
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -126,7 +163,10 @@ struct Sample {
 }
 
 fn sample() -> Sample {
-    let artefact = sample_artefact();
+    parse(&sample_artefact())
+}
+
+fn parse(artefact: &[u8]) -> Sample {
     let mut values = Vec::new();
     let (mut value, mut shift) = (0, 0);
     for &byte in &artefact[24..artefact.len() - 24] {
@@ -155,6 +195,57 @@ fn valid_artefact_still_loads() {
     // The checksum above is the writer's: re-framing the payload gives the
     // artefact back byte for byte.
     assert_eq!(frame(&bytes[24..bytes.len() - 24]), bytes);
+}
+
+#[test]
+fn a_malformed_row_in_any_range_is_rejected_alike_at_every_thread_count() {
+    let artefact = segmented_artefact();
+    assert!(read_index(&artefact).is_ok());
+    let Sample { values, num_slots, rows, .. } = parse(&artefact);
+    // The first row of each segment: its second slot repeated, or its first
+    // past the slot count; a session of every segment, and the last.
+    for segment in 0..5 {
+        let session = segment * SEGMENT_SESSIONS;
+        let at = rows + 2 * session;
+        let mut repeated = values.clone();
+        repeated[at + 1] = 0;
+        let reason = rejection(&leb128(&repeated));
+        let named = format!("the row of session {session} is not strictly ascending");
+        assert!(reason.contains(&named), "{reason}");
+        let mut past = values.clone();
+        past[at] = num_slots as u64;
+        let reason = rejection(&leb128(&past));
+        assert!(reason.contains("is not below the slot count"), "{reason}");
+    }
+}
+
+#[test]
+fn rows_short_of_terminators_are_rejected_alike_at_every_thread_count() {
+    // Where a range's rows start is found by counting terminators, so rows
+    // that hold fewer than their lengths declare send the count to the end
+    // of the payload, and never past it: a continuation byte where a row's
+    // last byte was, in the first segment or the last, or in every row.
+    let artefact = segmented_artefact();
+    let payload = &artefact[24..artefact.len() - 24];
+    let Sample { values, rows, .. } = parse(&artefact);
+    let start = leb128(&values[..rows]).len();
+    for at in [start, start + 1, payload.len() - 1] {
+        let mut bytes = payload.to_vec();
+        bytes[at] |= 0x80;
+        assert_clean_corrupt(&frame(&bytes), "a terminator made a continuation byte");
+    }
+    let mut bytes = payload.to_vec();
+    bytes[start..].iter_mut().for_each(|byte| *byte |= 0x80);
+    assert_clean_corrupt(&frame(&bytes), "no terminator in the rows");
+    // And a row value short, or one too many, in the first range.
+    for cut in [start, start + 5] {
+        let mut bytes = payload.to_vec();
+        bytes.remove(cut);
+        assert_clean_corrupt(&frame(&bytes), "a row value short");
+        let mut bytes = payload.to_vec();
+        bytes.insert(cut, 1);
+        assert_clean_corrupt(&frame(&bytes), "a row value too many");
+    }
 }
 
 #[test]

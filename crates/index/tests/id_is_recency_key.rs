@@ -26,6 +26,7 @@ use proptest::prelude::*;
 use serenade_core::index::SEGMENT_SESSIONS;
 use serenade_core::{Click, FxHashSet, ItemId, SessionId, SessionIndex, VmisConfig, VmisKnn};
 use serenade_dataset::{generate, split_last_days, SyntheticConfig};
+use serenade_index::binfmt::{read_index_with_threads, write_index_with_threads};
 use serenade_index::{build_parallel, read_index, write_index, BuilderConfig, IncrementalIndexer};
 
 /// Random click logs over a small id space. Every session also clicks a
@@ -160,21 +161,33 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 #[test]
 fn the_artefact_of_a_synthetic_day_is_pinned_at_every_thread_count() {
-    // FNV-1a of `write_index` over the training part of `tiny` at seeds 1–3.
+    // FNV-1a of `write_index` over the training part of `tiny` at seeds 1–3
+    // (one segment each) and of `ecom-1m` at a tenth, seed 1 (six), built
+    // and written at 1, 2, 3 and 8 threads and read back at as many.
     // Pinned once for format version 4 (varints; the rows and the slot
     // table, no postings). The version-3 pins were re-pinned once when rows
     // became canonical (each session's items in ascending id, not in the
     // order of their first clicks), and the version-2 pins held what the
     // hash-grouping builders of earlier versions wrote.
-    let pinned =
-        [(1, 0xbcae_b63f_1a95_4515_u64), (2, 0x11f1_7830_f171_5bc9), (3, 0x64f8_6fb3_b562_3fba)];
-    for (seed, expected) in pinned {
-        let clicks = generate(&SyntheticConfig::tiny().with_seed(seed)).clicks;
+    let tiny = SyntheticConfig::tiny();
+    let pinned = [
+        (tiny.clone().with_seed(1), 0xbcae_b63f_1a95_4515_u64),
+        (tiny.clone().with_seed(2), 0x11f1_7830_f171_5bc9),
+        (tiny.with_seed(3), 0x64f8_6fb3_b562_3fba),
+        (SyntheticConfig::ecom_1m().scaled(0.1).with_seed(1), 0x016b_a3aa_d614_d2b9),
+    ];
+    for (config, expected) in pinned {
+        let clicks = generate(&config).clicks;
         let train = split_last_days(&clicks, 1).train;
+        let what = format!("{} seed {}", config.name, config.seed);
         for threads in [1, 2, 3, 8] {
-            let config = BuilderConfig { threads, m_max: 500 };
-            let index = build_parallel(&train, config).expect("non-empty");
-            assert_eq!(fnv1a(&artefact(&index)), expected, "seed {seed}, threads {threads}");
+            let built = BuilderConfig { threads, m_max: 500 };
+            let index = build_parallel(&train, built).expect("non-empty");
+            let mut bytes = Vec::new();
+            write_index_with_threads(&index, &mut bytes, threads).expect("in-memory write");
+            assert_eq!(fnv1a(&bytes), expected, "{what}, threads {threads}");
+            let loaded = read_index_with_threads(&bytes, threads).expect("own artefact");
+            assert_eq!(fnv1a(&artefact(&loaded)), expected, "{what}, threads {threads}");
         }
     }
 }

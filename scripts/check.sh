@@ -48,6 +48,12 @@ fi
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+# The benchmark's own data — ecom-1m, seed 1, at full size — pinned at 1, 2,
+# 3 and 8 generator threads: too slow for the debug build tier-1 runs, so
+# the test is ignored there and run here in release.
+echo "==> generator: the benchmark's data, ecom-1m seed 1, pinned at every thread count (release)"
+cargo test --release -q -p serenade-dataset --test generator_pinned -- --ignored
+
 # The exposition parser only reads /metrics back in tests: it is a
 # dev-dependency of the crates that render the page, and must not become a
 # build dependency of either.
