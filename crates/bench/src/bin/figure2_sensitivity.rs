@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use serenade_bench::{prepare, print_table, BenchArgs};
-use serenade_core::{SessionIndex, VmisConfig, VmisKnn};
+use serenade_core::{machine_threads, SessionIndex, VmisConfig, VmisKnn};
 use serenade_dataset::SyntheticConfig;
 use serenade_metrics::{evaluate_parallel, EvalConfig};
 
@@ -30,7 +30,7 @@ fn main() {
         SyntheticConfig::ecom_180m().scaled(0.3 * args.scale),
         SyntheticConfig::rsc15().scaled(0.3 * args.scale),
     ];
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let threads = machine_threads();
 
     for config in datasets {
         let (_, split) = prepare(&config);

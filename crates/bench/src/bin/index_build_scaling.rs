@@ -12,7 +12,8 @@
 //! there are more):
 //! - the build's wall time and its speed-up over 1 thread, split into its
 //!   phases: the grouping's passes (number, sort, scatter, run sort), the
-//!   item numbering, the rows and the postings;
+//!   item numbering, the rows and the postings (derived on the caller's
+//!   thread at every count);
 //! - the time an ingest node takes to adopt the index
 //!   (`IncrementalIndexer::adopt`) on as many threads;
 //!
@@ -32,7 +33,7 @@
 use std::time::{Duration, Instant};
 
 use serenade_bench::{prepare, print_table, BenchArgs};
-use serenade_core::{BuildPhases, Click, SessionIndex};
+use serenade_core::{machine_threads, BuildPhases, Click, SessionIndex};
 use serenade_dataset::split::split_last_days_with_threads;
 use serenade_dataset::synthetic::generate_with_threads;
 use serenade_dataset::SyntheticConfig;
@@ -133,7 +134,7 @@ fn scaling_rows(train: &[Click], threads_list: &[usize]) -> Vec<Vec<String>> {
 
 fn main() {
     let args = BenchArgs::from_env();
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let cores = machine_threads();
     let mut threads_list = vec![1, 2];
     if cores > 2 {
         threads_list.push(cores.min(8));

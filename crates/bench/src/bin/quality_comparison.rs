@@ -19,7 +19,7 @@ use serenade_baselines::itemknn::{ItemKnn, ItemKnnConfig};
 use serenade_baselines::seqrules::{SequentialRules, SequentialRulesConfig};
 use serenade_baselines::Popularity;
 use serenade_bench::{prepare, print_table, BenchArgs};
-use serenade_core::{Recommender, SessionIndex, VmisConfig, VmisKnn};
+use serenade_core::{machine_threads, Recommender, SessionIndex, VmisConfig, VmisKnn};
 use serenade_dataset::SyntheticConfig;
 use serenade_metrics::{evaluate_parallel, EvalConfig};
 use serenade_neural::{Gru4Rec, Gru4RecConfig, Stamp, StampConfig};
@@ -79,7 +79,7 @@ fn main() {
             max_events: Some(args.max_events),
             record_latency: false,
         };
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+        let threads = machine_threads();
         let recommenders: Vec<&dyn Recommender> =
             vec![&vmis, &gru, &stamp, &itemknn, &seqrules, &popularity];
         for rec in recommenders {

@@ -915,17 +915,17 @@ mod tests {
         assert_eq!(idx.session_items(1), &[7]);
     }
 
-    /// `idx` made again from its rows and slot table on `threads` threads.
-    fn from_its_segments(idx: &SessionIndex, threads: usize) -> SessionIndex {
+    /// `idx` made again from its rows and slot table.
+    fn from_its_segments(idx: &SessionIndex) -> SessionIndex {
         let (segments, slot_items) = (idx.segments().to_vec(), Arc::clone(idx.slot_items()));
-        SessionIndex::from_segments(segments, slot_items, idx.m_max(), threads).unwrap()
+        SessionIndex::from_segments(segments, slot_items, idx.m_max()).unwrap()
     }
 
     #[test]
     fn roundtrip_through_parts_preserves_index() {
         // The rows and the slot table are all an index is made of.
         let idx = SessionIndex::build(&sample_clicks(), 10).unwrap();
-        let idx2 = from_its_segments(&idx, 1);
+        let idx2 = from_its_segments(&idx);
         assert_eq!(idx2.stats(), idx.stats());
         assert_eq!(idx2.postings(1).unwrap(), &[2, 0]);
         assert_eq!(idx2.item_support(1), Some(2));
@@ -934,15 +934,16 @@ mod tests {
 
     #[test]
     fn postings_derived_on_any_thread_count_are_the_builds() {
-        // Three full segments and a short one: ranges of one, two and more
-        // segments, and postings truncated to `m_max` across them.
+        // Three full segments and a short one, built on one thread and on
+        // several, and postings truncated to `m_max` across the segments.
         let n = SEGMENT_SESSIONS as u64 * 3 + 5;
         let clicks: Vec<Click> =
             (0..n).flat_map(|s| [Click::new(s, s % 7, s), Click::new(s, 7 + s % 3, s)]).collect();
         for (clicks, m_max) in [(sample_clicks(), 1), (clicks.clone(), 500), (clicks, 5_000)] {
             let idx = SessionIndex::build(&clicks, m_max).unwrap();
             for threads in [1, 2, 3, 8] {
-                let idx2 = from_its_segments(&idx, threads);
+                let built = SessionIndex::build_with_threads(&clicks, m_max, threads).unwrap();
+                let idx2 = from_its_segments(&built);
                 assert_eq!(idx2.stats(), idx.stats());
                 for item in idx.items() {
                     assert_eq!(idx2.postings(item), idx.postings(item), "item {item}");
@@ -961,13 +962,13 @@ mod tests {
         assert_eq!(idx.dead_slots(), 0);
         // An item no row holds would have no posting.
         let slot_items = Arc::new(Column::new([1, 2, 3, 4]));
-        match SessionIndex::from_segments(idx.segments().to_vec(), slot_items, 10, 1) {
+        match SessionIndex::from_segments(idx.segments().to_vec(), slot_items, 10) {
             Err(CoreError::CorruptIndex(reason)) => {
                 assert!(reason.contains("item 4 (slot 3) is in no session"), "{reason}")
             }
             other => panic!("expected a rejection, got {other:?}"),
         }
-        let zero_cap = SessionIndex::from_segments(vec![], Arc::default(), 0, 1);
+        let zero_cap = SessionIndex::from_segments(vec![], Arc::default(), 0);
         assert!(matches!(zero_cap, Err(CoreError::CorruptIndex(m)) if m.contains("m_max")));
     }
 

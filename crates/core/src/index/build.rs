@@ -30,7 +30,8 @@
 //! at the finished index.
 //!
 //! Every pass over the clicks runs on `threads` threads, and the threads'
-//! shares merge in O(sessions) or O(items):
+//! shares merge in O(sessions) or O(items); steps 3–4, which read the rows,
+//! run on the caller's thread:
 //! - step 1's passes, split by hash class of sessions (see
 //!   [`crate::sessions`]);
 //! - the item numbering, split by hash class of items: each thread reads
@@ -40,19 +41,19 @@
 //!   item up in the slot table. (Numbering each range's items by first
 //!   appearance instead looks a click up once, not twice, but holds a map
 //!   of nearly every item a thread beside the runs: 30 ms faster at 2
-//!   threads on `ecom-1m`, and 5.7 MB more at the build's peak.);
-//! - steps 3–4, split by range of slots: each thread reads every row,
-//!   counts its own slots' supports into its part of the one count array,
-//!   and fills its own slots' postings into its part of the one arena,
-//!   newest session first. A row ascends, so a range's slots in it are a
-//!   run, found with a branch or two a row. (Each range of segments once
-//!   filled its share of every posting apart, and the shares were copied
-//!   into the arena: they sat beside the index at a load's peak, 4.3–4.7
-//!   MB more on a node, EXPERIMENTS.md X25.)
+//!   threads on `ecom-1m`, and 5.7 MB more at the build's peak.)
+//!
+//! Steps 3–4 count every row's slots into one count array and fill every
+//! posting into the one arena, newest session first. Neither split of them
+//! paid: by range of slots every thread read every row, and on `ecom-1m`
+//! the derivation took 10.3–10.7 ms on 2 threads, 9.8–10.1 on 1, and
+//! 8.6–8.9 as this one pass (EXPERIMENTS.md X27); by range of segments
+//! each range filled its share of every posting apart, and the shares sat
+//! beside the index at a load's peak, 4.3–4.7 MB more on a node
+//! (EXPERIMENTS.md X25).
 //!
 //! `threads = 1` runs the same passes with one class and one range.
 
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -125,15 +126,15 @@ impl SessionIndex {
         drop(runs);
         phases.rows = t.elapsed();
         let t = Instant::now();
-        let index = Self::derive_postings(segments, slot_items, Some(slot_table), m_max, threads)?;
+        let index = Self::derive_postings(segments, slot_items, Some(slot_table), m_max)?;
         phases.postings = t.elapsed();
         Ok((index, phases))
     }
 
     /// Makes the index of `segments`, whose slots `slot_items` names, by
-    /// deriving its postings from the rows on up to `threads` threads: steps
+    /// deriving its postings from the rows on the caller's thread: steps
     /// 3–4 of the build, and all a load of an artefact leaves to do (see the
-    /// `build` module). The index is the same for every `threads`.
+    /// `build` module).
     ///
     /// The caller vouches for the rows: all `segments` but the last hold
     /// [`SEGMENT_SESSIONS`] sessions, timestamps do not decrease with the
@@ -148,9 +149,8 @@ impl SessionIndex {
         segments: Vec<Arc<Segment>>,
         slot_items: Arc<Column<ItemId>>,
         m_max: usize,
-        threads: usize,
     ) -> Result<Self, CoreError> {
-        Self::derive_postings(segments, slot_items, None, m_max, threads)
+        Self::derive_postings(segments, slot_items, None, m_max)
     }
 
     /// [`SessionIndex::from_segments`] with the slot table of `slot_items`
@@ -160,29 +160,18 @@ impl SessionIndex {
         slot_items: Arc<Column<ItemId>>,
         slot_table: Option<SlotTable>,
         m_max: usize,
-        threads: usize,
     ) -> Result<Self, CoreError> {
         if m_max == 0 {
             return Err(CoreError::CorruptIndex("m_max must be positive".into()));
         }
-        // Step 3: how many sessions hold each slot. Each thread counts a
-        // range of slots, reading every row.
+        // Step 3: how many sessions hold each slot.
         let slots = slot_items.len();
-        let threads = threads.clamp(1, slots.max(1));
         let mut holders = vec![0u32; slots];
-        let per_thread = slots.div_ceil(threads).max(1);
-        let counts = holders.chunks_mut(per_thread).zip((0..).step_by(per_thread));
-        run_parallel(counts.collect(), |(holders, first)| {
-            // Every slot is read, and counted into the range's last holder
-            // as 0 when it is not the range's: no branch a slot.
-            let last = holders.len() - 1;
-            for segment in &segments {
-                for slot in segment.slot_column().iter() {
-                    let mine = (slot as usize).wrapping_sub(first);
-                    holders[mine.min(last)] += u32::from(mine <= last);
-                }
+        for segment in &segments {
+            for slot in segment.slot_column().iter() {
+                holders[slot as usize] += 1;
             }
-        });
+        }
         let support = Column::new(holders.iter().copied());
         drop(holders);
         if let Some(slot) = support.iter().position(|support| support == 0) {
@@ -192,34 +181,15 @@ impl SessionIndex {
             )));
         }
         let cap = u32::try_from(m_max).unwrap_or(u32::MAX);
-        let len = |slot: usize| support.get(slot).min(cap);
-        let start = Column::new(starts((0..slots).map(len)));
-        let total = (0..slots).map(|slot| len(slot) as usize).sum();
+        let lens = support.iter().map(|support| support.min(cap));
+        let start = Column::new(starts(lens.clone()));
+        let total = lens.clone().map(|len| len as usize).sum();
 
-        // Step 4, into the one arena in place: each thread fills the
-        // postings of a range of slots, about a thread's share of the
-        // entries, reading every row. The scratch — a countdown a slot, at
-        // the width of its range's longest posting, made here on the
-        // caller's thread — weighs less than the slot table still to come
-        // and the arena column, so a load peaks at the finished index
-        // (`serenade_index`'s `tests/load_allocs.rs`).
-        let arena = new_arena(total, |mut arena| {
-            let mut jobs = Vec::with_capacity(threads);
-            let (mut first, mut filled) = (0, 0);
-            for slot in 0..slots {
-                filled += len(slot) as usize;
-                if slot + 1 == slots || filled * threads >= total * (jobs.len() + 1) {
-                    let range = first..slot + 1;
-                    let entries = end_of(&start, slot, total) - start.get(first) as usize;
-                    let (ids, rest) = std::mem::take(&mut arena).split_at_mut(entries);
-                    arena = rest;
-                    let left = Column::new(range.clone().map(len));
-                    jobs.push((range, ids, left));
-                    first = slot + 1;
-                }
-            }
-            run_parallel(jobs, |(range, ids, left)| fill(&segments, range, &start, left, ids));
-        });
+        // Step 4, into the one arena in place. The scratch — a countdown a
+        // slot, at the width of the longest posting — weighs less than the
+        // slot table still to come and the arena column, so a load peaks at
+        // the finished index (`serenade_index`'s `tests/load_allocs.rs`).
+        let arena = new_arena(total, |arena| fill(&segments, &start, Column::new(lens), arena));
         let records = Records { support, start, arena: Column::new(std::iter::repeat_n(0, slots)) };
         let slot_table = slot_table.unwrap_or_else(|| SlotTable::new(&slot_items));
         let (records, arenas) = (Arc::new(records), Arc::from([arena]));
@@ -306,7 +276,7 @@ fn make_segments(
     segments
 }
 
-/// Where the share of `slot` ends among `total` entries laid out by slot
+/// Where the posting of `slot` ends among `total` entries laid out by slot
 /// from the offsets `starts`.
 #[inline]
 fn end_of(starts: &Column, slot: usize, total: usize) -> usize {
@@ -317,37 +287,18 @@ fn end_of(starts: &Column, slot: usize, total: usize) -> usize {
     }
 }
 
-/// Step 4 for the slots `range`: writes their postings into `ids`, which
-/// holds exactly those, laid out by slot from the offsets `starts`, each
-/// newest first, reading every row newest first; `left` holds the length
-/// of each of the range's postings and counts it down. A row ascends, so
-/// the range's slots in it are a run: the slots before the run are passed
-/// over and the row is left where the run ends, a mispredicted branch or
-/// two a row, not one a slot that is not the range's.
-fn fill(
-    segments: &[Arc<Segment>],
-    range: Range<usize>,
-    starts: &Column,
-    mut left: Column,
-    ids: &mut [SessionId],
-) {
-    let offset = starts.get(range.start) as usize;
-    let total = offset + ids.len();
+/// Step 4: writes every posting into `ids`, laid out by slot from the
+/// offsets `starts`, each newest first, reading every row newest first;
+/// `left` holds the length of each posting and counts it down.
+fn fill(segments: &[Arc<Segment>], starts: &Column, mut left: Column, ids: &mut [SessionId]) {
     for (at, segment) in segments.iter().enumerate().rev() {
         let base = (at * SEGMENT_SESSIONS) as SessionId;
         for row in (0..segment.len()).rev() {
             for slot in segment.slots(row).iter() {
                 let slot = slot as usize;
-                if slot < range.start {
-                    continue;
-                }
-                if slot >= range.end {
-                    break;
-                }
-                let lacks = left.count_down(slot - range.start);
+                let lacks = left.count_down(slot);
                 if lacks > 0 {
-                    let at = end_of(starts, slot, total) - offset - lacks as usize;
-                    ids[at] = base + row as SessionId;
+                    ids[end_of(starts, slot, ids.len()) - lacks as usize] = base + row as SessionId;
                 }
             }
         }

@@ -63,7 +63,7 @@ pub mod weights;
 
 pub use error::CoreError;
 pub use recommender::Recommender;
-pub use sessions::{GroupPhases, SessionRuns};
+pub use sessions::{machine_threads, GroupPhases, SessionRuns};
 pub use hash::{FxHashMap, FxHashSet};
 pub use index::{BuildPhases, IndexBytes, IndexStats, Posting, SessionIndex, SessionItems};
 pub use types::{Click, ItemId, ItemScore, SessionId, Timestamp};

@@ -225,6 +225,12 @@ impl SessionRuns {
     }
 }
 
+/// The threads a pass runs on when its caller names no count: the
+/// machine's available parallelism, or 1 where it cannot be read.
+pub fn machine_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
 /// Runs `work` on every job, the first on the caller's thread and each
 /// other on a scoped thread of its own, and returns the results in job
 /// order. A panicking job panics the caller.

@@ -10,7 +10,7 @@
 
 use crate::session::Session;
 use serenade_core::sessions::{fill_parallel, run_parallel};
-use serenade_core::{Click, FxHashMap, FxHashSet, ItemId, SessionRuns};
+use serenade_core::{machine_threads, Click, FxHashMap, FxHashSet, ItemId, SessionRuns};
 
 /// A train/test split of a click log.
 #[derive(Debug, Clone)]
@@ -34,14 +34,14 @@ impl EvaluationSplit {
 /// exactly when one of its clicks lies there, so only the held-out clicks
 /// are grouped into sessions, in the order they end.
 ///
-/// The clicks are sent to their sides on `available_parallelism()`
+/// The clicks are sent to their sides on [`machine_threads`]
 /// threads, each a range of the log: each marks its clicks of held-out
 /// sessions in a bitmap, one lookup a click, and counts the rest; then each
 /// copies its training clicks into its own part of `train`, which it is
 /// the first to touch, and each range of `train` marks the test items it
 /// holds. Training clicks keep their tuples and their order.
 pub fn split_at(clicks: &[Click], cutoff: u64) -> EvaluationSplit {
-    split_on(clicks, cutoff, std::thread::available_parallelism().map_or(1, usize::from))
+    split_on(clicks, cutoff, machine_threads())
 }
 
 /// [`split_at`] on up to `threads` threads; the split is the same for

@@ -24,7 +24,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use serenade_core::sessions::{fill_parallel, run_parallel};
-use serenade_core::Click;
+use serenade_core::{machine_threads, Click};
 
 use crate::Dataset;
 
@@ -234,9 +234,9 @@ fn sample_standard_normal(rng: &mut StdRng) -> f64 {
 const DAY_SECS: u64 = 86_400;
 
 /// Generates a deterministic synthetic click log for `config`, on
-/// `available_parallelism()` threads (see [`generate_with_threads`]).
+/// [`machine_threads`] threads (see [`generate_with_threads`]).
 pub fn generate(config: &SyntheticConfig) -> Dataset {
-    generate_with_threads(config, std::thread::available_parallelism().map_or(1, usize::from))
+    generate_with_threads(config, machine_threads())
 }
 
 /// Generates a deterministic synthetic click log for `config` on up to

@@ -8,8 +8,8 @@
 //! be derived — the slot table and the sessions' rows — each value a
 //! varint; a load lays the rows out in segments and derives the supports and
 //! the postings from them ([`SessionIndex::from_segments`], the build's own
-//! steps 3–4). Both directions run on every core and make the same bytes,
-//! and the same index, at every thread count.
+//! steps 3–4). Both directions encode or decode the rows on every core and
+//! make the same bytes, and the same index, at every thread count.
 //!
 //! # Format, version 4
 //!
@@ -108,14 +108,15 @@
 //! and each range reads its segments' offsets and slots into one `u32`
 //! buffer sized for its largest segment and reused, from which each
 //! segment's columns are made at their widths. Deriving the postings, on
-//! as many threads, each a range of slots, makes the records' support and
-//! start columns from the counted supports, writes the one arena in place,
-//! then makes the arena column and the item → slot table. The scratch —
-//! the row buffers, freed before the postings are derived, the holder
-//! counts, freed once the supports are a column, and the fill's countdowns
-//! at the width of each range's longest posting — is allocated on the
-//! caller's thread and never outgrows what is still to come, so the load
-//! peaks at the finished index at every thread count. So while it loads,
+//! the caller's thread (a second thread made it no faster: every thread
+//! read every row), makes the records' support and start columns from the
+//! counted supports, writes the one arena in place, then makes the arena
+//! column and the item → slot table. The scratch — the row buffers, freed
+//! before the postings are derived, the holder counts, freed once the
+//! supports are a column, and the fill's countdowns at the width of the
+//! longest posting — is allocated on the caller's thread and never
+//! outgrows what is still to come, so the load peaks at the finished index
+//! at every thread count. So while it loads,
 //! an index costs the artefact the caller holds (3.0 MB on `ecom-1m`) plus
 //! the index being built, with no payload-sized copy and no flat column in
 //! between, and a load on one thread allocates a constant plus a few
@@ -136,7 +137,7 @@ use std::sync::Arc;
 
 use serenade_core::index::{Column, Row, Segment, SEGMENT_SESSIONS};
 use serenade_core::sessions::run_parallel;
-use serenade_core::{CoreError, ItemId, SessionIndex};
+use serenade_core::{machine_threads, CoreError, ItemId, SessionIndex};
 
 /// The format version this module writes and the only one it reads: the
 /// seventh byte of both magics.
@@ -303,11 +304,10 @@ fn put_row(out: &mut Vec<u8>, row: Row<'_>, renumber: Option<&[u32]>, slots: &mu
     slots.iter().for_each(|&slot| put_slot(slot));
 }
 
-/// Serialises an index to a writer, encoded on `available_parallelism()`
+/// Serialises an index to a writer, encoded on [`machine_threads`]
 /// threads (see [`write_index_with_threads`]).
 pub fn write_index(index: &SessionIndex, writer: impl Write) -> std::io::Result<()> {
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    write_index_with_threads(index, writer, threads)
+    write_index_with_threads(index, writer, machine_threads())
 }
 
 /// [`write_index`] on up to `threads` threads; the bytes are the same for
@@ -486,14 +486,14 @@ impl Cursor<'_> {
 }
 
 /// Deserialises an index from the bytes of an artefact on
-/// `available_parallelism()` threads (see [`read_index_with_threads`]),
+/// [`machine_threads`] threads (see [`read_index_with_threads`]),
 /// verifying magic, version, checksum, the length/checksum trailer and
 /// every value, and derives its postings. Safe on hostile bytes: the
 /// payload is checksummed and parsed in place, allocation is bounded by the
 /// bytes actually present, and every malformation is a clean [`BinError`].
 /// Bytes after the trailer are not looked at.
 pub fn read_index(bytes: &[u8]) -> Result<SessionIndex, BinError> {
-    read_index_with_threads(bytes, std::thread::available_parallelism().map_or(1, usize::from))
+    read_index_with_threads(bytes, machine_threads())
 }
 
 /// One thread's share of a load: a range of segments.
@@ -517,7 +517,8 @@ struct Range<'a, 's> {
 }
 
 /// [`read_index`] on up to `threads` threads, each decoding the rows of a
-/// range of segments; the index, and the error for a malformed artefact,
+/// range of segments, and the postings derived from them on the caller's
+/// thread; the index, and the error for a malformed artefact,
 /// are the same for every `threads`.
 pub fn read_index_with_threads(bytes: &[u8], threads: usize) -> Result<SessionIndex, BinError> {
     let (declared_len, declared_checksum, rest) = frame(bytes, MAGIC, "header")?;
@@ -631,7 +632,7 @@ pub fn read_index_with_threads(bytes: &[u8], threads: usize) -> Result<SessionIn
         return Err(corrupt("trailing bytes after payload"));
     }
     let segments = segments.into_iter().map(|segment| segment.expect("every range read")).collect();
-    Ok(SessionIndex::from_segments(segments, slot_items, m_max, threads)?)
+    Ok(SessionIndex::from_segments(segments, slot_items, m_max)?)
 }
 
 /// The bytes that the first `varints` varints of `bytes` take, found by

@@ -6,17 +6,17 @@
 //! out by counting rather than by shuffling: [`SessionIndex::build_with_threads`]
 //! groups the clicks into per-session runs in one counting pass and fills
 //! every posting into an exact-size range (see `serenade_core::index`).
-//! Each worker takes a hash class of sessions or items, a range of
-//! sessions, or a range of slots, whose postings it fills — no shuffle in
-//! between. With one thread it *is* [`SessionIndex::build`]; every thread
-//! count builds the same index.
+//! Each worker takes a hash class of sessions or items, or a range of
+//! sessions whose rows it makes — no shuffle in between — and the postings
+//! are filled from the rows on the caller's thread. With one thread it
+//! *is* [`SessionIndex::build`]; every thread count builds the same index.
 
-use serenade_core::{Click, CoreError, SessionIndex};
+use serenade_core::{machine_threads, Click, CoreError, SessionIndex};
 
 /// Parallel builder configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct BuilderConfig {
-    /// Worker threads.
+    /// Worker threads; by default the machine's ([`machine_threads`]).
     pub threads: usize,
     /// Posting-list capacity `m_max`.
     pub m_max: usize,
@@ -25,7 +25,7 @@ pub struct BuilderConfig {
 impl Default for BuilderConfig {
     fn default() -> Self {
         Self {
-            threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+            threads: machine_threads(),
             m_max: 5_000,
         }
     }

@@ -9,14 +9,14 @@
 //! peak, at every thread count. The per-slot tables are columns at their
 //! narrowest widths, and the derivation's scratch stays below what is still
 //! to come when it is live: the 4-byte holder counts are freed once the
-//! supports are a column, and the fill counts each posting down in a column
-//! a range of slots, at the width of the range's longest (2 bytes a slot at
-//! `m_max` 500), while the arena column and the slot table of at least 4/3
-//! buckets a slot are still to be made. Every thread fills its range of
-//! slots straight into the one arena: no thread holds a share of the
-//! postings beside it. The slot → item table is read from the artefact
-//! twice, to check it and to write it at the width of its largest id, and
-//! never held at 8 bytes an item. There is no payload-sized copy of the
+//! supports are a column, and the fill counts each posting down in one
+//! column at the width of the longest (2 bytes a slot at `m_max` 500),
+//! while the arena column and the slot table of at least 4/3 buckets a slot
+//! are still to be made. The postings are filled on the caller's thread
+//! straight into the one arena: no share of them is held beside it. The
+//! slot → item table is read from the artefact twice, to check it and to
+//! write it at the width of its largest id, and never held at 8 bytes an
+//! item. There is no payload-sized copy of the
 //! artefact and no flat column on the way to the segments: each range of
 //! segments reads its rows into one `u32` buffer sized for its largest
 //! segment and reused, which is freed before the postings are derived. On
@@ -28,7 +28,7 @@
 //! `rss_mb` from 15.7–15.8 to 20.2–20.5 MB on `ecom-1m` at 2 threads,
 //! because every range of segments filled its share of every posting apart
 //! and the shares were then copied into the arena (EXPERIMENTS.md X25):
-//! the threads at 2, 3 and 8 below hold that shape out.
+//! the loads at 2, 3 and 8 threads below hold that shape out.
 //! The same run checks `SessionIndex::bytes` and `VmisKnn::idf_bytes` (what
 //! `/metrics` publishes as `serenade_index_bytes`) against the bytes the
 //! allocator actually handed out.

@@ -11,14 +11,13 @@
 //!
 //! Every implementation must provide per-entry expiry with these rules:
 //!
-//! * A write ([`SessionStore::update_or_insert`]) always restarts the
-//!   entry's TTL ("inactivity" expiry: the deadline tracks the last write).
+//! * A write ([`SessionStore::update_or_insert`]) and a read
+//!   ([`SessionStore::with_value`]) alike restart the entry's TTL
+//!   ("inactivity" expiry: the deadline tracks the last access, as
+//!   RocksDB-style stores refresh on access).
 //! * An entry whose TTL has elapsed behaves exactly like an absent entry:
 //!   reads miss, [`SessionStore::update_or_insert`] starts from `default()`,
 //!   [`SessionStore::remove`] returns `None`.
-//! * Whether a *read* refreshes the TTL is implementation-configurable
-//!   (RocksDB-style stores refresh on access; see
-//!   [`crate::StoreConfig::touch_on_read`]).
 //! * [`SessionStore::evict_expired`] reclaims expired entries eagerly;
 //!   implementations may additionally reclaim them lazily on access.
 
@@ -43,8 +42,7 @@ pub trait SessionStore<K, V>: Send + Sync {
     where
         Self: Sized;
 
-    /// Runs `f` on the live value, if any. May refresh the TTL, per the
-    /// implementation's read-touch policy.
+    /// Runs `f` on the live value, if any, and refreshes the TTL.
     fn with_value<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T>
     where
         Self: Sized;
@@ -155,14 +153,8 @@ mod conformance {
     const TTL_MS: u64 = 1_000;
 
     /// Drives the full TTL contract against `store`, where advancing
-    /// `clock` is the only source of time. `touch_on_read` states the
-    /// store's read-touch policy so the suite can assert the matching
-    /// behaviour.
-    fn check_conformance<S: SessionStore<u64, Vec<u64>>>(
-        store: &S,
-        clock: &ManualClock,
-        touch_on_read: bool,
-    ) {
+    /// `clock` is the only source of time.
+    fn check_conformance<S: SessionStore<u64, Vec<u64>>>(store: &S, clock: &ManualClock) {
         // Absent keys miss everywhere.
         assert!(!store.contains(&1));
         assert_eq!(store.with_value(&1, Vec::len), None);
@@ -201,15 +193,10 @@ mod conformance {
         clock.advance_ms(TTL_MS - 1);
         assert!(store.contains(&1), "last write restarted the TTL");
 
-        // Read-touch policy.
+        // A read refreshes the TTL too.
         assert!(store.with_value(&1, |_| ()).is_some());
         clock.advance_ms(2);
-        assert_eq!(
-            store.contains(&1),
-            touch_on_read,
-            "read {} have refreshed the TTL",
-            if touch_on_read { "must" } else { "must not" },
-        );
+        assert!(store.contains(&1), "the read must have refreshed the TTL");
         store.clear();
 
         // contains never refreshes the TTL.
@@ -253,22 +240,16 @@ mod conformance {
         assert_eq!(store.live_entries(), 0);
     }
 
-    fn ttl_store(touch_on_read: bool) -> (TtlStore<u64, Vec<u64>, ManualClock>, ManualClock) {
+    fn ttl_store() -> (TtlStore<u64, Vec<u64>, ManualClock>, ManualClock) {
         let clock = ManualClock::new();
-        let config = StoreConfig { shards: 2, ttl_ms: TTL_MS, touch_on_read };
+        let config = StoreConfig { shards: 2, ttl_ms: TTL_MS };
         (TtlStore::with_clock(config, clock.clone()), clock)
     }
 
     #[test]
     fn ttl_store_conforms_with_read_touch() {
-        let (store, clock) = ttl_store(true);
-        check_conformance(&store, &clock, true);
-    }
-
-    #[test]
-    fn ttl_store_conforms_without_read_touch() {
-        let (store, clock) = ttl_store(false);
-        check_conformance(&store, &clock, false);
+        let (store, clock) = ttl_store();
+        check_conformance(&store, &clock);
     }
 
     #[test]
@@ -276,7 +257,7 @@ mod conformance {
         fn total_len<S: SessionStore<u64, Vec<u64>>>(store: &S, keys: &[u64]) -> usize {
             keys.iter().filter_map(|k| store.with_value(k, Vec::len)).sum()
         }
-        let (store, _clock) = ttl_store(true);
+        let (store, _clock) = ttl_store();
         store.update_or_insert(1, Vec::new, |v| v.extend([1, 2]));
         store.update_or_insert(2, Vec::new, |v| v.push(3));
         assert_eq!(total_len(&store, &[1, 2, 3]), 3);

@@ -62,16 +62,15 @@ pub struct StoreConfig {
     /// Number of shards, rounded up to a power of two. More shards, less
     /// lock contention, slightly more memory.
     pub shards: usize,
-    /// Entry time-to-live in milliseconds (paper: 30 minutes).
+    /// Entry time-to-live in milliseconds (paper: 30 minutes). It runs
+    /// from an entry's last access, read or write: the paper expires
+    /// sessions 30 minutes after the *last* access.
     pub ttl_ms: u64,
-    /// Whether a read refreshes the TTL ("inactivity" semantics — the paper
-    /// expires sessions 30 minutes after the *last* access).
-    pub touch_on_read: bool,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        Self { shards: 64, ttl_ms: 30 * 60 * 1_000, touch_on_read: true }
+        Self { shards: 64, ttl_ms: 30 * 60 * 1_000 }
     }
 }
 
@@ -176,16 +175,14 @@ impl<K: Hash + Eq, V, C: Clock> TtlStore<K, V, C> {
         shard.get(key).is_some_and(|e| e.expires_at_ms > now)
     }
 
-    /// Runs `f` on the live value, if any; refreshes the TTL when
-    /// `touch_on_read` is set. Expired entries are removed.
+    /// Runs `f` on the live value, if any, and refreshes its TTL. Expired
+    /// entries are removed.
     pub fn with_value<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
         let now = self.clock.now_ms();
         let mut shard = self.shard_of(key).lock().unwrap_or_else(PoisonError::into_inner);
         match shard.get_mut(key) {
             Some(entry) if entry.expires_at_ms > now => {
-                if self.config.touch_on_read {
-                    entry.expires_at_ms = now + self.config.ttl_ms;
-                }
+                entry.expires_at_ms = now + self.config.ttl_ms;
                 Some(f(&entry.value))
             }
             Some(_) => {
@@ -332,8 +329,7 @@ impl<K: Hash + Eq + Clone, V: Clone, C: Clock> TtlStore<K, V, C> {
 }
 
 impl<K: Hash + Eq, V: Clone, C: Clock> TtlStore<K, V, C> {
-    /// Returns a clone of the live value; refreshes the TTL when
-    /// `touch_on_read` is set.
+    /// Returns a clone of the live value and refreshes its TTL.
     pub fn get(&self, key: &K) -> Option<V> {
         self.with_value(key, V::clone)
     }
@@ -344,15 +340,15 @@ mod tests {
     use super::*;
     use crate::clock::ManualClock;
 
-    fn store(ttl_ms: u64, touch: bool) -> (TtlStore<u64, Vec<u64>, ManualClock>, ManualClock) {
+    fn store(ttl_ms: u64) -> (TtlStore<u64, Vec<u64>, ManualClock>, ManualClock) {
         let clock = ManualClock::new();
-        let cfg = StoreConfig { shards: 4, ttl_ms, touch_on_read: touch };
+        let cfg = StoreConfig { shards: 4, ttl_ms };
         (TtlStore::with_clock(cfg, clock.clone()), clock)
     }
 
     #[test]
     fn put_get_roundtrip() {
-        let (s, _) = store(1_000, true);
+        let (s, _) = store(1_000);
         s.put(1, vec![10, 11]);
         assert_eq!(s.get(&1), Some(vec![10, 11]));
         assert_eq!(s.get(&2), None);
@@ -362,10 +358,10 @@ mod tests {
 
     #[test]
     fn entries_expire_after_ttl() {
-        let (s, clock) = store(1_000, false);
+        let (s, clock) = store(1_000);
         s.put(1, vec![1]);
         clock.advance_ms(999);
-        assert!(s.get(&1).is_some());
+        assert!(s.contains(&1));
         clock.advance_ms(1);
         assert_eq!(s.get(&1), None);
         assert!(!s.contains(&1));
@@ -373,7 +369,7 @@ mod tests {
 
     #[test]
     fn expiry_counts_track_lazy_and_swept_reclamation() {
-        let (s, clock) = store(1_000, false);
+        let (s, clock) = store(1_000);
         assert_eq!(s.expiry_counts(), (0, 0));
 
         // Lazy reclamation: a read of an expired entry removes it.
@@ -411,7 +407,7 @@ mod tests {
 
     #[test]
     fn touch_on_read_extends_ttl() {
-        let (s, clock) = store(1_000, true);
+        let (s, clock) = store(1_000);
         s.put(1, vec![1]);
         clock.advance_ms(900);
         assert!(s.get(&1).is_some()); // refreshes
@@ -422,18 +418,8 @@ mod tests {
     }
 
     #[test]
-    fn no_touch_on_read_keeps_original_deadline() {
-        let (s, clock) = store(1_000, false);
-        s.put(1, vec![1]);
-        clock.advance_ms(900);
-        assert!(s.get(&1).is_some());
-        clock.advance_ms(200); // t = 1100 > 1000
-        assert_eq!(s.get(&1), None);
-    }
-
-    #[test]
     fn update_or_insert_appends_in_one_call() {
-        let (s, _) = store(1_000, true);
+        let (s, _) = store(1_000);
         let len = s.update_or_insert(7, Vec::new, |v| {
             v.push(42);
             v.len()
@@ -449,7 +435,7 @@ mod tests {
 
     #[test]
     fn update_or_insert_restarts_expired_sessions() {
-        let (s, clock) = store(1_000, true);
+        let (s, clock) = store(1_000);
         s.update_or_insert(7, Vec::new, |v| v.push(1));
         clock.advance_ms(2_000);
         s.update_or_insert(7, Vec::new, |v| v.push(2));
@@ -459,7 +445,7 @@ mod tests {
 
     #[test]
     fn panic_inside_update_leaves_the_shard_usable() {
-        let (s, _) = store(1_000, true);
+        let (s, _) = store(1_000);
         s.put(7, vec![1]);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             s.update_or_insert(7, Vec::new, |_| panic!("request handler failed"));
@@ -478,7 +464,7 @@ mod tests {
 
     #[test]
     fn remove_returns_live_value_only() {
-        let (s, clock) = store(1_000, true);
+        let (s, clock) = store(1_000);
         s.put(1, vec![5]);
         assert_eq!(s.remove(&1), Some(vec![5]));
         assert_eq!(s.remove(&1), None);
@@ -489,7 +475,7 @@ mod tests {
 
     #[test]
     fn forget_erases_live_and_expired_entries_without_counting_expiry() {
-        let (s, clock) = store(1_000, false);
+        let (s, clock) = store(1_000);
         s.put(1, vec![1]);
         assert!(s.forget(&1), "live entry must be erased");
         assert!(!s.contains(&1));
@@ -507,7 +493,7 @@ mod tests {
 
     #[test]
     fn evict_expired_sweeps_all_shards() {
-        let (s, clock) = store(1_000, false);
+        let (s, clock) = store(1_000);
         for k in 0..100u64 {
             s.put(k, vec![k]);
         }
@@ -524,7 +510,7 @@ mod tests {
 
     #[test]
     fn stats_exclude_expired_entries() {
-        let (s, clock) = store(1_000, false);
+        let (s, clock) = store(1_000);
         s.put(1, vec![1]);
         s.put(2, vec![2]);
         clock.advance_ms(2_000);
@@ -534,7 +520,7 @@ mod tests {
 
     #[test]
     fn clear_empties_everything() {
-        let (s, _) = store(1_000, true);
+        let (s, _) = store(1_000);
         for k in 0..32u64 {
             s.put(k, vec![k]);
         }
@@ -544,7 +530,7 @@ mod tests {
 
     #[test]
     fn export_live_snapshots_live_entries_only_up_to_cap() {
-        let (s, clock) = store(1_000, false);
+        let (s, clock) = store(1_000);
         for k in 0..10u64 {
             s.put(k, vec![k]);
         }
@@ -597,7 +583,7 @@ mod tests {
 
     #[test]
     fn concurrent_updates_do_not_lose_writes() {
-        let (s, _) = store(60_000, true);
+        let (s, _) = store(60_000);
         let s = std::sync::Arc::new(s);
         let threads: Vec<_> = (0..8)
             .map(|t| {
@@ -623,7 +609,7 @@ mod tests {
     /// value.
     #[test]
     fn expired_entry_read_racing_restart_never_surfaces_stale_value() {
-        let (s, clock) = store(1_000, false);
+        let (s, clock) = store(1_000);
         s.put(7, vec![1]);
         clock.advance_ms(2_000); // session now expired
         let s = std::sync::Arc::new(s);

@@ -239,22 +239,25 @@ impl<K: Hash + Eq + Clone, V: Clone> GenerationCache<K, V> {
     }
 }
 
-/// Tuning knobs for the serving-layer prediction cache.
+/// Independently locked shards of the prediction cache.
+const CACHE_SHARDS: usize = 8;
+
+/// Bounded CLOCK capacity of one shard. 8 shards × 512 entries ≈ 4k
+/// distinct single-item views — far more than the hot head of a
+/// Zipf-distributed catalogue needs.
+const CACHE_CAPACITY_PER_SHARD: usize = 512;
+
+/// The serving-layer prediction cache's switch. Its size is fixed:
+/// 8 shards of 512 entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Master switch; `false` makes the engine bypass caching entirely.
     pub enabled: bool,
-    /// Number of independently locked shards.
-    pub shards: usize,
-    /// Bounded CLOCK capacity per shard; total capacity is the product.
-    pub capacity_per_shard: usize,
 }
 
 impl Default for CacheConfig {
-    /// 8 shards × 512 entries ≈ 4k distinct single-item views — far more
-    /// than the hot head of a Zipf-distributed catalogue needs.
     fn default() -> Self {
-        Self { enabled: true, shards: 8, capacity_per_shard: 512 }
+        Self { enabled: true }
     }
 }
 
@@ -272,18 +275,18 @@ pub struct PredictionCache {
 }
 
 impl PredictionCache {
-    /// Creates a cache sized by `config` (the `enabled` flag is the
-    /// caller's concern — a constructed cache always caches), with its
-    /// metrics in a registry of its own.
-    pub fn new(config: CacheConfig) -> Self {
-        Self::with_registry(config, &Registry::new())
+    /// Creates a cache with its metrics in a registry of its own. The
+    /// config's `enabled` flag is the caller's concern: a constructed cache
+    /// always caches.
+    pub fn new(_config: CacheConfig) -> Self {
+        Self::with_registry(&Registry::new())
     }
 
     /// [`Self::new`] with the `serenade_cache_*` counters and hit-latency
     /// histogram in `registry`.
-    pub(crate) fn with_registry(config: CacheConfig, registry: &Registry) -> Self {
+    pub(crate) fn with_registry(registry: &Registry) -> Self {
         Self {
-            inner: GenerationCache::new(config.shards, config.capacity_per_shard),
+            inner: GenerationCache::new(CACHE_SHARDS, CACHE_CAPACITY_PER_SHARD),
             hits: registry.counter(
                 "serenade_cache_hits_total",
                 "Prediction-cache lookups served from a generation-valid entry.",

@@ -43,7 +43,7 @@ use std::time::Instant;
 
 use serenade_core::{Click, CoreError, ItemId, ItemScore, KernelWork, SessionIndex, VmisKnn};
 use serenade_kvstore::TtlStore;
-use serenade_telemetry::{TraceConfig, TraceSample};
+use serenade_telemetry::TraceSample;
 
 use crate::cache::{CacheKey, PredictionCache, ViewKind};
 use crate::context::{RequestContext, StageTimings};
@@ -124,21 +124,10 @@ impl ServingCluster {
                 ),
             });
         }
-        Self::with_trace_config(index, config, rules, TraceConfig::default())
-    }
-
-    /// [`ServingCluster::new`] with an explicit slow-request trace
-    /// configuration (ring size, sampling rate, slow threshold).
-    pub fn with_trace_config(
-        index: Arc<SessionIndex>,
-        config: EngineConfig,
-        rules: BusinessRules,
-        trace: TraceConfig,
-    ) -> Result<Self, CoreError> {
         // The published value uses the sync-facade Arc, which the loom
         // feature swaps for the model checker's.
         let vmis = crate::sync::Arc::new(VmisKnn::new(index, kernel_config(&config, &rules))?);
-        Ok(Self::over_index(Arc::new(IndexHandle::new(vmis)), config, rules, trace))
+        Ok(Self::over_index(Arc::new(IndexHandle::new(vmis)), config, rules))
     }
 
     /// Builds the engine over an explicit index handle, with a session
@@ -147,14 +136,13 @@ impl ServingCluster {
         index: Arc<IndexHandle<VmisKnn>>,
         config: EngineConfig,
         rules: BusinessRules,
-        trace: TraceConfig,
     ) -> Self {
         let sessions = Arc::new(TtlStore::new(config.store));
-        let telemetry = Arc::new(ClusterTelemetry::new(trace));
+        let telemetry = Arc::new(ClusterTelemetry::new());
         let registry = telemetry.registry();
         telemetry.watch_index(&index);
         let cache = config.cache.enabled.then(|| {
-            let cache = Arc::new(PredictionCache::with_registry(config.cache, registry));
+            let cache = Arc::new(PredictionCache::with_registry(registry));
             let polled = Arc::clone(&cache);
             registry.polled_gauge(
                 "serenade_cache_entries",
@@ -585,8 +573,7 @@ mod tests {
         // cut to the served list by the policy stage.
         let twice = VmisConfig { how_many: 2 * config.how_many, ..config.vmis.clone() };
         let published = IndexHandle::new(crate::sync::Arc::new(VmisKnn::new(index, twice).unwrap()));
-        let trace = TraceConfig::default();
-        let reference = ServingCluster::over_index(Arc::new(published), config.clone(), rules(), trace);
+        let reference = ServingCluster::over_index(Arc::new(published), config.clone(), rules());
         // A replayed stream: 40 sessions growing one click at a time, one
         // request in five without consent, which the prediction cache serves.
         let (mut state, mut full) = (5u64, 0);
@@ -710,14 +697,8 @@ mod tests {
 
     #[test]
     fn trace_records_describe_the_request_that_wrote_them() {
-        let every_request = TraceConfig { slots: 16, sample_every: 1, slow_threshold_us: 0 };
-        let c = ServingCluster::with_trace_config(
-            index(),
-            EngineConfig::default(),
-            BusinessRules::none(),
-            every_request,
-        )
-        .unwrap();
+        let c = ServingCluster::new(index(), 1, EngineConfig::default(), BusinessRules::none())
+            .unwrap();
         let mut ctx = RequestContext::new();
         let mut traced = |id: u64, req: RecommendRequest, deadline: Option<Instant>| {
             ctx.set_deadline(deadline);
@@ -761,7 +742,7 @@ mod tests {
 mod ingest_tests {
     use super::*;
     use crate::engine::tests::handle;
-    use crate::ingest::IngestConfig;
+    use crate::ingest::{IngestConfig, MAX_PENDING_APPENDS};
     use serenade_core::Click;
     use std::time::Duration;
 
@@ -773,6 +754,11 @@ mod ingest_tests {
             clicks.push(Click::new(s + 1, (s + 1) % 6, ts + 1));
         }
         clicks
+    }
+
+    /// Ingest publishing at most every `ms` milliseconds.
+    fn every(ms: u64) -> IngestConfig {
+        IngestConfig { publish_interval: Duration::from_millis(ms) }
     }
 
     fn cluster_with_ingest(config: IngestConfig) -> (ServingCluster, Arc<IngestPipeline>) {
@@ -822,10 +808,7 @@ mod ingest_tests {
 
     #[test]
     fn ingested_clicks_become_visible_after_a_publish() {
-        let (c, p) = cluster_with_ingest(IngestConfig {
-            publish_interval: Duration::from_millis(5),
-            ..IngestConfig::default()
-        });
+        let (c, p) = cluster_with_ingest(every(5));
         let generation_before = c.index_handle().generation();
         // Item 42 does not exist in the seed log: nothing to recommend.
         assert!(handle(&c, dep(900, 42)).unwrap().is_empty());
@@ -842,10 +825,7 @@ mod ingest_tests {
 
     #[test]
     fn cluster_delete_purges_log_and_session_state() {
-        let (c, _p) = cluster_with_ingest(IngestConfig {
-            publish_interval: Duration::from_millis(5),
-            ..IngestConfig::default()
-        });
+        let (c, _p) = cluster_with_ingest(every(5));
         // A consented request leaves evolving state in the session store.
         handle(&c, RecommendRequest { session_id: 77, item: 3, consent: true, filter_adult: false })
             .unwrap();
@@ -873,10 +853,7 @@ mod ingest_tests {
 
     #[test]
     fn deleted_session_stops_influencing_recommendations() {
-        let (c, p) = cluster_with_ingest(IngestConfig {
-            publish_interval: Duration::from_millis(5),
-            ..IngestConfig::default()
-        });
+        let (c, p) = cluster_with_ingest(every(5));
         assert!(p.submit(&[Click::new(2_000, 5, 10_000), Click::new(2_000, 77, 10_001)]));
         p.flush().unwrap();
         assert!(handle(&c, dep(903, 77)).unwrap().iter().any(|r| r.item == 5));
@@ -893,10 +870,7 @@ mod ingest_tests {
 
     #[test]
     fn a_publisher_that_panics_fails_its_waiters_at_once_and_takes_no_more_work() {
-        let (c, p) = cluster_with_ingest(IngestConfig {
-            publish_interval: Duration::from_millis(5),
-            ..IngestConfig::default()
-        });
+        let (c, p) = cluster_with_ingest(every(5));
         assert_eq!(c.scraped("serenade_ingest_publisher_up", &[]), 1);
         let panic_session = crate::ingest::pipeline::PANIC_SESSION;
         assert!(p.submit(&[Click::new(panic_session, 0, 10_000)]));
@@ -937,16 +911,13 @@ mod ingest_tests {
     #[test]
     fn full_queue_rejects_the_whole_batch() {
         // A long interval keeps the publisher from draining mid-test.
-        let (c, p) = cluster_with_ingest(IngestConfig {
-            publish_interval: Duration::from_secs(30),
-            max_pending_appends: 4,
-            ..IngestConfig::default()
-        });
+        let (c, p) = cluster_with_ingest(every(30_000));
         let click = |s| Click::new(s, 1, 10_000);
-        assert!(p.submit(&[click(1), click(2), click(3)]));
-        assert!(!p.submit(&[click(4), click(5)]), "3 + 2 exceeds the bound of 4");
+        let almost_full: Vec<Click> = (0..MAX_PENDING_APPENDS as u64 - 1).map(click).collect();
+        assert!(p.submit(&almost_full));
+        assert!(!p.submit(&[click(4), click(5)]), "two more exceed the bound");
         assert!(!p.is_stopped(), "a full queue is not a stopped publisher");
-        assert_eq!(p.pending_clicks(), 3, "rejected batches admit nothing");
+        assert_eq!(p.pending_clicks(), MAX_PENDING_APPENDS - 1, "rejected batches admit nothing");
         assert_eq!(c.scraped("serenade_ingest_rejected_clicks_total", &[]), 2);
         assert!(p.submit(&[click(6)]), "room for one more");
     }
@@ -955,8 +926,7 @@ mod ingest_tests {
     fn a_cached_answer_after_a_mini_publish_is_the_kernels_answer() {
         // Two clusters from one seed, fed the same publishes; only one
         // caches. A long interval leaves every publish to the flushes.
-        let ingest =
-            IngestConfig { publish_interval: Duration::from_secs(30), ..IngestConfig::default() };
+        let ingest = every(30_000);
         let (cached, cached_pipeline) = cluster_with_ingest(ingest);
         let mut uncached_engine = EngineConfig::default();
         uncached_engine.cache.enabled = false;
@@ -999,10 +969,7 @@ mod ingest_tests {
 
     #[test]
     fn mini_publish_invalidates_touched_cache_entries() {
-        let (c, p) = cluster_with_ingest(IngestConfig {
-            publish_interval: Duration::from_millis(5),
-            ..IngestConfig::default()
-        });
+        let (c, p) = cluster_with_ingest(every(5));
         let before = handle(&c, dep(908, 1)).unwrap();
         assert_eq!(handle(&c, dep(909, 1)).unwrap(), before, "warm: second request hits");
 
@@ -1021,23 +988,34 @@ mod ingest_tests {
     fn enable_ingest_is_at_most_once() {
         let (c, _p) = cluster_with_ingest(IngestConfig::default());
         assert!(c.ingest().is_some());
-        c.enable_ingest(IngestConfig::default(), &seed_clicks())
-            .expect_err("second enable must be rejected");
-        // Refused before any start-up work: an invalid config is never
-        // looked at, let alone a seed adopted or a publisher spawned.
-        let invalid = IngestConfig { max_pending_appends: 0, ..IngestConfig::default() };
-        match c.enable_ingest(invalid, &[]) {
+        match c.enable_ingest(IngestConfig::default(), &seed_clicks()) {
             Err(CoreError::InvalidConfig { parameter, .. }) => assert_eq!(parameter, "ingest"),
             other => panic!("a second enable must answer \"ingest\", got {:?}", other.err()),
         }
     }
 
     #[test]
+    fn ingest_keeps_the_m_max_of_the_index_it_adopts() {
+        // Served at `m_max` 50, not the 500 a default build uses: the
+        // indexer adopts the served index as it is, so nothing is published
+        // at start-up, and a live publish keeps the cap.
+        let seed = seed_clicks();
+        let index = Arc::new(SessionIndex::build(&seed, 50).unwrap());
+        let vmis = serenade_core::VmisConfig { m: 50, ..EngineConfig::default().vmis };
+        let engine = EngineConfig { vmis, ..EngineConfig::default() };
+        let c = ServingCluster::new(index, 1, engine, BusinessRules::none()).unwrap();
+        let generation = c.index_handle().generation();
+        let p = c.enable_ingest(every(30_000), &seed).unwrap();
+        assert_eq!(c.index_handle().generation(), generation, "no start-up publish");
+        assert!(p.submit(&[Click::new(3_100, 1, 10_000), Click::new(3_100, 2, 10_001)]));
+        assert!(p.flush().unwrap() > generation, "the live click is published");
+        assert_eq!(c.scraped("serenade_ingest_publishes_total", &[]), 1);
+        assert_eq!(c.index_handle().load().index().m_max(), 50);
+    }
+
+    #[test]
     fn a_rollover_on_an_ingest_cluster_is_refused_and_ingest_keeps_the_index() {
-        let (c, p) = cluster_with_ingest(IngestConfig {
-            publish_interval: Duration::from_millis(5),
-            ..IngestConfig::default()
-        });
+        let (c, p) = cluster_with_ingest(every(5));
         let sessions = || c.index_handle().load().index().num_sessions();
         assert_eq!(sessions(), 40);
         let generation = c.index_handle().generation();

@@ -321,7 +321,7 @@ pub(crate) mod tests {
         let disabled_cfg = EngineConfig {
             variant: ServingVariant::Full,
             how_many: 3,
-            cache: CacheConfig { enabled: false, ..CacheConfig::default() },
+            cache: CacheConfig { enabled: false },
             ..Default::default()
         };
         let disabled = ServingCluster::new(index(), 1, disabled_cfg, BusinessRules::none()).unwrap();
@@ -445,7 +445,7 @@ mod ttl_tests {
     fn sessions_expire_after_inactivity() {
         let config = EngineConfig {
             variant: ServingVariant::Full,
-            store: StoreConfig { shards: 2, ttl_ms: 40, touch_on_read: true },
+            store: StoreConfig { shards: 2, ttl_ms: 40 },
             ..Default::default()
         };
         let e = ServingCluster::new(tiny_index(), 1, config, BusinessRules::none()).unwrap();
@@ -464,7 +464,7 @@ mod ttl_tests {
     #[test]
     fn eviction_sweep_counts_expired_sessions() {
         let config = EngineConfig {
-            store: StoreConfig { shards: 2, ttl_ms: 30, touch_on_read: false },
+            store: StoreConfig { shards: 2, ttl_ms: 30 },
             ..Default::default()
         };
         let e = ServingCluster::new(tiny_index(), 1, config, BusinessRules::none()).unwrap();

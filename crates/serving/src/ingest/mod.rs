@@ -27,4 +27,4 @@ pub mod metrics;
 pub mod pipeline;
 
 pub use metrics::IngestMetrics;
-pub use pipeline::{IngestConfig, IngestPipeline};
+pub use pipeline::{IngestConfig, IngestPipeline, MAX_PENDING_APPENDS};

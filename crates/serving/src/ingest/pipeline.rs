@@ -47,7 +47,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use serenade_core::{Click, CoreError, VmisConfig, VmisKnn};
+use serenade_core::{machine_threads, Click, CoreError, VmisConfig, VmisKnn};
 use serenade_index::IncrementalIndexer;
 
 use crate::error::ServingError;
@@ -55,30 +55,26 @@ use crate::handle::IndexHandle;
 use crate::ingest::metrics::IngestMetrics;
 use crate::telemetry::ClusterTelemetry;
 
-/// Tuning knobs for the streaming ingest pipeline.
+/// The streaming ingest pipeline's one tuning knob. The maintained index
+/// keeps the posting-list capacity `m_max` of the index it adopts, and the
+/// pending queue is bounded at [`MAX_PENDING_APPENDS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestConfig {
     /// Minimum spacing between mini-publishes. Appends batch up for at most
     /// this long before becoming visible; deletions publish immediately.
     pub publish_interval: Duration,
-    /// Bound on the pending-append queue; submissions beyond it are
-    /// rejected (the HTTP layer answers 503) rather than buffered without
-    /// limit.
-    pub max_pending_appends: usize,
-    /// Posting-list capacity `m` for the maintained index (must be ≥ the
-    /// engine's configured sample size, exactly like an offline artefact).
-    pub m_max: usize,
 }
 
 impl Default for IngestConfig {
     fn default() -> Self {
-        Self {
-            publish_interval: Duration::from_millis(200),
-            max_pending_appends: 65_536,
-            m_max: 500,
-        }
+        Self { publish_interval: Duration::from_millis(200) }
     }
 }
+
+/// Bound on the pending-append queue; a batch that would take it past the
+/// bound is rejected whole (the HTTP layer answers 503) rather than
+/// buffered without limit.
+pub const MAX_PENDING_APPENDS: usize = 65_536;
 
 /// How long a synchronous caller (deletion, flush) waits for the publisher
 /// before reporting failure. Generous: a publish is one merge into the held
@@ -133,7 +129,6 @@ impl SharedState {
 pub struct IngestPipeline {
     shared: Arc<SharedState>,
     worker: Mutex<Option<JoinHandle<()>>>,
-    max_pending: usize,
 }
 
 impl IngestPipeline {
@@ -141,7 +136,8 @@ impl IngestPipeline {
     /// publisher thread, which makes each generation's kernel with `kernel`,
     /// the cluster's own. No publish happens until live work arrives — the
     /// cluster already serves an index built from the same seed, and the
-    /// indexer adopts that very index instead of building its own.
+    /// indexer adopts that very index, and its `m_max`, instead of building
+    /// its own.
     pub(crate) fn start(
         config: IngestConfig,
         seed: &[Click],
@@ -149,19 +145,12 @@ impl IngestPipeline {
         kernel: VmisConfig,
         telemetry: Arc<ClusterTelemetry>,
     ) -> Result<Arc<Self>, CoreError> {
-        if config.max_pending_appends == 0 {
-            return Err(CoreError::InvalidConfig {
-                parameter: "max_pending_appends",
-                reason: String::from("must be at least 1"),
-            });
-        }
-        let mut indexer = IncrementalIndexer::new(config.m_max)?;
+        let served = handle.load();
+        let mut indexer = IncrementalIndexer::new(served.index().m_max())?;
         // Adopting runs once, as ingest starts: every core checks the seed.
-        let threads = std::thread::available_parallelism().map_or(1, usize::from);
-        if !indexer.adopt(handle.load().index(), seed, threads) {
-            // The served index is not the seed's (another `m_max`, another
-            // log): index the seed here, and let the first publish bring the
-            // readers over.
+        if !indexer.adopt(served.index(), seed, machine_threads()) {
+            // The served index is not the seed's (another log): index the
+            // seed here, and let the first publish bring the readers over.
             indexer.apply_batch(seed)?;
             let _ = indexer.take_sharing();
         }
@@ -185,11 +174,7 @@ impl IngestPipeline {
                     reason: format!("failed to spawn the publisher thread: {e}"),
                 })?
         };
-        Ok(Arc::new(Self {
-            shared,
-            worker: Mutex::new(Some(worker)),
-            max_pending: config.max_pending_appends,
-        }))
+        Ok(Arc::new(Self { shared, worker: Mutex::new(Some(worker)) }))
     }
 
     /// Submits a batch of click events for the next mini-publish.
@@ -203,7 +188,7 @@ impl IngestPipeline {
         {
             let mut pending = self.shared.lock_pending();
             if pending.shutdown
-                || pending.clicks.len().saturating_add(clicks.len()) > self.max_pending
+                || pending.clicks.len().saturating_add(clicks.len()) > MAX_PENDING_APPENDS
             {
                 drop(pending);
                 self.shared.metrics.record_rejected(clicks.len());
@@ -285,7 +270,6 @@ impl std::fmt::Debug for IngestPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IngestPipeline")
             .field("pending_clicks", &self.pending_clicks())
-            .field("max_pending", &self.max_pending)
             .finish()
     }
 }

@@ -20,7 +20,7 @@
 //! `count:u32le (sid:u64le len:u32le item:u64le*len)*`, an id list
 //! `count:u32le sid:u64le*` (session ids use all 64 bits, more than a JSON
 //! number carries). Only these `/admin/` paths may declare a body beyond
-//! the server's `max_body_bytes`, up to a whole artefact; the upload must
+//! the server's 1 MiB body cap, up to a whole artefact; the upload must
 //! still arrive within `request_read_timeout`. The decoders bound every
 //! allocation by the bytes present.
 
@@ -29,7 +29,6 @@ use std::sync::Arc;
 
 use serenade_core::{CoreError, ItemId, ItemScore, SessionIndex};
 use serenade_index::binfmt;
-use serenade_telemetry::TraceConfig;
 
 use crate::cluster::{RolloverError, ServingCluster};
 use crate::context::RequestContext;
@@ -88,12 +87,7 @@ pub struct ServingNode {
 impl ServingNode {
     /// Builds the cluster and starts the server.
     pub fn start(index: Arc<SessionIndex>, config: NodeConfig) -> Result<Self, CoreError> {
-        let cluster = Arc::new(ServingCluster::with_trace_config(
-            index,
-            config.engine,
-            config.rules,
-            TraceConfig::default(),
-        )?);
+        let cluster = Arc::new(ServingCluster::new(index, 1, config.engine, config.rules)?);
         let server = HttpServer::serve(Arc::clone(&cluster), config.server).map_err(|e| {
             CoreError::InvalidConfig {
                 parameter: "node.server",

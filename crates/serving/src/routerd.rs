@@ -54,7 +54,7 @@ use std::time::Duration;
 use serenade_core::Click;
 use serenade_index::binfmt;
 use serenade_telemetry::registry::Counter;
-use serenade_telemetry::{Histogram, HistogramConfig, TraceConfig};
+use serenade_telemetry::{Histogram, HistogramConfig};
 
 use crate::engine::RecommendRequest;
 use crate::handle::IndexHandle;
@@ -171,11 +171,10 @@ impl RouterCore {
     /// `(id, predict address, address for everything else)`.
     pub fn new(
         members: &[(u64, SocketAddr, SocketAddr)],
-        trace: TraceConfig,
         probe_timeout: Duration,
         handoff_cap: u32,
     ) -> Arc<Self> {
-        let telemetry = Arc::new(ClusterTelemetry::new(trace));
+        let telemetry = Arc::new(ClusterTelemetry::new());
         let failover_total = telemetry.registry().counter(
             "serenade_router_failover_total",
             "Requests served depersonalised on a surviving node because \
@@ -651,12 +650,7 @@ impl RouterDaemon {
         members: &[(u64, SocketAddr, SocketAddr)],
         config: RouterConfig,
     ) -> std::io::Result<Self> {
-        let core = RouterCore::new(
-            members,
-            TraceConfig::default(),
-            config.probe_timeout,
-            config.handoff_cap,
-        );
+        let core = RouterCore::new(members, config.probe_timeout, config.handoff_cap);
         // The first probe runs before the router takes traffic.
         core.probe_members();
         let server = HttpServer::serve(Arc::clone(&core), config.server)?;
@@ -980,12 +974,7 @@ mod tests {
     #[test]
     fn join_rejects_duplicates_and_leave_rejects_strangers() {
         let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let core = RouterCore::new(
-            &[(3, addr, addr)],
-            TraceConfig::default(),
-            Duration::from_millis(50),
-            1_000,
-        );
+        let core = RouterCore::new(&[(3, addr, addr)], Duration::from_millis(50), 1_000);
         assert!(core.join(3, addr).is_err());
         assert!(core.leave(9).is_err());
         assert!(core.leave(3).is_ok());
@@ -1010,12 +999,8 @@ mod tests {
         let stalled = TcpListener::bind("127.0.0.1:0").unwrap();
         let ((shedding, shed), stalled_addr) = (shedding_node(), stalled.local_addr().unwrap());
         let timeout = Duration::from_millis(200);
-        let core = RouterCore::new(
-            &[(0, shedding, shedding), (1, stalled_addr, stalled_addr)],
-            TraceConfig::default(),
-            timeout,
-            1_000,
-        );
+        let members = [(0, shedding, shedding), (1, stalled_addr, stalled_addr)];
+        let core = RouterCore::new(&members, timeout, 1_000);
         let membership = core.membership();
         membership.nodes()[0].alive.store(false, Ordering::SeqCst);
         let started = Instant::now();

@@ -48,7 +48,7 @@ pub struct ForwardTarget {
 /// What the event-loop server needs from the tier it fronts.
 pub trait RequestBackend: Send + Sync + 'static {
     /// Largest body a request under `/admin/` may declare; `0` leaves those
-    /// paths at the server's `max_body_bytes` like every other.
+    /// paths at the server's 1 MiB body cap like every other.
     const ADMIN_BODY_BYTES: usize = 0;
 
     /// The observability hub the server registers its lifecycle metrics

@@ -57,9 +57,10 @@
 //!   ([`crate::node`]): artefact loads and session handoff, with
 //!   `application/octet-stream` bodies; a router answers them `404`
 //!
-//! Every body is capped at `max_body_bytes` except under `/admin/`, where a
-//! tier may allow more ([`RequestBackend::ADMIN_BODY_BYTES`]: a whole index
-//! artefact on a node, nothing extra anywhere else).
+//! Every body is capped at 1 MiB ([`parser::ParserLimits::default`]) except
+//! under `/admin/`, where a tier may allow more
+//! ([`RequestBackend::ADMIN_BODY_BYTES`]: a whole index artefact on a node,
+//! nothing extra anywhere else).
 //!
 //! Request ids are assigned at ingress, so one id identifies a request
 //! across the whole `http → cluster → engine` path and in the slow-request
@@ -120,8 +121,11 @@ pub use metrics::{ConnState, ServerMetrics};
 
 /// Server configuration. [`Default`] keeps the seed's behaviour (generous
 /// limits); the overload and drain tests tighten the knobs they exercise.
-/// The reactor's tick (50 ms), the write budget for one response (5 s) and
-/// the `retry-after` of a `503` (1 s) are constants of the reactor.
+/// The reactor's tick (50 ms), the write budget for one response (5 s), the
+/// `retry-after` of a `503` (1 s) and the request framing caps
+/// ([`parser::ParserLimits::default`]: an 8 KiB head of at most 64 headers → `431`,
+/// a 1 MiB body → `413`) are constants of the reactor, and a connection
+/// serves requests until either side closes it.
 #[derive(Debug, Clone)]
 pub struct HttpServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
@@ -138,14 +142,6 @@ pub struct HttpServerConfig {
     /// it are answered `503 + Retry-After` and closed. `0` = unlimited
     /// (bounded only by the process fd limit).
     pub max_connections: usize,
-    /// Largest accepted request body; bigger is `413` + close.
-    pub max_body_bytes: usize,
-    /// Cap on the request head (request line + headers); bigger is `431`.
-    pub max_head_bytes: usize,
-    /// Cap on the number of header lines; more is `431`.
-    pub max_headers: usize,
-    /// Requests served per connection before it is closed. `0` = unlimited.
-    pub keepalive_max_requests: usize,
     /// Slow-client budget for one full request frame; exceeding it is
     /// `408` + close. `Duration::ZERO` is never exceeded in practice —
     /// pick a real budget.
@@ -167,10 +163,6 @@ impl Default for HttpServerConfig {
             workers: 4,
             queue_capacity: 1024,
             max_connections: 0,
-            max_body_bytes: 1 << 20,
-            max_head_bytes: 8 * 1024,
-            max_headers: 64,
-            keepalive_max_requests: 0,
             request_read_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(60),
             request_deadline: Duration::from_secs(5),
@@ -281,7 +273,7 @@ impl HttpServer {
 
         // Sized like the index build: the reactor count is the machine's,
         // not a setting.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let cores = serenade_core::machine_threads();
         let reactors = (0..cores)
             .map(|_| {
                 let listener = listener.try_clone()?;

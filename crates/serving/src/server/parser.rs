@@ -25,7 +25,8 @@
 //! Pipelined requests are supported: bytes beyond the current request stay
 //! buffered and the next [`Parser::poll`] resumes on them.
 
-/// Parser limits, taken from [`crate::server::HttpServerConfig`].
+/// Parser limits. A server's connections parse at [`ParserLimits::default`]
+/// with its tier's admin cap; tests of the parser pick their own.
 #[derive(Debug, Clone, Copy)]
 pub struct ParserLimits {
     /// Cap on the request head (request line + all headers + separators).

@@ -446,7 +446,6 @@ struct Connection {
     /// read or parsed until it is out.
     busy: bool,
     eof: bool,
-    served: usize,
     idle_since: Instant,
     frame_started: Option<Instant>,
     /// The forward this connection is parked on (router tier).
@@ -472,7 +471,6 @@ impl Connection {
             close_after_write: false,
             busy: false,
             eof: false,
-            served: 0,
             idle_since: now,
             frame_started: None,
             forward: None,
@@ -794,12 +792,8 @@ impl<B: RequestBackend> Reactor<B> {
         }
         let _ = stream.set_nodelay(true);
         self.shared.metrics.connections.inc();
-        let limits = ParserLimits {
-            max_head_bytes: config.max_head_bytes,
-            max_headers: config.max_headers,
-            max_body_bytes: config.max_body_bytes,
-            max_admin_body_bytes: B::ADMIN_BODY_BYTES,
-        };
+        let limits =
+            ParserLimits { max_admin_body_bytes: B::ADMIN_BODY_BYTES, ..ParserLimits::default() };
         let token = self.slab.insert(Connection::new(stream, limits, Instant::now()));
         let registered = match self.slab.get_mut(token) {
             Some(conn) => self.poller.register_stream(&conn.stream, token, READ).is_ok(),
@@ -956,7 +950,6 @@ impl<B: RequestBackend> Reactor<B> {
             match conn.parser.poll() {
                 Poll::Request(request) => {
                     let started = conn.frame_started.take().unwrap_or(now);
-                    conn.served += 1;
                     conn.idle_since = now;
                     self.handle_request(token, request, started);
                 }
@@ -995,18 +988,17 @@ impl<B: RequestBackend> Reactor<B> {
     /// ([`RequestBackend::route_predict`]): a local one runs right here, a
     /// remote one is forwarded. Everything else is a worker's.
     fn handle_request(&mut self, token: u64, request: ParsedRequest, started: Instant) {
-        let keepalive_cap = self.shared.config.keepalive_max_requests;
         if self.shared.gate.try_begin_request() == Admission::Draining {
             self.shared.metrics.shed_draining.inc();
             self.set_state(token, ConnState::Draining);
             self.respond_now(token, 503, &json::error(OVERLOADED), true, RETRY_AFTER);
             return;
         }
-        let Some(conn) = self.slab.get_mut(token) else {
+        if self.slab.get(token).is_none() {
             self.shared.gate.finish_request();
             return;
-        };
-        let close_hint = request.close || (keepalive_cap != 0 && conn.served >= keepalive_cap);
+        }
+        let close_hint = request.close;
         let deadline = self.deadline_from(started);
         // Count the admission BEFORE the request can reach a worker: one
         // can pop it and render `/metrics` before the reactor resumes, and
@@ -1032,7 +1024,6 @@ impl<B: RequestBackend> Reactor<B> {
             self.forward(token, req, target, Some(&request.body), deadline, close_hint);
             return;
         }
-        let client_close = request.close;
         let reply = Arc::clone(&self.completions);
         match self.queue.push(Dispatch { token, request, close_hint, reply }) {
             Ok(()) => {
@@ -1044,7 +1035,7 @@ impl<B: RequestBackend> Reactor<B> {
             Err(_rejected) => {
                 self.shared.gate.finish_request();
                 self.shared.metrics.shed_queue_full.inc();
-                self.respond_now(token, 503, &json::error(OVERLOADED), client_close, RETRY_AFTER);
+                self.respond_now(token, 503, &json::error(OVERLOADED), close_hint, RETRY_AFTER);
             }
         }
     }
@@ -1556,7 +1547,6 @@ mod tests {
     use std::thread::JoinHandle;
 
     use serenade_core::ItemScore;
-    use serenade_telemetry::TraceConfig;
 
     use super::*;
     use crate::error::ServingError;
@@ -1597,7 +1587,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         listener.set_nonblocking(true).expect("nonblocking");
         let addr = listener.local_addr().expect("addr");
-        let backend = Arc::new(Echo(Arc::new(ClusterTelemetry::new(TraceConfig::default()))));
+        let backend = Arc::new(Echo(Arc::new(ClusterTelemetry::new())));
         let shared = Arc::new(Shared::new(config, backend.0.registry()));
         let queue = Arc::new(DispatchQueue::new(16));
         let reactors = (0..count)

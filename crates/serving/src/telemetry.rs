@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serenade_core::VmisKnn;
-use serenade_telemetry::{Histogram, HistogramConfig, Registry, TraceConfig, TraceRing};
+use serenade_telemetry::{Histogram, HistogramConfig, Registry, TraceRing};
 
 use crate::handle::IndexHandle;
 
@@ -64,7 +64,7 @@ impl ClusterTelemetry {
     /// Creates the telemetry hub and registers the cluster-level metrics
     /// that need no index: `serenade_uptime_seconds` and
     /// `serenade_index_rollover_duration_seconds`.
-    pub fn new(trace: TraceConfig) -> Self {
+    pub fn new() -> Self {
         let registry = Registry::new();
         let started = Instant::now();
         registry.polled_gauge(
@@ -81,7 +81,7 @@ impl ClusterTelemetry {
         );
         Self {
             registry,
-            traces: TraceRing::new(trace),
+            traces: TraceRing::default(),
             next_request_id: AtomicU64::new(0),
             started,
             rollover_seconds,
@@ -159,7 +159,7 @@ impl ClusterTelemetry {
 
 impl Default for ClusterTelemetry {
     fn default() -> Self {
-        Self::new(TraceConfig::default())
+        Self::new()
     }
 }
 

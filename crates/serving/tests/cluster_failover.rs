@@ -324,12 +324,8 @@ fn router_sharding_matches_the_in_process_rendezvous_router() {
     let addr = |id: usize| SocketAddr::from(([127, 0, 0, 1], 1 + id as u16));
     for n in [1usize, 2, 3, 5, 8] {
         let members: Vec<_> = (0..n).map(|id| (id as u64, addr(id), addr(id))).collect();
-        let core = serenade_serving::routerd::RouterCore::new(
-            &members,
-            serenade_telemetry::TraceConfig::default(),
-            Duration::from_millis(10),
-            100,
-        );
+        let core =
+            serenade_serving::routerd::RouterCore::new(&members, Duration::from_millis(10), 100);
         let rendezvous = StickyRouter::with_members(&(0..n as u64).collect::<Vec<_>>());
         for sid in (0..50_000u64).step_by(97) {
             let req =

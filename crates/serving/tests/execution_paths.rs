@@ -24,7 +24,6 @@ use serenade_serving::{
     BusinessRules, ClusterTelemetry, EngineConfig, HttpClient, HttpServer, HttpServerConfig,
     RequestContext, ServingCluster, ServingError,
 };
-use serenade_telemetry::TraceConfig;
 
 const NODES: u64 = 2;
 const SESSIONS: u64 = 32;
@@ -239,7 +238,7 @@ impl RequestBackend for Panicky {
 
 #[test]
 fn a_panicking_engine_call_on_the_inline_path_is_a_500_and_the_reactor_keeps_serving() {
-    let backend = Arc::new(Panicky(Arc::new(ClusterTelemetry::new(TraceConfig::default()))));
+    let backend = Arc::new(Panicky(Arc::new(ClusterTelemetry::new())));
     let server = HttpServer::serve(Arc::clone(&backend), HttpServerConfig::default()).unwrap();
     let mut client = HttpClient::connect(server.addr()).unwrap();
     let mut ask = |item: u64| {

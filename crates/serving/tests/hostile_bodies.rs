@@ -163,7 +163,7 @@ fn ingest_bodies_keep_their_verdicts() {
         (b"", 400, r#"{"error":"invalid json: unexpected None at offset 0"}"#),
     ];
     let cluster = cluster();
-    let config = IngestConfig { publish_interval: Duration::from_secs(60), ..IngestConfig::default() };
+    let config = IngestConfig { publish_interval: Duration::from_secs(60) };
     cluster.enable_ingest(config, &clicks()).unwrap();
     let server = HttpServer::serve(Arc::clone(&cluster), HttpServerConfig::default()).unwrap();
     for (body, status, expected) in rows {

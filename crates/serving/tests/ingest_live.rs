@@ -19,6 +19,7 @@ use std::time::Duration;
 
 use serenade_core::{Click, SessionIndex};
 use serenade_serving::engine::EngineConfig;
+use serenade_serving::ingest::MAX_PENDING_APPENDS;
 use serenade_serving::{HttpClient, HttpServer, HttpServerConfig};
 use serenade_serving::{BusinessRules, IngestConfig, ServingCluster};
 
@@ -86,10 +87,8 @@ fn health_generation(client: &mut HttpClient) -> u64 {
 
 #[test]
 fn ingest_burst_bumps_generation_and_freshens_recommendations() {
-    let (cluster, server) = serve_with_ingest(IngestConfig {
-        publish_interval: Duration::from_millis(10),
-        ..IngestConfig::default()
-    });
+    let (cluster, server) =
+        serve_with_ingest(IngestConfig { publish_interval: Duration::from_millis(10) });
     let mut client = HttpClient::connect(server.addr()).unwrap();
 
     let generation_before = health_generation(&mut client);
@@ -122,10 +121,8 @@ fn ingest_burst_bumps_generation_and_freshens_recommendations() {
 
 #[test]
 fn deleting_a_session_over_http_stops_its_influence() {
-    let (cluster, server) = serve_with_ingest(IngestConfig {
-        publish_interval: Duration::from_millis(10),
-        ..IngestConfig::default()
-    });
+    let (cluster, server) =
+        serve_with_ingest(IngestConfig { publish_interval: Duration::from_millis(10) });
     let mut client = HttpClient::connect(server.addr()).unwrap();
 
     // Session 2000 is the only link between items 77 and 5.
@@ -206,13 +203,10 @@ fn malformed_batches_and_ids_are_rejected_with_400() {
 
 #[test]
 fn full_append_queue_sheds_with_503() {
-    // A tiny queue and an hour-long interval: the first burst fills the
-    // queue and nothing drains it while the test runs.
-    let (_cluster, server) = serve_with_ingest(IngestConfig {
-        publish_interval: Duration::from_secs(3_600),
-        max_pending_appends: 2,
-        ..IngestConfig::default()
-    });
+    // An hour-long interval: the bursts fill the queue and nothing drains
+    // it while the test runs.
+    let (_cluster, server) =
+        serve_with_ingest(IngestConfig { publish_interval: Duration::from_secs(3_600) });
     let mut client = HttpClient::connect(server.addr()).unwrap();
 
     let two = r#"{"clicks": [
@@ -221,6 +215,18 @@ fn full_append_queue_sheds_with_503() {
     ]}"#;
     let (status, response) = client.post("/ingest", two).unwrap();
     assert_eq!(status, 202, "{response}");
+    // One click short of the bound, in bodies of at most 10,000 clicks.
+    let mut pending = 2;
+    while pending < MAX_PENDING_APPENDS - 1 {
+        let n = 10_000.min(MAX_PENDING_APPENDS - 1 - pending);
+        let clicks: Vec<String> = (0..n)
+            .map(|i| format!(r#"{{"session_id": 2, "item_id": {i}, "timestamp": 7}}"#))
+            .collect();
+        let (status, response) =
+            client.post("/ingest", &format!(r#"{{"clicks": [{}]}}"#, clicks.join(","))).unwrap();
+        assert_eq!(status, 202, "{response}");
+        pending += n;
+    }
     let (status, response) = client.post("/ingest", two).unwrap();
     assert_eq!(status, 503, "full queue must shed: {response}");
     assert!(response.contains("capacity"), "{response}");

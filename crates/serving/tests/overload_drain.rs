@@ -1,6 +1,6 @@
 //! Conformance tests for the request-lifecycle server: overload shedding,
-//! graceful drain, framing limits and keep-alive caps — each exercised over
-//! real sockets against deterministic server configurations.
+//! graceful drain and framing limits — each exercised over real sockets
+//! against deterministic server configurations.
 //!
 //! The determinism trick for the shed test: a backend whose `GET /hold`
 //! parks the one worker on a latch the test opens, so the dispatch queue's
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use serenade_core::{Click, ItemScore, SessionIndex};
 use serenade_serving::engine::{EngineConfig, RecommendRequest};
 use serenade_serving::json;
-use serenade_serving::server::parser::ParsedRequest;
+use serenade_serving::server::parser::{ParsedRequest, ParserLimits};
 use serenade_serving::server::{PredictRoute, RequestBackend};
 use serenade_serving::{
     BusinessRules, ClusterTelemetry, HttpClient, HttpServer, HttpServerConfig, RequestContext,
@@ -500,14 +500,12 @@ fn malformed_request_line_is_400_not_404() {
 
 #[test]
 fn oversized_heads_get_431_and_close() {
-    let (server, _cluster) = start(HttpServerConfig {
-        max_head_bytes: 1024,
-        max_headers: 8,
-        ..HttpServerConfig::default()
-    });
-    // One header far past the byte cap.
+    // The caps every server parses at: an 8 KiB head of at most 64 headers.
+    let limits = ParserLimits::default();
+    let (server, _cluster) = start(HttpServerConfig::default());
+    // One header past the byte cap.
     let mut wire = String::from("GET /health HTTP/1.1\r\nx-padding: ");
-    wire.push_str(&"a".repeat(4096));
+    wire.push_str(&"a".repeat(limits.max_head_bytes + 4096));
     wire.push_str("\r\n\r\n");
     let response = raw_exchange(server.addr(), &wire);
     assert!(response.starts_with("HTTP/1.1 431"), "{response}");
@@ -515,33 +513,13 @@ fn oversized_heads_get_431_and_close() {
 
     // Too many headers, each small.
     let mut wire = String::from("GET /health HTTP/1.1\r\n");
-    for i in 0..16 {
+    for i in 0..2 * limits.max_headers {
         wire.push_str(&format!("x-h{i}: v\r\n"));
     }
     wire.push_str("\r\n");
     let response = raw_exchange(server.addr(), &wire);
     assert!(response.starts_with("HTTP/1.1 431"), "{response}");
     assert_eq!(server.metrics().rejects.get(), 2);
-    server.shutdown();
-}
-
-#[test]
-fn keepalive_cap_closes_after_the_configured_request_count() {
-    let (server, _cluster) = start(HttpServerConfig {
-        keepalive_max_requests: 2,
-        ..HttpServerConfig::default()
-    });
-    // Two pipelined requests: both answered, the second closes the
-    // connection (cap reached), which read_to_string observes as EOF.
-    let response = raw_exchange(
-        server.addr(),
-        "GET /health HTTP/1.1\r\n\r\nGET /health HTTP/1.1\r\n\r\nGET /health HTTP/1.1\r\n\r\n",
-    );
-    assert_eq!(response.matches("HTTP/1.1 200").count(), 2, "{response}");
-    assert!(response.contains("connection: keep-alive"), "{response}");
-    assert!(response.ends_with('}'), "second response must complete: {response}");
-    let closes = response.matches("connection: close").count();
-    assert_eq!(closes, 1, "exactly the capped response closes: {response}");
     server.shutdown();
 }
 

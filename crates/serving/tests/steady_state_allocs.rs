@@ -25,7 +25,6 @@ use serenade_serving::{
     BusinessRules, EngineConfig, HttpClient, HttpServer, HttpServerConfig, RequestContext,
     ServingCluster, ServingVariant,
 };
-use serenade_telemetry::TraceConfig;
 
 /// Smallest allocation counted as "scratch-sized": a default `Scratch` is
 /// several buffers of 8–12 KB (candidate table, its directory, the heaps),
@@ -127,10 +126,7 @@ fn req(session_id: u64, item: u64) -> RecommendRequest {
 fn cluster_handle_is_traced_and_allocates_only_its_response() {
     let _turn = alone();
     let config = EngineConfig { variant: ServingVariant::Hist(2), ..EngineConfig::default() };
-    let always_sample = TraceConfig { slots: 8, sample_every: 1, slow_threshold_us: 0 };
-    let cluster =
-        ServingCluster::with_trace_config(index(), config, BusinessRules::none(), always_sample)
-            .unwrap();
+    let cluster = ServingCluster::new(index(), 1, config, BusinessRules::none()).unwrap();
     assert!(cluster.telemetry().traces().snapshot().is_empty());
     let mut ctx = RequestContext::new();
     cluster.handle_with(req(7, 0), &mut ctx).unwrap();

@@ -17,12 +17,12 @@ use std::time::Duration;
 use serenade_core::{Click, SessionIndex};
 use serenade_index::binfmt;
 use serenade_serving::engine::EngineConfig;
+use serenade_serving::ingest::MAX_PENDING_APPENDS;
 use serenade_serving::node::{encode_session_ids, encode_sessions, NodeConfig, ServingNode};
 use serenade_serving::routerd::{RouterConfig, RouterDaemon};
 use serenade_serving::{
     BusinessRules, HttpClient, HttpServer, HttpServerConfig, IngestConfig, ServingCluster,
 };
-use serenade_telemetry::TraceConfig;
 
 fn clicks() -> Vec<Click> {
     let mut clicks = Vec::new();
@@ -39,16 +39,8 @@ fn index() -> Arc<SessionIndex> {
 }
 
 fn cluster() -> Arc<ServingCluster> {
-    let always_sample = TraceConfig { slots: 8, sample_every: 1, slow_threshold_us: 0 };
-    Arc::new(
-        ServingCluster::with_trace_config(
-            index(),
-            EngineConfig::default(),
-            BusinessRules::none(),
-            always_sample,
-        )
-        .unwrap(),
-    )
+    let cluster = ServingCluster::new(index(), 1, EngineConfig::default(), BusinessRules::none());
+    Arc::new(cluster.unwrap())
 }
 
 /// Replaces the value of every `"field":<digits>` named in `fields` with
@@ -165,13 +157,9 @@ fn endpoint_bodies() {
 #[test]
 fn ingest_bodies() {
     let cluster = cluster();
-    // Appends wait out a long publish interval, so the pending queue of
-    // three fills up deterministically.
-    let config = IngestConfig {
-        max_pending_appends: 3,
-        publish_interval: Duration::from_secs(60),
-        ..IngestConfig::default()
-    };
+    // Appends wait out a long publish interval, so the pending queue fills
+    // up deterministically.
+    let config = IngestConfig { publish_interval: Duration::from_secs(60) };
     cluster.enable_ingest(config, &clicks()).unwrap();
     let server = HttpServer::serve(Arc::clone(&cluster), HttpServerConfig::default()).unwrap();
     let mut client = HttpClient::connect(server.addr()).unwrap();
@@ -182,6 +170,14 @@ fn ingest_bodies() {
         format!(r#"{{"clicks":[{}]}}"#, clicks.join(","))
     };
     assert_eq!(client.post("/ingest", &batch(2)).unwrap(), (202, String::from(r#"{"accepted":2}"#)));
+    // Fill the queue to two clicks short of its bound, in bodies of at most
+    // 10,000 clicks (under 1 MiB each): a batch of four does not fit.
+    let mut pending = 2;
+    while pending < MAX_PENDING_APPENDS - 2 {
+        let n = 10_000.min(MAX_PENDING_APPENDS - 2 - pending);
+        assert_eq!(client.post("/ingest", &batch(n as u64)).unwrap().0, 202);
+        pending += n;
+    }
     assert_eq!(
         client.post("/ingest", &batch(4)).unwrap(),
         (503, String::from(r#"{"error":"ingest queue is at capacity"}"#))
@@ -209,14 +205,14 @@ fn ingest_bodies() {
 fn rejected_frames_and_sheds() {
     let config = HttpServerConfig {
         max_connections: 1,
-        max_body_bytes: 64,
         request_read_timeout: Duration::from_millis(200),
         ..HttpServerConfig::default()
     };
     let server = HttpServer::serve(cluster(), config).unwrap();
     let addr = server.addr();
+    // One byte past the 1 MiB body cap, declared in the head.
     assert_eq!(
-        raw_exchange(addr, b"POST /recommend HTTP/1.1\r\ncontent-length: 65\r\n\r\n"),
+        raw_exchange(addr, b"POST /recommend HTTP/1.1\r\ncontent-length: 1048577\r\n\r\n"),
         framed("413 Payload Too Large", r#"{"error":"request body too large"}"#)
     );
     assert_eq!(

@@ -31,4 +31,4 @@ pub mod trace;
 
 pub use histogram::{Histogram, HistogramConfig, HistogramSnapshot, REL_ERROR_BOUND};
 pub use registry::{Counter, Gauge, Registry};
-pub use trace::{TraceConfig, TraceRing, TraceSample};
+pub use trace::{TraceRing, TraceSample};

@@ -1,11 +1,11 @@
-//! Per-request tracing: a lock-striped ring of recent slow requests.
+//! Per-request tracing: a lock-striped ring of the most recent requests.
 //!
-//! Every request that clears the sampling and slow-threshold knobs deposits
-//! a [`TraceSample`] — request id, per-stage timings, session length,
-//! depersonalised flag, kernel work counters — into a fixed ring of [`TraceRing`] slots. The
-//! `GET /debug/slow` endpoint snapshots the ring and returns the samples
-//! sorted slowest-first, answering the question the aggregate histograms
-//! cannot: *which* requests were slow, and in which stage.
+//! Every request deposits a [`TraceSample`] — request id, per-stage
+//! timings, session length, depersonalised flag, kernel work counters —
+//! into a fixed ring of [`TraceRing`] slots, the last 64 in a served ring.
+//! The `GET /debug/slow` endpoint snapshots the ring and returns the
+//! samples sorted slowest-first, answering the question the aggregate
+//! histograms cannot: *which* requests were slow, and in which stage.
 //!
 //! The ring is striped per slot rather than guarded by one lock: a writer
 //! claims a slot with a single atomic `swap` on the slot's `busy` flag and
@@ -15,30 +15,12 @@
 //! samples they raced with. Every field is an atomic, so even a
 //! theoretically torn read is a benign mixed sample, never undefined
 //! behavior.
-//!
-//! Both knobs are fixed when the ring is built from its [`TraceConfig`]:
-//! `sample_every` (0 disables tracing entirely) and `slow_threshold_us` (0
-//! traces every sampled request).
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
-/// Trace-ring configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceConfig {
-    /// Ring capacity: how many recent traces are retained.
-    pub slots: usize,
-    /// Trace every Nth sampled request; 0 disables tracing.
-    pub sample_every: u64,
-    /// Only trace requests at least this slow end-to-end (microseconds);
-    /// 0 traces every sampled request.
-    pub slow_threshold_us: u64,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        Self { slots: 64, sample_every: 1, slow_threshold_us: 0 }
-    }
-}
+/// Slots of the ring a server keeps ([`TraceRing::default`]): the requests
+/// `GET /debug/slow` can show.
+const TRACE_SLOTS: usize = 64;
 
 /// One traced request, as recorded into and read back out of the ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,52 +84,35 @@ impl Slot {
     }
 }
 
-/// Lock-striped ring buffer of recent slow-request traces.
+/// Lock-striped ring buffer of the most recent request traces.
 pub struct TraceRing {
     slots: Box<[Slot]>,
-    /// Requests offered so far; drives sampling and slot rotation.
+    /// Requests offered so far; drives slot rotation.
     seq: AtomicU64,
-    sample_every: u64,
-    slow_threshold_us: u64,
 }
 
 impl Default for TraceRing {
+    /// The ring a server keeps: 64 slots.
     fn default() -> Self {
-        Self::new(TraceConfig::default())
+        Self::new(TRACE_SLOTS)
     }
 }
 
 impl TraceRing {
-    /// Creates an empty ring per `config`.
-    pub fn new(config: TraceConfig) -> Self {
-        Self {
-            slots: (0..config.slots.max(1)).map(|_| Slot::new()).collect(),
-            seq: AtomicU64::new(0),
-            sample_every: config.sample_every,
-            slow_threshold_us: config.slow_threshold_us,
-        }
+    /// Creates an empty ring of `slots` slots (at least 1).
+    pub fn new(slots: usize) -> Self {
+        Self { slots: (0..slots.max(1)).map(|_| Slot::new()).collect(), seq: AtomicU64::new(0) }
     }
 
-    /// Offers a finished request's trace to the ring. Lock-free and
-    /// allocation-free: the sample is dropped (never waited for) when it
-    /// loses the sampling dice roll, is under the slow threshold, or races
-    /// another writer on its slot.
+    /// Records a finished request's trace in the ring, over the oldest.
+    /// Lock-free and allocation-free: the sample is dropped (never waited
+    /// for) only when it races another writer on its slot.
     #[inline]
     pub fn record(&self, sample: &TraceSample) {
-        let every = self.sample_every;
-        if every == 0 {
-            return;
-        }
         // ORDERING: ticket counter only (partner: none); slot data is
         // published by the version seqlock below, never by this counter.
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        if seq % every != 0 {
-            return;
-        }
-        if sample.total_us < self.slow_threshold_us {
-            return;
-        }
-        let slot = &self.slots[(seq / every) as usize % self.slots.len()];
+        let slot = &self.slots[seq as usize % self.slots.len()];
         // ORDERING: pairs with the `busy.store(0, Release)` below; winning
         // the slot happens-after the previous owner's writes, so two
         // writers can never interleave stores into one slot.
@@ -206,11 +171,7 @@ impl TraceRing {
 
 impl std::fmt::Debug for TraceRing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceRing")
-            .field("slots", &self.slots.len())
-            .field("sample_every", &self.sample_every)
-            .field("slow_threshold_us", &self.slow_threshold_us)
-            .finish()
+        f.debug_struct("TraceRing").field("slots", &self.slots.len()).finish()
     }
 }
 
@@ -234,7 +195,7 @@ mod tests {
 
     #[test]
     fn snapshot_returns_samples_slowest_first() {
-        let ring = TraceRing::new(TraceConfig { slots: 8, ..TraceConfig::default() });
+        let ring = TraceRing::new(8);
         for (id, total) in [(1, 500), (2, 9_000), (3, 40)] {
             ring.record(&sample(id, total));
         }
@@ -247,7 +208,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_when_full() {
-        let ring = TraceRing::new(TraceConfig { slots: 2, ..TraceConfig::default() });
+        let ring = TraceRing::new(2);
         for id in 1..=5u64 {
             ring.record(&sample(id, id * 100));
         }
@@ -258,38 +219,8 @@ mod tests {
     }
 
     #[test]
-    fn slow_threshold_filters_fast_requests() {
-        let ring = TraceRing::new(TraceConfig {
-            slots: 8,
-            sample_every: 1,
-            slow_threshold_us: 1_000,
-        });
-        ring.record(&sample(1, 999));
-        ring.record(&sample(2, 1_000));
-        let snap = ring.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].request_id, 2);
-    }
-
-    #[test]
-    fn sampling_knob_thins_and_zero_disables() {
-        let ring = TraceRing::new(TraceConfig { slots: 64, sample_every: 4, ..TraceConfig::default() });
-        for id in 0..16u64 {
-            ring.record(&sample(id, 100));
-        }
-        assert_eq!(ring.snapshot().len(), 4);
-
-        let disabled = TraceRing::new(TraceConfig { sample_every: 0, ..TraceConfig::default() });
-        disabled.record(&sample(99, 100));
-        assert!(disabled.snapshot().is_empty());
-    }
-
-    #[test]
     fn concurrent_writers_and_readers_never_tear() {
-        let ring = std::sync::Arc::new(TraceRing::new(TraceConfig {
-            slots: 4,
-            ..TraceConfig::default()
-        }));
+        let ring = std::sync::Arc::new(TraceRing::new(4));
         let mut handles = Vec::new();
         for t in 0..2u64 {
             let ring = std::sync::Arc::clone(&ring);

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use serenade_telemetry::{Histogram, HistogramConfig, TraceConfig, TraceRing, TraceSample};
+use serenade_telemetry::{Histogram, HistogramConfig, TraceRing, TraceSample};
 
 /// Relaxed per-shard counters must be lossless under merge: whatever the
 /// interleaving of two recorders, the post-join snapshot accounts for every
@@ -89,11 +89,7 @@ fn trace_ring_writers_never_mix_fields() {
     }
 
     loom::model(|| {
-        let ring = Arc::new(TraceRing::new(TraceConfig {
-            slots: 1,
-            sample_every: 1,
-            slow_threshold_us: 0,
-        }));
+        let ring = Arc::new(TraceRing::new(1));
         let writers: Vec<_> = [7u64, 9]
             .into_iter()
             .map(|id| {

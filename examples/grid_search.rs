@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use serenade_core::{SessionIndex, VmisConfig, VmisKnn};
+use serenade_core::{machine_threads, SessionIndex, VmisConfig, VmisKnn};
 use serenade_dataset::{generate, split_last_days, SyntheticConfig};
 use serenade_metrics::{evaluate_parallel, EvalConfig};
 
@@ -23,7 +23,7 @@ fn main() {
     let ms = [50usize, 100, 500, 1_000];
     let ks = [50usize, 100, 500];
     let index = Arc::new(SessionIndex::build(&split.train, *ms.last().unwrap()).unwrap());
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let threads = machine_threads();
 
     let mut best: Option<(f64, usize, usize)> = None;
     println!("{:>8} {:>8} {:>9} {:>9}", "k", "m", "MRR@20", "Prec@20");

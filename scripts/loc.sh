@@ -6,7 +6,10 @@
 # its own line — so a test item above product code hides nothing after it.
 # `code` leaves out blank and comment-only lines, so deleting prose does not
 # read as deleting code. Braces are counted after string and char literals
-# and `//` comments are blanked out.
+# and `//` comments are blanked out. One row more counts the `pub` fields
+# of the `*Config` structs in the product crates (core, dataset, index,
+# kvstore, serving, telemetry): the options a deployment can set, so a PR
+# reports its option delta beside its LOC delta.
 #
 #   scripts/loc.sh [checkout]     # default: this repository
 set -euo pipefail
@@ -54,6 +57,17 @@ count() {
 
 row() { printf '%-44s %7d %7d\n' "$1" "$2" "$3"; }
 
+# Prints the number of `pub` fields of the `*Config` structs in the given
+# files: the options a deployment can set, counted as lines are.
+config_fields() {
+    awk '
+        /^[[:space:]]*pub struct [A-Za-z0-9_]*Config[[:space:]]*\{/ { inside = 1; next }
+        inside && /^[[:space:]]*\}/ { inside = 0; next }
+        inside && /^[[:space:]]*pub [a-z0-9_]+:/ { fields++ }
+        END { print fields + 0 }
+    ' "$@"
+}
+
 printf '%-44s %7s %7s\n' "non-test lines" "lines" "code"
 for crate in crates/*/; do
     mapfile -t files < <(find "$crate/src" -name '*.rs' | sort)
@@ -63,6 +77,8 @@ done
 mapfile -t files < <(find crates/*/src -name '*.rs' | sort)
 read -r lines code < <(count "${files[@]}")
 row "crates/ total" "$lines" "$code"
+mapfile -t files < <(find crates/{core,dataset,index,kvstore,serving,telemetry}/src -name '*.rs' | sort)
+printf '%-44s %7d\n' "config fields (pub, *Config, product crates)" "$(config_fields "${files[@]}")"
 echo
 while read -r file; do
     read -r lines code < <(count "$file")
