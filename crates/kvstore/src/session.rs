@@ -242,7 +242,7 @@ mod conformance {
 
     fn ttl_store() -> (TtlStore<u64, Vec<u64>, ManualClock>, ManualClock) {
         let clock = ManualClock::new();
-        let config = StoreConfig { shards: 2, ttl_ms: TTL_MS };
+        let config = StoreConfig { ttl_ms: TTL_MS };
         (TtlStore::with_clock(config, clock.clone()), clock)
     }
 

@@ -1,6 +1,6 @@
 //! The sharded TTL hash store.
 //!
-//! Keys are hashed (FxHash scheme, same as `serenade-core`) to one of `2^s`
+//! Keys are hashed (FxHash scheme, same as `serenade-core`) to one of 64
 //! shards, each guarded by its own `Mutex`. Contention is therefore bounded
 //! by the shard count, and single-shard operations are a lock + one hash-map
 //! probe — microseconds, matching the paper's RocksDB measurements for this
@@ -56,12 +56,14 @@ impl Hasher for FxHasher {
 
 type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
+/// Shards of every store, a power of two: enough that the reactors rarely
+/// meet on one lock. The model-checked build keeps one, so a schedule is
+/// spent on the race it checks.
+const SHARDS: usize = if cfg!(feature = "loom") { 1 } else { 64 };
+
 /// Configuration of a [`TtlStore`].
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
-    /// Number of shards, rounded up to a power of two. More shards, less
-    /// lock contention, slightly more memory.
-    pub shards: usize,
     /// Entry time-to-live in milliseconds (paper: 30 minutes). It runs
     /// from an entry's last access, read or write: the paper expires
     /// sessions 30 minutes after the *last* access.
@@ -70,7 +72,7 @@ pub struct StoreConfig {
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        Self { shards: 64, ttl_ms: 30 * 60 * 1_000 }
+        Self { ttl_ms: 30 * 60 * 1_000 }
     }
 }
 
@@ -123,14 +125,9 @@ impl<K: Hash + Eq, V> TtlStore<K, V, SystemClock> {
 impl<K: Hash + Eq, V, C: Clock> TtlStore<K, V, C> {
     /// Creates a store with an explicit clock (tests use [`crate::ManualClock`]).
     pub fn with_clock(config: StoreConfig, clock: C) -> Self {
-        let shards = config.shards.next_power_of_two().max(1);
-        let mut v = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            v.push(Mutex::new(Shard::default()));
-        }
         Self {
-            shards: v.into_boxed_slice(),
-            mask: shards as u64 - 1,
+            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            mask: SHARDS as u64 - 1,
             config,
             clock,
             hasher: FxBuildHasher::default(),
@@ -342,7 +339,7 @@ mod tests {
 
     fn store(ttl_ms: u64) -> (TtlStore<u64, Vec<u64>, ManualClock>, ManualClock) {
         let clock = ManualClock::new();
-        let cfg = StoreConfig { shards: 4, ttl_ms };
+        let cfg = StoreConfig { ttl_ms };
         (TtlStore::with_clock(cfg, clock.clone()), clock)
     }
 
@@ -504,7 +501,7 @@ mod tests {
         clock.advance_ms(600); // first 100 expired, last 50 live
         assert_eq!(s.evict_expired(), 100);
         assert_eq!(s.live_entries(), 50);
-        assert_eq!(s.shards.len(), 4);
+        assert_eq!(s.shards.len(), SHARDS);
         assert_eq!(s.evict_expired(), 0);
     }
 
@@ -558,10 +555,14 @@ mod tests {
 
     #[test]
     fn heap_bytes_counts_tables_and_windows() {
-        let store: TtlStore<u64, Vec<u64>> =
-            TtlStore::new(StoreConfig { shards: 1, ..StoreConfig::default() });
+        let store: TtlStore<u64, Vec<u64>> = TtlStore::new(StoreConfig::default());
         assert_eq!(store.heap_bytes(|w| w.capacity() * 8), 0, "an empty table allocates nothing");
-        for session in 0..100 {
+        // Sessions that all hash to the first shard, so one table grows.
+        let first = (0u64..)
+            .filter(|k| std::ptr::eq(store.shard_of(k), &store.shards[0]))
+            .take(101)
+            .collect::<Vec<_>>();
+        for &session in &first[..100] {
             store.put(session, vec![1, 2, 3]);
         }
         // 100 entries grow the table to 128 buckets of 40 bytes (the key,
@@ -570,15 +571,8 @@ mod tests {
         let (table, windows) = (128 * 40 + 128 + 16, 100 * 3 * 8);
         assert_eq!(store.heap_bytes(|w| w.capacity() * 8), table + windows);
         // Expired entries stay until they are reclaimed, and count.
-        store.put(100, Vec::with_capacity(9));
+        store.put(first[100], Vec::with_capacity(9));
         assert_eq!(store.heap_bytes(|w| w.capacity() * 8), table + windows + 9 * 8);
-    }
-
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        let cfg = StoreConfig { shards: 5, ..Default::default() };
-        let s: TtlStore<u64, u64> = TtlStore::new(cfg);
-        assert_eq!(s.shards.len(), 8);
     }
 
     #[test]

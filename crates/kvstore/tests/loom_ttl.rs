@@ -15,7 +15,7 @@ use std::sync::Arc as StdArc;
 
 fn expired_session_model() {
     let clock = ManualClock::new();
-    let cfg = StoreConfig { shards: 1, ttl_ms: 10 };
+    let cfg = StoreConfig { ttl_ms: 10 };
     let store = StdArc::new(TtlStore::with_clock(cfg, clock.clone()));
 
     // A session that has gone idle past its TTL before the race begins.

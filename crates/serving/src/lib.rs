@@ -79,4 +79,4 @@ pub use rules::BusinessRules;
 pub use server::{HttpServer, HttpServerConfig};
 pub use stats::ServingStats;
 pub use telemetry::ClusterTelemetry;
-pub use transport::{HttpClient, RemotePod};
+pub use transport::HttpClient;

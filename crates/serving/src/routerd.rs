@@ -30,10 +30,12 @@
 //!   restarting cold.
 //!
 //! Everything but a forwarded predict — the probe, publishes, handoff, the
-//! `/ingest` proxy and the unlearning broadcast — reaches a member through
-//! its one pooled [`RemotePod`], on the member's third address (a real
-//! node's data address: a node has one socket). The router never forwards
-//! a client's `/admin/` request; it answers `404`.
+//! `/ingest` proxy and the unlearning broadcast — is one exchange on a
+//! connection dialled to the member's third address for that call and
+//! closed after it (a real node's third address is its data address: a
+//! node has one socket), so the router keeps no admin connection open to a
+//! node between calls. The router never forwards a client's `/admin/`
+//! request; it answers `404`.
 //!
 //! # Membership snapshots
 //!
@@ -65,7 +67,7 @@ use crate::server::conn;
 use crate::server::parser::ParsedRequest;
 use crate::server::{ForwardTarget, HttpServer, HttpServerConfig, PredictRoute, RequestBackend};
 use crate::telemetry::ClusterTelemetry;
-use crate::transport::RemotePod;
+use crate::transport::{Body, HttpClient};
 
 /// Router-tier configuration.
 #[derive(Debug, Clone)]
@@ -101,9 +103,9 @@ pub struct NodeEntry {
     pub id: u64,
     /// Where predicts are forwarded.
     pub data_addr: SocketAddr,
-    /// The blocking client for everything else (the probe, publishes,
-    /// handoff, the fan-out endpoints).
-    transport: RemotePod,
+    /// Where everything else goes (the probe, publishes, handoff, the
+    /// fan-out endpoints), one dialled exchange a call.
+    admin_addr: SocketAddr,
     alive: AtomicBool,
 }
 
@@ -199,7 +201,7 @@ impl RouterCore {
             handoff_cap,
         });
         let nodes =
-            members.iter().map(|&(id, data, other)| core.node_entry(id, data, other)).collect();
+            members.iter().map(|&(id, data, admin)| Self::node_entry(id, data, admin)).collect();
         core.membership.store(crate::sync::Arc::new(Membership::new(nodes)));
         let gauge = Arc::clone(&core);
         core.telemetry.registry().polled_gauge(
@@ -218,13 +220,22 @@ impl RouterCore {
         core
     }
 
-    fn node_entry(&self, id: u64, data_addr: SocketAddr, other: SocketAddr) -> Arc<NodeEntry> {
-        Arc::new(NodeEntry {
-            id,
-            data_addr,
-            transport: RemotePod::new(other, self.probe_timeout),
-            alive: AtomicBool::new(true),
-        })
+    fn node_entry(id: u64, data_addr: SocketAddr, admin_addr: SocketAddr) -> Arc<NodeEntry> {
+        Arc::new(NodeEntry { id, data_addr, admin_addr, alive: AtomicBool::new(true) })
+    }
+
+    /// One exchange with `node` outside the predict path, on a connection
+    /// dialled for it and dropped after; the probe timeout bounds the dial
+    /// and each read and write.
+    fn call(
+        &self,
+        node: &NodeEntry,
+        method: &str,
+        path: &str,
+        body: Body<'_>,
+    ) -> std::io::Result<(u16, Vec<u8>)> {
+        let mut client = HttpClient::connect_timeout(node.admin_addr, self.probe_timeout)?;
+        client.exchange(method, path, body)
     }
 
     /// The current membership snapshot.
@@ -244,7 +255,7 @@ impl RouterCore {
     pub fn probe_members(&self) {
         let membership = self.membership.load();
         for node in &membership.nodes {
-            let alive = node.transport.call("GET", "/health", None).is_ok();
+            let alive = self.call(node, "GET", "/health", None).is_ok();
             node.alive.store(alive, Ordering::SeqCst);
         }
     }
@@ -260,12 +271,12 @@ impl RouterCore {
         if old.nodes.iter().any(|n| n.id == id) {
             return Err(format!("member {id} is already in the routing table"));
         }
-        let joiner = self.node_entry(id, data_addr, data_addr);
+        let joiner = Self::node_entry(id, data_addr, data_addr);
         // Seed the joiner with the current artifact so it serves the same
         // generation as everyone else from its first request.
         let artifact = self.last_artifact.lock().unwrap_or_else(PoisonError::into_inner).clone();
         if let Some(artifact) = artifact {
-            push_artifact(&joiner.transport, &artifact)
+            self.push_artifact(&joiner, &artifact)
                 .map_err(|e| format!("artifact push failed: {e}"))?
                 .map_err(|reason| format!("joiner rejected the artifact: {reason}"))?;
         }
@@ -311,7 +322,7 @@ impl RouterCore {
                 failed.push((node.id, String::from("node is dead")));
                 continue;
             }
-            match push_artifact(&node.transport, &artifact) {
+            match self.push_artifact(node, &artifact) {
                 Ok(Ok(())) => published.push(node.id),
                 Ok(Err(reason)) => failed.push((node.id, reason)),
                 Err(e) => {
@@ -326,6 +337,26 @@ impl RouterCore {
         Ok((published, failed))
     }
 
+    /// `PUT`s an index artifact to one node's `/admin/index`: `Ok(Err(reason))`
+    /// when the node refused it (and keeps serving its old generation), `Err`
+    /// when it could not be reached.
+    fn push_artifact(
+        &self,
+        node: &NodeEntry,
+        artifact: &[u8],
+    ) -> std::io::Result<Result<(), String>> {
+        let body = Some((OCTET_STREAM, artifact));
+        let (status, body) = self.call(node, "PUT", "/admin/index", body)?;
+        if status == 200 {
+            return Ok(Ok(()));
+        }
+        let text = String::from_utf8_lossy(&body);
+        let reason = json::parse(&text)
+            .ok()
+            .and_then(|v| v.get("error").and_then(Value::as_str).map(Cow::into_owned));
+        Ok(Err(reason.unwrap_or_else(|| format!("status {status}: {text}"))))
+    }
+
     /// Moves every exported session whose owner changes between `old` and
     /// `new` onto its new owner. Best-effort per node: an unreachable
     /// source just contributes no exports (its sessions restart cold, the
@@ -337,7 +368,7 @@ impl RouterCore {
             }
             let cap = format!("{{\"cap\":{}}}", self.handoff_cap);
             let export = Some((conn::CONTENT_TYPE_JSON, cap.as_bytes()));
-            let Ok((200, body)) = source.transport.call("POST", "/admin/sessions/export", export)
+            let Ok((200, body)) = self.call(source, "POST", "/admin/sessions/export", export)
             else {
                 continue;
             };
@@ -363,7 +394,7 @@ impl RouterCore {
                 };
                 let encoded = encode_sessions(batch);
                 let import = Some((OCTET_STREAM, encoded.as_slice()));
-                let imported = target.transport.call("POST", "/admin/sessions/import", import);
+                let imported = self.call(target, "POST", "/admin/sessions/import", import);
                 if !matches!(imported, Ok((200, _))) {
                     // The target is unreachable: leave the sessions on the
                     // source (they will be re-exported by a later change)
@@ -374,7 +405,7 @@ impl RouterCore {
             if !moved_ids.is_empty() {
                 let ids = encode_session_ids(&moved_ids);
                 let forget = Some((OCTET_STREAM, ids.as_slice()));
-                let _ = source.transport.call("POST", "/admin/sessions/forget", forget);
+                let _ = self.call(source, "POST", "/admin/sessions/forget", forget);
             }
         }
     }
@@ -425,7 +456,7 @@ impl RouterCore {
             let body = render_ingest_batch(&batch);
             let body = Some((conn::CONTENT_TYPE_JSON, body.as_bytes()));
             let node = &membership.nodes[slot];
-            match node.transport.call("POST", "/ingest", body) {
+            match self.call(node, "POST", "/ingest", body) {
                 Ok((202, _)) => accepted += batch.len(),
                 Ok((_status, _)) => failed += batch.len(),
                 Err(_) => {
@@ -448,7 +479,7 @@ impl RouterCore {
                 continue;
             }
             let path = format!("/ingest/session/{session_id}");
-            if let Ok((200, body)) = node.transport.call("DELETE", &path, None) {
+            if let Ok((200, body)) = self.call(node, "DELETE", &path, None) {
                 deleted |= body.windows(4).any(|w| w == b"true");
             }
         }
@@ -465,21 +496,6 @@ impl RouterCore {
             });
         })
     }
-}
-
-/// `PUT`s an index artifact to one node's `/admin/index`: `Ok(Err(reason))`
-/// when the node refused it (and keeps serving its old generation), `Err`
-/// when it could not be reached.
-fn push_artifact(pod: &RemotePod, artifact: &[u8]) -> std::io::Result<Result<(), String>> {
-    let (status, body) = pod.call("PUT", "/admin/index", Some((OCTET_STREAM, artifact)))?;
-    if status == 200 {
-        return Ok(Ok(()));
-    }
-    let text = String::from_utf8_lossy(&body);
-    let reason = json::parse(&text)
-        .ok()
-        .and_then(|v| v.get("error").and_then(Value::as_str).map(Cow::into_owned));
-    Ok(Err(reason.unwrap_or_else(|| format!("status {status}: {text}"))))
 }
 
 /// Renders an ingest sub-batch back into the `POST /ingest` body format.
@@ -1033,6 +1049,46 @@ mod tests {
         assert!(response.starts_with("HTTP/1.1 413"), "{response}");
         router.shutdown();
         node.shutdown();
+    }
+
+    /// Reads one unlabelled series off a node's own registry.
+    fn node_metric(node: &ServingNode, name: &str) -> f64 {
+        let text = node.cluster().telemetry().registry().render();
+        serenade_promtext::parse(&text).unwrap().value(name, &[]).unwrap()
+    }
+
+    #[test]
+    fn the_router_leaves_no_admin_connection_open_on_a_node() {
+        let (first, second) = (survivor(), survivor());
+        let config = RouterConfig {
+            probe_interval: Duration::from_millis(10),
+            ..RouterConfig::default()
+        };
+        let router =
+            RouterDaemon::start(&[(0, first.data_addr(), first.ctrl_addr())], config).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while node_metric(&first, "serenade_http_requests_total") < 20.0 {
+            assert!(Instant::now() < deadline, "the prober never reached 20 probes");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let mut artifact = Vec::new();
+        binfmt::write_index(first.cluster().index_handle().load().index(), &mut artifact)
+            .unwrap();
+        assert_eq!(router.core().publish_artifact(artifact).unwrap(), (vec![0], vec![]));
+        router.core().join(1, second.data_addr()).unwrap();
+        router.core().leave(1).unwrap();
+        assert_eq!(second.cluster().index_handle().generation(), 2, "the joiner was seeded");
+
+        // The prober keeps dialling: a reading may catch one probe in
+        // flight, but none outlives its exchange.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while node_metric(&first, "serenade_server_open_connections") != 0.0 {
+            assert!(Instant::now() < deadline, "an admin connection stays open on the node");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        router.shutdown();
+        first.shutdown();
+        second.shutdown();
     }
 
     #[test]

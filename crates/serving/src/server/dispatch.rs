@@ -28,8 +28,8 @@ pub(super) struct Dispatch {
     pub token: u64,
     /// The parsed frame (method/path/body).
     pub request: ParsedRequest,
-    /// Close the connection after this response (client `Connection:
-    /// close` or the keep-alive request cap).
+    /// Close the connection after this response (the client sent
+    /// `Connection: close`).
     pub close_hint: bool,
     /// The completion queue of the reactor that owns the connection.
     pub reply: Arc<CompletionQueue>,

@@ -615,6 +615,15 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// The `retry-after` header of every `503` shed, in seconds.
 const RETRY_AFTER: Option<u32> = Some(1);
 
+/// How long a connection shed at the accept gate waits for its client's FIN
+/// after the `503`.
+const SHED_LINGER: Duration = Duration::from_millis(100);
+
+/// Shed connections a reactor keeps lingering at once; past it a shed
+/// connection closes right after its `503`, so a shed storm cannot spend
+/// the fds the cap protects.
+const MAX_LINGERING: usize = 256;
+
 /// One reactor: poller, listener, connection slabs and the dispatch plumbing.
 pub(super) struct Reactor<B: RequestBackend> {
     poller: Poller,
@@ -627,6 +636,9 @@ pub(super) struct Reactor<B: RequestBackend> {
     slab: Slab<Connection>,
     upstreams: Slab<Upstream>,
     pools: HashMap<SocketAddr, NodePool>,
+    /// Connections shed at the accept gate, with when: each waits for its
+    /// client's FIN until [`SHED_LINGER`] has passed.
+    lingering: Vec<(TcpStream, Instant)>,
     /// The context every local predict on this reactor runs in.
     ctx: RequestContext,
     /// The poll turn, counted from 1.
@@ -667,6 +679,7 @@ impl<B: RequestBackend> Reactor<B> {
             slab: Slab::new(0),
             upstreams: Slab::new(UPSTREAM_TAG),
             pools: HashMap::new(),
+            lingering: Vec::new(),
             ctx: RequestContext::new(),
             turn: 0,
             crowded: false,
@@ -805,36 +818,29 @@ impl<B: RequestBackend> Reactor<B> {
     }
 
     /// Sheds one connection at the accept gate: the fd budget is exhausted,
-    /// so answer `503 + Retry-After` on the still-blocking socket and close.
-    fn shed_connection(&mut self, stream: TcpStream) {
+    /// so answer `503 + Retry-After` and close, without waiting on the
+    /// client.
+    fn shed_connection(&mut self, mut stream: TcpStream) {
         self.shared.metrics.shed_connections.inc();
-        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
         let body = json::error(OVERLOADED);
         let bytes =
             conn::render_response(503, body.as_bytes(), CONTENT_TYPE_JSON, true, RETRY_AFTER);
-        let mut stream = stream;
-        let _ = stream.write_all(&bytes);
+        // One write, never a wait: a few hundred bytes fit the empty send
+        // buffer of a socket just accepted, and a short write only leaves
+        // the client a truncated 503 before the close.
+        let _ = stream.write(&bytes);
         // Lingering close. The shed client is usually mid-write: closing
         // while its request bytes sit unread in our receive queue turns the
         // close into a TCP reset, which can discard the 503 out of the
-        // client's buffer before it reads it. Send our FIN first, then
-        // drain until the client's FIN so the response is reliably
-        // delivered — bounded, since a shed storm must not capture the
-        // reactor thread (the blocking `write_all` above has the same
-        // `WRITE_TIMEOUT` bound).
+        // client's buffer before it reads it. So our FIN goes first, and
+        // the timer sweep drains the socket until the client's FIN or
+        // `SHED_LINGER`.
         let _ = stream.shutdown(std::net::Shutdown::Write);
-        const SHED_LINGER: Duration = Duration::from_millis(100);
-        let _ = stream.set_read_timeout(Some(SHED_LINGER));
-        let deadline = Instant::now() + SHED_LINGER;
-        let mut sink = [0u8; 512];
-        loop {
-            match stream.read(&mut sink) {
-                Ok(0) => break,
-                Ok(_) | Err(_) if Instant::now() >= deadline => break,
-                Ok(_) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
+        if self.lingering.len() < MAX_LINGERING {
+            self.lingering.push((stream, Instant::now()));
         }
     }
 
@@ -1454,6 +1460,10 @@ impl<B: RequestBackend> Reactor<B> {
     /// `draining`, an idle connection closes at once: nothing more will be
     /// admitted on it.
     fn sweep_timeouts(&mut self, now: Instant, draining: bool) {
+        let buf = &mut self.read_buf[..];
+        self.lingering.retain_mut(|(stream, shed_at)| {
+            still_lingering(stream, buf) && now.duration_since(*shed_at) < SHED_LINGER
+        });
         let config = &self.shared.config;
         let (request_read_timeout, idle_timeout) =
             (config.request_read_timeout, config.idle_timeout);
@@ -1525,6 +1535,7 @@ impl<B: RequestBackend> Reactor<B> {
     }
 
     fn close_all(&mut self) {
+        self.lingering.clear();
         let mut tokens = std::mem::take(&mut self.sweep_tokens);
         self.slab.tokens_into(&mut tokens);
         for &token in &tokens {
@@ -1540,6 +1551,21 @@ impl<B: RequestBackend> Reactor<B> {
 
 /// The error of every `503` shed.
 const OVERLOADED: &str = "server overloaded";
+
+/// Reads what a shed client sent, without blocking: whether its socket is
+/// still open at the client's end. Reads at most eight buffers a sweep, so a
+/// client that keeps sending cannot hold the reactor.
+fn still_lingering(stream: &mut TcpStream, buf: &mut [u8]) -> bool {
+    for _ in 0..8 {
+        match stream.read(buf) {
+            Ok(0) => return false,
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return e.kind() == std::io::ErrorKind::WouldBlock,
+        }
+    }
+    true
+}
 
 #[cfg(all(test, not(feature = "loom")))]
 mod tests {

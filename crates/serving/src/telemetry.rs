@@ -77,7 +77,7 @@ impl ClusterTelemetry {
             "serenade_index_rollover_duration_seconds",
             "Duration of index rollovers (build + atomic swap).",
             &[],
-            HistogramConfig { shards: 1, ..HistogramConfig::default() },
+            HistogramConfig { shards: 1 },
         );
         Self {
             registry,

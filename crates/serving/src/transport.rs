@@ -12,26 +12,17 @@
 //!
 //! Everything else the router says to a node — the health probe, artefact
 //! publishes, session handoff, the `/ingest` proxy and the unlearning
-//! broadcast — goes through that node's one [`RemotePod`]: a bounded pool of
-//! [`HttpClient`]s on the node's data port, whose dial and I/O are bounded by
-//! the router's `probe_timeout`, so a node that accepts and never answers
-//! costs the caller that long and no longer. Bodies are bytes: the admin
-//! routes carry `application/octet-stream` (an index artefact, a session
-//! set), everything else JSON.
-//!
-//! # Pool discipline
-//!
-//! [`RemotePod`]'s connection pool follows the checkout/checkin pattern:
-//! the mutex guards only the idle-connection vector — a connection is
-//! *popped* under the guard, the guard is dropped, and all socket I/O
-//! happens on the checked-out connection outside any lock. The concurrency
-//! analyzer's lock-held-across-blocking rule depends on this: a guard held
-//! across an upstream write would serialise every proxied request behind
-//! one socket's flow control.
+//! broadcast — is one exchange on an [`HttpClient`] dialled for it with
+//! [`HttpClient::connect_timeout`] on the node's data port and dropped
+//! after: the router's `probe_timeout` bounds the dial and every read and
+//! write, so a node that accepts and never answers costs the caller that
+//! long and no longer, and the router holds no connection to a node
+//! between calls. Bodies are bytes: the admin routes carry
+//! `application/octet-stream` (an index artefact, a session set),
+//! everything else JSON.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::engine::RecommendRequest;
@@ -178,8 +169,9 @@ fn parse_head(head: &[u8], body_start: usize) -> Option<Head> {
     Some(Head { status, body_start, content_length, close })
 }
 
-/// A minimal blocking keep-alive HTTP client: what [`RemotePod`] pools, and
-/// what the load generator and the socket tests drive servers with.
+/// A minimal blocking keep-alive HTTP client: what the router dials for
+/// each call outside the predict path, and what the load generator and the
+/// socket tests drive servers with.
 ///
 /// One socket, one fd (the connection ramp opens thousands of these), one
 /// `write` per request: the frame is rendered into a reused buffer first.
@@ -239,12 +231,7 @@ impl HttpClient {
     ) -> std::io::Result<(u16, Vec<u8>)> {
         use std::io::{Error, ErrorKind};
         render_request(&mut self.out, method, path, self.addr, body);
-        let written = self.stream.write_all(&self.out);
-        if self.out.capacity() > RETAINED_BYTES {
-            // An artefact upload is not kept resident on a pooled connection.
-            self.out = Vec::new();
-        }
-        written?;
+        self.stream.write_all(&self.out)?;
         let mut chunk = [0u8; 4096];
         loop {
             match self.response.poll() {
@@ -264,16 +251,9 @@ impl HttpClient {
         }
         let answer = (self.response.status(), self.response.body().to_vec());
         self.response.consume();
-        if self.response.buf.capacity() > RETAINED_BYTES && self.response.buf.is_empty() {
-            // Nor is a session export's answer.
-            self.response = ResponseBuf::default();
-        }
         Ok(answer)
     }
 }
-
-/// Request buffers beyond this are dropped after use rather than reused.
-const RETAINED_BYTES: usize = 1 << 20;
 
 /// A text exchange's answer: the body must be UTF-8.
 fn text(answer: std::io::Result<(u16, Vec<u8>)>) -> std::io::Result<(u16, String)> {
@@ -281,75 +261,6 @@ fn text(answer: std::io::Result<(u16, Vec<u8>)>) -> std::io::Result<(u16, String
     let body = String::from_utf8(body)
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-utf8 body"))?;
     Ok((status, body))
-}
-
-/// Idle keep-alive connections retained per remote pod. Connections beyond
-/// the bound are dropped on checkin instead of pooled — the pool can never
-/// hold more sockets than `MAX_IDLE` while any number may be checked out
-/// concurrently (each request that finds the pool empty dials its own).
-const MAX_IDLE_CONNECTIONS: usize = 8;
-
-/// A serving node reached over HTTP on its data port, by blocking calls
-/// from router workers and the prober.
-pub struct RemotePod {
-    addr: SocketAddr,
-    /// Bound on the dial and on each read and write of every call.
-    timeout: Duration,
-    /// Idle keep-alive connections. LIFO so the hottest (most recently
-    /// used, least likely to have been idle-reaped by the node) connection
-    /// is reused first.
-    idle: Mutex<Vec<HttpClient>>,
-}
-
-impl RemotePod {
-    /// Creates a client for the node at `addr`. No connection is opened
-    /// until the first request — a router may be constructed before its
-    /// nodes finish binding.
-    pub fn new(addr: SocketAddr, timeout: Duration) -> Self {
-        Self { addr, timeout, idle: Mutex::new(Vec::new()) }
-    }
-
-    /// The address this pod dials.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// One exchange over a pooled connection, dialling one when the pool is
-    /// empty; the pool guard is dropped before any socket I/O. A pooled
-    /// connection the node has closed since (idle reaping, a restart) fails
-    /// before any answer, and the exchange is made once more on a fresh
-    /// dial. A connection that errors is dropped, never pooled again — its
-    /// stream state is unknowable; a healthy one goes back unless the pool
-    /// is at its bound.
-    pub fn call(
-        &self,
-        method: &str,
-        path: &str,
-        body: Body<'_>,
-    ) -> std::io::Result<(u16, Vec<u8>)> {
-        use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof};
-        let pooled = self.idle.lock().unwrap_or_else(PoisonError::into_inner).pop();
-        let dial = || HttpClient::connect_timeout(self.addr, self.timeout);
-        let reused = pooled.is_some();
-        let mut client = match pooled {
-            Some(client) => client,
-            None => dial()?,
-        };
-        let mut answer = client.exchange(method, path, body);
-        let stale = |e: &std::io::Error| {
-            matches!(e.kind(), UnexpectedEof | ConnectionReset | BrokenPipe | ConnectionAborted)
-        };
-        if reused && answer.as_ref().is_err_and(stale) {
-            client = dial()?;
-            answer = client.exchange(method, path, body);
-        }
-        let answer = answer?;
-        let mut idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
-        if idle.len() < MAX_IDLE_CONNECTIONS {
-            idle.push(client);
-        }
-        Ok(answer)
-    }
 }
 
 /// Renders one [`RecommendRequest`] as the `POST /recommend` body.
@@ -437,46 +348,14 @@ mod tests {
         // Accepts, reads nothing, answers nothing.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let pod = RemotePod::new(addr, Duration::from_millis(100));
         let started = std::time::Instant::now();
-        let err = pod.call("POST", "/ingest", Some((CONTENT_TYPE_JSON, b"{}"))).unwrap_err();
+        let mut client = HttpClient::connect_timeout(addr, Duration::from_millis(100)).unwrap();
+        let err = client.exchange("POST", "/ingest", Some((CONTENT_TYPE_JSON, b"{}"))).unwrap_err();
         assert!(
             matches!(err.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
             "{err:?}"
         );
         assert!(started.elapsed() < Duration::from_secs(2), "{:?}", started.elapsed());
-        assert_eq!(pod.idle.lock().unwrap().len(), 0, "a timed-out connection is never pooled");
         drop(listener);
-    }
-
-    #[test]
-    fn a_pooled_connection_the_node_closed_is_redialled_once() {
-        // Answers one request per connection, then hangs up: every pooled
-        // connection is stale by the time it is reused.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let node = std::thread::spawn(move || {
-            for _ in 0..2 {
-                let (mut stream, _) = listener.accept().unwrap();
-                let mut buf = [0u8; 1024];
-                assert!(stream.read(&mut buf).unwrap() > 0);
-                stream.write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok").unwrap();
-            }
-        });
-        let pod = RemotePod::new(addr, Duration::from_secs(2));
-        assert_eq!(pod.call("GET", "/health", None).unwrap(), (200, b"ok".to_vec()));
-        assert_eq!(pod.idle.lock().unwrap().len(), 1);
-        assert_eq!(pod.call("GET", "/health", None).unwrap(), (200, b"ok".to_vec()));
-        node.join().unwrap();
-    }
-
-    #[test]
-    fn pool_checkin_is_bounded() {
-        // No live server needed: the pool logic is independent of whether
-        // connections work. Dial nothing, exercise the bound directly.
-        let pod = RemotePod::new("127.0.0.1:1".parse().unwrap(), Duration::from_millis(100));
-        assert_eq!(pod.idle.lock().unwrap().len(), 0);
-        assert!(pod.call("GET", "/health", None).is_err(), "nothing listens on port 1");
-        assert_eq!(pod.idle.lock().unwrap().len(), 0, "failed connections are never pooled");
     }
 }

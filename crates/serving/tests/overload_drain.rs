@@ -402,6 +402,40 @@ fn connection_cap_sheds_at_the_accept_gate_with_503() {
     server.shutdown();
 }
 
+/// A shed client that sends nothing and never hangs up costs the reactor
+/// no wait: the admitted connection's next predict is answered at once.
+#[test]
+fn silent_shed_clients_do_not_stall_an_admitted_connection() {
+    let (server, _cluster) = start(HttpServerConfig {
+        max_connections: 1,
+        ..HttpServerConfig::default()
+    });
+    let mut held = HttpClient::connect(server.addr()).unwrap();
+    assert_eq!(post_recommend(&mut held).0, 200);
+
+    let silent: Vec<TcpStream> =
+        (0..10).map(|_| TcpStream::connect(server.addr()).unwrap()).collect();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.metrics().shed_connections.get() == 0 {
+        assert!(Instant::now() < deadline, "no connection was shed");
+        std::thread::yield_now();
+    }
+    let started = Instant::now();
+    assert_eq!(post_recommend(&mut held).0, 200);
+    let waited = started.elapsed();
+    assert!(waited < Duration::from_millis(50), "the predict waited {waited:?} behind the sheds");
+
+    // Every silent client still reads its 503 and the server's close.
+    for mut stream in silent {
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 503"), "{response}");
+    }
+    assert_eq!(server.metrics().shed_connections.get(), 10);
+    server.shutdown();
+}
+
 #[test]
 fn drain_reaps_many_parked_idle_connections_immediately() {
     let (server, _cluster) = start(HttpServerConfig {

@@ -76,12 +76,16 @@ fn bucket_mid(index: usize) -> u64 {
     lower + (bucket_upper(index) - lower) / 2
 }
 
+/// Largest representable value in microseconds; larger observations are
+/// clamped into the top bucket. One hour: far beyond any serving latency,
+/// and the bucket table stays under 1,000 entries (~7.5 KiB per shard). The
+/// model-checked build shrinks the range so a schedule's step budget is
+/// spent on interleavings, not bucket loads.
+const MAX_VALUE_US: u64 = if cfg!(feature = "loom") { 63 } else { 3_600_000_000 };
+
 /// Histogram configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct HistogramConfig {
-    /// Largest representable value in microseconds; larger observations are
-    /// clamped into the top bucket. Memory scales with `log2(max_value_us)`.
-    pub max_value_us: u64,
     /// Per-worker shards (rounded up to at least 1). More shards, less
     /// record-path cache-line sharing, proportionally more snapshot work.
     pub shards: usize,
@@ -89,15 +93,7 @@ pub struct HistogramConfig {
 
 impl Default for HistogramConfig {
     fn default() -> Self {
-        if cfg!(feature = "loom") {
-            // The model-checked build shrinks the range so a schedule's
-            // step budget is spent on interleavings, not bucket loads.
-            Self { max_value_us: 63, shards: 2 }
-        } else {
-            // One hour in microseconds: far beyond any serving latency, and
-            // the bucket table stays under 1,000 entries (~7.5 KiB per shard).
-            Self { max_value_us: 3_600_000_000, shards: 8 }
-        }
+        Self { shards: if cfg!(feature = "loom") { 2 } else { 8 } }
     }
 }
 
@@ -126,7 +122,6 @@ impl Shard {
 /// microsecond values. See the module docs for the design.
 pub struct Histogram {
     shards: Box<[Shard]>,
-    clamp: u64,
 }
 
 impl Default for Histogram {
@@ -138,13 +133,8 @@ impl Default for Histogram {
 impl Histogram {
     /// Creates an empty histogram per `config`.
     pub fn new(config: HistogramConfig) -> Self {
-        let clamp = config.max_value_us.max(1);
-        let buckets = bucket_index(clamp) + 1;
-        let shards = config.shards.max(1);
-        Self {
-            shards: (0..shards).map(|_| Shard::new(buckets)).collect(),
-            clamp,
-        }
+        let buckets = bucket_index(MAX_VALUE_US) + 1;
+        Self { shards: (0..config.shards.max(1)).map(|_| Shard::new(buckets)).collect() }
     }
 
     /// Records one observation in microseconds. Wait-free: four relaxed
@@ -163,7 +153,7 @@ impl Histogram {
     /// Records one observation into shard `shard` (in range).
     #[inline]
     fn record_into(&self, shard: usize, value_us: u64) {
-        let v = value_us.min(self.clamp);
+        let v = value_us.min(MAX_VALUE_US);
         let shard = &self.shards[shard];
         // ORDERING: statistical counters with no partner; `snapshot` merges
         // racy per-shard reads and tolerates torn cross-field views (a
@@ -211,7 +201,6 @@ impl std::fmt::Debug for Histogram {
         f.debug_struct("Histogram")
             .field("shards", &self.shards.len())
             .field("buckets", &self.buckets())
-            .field("clamp_us", &self.clamp)
             .finish()
     }
 }
@@ -314,7 +303,7 @@ mod tests {
 
     #[test]
     fn snapshot_counts_and_extremes_are_exact() {
-        let h = Histogram::new(HistogramConfig { max_value_us: 1 << 30, shards: 4 });
+        let h = Histogram::new(HistogramConfig { shards: 4 });
         for (i, v) in [3u64, 100, 7_500, 100, 1_000_000].into_iter().enumerate() {
             h.record_into(i % 4, v);
         }
@@ -327,12 +316,12 @@ mod tests {
 
     #[test]
     fn values_above_the_clamp_land_in_the_top_bucket() {
-        let h = Histogram::new(HistogramConfig { max_value_us: 1_000, shards: 1 });
+        let h = Histogram::new(HistogramConfig { shards: 1 });
         h.record_us(u64::MAX);
         let s = h.snapshot();
         assert_eq!(s.count, 1);
-        assert!(s.max_us <= 1_000);
-        assert!(s.quantile_us(1.0) <= 1_000);
+        assert!(s.max_us <= MAX_VALUE_US);
+        assert!(s.quantile_us(1.0) <= MAX_VALUE_US);
     }
 
     #[test]

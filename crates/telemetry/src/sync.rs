@@ -1,15 +1,19 @@
 //! Facade over the concurrency primitives used on the telemetry hot path.
 //!
-//! [`crate::histogram`] and [`crate::trace`] take their atomics from here
-//! instead of `std::sync::atomic` directly (checked: both are facade
-//! modules of `xtask analyze`'s `facade-only-sync` rule): normal builds
-//! re-export the real types at zero cost, `--features loom` builds
-//! re-export the deterministic model-checker shims so record/snapshot
-//! interleavings can be explored schedule-by-schedule inside `loom::model`.
+//! [`crate::histogram`] and [`crate::trace`] take their atomics and the
+//! trace ring's slot `Mutex` from here instead of `std::sync` directly
+//! (checked: both are facade modules of `xtask analyze`'s
+//! `facade-only-sync` rule): normal builds re-export the real types at zero
+//! cost, `--features loom` builds re-export the deterministic model-checker
+//! shims so record/snapshot interleavings can be explored
+//! schedule-by-schedule inside `loom::model`. Both `Mutex`es return
+//! `std::sync` lock results, so one locking line serves both builds.
 
 /// Model-checked mode: every primitive routes through the `loom` shim.
 #[cfg(feature = "loom")]
 mod imp {
+    pub use loom::sync::Mutex;
+
     /// Atomic types whose every operation is a model scheduling point.
     pub mod atomic {
         pub use loom::sync::atomic::{AtomicU64, Ordering};
@@ -25,6 +29,8 @@ mod imp {
 /// Production mode: zero-cost re-exports of the real primitives.
 #[cfg(not(feature = "loom"))]
 mod imp {
+    pub use std::sync::Mutex;
+
     /// Atomic types (the real ones).
     pub mod atomic {
         pub use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,4 +1,4 @@
-//! Per-request tracing: a lock-striped ring of the most recent requests.
+//! Per-request tracing: a ring of the most recent requests, one lock a slot.
 //!
 //! Every request deposits a [`TraceSample`] — request id, per-stage
 //! timings, session length, depersonalised flag, kernel work counters —
@@ -7,16 +7,15 @@
 //! samples sorted slowest-first, answering the question the aggregate
 //! histograms cannot: *which* requests were slow, and in which stage.
 //!
-//! The ring is striped per slot rather than guarded by one lock: a writer
-//! claims a slot with a single atomic `swap` on the slot's `busy` flag and
-//! simply drops the trace if another writer holds it (telemetry may shed
-//! load; it must never add a lock-wait to the request path). Field writes
-//! are bracketed by a version counter (odd = mid-write) so readers discard
-//! samples they raced with. Every field is an atomic, so even a
-//! theoretically torn read is a benign mixed sample, never undefined
-//! behavior.
+//! Each slot is a mutex over the sample it holds. A writer takes the slot
+//! its ticket picks with `try_lock` and drops its trace if another writer
+//! holds it (telemetry may shed load; it must never add a lock-wait to the
+//! request path). The reader locks each slot for one copy.
+
+use std::sync::PoisonError;
 
 use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::Mutex;
 
 /// Slots of the ring a server keeps ([`TraceRing::default`]): the requests
 /// `GET /debug/slow` can show.
@@ -48,45 +47,10 @@ pub struct TraceSample {
     pub candidates: u32,
 }
 
-const FLAG_DEPERSONALISED: u64 = 1;
-
-/// One ring slot. `busy` is the per-slot stripe lock (try-acquire only);
-/// `version` brackets writes so readers can reject racing samples.
-struct Slot {
-    busy: AtomicU64,
-    version: AtomicU64,
-    request_id: AtomicU64,
-    total_us: AtomicU64,
-    session_us: AtomicU64,
-    predict_us: AtomicU64,
-    policy_us: AtomicU64,
-    session_len: AtomicU64,
-    flags: AtomicU64,
-    postings_walked: AtomicU64,
-    candidates: AtomicU64,
-}
-
-impl Slot {
-    fn new() -> Self {
-        Self {
-            busy: AtomicU64::new(0),
-            version: AtomicU64::new(0),
-            request_id: AtomicU64::new(0),
-            total_us: AtomicU64::new(0),
-            session_us: AtomicU64::new(0),
-            predict_us: AtomicU64::new(0),
-            policy_us: AtomicU64::new(0),
-            session_len: AtomicU64::new(0),
-            flags: AtomicU64::new(0),
-            postings_walked: AtomicU64::new(0),
-            candidates: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Lock-striped ring buffer of the most recent request traces.
+/// Ring buffer of the most recent request traces.
 pub struct TraceRing {
-    slots: Box<[Slot]>,
+    /// `None` until a sample is first written there.
+    slots: Box<[Mutex<Option<TraceSample>>]>,
     /// Requests offered so far; drives slot rotation.
     seq: AtomicU64,
 }
@@ -101,70 +65,31 @@ impl Default for TraceRing {
 impl TraceRing {
     /// Creates an empty ring of `slots` slots (at least 1).
     pub fn new(slots: usize) -> Self {
-        Self { slots: (0..slots.max(1)).map(|_| Slot::new()).collect(), seq: AtomicU64::new(0) }
+        let slots = (0..slots.max(1)).map(|_| Mutex::new(None)).collect();
+        Self { slots, seq: AtomicU64::new(0) }
     }
 
     /// Records a finished request's trace in the ring, over the oldest.
-    /// Lock-free and allocation-free: the sample is dropped (never waited
-    /// for) only when it races another writer on its slot.
+    /// Never waits and never allocates: the sample is dropped only when it
+    /// races another writer on its slot.
     #[inline]
     pub fn record(&self, sample: &TraceSample) {
-        // ORDERING: ticket counter only (partner: none); slot data is
-        // published by the version seqlock below, never by this counter.
+        // ORDERING: ticket counter only (partner: none); the slot's mutex
+        // publishes the sample, never this counter.
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[seq as usize % self.slots.len()];
-        // ORDERING: pairs with the `busy.store(0, Release)` below; winning
-        // the slot happens-after the previous owner's writes, so two
-        // writers can never interleave stores into one slot.
-        if slot.busy.swap(1, Ordering::Acquire) == 1 {
-            return;
+        if let Ok(mut slot) = self.slots[seq as usize % self.slots.len()].try_lock() {
+            *slot = Some(*sample);
         }
-        slot.version.fetch_add(1, Ordering::SeqCst); // now odd: mid-write
-        slot.request_id.store(sample.request_id, Ordering::Release); // ORDERING: pairs with snapshot's Acquire load
-        slot.total_us.store(sample.total_us, Ordering::Release); // ORDERING: pairs with snapshot's Acquire load
-        slot.session_us.store(sample.session_us, Ordering::Release); // ORDERING: pairs with snapshot's Acquire load
-        slot.predict_us.store(sample.predict_us, Ordering::Release); // ORDERING: pairs with snapshot's Acquire load
-        slot.policy_us.store(sample.policy_us, Ordering::Release); // ORDERING: pairs with snapshot's Acquire load
-        slot.session_len.store(sample.session_len, Ordering::Release); // ORDERING: pairs with snapshot's Acquire load
-        let flags = if sample.depersonalised { FLAG_DEPERSONALISED } else { 0 };
-        slot.flags.store(flags, Ordering::Release); // ORDERING: pairs with snapshot's Acquire load
-        slot.postings_walked.store(u64::from(sample.postings_walked), Ordering::Release); // ORDERING: pairs with snapshot's Acquire load
-        slot.candidates.store(u64::from(sample.candidates), Ordering::Release); // ORDERING: pairs with snapshot's Acquire load
-        slot.version.fetch_add(1, Ordering::SeqCst); // even again: published
-        // ORDERING: pairs with the next writer's `busy.swap(1, Acquire)`
-        // above, handing the slot over with all our stores visible.
-        slot.busy.store(0, Ordering::Release);
     }
 
-    /// Snapshots the ring: all published samples, sorted slowest-first.
-    /// Slots mid-write (odd version, or version changed while reading) are
-    /// skipped rather than waited for.
+    /// Snapshots the ring: every written sample, sorted slowest-first.
     pub fn snapshot(&self) -> Vec<TraceSample> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let v1 = slot.version.load(Ordering::SeqCst);
-            if v1 == 0 || v1 % 2 == 1 {
-                continue;
-            }
-            let sample = TraceSample {
-                // ORDERING: Acquire data loads pair with `record`'s Release
-                // stores and keep the closing `version` re-check below from
-                // being hoisted above them — the seqlock's read bracket.
-                request_id: slot.request_id.load(Ordering::Acquire),
-                total_us: slot.total_us.load(Ordering::Acquire), // ORDERING: see request_id above
-                session_us: slot.session_us.load(Ordering::Acquire), // ORDERING: see request_id above
-                predict_us: slot.predict_us.load(Ordering::Acquire), // ORDERING: see request_id above
-                policy_us: slot.policy_us.load(Ordering::Acquire), // ORDERING: see request_id above
-                session_len: slot.session_len.load(Ordering::Acquire), // ORDERING: see request_id above
-                depersonalised: slot.flags.load(Ordering::Acquire) & FLAG_DEPERSONALISED != 0, // ORDERING: see request_id above
-                postings_walked: slot.postings_walked.load(Ordering::Acquire) as u32, // ORDERING: see request_id above
-                candidates: slot.candidates.load(Ordering::Acquire) as u32, // ORDERING: see request_id above
-            };
-            if slot.version.load(Ordering::SeqCst) == v1 {
-                out.push(sample);
-            }
-        }
-        out.sort_by(|a, b| b.total_us.cmp(&a.total_us));
+        let mut out: Vec<TraceSample> = self
+            .slots
+            .iter()
+            .filter_map(|slot| *slot.lock().unwrap_or_else(PoisonError::into_inner))
+            .collect();
+        out.sort_by_key(|s| std::cmp::Reverse(s.total_us));
         out
     }
 }

@@ -74,8 +74,8 @@ proptest! {
     ) {
         // Each recording thread draws the next round-robin shard slot, so
         // the snapshot merges up to four shards' worth of the samples.
-        let sharded = Histogram::new(HistogramConfig { shards: 4, ..HistogramConfig::default() });
-        let single = Histogram::new(HistogramConfig { shards: 1, ..HistogramConfig::default() });
+        let sharded = Histogram::new(HistogramConfig { shards: 4 });
+        let single = Histogram::new(HistogramConfig { shards: 1 });
         std::thread::scope(|s| {
             for part in samples.chunks(samples.len().div_ceil(4)) {
                 let sharded = &sharded;

@@ -6,10 +6,10 @@
 //! routes every atomic through the shim, so each load/store/RMW below is a
 //! scheduling point.
 //!
-//! The histograms here are deliberately tiny (`max_value_us` in the tens):
-//! the model's step budget is per schedule, and a production-sized bucket
-//! table would spend it on snapshot loads instead of interesting
-//! interleavings.
+//! The histograms here are deliberately tiny (the loom build clamps values
+//! at 63 µs): the model's step budget is per schedule, and a
+//! production-sized bucket table would spend it on snapshot loads instead
+//! of interesting interleavings.
 
 #![cfg(feature = "loom")]
 
@@ -23,12 +23,12 @@ use serenade_telemetry::{Histogram, HistogramConfig, TraceRing, TraceSample};
 #[test]
 fn sharded_histogram_record_is_lossless_under_merge() {
     loom::model(|| {
-        let h = Arc::new(Histogram::new(HistogramConfig { max_value_us: 31, shards: 2 }));
+        let h = Arc::new(Histogram::new(HistogramConfig { shards: 2 }));
         let t1 = {
             let h = Arc::clone(&h);
             loom::thread::spawn(move || {
                 h.record_us(3);
-                h.record_us(70); // clamped to 31
+                h.record_us(70); // clamped to 63
             })
         };
         let t2 = {
@@ -40,11 +40,11 @@ fn sharded_histogram_record_is_lossless_under_merge() {
 
         let s = h.snapshot();
         assert_eq!(s.count, 3, "a relaxed increment was lost in the merge");
-        assert_eq!(s.sum_us, 3 + 31 + 5);
+        assert_eq!(s.sum_us, 3 + 63 + 5);
         assert_eq!(s.min_us, 3);
-        assert_eq!(s.max_us, 31);
+        assert_eq!(s.max_us, 63);
         assert_eq!(s.quantile_us(0.0), 3);
-        assert_eq!(s.quantile_us(1.0), 31);
+        assert_eq!(s.quantile_us(1.0), 63);
     });
 }
 
@@ -54,7 +54,7 @@ fn sharded_histogram_record_is_lossless_under_merge() {
 #[test]
 fn concurrent_snapshot_is_a_subset() {
     loom::model(|| {
-        let h = Arc::new(Histogram::new(HistogramConfig { max_value_us: 15, shards: 1 }));
+        let h = Arc::new(Histogram::new(HistogramConfig { shards: 1 }));
         let writer = {
             let h = Arc::clone(&h);
             loom::thread::spawn(move || {
@@ -69,9 +69,10 @@ fn concurrent_snapshot_is_a_subset() {
     });
 }
 
-/// Two writers racing the same trace slot: the busy stripe must serialise
-/// them (one drops its sample), and a post-join snapshot must hold exactly
-/// one internally consistent sample — no field mixing between writers.
+/// Two writers racing the same trace slot: the slot's lock must serialise
+/// them (a writer that finds it held drops its sample), and a post-join
+/// snapshot must hold exactly one internally consistent sample — no field
+/// mixing between writers.
 #[test]
 fn trace_ring_writers_never_mix_fields() {
     fn sample(id: u64) -> TraceSample {

@@ -79,31 +79,6 @@ fn dispatch_queue_guard_scopes_match_ground_truth() {
 }
 
 #[test]
-fn trace_ring_record_is_fully_annotated() {
-    // The seqlock writer is the densest weak-ordering site in the tree;
-    // every one of its atomics must carry an ORDERING comment.
-    let files = xtask::analyze::parse_workspace(&workspace_root()).expect("parse workspace");
-    let trace = files
-        .iter()
-        .find(|f| f.path == "crates/telemetry/src/trace.rs")
-        .expect("trace.rs parsed");
-    let record = trace
-        .fns
-        .iter()
-        .find(|f| f.qual == "TraceRing::record")
-        .expect("TraceRing::record found");
-    assert!(record.atomics.len() >= 10, "seqlock writer atomics: {}", record.atomics.len());
-    for a in &record.atomics {
-        assert!(
-            a.ordering == "SeqCst" || a.has_ordering_comment,
-            "unannotated {} at trace.rs:{}",
-            a.ordering,
-            a.line
-        );
-    }
-}
-
-#[test]
 fn workspace_analysis_is_clean() {
     let findings =
         xtask::analyze::analyze_workspace(&workspace_root()).expect("analyze workspace");

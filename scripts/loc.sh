@@ -9,7 +9,9 @@
 # and `//` comments are blanked out. One row more counts the `pub` fields
 # of the `*Config` structs in the product crates (core, dataset, index,
 # kvstore, serving, telemetry): the options a deployment can set, so a PR
-# reports its option delta beside its LOC delta.
+# reports its option delta beside its LOC delta. Beside it, the entries of
+# the checker's allowlist (`crates/xtask/analyze_allow.txt`), in total and by
+# rule: the findings the tree waives, so a PR reports its waiver delta too.
 #
 #   scripts/loc.sh [checkout]     # default: this repository
 set -euo pipefail
@@ -79,6 +81,11 @@ read -r lines code < <(count "${files[@]}")
 row "crates/ total" "$lines" "$code"
 mapfile -t files < <(find crates/{core,dataset,index,kvstore,serving,telemetry}/src -name '*.rs' | sort)
 printf '%-44s %7d\n' "config fields (pub, *Config, product crates)" "$(config_fields "${files[@]}")"
+allowlist=crates/xtask/analyze_allow.txt
+printf '%-44s %7d\n' "allowlist entries (analyze_allow.txt)" "$(grep -c '^[a-z-]* :: ' "$allowlist")"
+grep -o '^[a-z-]* :: ' "$allowlist" | sort | uniq -c | while read -r n rule _; do
+    printf '%-44s %7d\n' "  $rule" "$n"
+done
 echo
 while read -r file; do
     read -r lines code < <(count "$file")

@@ -554,6 +554,19 @@ pub(crate) fn mutex_lock(id: usize) {
     });
 }
 
+/// Takes the mutex if no thread holds it, without blocking.
+pub(crate) fn mutex_try_lock(id: usize) -> bool {
+    op(|st, me| {
+        if st.mutexes[id].held_by.is_some() && !std::thread::panicking() {
+            return false;
+        }
+        st.mutexes[id].held_by = Some(me);
+        let rc = st.mutexes[id].release_clock.clone();
+        vc_join(&mut st.threads[me].clock, &rc);
+        true
+    })
+}
+
 pub(crate) fn mutex_unlock(id: usize) {
     op(|st, me| {
         if st.mutexes[id].held_by != Some(me) {

@@ -102,11 +102,6 @@ pub mod atomic {
             rt::atomic_rmw(self.0.loc(), order, |old| old.wrapping_sub(v))
         }
 
-        /// Swaps in `v`, returning the previous value.
-        pub fn swap(&self, v: u64, order: Ordering) -> u64 {
-            rt::atomic_rmw(self.0.loc(), order, |_| v)
-        }
-
         /// Stores the maximum of the current value and `v`, returning the
         /// previous value.
         pub fn fetch_max(&self, v: u64, order: Ordering) -> u64 {
@@ -204,7 +199,8 @@ impl<T: std::fmt::Display> std::fmt::Display for Arc<T> {
 
 /// Model-checked mutex with `std::sync::Mutex`'s API. A model thread
 /// that panics fails the whole model run, so the lock is never poisoned:
-/// `lock()` always returns `Ok`.
+/// `lock()` always returns `Ok`, and `try_lock()` fails only as
+/// `WouldBlock`.
 pub struct Mutex<T> {
     id: OnceLock<usize>,
     cell: UnsafeCell<T>,
@@ -229,6 +225,15 @@ impl<T> Mutex<T> {
     pub fn lock(&self) -> std::sync::LockResult<MutexGuard<'_, T>> {
         rt::mutex_lock(self.mid());
         Ok(MutexGuard { mx: self })
+    }
+
+    /// Acquires the lock if it is free; a scheduling point either way.
+    pub fn try_lock(&self) -> std::sync::TryLockResult<MutexGuard<'_, T>> {
+        if rt::mutex_try_lock(self.mid()) {
+            Ok(MutexGuard { mx: self })
+        } else {
+            Err(std::sync::TryLockError::WouldBlock)
+        }
     }
 
     /// Returns the inner value, consuming the mutex.

@@ -77,6 +77,36 @@ fn mutex_provides_exclusion() {
     assert!(report.exhausted);
 }
 
+/// `try_lock` never enters a held lock, and the checker explores both the
+/// schedule where the second caller finds it free and the one where it
+/// finds it held.
+#[test]
+fn try_lock_excludes_without_blocking() {
+    let outcomes = std::sync::Arc::new(std::sync::Mutex::new(std::collections::BTreeSet::new()));
+    let seen = std::sync::Arc::clone(&outcomes);
+    let report = quick().explore(move || {
+        let c = Arc::new(Mutex::new(0u64));
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let c = Arc::clone(&c);
+                thread::spawn(move || {
+                    if let Ok(mut g) = c.try_lock() {
+                        let v = *g;
+                        *g = v + 1;
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        seen.lock().unwrap().insert(*c.lock().unwrap());
+    });
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+    assert!(report.exhausted);
+    assert_eq!(outcomes.lock().unwrap().iter().copied().collect::<Vec<_>>(), [1, 2]);
+}
+
 #[test]
 fn message_passing_with_release_acquire_is_sound() {
     let report = quick().explore(|| {
